@@ -344,20 +344,13 @@ impl WireMsg {
                 put_u32(&mut out, msg.generation);
                 out.push(msg.kind.code());
             }
-            WireMsg::Submit { name, dag } => {
-                out.push(T_SUBMIT);
-                put_str(&mut out, name);
-                put_str(&mut out, dag);
-            }
+            WireMsg::Submit { name, dag } => return DagFrame { id: None, name, dag }.encode(),
             WireMsg::Return(d) => {
                 out.push(T_RETURN);
                 put_dispatch(&mut out, d);
             }
             WireMsg::Workflow { id, name, dag } => {
-                out.push(T_WORKFLOW);
-                put_u32(&mut out, id.0);
-                put_str(&mut out, name);
-                put_str(&mut out, dag);
+                return DagFrame { id: Some(*id), name, dag }.encode()
             }
             WireMsg::Dispatch(d) => {
                 out.push(T_DISPATCH);
@@ -413,18 +406,15 @@ impl WireMsg {
                     .ok_or(WireError::BadPayload("lifecycle kind"))?;
                 WireMsg::Lifecycle(LifecycleMsg::new(worker, generation, kind))
             }
-            T_SUBMIT => {
-                let name = r.string()?;
-                let dag = r.string()?;
-                WireMsg::Submit { name, dag }
+            T_SUBMIT | T_WORKFLOW => {
+                let DagFrame { id, name, dag } = DagFrame::body(ty, &mut r)?;
+                let (name, dag) = (name.to_string(), dag.to_string());
+                match id {
+                    None => WireMsg::Submit { name, dag },
+                    Some(id) => WireMsg::Workflow { id, name, dag },
+                }
             }
             T_RETURN => WireMsg::Return(r.dispatch()?),
-            T_WORKFLOW => {
-                let id = WorkflowId(r.u32()?);
-                let name = r.string()?;
-                let dag = r.string()?;
-                WireMsg::Workflow { id, name, dag }
-            }
             T_DISPATCH => WireMsg::Dispatch(r.dispatch()?),
             T_DISPATCH_BATCH => {
                 let count = r.u32()? as usize;
@@ -444,12 +434,79 @@ impl WireMsg {
     }
 }
 
+/// A borrowed view of the two frames that carry a DAG —
+/// [`WireMsg::Submit`] (`id` is `None`) and [`WireMsg::Workflow`] — for
+/// the paths that handle megabytes of DAG text per frame. Decoding
+/// borrows `name` and `dag` from the received frame instead of copying
+/// them out; encoding is split into [`head`](Self::head), which is
+/// everything up to the text, and the text itself, so a sender that
+/// already holds the text never concatenates the two. Same bytes on the
+/// wire as [`WireMsg::encode`], same rejections as [`WireMsg::decode`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct DagFrame<'a> {
+    /// The dense workflow id of an announcement; `None` for a submission.
+    pub(crate) id: Option<WorkflowId>,
+    /// Human-readable workflow name.
+    pub(crate) name: &'a str,
+    /// The DAG in `dewe-dag` text format.
+    pub(crate) dag: &'a str,
+}
+
+impl<'a> DagFrame<'a> {
+    /// Decode `frame` if it is a `Submit` or `Workflow` frame; `Ok(None)`
+    /// for any other well-versioned message type, which the caller hands
+    /// to [`WireMsg::decode`].
+    pub(crate) fn decode(frame: &'a [u8]) -> Result<Option<Self>, WireError> {
+        let mut r = Reader { buf: frame, pos: 0 };
+        let version = r.u8()?;
+        if version != PROTOCOL_VERSION {
+            return Err(WireError::Version { got: version });
+        }
+        match r.u8()? {
+            ty @ (T_SUBMIT | T_WORKFLOW) => Self::body(ty, &mut r).map(Some),
+            _ => Ok(None),
+        }
+    }
+
+    fn body(ty: u8, r: &mut Reader<'a>) -> Result<Self, WireError> {
+        let id = if ty == T_WORKFLOW { Some(WorkflowId(r.u32()?)) } else { None };
+        Ok(Self { id, name: r.str()?, dag: r.str()? })
+    }
+
+    /// The frame payload up to and including the DAG's length prefix;
+    /// the payload is this followed by the bytes of `dag`.
+    pub(crate) fn head(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(2 + 4 + 4 + self.name.len() + 4);
+        out.push(PROTOCOL_VERSION);
+        match self.id {
+            None => out.push(T_SUBMIT),
+            Some(id) => {
+                out.push(T_WORKFLOW);
+                put_u32(&mut out, id.0);
+            }
+        }
+        put_str(&mut out, self.name);
+        put_len(&mut out, self.dag);
+        out
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut out = self.head();
+        out.extend_from_slice(self.dag.as_bytes());
+        out
+    }
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_len(out: &mut Vec<u8>, s: &str) {
     put_u32(out, u32::try_from(s.len()).expect("string exceeds u32 length"));
+}
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_len(out, s);
     out.extend_from_slice(s.as_bytes());
 }
 
@@ -464,7 +521,7 @@ struct Reader<'a> {
     pos: usize,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn remaining(&self) -> usize {
         self.buf.len().saturating_sub(self.pos)
     }
@@ -482,12 +539,12 @@ impl Reader<'_> {
         Ok(u32::from_be_bytes(bytes.try_into().expect("4-byte slice")))
     }
 
-    fn string(&mut self) -> Result<String, WireError> {
+    fn str(&mut self) -> Result<&'a str, WireError> {
         let len = self.u32()? as usize;
         let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
         let bytes = self.buf.get(self.pos..end).ok_or(WireError::Truncated)?;
         self.pos = end;
-        String::from_utf8(bytes.to_vec()).map_err(|_| WireError::BadPayload("utf-8 string"))
+        std::str::from_utf8(bytes).map_err(|_| WireError::BadPayload("utf-8 string"))
     }
 
     fn dispatch(&mut self) -> Result<DispatchMsg, WireError> {
@@ -609,6 +666,66 @@ mod tests {
                 .encode();
         bytes[2..6].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(WireMsg::decode(&bytes), Err(WireError::Truncated));
+    }
+
+    #[test]
+    fn dag_frames_decode_borrowed_and_encode_split_to_the_same_bytes() {
+        let owned = [
+            WireMsg::Submit { name: "montage".into(), dag: "# dag é text".into() },
+            WireMsg::Workflow { id: WorkflowId(9), name: "".into(), dag: "".into() },
+        ];
+        for msg in owned {
+            let bytes = msg.encode();
+            let view = DagFrame::decode(&bytes).unwrap().expect("a DAG frame");
+            // Borrowed, not copied: the text points into the frame.
+            assert!(bytes.as_ptr_range().contains(&view.dag.as_ptr()) || view.dag.is_empty());
+            let mut split = view.head();
+            split.extend_from_slice(view.dag.as_bytes());
+            assert_eq!(split, bytes, "head + text is the owned encoding");
+            let again = match view.id {
+                None => WireMsg::Submit { name: view.name.into(), dag: view.dag.into() },
+                Some(id) => WireMsg::Workflow { id, name: view.name.into(), dag: view.dag.into() },
+            };
+            assert_eq!(again, msg);
+        }
+        // Any other well-formed frame is left to `WireMsg::decode`.
+        assert_eq!(DagFrame::decode(&WireMsg::Bye.encode()), Ok(None));
+        assert_eq!(DagFrame::decode(&[PROTOCOL_VERSION, 0x7F]), Ok(None));
+    }
+
+    #[test]
+    fn borrowed_decode_rejects_what_the_owned_decode_rejects() {
+        let good =
+            WireMsg::Workflow { id: WorkflowId(1), name: "n".into(), dag: "JOB a".into() }.encode();
+        let both = |frame: &[u8]| {
+            let owned = WireMsg::decode(frame).unwrap_err();
+            assert_eq!(DagFrame::decode(frame), Err(owned.clone()), "{frame:?}");
+            owned
+        };
+        // Version skew, before anything else is looked at.
+        let mut skewed = good.clone();
+        skewed[0] = PROTOCOL_VERSION + 1;
+        assert_eq!(both(&skewed), WireError::Version { got: PROTOCOL_VERSION + 1 });
+        assert_eq!(both(&[0xFF, 0xAA]), WireError::Version { got: 0xFF });
+        assert_eq!(both(&[]), WireError::Truncated);
+        assert_eq!(both(&[PROTOCOL_VERSION]), WireError::Truncated);
+        // Cut anywhere: inside the id, a length prefix, the name, the text.
+        for cut in 2..good.len() {
+            assert_eq!(both(&good[..cut]), WireError::Truncated, "cut at {cut}");
+        }
+        // A length prefix that promises more than the frame holds.
+        let mut long = good.clone();
+        let dag_len_at = good.len() - "JOB a".len() - 4;
+        long[dag_len_at..dag_len_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(both(&long), WireError::Truncated);
+        // Invalid UTF-8 in the name and in the text.
+        for at in [good.len() - 1, dag_len_at - 1] {
+            let mut bad = good.clone();
+            bad[at] = 0xFF;
+            assert_eq!(both(&bad), WireError::BadPayload("utf-8 string"));
+        }
+        let submit = WireMsg::Submit { name: "n".into(), dag: "d".into() }.encode();
+        assert_eq!(both(&submit[..submit.len() - 1]), WireError::Truncated);
     }
 
     #[test]

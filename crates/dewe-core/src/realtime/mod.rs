@@ -27,6 +27,7 @@
 
 mod bus;
 mod chaos;
+mod dagstore;
 mod deployment;
 mod journal;
 mod liveness;
@@ -51,10 +52,7 @@ pub use master::{
     spawn_master, spawn_master_on, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle,
     MasterTransport,
 };
-pub use net::{
-    load_spool, spool_workflow, submit_over_tcp, TcpMaster, TcpMasterOptions, TcpWorkerLink,
-    TcpWorkerOptions,
-};
+pub use net::{submit_over_tcp, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions};
 pub use observer::{spawn_observer, BusSeries, ObserverHandle};
 pub use runner::{CpuRunner, FsRunner, JobOutcome, JobRunner, NoopRunner, RunContext, SleepRunner};
 pub use worker::{spawn_worker, spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle};

@@ -37,6 +37,18 @@
 //! system. With a state directory configured, announcements are also
 //! spooled to disk (`wf-<id>.dag`) so a restarted master process can
 //! rebuild its registry before WAL recovery.
+//!
+//! ## Ingest
+//!
+//! A DAG crosses this module as text, and each end keeps a
+//! content-addressed `DagStore`: a text is parsed the first time its
+//! bytes are seen and every byte-identical submission, announcement or
+//! spool file after that shares the one `Arc<Workflow>`. The master never
+//! serialises a workflow that arrived as text — the submitter's bytes are
+//! what is spooled and announced — and the store's copy of the text is
+//! the only long-lived one: announce frames and the replay log hold it by
+//! `Arc`, and the two DAG-bearing frames are decoded in place
+//! ([`DagFrame`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
@@ -47,16 +59,17 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use dewe_dag::{parse_workflow, write_workflow, Workflow, WorkflowId};
+use dewe_dag::{Workflow, WorkflowId};
 use dewe_mq::{
-    bind_reuse, read_frame, write_frame, SendWindow, Topic, Transport, WorkerTransport,
-    DEFAULT_MAX_FRAME,
+    bind_reuse, read_frame, write_frame, write_frame_split, SendWindow, Topic, Transport,
+    WorkerTransport, DEFAULT_MAX_FRAME,
 };
 use parking_lot::Mutex;
 
 use super::bus::Registry;
+use super::dagstore::DagStore;
 use crate::protocol::{
-    AckKind, AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
+    AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
 
 /// How often blocked I/O helper threads re-check their stop flags.
@@ -71,7 +84,7 @@ const IO_TICK: Duration = Duration::from_millis(50);
 pub struct TcpMasterOptions {
     /// Spool accepted workflows to `wf-<id>.dag` files in this directory
     /// so a restarted master process can rebuild its registry (see
-    /// [`load_spool`]). `None` disables spooling.
+    /// [`TcpMaster::load_spool`]). `None` disables spooling.
     pub state_dir: Option<PathBuf>,
     /// Maximum accepted frame size; larger frames drop the connection.
     pub max_frame: usize,
@@ -83,11 +96,27 @@ impl Default for TcpMasterOptions {
     }
 }
 
+/// One outbound frame: `head`, then `text` when the frame is a workflow
+/// announcement. The text is the DAG store's copy, so queueing an
+/// announcement on every connection and keeping it for replay costs a
+/// reference each, not megabytes each.
+#[derive(Clone)]
+struct OutFrame {
+    head: Vec<u8>,
+    text: Option<Arc<str>>,
+}
+
+impl OutFrame {
+    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
+        write_frame_split(w, &self.head, self.text.as_deref().unwrap_or_default().as_bytes())
+    }
+}
+
 /// One connected worker, from the master's side.
 struct Conn {
     /// Outbound frames; a dedicated writer thread drains this, so the
     /// master loop never blocks on a slow worker's socket.
-    out: Topic<Vec<u8>>,
+    out: Topic<OutFrame>,
     /// Dispatch credit for this connection.
     window: SendWindow,
     /// Shard pin from the Hello; `None` serves every shard.
@@ -102,7 +131,7 @@ impl Conn {
     }
 
     fn send(&self, msg: &WireMsg) {
-        self.out.publish(msg.encode());
+        self.out.publish(OutFrame { head: msg.encode(), text: None });
     }
 }
 
@@ -116,10 +145,12 @@ struct MasterInner {
     next_conn: AtomicU64,
     /// Dispatches that found no window credit, FIFO per arrival.
     pending: Mutex<VecDeque<(usize, DispatchMsg)>>,
-    /// Everything announced so far, replayed to late-joining workers.
-    /// Also the synchronization point between `announce` broadcasts and
-    /// Hello replays (see `register_worker_conn`).
-    announced: Mutex<Vec<WorkflowAnnounce>>,
+    /// Every announcement so far, as sent, replayed to late-joining
+    /// workers. Also the synchronization point between `announce`
+    /// broadcasts and Hello replays (see `worker_conn_loop`).
+    announced: Mutex<Vec<OutFrame>>,
+    /// Every DAG text this master has been handed, parsed once each.
+    dags: DagStore,
     state_dir: Option<PathBuf>,
     max_frame: usize,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
@@ -154,6 +185,7 @@ impl TcpMaster {
             next_conn: AtomicU64::new(0),
             pending: Mutex::new(VecDeque::new()),
             announced: Mutex::new(Vec::new()),
+            dags: DagStore::default(),
             state_dir: options.state_dir,
             max_frame: options.max_frame,
             accept_thread: Mutex::new(None),
@@ -175,6 +207,20 @@ impl TcpMaster {
     /// Number of currently connected worker connections.
     pub fn worker_conns(&self) -> usize {
         self.inner.conns.lock().len()
+    }
+
+    /// Load every workflow spooled to this endpoint's state directory,
+    /// sorted by id and verified dense — the registry rebuild for a
+    /// restarted master process. Spool files with the same DAG text come
+    /// back as one shared `Arc<Workflow>`, and the endpoint remembers the
+    /// text, so re-announcing the recovered registry serialises nothing.
+    /// No state directory, or an empty or missing one, loads nothing (a
+    /// cold start).
+    pub fn load_spool(&self) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
+        match &self.inner.state_dir {
+            Some(dir) => load_spool(dir, &self.inner.dags),
+            None => Ok(Vec::new()),
+        }
     }
 
     /// Stop the endpoint gracefully: send [`WireMsg::Bye`] to every
@@ -265,29 +311,26 @@ impl Transport for TcpMaster {
     }
 
     fn announce(&self, announce: WorkflowAnnounce) {
+        let WorkflowAnnounce { id, name, workflow } = announce;
+        // The text the submitter sent (or the spool held) is the text
+        // that is spooled and announced; nothing is serialised here.
+        let text = self.inner.dags.text_of(&workflow);
         if let Some(dir) = &self.inner.state_dir {
-            if let Err(e) = spool_workflow(dir, &announce) {
-                eprintln!(
-                    "dewe-master: failed to spool workflow {} to {}: {e}",
-                    announce.id.0,
-                    dir.display()
-                );
+            if let Err(e) = spool_workflow(dir, id, &name, &text) {
+                eprintln!("dewe-master: failed to spool workflow {id} to {}: {e}", dir.display());
             }
         }
-        let msg = WireMsg::Workflow {
-            id: announce.id,
-            name: announce.name.clone(),
-            dag: write_workflow(&announce.workflow),
-        };
+        let head = DagFrame { id: Some(id), name: &name, dag: &text }.head();
+        let frame = OutFrame { head, text: Some(text) };
         // Holding `announced` across the broadcast closes the race with
         // a concurrent Hello replay: a late-joining worker either shows
         // up in `conns` here, or snapshots this workflow from
         // `announced` — never neither.
         let mut announced = self.inner.announced.lock();
         for conn in self.inner.conns.lock().values() {
-            conn.send(&msg);
+            conn.out.publish(frame.clone());
         }
-        announced.push(announce);
+        announced.push(frame);
     }
 
     fn ack_closed(&self) -> bool {
@@ -476,7 +519,7 @@ fn worker_conn_loop(
         .spawn(move || {
             let mut w = BufWriter::new(stream);
             while let Some(frame) = writer_conn.out.pull() {
-                if write_frame(&mut w, &frame).is_err() {
+                if frame.write_to(&mut w).is_err() {
                     break;
                 }
             }
@@ -486,12 +529,8 @@ fn worker_conn_loop(
     // Registry replay + registration, synchronized against `announce`.
     {
         let announced = inner.announced.lock();
-        for a in announced.iter() {
-            conn.send(&WireMsg::Workflow {
-                id: a.id,
-                name: a.name.clone(),
-                dag: write_workflow(&a.workflow),
-            });
+        for frame in announced.iter() {
+            conn.out.publish(frame.clone());
         }
         inner.conns.lock().insert(id, Arc::clone(&conn));
     }
@@ -569,21 +608,27 @@ fn submitter_conn_loop(inner: Arc<MasterInner>, mut reader: BufReader<TcpStream>
             Ok(Some(f)) => f,
             _ => break,
         };
-        match WireMsg::decode(&frame) {
-            Ok(WireMsg::Submit { name, dag }) => match parse_workflow(&dag) {
-                Ok(wf) => {
-                    inner.submission.publish(SubmissionMsg { name, workflow: Arc::new(wf) });
-                }
-                Err(e) => eprintln!("dewe-master: rejecting submission {name:?}: {e}"),
-            },
-            Ok(other) => {
-                eprintln!("dewe-master: unexpected submitter frame {other:?}; dropping");
+        // Decoded in place: a DAG already in the store costs this
+        // connection one hash and one compare of the frame it just read.
+        let (name, dag) = match DagFrame::decode(&frame) {
+            Ok(Some(DagFrame { id: None, name, dag })) => (name, dag),
+            Ok(_) => {
+                eprintln!(
+                    "dewe-master: unexpected submitter frame (type {:#04x}); dropping connection",
+                    frame.get(1).copied().unwrap_or_default()
+                );
                 break;
             }
             Err(e) => {
                 eprintln!("dewe-master: bad submitter frame: {e}; dropping connection");
                 break;
             }
+        };
+        match inner.dags.intern(dag) {
+            Ok(workflow) => {
+                inner.submission.publish(SubmissionMsg { name: name.to_string(), workflow });
+            }
+            Err(e) => eprintln!("dewe-master: rejecting submission {name:?}: {e}"),
         }
     }
 }
@@ -633,6 +678,10 @@ struct WorkerInner {
     addr: SocketAddr,
     opts: TcpWorkerOptions,
     registry: Registry,
+    /// Every DAG text the master has announced, parsed once each. Lives
+    /// with the link, not the connection: a reconnect replays the whole
+    /// registry and must find it already here.
+    dags: DagStore,
     /// Dispatches delivered by the master, pulled by the slot loops.
     dispatch_in: Topic<DispatchMsg>,
     /// Frames to send; survives reconnects, so acks and heartbeats
@@ -671,6 +720,7 @@ impl TcpWorkerLink {
             addr,
             opts,
             registry,
+            dags: DagStore::default(),
             dispatch_in: Topic::default(),
             outbound: Topic::default(),
             stop: AtomicBool::new(false),
@@ -735,6 +785,25 @@ impl WorkerTransport for TcpWorkerLink {
 
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
         self.inner.outbound.publish(WireMsg::Lifecycle(msg).encode());
+    }
+}
+
+impl WorkerInner {
+    /// Mirror announced workflow `id` into the local registry.
+    fn mirror(&self, id: WorkflowId, dag: &str) {
+        // Dense-insert guard, before the text is looked at: after a
+        // reconnect the master replays its whole registry, and every
+        // replayed frame is dropped here for the price of this compare.
+        if id.index() != self.registry.len() {
+            return;
+        }
+        match self.dags.intern(dag) {
+            Ok(workflow) => self.registry.insert(id, workflow),
+            Err(e) => eprintln!(
+                "dewe-worker: bad workflow {id} from master: {e}; ids are mirrored densely, \
+                 so this worker will refuse every later workflow as well"
+            ),
+        }
     }
 }
 
@@ -813,18 +882,11 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
 
     let mut reader = BufReader::new(read_half);
     while let Ok(Some(frame)) = read_frame(&mut reader, inner.opts.max_frame) {
+        if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(&frame) {
+            inner.mirror(id, dag);
+            continue;
+        }
         match WireMsg::decode(&frame) {
-            Ok(WireMsg::Workflow { id, name, dag }) => match parse_workflow(&dag) {
-                Ok(wf) => {
-                    // Dense-insert guard: replays after a reconnect (the
-                    // master resends its whole registry) are skipped.
-                    if id.index() == inner.registry.len() {
-                        inner.registry.insert(id, Arc::new(wf));
-                    }
-                    let _ = name;
-                }
-                Err(e) => eprintln!("dewe-worker: bad workflow {id:?} from master: {e}"),
-            },
             Ok(WireMsg::Dispatch(d)) => inner.dispatch_in.publish(d),
             Ok(WireMsg::DispatchBatch(batch)) => {
                 // Explode in order: the slot loops pull per-job exactly
@@ -858,20 +920,27 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
 // Submission client
 // ---------------------------------------------------------------------------
 
-/// Submit a workflow to a remote master over TCP (the networked
-/// `dewectl submit`). Fire-and-forget: the frame is flushed onto a
-/// healthy connection; if the master dies before ingesting it, resubmit.
-pub fn submit_over_tcp(
+/// Submit the workflow described by `dag` (`dewe-dag` text format) to a
+/// remote master over TCP, once under each of `names` — the networked
+/// `dewectl submit`, and its `--count`. All submissions go down one
+/// connection and share the caller's one copy of the text; the master
+/// parses it once and gives every name the same topology. A caller
+/// holding a `Workflow` serialises it with `dewe_dag::write_workflow`.
+/// Fire-and-forget: the frames are flushed onto a healthy connection; if
+/// the master dies before ingesting them, resubmit.
+pub fn submit_over_tcp<N: AsRef<str>>(
     addr: impl ToSocketAddrs,
-    name: impl Into<String>,
-    workflow: &Workflow,
+    names: impl IntoIterator<Item = N>,
+    dag: &str,
 ) -> io::Result<()> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     let mut w = BufWriter::new(stream);
     write_frame(&mut w, &WireMsg::SubmitterHello.encode())?;
-    let msg = WireMsg::Submit { name: name.into(), dag: write_workflow(workflow) };
-    write_frame(&mut w, &msg.encode())?;
+    for name in names {
+        let head = DagFrame { id: None, name: name.as_ref(), dag }.head();
+        write_frame_split(&mut w, &head, dag.as_bytes())?;
+    }
     w.flush()
 }
 
@@ -880,23 +949,21 @@ pub fn submit_over_tcp(
 // ---------------------------------------------------------------------------
 
 /// Write one announced workflow to `dir/wf-<id>.dag`: the name on the
-/// first line, the DAG text after it. Atomic via rename, so a crash
-/// mid-write never leaves a torn spool entry.
-pub fn spool_workflow(dir: &Path, announce: &WorkflowAnnounce) -> io::Result<()> {
-    let final_path = dir.join(format!("wf-{:08}.dag", announce.id.0));
-    let tmp_path = dir.join(format!(".wf-{:08}.dag.tmp", announce.id.0));
-    let mut content = String::with_capacity(announce.name.len() + 1);
-    content.push_str(&announce.name);
-    content.push('\n');
-    content.push_str(&write_workflow(&announce.workflow));
-    std::fs::write(&tmp_path, content)?;
+/// first line, the DAG text — the submitter's bytes — after it, written
+/// from where they are. Atomic via rename, so a crash mid-write never
+/// leaves a torn spool entry.
+fn spool_workflow(dir: &Path, id: WorkflowId, name: &str, text: &str) -> io::Result<()> {
+    let final_path = dir.join(format!("wf-{:08}.dag", id.0));
+    let tmp_path = dir.join(format!(".wf-{:08}.dag.tmp", id.0));
+    let mut file = std::fs::File::create(&tmp_path)?;
+    file.write_all(format!("{name}\n").as_bytes())?;
+    file.write_all(text.as_bytes())?;
+    drop(file);
     std::fs::rename(&tmp_path, &final_path)
 }
 
-/// Load every spooled workflow from `dir`, sorted by id and verified
-/// dense — the registry rebuild for a restarted master process. An
-/// empty or missing directory loads nothing (a cold start).
-pub fn load_spool(dir: &Path) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
+/// [`TcpMaster::load_spool`] of `dir`, interning every DAG in `dags`.
+fn load_spool(dir: &Path, dags: &DagStore) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
     let mut entries: Vec<(u32, PathBuf)> = Vec::new();
     let read_dir = match std::fs::read_dir(dir) {
         Ok(rd) => rd,
@@ -929,10 +996,10 @@ pub fn load_spool(dir: &Path) -> io::Result<Vec<(WorkflowId, String, Arc<Workflo
                 format!("{}: missing name line", path.display()),
             )
         })?;
-        let wf = parse_workflow(dag).map_err(|e| {
+        let workflow = dags.intern(dag).map_err(|e| {
             io::Error::new(io::ErrorKind::InvalidData, format!("{}: {e}", path.display()))
         })?;
-        out.push((WorkflowId(*id), name.to_string(), Arc::new(wf)));
+        out.push((WorkflowId(*id), name.to_string(), workflow));
     }
     Ok(out)
 }
@@ -950,34 +1017,177 @@ mod tests {
         Arc::new(b.finish().unwrap())
     }
 
-    #[test]
-    fn spool_round_trips_and_rejects_sparse() {
-        let dir = std::env::temp_dir().join(format!("dewe-spool-{}", std::process::id()));
+    /// A fresh scratch directory, unique to `tag` and this process.
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dewe-net-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        for i in 0..3u32 {
-            let a = WorkflowAnnounce {
-                id: WorkflowId(i),
-                name: format!("w{i}"),
-                workflow: wf(&format!("w{i}"), 2),
-            };
-            spool_workflow(&dir, &a).unwrap();
+        dir
+    }
+
+    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(5));
         }
-        let loaded = load_spool(&dir).unwrap();
+    }
+
+    #[test]
+    fn spool_round_trips_and_rejects_sparse() {
+        let dir = scratch("spool");
+        for i in 0..3u32 {
+            let text = dewe_dag::write_workflow(&wf(&format!("w{i}"), 2));
+            spool_workflow(&dir, WorkflowId(i), &format!("w{i}"), &text).unwrap();
+        }
+        let loaded = load_spool(&dir, &DagStore::default()).unwrap();
         assert_eq!(loaded.len(), 3);
         assert_eq!(loaded[1].0, WorkflowId(1));
         assert_eq!(loaded[1].1, "w1");
         assert_eq!(loaded[2].2.job_count(), 2);
         // Punch a hole: a sparse spool is corrupt and must fail loud.
         std::fs::remove_file(dir.join("wf-00000001.dag")).unwrap();
-        assert!(load_spool(&dir).is_err());
+        assert!(load_spool(&dir, &DagStore::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn load_spool_of_missing_dir_is_a_cold_start() {
         let dir = std::env::temp_dir().join("dewe-spool-definitely-missing");
-        assert!(load_spool(&dir).unwrap().is_empty());
+        assert!(load_spool(&dir, &DagStore::default()).unwrap().is_empty());
+        let stateless = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        assert!(stateless.load_spool().unwrap().is_empty());
+        stateless.shutdown();
+    }
+
+    /// Pull `n` submissions and register + announce each, as the serve
+    /// loop does.
+    fn ingest(master: &TcpMaster, registry: &Registry, n: usize) {
+        for _ in 0..n {
+            let mut sub = None;
+            wait_until("a submission arrives", || {
+                sub = master.try_pull_submission();
+                sub.is_some()
+            });
+            let SubmissionMsg { name, workflow } = sub.expect("waited for it");
+            let id = WorkflowId::from_index(registry.len());
+            registry.insert(id, Arc::clone(&workflow));
+            master.announce(WorkflowAnnounce { id, name, workflow });
+        }
+    }
+
+    fn assert_shares_like_the_submissions(registry: &Registry, who: &str) {
+        let at = |i: u32| registry.get(WorkflowId(i)).expect("dense mirror");
+        assert_eq!(registry.len(), 4, "{who}");
+        assert!(Arc::ptr_eq(&at(0), &at(1)), "{who}: identical texts share one topology");
+        assert!(Arc::ptr_eq(&at(0), &at(3)), "{who}: ... across a distinct one in between");
+        assert!(!Arc::ptr_eq(&at(0), &at(2)), "{who}: a distinct text is its own workflow");
+        assert_eq!((at(0).job_count(), at(2).job_count()), (3, 5), "{who}");
+    }
+
+    #[test]
+    fn identical_dags_are_parsed_once_and_travel_verbatim() {
+        let dir = scratch("ingest");
+        let options =
+            || TcpMasterOptions { state_dir: Some(dir.clone()), ..TcpMasterOptions::default() };
+        let master = TcpMaster::bind("127.0.0.1:0", options()).unwrap();
+        let addr = master.local_addr();
+        let connect = |registry: &Registry| {
+            let opts = TcpWorkerOptions {
+                retry_interval: Duration::from_millis(20),
+                ..TcpWorkerOptions::default()
+            };
+            TcpWorkerLink::connect(addr, registry.clone(), opts).unwrap()
+        };
+        let early_mirror = Registry::new();
+        let early = connect(&early_mirror);
+
+        // Three submissions of one text — not what `write_workflow` would
+        // produce, so a re-serialised spool or announcement shows — and
+        // one of another, in between.
+        let common = "# as submitted\nworkflow  w\nJOB a t CPU 1\nJOB b t CPU 1\n\
+                      JOB c t CPU 1\nPARENT a CHILD b c\n";
+        let distinct = dewe_dag::write_workflow(&wf("other", 5));
+        submit_over_tcp(addr, ["w-0", "w-1"], common).unwrap();
+        let registry = Registry::new();
+        ingest(&master, &registry, 2);
+        submit_over_tcp(addr, ["other"], &distinct).unwrap();
+        ingest(&master, &registry, 1);
+        submit_over_tcp(addr, ["w-3"], common).unwrap();
+        ingest(&master, &registry, 1);
+        assert_shares_like_the_submissions(&registry, "master registry");
+
+        wait_until("the early worker has mirrored all four", || early_mirror.len() == 4);
+        assert_shares_like_the_submissions(&early_mirror, "early worker");
+        // A worker that joins late gets the same mirror from the replay.
+        let late_mirror = Registry::new();
+        let late = connect(&late_mirror);
+        wait_until("the late worker has mirrored all four", || late_mirror.len() == 4);
+        assert_shares_like_the_submissions(&late_mirror, "late worker");
+
+        // Each spool file is its name line plus the submitter's bytes.
+        let spooled = |i: u32| std::fs::read_to_string(dir.join(format!("wf-{i:08}.dag"))).unwrap();
+        assert_eq!(spooled(0), format!("w-0\n{common}"));
+        assert_eq!(spooled(1), format!("w-1\n{common}"));
+        assert_eq!(spooled(2), format!("other\n{distinct}"));
+        assert_eq!(spooled(3), format!("w-3\n{common}"));
+
+        // Crash and restart on the same port: the spool comes back
+        // shared, and re-announcing it is the recovery path's replay.
+        master.kill();
+        let master2 = TcpMaster::bind(addr, options()).unwrap();
+        let recovered = Registry::new();
+        for (id, name, workflow) in master2.load_spool().unwrap() {
+            recovered.insert(id, Arc::clone(&workflow));
+            master2.announce(WorkflowAnnounce { id, name, workflow });
+        }
+        assert_shares_like_the_submissions(&recovered, "recovered registry");
+        assert_eq!(spooled(3), format!("w-3\n{common}"), "re-spooled from the stored text");
+        // The reconnecting workers are replayed all four and keep the
+        // mirror they had; a fifth workflow still lands densely.
+        submit_over_tcp(addr, ["w-4"], common).unwrap();
+        ingest(&master2, &recovered, 1);
+        for (mirror, who) in [(&early_mirror, "early worker"), (&late_mirror, "late worker")] {
+            wait_until("the fifth workflow is mirrored", || mirror.len() == 5);
+            let at = |i: u32| mirror.get(WorkflowId(i)).expect("dense mirror");
+            assert!(Arc::ptr_eq(&at(0), &at(1)) && !Arc::ptr_eq(&at(0), &at(2)), "{who}");
+            assert!(Arc::ptr_eq(&at(0), &at(4)), "{who}: its store outlived the connection");
+        }
+        master2.shutdown();
+        early.close();
+        late.close();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_workflow_that_does_not_parse_stops_the_mirror_without_wedging_the_link() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let mirror = Registry::new();
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            mirror.clone(),
+            TcpWorkerOptions::default(),
+        )
+        .unwrap();
+        wait_until("the link registers", || master.worker_conns() == 1);
+        // A master only announces what it parsed; forge the frames.
+        let forge = |id: u32, dag: &str| {
+            let text: Arc<str> = dag.into();
+            let head = DagFrame { id: Some(WorkflowId(id)), name: "x", dag: &text }.head();
+            for conn in master.inner.conns.lock().values() {
+                conn.out.publish(OutFrame { head: head.clone(), text: Some(Arc::clone(&text)) });
+            }
+        };
+        forge(0, "JOB a t CPU 1");
+        forge(1, "JOB broken");
+        forge(2, "JOB c t CPU 1");
+        // Dispatches still flow after the refused workflows.
+        let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
+        master.publish_dispatch(0, DispatchMsg::new(job, 1));
+        assert_eq!(link.pull_dispatch(Duration::from_secs(10)).expect("dispatch").job, job);
+        assert_eq!(mirror.len(), 1, "nothing after the bad workflow is mirrored");
+        master.shutdown();
+        link.close();
     }
 
     #[test]
@@ -1140,7 +1350,8 @@ mod tests {
     #[test]
     fn submit_over_tcp_reaches_the_submission_topic() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
-        submit_over_tcp(master.local_addr(), "net-sub", &wf("net-sub", 3)).unwrap();
+        let dag = dewe_dag::write_workflow(&wf("net-sub", 3));
+        submit_over_tcp(master.local_addr(), ["net-sub"], &dag).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let sub = loop {
             if let Some(s) = master.try_pull_submission() {

@@ -28,151 +28,371 @@
 //! of `write_workflow` reproduces an equivalent workflow (asserted by
 //! property tests).
 
+use std::collections::HashMap;
+
 use crate::error::DagError;
 use crate::ids::{FileId, JobId};
+use crate::job::JobSpec;
 use crate::workflow::{Workflow, WorkflowBuilder};
 
+/// Most explicit `PARENT … CHILD …` edges one text may declare, counted
+/// after expanding each statement's bipartite product. A statement naming
+/// *p* parents and *c* children asks for *p·c* edges, so without a ceiling
+/// a few kilobytes of text could demand terabytes of edge list. 2²⁴ is an
+/// order of magnitude above the largest published scientific workflows
+/// and bounds the list at 128 MiB; a text asking for more is rejected
+/// before the expansion is allocated.
+const MAX_EXPLICIT_EDGES: usize = 1 << 24;
+
 /// Parse a workflow from the text format.
+///
+/// One pass over the text. `FILE`/`JOB` declarations take effect as they
+/// are read; wiring statements (`INPUT`/`OUTPUT`/`PARENT`) are resolved on
+/// the spot against the names declared so far. The format allows any
+/// statement order, so the first wiring statement that does not resolve —
+/// and, to keep errors in file order, every wiring statement after it —
+/// is set aside and resolved once the whole text has been read. Files
+/// written by [`write_workflow`] declare before they wire and never take
+/// that path.
+///
+/// Declaration errors are reported before wiring errors, each kind in
+/// file order.
 pub fn parse_workflow(text: &str) -> Result<Workflow, DagError> {
-    let mut name = String::from("workflow");
-    // Deferred statements: we must declare all FILEs/JOBs before wiring, but
-    // the format allows any order. So do two passes.
-    let mut decls: Vec<(usize, Vec<&str>)> = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        decls.push((lineno + 1, toks));
-    }
-
-    // Pass 0: pick up the workflow name first so the builder is named.
-    for (line, toks) in &decls {
-        if toks[0].eq_ignore_ascii_case("WORKFLOW") {
-            if toks.len() != 2 {
-                return Err(err(*line, "WORKFLOW takes exactly one name"));
-            }
-            name = toks[1].to_string();
-        }
-    }
-    let mut b = WorkflowBuilder::new(name);
-
-    // Pass 1: FILE and JOB declarations.
-    for (line, toks) in &decls {
-        match toks[0].to_ascii_uppercase().as_str() {
-            "FILE" => {
-                if toks.len() < 3 || toks.len() > 4 {
-                    return Err(err(*line, "FILE <name> <size_bytes> [INITIAL]"));
+    let mut parser = Parser::default();
+    let mut name = "workflow";
+    let mut deferred: Vec<(Directive, Tokens<'_>)> = Vec::new();
+    let mut toks = Tokens { text, at: 0, line: 1 };
+    loop {
+        match toks.next() {
+            None => {}
+            Some(head) if head.starts_with('#') => {}
+            Some(head) => match Directive::of(head) {
+                Some(Directive::Workflow) => match (toks.next(), toks.next()) {
+                    (Some(n), None) => name = n,
+                    _ => return Err(err(toks.line, "WORKFLOW takes exactly one name")),
+                },
+                Some(Directive::File) => parser.file(&mut toks)?,
+                Some(Directive::Job) => parser.job(&mut toks)?,
+                Some(wiring) => {
+                    if !deferred.is_empty() || parser.wire(wiring, &mut toks.clone()).is_err() {
+                        deferred.push((wiring, toks.clone()));
+                    }
                 }
-                let size: u64 =
-                    toks[2].parse().map_err(|_| err(*line, &format!("bad size `{}`", toks[2])))?;
-                let initial = match toks.get(3) {
-                    None => false,
-                    Some(t) if t.eq_ignore_ascii_case("INITIAL") => true,
-                    Some(t) => return Err(err(*line, &format!("unexpected token `{t}`"))),
+                None => return Err(err(toks.line, &format!("unknown directive `{head}`"))),
+            },
+        }
+        if !toks.next_line() {
+            break;
+        }
+    }
+    for (wiring, mut toks) in deferred {
+        parser.wire(wiring, &mut toks)?;
+    }
+    parser.finish(name)
+}
+
+/// The tokens of one line at a time: what `str::lines` followed by
+/// `str::split_whitespace` yields, in one scan of the text. ASCII bytes
+/// are classified through a table; only a non-ASCII character is decoded
+/// and asked `char::is_whitespace`.
+#[derive(Clone)]
+struct Tokens<'a> {
+    text: &'a str,
+    /// Byte offset of the first unread character; inside `line`.
+    at: usize,
+    /// The current line, counted from 1.
+    line: usize,
+}
+
+const TOKEN: u8 = 0;
+/// Whitespace that separates tokens without ending the line.
+const BLANK: u8 = 1;
+const LINE_FEED: u8 = 2;
+const NOT_ASCII: u8 = 3;
+
+const CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        class[byte] = match byte as u8 {
+            b'\n' => LINE_FEED,
+            b' ' | b'\t' | 0x0b | 0x0c | b'\r' => BLANK,
+            0x80.. => NOT_ASCII,
+            _ => TOKEN,
+        };
+        byte += 1;
+    }
+    class
+};
+
+impl<'a> Tokens<'a> {
+    /// Advance over the bytes of class `run`, and over the non-ASCII
+    /// characters that are whitespace exactly when `run` is [`BLANK`].
+    fn skip(&mut self, run: u8) {
+        let bytes = self.text.as_bytes();
+        while let Some(&byte) = bytes.get(self.at) {
+            let class = CLASS[byte as usize];
+            if class == run {
+                self.at += 1;
+            } else if class == NOT_ASCII {
+                // `at` has only passed whole characters.
+                let Some(c) = self.text.get(self.at..).and_then(|s| s.chars().next()) else {
+                    return;
                 };
-                b.file(toks[1], size, initial);
-            }
-            "JOB" => {
-                if toks.len() < 5 || !toks[3].eq_ignore_ascii_case("CPU") {
-                    return Err(err(*line, "JOB <name> <xform> CPU <secs> [CORES n] [TIMEOUT s]"));
+                if c.is_whitespace() != (run == BLANK) {
+                    return;
                 }
-                let cpu: f64 = toks[4]
-                    .parse()
-                    .map_err(|_| err(*line, &format!("bad cpu seconds `{}`", toks[4])))?;
-                let mut jb = b.job(toks[1], toks[2], cpu);
-                let mut i = 5;
-                while i < toks.len() {
-                    match toks[i].to_ascii_uppercase().as_str() {
-                        "CORES" => {
-                            let v = toks
-                                .get(i + 1)
-                                .and_then(|t| t.parse::<u32>().ok())
-                                .ok_or_else(|| err(*line, "CORES needs an integer"))?;
-                            jb = jb.cores(v);
-                            i += 2;
-                        }
-                        "TIMEOUT" => {
-                            let v = toks
-                                .get(i + 1)
-                                .and_then(|t| t.parse::<f64>().ok())
-                                .ok_or_else(|| err(*line, "TIMEOUT needs seconds"))?;
-                            jb = jb.timeout_secs(v);
-                            i += 2;
-                        }
-                        other => return Err(err(*line, &format!("unexpected token `{other}`"))),
-                    }
-                }
-                jb.build();
+                self.at += c.len_utf8();
+            } else {
+                return;
             }
-            "WORKFLOW" | "INPUT" | "OUTPUT" | "PARENT" => {}
-            other => return Err(err(*line, &format!("unknown directive `{other}`"))),
         }
     }
 
-    // Pass 2: wiring. The builder API attaches inputs/outputs at job build
-    // time, so wiring statements are recorded through a small patch list and
-    // applied via a rebuilt builder. Instead, keep it simple: collect
-    // (job, files) pairs here and rebuild specs below.
-    let mut input_patches: Vec<(JobId, Vec<FileId>)> = Vec::new();
-    let mut output_patches: Vec<(JobId, Vec<FileId>)> = Vec::new();
-    let mut edges: Vec<(JobId, JobId)> = Vec::new();
-    for (line, toks) in &decls {
-        match toks[0].to_ascii_uppercase().as_str() {
-            "INPUT" | "OUTPUT" => {
-                if toks.len() < 3 {
-                    return Err(err(*line, "INPUT/OUTPUT <job> <file>..."));
+    /// Leave the current line; false when it was the last.
+    fn next_line(&mut self) -> bool {
+        let Some(feed) = self.text.get(self.at..).and_then(|s| s.find('\n')) else {
+            return false;
+        };
+        self.at += feed + 1;
+        self.line += 1;
+        true
+    }
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = &'a str;
+
+    fn next(&mut self) -> Option<&'a str> {
+        self.skip(BLANK);
+        let start = self.at;
+        self.skip(TOKEN);
+        self.text.get(start..self.at).filter(|token| !token.is_empty())
+    }
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Directive {
+    Workflow,
+    File,
+    Job,
+    Input,
+    Output,
+    Parent,
+}
+
+impl Directive {
+    fn of(token: &str) -> Option<Self> {
+        const WORDS: [(&str, Directive); 6] = [
+            ("FILE", Directive::File),
+            ("INPUT", Directive::Input),
+            ("OUTPUT", Directive::Output),
+            ("JOB", Directive::Job),
+            ("PARENT", Directive::Parent),
+            ("WORKFLOW", Directive::Workflow),
+        ];
+        WORDS.iter().find(|(word, _)| token.eq_ignore_ascii_case(word)).map(|&(_, d)| d)
+    }
+}
+
+/// The names of one kind (jobs or files) declared so far, in id order.
+/// Keys borrow from the text being parsed, so each name is allocated
+/// once, for its `JobSpec`/`FileSpec`.
+#[derive(Default)]
+struct Names<'a> {
+    declared: Vec<&'a str>,
+    /// Name → position in `declared`, for `declared[..indexed]`; the first
+    /// declaration of a name wins. Brought up to date when a lookup needs
+    /// it, so a text that declares before it wires is indexed in one go,
+    /// into a map allocated at its final size.
+    index: HashMap<&'a str, usize>,
+    indexed: usize,
+}
+
+impl<'a> Names<'a> {
+    /// Position of `name`. Writers emit wiring in declaration order, so
+    /// the name at `*cursor` (where the caller's last lookup ended) and
+    /// the one before it are compared before the index is asked.
+    fn resolve(&mut self, name: &str, cursor: &mut usize) -> Result<usize, DagError> {
+        let near = [*cursor, cursor.wrapping_sub(1)];
+        let at = match near.into_iter().find(|&at| self.declared.get(at) == Some(&name)) {
+            Some(at) => at,
+            None => {
+                self.index.reserve(self.declared.len() - self.indexed);
+                for (at, &declared) in self.declared.iter().enumerate().skip(self.indexed) {
+                    self.index.entry(declared).or_insert(at);
                 }
-                let job =
-                    b.job_id(toks[1]).ok_or_else(|| DagError::UnknownName(toks[1].to_string()))?;
-                let mut files = Vec::with_capacity(toks.len() - 2);
-                for t in &toks[2..] {
-                    files
-                        .push(b.file_id(t).ok_or_else(|| DagError::UnknownName((*t).to_string()))?);
-                }
-                if toks[0].eq_ignore_ascii_case("INPUT") {
-                    input_patches.push((job, files));
-                } else {
-                    output_patches.push((job, files));
+                self.indexed = self.declared.len();
+                match self.index.get(name) {
+                    Some(&at) => at,
+                    None => return Err(DagError::UnknownName(name.to_string())),
                 }
             }
-            "PARENT" => {
-                let child_pos = toks
-                    .iter()
-                    .position(|t| t.eq_ignore_ascii_case("CHILD"))
-                    .ok_or_else(|| err(*line, "PARENT ... CHILD ..."))?;
-                if child_pos == 1 || child_pos + 1 == toks.len() {
-                    return Err(err(*line, "PARENT needs parents and children"));
-                }
-                let parents: Result<Vec<JobId>, DagError> = toks[1..child_pos]
-                    .iter()
-                    .map(|t| b.job_id(t).ok_or_else(|| DagError::UnknownName((*t).to_string())))
-                    .collect();
-                let children: Result<Vec<JobId>, DagError> = toks[child_pos + 1..]
-                    .iter()
-                    .map(|t| b.job_id(t).ok_or_else(|| DagError::UnknownName((*t).to_string())))
-                    .collect();
-                for &p in &parents? {
-                    for &c in &children.clone()? {
-                        edges.push((p, c));
-                    }
-                }
-            }
-            _ => {}
-        }
+        };
+        *cursor = at + 1;
+        Ok(at)
     }
 
-    for (job, files) in input_patches {
-        b.patch_job_io(job, &files, true);
+    /// True when every declared name has been indexed and none repeated.
+    fn indexed_unique(&self) -> bool {
+        self.indexed == self.declared.len() && self.index.len() == self.declared.len()
     }
-    for (job, files) in output_patches {
-        b.patch_job_io(job, &files, false);
+}
+
+#[derive(Default)]
+struct Parser<'a> {
+    builder: WorkflowBuilder,
+    jobs: Names<'a>,
+    files: Names<'a>,
+    /// Where the last job, input-file and output-file lookups ended.
+    job_cursor: usize,
+    input_cursor: usize,
+    output_cursor: usize,
+    /// Explicit edges declared so far, against [`MAX_EXPLICIT_EDGES`].
+    explicit_edges: usize,
+    /// Resolved ids of the wiring statement in hand, so that a statement
+    /// that fails to resolve leaves no trace.
+    file_ids: Vec<FileId>,
+    job_ids: Vec<JobId>,
+}
+
+impl<'a> Parser<'a> {
+    fn file(&mut self, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+        let usage = "FILE <name> <size_bytes> [INITIAL]";
+        let (Some(name), Some(size)) = (toks.next(), toks.next()) else {
+            return Err(err(toks.line, usage));
+        };
+        let size: u64 = size.parse().map_err(|_| err(toks.line, &format!("bad size `{size}`")))?;
+        let initial = match toks.next() {
+            None => false,
+            Some(t) if t.eq_ignore_ascii_case("INITIAL") => true,
+            Some(t) => return Err(err(toks.line, &format!("unexpected token `{t}`"))),
+        };
+        if toks.next().is_some() {
+            return Err(err(toks.line, usage));
+        }
+        self.builder.file(name, size, initial);
+        self.files.declared.push(name);
+        Ok(())
     }
-    for (p, c) in edges {
-        b.edge(p, c);
+
+    fn job(&mut self, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+        let usage = "JOB <name> <xform> CPU <secs> [CORES n] [TIMEOUT s]";
+        let (Some(name), Some(xform), Some(cpu_word), Some(cpu)) =
+            (toks.next(), toks.next(), toks.next(), toks.next())
+        else {
+            return Err(err(toks.line, usage));
+        };
+        if !cpu_word.eq_ignore_ascii_case("CPU") {
+            return Err(err(toks.line, usage));
+        }
+        let cpu_seconds: f64 =
+            cpu.parse().map_err(|_| err(toks.line, &format!("bad cpu seconds `{cpu}`")))?;
+        let mut spec = JobSpec {
+            name: name.to_string(),
+            xform: xform.to_string(),
+            cpu_seconds,
+            cores: 1,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            timeout_secs: None,
+        };
+        while let Some(option) = toks.next() {
+            let value = toks.next();
+            if option.eq_ignore_ascii_case("CORES") {
+                let cores: u32 = value
+                    .and_then(|t| t.parse().ok())
+                    .ok_or_else(|| err(toks.line, "CORES needs an integer"))?;
+                spec.cores = cores.max(1);
+            } else if option.eq_ignore_ascii_case("TIMEOUT") {
+                let secs: f64 = value
+                    .and_then(|t| t.parse().ok())
+                    .ok_or_else(|| err(toks.line, "TIMEOUT needs seconds"))?;
+                spec.timeout_secs = Some(secs);
+            } else {
+                return Err(err(toks.line, &format!("unexpected token `{option}`")));
+            }
+        }
+        self.builder.push_job(spec);
+        self.jobs.declared.push(name);
+        Ok(())
     }
-    b.finish()
+
+    /// Resolve one wiring statement and apply it, or fail without effect.
+    fn wire(&mut self, directive: Directive, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+        if directive == Directive::Parent {
+            return self.parent_child(toks);
+        }
+        let (Some(job), Some(first)) = (toks.next(), toks.next()) else {
+            return Err(err(toks.line, "INPUT/OUTPUT <job> <file>..."));
+        };
+        let job = JobId::from_index(self.jobs.resolve(job, &mut self.job_cursor)?);
+        let is_input = directive == Directive::Input;
+        let cursor = if is_input { &mut self.input_cursor } else { &mut self.output_cursor };
+        self.file_ids.clear();
+        for name in std::iter::once(first).chain(toks) {
+            self.file_ids.push(FileId::from_index(self.files.resolve(name, cursor)?));
+        }
+        self.builder.patch_job_io(job, &self.file_ids, is_input);
+        Ok(())
+    }
+
+    /// `PARENT a... CHILD b...`: the tokens up to the first `CHILD` are
+    /// parents, everything after it is a child.
+    fn parent_child(&mut self, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+        self.job_ids.clear();
+        let mut parents = None;
+        let mut unknown = None;
+        // Edges jump about; they start from where the I/O statements are
+        // and leave that place alone.
+        let mut cursor = self.job_cursor;
+        for token in toks.by_ref() {
+            if parents.is_none() && token.eq_ignore_ascii_case("CHILD") {
+                parents = Some(self.job_ids.len());
+                continue;
+            }
+            // Keep counting past an unknown name: a malformed statement
+            // is reported as malformed even when it also names no job.
+            match self.jobs.resolve(token, &mut cursor) {
+                Ok(at) => self.job_ids.push(JobId::from_index(at)),
+                Err(e) => {
+                    unknown.get_or_insert(e);
+                    self.job_ids.push(JobId(0));
+                }
+            }
+        }
+        let parents = parents.ok_or_else(|| err(toks.line, "PARENT ... CHILD ..."))?;
+        let (parents, children) = self.job_ids.split_at(parents);
+        if parents.is_empty() || children.is_empty() {
+            return Err(err(toks.line, "PARENT needs parents and children"));
+        }
+        if let Some(unknown) = unknown {
+            return Err(unknown);
+        }
+        self.explicit_edges = parents
+            .len()
+            .checked_mul(children.len())
+            .and_then(|n| n.checked_add(self.explicit_edges))
+            .filter(|&n| n <= MAX_EXPLICIT_EDGES)
+            .ok_or_else(|| {
+                err(toks.line, &format!("more than {MAX_EXPLICIT_EDGES} PARENT/CHILD edges"))
+            })?;
+        for &p in parents {
+            for &c in children {
+                self.builder.edge(p, c);
+            }
+        }
+        Ok(())
+    }
+
+    fn finish(mut self, name: &str) -> Result<Workflow, DagError> {
+        self.builder.name = name.to_string();
+        if self.jobs.indexed_unique() && self.files.indexed_unique() {
+            self.builder.finish_unique()
+        } else {
+            self.builder.finish()
+        }
+    }
 }
 
 /// Serialize a workflow to the text format.
@@ -318,6 +538,66 @@ PARENT mDiffFit_0 CHILD mConcatFit
     fn comments_and_blanks_ignored() {
         let wf = parse_workflow("# hi\n\n  \nJOB a t CPU 1\n").unwrap();
         assert_eq!(wf.job_count(), 1);
+    }
+
+    #[test]
+    fn statements_may_come_in_any_order() {
+        let text = "PARENT a CHILD b\nINPUT b f\nOUTPUT a f\nJOB b t CPU 2\nFILE f 7\n\
+                    JOB a t CPU 1\nWORKFLOW late";
+        let wf = parse_workflow(text).unwrap();
+        assert_eq!(wf.name(), "late");
+        let (a, b) = (wf.job_by_name("a").unwrap(), wf.job_by_name("b").unwrap());
+        assert_eq!((a, b), (JobId(1), JobId(0)), "ids follow declaration order");
+        assert_eq!(wf.children(a), &[b]);
+        assert_eq!(wf.job(b).inputs, wf.job(a).outputs);
+    }
+
+    #[test]
+    fn a_set_aside_statement_keeps_later_ones_in_file_order() {
+        // Line 2 cannot resolve when it is read, so line 3 must wait
+        // behind it although it could: inputs keep their file order.
+        let text = "JOB a t CPU 1\nINPUT a late\nINPUT a early\nFILE early 1\nFILE late 1";
+        let wf = parse_workflow(text).unwrap();
+        let a = wf.job_by_name("a").unwrap();
+        let names: Vec<&str> = wf.job(a).inputs.iter().map(|&f| wf.file(f).name.as_str()).collect();
+        assert_eq!(names, ["late", "early"]);
+    }
+
+    #[test]
+    fn declaration_errors_come_before_wiring_errors() {
+        let text = "JOB a t CPU 1\nINPUT a nosuch\nFILE f notanumber";
+        assert!(matches!(parse_workflow(text), Err(DagError::Parse { line: 3, .. })));
+        let text = "JOB a t CPU 1\nINPUT a nosuch\nPARENT a";
+        assert!(matches!(parse_workflow(text), Err(DagError::UnknownName(_))));
+    }
+
+    #[test]
+    fn malformed_parent_is_a_parse_error_even_with_unknown_names() {
+        for text in ["PARENT nosuch", "PARENT CHILD nosuch", "PARENT nosuch CHILD"] {
+            assert!(matches!(parse_workflow(text), Err(DagError::Parse { line: 1, .. })), "{text}");
+        }
+    }
+
+    #[test]
+    fn keywords_ignore_case_and_any_unicode_whitespace_separates() {
+        let text =
+            "workflow w\r\nfile\u{a0}f\u{2003}7 initial\r\njob a t cpu 1 cores 2 timeout 9\r\n\
+                    Input a f\u{b}\r\nparent a child a";
+        assert!(matches!(parse_workflow(text), Err(DagError::Cycle(_))));
+        let wf = parse_workflow(text.rsplit_once("\r\n").unwrap().0).unwrap();
+        assert_eq!(wf.name(), "w");
+        assert!(wf.files()[0].initial);
+        assert_eq!((wf.jobs()[0].cores, wf.jobs()[0].timeout_secs), (2, Some(9.0)));
+        assert_eq!(wf.jobs()[0].inputs, [FileId(0)]);
+    }
+
+    #[test]
+    fn quadratic_parent_child_is_rejected_before_it_is_expanded() {
+        // 130 KB of text asking for 33,000² > 10⁹ edges (8.7 GB of edge
+        // list): the statement must fail on its size, not on memory.
+        let names = "a ".repeat(33_000);
+        let text = format!("JOB a t CPU 1\nPARENT {names}CHILD {names}");
+        assert!(matches!(parse_workflow(&text), Err(DagError::Parse { line: 2, .. })));
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The immutable, validated workflow DAG and its builder.
 
-use std::collections::HashMap;
-
 use crate::error::DagError;
 use crate::file::FileSpec;
 use crate::ids::{FileId, JobId};
@@ -170,12 +168,10 @@ impl Workflow {
 /// inferred at [`WorkflowBuilder::finish`] time.
 #[derive(Debug, Default)]
 pub struct WorkflowBuilder {
-    name: String,
+    pub(crate) name: String,
     jobs: Vec<JobSpec>,
     files: Vec<FileSpec>,
     explicit_edges: Vec<(JobId, JobId)>,
-    job_names: HashMap<String, JobId>,
-    file_names: HashMap<String, FileId>,
 }
 
 impl WorkflowBuilder {
@@ -189,10 +185,7 @@ impl WorkflowBuilder {
     /// Returns the file id; declaring the same name twice is detected at
     /// [`finish`](Self::finish) time.
     pub fn file(&mut self, name: impl Into<String>, size_bytes: u64, initial: bool) -> FileId {
-        let name = name.into();
         let id = FileId::from_index(self.files.len());
-        // First declaration wins for the name map; duplicates reported in finish().
-        self.file_names.entry(name.clone()).or_insert(id);
         self.files.push(FileSpec::new(name, size_bytes, initial));
         id
     }
@@ -232,7 +225,6 @@ impl WorkflowBuilder {
 
     pub(crate) fn push_job(&mut self, spec: JobSpec) -> JobId {
         let id = JobId::from_index(self.jobs.len());
-        self.job_names.entry(spec.name.clone()).or_insert(id);
         self.jobs.push(spec);
         id
     }
@@ -253,33 +245,24 @@ impl WorkflowBuilder {
         self.files.len()
     }
 
-    /// Look up an already-declared job by name.
-    pub fn job_id(&self, name: &str) -> Option<JobId> {
-        self.job_names.get(name).copied()
-    }
-
-    /// Look up an already-declared file by name.
-    pub fn file_id(&self, name: &str) -> Option<FileId> {
-        self.file_names.get(name).copied()
-    }
-
     /// Validate and freeze the workflow.
     ///
     /// Errors on duplicate names, dangling ids, multi-producer files,
     /// negative CPU demand and cycles.
     pub fn finish(self) -> Result<Workflow, DagError> {
+        let dup = find_duplicate(self.jobs.iter().map(|j| j.name.as_str()))
+            .or_else(|| find_duplicate(self.files.iter().map(|f| f.name.as_str())));
+        if let Some(dup) = dup {
+            return Err(DagError::DuplicateName(dup));
+        }
+        self.finish_unique()
+    }
+
+    /// [`finish`](Self::finish) for a caller that already knows no job
+    /// name and no file name repeats (the text parser's name maps).
+    pub(crate) fn finish_unique(self) -> Result<Workflow, DagError> {
         let nj = self.jobs.len();
         let nf = self.files.len();
-
-        // Duplicate name detection (maps only keep the first occurrence).
-        if self.job_names.len() != nj {
-            let dup = find_duplicate(self.jobs.iter().map(|j| j.name.as_str()));
-            return Err(DagError::DuplicateName(dup.unwrap_or_default()));
-        }
-        if self.file_names.len() != nf {
-            let dup = find_duplicate(self.files.iter().map(|f| f.name.as_str()));
-            return Err(DagError::DuplicateName(dup.unwrap_or_default()));
-        }
 
         // Field validation.
         for job in &self.jobs {
@@ -338,7 +321,7 @@ impl WorkflowBuilder {
         }
 
         // Collect edges: explicit + data-flow implied; dedup.
-        let mut edges: Vec<(JobId, JobId)> = self.explicit_edges.clone();
+        let mut edges: Vec<(JobId, JobId)> = self.explicit_edges;
         for (ji, job) in self.jobs.iter().enumerate() {
             let jid = JobId::from_index(ji);
             for &f in &job.inputs {
@@ -352,11 +335,11 @@ impl WorkflowBuilder {
         edges.sort_unstable();
         edges.dedup();
 
-        // Build CSR adjacency (children direction), then transpose.
+        // Build CSR adjacency (children direction), then transpose: the
+        // counting pass in `build_csr` places each child's parents in the
+        // order the sorted edge list visits them, ascending.
         let (child_offsets, child_data) = build_csr(nj, edges.iter().copied());
-        let mut redges: Vec<(JobId, JobId)> = edges.iter().map(|&(p, c)| (c, p)).collect();
-        redges.sort_unstable();
-        let (parent_offsets, parent_data) = build_csr(nj, redges.iter().copied());
+        let (parent_offsets, parent_data) = build_csr(nj, edges.iter().map(|&(p, c)| (c, p)));
 
         // Kahn's algorithm: topological order + cycle detection.
         let mut indeg: Vec<u32> =
@@ -401,7 +384,8 @@ impl WorkflowBuilder {
     }
 }
 
-/// Build CSR arrays from a sorted, deduplicated edge list.
+/// Build CSR arrays from a deduplicated edge list; each source's
+/// destinations keep the order the list gives them.
 fn build_csr(
     n: usize,
     edges: impl Iterator<Item = (JobId, JobId)> + Clone,
@@ -423,8 +407,8 @@ fn build_csr(
     (offsets, data)
 }
 
-fn find_duplicate<'a>(names: impl Iterator<Item = &'a str>) -> Option<String> {
-    let mut seen = std::collections::HashSet::new();
+fn find_duplicate<'a>(names: impl ExactSizeIterator<Item = &'a str>) -> Option<String> {
+    let mut seen = std::collections::HashSet::with_capacity(names.len());
     for n in names {
         if !seen.insert(n) {
             return Some(n.to_string());

@@ -198,3 +198,72 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The text parser is total: bytes from the network, decoded the way
+    /// a lenient reader would, are parsed or refused, never a panic.
+    #[test]
+    fn parse_is_total_over_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..600)) {
+        let _ = parse_workflow(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// The same over statement-shaped input, which gets past the first
+    /// token far more often than raw bytes do. Whatever parses must
+    /// survive its own write/parse round trip.
+    #[test]
+    fn parse_is_total_over_statement_soup(words in prop::collection::vec(0usize..SOUP.len(), 0..160)) {
+        let text: String = words.iter().map(|&w| SOUP[w]).collect();
+        if let Ok(wf) = parse_workflow(&text) {
+            let again = parse_workflow(&write_workflow(&wf));
+            prop_assert_eq!(again.map(|w| w.job_count()), Ok(wf.job_count()));
+        }
+    }
+}
+
+/// Whole statements over a handful of names (so that references resolve,
+/// repeat and dangle, in any order), then loose words: keywords in several
+/// cases, numbers good and bad, and every separator the tokenizer knows.
+const SOUP: [&str; 40] = [
+    "JOB a t CPU 1\n",
+    "JOB b t CPU 2 CORES 2\n",
+    "job c u cpu 0.5 timeout 5\r\n",
+    "FILE f 10 INITIAL\n",
+    "FILE g 0\n",
+    "INPUT a f\n",
+    "OUTPUT a g\n",
+    "INPUT b g f\n",
+    "PARENT a CHILD b\n",
+    "PARENT a b CHILD c\n",
+    "WORKFLOW w\n",
+    "# note\n",
+    "PARENT",
+    "CHILD",
+    "INPUT",
+    "OUTPUT",
+    "FILE",
+    "JOB",
+    "CPU",
+    "CORES",
+    "TIMEOUT",
+    "Initial",
+    "a",
+    "b",
+    "c",
+    "f",
+    "é",
+    "0",
+    "2.5",
+    "-1",
+    "1e400",
+    "nan",
+    "18446744073709551616",
+    "#",
+    " ",
+    " ",
+    "\n",
+    "\t",
+    "\u{a0}",
+    "\u{2028}",
+];

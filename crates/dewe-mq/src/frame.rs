@@ -25,10 +25,22 @@ pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Write one frame: length prefix, payload, flush.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
+    write_frame_split(w, payload, &[])
+}
+
+/// Write one frame whose payload is `head` followed by `tail`, each with
+/// its own `write_all`: a sender holding a small header and a large body
+/// (a shared DAG text) frames them without first copying both into one
+/// buffer. On the wire it is indistinguishable from [`write_frame`] of
+/// the concatenation.
+pub fn write_frame_split(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
+    let len =
+        head.len().checked_add(tail.len()).and_then(|len| u32::try_from(len).ok()).ok_or_else(
+            || io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"),
+        )?;
     w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    w.write_all(head)?;
+    w.write_all(tail)?;
     w.flush()
 }
 
@@ -82,6 +94,19 @@ mod tests {
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"beta");
         assert!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn split_frames_read_back_as_their_concatenation() {
+        let mut split = Vec::new();
+        write_frame_split(&mut split, b"head", b"-and-tail").unwrap();
+        write_frame_split(&mut split, b"", b"").unwrap();
+        let mut whole = Vec::new();
+        write_frame(&mut whole, b"head-and-tail").unwrap();
+        write_frame(&mut whole, b"").unwrap();
+        assert_eq!(split, whole);
+        let mut r = split.as_slice();
+        assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"head-and-tail");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::process::exit;
 use std::time::Duration;
 
 use dewe::core::realtime::{
-    load_spool, spawn_master_on, MasterConfig, MasterEvent, Registry, TcpMaster, TcpMasterOptions,
+    spawn_master_on, MasterConfig, MasterEvent, Registry, TcpMaster, TcpMasterOptions,
 };
 
 struct Args {
@@ -124,18 +124,16 @@ fn main() {
     // A restarted master rebuilds its registry from the workflow spool
     // *before* recovery replays the journal against it.
     let registry = Registry::new();
-    if let Some(dir) = &args.state_dir {
-        match load_spool(dir.as_ref()) {
-            Ok(spooled) => {
-                for (id, name, workflow) in spooled {
-                    println!("dewe-masterd: respooled workflow {} ({name})", id.0);
-                    registry.insert(id, workflow);
-                }
+    match transport.load_spool() {
+        Ok(spooled) => {
+            for (id, name, workflow) in spooled {
+                println!("dewe-masterd: respooled workflow {} ({name})", id.0);
+                registry.insert(id, workflow);
             }
-            Err(e) => {
-                eprintln!("dewe-masterd: state dir {dir}: {e}");
-                exit(1);
-            }
+        }
+        Err(e) => {
+            eprintln!("dewe-masterd: state dir {}: {e}", args.state_dir.unwrap_or_default());
+            exit(1);
         }
     }
 

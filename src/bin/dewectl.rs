@@ -54,11 +54,21 @@ fn main() {
 }
 
 fn load(path: &str) -> Result<Workflow, String> {
+    load_with_text(path).map(|(wf, _)| wf)
+}
+
+/// The workflow in `path` and its `.dag` text: the file itself when it is
+/// one, the conversion when it is a DAX.
+fn load_with_text(path: &str) -> Result<(Workflow, String), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let ext = Path::new(path).extension().and_then(|e| e.to_str()).unwrap_or("");
     match ext {
-        "dax" | "xml" => parse_dax(&text).map_err(|e| format!("{path}: {e}")),
-        _ => parse_workflow(&text).map_err(|e| format!("{path}: {e}")),
+        "dax" | "xml" => {
+            let wf = parse_dax(&text).map_err(|e| format!("{path}: {e}"))?;
+            let text = write_workflow(&wf);
+            Ok((wf, text))
+        }
+        _ => Ok((parse_workflow(&text).map_err(|e| format!("{path}: {e}"))?, text)),
     }
 }
 
@@ -207,12 +217,15 @@ fn submit(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    let wf = load(path)?;
-    for n in 0..count {
-        let name = if count == 1 { wf.name().to_string() } else { format!("{}-{n}", wf.name()) };
-        dewe::core::realtime::submit_over_tcp(addr.as_str(), name, &wf)
-            .map_err(|e| format!("submit to {addr}: {e}"))?;
-    }
+    // Checked here so a bad file fails at the submitter; then the text
+    // goes out as it is, `count` times down one connection.
+    let (wf, text) = load_with_text(path)?;
+    let names = (0..count).map(|n| match count {
+        1 => wf.name().to_string(),
+        _ => format!("{}-{n}", wf.name()),
+    });
+    dewe::core::realtime::submit_over_tcp(addr.as_str(), names, &text)
+        .map_err(|e| format!("submit to {addr}: {e}"))?;
     println!("submitted {count} x {} ({} jobs each) to {addr}", wf.name(), wf.job_count());
     Ok(())
 }

@@ -8,11 +8,12 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dewe::core::realtime::{
-    load_spool, spawn_master, spawn_master_on, spawn_worker, spawn_worker_on, submit,
-    submit_over_tcp, MasterConfig, MasterEvent, MessageBus, Registry, SleepRunner, TcpMaster,
-    TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
+    spawn_master, spawn_master_on, spawn_worker, spawn_worker_on, submit, submit_over_tcp,
+    MasterConfig, MasterEvent, MessageBus, Registry, SleepRunner, TcpMaster, TcpMasterOptions,
+    TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
 };
 use dewe::core::EngineStats;
+use dewe::dag::{write_workflow, WorkflowId};
 use dewe::montage::MontageConfig;
 
 fn drain_until_all_done(master: &dewe::core::realtime::MasterHandle) -> EngineStats {
@@ -137,7 +138,7 @@ fn twenty_montage_over_tcp_with_worker_kill_matches_in_process() {
         let mut workers: Vec<_> = (0..3).map(spawn_net_worker).collect();
 
         for (i, wf) in workflows.iter().enumerate() {
-            submit_over_tcp(addr, format!("montage-{i}"), wf).unwrap();
+            submit_over_tcp(addr, [format!("montage-{i}")], &write_workflow(wf)).unwrap();
         }
         std::thread::sleep(Duration::from_millis(300));
         // Kill one worker daemon outright: in-flight jobs abandoned with
@@ -163,15 +164,35 @@ fn twenty_montage_over_tcp_with_worker_kill_matches_in_process() {
     assert_eq!(networked.dead_lettered, 0);
 }
 
+/// What sharing one DAG text must look like in any registry of the
+/// ensemble below: workflows 0, 1 and 3 are one topology, 2 is another.
+fn assert_ensemble_sharing(registry: &Registry, who: &str) {
+    let at = |i: u32| registry.get(WorkflowId(i)).unwrap_or_else(|| panic!("{who}: no wf {i}"));
+    assert_eq!(registry.len(), 4, "{who}: dense mirror of the whole ensemble");
+    assert!(Arc::ptr_eq(&at(0), &at(1)) && Arc::ptr_eq(&at(0), &at(3)), "{who}: shared");
+    assert!(!Arc::ptr_eq(&at(0), &at(2)), "{who}: the distinct DAG is its own workflow");
+}
+
 /// Satellite drill: kill the master process mid-ensemble and restart it
 /// on the same port from its workflow spool + WAL journal. Worker links
 /// ride out the outage (reconnect + outbound-queue retry), and the
 /// restarted master finishes the ensemble with the same outcome
 /// invariants as an identically-shaped in-process recovery.
+///
+/// The ensemble is three submissions of one DAG text around one of
+/// another, so the drill also pins down ingest: identical texts are one
+/// `Arc<Workflow>` in the master's registry, in every worker's mirror —
+/// early, late-joining, reconnected — and in the respooled registry, and
+/// the spool holds the submitter's bytes.
 #[test]
 fn master_kill_and_restart_recovers_over_tcp() {
     let n_workflows = 4usize;
-    let workflows = montage_ensemble(n_workflows);
+    let common = Arc::new(MontageConfig::degree(0.1).with_seed(0).build());
+    let distinct = Arc::new(MontageConfig::degree(0.1).with_seed(1).build());
+    let workflows = [Arc::clone(&common), Arc::clone(&common), distinct, Arc::clone(&common)];
+    // Not the canonical serialisation: a re-serialised spool would differ.
+    let texts: Vec<String> =
+        workflows.iter().map(|wf| format!("# submitted as is\n{}", write_workflow(wf))).collect();
     let expected_jobs: u64 = workflows.iter().map(|w| w.job_count() as u64).sum();
 
     let scratch = std::env::temp_dir().join(format!("dewe-net-recovery-{}", std::process::id()));
@@ -180,10 +201,13 @@ fn master_kill_and_restart_recovers_over_tcp() {
     let state_dir = scratch.join("state");
     let journal = scratch.join("master.wal");
 
+    // An ack written into the killed master's socket is lost, and the
+    // lease plane does not republish a job a live worker holds, so every
+    // few runs one job waits out its timeout: keep that wait short.
     let config = |recover: bool| {
         MasterConfig::builder()
             .expected_workflows(n_workflows)
-            .default_timeout_secs(30.0)
+            .default_timeout_secs(5.0)
             .timeout_scan_interval(Duration::from_millis(20))
             .lease_secs(0.5)
             .journal_path(&journal)
@@ -198,10 +222,12 @@ fn master_kill_and_restart_recovers_over_tcp() {
     )
     .unwrap();
     let addr = transport.local_addr();
-    let master = spawn_master_on(transport.clone(), Registry::new(), config(false));
+    let registry1 = Registry::new();
+    let master = spawn_master_on(transport.clone(), registry1.clone(), config(false));
 
     let spawn_net_worker = |id: u32| {
         let registry = Registry::new();
+        let mirror = registry.clone();
         let link = TcpWorkerLink::connect(
             addr,
             registry.clone(),
@@ -223,21 +249,33 @@ fn master_kill_and_restart_recovers_over_tcp() {
                 ..WorkerConfig::default()
             },
         );
-        (link, handle)
+        (link, handle, mirror)
     };
     let workers: Vec<_> = (0..2).map(spawn_net_worker).collect();
 
-    for (i, wf) in workflows.iter().enumerate() {
-        submit_over_tcp(addr, format!("montage-{i}"), wf).unwrap();
-    }
-    // Wait until every workflow is ingested (spooled) and some work has
-    // actually happened, so the crash interrupts a busy ensemble.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while load_spool(&state_dir).unwrap().len() < n_workflows {
-        assert!(Instant::now() < deadline, "workflows never spooled");
-        std::thread::sleep(Duration::from_millis(10));
-    }
+    // `dewectl submit --count 2`, then two single submissions. Separate
+    // connections race each other into the submission topic, so each
+    // waits until the one before is ingested (spooled); when the last is,
+    // some work has happened and the crash interrupts a busy ensemble.
+    let await_spooled = |n: usize| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while transport.load_spool().unwrap().len() < n {
+            assert!(Instant::now() < deadline, "workflows never spooled");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    };
+    submit_over_tcp(addr, ["montage-0", "montage-1"], &texts[0]).unwrap();
+    await_spooled(2);
+    submit_over_tcp(addr, ["montage-2"], &texts[2]).unwrap();
+    await_spooled(3);
+    submit_over_tcp(addr, ["montage-3"], &texts[3]).unwrap();
+    await_spooled(n_workflows);
     std::thread::sleep(Duration::from_millis(200));
+    assert_ensemble_sharing(&registry1, "master registry");
+    for (i, text) in texts.iter().enumerate() {
+        let spooled = std::fs::read_to_string(state_dir.join(format!("wf-{i:08}.dag"))).unwrap();
+        assert_eq!(spooled, format!("montage-{i}\n{text}"), "spool holds the submitter's bytes");
+    }
 
     // Crash: serve loop dies abruptly, endpoint drops with no Bye.
     master.kill();
@@ -251,14 +289,34 @@ fn master_kill_and_restart_recovers_over_tcp() {
     )
     .unwrap();
     let registry2 = Registry::new();
-    for (id, _name, wf) in load_spool(&state_dir).unwrap() {
+    for (id, _name, wf) in transport2.load_spool().unwrap() {
         registry2.insert(id, wf);
     }
+    assert_ensemble_sharing(&registry2, "respooled registry");
     let master2 = spawn_master_on(transport2.clone(), registry2, config(true));
     let stats = drain_until_all_done(&master2);
     master2.join();
+    // A link that joins only now is replayed the recovered registry; the
+    // two that rode out the restart kept the mirrors they had.
+    let late_mirror = Registry::new();
+    let late = TcpWorkerLink::connect(
+        addr,
+        late_mirror.clone(),
+        TcpWorkerOptions { worker_id: 2, ..TcpWorkerOptions::default() },
+    )
+    .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while late_mirror.len() < n_workflows {
+        assert!(Instant::now() < deadline, "late link never mirrored the ensemble");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_ensemble_sharing(&late_mirror, "late worker");
+    for (_, _, mirror) in &workers {
+        assert_ensemble_sharing(mirror, "reconnected worker");
+    }
+    late.close();
     transport2.shutdown();
-    for (link, handle) in workers {
+    for (link, handle, _) in workers {
         handle.stop();
         link.close();
     }
@@ -274,7 +332,7 @@ fn master_kill_and_restart_recovers_over_tcp() {
     let config_inproc = |recover: bool| {
         MasterConfig::builder()
             .expected_workflows(n_workflows)
-            .default_timeout_secs(30.0)
+            .default_timeout_secs(5.0)
             .timeout_scan_interval(Duration::from_millis(20))
             .lease_secs(0.5)
             .journal_path(&journal2)
