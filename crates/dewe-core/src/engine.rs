@@ -7,11 +7,11 @@
 //! realtime and simulated runtimes are thin drivers around it, and tests
 //! can exercise every protocol corner deterministically.
 //!
-//! Every driver codes against the [`EngineCore`] trait — the sink-based
-//! driving surface (submit / ack / timeouts / stats / settle queries) —
-//! so the single-threaded [`EnsembleEngine`] and the partitioned
-//! [`ShardedEngine`](crate::ShardedEngine) are interchangeable behind a
-//! shard-count config knob.
+//! The [`EngineCore`] trait is the sink-based driving surface (submit /
+//! ack / timeouts / stats / settle queries) the single-threaded
+//! [`EnsembleEngine`] shares with the partitioned
+//! [`ShardedEngine`](crate::ShardedEngine), so the realtime master's
+//! serve loop and journal replay are written once for every engine shape.
 //!
 //! Beyond the paper's unconditional timeout/resubmission loop, the engine
 //! carries a configurable [`RetryPolicy`]: a per-job attempt cap that
@@ -19,11 +19,10 @@
 //! the ensemble terminates with partial completion instead of looping
 //! forever), and exponential backoff with deterministic jitter between
 //! resubmissions, implemented as deferred dispatches riding the existing
-//! deadline heap. The defaults preserve the paper's behavior exactly:
+//! deadline timer. The defaults preserve the paper's behavior exactly:
 //! unbounded immediate retries.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use dewe_dag::{DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowId};
@@ -77,27 +76,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Which data structure tracks candidate deadlines (checkout timeouts and
-/// deferred-retry fire times).
-///
-/// Both backends share the same lazy-currency contract — entries are
-/// validated against the in-flight slab only when they surface — and
-/// produce **identical action streams** (the wheel sorts each scan's
-/// expired batch into the heap's pop order; proven by the heap-vs-wheel
-/// equivalence properties and the differential oracle). They differ only
-/// in cost: the heap pays `O(log n)` per push for ordering the engine
-/// rarely needs, the wheel files in `O(1)` and orders only what expires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimerBackend {
-    /// `BinaryHeap<Reverse<DeadlineEntry>>` — the original backend, kept
-    /// selectable as the equivalence baseline.
-    Heap,
-    /// Hierarchical flat-array deadline wheel (see `wheel.rs` for the
-    /// layout and cascade math). The default.
-    #[default]
-    Wheel,
-}
-
 /// Engine-wide configuration and the one way to construct engines.
 ///
 /// `EngineConfig` doubles as a builder: chain setters off
@@ -125,8 +103,6 @@ pub struct EngineConfig {
     pub checkout_timeout_secs: Option<f64>,
     /// Retry budget and backoff schedule.
     pub retry: RetryPolicy,
-    /// Deadline-tracking data structure (default: the wheel).
-    pub timer_backend: TimerBackend,
 }
 
 impl Default for EngineConfig {
@@ -135,7 +111,6 @@ impl Default for EngineConfig {
             default_timeout_secs: DEFAULT_TIMEOUT_SECS,
             checkout_timeout_secs: None,
             retry: RetryPolicy::default(),
-            timer_backend: TimerBackend::default(),
         }
     }
 }
@@ -162,13 +137,6 @@ impl EngineConfig {
         self
     }
 
-    /// Select the deadline-tracking backend (heap or wheel).
-    #[must_use]
-    pub fn timer_backend(mut self, backend: TimerBackend) -> Self {
-        self.timer_backend = backend;
-        self
-    }
-
     /// Validate the configuration and construct a single-threaded engine.
     ///
     /// # Panics
@@ -184,10 +152,7 @@ impl EngineConfig {
             lanes: InflightLanes::default(),
             stats: EngineStats::default(),
             terminal_emitted: false,
-            deadlines: match self.timer_backend {
-                TimerBackend::Heap => DeadlineTimer::Heap(BinaryHeap::new()),
-                TimerBackend::Wheel => DeadlineTimer::Wheel(DeadlineWheel::default()),
-            },
+            deadlines: DeadlineWheel::default(),
             scratch_ready: Vec::new(),
             scratch_expired: Vec::new(),
             config: self,
@@ -318,11 +283,10 @@ impl EngineStats {
 
 /// The sink-based driving surface every engine flavor exposes.
 ///
-/// Drivers (the simulated runtime, the realtime master, the autoscaler,
-/// test harnesses, benches) are generic over this trait, so swapping the
-/// single-threaded [`EnsembleEngine`] for a partitioned
-/// [`ShardedEngine`](crate::ShardedEngine) is a configuration change, not
-/// a code change. All mutating methods append [`Action`]s to a
+/// The realtime master, journal replay and the test harnesses are generic
+/// over this trait, so swapping the single-threaded [`EnsembleEngine`] for
+/// a partitioned [`ShardedEngine`](crate::ShardedEngine) is a
+/// configuration change, not a code change. All mutating methods append [`Action`]s to a
 /// caller-owned sink (`&mut Vec<Action>`) — in steady state no engine
 /// allocation is needed to process an event.
 ///
@@ -404,8 +368,8 @@ pub trait EngineCore {
     /// Append the current in-flight attempts (for recovery republishing).
     fn inflight_dispatches(&self, out: &mut Vec<DispatchMsg>);
 
-    /// Deadline-wheel cascade count summed across shards (0 under the
-    /// heap backend) — observability, not part of engine semantics.
+    /// Deadline-wheel cascade count summed across shards — observability,
+    /// not part of engine semantics.
     fn timer_cascades(&self) -> u64 {
         0
     }
@@ -445,12 +409,12 @@ const SLOT_DEFERRED: u8 = 2;
 /// `job_count` slots at `base[wf]`; a job's slot is `base[wf] + job`.
 /// Splitting the former `Vec<Option<Inflight>>` into parallel lanes means
 /// each hot loop touches only the bytes it needs: the recovery scan reads
-/// the one-byte `tag` lane (plus `attempt` on a hit), the heap currency
+/// the one-byte `tag` lane (plus `attempt` on a hit), the timer currency
 /// check reads `tag`/`attempt`/`deadline` without pulling workflow state
 /// into cache, and an ack clears a slot by writing a single byte.
 ///
 /// The `owner` lane records which workflow each slot belongs to and is
-/// part of the currency check: a heap entry whose job index runs past its
+/// part of the currency check: a timer entry whose job index runs past its
 /// workflow's region would otherwise alias a neighbor's slot.
 #[derive(Default)]
 struct InflightLanes {
@@ -503,7 +467,7 @@ impl InflightLanes {
     /// True when `entry` still describes the current checkout (or
     /// deferral) of its job: the slab holds the same attempt with the
     /// same deadline and kind. Any refresh, resubmission or completion
-    /// invalidates older heap entries.
+    /// invalidates older timer entries.
     fn entry_is_current(&self, entry: &DeadlineEntry) -> bool {
         let wf = entry.job.workflow.index();
         let Some(&base) = self.base.get(wf) else {
@@ -522,7 +486,7 @@ impl InflightLanes {
     }
 }
 
-/// A candidate deadline in the engine-wide timer (heap or wheel): either
+/// A candidate deadline in the engine-wide timer: either
 /// a timeout for a checked-out job or the fire time of a backoff-deferred
 /// retry.
 ///
@@ -530,8 +494,7 @@ impl InflightLanes {
 /// completion simply leaves the old entry behind, and it is discarded at
 /// pop time when it no longer matches the in-flight slab (lazy
 /// invalidation). Ordering is ascending deadline with (workflow, job,
-/// attempt) tie-breaks so timeout scans emit in a deterministic order —
-/// both backends fire expired entries in exactly this order.
+/// attempt) tie-breaks so timeout scans emit in a deterministic order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeadlineEntry {
     pub(crate) deadline: f64,
@@ -566,30 +529,6 @@ impl Ord for DeadlineEntry {
     }
 }
 
-/// The engine-wide deadline tracker behind [`TimerBackend`]: same push /
-/// expire / earliest surface over either structure.
-enum DeadlineTimer {
-    Heap(BinaryHeap<Reverse<DeadlineEntry>>),
-    Wheel(DeadlineWheel),
-}
-
-impl DeadlineTimer {
-    #[inline]
-    fn push(&mut self, entry: DeadlineEntry) {
-        match self {
-            DeadlineTimer::Heap(heap) => heap.push(Reverse(entry)),
-            DeadlineTimer::Wheel(wheel) => wheel.push(entry),
-        }
-    }
-
-    fn cascades(&self) -> u64 {
-        match self {
-            DeadlineTimer::Heap(_) => 0,
-            DeadlineTimer::Wheel(wheel) => wheel.cascades(),
-        }
-    }
-}
-
 /// The DEWE v2 master daemon's DAG-management state machine.
 ///
 /// Constructed through the [`EngineConfig`] builder:
@@ -601,13 +540,12 @@ pub struct EnsembleEngine {
     config: EngineConfig,
     stats: EngineStats,
     terminal_emitted: bool,
-    /// Engine-wide tracker of candidate deadlines (heap or wheel per
-    /// [`EngineConfig::timer_backend`]), validated lazily against the
-    /// in-flight slab. Pushed on checkout (Running ack), backoff
-    /// deferral, and — when a checkout timeout is configured — dispatch,
-    /// so its size is bounded by recent protocol events, not by total
-    /// in-flight jobs.
-    deadlines: DeadlineTimer,
+    /// Engine-wide tracker of candidate deadlines (the hierarchical wheel
+    /// of `wheel.rs`), validated lazily against the in-flight slab. Pushed
+    /// on checkout (Running ack), backoff deferral, and — when a checkout
+    /// timeout is configured — dispatch, so its size is bounded by recent
+    /// protocol events, not by total in-flight jobs.
+    deadlines: DeadlineWheel,
     /// Reusable buffer for draining tracker ready queues.
     scratch_ready: Vec<JobId>,
     /// Reusable buffer for the wheel's per-scan expired batch.
@@ -788,7 +726,7 @@ impl EnsembleEngine {
         // (Running ack), not when it is published: a message sitting in
         // the queue is safe — the queue redelivers unacknowledged
         // checkouts (paper §III.B). Until checkout the deadline is
-        // infinite and the job has no deadline-heap entry, unless a
+        // infinite and the job has no deadline-timer entry, unless a
         // checkout timeout is configured to survive lossy transports.
         let deadline = match self.config.checkout_timeout_secs {
             Some(t) => now + t,
@@ -904,54 +842,22 @@ impl EnsembleEngine {
     /// any backoff-deferred retry that came due is dispatched.
     ///
     /// Only entries whose deadline has expired are visited, no matter how
-    /// many are in flight: the heap pops while its top has expired
-    /// (O(expired · log heap)), the wheel drains the crossed slots and
-    /// sorts just the expired batch into the heap's pop order — the two
-    /// backends emit identical action streams.
+    /// many are in flight: the wheel drains the slots `now` crossed and
+    /// sorts just that expired batch into full [`DeadlineEntry`] order, so
+    /// a scan fires in ascending (deadline, workflow, job, attempt) order.
     pub fn check_timeouts(&mut self, now: f64, actions: &mut Vec<Action>) {
-        if matches!(self.deadlines, DeadlineTimer::Heap(_)) {
-            self.check_timeouts_heap(now, actions);
-        } else {
-            self.check_timeouts_wheel(now, actions);
-        }
-    }
-
-    fn check_timeouts_heap(&mut self, now: f64, actions: &mut Vec<Action>) {
-        loop {
-            let top = {
-                let DeadlineTimer::Heap(heap) = &mut self.deadlines else { unreachable!() };
-                match heap.peek() {
-                    Some(&Reverse(top)) if top.deadline <= now => {
-                        heap.pop();
-                        top
-                    }
-                    _ => break,
-                }
-            };
-            if !self.lanes.entry_is_current(&top) {
-                continue; // superseded checkout, resubmission or completion
-            }
-            self.fire_entry(&top, now, actions);
-        }
-    }
-
-    fn check_timeouts_wheel(&mut self, now: f64, actions: &mut Vec<Action>) {
         let mut expired = std::mem::take(&mut self.scratch_expired);
         // Processing an expired entry can file new deadlines (checkout
         // timeouts, deferred retries); re-drain until quiescent so any
-        // that land at or before `now` fire in this scan, exactly as the
-        // heap's peek-pop loop would process them.
+        // that land at or before `now` fire in this scan.
         loop {
             expired.clear();
-            {
-                let DeadlineTimer::Wheel(wheel) = &mut self.deadlines else { unreachable!() };
-                wheel.drain_expired(now, &mut expired);
-            }
+            self.deadlines.drain_expired(now, &mut expired);
             if expired.is_empty() {
                 break;
             }
-            // The heap pops expired entries in full DeadlineEntry order;
-            // restore it over the wheel's slot-order batch.
+            // The wheel hands the batch over in slot order; the scan's
+            // contract is full entry order.
             expired.sort_unstable();
             for entry in &expired {
                 if !self.lanes.entry_is_current(entry) {
@@ -978,26 +884,15 @@ impl EnsembleEngine {
 
     /// Earliest pending deadline — job timeout or deferred-retry fire
     /// time — if any (lets drivers sleep precisely instead of polling).
-    /// Amortized O(1): stale entries are pruned as they surface (heap
-    /// top, wheel minimum-slot scan).
+    /// Amortized O(1): stale entries are pruned as they surface in the
+    /// wheel's minimum-slot scan.
     pub fn next_deadline(&mut self) -> Option<f64> {
         let lanes = &self.lanes;
-        match &mut self.deadlines {
-            DeadlineTimer::Heap(heap) => {
-                while let Some(&Reverse(top)) = heap.peek() {
-                    if lanes.entry_is_current(&top) {
-                        return Some(top.deadline);
-                    }
-                    heap.pop();
-                }
-                None
-            }
-            DeadlineTimer::Wheel(wheel) => wheel.next_deadline(|e| lanes.entry_is_current(e)),
-        }
+        self.deadlines.next_deadline(|e| lanes.entry_is_current(e))
     }
 
     /// Entries the deadline wheel re-filed coarse-to-fine while advancing
-    /// (0 under the heap backend) — cheap observability for dashboards.
+    /// — cheap observability for dashboards.
     pub fn timer_cascades(&self) -> u64 {
         self.deadlines.cascades()
     }
@@ -1021,7 +916,7 @@ impl EnsembleEngine {
 
     /// Current in-flight attempts: dispatched, not yet terminal, not
     /// parked behind a backoff deferral (those re-fire from the deadline
-    /// heap on their own). A recovered master republishes these — the
+    /// timer on their own). A recovered master republishes these — the
     /// pre-crash queue contents are unknown, and a duplicate dispatch is
     /// only duplicate-completion noise while a lost one would strand the
     /// job until its timeout.

@@ -39,12 +39,13 @@
 //! Both runtimes share every line of coordination logic, which is the
 //! point: the paper's claims are about coordination, not hardware.
 //!
-//! Drivers code against the [`EngineCore`] trait, so the single-threaded
-//! [`EnsembleEngine`], the partitioned [`ShardedEngine`] (N shards routed
-//! by a [`ShardRouter`]) and the thread-parallel
+//! The simulated runtime drives the single-threaded [`EnsembleEngine`]
+//! directly. The realtime master is the one driver generic over the
+//! [`EngineCore`] trait: its `shards`/`threads` topology settings select
+//! the [`EnsembleEngine`], the partitioned [`ShardedEngine`] (N shards
+//! routed by a [`ShardRouter`]) or the thread-parallel
 //! [`ParallelShardedEngine`] (one worker thread per shard, batched
-//! cross-shard routing) are interchangeable behind shard/thread config
-//! knobs.
+//! cross-shard routing).
 
 mod engine;
 mod protocol;
@@ -55,9 +56,7 @@ pub mod fault;
 pub mod realtime;
 pub mod sim;
 
-pub use engine::{
-    Action, EngineConfig, EngineCore, EngineStats, EnsembleEngine, RetryPolicy, TimerBackend,
-};
+pub use engine::{Action, EngineConfig, EngineCore, EngineStats, EnsembleEngine, RetryPolicy};
 pub use protocol::{
     AckKind, AckMsg, DispatchMsg, LifecycleKind, LifecycleMsg, SubmissionMsg, WireError, WireMsg,
     WorkflowAnnounce, PROTOCOL_VERSION,

@@ -657,7 +657,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_batch_with_corrupt_count_fails_without_allocating() {
+    fn batch_frame_with_corrupt_count_fails_without_allocating() {
         // A frame claiming u32::MAX dispatches but carrying two must be
         // rejected as Truncated — and must not pre-allocate for the lie.
         let job = EnsembleJobId::new(WorkflowId(1), JobId(2));

@@ -61,7 +61,7 @@ impl MessageBus {
     }
 }
 
-/// The in-process bus *is* a master transport: the serve loops drive it
+/// The in-process bus *is* a master transport: the serve loop drives it
 /// through the same trait surface the TCP runtime implements, so the
 /// oracle paths and a networked fleet share one master implementation.
 /// Announcements are dropped — in-process workers share the [`Registry`]

@@ -1,23 +1,22 @@
 //! The master daemon thread.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dewe_dag::WorkflowId;
+use dewe_dag::{Workflow, WorkflowId};
 use dewe_mq::Transport;
 
 use super::bus::{MessageBus, Registry};
 use super::journal::{self, Journal, JournalCommitPolicy};
 use super::liveness::{LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerView};
-use crate::engine::{
-    Action, EngineConfig, EngineCore, EngineStats, EnsembleEngine, RetryPolicy, TimerBackend,
-};
+use crate::engine::{Action, EngineConfig, EngineCore, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WorkflowAnnounce};
 use crate::sharded::parallel::{DispatchSink, ParallelOptions, ParallelShardedEngine};
-use crate::sharded::{HashRouter, ShardedEngine};
+use crate::sharded::ShardedEngine;
 
 /// Every fabric the master can serve: a [`Transport`] pinned to the
 /// realtime protocol types, cloneable so shard threads can publish
@@ -86,8 +85,6 @@ struct ResolvedConfig {
     journal_compact_threshold: Option<usize>,
     journal_commit: JournalCommitPolicy,
     lease_secs: Option<f64>,
-    timer_backend: TimerBackend,
-    dispatch_batch: bool,
 }
 
 impl Default for ResolvedConfig {
@@ -106,8 +103,6 @@ impl Default for ResolvedConfig {
             journal_compact_threshold: None,
             journal_commit: JournalCommitPolicy::default(),
             lease_secs: None,
-            timer_backend: TimerBackend::default(),
-            dispatch_batch: true,
         }
     }
 }
@@ -118,7 +113,6 @@ impl ResolvedConfig {
             default_timeout_secs: self.default_timeout_secs,
             checkout_timeout_secs: self.checkout_timeout_secs,
             retry: self.retry,
-            timer_backend: self.timer_backend,
         }
     }
 }
@@ -223,23 +217,6 @@ impl MasterConfigBuilder {
         self
     }
 
-    /// Deadline-timer backend for the engines the master drives (the
-    /// hierarchical [`TimerBackend::Wheel`] by default; see
-    /// [`EngineConfig`]). The two backends are behaviourally identical —
-    /// this knob exists for A/B benchmarking and differential testing.
-    pub fn timer_backend(mut self, backend: TimerBackend) -> Self {
-        self.cfg.timer_backend = backend;
-        self
-    }
-
-    /// Coalesce same-poll-cycle dispatches into batch publishes
-    /// (`Transport::publish_dispatch_batch`). On by default; disable to
-    /// A/B the per-job publish path.
-    pub fn dispatch_batch(mut self, enabled: bool) -> Self {
-        self.cfg.dispatch_batch = enabled;
-        self
-    }
-
     /// Finish: produce the configuration.
     pub fn build(self) -> MasterConfig {
         MasterConfig { cfg: self.cfg }
@@ -275,10 +252,18 @@ pub enum MasterEvent {
         /// Final engine statistics.
         stats: EngineStats,
     },
+    /// The master could not start serving: its journal could not be
+    /// read, replayed against the registry, reopened or created. Nothing
+    /// was served; the master has exited and [`MasterHandle::join`]
+    /// returns all-zero statistics.
+    Failed {
+        /// What failed and why, one line.
+        reason: String,
+    },
 }
 
-/// Liveness state the master mirrors out for observers (tests, the
-/// bench harness, operators): fault-plane counters and the current
+/// Liveness state the master mirrors out for observers (tests,
+/// operators): fault-plane counters and the current
 /// worker table. Updated by the serve loop as liveness events land.
 #[derive(Default)]
 struct FaultPlaneShared {
@@ -304,7 +289,8 @@ pub struct MasterHandle {
 }
 
 impl MasterHandle {
-    /// Wait for the master to exit, returning final engine statistics.
+    /// Wait for the master to exit, returning final engine statistics
+    /// (all zero when it reported [`MasterEvent::Failed`]).
     pub fn join(mut self) -> EngineStats {
         self.thread.take().expect("join called once").join().expect("master panicked")
     }
@@ -348,7 +334,8 @@ impl MasterHandle {
 /// [`MasterConfigBuilder::journal_path`] set it write-ahead journals
 /// every input; with [`MasterConfigBuilder::recover`] it first replays
 /// that journal, rebuilding the pre-crash engine and republishing
-/// in-flight jobs.
+/// in-flight jobs. A journal that cannot be opened or replayed is
+/// reported as [`MasterEvent::Failed`].
 pub fn spawn_master(bus: MessageBus, registry: Registry, config: MasterConfig) -> MasterHandle {
     spawn_master_on(bus, registry, config)
 }
@@ -374,34 +361,147 @@ pub fn spawn_master_on<T: MasterTransport>(
     MasterHandle { thread: Some(thread), stop, shared, events: rx }
 }
 
-/// Ties an engine shape to its journal-recovery entry point, so the
-/// serving loop stays generic while recovery rebuilds the right shape
-/// (forced shard placement for [`ShardedEngine`]).
-trait RecoverableEngine: EngineCore + Sized {
+/// What the serve loop needs from an engine shape beyond [`EngineCore`]:
+/// how the shape is built from a journal, and the points where an engine
+/// driven on the serve thread (the default bodies) genuinely differs from
+/// one whose shards run on their own threads ([`ParallelShardedEngine`]'s
+/// overrides). Everything else in [`serve`] exists once.
+trait ServedEngine: EngineCore + Sized {
+    /// Build this shape by replaying journal records (forced shard
+    /// placement for the sharded shapes); no records, a fresh engine.
+    /// `sink` is where dispatches leave from when the shards run on their
+    /// own threads; shapes driven on the serve thread drop it — their
+    /// dispatches come back in `actions` and leave from the loop.
     fn recover_from(
         records: &[journal::JournalRecord],
         registry: &Registry,
         config: &ResolvedConfig,
-    ) -> std::io::Result<journal::Recovery<Self>>;
+        sink: Arc<DispatchSink>,
+    ) -> io::Result<journal::Recovery<Self>>;
+
+    /// Hand over an (already journaled) submission: applied now, its
+    /// actions appended — or enqueued for the owning shard thread.
+    fn feed_submit(
+        &mut self,
+        shard: usize,
+        workflow: Arc<Workflow>,
+        now: f64,
+        actions: &mut Vec<Action>,
+    ) -> WorkflowId {
+        self.submit_workflow_to(shard, workflow, now, actions)
+    }
+
+    /// Hand over an (already journaled) acknowledgment.
+    fn feed_ack(&mut self, ack: AckMsg, now: f64, actions: &mut Vec<Action>) {
+        self.on_ack(ack, now, actions);
+    }
+
+    /// Hand over a timeout scan; returns whether it must be journaled
+    /// (the loop does so before anything else reaches the engine). Applied
+    /// now, a scan is journaled after the fact and only when it changed
+    /// engine state: if the record is lost to a crash, the rebuilt
+    /// deadline timer still holds the expired entries and the recovered
+    /// master's next scan redoes the work (re-publishing at worst a
+    /// duplicate dispatch). Expects `actions` empty on entry.
+    fn feed_scan(&mut self, now: f64, actions: &mut Vec<Action>) -> bool {
+        let before = self.stats();
+        self.check_timeouts(now, actions);
+        !actions.is_empty() || self.stats() != before
+    }
+
+    /// Collect what the inputs fed so far produced. Applied-now shapes
+    /// have already appended it.
+    fn collect(&mut self, _actions: &mut Vec<Action>) {}
+
+    /// Block until every fed input has been processed and collect the
+    /// rest — the graceful-exit drain point.
+    fn drain(&mut self, _actions: &mut Vec<Action>) {}
 }
 
-impl RecoverableEngine for EnsembleEngine {
+impl ServedEngine for EnsembleEngine {
     fn recover_from(
         records: &[journal::JournalRecord],
         registry: &Registry,
         config: &ResolvedConfig,
-    ) -> std::io::Result<journal::Recovery<Self>> {
+        _sink: Arc<DispatchSink>,
+    ) -> io::Result<journal::Recovery<Self>> {
         journal::recover(records, registry, config.engine_config())
     }
 }
 
-impl RecoverableEngine for ShardedEngine {
+impl ServedEngine for ShardedEngine {
     fn recover_from(
         records: &[journal::JournalRecord],
         registry: &Registry,
         config: &ResolvedConfig,
-    ) -> std::io::Result<journal::Recovery<Self>> {
+        _sink: Arc<DispatchSink>,
+    ) -> io::Result<journal::Recovery<Self>> {
         journal::recover_sharded(records, registry, config.engine_config(), config.shards)
+    }
+}
+
+/// The free-running threaded shape: shard worker threads own the engines
+/// and publish dispatches straight onto their per-shard topics through
+/// the sink; the serve loop only routes. Inputs are journaled *before*
+/// they reach a shard thread — cross-shard inputs commute (shards share no
+/// state), so the single-writer WAL order replays into the same state the
+/// shard threads reach, and `recover_sharded` + promotion rebuilds it.
+impl ServedEngine for ParallelShardedEngine {
+    fn recover_from(
+        records: &[journal::JournalRecord],
+        registry: &Registry,
+        config: &ResolvedConfig,
+        sink: Arc<DispatchSink>,
+    ) -> io::Result<journal::Recovery<Self>> {
+        let rec =
+            journal::recover_sharded(records, registry, config.engine_config(), config.shards)?;
+        let opts = ParallelOptions {
+            threads: config.threads,
+            dispatch_sink: Some(sink),
+            ..ParallelOptions::default()
+        };
+        Ok(journal::Recovery {
+            engine: ParallelShardedEngine::from_sharded(rec.engine, opts),
+            resume_at: rec.resume_at,
+            redispatch: rec.redispatch,
+        })
+    }
+
+    fn feed_submit(
+        &mut self,
+        shard: usize,
+        workflow: Arc<Workflow>,
+        now: f64,
+        _actions: &mut Vec<Action>,
+    ) -> WorkflowId {
+        self.enqueue_submit_to(shard, workflow, now)
+    }
+
+    fn feed_ack(&mut self, ack: AckMsg, now: f64, _actions: &mut Vec<Action>) {
+        self.enqueue_ack(ack, now);
+    }
+
+    /// There is no synchronous before/after state comparison across
+    /// threads, so scans are journaled unconditionally; replaying a no-op
+    /// scan is itself a no-op, and compaction keeps the WAL from
+    /// accumulating them.
+    fn feed_scan(&mut self, now: f64, _actions: &mut Vec<Action>) -> bool {
+        self.enqueue_scan(now);
+        true
+    }
+
+    /// One batch per touched shard — the `ack_burst` pattern, applied
+    /// cross-shard — then whatever replies have already come back.
+    fn collect(&mut self, actions: &mut Vec<Action>) {
+        self.flush();
+        self.poll_actions(actions);
+    }
+
+    /// Stats cells are only advanced by shard threads after the settling
+    /// input is fully processed, so the loop's exit check never fires
+    /// early; quiesce to drain any progress events still in flight.
+    fn drain(&mut self, actions: &mut Vec<Action>) {
+        self.quiesce(actions);
     }
 }
 
@@ -415,13 +515,11 @@ fn master_loop<T: MasterTransport>(
 ) -> EngineStats {
     assert!(config.shards >= 1, "shard count must be at least 1");
     if config.shards > 1 && config.threads >= 1 {
-        serve_parallel(transport, registry, config, events, stop, shared)
+        serve::<T, ParallelShardedEngine>(transport, registry, config, events, stop, shared)
     } else if config.shards > 1 {
-        let engine = config.engine_config().build_sharded(config.shards);
-        serve(transport, registry, config, events, stop, shared, engine)
+        serve::<T, ShardedEngine>(transport, registry, config, events, stop, shared)
     } else {
-        let engine = config.engine_config().build();
-        serve(transport, registry, config, events, stop, shared, engine)
+        serve::<T, EnsembleEngine>(transport, registry, config, events, stop, shared)
     }
 }
 
@@ -525,312 +623,124 @@ fn build_plane(
     Some(LivenessPlane::new(table, Arc::clone(shared)))
 }
 
-/// The free-running threaded master: shard worker threads own the
-/// engines and publish dispatches straight onto their per-shard topics;
-/// this loop only routes. Inputs are journaled *before* they are
-/// enqueued — cross-shard inputs commute (shards share no state), so the
-/// single-writer WAL order replays into the same state the shard threads
-/// reach, and `recover_sharded` + promotion rebuilds a threaded master.
-fn serve_parallel<T: MasterTransport>(
-    transport: T,
-    registry: Registry,
-    config: ResolvedConfig,
-    events: Sender<MasterEvent>,
-    stop: Arc<AtomicBool>,
-    shared: Arc<FaultPlaneShared>,
-) -> EngineStats {
-    let mut time_base = 0.0f64;
-    let mut wal: Option<Journal> = None;
-    let mut actions: Vec<Action> = Vec::new();
-    let mut ack_burst: Vec<crate::protocol::AckMsg> = Vec::with_capacity(config.ack_burst.max(1));
-    let mut requeue_acks: Vec<AckMsg> = Vec::new();
-    let mut liveness: Option<LivenessPlane> = None;
-    let mut batcher = DispatchBatcher::new(config.dispatch_batch, Arc::clone(&shared));
-
-    // Dispatches leave from the worker threads themselves: each shard
-    // thread publishes through its own transport clone without crossing
-    // back through this loop. The seat hands over the whole run its
-    // input batch produced; batching coalesces it into one frame.
-    let sink_transport = transport.clone();
-    let sink_shared = Arc::clone(&shared);
-    let sink_batch = config.dispatch_batch;
-    let sink: Arc<DispatchSink> = Arc::new(move |shard, run: &mut Vec<DispatchMsg>| {
-        if sink_batch && run.len() > 1 {
-            sink_shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
-            sink_shared.batched_dispatches.fetch_add(run.len() as u64, Ordering::Relaxed);
-            sink_transport.publish_dispatch_batch(shard, run);
-        } else {
-            for d in run.drain(..) {
-                sink_transport.publish_dispatch(shard, d);
-            }
-        }
-    });
-    let opts = ParallelOptions {
-        threads: config.threads,
-        dispatch_sink: Some(sink),
-        ..ParallelOptions::default()
-    };
-
-    let mut engine = if let Some(path) = &config.journal_path {
-        if config.recover && path.exists() {
-            let records = journal::read_journal(path).expect("read journal");
-            let rec = ShardedEngine::recover_from(&records, &registry, &config).expect("replay");
-            time_base = rec.resume_at;
-            liveness = build_plane(&config, &shared, Some((&records, rec.resume_at)));
-            if liveness.is_some() {
-                // Discard the pre-takeover lifecycle backlog (see the
-                // sequential loop's recovery path for why).
-                while transport.try_pull_lifecycle().is_some() {}
-            }
-            let recovered = rec.engine;
-            // Re-announce every recovered workflow before anything is
-            // redispatched: a networked transport starts with an empty
-            // mirror, and workers must know a workflow before its jobs.
-            announce_registry(&transport, &registry, recovered.workflow_count());
-            // Same lease-aware republishing rule as the sequential loop:
-            // attempts a grace-leased worker still holds are not
-            // republished — lease lapse requeues them if it is gone.
-            for d in rec.redispatch {
-                let held = liveness.as_ref().is_some_and(
-                    |p| matches!(p.table.assignment(d.job), Some((_, a)) if a == d.attempt),
-                );
-                if !held {
-                    transport.publish_dispatch(recovered.shard_of(d.job.workflow), d);
-                }
-            }
-            let mut j =
-                Journal::append(path).expect("reopen journal").with_policy(config.journal_commit);
-            j.note_existing(records.len());
-            wal = Some(j);
-            ParallelShardedEngine::from_sharded(recovered, opts)
-        } else {
-            wal = Some(
-                Journal::create(path).expect("create journal").with_policy(config.journal_commit),
-            );
-            ParallelShardedEngine::with_options(
-                config.engine_config(),
-                config.shards,
-                Box::new(HashRouter::default()),
-                opts,
-            )
-        }
-    } else {
-        ParallelShardedEngine::with_options(
-            config.engine_config(),
-            config.shards,
-            Box::new(HashRouter::default()),
-            opts,
-        )
-    };
-    if liveness.is_none() {
-        liveness = build_plane(&config, &shared, None);
-    }
-
-    let start = Instant::now();
-    let mut last_scan = time_base;
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            // Simulated crash: drop everything on the floor.
-            return engine.stats();
-        }
-        mirror_cascades(&shared, &engine);
-        // Group-commit point: whatever the previous poll cycle buffered
-        // becomes durable before this cycle ingests more input.
-        if let Some(w) = wal.as_mut() {
-            w.commit().expect("journal commit");
-        }
-        let now = time_base + start.elapsed().as_secs_f64();
-
-        // 1. Ingest new submissions: route, journal, enqueue to the
-        // owning shard thread. Same registry-before-journal discipline
-        // as the sequential loop; the announcement broadcast sits
-        // between them so a networked transport has durably mirrored
-        // the workflow before the journal promises it exists.
-        while let Some(sub) = transport.try_pull_submission() {
-            let now = time_base + start.elapsed().as_secs_f64();
-            let expected_id = WorkflowId::from_index(engine.workflow_count());
-            let shard = engine.route_next(&sub.workflow);
-            registry.insert(expected_id, Arc::clone(&sub.workflow));
-            transport.announce(WorkflowAnnounce {
-                id: expected_id,
-                name: sub.name.clone(),
-                workflow: Arc::clone(&sub.workflow),
-            });
-            if let Some(w) = wal.as_mut() {
-                w.record_submit(expected_id, shard, now).expect("journal submit");
-            }
-            let id = engine.enqueue_submit_to(shard, sub.workflow, now);
-            debug_assert_eq!(id, expected_id);
-        }
-
-        // 2. Timeout scans fan out to every shard thread. Unlike the
-        // sequential loop there is no synchronous before/after state
-        // comparison, so scans are journaled unconditionally; replaying
-        // a no-op scan is itself a no-op, and compaction keeps the WAL
-        // from accumulating them.
-        if now - last_scan >= config.timeout_scan_interval.as_secs_f64() {
-            last_scan = now;
-            if let Some(w) = wal.as_mut() {
-                w.record_scan(now).expect("journal scan");
-            }
-            engine.enqueue_scan(now);
-        }
-
-        // 2b. Liveness plane (see the sequential loop): lifecycle
-        // traffic, lease expiry, and synthetic requeue acks, journaled
-        // before they are enqueued like every other input.
-        if let Some(plane) = liveness.as_mut() {
-            plane.poll(&transport, &mut wal, now, &mut requeue_acks);
-            for ack in requeue_acks.drain(..) {
-                if let Some(w) = wal.as_mut() {
-                    w.record_ack(&ack, now).expect("journal ack");
-                }
-                engine.enqueue_ack(ack, now);
-            }
-        }
-
-        engine.flush();
-        engine.poll_actions(&mut actions);
-        publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
-
-        // 3. Exit once the expected workload has settled. Stats cells
-        // are only advanced by shard threads after the settling input is
-        // fully processed, so this check never fires early; quiesce to
-        // drain any progress events still in flight.
-        if let Some(expected) = config.expected_workflows {
-            let stats = engine.stats();
-            if stats.workflows_completed + stats.workflows_abandoned >= expected {
-                engine.quiesce(&mut actions);
-                publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
-                let stats = engine.stats();
-                // Graceful exit: make the group-commit window durable
-                // before announcing completion — drop-flushing is for
-                // crashes, not clean returns.
-                commit_wal_on_exit(&mut wal);
-                let ev = if stats.workflows_abandoned == 0 {
-                    MasterEvent::AllCompleted { stats }
-                } else {
-                    MasterEvent::AllSettled { stats }
-                };
-                let _ = events.send(ev);
-                mirror_cascades(&shared, &engine);
-                return stats;
-            }
-        }
-
-        // 4. Pull worker acknowledgments, journal them in arrival order,
-        // and batch them per shard onto the bounded queues — the
-        // ack_burst pattern, applied cross-shard.
-        match transport.pull_ack(config.timeout_scan_interval) {
-            Some(first) => {
-                ack_burst.push(first);
-                if config.ack_burst > 1 {
-                    transport.pull_ack_batch(&mut ack_burst, config.ack_burst - 1);
-                }
-                let now = time_base + start.elapsed().as_secs_f64();
-                for ack in ack_burst.drain(..) {
-                    // Zombie fence, as in the sequential loop.
-                    if let Some(plane) = liveness.as_mut() {
-                        if !plane.admit(&ack, &mut wal, now) {
-                            continue;
-                        }
-                    }
-                    if let Some(w) = wal.as_mut() {
-                        w.record_ack(&ack, now).expect("journal ack");
-                    }
-                    engine.enqueue_ack(ack, now);
-                }
-                maybe_compact(&mut wal, &registry, &config);
-                engine.flush();
-                engine.poll_actions(&mut actions);
-                publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
-            }
-            None => {
-                if transport.ack_closed() {
-                    engine.quiesce(&mut actions);
-                    publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
-                    // Transport-shutdown exit is as graceful as settling:
-                    // commit the buffered window before returning.
-                    commit_wal_on_exit(&mut wal);
-                    mirror_cascades(&shared, &engine);
-                    return engine.stats();
-                }
-            }
-        }
-    }
+/// What the startup prologue hands the serve loop.
+struct Opened<E> {
+    engine: E,
+    wal: Option<Journal>,
+    liveness: Option<LivenessPlane>,
+    /// Engine time continues across restarts: a recovered master resumes
+    /// its clock from the last journaled instant so deadlines and
+    /// makespans never run backwards.
+    time_base: f64,
 }
 
-fn serve<T: MasterTransport, E: RecoverableEngine>(
+/// `e` with the failed step and the journal path in front of it.
+fn journal_error(step: &str, path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("{step} {}: {e}", path.display()))
+}
+
+/// Startup prologue: build the engine and open the WAL — a cold start, or
+/// a takeover that replays an existing journal and republishes what it
+/// leaves in flight. Everything here reads operator-supplied state from
+/// disk (a journal from another run, a spool that no longer matches it, an
+/// unwritable path), so every failure is returned, not unwrapped.
+fn open<T: MasterTransport, E: ServedEngine>(
+    transport: &T,
+    registry: &Registry,
+    config: &ResolvedConfig,
+    shared: &Arc<FaultPlaneShared>,
+) -> io::Result<Opened<E>> {
+    let sink_transport = transport.clone();
+    let sink_shared = Arc::clone(shared);
+    let sink: Arc<DispatchSink> = Arc::new(move |shard, run: &mut Vec<DispatchMsg>| {
+        publish_run(&sink_transport, &sink_shared, shard, run);
+    });
+
+    // The journal to take over from, if any. Without one this is a cold
+    // start: the replay of an empty journal.
+    let takeover = config.journal_path.as_deref().filter(|p| config.recover && p.exists());
+    let records = match takeover {
+        Some(path) => {
+            journal::read_journal(path).map_err(|e| journal_error("read journal", path, e))?
+        }
+        None => Vec::new(),
+    };
+    let rec = E::recover_from(&records, registry, config, sink).map_err(|e| match takeover {
+        Some(path) => journal_error("replay journal", path, e),
+        None => e,
+    })?;
+    let Some(path) = takeover else {
+        let wal = match &config.journal_path {
+            Some(path) => Some(
+                Journal::create(path)
+                    .map_err(|e| journal_error("create journal", path, e))?
+                    .with_policy(config.journal_commit),
+            ),
+            None => None,
+        };
+        let liveness = build_plane(config, shared, None);
+        return Ok(Opened { engine: rec.engine, wal, liveness, time_base: 0.0 });
+    };
+
+    let engine = rec.engine;
+    let liveness = build_plane(config, shared, Some((&records, rec.resume_at)));
+    if liveness.is_some() {
+        // The lifecycle backlog predates the takeover (heartbeats of
+        // unknown age, possibly from workers that died during the
+        // outage): discard it so stale traffic cannot pass for
+        // post-recovery contact. Live workers re-prove themselves within
+        // one heartbeat interval — well inside the grace lease — and even
+        // a discarded one-shot Register heals, since any later heartbeat
+        // or ack grants an implicit lease.
+        while transport.try_pull_lifecycle().is_some() {}
+    }
+    // Re-announce every recovered workflow before anything is
+    // redispatched: a networked transport starts with an empty mirror,
+    // and workers must know a workflow before its jobs.
+    announce_registry(transport, registry, engine.workflow_count());
+    // Pre-crash queue state is unknown; republish everything the rebuilt
+    // engine believes is in flight. Workers that already ran these
+    // attempts produce duplicate-completion noise the engine tolerates.
+    // With leases enabled, attempts the replayed table knows are checked
+    // out by a (grace-leased) worker are NOT republished: a live worker
+    // is still running them, and a dead one's lease lapse requeues them
+    // through the retry machinery.
+    for d in rec.redispatch {
+        let held = liveness
+            .as_ref()
+            .is_some_and(|p| matches!(p.table.assignment(d.job), Some((_, a)) if a == d.attempt));
+        if !held {
+            transport.publish_dispatch(engine.shard_of(d.job.workflow), d);
+        }
+    }
+    let mut wal = Journal::append(path)
+        .map_err(|e| journal_error("reopen journal", path, e))?
+        .with_policy(config.journal_commit);
+    wal.note_existing(records.len());
+    Ok(Opened { engine, wal: Some(wal), liveness, time_base: rec.resume_at })
+}
+
+/// The master's one serve loop, for every engine shape.
+fn serve<T: MasterTransport, E: ServedEngine>(
     transport: T,
     registry: Registry,
     config: ResolvedConfig,
     events: Sender<MasterEvent>,
     stop: Arc<AtomicBool>,
     shared: Arc<FaultPlaneShared>,
-    mut engine: E,
 ) -> EngineStats {
-    // Engine time continues across restarts: a recovered master resumes
-    // its clock from the last journaled instant so deadlines and
-    // makespans never run backwards.
-    let mut time_base = 0.0f64;
-    let mut wal: Option<Journal> = None;
+    let Opened { mut engine, mut wal, mut liveness, time_base } =
+        match open::<T, E>(&transport, &registry, &config, &shared) {
+            Ok(opened) => opened,
+            Err(e) => {
+                let _ = events.send(MasterEvent::Failed { reason: e.to_string() });
+                return EngineStats::default();
+            }
+        };
     let mut actions: Vec<Action> = Vec::new();
-    let mut ack_burst: Vec<crate::protocol::AckMsg> = Vec::with_capacity(config.ack_burst.max(1));
+    let mut ack_burst: Vec<AckMsg> = Vec::with_capacity(config.ack_burst.max(1));
     let mut requeue_acks: Vec<AckMsg> = Vec::new();
-    let mut liveness: Option<LivenessPlane> = None;
-    let mut batcher = DispatchBatcher::new(config.dispatch_batch, Arc::clone(&shared));
-
-    if let Some(path) = &config.journal_path {
-        if config.recover && path.exists() {
-            let records = journal::read_journal(path).expect("read journal");
-            let rec = E::recover_from(&records, &registry, &config).expect("replay");
-            engine = rec.engine;
-            time_base = rec.resume_at;
-            liveness = build_plane(&config, &shared, Some((&records, rec.resume_at)));
-            if liveness.is_some() {
-                // The lifecycle backlog predates the takeover (heartbeats
-                // of unknown age, possibly from workers that died during
-                // the outage): discard it so stale traffic cannot pass
-                // for post-recovery contact. Live workers re-prove
-                // themselves within one heartbeat interval — well inside
-                // the grace lease — and even a discarded one-shot
-                // Register heals, since any later heartbeat or ack
-                // grants an implicit lease.
-                while transport.try_pull_lifecycle().is_some() {}
-            }
-            // Re-announce every recovered workflow before anything is
-            // redispatched: a networked transport starts with an empty
-            // mirror, and workers must know a workflow before its jobs.
-            announce_registry(&transport, &registry, engine.workflow_count());
-            // Pre-crash queue state is unknown; republish everything the
-            // rebuilt engine believes is in flight. Workers that already
-            // ran these attempts produce duplicate-completion noise the
-            // engine tolerates. With leases enabled, attempts the replayed
-            // table knows are checked out by a (grace-leased) worker are
-            // NOT republished: a live worker is still running them, and a
-            // dead one's lease lapse requeues them through the retry
-            // machinery.
-            for d in rec.redispatch {
-                let held = liveness.as_ref().is_some_and(
-                    |p| matches!(p.table.assignment(d.job), Some((_, a)) if a == d.attempt),
-                );
-                if !held {
-                    transport.publish_dispatch(engine.shard_of(d.job.workflow), d);
-                }
-            }
-            let mut j =
-                Journal::append(path).expect("reopen journal").with_policy(config.journal_commit);
-            j.note_existing(records.len());
-            wal = Some(j);
-        } else {
-            wal = Some(
-                Journal::create(path).expect("create journal").with_policy(config.journal_commit),
-            );
-        }
-    }
-    if liveness.is_none() {
-        liveness = build_plane(&config, &shared, None);
-    }
+    let mut batcher = DispatchBatcher::new(Arc::clone(&shared));
 
     let start = Instant::now();
     let mut last_scan = time_base;
@@ -869,21 +779,15 @@ fn serve<T: MasterTransport, E: RecoverableEngine>(
             if let Some(w) = wal.as_mut() {
                 w.record_submit(expected_id, shard, now).expect("journal submit");
             }
-            let id = engine.submit_workflow_to(shard, sub.workflow, now, &mut actions);
+            let id = engine.feed_submit(shard, sub.workflow, now, &mut actions);
             debug_assert_eq!(id, expected_id);
             publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
         }
 
-        // 2. Timeout scan at the configured cadence. Scans are journaled
-        // AFTER the fact and only when they changed engine state: if the
-        // record is lost to a crash, the rebuilt deadline heap still holds
-        // the expired entries and the recovered master's next scan redoes
-        // the work (re-publishing at worst a duplicate dispatch).
+        // 2. Timeout scan at the configured cadence.
         if now - last_scan >= config.timeout_scan_interval.as_secs_f64() {
             last_scan = now;
-            let before = engine.stats();
-            engine.check_timeouts(now, &mut actions);
-            if !actions.is_empty() || engine.stats() != before {
+            if engine.feed_scan(now, &mut actions) {
                 if let Some(w) = wal.as_mut() {
                     w.record_scan(now).expect("journal scan");
                 }
@@ -901,10 +805,12 @@ fn serve<T: MasterTransport, E: RecoverableEngine>(
                 if let Some(w) = wal.as_mut() {
                     w.record_ack(&ack, now).expect("journal ack");
                 }
-                engine.on_ack(ack, now, &mut actions);
+                engine.feed_ack(ack, now, &mut actions);
             }
-            publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
         }
+
+        engine.collect(&mut actions);
+        publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
 
         // 3. Exit once the expected workload has settled. (The engine's
         // own `AllCompleted`/`AllSettled` only cover workflows submitted
@@ -913,6 +819,9 @@ fn serve<T: MasterTransport, E: RecoverableEngine>(
         if let Some(expected) = config.expected_workflows {
             let stats = engine.stats();
             if stats.workflows_completed + stats.workflows_abandoned >= expected {
+                engine.drain(&mut actions);
+                publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
+                let stats = engine.stats();
                 // Graceful exit: make the group-commit window durable
                 // before announcing completion — drop-flushing is for
                 // crashes, not clean returns.
@@ -951,13 +860,16 @@ fn serve<T: MasterTransport, E: RecoverableEngine>(
                     if let Some(w) = wal.as_mut() {
                         w.record_ack(&ack, now).expect("journal ack");
                     }
-                    engine.on_ack(ack, now, &mut actions);
+                    engine.feed_ack(ack, now, &mut actions);
                 }
                 maybe_compact(&mut wal, &registry, &config);
+                engine.collect(&mut actions);
                 publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
             }
             None => {
                 if transport.ack_closed() {
+                    engine.drain(&mut actions);
+                    publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
                     // Transport-shutdown exit is as graceful as settling:
                     // commit the buffered window before returning.
                     commit_wal_on_exit(&mut wal);
@@ -1015,32 +927,50 @@ fn mirror_cascades<E: EngineCore>(shared: &FaultPlaneShared, engine: &E) {
     shared.timer_cascades.store(engine.timer_cascades(), Ordering::Relaxed);
 }
 
+/// Publish one shard's run of dispatches, draining it: a singleton takes
+/// the per-job path (no frame overhead to amortize), a longer run goes
+/// out as one [`Transport::publish_dispatch_batch`] call (one wire frame,
+/// one window debit) and is counted into the shared [`MasterStats`]
+/// counters. The one exit for dispatches, whether they leave from the
+/// serve loop or from a shard thread's [`DispatchSink`].
+fn publish_run<T: MasterTransport>(
+    transport: &T,
+    shared: &FaultPlaneShared,
+    shard: usize,
+    run: &mut Vec<DispatchMsg>,
+) {
+    match run.len() {
+        0 => {}
+        1 => {
+            let d = run.pop().expect("run length checked");
+            transport.publish_dispatch(shard, d);
+        }
+        n => {
+            shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
+            shared.batched_dispatches.fetch_add(n as u64, Ordering::Relaxed);
+            transport.publish_dispatch_batch(shard, run);
+        }
+    }
+}
+
 /// Coalesces the consecutive same-shard dispatch runs one poll cycle
-/// emits into single [`Transport::publish_dispatch_batch`] calls (one
-/// wire frame, one window debit), counting runs of length ≥ 2 into the
-/// shared [`MasterStats`] counters. With batching disabled every
-/// dispatch goes out through the per-job path unchanged. The run buffer
-/// is reused for the serve loop's lifetime.
+/// emits into single [`publish_run`] calls. The run buffer is reused for
+/// the serve loop's lifetime.
 struct DispatchBatcher {
-    enabled: bool,
     run: Vec<DispatchMsg>,
     run_shard: usize,
     shared: Arc<FaultPlaneShared>,
 }
 
 impl DispatchBatcher {
-    fn new(enabled: bool, shared: Arc<FaultPlaneShared>) -> Self {
-        Self { enabled, run: Vec::new(), run_shard: 0, shared }
+    fn new(shared: Arc<FaultPlaneShared>) -> Self {
+        Self { run: Vec::new(), run_shard: 0, shared }
     }
 
     /// Queue `d` for `shard`, flushing the open run first when the
     /// shard changes (dispatch order within a shard is preserved; order
     /// across shards is meaningless — they share no workers).
     fn push<T: MasterTransport>(&mut self, transport: &T, shard: usize, d: DispatchMsg) {
-        if !self.enabled {
-            transport.publish_dispatch(shard, d);
-            return;
-        }
         if shard != self.run_shard {
             self.flush(transport);
             self.run_shard = shard;
@@ -1048,21 +978,9 @@ impl DispatchBatcher {
         self.run.push(d);
     }
 
-    /// Publish the open run: singletons take the per-job path (no frame
-    /// overhead to amortize), longer runs go out as one batch.
+    /// Publish the open run.
     fn flush<T: MasterTransport>(&mut self, transport: &T) {
-        match self.run.len() {
-            0 => {}
-            1 => {
-                let d = self.run.pop().expect("run length checked");
-                transport.publish_dispatch(self.run_shard, d);
-            }
-            n => {
-                self.shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
-                self.shared.batched_dispatches.fetch_add(n as u64, Ordering::Relaxed);
-                transport.publish_dispatch_batch(self.run_shard, &mut self.run);
-            }
-        }
+        publish_run(transport, &self.shared, self.run_shard, &mut self.run);
     }
 }
 
@@ -1149,6 +1067,63 @@ mod tests {
         let stats = handle.join();
         assert_eq!(stats.jobs_completed, 2);
         assert_eq!(stats.workflows_completed, 1);
+    }
+
+    /// The startup prologue reads operator-supplied state from disk. An
+    /// unusable journal must surface as one `Failed` event and a clean
+    /// exit on every engine shape — never as a panic of the master thread.
+    #[test]
+    fn unusable_journal_fails_the_master_without_panicking() {
+        let dir = std::env::temp_dir().join(format!("dewe-master-unusable-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut b = WorkflowBuilder::new("one");
+        b.job("a", "t", 1.0).build();
+        let wf = Arc::new(b.finish().unwrap());
+
+        // A journal whose only workflow sits on shard 3.
+        let journal = dir.join("shard3.wal");
+        let mut j = Journal::create(&journal).unwrap();
+        j.record_submit(WorkflowId(0), 3, 0.5).unwrap();
+        drop(j);
+        let corrupt = dir.join("corrupt.wal");
+        std::fs::write(&corrupt, "not a record\nnor is this\n").unwrap();
+
+        for (shards, threads) in [(1, 0), (2, 0), (2, 2)] {
+            // (journal, recover, registry knows workflow 0, reason fragment)
+            let mut cases = vec![
+                (journal.clone(), true, false, "absent from registry"),
+                (corrupt.clone(), true, true, "corrupt journal record"),
+                (dir.join("no-such-dir").join("new.wal"), false, true, "create journal"),
+            ];
+            if shards > 1 {
+                // Written by a 4-shard master, recovered by a 2-shard one.
+                cases.push((journal.clone(), true, true, "on shard 3"));
+            }
+            for (path, recover, spooled, fragment) in cases {
+                let registry = Registry::new();
+                if spooled {
+                    registry.insert(WorkflowId(0), Arc::clone(&wf));
+                }
+                let handle = spawn_master(
+                    MessageBus::sharded(shards),
+                    registry,
+                    MasterConfig::builder()
+                        .shards(shards)
+                        .threads(threads)
+                        .journal_path(&path)
+                        .recover(recover)
+                        .build(),
+                );
+                let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+                let MasterEvent::Failed { reason } = ev else {
+                    panic!("shards {shards} threads {threads}: expected Failed, got {ev:?}");
+                };
+                assert!(reason.contains(fragment), "{reason:?} should mention {fragment:?}");
+                assert!(reason.contains(&path.display().to_string()), "{reason:?} names the file");
+                assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1272,150 +1247,67 @@ mod tests {
         assert_eq!(stats.workflows_completed, 1);
     }
 
+    /// A sharded master fans each workflow's jobs out to the worker pool
+    /// pinned to its shard — from the serve loop (`threads` 0) or from
+    /// the free-running shard threads themselves.
     #[test]
     fn sharded_master_fans_out_to_pinned_worker_pools() {
         use crate::realtime::runner::NoopRunner;
         use crate::realtime::worker::{spawn_worker, WorkerConfig};
 
-        let bus = MessageBus::sharded(2);
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .shards(2)
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(6)
-                .build(),
-        );
-        // One worker pool per shard, each pinned to its shard topic.
-        let workers: Vec<_> = (0..2)
-            .map(|shard| {
-                spawn_worker(
-                    bus.clone(),
-                    registry.clone(),
-                    Arc::new(NoopRunner),
-                    WorkerConfig {
-                        worker_id: shard as u32,
-                        slots: 2,
-                        shard: Some(shard),
-                        ..WorkerConfig::default()
-                    },
-                )
-            })
-            .collect();
-        for i in 0..6 {
-            let mut b = WorkflowBuilder::new("wf");
-            let a = b.job("a", "t", 1.0).build();
-            let c = b.job("b", "t", 1.0).build();
-            b.edge(a, c);
-            super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
-        }
-        let stats = handle.join();
-        assert_eq!(stats.workflows_completed, 6);
-        assert_eq!(stats.jobs_completed, 12);
-        let executed: u64 = workers.into_iter().map(|w| w.stop()).sum();
-        assert_eq!(executed, 12, "pinned pools executed everything");
-        // Nothing ever landed on the shared fallback topic.
-        assert!(bus.dispatch.try_pull().is_none());
-    }
-
-    #[test]
-    fn parallel_master_fans_out_from_shard_threads() {
-        use crate::realtime::runner::NoopRunner;
-        use crate::realtime::worker::{spawn_worker, WorkerConfig};
-
-        // Free-running mode: two shard worker threads own the engines
-        // and publish dispatches onto their pinned topics themselves.
-        let bus = MessageBus::sharded(2);
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .shards(2)
-                .threads(2)
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(6)
-                .build(),
-        );
-        let workers: Vec<_> = (0..2)
-            .map(|shard| {
-                spawn_worker(
-                    bus.clone(),
-                    registry.clone(),
-                    Arc::new(NoopRunner),
-                    WorkerConfig {
-                        worker_id: shard as u32,
-                        slots: 2,
-                        shard: Some(shard),
-                        ..WorkerConfig::default()
-                    },
-                )
-            })
-            .collect();
-        for i in 0..6 {
-            let mut b = WorkflowBuilder::new("wf");
-            let a = b.job("a", "t", 1.0).build();
-            let c = b.job("b", "t", 1.0).build();
-            b.edge(a, c);
-            super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
-        }
-        let mut completions = 0;
-        while let Ok(ev) = handle.events.recv_timeout(Duration::from_secs(10)) {
-            match ev {
-                MasterEvent::WorkflowCompleted { .. } => completions += 1,
-                MasterEvent::AllCompleted { .. } => break,
-                other => panic!("unexpected event {other:?}"),
+        for threads in [0, 2] {
+            let bus = MessageBus::sharded(2);
+            let registry = Registry::new();
+            let handle = spawn_master(
+                bus.clone(),
+                registry.clone(),
+                MasterConfig::builder()
+                    .shards(2)
+                    .threads(threads)
+                    .timeout_scan_interval(Duration::from_millis(10))
+                    .expected_workflows(6)
+                    .build(),
+            );
+            // One worker pool per shard, each pinned to its shard topic.
+            let workers: Vec<_> = (0..2)
+                .map(|shard| {
+                    spawn_worker(
+                        bus.clone(),
+                        registry.clone(),
+                        Arc::new(NoopRunner),
+                        WorkerConfig {
+                            worker_id: shard as u32,
+                            slots: 2,
+                            shard: Some(shard),
+                            ..WorkerConfig::default()
+                        },
+                    )
+                })
+                .collect();
+            for i in 0..6 {
+                let mut b = WorkflowBuilder::new("wf");
+                let a = b.job("a", "t", 1.0).build();
+                let c = b.job("b", "t", 1.0).build();
+                b.edge(a, c);
+                super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
             }
+            let mut completions = 0;
+            while let Ok(ev) = handle.events.recv_timeout(Duration::from_secs(10)) {
+                match ev {
+                    MasterEvent::WorkflowCompleted { .. } => completions += 1,
+                    MasterEvent::AllCompleted { .. } => break,
+                    other => panic!("threads {threads}: unexpected event {other:?}"),
+                }
+            }
+            assert_eq!(completions, 6, "threads {threads}: every completion event forwarded");
+            let stats = handle.join();
+            assert_eq!(stats.workflows_completed, 6);
+            assert_eq!(stats.jobs_completed, 12);
+            let executed: u64 = workers.into_iter().map(|w| w.stop()).sum();
+            assert_eq!(executed, 12, "threads {threads}: pinned pools executed everything");
+            // Nothing ever landed on the shared fallback topic.
+            assert!(bus.dispatch.try_pull().is_none());
         }
-        assert_eq!(completions, 6, "every completion event forwarded");
-        let stats = handle.join();
-        assert_eq!(stats.workflows_completed, 6);
-        assert_eq!(stats.jobs_completed, 12);
-        let executed: u64 = workers.into_iter().map(|w| w.stop()).sum();
-        assert_eq!(executed, 12, "pinned pools executed everything");
-        assert!(bus.dispatch.try_pull().is_none(), "nothing on the fallback topic");
-    }
-
-    #[test]
-    fn parallel_master_dead_letters_and_exits_settled() {
-        let bus = MessageBus::sharded(2);
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .shards(2)
-                .threads(1) // one worker thread owning both shards
-                .timeout_scan_interval(Duration::from_millis(5))
-                .expected_workflows(1)
-                .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
-                .build(),
-        );
-        let mut b = WorkflowBuilder::new("poison");
-        b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
-
-        let pull = |shard: usize| {
-            bus.dispatch_topic(shard).pull_timeout(Duration::from_secs(5)).expect("dispatch")
-        };
-        // The lone workflow lands on some shard; fail it to the cap.
-        let d1 = pull_any(&bus, 2).expect("first dispatch");
-        let shard = d1.0;
-        assert_eq!(d1.1.attempt, 1);
-        bus.ack.publish(AckMsg { job: d1.1.job, worker: 0, kind: AckKind::Failed, attempt: 1 });
-        let d2 = pull(shard);
-        assert_eq!(d2.attempt, 2);
-        bus.ack.publish(AckMsg { job: d2.job, worker: 0, kind: AckKind::Failed, attempt: 2 });
-
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::WorkflowAbandoned { .. }), "got {ev:?}");
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::AllSettled { .. }));
-        let stats = handle.join();
-        assert_eq!(stats.dead_lettered, 1);
-        assert_eq!(stats.workflows_abandoned, 1);
     }
 
     /// Pull the next dispatch from whichever shard topic produces one.
@@ -1566,39 +1458,47 @@ mod tests {
 
     #[test]
     fn master_dead_letters_and_exits_settled() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(5))
-                .expected_workflows(1)
-                .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
-                .build(),
-        );
-        let mut b = WorkflowBuilder::new("poison");
-        b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
+        // Every engine shape; (2, 1) is one shard thread owning both shards.
+        for (shards, threads) in [(1, 0), (2, 0), (2, 1)] {
+            let bus = MessageBus::sharded(shards);
+            let registry = Registry::new();
+            let handle = spawn_master(
+                bus.clone(),
+                registry.clone(),
+                MasterConfig::builder()
+                    .shards(shards)
+                    .threads(threads)
+                    .timeout_scan_interval(Duration::from_millis(5))
+                    .expected_workflows(1)
+                    .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
+                    .build(),
+            );
+            let mut b = WorkflowBuilder::new("poison");
+            b.job("a", "t", 1.0).build();
+            super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
 
-        // Fail every attempt; after the cap the workflow is abandoned and
-        // the master exits with partial completion.
-        for attempt in 1..=2 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            assert_eq!(d.attempt, attempt);
-            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt });
-            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Failed, attempt });
+            // Fail every attempt; after the cap the workflow is abandoned
+            // and the master exits with partial completion. The lone
+            // workflow lands on some shard and its retries stay there.
+            let mut shard = None;
+            for attempt in 1..=2 {
+                let (from, d) = pull_any(&bus, shards).expect("dispatch");
+                assert_eq!(d.attempt, attempt);
+                assert_eq!(*shard.get_or_insert(from), from, "retry left its shard");
+                bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt });
+                bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Failed, attempt });
+            }
+            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(
+                ev,
+                MasterEvent::WorkflowAbandoned { workflow: WorkflowId(0), dead_lettered: 1 }
+            );
+            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(matches!(ev, MasterEvent::AllSettled { .. }), "shards {shards}: got {ev:?}");
+            let stats = handle.join();
+            assert_eq!(stats.dead_lettered, 1);
+            assert_eq!(stats.workflows_abandoned, 1);
+            assert_eq!(stats.workflows_completed, 0);
         }
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(
-            ev,
-            MasterEvent::WorkflowAbandoned { workflow: WorkflowId(0), dead_lettered: 1 }
-        );
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::AllSettled { .. }));
-        let stats = handle.join();
-        assert_eq!(stats.dead_lettered, 1);
-        assert_eq!(stats.workflows_abandoned, 1);
-        assert_eq!(stats.workflows_completed, 0);
     }
 }

@@ -1,5 +1,5 @@
 //! The TCP transport: a networked master/worker runtime over the same
-//! serve loops as the in-process bus.
+//! serve loop as the in-process bus.
 //!
 //! [`TcpMaster`] implements [`Transport`] (and therefore
 //! `MasterTransport`), so `spawn_master_on` drives an entire remote
@@ -1265,7 +1265,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_batch_round_trips_in_order() {
+    fn batch_frames_round_trip_in_order() {
         // publish_dispatch_batch with credit available for the whole run
         // sends one DispatchBatch frame; the worker explodes it back
         // into per-job dispatches in emission order.
@@ -1293,7 +1293,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_batch_splits_at_the_window_and_resumes_on_refund() {
+    fn batch_splits_at_the_window_and_resumes_on_refund() {
         // A run longer than the worker's window is debited atomically up
         // to the free credit; the overflow parks in pending and flows as
         // terminal acks refund — same semantics as per-job publishes.

@@ -85,18 +85,23 @@ pub fn spawn_observer(bus: MessageBus, interval: Duration) -> ObserverHandle {
             .name("dewe-observer".into())
             .spawn(move || {
                 let start = Instant::now();
-                while !stop.load(Ordering::Relaxed) {
+                let sample = || {
                     let t = start.elapsed().as_secs_f64();
                     let dispatch = bus.dispatch.stats();
                     let ack = bus.ack.stats();
-                    {
-                        let mut s = series.lock();
-                        s.dispatch_depth.push(t, dispatch.depth as f64);
-                        s.dispatched_total.push(t, dispatch.delivered as f64);
-                        s.acks_total.push(t, ack.delivered as f64);
-                    }
+                    let mut s = series.lock();
+                    s.dispatch_depth.push(t, dispatch.depth as f64);
+                    s.dispatched_total.push(t, dispatch.delivered as f64);
+                    s.acks_total.push(t, ack.delivered as f64);
+                };
+                while !stop.load(Ordering::Relaxed) {
+                    sample();
                     std::thread::sleep(interval);
                 }
+                // The series ends with the counters as they stand when
+                // sampling is stopped, not as they stood up to `interval`
+                // before that.
+                sample();
             })
             .expect("spawn observer thread")
     };
@@ -154,9 +159,11 @@ mod tests {
         worker.stop();
         let series = observer.stop();
         assert_eq!(stats.jobs_completed, 30);
-        // All 30 dispatches and 60 acks eventually observed.
-        assert!(series.dispatched_total.max() >= 30.0);
-        assert!(series.acks_total.max() >= 59.0, "acks {}", series.acks_total.max());
+        // The closing sample holds the exact totals: every Running ack
+        // precedes its Completed on the FIFO ack topic, so the master has
+        // pulled all 60 by the time the 30th completion settles it.
+        assert_eq!(series.dispatched_total.max(), 30.0);
+        assert_eq!(series.acks_total.max(), 60.0);
         // The backlog was visible at some point (2 slots, 30 jobs).
         assert!(series.dispatch_depth.max() >= 1.0);
     }

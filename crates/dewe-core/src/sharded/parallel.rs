@@ -24,8 +24,8 @@
 //!   a shard, processing order equals enqueue order, and shards are
 //!   state-independent, so every call produces the byte-identical action
 //!   sequence the sequential [`ShardedEngine`](super::ShardedEngine)
-//!   would: virtual-time drivers (the sim runtime, the testkit oracle,
-//!   the shard-invariance property) get bit-identical outcomes while the
+//!   would: virtual-time drivers (the testkit oracle's engine arm, the
+//!   shard-invariance property) get bit-identical outcomes while the
 //!   per-shard compute still runs on worker cores.
 //! * **Free-running mode** — the `enqueue_*`/`flush`/`poll_actions`
 //!   surface used by the threaded realtime master. Inputs are buffered
@@ -137,7 +137,7 @@ struct ShardCell {
     workflow_count: AtomicU64,
     /// 1 once every workflow on the shard is settled (0 while empty).
     settled: AtomicU64,
-    /// Deadline-wheel cascades on the shard (0 under the heap backend).
+    /// Deadline-wheel cascades on the shard.
     timer_cascades: AtomicU64,
 }
 

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use dewe_dag::Workflow;
 use dewe_simcloud::{BillingModel, ClusterConfig, CostModel, ExecSim, SimEvent};
 
-use crate::engine::{EngineCore, EngineStats};
+use crate::engine::EngineStats;
 use crate::protocol::{AckKind, AckMsg};
 
 use super::{DriverState, SlotPool};
@@ -85,32 +85,14 @@ const TAG_EVAL: u64 = 6 << 56;
 const TAG_MASK: u64 = 0xff << 56;
 
 /// Run an ensemble with reactive autoscaling. `config.cluster.nodes` is
-/// the fleet ceiling (max nodes the autoscaler may rent). With
-/// `config.shards > 1` the driver runs a
-/// [`ShardedEngine`](crate::ShardedEngine) facade, like
-/// [`run_ensemble`](super::run_ensemble).
+/// the fleet ceiling (max nodes the autoscaler may rent).
 pub fn run_ensemble_autoscale(
     workflows: &[Arc<Workflow>],
     config: &super::SimRunConfig,
     policy: &AutoscalePolicy,
 ) -> AutoscaleReport {
-    assert!(config.shards >= 1, "shard count must be at least 1");
-    if config.shards > 1 {
-        let engine = super::engine_config_for(config).build_sharded(config.shards);
-        autoscale_loop(workflows, config, policy, engine)
-    } else {
-        let engine = super::engine_config_for(config).build();
-        autoscale_loop(workflows, config, policy, engine)
-    }
-}
-
-fn autoscale_loop<E: EngineCore>(
-    workflows: &[Arc<Workflow>],
-    config: &super::SimRunConfig,
-    policy: &AutoscalePolicy,
-    mut engine: E,
-) -> AutoscaleReport {
     assert!(!workflows.is_empty());
+    let mut engine = super::engine_config_for(config).build();
     let max_nodes = config.cluster.nodes;
     assert!(policy.min_nodes >= 1 && policy.min_nodes <= max_nodes);
     assert!(policy.initial_nodes >= policy.min_nodes && policy.initial_nodes <= max_nodes);
@@ -402,22 +384,6 @@ mod tests {
         let report = run_ensemble_autoscale(&[wf], &fleet(4), &policy);
         assert!(report.completed);
         assert!(report.scaling_trace.iter().all(|&(_, n)| n >= 2));
-    }
-
-    #[test]
-    fn sharded_engine_composes_with_autoscaling() {
-        let mut cfg = fleet(4);
-        cfg.shards = 4;
-        let single =
-            run_ensemble_autoscale(&[wide_then_narrow()], &fleet(4), &AutoscalePolicy::default());
-        let sharded =
-            run_ensemble_autoscale(&[wide_then_narrow()], &cfg, &AutoscalePolicy::default());
-        assert!(sharded.completed);
-        assert_eq!(sharded.engine.jobs_completed, 513);
-        // Same driver decisions either way: sharding the engine does not
-        // change scaling behavior.
-        assert_eq!(single.makespan_secs, sharded.makespan_secs);
-        assert_eq!(single.scaling_trace, sharded.scaling_trace);
     }
 
     #[test]

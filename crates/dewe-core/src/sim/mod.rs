@@ -21,9 +21,8 @@ use dewe_metrics::{ClusterSampler, Gantt, SAMPLE_INTERVAL_SECS};
 use dewe_mq::chaos::{self, ChaosConfig, ChaosDecider};
 use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, NodeId, SimEvent};
 
-use crate::engine::{Action, EngineConfig, EngineCore, EngineStats, RetryPolicy, TimerBackend};
+use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
-use crate::sharded::{HashRouter, ShardLoad, ShardRouter};
 
 pub mod autoscale;
 
@@ -113,32 +112,12 @@ pub struct SimRunConfig {
     /// feature ([`dewe_mq::ChaosTopic`]); the sim's transport has no
     /// latency to perturb.
     pub chaos: Option<ChaosConfig>,
-    /// Engine shard count (1 = the classic single engine). With more than
-    /// one shard, [`run_ensemble`] drives a
-    /// [`ShardedEngine`](crate::ShardedEngine) facade — full feature set,
-    /// single-threaded — while [`run_ensemble_sharded`] partitions the
-    /// cluster and runs one sub-simulation thread per shard.
-    pub shards: usize,
     /// Virtual-time cap: abort the run (reported as not completed) once
     /// the clock passes this point without every workflow settling.
     /// `None` (default) runs to settlement. The differential oracle sets
     /// this so an engine bug that strands a job surfaces as a bounded,
     /// reportable stall instead of an endless timeout-scan spin.
     pub horizon_secs: Option<f64>,
-    /// Deadline-tracking backend for the engine(s) driving the run
-    /// (default: the wheel). The differential oracle samples both per
-    /// seed; the hotpath bench A/Bs them via `--timer-backend`.
-    pub timer_backend: TimerBackend,
-    /// Worker threads driving the shards. `0` (default) keeps the
-    /// historical behavior of each entry point: [`run_ensemble`] stays
-    /// single-threaded and [`run_ensemble_sharded`] runs one thread per
-    /// shard. With `threads > 1` and `shards > 1`, [`run_ensemble`]
-    /// drives a [`ParallelShardedEngine`](crate::ParallelShardedEngine)
-    /// in deterministic barrier mode — same results, engine work on
-    /// worker cores — and [`run_ensemble_sharded`] caps its simulation
-    /// thread pool at this many OS threads (shards are striped across
-    /// them), for machines with fewer cores than shards.
-    pub threads: usize,
 }
 
 impl SimRunConfig {
@@ -161,9 +140,6 @@ impl SimRunConfig {
             checkout_timeout_secs: None,
             chaos: None,
             horizon_secs: None,
-            shards: 1,
-            timer_backend: TimerBackend::default(),
-            threads: 0,
         }
     }
 }
@@ -199,13 +175,8 @@ pub struct SimReport {
     pub trace: Option<dewe_metrics::Trace>,
     /// Rental cost under hourly billing.
     pub cost_usd: f64,
-    /// Shards the run actually used. [`run_ensemble_sharded`] clamps the
-    /// requested count to the node count, so this can be lower than
-    /// `SimRunConfig::shards` — a structured record of the clamp rather
-    /// than a warning on stderr.
-    pub effective_shards: usize,
-    /// Deadline-wheel cascade count summed across shards (0 under the
-    /// heap backend) — timer-churn observability for dashboards.
+    /// Deadline-wheel cascade count — timer-churn observability for
+    /// dashboards.
     pub wheel_cascades: u64,
 }
 
@@ -442,7 +413,7 @@ impl DriverState {
     }
 
     /// Assign queued jobs to idle slots (the pull loop).
-    fn try_assign<E: EngineCore>(&mut self, exec: &mut ExecSim, engine: &mut E) {
+    fn try_assign(&mut self, exec: &mut ExecSim, engine: &mut EnsembleEngine) {
         while !self.queue.is_empty() {
             let Some(node) = self.pool.pop_idle() else { break };
             let d = self.queue.pop_front().expect("queue non-empty");
@@ -511,45 +482,14 @@ fn engine_config_for(config: &SimRunConfig) -> EngineConfig {
         default_timeout_secs: config.default_timeout_secs,
         checkout_timeout_secs,
         retry: config.retry,
-        timer_backend: config.timer_backend,
     }
 }
 
-/// Run an ensemble of workflows on a simulated cluster with DEWE v2.
-///
-/// With `config.shards > 1` the driver runs a [`ShardedEngine`] facade:
-/// full feature set (faults, chaos, metrics), single-threaded, identical
-/// observable behavior modulo shard placement. For wall-clock-parallel
-/// simulation see [`run_ensemble_sharded`].
+/// Run an ensemble of workflows on a simulated cluster with DEWE v2: one
+/// master engine, one worker pool, one shared file system (paper §III).
 pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimReport {
-    assert!(config.shards >= 1, "shard count must be at least 1");
-    if config.shards > 1 && config.threads > 1 {
-        // Thread-parallel driver in deterministic barrier mode: the
-        // event loop below feeds it one event at a time, so outcomes are
-        // bit-identical to the sequential facade while per-shard engine
-        // work runs on the worker threads.
-        let engine = engine_config_for(config).build_parallel(config.shards, config.threads);
-        drive_ensemble(workflows, config, engine, None)
-    } else if config.shards > 1 {
-        let engine = engine_config_for(config).build_sharded(config.shards);
-        drive_ensemble(workflows, config, engine, None)
-    } else {
-        let engine = engine_config_for(config).build();
-        drive_ensemble(workflows, config, engine, None)
-    }
-}
-
-/// The event loop shared by every sim entry point, generic over the
-/// engine. `submit_times` overrides `config.submission` with explicit
-/// per-workflow submission times (the partitioned runner uses it to
-/// preserve *global* stagger within each shard's subset).
-fn drive_ensemble<E: EngineCore>(
-    workflows: &[Arc<Workflow>],
-    config: &SimRunConfig,
-    mut engine: E,
-    submit_times: Option<&[f64]>,
-) -> SimReport {
     assert!(!workflows.is_empty(), "ensemble must contain at least one workflow");
+    let mut engine = engine_config_for(config).build();
     let mut exec = ExecSim::new(config.cluster);
     let nodes = config.cluster.nodes;
     if let Some(speeds) = &config.node_speed_factors {
@@ -567,25 +507,17 @@ fn drive_ensemble<E: EngineCore>(
     let mut trace = config.record_trace.then(dewe_metrics::Trace::new);
 
     // Schedule submissions.
-    match submit_times {
-        Some(times) => {
-            assert_eq!(times.len(), workflows.len(), "one submission time per workflow");
-            for (i, &t) in times.iter().enumerate() {
-                exec.schedule_wake(t, TAG_SUBMIT | i as u64);
+    match config.submission {
+        SubmissionPlan::Batch => {
+            for (i, _) in workflows.iter().enumerate() {
+                exec.schedule_wake(0.0, TAG_SUBMIT | i as u64);
             }
         }
-        None => match config.submission {
-            SubmissionPlan::Batch => {
-                for (i, _) in workflows.iter().enumerate() {
-                    exec.schedule_wake(0.0, TAG_SUBMIT | i as u64);
-                }
+        SubmissionPlan::Interval(secs) => {
+            for (i, _) in workflows.iter().enumerate() {
+                exec.schedule_wake(secs * i as f64, TAG_SUBMIT | i as u64);
             }
-            SubmissionPlan::Interval(secs) => {
-                for (i, _) in workflows.iter().enumerate() {
-                    exec.schedule_wake(secs * i as f64, TAG_SUBMIT | i as u64);
-                }
-            }
-        },
+        }
     }
     // Master timeout scan + metrics sampling + faults.
     exec.schedule_wake(config.timeout_scan_secs, TAG_SCAN);
@@ -770,158 +702,8 @@ fn drive_ensemble<E: EngineCore>(
         gantt,
         trace,
         cost_usd: cost,
-        effective_shards: engine.shard_count(),
         wheel_cascades: engine.timer_cascades(),
     }
-}
-
-/// Run the ensemble partitioned for wall-clock parallelism: the cluster's
-/// nodes split into `config.shards` contiguous groups (effective shards =
-/// `min(shards, nodes)`), workflows routed to shards by the default
-/// [`HashRouter`] over dense global ids — the same placement the
-/// [`ShardedEngine`] facade derives — and each shard simulated on its own
-/// OS thread with its own [`EnsembleEngine`]. Shards share nothing, so on
-/// a multi-core host simulation wall-clock drops near-linearly with the
-/// shard count. Global submission times are preserved: a staggered plan
-/// staggers within each shard exactly as it would globally.
-///
-/// The merged report takes the max makespan, reassembles per-workflow
-/// makespans by global index, sums resource/cost totals, merges engine
-/// stats, and averages the cache hit rate across shards.
-///
-/// Restrictions: fault plans, message chaos, and the sampler/gantt/trace
-/// recorders have cluster-global semantics and are rejected here — use
-/// the single-threaded [`run_ensemble`] facade (which shards the *engine*
-/// but not the cluster) when you need them.
-pub fn run_ensemble_sharded(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimReport {
-    assert!(!workflows.is_empty(), "ensemble must contain at least one workflow");
-    assert!(config.shards >= 1, "shard count must be at least 1");
-    assert!(config.faults.is_empty(), "fault plans are cluster-global; use run_ensemble");
-    assert!(config.chaos.is_none(), "message chaos is stream-global; use run_ensemble");
-    assert!(
-        config.failure_script.is_empty(),
-        "failure scripts index global workflows; use run_ensemble"
-    );
-    assert!(
-        !config.sample && !config.record_gantt && !config.record_trace,
-        "metrics recording is cluster-global; use run_ensemble"
-    );
-    let nodes = config.cluster.nodes;
-    let shards = config.shards.min(nodes);
-    if shards <= 1 {
-        return run_ensemble(workflows, config);
-    }
-
-    let times: Vec<f64> = match config.submission {
-        SubmissionPlan::Batch => vec![0.0; workflows.len()],
-        SubmissionPlan::Interval(secs) => (0..workflows.len()).map(|i| secs * i as f64).collect(),
-    };
-
-    let router = HashRouter::default();
-    let mut loads = vec![ShardLoad { total_workflows: 0, live_workflows: 0 }; shards];
-    let mut parts: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (i, wf) in workflows.iter().enumerate() {
-        let s = router.route(wf, i, &loads);
-        loads[s].total_workflows += 1;
-        loads[s].live_workflows += 1;
-        parts[s].push(i);
-    }
-
-    // Contiguous node ranges, the remainder spread over the first shards.
-    // Shards the router left empty are skipped (their nodes never boot,
-    // so they bill nothing).
-    let base = nodes / shards;
-    let extra = nodes % shards;
-    let mut node_start = 0usize;
-    let mut plans: Vec<(Vec<usize>, SimRunConfig, Vec<f64>)> = Vec::new();
-    for (s, part) in parts.into_iter().enumerate() {
-        let share = base + usize::from(s < extra);
-        let start = node_start;
-        node_start += share;
-        if part.is_empty() {
-            continue;
-        }
-        let mut sub = config.clone();
-        sub.shards = 1;
-        sub.cluster.nodes = share;
-        sub.node_speed_factors =
-            config.node_speed_factors.as_ref().map(|f| f[start..start + share].to_vec());
-        let sub_times: Vec<f64> = part.iter().map(|&i| times[i]).collect();
-        plans.push((part, sub, sub_times));
-    }
-
-    // `config.threads` caps the OS thread pool (0 = one thread per
-    // shard); worker `w` runs plans `w, w + workers, …` sequentially, so
-    // the per-shard sub-simulations — and their results — are identical
-    // no matter how many threads carry them.
-    let workers = match config.threads {
-        0 => plans.len(),
-        t => t.clamp(1, plans.len()),
-    };
-    let reports: Vec<(&Vec<usize>, SimReport)> = std::thread::scope(|scope| {
-        let plans = &plans;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut idx = w;
-                    while idx < plans.len() {
-                        let (part, sub, sub_times) = &plans[idx];
-                        let wfs: Vec<Arc<Workflow>> =
-                            part.iter().map(|&i| Arc::clone(&workflows[i])).collect();
-                        let engine = engine_config_for(sub).build();
-                        out.push((idx, drive_ensemble(&wfs, sub, engine, Some(sub_times))));
-                        idx += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut slots: Vec<Option<SimReport>> = (0..plans.len()).map(|_| None).collect();
-        for h in handles {
-            for (idx, report) in h.join().expect("shard thread panicked") {
-                slots[idx] = Some(report);
-            }
-        }
-        plans
-            .iter()
-            .zip(slots)
-            .map(|((part, _, _), r)| (part, r.expect("every shard plan ran")))
-            .collect()
-    });
-
-    let shard_count = reports.len() as f64;
-    let mut merged = SimReport {
-        makespan_secs: 0.0,
-        workflow_makespans: vec![0.0; workflows.len()],
-        completed: true,
-        total_cpu_core_secs: 0.0,
-        total_bytes_read: 0.0,
-        total_bytes_written: 0.0,
-        cache_hit_rate: 0.0,
-        engine: EngineStats::default(),
-        sampler: None,
-        gantt: None,
-        trace: None,
-        cost_usd: 0.0,
-        effective_shards: shards,
-        wheel_cascades: 0,
-    };
-    for (part, r) in reports {
-        merged.makespan_secs = merged.makespan_secs.max(r.makespan_secs);
-        for (local, &global) in part.iter().enumerate() {
-            merged.workflow_makespans[global] = r.workflow_makespans[local];
-        }
-        merged.completed &= r.completed;
-        merged.total_cpu_core_secs += r.total_cpu_core_secs;
-        merged.total_bytes_read += r.total_bytes_read;
-        merged.total_bytes_written += r.total_bytes_written;
-        merged.cache_hit_rate += r.cache_hit_rate / shard_count;
-        merged.engine.merge(&r.engine);
-        merged.wheel_cascades += r.wheel_cascades;
-        merged.cost_usd += r.cost_usd;
-    }
-    merged
 }
 
 #[cfg(test)]
@@ -1238,118 +1020,6 @@ mod tests {
         let report = run_ensemble(&[parallel_wf(40, 1.0)], &cfg);
         assert!(report.completed);
         assert!(report.engine.resubmissions > 0, "drops must be recovered by resubmission");
-    }
-
-    #[test]
-    fn sharded_facade_matches_single_engine() {
-        let wfs: Vec<_> = (0..6).map(|_| chain_wf(3, 1.0)).collect();
-        let single = run_ensemble(&wfs, &no_overhead(cluster(2)));
-        let mut cfg = no_overhead(cluster(2));
-        cfg.shards = 4;
-        let sharded = run_ensemble(&wfs, &cfg);
-        assert!(sharded.completed);
-        // Identical cluster, identical work: sharding only changes which
-        // heap tracks a job, not when it dispatches.
-        assert_eq!(single.makespan_secs, sharded.makespan_secs);
-        assert_eq!(single.workflow_makespans, sharded.workflow_makespans);
-        assert_eq!(single.engine, sharded.engine);
-    }
-
-    #[test]
-    fn parallel_engine_matches_sequential_facade_in_sim() {
-        // The thread-parallel driver in deterministic barrier mode is
-        // observationally the sequential facade: identical makespans,
-        // identical stats, down to the bit.
-        let wfs: Vec<_> = (0..6).map(|_| chain_wf(3, 1.0)).collect();
-        let mut seq = no_overhead(cluster(2));
-        seq.shards = 4;
-        let sequential = run_ensemble(&wfs, &seq);
-        let mut par = no_overhead(cluster(2));
-        par.shards = 4;
-        par.threads = 4;
-        let parallel = run_ensemble(&wfs, &par);
-        assert!(parallel.completed);
-        assert_eq!(sequential.makespan_secs, parallel.makespan_secs);
-        assert_eq!(sequential.workflow_makespans, parallel.workflow_makespans);
-        assert_eq!(sequential.engine, parallel.engine);
-    }
-
-    #[test]
-    fn parallel_engine_survives_chaos_and_faults() {
-        // Full feature set through the barrier-mode parallel driver:
-        // chaos + a worker kill must still settle every workflow.
-        let wfs: Vec<_> = (0..4).map(|_| chain_wf(4, 1.0)).collect();
-        let mut cfg = no_overhead(cluster(1));
-        cfg.shards = 4;
-        cfg.threads = 2;
-        cfg.default_timeout_secs = 20.0;
-        cfg.timeout_scan_secs = 1.0;
-        cfg.chaos = Some(ChaosConfig::drop_dup(11, 0.05, 0.05));
-        cfg.faults = vec![NodeFault { node: 0, kill_at_secs: 2.0, restart_at_secs: Some(3.0) }];
-        let report = run_ensemble(&wfs, &cfg);
-        assert!(report.completed);
-        assert_eq!(report.engine.jobs_completed, 16);
-    }
-
-    #[test]
-    fn sharded_runner_thread_cap_is_observationally_inert() {
-        // Striping shard sub-simulations over fewer OS threads must not
-        // change any result.
-        let wfs: Vec<_> = (0..8).map(|_| chain_wf(3, 1.0)).collect();
-        let mut cfg = no_overhead(cluster(4));
-        cfg.shards = 4;
-        let uncapped = run_ensemble_sharded(&wfs, &cfg);
-        cfg.threads = 2;
-        let capped = run_ensemble_sharded(&wfs, &cfg);
-        assert!(capped.completed);
-        assert_eq!(uncapped.makespan_secs, capped.makespan_secs);
-        assert_eq!(uncapped.workflow_makespans, capped.workflow_makespans);
-        assert_eq!(uncapped.engine, capped.engine);
-    }
-
-    #[test]
-    fn sharded_facade_survives_chaos_and_faults() {
-        // The facade keeps the full feature set: chaos + a worker kill on
-        // a 4-shard engine must still settle every workflow.
-        let wfs: Vec<_> = (0..4).map(|_| chain_wf(4, 1.0)).collect();
-        let mut cfg = no_overhead(cluster(1));
-        cfg.shards = 4;
-        cfg.default_timeout_secs = 20.0;
-        cfg.timeout_scan_secs = 1.0;
-        cfg.chaos = Some(ChaosConfig::drop_dup(11, 0.05, 0.05));
-        cfg.faults = vec![NodeFault { node: 0, kill_at_secs: 2.0, restart_at_secs: Some(3.0) }];
-        let report = run_ensemble(&wfs, &cfg);
-        assert!(report.completed);
-        assert_eq!(report.engine.jobs_completed, 16);
-    }
-
-    #[test]
-    fn sharded_runner_completes_and_is_deterministic() {
-        let wfs: Vec<_> = (0..8).map(|_| chain_wf(3, 1.0)).collect();
-        let mut cfg = no_overhead(cluster(4));
-        cfg.shards = 4;
-        let a = run_ensemble_sharded(&wfs, &cfg);
-        let b = run_ensemble_sharded(&wfs, &cfg);
-        assert!(a.completed);
-        assert_eq!(a.engine.jobs_completed, 24);
-        assert_eq!(a.engine.workflows_completed, 8);
-        assert!(a.workflow_makespans.iter().all(|&m| m > 0.0));
-        assert_eq!(a.makespan_secs, b.makespan_secs);
-        assert_eq!(a.workflow_makespans, b.workflow_makespans);
-        assert_eq!(a.engine, b.engine);
-        assert!(a.cost_usd > 0.0);
-    }
-
-    #[test]
-    fn sharded_runner_preserves_global_submission_times() {
-        let wfs: Vec<_> = (0..4).map(|_| parallel_wf(2, 1.0)).collect();
-        let mut cfg = no_overhead(cluster(2));
-        cfg.shards = 2;
-        cfg.submission = SubmissionPlan::Interval(10.0);
-        let report = run_ensemble_sharded(&wfs, &cfg);
-        assert!(report.completed);
-        // The last workflow is submitted at t=30 regardless of shard.
-        assert!((report.makespan_secs - 31.0).abs() < 0.5, "{}", report.makespan_secs);
     }
 
     #[test]

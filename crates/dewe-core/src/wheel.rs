@@ -1,15 +1,14 @@
-//! Hierarchical flat-array deadline wheel: the [`TimerBackend::Wheel`]
-//! implementation behind the engine's timeout scans and deferred-retry
-//! firing.
+//! Hierarchical flat-array deadline wheel: the engine's one deadline
+//! tracker, behind its timeout scans and deferred-retry firing.
 //!
 //! The engine's deadline structure is append-heavy and lazily validated:
 //! every checkout, deferral and (with a checkout timeout) dispatch pushes
 //! an entry, and entries are only examined once their deadline region is
 //! reached — most are stale by then and discarded against the in-flight
-//! slab. A binary heap pays `O(log n)` per push for a total order the
-//! engine never needs between scans. The wheel replaces it with `O(1)`
-//! placement into fixed slot arrays and recovers exact ordering only for
-//! the (few) entries that actually expire in a scan.
+//! slab. A binary heap would pay `O(log n)` per push for a total order
+//! the engine never needs between scans. The wheel files in `O(1)` into
+//! fixed slot arrays and recovers exact ordering only for the (few)
+//! entries that actually expire in a scan.
 //!
 //! ## Layout and cascade math
 //!
@@ -37,9 +36,9 @@
 //!
 //! Quantization never affects observable behavior: entries keep their
 //! exact `f64` deadline, expiry is decided by comparing that deadline to
-//! `now`, and the engine sorts each scan's expired batch by the same
-//! `(deadline, workflow, job, attempt, deferred)` order the heap pops in
-//! — so heap and wheel produce identical action streams.
+//! `now`, and the engine sorts each scan's expired batch into full
+//! `(deadline, workflow, job, attempt, deferred)` order — the action
+//! stream is the one a totally ordered queue would produce.
 
 use crate::engine::DeadlineEntry;
 
@@ -77,8 +76,8 @@ fn level_for(tick: u64, current: u64) -> usize {
     }
 }
 
-/// The flat-array hierarchical deadline wheel. Same lazy-currency
-/// contract as the heap: entries are immutable once pushed, never removed
+/// The flat-array hierarchical deadline wheel. Lazy-currency
+/// contract: entries are immutable once pushed, never removed
 /// eagerly, and validated against the in-flight slab only when they
 /// surface (scan expiry or a `next_deadline` prune).
 pub(crate) struct DeadlineWheel {
@@ -231,7 +230,7 @@ impl DeadlineWheel {
     /// `None`. O(1) while the cached minimum stays current; otherwise
     /// prunes stale entries from the lowest-tick occupied slots until a
     /// current one surfaces (each stale entry is dropped exactly once, so
-    /// the prune amortizes like the heap's lazy pop).
+    /// the prune amortizes like a heap's lazy pop).
     pub(crate) fn next_deadline(
         &mut self,
         mut keep: impl FnMut(&DeadlineEntry) -> bool,

@@ -1,4 +1,4 @@
-//! The deadline-heap engine must be observationally identical to the
+//! The deadline-wheel engine must be observationally identical to the
 //! original implementation that kept per-workflow `HashMap` in-flight
 //! tables and scanned every running job on each timeout check.
 //!
@@ -20,7 +20,7 @@ use std::sync::Arc;
 use dewe_core::realtime::{recover, JournalRecord, Registry};
 use dewe_core::{
     AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineCore, EngineStats, EnsembleEngine,
-    RetryPolicy, TimerBackend,
+    RetryPolicy,
 };
 use dewe_dag::{DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowId};
 use dewe_montage::{random_layered, RandomDagConfig};
@@ -386,26 +386,19 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
             1.0f64..3.0,                            // backoff factor
             prop_oneof![Just(0.0f64), 0.1f64..0.9], // jitter fraction
             any::<u64>(),                           // jitter seed
-            // Half the cases run the binary heap, half the hierarchical
-            // wheel — every step-equality assertion below then doubles
-            // as a heap-vs-wheel differential against the reference.
-            prop_oneof![Just(TimerBackend::Heap), Just(TimerBackend::Wheel)],
         ),
     )
-        .prop_map(|((timeout, checkout, cap), (base, factor, jitter, seed, backend))| {
-            EngineConfig {
-                default_timeout_secs: timeout,
-                checkout_timeout_secs: checkout,
-                retry: RetryPolicy {
-                    max_attempts: cap,
-                    backoff_base_secs: base,
-                    backoff_factor: factor,
-                    backoff_max_secs: 8.0,
-                    jitter_frac: jitter,
-                    seed,
-                },
-                timer_backend: backend,
-            }
+        .prop_map(|((timeout, checkout, cap), (base, factor, jitter, seed))| EngineConfig {
+            default_timeout_secs: timeout,
+            checkout_timeout_secs: checkout,
+            retry: RetryPolicy {
+                max_attempts: cap,
+                backoff_base_secs: base,
+                backoff_factor: factor,
+                backoff_max_secs: 8.0,
+                jitter_frac: jitter,
+                seed,
+            },
         })
 }
 
@@ -418,7 +411,7 @@ proptest! {
     /// checkout timeouts: every step must produce identical actions and
     /// statistics.
     #[test]
-    fn heap_engine_matches_scan_reference(
+    fn engine_matches_scan_reference(
         wfs in prop::collection::vec(workflow_strategy(), 1..4),
         config in config_strategy(),
         seed in any::<u64>(),

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use dewe_core::{
     AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineCore, EngineStats, RetryPolicy,
-    TimerBackend,
 };
 use dewe_dag::Workflow;
 use dewe_montage::{random_layered, RandomDagConfig};
@@ -129,10 +128,9 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
         1u32..5,                                // retry cap
         prop_oneof![Just(0.0f64), 0.2f64..1.0], // backoff base
         1.2f64..2.5,                            // backoff factor
-        prop_oneof![Just(TimerBackend::Heap), Just(TimerBackend::Wheel)],
     )
-        .prop_map(|(cap, base, factor, backend)| {
-            EngineConfig::default().timeout(30.0).timer_backend(backend).retry(RetryPolicy {
+        .prop_map(|(cap, base, factor)| {
+            EngineConfig::default().timeout(30.0).retry(RetryPolicy {
                 max_attempts: Some(cap),
                 backoff_base_secs: base,
                 backoff_factor: factor,
@@ -157,19 +155,6 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let single = settle(config.build(), &wfs, seed);
-        // Backend invariance rides along: flipping the deadline-timer
-        // backend (heap ↔ wheel) must not move the outcome either, at
-        // any shard count below.
-        let sampled = config.timer_backend;
-        let flipped = match sampled {
-            TimerBackend::Heap => TimerBackend::Wheel,
-            TimerBackend::Wheel => TimerBackend::Heap,
-        };
-        let other_backend = settle(config.timer_backend(flipped).build(), &wfs, seed);
-        prop_assert_eq!(
-            &other_backend, &single,
-            "timer backend {:?} diverged from {:?}", flipped, sampled
-        );
         for shards in [1usize, 2, 4] {
             let sharded = settle(config.build_sharded(shards), &wfs, seed);
             prop_assert_eq!(

@@ -4,7 +4,7 @@
 //! surface: the master pulls submissions/acks/lifecycle traffic and
 //! publishes dispatches; a worker pulls dispatches and publishes
 //! acks/lifecycle traffic. These two traits capture exactly that surface,
-//! so the serve loops in `dewe-core` are written once and run unchanged
+//! so the serve loop in `dewe-core` is written once and runs unchanged
 //! over the in-process `MessageBus` (the oracle paths) and over the TCP
 //! runtime (a real fleet) — the sans-IO engine refactor's payoff.
 //!
@@ -60,7 +60,7 @@ pub trait Transport: Send + Sync + 'static {
     /// [`publish_dispatch`](Transport::publish_dispatch) — the default
     /// does exactly that — but a wire transport may coalesce the run
     /// into one frame and debit its backpressure window once for the
-    /// whole batch. Takes `&mut Vec` so hot serve loops can reuse one
+    /// whole batch. Takes `&mut Vec` so a hot serve loop can reuse one
     /// run buffer across poll cycles.
     fn publish_dispatch_batch(&self, shard: usize, batch: &mut Vec<Self::Dispatch>) {
         for dispatch in batch.drain(..) {

@@ -369,8 +369,6 @@ mod tests {
             chaos: ChaosSpec::none(),
             failures: vec![],
             faults: dewe_core::fault::FaultPlan::none(),
-            timer_backend: dewe_core::TimerBackend::default(),
-            dispatch_batch: false,
         }
     }
 

@@ -412,7 +412,6 @@ fn engine_config(scenario: &Scenario) -> EngineConfig {
             jitter_frac: 0.0,
             seed: scenario.seed,
         },
-        timer_backend: scenario.timer_backend,
     }
 }
 

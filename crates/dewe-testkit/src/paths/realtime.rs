@@ -147,9 +147,7 @@ fn master_config(scenario: &Scenario) -> MasterConfig {
         // bus: every shard's dispatches fall back to the shared topic, so
         // the same worker pool serves all shards (see
         // `MessageBus::dispatch_topic`).
-        .shards(scenario.shards)
-        .timer_backend(scenario.timer_backend)
-        .dispatch_batch(scenario.dispatch_batch);
+        .shards(scenario.shards);
     if lossy {
         cfg = cfg.checkout_timeout_secs(0.25);
     }
@@ -354,7 +352,7 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
     // the fault seeds group-commit the WAL, an independent half compact
     // it aggressively mid-run, and sharded `parallel` scenarios run the
     // free-running threaded master — so master kill/restart recovery is
-    // exercised against every journal mode and both serve loops, not
+    // exercised against every journal mode and every engine shape, not
     // just the per-record single-threaded default.
     let mix = scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let journal_commit = if mix & 1 == 0 {
@@ -376,8 +374,6 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
         let shards = scenario.shards;
         let threads = if scenario.parallel && scenario.shards > 1 { scenario.shards } else { 0 };
         let seed = scenario.seed;
-        let timer_backend = scenario.timer_backend;
-        let dispatch_batch = scenario.dispatch_batch;
         move |recover: bool| {
             let mut cfg = MasterConfig::builder()
                 .default_timeout_secs(if lossy { 1.0 } else { 5.0 })
@@ -396,8 +392,6 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
                 .threads(threads)
                 .journal_commit(journal_commit)
                 .lease_secs(FAULT_LEASE_SECS)
-                .timer_backend(timer_backend)
-                .dispatch_batch(dispatch_batch)
                 .recover(recover);
             if let Some(p) = journal_path.clone() {
                 cfg = cfg.journal_path(p);

@@ -87,13 +87,9 @@ fn sim_config(scenario: &Scenario) -> SimRunConfig {
     });
     cfg.record_trace = true;
     cfg.horizon_secs = Some(SIM_HORIZON_SECS);
-    // Sharded scenarios run the sharded-engine facade (and, with
-    // `parallel`, the barrier-mode parallel driver) under the sim's
-    // cluster model — the same invariance the engine path checks, now
-    // against the I/O-modeling runtime.
-    cfg.shards = scenario.shards;
-    cfg.threads = if scenario.parallel { scenario.shards } else { 0 };
-    cfg.timer_backend = scenario.timer_backend;
+    // `scenario.shards` / `scenario.parallel` are ignored here: the sim
+    // drives one engine on one shared file system, and shard invariance
+    // is an engine property the engine arm checks.
     cfg
 }
 

@@ -41,7 +41,6 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use dewe_core::fault::FaultPlan;
-use dewe_core::TimerBackend;
 use dewe_dag::{Workflow, WorkflowBuilder};
 use dewe_montage::{
     AdversarialConfig, CyberShakeConfig, EpigenomicsConfig, LigoConfig, MontageConfig, SiphtConfig,
@@ -235,16 +234,19 @@ pub struct Scenario {
     pub workers: usize,
     /// Slots per worker daemon.
     pub slots_per_worker: usize,
-    /// Engine shards (1 = the plain single engine). The differential
-    /// paths drive a [`dewe_core::ShardedEngine`] when this exceeds 1, so
-    /// the oracle continuously checks shard-count invariance.
+    /// Engine shards (1 = the plain single engine). The engine path
+    /// drives a [`dewe_core::ShardedEngine`] and the realtime path a
+    /// sharded master when this exceeds 1, so the oracle continuously
+    /// checks shard-count invariance. The sim path ignores it: the
+    /// simulated runtime has one engine.
     pub shards: usize,
-    /// Drive the engine path through the thread-parallel
-    /// [`dewe_core::ParallelShardedEngine`] in deterministic barrier
-    /// mode instead of the sequential facade (only meaningful with
-    /// `shards > 1`). Generated for half the sharded seeds, so the
-    /// differential sweep continuously checks that the parallel driver
-    /// is bit-identical to the baselines.
+    /// With `shards > 1`: drive the engine path through the
+    /// thread-parallel [`dewe_core::ParallelShardedEngine`] in
+    /// deterministic barrier mode instead of the sequential facade, and
+    /// the fault classes' realtime path through the free-running threaded
+    /// master. Generated for half the sharded seeds, so the differential
+    /// sweep continuously checks that the parallel driver is bit-identical
+    /// to the baselines.
     pub parallel: bool,
     /// Retry cap (`None` = the paper's retry-forever).
     pub max_attempts: Option<u32>,
@@ -261,18 +263,6 @@ pub struct Scenario {
     /// engine path injects them in virtual time, the realtime path
     /// scales them to wall-clock milliseconds.
     pub faults: FaultPlan,
-    /// Deadline-timer backend for every engine the scenario builds.
-    /// Sampled half-and-half across seeds (independently of the other
-    /// knobs), so the differential sweep continuously proves the
-    /// hierarchical wheel and the binary heap produce identical action
-    /// streams, stats, and terminal verdicts.
-    pub timer_backend: TimerBackend,
-    /// Drive the realtime path's master with batched dispatch publishes
-    /// (`publish_dispatch_batch` + `DispatchBatch` wire frames) instead
-    /// of per-job sends. Sampled half-and-half across seeds; the engine
-    /// and sim paths ignore it (batching is a transport concern), so any
-    /// divergence pins the blame on the batching layer.
-    pub dispatch_batch: bool,
 }
 
 /// The analytically computed terminal verdict of a scenario: which jobs
@@ -426,7 +416,6 @@ impl Scenario {
             }
         };
 
-        let (timer_backend, dispatch_batch) = sample_knobs(seed);
         Self {
             seed,
             workflows,
@@ -440,8 +429,6 @@ impl Scenario {
             chaos,
             failures,
             faults: FaultPlan::none(),
-            timer_backend,
-            dispatch_batch,
         }
     }
 
@@ -483,10 +470,9 @@ impl Scenario {
         // Half the fault seeds run sharded; of those, half drive the
         // thread-parallel engines — the engine path's barrier driver and
         // the realtime free-running threaded master — so fault recovery
-        // is fuzzed against the parallel serve loops too.
+        // is fuzzed against the thread-parallel engine shapes too.
         let shards = [1, 2][rng.below(2)];
         let parallel = shards > 1 && rng.below(2) == 1;
-        let (timer_backend, dispatch_batch) = sample_knobs(seed ^ FAULT_SCENARIO_SALT);
         Self {
             seed,
             workflows,
@@ -504,8 +490,6 @@ impl Scenario {
                 FAULT_WORKERS,
                 FAULT_HORIZON_SECS,
             ),
-            timer_backend,
-            dispatch_batch,
         }
     }
 
@@ -662,20 +646,6 @@ impl Scenario {
 /// the chaos decider and backoff jitter).
 const SCENARIO_SALT: u64 = 0xD1FF_E7E4_7E57_0001;
 
-/// Salt for the timer-backend / dispatch-batch knobs. A dedicated stream
-/// keeps the knob draws from perturbing the scenario content (DAGs,
-/// chaos, failures), so every seed reproduces the exact ensembles it
-/// generated before the knobs existed.
-const KNOB_SALT: u64 = 0x71E4_BACE_7E57_0004;
-
-/// Draw the timer-backend and dispatch-batch knobs for `seed` from their
-/// own stream (see [`KNOB_SALT`]).
-fn sample_knobs(seed: u64) -> (TimerBackend, bool) {
-    let mut rng = Rng::new(seed ^ KNOB_SALT);
-    let backend = if rng.below(2) == 1 { TimerBackend::Wheel } else { TimerBackend::Heap };
-    (backend, rng.below(2) == 1)
-}
-
 /// Separate salt for the fault class, so `generate(n)` and
 /// `generate_fault(n)` are unrelated scenarios.
 const FAULT_SCENARIO_SALT: u64 = 0xFA17_7000_7E57_0002;
@@ -704,6 +674,32 @@ mod tests {
         let a = Scenario::generate(17);
         let b = Scenario::generate(17);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// Seeds are the oracle's currency: CI sweeps, repro reports and
+    /// DESIGN quote them. Pins the `Debug` rendering of seeds 0..64 of
+    /// every class (FNV-1a over the concatenation), so a change to the
+    /// generators that reshuffles what a seed means fails here instead of
+    /// silently retargeting every sweep. The constants were computed at
+    /// the commit that still sampled a timer backend and a dispatch-batch
+    /// flag per seed, with those two trailing fields cut from the
+    /// rendering: dropping them left every ensemble, chaos profile,
+    /// failure script and fault plan exactly as it was.
+    #[test]
+    fn seeds_keep_their_meaning() {
+        let digest = |generate: fn(u64) -> Scenario| {
+            let mut digest = 0xCBF2_9CE4_8422_2325u64;
+            for seed in 0..64 {
+                for byte in format!("{:?}", generate(seed)).bytes() {
+                    digest ^= u64::from(byte);
+                    digest = digest.wrapping_mul(0x0000_0100_0000_01B3);
+                }
+            }
+            digest
+        };
+        assert_eq!(digest(Scenario::generate), 0x4182_7B37_E5DF_EEA1, "classic");
+        assert_eq!(digest(Scenario::generate_fault), 0xD015_9E8F_E50D_994C, "fault");
+        assert_eq!(digest(Scenario::generate_fault_chaos), 0x6967_CC3F_7B80_D6C5, "fault-chaos");
     }
 
     #[test]
@@ -752,8 +748,6 @@ mod tests {
             chaos: ChaosSpec::none(),
             failures: vec![FailureSpec { workflow: 0, job: 0, failing_attempts: 2 }],
             faults: FaultPlan::none(),
-            timer_backend: TimerBackend::default(),
-            dispatch_batch: false,
         };
         let e = s.expected_outcome();
         assert_eq!(e.dead_lettered.iter().collect::<Vec<_>>(), vec![&(0, 0)]);
@@ -866,8 +860,6 @@ mod tests {
             chaos: ChaosSpec::none(),
             failures: Vec::new(),
             faults: FaultPlan::none(),
-            timer_backend: TimerBackend::default(),
-            dispatch_batch: false,
         };
         let rebuilt = s.build_workflows();
         assert_eq!(rebuilt[0].edge_count(), wf.edge_count());

@@ -186,8 +186,6 @@ mod tests {
                     },
                 ],
             },
-            timer_backend: dewe_core::TimerBackend::default(),
-            dispatch_batch: false,
         }
     }
 

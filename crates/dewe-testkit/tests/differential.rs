@@ -109,8 +109,6 @@ fn two_worker_loss_scenario() -> Scenario {
                 },
             ],
         },
-        timer_backend: dewe_core::TimerBackend::default(),
-        dispatch_batch: false,
     }
 }
 

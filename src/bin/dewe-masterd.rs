@@ -176,6 +176,11 @@ fn main() {
                 break;
             }
             MasterEvent::AllSettled { .. } => break,
+            MasterEvent::Failed { reason } => {
+                let step = if args.recover { "recover: " } else { "" };
+                eprintln!("dewe-masterd: {step}{reason}");
+                exit(1);
+            }
         }
         let _ = std::io::stdout().flush();
     }
