@@ -7,12 +7,6 @@
 //! realtime and simulated runtimes are thin drivers around it, and tests
 //! can exercise every protocol corner deterministically.
 //!
-//! The [`EngineCore`] trait is the sink-based driving surface (submit /
-//! ack / timeouts / stats / settle queries) the single-threaded
-//! [`EnsembleEngine`] shares with the partitioned
-//! [`ShardedEngine`](crate::ShardedEngine), so the realtime master's
-//! serve loop and journal replay are written once for every engine shape.
-//!
 //! Beyond the paper's unconditional timeout/resubmission loop, the engine
 //! carries a configurable [`RetryPolicy`]: a per-job attempt cap that
 //! dead-letters permanently failing jobs (abandoning their descendants so
@@ -79,9 +73,7 @@ impl Default for RetryPolicy {
 /// Engine-wide configuration and the one way to construct engines.
 ///
 /// `EngineConfig` doubles as a builder: chain setters off
-/// [`EngineConfig::default()`] and finish with [`build`](Self::build)
-/// (single engine) or [`build_sharded`](Self::build_sharded)
-/// (partitioned engine).
+/// [`EngineConfig::default()`] and finish with [`build`](Self::build).
 ///
 /// ```
 /// use dewe_core::{EngineConfig, RetryPolicy};
@@ -137,7 +129,7 @@ impl EngineConfig {
         self
     }
 
-    /// Validate the configuration and construct a single-threaded engine.
+    /// Validate the configuration and construct the engine.
     ///
     /// # Panics
     /// On nonsensical settings: non-positive timeout, backoff factor < 1,
@@ -157,38 +149,6 @@ impl EngineConfig {
             scratch_expired: Vec::new(),
             config: self,
         }
-    }
-
-    /// Construct a [`ShardedEngine`](crate::ShardedEngine) of `shards`
-    /// independent engines with the default hash router.
-    pub fn build_sharded(self, shards: usize) -> crate::ShardedEngine {
-        crate::ShardedEngine::new(self, shards)
-    }
-
-    /// Construct a [`ShardedEngine`](crate::ShardedEngine) with a custom
-    /// [`ShardRouter`](crate::ShardRouter).
-    pub fn build_sharded_with(
-        self,
-        shards: usize,
-        router: Box<dyn crate::ShardRouter>,
-    ) -> crate::ShardedEngine {
-        crate::ShardedEngine::with_router(self, shards, router)
-    }
-
-    /// Construct a thread-parallel
-    /// [`ParallelShardedEngine`](crate::ParallelShardedEngine): `shards`
-    /// independent engines, each owned by a dedicated worker thread
-    /// (`threads` caps the thread count; 0 means one per shard), with the
-    /// default hash router. The [`EngineCore`] surface runs in
-    /// deterministic barrier mode — outcomes are bit-identical to
-    /// [`build_sharded`](Self::build_sharded).
-    pub fn build_parallel(self, shards: usize, threads: usize) -> crate::ParallelShardedEngine {
-        crate::ParallelShardedEngine::with_options(
-            self,
-            shards,
-            Box::new(crate::HashRouter::default()),
-            crate::ParallelOptions { threads, ..crate::ParallelOptions::default() },
-        )
     }
 }
 
@@ -261,129 +221,6 @@ pub struct EngineStats {
     /// Jobs written off: dead-lettered jobs plus their abandoned
     /// descendants.
     pub jobs_abandoned: u64,
-}
-
-impl EngineStats {
-    /// Fold another stats block into this one, counter by counter — how a
-    /// sharded engine merges its per-shard statistics.
-    pub fn merge(&mut self, other: &EngineStats) {
-        self.workflows_submitted += other.workflows_submitted;
-        self.workflows_completed += other.workflows_completed;
-        self.workflows_abandoned += other.workflows_abandoned;
-        self.dispatches += other.dispatches;
-        self.resubmissions += other.resubmissions;
-        self.deferred_retries += other.deferred_retries;
-        self.jobs_completed += other.jobs_completed;
-        self.duplicate_completions += other.duplicate_completions;
-        self.stale_failures_ignored += other.stale_failures_ignored;
-        self.dead_lettered += other.dead_lettered;
-        self.jobs_abandoned += other.jobs_abandoned;
-    }
-}
-
-/// The sink-based driving surface every engine flavor exposes.
-///
-/// The realtime master, journal replay and the test harnesses are generic
-/// over this trait, so swapping the single-threaded [`EnsembleEngine`] for
-/// a partitioned [`ShardedEngine`](crate::ShardedEngine) is a
-/// configuration change, not a code change. All mutating methods append [`Action`]s to a
-/// caller-owned sink (`&mut Vec<Action>`) — in steady state no engine
-/// allocation is needed to process an event.
-///
-/// Workflow ids are **global**: dense, in submission order, identical
-/// regardless of shard count. Sharded implementations translate to and
-/// from per-shard local ids internally and report the placement through
-/// [`shard_of`](Self::shard_of), so drivers can fan dispatches out to
-/// per-shard worker pools.
-pub trait EngineCore {
-    /// Submit a workflow at time `now`, appending dispatches for its
-    /// roots; returns the assigned (global) workflow id.
-    ///
-    /// Multiple workflows may be in flight at once — their eligible jobs
-    /// share the dispatch stream, which is how DEWE v2 runs ensembles in
-    /// parallel on one cluster.
-    fn submit_workflow(
-        &mut self,
-        workflow: Arc<Workflow>,
-        now: f64,
-        actions: &mut Vec<Action>,
-    ) -> WorkflowId;
-
-    /// Submit into a specific shard, bypassing the router — the journal
-    /// replay path, which must reproduce the recorded placement exactly.
-    /// Single-engine implementations only accept shard 0.
-    fn submit_workflow_to(
-        &mut self,
-        shard: usize,
-        workflow: Arc<Workflow>,
-        now: f64,
-        actions: &mut Vec<Action>,
-    ) -> WorkflowId {
-        assert_eq!(shard, 0, "single engine has exactly one shard");
-        self.submit_workflow(workflow, now, actions)
-    }
-
-    /// The shard the *next* [`submit_workflow`](Self::submit_workflow)
-    /// call would place `workflow` on. Pure: does not advance any router
-    /// state. A write-ahead journal records this before submitting so
-    /// recovery replays into the same placement.
-    fn route_next(&self, workflow: &Workflow) -> usize {
-        let _ = workflow;
-        0
-    }
-
-    /// Process a worker acknowledgment at time `now`, appending any
-    /// resulting actions.
-    fn on_ack(&mut self, ack: AckMsg, now: f64, actions: &mut Vec<Action>);
-
-    /// Periodic timeout scan (paper §III.B): republish in-flight jobs
-    /// whose deadline passed and fire backoff-deferred retries that came
-    /// due.
-    fn check_timeouts(&mut self, now: f64, actions: &mut Vec<Action>);
-
-    /// Earliest pending deadline across every shard, if any (lets drivers
-    /// sleep precisely instead of polling).
-    fn next_deadline(&mut self) -> Option<f64>;
-
-    /// True once every submitted workflow has fully completed.
-    fn all_complete(&self) -> bool;
-
-    /// True once every submitted workflow is settled: fully completed or
-    /// terminated with abandoned jobs.
-    fn all_settled(&self) -> bool;
-
-    /// Aggregate statistics, merged across shards.
-    fn stats(&self) -> EngineStats;
-
-    /// Tracker state of one job (by global workflow id), or `None` for an
-    /// unknown workflow/job.
-    fn job_state(&self, job: EnsembleJobId) -> Option<JobState>;
-
-    /// Access a submitted workflow by global id.
-    fn workflow(&self, id: WorkflowId) -> &Arc<Workflow>;
-
-    /// Number of submitted workflows.
-    fn workflow_count(&self) -> usize;
-
-    /// Append the current in-flight attempts (for recovery republishing).
-    fn inflight_dispatches(&self, out: &mut Vec<DispatchMsg>);
-
-    /// Deadline-wheel cascade count summed across shards — observability,
-    /// not part of engine semantics.
-    fn timer_cascades(&self) -> u64 {
-        0
-    }
-
-    /// Number of shards (1 for a single engine).
-    fn shard_count(&self) -> usize {
-        1
-    }
-
-    /// The shard a submitted workflow was placed on.
-    fn shard_of(&self, id: WorkflowId) -> usize {
-        let _ = id;
-        0
-    }
 }
 
 struct WorkflowState {
@@ -971,61 +808,6 @@ impl EnsembleEngine {
                 Action::AllSettled
             });
         }
-    }
-}
-
-impl EngineCore for EnsembleEngine {
-    fn submit_workflow(
-        &mut self,
-        workflow: Arc<Workflow>,
-        now: f64,
-        actions: &mut Vec<Action>,
-    ) -> WorkflowId {
-        EnsembleEngine::submit_workflow(self, workflow, now, actions)
-    }
-
-    fn on_ack(&mut self, ack: AckMsg, now: f64, actions: &mut Vec<Action>) {
-        EnsembleEngine::on_ack(self, ack, now, actions);
-    }
-
-    fn check_timeouts(&mut self, now: f64, actions: &mut Vec<Action>) {
-        EnsembleEngine::check_timeouts(self, now, actions);
-    }
-
-    fn next_deadline(&mut self) -> Option<f64> {
-        EnsembleEngine::next_deadline(self)
-    }
-
-    fn all_complete(&self) -> bool {
-        EnsembleEngine::all_complete(self)
-    }
-
-    fn all_settled(&self) -> bool {
-        EnsembleEngine::all_settled(self)
-    }
-
-    fn stats(&self) -> EngineStats {
-        EnsembleEngine::stats(self)
-    }
-
-    fn job_state(&self, job: EnsembleJobId) -> Option<JobState> {
-        EnsembleEngine::job_state(self, job)
-    }
-
-    fn workflow(&self, id: WorkflowId) -> &Arc<Workflow> {
-        EnsembleEngine::workflow(self, id)
-    }
-
-    fn workflow_count(&self) -> usize {
-        EnsembleEngine::workflow_count(self)
-    }
-
-    fn inflight_dispatches(&self, out: &mut Vec<DispatchMsg>) {
-        EnsembleEngine::inflight_dispatches(self, out);
-    }
-
-    fn timer_cascades(&self) -> u64 {
-        EnsembleEngine::timer_cascades(self)
     }
 }
 

@@ -39,27 +39,19 @@
 //! Both runtimes share every line of coordination logic, which is the
 //! point: the paper's claims are about coordination, not hardware.
 //!
-//! The simulated runtime drives the single-threaded [`EnsembleEngine`]
-//! directly. The realtime master is the one driver generic over the
-//! [`EngineCore`] trait: its `shards`/`threads` topology settings select
-//! the [`EnsembleEngine`], the partitioned [`ShardedEngine`] (N shards
-//! routed by a [`ShardRouter`]) or the thread-parallel
-//! [`ParallelShardedEngine`] (one worker thread per shard, batched
-//! cross-shard routing).
+//! There is one engine: the simulated runtime and the realtime master's
+//! serve loop both drive the single-threaded [`EnsembleEngine`] directly.
 
 mod engine;
 mod protocol;
-mod sharded;
 mod wheel;
 
 pub mod fault;
 pub mod realtime;
 pub mod sim;
 
-pub use engine::{Action, EngineConfig, EngineCore, EngineStats, EnsembleEngine, RetryPolicy};
+pub use engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 pub use protocol::{
     AckKind, AckMsg, DispatchMsg, LifecycleKind, LifecycleMsg, SubmissionMsg, WireError, WireMsg,
     WorkflowAnnounce, PROTOCOL_VERSION,
 };
-pub use sharded::parallel::{DispatchSink, ParallelOptions, ParallelShardedEngine};
-pub use sharded::{HashRouter, LeastLoadedRouter, ShardLoad, ShardRouter, ShardedEngine};

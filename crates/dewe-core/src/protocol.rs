@@ -20,8 +20,8 @@ use std::sync::Arc;
 /// reject frames whose leading version byte differs from their own.
 /// Revision 2 added the coalesced [`WireMsg::DispatchBatch`] frame — a
 /// v1 worker cannot parse it, so mixed fleets must fail the handshake,
-/// not mid-stream.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// not mid-stream. Revision 3 took the pin flag out of [`WireMsg::Hello`].
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Workflow submission topic payload.
 ///
@@ -260,15 +260,13 @@ const T_DISPATCH_BATCH: u8 = 0x84;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum WireMsg {
-    /// Worker handshake: identity, incarnation, optional shard pin, and
-    /// the dispatch window (backpressure credit) this worker offers.
+    /// Worker handshake: identity, incarnation, and the dispatch window
+    /// (backpressure credit) this worker offers.
     Hello {
         /// Worker identity.
         worker: u32,
         /// Worker incarnation.
         generation: u32,
-        /// Shard pin; `None` serves every shard.
-        shard: Option<u32>,
         /// Maximum dispatches this connection holds unsettled.
         window: u32,
     },
@@ -316,17 +314,10 @@ impl WireMsg {
         let mut out = Vec::with_capacity(32);
         out.push(PROTOCOL_VERSION);
         match self {
-            WireMsg::Hello { worker, generation, shard, window } => {
+            WireMsg::Hello { worker, generation, window } => {
                 out.push(T_HELLO);
                 put_u32(&mut out, *worker);
                 put_u32(&mut out, *generation);
-                match shard {
-                    Some(s) => {
-                        out.push(1);
-                        put_u32(&mut out, *s);
-                    }
-                    None => out.push(0),
-                }
                 put_u32(&mut out, *window);
             }
             WireMsg::SubmitterHello => out.push(T_SUBMITTER_HELLO),
@@ -382,13 +373,8 @@ impl WireMsg {
             T_HELLO => {
                 let worker = r.u32()?;
                 let generation = r.u32()?;
-                let shard = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.u32()?),
-                    _ => return Err(WireError::BadPayload("shard flag")),
-                };
                 let window = r.u32()?;
-                WireMsg::Hello { worker, generation, shard, window }
+                WireMsg::Hello { worker, generation, window }
             }
             T_SUBMITTER_HELLO => WireMsg::SubmitterHello,
             T_ACK => {
@@ -596,8 +582,7 @@ mod tests {
     fn wire_messages_round_trip() {
         let job = EnsembleJobId::new(WorkflowId(7), JobId(11));
         let msgs = vec![
-            WireMsg::Hello { worker: 3, generation: 2, shard: Some(1), window: 64 },
-            WireMsg::Hello { worker: 0, generation: 0, shard: None, window: 1 },
+            WireMsg::Hello { worker: 3, generation: 2, window: 64 },
             WireMsg::SubmitterHello,
             WireMsg::Ack(AckMsg::new(job, 3, AckKind::Completed, 2)),
             WireMsg::Lifecycle(LifecycleMsg::new(3, 2, LifecycleKind::Heartbeat)),
@@ -643,6 +628,12 @@ mod tests {
             WireMsg::Dispatch(DispatchMsg::new(EnsembleJobId::new(WorkflowId(1), JobId(2)), 1))
                 .encode();
         assert_eq!(WireMsg::decode(&bytes[..bytes.len() - 1]), Err(WireError::Truncated));
+        // The handshake, cut anywhere inside its three fields.
+        let hello = WireMsg::Hello { worker: 3, generation: 2, window: 64 }.encode();
+        assert_eq!(hello.len(), 2 + 3 * 4);
+        for cut in 2..hello.len() {
+            assert_eq!(WireMsg::decode(&hello[..cut]), Err(WireError::Truncated), "cut at {cut}");
+        }
         // Bad enum code.
         let mut ack = WireMsg::Ack(AckMsg::new(
             EnsembleJobId::new(WorkflowId(0), JobId(0)),

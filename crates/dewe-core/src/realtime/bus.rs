@@ -17,12 +17,8 @@ use std::time::Duration;
 pub struct MessageBus {
     /// Workflow submission topic (submission app → master).
     pub submission: Topic<SubmissionMsg>,
-    /// Job dispatching topic (master → workers). With a sharded master
-    /// this is the fallback for workers not pinned to a shard.
+    /// Job dispatching topic (master → workers).
     pub dispatch: Topic<DispatchMsg>,
-    /// Per-shard dispatch topics (sharded master → per-shard worker
-    /// pools). Empty on an un-sharded bus.
-    pub dispatch_shards: Vec<Topic<DispatchMsg>>,
     /// Job acknowledgment topic (workers → master).
     pub ack: Topic<AckMsg>,
     /// Worker lifecycle topic (workers → master): registration,
@@ -36,26 +32,10 @@ impl MessageBus {
         Self::default()
     }
 
-    /// Fresh bus with `shards` per-shard dispatch topics, for fanning a
-    /// sharded master's work out to dedicated worker pools.
-    pub fn sharded(shards: usize) -> Self {
-        Self { dispatch_shards: (0..shards).map(|_| Topic::default()).collect(), ..Self::default() }
-    }
-
-    /// The dispatch topic serving `shard`: its dedicated topic when the
-    /// bus has one, otherwise the shared fallback topic (so un-sharded
-    /// buses and out-of-range shards keep working through `dispatch`).
-    pub fn dispatch_topic(&self, shard: usize) -> &Topic<DispatchMsg> {
-        self.dispatch_shards.get(shard).unwrap_or(&self.dispatch)
-    }
-
     /// Close every topic, releasing blocked daemons.
     pub fn shutdown(&self) {
         self.submission.close();
         self.dispatch.close();
-        for t in &self.dispatch_shards {
-            t.close();
-        }
         self.ack.close();
         self.lifecycle.close();
     }
@@ -89,8 +69,8 @@ impl Transport for MessageBus {
         self.lifecycle.try_pull()
     }
 
-    fn publish_dispatch(&self, shard: usize, dispatch: DispatchMsg) {
-        self.dispatch_topic(shard).publish(dispatch);
+    fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
+        self.dispatch.publish(dispatch);
     }
 
     fn announce(&self, _announce: WorkflowAnnounce) {}
@@ -101,27 +81,18 @@ impl Transport for MessageBus {
 }
 
 /// One worker's view of the in-process bus: the [`WorkerTransport`] the
-/// thread-pool worker daemon drives, pinned (or not) to a shard topic.
-/// The TCP runtime's `TcpWorkerLink` implements the same trait, so the
-/// worker slot/heartbeat loops are written once.
+/// thread-pool worker daemon drives. The TCP runtime's `TcpWorkerLink`
+/// implements the same trait, so the worker slot/heartbeat loops are
+/// written once.
 #[derive(Clone)]
 pub struct BusWorkerLink {
     bus: MessageBus,
-    shard: Option<usize>,
 }
 
 impl BusWorkerLink {
-    /// A link over `bus`, pulling `shard`'s dispatch topic (`None` pulls
-    /// the shared topic — the only source of an un-sharded master).
-    pub fn new(bus: MessageBus, shard: Option<usize>) -> Self {
-        Self { bus, shard }
-    }
-
-    fn dispatch_topic(&self) -> &Topic<DispatchMsg> {
-        match self.shard {
-            Some(shard) => self.bus.dispatch_topic(shard),
-            None => &self.bus.dispatch,
-        }
+    /// A link over `bus`, pulling its dispatch topic.
+    pub fn new(bus: MessageBus) -> Self {
+        Self { bus }
     }
 }
 
@@ -131,17 +102,17 @@ impl WorkerTransport for BusWorkerLink {
     type Lifecycle = LifecycleMsg;
 
     fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
-        self.dispatch_topic().pull_timeout(timeout)
+        self.bus.dispatch.pull_timeout(timeout)
     }
 
     fn dispatch_closed(&self) -> bool {
-        self.dispatch_topic().is_closed()
+        self.bus.dispatch.is_closed()
     }
 
     fn redeliver(&self, dispatch: DispatchMsg) {
         // The broker redelivers the unacknowledged checkout (RabbitMQ
         // semantics): back onto the same topic for another worker.
-        self.dispatch_topic().publish(dispatch);
+        self.bus.dispatch.publish(dispatch);
     }
 
     fn publish_ack(&self, ack: AckMsg) {
@@ -208,17 +179,6 @@ mod tests {
             attempt: 1,
         });
         assert!(bus2.ack.try_pull().is_some());
-    }
-
-    #[test]
-    fn dispatch_topic_falls_back_to_shared() {
-        let flat = MessageBus::new();
-        assert!(std::ptr::eq(flat.dispatch_topic(3), &flat.dispatch));
-        let sharded = MessageBus::sharded(2);
-        assert!(std::ptr::eq(sharded.dispatch_topic(0), &sharded.dispatch_shards[0]));
-        assert!(std::ptr::eq(sharded.dispatch_topic(1), &sharded.dispatch_shards[1]));
-        // Out of range → the shared fallback, never a panic.
-        assert!(std::ptr::eq(sharded.dispatch_topic(2), &sharded.dispatch));
     }
 
     #[test]

@@ -70,7 +70,6 @@ impl ChaosLink {
         let worker_bus = MessageBus {
             submission: master_bus.submission.clone(),
             dispatch: Topic::new(),
-            dispatch_shards: Vec::new(),
             ack: Topic::new(),
             lifecycle: master_bus.lifecycle.clone(),
         };

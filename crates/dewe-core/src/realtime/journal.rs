@@ -14,7 +14,7 @@
 //! in batches depending on the writer's [`JournalCommitPolicy`]:
 //!
 //! ```text
-//! S <registry_index> <time_bits> <shard>
+//! S <registry_index> <time_bits>
 //! A <workflow> <job> <worker> <kind_code> <attempt> <time_bits>
 //! T <time_bits>
 //! W <worker> <generation> <phase_code> <time_bits>
@@ -27,17 +27,11 @@
 //! the shared file system for the same reason). A truncated final line —
 //! the crash happened mid-write — is silently discarded.
 //!
-//! The submission record's trailing `<shard>` is the routing decision a
-//! sharded master made (always `0` for a single engine). It is journaled
-//! *before* the submission takes effect so [`recover_sharded`] can force
-//! the identical placement via [`EngineCore::submit_workflow_to`] —
-//! required because routers like
-//! [`LeastLoadedRouter`](crate::LeastLoadedRouter) depend on completion
-//! timing and cannot be re-derived from submission order. Journals
-//! written before sharding existed lack the field; it parses as shard 0.
-//! Workflow ids are global and dense in submission order in both engine
-//! shapes, so a sharded journal also replays into a single engine (the
-//! shard field is then ignored).
+//! Masters from 0.5.0 through 0.11.0 ended the submission record with one
+//! more numeric token (a placement their engine no longer has). The reader
+//! still accepts that token and ignores its value, so every journal an
+//! earlier master wrote recovers; a non-numeric token there is corruption
+//! like any other malformed line.
 //!
 //! ## Recovery invariants
 //!
@@ -54,27 +48,23 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use dewe_dag::{EnsembleJobId, JobId, JobState, WorkflowId};
 
 use super::bus::Registry;
 use super::liveness::{LivenessTable, WorkerPhase};
-use crate::engine::{Action, EngineConfig, EngineCore, EnsembleEngine};
+use crate::engine::{Action, EngineConfig, EnsembleEngine};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
-use crate::sharded::ShardedEngine;
 
 /// One journaled engine input.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum JournalRecord {
     /// A workflow was submitted (stored by registry index).
     Submit {
-        /// Registry index of the workflow (equals its global engine id).
+        /// Registry index of the workflow (equals its engine id).
         workflow: u32,
         /// Engine time of the submission.
         at: f64,
-        /// Shard the master routed it to (0 for a single engine).
-        shard: u32,
     },
     /// A worker acknowledgment was processed.
     Ack {
@@ -165,9 +155,7 @@ pub struct Journal {
 
 fn format_record(rec: &JournalRecord) -> String {
     match *rec {
-        JournalRecord::Submit { workflow, at, shard } => {
-            format!("S {workflow} {:x} {shard}", at.to_bits())
-        }
+        JournalRecord::Submit { workflow, at } => format!("S {workflow} {:x}", at.to_bits()),
         JournalRecord::Ack { ack, at } => format!(
             "A {} {} {} {} {} {:x}",
             ack.job.workflow.0,
@@ -261,13 +249,19 @@ impl Journal {
         Ok(())
     }
 
-    /// Journal a workflow submission, including the shard it was routed
-    /// to (0 for a single engine). Submissions commit immediately
+    /// Journal a workflow submission. Submissions commit immediately
     /// regardless of policy — replay validates dense submission order, so
     /// a lost submit record would invalidate everything after it (see
     /// [`JournalCommitPolicy`]).
-    pub fn record_submit(&mut self, workflow: WorkflowId, shard: usize, at: f64) -> io::Result<()> {
-        self.write_line(&format!("S {} {:x} {shard}", workflow.0, at.to_bits()))?;
+    ///
+    /// `_unused` was the shard: unused since PR 14; dropped with the next `benchmark/` change.
+    pub fn record_submit(
+        &mut self,
+        workflow: WorkflowId,
+        _unused: usize,
+        at: f64,
+    ) -> io::Result<()> {
+        self.write_line(&format_record(&JournalRecord::Submit { workflow: workflow.0, at }))?;
         self.commit()
     }
 
@@ -367,9 +361,7 @@ impl Drop for Journal {
 /// * the resume clock rewinds to the newest *kept* record, which is safe
 ///   because every kept input is at or before it.
 ///
-/// All submission records are kept (in order, with their journaled
-/// shard), so global workflow ids stay dense and sharded placement
-/// survives.
+/// All submission records are kept, in order, so workflow ids stay dense.
 pub fn compact_records(
     records: &[JournalRecord],
     registry: &Registry,
@@ -384,8 +376,7 @@ pub fn compact_records(
         })
     };
 
-    // Pass 1: replay everything (a single engine accepts sharded journals
-    // — ids are global either way) to learn which workflows completed and
+    // Pass 1: replay everything to learn which workflows completed and
     // which ack actually completed each of their jobs.
     let mut engine = config.build();
     let mut sink: Vec<Action> = Vec::new();
@@ -393,7 +384,7 @@ pub fn compact_records(
     let mut completions: BTreeMap<u32, Vec<AckMsg>> = BTreeMap::new();
     for rec in records {
         match *rec {
-            JournalRecord::Submit { workflow, at, .. } => {
+            JournalRecord::Submit { workflow, at } => {
                 engine.submit_workflow(fetch(workflow)?, at, &mut sink);
             }
             JournalRecord::Ack { ack, at } => {
@@ -425,7 +416,7 @@ pub fn compact_records(
     let mut candidate: Vec<JournalRecord> = Vec::with_capacity(records.len());
     for rec in records {
         match *rec {
-            JournalRecord::Submit { workflow, at, .. } => {
+            JournalRecord::Submit { workflow, at } => {
                 candidate.push(*rec);
                 if completed.contains(&workflow) {
                     for &ack in completions.get(&workflow).into_iter().flatten() {
@@ -454,7 +445,7 @@ pub fn compact_records(
     let mut out: Vec<JournalRecord> = Vec::with_capacity(candidate.len());
     for rec in candidate {
         match rec {
-            JournalRecord::Submit { workflow, at, .. } => {
+            JournalRecord::Submit { workflow, at } => {
                 engine.submit_workflow(fetch(workflow)?, at, &mut sink);
                 out.push(rec);
             }
@@ -485,12 +476,13 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
         "S" => {
             let workflow = t.next()?.parse().ok()?;
             let at = parse_time(t.next()?)?;
-            // Pre-sharding journals end the record here; missing = shard 0.
-            let shard = match t.next() {
-                Some(tok) => tok.parse().ok()?,
-                None => 0,
-            };
-            Some(JournalRecord::Submit { workflow, at, shard })
+            // Legacy token: 0.5.0–0.11.0 masters appended the shard they
+            // routed the workflow to. Its value means nothing to the one
+            // engine, but it must still be a number.
+            if let Some(legacy) = t.next() {
+                legacy.parse::<u32>().ok()?;
+            }
+            Some(JournalRecord::Submit { workflow, at })
         }
         "A" => {
             let wf: u32 = t.next()?.parse().ok()?;
@@ -549,76 +541,13 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
 
 /// Outcome of a journal replay: the rebuilt engine plus what the restarted
 /// master must do next.
-pub struct Recovery<E = EnsembleEngine> {
+pub struct Recovery {
     /// Engine with tracker / in-flight / deadline state rebuilt.
-    pub engine: E,
+    pub engine: EnsembleEngine,
     /// The last journaled engine time — the recovered clock resumes here.
     pub resume_at: f64,
     /// In-flight attempts to republish (pre-crash queue state is unknown).
     pub redispatch: Vec<DispatchMsg>,
-}
-
-/// Replay records into any engine. With `forced_placement` submissions go
-/// through [`EngineCore::submit_workflow_to`] using the journaled shard;
-/// otherwise the shard field is ignored (a single engine has no
-/// placement, and global ids are dense either way).
-fn replay_records<E: EngineCore>(
-    records: &[JournalRecord],
-    registry: &Registry,
-    mut engine: E,
-    forced_placement: bool,
-) -> io::Result<Recovery<E>> {
-    let mut sink: Vec<Action> = Vec::new();
-    let mut resume_at = 0.0f64;
-    for rec in records {
-        resume_at = resume_at.max(rec.at());
-        match *rec {
-            JournalRecord::Submit { workflow, at, shard } => {
-                let wf = registry.get(WorkflowId(workflow)).ok_or_else(|| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("journal references workflow {workflow} absent from registry"),
-                    )
-                })?;
-                let id = if forced_placement {
-                    if shard as usize >= engine.shard_count() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!(
-                                "journal places workflow {workflow} on shard {shard}, \
-                                 but the engine has {} shards",
-                                engine.shard_count()
-                            ),
-                        ));
-                    }
-                    engine.submit_workflow_to(shard as usize, Arc::clone(&wf), at, &mut sink)
-                } else {
-                    engine.submit_workflow(Arc::clone(&wf), at, &mut sink)
-                };
-                if id.0 != workflow {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("journal submission order mismatch: got {id:?}, want {workflow}"),
-                    ));
-                }
-                sink.clear();
-            }
-            JournalRecord::Ack { ack, at } => {
-                engine.on_ack(ack, at, &mut sink);
-                sink.clear();
-            }
-            JournalRecord::Scan { at } => {
-                engine.check_timeouts(at, &mut sink);
-                sink.clear();
-            }
-            // Lifecycle records are liveness-table inputs, not engine
-            // inputs: [`replay_liveness`] consumes them.
-            JournalRecord::Worker { .. } => {}
-        }
-    }
-    let mut redispatch = Vec::new();
-    engine.inflight_dispatches(&mut redispatch);
-    Ok(Recovery { engine, resume_at, redispatch })
 }
 
 /// Rebuild the master's [`LivenessTable`] by replaying journal records:
@@ -652,7 +581,7 @@ pub fn replay_liveness(records: &[JournalRecord], lease_secs: f64) -> LivenessTa
     table
 }
 
-/// Rebuild a single engine by replaying journal records. Workflows are
+/// Rebuild the engine by replaying journal records. Workflows are
 /// fetched from `registry` by their journaled index; replay actions are
 /// discarded (their dispatches either already happened or are covered by
 /// `redispatch`).
@@ -661,20 +590,38 @@ pub fn recover(
     registry: &Registry,
     config: EngineConfig,
 ) -> io::Result<Recovery> {
-    replay_records(records, registry, config.build(), false)
-}
-
-/// Rebuild a [`ShardedEngine`] by replaying journal records, forcing each
-/// workflow onto its journaled shard so post-recovery placement (and
-/// therefore per-shard worker fan-out) matches the pre-crash master
-/// regardless of the router.
-pub fn recover_sharded(
-    records: &[JournalRecord],
-    registry: &Registry,
-    config: EngineConfig,
-    shards: usize,
-) -> io::Result<Recovery<ShardedEngine>> {
-    replay_records(records, registry, config.build_sharded(shards), true)
+    let mut engine = config.build();
+    let mut sink: Vec<Action> = Vec::new();
+    let mut resume_at = 0.0f64;
+    for rec in records {
+        resume_at = resume_at.max(rec.at());
+        match *rec {
+            JournalRecord::Submit { workflow, at } => {
+                let wf = registry.get(WorkflowId(workflow)).ok_or_else(|| {
+                    io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("journal references workflow {workflow} absent from registry"),
+                    )
+                })?;
+                let id = engine.submit_workflow(wf, at, &mut sink);
+                if id.0 != workflow {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("journal submission order mismatch: got {id:?}, want {workflow}"),
+                    ));
+                }
+            }
+            JournalRecord::Ack { ack, at } => engine.on_ack(ack, at, &mut sink),
+            JournalRecord::Scan { at } => engine.check_timeouts(at, &mut sink),
+            // Lifecycle records are liveness-table inputs, not engine
+            // inputs: [`replay_liveness`] consumes them.
+            JournalRecord::Worker { .. } => {}
+        }
+        sink.clear();
+    }
+    let mut redispatch = Vec::new();
+    engine.inflight_dispatches(&mut redispatch);
+    Ok(Recovery { engine, resume_at, redispatch })
 }
 
 #[cfg(test)]
@@ -713,7 +660,7 @@ mod tests {
             kind: AckKind::Completed,
             attempt: 4,
         };
-        j.record_submit(WorkflowId(0), 3, 0.125).unwrap();
+        j.record_submit(WorkflowId(0), 0, 0.125).unwrap();
         j.record_ack(&ack, 1.0000000001).unwrap();
         j.record_scan(2.5).unwrap();
         drop(j);
@@ -721,7 +668,7 @@ mod tests {
         assert_eq!(
             recs,
             vec![
-                JournalRecord::Submit { workflow: 0, at: 0.125, shard: 3 },
+                JournalRecord::Submit { workflow: 0, at: 0.125 },
                 JournalRecord::Ack { ack, at: 1.0000000001 },
                 JournalRecord::Scan { at: 2.5 },
             ]
@@ -764,7 +711,7 @@ mod tests {
         j.record_submit(WorkflowId(0), 0, 0.0).unwrap();
         assert_eq!(
             read_journal(&path).unwrap(),
-            vec![JournalRecord::Submit { workflow: 0, at: 0.0, shard: 0 }],
+            vec![JournalRecord::Submit { workflow: 0, at: 0.0 }],
             "a submit record must never sit in the group-commit buffer"
         );
         std::fs::remove_file(&path).ok();
@@ -794,8 +741,8 @@ mod tests {
             .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
         for rec in &records {
             match *rec {
-                JournalRecord::Submit { workflow, at, shard } => {
-                    j.record_submit(WorkflowId(workflow), shard as usize, at).unwrap()
+                JournalRecord::Submit { workflow, at } => {
+                    j.record_submit(WorkflowId(workflow), 0, at).unwrap()
                 }
                 JournalRecord::Ack { ack, at } => j.record_ack(&ack, at).unwrap(),
                 JournalRecord::Scan { at } => j.record_scan(at).unwrap(),
@@ -941,12 +888,93 @@ mod tests {
         assert_eq!(kept.len(), 2, "lifecycle history survives compaction verbatim");
     }
 
+    /// What a 0.11.0 `--shards 4` master wrote for three two-job chains on
+    /// shards 3, 0 and 2 (the fourth token of each `S` line): wf0 runs to
+    /// completion, wf1's root is checked out at 2.5 and times out in the
+    /// scan at 13.0, wf2's root completes. Plain text, not produced by the
+    /// writer under test.
+    const SHARDED_0_11_JOURNAL: &str = "\
+W 1 0 0 0
+S 0 0 3
+A 0 0 1 0 1 3fe0000000000000
+S 1 3ff0000000000000 0
+A 0 0 1 1 1 3ff8000000000000
+S 2 4000000000000000 2
+A 1 0 1 0 1 4004000000000000
+A 0 1 1 0 1 4008000000000000
+A 0 1 1 1 1 4010000000000000
+T 402a000000000000
+A 2 0 1 1 1 402c000000000000
+";
+
+    /// Every earlier journal generation still recovers: the trailing
+    /// token of 0.5.0–0.11.0 submission records is read and ignored, so
+    /// the fixture replays to exactly what the same records replay to
+    /// with the token stripped (the pre-0.5.0 and current layout).
     #[test]
-    fn pre_sharding_submit_record_parses_as_shard_zero() {
-        let path = tmp("legacy");
-        std::fs::write(&path, "S 4 3ff0000000000000\n").unwrap();
-        let recs = read_journal(&path).unwrap();
-        assert_eq!(recs, vec![JournalRecord::Submit { workflow: 4, at: 1.0, shard: 0 }]);
+    fn legacy_sharded_journal_recovers_like_its_token_free_twin() {
+        let stripped: String = SHARDED_0_11_JOURNAL
+            .lines()
+            .map(|line| match line.strip_prefix("S ") {
+                Some(rest) => {
+                    let (keep, _token) = rest.rsplit_once(' ').expect("four-token S line");
+                    format!("S {keep}\n")
+                }
+                None => format!("{line}\n"),
+            })
+            .collect();
+        assert_eq!(stripped.lines().nth(1), Some("S 0 0"));
+
+        let registry = Registry::new();
+        for i in 0..3 {
+            registry.insert(WorkflowId(i), chain(2));
+        }
+        let config = EngineConfig { default_timeout_secs: 10.0, ..EngineConfig::default() };
+        let replay = |tag: &str, text: &str| {
+            let path = tmp(tag);
+            std::fs::write(&path, text).unwrap();
+            let records = read_journal(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let rec = recover(&records, &registry, config).unwrap();
+            let states: Vec<_> = (0..3u32)
+                .flat_map(|wf| (0..2u32).map(move |j| EnsembleJobId::new(WorkflowId(wf), JobId(j))))
+                .map(|id| rec.engine.job_state(id))
+                .collect();
+            (records, states, rec.engine.stats(), rec.redispatch, rec.resume_at)
+        };
+        let legacy = replay("legacy-sharded", SHARDED_0_11_JOURNAL);
+        let plain = replay("legacy-stripped", &stripped);
+        assert_eq!(legacy, plain, "the token changes nothing");
+
+        let (records, states, stats, redispatch, resume_at) = legacy;
+        assert_eq!(records.len(), 11);
+        assert_eq!(records[1], JournalRecord::Submit { workflow: 0, at: 0.0 });
+        assert_eq!(records[5], JournalRecord::Submit { workflow: 2, at: 2.0 });
+        let completed = |wf: usize, j: usize| states[wf * 2 + j] == Some(JobState::Completed);
+        assert!(completed(0, 0) && completed(0, 1) && completed(2, 0));
+        assert!(!completed(1, 0) && !completed(1, 1) && !completed(2, 1));
+        assert_eq!((stats.workflows_completed, stats.resubmissions), (1, 1));
+        let job = |wf, j| EnsembleJobId::new(WorkflowId(wf), JobId(j));
+        assert_eq!(
+            redispatch,
+            vec![
+                DispatchMsg { job: job(1, 0), attempt: 2 },
+                DispatchMsg { job: job(2, 1), attempt: 1 }
+            ]
+        );
+        assert_eq!(resume_at, 14.0);
+    }
+
+    /// The legacy token is tolerated only as a number: garbage after the
+    /// time is a corrupt line mid-file and a torn tail at the end.
+    #[test]
+    fn non_numeric_trailing_submit_token_is_corruption() {
+        let path = tmp("legacy-garbage");
+        std::fs::write(&path, "S 0 0 x3\nT 3ff0000000000000\n").unwrap();
+        let err = read_journal(&path).unwrap_err();
+        assert!(err.to_string().contains("corrupt journal record at line 1"), "{err}");
+        std::fs::write(&path, "T 3ff0000000000000\nS 0 0 x3\n").unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![JournalRecord::Scan { at: 1.0 }]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -1011,38 +1039,9 @@ mod tests {
 
     #[test]
     fn recovery_rejects_missing_workflow() {
-        let recs = vec![JournalRecord::Submit { workflow: 0, at: 0.0, shard: 0 }];
+        let recs = vec![JournalRecord::Submit { workflow: 0, at: 0.0 }];
         let err = recover(&recs, &Registry::new(), EngineConfig::default());
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn sharded_recovery_restores_journaled_placement() {
-        // A least-loaded-style placement (not derivable from submission
-        // order) must come back exactly as journaled.
-        let registry = Registry::new();
-        let mut recs = Vec::new();
-        for (i, shard) in [2u32, 2, 0, 1].into_iter().enumerate() {
-            registry.insert(WorkflowId(i as u32), chain(1));
-            recs.push(JournalRecord::Submit { workflow: i as u32, at: i as f64, shard });
-        }
-        let rec = recover_sharded(&recs, &registry, EngineConfig::default(), 3).unwrap();
-        for (i, &shard) in [2usize, 2, 0, 1].iter().enumerate() {
-            assert_eq!(rec.engine.shard_of(WorkflowId(i as u32)), shard);
-        }
-        // All four roots were in flight at the crash; every redispatch
-        // carries its global workflow id.
-        let mut wfs: Vec<u32> = rec.redispatch.iter().map(|d| d.job.workflow.0).collect();
-        wfs.sort_unstable();
-        assert_eq!(wfs, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn sharded_recovery_rejects_out_of_range_shard() {
-        let registry = Registry::new();
-        registry.insert(WorkflowId(0), chain(1));
-        let recs = vec![JournalRecord::Submit { workflow: 0, at: 0.0, shard: 5 }];
-        assert!(recover_sharded(&recs, &registry, EngineConfig::default(), 2).is_err());
     }
 
     /// A retry-heavy history: wf0 completes after a failed first attempt
@@ -1066,11 +1065,11 @@ mod tests {
             at,
         };
         let records = vec![
-            JournalRecord::Submit { workflow: 0, at: 0.0, shard: 0 },
+            JournalRecord::Submit { workflow: 0, at: 0.0 },
             ack(0, 0, AckKind::Running, 1, 0.1),
             ack(0, 0, AckKind::Failed, 1, 1.0), // immediate resubmit (attempt 2)
             ack(0, 0, AckKind::Running, 2, 1.2),
-            JournalRecord::Submit { workflow: 1, at: 2.0, shard: 0 },
+            JournalRecord::Submit { workflow: 1, at: 2.0 },
             ack(1, 0, AckKind::Running, 1, 2.5), // times out at 12.5
             ack(0, 0, AckKind::Completed, 2, 3.0),
             ack(0, 1, AckKind::Running, 1, 3.5),
@@ -1119,7 +1118,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let records = vec![
-            JournalRecord::Submit { workflow: 0, at: 0.0, shard: 0 },
+            JournalRecord::Submit { workflow: 0, at: 0.0 },
             JournalRecord::Ack {
                 ack: AckMsg {
                     job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
@@ -1144,8 +1143,8 @@ mod tests {
         let mut j = Journal::create(&path).unwrap();
         for rec in &records {
             match *rec {
-                JournalRecord::Submit { workflow, at, shard } => {
-                    j.record_submit(WorkflowId(workflow), shard as usize, at).unwrap()
+                JournalRecord::Submit { workflow, at } => {
+                    j.record_submit(WorkflowId(workflow), 0, at).unwrap()
                 }
                 JournalRecord::Ack { ack, at } => j.record_ack(&ack, at).unwrap(),
                 JournalRecord::Scan { at } => j.record_scan(at).unwrap(),
@@ -1213,22 +1212,5 @@ mod tests {
         j.record_ack(&run, 0.7).unwrap();
         assert!(j.maybe_compact(&registry, config, 2).unwrap());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_journal_replays_into_a_single_engine() {
-        // Global ids are dense in submission order in both shapes, so a
-        // journal written by a sharded master still rebuilds a single
-        // engine (the shard field is ignored).
-        let registry = Registry::new();
-        for i in 0..3u32 {
-            registry.insert(WorkflowId(i), chain(1));
-        }
-        let recs: Vec<_> = (0..3u32)
-            .map(|i| JournalRecord::Submit { workflow: i, at: f64::from(i), shard: 2 - i })
-            .collect();
-        let rec = recover(&recs, &registry, EngineConfig::default()).unwrap();
-        assert_eq!(rec.engine.stats().workflows_submitted, 3);
-        assert_eq!(rec.redispatch.len(), 3);
     }
 }

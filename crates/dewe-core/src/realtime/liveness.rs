@@ -127,7 +127,7 @@ pub struct MasterStats {
     /// and not journaled.
     pub batched_dispatches: u64,
     /// Deadline-wheel cascade re-files performed by the engine's timer
-    /// (see `EngineCore::timer_cascades`).
+    /// (see [`EnsembleEngine::timer_cascades`](crate::EnsembleEngine::timer_cascades)).
     pub timer_cascades: u64,
 }
 

@@ -7,41 +7,38 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use dewe_dag::{Workflow, WorkflowId};
+use dewe_dag::WorkflowId;
 use dewe_mq::Transport;
 
 use super::bus::{MessageBus, Registry};
 use super::journal::{self, Journal, JournalCommitPolicy};
 use super::liveness::{LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerView};
-use crate::engine::{Action, EngineConfig, EngineCore, EngineStats, EnsembleEngine, RetryPolicy};
+use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WorkflowAnnounce};
-use crate::sharded::parallel::{DispatchSink, ParallelOptions, ParallelShardedEngine};
-use crate::sharded::ShardedEngine;
 
 /// Every fabric the master can serve: a [`Transport`] pinned to the
-/// realtime protocol types, cloneable so shard threads can publish
-/// dispatches directly. Blanket-implemented — the in-process
+/// realtime protocol types. Blanket-implemented — the in-process
 /// [`MessageBus`] and the TCP runtime's
 /// [`TcpMaster`](super::net::TcpMaster) both qualify.
 pub trait MasterTransport:
     Transport<
-        Submission = SubmissionMsg,
-        Dispatch = DispatchMsg,
-        Ack = AckMsg,
-        Lifecycle = LifecycleMsg,
-        Announce = WorkflowAnnounce,
-    > + Clone
+    Submission = SubmissionMsg,
+    Dispatch = DispatchMsg,
+    Ack = AckMsg,
+    Lifecycle = LifecycleMsg,
+    Announce = WorkflowAnnounce,
+>
 {
 }
 
 impl<T> MasterTransport for T where
     T: Transport<
-            Submission = SubmissionMsg,
-            Dispatch = DispatchMsg,
-            Ack = AckMsg,
-            Lifecycle = LifecycleMsg,
-            Announce = WorkflowAnnounce,
-        > + Clone
+        Submission = SubmissionMsg,
+        Dispatch = DispatchMsg,
+        Ack = AckMsg,
+        Lifecycle = LifecycleMsg,
+        Announce = WorkflowAnnounce,
+    >
 {
 }
 
@@ -58,7 +55,6 @@ impl<T> MasterTransport for T where
 /// let config = MasterConfig::builder()
 ///     .expected_workflows(20)
 ///     .timeout_scan_interval(Duration::from_millis(10))
-///     .shards(4)
 ///     .lease_secs(5.0)
 ///     .build();
 /// ```
@@ -80,8 +76,6 @@ struct ResolvedConfig {
     ack_burst: usize,
     journal_path: Option<PathBuf>,
     recover: bool,
-    shards: usize,
-    threads: usize,
     journal_compact_threshold: Option<usize>,
     journal_commit: JournalCommitPolicy,
     lease_secs: Option<f64>,
@@ -98,8 +92,6 @@ impl Default for ResolvedConfig {
             ack_burst: 128,
             journal_path: None,
             recover: false,
-            shards: 1,
-            threads: 0,
             journal_compact_threshold: None,
             journal_commit: JournalCommitPolicy::default(),
             lease_secs: None,
@@ -187,18 +179,6 @@ impl MasterConfigBuilder {
         self
     }
 
-    /// Engine shard count (> 1 drives a [`ShardedEngine`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg.shards = shards;
-        self
-    }
-
-    /// Worker threads for the free-running parallel master.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.cfg.threads = threads;
-        self
-    }
-
     /// Compact the WAL after this many appended records.
     pub fn journal_compact_threshold(mut self, records: usize) -> Self {
         self.cfg.journal_compact_threshold = Some(records);
@@ -252,10 +232,12 @@ pub enum MasterEvent {
         /// Final engine statistics.
         stats: EngineStats,
     },
-    /// The master could not start serving: its journal could not be
-    /// read, replayed against the registry, reopened or created. Nothing
-    /// was served; the master has exited and [`MasterHandle::join`]
-    /// returns all-zero statistics.
+    /// The master stopped on an I/O error: at startup its journal could
+    /// not be read, replayed against the registry, reopened or created
+    /// (nothing was served), or while serving a journal write failed (an
+    /// input it could not make durable is an input it must not act on).
+    /// The master has exited and [`MasterHandle::join`] returns all-zero
+    /// statistics.
     Failed {
         /// What failed and why, one line.
         reason: String,
@@ -269,8 +251,8 @@ pub enum MasterEvent {
 struct FaultPlaneShared {
     stats: parking_lot::Mutex<MasterStats>,
     snapshot: parking_lot::Mutex<Vec<WorkerView>>,
-    /// Dispatch-pipeline counters, owned by the serve loop (and its
-    /// shard threads) rather than the liveness table — the table
+    /// Dispatch-pipeline counters, owned by the serve loop rather than
+    /// the liveness table — the table
     /// overwrites `stats` wholesale on every publish, so these live
     /// beside it and are merged into [`MasterHandle::master_stats`]
     /// reads.
@@ -334,8 +316,8 @@ impl MasterHandle {
 /// [`MasterConfigBuilder::journal_path`] set it write-ahead journals
 /// every input; with [`MasterConfigBuilder::recover`] it first replays
 /// that journal, rebuilding the pre-crash engine and republishing
-/// in-flight jobs. A journal that cannot be opened or replayed is
-/// reported as [`MasterEvent::Failed`].
+/// in-flight jobs. A journal that cannot be opened, replayed or written
+/// to is reported as [`MasterEvent::Failed`].
 pub fn spawn_master(bus: MessageBus, registry: Registry, config: MasterConfig) -> MasterHandle {
     spawn_master_on(bus, registry, config)
 }
@@ -361,150 +343,9 @@ pub fn spawn_master_on<T: MasterTransport>(
     MasterHandle { thread: Some(thread), stop, shared, events: rx }
 }
 
-/// What the serve loop needs from an engine shape beyond [`EngineCore`]:
-/// how the shape is built from a journal, and the points where an engine
-/// driven on the serve thread (the default bodies) genuinely differs from
-/// one whose shards run on their own threads ([`ParallelShardedEngine`]'s
-/// overrides). Everything else in [`serve`] exists once.
-trait ServedEngine: EngineCore + Sized {
-    /// Build this shape by replaying journal records (forced shard
-    /// placement for the sharded shapes); no records, a fresh engine.
-    /// `sink` is where dispatches leave from when the shards run on their
-    /// own threads; shapes driven on the serve thread drop it — their
-    /// dispatches come back in `actions` and leave from the loop.
-    fn recover_from(
-        records: &[journal::JournalRecord],
-        registry: &Registry,
-        config: &ResolvedConfig,
-        sink: Arc<DispatchSink>,
-    ) -> io::Result<journal::Recovery<Self>>;
-
-    /// Hand over an (already journaled) submission: applied now, its
-    /// actions appended — or enqueued for the owning shard thread.
-    fn feed_submit(
-        &mut self,
-        shard: usize,
-        workflow: Arc<Workflow>,
-        now: f64,
-        actions: &mut Vec<Action>,
-    ) -> WorkflowId {
-        self.submit_workflow_to(shard, workflow, now, actions)
-    }
-
-    /// Hand over an (already journaled) acknowledgment.
-    fn feed_ack(&mut self, ack: AckMsg, now: f64, actions: &mut Vec<Action>) {
-        self.on_ack(ack, now, actions);
-    }
-
-    /// Hand over a timeout scan; returns whether it must be journaled
-    /// (the loop does so before anything else reaches the engine). Applied
-    /// now, a scan is journaled after the fact and only when it changed
-    /// engine state: if the record is lost to a crash, the rebuilt
-    /// deadline timer still holds the expired entries and the recovered
-    /// master's next scan redoes the work (re-publishing at worst a
-    /// duplicate dispatch). Expects `actions` empty on entry.
-    fn feed_scan(&mut self, now: f64, actions: &mut Vec<Action>) -> bool {
-        let before = self.stats();
-        self.check_timeouts(now, actions);
-        !actions.is_empty() || self.stats() != before
-    }
-
-    /// Collect what the inputs fed so far produced. Applied-now shapes
-    /// have already appended it.
-    fn collect(&mut self, _actions: &mut Vec<Action>) {}
-
-    /// Block until every fed input has been processed and collect the
-    /// rest — the graceful-exit drain point.
-    fn drain(&mut self, _actions: &mut Vec<Action>) {}
-}
-
-impl ServedEngine for EnsembleEngine {
-    fn recover_from(
-        records: &[journal::JournalRecord],
-        registry: &Registry,
-        config: &ResolvedConfig,
-        _sink: Arc<DispatchSink>,
-    ) -> io::Result<journal::Recovery<Self>> {
-        journal::recover(records, registry, config.engine_config())
-    }
-}
-
-impl ServedEngine for ShardedEngine {
-    fn recover_from(
-        records: &[journal::JournalRecord],
-        registry: &Registry,
-        config: &ResolvedConfig,
-        _sink: Arc<DispatchSink>,
-    ) -> io::Result<journal::Recovery<Self>> {
-        journal::recover_sharded(records, registry, config.engine_config(), config.shards)
-    }
-}
-
-/// The free-running threaded shape: shard worker threads own the engines
-/// and publish dispatches straight onto their per-shard topics through
-/// the sink; the serve loop only routes. Inputs are journaled *before*
-/// they reach a shard thread — cross-shard inputs commute (shards share no
-/// state), so the single-writer WAL order replays into the same state the
-/// shard threads reach, and `recover_sharded` + promotion rebuilds it.
-impl ServedEngine for ParallelShardedEngine {
-    fn recover_from(
-        records: &[journal::JournalRecord],
-        registry: &Registry,
-        config: &ResolvedConfig,
-        sink: Arc<DispatchSink>,
-    ) -> io::Result<journal::Recovery<Self>> {
-        let rec =
-            journal::recover_sharded(records, registry, config.engine_config(), config.shards)?;
-        let opts = ParallelOptions {
-            threads: config.threads,
-            dispatch_sink: Some(sink),
-            ..ParallelOptions::default()
-        };
-        Ok(journal::Recovery {
-            engine: ParallelShardedEngine::from_sharded(rec.engine, opts),
-            resume_at: rec.resume_at,
-            redispatch: rec.redispatch,
-        })
-    }
-
-    fn feed_submit(
-        &mut self,
-        shard: usize,
-        workflow: Arc<Workflow>,
-        now: f64,
-        _actions: &mut Vec<Action>,
-    ) -> WorkflowId {
-        self.enqueue_submit_to(shard, workflow, now)
-    }
-
-    fn feed_ack(&mut self, ack: AckMsg, now: f64, _actions: &mut Vec<Action>) {
-        self.enqueue_ack(ack, now);
-    }
-
-    /// There is no synchronous before/after state comparison across
-    /// threads, so scans are journaled unconditionally; replaying a no-op
-    /// scan is itself a no-op, and compaction keeps the WAL from
-    /// accumulating them.
-    fn feed_scan(&mut self, now: f64, _actions: &mut Vec<Action>) -> bool {
-        self.enqueue_scan(now);
-        true
-    }
-
-    /// One batch per touched shard — the `ack_burst` pattern, applied
-    /// cross-shard — then whatever replies have already come back.
-    fn collect(&mut self, actions: &mut Vec<Action>) {
-        self.flush();
-        self.poll_actions(actions);
-    }
-
-    /// Stats cells are only advanced by shard threads after the settling
-    /// input is fully processed, so the loop's exit check never fires
-    /// early; quiesce to drain any progress events still in flight.
-    fn drain(&mut self, actions: &mut Vec<Action>) {
-        self.quiesce(actions);
-    }
-}
-
+/// The master thread: run [`serve`], and turn the one way it can fail — an
+/// I/O error on the journal, at startup or mid-run — into the one
+/// [`MasterEvent::Failed`] exit.
 fn master_loop<T: MasterTransport>(
     transport: T,
     registry: Registry,
@@ -513,13 +354,31 @@ fn master_loop<T: MasterTransport>(
     stop: Arc<AtomicBool>,
     shared: Arc<FaultPlaneShared>,
 ) -> EngineStats {
-    assert!(config.shards >= 1, "shard count must be at least 1");
-    if config.shards > 1 && config.threads >= 1 {
-        serve::<T, ParallelShardedEngine>(transport, registry, config, events, stop, shared)
-    } else if config.shards > 1 {
-        serve::<T, ShardedEngine>(transport, registry, config, events, stop, shared)
-    } else {
-        serve::<T, EnsembleEngine>(transport, registry, config, events, stop, shared)
+    match serve(&transport, &registry, &config, &events, &stop, &shared) {
+        Ok(stats) => stats,
+        Err(e) => {
+            let _ = events.send(MasterEvent::Failed { reason: e.to_string() });
+            EngineStats::default()
+        }
+    }
+}
+
+/// The master's write-ahead journal, when it has one, with the path it
+/// was opened at — so a failed write can say which step failed on which
+/// file.
+struct Wal(Option<(Journal, PathBuf)>);
+
+impl Wal {
+    /// Run one journal write (a no-op without a journal).
+    fn write(
+        &mut self,
+        step: &str,
+        write: impl FnOnce(&mut Journal) -> io::Result<()>,
+    ) -> io::Result<()> {
+        match &mut self.0 {
+            Some((journal, path)) => write(journal).map_err(|e| journal_error(step, path, e)),
+            None => Ok(()),
+        }
     }
 }
 
@@ -548,40 +407,41 @@ impl LivenessPlane {
     fn poll<T: MasterTransport>(
         &mut self,
         transport: &T,
-        wal: &mut Option<Journal>,
+        wal: &mut Wal,
         now: f64,
         requeue_acks: &mut Vec<AckMsg>,
-    ) {
+    ) -> io::Result<()> {
         while let Some(msg) = transport.try_pull_lifecycle() {
             self.table.on_lifecycle(&msg, now, &mut self.transitions, &mut self.requeues);
         }
         self.table.expire_due(now, &mut self.transitions, &mut self.requeues);
         let changed = !self.transitions.is_empty() || !self.requeues.is_empty();
-        self.flush_transitions(wal);
+        self.flush_transitions(wal)?;
         for r in self.requeues.drain(..) {
             requeue_acks.push(r.as_failed_ack());
         }
         if changed {
             self.publish();
         }
+        Ok(())
     }
 
     /// Ack fence: returns `false` for an ack from an expired worker —
     /// the caller must drop it (not journal it, not feed the engine).
-    fn admit(&mut self, ack: &AckMsg, wal: &mut Option<Journal>, now: f64) -> bool {
+    fn admit(&mut self, ack: &AckMsg, wal: &mut Wal, now: f64) -> io::Result<bool> {
         let before = self.table.stats();
         let ok = self.table.admit_ack(ack, now, &mut self.transitions);
         // Implicit registrations and rejections move counters without
         // emitting a transition, so publish on any stats change.
         let changed = !self.transitions.is_empty() || self.table.stats() != before;
-        self.flush_transitions(wal);
+        self.flush_transitions(wal)?;
         if changed {
             self.publish();
         }
-        ok
+        Ok(ok)
     }
 
-    fn flush_transitions(&mut self, wal: &mut Option<Journal>) {
+    fn flush_transitions(&mut self, wal: &mut Wal) -> io::Result<()> {
         for t in self.transitions.drain(..) {
             if t.lost_in_recovery {
                 eprintln!(
@@ -590,10 +450,11 @@ impl LivenessPlane {
                     t.worker, t.generation
                 );
             }
-            if let Some(w) = wal.as_mut() {
-                w.record_worker(t.worker, t.generation, t.phase, t.at).expect("journal worker");
-            }
+            wal.write("journal worker", |w| {
+                w.record_worker(t.worker, t.generation, t.phase, t.at)
+            })?;
         }
+        Ok(())
     }
 
     fn publish(&self) {
@@ -624,9 +485,9 @@ fn build_plane(
 }
 
 /// What the startup prologue hands the serve loop.
-struct Opened<E> {
-    engine: E,
-    wal: Option<Journal>,
+struct Opened {
+    engine: EnsembleEngine,
+    wal: Wal,
     liveness: Option<LivenessPlane>,
     /// Engine time continues across restarts: a recovered master resumes
     /// its clock from the last journaled instant so deadlines and
@@ -644,18 +505,12 @@ fn journal_error(step: &str, path: &Path, e: io::Error) -> io::Error {
 /// leaves in flight. Everything here reads operator-supplied state from
 /// disk (a journal from another run, a spool that no longer matches it, an
 /// unwritable path), so every failure is returned, not unwrapped.
-fn open<T: MasterTransport, E: ServedEngine>(
+fn open<T: MasterTransport>(
     transport: &T,
     registry: &Registry,
     config: &ResolvedConfig,
     shared: &Arc<FaultPlaneShared>,
-) -> io::Result<Opened<E>> {
-    let sink_transport = transport.clone();
-    let sink_shared = Arc::clone(shared);
-    let sink: Arc<DispatchSink> = Arc::new(move |shard, run: &mut Vec<DispatchMsg>| {
-        publish_run(&sink_transport, &sink_shared, shard, run);
-    });
-
+) -> io::Result<Opened> {
     // The journal to take over from, if any. Without one this is a cold
     // start: the replay of an empty journal.
     let takeover = config.journal_path.as_deref().filter(|p| config.recover && p.exists());
@@ -665,21 +520,25 @@ fn open<T: MasterTransport, E: ServedEngine>(
         }
         None => Vec::new(),
     };
-    let rec = E::recover_from(&records, registry, config, sink).map_err(|e| match takeover {
-        Some(path) => journal_error("replay journal", path, e),
-        None => e,
-    })?;
+    let rec =
+        journal::recover(&records, registry, config.engine_config()).map_err(
+            |e| match takeover {
+                Some(path) => journal_error("replay journal", path, e),
+                None => e,
+            },
+        )?;
     let Some(path) = takeover else {
         let wal = match &config.journal_path {
-            Some(path) => Some(
+            Some(path) => Some((
                 Journal::create(path)
                     .map_err(|e| journal_error("create journal", path, e))?
                     .with_policy(config.journal_commit),
-            ),
+                path.clone(),
+            )),
             None => None,
         };
         let liveness = build_plane(config, shared, None);
-        return Ok(Opened { engine: rec.engine, wal, liveness, time_base: 0.0 });
+        return Ok(Opened { engine: rec.engine, wal: Wal(wal), liveness, time_base: 0.0 });
     };
 
     let engine = rec.engine;
@@ -710,51 +569,47 @@ fn open<T: MasterTransport, E: ServedEngine>(
             .as_ref()
             .is_some_and(|p| matches!(p.table.assignment(d.job), Some((_, a)) if a == d.attempt));
         if !held {
-            transport.publish_dispatch(engine.shard_of(d.job.workflow), d);
+            transport.publish_dispatch(0, d);
         }
     }
     let mut wal = Journal::append(path)
         .map_err(|e| journal_error("reopen journal", path, e))?
         .with_policy(config.journal_commit);
     wal.note_existing(records.len());
-    Ok(Opened { engine, wal: Some(wal), liveness, time_base: rec.resume_at })
+    let wal = Wal(Some((wal, path.to_path_buf())));
+    Ok(Opened { engine, wal, liveness, time_base: rec.resume_at })
 }
 
-/// The master's one serve loop, for every engine shape.
-fn serve<T: MasterTransport, E: ServedEngine>(
-    transport: T,
-    registry: Registry,
-    config: ResolvedConfig,
-    events: Sender<MasterEvent>,
-    stop: Arc<AtomicBool>,
-    shared: Arc<FaultPlaneShared>,
-) -> EngineStats {
+/// The master's one serve loop. Every journal write that fails — here or
+/// in the startup prologue — ends it with the error, naming the step and
+/// the journal file; [`master_loop`] reports that as
+/// [`MasterEvent::Failed`].
+fn serve<T: MasterTransport>(
+    transport: &T,
+    registry: &Registry,
+    config: &ResolvedConfig,
+    events: &Sender<MasterEvent>,
+    stop: &AtomicBool,
+    shared: &Arc<FaultPlaneShared>,
+) -> io::Result<EngineStats> {
     let Opened { mut engine, mut wal, mut liveness, time_base } =
-        match open::<T, E>(&transport, &registry, &config, &shared) {
-            Ok(opened) => opened,
-            Err(e) => {
-                let _ = events.send(MasterEvent::Failed { reason: e.to_string() });
-                return EngineStats::default();
-            }
-        };
+        open(transport, registry, config, shared)?;
     let mut actions: Vec<Action> = Vec::new();
     let mut ack_burst: Vec<AckMsg> = Vec::with_capacity(config.ack_burst.max(1));
     let mut requeue_acks: Vec<AckMsg> = Vec::new();
-    let mut batcher = DispatchBatcher::new(Arc::clone(&shared));
+    let mut run: Vec<DispatchMsg> = Vec::new();
 
     let start = Instant::now();
     let mut last_scan = time_base;
     loop {
         if stop.load(Ordering::Relaxed) {
             // Simulated crash: drop everything on the floor.
-            return engine.stats();
+            return Ok(engine.stats());
         }
-        mirror_cascades(&shared, &engine);
+        mirror_cascades(shared, &engine);
         // Group-commit point: whatever the previous poll cycle buffered
         // becomes durable before this cycle ingests more input.
-        if let Some(w) = wal.as_mut() {
-            w.commit().expect("journal commit");
-        }
+        wal.write("journal commit", Journal::commit)?;
         let now = time_base + start.elapsed().as_secs_f64();
 
         // 1. Ingest any newly submitted workflows.
@@ -762,37 +617,36 @@ fn serve<T: MasterTransport, E: ServedEngine>(
             let now = time_base + start.elapsed().as_secs_f64();
             // Insert into the registry BEFORE journaling or publishing so
             // neither a worker nor a recovering master can observe a job
-            // of an unknown workflow. The routing decision is previewed
-            // and journaled before the submission takes effect, so a
-            // recovering master can force the identical placement. The
-            // announcement broadcast sits between registry and journal so
-            // a networked transport has durably mirrored the workflow
-            // before the journal promises it exists.
+            // of an unknown workflow. The announcement broadcast sits
+            // between registry and journal so a networked transport has
+            // durably mirrored the workflow before the journal promises
+            // it exists.
             let expected_id = WorkflowId::from_index(engine.workflow_count());
-            let shard = engine.route_next(&sub.workflow);
             registry.insert(expected_id, Arc::clone(&sub.workflow));
             transport.announce(WorkflowAnnounce {
                 id: expected_id,
                 name: sub.name.clone(),
                 workflow: Arc::clone(&sub.workflow),
             });
-            if let Some(w) = wal.as_mut() {
-                w.record_submit(expected_id, shard, now).expect("journal submit");
-            }
-            let id = engine.feed_submit(shard, sub.workflow, now, &mut actions);
+            wal.write("journal submit", |w| w.record_submit(expected_id, 0, now))?;
+            let id = engine.submit_workflow(sub.workflow, now, &mut actions);
             debug_assert_eq!(id, expected_id);
-            publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
+            publish_actions(transport, shared, events, &mut actions, &mut run);
         }
 
-        // 2. Timeout scan at the configured cadence.
+        // 2. Timeout scan at the configured cadence. A scan is journaled
+        // after the fact and only when it changed engine state: if the
+        // record is lost to a crash, the rebuilt deadline timer still
+        // holds the expired entries and the recovered master's next scan
+        // redoes the work (re-publishing at worst a duplicate dispatch).
         if now - last_scan >= config.timeout_scan_interval.as_secs_f64() {
             last_scan = now;
-            if engine.feed_scan(now, &mut actions) {
-                if let Some(w) = wal.as_mut() {
-                    w.record_scan(now).expect("journal scan");
-                }
+            let before = engine.stats();
+            engine.check_timeouts(now, &mut actions);
+            if !actions.is_empty() || engine.stats() != before {
+                wal.write("journal scan", |w| w.record_scan(now))?;
             }
-            publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
+            publish_actions(transport, shared, events, &mut actions, &mut run);
         }
 
         // 2b. Liveness plane: ingest lifecycle traffic, expire lapsed
@@ -800,17 +654,13 @@ fn serve<T: MasterTransport, E: ServedEngine>(
         // machinery as synthetic Failed acks — journaled like any other
         // engine input, so replay reconstructs the identical requeues.
         if let Some(plane) = liveness.as_mut() {
-            plane.poll(&transport, &mut wal, now, &mut requeue_acks);
+            plane.poll(transport, &mut wal, now, &mut requeue_acks)?;
             for ack in requeue_acks.drain(..) {
-                if let Some(w) = wal.as_mut() {
-                    w.record_ack(&ack, now).expect("journal ack");
-                }
-                engine.feed_ack(ack, now, &mut actions);
+                wal.write("journal ack", |w| w.record_ack(&ack, now))?;
+                engine.on_ack(ack, now, &mut actions);
             }
+            publish_actions(transport, shared, events, &mut actions, &mut run);
         }
-
-        engine.collect(&mut actions);
-        publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
 
         // 3. Exit once the expected workload has settled. (The engine's
         // own `AllCompleted`/`AllSettled` only cover workflows submitted
@@ -819,21 +669,18 @@ fn serve<T: MasterTransport, E: ServedEngine>(
         if let Some(expected) = config.expected_workflows {
             let stats = engine.stats();
             if stats.workflows_completed + stats.workflows_abandoned >= expected {
-                engine.drain(&mut actions);
-                publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
-                let stats = engine.stats();
                 // Graceful exit: make the group-commit window durable
                 // before announcing completion — drop-flushing is for
                 // crashes, not clean returns.
-                commit_wal_on_exit(&mut wal);
+                wal.write("final journal commit", Journal::commit)?;
                 let ev = if stats.workflows_abandoned == 0 {
                     MasterEvent::AllCompleted { stats }
                 } else {
                     MasterEvent::AllSettled { stats }
                 };
                 let _ = events.send(ev);
-                mirror_cascades(&shared, &engine);
-                return stats;
+                mirror_cascades(shared, &engine);
+                return Ok(stats);
             }
         }
 
@@ -853,41 +700,26 @@ fn serve<T: MasterTransport, E: ServedEngine>(
                     // dropped before journaling — rejected input is not
                     // engine input.
                     if let Some(plane) = liveness.as_mut() {
-                        if !plane.admit(&ack, &mut wal, now) {
+                        if !plane.admit(&ack, &mut wal, now)? {
                             continue;
                         }
                     }
-                    if let Some(w) = wal.as_mut() {
-                        w.record_ack(&ack, now).expect("journal ack");
-                    }
-                    engine.feed_ack(ack, now, &mut actions);
+                    wal.write("journal ack", |w| w.record_ack(&ack, now))?;
+                    engine.on_ack(ack, now, &mut actions);
                 }
-                maybe_compact(&mut wal, &registry, &config);
-                engine.collect(&mut actions);
-                publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
+                maybe_compact(&mut wal, registry, config);
+                publish_actions(transport, shared, events, &mut actions, &mut run);
             }
             None => {
                 if transport.ack_closed() {
-                    engine.drain(&mut actions);
-                    publish_actions(&transport, &engine, &events, &mut actions, &mut batcher);
                     // Transport-shutdown exit is as graceful as settling:
                     // commit the buffered window before returning.
-                    commit_wal_on_exit(&mut wal);
-                    mirror_cascades(&shared, &engine);
-                    return engine.stats();
+                    wal.write("final journal commit", Journal::commit)?;
+                    mirror_cascades(shared, &engine);
+                    return Ok(engine.stats());
                 }
             }
         }
-    }
-}
-
-/// Make the group-commit window durable on a graceful serve-loop exit.
-/// Before this hook, every non-crash return leaned on `Journal`'s drop
-/// flush — which swallows errors by necessity. A failed final commit on
-/// a clean exit is a real durability bug and must be loud.
-fn commit_wal_on_exit(wal: &mut Option<Journal>) {
-    if let Some(w) = wal.as_mut() {
-        w.commit().expect("final journal commit on serve-loop exit");
     }
 }
 
@@ -910,8 +742,8 @@ fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry, cou
 /// stays proportional to live state, not ensemble lifetime. Compaction
 /// failure is non-fatal: the journal keeps growing and recovery still
 /// works, so log-and-continue beats taking the master down.
-fn maybe_compact(wal: &mut Option<Journal>, registry: &Registry, config: &ResolvedConfig) {
-    let (Some(w), Some(threshold)) = (wal.as_mut(), config.journal_compact_threshold) else {
+fn maybe_compact(wal: &mut Wal, registry: &Registry, config: &ResolvedConfig) {
+    let (Some((w, _)), Some(threshold)) = (wal.0.as_mut(), config.journal_compact_threshold) else {
         return;
     };
     if let Err(e) = w.maybe_compact(registry, config.engine_config(), threshold) {
@@ -923,84 +755,26 @@ fn maybe_compact(wal: &mut Option<Journal>, registry: &Registry, config: &Resolv
 /// shared stats cell — a cheap atomic store, refreshed once per poll
 /// cycle and at every graceful serve-loop exit so the final
 /// [`MasterHandle::master_stats`] read is exact.
-fn mirror_cascades<E: EngineCore>(shared: &FaultPlaneShared, engine: &E) {
+fn mirror_cascades(shared: &FaultPlaneShared, engine: &EnsembleEngine) {
     shared.timer_cascades.store(engine.timer_cascades(), Ordering::Relaxed);
 }
 
-/// Publish one shard's run of dispatches, draining it: a singleton takes
-/// the per-job path (no frame overhead to amortize), a longer run goes
-/// out as one [`Transport::publish_dispatch_batch`] call (one wire frame,
-/// one window debit) and is counted into the shared [`MasterStats`]
-/// counters. The one exit for dispatches, whether they leave from the
-/// serve loop or from a shard thread's [`DispatchSink`].
-fn publish_run<T: MasterTransport>(
+/// Publish the dispatch actions of one engine step as a single run and
+/// forward progress events, draining the caller's reusable buffers. A
+/// singleton takes the per-job path (no frame overhead to amortize); a
+/// longer run goes out as one [`Transport::publish_dispatch_batch`] call
+/// (one wire frame, one window debit) and is counted into the shared
+/// [`MasterStats`] counters.
+fn publish_actions<T: MasterTransport>(
     transport: &T,
     shared: &FaultPlaneShared,
-    shard: usize,
-    run: &mut Vec<DispatchMsg>,
-) {
-    match run.len() {
-        0 => {}
-        1 => {
-            let d = run.pop().expect("run length checked");
-            transport.publish_dispatch(shard, d);
-        }
-        n => {
-            shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
-            shared.batched_dispatches.fetch_add(n as u64, Ordering::Relaxed);
-            transport.publish_dispatch_batch(shard, run);
-        }
-    }
-}
-
-/// Coalesces the consecutive same-shard dispatch runs one poll cycle
-/// emits into single [`publish_run`] calls. The run buffer is reused for
-/// the serve loop's lifetime.
-struct DispatchBatcher {
-    run: Vec<DispatchMsg>,
-    run_shard: usize,
-    shared: Arc<FaultPlaneShared>,
-}
-
-impl DispatchBatcher {
-    fn new(shared: Arc<FaultPlaneShared>) -> Self {
-        Self { run: Vec::new(), run_shard: 0, shared }
-    }
-
-    /// Queue `d` for `shard`, flushing the open run first when the
-    /// shard changes (dispatch order within a shard is preserved; order
-    /// across shards is meaningless — they share no workers).
-    fn push<T: MasterTransport>(&mut self, transport: &T, shard: usize, d: DispatchMsg) {
-        if shard != self.run_shard {
-            self.flush(transport);
-            self.run_shard = shard;
-        }
-        self.run.push(d);
-    }
-
-    /// Publish the open run.
-    fn flush<T: MasterTransport>(&mut self, transport: &T) {
-        publish_run(transport, &self.shared, self.run_shard, &mut self.run);
-    }
-}
-
-/// Publish dispatch actions and forward progress events, draining the
-/// caller's reusable buffer. Dispatches go to the owning workflow's shard
-/// through the transport — coalesced per consecutive-shard run by the
-/// batcher — and the run open at the end of the drain is flushed, so
-/// every call publishes everything it was handed.
-fn publish_actions<T: MasterTransport, E: EngineCore>(
-    transport: &T,
-    engine: &E,
     events: &Sender<MasterEvent>,
     actions: &mut Vec<Action>,
-    batcher: &mut DispatchBatcher,
+    run: &mut Vec<DispatchMsg>,
 ) {
     for action in actions.drain(..) {
         match action {
-            Action::Dispatch(d) => {
-                batcher.push(transport, engine.shard_of(d.job.workflow), d);
-            }
+            Action::Dispatch(d) => run.push(d),
             Action::WorkflowCompleted { workflow, makespan_secs } => {
                 let _ = events.send(MasterEvent::WorkflowCompleted { workflow, makespan_secs });
             }
@@ -1010,7 +784,15 @@ fn publish_actions<T: MasterTransport, E: EngineCore>(
             Action::JobDeadLettered { .. } | Action::AllCompleted | Action::AllSettled => {}
         }
     }
-    batcher.flush(transport);
+    match run.len() {
+        0 => {}
+        1 => transport.publish_dispatch(0, run.pop().expect("run length checked")),
+        n => {
+            shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
+            shared.batched_dispatches.fetch_add(n as u64, Ordering::Relaxed);
+            transport.publish_dispatch_batch(0, run);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1071,7 +853,7 @@ mod tests {
 
     /// The startup prologue reads operator-supplied state from disk. An
     /// unusable journal must surface as one `Failed` event and a clean
-    /// exit on every engine shape — never as a panic of the master thread.
+    /// exit — never as a panic of the master thread.
     #[test]
     fn unusable_journal_fails_the_master_without_panicking() {
         let dir = std::env::temp_dir().join(format!("dewe-master-unusable-{}", std::process::id()));
@@ -1080,50 +862,86 @@ mod tests {
         b.job("a", "t", 1.0).build();
         let wf = Arc::new(b.finish().unwrap());
 
-        // A journal whose only workflow sits on shard 3.
-        let journal = dir.join("shard3.wal");
+        let journal = dir.join("one-submission.wal");
         let mut j = Journal::create(&journal).unwrap();
-        j.record_submit(WorkflowId(0), 3, 0.5).unwrap();
+        j.record_submit(WorkflowId(0), 0, 0.5).unwrap();
         drop(j);
         let corrupt = dir.join("corrupt.wal");
         std::fs::write(&corrupt, "not a record\nnor is this\n").unwrap();
 
-        for (shards, threads) in [(1, 0), (2, 0), (2, 2)] {
-            // (journal, recover, registry knows workflow 0, reason fragment)
-            let mut cases = vec![
-                (journal.clone(), true, false, "absent from registry"),
-                (corrupt.clone(), true, true, "corrupt journal record"),
-                (dir.join("no-such-dir").join("new.wal"), false, true, "create journal"),
-            ];
-            if shards > 1 {
-                // Written by a 4-shard master, recovered by a 2-shard one.
-                cases.push((journal.clone(), true, true, "on shard 3"));
+        // (journal, recover, registry knows workflow 0, reason fragment)
+        let cases = [
+            (journal.clone(), true, false, "absent from registry"),
+            (corrupt.clone(), true, true, "corrupt journal record"),
+            (dir.join("no-such-dir").join("new.wal"), false, true, "create journal"),
+        ];
+        for (path, recover, spooled, fragment) in cases {
+            let registry = Registry::new();
+            if spooled {
+                registry.insert(WorkflowId(0), Arc::clone(&wf));
             }
-            for (path, recover, spooled, fragment) in cases {
-                let registry = Registry::new();
-                if spooled {
-                    registry.insert(WorkflowId(0), Arc::clone(&wf));
-                }
-                let handle = spawn_master(
-                    MessageBus::sharded(shards),
-                    registry,
-                    MasterConfig::builder()
-                        .shards(shards)
-                        .threads(threads)
-                        .journal_path(&path)
-                        .recover(recover)
-                        .build(),
-                );
-                let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-                let MasterEvent::Failed { reason } = ev else {
-                    panic!("shards {shards} threads {threads}: expected Failed, got {ev:?}");
-                };
-                assert!(reason.contains(fragment), "{reason:?} should mention {fragment:?}");
-                assert!(reason.contains(&path.display().to_string()), "{reason:?} names the file");
-                assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
-            }
+            let handle = spawn_master(
+                MessageBus::new(),
+                registry,
+                MasterConfig::builder().journal_path(&path).recover(recover).build(),
+            );
+            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+            let MasterEvent::Failed { reason } = ev else {
+                panic!("expected Failed, got {ev:?}");
+            };
+            assert!(reason.contains(fragment), "{reason:?} should mention {fragment:?}");
+            assert!(reason.contains(&path.display().to_string()), "{reason:?} names the file");
+            assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A journal write that fails while the master is serving ends it the
+    /// same way: one `Failed` event naming the step and the file, zero
+    /// stats, no panic. `/dev/full` opens and buffers like any file and
+    /// fails every flush with ENOSPC; submissions and lifecycle records
+    /// flush at once under either commit policy.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn journal_write_error_fails_the_running_master_without_panicking() {
+        use crate::protocol::{LifecycleKind, LifecycleMsg};
+
+        let cases = [
+            (JournalCommitPolicy::PerRecord, "journal submit"),
+            (JournalCommitPolicy::GroupCommit { max_records: 1000 }, "journal submit"),
+            (JournalCommitPolicy::PerRecord, "journal worker"),
+            (JournalCommitPolicy::GroupCommit { max_records: 1000 }, "journal worker"),
+        ];
+        for (policy, step) in cases {
+            let bus = MessageBus::new();
+            let handle = spawn_master(
+                bus.clone(),
+                Registry::new(),
+                MasterConfig::builder()
+                    .journal_path("/dev/full")
+                    .journal_commit(policy)
+                    .lease_secs(5.0)
+                    .timeout_scan_interval(Duration::from_millis(10))
+                    .build(),
+            );
+            if step == "journal worker" {
+                bus.lifecycle.publish(LifecycleMsg {
+                    worker: 1,
+                    generation: 0,
+                    kind: LifecycleKind::Register,
+                });
+            } else {
+                let mut b = WorkflowBuilder::new("one");
+                b.job("a", "t", 1.0).build();
+                super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
+            }
+            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+            let MasterEvent::Failed { reason } = ev else {
+                panic!("{policy:?} {step}: expected Failed, got {ev:?}");
+            };
+            assert!(reason.starts_with(&format!("{step} /dev/full: ")), "{policy:?}: {reason:?}");
+            assert_eq!(handle.join(), EngineStats::default(), "{policy:?} {step}");
+        }
     }
 
     #[test]
@@ -1245,83 +1063,6 @@ mod tests {
         let stats = handle.join();
         assert_eq!(stats.resubmissions, 1);
         assert_eq!(stats.workflows_completed, 1);
-    }
-
-    /// A sharded master fans each workflow's jobs out to the worker pool
-    /// pinned to its shard — from the serve loop (`threads` 0) or from
-    /// the free-running shard threads themselves.
-    #[test]
-    fn sharded_master_fans_out_to_pinned_worker_pools() {
-        use crate::realtime::runner::NoopRunner;
-        use crate::realtime::worker::{spawn_worker, WorkerConfig};
-
-        for threads in [0, 2] {
-            let bus = MessageBus::sharded(2);
-            let registry = Registry::new();
-            let handle = spawn_master(
-                bus.clone(),
-                registry.clone(),
-                MasterConfig::builder()
-                    .shards(2)
-                    .threads(threads)
-                    .timeout_scan_interval(Duration::from_millis(10))
-                    .expected_workflows(6)
-                    .build(),
-            );
-            // One worker pool per shard, each pinned to its shard topic.
-            let workers: Vec<_> = (0..2)
-                .map(|shard| {
-                    spawn_worker(
-                        bus.clone(),
-                        registry.clone(),
-                        Arc::new(NoopRunner),
-                        WorkerConfig {
-                            worker_id: shard as u32,
-                            slots: 2,
-                            shard: Some(shard),
-                            ..WorkerConfig::default()
-                        },
-                    )
-                })
-                .collect();
-            for i in 0..6 {
-                let mut b = WorkflowBuilder::new("wf");
-                let a = b.job("a", "t", 1.0).build();
-                let c = b.job("b", "t", 1.0).build();
-                b.edge(a, c);
-                super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
-            }
-            let mut completions = 0;
-            while let Ok(ev) = handle.events.recv_timeout(Duration::from_secs(10)) {
-                match ev {
-                    MasterEvent::WorkflowCompleted { .. } => completions += 1,
-                    MasterEvent::AllCompleted { .. } => break,
-                    other => panic!("threads {threads}: unexpected event {other:?}"),
-                }
-            }
-            assert_eq!(completions, 6, "threads {threads}: every completion event forwarded");
-            let stats = handle.join();
-            assert_eq!(stats.workflows_completed, 6);
-            assert_eq!(stats.jobs_completed, 12);
-            let executed: u64 = workers.into_iter().map(|w| w.stop()).sum();
-            assert_eq!(executed, 12, "threads {threads}: pinned pools executed everything");
-            // Nothing ever landed on the shared fallback topic.
-            assert!(bus.dispatch.try_pull().is_none());
-        }
-    }
-
-    /// Pull the next dispatch from whichever shard topic produces one.
-    fn pull_any(bus: &MessageBus, shards: usize) -> Option<(usize, crate::DispatchMsg)> {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while Instant::now() < deadline {
-            for shard in 0..shards {
-                if let Some(d) = bus.dispatch_topic(shard).try_pull() {
-                    return Some((shard, d));
-                }
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        None
     }
 
     #[test]
@@ -1458,47 +1199,39 @@ mod tests {
 
     #[test]
     fn master_dead_letters_and_exits_settled() {
-        // Every engine shape; (2, 1) is one shard thread owning both shards.
-        for (shards, threads) in [(1, 0), (2, 0), (2, 1)] {
-            let bus = MessageBus::sharded(shards);
-            let registry = Registry::new();
-            let handle = spawn_master(
-                bus.clone(),
-                registry.clone(),
-                MasterConfig::builder()
-                    .shards(shards)
-                    .threads(threads)
-                    .timeout_scan_interval(Duration::from_millis(5))
-                    .expected_workflows(1)
-                    .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
-                    .build(),
-            );
-            let mut b = WorkflowBuilder::new("poison");
-            b.job("a", "t", 1.0).build();
-            super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
+        let bus = MessageBus::new();
+        let registry = Registry::new();
+        let handle = spawn_master(
+            bus.clone(),
+            registry.clone(),
+            MasterConfig::builder()
+                .timeout_scan_interval(Duration::from_millis(5))
+                .expected_workflows(1)
+                .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
+                .build(),
+        );
+        let mut b = WorkflowBuilder::new("poison");
+        b.job("a", "t", 1.0).build();
+        super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
 
-            // Fail every attempt; after the cap the workflow is abandoned
-            // and the master exits with partial completion. The lone
-            // workflow lands on some shard and its retries stay there.
-            let mut shard = None;
-            for attempt in 1..=2 {
-                let (from, d) = pull_any(&bus, shards).expect("dispatch");
-                assert_eq!(d.attempt, attempt);
-                assert_eq!(*shard.get_or_insert(from), from, "retry left its shard");
-                bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt });
-                bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Failed, attempt });
-            }
-            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(
-                ev,
-                MasterEvent::WorkflowAbandoned { workflow: WorkflowId(0), dead_lettered: 1 }
-            );
-            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert!(matches!(ev, MasterEvent::AllSettled { .. }), "shards {shards}: got {ev:?}");
-            let stats = handle.join();
-            assert_eq!(stats.dead_lettered, 1);
-            assert_eq!(stats.workflows_abandoned, 1);
-            assert_eq!(stats.workflows_completed, 0);
+        // Fail every attempt; after the cap the workflow is abandoned
+        // and the master exits with partial completion.
+        for attempt in 1..=2 {
+            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
+            assert_eq!(d.attempt, attempt);
+            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt });
+            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Failed, attempt });
         }
+        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(
+            ev,
+            MasterEvent::WorkflowAbandoned { workflow: WorkflowId(0), dead_lettered: 1 }
+        );
+        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(matches!(ev, MasterEvent::AllSettled { .. }), "got {ev:?}");
+        let stats = handle.join();
+        assert_eq!(stats.dead_lettered, 1);
+        assert_eq!(stats.workflows_abandoned, 1);
+        assert_eq!(stats.workflows_completed, 0);
     }
 }

@@ -41,8 +41,8 @@ pub use bus::{BusWorkerLink, MessageBus, Registry};
 pub use chaos::ChaosLink;
 pub use deployment::{Deployment, DeploymentBuilder};
 pub use journal::{
-    compact_records, read_journal, recover, recover_sharded, replay_liveness, Journal,
-    JournalCommitPolicy, JournalRecord, Recovery,
+    compact_records, read_journal, recover, replay_liveness, Journal, JournalCommitPolicy,
+    JournalRecord, Recovery,
 };
 pub use liveness::{
     LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerPhase, WorkerView,

@@ -119,17 +119,11 @@ struct Conn {
     out: Topic<OutFrame>,
     /// Dispatch credit for this connection.
     window: SendWindow,
-    /// Shard pin from the Hello; `None` serves every shard.
-    shard: Option<u32>,
     /// For unblocking the reader on shutdown.
     stream: TcpStream,
 }
 
 impl Conn {
-    fn serves(&self, shard: usize) -> bool {
-        self.shard.is_none_or(|s| s as usize == shard)
-    }
-
     fn send(&self, msg: &WireMsg) {
         self.out.publish(OutFrame { head: msg.encode(), text: None });
     }
@@ -144,7 +138,7 @@ struct MasterInner {
     conns: Mutex<HashMap<u64, Arc<Conn>>>,
     next_conn: AtomicU64,
     /// Dispatches that found no window credit, FIFO per arrival.
-    pending: Mutex<VecDeque<(usize, DispatchMsg)>>,
+    pending: Mutex<VecDeque<DispatchMsg>>,
     /// Every announcement so far, as sent, replayed to late-joining
     /// workers. Also the synchronization point between `announce`
     /// broadcasts and Hello replays (see `worker_conn_loop`).
@@ -289,23 +283,19 @@ impl Transport for TcpMaster {
         self.inner.lifecycle.try_pull()
     }
 
-    fn publish_dispatch(&self, shard: usize, dispatch: DispatchMsg) {
-        if !self.inner.try_send_dispatch(shard, dispatch) {
-            self.inner.pending.lock().push_back((shard, dispatch));
+    fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
+        if !self.inner.try_send_dispatch(dispatch) {
+            self.inner.pending.lock().push_back(dispatch);
             // Re-drain once: credit may have been refunded between the
             // failed placement and the enqueue.
             self.inner.drain_pending();
         }
     }
 
-    fn publish_dispatch_batch(&self, shard: usize, batch: &mut Vec<DispatchMsg>) {
-        self.inner.try_send_batch(shard, batch);
+    fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
+        self.inner.try_send_batch(batch);
         if !batch.is_empty() {
-            let mut pending = self.inner.pending.lock();
-            for d in batch.drain(..) {
-                pending.push_back((shard, d));
-            }
-            drop(pending);
+            self.inner.pending.lock().extend(batch.drain(..));
             self.inner.drain_pending();
         }
     }
@@ -339,12 +329,12 @@ impl Transport for TcpMaster {
 }
 
 impl MasterInner {
-    /// Place a dispatch on some connection serving `shard` with free
-    /// credit. Returns false when no such connection exists right now.
-    fn try_send_dispatch(&self, shard: usize, dispatch: DispatchMsg) -> bool {
+    /// Place a dispatch on some connection with free credit. Returns
+    /// false when no such connection exists right now.
+    fn try_send_dispatch(&self, dispatch: DispatchMsg) -> bool {
         let conns = self.conns.lock();
         for conn in conns.values() {
-            if conn.serves(shard) && conn.window.try_acquire() {
+            if conn.window.try_acquire() {
                 conn.send(&WireMsg::Dispatch(dispatch));
                 return true;
             }
@@ -352,14 +342,14 @@ impl MasterInner {
         false
     }
 
-    /// Place a run of dispatches for `shard`, spending window credit in
-    /// batch debits and splitting across connections as credit allows.
+    /// Place a run of dispatches, spending window credit in batch debits
+    /// and splitting across connections as credit allows.
     /// Sent dispatches are drained from the front of `batch` (delivery
     /// order preserved); whatever found no credit stays behind. Returns
     /// how many were sent. Runs of one travel as plain [`WireMsg::
     /// Dispatch`] frames; longer runs coalesce into one
     /// [`WireMsg::DispatchBatch`] frame per granted connection.
-    fn try_send_batch(&self, shard: usize, batch: &mut Vec<DispatchMsg>) -> usize {
+    fn try_send_batch(&self, batch: &mut Vec<DispatchMsg>) -> usize {
         if batch.is_empty() {
             return 0;
         }
@@ -369,9 +359,6 @@ impl MasterInner {
             for conn in conns.values() {
                 if sent == batch.len() {
                     break;
-                }
-                if !conn.serves(shard) {
-                    continue;
                 }
                 let want = (batch.len() - sent) as u32;
                 let granted = conn.window.try_acquire_n(want) as usize;
@@ -391,48 +378,34 @@ impl MasterInner {
         sent
     }
 
-    /// Retry queued dispatches against current credit, coalescing each
-    /// contiguous same-shard run into one batch placement. Called
-    /// whenever credit is refunded or a new worker connects.
+    /// Retry queued dispatches against current credit, coalescing what
+    /// can go into one batch placement. Called whenever credit is
+    /// refunded or a new worker connects.
     fn drain_pending(&self) {
         let mut pending = self.pending.lock();
-        let mut i = 0;
-        let mut batch = Vec::new();
-        while i < pending.len() {
-            let shard = pending[i].0;
-            let mut j = i + 1;
-            while j < pending.len() && pending[j].0 == shard {
-                j += 1;
-            }
-            // Collect no more of the run than the shard's total free
-            // credit: a deep backlog drains one refund at a time, and
-            // copying the whole run to have try_send_batch grant one
-            // dispatch would turn each refund into an O(queue) scan.
-            // The estimate is racy only in the safe direction — a
-            // concurrent release adds credit the next drain will use.
-            let free: usize = {
-                let conns = self.conns.lock();
-                conns
-                    .values()
-                    .filter(|c| c.serves(shard))
-                    .map(|c| c.window.limit().saturating_sub(c.window.in_flight()) as usize)
-                    .sum()
-            };
-            if free == 0 {
-                i = j;
-                continue;
-            }
-            let take = (j - i).min(free);
-            batch.clear();
-            batch.extend(pending.range(i..i + take).map(|&(_, d)| d));
-            let sent = self.try_send_batch(shard, &mut batch);
-            for _ in 0..sent {
-                pending.remove(i);
-            }
-            // Unsent leftovers mean this shard's connections are out of
-            // credit; skip past the run and try the next shard's.
-            i += (j - i) - sent;
+        if pending.is_empty() {
+            return;
         }
+        // Collect no more of the queue than the total free credit: a
+        // deep backlog drains one refund at a time, and copying the whole
+        // queue to have try_send_batch grant one dispatch would turn each
+        // refund into an O(queue) scan. The estimate is racy only in the
+        // safe direction — a concurrent release adds credit the next
+        // drain will use.
+        let free: usize = {
+            let conns = self.conns.lock();
+            conns
+                .values()
+                .map(|c| c.window.limit().saturating_sub(c.window.in_flight()) as usize)
+                .sum()
+        };
+        let take = pending.len().min(free);
+        if take == 0 {
+            return;
+        }
+        let mut batch: Vec<DispatchMsg> = pending.range(..take).copied().collect();
+        let sent = self.try_send_batch(&mut batch);
+        pending.drain(..sent);
     }
 
     /// Drop a connection from the routing map and close its out topic.
@@ -483,9 +456,9 @@ fn serve_conn(inner: Arc<MasterInner>, stream: TcpStream) {
         _ => return,
     };
     match hello {
-        WireMsg::Hello { worker, generation, shard, window } => {
+        WireMsg::Hello { worker, generation, window } => {
             let _ = (worker, generation); // liveness identity arrives via Lifecycle frames
-            worker_conn_loop(inner, stream, reader, shard, window);
+            worker_conn_loop(inner, stream, reader, window);
         }
         WireMsg::SubmitterHello => submitter_conn_loop(inner, reader),
         other => {
@@ -498,13 +471,11 @@ fn worker_conn_loop(
     inner: Arc<MasterInner>,
     stream: TcpStream,
     mut reader: BufReader<TcpStream>,
-    shard: Option<u32>,
     window: u32,
 ) {
     let conn = Arc::new(Conn {
         out: Topic::default(),
         window: SendWindow::new(window),
-        shard,
         stream: match stream.try_clone() {
             Ok(s) => s,
             Err(_) => return,
@@ -563,9 +534,8 @@ fn worker_conn_loop(
                 // refund and redeliver to whoever has credit.
                 conn.window.release();
                 refunds += 1;
-                let shard = conn.shard.unwrap_or(0) as usize;
-                if !inner.try_send_dispatch(shard, d) {
-                    inner.pending.lock().push_back((shard, d));
+                if !inner.try_send_dispatch(d) {
+                    inner.pending.lock().push_back(d);
                 }
             }
             Ok(other) => {
@@ -645,8 +615,6 @@ pub struct TcpWorkerOptions {
     pub worker_id: u32,
     /// Worker incarnation sent in the Hello.
     pub generation: u32,
-    /// Shard pin offered to the master; `None` serves every shard.
-    pub shard: Option<u32>,
     /// Dispatch window (unsettled-dispatch credit) offered to the
     /// master. Sensible default: slots × small factor.
     pub window: u32,
@@ -665,7 +633,6 @@ impl Default for TcpWorkerOptions {
         Self {
             worker_id: 0,
             generation: 0,
-            shard: None,
             window: 8,
             reconnect: true,
             retry_interval: Duration::from_millis(100),
@@ -846,7 +813,6 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
     let hello = WireMsg::Hello {
         worker: inner.opts.worker_id,
         generation: inner.opts.generation,
-        shard: inner.opts.shard,
         window: inner.opts.window,
     };
     let conn_dead = Arc::new(AtomicBool::new(false));
@@ -1286,7 +1252,7 @@ mod tests {
         assert!(batch.is_empty(), "batch publish drains its buffer");
         for j in 0..5 {
             let d = link.pull_dispatch(Duration::from_secs(10)).expect("batched dispatch");
-            assert_eq!(d.job, job(j), "in-shard order preserved");
+            assert_eq!(d.job, job(j), "order preserved on the connection");
         }
         master.shutdown();
         link.close();
@@ -1422,35 +1388,52 @@ mod tests {
 
     #[test]
     fn version_skew_drops_the_connection_loudly() {
-        use std::io::Write as _;
+        use std::io::{Read as _, Write as _};
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
-        let mut stream = TcpStream::connect(master.local_addr()).unwrap();
+        // A current-protocol worker, connected throughout.
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            Registry::new(),
+            TcpWorkerOptions::default(),
+        )
+        .unwrap();
+        wait_until("the link registers", || master.worker_conns() == 1);
+
         // A "future protocol" hello: bumped version byte.
-        let mut frame =
-            WireMsg::Hello { worker: 0, generation: 0, shard: None, window: 1 }.encode();
-        frame[0] = crate::protocol::PROTOCOL_VERSION + 1;
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &frame).unwrap();
-        stream.write_all(&buf).unwrap();
-        stream.flush().unwrap();
-        // The master must close the connection without registering it.
-        use std::io::Read as _;
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut probe = [0u8; 1];
-        match stream.read(&mut probe) {
-            Ok(0) => {} // EOF: dropped, as required
-            Ok(_) => panic!("master should not talk to a version-skewed peer"),
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                panic!("master kept a version-skewed connection open")
+        let mut future = WireMsg::Hello { worker: 0, generation: 0, window: 1 }.encode();
+        future[0] = crate::protocol::PROTOCOL_VERSION + 1;
+        // The hello a 0.11.0 worker sends: version 2, and a pin-flag byte
+        // between the generation and the window.
+        let v2 = vec![2, 0x01, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 8];
+        for (who, frame) in [("future", future), ("v2", v2)] {
+            let mut stream = TcpStream::connect(master.local_addr()).unwrap();
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &frame).unwrap();
+            stream.write_all(&buf).unwrap();
+            stream.flush().unwrap();
+            // The master must close the connection without registering it.
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut probe = [0u8; 1];
+            match stream.read(&mut probe) {
+                Ok(0) => {} // EOF: dropped, as required
+                Ok(_) => panic!("master should not talk to a version-skewed ({who}) peer"),
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+                {
+                    panic!("master kept a version-skewed ({who}) connection open")
+                }
+                Err(_) => {} // reset: dropped, as required
             }
-            Err(_) => {} // reset: dropped, as required
+            assert_eq!(master.worker_conns(), 1, "{who}: only the current worker is registered");
         }
-        assert_eq!(master.worker_conns(), 0);
+        // The refused peers disturbed nothing: the current worker is served.
+        let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
+        master.publish_dispatch(0, DispatchMsg::new(job, 1));
+        assert_eq!(link.pull_dispatch(Duration::from_secs(10)).expect("dispatch").job, job);
         master.shutdown();
+        link.close();
     }
 }

@@ -34,11 +34,6 @@ pub struct WorkerConfig {
     pub slots: usize,
     /// How long an idle slot waits on the dispatch topic per pull.
     pub pull_timeout: Duration,
-    /// Pin this worker to one engine shard: its slots pull that shard's
-    /// dispatch topic (see [`MessageBus::dispatch_topic`]). `None` pulls
-    /// the shared topic — the only dispatch source of an un-sharded
-    /// master.
-    pub shard: Option<usize>,
     /// When set, a dedicated thread registers the worker on the
     /// lifecycle topic and then heartbeats at this cadence, letting a
     /// lease-enabled master detect silence. `None` (default) sends no
@@ -53,7 +48,6 @@ impl Default for WorkerConfig {
             generation: 0,
             slots: 4,
             pull_timeout: Duration::from_millis(50),
-            shard: None,
             heartbeat_interval: None,
         }
     }
@@ -147,7 +141,7 @@ pub fn spawn_worker(
     runner: Arc<dyn JobRunner>,
     config: WorkerConfig,
 ) -> WorkerHandle {
-    let link = BusWorkerLink::new(bus, config.shard);
+    let link = BusWorkerLink::new(bus);
     spawn_worker_on(Arc::new(link), registry, runner, config)
 }
 
@@ -460,7 +454,6 @@ mod tests {
                 slots: 1,
                 pull_timeout: Duration::from_millis(5),
                 heartbeat_interval: Some(Duration::from_millis(10)),
-                ..WorkerConfig::default()
             },
         );
         // Registration arrives first, then a steady heartbeat.

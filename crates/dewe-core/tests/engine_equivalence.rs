@@ -19,29 +19,28 @@ use std::sync::Arc;
 
 use dewe_core::realtime::{recover, JournalRecord, Registry};
 use dewe_core::{
-    AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineCore, EngineStats, EnsembleEngine,
-    RetryPolicy,
+    AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy,
 };
 use dewe_dag::{DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowId};
 use dewe_montage::{random_layered, RandomDagConfig};
 use proptest::prelude::*;
 
-// Allocating shims over the sink-based [`EngineCore`] surface: the driver
-// below compares whole per-step action vectors, so collect them.
+// Allocating shims over the engine's sink-based surface: the driver below
+// compares whole per-step action vectors, so collect them.
 
-fn submit_step<E: EngineCore>(e: &mut E, wf: Arc<Workflow>, now: f64) -> (WorkflowId, Vec<Action>) {
+fn submit_step(e: &mut EnsembleEngine, wf: Arc<Workflow>, now: f64) -> (WorkflowId, Vec<Action>) {
     let mut actions = Vec::new();
     let id = e.submit_workflow(wf, now, &mut actions);
     (id, actions)
 }
 
-fn ack_step<E: EngineCore>(e: &mut E, ack: AckMsg, now: f64) -> Vec<Action> {
+fn ack_step(e: &mut EnsembleEngine, ack: AckMsg, now: f64) -> Vec<Action> {
     let mut actions = Vec::new();
     e.on_ack(ack, now, &mut actions);
     actions
 }
 
-fn scan_step<E: EngineCore>(e: &mut E, now: f64) -> Vec<Action> {
+fn scan_step(e: &mut EnsembleEngine, now: f64) -> Vec<Action> {
     let mut actions = Vec::new();
     e.check_timeouts(now, &mut actions);
     actions
@@ -574,11 +573,7 @@ proptest! {
             if submitted < wfs.len() && (choice < 20 || outstanding.is_empty()) {
                 let wf = Arc::clone(&wfs[submitted]);
                 submitted += 1;
-                journal.push(JournalRecord::Submit {
-                    workflow: submitted as u32 - 1,
-                    at: now,
-                    shard: 0,
-                });
+                journal.push(JournalRecord::Submit { workflow: submitted as u32 - 1, at: now });
                 let (_, actions) = submit_step(&mut real, Arc::clone(&wf), now);
                 if let Some(t) = twin.as_mut() {
                     let (_, tw) = submit_step(t, wf, now);

@@ -27,11 +27,7 @@ fn record() -> impl Strategy<Value = JournalRecord> {
     // equality checks below need `PartialEq` to behave (no NaN).
     let at = 0.0f64..1.0e9;
     prop_oneof![
-        (0u32..64, 0u32..8, at.clone()).prop_map(|(workflow, shard, at)| JournalRecord::Submit {
-            workflow,
-            at,
-            shard
-        }),
+        (0u32..64, at.clone()).prop_map(|(workflow, at)| JournalRecord::Submit { workflow, at }),
         (0u32..64, 0u32..256, 0u32..16, ack_kind(), 1u32..10, at.clone()).prop_map(
             |(wf, job, worker, kind, attempt, at)| JournalRecord::Ack {
                 ack: AckMsg::new(
@@ -68,8 +64,8 @@ fn write_all(path: &Path, records: &[JournalRecord], policy: JournalCommitPolicy
     let mut j = Journal::create(path).expect("create journal").with_policy(policy);
     for rec in records {
         match *rec {
-            JournalRecord::Submit { workflow, at, shard } => {
-                j.record_submit(WorkflowId(workflow), shard as usize, at).unwrap()
+            JournalRecord::Submit { workflow, at } => {
+                j.record_submit(WorkflowId(workflow), 0, at).unwrap()
             }
             JournalRecord::Ack { ref ack, at } => j.record_ack(ack, at).unwrap(),
             JournalRecord::Scan { at } => j.record_scan(at).unwrap(),

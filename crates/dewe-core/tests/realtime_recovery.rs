@@ -13,11 +13,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dewe_core::realtime::{
-    compact_records, read_journal, recover, recover_sharded, spawn_master, spawn_worker, submit,
+    compact_records, read_journal, recover, spawn_master, spawn_worker, submit,
     JournalCommitPolicy, MasterConfig, MasterEvent, MessageBus, Registry, SleepRunner,
     WorkerConfig,
 };
-use dewe_core::{EngineConfig, EngineCore};
+use dewe_core::{EngineConfig, EnsembleEngine};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
 
 fn chain(name: &str, jobs: usize, cpu: f64) -> Arc<Workflow> {
@@ -35,7 +35,7 @@ fn chain(name: &str, jobs: usize, cpu: f64) -> Arc<Workflow> {
 
 /// What a journal's replay says happened: whether every workflow fully
 /// completed, and which jobs did.
-fn replayed<E: EngineCore>(engine: &E) -> (bool, BTreeSet<(u32, u32)>) {
+fn replayed(engine: &EnsembleEngine) -> (bool, BTreeSet<(u32, u32)>) {
     let mut completed = BTreeSet::new();
     for w in 0..engine.workflow_count() {
         let id = WorkflowId::from_index(w);
@@ -49,84 +49,67 @@ fn replayed<E: EngineCore>(engine: &E) -> (bool, BTreeSet<(u32, u32)>) {
     (engine.all_complete(), completed)
 }
 
-/// The master has one serve loop and three engine shapes behind it. The
-/// same 6-workflow ensemble, run clean and run through a mid-ensemble
-/// master kill + journaled takeover, must come out the same on every
-/// shape: every workflow completed, nothing dead-lettered, the same
-/// completion set, and a journal that replays — under the shape's own
-/// recovery entry point — to a fully completed engine.
+/// The same 6-workflow ensemble, run clean and run through a
+/// mid-ensemble master kill + journaled takeover, must come out the
+/// same: every workflow completed, nothing dead-lettered, the same
+/// completion set, and a journal that replays to a fully completed
+/// engine.
 #[test]
-fn every_master_shape_finishes_and_journals_the_same_ensemble() {
+fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
     let mut outcomes = Vec::new();
-    for (shards, threads) in [(1, 0), (4, 0), (4, 2)] {
-        for crash in [false, true] {
-            let label = format!("shards {shards} threads {threads} crash {crash}");
-            let mut journal_path = std::env::temp_dir();
-            journal_path.push(format!(
-                "dewe-recovery-shapes-{}-{shards}-{threads}-{crash}.wal",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_file(&journal_path);
-            let replay = |registry: &Registry| {
-                let records = read_journal(&journal_path).expect("journal readable");
-                let config = EngineConfig::default();
-                if shards == 1 {
-                    replayed(&recover(&records, registry, config).expect("replays").engine)
-                } else {
-                    let rec = recover_sharded(&records, registry, config, shards);
-                    replayed(&rec.expect("replays onto its shards").engine)
-                }
-            };
-
-            // The un-sharded bus: every shard's dispatches fall back to
-            // the shared topic, so one worker pool serves all shards.
-            let bus = MessageBus::new();
-            let registry = Registry::new();
-            let mk_config = |recover: bool| {
-                MasterConfig::builder()
-                    .timeout_scan_interval(Duration::from_millis(10))
-                    .expected_workflows(6)
-                    .shards(shards)
-                    .threads(threads)
-                    .journal_path(journal_path.clone())
-                    .recover(recover)
-                    .build()
-            };
-            let mut master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
-            let worker = spawn_worker(
-                bus.clone(),
-                registry.clone(),
-                Arc::new(SleepRunner::new(0.02)),
-                WorkerConfig {
-                    worker_id: 0,
-                    slots: 2,
-                    pull_timeout: Duration::from_millis(10),
-                    ..WorkerConfig::default()
-                },
-            );
-            for i in 0..6 {
-                submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 3, 1.0));
-            }
-            if crash {
-                let ev = master.events.recv_timeout(Duration::from_secs(30)).expect("completion");
-                assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }), "{label}: {ev:?}");
-                master.kill();
-                let (all_complete, done) = replay(&registry);
-                assert!(!all_complete && !done.is_empty(), "{label}: killed mid-ensemble");
-                master = spawn_master(bus.clone(), registry.clone(), mk_config(true));
-            }
-            let stats = master.join();
-            worker.stop();
-            bus.shutdown();
-
-            assert_eq!(stats.workflows_completed, 6, "{label}");
-            assert_eq!(stats.jobs_completed, 18, "{label}");
-            assert_eq!(stats.dead_lettered, 0, "{label}");
-            let (all_complete, done) = replay(&registry);
-            assert!(all_complete, "{label}: the journal replays to a completed ensemble");
-            outcomes.push((label, done));
-            let _ = std::fs::remove_file(&journal_path);
+    for crash in [false, true] {
+        let label = format!("crash {crash}");
+        let mut journal_path = std::env::temp_dir();
+        journal_path.push(format!("dewe-recovery-same-{}-{crash}.wal", std::process::id()));
+        let _ = std::fs::remove_file(&journal_path);
+        let replay = |registry: &Registry| {
+            let records = read_journal(&journal_path).expect("journal readable");
+            replayed(&recover(&records, registry, EngineConfig::default()).expect("replays").engine)
+        };
+        let bus = MessageBus::new();
+        let registry = Registry::new();
+        let mk_config = |recover: bool| {
+            MasterConfig::builder()
+                .timeout_scan_interval(Duration::from_millis(10))
+                .expected_workflows(6)
+                .journal_path(journal_path.clone())
+                .recover(recover)
+                .build()
+        };
+        let mut master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
+        let worker = spawn_worker(
+            bus.clone(),
+            registry.clone(),
+            Arc::new(SleepRunner::new(0.02)),
+            WorkerConfig {
+                worker_id: 0,
+                slots: 2,
+                pull_timeout: Duration::from_millis(10),
+                ..WorkerConfig::default()
+            },
+        );
+        for i in 0..6 {
+            submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 3, 1.0));
         }
+        if crash {
+            let ev = master.events.recv_timeout(Duration::from_secs(30)).expect("completion");
+            assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }), "{label}: {ev:?}");
+            master.kill();
+            let (all_complete, done) = replay(&registry);
+            assert!(!all_complete && !done.is_empty(), "{label}: killed mid-ensemble");
+            master = spawn_master(bus.clone(), registry.clone(), mk_config(true));
+        }
+        let stats = master.join();
+        worker.stop();
+        bus.shutdown();
+
+        assert_eq!(stats.workflows_completed, 6, "{label}");
+        assert_eq!(stats.jobs_completed, 18, "{label}");
+        assert_eq!(stats.dead_lettered, 0, "{label}");
+        let (all_complete, done) = replay(&registry);
+        assert!(all_complete, "{label}: the journal replays to a completed ensemble");
+        outcomes.push((label, done));
+        let _ = std::fs::remove_file(&journal_path);
     }
     let (_, first) = &outcomes[0];
     assert_eq!(first.len(), 18);

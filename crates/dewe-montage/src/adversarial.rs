@@ -52,7 +52,7 @@ pub enum AdversarialShape {
     },
 }
 
-/// Configuration for [`adversarial`].
+/// Configuration for one adversarial workflow; [`build`](Self::build) generates it.
 #[derive(Debug, Clone)]
 pub struct AdversarialConfig {
     /// Which pathological shape to build.

@@ -5,9 +5,8 @@
 //! `SO_REUSEADDR` the journal-recovery restart loses a race against the
 //! kernel's 2×MSL timer and fails with `EADDRINUSE`. The standard
 //! library's `TcpListener::bind` does not set the option, so on Linux
-//! this module builds the socket with raw syscalls (the same libc-free
-//! idiom as the workspace's `sched_setaffinity` shim) and hands it to
-//! `TcpListener` via `FromRawFd`. Elsewhere it falls back to a plain
+//! this module builds the socket with raw syscalls (libc-free) and
+//! hands it to `TcpListener` via `FromRawFd`. Elsewhere it falls back to a plain
 //! bind — tests that never restart a master are unaffected.
 
 use std::io;

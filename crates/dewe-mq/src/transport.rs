@@ -48,23 +48,25 @@ pub trait Transport: Send + Sync + 'static {
     /// Non-blocking pull from the worker lifecycle topic.
     fn try_pull_lifecycle(&self) -> Option<Self::Lifecycle>;
 
-    /// Publish a dispatch for `shard`. A transport with per-worker
-    /// backpressure may park it in a pending queue until a serving
-    /// worker has window credit — delivery order within a shard is
-    /// preserved, delivery time is not guaranteed.
-    fn publish_dispatch(&self, shard: usize, dispatch: Self::Dispatch);
+    /// Publish a dispatch. A transport with per-worker backpressure may
+    /// park it in a pending queue until a worker has window credit —
+    /// delivery order is preserved, delivery time is not guaranteed.
+    ///
+    /// `_unused` was the shard: unused since PR 14; dropped with the next `benchmark/` change.
+    fn publish_dispatch(&self, _unused: usize, dispatch: Self::Dispatch);
 
-    /// Publish a run of dispatches for `shard` that became eligible in
-    /// the same poll cycle, draining `batch`. Semantically identical to
-    /// publishing each in order via
-    /// [`publish_dispatch`](Transport::publish_dispatch) — the default
-    /// does exactly that — but a wire transport may coalesce the run
-    /// into one frame and debit its backpressure window once for the
-    /// whole batch. Takes `&mut Vec` so a hot serve loop can reuse one
-    /// run buffer across poll cycles.
-    fn publish_dispatch_batch(&self, shard: usize, batch: &mut Vec<Self::Dispatch>) {
+    /// Publish a run of dispatches that became eligible in the same poll
+    /// cycle, draining `batch`. Semantically identical to publishing
+    /// each in order via [`publish_dispatch`](Transport::publish_dispatch)
+    /// — the default does exactly that — but a wire transport may
+    /// coalesce the run into one frame and debit its backpressure window
+    /// once for the whole batch. Takes `&mut Vec` so a hot serve loop can
+    /// reuse one run buffer across poll cycles.
+    ///
+    /// `_unused` was the shard: unused since PR 14; dropped with the next `benchmark/` change.
+    fn publish_dispatch_batch(&self, _unused: usize, batch: &mut Vec<Self::Dispatch>) {
         for dispatch in batch.drain(..) {
-            self.publish_dispatch(shard, dispatch);
+            self.publish_dispatch(0, dispatch);
         }
     }
 

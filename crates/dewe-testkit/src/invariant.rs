@@ -362,8 +362,6 @@ mod tests {
             submission_interval_secs: 0.0,
             workers: 1,
             slots_per_worker: 1,
-            shards: 1,
-            parallel: false,
             max_attempts: None,
             backoff_base_secs: 0.0,
             chaos: ChaosSpec::none(),

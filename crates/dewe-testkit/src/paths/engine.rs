@@ -1,8 +1,5 @@
-//! Deterministic virtual-time driver for the sans-IO engines — the
-//! oracle's reference path. Generic over [`EngineCore`], it drives the
-//! plain [`EnsembleEngine`] or, when the scenario asks for
-//! `shards > 1`, a [`ShardedEngine`] — so every differential sweep also
-//! checks shard-count invariance for free.
+//! Deterministic virtual-time driver for the sans-IO [`EnsembleEngine`] —
+//! the oracle's reference path.
 //!
 //! A discrete-event loop plays the roles of transport and worker pool:
 //! dispatch actions become delivery events, deliveries occupy worker
@@ -21,14 +18,13 @@
 //! (lost dispatch, stuck dependency) the oracle exists to catch.
 //!
 //! [`EnsembleEngine`]: dewe_core::EnsembleEngine
-//! [`ShardedEngine`]: dewe_core::ShardedEngine
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::{BinaryHeap, VecDeque};
 
 use dewe_core::fault::FaultEvent;
 use dewe_core::{AckKind, AckMsg, DispatchMsg};
-use dewe_core::{Action, EngineConfig, EngineCore, RetryPolicy};
+use dewe_core::{Action, EngineConfig, EnsembleEngine, RetryPolicy};
 use dewe_mq::chaos::{message_key, streams};
 use dewe_mq::{ChaosConfig, ChaosDecider, Fault};
 
@@ -111,14 +107,14 @@ impl Ord for Sched {
     }
 }
 
-struct Driver<'a, E: EngineCore, F: Fn() -> E> {
+struct Driver<'a> {
     scenario: &'a Scenario,
     cfg: &'a EngineDriverConfig,
     built: Vec<std::sync::Arc<dewe_dag::Workflow>>,
-    engine: E,
-    /// Rebuilds an identically configured blank engine — the replacement
+    engine: EnsembleEngine,
+    /// Builds an identically configured blank engine — the replacement
     /// master a `MasterKill` fault swaps in after replay.
-    make: F,
+    config: EngineConfig,
     chaos: Option<ChaosDecider>,
     heap: BinaryHeap<Reverse<Sched>>,
     seq: u64,
@@ -142,7 +138,7 @@ fn job_key(d: &DispatchMsg) -> u64 {
     ((d.job.workflow.0 as u64) << 32) | d.job.job.0 as u64
 }
 
-impl<E: EngineCore, F: Fn() -> E> Driver<'_, E, F> {
+impl Driver<'_> {
     fn push(&mut self, at: f64, ev: Ev) {
         self.seq += 1;
         self.heap.push(Reverse(Sched { at, seq: self.seq, ev }));
@@ -281,7 +277,7 @@ impl<E: EngineCore, F: Fn() -> E> Driver<'_, E, F> {
     /// redispatch skip), and verify the replayed state is identical to
     /// the engine that died. Then drain the outage backlog into it.
     fn restart_master(&mut self, now: f64) {
-        let mut fresh = (self.make)();
+        let mut fresh = self.config.build();
         let mut scratch = Vec::new();
         for input in &self.input_log {
             match *input {
@@ -415,25 +411,9 @@ fn engine_config(scenario: &Scenario) -> EngineConfig {
     }
 }
 
-/// Execute the scenario through the deterministic engine path, picking
-/// the engine shape from `scenario.shards` (and, for sharded scenarios
-/// with `parallel` set, the thread-parallel driver in barrier mode).
+/// Execute the scenario through the deterministic engine path.
 pub fn run(scenario: &Scenario, cfg: &EngineDriverConfig) -> PathOutcome {
     let config = engine_config(scenario);
-    if scenario.shards > 1 && scenario.parallel {
-        run_with(scenario, cfg, || config.build_parallel(scenario.shards, scenario.shards))
-    } else if scenario.shards > 1 {
-        run_with(scenario, cfg, || config.build_sharded(scenario.shards))
-    } else {
-        run_with(scenario, cfg, || config.build())
-    }
-}
-
-fn run_with<E: EngineCore, F: Fn() -> E>(
-    scenario: &Scenario,
-    cfg: &EngineDriverConfig,
-    make: F,
-) -> PathOutcome {
     let chaos = (!scenario.chaos.is_noop()).then(|| {
         ChaosDecider::new(ChaosConfig {
             seed: scenario.chaos.seed,
@@ -443,13 +423,12 @@ fn run_with<E: EngineCore, F: Fn() -> E>(
             delay_secs: scenario.chaos.delay_secs,
         })
     });
-    let engine = make();
     let mut driver = Driver {
         scenario,
         cfg,
         built: scenario.build_workflows(),
-        engine,
-        make,
+        engine: config.build(),
+        config,
         chaos,
         heap: BinaryHeap::new(),
         seq: 0,
@@ -485,7 +464,7 @@ fn run_with<E: EngineCore, F: Fn() -> E>(
     // Settled is only terminal once every scheduled submission has fired:
     // an early workflow can settle while later ones still sit in the heap.
     let all_submitted =
-        |d: &Driver<E, F>| d.engine.stats().workflows_submitted == d.scenario.workflows.len();
+        |d: &Driver| d.engine.stats().workflows_submitted == d.scenario.workflows.len();
     while !(driver.engine.all_settled() && all_submitted(&driver) && !driver.master_down) {
         steps += 1;
         if steps > STEP_CAP {
@@ -566,37 +545,6 @@ mod tests {
         assert_eq!(a.events, b.events);
         assert_eq!(a.stats, b.stats);
         assert_eq!(a.makespan_secs, b.makespan_secs);
-    }
-
-    #[test]
-    fn sharded_scenarios_settle_and_conform() {
-        let sharded: Vec<_> =
-            (0..32).map(Scenario::generate).filter(|s| s.shards > 1).take(4).collect();
-        assert!(!sharded.is_empty(), "generator must produce sharded scenarios");
-        for s in sharded {
-            let out = run(&s, &EngineDriverConfig::default());
-            assert!(out.settled, "seed {}: {:?}", s.seed, out.note);
-            let v = invariant::check(&s, &out);
-            assert!(v.is_empty(), "seed {}: {v:?}", s.seed);
-        }
-    }
-
-    #[test]
-    fn parallel_driver_matches_sequential_facade() {
-        let sharded: Vec<_> =
-            (0..32).map(Scenario::generate).filter(|s| s.shards > 1).take(4).collect();
-        assert!(!sharded.is_empty(), "generator must produce sharded scenarios");
-        for mut s in sharded {
-            s.parallel = false;
-            let seq = run(&s, &EngineDriverConfig::default());
-            s.parallel = true;
-            let par = run(&s, &EngineDriverConfig::default());
-            assert_eq!(seq.completed, par.completed, "seed {}", s.seed);
-            assert_eq!(seq.events, par.events, "seed {}", s.seed);
-            assert_eq!(seq.stats, par.stats, "seed {}", s.seed);
-            assert_eq!(seq.makespan_secs, par.makespan_secs, "seed {}", s.seed);
-            assert_eq!(seq.settled, par.settled, "seed {}", s.seed);
-        }
     }
 
     #[test]

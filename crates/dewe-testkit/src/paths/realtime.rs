@@ -142,12 +142,7 @@ fn master_config(scenario: &Scenario) -> MasterConfig {
             seed: scenario.seed,
         })
         .timeout_scan_interval(Duration::from_millis(5))
-        .expected_workflows(scenario.workflows.len())
-        // Sharded scenarios run a sharded master over the *un-sharded*
-        // bus: every shard's dispatches fall back to the shared topic, so
-        // the same worker pool serves all shards (see
-        // `MessageBus::dispatch_topic`).
-        .shards(scenario.shards);
+        .expected_workflows(scenario.workflows.len());
     if lossy {
         cfg = cfg.checkout_timeout_secs(0.25);
     }
@@ -349,11 +344,10 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
         p
     });
     // Seeded structural fuzz, deterministic per scenario: roughly half
-    // the fault seeds group-commit the WAL, an independent half compact
-    // it aggressively mid-run, and sharded `parallel` scenarios run the
-    // free-running threaded master — so master kill/restart recovery is
-    // exercised against every journal mode and every engine shape, not
-    // just the per-record single-threaded default.
+    // the fault seeds group-commit the WAL and an independent half
+    // compact it aggressively mid-run — so master kill/restart recovery
+    // is exercised against every journal mode, not just the per-record
+    // default.
     let mix = scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     let journal_commit = if mix & 1 == 0 {
         JournalCommitPolicy::PerRecord
@@ -371,8 +365,6 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
     let mk_master_config = {
         let journal_path = journal_path.clone();
         let n_workflows = scenario.workflows.len();
-        let shards = scenario.shards;
-        let threads = if scenario.parallel && scenario.shards > 1 { scenario.shards } else { 0 };
         let seed = scenario.seed;
         move |recover: bool| {
             let mut cfg = MasterConfig::builder()
@@ -388,8 +380,6 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
                 })
                 .timeout_scan_interval(Duration::from_millis(5))
                 .expected_workflows(n_workflows)
-                .shards(shards)
-                .threads(threads)
                 .journal_commit(journal_commit)
                 .lease_secs(FAULT_LEASE_SECS)
                 .recover(recover);

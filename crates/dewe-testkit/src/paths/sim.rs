@@ -87,9 +87,6 @@ fn sim_config(scenario: &Scenario) -> SimRunConfig {
     });
     cfg.record_trace = true;
     cfg.horizon_secs = Some(SIM_HORIZON_SECS);
-    // `scenario.shards` / `scenario.parallel` are ignored here: the sim
-    // drives one engine on one shared file system, and shard invariance
-    // is an engine property the engine arm checks.
     cfg
 }
 

@@ -234,20 +234,6 @@ pub struct Scenario {
     pub workers: usize,
     /// Slots per worker daemon.
     pub slots_per_worker: usize,
-    /// Engine shards (1 = the plain single engine). The engine path
-    /// drives a [`dewe_core::ShardedEngine`] and the realtime path a
-    /// sharded master when this exceeds 1, so the oracle continuously
-    /// checks shard-count invariance. The sim path ignores it: the
-    /// simulated runtime has one engine.
-    pub shards: usize,
-    /// With `shards > 1`: drive the engine path through the
-    /// thread-parallel [`dewe_core::ParallelShardedEngine`] in
-    /// deterministic barrier mode instead of the sequential facade, and
-    /// the fault classes' realtime path through the free-running threaded
-    /// master. Generated for half the sharded seeds, so the differential
-    /// sweep continuously checks that the parallel driver is bit-identical
-    /// to the baselines.
-    pub parallel: bool,
     /// Retry cap (`None` = the paper's retry-forever).
     pub max_attempts: Option<u32>,
     /// Backoff before retries, virtual seconds.
@@ -367,10 +353,14 @@ impl Scenario {
         let submission_interval_secs = rng.unit() * 0.5;
         let workers = 1 + rng.below(3);
         let slots_per_worker = 1 + rng.below(4);
-        // Half the seeds exercise the plain engine, half a sharded one;
-        // of the sharded ones, half run the thread-parallel driver.
-        let shards = [1, 1, 2, 4][rng.below(4)];
-        let parallel = shards > 1 && rng.below(2) == 1;
+        // Two retired draws, kept and discarded: generators up to 0.11.0
+        // sampled an engine shard count here and, when it exceeded 1, a
+        // thread-parallel flag. Every later draw depends on the generator
+        // position, so skipping these would re-deal the chaos profile and
+        // failure script of every recorded seed.
+        if rng.below(4) >= 2 {
+            rng.below(2);
+        }
 
         let (chaos, max_attempts, backoff_base_secs, failures) = match class {
             0 => (ChaosSpec::none(), None, 0.0, Vec::new()),
@@ -422,8 +412,6 @@ impl Scenario {
             submission_interval_secs,
             workers,
             slots_per_worker,
-            shards,
-            parallel,
             max_attempts,
             backoff_base_secs,
             chaos,
@@ -467,20 +455,17 @@ impl Scenario {
         };
 
         let workers = FAULT_WORKERS as usize;
-        // Half the fault seeds run sharded; of those, half drive the
-        // thread-parallel engines — the engine path's barrier driver and
-        // the realtime free-running threaded master — so fault recovery
-        // is fuzzed against the thread-parallel engine shapes too.
-        let shards = [1, 2][rng.below(2)];
-        let parallel = shards > 1 && rng.below(2) == 1;
+        // The same two retired draws as in `generate`, ahead of the
+        // submission-interval and slot draws below.
+        if rng.below(2) == 1 {
+            rng.below(2);
+        }
         Self {
             seed,
             workflows,
             submission_interval_secs: rng.unit() * 0.3,
             workers,
             slots_per_worker: 1 + rng.below(2),
-            shards,
-            parallel,
             max_attempts: None,
             backoff_base_secs: 0.0,
             chaos,
@@ -599,15 +584,13 @@ impl Scenario {
         let mut s = String::new();
         let _ = writeln!(
             s,
-            "seed {} | {} workflow(s), {} job(s) | workers {}x{} | shards {}{} | \
+            "seed {} | {} workflow(s), {} job(s) | workers {}x{} | \
              interval {:.3}s | max_attempts {:?} | backoff {:.3}s",
             self.seed,
             self.workflows.len(),
             self.total_jobs(),
             self.workers,
             self.slots_per_worker,
-            self.shards,
-            if self.parallel { " (parallel)" } else { "" },
             self.submission_interval_secs,
             self.max_attempts,
             self.backoff_base_secs,
@@ -681,10 +664,10 @@ mod tests {
     /// every class (FNV-1a over the concatenation), so a change to the
     /// generators that reshuffles what a seed means fails here instead of
     /// silently retargeting every sweep. The constants were computed at
-    /// the commit that still sampled a timer backend and a dispatch-batch
-    /// flag per seed, with those two trailing fields cut from the
-    /// rendering: dropping them left every ensemble, chaos profile,
-    /// failure script and fault plan exactly as it was.
+    /// the commit that still carried the two retired draws as `Scenario`
+    /// fields, with those two fields cut from the rendering: dropping
+    /// them left every ensemble, chaos profile, failure script and fault
+    /// plan exactly as it was.
     #[test]
     fn seeds_keep_their_meaning() {
         let digest = |generate: fn(u64) -> Scenario| {
@@ -697,9 +680,9 @@ mod tests {
             }
             digest
         };
-        assert_eq!(digest(Scenario::generate), 0x4182_7B37_E5DF_EEA1, "classic");
-        assert_eq!(digest(Scenario::generate_fault), 0xD015_9E8F_E50D_994C, "fault");
-        assert_eq!(digest(Scenario::generate_fault_chaos), 0x6967_CC3F_7B80_D6C5, "fault-chaos");
+        assert_eq!(digest(Scenario::generate), 0x1200_07CD_7A0B_2611, "classic");
+        assert_eq!(digest(Scenario::generate_fault), 0x2AA1_7FAF_75E6_6F86, "fault");
+        assert_eq!(digest(Scenario::generate_fault_chaos), 0x7FC1_0EB7_69ED_C5DF, "fault-chaos");
     }
 
     #[test]
@@ -741,8 +724,6 @@ mod tests {
             submission_interval_secs: 0.0,
             workers: 1,
             slots_per_worker: 1,
-            shards: 1,
-            parallel: false,
             max_attempts: Some(2),
             backoff_base_secs: 0.0,
             chaos: ChaosSpec::none(),
@@ -853,8 +834,6 @@ mod tests {
             submission_interval_secs: 0.0,
             workers: 1,
             slots_per_worker: 1,
-            shards: 1,
-            parallel: false,
             max_attempts: None,
             backoff_base_secs: 0.0,
             chaos: ChaosSpec::none(),

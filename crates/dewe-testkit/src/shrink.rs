@@ -165,8 +165,6 @@ mod tests {
             submission_interval_secs: 0.2,
             workers: 2,
             slots_per_worker: 2,
-            shards: 2,
-            parallel: false,
             max_attempts: Some(2),
             backoff_base_secs: 0.05,
             chaos: ChaosSpec {

@@ -90,8 +90,6 @@ fn two_worker_loss_scenario() -> Scenario {
         submission_interval_secs: 0.0,
         workers: 4,
         slots_per_worker: 1,
-        shards: 1,
-        parallel: false,
         max_attempts: None,
         backoff_base_secs: 0.0,
         chaos: ChaosSpec::none(),

@@ -9,7 +9,7 @@
 //! ```text
 //! dewe-masterd --listen <addr> [--expect N] [--state-dir DIR]
 //!              [--journal FILE] [--recover] [--lease-secs S]
-//!              [--timeout S] [--shards N] [--threads N]
+//!              [--timeout S]
 //! ```
 //!
 //! With `--state-dir`, accepted workflows are spooled to disk; together
@@ -34,8 +34,6 @@ struct Args {
     recover: bool,
     lease_secs: Option<f64>,
     timeout: Option<f64>,
-    shards: Option<usize>,
-    threads: Option<usize>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -47,8 +45,6 @@ fn parse_args() -> Result<Args, String> {
         recover: false,
         lease_secs: None,
         timeout: None,
-        shards: None,
-        threads: None,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -76,13 +72,6 @@ fn parse_args() -> Result<Args, String> {
                 args.timeout =
                     Some(value(&mut i, "--timeout")?.parse().map_err(|_| "bad --timeout")?)
             }
-            "--shards" => {
-                args.shards = Some(value(&mut i, "--shards")?.parse().map_err(|_| "bad --shards")?)
-            }
-            "--threads" => {
-                args.threads =
-                    Some(value(&mut i, "--threads")?.parse().map_err(|_| "bad --threads")?)
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -99,8 +88,7 @@ fn main() {
             eprintln!("dewe-masterd: {msg}");
             eprintln!(
                 "usage: dewe-masterd --listen <addr> [--expect N] [--state-dir DIR] \
-                 [--journal FILE] [--recover] [--lease-secs S] [--timeout S] \
-                 [--shards N] [--threads N]"
+                 [--journal FILE] [--recover] [--lease-secs S] [--timeout S]"
             );
             exit(2);
         }
@@ -150,12 +138,6 @@ fn main() {
     if let Some(s) = args.timeout {
         cfg = cfg.default_timeout_secs(s);
     }
-    if let Some(n) = args.shards {
-        cfg = cfg.shards(n);
-    }
-    if let Some(n) = args.threads {
-        cfg = cfg.threads(n);
-    }
 
     let handle = spawn_master_on(transport.clone(), registry, cfg.build());
 
@@ -177,8 +159,7 @@ fn main() {
             }
             MasterEvent::AllSettled { .. } => break,
             MasterEvent::Failed { reason } => {
-                let step = if args.recover { "recover: " } else { "" };
-                eprintln!("dewe-masterd: {step}{reason}");
+                eprintln!("dewe-masterd: {reason}");
                 exit(1);
             }
         }

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! dewe-workerd --master <addr> [--id N] [--generation N] [--slots N]
-//!              [--window N] [--shard N] [--heartbeat S]
+//!              [--window N] [--heartbeat S]
 //!              [--runner noop|sleep:<scale>|cpu:<scale>]
 //! ```
 
@@ -28,7 +28,6 @@ struct Args {
     generation: u32,
     slots: usize,
     window: Option<u32>,
-    shard: Option<u32>,
     heartbeat: Option<f64>,
     runner: String,
 }
@@ -40,7 +39,6 @@ fn parse_args() -> Result<Args, String> {
         generation: 0,
         slots: 4,
         window: None,
-        shard: None,
         heartbeat: None,
         runner: "sleep:1.0".into(),
     };
@@ -63,9 +61,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--window" => {
                 args.window = Some(value(&mut i, "--window")?.parse().map_err(|_| "bad --window")?)
-            }
-            "--shard" => {
-                args.shard = Some(value(&mut i, "--shard")?.parse().map_err(|_| "bad --shard")?)
             }
             "--heartbeat" => {
                 args.heartbeat =
@@ -103,7 +98,7 @@ fn main() {
             eprintln!("dewe-workerd: {msg}");
             eprintln!(
                 "usage: dewe-workerd --master <addr> [--id N] [--generation N] [--slots N] \
-                 [--window N] [--shard N] [--heartbeat S] [--runner noop|sleep:S|cpu:S]"
+                 [--window N] [--heartbeat S] [--runner noop|sleep:S|cpu:S]"
             );
             exit(2);
         }
@@ -126,7 +121,6 @@ fn main() {
         TcpWorkerOptions {
             worker_id: args.id,
             generation: args.generation,
-            shard: args.shard,
             window,
             ..TcpWorkerOptions::default()
         },
@@ -147,7 +141,6 @@ fn main() {
             worker_id: args.id,
             generation: args.generation,
             slots: args.slots,
-            shard: args.shard.map(|s| s as usize),
             heartbeat_interval: args.heartbeat.map(Duration::from_secs_f64),
             ..WorkerConfig::default()
         },
