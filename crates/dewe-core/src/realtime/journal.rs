@@ -8,10 +8,24 @@
 //! engine is deterministic, so replaying the inputs rebuilds the tracker,
 //! in-flight slab and deadline heap exactly.
 //!
+//! ## The write-ahead rule
+//!
+//! No dispatch and no event leaves the master before the input that caused
+//! it has been handed to the OS. Records are formatted into the writer's
+//! buffer; [`Journal::commit`] hands the buffer over in one `write(2)`; the
+//! serve loop appends a whole burst of acknowledgments, commits, and only
+//! then lets the engine see the burst and its effects leave — one write per
+//! burst, not one per record. What a crash can lose is therefore only input
+//! the master had pulled off the socket and not yet acted on: the engine
+//! never saw it, no worker was told anything because of it, and the
+//! recovered master republishes the jobs it concerned. (Under
+//! [`JournalCommitPolicy::GroupCommit`] the rule is relaxed by choice — see
+//! there.) "Handed to the OS" is not "on disk": the journal survives the
+//! process, not the machine.
+//!
 //! ## Format
 //!
-//! Append-only ASCII lines, one record each, made durable per record or
-//! in batches depending on the writer's [`JournalCommitPolicy`]:
+//! Append-only ASCII lines, one record each:
 //!
 //! ```text
 //! S <registry_index> <time_bits>
@@ -78,8 +92,8 @@ pub enum JournalRecord {
         /// Engine time of the scan.
         at: f64,
     },
-    /// A worker lifecycle transition (liveness plane). Commits
-    /// immediately under either policy, like submissions: the liveness
+    /// A worker lifecycle transition (liveness plane). Written by the
+    /// call that records it under either policy, like submissions: the liveness
     /// table rebuilt on recovery must match the pre-crash one exactly,
     /// and lifecycle transitions are far too rare to batch.
     Worker {
@@ -106,40 +120,58 @@ impl JournalRecord {
     }
 }
 
-/// When journal records become durable (reach the OS).
+/// When journal records reach the OS, relative to what they cause.
 ///
-/// * [`PerRecord`](Self::PerRecord) — every record is flushed before the
-///   write call returns; a crash loses at most the record being written.
-///   The default, and the only behavior before 0.7.0.
-/// * [`GroupCommit`](Self::GroupCommit) — records accumulate in the
-///   writer's buffer and are flushed once `max_records` have piled up or
-///   the master calls [`Journal::commit`] (once per poll cycle). A crash
-///   can lose up to the last uncommitted window of **ack and scan**
-///   records; recovery stays correct because any journaled prefix is a
-///   valid engine history — a lost Completed ack replays as a job still
-///   in flight, which the recovered master republishes and the timeout
-///   machinery finishes, at worst as duplicate-completion noise the
-///   engine already tolerates. **Submissions are exempt**: they commit
-///   immediately under either policy, because replay validates dense
-///   submission order — an ack referencing a never-journaled workflow
-///   would corrupt recovery rather than merely repeat work.
+/// * [`PerRecord`](Self::PerRecord) — **flushed before any effect.** The
+///   default, and the write-ahead rule of the module docs: every record is
+///   in the OS before the engine acts on it. The name is the contract, not
+///   the cost — the serve loop appends a burst of acks and calls
+///   [`Journal::commit_before_effects`] once, so the burst is one
+///   `write(2)`. A crash loses only input that had caused nothing yet.
+/// * [`GroupCommit`](Self::GroupCommit) — **flushed at cycle boundaries**,
+///   or sooner once `max_records` have piled up:
+///   [`Journal::commit_before_effects`] does nothing and the buffer goes
+///   out at the serve loop's [`Journal::commit`] at the top of its next
+///   cycle. Effects can therefore run up to one cycle ahead of the journal,
+///   and a crash can lose **ack and scan** records whose dispatches already
+///   left; recovery stays correct because any journaled prefix is a valid
+///   engine history — a lost Completed ack replays as a job still in
+///   flight, which the recovered master republishes and the timeout
+///   machinery finishes, at worst as duplicate-completion noise the engine
+///   already tolerates.
+///
+/// **Submissions and worker transitions are exempt**: they are written by
+/// the call that records them under either policy, because replay
+/// validates dense submission order — an ack referencing a never-journaled
+/// workflow would corrupt recovery rather than merely repeat work — and
+/// must rebuild the liveness table exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JournalCommitPolicy {
-    /// Flush every record before its write returns.
+    /// Every record is in the OS before anything it causes leaves the
+    /// master (one write per burst of records, not per record).
     #[default]
     PerRecord,
-    /// Flush after `max_records` buffered records or an explicit
-    /// [`Journal::commit`], whichever comes first.
+    /// Written at the serve loop's cycle boundary or after `max_records`
+    /// buffered records, whichever comes first; effects do not wait.
     GroupCommit {
-        /// Buffered-record ceiling that forces a flush.
+        /// Buffered-record ceiling that forces a write.
         max_records: usize,
     },
 }
 
-/// Append-only journal writer; records become durable according to the
-/// writer's [`JournalCommitPolicy`] (default: flushed per record).
+/// Buffered bytes past which an append writes the buffer out whatever the
+/// policy — a caller that never commits must not grow it without bound,
+/// and writing early never breaks write-ahead.
+const SPILL_BYTES: usize = 64 * 1024;
+
+/// Append-only journal writer. Records are formatted into a buffer that
+/// [`commit`](Self::commit) hands to the OS in one write; when that
+/// happens relative to the records' effects is the writer's
+/// [`JournalCommitPolicy`] (default: before any effect).
 pub struct Journal {
-    out: BufWriter<File>,
+    file: File,
+    /// Records appended since the last write, as the bytes to write.
+    buf: Vec<u8>,
     path: PathBuf,
     /// Records in the file (written by us plus any noted pre-existing
     /// ones), used to trigger compaction.
@@ -149,14 +181,16 @@ pub struct Journal {
     /// full of live workflows doesn't re-compact on every record.
     floor: usize,
     policy: JournalCommitPolicy,
-    /// Records written since the last flush.
+    /// Records in `buf`.
     pending: usize,
 }
 
-fn format_record(rec: &JournalRecord) -> String {
+/// Format `rec` as its journal line, newline included, straight into `out`.
+fn write_record(out: &mut impl Write, rec: &JournalRecord) -> io::Result<()> {
     match *rec {
-        JournalRecord::Submit { workflow, at } => format!("S {workflow} {:x}", at.to_bits()),
-        JournalRecord::Ack { ack, at } => format!(
+        JournalRecord::Submit { workflow, at } => writeln!(out, "S {workflow} {:x}", at.to_bits()),
+        JournalRecord::Ack { ack, at } => writeln!(
+            out,
             "A {} {} {} {} {} {:x}",
             ack.job.workflow.0,
             ack.job.job.0,
@@ -165,24 +199,29 @@ fn format_record(rec: &JournalRecord) -> String {
             ack.attempt,
             at.to_bits()
         ),
-        JournalRecord::Scan { at } => format!("T {:x}", at.to_bits()),
+        JournalRecord::Scan { at } => writeln!(out, "T {:x}", at.to_bits()),
         JournalRecord::Worker { worker, generation, phase, at } => {
-            format!("W {worker} {generation} {} {:x}", phase.code(), at.to_bits())
+            writeln!(out, "W {worker} {generation} {} {:x}", phase.code(), at.to_bits())
         }
     }
 }
 
 impl Journal {
-    /// Start a fresh journal, truncating any existing file.
-    pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(Self {
-            out: BufWriter::new(File::create(path)?),
+    fn over(file: File, path: &Path) -> Self {
+        Self {
+            file,
+            buf: Vec::new(),
             path: path.to_path_buf(),
             records: 0,
             floor: 0,
             policy: JournalCommitPolicy::default(),
             pending: 0,
-        })
+        }
+    }
+
+    /// Start a fresh journal, truncating any existing file.
+    pub fn create(path: &Path) -> io::Result<Self> {
+        Ok(Self::over(File::create(path)?, path))
     }
 
     /// Open an existing journal for appending (recovery resume). The
@@ -190,14 +229,7 @@ impl Journal {
     /// read the file should call [`Self::note_existing`] so compaction
     /// triggers account for the replayed prefix.
     pub fn append(path: &Path) -> io::Result<Self> {
-        Ok(Self {
-            out: BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?),
-            path: path.to_path_buf(),
-            records: 0,
-            floor: 0,
-            policy: JournalCommitPolicy::default(),
-            pending: 0,
-        })
+        Ok(Self::over(OpenOptions::new().create(true).append(true).open(path)?, path))
     }
 
     /// Set the commit policy (builder style, on a fresh writer).
@@ -223,36 +255,54 @@ impl Journal {
         self.records
     }
 
-    fn write_line(&mut self, line: &str) -> io::Result<()> {
-        self.out.write_all(line.as_bytes())?;
-        self.out.write_all(b"\n")?;
+    /// Append one record to the buffer. Returns with it written only when
+    /// the group-commit ceiling or the spill size says so.
+    fn append_record(&mut self, rec: &JournalRecord) -> io::Result<()> {
+        write_record(&mut self.buf, rec)?;
         self.records += 1;
         self.pending += 1;
         match self.policy {
-            JournalCommitPolicy::PerRecord => self.commit(),
             JournalCommitPolicy::GroupCommit { max_records } if self.pending >= max_records => {
                 self.commit()
             }
+            _ if self.buf.len() >= SPILL_BYTES => self.commit(),
+            _ => Ok(()),
+        }
+    }
+
+    /// Hand every buffered record to the OS, in one write. The serve loop
+    /// calls this at the top of each cycle (the group-commit point) and
+    /// before a clean exit; with nothing buffered it costs nothing. After
+    /// an error the buffer is dropped, not kept for a retry: part of it may
+    /// have been written, and writing it again would put a duplicate in
+    /// the middle of the file — the master stops on the error instead.
+    pub fn commit(&mut self) -> io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let written = self.file.write_all(&self.buf);
+        self.buf.clear();
+        self.pending = 0;
+        written
+    }
+
+    /// The write-ahead barrier: call it after appending records and before
+    /// acting on them. Under the default policy it is [`commit`]; under
+    /// [`JournalCommitPolicy::GroupCommit`] it does nothing — effects may
+    /// run ahead of the journal by up to a cycle.
+    ///
+    /// [`commit`]: Self::commit
+    pub fn commit_before_effects(&mut self) -> io::Result<()> {
+        match self.policy {
+            JournalCommitPolicy::PerRecord => self.commit(),
             JournalCommitPolicy::GroupCommit { .. } => Ok(()),
         }
     }
 
-    /// Flush any buffered records to the OS. The group-commit point: the
-    /// master calls this once per poll cycle; under
-    /// [`JournalCommitPolicy::PerRecord`] it is a no-op because nothing is
-    /// ever left buffered.
-    pub fn commit(&mut self) -> io::Result<()> {
-        if self.pending > 0 {
-            self.pending = 0;
-            self.out.flush()?;
-        }
-        Ok(())
-    }
-
-    /// Journal a workflow submission. Submissions commit immediately
-    /// regardless of policy — replay validates dense submission order, so
-    /// a lost submit record would invalidate everything after it (see
-    /// [`JournalCommitPolicy`]).
+    /// Journal a workflow submission. Submissions are written before this
+    /// returns regardless of policy — replay validates dense submission
+    /// order, so a lost submit record would invalidate everything after it
+    /// (see [`JournalCommitPolicy`]).
     ///
     /// `_unused` was the shard: unused since PR 14; dropped with the next `benchmark/` change.
     pub fn record_submit(
@@ -261,21 +311,23 @@ impl Journal {
         _unused: usize,
         at: f64,
     ) -> io::Result<()> {
-        self.write_line(&format_record(&JournalRecord::Submit { workflow: workflow.0, at }))?;
+        self.append_record(&JournalRecord::Submit { workflow: workflow.0, at })?;
         self.commit()
     }
 
-    /// Journal a worker acknowledgment.
+    /// Journal a worker acknowledgment (buffered; see
+    /// [`commit_before_effects`](Self::commit_before_effects)).
     pub fn record_ack(&mut self, ack: &AckMsg, at: f64) -> io::Result<()> {
-        self.write_line(&format_record(&JournalRecord::Ack { ack: *ack, at }))
+        self.append_record(&JournalRecord::Ack { ack: *ack, at })
     }
 
-    /// Journal an effective timeout scan (one that changed engine state).
+    /// Journal an effective timeout scan (one that changed engine state;
+    /// buffered like an ack).
     pub fn record_scan(&mut self, at: f64) -> io::Result<()> {
-        self.write_line(&format!("T {:x}", at.to_bits()))
+        self.append_record(&JournalRecord::Scan { at })
     }
 
-    /// Journal a worker lifecycle transition. Commits immediately
+    /// Journal a worker lifecycle transition. Written before this returns
     /// regardless of policy — recovery must rebuild the liveness table
     /// exactly, and transitions are rare (see [`JournalRecord::Worker`]).
     pub fn record_worker(
@@ -285,7 +337,7 @@ impl Journal {
         phase: WorkerPhase,
         at: f64,
     ) -> io::Result<()> {
-        self.write_line(&format_record(&JournalRecord::Worker { worker, generation, phase, at }))?;
+        self.append_record(&JournalRecord::Worker { worker, generation, phase, at })?;
         self.commit()
     }
 
@@ -307,7 +359,7 @@ impl Journal {
             return Ok(false);
         }
         // Compaction reads the file from disk: anything still sitting in
-        // the group-commit buffer must land first or the rewrite loses it.
+        // the buffer must land first or the rewrite loses it.
         self.commit()?;
         let records = read_journal(&self.path)?;
         let compacted = compact_records(&records, registry, config)?;
@@ -315,14 +367,13 @@ impl Journal {
         {
             let mut out = BufWriter::new(File::create(&tmp)?);
             for rec in &compacted {
-                out.write_all(format_record(rec).as_bytes())?;
-                out.write_all(b"\n")?;
+                write_record(&mut out, rec)?;
             }
             out.flush()?;
             out.get_ref().sync_all()?;
         }
         std::fs::rename(&tmp, &self.path)?;
-        self.out = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
+        self.file = OpenOptions::new().append(true).open(&self.path)?;
         self.records = compacted.len();
         self.floor = compacted.len();
         Ok(true)
@@ -330,11 +381,8 @@ impl Journal {
 }
 
 impl Drop for Journal {
-    /// A clean shutdown (as opposed to a crash) must not lose the
-    /// group-commit window: flush explicitly rather than relying on
-    /// `BufWriter`'s silent best-effort drop flush, so the `pending`
-    /// accounting stays truthful for any code observing the writer
-    /// mid-teardown. Errors are swallowed — there is no one to report
+    /// A clean shutdown (as opposed to a crash) must not lose what is
+    /// still buffered. Errors are swallowed — there is no one to report
     /// them to in drop, and the records were already at crash-loss risk.
     fn drop(&mut self) {
         let _ = self.commit();
@@ -676,6 +724,58 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// The default policy's contract is "in the OS before any effect", not
+    /// "one write per record": a burst is buffered and the barrier writes
+    /// it whole; records that write themselves carry what precedes them.
+    #[test]
+    fn default_policy_writes_a_burst_at_the_barrier_in_order() {
+        let path = tmp("write-ahead");
+        let mut j = Journal::create(&path).unwrap();
+        assert_eq!(j.policy(), JournalCommitPolicy::PerRecord);
+        let ack = |attempt| AckMsg {
+            job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
+            worker: 0,
+            kind: AckKind::Running,
+            attempt,
+        };
+        j.record_ack(&ack(1), 1.0).unwrap();
+        j.record_ack(&ack(2), 2.0).unwrap();
+        j.record_scan(2.5).unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 0, "a burst waits for its barrier");
+        j.commit_before_effects().unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 3, "and is whole after it");
+        // A worker transition in the middle of a burst writes itself, and
+        // with it the acks appended before it: file order is append order.
+        j.record_ack(&ack(3), 3.0).unwrap();
+        j.record_worker(4, 0, WorkerPhase::Live, 3.0).unwrap();
+        j.record_ack(&ack(4), 3.0).unwrap();
+        let read = read_journal(&path).unwrap();
+        assert_eq!(read.len(), 5);
+        assert_eq!(read[3], JournalRecord::Ack { ack: ack(3), at: 3.0 });
+        assert!(matches!(read[4], JournalRecord::Worker { worker: 4, .. }));
+        j.commit().unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 6, "commit is a barrier too");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A write the OS refuses surfaces at the barrier — before anything
+    /// could act on the records — and is not retried behind the caller's
+    /// back when the writer is dropped.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_refused_write_fails_the_barrier() {
+        let mut j = Journal::create(Path::new("/dev/full")).unwrap();
+        let ack = AckMsg {
+            job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
+            worker: 0,
+            kind: AckKind::Running,
+            attempt: 1,
+        };
+        j.record_ack(&ack, 1.0).unwrap();
+        assert!(j.commit_before_effects().is_err());
+        assert!(j.commit().is_ok(), "the refused bytes are gone, not queued for a retry");
+    }
+
     #[test]
     fn group_commit_buffers_until_commit_or_max_records() {
         let path = tmp("group-commit");
@@ -690,7 +790,8 @@ mod tests {
         };
         j.record_ack(&ack(1), 1.0).unwrap();
         j.record_ack(&ack(2), 2.0).unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 0, "two acks still buffered");
+        j.commit_before_effects().unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 0, "effects do not wait under group commit");
         j.commit().unwrap();
         assert_eq!(read_journal(&path).unwrap().len(), 2, "commit flushes the window");
         // Hitting max_records flushes without an explicit commit.
@@ -720,7 +821,7 @@ mod tests {
     #[test]
     fn dropping_the_writer_flushes_buffered_records() {
         // A clean shutdown (as opposed to a crash) loses nothing: the
-        // BufWriter flushes on drop under either policy.
+        // writer hands its buffer over on drop under either policy.
         let path = tmp("group-commit-drop");
         let mut j = Journal::create(&path)
             .unwrap()

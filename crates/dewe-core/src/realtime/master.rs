@@ -369,7 +369,7 @@ fn master_loop<T: MasterTransport>(
 struct Wal(Option<(Journal, PathBuf)>);
 
 impl Wal {
-    /// Run one journal write (a no-op without a journal).
+    /// Run one journal operation (a no-op without a journal).
     fn write(
         &mut self,
         step: &str,
@@ -379,6 +379,12 @@ impl Wal {
             Some((journal, path)) => write(journal).map_err(|e| journal_error(step, path, e)),
             None => Ok(()),
         }
+    }
+
+    /// The write-ahead barrier (see [`Journal::commit_before_effects`]):
+    /// between journaling inputs and acting on them.
+    fn commit_before_effects(&mut self) -> io::Result<()> {
+        self.write("journal commit", Journal::commit_before_effects)
     }
 }
 
@@ -580,10 +586,12 @@ fn open<T: MasterTransport>(
     Ok(Opened { engine, wal, liveness, time_base: rec.resume_at })
 }
 
-/// The master's one serve loop. Every journal write that fails — here or
-/// in the startup prologue — ends it with the error, naming the step and
-/// the journal file; [`master_loop`] reports that as
-/// [`MasterEvent::Failed`].
+/// The master's one serve loop. Each step journals its inputs, passes the
+/// write-ahead barrier, and only then lets effects (dispatches, events)
+/// leave — so an ack burst costs one journal write, made before the engine
+/// sees the burst. Every journal write that fails — here or in the startup
+/// prologue — ends the loop with the error, naming the step and the
+/// journal file; [`master_loop`] reports that as [`MasterEvent::Failed`].
 fn serve<T: MasterTransport>(
     transport: &T,
     registry: &Registry,
@@ -645,6 +653,7 @@ fn serve<T: MasterTransport>(
             engine.check_timeouts(now, &mut actions);
             if !actions.is_empty() || engine.stats() != before {
                 wal.write("journal scan", |w| w.record_scan(now))?;
+                wal.commit_before_effects()?;
             }
             publish_actions(transport, shared, events, &mut actions, &mut run);
         }
@@ -655,8 +664,11 @@ fn serve<T: MasterTransport>(
         // engine input, so replay reconstructs the identical requeues.
         if let Some(plane) = liveness.as_mut() {
             plane.poll(transport, &mut wal, now, &mut requeue_acks)?;
+            for ack in &requeue_acks {
+                wal.write("journal ack", |w| w.record_ack(ack, now))?;
+            }
+            wal.commit_before_effects()?;
             for ack in requeue_acks.drain(..) {
-                wal.write("journal ack", |w| w.record_ack(&ack, now))?;
                 engine.on_ack(ack, now, &mut actions);
             }
             publish_actions(transport, shared, events, &mut actions, &mut run);
@@ -684,9 +696,11 @@ fn serve<T: MasterTransport>(
             }
         }
 
-        // 4. Wait (briefly) for worker acknowledgments. The first pull
-        // blocks up to the scan interval; once one ack arrives, the rest
-        // of any burst is drained in a single batched grab so a flood of
+        // 4. Wait for worker acknowledgments — until the next scan is
+        // due, or until a submission or lifecycle message rings the
+        // doorbell (`pull_ack` then returns `None` at once and the loop
+        // goes round to ingest it). Once one ack arrives, the rest of any
+        // burst is drained in a single batched grab so a flood of
         // completions costs one lock + one wakeup, not one per ack.
         match transport.pull_ack(config.timeout_scan_interval) {
             Some(first) => {
@@ -695,7 +709,11 @@ fn serve<T: MasterTransport>(
                     transport.pull_ack_batch(&mut ack_burst, config.ack_burst - 1);
                 }
                 let now = time_base + start.elapsed().as_secs_f64();
-                for ack in ack_burst.drain(..) {
+                // Fence and journal the whole burst in arrival order, one
+                // write for all of it; only then does the engine see it.
+                let mut admitted = 0;
+                for i in 0..ack_burst.len() {
+                    let ack = ack_burst[i];
                     // Zombie fence: acks from an expired worker are
                     // dropped before journaling — rejected input is not
                     // engine input.
@@ -705,6 +723,12 @@ fn serve<T: MasterTransport>(
                         }
                     }
                     wal.write("journal ack", |w| w.record_ack(&ack, now))?;
+                    ack_burst[admitted] = ack;
+                    admitted += 1;
+                }
+                ack_burst.truncate(admitted);
+                wal.commit_before_effects()?;
+                for ack in ack_burst.drain(..) {
                     engine.on_ack(ack, now, &mut actions);
                 }
                 maybe_compact(&mut wal, registry, config);
@@ -898,9 +922,11 @@ mod tests {
 
     /// A journal write that fails while the master is serving ends it the
     /// same way: one `Failed` event naming the step and the file, zero
-    /// stats, no panic. `/dev/full` opens and buffers like any file and
-    /// fails every flush with ENOSPC; submissions and lifecycle records
-    /// flush at once under either commit policy.
+    /// stats, no panic. `/dev/full` opens like any file and refuses every
+    /// write with ENOSPC. Submissions and lifecycle records are written by
+    /// the call that records them under either commit policy; an ack is
+    /// buffered and fails where its burst is committed — before the engine
+    /// sees it under the default policy.
     #[cfg(target_os = "linux")]
     #[test]
     fn journal_write_error_fails_the_running_master_without_panicking() {
@@ -911,6 +937,7 @@ mod tests {
             (JournalCommitPolicy::GroupCommit { max_records: 1000 }, "journal submit"),
             (JournalCommitPolicy::PerRecord, "journal worker"),
             (JournalCommitPolicy::GroupCommit { max_records: 1000 }, "journal worker"),
+            (JournalCommitPolicy::PerRecord, "journal commit"),
         ];
         for (policy, step) in cases {
             let bus = MessageBus::new();
@@ -930,6 +957,11 @@ mod tests {
                     generation: 0,
                     kind: LifecycleKind::Register,
                 });
+            } else if step == "journal commit" {
+                // Worker 1 holds an implicit lease from here on: no `W`
+                // record, so the ack is the first thing to reach the file.
+                let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
+                bus.ack.publish(AckMsg { job, worker: 1, kind: AckKind::Running, attempt: 1 });
             } else {
                 let mut b = WorkflowBuilder::new("one");
                 b.job("a", "t", 1.0).build();
@@ -1233,5 +1265,258 @@ mod tests {
         assert_eq!(stats.dead_lettered, 1);
         assert_eq!(stats.workflows_abandoned, 1);
         assert_eq!(stats.workflows_completed, 0);
+    }
+
+    /// A transport that is its own worker fleet and checks the write-ahead
+    /// rule from the outside: inside every dispatch publish — the moment an
+    /// effect leaves the master — it re-reads the journal *file* and
+    /// compares it with every input the serve loop has pulled so far.
+    #[derive(Clone)]
+    struct WriteAheadProbe {
+        journal: PathBuf,
+        /// Assert at every publish (the default policy's promise), or only
+        /// collect (group commit promises nothing at this point).
+        strict: bool,
+        /// The queues; its dispatch topic is unused — the probe works each
+        /// dispatch itself, inside the publish.
+        bus: MessageBus,
+        /// Inputs handed to the serve loop: submissions, and acks in order.
+        pulled: Arc<parking_lot::Mutex<(usize, Vec<AckMsg>)>>,
+        publishes: Arc<AtomicU64>,
+    }
+
+    impl WriteAheadProbe {
+        fn new(journal: PathBuf, strict: bool) -> Self {
+            Self {
+                journal,
+                strict,
+                bus: MessageBus::new(),
+                pulled: Default::default(),
+                publishes: Default::default(),
+            }
+        }
+
+        /// An effect is leaving: is its cause in the file?
+        fn effect_leaves(&self) {
+            self.publishes.fetch_add(1, Ordering::Relaxed);
+            if !self.strict {
+                return;
+            }
+            let (submits, acks) = &*self.pulled.lock();
+            let records = journal::read_journal(&self.journal).expect("journal reads back");
+            let in_file = |want: fn(&journal::JournalRecord) -> bool| {
+                records.iter().filter(|r| want(r)).count()
+            };
+            assert_eq!(
+                in_file(|r| matches!(r, journal::JournalRecord::Submit { .. })),
+                *submits,
+                "a dispatch left before its submission was in the file"
+            );
+            let acks_in_file: Vec<AckMsg> = records
+                .iter()
+                .filter_map(|r| match r {
+                    journal::JournalRecord::Ack { ack, .. } => Some(*ack),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                &acks_in_file, acks,
+                "a dispatch left before every pulled ack was in the file"
+            );
+        }
+
+        /// Work the dispatches as two workers would (odd jobs on worker
+        /// 2), both acks at once, so bursts form. One job is worked in two
+        /// halves with worker 2's drain notice in between — see
+        /// [`Self::SPLIT`].
+        fn work(&self, dispatches: &[DispatchMsg]) {
+            let mut acks = Vec::with_capacity(dispatches.len() * 2);
+            for d in dispatches {
+                let ack =
+                    |kind| AckMsg { job: d.job, worker: 1 + d.job.job.0 % 2, kind, attempt: 1 };
+                acks.push(ack(AckKind::Running));
+                if d.job != Self::SPLIT {
+                    acks.push(ack(AckKind::Completed));
+                }
+            }
+            self.bus.ack.publish_all(acks);
+        }
+
+        /// The chain's fourth job, on worker 2. Once the serve loop has
+        /// pulled its Running ack, worker 2 announces a drain; once the
+        /// loop has pulled *that*, the job completes. The completion finds
+        /// worker 2 draining with one job left, so the ack fence itself
+        /// produces the `Drained` record, mid-burst.
+        const SPLIT: dewe_dag::EnsembleJobId =
+            dewe_dag::EnsembleJobId { workflow: WorkflowId(0), job: dewe_dag::JobId(3) };
+
+        fn pulled_acks(&self, acks: &[AckMsg]) {
+            self.pulled.lock().1.extend_from_slice(acks);
+            if acks.iter().any(|a| a.job == Self::SPLIT && a.kind == AckKind::Running) {
+                self.bus.lifecycle.publish(LifecycleMsg {
+                    worker: 2,
+                    generation: 0,
+                    kind: crate::protocol::LifecycleKind::Drain,
+                });
+                self.bus.ack.kick();
+            }
+        }
+    }
+
+    impl Transport for WriteAheadProbe {
+        type Submission = SubmissionMsg;
+        type Dispatch = DispatchMsg;
+        type Ack = AckMsg;
+        type Lifecycle = LifecycleMsg;
+        type Announce = WorkflowAnnounce;
+
+        fn try_pull_submission(&self) -> Option<SubmissionMsg> {
+            let sub = self.bus.submission.try_pull();
+            self.pulled.lock().0 += usize::from(sub.is_some());
+            sub
+        }
+        fn pull_ack(&self, timeout: Duration) -> Option<AckMsg> {
+            let ack = self.bus.ack.pull_timeout(timeout);
+            self.pulled_acks(ack.as_slice());
+            ack
+        }
+        fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
+            let before = out.len();
+            let taken = self.bus.ack.try_pull_batch(out, max);
+            self.pulled_acks(&out[before..]);
+            taken
+        }
+        fn try_pull_lifecycle(&self) -> Option<LifecycleMsg> {
+            let msg = self.bus.lifecycle.try_pull()?;
+            if msg.kind == crate::protocol::LifecycleKind::Drain {
+                let ack =
+                    AckMsg { job: Self::SPLIT, worker: 2, kind: AckKind::Completed, attempt: 1 };
+                self.bus.ack.publish(ack);
+            }
+            Some(msg)
+        }
+        fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
+            self.effect_leaves();
+            self.work(&[dispatch]);
+        }
+        fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
+            self.effect_leaves();
+            self.work(batch);
+            batch.clear();
+        }
+        fn announce(&self, _: WorkflowAnnounce) {}
+        fn ack_closed(&self) -> bool {
+            self.bus.ack.is_closed()
+        }
+    }
+
+    /// No dispatch leaves the process before the input that caused it can
+    /// be read back from the journal file — with acks journaled a burst at
+    /// a time, and `W` records interleaved by the lease plane. Under group
+    /// commit the same run only has to recover.
+    #[test]
+    fn no_dispatch_leaves_before_its_cause_is_in_the_journal_file() {
+        use crate::protocol::LifecycleKind;
+        use crate::realtime::WorkerPhase;
+
+        let dir = std::env::temp_dir().join(format!("dewe-write-ahead-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut chain = WorkflowBuilder::new("chain");
+        let mut prev = None;
+        for i in 0..6 {
+            let j = chain.job(format!("c{i}"), "t", 1.0).build();
+            if let Some(p) = prev {
+                chain.edge(p, j);
+            }
+            prev = Some(j);
+        }
+        let mut fan = WorkflowBuilder::new("fan");
+        let root = fan.job("root", "t", 1.0).build();
+        for i in 0..16 {
+            let leaf = fan.job(format!("l{i}"), "t", 1.0).build();
+            fan.edge(root, leaf);
+        }
+        let workflows = [Arc::new(chain.finish().unwrap()), Arc::new(fan.finish().unwrap())];
+
+        let policies =
+            [JournalCommitPolicy::PerRecord, JournalCommitPolicy::GroupCommit { max_records: 8 }];
+        for policy in policies {
+            let strict = policy == JournalCommitPolicy::PerRecord;
+            let path = dir.join(if strict { "default.wal" } else { "group.wal" });
+            let probe = WriteAheadProbe::new(path.clone(), strict);
+            for worker in [1, 2] {
+                probe.bus.lifecycle.publish(LifecycleMsg {
+                    worker,
+                    generation: 0,
+                    kind: LifecycleKind::Register,
+                });
+            }
+            let registry = Registry::new();
+            let handle = spawn_master_on(
+                probe.clone(),
+                registry.clone(),
+                MasterConfig::builder()
+                    .timeout_scan_interval(Duration::from_millis(10))
+                    .expected_workflows(2)
+                    .journal_path(&path)
+                    .journal_commit(policy)
+                    .lease_secs(30.0)
+                    .build(),
+            );
+            for (i, wf) in workflows.iter().enumerate() {
+                super::super::submit(&probe.bus, format!("wf{i}"), Arc::clone(wf));
+            }
+            loop {
+                match handle.events.recv_timeout(Duration::from_secs(30)).expect("an event") {
+                    MasterEvent::AllCompleted { .. } => break,
+                    MasterEvent::WorkflowCompleted { workflow, .. } => {
+                        // The event's cause, too, is readable by now.
+                        let jobs = workflows[workflow.index()].job_count();
+                        let done = journal::read_journal(&path)
+                            .unwrap()
+                            .iter()
+                            .filter(|r| {
+                                matches!(r, journal::JournalRecord::Ack { ack, .. }
+                                if ack.job.workflow == workflow && ack.kind == AckKind::Completed)
+                            })
+                            .count();
+                        assert!(
+                            !strict || done == jobs,
+                            "{policy:?}: {done} of {jobs} in the file"
+                        );
+                    }
+                    other => panic!("{policy:?}: unexpected event {other:?}"),
+                }
+            }
+            let stats = handle.join();
+            assert_eq!((stats.workflows_completed, stats.jobs_completed), (2, 23), "{policy:?}");
+            assert!(probe.publishes.load(Ordering::Relaxed) >= 6, "{policy:?}: the probe probed");
+
+            // Either way the file a clean exit leaves behind is the whole
+            // history, `W` lines in among the acks, and it recovers.
+            let records = journal::read_journal(&path).unwrap();
+            let phases: Vec<WorkerPhase> = records
+                .iter()
+                .filter_map(|r| match r {
+                    journal::JournalRecord::Worker { phase, .. } => Some(*phase),
+                    _ => None,
+                })
+                .collect();
+            use WorkerPhase::{Drained, Draining, Live};
+            assert_eq!(phases, [Live, Live, Draining, Drained], "{policy:?}");
+            let drained_at = records
+                .iter()
+                .position(|r| matches!(r, journal::JournalRecord::Worker { phase: Drained, .. }))
+                .expect("just counted");
+            assert!(
+                matches!(records[drained_at + 1], journal::JournalRecord::Ack { ack, .. }
+                    if ack.worker == 2 && ack.kind == AckKind::Completed),
+                "{policy:?}: the fence's W record sits right before the ack that caused it"
+            );
+            let rec = journal::recover(&records, &registry, EngineConfig::default()).unwrap();
+            assert!(rec.engine.all_complete(), "{policy:?}: the journal replays to completion");
+            assert!(rec.redispatch.is_empty(), "{policy:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

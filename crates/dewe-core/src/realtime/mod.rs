@@ -62,7 +62,10 @@ use dewe_dag::Workflow;
 use std::sync::Arc;
 
 /// The workflow submission application (paper §III.E): publish a workflow
-/// to the submission topic, from any thread at any time.
+/// to the submission topic, from any thread at any time, and ring the
+/// master's doorbell — its serve loop sleeps on the ack topic, and a kick
+/// there has it ingest the submission now rather than at its next scan.
 pub fn submit(bus: &MessageBus, name: impl Into<String>, workflow: Arc<Workflow>) {
     bus.submission.publish(SubmissionMsg { name: name.into(), workflow });
+    bus.ack.kick();
 }

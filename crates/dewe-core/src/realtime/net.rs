@@ -16,6 +16,22 @@
 //! [`WireMsg::SubmitterHello`] for submission clients — and any version
 //! skew or garbage drops the connection before it touches master state.
 //!
+//! ## Threads, and what wakes them
+//!
+//! Nothing here sleeps on a timer or polls a flag. Each connection has a
+//! reader blocked in `read` and a writer blocked on its outbound topic;
+//! a writer takes one frame, then every other frame already queued,
+//! writes them all and flushes once before it blocks again, so a burst
+//! is one `send(2)` and a lone frame leaves at once. Readers ring the
+//! master's doorbell ([`Topic::kick`] on the ack topic, where the serve
+//! loop sleeps) when a submission or lifecycle message arrives. The
+//! accept thread blocks in `accept` and owns every connection thread;
+//! [`TcpMaster::shutdown`] wakes it with a connection and returns once
+//! it has joined them all — every `Bye` flushed, every socket closed. On
+//! the worker side the reader kicks the outbound topic when its
+//! connection dies, and the writer leaves an unflushed batch with the
+//! link for the next connection to send first.
+//!
 //! ## Backpressure
 //!
 //! Each worker offers a dispatch *window* in its Hello: the maximum
@@ -23,9 +39,13 @@
 //! ([`dewe_mq::SendWindow`] credit). A terminal acknowledgment
 //! (Completed/Failed) or an explicit [`WireMsg::Return`] refunds one
 //! credit; dispatches that find no credit anywhere queue inside the
-//! master transport and drain as credit frees up. A slow worker
-//! therefore throttles only itself — the paper's pull-based competition,
-//! recreated over push-with-credit.
+//! master transport and drain as credit frees up. Workers flush their
+//! acks a batch at a time, so refunds arrive in bursts: the reader
+//! releases a whole read burst of credit before it drains the pending
+//! queue, and the queue leaves as [`WireMsg::DispatchBatch`] frames sized
+//! by the burst, not one frame per ack. A slow worker therefore throttles
+//! only itself — the paper's pull-based competition, recreated over
+//! push-with-credit.
 //!
 //! ## Registry mirroring
 //!
@@ -52,7 +72,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -61,8 +81,8 @@ use std::time::Duration;
 
 use dewe_dag::{Workflow, WorkflowId};
 use dewe_mq::{
-    bind_reuse, read_frame, write_frame, write_frame_split, SendWindow, Topic, Transport,
-    WorkerTransport, DEFAULT_MAX_FRAME,
+    bind_reuse, queue_frame_split, read_frame, write_frame, write_frame_split, SendWindow, Topic,
+    Transport, WorkerTransport, DEFAULT_MAX_FRAME,
 };
 use parking_lot::Mutex;
 
@@ -71,9 +91,6 @@ use super::dagstore::DagStore;
 use crate::protocol::{
     AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
-
-/// How often blocked I/O helper threads re-check their stop flags.
-const IO_TICK: Duration = Duration::from_millis(50);
 
 // ---------------------------------------------------------------------------
 // Master side
@@ -107,8 +124,9 @@ struct OutFrame {
 }
 
 impl OutFrame {
-    fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write_frame_split(w, &self.head, self.text.as_deref().unwrap_or_default().as_bytes())
+    /// Queue the frame in `w`; the connection's writer flushes.
+    fn queue_to(&self, w: &mut impl Write) -> io::Result<()> {
+        queue_frame_split(w, &self.head, self.text.as_deref().unwrap_or_default().as_bytes())
     }
 }
 
@@ -119,8 +137,6 @@ struct Conn {
     out: Topic<OutFrame>,
     /// Dispatch credit for this connection.
     window: SendWindow,
-    /// For unblocking the reader on shutdown.
-    stream: TcpStream,
 }
 
 impl Conn {
@@ -167,7 +183,6 @@ impl TcpMaster {
             std::fs::create_dir_all(dir)?;
         }
         let listener = bind_reuse(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let inner = Arc::new(MasterInner {
             local_addr,
@@ -220,8 +235,10 @@ impl TcpMaster {
     /// Stop the endpoint gracefully: send [`WireMsg::Bye`] to every
     /// worker (telling their links not to reconnect — the ensemble is
     /// done), close the internal topics (releasing the serve loop), and
-    /// join the accept thread. Connection threads exit as their sockets
-    /// close.
+    /// join the accept thread, which joins every connection thread. When
+    /// this returns each `Bye` has been flushed and every socket — worker,
+    /// submitter or still shaking hands — is closed: a process may exit on
+    /// the next line and no peer is cut off mid-frame.
     pub fn shutdown(&self) {
         self.stop(true);
     }
@@ -246,15 +263,27 @@ impl TcpMaster {
                     conn.send(&WireMsg::Bye);
                 }
                 // Close after Bye: the writer drains queued frames
-                // (including the Bye) before exiting.
+                // (including the Bye) before exiting. The accept thread
+                // ends the connection's reader (see `accept_loop`).
                 conn.out.close();
-                let _ = conn.stream.shutdown(std::net::Shutdown::Read);
             }
         }
         inner.submission.close();
         inner.ack.close();
         inner.lifecycle.close();
         if let Some(t) = inner.accept_thread.lock().take() {
+            // The accept thread sleeps in `accept` (or, after a failed
+            // one, parked); a connection to ourselves is the wake-up, and
+            // the stop flag set above is what it finds.
+            let mut wake = inner.local_addr;
+            if wake.ip().is_unspecified() {
+                wake.set_ip(match wake {
+                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                });
+            }
+            let _ = TcpStream::connect(wake);
+            t.thread().unpark();
             let _ = t.join();
         }
     }
@@ -411,8 +440,8 @@ impl MasterInner {
     /// Drop a connection from the routing map and close its out topic.
     /// Deliberately does NOT shut the socket down: a graceful stop parks
     /// the Bye frame on the out topic, and the writer thread must drain
-    /// it onto the wire first. The conn loop joins the writer and then
-    /// hard-closes the socket itself.
+    /// it onto the wire first. The conn loop joins the writer and its
+    /// thread then hard-closes the socket.
     fn remove_conn(&self, id: u64) {
         if let Some(conn) = self.conns.lock().remove(&id) {
             conn.out.close();
@@ -420,26 +449,60 @@ impl MasterInner {
     }
 }
 
+/// Accept connections until stopped, one thread each, and own those
+/// threads: when the endpoint stops, every connection still open is shut
+/// down and its thread joined here, so joining this thread is joining them
+/// all. Blocks in `accept`; [`TcpMaster::stop`] sets the flag and connects
+/// to wake it.
 fn accept_loop(inner: Arc<MasterInner>, listener: std::net::TcpListener) {
-    while !inner.stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_inner = Arc::clone(&inner);
-                let _ = std::thread::Builder::new()
-                    .name("dewe-master-conn".into())
-                    .spawn(move || serve_conn(conn_inner, stream));
+    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            // A peer that gave up while it sat in the backlog.
+            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
+            Err(e) => {
+                // Out of descriptors or memory. Take no new connections,
+                // but keep the ones there are until told to stop.
+                eprintln!("dewe-master: accept failed, taking no new connections: {e}");
+                while !inner.stop.load(Ordering::SeqCst) {
+                    std::thread::park();
+                }
+                break;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(IO_TICK);
-            }
-            Err(_) => break,
+        };
+        if inner.stop.load(Ordering::SeqCst) {
+            break;
         }
+        conns.retain(|(_, thread)| !thread.is_finished());
+        let Ok(handle) = stream.try_clone() else { continue };
+        let conn_inner = Arc::clone(&inner);
+        let spawned =
+            std::thread::Builder::new().name("dewe-master-conn".into()).spawn(move || {
+                serve_conn(conn_inner, &stream);
+                // `handle` above outlives this thread, so dropping `stream`
+                // would not close the socket: hang up explicitly.
+                let _ = stream.shutdown(Shutdown::Both);
+            });
+        if let Ok(thread) = spawned {
+            conns.push((handle, thread));
+        }
+    }
+    drop(listener);
+    for (stream, _) in &conns {
+        // Ends the connection's blocking read, whatever its role and
+        // however far its handshake got. Write halves stay open: a worker
+        // connection's writer still has its `Bye` to flush.
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    for (_, thread) in conns {
+        let _ = thread.join();
     }
 }
 
 /// Handle one inbound connection: handshake, then the per-role frame
 /// loop. Any decode error (version skew first) drops the connection.
-fn serve_conn(inner: Arc<MasterInner>, stream: TcpStream) {
+fn serve_conn(inner: Arc<MasterInner>, stream: &TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -469,28 +532,29 @@ fn serve_conn(inner: Arc<MasterInner>, stream: TcpStream) {
 
 fn worker_conn_loop(
     inner: Arc<MasterInner>,
-    stream: TcpStream,
+    stream: &TcpStream,
     mut reader: BufReader<TcpStream>,
     window: u32,
 ) {
-    let conn = Arc::new(Conn {
-        out: Topic::default(),
-        window: SendWindow::new(window),
-        stream: match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
-    });
+    let Ok(write_half) = stream.try_clone() else { return };
+    let conn = Arc::new(Conn { out: Topic::default(), window: SendWindow::new(window) });
     let id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
 
-    // Writer thread: drains the out topic onto the socket.
+    // Writer thread: drains the out topic onto the socket. It blocks for
+    // one frame, queues that and everything else already waiting, and
+    // flushes once before it blocks again: a burst of frames is one
+    // `send(2)`, a lone frame (a chain's next hop) leaves at once.
     let writer_conn = Arc::clone(&conn);
     let writer = std::thread::Builder::new()
         .name("dewe-master-conn-writer".into())
         .spawn(move || {
-            let mut w = BufWriter::new(stream);
-            while let Some(frame) = writer_conn.out.pull() {
-                if frame.write_to(&mut w).is_err() {
+            let mut w = BufWriter::new(write_half);
+            let mut batch: Vec<OutFrame> = Vec::new();
+            while let Some(first) = writer_conn.out.pull() {
+                batch.push(first);
+                writer_conn.out.try_pull_batch(&mut batch, usize::MAX);
+                let queued = batch.drain(..).try_for_each(|frame| frame.queue_to(&mut w));
+                if queued.and_then(|()| w.flush()).is_err() {
                     break;
                 }
             }
@@ -528,7 +592,10 @@ fn worker_conn_loop(
                 }
                 inner.ack.publish(ack);
             }
-            Ok(WireMsg::Lifecycle(msg)) => inner.lifecycle.publish(msg),
+            Ok(WireMsg::Lifecycle(msg)) => {
+                inner.lifecycle.publish(msg);
+                inner.ack.kick();
+            }
             Ok(WireMsg::Return(d)) => {
                 // A stopping worker hands back an unstarted checkout:
                 // refund and redeliver to whoever has credit.
@@ -564,12 +631,11 @@ fn worker_conn_loop(
     }
     // Let the writer flush whatever is still queued — on a graceful stop
     // that includes the Bye telling the worker's link not to reconnect —
-    // before hard-closing the socket. The writer cannot hang: the out
-    // topic is closed (remove_conn above, or the stop path), so `pull`
-    // returns None once the queue drains, and a dead peer fails the
-    // write immediately.
+    // before the caller hard-closes the socket. The writer cannot hang:
+    // the out topic is closed (remove_conn above, or the stop path), so
+    // `pull` returns None once the queue drains, and a dead peer fails
+    // the write immediately.
     let _ = writer.join();
-    let _ = conn.stream.shutdown(std::net::Shutdown::Both);
 }
 
 fn submitter_conn_loop(inner: Arc<MasterInner>, mut reader: BufReader<TcpStream>) {
@@ -597,6 +663,8 @@ fn submitter_conn_loop(inner: Arc<MasterInner>, mut reader: BufReader<TcpStream>
         match inner.dags.intern(dag) {
             Ok(workflow) => {
                 inner.submission.publish(SubmissionMsg { name: name.to_string(), workflow });
+                // The serve loop sleeps on the ack topic: ring it.
+                inner.ack.kick();
             }
             Err(e) => eprintln!("dewe-master: rejecting submission {name:?}: {e}"),
         }
@@ -717,7 +785,7 @@ impl TcpWorkerLink {
             return;
         }
         if let Some(s) = inner.current.lock().as_ref() {
-            let _ = s.shutdown(std::net::Shutdown::Both);
+            let _ = s.shutdown(Shutdown::Both);
         }
         inner.dispatch_in.close();
         inner.outbound.close();
@@ -778,6 +846,11 @@ impl WorkerInner {
 /// reader on this thread and a writer thread per connection.
 fn supervisor_loop(inner: Arc<WorkerInner>) {
     let mut first_attempt = true;
+    // Frames taken off `outbound` whose flush has not returned `Ok`: a
+    // connection that dies hands its last batch back, and the next
+    // connection's writer sends it first, whole and in order — possibly
+    // twice (the master tolerates duplicates), never not at all.
+    let mut unflushed: Vec<Vec<u8>> = Vec::new();
     while !inner.stop.load(Ordering::Relaxed) && !inner.bye.load(Ordering::Relaxed) {
         if !first_attempt && !inner.opts.reconnect {
             break;
@@ -795,8 +868,9 @@ fn supervisor_loop(inner: Arc<WorkerInner>) {
         };
         first_attempt = false;
         let _ = stream.set_nodelay(true);
-        run_connection(&inner, stream);
-        if inner.opts.reconnect && !inner.stop.load(Ordering::Relaxed) {
+        run_connection(&inner, stream, &mut unflushed);
+        let done = inner.stop.load(Ordering::Relaxed) || inner.bye.load(Ordering::Relaxed);
+        if inner.opts.reconnect && !done {
             std::thread::sleep(inner.opts.retry_interval);
         }
     }
@@ -804,7 +878,7 @@ fn supervisor_loop(inner: Arc<WorkerInner>) {
     inner.dispatch_in.close();
 }
 
-fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
+fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream, unflushed: &mut Vec<Vec<u8>>) {
     let Ok(read_half) = stream.try_clone() else { return };
     let Ok(write_half) = stream.try_clone() else { return };
     *inner.current.lock() = Some(stream);
@@ -819,29 +893,14 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
     let writer = {
         let inner = Arc::clone(inner);
         let dead = Arc::clone(&conn_dead);
+        let mut batch = std::mem::take(unflushed);
         std::thread::Builder::new()
             .name("dewe-worker-link-writer".into())
             .spawn(move || {
-                let mut w = BufWriter::new(write_half);
-                if write_frame(&mut w, &hello.encode()).is_err() {
+                if write_link(&inner, write_half, &hello.encode(), &dead, &mut batch).is_err() {
                     dead.store(true, Ordering::Relaxed);
-                    return;
                 }
-                while !dead.load(Ordering::Relaxed) {
-                    let Some(frame) = inner.outbound.pull_timeout(IO_TICK) else {
-                        if inner.outbound.is_closed() {
-                            break;
-                        }
-                        continue;
-                    };
-                    if write_frame(&mut w, &frame).is_err() {
-                        // Requeue: acks produced during a master outage
-                        // must survive to the next connection.
-                        inner.outbound.publish(frame);
-                        dead.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                }
+                batch
             })
             .expect("spawn link writer")
     };
@@ -854,13 +913,9 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
         }
         match WireMsg::decode(&frame) {
             Ok(WireMsg::Dispatch(d)) => inner.dispatch_in.publish(d),
-            Ok(WireMsg::DispatchBatch(batch)) => {
-                // Explode in order: the slot loops pull per-job exactly
-                // as if the run had arrived as individual frames.
-                for d in batch {
-                    inner.dispatch_in.publish(d);
-                }
-            }
+            // In order and under one lock: the slot loops pull per job
+            // exactly as if the run had arrived as individual frames.
+            Ok(WireMsg::DispatchBatch(batch)) => inner.dispatch_in.publish_all(batch),
             Ok(WireMsg::Bye) => {
                 inner.bye.store(true, Ordering::Relaxed);
                 break;
@@ -875,11 +930,51 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream) {
             }
         }
     }
-    conn_dead.store(true, Ordering::Relaxed);
+    // The writer sleeps on `outbound`: tell it the connection is over.
+    conn_dead.store(true, Ordering::SeqCst);
+    inner.outbound.kick();
     if let Some(s) = inner.current.lock().take() {
-        let _ = s.shutdown(std::net::Shutdown::Both);
+        let _ = s.shutdown(Shutdown::Both);
     }
-    let _ = writer.join();
+    if let Ok(batch) = writer.join() {
+        *unflushed = batch;
+    }
+}
+
+/// One connection's writer: the handshake, then `outbound` onto the socket
+/// until the link closes, the reader reports the connection `dead`, or a
+/// write fails. It blocks for one frame, takes everything else already
+/// queued, writes the lot and flushes once — a burst of acks is one
+/// `send(2)`, a lone ack leaves at once — and a frame stays in `batch`,
+/// the caller's, until the flush that carried it has returned `Ok`.
+fn write_link(
+    inner: &WorkerInner,
+    socket: TcpStream,
+    hello: &[u8],
+    dead: &AtomicBool,
+    batch: &mut Vec<Vec<u8>>,
+) -> io::Result<()> {
+    let mut w = BufWriter::new(socket);
+    write_frame(&mut w, hello)?;
+    loop {
+        if batch.is_empty() {
+            if dead.load(Ordering::SeqCst) {
+                return Ok(());
+            }
+            match inner.outbound.pull_timeout(Duration::MAX) {
+                Some(frame) => batch.push(frame),
+                None if inner.outbound.is_closed() => return Ok(()),
+                // The reader rang: look at `dead` again.
+                None => continue,
+            }
+        }
+        inner.outbound.try_pull_batch(batch, usize::MAX);
+        for frame in batch.iter() {
+            queue_frame_split(&mut w, frame, &[])?;
+        }
+        w.flush()?;
+        batch.clear();
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1355,10 +1450,17 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(registry.len(), 1);
-        // Kill the master endpoint abruptly (no Bye — a crash), then
-        // bind a replacement on the same port (SO_REUSEADDR path) and
-        // re-announce.
+        // Kill the master endpoint abruptly (no Bye — a crash). Acks the
+        // worker produces once its link has seen the connection die wait
+        // on the link, with no connection to carry them.
         master.kill();
+        wait_until("the link notices", || link.inner.current.lock().is_none());
+        let outage_job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
+        for j in 0..50 {
+            link.publish_ack(AckMsg::new(outage_job(j), 0, AckKind::Completed, 1));
+        }
+        // Then bind a replacement on the same port (SO_REUSEADDR path)
+        // and re-announce.
         let master2 = TcpMaster::bind(addr, TcpMasterOptions::default()).unwrap();
         master2.announce(WorkflowAnnounce {
             id: WorkflowId(0),
@@ -1377,6 +1479,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(registry.len(), 2, "reconnected and mirrored");
+        // Every ack of the outage reaches the new master, in order.
+        for j in 0..50 {
+            let ack = master2.pull_ack(Duration::from_secs(10)).expect("an outage ack");
+            assert_eq!(ack.job, outage_job(j));
+        }
         // And an ack published after the restart still arrives.
         let job = dewe_dag::EnsembleJobId::new(WorkflowId(1), dewe_dag::JobId(0));
         link.publish_ack(AckMsg::new(job, 0, AckKind::Completed, 1));
@@ -1384,6 +1491,190 @@ mod tests {
         assert_eq!(ack.job, job);
         master2.shutdown();
         link.close();
+    }
+
+    /// The link writer sleeps on `outbound` with no tick to fall back on:
+    /// a burst published while it sleeps must wake it, and however the
+    /// burst is cut into batches and flushes, the master sees every ack
+    /// once and in order.
+    #[test]
+    fn acks_published_while_the_link_writer_sleeps_arrive_complete_and_in_order() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            Registry::new(),
+            TcpWorkerOptions::default(),
+        )
+        .unwrap();
+        wait_until("the link registers", || master.worker_conns() == 1);
+        wait_until("the link writer sleeps", || link.inner.outbound.stats().sleepers == 1);
+        let job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
+        for j in 0..1000 {
+            link.publish_ack(AckMsg::new(job(j), 0, AckKind::Running, 1));
+        }
+        for j in 0..1000 {
+            let ack = master.pull_ack(Duration::from_secs(10)).expect("every ack arrives");
+            assert_eq!(ack.job, job(j), "in order");
+        }
+        assert!(master.pull_ack(Duration::from_millis(50)).is_none(), "and only once");
+        master.shutdown();
+        link.close();
+    }
+
+    /// A peer for `write_link`: a listener, and the connected pair.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (theirs, _) = listener.accept().unwrap();
+        (ours, theirs)
+    }
+
+    /// A batch is the link's until its flush has returned `Ok`. One that
+    /// was written into a connection that then failed is sent again on the
+    /// next connection — all of it, ahead of anything queued since, in
+    /// order. (Some of it may arrive twice; the master tolerates that.)
+    #[test]
+    fn a_batch_whose_flush_failed_is_resent_whole_and_first_on_the_next_connection() {
+        // A link whose supervisor has given up (nothing listens on port
+        // 1), so this test owns `outbound` and drives `write_link` itself.
+        let opts = TcpWorkerOptions { reconnect: false, ..TcpWorkerOptions::default() };
+        let link = TcpWorkerLink::connect("127.0.0.1:1", Registry::new(), opts).unwrap();
+        wait_until("the supervisor gives up", || link.dispatch_closed());
+        let inner = Arc::clone(&link.inner);
+        let job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
+        let frame = |j: u32| WireMsg::Ack(AckMsg::new(job(j), 0, AckKind::Completed, 1)).encode();
+        let hello = WireMsg::Hello { worker: 0, generation: 0, window: 1 }.encode();
+
+        // First connection: the peer resets it (closing with the hello
+        // still unread sends RST, not FIN) while the writer sleeps.
+        let (ours, theirs) = socket_pair();
+        let probe = ours.try_clone().unwrap();
+        let dead = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (inner, hello, dead) = (Arc::clone(&inner), hello.clone(), Arc::clone(&dead));
+            std::thread::spawn(move || {
+                let mut batch = Vec::new();
+                (write_link(&inner, ours, &hello, &dead, &mut batch), batch)
+            })
+        };
+        wait_until("the writer sleeps", || inner.outbound.stats().sleepers == 1);
+        drop(theirs);
+        probe.set_read_timeout(Some(Duration::from_millis(1))).unwrap();
+        wait_until("the reset lands", || {
+            !matches!(probe.peek(&mut [0u8; 1]), Err(e) if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ))
+        });
+        inner.outbound.publish_all((0..10).map(frame));
+        let (written, mut unflushed) = writer.join().unwrap();
+        assert!(written.is_err(), "the flush into a reset connection fails");
+        assert_eq!(unflushed.len(), 10, "and the batch is still the link's");
+        // Acks keep coming during the outage.
+        inner.outbound.publish_all((10..20).map(frame));
+
+        // Second connection: everything arrives, the failed batch first.
+        let (ours, theirs) = socket_pair();
+        let writer = {
+            let (inner, dead) = (Arc::clone(&inner), Arc::clone(&dead));
+            std::thread::spawn(move || {
+                (write_link(&inner, ours, &hello, &dead, &mut unflushed), unflushed)
+            })
+        };
+        let mut reader = BufReader::new(theirs);
+        let mut next = || WireMsg::decode(&read_frame(&mut reader, 1 << 20).unwrap().unwrap());
+        assert!(matches!(next(), Ok(WireMsg::Hello { .. })));
+        for j in 0..20 {
+            match next() {
+                Ok(WireMsg::Ack(ack)) => assert_eq!(ack.job, job(j), "in order, none lost"),
+                other => panic!("expected ack {j}, got {other:?}"),
+            }
+        }
+        // The reader's way of ending a writer that sleeps: flag, then kick.
+        dead.store(true, Ordering::SeqCst);
+        inner.outbound.kick();
+        let (written, unflushed) = writer.join().unwrap();
+        assert!(written.is_ok());
+        assert!(unflushed.is_empty(), "a flushed batch is let go");
+        link.close();
+    }
+
+    /// When `shutdown` returns there is nothing left to wait for: every
+    /// connection thread has been joined, so every `Bye` is on the wire
+    /// and every socket closed. A peer reads `Bye` and then end-of-stream
+    /// with no help from a grace period — the daemon exits on the line
+    /// after `shutdown`.
+    #[test]
+    fn shutdown_returns_with_every_bye_flushed_and_every_socket_closed() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        // Workers by hand, so the test sees exactly what the master sent.
+        let mut workers: Vec<BufReader<TcpStream>> = (0..3)
+            .map(|worker| {
+                let mut stream = TcpStream::connect(master.local_addr()).unwrap();
+                let hello = WireMsg::Hello { worker, generation: 0, window: 4 };
+                write_frame(&mut stream, &hello.encode()).unwrap();
+                stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                BufReader::new(stream)
+            })
+            .collect();
+        wait_until("the workers register", || master.worker_conns() == 3);
+        let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
+        master.publish_dispatch(0, DispatchMsg::new(job, 1));
+
+        master.shutdown();
+        // The accept thread and each connection's reader and writer held
+        // a reference; this handle's is the only one left.
+        assert_eq!(Arc::strong_count(&master.inner), 1, "every endpoint thread has exited");
+        let mut dispatches = 0;
+        for reader in &mut workers {
+            loop {
+                let frame = read_frame(reader, 1 << 20).unwrap().expect("Bye comes before EOF");
+                match WireMsg::decode(&frame).unwrap() {
+                    WireMsg::Dispatch(d) => {
+                        assert_eq!(d.job, job);
+                        dispatches += 1;
+                    }
+                    WireMsg::Bye => break,
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+            assert!(read_frame(reader, 1 << 20).unwrap().is_none(), "then end of stream");
+        }
+        assert_eq!(dispatches, 1, "what was queued ahead of the Bye was flushed too");
+    }
+
+    /// Submitter connections — and connections that never said who they
+    /// are — sit in a blocking read the master's stop must end itself.
+    #[test]
+    fn open_submitter_and_silent_connections_do_not_hang_shutdown() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let mut submitter = TcpStream::connect(master.local_addr()).unwrap();
+        write_frame(&mut submitter, &WireMsg::SubmitterHello.encode()).unwrap();
+        let dag = dewe_dag::write_workflow(&wf("held-open", 1));
+        let head = DagFrame { id: None, name: "held-open", dag: &dag }.head();
+        write_frame_split(&mut submitter, &head, dag.as_bytes()).unwrap();
+        let mut silent = TcpStream::connect(master.local_addr()).unwrap();
+        // The submission arriving proves the submitter's thread is in its
+        // frame loop; the silent peer's is in the handshake read, or will
+        // be turned away at accept.
+        ingest(&master, &Registry::new(), 1);
+
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = {
+            let master = master.clone();
+            std::thread::spawn(move || {
+                master.shutdown();
+                let _ = done_tx.send(());
+            })
+        };
+        done_rx.recv_timeout(Duration::from_secs(10)).expect("shutdown returns");
+        stopper.join().unwrap();
+        assert_eq!(Arc::strong_count(&master.inner), 1, "every endpoint thread has exited");
+        use std::io::Read as _;
+        for (who, stream) in [("submitter", &mut submitter), ("silent", &mut silent)] {
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            assert!(matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_)), "{who} was hung up on");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dewe_mq::WorkerTransport;
 
@@ -70,7 +70,7 @@ impl WorkerHandle {
     /// and exit. Returns total jobs executed.
     pub fn stop(self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
-        self.join()
+        self.wait()
     }
 
     /// Crash the worker (paper §V.A.3): in-flight jobs are abandoned
@@ -81,7 +81,7 @@ impl WorkerHandle {
     pub fn kill(self) -> u64 {
         self.kill.store(true, Ordering::Relaxed);
         self.stop.store(true, Ordering::Relaxed);
-        self.join()
+        self.wait()
     }
 
     /// Announce a graceful drain on the lifecycle topic *without*
@@ -119,10 +119,19 @@ impl WorkerHandle {
         self.hb_pause.store(false, Ordering::Relaxed);
     }
 
-    fn join(self) -> u64 {
+    /// Serve until the transport ends the worker: slot loops exit on
+    /// their own once the dispatch side is closed and drained (a TCP link
+    /// closes it when the master says Bye), each after acknowledging its
+    /// current job. Blocks on exactly that — no polling — and returns
+    /// total jobs executed. The slots are joined first — heartbeats must
+    /// cover a job for as long as it runs — and only then is the heartbeat
+    /// stopped and joined, by wake-up.
+    pub fn wait(self) -> u64 {
         let total =
             self.threads.into_iter().map(|t| t.join().expect("worker thread panicked")).sum();
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(hb) = self.heartbeat {
+            hb.thread().unpark();
             hb.join().expect("heartbeat thread panicked");
         }
         total
@@ -196,9 +205,10 @@ pub fn spawn_worker_on(
 }
 
 /// Register once, then heartbeat every `interval` until stopped. The
-/// loop ticks well under the interval so stop and pause requests take
-/// effect promptly; a paused thread keeps ticking silently, which is
-/// exactly what a stalled-but-alive worker looks like on the wire.
+/// thread parks until the next beat is due and [`WorkerHandle::wait`]
+/// unparks it to stop, so stopping waits out nothing; a paused thread
+/// keeps its schedule silently, which is exactly what a stalled-but-alive
+/// worker looks like on the wire.
 fn heartbeat_loop(
     transport: DynWorkerTransport,
     stop: Arc<AtomicBool>,
@@ -208,20 +218,22 @@ fn heartbeat_loop(
     interval: Duration,
 ) {
     transport.publish_lifecycle(LifecycleMsg::new(worker, generation, LifecycleKind::Register));
-    let tick = (interval / 4).clamp(Duration::from_millis(1), Duration::from_millis(25));
-    let mut since_beat = Duration::ZERO;
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
-        since_beat += tick;
-        if since_beat >= interval {
-            since_beat = Duration::ZERO;
-            if !pause.load(Ordering::Relaxed) {
-                transport.publish_lifecycle(LifecycleMsg::new(
-                    worker,
-                    generation,
-                    LifecycleKind::Heartbeat,
-                ));
-            }
+    let mut next_beat = Instant::now() + interval;
+    while !stop.load(Ordering::SeqCst) {
+        let now = Instant::now();
+        if now < next_beat {
+            // Returns early on an unpark (and may spuriously): the loop
+            // re-reads the clock and the flag either way.
+            std::thread::park_timeout(next_beat - now);
+            continue;
+        }
+        next_beat = now + interval;
+        if !pause.load(Ordering::Relaxed) {
+            transport.publish_lifecycle(LifecycleMsg::new(
+                worker,
+                generation,
+                LifecycleKind::Heartbeat,
+            ));
         }
     }
 }
@@ -267,7 +279,7 @@ fn slot_loop(
             attempt: dispatch.attempt,
         };
         // A panicking job executable must not take the whole slot thread
-        // (and, via `WorkerHandle::join`, the harness) down with it: treat
+        // (and, via `WorkerHandle::wait`, the harness) down with it: treat
         // the panic as a job failure and keep serving. The master's retry
         // budget decides whether the job gets another chance.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {

@@ -2,8 +2,10 @@
 //! record sequences round-trip exactly, a crash-torn tail of *any* byte
 //! length never poisons the intact prefix, and mid-file corruption is
 //! always detected rather than silently skipped. Every property runs
-//! under both commit policies — per-record and group commit — since the
-//! on-disk format must be identical once buffered lines reach the file.
+//! under both commit policies — written before any effect, and group
+//! commit — since the on-disk format must be identical once buffered lines
+//! reach the file; what each policy promises about *when* they reach it has
+//! a property of its own.
 
 use std::path::{Path, PathBuf};
 
@@ -58,21 +60,25 @@ fn commit_policy() -> impl Strategy<Value = JournalCommitPolicy> {
     ]
 }
 
+fn append(j: &mut Journal, rec: &JournalRecord) {
+    match *rec {
+        JournalRecord::Submit { workflow, at } => {
+            j.record_submit(WorkflowId(workflow), 0, at).unwrap()
+        }
+        JournalRecord::Ack { ref ack, at } => j.record_ack(ack, at).unwrap(),
+        JournalRecord::Scan { at } => j.record_scan(at).unwrap(),
+        JournalRecord::Worker { worker, generation, phase, at } => {
+            j.record_worker(worker, generation, phase, at).unwrap()
+        }
+    }
+}
+
 fn write_all(path: &Path, records: &[JournalRecord], policy: JournalCommitPolicy) {
-    // Dropping the journal flushes any group-commit window still
-    // buffered, so both policies leave identical bytes on disk.
+    // Dropping the journal writes out whatever is still buffered, so both
+    // policies leave identical bytes on disk.
     let mut j = Journal::create(path).expect("create journal").with_policy(policy);
     for rec in records {
-        match *rec {
-            JournalRecord::Submit { workflow, at } => {
-                j.record_submit(WorkflowId(workflow), 0, at).unwrap()
-            }
-            JournalRecord::Ack { ref ack, at } => j.record_ack(ack, at).unwrap(),
-            JournalRecord::Scan { at } => j.record_scan(at).unwrap(),
-            JournalRecord::Worker { worker, generation, phase, at } => {
-                j.record_worker(worker, generation, phase, at).unwrap()
-            }
-        }
+        append(&mut j, rec);
     }
 }
 
@@ -89,6 +95,49 @@ proptest! {
         let path = tmp("roundtrip", case);
         write_all(&path, &records, policy);
         let read = read_journal(&path);
+        std::fs::remove_file(&path).ok();
+        prop_assert_eq!(read.unwrap(), records);
+    }
+
+    /// What the file holds at a write-ahead barrier, wherever in the
+    /// stream the barriers fall. Default policy: every record appended so
+    /// far — nothing the caller is about to act on is missing. Group
+    /// commit: a prefix that may trail by fewer than `max_records` records,
+    /// none of them a submission or a worker transition. After `commit`,
+    /// under either: everything.
+    #[test]
+    fn the_file_holds_what_the_policy_promises_at_every_barrier(
+        records in prop::collection::vec(record(), 1..40),
+        barriers in prop::collection::vec(any::<bool>(), 40),
+        policy in commit_policy(),
+        case in any::<u64>(),
+    ) {
+        let path = tmp("barrier", case);
+        let mut j = Journal::create(&path).expect("create journal").with_policy(policy);
+        for (i, rec) in records.iter().enumerate() {
+            append(&mut j, rec);
+            if !barriers[i] {
+                continue;
+            }
+            j.commit_before_effects().unwrap();
+            let read = read_journal(&path).unwrap();
+            let so_far = &records[..=i];
+            match policy {
+                JournalCommitPolicy::PerRecord => prop_assert_eq!(&read[..], so_far),
+                JournalCommitPolicy::GroupCommit { max_records } => {
+                    prop_assert_eq!(&read[..], &so_far[..read.len()], "a prefix, in order");
+                    let behind = &so_far[read.len()..];
+                    prop_assert!(behind.len() < max_records, "{} records behind", behind.len());
+                    let buffered_kinds_only = behind.iter().all(|r| {
+                        matches!(r, JournalRecord::Ack { .. } | JournalRecord::Scan { .. })
+                    });
+                    prop_assert!(buffered_kinds_only, "a submit or worker record waited");
+                }
+            }
+        }
+        j.commit().unwrap();
+        let read = read_journal(&path);
+        drop(j);
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(read.unwrap(), records);
     }

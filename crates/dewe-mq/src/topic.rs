@@ -1,9 +1,17 @@
 //! A single FIFO work-queue topic.
+//!
+//! Consumers that find the queue empty sleep on a condition variable, and
+//! the topic counts them under its mutex, so a publisher pays for a
+//! wake-up only when somebody is asleep: publishing into an empty room
+//! costs the lock and nothing else, and a batch of `m` messages wakes
+//! `min(sleepers, m)` consumers. A consumer checks the queue and joins
+//! the count under the same lock the publisher holds while it reads the
+//! count, so no wake-up can be lost.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Counters exposed for observability and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -14,6 +22,11 @@ pub struct TopicStats {
     pub delivered: u64,
     /// Messages currently queued.
     pub depth: usize,
+    /// Consumers asleep in a blocking pull right now.
+    pub sleepers: usize,
+    /// Wake-ups ever issued to sleeping consumers by publishes (a
+    /// publish that finds nobody asleep issues none).
+    pub wakeups: u64,
 }
 
 struct Inner<T> {
@@ -24,8 +37,29 @@ struct Inner<T> {
 struct State<T> {
     messages: VecDeque<T>,
     closed: bool,
+    /// A [`Topic::kick`] nobody has answered yet.
+    kicked: bool,
     published: u64,
     delivered: u64,
+    sleepers: usize,
+    wakeups: u64,
+}
+
+impl<T> State<T> {
+    fn pop(&mut self) -> Option<T> {
+        let msg = self.messages.pop_front();
+        if msg.is_some() {
+            self.delivered += 1;
+        }
+        msg
+    }
+
+    /// How many sleepers `added` new messages should wake, counted.
+    fn wake_for(&mut self, added: usize) -> usize {
+        let wake = added.min(self.sleepers);
+        self.wakeups += wake as u64;
+        wake
+    }
 }
 
 /// One FIFO topic with work-queue semantics: every message is delivered to
@@ -57,8 +91,11 @@ impl<T> Topic<T> {
                 queue: Mutex::new(State {
                     messages: VecDeque::new(),
                     closed: false,
+                    kicked: false,
                     published: 0,
                     delivered: 0,
+                    sleepers: 0,
+                    wakeups: 0,
                 }),
                 available: Condvar::new(),
             }),
@@ -72,33 +109,31 @@ impl<T> Topic<T> {
         let mut state = self.inner.queue.lock();
         state.messages.push_back(message);
         state.published += 1;
+        let wake = state.wake_for(1);
         drop(state);
-        self.inner.available.notify_one();
+        if wake > 0 {
+            self.inner.available.notify_one();
+        }
     }
 
-    /// Publish a batch, waking enough consumers to drain it.
+    /// Publish a batch, waking as many sleeping consumers as it has
+    /// messages for.
     pub fn publish_all(&self, messages: impl IntoIterator<Item = T>) {
         let mut state = self.inner.queue.lock();
         let before = state.messages.len();
-        for m in messages {
-            state.messages.push_back(m);
-        }
+        state.messages.extend(messages);
         let added = state.messages.len() - before;
         state.published += added as u64;
+        let wake = state.wake_for(added);
         drop(state);
-        for _ in 0..added {
+        for _ in 0..wake {
             self.inner.available.notify_one();
         }
     }
 
     /// Non-blocking pull: `Some(message)` if one is queued, else `None`.
     pub fn try_pull(&self) -> Option<T> {
-        let mut state = self.inner.queue.lock();
-        let msg = state.messages.pop_front();
-        if msg.is_some() {
-            state.delivered += 1;
-        }
-        msg
+        self.inner.queue.lock().pop()
     }
 
     /// Non-blocking batch pull: move up to `max` queued messages into
@@ -116,42 +151,79 @@ impl<T> Topic<T> {
         take
     }
 
+    /// Sleep until notified or until `deadline` (`None` = no deadline),
+    /// counted among the sleepers for as long. True when the deadline
+    /// passed.
+    fn sleep(&self, state: &mut MutexGuard<'_, State<T>>, deadline: Option<Instant>) -> bool {
+        state.sleepers += 1;
+        let timed_out = match deadline {
+            Some(deadline) => self.inner.available.wait_until(state, deadline).timed_out(),
+            None => {
+                self.inner.available.wait(state);
+                false
+            }
+        };
+        state.sleepers -= 1;
+        timed_out
+    }
+
     /// Blocking pull: waits until a message arrives or the topic is closed.
     /// Returns `None` only when the topic is closed *and* drained.
     pub fn pull(&self) -> Option<T> {
         let mut state = self.inner.queue.lock();
         loop {
-            if let Some(msg) = state.messages.pop_front() {
-                state.delivered += 1;
+            if let Some(msg) = state.pop() {
                 return Some(msg);
             }
             if state.closed {
                 return None;
             }
-            self.inner.available.wait(&mut state);
+            self.sleep(&mut state, None);
         }
     }
 
-    /// Pull with a deadline: returns `None` on timeout or on closed+drained.
+    /// Pull with a deadline: returns `None` on timeout, on closed+drained,
+    /// or when [`kick`](Self::kick)ed while the queue is empty. A timeout
+    /// too long to be a point in time (`Duration::MAX`) waits without one.
     pub fn pull_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         let mut state = self.inner.queue.lock();
-        loop {
-            if let Some(msg) = state.messages.pop_front() {
-                state.delivered += 1;
-                return Some(msg);
+        let pulled = loop {
+            if let Some(msg) = state.pop() {
+                break Some(msg);
             }
-            if state.closed {
-                return None;
+            if state.closed || state.kicked {
+                break None;
             }
-            if self.inner.available.wait_until(&mut state, deadline).timed_out() {
+            if self.sleep(&mut state, deadline) {
                 // One last check: a publish may have raced the timeout.
-                let msg = state.messages.pop_front();
-                if msg.is_some() {
-                    state.delivered += 1;
-                }
-                return msg;
+                break state.pop();
             }
+        };
+        // Any return answers a kick: the caller is back in its loop.
+        state.kicked = false;
+        pulled
+    }
+
+    /// Ring the doorbell: the [`pull_timeout`](Self::pull_timeout) in
+    /// progress — or, if none is, the next one — returns now instead of
+    /// waiting out its timeout, with a queued message if there is one and
+    /// `None` if not. One kick is answered by one return, however many
+    /// kicks preceded it. For a consumer whose loop also serves something
+    /// this topic does not carry (the master's serve loop waits on acks
+    /// and must notice a submission; a link writer must notice its
+    /// connection died): publish there, then kick here. Messages are
+    /// neither dropped nor reordered, and [`pull`](Self::pull) is
+    /// unaffected.
+    pub fn kick(&self) {
+        let mut state = self.inner.queue.lock();
+        state.kicked = true;
+        let asleep = state.sleepers > 0;
+        drop(state);
+        if asleep {
+            // All of them: a `pull` sleeper must not swallow the one
+            // wake-up meant for a `pull_timeout` sleeper.
+            self.inner.available.notify_all();
         }
     }
 
@@ -186,6 +258,8 @@ impl<T> Topic<T> {
             published: state.published,
             delivered: state.delivered,
             depth: state.messages.len(),
+            sleepers: state.sleepers,
+            wakeups: state.wakeups,
         }
     }
 }
@@ -373,5 +447,163 @@ mod tests {
             let got = c.join().unwrap();
             assert!(got.windows(2).all(|w| w[0] < w[1]), "per-consumer order violated");
         }
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            thread::yield_now();
+        }
+    }
+
+    /// Sleeper-counted notification loses no wake-up: blocking consumers
+    /// that go to sleep between bursts are always woken for the next
+    /// message. A lost wake-up leaves messages queued with every consumer
+    /// asleep, and the watchdog in `wait_for` turns that hang into a
+    /// failure.
+    #[test]
+    fn counted_wakeups_lose_nothing_under_contention() {
+        const PRODUCERS: u64 = 4;
+        const CONSUMERS: usize = 4;
+        const PER_PRODUCER: u64 = 50_000;
+        let t: Topic<u64> = Topic::new();
+        let consumers: Vec<_> = (0..CONSUMERS)
+            .map(|_| {
+                let t = t.clone();
+                thread::spawn(move || {
+                    let (mut count, mut sum) = (0u64, 0u64);
+                    while let Some(v) = t.pull() {
+                        count += 1;
+                        sum += v;
+                    }
+                    (count, sum)
+                })
+            })
+            .collect();
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|p| {
+                let t = t.clone();
+                thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        let v = p * PER_PRODUCER + i;
+                        // Singles and small batches, so both notify paths run.
+                        if i % 7 == 0 {
+                            t.publish_all([v]);
+                        } else {
+                            t.publish(v);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for p in producers {
+            p.join().unwrap();
+        }
+        let total = PRODUCERS * PER_PRODUCER;
+        wait_for("every message is delivered", || t.stats().delivered == total);
+        t.close();
+        let (count, sum) = consumers
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .fold((0, 0), |(c, s), (c2, s2)| (c + c2, s + s2));
+        assert_eq!(count, total);
+        assert_eq!(sum, total * (total - 1) / 2, "each message exactly once");
+        assert!(t.stats().wakeups <= total, "never more wake-ups than messages");
+    }
+
+    #[test]
+    fn a_publish_wakes_only_as_many_sleepers_as_it_has_messages_for() {
+        // (sleepers, messages): more sleepers than messages, and fewer.
+        for (k, m) in [(4usize, 2usize), (2, 5), (3, 3)] {
+            let t: Topic<usize> = Topic::new();
+            t.publish(0);
+            t.publish_all(1..3);
+            assert_eq!(t.stats().wakeups, 0, "nobody asleep, nobody woken");
+            let mut drained = Vec::new();
+            t.try_pull_batch(&mut drained, 3);
+
+            let sleepers: Vec<_> = (0..k)
+                .map(|_| {
+                    let t = t.clone();
+                    thread::spawn(move || t.pull())
+                })
+                .collect();
+            wait_for("every consumer is asleep", || t.stats().sleepers == k);
+            t.publish_all(0..m);
+            assert_eq!(t.stats().wakeups, k.min(m) as u64, "k={k} m={m}");
+            wait_for("the woken consumers have taken theirs", || {
+                t.stats().delivered == 3 + k.min(m) as u64
+            });
+            t.close();
+            let mut got: Vec<usize> =
+                sleepers.into_iter().filter_map(|s| s.join().unwrap()).collect();
+            // Whatever the sleepers left behind is still queued, in order.
+            got.extend(std::iter::from_fn(|| t.try_pull()));
+            got.sort_unstable();
+            assert_eq!(got, (0..m).collect::<Vec<_>>(), "k={k} m={m}: all delivered");
+        }
+    }
+
+    #[test]
+    fn kick_returns_a_blocked_pull_timeout_at_once() {
+        let t: Topic<u32> = Topic::new();
+        let t2 = t.clone();
+        let h = thread::spawn(move || {
+            let got = t2.pull_timeout(Duration::from_secs(10));
+            (got, Instant::now())
+        });
+        wait_for("the consumer is asleep", || t.stats().sleepers == 1);
+        let kicked_at = Instant::now();
+        t.kick();
+        let (got, returned_at) = h.join().unwrap();
+        assert_eq!(got, None);
+        let took = returned_at.duration_since(kicked_at);
+        assert!(took < Duration::from_millis(50), "kick took {took:?} to land");
+    }
+
+    #[test]
+    fn kick_is_sticky_for_exactly_one_later_pull() {
+        let t: Topic<u32> = Topic::new();
+        t.kick();
+        t.kick(); // kicks do not add up
+        let start = Instant::now();
+        assert_eq!(t.pull_timeout(Duration::from_secs(10)), None);
+        assert!(start.elapsed() < Duration::from_secs(5), "the kick was waiting for it");
+        let start = Instant::now();
+        assert_eq!(t.pull_timeout(Duration::from_millis(30)), None);
+        assert!(start.elapsed() >= Duration::from_millis(25), "and only for that one");
+        // Without a deadline the wait is still open to a kick.
+        let t2 = t.clone();
+        let h = thread::spawn(move || t2.pull_timeout(Duration::MAX));
+        wait_for("the consumer is asleep", || t.stats().sleepers == 1);
+        t.kick();
+        assert_eq!(h.join().unwrap(), None);
+    }
+
+    #[test]
+    fn kick_never_drops_or_reorders_a_message() {
+        let t: Topic<u32> = Topic::new();
+        t.publish_all(0..3);
+        t.kick();
+        // A queued message answers the kick; the rest follow in order and
+        // the kick does not come back as a spurious `None`.
+        assert_eq!(t.pull_timeout(Duration::from_secs(10)), Some(0));
+        assert_eq!(t.pull_timeout(Duration::from_secs(10)), Some(1));
+        t.kick();
+        assert_eq!(t.try_pull(), Some(2), "non-blocking pulls ignore the kick");
+        assert_eq!(t.pull_timeout(Duration::from_secs(10)), None, "which is still pending");
+        // `pull` is deaf to kicks: only a message or a close returns it.
+        let t2 = t.clone();
+        let h = thread::spawn(move || t2.pull());
+        wait_for("the consumer is asleep", || t.stats().sleepers == 1);
+        t.kick();
+        t.publish(7);
+        assert_eq!(h.join().unwrap(), Some(7));
+        let start = Instant::now();
+        assert_eq!(t.pull_timeout(Duration::from_secs(10)), None);
+        assert!(start.elapsed() < Duration::from_secs(5), "the kick was still unanswered");
+        let s = t.stats();
+        assert_eq!((s.published, s.delivered, s.depth), (4, 4, 0));
     }
 }

@@ -38,7 +38,13 @@ pub trait Transport: Send + Sync + 'static {
     /// Non-blocking pull from the submission topic.
     fn try_pull_submission(&self) -> Option<Self::Submission>;
 
-    /// Blocking pull from the ack topic, bounded by `timeout`.
+    /// Blocking pull from the ack topic, bounded by `timeout` — an upper
+    /// bound, not a promise to wait it out. This is where the serve loop
+    /// sleeps, so a transport returns `None` early whenever something the
+    /// loop serves arrived on another topic (a submission, a lifecycle
+    /// message: see [`Topic::kick`](crate::Topic::kick)); the caller goes
+    /// round its loop and finds it. `None` therefore means "nothing to
+    /// pull right now", never "`timeout` has passed".
     fn pull_ack(&self, timeout: Duration) -> Option<Self::Ack>;
 
     /// Drain up to `max` further acks without blocking, appending to

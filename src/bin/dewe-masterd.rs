@@ -20,7 +20,6 @@
 
 use std::io::Write;
 use std::process::exit;
-use std::time::Duration;
 
 use dewe::core::realtime::{
     spawn_master_on, MasterConfig, MasterEvent, Registry, TcpMaster, TcpMasterOptions,
@@ -168,9 +167,9 @@ fn main() {
 
     let stats = handle.join();
     // Graceful exit: every worker gets a Bye so its daemon can stop too.
+    // When `shutdown` returns each Bye is on the wire and every socket is
+    // closed, so the process can exit.
     transport.shutdown();
-    // Give worker links a beat to drain the Bye before the process exits.
-    std::thread::sleep(Duration::from_millis(50));
     println!(
         "dewe-masterd: done — {} workflows, {} jobs completed, {} resubmissions, {} dead-lettered",
         stats.workflows_completed, stats.jobs_completed, stats.resubmissions, stats.dead_lettered

@@ -146,17 +146,10 @@ fn main() {
         },
     );
 
-    // Run until the master announces completion; slot loops then see the
-    // closed dispatch topic and exit on their own.
-    while !link.master_said_bye() && !link_closed(&link) {
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    let executed = handle.stop();
+    // Serve until the link is done: the master says Bye (or the link gives
+    // up), the link closes the dispatch side, the slot loops drain it and
+    // exit. `wait` blocks on exactly that.
+    let executed = handle.wait();
     link.close();
     println!("dewe-workerd: worker {} done — {executed} jobs executed", args.id);
-}
-
-fn link_closed(link: &TcpWorkerLink) -> bool {
-    use dewe::mq::WorkerTransport;
-    link.dispatch_closed()
 }
