@@ -30,9 +30,10 @@
 //! ([`AckMsg`], timeout scans, submissions), [`Action`]s out (dispatches,
 //! completion notices). Two runtimes drive it:
 //!
-//! * [`realtime`] — actual threads over the [`dewe_mq`] broker with
-//!   pluggable [`realtime::JobRunner`]s: a *real* in-process workflow
-//!   engine (used by the examples and fault-injection tests);
+//! * [`realtime`] — a master and workers with pluggable
+//!   [`realtime::JobRunner`]s, over [`dewe_mq`] topics in one process (the
+//!   examples, the fault-injection tests, the oracle) or over TCP (the
+//!   `dewe-masterd` / `dewe-workerd` daemons): a *real* workflow engine;
 //! * [`sim`] — the `dewe-simcloud` discrete-event cluster, which reproduces
 //!   the paper's 1,000-core EC2 experiments on a laptop.
 //!

@@ -19,9 +19,8 @@
 //! harness's own inputs). Delayed messages are parked inside the chaos
 //! wrapper and flushed by the pump's periodic tick, so a hold expires on
 //! time even when no new traffic arrives to piggyback on. Decisions come
-//! from the same pure seeded [`ChaosDecider`] the simulator uses, and an
-//! optional [`ChaosTrace`] captures the applied fault schedule for
-//! post-mortem replay.
+//! from the same pure seeded [`ChaosDecider`] the simulator uses: a run is
+//! reproduced by its seed.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -29,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use dewe_mq::chaos::streams;
-use dewe_mq::{ChaosConfig, ChaosDecider, ChaosStats, ChaosTopic, ChaosTrace, Topic};
+use dewe_mq::{ChaosConfig, ChaosDecider, ChaosStats, ChaosTopic, Topic};
 
 use super::bus::MessageBus;
 
@@ -51,16 +50,6 @@ impl ChaosLink {
     /// Interpose seeded chaos between a fresh master-side and worker-side
     /// bus pair.
     pub fn new(cfg: ChaosConfig) -> Self {
-        Self::build(cfg, None)
-    }
-
-    /// Like [`new`](Self::new), additionally recording every applied
-    /// fault decision to `trace` (dispatch and ack streams share it).
-    pub fn traced(cfg: ChaosConfig, trace: ChaosTrace) -> Self {
-        Self::build(cfg, Some(trace))
-    }
-
-    fn build(cfg: ChaosConfig, trace: Option<ChaosTrace>) -> Self {
         let master_bus = MessageBus::new();
         // Workers get their own dispatch/ack topics; submission passes
         // through untouched (it is the harness's own input channel), as
@@ -74,14 +63,9 @@ impl ChaosLink {
             lifecycle: master_bus.lifecycle.clone(),
         };
         let decider = Arc::new(ChaosDecider::new(cfg));
-        let mut dispatch_chaos =
+        let dispatch_chaos =
             ChaosTopic::new(worker_bus.dispatch.clone(), Arc::clone(&decider), streams::DISPATCH);
-        let mut ack_chaos =
-            ChaosTopic::new(master_bus.ack.clone(), Arc::clone(&decider), streams::ACK);
-        if let Some(t) = trace {
-            dispatch_chaos = dispatch_chaos.with_trace(t.clone());
-            ack_chaos = ack_chaos.with_trace(t);
-        }
+        let ack_chaos = ChaosTopic::new(master_bus.ack.clone(), Arc::clone(&decider), streams::ACK);
         // The pump tick bounds both how late a due delayed message can
         // flush and how long shutdown takes; well under delay_secs keeps
         // holds accurate without busy-spinning.
@@ -177,7 +161,6 @@ mod tests {
     use crate::protocol::{AckKind, AckMsg, DispatchMsg};
     use crate::realtime::{spawn_master, spawn_worker, MasterConfig, NoopRunner, WorkerConfig};
     use dewe_dag::{EnsembleJobId, JobId, WorkflowBuilder, WorkflowId};
-    use dewe_mq::Fault;
 
     fn dispatch(n: u32) -> DispatchMsg {
         DispatchMsg { job: EnsembleJobId::new(WorkflowId(0), JobId(n)), attempt: 1 }
@@ -211,26 +194,6 @@ mod tests {
         link.worker_bus.ack.publish(ack);
         assert_eq!(link.master_bus.ack.pull_timeout(Duration::from_secs(5)), Some(ack));
         assert_eq!(link.ack_stats().published, 1);
-        link.shutdown();
-    }
-
-    #[test]
-    fn trace_captures_the_applied_schedule() {
-        let trace = ChaosTrace::new();
-        let cfg = ChaosConfig { seed: 9, drop_prob: 0.5, ..ChaosConfig::default() };
-        let link = ChaosLink::traced(cfg, trace.clone());
-        for n in 0..64 {
-            link.master_bus.dispatch.publish(dispatch(n));
-        }
-        // Wait until the pump has decided every message.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while trace.len() < 64 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(trace.len(), 64);
-        let drops = trace.faults().iter().filter(|e| e.fault == Fault::Drop).count();
-        assert_eq!(drops as u64, link.dispatch_stats().dropped);
-        assert!(drops > 10, "seed 9 at p=0.5 must drop a good fraction, got {drops}");
         link.shutdown();
     }
 

@@ -18,10 +18,12 @@
 //! burst, not one per record. What a crash can lose is therefore only input
 //! the master had pulled off the socket and not yet acted on: the engine
 //! never saw it, no worker was told anything because of it, and the
-//! recovered master republishes the jobs it concerned. (Under
-//! [`JournalCommitPolicy::GroupCommit`] the rule is relaxed by choice — see
-//! there.) "Handed to the OS" is not "on disk": the journal survives the
-//! process, not the machine.
+//! recovered master republishes the jobs it concerned. Submissions and
+//! worker transitions write themselves before the call that records them
+//! returns; acknowledgments and scans wait in the buffer for the caller's
+//! [`Journal::commit`]; nothing else decides when bytes reach the file.
+//! "Handed to the OS" is not "on disk": the journal survives the process,
+//! not the machine.
 //!
 //! ## Format
 //!
@@ -93,9 +95,9 @@ pub enum JournalRecord {
         at: f64,
     },
     /// A worker lifecycle transition (liveness plane). Written by the
-    /// call that records it under either policy, like submissions: the liveness
-    /// table rebuilt on recovery must match the pre-crash one exactly,
-    /// and lifecycle transitions are far too rare to batch.
+    /// call that records it, like submissions: the liveness table rebuilt
+    /// on recovery must match the pre-crash one exactly, and lifecycle
+    /// transitions are far too rare to batch.
     Worker {
         /// Worker id.
         worker: u32,
@@ -120,54 +122,15 @@ impl JournalRecord {
     }
 }
 
-/// When journal records reach the OS, relative to what they cause.
-///
-/// * [`PerRecord`](Self::PerRecord) — **flushed before any effect.** The
-///   default, and the write-ahead rule of the module docs: every record is
-///   in the OS before the engine acts on it. The name is the contract, not
-///   the cost — the serve loop appends a burst of acks and calls
-///   [`Journal::commit_before_effects`] once, so the burst is one
-///   `write(2)`. A crash loses only input that had caused nothing yet.
-/// * [`GroupCommit`](Self::GroupCommit) — **flushed at cycle boundaries**,
-///   or sooner once `max_records` have piled up:
-///   [`Journal::commit_before_effects`] does nothing and the buffer goes
-///   out at the serve loop's [`Journal::commit`] at the top of its next
-///   cycle. Effects can therefore run up to one cycle ahead of the journal,
-///   and a crash can lose **ack and scan** records whose dispatches already
-///   left; recovery stays correct because any journaled prefix is a valid
-///   engine history — a lost Completed ack replays as a job still in
-///   flight, which the recovered master republishes and the timeout
-///   machinery finishes, at worst as duplicate-completion noise the engine
-///   already tolerates.
-///
-/// **Submissions and worker transitions are exempt**: they are written by
-/// the call that records them under either policy, because replay
-/// validates dense submission order — an ack referencing a never-journaled
-/// workflow would corrupt recovery rather than merely repeat work — and
-/// must rebuild the liveness table exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum JournalCommitPolicy {
-    /// Every record is in the OS before anything it causes leaves the
-    /// master (one write per burst of records, not per record).
-    #[default]
-    PerRecord,
-    /// Written at the serve loop's cycle boundary or after `max_records`
-    /// buffered records, whichever comes first; effects do not wait.
-    GroupCommit {
-        /// Buffered-record ceiling that forces a write.
-        max_records: usize,
-    },
-}
-
-/// Buffered bytes past which an append writes the buffer out whatever the
-/// policy — a caller that never commits must not grow it without bound,
-/// and writing early never breaks write-ahead.
+/// Buffered bytes past which an append writes the buffer out without
+/// waiting for a commit — a caller that never commits must not grow it
+/// without bound, and writing early never breaks write-ahead.
 const SPILL_BYTES: usize = 64 * 1024;
 
 /// Append-only journal writer. Records are formatted into a buffer that
-/// [`commit`](Self::commit) hands to the OS in one write; when that
-/// happens relative to the records' effects is the writer's
-/// [`JournalCommitPolicy`] (default: before any effect).
+/// [`commit`](Self::commit) hands to the OS in one write. The caller's side
+/// of the write-ahead rule is to call it after appending inputs and before
+/// acting on them.
 pub struct Journal {
     file: File,
     /// Records appended since the last write, as the bytes to write.
@@ -180,9 +143,6 @@ pub struct Journal {
     /// WAL must double past this before compacting again, so a journal
     /// full of live workflows doesn't re-compact on every record.
     floor: usize,
-    policy: JournalCommitPolicy,
-    /// Records in `buf`.
-    pending: usize,
 }
 
 /// Format `rec` as its journal line, newline included, straight into `out`.
@@ -208,15 +168,7 @@ fn write_record(out: &mut impl Write, rec: &JournalRecord) -> io::Result<()> {
 
 impl Journal {
     fn over(file: File, path: &Path) -> Self {
-        Self {
-            file,
-            buf: Vec::new(),
-            path: path.to_path_buf(),
-            records: 0,
-            floor: 0,
-            policy: JournalCommitPolicy::default(),
-            pending: 0,
-        }
+        Self { file, buf: Vec::new(), path: path.to_path_buf(), records: 0, floor: 0 }
     }
 
     /// Start a fresh journal, truncating any existing file.
@@ -232,18 +184,6 @@ impl Journal {
         Ok(Self::over(OpenOptions::new().create(true).append(true).open(path)?, path))
     }
 
-    /// Set the commit policy (builder style, on a fresh writer).
-    #[must_use]
-    pub fn with_policy(mut self, policy: JournalCommitPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// The writer's commit policy.
-    pub fn policy(&self) -> JournalCommitPolicy {
-        self.policy
-    }
-
     /// Inform the writer of records already present in the file (after
     /// [`Self::append`] on recovery).
     pub fn note_existing(&mut self, records: usize) {
@@ -256,53 +196,35 @@ impl Journal {
     }
 
     /// Append one record to the buffer. Returns with it written only when
-    /// the group-commit ceiling or the spill size says so.
+    /// the spill size says so.
     fn append_record(&mut self, rec: &JournalRecord) -> io::Result<()> {
         write_record(&mut self.buf, rec)?;
         self.records += 1;
-        self.pending += 1;
-        match self.policy {
-            JournalCommitPolicy::GroupCommit { max_records } if self.pending >= max_records => {
-                self.commit()
-            }
-            _ if self.buf.len() >= SPILL_BYTES => self.commit(),
-            _ => Ok(()),
+        if self.buf.len() >= SPILL_BYTES {
+            return self.commit();
         }
+        Ok(())
     }
 
-    /// Hand every buffered record to the OS, in one write. The serve loop
-    /// calls this at the top of each cycle (the group-commit point) and
-    /// before a clean exit; with nothing buffered it costs nothing. After
-    /// an error the buffer is dropped, not kept for a retry: part of it may
-    /// have been written, and writing it again would put a duplicate in
-    /// the middle of the file — the master stops on the error instead.
+    /// The write-ahead barrier: hand every buffered record to the OS, in
+    /// one write. Call it after appending records and before acting on
+    /// them; with nothing buffered it costs nothing. After an error the
+    /// buffer is dropped, not kept for a retry: part of it may have been
+    /// written, and writing it again would put a duplicate in the middle
+    /// of the file — the master stops on the error instead.
     pub fn commit(&mut self) -> io::Result<()> {
         if self.buf.is_empty() {
             return Ok(());
         }
         let written = self.file.write_all(&self.buf);
         self.buf.clear();
-        self.pending = 0;
         written
     }
 
-    /// The write-ahead barrier: call it after appending records and before
-    /// acting on them. Under the default policy it is [`commit`]; under
-    /// [`JournalCommitPolicy::GroupCommit`] it does nothing — effects may
-    /// run ahead of the journal by up to a cycle.
-    ///
-    /// [`commit`]: Self::commit
-    pub fn commit_before_effects(&mut self) -> io::Result<()> {
-        match self.policy {
-            JournalCommitPolicy::PerRecord => self.commit(),
-            JournalCommitPolicy::GroupCommit { .. } => Ok(()),
-        }
-    }
-
-    /// Journal a workflow submission. Submissions are written before this
-    /// returns regardless of policy — replay validates dense submission
-    /// order, so a lost submit record would invalidate everything after it
-    /// (see [`JournalCommitPolicy`]).
+    /// Journal a workflow submission. Written before this returns — replay
+    /// validates dense submission order, so an ack referencing a
+    /// never-journaled workflow would corrupt recovery rather than merely
+    /// repeat work.
     ///
     /// `_unused` was the shard: unused since PR 14; dropped with the next `benchmark/` change.
     pub fn record_submit(
@@ -315,8 +237,8 @@ impl Journal {
         self.commit()
     }
 
-    /// Journal a worker acknowledgment (buffered; see
-    /// [`commit_before_effects`](Self::commit_before_effects)).
+    /// Journal a worker acknowledgment (buffered until the next
+    /// [`commit`](Self::commit)).
     pub fn record_ack(&mut self, ack: &AckMsg, at: f64) -> io::Result<()> {
         self.append_record(&JournalRecord::Ack { ack: *ack, at })
     }
@@ -328,8 +250,8 @@ impl Journal {
     }
 
     /// Journal a worker lifecycle transition. Written before this returns
-    /// regardless of policy — recovery must rebuild the liveness table
-    /// exactly, and transitions are rare (see [`JournalRecord::Worker`]).
+    /// — recovery must rebuild the liveness table exactly, and transitions
+    /// are rare (see [`JournalRecord::Worker`]).
     pub fn record_worker(
         &mut self,
         worker: u32,
@@ -724,14 +646,13 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// The default policy's contract is "in the OS before any effect", not
-    /// "one write per record": a burst is buffered and the barrier writes
-    /// it whole; records that write themselves carry what precedes them.
+    /// The contract is "in the OS before any effect", not "one write per
+    /// record": a burst is buffered and the barrier writes it whole;
+    /// records that write themselves carry what precedes them.
     #[test]
-    fn default_policy_writes_a_burst_at_the_barrier_in_order() {
+    fn a_burst_is_written_at_the_barrier_in_order() {
         let path = tmp("write-ahead");
         let mut j = Journal::create(&path).unwrap();
-        assert_eq!(j.policy(), JournalCommitPolicy::PerRecord);
         let ack = |attempt| AckMsg {
             job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
             worker: 0,
@@ -742,7 +663,7 @@ mod tests {
         j.record_ack(&ack(2), 2.0).unwrap();
         j.record_scan(2.5).unwrap();
         assert_eq!(read_journal(&path).unwrap().len(), 0, "a burst waits for its barrier");
-        j.commit_before_effects().unwrap();
+        j.commit().unwrap();
         assert_eq!(read_journal(&path).unwrap().len(), 3, "and is whole after it");
         // A worker transition in the middle of a burst writes itself, and
         // with it the acks appended before it: file order is append order.
@@ -754,7 +675,7 @@ mod tests {
         assert_eq!(read[3], JournalRecord::Ack { ack: ack(3), at: 3.0 });
         assert!(matches!(read[4], JournalRecord::Worker { worker: 4, .. }));
         j.commit().unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 6, "commit is a barrier too");
+        assert_eq!(read_journal(&path).unwrap().len(), 6);
         std::fs::remove_file(&path).ok();
     }
 
@@ -772,74 +693,32 @@ mod tests {
             attempt: 1,
         };
         j.record_ack(&ack, 1.0).unwrap();
-        assert!(j.commit_before_effects().is_err());
+        assert!(j.commit().is_err());
         assert!(j.commit().is_ok(), "the refused bytes are gone, not queued for a retry");
     }
 
+    /// A submit record must never wait in the buffer (replay validates
+    /// dense submission order), nor a lifecycle record (the liveness table
+    /// is rebuilt from them exactly).
     #[test]
-    fn group_commit_buffers_until_commit_or_max_records() {
-        let path = tmp("group-commit");
-        let mut j = Journal::create(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 3 });
-        let ack = |attempt| AckMsg {
-            job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
-            worker: 0,
-            kind: AckKind::Running,
-            attempt,
-        };
-        j.record_ack(&ack(1), 1.0).unwrap();
-        j.record_ack(&ack(2), 2.0).unwrap();
-        j.commit_before_effects().unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 0, "effects do not wait under group commit");
-        j.commit().unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 2, "commit flushes the window");
-        // Hitting max_records flushes without an explicit commit.
-        j.record_ack(&ack(3), 3.0).unwrap();
-        j.record_ack(&ack(4), 4.0).unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 2);
-        j.record_ack(&ack(5), 5.0).unwrap();
-        assert_eq!(read_journal(&path).unwrap().len(), 5, "3rd buffered record forces a flush");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn submissions_commit_immediately_under_group_commit() {
-        let path = tmp("group-commit-submit");
-        let mut j = Journal::create(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
+    fn submissions_and_worker_transitions_write_themselves() {
+        let path = tmp("immediate");
+        let mut j = Journal::create(&path).unwrap();
         j.record_submit(WorkflowId(0), 0, 0.0).unwrap();
         assert_eq!(
             read_journal(&path).unwrap(),
-            vec![JournalRecord::Submit { workflow: 0, at: 0.0 }],
-            "a submit record must never sit in the group-commit buffer"
+            vec![JournalRecord::Submit { workflow: 0, at: 0.0 }]
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn dropping_the_writer_flushes_buffered_records() {
-        // A clean shutdown (as opposed to a crash) loses nothing: the
-        // writer hands its buffer over on drop under either policy.
-        let path = tmp("group-commit-drop");
-        let mut j = Journal::create(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
-        j.record_scan(1.0).unwrap();
-        j.record_scan(2.0).unwrap();
-        drop(j);
+        j.record_worker(1, 0, WorkerPhase::Live, 0.0).unwrap();
         assert_eq!(read_journal(&path).unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn compaction_commits_buffered_records_first() {
-        let path = tmp("group-commit-compact");
+        let path = tmp("compact-buffered");
         let (registry, config, records) = noisy_history();
-        let mut j = Journal::create(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
+        let mut j = Journal::create(&path).unwrap();
         for rec in &records {
             match *rec {
                 JournalRecord::Submit { workflow, at } => {
@@ -891,29 +770,12 @@ mod tests {
     }
 
     #[test]
-    fn worker_records_commit_immediately_under_group_commit() {
-        let path = tmp("worker-rec-commit");
-        let mut j = Journal::create(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
-        j.record_worker(1, 0, WorkerPhase::Live, 0.0).unwrap();
-        assert_eq!(
-            read_journal(&path).unwrap().len(),
-            1,
-            "a lifecycle record must never sit in the group-commit buffer"
-        );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn drop_mid_window_then_reopen_loses_nothing() {
-        // A clean shutdown mid-group-commit-window must flush the tail
-        // explicitly (Journal's Drop impl), and a writer reopened on the
-        // file must append after it without gaps.
+    fn drop_mid_burst_then_reopen_loses_nothing() {
+        // A clean shutdown with a burst still buffered must flush the tail
+        // (Journal's Drop impl), and a writer reopened on the file must
+        // append after it without gaps.
         let path = tmp("drop-reopen");
-        let mut j = Journal::create(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
+        let mut j = Journal::create(&path).unwrap();
         let ack = |attempt| AckMsg {
             job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
             worker: 0,
@@ -923,12 +785,10 @@ mod tests {
         j.record_submit(WorkflowId(0), 0, 0.0).unwrap();
         j.record_ack(&ack(1), 1.0).unwrap();
         j.record_ack(&ack(2), 2.0).unwrap(); // both acks still buffered
-        drop(j); // clean shutdown mid-window
-        assert_eq!(read_journal(&path).unwrap().len(), 3, "drop flushed the window");
+        drop(j); // clean shutdown mid-burst
+        assert_eq!(read_journal(&path).unwrap().len(), 3, "drop flushed the burst");
 
-        let mut j = Journal::append(&path)
-            .unwrap()
-            .with_policy(JournalCommitPolicy::GroupCommit { max_records: 1000 });
+        let mut j = Journal::append(&path).unwrap();
         j.note_existing(3);
         j.record_ack(&ack(3), 3.0).unwrap();
         drop(j);
@@ -1077,6 +937,86 @@ A 2 0 1 1 1 402c000000000000
         std::fs::write(&path, "T 3ff0000000000000\nS 0 0 x3\n").unwrap();
         assert_eq!(read_journal(&path).unwrap(), vec![JournalRecord::Scan { at: 1.0 }]);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// What a 0.11.0 master left on disk when its process died while the
+    /// dispatches of workflow 1's three leaves were leaving, under each
+    /// commit mode it had (captured from that build; a three-job chain,
+    /// then a 1 → 3 fan, one worker). Written before any effect: the root's
+    /// acks are in the file.
+    const WRITE_AHEAD_0_11_JOURNAL: &str = "\
+W 1 0 0 3e92ecb91dbac860
+S 0 3ef9fe83d40a83bd
+A 0 0 1 0 1 3f0021beca33480a
+A 0 0 1 1 1 3f0021beca33480a
+A 0 1 1 0 1 3f01c058058bc150
+A 0 1 1 1 1 3f01c058058bc150
+A 0 2 1 0 1 3f02a4c84bdea5bd
+A 0 2 1 1 1 3f02a4c84bdea5bd
+S 1 3f083ff8fa8e623f
+A 1 0 1 0 1 3f094b9a4c0adf46
+A 1 0 1 1 1 3f094b9a4c0adf46
+";
+    /// Group commit: the same moment, but the root's acks were still in
+    /// the writer's buffer — the file trails effects that had left.
+    const GROUP_COMMIT_0_11_JOURNAL: &str = "\
+W 1 0 0 3e93429f59438a91
+S 0 3efb6d775a5d214c
+A 0 0 1 0 1 3f00cd68e52cfc1e
+A 0 0 1 1 1 3f00cd68e52cfc1e
+A 0 1 1 0 1 3f026c8b90e4b69b
+A 0 1 1 1 1 3f026c8b90e4b69b
+A 0 2 1 0 1 3f033fab6f37a3e4
+A 0 2 1 1 1 3f033fab6f37a3e4
+S 1 3f091f944d87fbc0
+";
+
+    /// Journals written under either retired commit mode recover: the
+    /// format was the same, and a file that trails its effects is still a
+    /// valid engine history. The recovered engine republishes what the
+    /// file says is in flight — for the trailing file that is the root,
+    /// one step behind what the dead master had sent — and finishes.
+    #[test]
+    fn journals_of_both_retired_commit_modes_recover_and_finish() {
+        let registry = Registry::new();
+        registry.insert(WorkflowId(0), chain(3));
+        let mut fan = WorkflowBuilder::new("fan");
+        let root = fan.job("r", "t", 1.0).build();
+        for i in 0..3 {
+            let leaf = fan.job(format!("l{i}"), "t", 1.0).build();
+            fan.edge(root, leaf);
+        }
+        registry.insert(WorkflowId(1), Arc::new(fan.finish().unwrap()));
+        let attempt_1 =
+            |j| DispatchMsg { job: EnsembleJobId::new(WorkflowId(1), JobId(j)), attempt: 1 };
+
+        let cases = [
+            ("write-ahead", WRITE_AHEAD_0_11_JOURNAL, [1, 2, 3].map(attempt_1).to_vec()),
+            ("group-commit", GROUP_COMMIT_0_11_JOURNAL, vec![attempt_1(0)]),
+        ];
+        for (tag, text, in_flight) in cases {
+            let path = tmp(tag);
+            std::fs::write(&path, text).unwrap();
+            let records = read_journal(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            let rec = recover(&records, &registry, EngineConfig::default()).unwrap();
+            assert_eq!(rec.engine.stats().workflows_completed, 1, "{tag}");
+            assert_eq!(rec.redispatch, in_flight, "{tag}");
+
+            let mut engine = rec.engine;
+            let mut work = rec.redispatch;
+            let mut sink = Vec::new();
+            while let Some(d) = work.pop() {
+                let ack = AckMsg { job: d.job, worker: 1, kind: AckKind::Completed, attempt: 1 };
+                engine.on_ack(ack, rec.resume_at + 1.0, &mut sink);
+                work.extend(sink.drain(..).filter_map(|a| match a {
+                    Action::Dispatch(d) => Some(d),
+                    _ => None,
+                }));
+            }
+            assert!(engine.all_complete(), "{tag}: {:?}", engine.stats());
+            assert_eq!(engine.stats().jobs_completed, 7, "{tag}");
+        }
     }
 
     #[test]

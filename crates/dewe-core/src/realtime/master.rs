@@ -11,7 +11,7 @@ use dewe_dag::WorkflowId;
 use dewe_mq::Transport;
 
 use super::bus::{MessageBus, Registry};
-use super::journal::{self, Journal, JournalCommitPolicy};
+use super::journal::{self, Journal};
 use super::liveness::{LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerView};
 use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WorkflowAnnounce};
@@ -44,9 +44,7 @@ impl<T> MasterTransport for T where
 
 /// Master daemon configuration.
 ///
-/// Opaque: construct with [`MasterConfig::builder`] and the chained
-/// setters (the 0.10 deprecated public field aliases are gone as of
-/// 0.11.0).
+/// Opaque: construct with [`MasterConfig::builder`] and the chained setters.
 ///
 /// ```
 /// use dewe_core::realtime::MasterConfig;
@@ -58,30 +56,20 @@ impl<T> MasterTransport for T where
 ///     .lease_secs(5.0)
 ///     .build();
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct MasterConfig {
-    cfg: ResolvedConfig,
-}
-
-/// The internal mirror of [`MasterConfig`]: every read in the serve
-/// machinery goes through this flat struct rather than the opaque
-/// public wrapper.
 #[derive(Debug, Clone)]
-struct ResolvedConfig {
+pub struct MasterConfig {
     default_timeout_secs: f64,
     checkout_timeout_secs: Option<f64>,
     retry: RetryPolicy,
     timeout_scan_interval: Duration,
     expected_workflows: Option<usize>,
-    ack_burst: usize,
     journal_path: Option<PathBuf>,
     recover: bool,
     journal_compact_threshold: Option<usize>,
-    journal_commit: JournalCommitPolicy,
     lease_secs: Option<f64>,
 }
 
-impl Default for ResolvedConfig {
+impl Default for MasterConfig {
     fn default() -> Self {
         Self {
             default_timeout_secs: crate::engine::DEFAULT_TIMEOUT_SECS,
@@ -89,17 +77,20 @@ impl Default for ResolvedConfig {
             retry: RetryPolicy::default(),
             timeout_scan_interval: Duration::from_millis(50),
             expected_workflows: None,
-            ack_burst: 128,
             journal_path: None,
             recover: false,
             journal_compact_threshold: None,
-            journal_commit: JournalCommitPolicy::default(),
             lease_secs: None,
         }
     }
 }
 
-impl ResolvedConfig {
+impl MasterConfig {
+    /// Start building a configuration from the defaults.
+    pub fn builder() -> MasterConfigBuilder {
+        MasterConfigBuilder { cfg: MasterConfig::default() }
+    }
+
     fn engine_config(&self) -> EngineConfig {
         EngineConfig {
             default_timeout_secs: self.default_timeout_secs,
@@ -109,23 +100,16 @@ impl ResolvedConfig {
     }
 }
 
-impl MasterConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> MasterConfigBuilder {
-        MasterConfigBuilder { cfg: ResolvedConfig::default() }
-    }
-
-    fn resolve(&self) -> ResolvedConfig {
-        self.cfg.clone()
-    }
-}
+/// Acknowledgments the serve loop takes in one grab — and so journals in
+/// one write and hands the engine in one step.
+const ACK_BURST: usize = 128;
 
 /// Builder for [`MasterConfig`], mirroring [`EngineConfig`]'s chained
 /// setters. Obtain via [`MasterConfig::builder`].
 #[derive(Debug, Clone)]
 #[must_use = "finish the configuration with .build()"]
 pub struct MasterConfigBuilder {
-    cfg: ResolvedConfig,
+    cfg: MasterConfig,
 }
 
 impl MasterConfigBuilder {
@@ -161,12 +145,6 @@ impl MasterConfigBuilder {
         self
     }
 
-    /// Maximum acknowledgments ingested per loop iteration.
-    pub fn ack_burst(mut self, burst: usize) -> Self {
-        self.cfg.ack_burst = burst;
-        self
-    }
-
     /// Write-ahead journal path.
     pub fn journal_path(mut self, path: impl Into<PathBuf>) -> Self {
         self.cfg.journal_path = Some(path.into());
@@ -185,12 +163,6 @@ impl MasterConfigBuilder {
         self
     }
 
-    /// Journal durability policy.
-    pub fn journal_commit(mut self, policy: JournalCommitPolicy) -> Self {
-        self.cfg.journal_commit = policy;
-        self
-    }
-
     /// Worker lease duration, seconds; enables the liveness plane.
     pub fn lease_secs(mut self, secs: f64) -> Self {
         self.cfg.lease_secs = Some(secs);
@@ -199,7 +171,7 @@ impl MasterConfigBuilder {
 
     /// Finish: produce the configuration.
     pub fn build(self) -> MasterConfig {
-        MasterConfig { cfg: self.cfg }
+        self.cfg
     }
 }
 
@@ -335,10 +307,9 @@ pub fn spawn_master_on<T: MasterTransport>(
     let stop2 = Arc::clone(&stop);
     let shared = Arc::new(FaultPlaneShared::default());
     let shared2 = Arc::clone(&shared);
-    let resolved = config.resolve();
     let thread = std::thread::Builder::new()
         .name("dewe-master".into())
-        .spawn(move || master_loop(transport, registry, resolved, tx, stop2, shared2))
+        .spawn(move || master_loop(transport, registry, config, tx, stop2, shared2))
         .expect("spawn master thread");
     MasterHandle { thread: Some(thread), stop, shared, events: rx }
 }
@@ -349,7 +320,7 @@ pub fn spawn_master_on<T: MasterTransport>(
 fn master_loop<T: MasterTransport>(
     transport: T,
     registry: Registry,
-    config: ResolvedConfig,
+    config: MasterConfig,
     events: Sender<MasterEvent>,
     stop: Arc<AtomicBool>,
     shared: Arc<FaultPlaneShared>,
@@ -381,10 +352,10 @@ impl Wal {
         }
     }
 
-    /// The write-ahead barrier (see [`Journal::commit_before_effects`]):
-    /// between journaling inputs and acting on them.
-    fn commit_before_effects(&mut self) -> io::Result<()> {
-        self.write("journal commit", Journal::commit_before_effects)
+    /// The write-ahead barrier (see [`Journal::commit`]): between
+    /// journaling inputs and acting on them.
+    fn commit(&mut self) -> io::Result<()> {
+        self.write("journal commit", Journal::commit)
     }
 }
 
@@ -474,7 +445,7 @@ impl LivenessPlane {
 /// still-live worker gets a grace lease from `resume_at` — workers that
 /// never make contact again are expired (and flagged) when it lapses.
 fn build_plane(
-    config: &ResolvedConfig,
+    config: &MasterConfig,
     shared: &Arc<FaultPlaneShared>,
     recovered: Option<(&[journal::JournalRecord], f64)>,
 ) -> Option<LivenessPlane> {
@@ -514,7 +485,7 @@ fn journal_error(step: &str, path: &Path, e: io::Error) -> io::Error {
 fn open<T: MasterTransport>(
     transport: &T,
     registry: &Registry,
-    config: &ResolvedConfig,
+    config: &MasterConfig,
     shared: &Arc<FaultPlaneShared>,
 ) -> io::Result<Opened> {
     // The journal to take over from, if any. Without one this is a cold
@@ -536,9 +507,7 @@ fn open<T: MasterTransport>(
     let Some(path) = takeover else {
         let wal = match &config.journal_path {
             Some(path) => Some((
-                Journal::create(path)
-                    .map_err(|e| journal_error("create journal", path, e))?
-                    .with_policy(config.journal_commit),
+                Journal::create(path).map_err(|e| journal_error("create journal", path, e))?,
                 path.clone(),
             )),
             None => None,
@@ -578,9 +547,7 @@ fn open<T: MasterTransport>(
             transport.publish_dispatch(0, d);
         }
     }
-    let mut wal = Journal::append(path)
-        .map_err(|e| journal_error("reopen journal", path, e))?
-        .with_policy(config.journal_commit);
+    let mut wal = Journal::append(path).map_err(|e| journal_error("reopen journal", path, e))?;
     wal.note_existing(records.len());
     let wal = Wal(Some((wal, path.to_path_buf())));
     Ok(Opened { engine, wal, liveness, time_base: rec.resume_at })
@@ -589,13 +556,14 @@ fn open<T: MasterTransport>(
 /// The master's one serve loop. Each step journals its inputs, passes the
 /// write-ahead barrier, and only then lets effects (dispatches, events)
 /// leave — so an ack burst costs one journal write, made before the engine
-/// sees the burst. Every journal write that fails — here or in the startup
-/// prologue — ends the loop with the error, naming the step and the
+/// sees the burst, and the journal's buffer is empty whenever the loop
+/// comes round or returns. Every journal write that fails — here or in the
+/// startup prologue — ends the loop with the error, naming the step and the
 /// journal file; [`master_loop`] reports that as [`MasterEvent::Failed`].
 fn serve<T: MasterTransport>(
     transport: &T,
     registry: &Registry,
-    config: &ResolvedConfig,
+    config: &MasterConfig,
     events: &Sender<MasterEvent>,
     stop: &AtomicBool,
     shared: &Arc<FaultPlaneShared>,
@@ -603,7 +571,7 @@ fn serve<T: MasterTransport>(
     let Opened { mut engine, mut wal, mut liveness, time_base } =
         open(transport, registry, config, shared)?;
     let mut actions: Vec<Action> = Vec::new();
-    let mut ack_burst: Vec<AckMsg> = Vec::with_capacity(config.ack_burst.max(1));
+    let mut ack_burst: Vec<AckMsg> = Vec::with_capacity(ACK_BURST);
     let mut requeue_acks: Vec<AckMsg> = Vec::new();
     let mut run: Vec<DispatchMsg> = Vec::new();
 
@@ -615,9 +583,6 @@ fn serve<T: MasterTransport>(
             return Ok(engine.stats());
         }
         mirror_cascades(shared, &engine);
-        // Group-commit point: whatever the previous poll cycle buffered
-        // becomes durable before this cycle ingests more input.
-        wal.write("journal commit", Journal::commit)?;
         let now = time_base + start.elapsed().as_secs_f64();
 
         // 1. Ingest any newly submitted workflows.
@@ -653,7 +618,7 @@ fn serve<T: MasterTransport>(
             engine.check_timeouts(now, &mut actions);
             if !actions.is_empty() || engine.stats() != before {
                 wal.write("journal scan", |w| w.record_scan(now))?;
-                wal.commit_before_effects()?;
+                wal.commit()?;
             }
             publish_actions(transport, shared, events, &mut actions, &mut run);
         }
@@ -667,7 +632,7 @@ fn serve<T: MasterTransport>(
             for ack in &requeue_acks {
                 wal.write("journal ack", |w| w.record_ack(ack, now))?;
             }
-            wal.commit_before_effects()?;
+            wal.commit()?;
             for ack in requeue_acks.drain(..) {
                 engine.on_ack(ack, now, &mut actions);
             }
@@ -681,10 +646,6 @@ fn serve<T: MasterTransport>(
         if let Some(expected) = config.expected_workflows {
             let stats = engine.stats();
             if stats.workflows_completed + stats.workflows_abandoned >= expected {
-                // Graceful exit: make the group-commit window durable
-                // before announcing completion — drop-flushing is for
-                // crashes, not clean returns.
-                wal.write("final journal commit", Journal::commit)?;
                 let ev = if stats.workflows_abandoned == 0 {
                     MasterEvent::AllCompleted { stats }
                 } else {
@@ -705,9 +666,7 @@ fn serve<T: MasterTransport>(
         match transport.pull_ack(config.timeout_scan_interval) {
             Some(first) => {
                 ack_burst.push(first);
-                if config.ack_burst > 1 {
-                    transport.pull_ack_batch(&mut ack_burst, config.ack_burst - 1);
-                }
+                transport.pull_ack_batch(&mut ack_burst, ACK_BURST - 1);
                 let now = time_base + start.elapsed().as_secs_f64();
                 // Fence and journal the whole burst in arrival order, one
                 // write for all of it; only then does the engine see it.
@@ -727,7 +686,7 @@ fn serve<T: MasterTransport>(
                     admitted += 1;
                 }
                 ack_burst.truncate(admitted);
-                wal.commit_before_effects()?;
+                wal.commit()?;
                 for ack in ack_burst.drain(..) {
                     engine.on_ack(ack, now, &mut actions);
                 }
@@ -736,9 +695,6 @@ fn serve<T: MasterTransport>(
             }
             None => {
                 if transport.ack_closed() {
-                    // Transport-shutdown exit is as graceful as settling:
-                    // commit the buffered window before returning.
-                    wal.write("final journal commit", Journal::commit)?;
                     mirror_cascades(shared, &engine);
                     return Ok(engine.stats());
                 }
@@ -766,7 +722,7 @@ fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry, cou
 /// stays proportional to live state, not ensemble lifetime. Compaction
 /// failure is non-fatal: the journal keeps growing and recovery still
 /// works, so log-and-continue beats taking the master down.
-fn maybe_compact(wal: &mut Wal, registry: &Registry, config: &ResolvedConfig) {
+fn maybe_compact(wal: &mut Wal, registry: &Registry, config: &MasterConfig) {
     let (Some((w, _)), Some(threshold)) = (wal.0.as_mut(), config.journal_compact_threshold) else {
         return;
     };
@@ -924,29 +880,20 @@ mod tests {
     /// same way: one `Failed` event naming the step and the file, zero
     /// stats, no panic. `/dev/full` opens like any file and refuses every
     /// write with ENOSPC. Submissions and lifecycle records are written by
-    /// the call that records them under either commit policy; an ack is
-    /// buffered and fails where its burst is committed — before the engine
-    /// sees it under the default policy.
+    /// the call that records them; an ack is buffered and fails where its
+    /// burst is committed — before the engine sees it.
     #[cfg(target_os = "linux")]
     #[test]
     fn journal_write_error_fails_the_running_master_without_panicking() {
         use crate::protocol::{LifecycleKind, LifecycleMsg};
 
-        let cases = [
-            (JournalCommitPolicy::PerRecord, "journal submit"),
-            (JournalCommitPolicy::GroupCommit { max_records: 1000 }, "journal submit"),
-            (JournalCommitPolicy::PerRecord, "journal worker"),
-            (JournalCommitPolicy::GroupCommit { max_records: 1000 }, "journal worker"),
-            (JournalCommitPolicy::PerRecord, "journal commit"),
-        ];
-        for (policy, step) in cases {
+        for step in ["journal submit", "journal worker", "journal commit"] {
             let bus = MessageBus::new();
             let handle = spawn_master(
                 bus.clone(),
                 Registry::new(),
                 MasterConfig::builder()
                     .journal_path("/dev/full")
-                    .journal_commit(policy)
                     .lease_secs(5.0)
                     .timeout_scan_interval(Duration::from_millis(10))
                     .build(),
@@ -969,10 +916,10 @@ mod tests {
             }
             let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
             let MasterEvent::Failed { reason } = ev else {
-                panic!("{policy:?} {step}: expected Failed, got {ev:?}");
+                panic!("{step}: expected Failed, got {ev:?}");
             };
-            assert!(reason.starts_with(&format!("{step} /dev/full: ")), "{policy:?}: {reason:?}");
-            assert_eq!(handle.join(), EngineStats::default(), "{policy:?} {step}");
+            assert!(reason.starts_with(&format!("{step} /dev/full: ")), "{reason:?}");
+            assert_eq!(handle.join(), EngineStats::default(), "{step}");
         }
     }
 
@@ -1026,9 +973,9 @@ mod tests {
 
     #[test]
     fn master_ingests_ack_bursts_in_batches() {
-        // 32 independent jobs, all acknowledged at once: the master must
-        // drain the flood in batches (bounded by ack_burst) and still
-        // account for every completion exactly once.
+        // 100 independent jobs, all acknowledged at once: 200 acks are
+        // more than one burst, so the master must drain the flood in
+        // batches and still account for every completion exactly once.
         let bus = MessageBus::new();
         let registry = Registry::new();
         let handle = spawn_master(
@@ -1037,17 +984,18 @@ mod tests {
             MasterConfig::builder()
                 .timeout_scan_interval(Duration::from_millis(10))
                 .expected_workflows(1)
-                .ack_burst(5) // force several batches
                 .build(),
         );
+        const JOBS: u64 = 100;
+        assert!(2 * JOBS as usize > ACK_BURST, "the flood must span several bursts");
         let mut b = WorkflowBuilder::new("wide");
-        for i in 0..32 {
+        for i in 0..JOBS {
             b.job(format!("j{i}"), "t", 1.0).build();
         }
         super::super::submit(&bus, "wide", Arc::new(b.finish().unwrap()));
 
         let mut acks = Vec::new();
-        for _ in 0..32 {
+        for _ in 0..JOBS {
             let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
             acks.push(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt: d.attempt });
             acks.push(AckMsg {
@@ -1059,7 +1007,7 @@ mod tests {
         }
         bus.ack.publish_all(acks);
         let stats = handle.join();
-        assert_eq!(stats.jobs_completed, 32);
+        assert_eq!(stats.jobs_completed, JOBS);
         assert_eq!(stats.duplicate_completions, 0);
         assert_eq!(stats.workflows_completed, 1);
     }
@@ -1229,6 +1177,34 @@ mod tests {
         w0.stop();
     }
 
+    /// Without `expected_workflows` the master serves until the transport
+    /// goes away — and then it, and the workers, exit even with work in
+    /// flight.
+    #[test]
+    fn bus_shutdown_mid_flight_ends_master_and_workers() {
+        use crate::realtime::runner::SleepRunner;
+        use crate::realtime::worker::{spawn_worker, WorkerConfig};
+
+        let bus = MessageBus::new();
+        let registry = Registry::new();
+        let handle = spawn_master(bus.clone(), registry.clone(), MasterConfig::builder().build());
+        let worker = spawn_worker(
+            bus.clone(),
+            registry,
+            Arc::new(SleepRunner::new(0.05)),
+            WorkerConfig::default(),
+        );
+        let mut b = WorkflowBuilder::new("chain");
+        let first = b.job("a", "t", 1.0).build();
+        let second = b.job("b", "t", 1.0).build();
+        b.edge(first, second);
+        super::super::submit(&bus, "never-finishes", Arc::new(b.finish().unwrap()));
+        bus.shutdown();
+        let stats = handle.join();
+        assert_eq!(stats.workflows_completed, 0, "shut down mid-flight: {stats:?}");
+        worker.stop();
+    }
+
     #[test]
     fn master_dead_letters_and_exits_settled() {
         let bus = MessageBus::new();
@@ -1274,9 +1250,6 @@ mod tests {
     #[derive(Clone)]
     struct WriteAheadProbe {
         journal: PathBuf,
-        /// Assert at every publish (the default policy's promise), or only
-        /// collect (group commit promises nothing at this point).
-        strict: bool,
         /// The queues; its dispatch topic is unused — the probe works each
         /// dispatch itself, inside the publish.
         bus: MessageBus,
@@ -1286,10 +1259,9 @@ mod tests {
     }
 
     impl WriteAheadProbe {
-        fn new(journal: PathBuf, strict: bool) -> Self {
+        fn new(journal: PathBuf) -> Self {
             Self {
                 journal,
-                strict,
                 bus: MessageBus::new(),
                 pulled: Default::default(),
                 publishes: Default::default(),
@@ -1299,9 +1271,6 @@ mod tests {
         /// An effect is leaving: is its cause in the file?
         fn effect_leaves(&self) {
             self.publishes.fetch_add(1, Ordering::Relaxed);
-            if !self.strict {
-                return;
-            }
             let (submits, acks) = &*self.pulled.lock();
             let records = journal::read_journal(&self.journal).expect("journal reads back");
             let in_file = |want: fn(&journal::JournalRecord) -> bool| {
@@ -1410,10 +1379,10 @@ mod tests {
         }
     }
 
-    /// No dispatch leaves the process before the input that caused it can
-    /// be read back from the journal file — with acks journaled a burst at
-    /// a time, and `W` records interleaved by the lease plane. Under group
-    /// commit the same run only has to recover.
+    /// No dispatch and no event leaves the process before the input that
+    /// caused it can be read back from the journal file — with acks
+    /// journaled a burst at a time, and `W` records interleaved by the
+    /// lease plane.
     #[test]
     fn no_dispatch_leaves_before_its_cause_is_in_the_journal_file() {
         use crate::protocol::LifecycleKind;
@@ -1438,85 +1407,76 @@ mod tests {
         }
         let workflows = [Arc::new(chain.finish().unwrap()), Arc::new(fan.finish().unwrap())];
 
-        let policies =
-            [JournalCommitPolicy::PerRecord, JournalCommitPolicy::GroupCommit { max_records: 8 }];
-        for policy in policies {
-            let strict = policy == JournalCommitPolicy::PerRecord;
-            let path = dir.join(if strict { "default.wal" } else { "group.wal" });
-            let probe = WriteAheadProbe::new(path.clone(), strict);
-            for worker in [1, 2] {
-                probe.bus.lifecycle.publish(LifecycleMsg {
-                    worker,
-                    generation: 0,
-                    kind: LifecycleKind::Register,
-                });
-            }
-            let registry = Registry::new();
-            let handle = spawn_master_on(
-                probe.clone(),
-                registry.clone(),
-                MasterConfig::builder()
-                    .timeout_scan_interval(Duration::from_millis(10))
-                    .expected_workflows(2)
-                    .journal_path(&path)
-                    .journal_commit(policy)
-                    .lease_secs(30.0)
-                    .build(),
-            );
-            for (i, wf) in workflows.iter().enumerate() {
-                super::super::submit(&probe.bus, format!("wf{i}"), Arc::clone(wf));
-            }
-            loop {
-                match handle.events.recv_timeout(Duration::from_secs(30)).expect("an event") {
-                    MasterEvent::AllCompleted { .. } => break,
-                    MasterEvent::WorkflowCompleted { workflow, .. } => {
-                        // The event's cause, too, is readable by now.
-                        let jobs = workflows[workflow.index()].job_count();
-                        let done = journal::read_journal(&path)
-                            .unwrap()
-                            .iter()
-                            .filter(|r| {
-                                matches!(r, journal::JournalRecord::Ack { ack, .. }
-                                if ack.job.workflow == workflow && ack.kind == AckKind::Completed)
-                            })
-                            .count();
-                        assert!(
-                            !strict || done == jobs,
-                            "{policy:?}: {done} of {jobs} in the file"
-                        );
-                    }
-                    other => panic!("{policy:?}: unexpected event {other:?}"),
-                }
-            }
-            let stats = handle.join();
-            assert_eq!((stats.workflows_completed, stats.jobs_completed), (2, 23), "{policy:?}");
-            assert!(probe.publishes.load(Ordering::Relaxed) >= 6, "{policy:?}: the probe probed");
-
-            // Either way the file a clean exit leaves behind is the whole
-            // history, `W` lines in among the acks, and it recovers.
-            let records = journal::read_journal(&path).unwrap();
-            let phases: Vec<WorkerPhase> = records
-                .iter()
-                .filter_map(|r| match r {
-                    journal::JournalRecord::Worker { phase, .. } => Some(*phase),
-                    _ => None,
-                })
-                .collect();
-            use WorkerPhase::{Drained, Draining, Live};
-            assert_eq!(phases, [Live, Live, Draining, Drained], "{policy:?}");
-            let drained_at = records
-                .iter()
-                .position(|r| matches!(r, journal::JournalRecord::Worker { phase: Drained, .. }))
-                .expect("just counted");
-            assert!(
-                matches!(records[drained_at + 1], journal::JournalRecord::Ack { ack, .. }
-                    if ack.worker == 2 && ack.kind == AckKind::Completed),
-                "{policy:?}: the fence's W record sits right before the ack that caused it"
-            );
-            let rec = journal::recover(&records, &registry, EngineConfig::default()).unwrap();
-            assert!(rec.engine.all_complete(), "{policy:?}: the journal replays to completion");
-            assert!(rec.redispatch.is_empty(), "{policy:?}");
+        let path = dir.join("master.wal");
+        let probe = WriteAheadProbe::new(path.clone());
+        for worker in [1, 2] {
+            probe.bus.lifecycle.publish(LifecycleMsg {
+                worker,
+                generation: 0,
+                kind: LifecycleKind::Register,
+            });
         }
+        let registry = Registry::new();
+        let handle = spawn_master_on(
+            probe.clone(),
+            registry.clone(),
+            MasterConfig::builder()
+                .timeout_scan_interval(Duration::from_millis(10))
+                .expected_workflows(2)
+                .journal_path(&path)
+                .lease_secs(30.0)
+                .build(),
+        );
+        for (i, wf) in workflows.iter().enumerate() {
+            super::super::submit(&probe.bus, format!("wf{i}"), Arc::clone(wf));
+        }
+        loop {
+            match handle.events.recv_timeout(Duration::from_secs(30)).expect("an event") {
+                MasterEvent::AllCompleted { .. } => break,
+                MasterEvent::WorkflowCompleted { workflow, .. } => {
+                    // The event's cause, too, is readable by now.
+                    let jobs = workflows[workflow.index()].job_count();
+                    let done = journal::read_journal(&path)
+                        .unwrap()
+                        .iter()
+                        .filter(|r| {
+                            matches!(r, journal::JournalRecord::Ack { ack, .. }
+                                if ack.job.workflow == workflow && ack.kind == AckKind::Completed)
+                        })
+                        .count();
+                    assert_eq!(done, jobs, "completions of {workflow:?} in the file");
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        let stats = handle.join();
+        assert_eq!((stats.workflows_completed, stats.jobs_completed), (2, 23));
+        assert!(probe.publishes.load(Ordering::Relaxed) >= 6, "the probe probed");
+
+        // The file a clean exit leaves behind is the whole history, `W`
+        // lines in among the acks, and it recovers.
+        let records = journal::read_journal(&path).unwrap();
+        let phases: Vec<WorkerPhase> = records
+            .iter()
+            .filter_map(|r| match r {
+                journal::JournalRecord::Worker { phase, .. } => Some(*phase),
+                _ => None,
+            })
+            .collect();
+        use WorkerPhase::{Drained, Draining, Live};
+        assert_eq!(phases, [Live, Live, Draining, Drained]);
+        let drained_at = records
+            .iter()
+            .position(|r| matches!(r, journal::JournalRecord::Worker { phase: Drained, .. }))
+            .expect("just counted");
+        assert!(
+            matches!(records[drained_at + 1], journal::JournalRecord::Ack { ack, .. }
+                if ack.worker == 2 && ack.kind == AckKind::Completed),
+            "the fence's W record sits right before the ack that caused it"
+        );
+        let rec = journal::recover(&records, &registry, EngineConfig::default()).unwrap();
+        assert!(rec.engine.all_complete(), "the journal replays to completion");
+        assert!(rec.redispatch.is_empty());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

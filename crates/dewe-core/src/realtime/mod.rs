@@ -28,21 +28,17 @@
 mod bus;
 mod chaos;
 mod dagstore;
-mod deployment;
 mod journal;
 mod liveness;
 mod master;
 mod net;
-mod observer;
 mod runner;
 mod worker;
 
 pub use bus::{BusWorkerLink, MessageBus, Registry};
 pub use chaos::ChaosLink;
-pub use deployment::{Deployment, DeploymentBuilder};
 pub use journal::{
-    compact_records, read_journal, recover, replay_liveness, Journal, JournalCommitPolicy,
-    JournalRecord, Recovery,
+    compact_records, read_journal, recover, replay_liveness, Journal, JournalRecord, Recovery,
 };
 pub use liveness::{
     LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerPhase, WorkerView,
@@ -53,7 +49,6 @@ pub use master::{
     MasterTransport,
 };
 pub use net::{submit_over_tcp, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions};
-pub use observer::{spawn_observer, BusSeries, ObserverHandle};
 pub use runner::{CpuRunner, FsRunner, JobOutcome, JobRunner, NoopRunner, RunContext, SleepRunner};
 pub use worker::{spawn_worker, spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle};
 

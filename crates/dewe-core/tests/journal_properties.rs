@@ -1,15 +1,13 @@
 //! Property-based tests for the master's write-ahead journal: arbitrary
 //! record sequences round-trip exactly, a crash-torn tail of *any* byte
 //! length never poisons the intact prefix, and mid-file corruption is
-//! always detected rather than silently skipped. Every property runs
-//! under both commit policies — written before any effect, and group
-//! commit — since the on-disk format must be identical once buffered lines
-//! reach the file; what each policy promises about *when* they reach it has
-//! a property of its own.
+//! always detected rather than silently skipped. *When* buffered lines
+//! reach the file — by the write-ahead barrier at the latest — has a
+//! property of its own.
 
 use std::path::{Path, PathBuf};
 
-use dewe_core::realtime::{read_journal, Journal, JournalCommitPolicy, JournalRecord, WorkerPhase};
+use dewe_core::realtime::{read_journal, Journal, JournalRecord, WorkerPhase};
 use dewe_core::{AckKind, AckMsg};
 use dewe_dag::{EnsembleJobId, JobId, WorkflowId};
 use proptest::prelude::*;
@@ -53,13 +51,6 @@ fn record() -> impl Strategy<Value = JournalRecord> {
     ]
 }
 
-fn commit_policy() -> impl Strategy<Value = JournalCommitPolicy> {
-    prop_oneof![
-        Just(JournalCommitPolicy::PerRecord),
-        (1usize..16).prop_map(|max_records| JournalCommitPolicy::GroupCommit { max_records }),
-    ]
-}
-
 fn append(j: &mut Journal, rec: &JournalRecord) {
     match *rec {
         JournalRecord::Submit { workflow, at } => {
@@ -73,10 +64,9 @@ fn append(j: &mut Journal, rec: &JournalRecord) {
     }
 }
 
-fn write_all(path: &Path, records: &[JournalRecord], policy: JournalCommitPolicy) {
-    // Dropping the journal writes out whatever is still buffered, so both
-    // policies leave identical bytes on disk.
-    let mut j = Journal::create(path).expect("create journal").with_policy(policy);
+fn write_all(path: &Path, records: &[JournalRecord]) {
+    // Dropping the journal writes out whatever is still buffered.
+    let mut j = Journal::create(path).expect("create journal");
     for rec in records {
         append(&mut j, rec);
     }
@@ -89,50 +79,38 @@ proptest! {
     #[test]
     fn records_round_trip(
         records in prop::collection::vec(record(), 0..40),
-        policy in commit_policy(),
         case in any::<u64>(),
     ) {
         let path = tmp("roundtrip", case);
-        write_all(&path, &records, policy);
+        write_all(&path, &records);
         let read = read_journal(&path);
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(read.unwrap(), records);
     }
 
     /// What the file holds at a write-ahead barrier, wherever in the
-    /// stream the barriers fall. Default policy: every record appended so
-    /// far — nothing the caller is about to act on is missing. Group
-    /// commit: a prefix that may trail by fewer than `max_records` records,
-    /// none of them a submission or a worker transition. After `commit`,
-    /// under either: everything.
+    /// stream the barriers fall: every record appended so far — nothing
+    /// the caller is about to act on is missing.
     #[test]
-    fn the_file_holds_what_the_policy_promises_at_every_barrier(
+    fn the_file_holds_every_record_appended_so_far_at_every_barrier(
         records in prop::collection::vec(record(), 1..40),
         barriers in prop::collection::vec(any::<bool>(), 40),
-        policy in commit_policy(),
         case in any::<u64>(),
     ) {
         let path = tmp("barrier", case);
-        let mut j = Journal::create(&path).expect("create journal").with_policy(policy);
+        let mut j = Journal::create(&path).expect("create journal");
         for (i, rec) in records.iter().enumerate() {
             append(&mut j, rec);
-            if !barriers[i] {
-                continue;
-            }
-            j.commit_before_effects().unwrap();
+            // Between barriers the file is a prefix, and a submission or
+            // worker transition never waits for one.
             let read = read_journal(&path).unwrap();
-            let so_far = &records[..=i];
-            match policy {
-                JournalCommitPolicy::PerRecord => prop_assert_eq!(&read[..], so_far),
-                JournalCommitPolicy::GroupCommit { max_records } => {
-                    prop_assert_eq!(&read[..], &so_far[..read.len()], "a prefix, in order");
-                    let behind = &so_far[read.len()..];
-                    prop_assert!(behind.len() < max_records, "{} records behind", behind.len());
-                    let buffered_kinds_only = behind.iter().all(|r| {
-                        matches!(r, JournalRecord::Ack { .. } | JournalRecord::Scan { .. })
-                    });
-                    prop_assert!(buffered_kinds_only, "a submit or worker record waited");
-                }
+            prop_assert_eq!(&read[..], &records[..read.len()], "a prefix, in order");
+            if matches!(rec, JournalRecord::Submit { .. } | JournalRecord::Worker { .. }) {
+                prop_assert_eq!(read.len(), i + 1, "a submit or worker record waited");
+            }
+            if barriers[i] {
+                j.commit().unwrap();
+                prop_assert_eq!(&read_journal(&path).unwrap()[..], &records[..=i]);
             }
         }
         j.commit().unwrap();
@@ -151,11 +129,10 @@ proptest! {
     fn truncation_at_any_byte_keeps_the_intact_prefix(
         records in prop::collection::vec(record(), 1..30),
         cut_frac in 0.0f64..1.0,
-        policy in commit_policy(),
         case in any::<u64>(),
     ) {
         let path = tmp("truncate", case);
-        write_all(&path, &records, policy);
+        write_all(&path, &records);
         let bytes = std::fs::read(&path).unwrap();
         let cut = (bytes.len() as f64 * cut_frac) as usize;
         std::fs::write(&path, &bytes[..cut]).unwrap();
@@ -175,11 +152,10 @@ proptest! {
     fn garbage_before_valid_records_is_an_error(
         records in prop::collection::vec(record(), 2..20),
         pos_frac in 0.0f64..1.0,
-        policy in commit_policy(),
         case in any::<u64>(),
     ) {
         let path = tmp("garbage", case);
-        write_all(&path, &records, policy);
+        write_all(&path, &records);
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         // Insert strictly before the last line so a valid record follows.
@@ -196,11 +172,10 @@ proptest! {
     fn blank_lines_are_ignored(
         records in prop::collection::vec(record(), 1..20),
         pos_frac in 0.0f64..1.0,
-        policy in commit_policy(),
         case in any::<u64>(),
     ) {
         let path = tmp("blank", case);
-        write_all(&path, &records, policy);
+        write_all(&path, &records);
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<&str> = text.lines().collect();
         let pos = (lines.len() as f64 * pos_frac) as usize;

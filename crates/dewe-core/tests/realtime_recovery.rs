@@ -13,9 +13,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dewe_core::realtime::{
-    compact_records, read_journal, recover, spawn_master, spawn_worker, submit,
-    JournalCommitPolicy, MasterConfig, MasterEvent, MessageBus, Registry, SleepRunner,
-    WorkerConfig,
+    compact_records, read_journal, recover, spawn_master, spawn_worker, submit, MasterConfig,
+    MasterEvent, MessageBus, Registry, SleepRunner, WorkerConfig,
 };
 use dewe_core::{EngineConfig, EnsembleEngine};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
@@ -126,17 +125,14 @@ fn ensemble_finishes_after_master_failover() {
 
     let bus = MessageBus::new();
     let registry = Registry::new();
-    // Group commit exercises the batched durability path: records
-    // buffer across a poll cycle and must still survive the kill
-    // (the simulated crash drops the master loop, and the journal's
-    // drop flushes the open window — a torn tail would only appear
-    // on a hard power loss, which journal_properties covers).
+    // The simulated crash drops the master loop between steps, so the
+    // file holds whole bursts; a torn tail would only appear on a hard
+    // power loss, which journal_properties covers.
     let mk_config = |recover: bool| {
         MasterConfig::builder()
             .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(3)
             .journal_path(journal_path.clone())
-            .journal_commit(JournalCommitPolicy::GroupCommit { max_records: 8 })
             .recover(recover)
             .build()
     };
@@ -271,16 +267,14 @@ fn compacted_journal_still_recovers_the_ensemble() {
 }
 
 #[test]
-fn compaction_racing_group_commit_survives_failover() {
+fn compaction_racing_an_ack_burst_survives_failover() {
     // The sharpest WAL corner: in-place compaction (`maybe_compact`)
-    // running while the writer is in group-commit mode, with the master
-    // killed somewhere in between. Compaction reads the file from disk,
-    // so any records still buffered in the group-commit window at the
-    // rewrite point must be committed first or the synthetic prefix
-    // silently loses them — and the kill lands on whichever journal
+    // running right behind every ack burst, with the master killed
+    // somewhere in between. Compaction reads the file from disk, so the
+    // burst it follows must be in the file first or the synthetic prefix
+    // silently loses it — and the kill lands on whichever journal
     // (original or compacted) happens to be on disk. An aggressive
-    // threshold plus a window wider than the per-job record burst makes
-    // both orderings occur across the run.
+    // threshold makes both orderings occur across the run.
     let mut journal_path = std::env::temp_dir();
     journal_path.push(format!("dewe-recovery-compact-gc-{}.wal", std::process::id()));
     let _ = std::fs::remove_file(&journal_path);
@@ -292,7 +286,6 @@ fn compaction_racing_group_commit_survives_failover() {
             .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(4)
             .journal_path(journal_path.clone())
-            .journal_commit(JournalCommitPolicy::GroupCommit { max_records: 8 })
             .journal_compact_threshold(8)
             .recover(recover)
             .build()
@@ -351,7 +344,7 @@ fn compaction_racing_group_commit_survives_failover() {
     );
 
     // And the replacement master must finish the ensemble from that
-    // journal, group-commit window and all.
+    // journal.
     let master2 = spawn_master(bus.clone(), registry.clone(), mk_config(true));
     let stats = master2.join();
     worker.stop();

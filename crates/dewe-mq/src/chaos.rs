@@ -13,7 +13,7 @@
 //! `(workflow, job, attempt)` instead of a sequence number, keeping sim
 //! runs independent of driver iteration order).
 
-use crate::{Broker, Topic};
+use crate::Topic;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,8 +86,7 @@ pub fn message_key(a: u64, b: u64, c: u64) -> u64 {
 ///
 /// [`ChaosDecider::decide`] resolves the individual probability draws with
 /// the documented precedence (drop > duplicate > delay) into exactly one
-/// fault per message, so a decision can be recorded to a [`ChaosTrace`]
-/// and replayed from a [`ChaosSchedule`] without re-deriving it.
+/// fault per message.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// Deliver normally.
@@ -98,126 +97,6 @@ pub enum Fault {
     Duplicate,
     /// Hold the message back this many seconds before delivery.
     Delay(f64),
-}
-
-/// One recorded fault decision: what happened to message `key` of
-/// `stream`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChaosEvent {
-    /// Stream the message was published on (see [`streams`]).
-    pub stream: u64,
-    /// Decision key (the publisher's sequence number for [`ChaosTopic`]).
-    pub key: u64,
-    /// The fault applied.
-    pub fault: Fault,
-}
-
-/// Shared, cloneable recorder of fault decisions: attach one to a
-/// [`ChaosTopic`] (or several — they may share a trace) and every publish
-/// appends the decision it applied, in publish order. The snapshot is the
-/// run's complete *chaos schedule*, replayable via
-/// [`ChaosSchedule::from_events`].
-#[derive(Clone, Default)]
-pub struct ChaosTrace {
-    events: Arc<Mutex<Vec<ChaosEvent>>>,
-}
-
-impl ChaosTrace {
-    /// Fresh, empty trace.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Append one decision.
-    pub fn record(&self, event: ChaosEvent) {
-        self.events.lock().push(event);
-    }
-
-    /// Copy of everything recorded so far, in publish order.
-    pub fn snapshot(&self) -> Vec<ChaosEvent> {
-        self.events.lock().clone()
-    }
-
-    /// Recorded decisions that injected a fault (everything but
-    /// [`Fault::Deliver`]).
-    pub fn faults(&self) -> Vec<ChaosEvent> {
-        self.events.lock().iter().copied().filter(|e| e.fault != Fault::Deliver).collect()
-    }
-
-    /// Number of recorded decisions.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
-    }
-}
-
-/// An explicit fault schedule: `(stream, key) → fault`, defaulting to
-/// [`Fault::Deliver`] for unlisted messages. Built from a captured
-/// [`ChaosTrace`] (replaying a recorded run exactly) or by hand (pinning a
-/// minimal repro found by shrinking).
-#[derive(Debug, Clone, Default)]
-pub struct ChaosSchedule {
-    faults: std::collections::HashMap<(u64, u64), Fault>,
-}
-
-impl ChaosSchedule {
-    /// Empty schedule (every message delivers).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedule replaying the recorded events verbatim.
-    pub fn from_events(events: &[ChaosEvent]) -> Self {
-        let mut s = Self::new();
-        for e in events {
-            s.set(e.stream, e.key, e.fault);
-        }
-        s
-    }
-
-    /// Pin the fault for one message.
-    pub fn set(&mut self, stream: u64, key: u64, fault: Fault) {
-        if fault == Fault::Deliver {
-            self.faults.remove(&(stream, key));
-        } else {
-            self.faults.insert((stream, key), fault);
-        }
-    }
-
-    /// The scheduled fault for a message (Deliver when unlisted).
-    pub fn decide(&self, stream: u64, key: u64) -> Fault {
-        self.faults.get(&(stream, key)).copied().unwrap_or(Fault::Deliver)
-    }
-
-    /// Number of scheduled (non-Deliver) faults.
-    pub fn len(&self) -> usize {
-        self.faults.len()
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.faults.is_empty()
-    }
-}
-
-/// Where a [`ChaosTopic`] draws its per-message decisions from: seeded
-/// probability draws, or a pinned schedule.
-enum FaultSource {
-    Seeded(Arc<ChaosDecider>),
-    Scripted(Arc<ChaosSchedule>),
-}
-
-impl FaultSource {
-    fn decide(&self, stream: u64, key: u64) -> Fault {
-        match self {
-            FaultSource::Seeded(d) => d.decide(stream, key),
-            FaultSource::Scripted(s) => s.decide(stream, key),
-        }
-    }
 }
 
 /// Pure, seeded fault decision function: no state, no clock.
@@ -233,11 +112,6 @@ impl ChaosDecider {
             assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
         }
         Self { cfg }
-    }
-
-    /// The configuration this decider applies.
-    pub fn config(&self) -> &ChaosConfig {
-        &self.cfg
     }
 
     /// Uniform draw in [0, 1) for (stream, key, salt) under the seed.
@@ -304,14 +178,13 @@ struct StatsInner {
 /// Decisions are keyed by a per-handle publish sequence number, so a
 /// single handle publishing the same logical stream always sees the same
 /// fault pattern. Delayed messages are parked internally and flushed into
-/// the underlying topic on the next `publish`/`try_pull`/`pull_timeout`
-/// call on this handle (or an explicit [`flush_due`](Self::flush_due)) —
-/// callers with sparse traffic should pump `flush_due` on their periodic
-/// tick.
+/// the underlying topic on the next `publish` on this handle or an
+/// explicit [`flush_due`](Self::flush_due) — callers with sparse traffic
+/// pump `flush_due` on a periodic tick. Consumers pull the wrapped topic
+/// ([`inner`](Self::inner)) directly.
 pub struct ChaosTopic<T> {
     inner: Topic<T>,
-    source: Arc<FaultSource>,
-    trace: Option<ChaosTrace>,
+    decider: Arc<ChaosDecider>,
     stream: u64,
     seq: Arc<AtomicU64>,
     delayed: Arc<Mutex<VecDeque<(Instant, T)>>>,
@@ -322,8 +195,7 @@ impl<T> Clone for ChaosTopic<T> {
     fn clone(&self) -> Self {
         Self {
             inner: self.inner.clone(),
-            source: Arc::clone(&self.source),
-            trace: self.trace.clone(),
+            decider: Arc::clone(&self.decider),
             stream: self.stream,
             seq: Arc::clone(&self.seq),
             delayed: Arc::clone(&self.delayed),
@@ -335,21 +207,9 @@ impl<T> Clone for ChaosTopic<T> {
 impl<T: Clone> ChaosTopic<T> {
     /// Wrap `inner`, drawing fault decisions from `decider` on `stream`.
     pub fn new(inner: Topic<T>, decider: Arc<ChaosDecider>, stream: u64) -> Self {
-        Self::with_source(inner, FaultSource::Seeded(decider), stream)
-    }
-
-    /// Wrap `inner`, replaying the pinned `schedule` on `stream` instead
-    /// of drawing seeded probabilities — the replay half of chaos
-    /// capture/replay.
-    pub fn scripted(inner: Topic<T>, schedule: Arc<ChaosSchedule>, stream: u64) -> Self {
-        Self::with_source(inner, FaultSource::Scripted(schedule), stream)
-    }
-
-    fn with_source(inner: Topic<T>, source: FaultSource, stream: u64) -> Self {
         Self {
             inner,
-            source: Arc::new(source),
-            trace: None,
+            decider,
             stream,
             seq: Arc::new(AtomicU64::new(0)),
             delayed: Arc::new(Mutex::new(VecDeque::new())),
@@ -357,23 +217,12 @@ impl<T: Clone> ChaosTopic<T> {
         }
     }
 
-    /// Record every applied decision to `trace` (the capture half of
-    /// chaos capture/replay).
-    pub fn with_trace(mut self, trace: ChaosTrace) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
     /// Publish through the fault injector.
     pub fn publish(&self, message: T) {
         self.flush_due();
         let key = self.seq.fetch_add(1, Ordering::Relaxed);
         self.stats.published.fetch_add(1, Ordering::Relaxed);
-        let fault = self.source.decide(self.stream, key);
-        if let Some(trace) = &self.trace {
-            trace.record(ChaosEvent { stream: self.stream, key, fault });
-        }
-        match fault {
+        match self.decider.decide(self.stream, key) {
             Fault::Drop => {
                 self.stats.dropped.fetch_add(1, Ordering::Relaxed);
             }
@@ -390,19 +239,6 @@ impl<T: Clone> ChaosTopic<T> {
             }
             Fault::Deliver => self.inner.publish(message),
         }
-    }
-
-    /// Non-blocking pull (flushes due delayed messages first).
-    pub fn try_pull(&self) -> Option<T> {
-        self.flush_due();
-        self.inner.try_pull()
-    }
-
-    /// Timeout-bounded pull (flushes due delayed messages first; messages
-    /// coming due *during* the block surface on the next call).
-    pub fn pull_timeout(&self, timeout: Duration) -> Option<T> {
-        self.flush_due();
-        self.inner.pull_timeout(timeout)
     }
 
     /// Move every delayed message whose hold expired into the topic.
@@ -439,41 +275,6 @@ impl<T: Clone> ChaosTopic<T> {
             duplicated: self.stats.duplicated.load(Ordering::Relaxed),
             delayed: self.stats.delayed.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// A [`Broker`] wrapper handing out [`ChaosTopic`]s: every topic drawn
-/// through the bus shares one decider (one seed), with per-topic streams
-/// derived from the topic name so each topic sees an independent fault
-/// sequence.
-pub struct ChaosBus<T> {
-    broker: Broker<T>,
-    decider: Arc<ChaosDecider>,
-}
-
-impl<T> Clone for ChaosBus<T> {
-    fn clone(&self) -> Self {
-        Self { broker: self.broker.clone(), decider: Arc::clone(&self.decider) }
-    }
-}
-
-impl<T: Clone> ChaosBus<T> {
-    /// Wrap `broker` with the given fault configuration.
-    pub fn new(broker: Broker<T>, cfg: ChaosConfig) -> Self {
-        Self { broker, decider: Arc::new(ChaosDecider::new(cfg)) }
-    }
-
-    /// Chaos-wrapped topic handle. Each handle keeps its own publish
-    /// sequence, so use one handle per logical publisher for
-    /// reproducibility.
-    pub fn topic(&self, name: &str) -> ChaosTopic<T> {
-        let stream = mix(name.bytes().fold(0u64, |h, b| mix(h ^ u64::from(b))));
-        ChaosTopic::new(self.broker.topic(name), Arc::clone(&self.decider), stream)
-    }
-
-    /// The wrapped broker.
-    pub fn broker(&self) -> &Broker<T> {
-        &self.broker
     }
 }
 
@@ -565,10 +366,12 @@ mod tests {
             ChaosConfig { seed: 11, delay_prob: 1.0, delay_secs: 0.02, ..ChaosConfig::default() };
         let t = ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(cfg)), 1);
         t.publish(1u32);
-        assert_eq!(t.try_pull(), None, "held back");
+        t.flush_due();
+        assert_eq!(t.inner().try_pull(), None, "held back");
         assert_eq!(t.pending_delayed(), 1);
         std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(t.try_pull(), Some(1), "surfaced after the hold");
+        t.flush_due();
+        assert_eq!(t.inner().try_pull(), Some(1), "surfaced after the hold");
         assert_eq!(t.pending_delayed(), 0);
     }
 
@@ -584,22 +387,6 @@ mod tests {
         };
         assert_eq!(run(1234), run(1234));
         assert_ne!(run(1234), run(1235));
-    }
-
-    #[test]
-    fn chaos_bus_isolates_topics_by_name() {
-        let bus = ChaosBus::new(Broker::new(), ChaosConfig::drop_dup(21, 0.5, 0.0));
-        let a = bus.topic("job_dispatch");
-        let b = bus.topic("job_ack");
-        for i in 0..64u32 {
-            a.publish(i);
-            b.publish(i);
-        }
-        let sa: Vec<u32> = drain(a.inner());
-        let sb: Vec<u32> = drain(b.inner());
-        assert_ne!(sa, sb, "per-topic streams must differ");
-        // The plain broker sees the surviving messages.
-        assert_eq!(bus.broker().topic_names().len(), 2);
     }
 
     #[test]
@@ -633,46 +420,6 @@ mod tests {
             }
         }
         assert!(seen_drop && seen_dup && seen_delay, "all fault kinds drawn");
-    }
-
-    #[test]
-    fn capture_then_replay_reproduces_the_run() {
-        let cfg = ChaosConfig { seed: 55, drop_prob: 0.3, dup_prob: 0.3, ..ChaosConfig::default() };
-        // Capture: seeded run with a trace attached.
-        let trace = ChaosTrace::new();
-        let seeded = ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(cfg)), 9)
-            .with_trace(trace.clone());
-        for i in 0..300u32 {
-            seeded.publish(i);
-        }
-        let captured = drain(seeded.inner());
-        assert_eq!(trace.len(), 300, "every decision recorded");
-        assert!(!trace.faults().is_empty());
-
-        // Replay: a scripted topic driven by the captured schedule, with
-        // no access to the seed, delivers the identical stream.
-        let schedule = Arc::new(ChaosSchedule::from_events(&trace.snapshot()));
-        let replay = ChaosTopic::scripted(Topic::new(), schedule, 9);
-        for i in 0..300u32 {
-            replay.publish(i);
-        }
-        assert_eq!(drain(replay.inner()), captured);
-        assert_eq!(replay.stats(), seeded.stats());
-    }
-
-    #[test]
-    fn scripted_schedule_pins_individual_messages() {
-        let mut s = ChaosSchedule::new();
-        s.set(1, 0, Fault::Drop);
-        s.set(1, 2, Fault::Duplicate);
-        s.set(1, 3, Fault::Drop);
-        s.set(1, 3, Fault::Deliver); // un-pin
-        assert_eq!(s.len(), 2);
-        let t = ChaosTopic::scripted(Topic::new(), Arc::new(s), 1);
-        for i in 0..4u32 {
-            t.publish(i);
-        }
-        assert_eq!(drain(t.inner()), vec![1, 2, 2, 3]);
     }
 
     #[test]

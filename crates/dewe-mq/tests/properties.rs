@@ -1,9 +1,8 @@
-//! Model-based property tests: the broker against a reference model.
+//! Model-based property test: a topic against a reference queue.
 
-use dewe_mq::{ReliableTopic, Topic};
+use dewe_mq::Topic;
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use std::time::Duration;
 
 /// Operations applied to both the real topic and a VecDeque model.
 #[derive(Debug, Clone)]
@@ -49,54 +48,5 @@ proptest! {
             prop_assert_eq!(stats.delivered, delivered);
             prop_assert_eq!(stats.depth, model.len());
         }
-    }
-
-    /// ReliableTopic with prompt acks behaves as a FIFO with extra
-    /// bookkeeping: no redeliveries, exact delivery counts.
-    #[test]
-    fn reliable_topic_prompt_ack_is_fifo(values in prop::collection::vec(0u32..1000, 1..100)) {
-        let t: ReliableTopic<u32> = ReliableTopic::new(Duration::from_secs(60));
-        for &v in &values {
-            t.publish(v);
-        }
-        let mut got = Vec::new();
-        while let Some(d) = t.checkout() {
-            prop_assert_eq!(d.delivery_count, 1);
-            prop_assert!(t.ack(d.lease));
-            got.push(d.message);
-        }
-        prop_assert_eq!(got, values);
-        prop_assert!(t.is_empty());
-        prop_assert_eq!(t.redeliveries(), 0);
-    }
-
-    /// Nacked messages are never lost and are redelivered with an
-    /// incremented count, regardless of the nack pattern.
-    #[test]
-    fn reliable_topic_nack_preserves_messages(
-        values in prop::collection::vec(0u32..1000, 1..60),
-        nack_mask in prop::collection::vec(prop::bool::ANY, 60),
-    ) {
-        let t: ReliableTopic<u32> = ReliableTopic::new(Duration::from_secs(60));
-        for &v in &values {
-            t.publish(v);
-        }
-        let mut processed = Vec::new();
-        let mut idx = 0usize;
-        while let Some(d) = t.checkout() {
-            let nack = d.delivery_count == 1 && nack_mask.get(idx).copied().unwrap_or(false);
-            idx += 1;
-            if nack {
-                prop_assert!(t.nack(d.lease));
-            } else {
-                prop_assert!(t.ack(d.lease));
-                processed.push(d.message);
-            }
-        }
-        let mut expected = values.clone();
-        expected.sort_unstable();
-        processed.sort_unstable();
-        prop_assert_eq!(processed, expected, "every message processed exactly once");
-        prop_assert!(t.is_empty());
     }
 }

@@ -31,12 +31,10 @@ mod dynamic;
 mod index;
 mod profile;
 mod sizing;
-mod validate;
 mod whatif;
 
 pub use dynamic::{compare_billing, DynamicPlan, ScaleAction};
 pub use index::{converged_index, node_performance_index, IndexPoint};
 pub use profile::{ProfileConfig, ProfileResult, Profiler};
 pub use sizing::{recommend, required_nodes, ClusterPlan};
-pub use validate::{validate_plan, PlanValidation};
-pub use whatif::{cost_deadline_frontier, knee, FrontierPoint};
+pub use whatif::{cost_deadline_frontier, FrontierPoint};

@@ -97,21 +97,6 @@ fn plan_for(
     }
 }
 
-/// The knee heuristic: the frontier point after which relaxing the
-/// deadline further saves less than `min_relative_saving` per step.
-/// Returns an index into `frontier`.
-pub fn knee(frontier: &[FrontierPoint], min_relative_saving: f64) -> usize {
-    assert!(!frontier.is_empty());
-    for i in 1..frontier.len() {
-        let prev = frontier[i - 1].plan.predicted_cost;
-        let cur = frontier[i].plan.predicted_cost;
-        if prev <= 0.0 || (prev - cur) / prev < min_relative_saving {
-            return i - 1;
-        }
-    }
-    frontier.len() - 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,25 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn knee_detects_plateau() {
-        let deadlines: Vec<f64> = (1..=12).map(|h| h as f64 * 1800.0).collect();
-        let frontier = cost_deadline_frontier(&candidates(), 200, &deadlines);
-        let k = knee(&frontier, 0.05);
-        assert!(k < frontier.len());
-        // Beyond the knee, savings per step are < 5%.
-        if k + 1 < frontier.len() {
-            let a = frontier[k].plan.predicted_cost;
-            let b = frontier[k + 1].plan.predicted_cost;
-            assert!((a - b) / a < 0.05 + 1e-9);
-        }
-    }
-
-    #[test]
     fn single_deadline_single_candidate() {
         let frontier = cost_deadline_frontier(&[(&C3_8XLARGE, 0.0015)], 50, &[3600.0]);
         assert_eq!(frontier.len(), 1);
         assert_eq!(frontier[0].plan.instance, "c3.8xlarge");
-        assert_eq!(knee(&frontier, 0.1), 0);
     }
 
     #[test]

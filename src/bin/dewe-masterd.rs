@@ -20,6 +20,7 @@
 
 use std::io::Write;
 use std::process::exit;
+use std::time::Duration;
 
 use dewe::core::realtime::{
     spawn_master_on, MasterConfig, MasterEvent, Registry, TcpMaster, TcpMasterOptions,
@@ -33,6 +34,15 @@ struct Args {
     recover: bool,
     lease_secs: Option<f64>,
     timeout: Option<f64>,
+}
+
+/// A duration flag's value: seconds, greater than zero and small enough
+/// for a [`Duration`] (which rules out NaN and the infinities too).
+fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(secs) if secs > 0.0 && Duration::try_from_secs_f64(secs).is_ok() => Ok(secs),
+        _ => Err(format!("{flag} must be a finite number of seconds greater than 0, got {value}")),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -65,11 +75,10 @@ fn parse_args() -> Result<Args, String> {
             }
             "--lease-secs" => {
                 args.lease_secs =
-                    Some(value(&mut i, "--lease-secs")?.parse().map_err(|_| "bad --lease-secs")?)
+                    Some(positive_secs("--lease-secs", &value(&mut i, "--lease-secs")?)?)
             }
             "--timeout" => {
-                args.timeout =
-                    Some(value(&mut i, "--timeout")?.parse().map_err(|_| "bad --timeout")?)
+                args.timeout = Some(positive_secs("--timeout", &value(&mut i, "--timeout")?)?)
             }
             other => return Err(format!("unknown flag {other}")),
         }

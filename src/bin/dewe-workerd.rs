@@ -32,6 +32,15 @@ struct Args {
     runner: String,
 }
 
+/// A duration flag's value: seconds, greater than zero and small enough
+/// for a [`Duration`] (which rules out NaN and the infinities too).
+fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(secs) if secs > 0.0 && Duration::try_from_secs_f64(secs).is_ok() => Ok(secs),
+        _ => Err(format!("{flag} must be a finite number of seconds greater than 0, got {value}")),
+    }
+}
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         master: String::new(),
@@ -57,14 +66,16 @@ fn parse_args() -> Result<Args, String> {
                     value(&mut i, "--generation")?.parse().map_err(|_| "bad --generation")?
             }
             "--slots" => {
-                args.slots = value(&mut i, "--slots")?.parse().map_err(|_| "bad --slots")?
+                args.slots = value(&mut i, "--slots")?.parse().map_err(|_| "bad --slots")?;
+                if args.slots == 0 {
+                    return Err("--slots must be at least 1".into());
+                }
             }
             "--window" => {
                 args.window = Some(value(&mut i, "--window")?.parse().map_err(|_| "bad --window")?)
             }
             "--heartbeat" => {
-                args.heartbeat =
-                    Some(value(&mut i, "--heartbeat")?.parse().map_err(|_| "bad --heartbeat")?)
+                args.heartbeat = Some(positive_secs("--heartbeat", &value(&mut i, "--heartbeat")?)?)
             }
             "--runner" => args.runner = value(&mut i, "--runner")?,
             other => return Err(format!("unknown flag {other}")),
@@ -114,7 +125,7 @@ fn main() {
     let registry = Registry::new();
     // Window default: enough credit to keep every slot busy with one
     // dispatch queued behind it.
-    let window = args.window.unwrap_or((args.slots as u32).saturating_mul(2).max(1));
+    let window = args.window.unwrap_or((args.slots as u32).saturating_mul(2));
     let link = match TcpWorkerLink::connect(
         &args.master,
         registry.clone(),

@@ -9,7 +9,8 @@
 //!   format;
 //! * [`montage`] — calibrated Montage / LIGO / CyberShake workflow
 //!   generators;
-//! * [`mq`] — the in-memory topic broker (RabbitMQ substitute);
+//! * [`mq`] — the message layer: work-queue topics, the transport traits
+//!   both runtimes implement, framing, send windows, seeded chaos;
 //! * [`simcloud`] — a deterministic discrete-event EC2 simulator (instance
 //!   catalog, fair-share disks, page-cache model, NFS/MooseFS models,
 //!   hourly billing);

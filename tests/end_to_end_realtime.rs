@@ -228,15 +228,18 @@ fn late_submission_is_served() {
         WorkerConfig { worker_id: 0, slots: 2, ..WorkerConfig::default() },
     );
     submit(&bus, "first", Arc::new(MontageConfig::degree(0.5).build()));
-    // Wait for the first to finish before submitting the second.
-    loop {
-        if let Ok(MasterEvent::WorkflowCompleted { .. }) =
+    // Wait for the first to finish before submitting the second. Workflow
+    // ids follow submission order: the later submission is the later id.
+    let next_completed = || loop {
+        if let Ok(MasterEvent::WorkflowCompleted { workflow, .. }) =
             master.events.recv_timeout(Duration::from_secs(60))
         {
-            break;
+            break workflow.index();
         }
-    }
+    };
+    assert_eq!(next_completed(), 0);
     submit(&bus, "second", Arc::new(MontageConfig::degree(0.5).with_seed(9).build()));
+    assert_eq!(next_completed(), 1);
     let stats = drain_until_all_done(&master);
     assert_eq!(stats.workflows_completed, 2);
     master.join();
