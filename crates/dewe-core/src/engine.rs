@@ -243,39 +243,49 @@ const SLOT_DEFERRED: u8 = 2;
 /// Engine-wide in-flight slab, laid out struct-of-arrays.
 ///
 /// Every submitted workflow contributes a contiguous region of
-/// `job_count` slots at `base[wf]`; a job's slot is `base[wf] + job`.
-/// Splitting the former `Vec<Option<Inflight>>` into parallel lanes means
-/// each hot loop touches only the bytes it needs: the recovery scan reads
-/// the one-byte `tag` lane (plus `attempt` on a hit), the timer currency
-/// check reads `tag`/`attempt`/`deadline` without pulling workflow state
-/// into cache, and an ack clears a slot by writing a single byte.
+/// `job_count` slots at `base[wf]`; a job's slot is `base[wf] + job`, so
+/// slot order is `(workflow, job)` order. Splitting the former
+/// `Vec<Option<Inflight>>` into parallel lanes means each hot loop touches
+/// only the bytes it needs: the recovery scan reads the one-byte `tag` lane
+/// (plus `attempt` on a hit), the timer currency check reads
+/// `tag`/`attempt`/`deadline` without pulling workflow state into cache,
+/// and an ack clears a slot by writing a single byte.
 ///
-/// The `owner` lane records which workflow each slot belongs to and is
-/// part of the currency check: a timer entry whose job index runs past its
-/// workflow's region would otherwise alias a neighbor's slot.
+/// Timer entries name a job by its slot: the `(workflow, job)` pair is
+/// recovered from `base` by [`job_at`], and only for an entry that fires.
 #[derive(Default)]
 struct InflightLanes {
-    /// Per-workflow offset of its region in the lanes below.
+    /// Per-workflow offset of its region in the lanes below; ascending.
     base: Vec<usize>,
     /// Timeout deadline or deferred-retry fire time (see `tag`).
     deadline: Vec<f64>,
     /// Attempt number occupying the slot.
     attempt: Vec<u32>,
-    /// Owning workflow index, fixed at submission.
-    owner: Vec<u32>,
     /// `SLOT_EMPTY` / `SLOT_INFLIGHT` / `SLOT_DEFERRED`.
     tag: Vec<u8>,
+}
+
+/// The job at `index` of a dense ensemble-wide numbering in which workflow
+/// `w`'s jobs start at `starts[w]` (ascending; `index` is in range): the
+/// last workflow starting at or before it — a job-less workflow shares its
+/// successor's start and sorts before it.
+pub(crate) fn job_at(starts: &[usize], index: usize) -> EnsembleJobId {
+    let wf = starts.partition_point(|&start| start <= index) - 1;
+    EnsembleJobId::new(WorkflowId::from_index(wf), JobId::from_index(index - starts[wf]))
 }
 
 impl InflightLanes {
     /// Append a region of `jobs` empty slots for the next workflow.
     fn push_workflow(&mut self, jobs: usize) {
-        let wf = u32::try_from(self.base.len()).expect("workflow count fits u32");
         let start = self.tag.len();
+        // Timer entries carry slots as `u32`.
+        assert!(
+            u32::try_from(start + jobs).is_ok(),
+            "one engine tracks fewer than 2^32 jobs over its lifetime"
+        );
         self.base.push(start);
         self.deadline.resize(start + jobs, f64::INFINITY);
         self.attempt.resize(start + jobs, 0);
-        self.owner.resize(start + jobs, wf);
         self.tag.resize(start + jobs, SLOT_EMPTY);
     }
 
@@ -285,13 +295,22 @@ impl InflightLanes {
         self.base[wf] + job
     }
 
-    /// Occupy a slot with an attempt (in flight, or parked if `deferred`).
+    /// Occupy a slot with an attempt (in flight, or parked if `deferred`)
+    /// and return the timer entry that describes it.
     #[inline]
-    fn set(&mut self, wf: usize, job: usize, deadline: f64, attempt: u32, deferred: bool) {
+    fn set(
+        &mut self,
+        wf: usize,
+        job: usize,
+        deadline: f64,
+        attempt: u32,
+        deferred: bool,
+    ) -> DeadlineEntry {
         let i = self.slot(wf, job);
         self.deadline[i] = deadline;
         self.attempt[i] = attempt;
         self.tag[i] = if deferred { SLOT_DEFERRED } else { SLOT_INFLIGHT };
+        DeadlineEntry::new(deadline, i, attempt, deferred)
     }
 
     /// Vacate a slot (completion or dead-letter).
@@ -306,39 +325,47 @@ impl InflightLanes {
     /// same deadline and kind. Any refresh, resubmission or completion
     /// invalidates older timer entries.
     fn entry_is_current(&self, entry: &DeadlineEntry) -> bool {
-        let wf = entry.job.workflow.index();
-        let Some(&base) = self.base.get(wf) else {
-            return false;
-        };
-        let i = base + entry.job.job.index();
-        match self.tag.get(i) {
-            None | Some(&SLOT_EMPTY) => false,
-            Some(&tag) => {
-                self.owner[i] as usize == wf
-                    && self.attempt[i] == entry.attempt
-                    && self.deadline[i] == entry.deadline
-                    && (tag == SLOT_DEFERRED) == entry.deferred
-            }
-        }
+        let i = entry.slot as usize;
+        let tag = self.tag[i];
+        tag != SLOT_EMPTY
+            && self.deadline[i] == entry.deadline
+            && DeadlineEntry::pack(self.attempt[i], tag == SLOT_DEFERRED) == entry.packed
     }
 }
 
 /// A candidate deadline in the engine-wide timer: either
 /// a timeout for a checked-out job or the fire time of a backoff-deferred
-/// retry.
+/// retry. 16 bytes.
 ///
 /// Entries are never removed eagerly: a Running re-ack, resubmission or
 /// completion simply leaves the old entry behind, and it is discarded at
 /// pop time when it no longer matches the in-flight slab (lazy
 /// invalidation). Ordering is ascending deadline with (workflow, job,
-/// attempt) tie-breaks so timeout scans emit in a deterministic order.
+/// attempt, deferred) tie-breaks — slot order is (workflow, job) order —
+/// so timeout scans emit in a deterministic order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeadlineEntry {
     pub(crate) deadline: f64,
-    pub(crate) job: EnsembleJobId,
-    pub(crate) attempt: u32,
-    /// Mirrors the slab's `SLOT_DEFERRED` tag; part of the currency check.
-    pub(crate) deferred: bool,
+    /// The job's slot in the in-flight lanes.
+    pub(crate) slot: u32,
+    /// `attempt << 1 | deferred`, mirroring the slab's attempt and
+    /// `SLOT_DEFERRED` tag; the currency check compares it whole, so the
+    /// attempt's 32nd bit (two billion retries of one job) is not kept.
+    packed: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<DeadlineEntry>() == 16);
+
+impl DeadlineEntry {
+    pub(crate) fn new(deadline: f64, slot: usize, attempt: u32, deferred: bool) -> Self {
+        // `push_workflow` keeps every slot below 2^32.
+        Self { deadline, slot: slot as u32, packed: Self::pack(attempt, deferred) }
+    }
+
+    #[inline]
+    fn pack(attempt: u32, deferred: bool) -> u32 {
+        (attempt << 1) | u32::from(deferred)
+    }
 }
 
 impl PartialEq for DeadlineEntry {
@@ -359,10 +386,8 @@ impl Ord for DeadlineEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         self.deadline
             .total_cmp(&other.deadline)
-            .then_with(|| self.job.workflow.0.cmp(&other.job.workflow.0))
-            .then_with(|| self.job.job.0.cmp(&other.job.job.0))
-            .then_with(|| self.attempt.cmp(&other.attempt))
-            .then_with(|| self.deferred.cmp(&other.deferred))
+            .then_with(|| self.slot.cmp(&other.slot))
+            .then_with(|| self.packed.cmp(&other.packed))
     }
 }
 
@@ -480,12 +505,7 @@ impl EnsembleEngine {
                     self.lanes.deadline[i] = deadline;
                     // Any earlier entry for this job is now stale and
                     // will be discarded lazily at pop time.
-                    self.deadlines.push(DeadlineEntry {
-                        deadline,
-                        job: ack.job,
-                        attempt: ack.attempt,
-                        deferred: false,
-                    });
+                    self.deadlines.push(DeadlineEntry::new(deadline, i, ack.attempt, false));
                 }
                 state.tracker.mark_running(job);
             }
@@ -569,13 +589,12 @@ impl EnsembleEngine {
             Some(t) => now + t,
             None => f64::INFINITY,
         };
-        self.lanes.set(wf.index(), job.index(), deadline, attempt, false);
-        let ens = EnsembleJobId::new(wf, job);
+        let entry = self.lanes.set(wf.index(), job.index(), deadline, attempt, false);
         if deadline.is_finite() {
-            self.deadlines.push(DeadlineEntry { deadline, job: ens, attempt, deferred: false });
+            self.deadlines.push(entry);
         }
         self.stats.dispatches += 1;
-        Action::Dispatch(DispatchMsg { job: ens, attempt })
+        Action::Dispatch(DispatchMsg { job: EnsembleJobId::new(wf, job), attempt })
     }
 
     /// A job attempt failed (Failed ack or timeout): retry within budget —
@@ -641,13 +660,8 @@ impl EnsembleEngine {
                 // fire time as its deadline; the timeout scan emits the
                 // dispatch when it comes due.
                 let due = now + delay;
-                self.lanes.set(wf.index(), job.index(), due, next_attempt, true);
-                self.deadlines.push(DeadlineEntry {
-                    deadline: due,
-                    job: ens,
-                    attempt: next_attempt,
-                    deferred: true,
-                });
+                let entry = self.lanes.set(wf.index(), job.index(), due, next_attempt, true);
+                self.deadlines.push(entry);
                 self.stats.deferred_retries += 1;
             } else {
                 let action = self.dispatch_indexed(wf, job, next_attempt, now);
@@ -706,16 +720,18 @@ impl EnsembleEngine {
         self.scratch_expired = expired;
     }
 
-    /// Process one expired, still-current deadline entry.
+    /// Process one expired, still-current deadline entry: being current,
+    /// it says what its slot says, and the slot says it in full.
     fn fire_entry(&mut self, entry: &DeadlineEntry, now: f64, actions: &mut Vec<Action>) {
-        let wf = entry.job.workflow;
-        let job = entry.job.job;
-        if entry.deferred {
+        let i = entry.slot as usize;
+        let EnsembleJobId { workflow: wf, job } = job_at(&self.lanes.base, i);
+        let attempt = self.lanes.attempt[i];
+        if self.lanes.tag[i] == SLOT_DEFERRED {
             // A backoff-deferred retry came due: dispatch it now.
-            let action = self.dispatch_indexed(wf, job, entry.attempt, now);
+            let action = self.dispatch_indexed(wf, job, attempt, now);
             actions.push(action);
         } else {
-            self.handle_attempt_failure(wf, job, entry.attempt, now, actions);
+            self.handle_attempt_failure(wf, job, attempt, now, actions);
         }
     }
 
@@ -1133,6 +1149,25 @@ mod tests {
         ack(&mut e, run_ack(dispatches(&a1)[0].job, 1), 5.0); // deadline 15
         assert_eq!(dispatches(&scan(&mut e, 10.0)).len(), 1);
         assert_eq!(dispatches(&scan(&mut e, 15.0)).len(), 1);
+    }
+
+    #[test]
+    fn a_fired_timer_entry_names_its_job_across_workflow_regions() {
+        // Timer entries carry lane slots; the job comes back from the
+        // region bases. Workflow 1 is job-less, so it shares workflow 2's
+        // base and must not be taken for the owner of its slots.
+        let mut e = EngineConfig::default().timeout(10.0).build();
+        let (_, a0) = submit(&mut e, chain(3), 0.0);
+        let empty = Arc::new(WorkflowBuilder::new("empty").finish().unwrap());
+        submit(&mut e, empty, 0.0);
+        let (w2, a2) = submit(&mut e, chain(2), 0.0);
+        ack(&mut e, done_ack(dispatches(&a0)[0].job, 1), 0.0);
+        let first = dispatches(&a2)[0];
+        let second = dispatches(&ack(&mut e, done_ack(first.job, 1), 0.0))[0];
+        assert_eq!(second.job, EnsembleJobId::new(w2, JobId(1)));
+        ack(&mut e, run_ack(second.job, 1), 1.0); // deadline 11
+        let resubmitted = dispatches(&scan(&mut e, 11.0));
+        assert_eq!(resubmitted, vec![DispatchMsg { job: second.job, attempt: 2 }]);
     }
 
     #[test]

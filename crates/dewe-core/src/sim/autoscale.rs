@@ -149,7 +149,7 @@ pub fn run_ensemble_autoscale(
         let now = exec.now().as_secs_f64();
         match event {
             SimEvent::JobFinished { token, node, .. } => {
-                let Some(d) = state.running[token as usize].take() else { continue };
+                let Some(d) = state.take_running(token) else { continue };
                 state.node_running[node] -= 1;
                 state.pool.release(node);
                 // A draining node whose last job finished ends its rental.

@@ -21,7 +21,7 @@ use dewe_metrics::{ClusterSampler, Gantt, SAMPLE_INTERVAL_SECS};
 use dewe_mq::chaos::{self, ChaosConfig, ChaosDecider};
 use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, NodeId, SimEvent};
 
-use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
+use crate::engine::{job_at, Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
 
 pub mod autoscale;
@@ -261,12 +261,14 @@ impl SlotPool {
 /// index, and the action/profile buffers are reused across events.
 struct DriverState {
     queue: VecDeque<DispatchMsg>,
-    /// In-flight dispatch per ensemble-wide job index (`None` = not running).
-    running: Vec<Option<DispatchMsg>>,
+    /// Attempt executing under each job token (0 = idle; engine attempts
+    /// start at 1). The job itself comes back from the token through
+    /// `job_base`, see [`Self::take_running`].
+    running: Vec<u32>,
     /// First ensemble-wide job index of each submitted workflow
     /// (prefix sums of job counts, in engine submission order).
-    job_base: Vec<u64>,
-    next_base: u64,
+    job_base: Vec<usize>,
+    next_base: usize,
     pool: SlotPool,
     /// (dispatch time, checkout time) per job index, when tracing.
     trace_times: Vec<(f64, f64)>,
@@ -298,7 +300,7 @@ impl DriverState {
         let tracing = config.record_trace;
         Self {
             queue: VecDeque::new(),
-            running: vec![None; total_jobs],
+            running: vec![0; total_jobs],
             job_base: Vec::with_capacity(workflows.len()),
             next_base: 0,
             pool,
@@ -337,16 +339,25 @@ impl DriverState {
     /// reached 2^32).
     #[inline]
     fn token(&self, job: EnsembleJobId) -> u64 {
-        self.job_base[job.workflow.index()] + job.job.0 as u64
+        (self.job_base[job.workflow.index()] + job.job.index()) as u64
+    }
+
+    /// The finish of the job running under `token`, as the dispatch it
+    /// answers; `None` when nothing is (a chaos-duplicated dispatch ran the
+    /// job twice under one token and the first finish consumed the entry).
+    /// Under such a duplicate the lane holds the latest dispatch's attempt.
+    fn take_running(&mut self, token: u64) -> Option<DispatchMsg> {
+        let attempt = std::mem::take(&mut self.running[token as usize]);
+        (attempt != 0).then(|| DispatchMsg { job: job_at(&self.job_base, token as usize), attempt })
     }
 
     /// Record a workflow's token range at submission time.
     fn register_workflow(&mut self, wf: dewe_dag::WorkflowId, job_count: usize) {
         debug_assert_eq!(wf.index(), self.job_base.len(), "engine ids are sequential");
         self.job_base.push(self.next_base);
-        self.next_base += job_count as u64;
+        self.next_base += job_count;
         debug_assert!(
-            self.next_base < TAG_SUBMIT,
+            (self.next_base as u64) < TAG_SUBMIT,
             "job tokens must stay below the wake-token tag space"
         );
     }
@@ -461,7 +472,8 @@ impl DriverState {
             if !self.node_running.is_empty() {
                 self.node_running[node] += 1;
             }
-            self.running[token as usize] = Some(d);
+            debug_assert!(d.attempt != 0, "0 marks an idle token");
+            self.running[token as usize] = d.attempt;
             exec.submit_job(token, node, &self.profile);
         }
     }
@@ -535,11 +547,10 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
     while let Some(event) = exec.next() {
         match event {
             SimEvent::JobFinished { token, node, timings } => {
-                let Some(d) = state.running[token as usize].take() else {
-                    // A chaos-duplicated dispatch ran the job twice under
-                    // one token and the first finish consumed the entry:
-                    // free the slot, send no ack. (Killed jobs never get
-                    // here — kill_jobs_on suppresses their completions.)
+                let Some(d) = state.take_running(token) else {
+                    // The duplicate's finish: free the slot, send no ack.
+                    // (Killed jobs never get here — kill_jobs_on
+                    // suppresses their completions.)
                     state.pool.release(node);
                     state.try_assign(&mut exec, &mut engine);
                     continue;
@@ -650,7 +661,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
                         let node = config.faults[idx].node;
                         let killed = exec.kill_jobs_on(node);
                         for t in killed {
-                            state.running[t as usize] = None;
+                            state.running[t as usize] = 0;
                         }
                         state.pool.kill(node);
                     }

@@ -39,6 +39,20 @@
 //! `now`, and the engine sorts each scan's expired batch into full
 //! `(deadline, workflow, job, attempt, deferred)` order — the action
 //! stream is the one a totally ordered queue would produce.
+//!
+//! ## Contracts
+//!
+//! *Lazy currency*: entries are immutable once pushed, never removed
+//! eagerly, and validated against the in-flight slab only when they
+//! surface (scan expiry or a `next_deadline` prune).
+//!
+//! *Capacity follows what is filed*: a bucket grows by doubling while it
+//! fills, and when an advance drains it — and when the advance is done
+//! with the spill — storage above [`RETAINED_ENTRIES`] is handed back to
+//! the allocator. The fine buckets that refill every few milliseconds keep
+//! theirs (no allocation per scan); a coarse bucket that held minutes of
+//! deadlines does not keep its high-water mark for the rest of the run.
+//! Between prunes, allocated entries ≤ 2 × filed entries + a constant.
 
 use crate::engine::DeadlineEntry;
 
@@ -51,6 +65,9 @@ const SLOT_MASK: u64 = SLOTS as u64 - 1;
 /// Levels. `11 × 6 = 66` bits ≥ the full 64-bit tick range, so every
 /// deadline files somewhere and there is no overflow case.
 const LEVELS: usize = 11;
+/// Entries of storage a drained bucket, or the spill after an advance,
+/// keeps for its next fill (4 KiB).
+const RETAINED_ENTRIES: usize = 256;
 /// Tick resolution: 1/1024 s. Powers of two keep the seconds→tick
 /// conversion exact for the integral deadlines tests use.
 const TICKS_PER_SEC: f64 = 1024.0;
@@ -76,10 +93,14 @@ fn level_for(tick: u64, current: u64) -> usize {
     }
 }
 
-/// The flat-array hierarchical deadline wheel. Lazy-currency
-/// contract: entries are immutable once pushed, never removed
-/// eagerly, and validated against the in-flight slab only when they
-/// surface (scan expiry or a `next_deadline` prune).
+/// Empty `entries`, keeping no more than [`RETAINED_ENTRIES`] of storage.
+fn hand_back(entries: &mut Vec<DeadlineEntry>) {
+    entries.clear();
+    entries.shrink_to(RETAINED_ENTRIES);
+}
+
+/// The flat-array hierarchical deadline wheel (see the module docs for
+/// its lazy-currency and capacity contracts).
 pub(crate) struct DeadlineWheel {
     /// `LEVELS × SLOTS` buckets, flat: slot `s` of level `l` is
     /// `slots[l * SLOTS + s]`.
@@ -108,21 +129,13 @@ pub(crate) struct DeadlineWheel {
     /// tighten an existing one (a pushed entry says nothing about what
     /// is already filed).
     cached_min: Option<DeadlineEntry>,
-    /// Reusable scratch for advance-time spills.
+    /// Scratch for advance-time spills, reused up to the retained bound.
     spill: Vec<DeadlineEntry>,
 }
 
 impl Default for DeadlineWheel {
     fn default() -> Self {
-        let placeholder = DeadlineEntry {
-            deadline: f64::INFINITY,
-            job: dewe_dag::EnsembleJobId::new(
-                dewe_dag::WorkflowId::from_index(0),
-                dewe_dag::JobId::from_index(0),
-            ),
-            attempt: 0,
-            deferred: false,
-        };
+        let placeholder = DeadlineEntry::new(f64::INFINITY, 0, 0, false);
         Self {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             mins: vec![placeholder; LEVELS * SLOTS],
@@ -167,6 +180,12 @@ impl DeadlineWheel {
         self.len
     }
 
+    /// Entries of storage held by the buckets and the spill.
+    #[cfg(test)]
+    fn allocated(&self) -> usize {
+        self.slots.iter().map(Vec::capacity).sum::<usize>() + self.spill.capacity()
+    }
+
     /// Entries re-filed coarse-to-fine by advances so far.
     pub(crate) fn cascades(&self) -> u64 {
         self.cascades
@@ -207,7 +226,9 @@ impl DeadlineWheel {
             while bits != 0 {
                 let slot = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                spill.append(&mut self.slots[level * SLOTS + slot]);
+                let bucket = &mut self.slots[level * SLOTS + slot];
+                spill.extend_from_slice(bucket);
+                hand_back(bucket);
             }
         }
         self.current = target;
@@ -220,6 +241,7 @@ impl DeadlineWheel {
                 self.place(tick_of(e.deadline).max(self.current), e);
             }
         }
+        hand_back(&mut spill);
         self.spill = spill;
         if self.cached_min.is_some_and(|m| m.deadline <= now) {
             self.cached_min = None;
@@ -283,15 +305,9 @@ impl DeadlineWheel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dewe_dag::{EnsembleJobId, JobId, WorkflowId};
 
-    fn entry(deadline: f64, job: usize, attempt: u32) -> DeadlineEntry {
-        DeadlineEntry {
-            deadline,
-            job: EnsembleJobId::new(WorkflowId::from_index(0), JobId::from_index(job)),
-            attempt,
-            deferred: false,
-        }
+    fn entry(deadline: f64, slot: usize, attempt: u32) -> DeadlineEntry {
+        DeadlineEntry::new(deadline, slot, attempt, false)
     }
 
     fn drain_sorted(w: &mut DeadlineWheel, now: f64) -> Vec<DeadlineEntry> {
@@ -403,7 +419,7 @@ mod tests {
         assert_eq!(w.next_deadline(|_| true), Some(5.0));
         assert_eq!(w.next_deadline(|_| true), Some(5.0));
         // Entry 0 goes stale: pruned, next current minimum surfaces.
-        assert_eq!(w.next_deadline(|e| e.job.job.index() != 0), Some(9.0));
+        assert_eq!(w.next_deadline(|e| e.slot != 0), Some(9.0));
         assert_eq!(w.len(), 2, "the stale entry was dropped exactly once");
         // Everything stale: empty.
         assert_eq!(w.next_deadline(|_| false), None);
@@ -433,7 +449,7 @@ mod tests {
         w.push(entry(120.0, 1, 2));
         let fired = drain_sorted(&mut w, 150.0);
         assert_eq!(fired.len(), 1);
-        assert_eq!(fired[0].attempt, 2);
+        assert_eq!(fired[0], entry(120.0, 1, 2));
     }
 
     #[test]
@@ -465,5 +481,45 @@ mod tests {
         assert_eq!(fired, n);
         assert_eq!(w.len(), 0);
         assert!(w.cascades() > 0);
+    }
+
+    #[test]
+    fn allocated_storage_follows_what_is_filed_not_the_high_water_mark() {
+        // The engine's steady state: each 5 s scan files a burst of
+        // timeouts 600 s ahead, so entries enter at the coarse 256 s
+        // buckets and cascade down as their deadline nears. 1M entries
+        // over 2,000 virtual seconds pass through ten coarse buckets; a
+        // wheel that kept each one's high-water mark would end up holding
+        // several times what is filed.
+        const SCANS: usize = 400;
+        const PER_SCAN: usize = 2_500;
+        const SLACK: usize = (LEVELS * SLOTS + 1) * RETAINED_ENTRIES;
+        let mut w = DeadlineWheel::default();
+        let mut out = Vec::new();
+        let mut fired = 0;
+        let mut peak_filed = 0;
+        for scan in 0..SCANS + 121 {
+            let now = scan as f64 * 5.0;
+            if scan < SCANS {
+                for i in 0..PER_SCAN {
+                    let jitter = i as f64 * (5.0 / PER_SCAN as f64);
+                    w.push(entry(now + 600.0 + jitter, scan * PER_SCAN + i, 1));
+                }
+            }
+            out.clear();
+            w.drain_expired(now, &mut out);
+            fired += out.len();
+            peak_filed = peak_filed.max(w.len());
+            assert!(
+                w.allocated() <= 2 * w.len() + SLACK,
+                "scan {scan}: {} entries allocated for {} filed",
+                w.allocated(),
+                w.len()
+            );
+        }
+        assert_eq!(fired, SCANS * PER_SCAN);
+        assert_eq!(w.len(), 0);
+        assert!(peak_filed >= 120 * PER_SCAN, "600 s of deadlines were filed at once");
+        assert!(w.allocated() <= SLACK, "an empty wheel holds only the retained bound");
     }
 }

@@ -151,6 +151,10 @@ pub struct ExecSim {
     finished_jobs: u64,
 }
 
+/// Largest `(key, bytes)` buffer kept for reuse; all but a workflow's few
+/// aggregating jobs read and write fewer files than this.
+const POOLED_BUF_ENTRIES: usize = 16;
+
 /// Handle for cancelling a scheduled wake.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WakeId(u64);
@@ -476,9 +480,12 @@ impl ExecSim {
         });
     }
 
-    /// Return a job buffer to the pool (no-op for never-allocated vectors).
+    /// Return a job buffer to the pool. Never-allocated vectors have nothing
+    /// to reuse, and a buffer an aggregating job grew (thousands of files)
+    /// is freed: pooled, it would be handed to jobs that need a few entries
+    /// and the pool's capacity would ratchet up to its largest borrowers'.
     fn recycle(&mut self, mut buf: Vec<(u64, f64)>) {
-        if buf.capacity() > 0 {
+        if (1..=POOLED_BUF_ENTRIES).contains(&buf.capacity()) {
             buf.clear();
             self.buf_pool.push(buf);
         }

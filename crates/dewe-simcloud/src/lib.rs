@@ -18,7 +18,7 @@
 //!   throttled to the device's sequential-write rate beyond it. This is
 //!   what makes Montage's stage 1 CPU-bound on every instance type despite
 //!   heavy logical write traffic (paper Fig. 4 discussion).
-//! * **Read cache**: a FIFO byte-budget cache over recently written/read
+//! * **Read cache**: an LRU byte-budget cache over recently written/read
 //!   files. Stage-1 `mDiffFit` reads hit (their inputs were just written);
 //!   stage-3 `mBackground` reads miss (stage 2 flushed residency), which is
 //!   exactly the I/O signature of paper Fig. 4.

@@ -1,30 +1,66 @@
-//! FIFO byte-budget read cache.
+//! LRU-by-bytes read cache over a slab.
 //!
 //! Tracks which files' bytes are resident in (aggregate) page cache.
-//! Residency follows write/read recency with FIFO eviction by insertion
-//! order — a deliberately simple stand-in for the kernel page cache that
-//! captures the temporal-locality effect the paper depends on: stage-1
-//! `mDiffFit` jobs read projections written moments earlier (hits), while
-//! stage-3 `mBackground` jobs re-read stage-1 data written long before
-//! (misses), making stage 3 disk-read-bound (Fig. 4c).
+//! Residency follows write/read recency: a write, a read from the device
+//! and a hit all make the file the newest, and the oldest files are evicted
+//! until the byte budget fits — a deliberately simple stand-in for the
+//! kernel page cache that captures the temporal-locality effect the paper
+//! depends on: stage-1 `mDiffFit` jobs read projections written moments
+//! earlier (hits), while stage-3 `mBackground` jobs re-read stage-1 data
+//! written long before (misses), making stage 3 disk-read-bound (Fig. 4c).
 //!
 //! Hits are all-or-nothing per file: partial residency is treated as a miss
 //! (the dominant Montage files are a few MB, small against cache budgets).
+//!
+//! ## Layout
+//!
+//! Resident files are 24-byte nodes in one slab, linked oldest → newest
+//! through `prev`/`next` slab indices; vacated nodes form a free list
+//! through `next`. Keys are opaque and sparse, so nodes are found through an
+//! open-addressing table of slab indices: Fibonacci hash, linear probing,
+//! backward-shift deletion (no tombstones), doubled at load ½. Memory is
+//! 24 B per file ever resident *at once* plus 8–16 B of table, whatever the
+//! number of touches.
 
-use crate::hash::TokenMap;
-use std::collections::hash_map::Entry;
-use std::collections::VecDeque;
+use crate::hash::PHI64;
 
-/// FIFO cache over opaque file keys.
+/// "No node": list ends, the free list's end and empty table slots.
+const NIL: u32 = u32::MAX;
+/// Initial table size (slots, a power of two).
+const MIN_SLOTS: usize = 16;
+
+/// One resident file.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    key: u64,
+    bytes: f64,
+    /// Older neighbour.
+    prev: u32,
+    /// Newer neighbour; the next free node while on the free list.
+    next: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
+
+/// LRU cache over opaque file keys with a byte budget.
 #[derive(Debug, Clone)]
 pub struct ReadCache {
     capacity: f64,
     used: f64,
-    /// Resident entries: key -> (bytes, generation).
-    entries: TokenMap<(f64, u64)>,
-    /// Insertion order with generations; stale generations are skipped.
-    order: VecDeque<(u64, u64)>,
-    next_gen: u64,
+    nodes: Vec<Node>,
+    /// Head of the free list threaded through `Node::next`.
+    free: u32,
+    /// Oldest resident node.
+    head: u32,
+    /// Newest resident node.
+    tail: u32,
+    /// Resident nodes.
+    len: usize,
+    /// Open-addressing table of slab indices; a power of two in length,
+    /// never more than half full.
+    table: Vec<u32>,
+    /// `64 - log2(table.len())`: the hash keeps the product's top bits.
+    shift: u32,
     hits: u64,
     misses: u64,
     hit_bytes: f64,
@@ -38,9 +74,13 @@ impl ReadCache {
         Self {
             capacity: capacity_bytes,
             used: 0.0,
-            entries: TokenMap::default(),
-            order: VecDeque::new(),
-            next_gen: 0,
+            nodes: Vec::new(),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            table: vec![NIL; MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
             hits: 0,
             misses: 0,
             hit_bytes: 0.0,
@@ -61,109 +101,215 @@ impl ReadCache {
         debug_assert!(bytes >= 0.0);
         if bytes > self.capacity {
             // Cannot ever be resident; also don't thrash the cache.
-            if let Some((b, _)) = self.entries.remove(&key) {
-                self.used -= b;
-            }
+            self.invalidate(key);
             return;
         }
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        // Single hash probe: refresh in place on re-insert, the old order
-        // entry goes stale and is skipped at eviction time.
-        match self.entries.entry(key) {
-            Entry::Occupied(mut o) => {
-                let old_bytes = o.get().0;
-                *o.get_mut() = (bytes, gen);
-                self.used += bytes - old_bytes;
-            }
-            Entry::Vacant(v) => {
-                v.insert((bytes, gen));
+        match self.find(key) {
+            Some((_, n)) => self.refresh(n, bytes),
+            None => {
+                let n = self.alloc(key, bytes);
+                self.table_insert(n);
+                self.push_newest(n);
                 self.used += bytes;
             }
         }
-        self.order.push_back((key, gen));
         if self.used > self.capacity {
             self.evict_to_fit();
         }
     }
 
     /// Check residency for a read of `key` (of `bytes`), updating hit/miss
-    /// counters. A hit refreshes the entry's FIFO position ("recently read"
-    /// data survives longer, as in a real page cache under re-reference).
+    /// counters. A hit makes the entry the newest ("recently read" data
+    /// survives longer, as in a real page cache under re-reference).
     pub fn lookup(&mut self, key: u64, bytes: f64) -> bool {
+        let Some((slot, n)) = self.find(key) else {
+            self.misses += 1;
+            self.miss_bytes += bytes;
+            return false;
+        };
+        self.hits += 1;
+        self.hit_bytes += bytes;
         if bytes > self.capacity {
             // Matches insert's oversize rule: the file can never be
-            // resident going forward, so drop any stale residency.
-            let hit = if let Some((b, _)) = self.entries.remove(&key) {
-                self.used -= b;
-                true
-            } else {
-                false
-            };
-            if hit {
-                self.hits += 1;
-                self.hit_bytes += bytes;
-            } else {
-                self.misses += 1;
-                self.miss_bytes += bytes;
-            }
-            return hit;
-        }
-        if let Some(e) = self.entries.get_mut(&key) {
-            self.hits += 1;
-            self.hit_bytes += bytes;
-            // Refresh recency in place (one hash probe, no remove/insert
-            // churn): bump the generation and append a fresh order entry;
-            // the old one is skipped as stale at eviction time.
-            let gen = self.next_gen;
-            self.next_gen += 1;
-            self.used += bytes - e.0;
-            *e = (bytes, gen);
-            self.order.push_back((key, gen));
+            // resident going forward, so drop the stale residency.
+            self.remove(slot, n);
+        } else {
+            self.refresh(n, bytes);
             if self.used > self.capacity {
                 self.evict_to_fit();
             }
-            true
-        } else {
-            self.misses += 1;
-            self.miss_bytes += bytes;
-            false
         }
+        true
     }
 
     /// Drop a specific entry (file deleted / node departed with its cache).
     pub fn invalidate(&mut self, key: u64) {
-        if let Some((bytes, _)) = self.entries.remove(&key) {
-            self.used -= bytes;
+        if let Some((slot, n)) = self.find(key) {
+            self.remove(slot, n);
         }
     }
 
     /// Drop everything.
     pub fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.nodes.clear();
+        self.table.fill(NIL);
+        self.free = NIL;
+        self.head = NIL;
+        self.tail = NIL;
+        self.len = 0;
         self.used = 0.0;
     }
 
     fn evict_to_fit(&mut self) {
         while self.used > self.capacity {
-            match self.order.pop_front() {
-                Some((key, gen)) => {
-                    if let Entry::Occupied(o) = self.entries.entry(key) {
-                        if o.get().1 == gen {
-                            let (bytes, _) = o.remove();
-                            self.used -= bytes;
-                        }
-                        // else: stale order entry for a refreshed key; skip.
-                    }
-                }
-                None => {
-                    debug_assert!(self.entries.is_empty());
-                    self.used = 0.0;
-                    break;
-                }
+            let n = self.head;
+            if n == NIL {
+                self.used = 0.0;
+                break;
+            }
+            self.remove(self.slot_of(n), n);
+        }
+    }
+
+    /// A resident node takes a (possibly different) size and becomes the
+    /// newest.
+    fn refresh(&mut self, n: u32, bytes: f64) {
+        let node = &mut self.nodes[n as usize];
+        self.used += bytes - node.bytes;
+        node.bytes = bytes;
+        if self.tail != n {
+            self.unlink(n);
+            self.push_newest(n);
+        }
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(PHI64) >> self.shift) as usize
+    }
+
+    /// Table slot and slab index of `key`, if resident.
+    #[inline]
+    fn find(&self, key: u64) -> Option<(usize, u32)> {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(key);
+        loop {
+            let n = self.table[slot];
+            if n == NIL {
+                return None;
+            }
+            if self.nodes[n as usize].key == key {
+                return Some((slot, n));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Table slot of resident node `n`: its probe run is walked comparing
+    /// slab indices, so no other node is read.
+    fn slot_of(&self, n: u32) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(self.nodes[n as usize].key);
+        while self.table[slot] != n {
+            debug_assert!(self.table[slot] != NIL, "a listed node is in the table");
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Enter node `n` (not yet in the table) under its key, doubling the
+    /// table first if that would fill it past half.
+    fn table_insert(&mut self, n: u32) {
+        if (self.len + 1) * 2 > self.table.len() {
+            let slots = self.table.len() * 2;
+            self.shift -= 1;
+            self.table.clear();
+            self.table.resize(slots, NIL);
+            let mut listed = self.head;
+            while listed != NIL {
+                self.place(listed);
+                listed = self.nodes[listed as usize].next;
             }
         }
+        self.place(n);
+        self.len += 1;
+    }
+
+    /// Put `n` in the first empty slot of its key's probe run.
+    fn place(&mut self, n: u32) {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home(self.nodes[n as usize].key);
+        while self.table[slot] != NIL {
+            slot = (slot + 1) & mask;
+        }
+        self.table[slot] = n;
+    }
+
+    /// Take node `n`, found at `slot`, out of table, list and slab, and its
+    /// bytes out of `used`.
+    fn remove(&mut self, slot: usize, n: u32) {
+        self.used -= self.nodes[n as usize].bytes;
+        // Backward-shift deletion: close the gap with each later entry of
+        // the run that may move back, i.e. whose home is not past the gap.
+        let mask = self.table.len() - 1;
+        let (mut gap, mut probe) = (slot, slot);
+        loop {
+            probe = (probe + 1) & mask;
+            let moved = self.table[probe];
+            if moved == NIL {
+                break;
+            }
+            let home = self.home(self.nodes[moved as usize].key);
+            if (probe.wrapping_sub(home) & mask) >= (probe.wrapping_sub(gap) & mask) {
+                self.table[gap] = moved;
+                gap = probe;
+            }
+        }
+        self.table[gap] = NIL;
+        self.len -= 1;
+        self.unlink(n);
+        self.nodes[n as usize].next = self.free;
+        self.free = n;
+    }
+
+    /// A node off the free list, or a new one at the slab's end.
+    fn alloc(&mut self, key: u64, bytes: f64) -> u32 {
+        let node = Node { key, bytes, prev: NIL, next: NIL };
+        if self.free != NIL {
+            let n = self.free;
+            self.free = self.nodes[n as usize].next;
+            self.nodes[n as usize] = node;
+            n
+        } else {
+            let n = self.nodes.len();
+            assert!(n < NIL as usize, "slab indices stay below the NIL marker");
+            self.nodes.push(node);
+            n as u32
+        }
+    }
+
+    fn unlink(&mut self, n: u32) {
+        let Node { prev, next, .. } = self.nodes[n as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.nodes[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            x => self.nodes[x as usize].prev = prev,
+        }
+    }
+
+    fn push_newest(&mut self, n: u32) {
+        let tail = self.tail;
+        let node = &mut self.nodes[n as usize];
+        node.prev = tail;
+        node.next = NIL;
+        match tail {
+            NIL => self.head = n,
+            t => self.nodes[t as usize].next = n,
+        }
+        self.tail = n;
     }
 
     /// Resident bytes.
@@ -206,7 +352,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_eviction() {
+    fn oldest_is_evicted_first() {
         let mut c = ReadCache::new(100.0);
         c.insert(1, 60.0);
         c.insert(2, 60.0); // evicts 1
@@ -293,13 +439,59 @@ mod tests {
     }
 
     #[test]
-    fn stale_order_entries_are_skipped() {
+    fn repeated_touches_hold_one_node() {
         let mut c = ReadCache::new(100.0);
         for _ in 0..50 {
-            c.insert(1, 10.0); // many stale order entries for key 1
+            c.insert(1, 10.0);
+            assert!(c.lookup(1, 10.0));
         }
-        c.insert(2, 90.0); // must evict key 1 exactly once
-        assert!(c.used() <= 100.0);
-        assert!(c.lookup(2, 90.0));
+        assert_eq!((c.nodes.len(), c.len), (1, 1), "a touch moves the node, it adds none");
+        c.insert(2, 95.0); // must evict key 1 exactly once
+        assert_eq!(c.used(), 95.0);
+        assert!(c.lookup(2, 95.0));
+        c.insert(3, 5.0);
+        assert_eq!(c.nodes.len(), 2, "the evicted node's place is reused");
+    }
+
+    /// Backward-shift deletion is where open-addressing tables break: churn
+    /// residents through several doublings, with keys that collide into
+    /// long runs, and check the table against the list after every step.
+    #[test]
+    fn index_finds_every_resident_and_no_evicted_key_across_doublings() {
+        const WINDOW: u64 = 300;
+        let key = |i: u64| match i % 3 {
+            0 => i,
+            1 => ((i % 7) << 32) | i,
+            _ => i << 20,
+        };
+        let mut c = ReadCache::new(WINDOW as f64);
+        let slots_at_start = c.table.len();
+        for i in 0..5_000u64 {
+            c.insert(key(i), 1.0); // evicts key(i - WINDOW) once the budget is full
+            if i % 5 == 0 && i >= 40 {
+                c.invalidate(key(i - 40));
+            }
+            if i % 11 == 0 && i >= 100 {
+                // May already be gone; a hit makes it the newest.
+                c.lookup(key(i - 100), 1.0);
+            }
+            // Every listed node is found under its key, at that node.
+            let (mut n, mut listed) = (c.head, 0);
+            while n != NIL {
+                let found = c.find(c.nodes[n as usize].key).map(|(_, at)| at);
+                assert_eq!(found, Some(n), "step {i}: resident key lost");
+                listed += 1;
+                n = c.nodes[n as usize].next;
+            }
+            assert_eq!(listed, c.len);
+            assert_eq!(c.table.iter().filter(|&&s| s != NIL).count(), c.len);
+            assert!(c.len * 2 <= c.table.len(), "load stays at or under one half");
+            // Anything older than the window was evicted.
+            if i >= 2 * WINDOW {
+                assert!(c.find(key(i - 2 * WINDOW)).is_none(), "step {i}: evicted key found");
+            }
+        }
+        assert!(c.table.len() >= slots_at_start << 3, "at least three doublings");
+        assert!(c.nodes.len() <= WINDOW as usize + 1, "the slab holds residents, not history");
     }
 }

@@ -271,9 +271,9 @@ impl Storage {
         self.backends.iter().map(|b| b.write.total_logical()).sum()
     }
 
-    /// Byte-weighted read-cache hit rate across backends.
+    /// Read-cache hit rate across backends, by lookup count (the
+    /// byte-weighted rate is [`ReadCache::hit_rate`], per cache).
     pub fn cache_hit_rate(&self) -> f64 {
-        // Aggregate by recomputing from counters.
         let (mut h, mut m) = (0u64, 0u64);
         for b in &self.backends {
             let (bh, bm) = b.cache.counters();

@@ -144,6 +144,266 @@ proptest! {
     }
 }
 
+// ------------------------------------------------- ReadCache vs. its model
+
+/// The generation/deque cache that `ReadCache` replaced (a1beac3), verbatim
+/// but for the map's hasher: residents in a hash map with a generation,
+/// recency as an append-only deque whose stale records are skipped at
+/// eviction. Quadratic in nothing, but its memory follows touches, not
+/// residents — which is why it is the model and not the implementation.
+mod model {
+    use std::collections::hash_map::Entry;
+    use std::collections::{HashMap, VecDeque};
+
+    /// FIFO cache over opaque file keys.
+    #[derive(Debug, Clone)]
+    pub struct ReadCache {
+        capacity: f64,
+        used: f64,
+        /// Resident entries: key -> (bytes, generation).
+        entries: HashMap<u64, (f64, u64)>,
+        /// Insertion order with generations; stale generations are skipped.
+        order: VecDeque<(u64, u64)>,
+        next_gen: u64,
+        hits: u64,
+        misses: u64,
+        hit_bytes: f64,
+        miss_bytes: f64,
+    }
+
+    impl ReadCache {
+        /// New cache with a byte budget. A zero budget caches nothing.
+        pub fn new(capacity_bytes: f64) -> Self {
+            assert!(capacity_bytes >= 0.0);
+            Self {
+                capacity: capacity_bytes,
+                used: 0.0,
+                entries: HashMap::new(),
+                order: VecDeque::new(),
+                next_gen: 0,
+                hits: 0,
+                misses: 0,
+                hit_bytes: 0.0,
+                miss_bytes: 0.0,
+            }
+        }
+
+        /// Adjust the budget (cluster membership changes), evicting if shrunk.
+        pub fn set_capacity(&mut self, capacity_bytes: f64) {
+            assert!(capacity_bytes >= 0.0);
+            self.capacity = capacity_bytes;
+            self.evict_to_fit();
+        }
+
+        /// Record that `key` (of `bytes`) is now resident (it was written, or
+        /// read from the device). Re-inserting refreshes its position.
+        pub fn insert(&mut self, key: u64, bytes: f64) {
+            debug_assert!(bytes >= 0.0);
+            if bytes > self.capacity {
+                // Cannot ever be resident; also don't thrash the cache.
+                if let Some((b, _)) = self.entries.remove(&key) {
+                    self.used -= b;
+                }
+                return;
+            }
+            let gen = self.next_gen;
+            self.next_gen += 1;
+            // Single hash probe: refresh in place on re-insert, the old order
+            // entry goes stale and is skipped at eviction time.
+            match self.entries.entry(key) {
+                Entry::Occupied(mut o) => {
+                    let old_bytes = o.get().0;
+                    *o.get_mut() = (bytes, gen);
+                    self.used += bytes - old_bytes;
+                }
+                Entry::Vacant(v) => {
+                    v.insert((bytes, gen));
+                    self.used += bytes;
+                }
+            }
+            self.order.push_back((key, gen));
+            if self.used > self.capacity {
+                self.evict_to_fit();
+            }
+        }
+
+        /// Check residency for a read of `key` (of `bytes`), updating hit/miss
+        /// counters. A hit refreshes the entry's FIFO position ("recently read"
+        /// data survives longer, as in a real page cache under re-reference).
+        pub fn lookup(&mut self, key: u64, bytes: f64) -> bool {
+            if bytes > self.capacity {
+                // Matches insert's oversize rule: the file can never be
+                // resident going forward, so drop any stale residency.
+                let hit = if let Some((b, _)) = self.entries.remove(&key) {
+                    self.used -= b;
+                    true
+                } else {
+                    false
+                };
+                if hit {
+                    self.hits += 1;
+                    self.hit_bytes += bytes;
+                } else {
+                    self.misses += 1;
+                    self.miss_bytes += bytes;
+                }
+                return hit;
+            }
+            if let Some(e) = self.entries.get_mut(&key) {
+                self.hits += 1;
+                self.hit_bytes += bytes;
+                // Refresh recency in place (one hash probe, no remove/insert
+                // churn): bump the generation and append a fresh order entry;
+                // the old one is skipped as stale at eviction time.
+                let gen = self.next_gen;
+                self.next_gen += 1;
+                self.used += bytes - e.0;
+                *e = (bytes, gen);
+                self.order.push_back((key, gen));
+                if self.used > self.capacity {
+                    self.evict_to_fit();
+                }
+                true
+            } else {
+                self.misses += 1;
+                self.miss_bytes += bytes;
+                false
+            }
+        }
+
+        /// Drop a specific entry (file deleted / node departed with its cache).
+        pub fn invalidate(&mut self, key: u64) {
+            if let Some((bytes, _)) = self.entries.remove(&key) {
+                self.used -= bytes;
+            }
+        }
+
+        /// Drop everything.
+        pub fn clear(&mut self) {
+            self.entries.clear();
+            self.order.clear();
+            self.used = 0.0;
+        }
+
+        fn evict_to_fit(&mut self) {
+            while self.used > self.capacity {
+                match self.order.pop_front() {
+                    Some((key, gen)) => {
+                        if let Entry::Occupied(o) = self.entries.entry(key) {
+                            if o.get().1 == gen {
+                                let (bytes, _) = o.remove();
+                                self.used -= bytes;
+                            }
+                            // else: stale order entry for a refreshed key; skip.
+                        }
+                    }
+                    None => {
+                        debug_assert!(self.entries.is_empty());
+                        self.used = 0.0;
+                        break;
+                    }
+                }
+            }
+        }
+
+        /// Resident bytes.
+        pub fn used(&self) -> f64 {
+            self.used
+        }
+
+        /// Budget in bytes.
+        pub fn capacity(&self) -> f64 {
+            self.capacity
+        }
+
+        /// (hits, misses) counts so far.
+        pub fn counters(&self) -> (u64, u64) {
+            (self.hits, self.misses)
+        }
+
+        /// Byte-weighted hit rate so far (1.0 when no lookups yet).
+        pub fn hit_rate(&self) -> f64 {
+            let total = self.hit_bytes + self.miss_bytes;
+            if total == 0.0 {
+                1.0
+            } else {
+                self.hit_bytes / total
+            }
+        }
+    }
+}
+
+/// Three shapes of key over one small index space, so that sequences
+/// re-touch keys: dense, the driver's `(workflow << 32) | file`, and keys
+/// that agree in their low 20 bits.
+fn shaped_key(shape: u8, idx: u64) -> u64 {
+    match shape {
+        0 => idx,
+        1 => ((idx % 5) << 32) | idx,
+        _ => (idx << 20) | 0xABCDE,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any sequence of operations gives the same answer, op by op and bit
+    /// by bit, as the model: hit or miss, resident bytes, counters and the
+    /// byte-weighted hit rate.
+    #[test]
+    fn cache_matches_generation_deque_model(
+        capacity in prop_oneof![Just(0.0f64), 0.0f64..1e6, 1e6f64..1e7],
+        ops in prop::collection::vec((0u8..20, 0u8..3, 0u64..40, 1.0f64..2e5), 1..400),
+    ) {
+        let mut cache = ReadCache::new(capacity);
+        let mut model = model::ReadCache::new(capacity);
+        for (i, &(kind, shape, idx, bytes)) in ops.iter().enumerate() {
+            let key = shaped_key(shape, idx);
+            match kind {
+                0..=7 => {
+                    cache.insert(key, bytes);
+                    model.insert(key, bytes);
+                }
+                8..=14 => {
+                    prop_assert_eq!(cache.lookup(key, bytes), model.lookup(key, bytes), "op {}", i);
+                }
+                15 => {
+                    cache.invalidate(key);
+                    model.invalidate(key);
+                }
+                // An oversize file: never resident, and a lookup of one
+                // drops whatever residency the key had.
+                16 => {
+                    let big = cache.capacity() + bytes;
+                    cache.insert(key, big);
+                    model.insert(key, big);
+                }
+                17 => {
+                    let big = cache.capacity() + bytes;
+                    prop_assert_eq!(cache.lookup(key, big), model.lookup(key, big), "op {}", i);
+                }
+                // The budget moves both ways: `bytes` is in [1, 2e5), so
+                // the factor spans [0, 2).
+                18 => {
+                    let budget = cache.capacity().max(1e4) * bytes / 1e5;
+                    cache.set_capacity(budget);
+                    model.set_capacity(budget);
+                }
+                _ => {
+                    if idx == 0 {
+                        cache.clear();
+                        model.clear();
+                    }
+                }
+            }
+            prop_assert_eq!(cache.used().to_bits(), model.used().to_bits(), "op {}", i);
+            prop_assert_eq!(cache.capacity().to_bits(), model.capacity().to_bits());
+        }
+        prop_assert_eq!(cache.counters(), model.counters());
+        prop_assert_eq!(cache.hit_rate().to_bits(), model.hit_rate().to_bits());
+    }
+}
+
 // ------------------------------------------------------------------- ExecSim
 
 proptest! {
