@@ -207,6 +207,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
         ((job.workflow.0 as u64) << 32) | job.job.0 as u64
     }
 
+    // `dewe_simcloud::ReadCache`'s `(namespace << 32) | index`.
     fn file_key(wf: WorkflowId, f: dewe_dag::FileId) -> u64 {
         ((wf.0 as u64) << 32) | f.0 as u64
     }

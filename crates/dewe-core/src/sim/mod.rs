@@ -193,8 +193,10 @@ const TAG_MASK: u64 = 0xff << 56;
 
 fn file_key(workflow: dewe_dag::WorkflowId, file: dewe_dag::FileId) -> u64 {
     // Exact packing: u32 workflow in the high half, u32 file in the low
-    // half. File keys live in the storage layer's own namespace, never in
-    // the wake-token event space, so no tag interaction is possible.
+    // half — the `(namespace << 32) | index` that `dewe_simcloud::ReadCache`
+    // asks for, file ids being dense per workflow. File keys live in the
+    // storage layer's own namespace, never in the wake-token event space,
+    // so no tag interaction is possible.
     ((workflow.0 as u64) << 32) | file.0 as u64
 }
 

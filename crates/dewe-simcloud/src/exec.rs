@@ -17,6 +17,14 @@
 //! [`JobTimings`] (the data behind the paper's Fig. 2 gantt view) and may
 //! schedule [`SimEvent::Wake`] timers for their own protocol logic (timeout
 //! scans, submission intervals, sampling ticks).
+//!
+//! Compute ends, write ends and engine wakes are events in the
+//! [`EventQueue`]. A backend's next read completion is not: every flow that
+//! joins or leaves moves it, so it is a field (`read_wakes`) that
+//! [`ExecSim::next`] compares with the queue's next key. Each move still
+//! [reserves](EventQueue::reserve) the sequence number the queue would have
+//! given it: simultaneous events fire in the order they were scheduled, and
+//! that order is part of the simulated result.
 
 use crate::cluster::{Cluster, ClusterConfig, NodeCounters, NodeId};
 use crate::fairshare::FlowId;
@@ -28,14 +36,15 @@ use crate::time::SimTime;
 /// Resource demands of one job.
 #[derive(Debug, Clone, Default)]
 pub struct JobProfile {
-    /// Input files: (opaque file key, bytes). Keys identify files across
-    /// jobs so the cache can recognize re-reads.
+    /// Input files: (file key, bytes). Keys identify files across jobs so
+    /// the cache can recognize re-reads; [`ReadCache`](crate::ReadCache)
+    /// says how to number them.
     pub reads: Vec<(u64, f64)>,
     /// Pure compute demand in CPU-seconds.
     pub cpu_seconds: f64,
     /// Cores the job can exploit (≥ 1).
     pub cores: u32,
-    /// Output files: (opaque file key, bytes).
+    /// Output files: (file key, bytes).
     pub writes: Vec<(u64, f64)>,
 }
 
@@ -97,7 +106,6 @@ pub enum SimEvent {
 }
 
 enum Ev {
-    ReadWake(usize),
     ComputeDone(u64),
     WriteDone(u64),
     Wake(u64),
@@ -141,7 +149,16 @@ pub struct ExecSim {
     running: usize,
     next_wake: u64,
     wakes: TokenMap<(u64, EventId)>, // wake id -> (token, event)
-    read_events: Vec<Option<EventId>>,
+    /// Each backend's pending read completion, as the `(time, sequence)`
+    /// key it would hold in the queue. It moves on every flow join and
+    /// leave and fires once per completed read, so it is a field instead
+    /// of an event cancelled and pushed again each time; it still takes a
+    /// sequence number per move, which keeps its place among simultaneous
+    /// events — and every other event's number — what the queue would
+    /// have given.
+    read_wakes: Vec<Option<(SimTime, u64)>>,
+    /// The earliest of `read_wakes` with its backend.
+    next_read_wake: Option<(SimTime, u64, usize)>,
     /// Reusable buffer for harvesting completed read flows.
     read_done_scratch: Vec<u64>,
     /// Recycled `(key, bytes)` buffers for jobs' miss/write lists, so the
@@ -163,7 +180,7 @@ impl ExecSim {
     /// Build a simulator over a fresh cluster.
     pub fn new(config: ClusterConfig) -> Self {
         let cluster = Cluster::new(config);
-        let read_events = vec![None; cluster.storage().backend_count()];
+        let read_wakes = vec![None; cluster.storage().backend_count()];
         Self {
             queue: EventQueue::new(),
             cluster,
@@ -172,7 +189,8 @@ impl ExecSim {
             running: 0,
             next_wake: 0,
             wakes: TokenMap::default(),
-            read_events,
+            read_wakes,
+            next_read_wake: None,
             read_done_scratch: Vec::new(),
             buf_pool: Vec::new(),
             out: std::collections::VecDeque::new(),
@@ -382,9 +400,15 @@ impl ExecSim {
             if let Some(ev) = self.out.pop_front() {
                 return Some(ev);
             }
+            if let Some((at, seq, backend)) = self.next_read_wake {
+                if self.queue.peek_key().is_none_or(|queued| (at, seq) < queued) {
+                    self.queue.advance_to(at);
+                    self.on_read_wake(backend);
+                    continue;
+                }
+            }
             let (_, ev) = self.queue.pop()?;
             match ev {
-                Ev::ReadWake(backend) => self.on_read_wake(backend),
                 Ev::ComputeDone(jid) => self.on_compute_done(jid),
                 Ev::WriteDone(jid) => self.on_write_done(jid),
                 Ev::Wake(wid) => {
@@ -398,17 +422,18 @@ impl ExecSim {
 
     fn resched_backend(&mut self, backend: usize) {
         let now = self.queue.now();
-        if let Some(old) = self.read_events[backend].take() {
-            self.queue.cancel(old);
-        }
-        if let Some(at) = self.cluster.storage_mut().next_read_completion(backend, now) {
-            self.read_events[backend] = Some(self.queue.schedule(at, Ev::ReadWake(backend)));
-        }
+        let at = self.cluster.storage_mut().next_read_completion(backend, now);
+        self.read_wakes[backend] = at.map(|at| self.queue.reserve(at));
+        self.next_read_wake = self
+            .read_wakes
+            .iter()
+            .enumerate()
+            .filter_map(|(backend, wake)| wake.map(|(at, seq)| (at, seq, backend)))
+            .min();
     }
 
     fn on_read_wake(&mut self, backend: usize) {
         let now = self.queue.now();
-        self.read_events[backend] = None;
         let mut done = std::mem::take(&mut self.read_done_scratch);
         done.clear();
         self.cluster.storage_mut().pop_read_completed_into(backend, now, &mut done);

@@ -11,9 +11,8 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// `floor(2^64 / φ)`, odd — the classic Fibonacci hashing multiplier (also
-/// the hash of the read cache's own open-addressing table).
-pub(crate) const PHI64: u64 = 0x9e37_79b9_7f4a_7c15;
+/// `floor(2^64 / φ)`, odd — the classic Fibonacci hashing multiplier.
+const PHI64: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// One-multiply hasher for integer keys.
 #[derive(Default)]

@@ -34,9 +34,11 @@ struct Slot<E> {
 /// Events fire in `(time, insertion sequence)` order, so simultaneous
 /// events resolve in schedule order — a fixed tie-break that keeps the
 /// whole simulation reproducible. Cancellation is O(1) via tombstones that
-/// are skipped (and freed) on pop; this supports the fair-share resources,
-/// whose predicted completion events are rescheduled whenever a flow joins
-/// or leaves.
+/// are skipped (and freed) on pop. An event that is moved far more often
+/// than it fires — a fair-share resource's predicted completion, moved
+/// whenever a flow joins or leaves — stays out of the heap altogether: its
+/// owner [reserves](Self::reserve) the key it would have been filed under
+/// and compares it with [`Self::peek_key`].
 ///
 /// Payloads live in a slab of generation-checked slots rather than a map:
 /// schedule and pop — paid by every event in the simulation — touch only a
@@ -140,16 +142,37 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((at, _, id))) = self.heap.peek() {
+    /// `(time, sequence)` key of the next live event without popping it;
+    /// tombstones on the way are dropped.
+    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
+        while let Some(&Reverse((at, seq, id))) = self.heap.peek() {
             let (gen, slot) = EventId(id).unpack();
             if self.slots[slot as usize].gen == gen {
-                return Some(at);
+                return Some((at, seq));
             }
             self.heap.pop();
         }
         None
+    }
+
+    /// The key [`Self::schedule`] would file an event at `at` under — `at`
+    /// clamped to `now`, and the next sequence number, which is consumed —
+    /// for an event its owner holds outside the queue. The owner fires it
+    /// when the key is below [`Self::peek_key`], calling
+    /// [`Self::advance_to`]; it then fires exactly where a scheduled event
+    /// would have, and every other event's sequence number is unchanged.
+    /// Dropping the key cancels it.
+    pub fn reserve(&mut self, at: SimTime) -> (SimTime, u64) {
+        let key = (at.max(self.now), self.seq);
+        self.seq += 1;
+        key
+    }
+
+    /// Advance `now` to the time of a [reserved](Self::reserve) event that
+    /// fires ahead of everything queued.
+    pub fn advance_to(&mut self, at: SimTime) {
+        debug_assert!(at >= self.now, "time must be monotonic");
+        self.now = at;
     }
 
     /// Number of live (non-cancelled) events.
@@ -241,13 +264,31 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_tombstones() {
+    fn peek_key_skips_tombstones() {
         let mut q: EventQueue<&str> = EventQueue::new();
         let id = q.schedule(SimTime::from_secs(1), "dead");
         q.schedule(SimTime::from_secs(4), "alive");
         q.cancel(id);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
+        assert_eq!(q.peek_key(), Some((SimTime::from_secs(4), 1)));
         assert_eq!(q.len(), 1);
+    }
+
+    #[test]
+    fn a_reserved_key_orders_like_a_scheduled_event() {
+        let mut q: EventQueue<&str> = EventQueue::new();
+        q.schedule(SimTime::from_secs(5), "before");
+        let held = q.reserve(SimTime::from_secs(5));
+        q.schedule(SimTime::from_secs(5), "after");
+        assert_eq!(held, (SimTime::from_secs(5), 1));
+        assert!(q.peek_key().unwrap() < held);
+        assert_eq!(q.pop().unwrap().1, "before");
+        assert!(held < q.peek_key().unwrap(), "the sequence number breaks the tie");
+        q.advance_to(held.0);
+        assert_eq!(q.now(), SimTime::from_secs(5));
+        // In the past: clamped to now, as `schedule` clamps.
+        q.pop();
+        q.advance_to(SimTime::from_secs(9));
+        assert_eq!(q.reserve(SimTime::from_secs(1)), (SimTime::from_secs(9), 3));
     }
 
     #[test]

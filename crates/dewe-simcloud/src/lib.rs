@@ -21,7 +21,9 @@
 //! * **Read cache**: an LRU byte-budget cache over recently written/read
 //!   files. Stage-1 `mDiffFit` reads hit (their inputs were just written);
 //!   stage-3 `mBackground` reads miss (stage 2 flushed residency), which is
-//!   exactly the I/O signature of paper Fig. 4.
+//!   exactly the I/O signature of paper Fig. 4. File keys are
+//!   `(namespace << 32) | index`, dense per namespace: [`ReadCache`] states
+//!   the contract.
 //! * **Shared file systems**: an NFS model (N-to-N cross mounts with a
 //!   per-node efficiency penalty growing in cluster size) and a
 //!   MooseFS-like distributed model (aggregate bandwidth with a smaller

@@ -16,18 +16,32 @@
 //!
 //! Resident files are 24-byte nodes in one slab, linked oldest → newest
 //! through `prev`/`next` slab indices; vacated nodes form a free list
-//! through `next`. Keys are opaque and sparse, so nodes are found through an
-//! open-addressing table of slab indices: Fibonacci hash, linear probing,
-//! backward-shift deletion (no tombstones), doubled at load ½. Memory is
-//! 24 B per file ever resident *at once* plus 8–16 B of table, whatever the
-//! number of touches.
+//! through `next`. Nodes are found through a paged direct index: key
+//! `k` lives in slot `k & (PAGE - 1)` of page `k >> PAGE_BITS`, a page is
+//! `PAGE` slab indices (4 KiB) with a count of the ones in use, and a small
+//! directory maps the ids of the pages that hold a resident to the pages. A
+//! page whose last resident leaves is handed back, so the index follows
+//! the pages in use, not history; nothing is ever rehashed or moved. Memory
+//! is 24 B per file resident *at once* plus 4 B per slot of the pages in
+//! use, whatever the number of touches. What this asks of keys is stated
+//! on [`ReadCache`].
 
-use crate::hash::PHI64;
+use crate::hash::TokenMap;
 
-/// "No node": list ends, the free list's end and empty table slots.
+/// "No node": list ends, the free list's end and unused page slots.
 const NIL: u32 = u32::MAX;
-/// Initial table size (slots, a power of two).
-const MIN_SLOTS: usize = 16;
+/// Keys per index page, as a shift.
+const PAGE_BITS: u32 = 10;
+/// Keys per index page.
+const PAGE: usize = 1 << PAGE_BITS;
+/// Never a page id: ids are keys shifted right.
+const NO_PAGE: u64 = u64::MAX;
+
+/// A key's slot in its page.
+#[inline]
+fn slot_of_key(key: u64) -> usize {
+    key as usize & (PAGE - 1)
+}
 
 /// One resident file.
 #[derive(Debug, Clone, Copy)]
@@ -42,7 +56,23 @@ struct Node {
 
 const _: () = assert!(std::mem::size_of::<Node>() == 24);
 
-/// LRU cache over opaque file keys with a byte budget.
+/// The slab indices of the `PAGE` keys that share `id`.
+#[derive(Debug, Clone)]
+struct Page {
+    /// `key >> PAGE_BITS` of every key in the page.
+    id: u64,
+    /// Slots in use; the page is handed back when this reaches zero.
+    live: u32,
+    slots: Box<[u32; PAGE]>,
+}
+
+/// LRU cache over file keys with a byte budget.
+///
+/// Keys are `(namespace << 32) | index` with indices dense per namespace —
+/// the drivers' workflow instance and file id. The files a job touches are
+/// then neighbours in one 1,024-key page of the cache's index, and finding
+/// one is an array read beside the last. Any `u64` is still correct; a key
+/// alone in its page costs that one page (4 KiB) while it is resident.
 #[derive(Debug, Clone)]
 pub struct ReadCache {
     capacity: f64,
@@ -54,13 +84,15 @@ pub struct ReadCache {
     head: u32,
     /// Newest resident node.
     tail: u32,
-    /// Resident nodes.
-    len: usize,
-    /// Open-addressing table of slab indices; a power of two in length,
-    /// never more than half full.
-    table: Vec<u32>,
-    /// `64 - log2(table.len())`: the hash keeps the product's top bits.
-    shift: u32,
+    /// The index pages that hold a resident, in no order.
+    pages: Vec<Page>,
+    /// Page id → position in `pages`.
+    directory: TokenMap<u32>,
+    /// The page found last (id, position): a job's files share it.
+    last_page: (u64, u32),
+    /// One emptied page (every slot `NIL`) kept for the next page needed,
+    /// so a lone key entering and leaving its page allocates nothing.
+    spare: Option<Box<[u32; PAGE]>>,
     hits: u64,
     misses: u64,
     hit_bytes: f64,
@@ -78,9 +110,10 @@ impl ReadCache {
             free: NIL,
             head: NIL,
             tail: NIL,
-            len: 0,
-            table: vec![NIL; MIN_SLOTS],
-            shift: 64 - MIN_SLOTS.trailing_zeros(),
+            pages: Vec::new(),
+            directory: TokenMap::default(),
+            last_page: (NO_PAGE, 0),
+            spare: None,
             hits: 0,
             misses: 0,
             hit_bytes: 0.0,
@@ -105,10 +138,10 @@ impl ReadCache {
             return;
         }
         match self.find(key) {
-            Some((_, n)) => self.refresh(n, bytes),
+            Some(n) => self.refresh(n, bytes),
             None => {
                 let n = self.alloc(key, bytes);
-                self.table_insert(n);
+                self.index_insert(key, n);
                 self.push_newest(n);
                 self.used += bytes;
             }
@@ -122,7 +155,7 @@ impl ReadCache {
     /// counters. A hit makes the entry the newest ("recently read" data
     /// survives longer, as in a real page cache under re-reference).
     pub fn lookup(&mut self, key: u64, bytes: f64) -> bool {
-        let Some((slot, n)) = self.find(key) else {
+        let Some(n) = self.find(key) else {
             self.misses += 1;
             self.miss_bytes += bytes;
             return false;
@@ -132,7 +165,7 @@ impl ReadCache {
         if bytes > self.capacity {
             // Matches insert's oversize rule: the file can never be
             // resident going forward, so drop the stale residency.
-            self.remove(slot, n);
+            self.remove(n);
         } else {
             self.refresh(n, bytes);
             if self.used > self.capacity {
@@ -144,19 +177,20 @@ impl ReadCache {
 
     /// Drop a specific entry (file deleted / node departed with its cache).
     pub fn invalidate(&mut self, key: u64) {
-        if let Some((slot, n)) = self.find(key) {
-            self.remove(slot, n);
+        if let Some(n) = self.find(key) {
+            self.remove(n);
         }
     }
 
     /// Drop everything.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.table.fill(NIL);
+        self.pages.clear();
+        self.directory.clear();
+        self.last_page = (NO_PAGE, 0);
         self.free = NIL;
         self.head = NIL;
         self.tail = NIL;
-        self.len = 0;
         self.used = 0.0;
     }
 
@@ -167,7 +201,7 @@ impl ReadCache {
                 self.used = 0.0;
                 break;
             }
-            self.remove(self.slot_of(n), n);
+            self.remove(n);
         }
     }
 
@@ -183,90 +217,62 @@ impl ReadCache {
         }
     }
 
+    /// Position in `pages` of page `id`, if any of its keys is resident.
     #[inline]
-    fn home(&self, key: u64) -> usize {
-        (key.wrapping_mul(PHI64) >> self.shift) as usize
+    fn page_at(&mut self, id: u64) -> Option<usize> {
+        if self.last_page.0 != id {
+            self.last_page = (id, *self.directory.get(&id)?);
+        }
+        Some(self.last_page.1 as usize)
     }
 
-    /// Table slot and slab index of `key`, if resident.
+    /// Slab index of `key`, if resident.
     #[inline]
-    fn find(&self, key: u64) -> Option<(usize, u32)> {
-        let mask = self.table.len() - 1;
-        let mut slot = self.home(key);
-        loop {
-            let n = self.table[slot];
-            if n == NIL {
-                return None;
-            }
-            if self.nodes[n as usize].key == key {
-                return Some((slot, n));
-            }
-            slot = (slot + 1) & mask;
-        }
+    fn find(&mut self, key: u64) -> Option<u32> {
+        let at = self.page_at(key >> PAGE_BITS)?;
+        let n = self.pages[at].slots[slot_of_key(key)];
+        (n != NIL).then_some(n)
     }
 
-    /// Table slot of resident node `n`: its probe run is walked comparing
-    /// slab indices, so no other node is read.
-    fn slot_of(&self, n: u32) -> usize {
-        let mask = self.table.len() - 1;
-        let mut slot = self.home(self.nodes[n as usize].key);
-        while self.table[slot] != n {
-            debug_assert!(self.table[slot] != NIL, "a listed node is in the table");
-            slot = (slot + 1) & mask;
-        }
-        slot
+    /// Enter node `n` (not yet in the index) under `key`, starting the
+    /// key's page if no resident holds it open.
+    fn index_insert(&mut self, key: u64, n: u32) {
+        let id = key >> PAGE_BITS;
+        let at = match self.page_at(id) {
+            Some(at) => at,
+            None => {
+                let at = self.pages.len();
+                let slots = self.spare.take().unwrap_or_else(|| Box::new([NIL; PAGE]));
+                self.pages.push(Page { id, live: 0, slots });
+                self.directory.insert(id, at as u32);
+                self.last_page = (id, at as u32);
+                at
+            }
+        };
+        let page = &mut self.pages[at];
+        page.slots[slot_of_key(key)] = n;
+        page.live += 1;
     }
 
-    /// Enter node `n` (not yet in the table) under its key, doubling the
-    /// table first if that would fill it past half.
-    fn table_insert(&mut self, n: u32) {
-        if (self.len + 1) * 2 > self.table.len() {
-            let slots = self.table.len() * 2;
-            self.shift -= 1;
-            self.table.clear();
-            self.table.resize(slots, NIL);
-            let mut listed = self.head;
-            while listed != NIL {
-                self.place(listed);
-                listed = self.nodes[listed as usize].next;
+    /// Take node `n` out of index, list and slab, and its bytes out of
+    /// `used`.
+    fn remove(&mut self, n: u32) {
+        let Node { key, bytes, .. } = self.nodes[n as usize];
+        self.used -= bytes;
+        let at = self.page_at(key >> PAGE_BITS).expect("a listed node is in the index");
+        let page = &mut self.pages[at];
+        page.slots[slot_of_key(key)] = NIL;
+        page.live -= 1;
+        if page.live == 0 {
+            // Hand the page back; the last page takes its position.
+            let page = self.pages.swap_remove(at);
+            self.directory.remove(&page.id);
+            if let Some(moved) = self.pages.get(at) {
+                self.directory.insert(moved.id, at as u32);
             }
+            self.last_page = (NO_PAGE, 0);
+            self.spare.get_or_insert(page.slots);
         }
-        self.place(n);
-        self.len += 1;
-    }
-
-    /// Put `n` in the first empty slot of its key's probe run.
-    fn place(&mut self, n: u32) {
-        let mask = self.table.len() - 1;
-        let mut slot = self.home(self.nodes[n as usize].key);
-        while self.table[slot] != NIL {
-            slot = (slot + 1) & mask;
-        }
-        self.table[slot] = n;
-    }
-
-    /// Take node `n`, found at `slot`, out of table, list and slab, and its
-    /// bytes out of `used`.
-    fn remove(&mut self, slot: usize, n: u32) {
-        self.used -= self.nodes[n as usize].bytes;
-        // Backward-shift deletion: close the gap with each later entry of
-        // the run that may move back, i.e. whose home is not past the gap.
-        let mask = self.table.len() - 1;
-        let (mut gap, mut probe) = (slot, slot);
-        loop {
-            probe = (probe + 1) & mask;
-            let moved = self.table[probe];
-            if moved == NIL {
-                break;
-            }
-            let home = self.home(self.nodes[moved as usize].key);
-            if (probe.wrapping_sub(home) & mask) >= (probe.wrapping_sub(gap) & mask) {
-                self.table[gap] = moved;
-                gap = probe;
-            }
-        }
-        self.table[gap] = NIL;
-        self.len -= 1;
         self.unlink(n);
         self.nodes[n as usize].next = self.free;
         self.free = n;
@@ -445,7 +451,11 @@ mod tests {
             c.insert(1, 10.0);
             assert!(c.lookup(1, 10.0));
         }
-        assert_eq!((c.nodes.len(), c.len), (1, 1), "a touch moves the node, it adds none");
+        assert_eq!(
+            (c.nodes.len(), c.pages[0].live),
+            (1, 1),
+            "a touch moves the node, it adds none"
+        );
         c.insert(2, 95.0); // must evict key 1 exactly once
         assert_eq!(c.used(), 95.0);
         assert!(c.lookup(2, 95.0));
@@ -453,19 +463,21 @@ mod tests {
         assert_eq!(c.nodes.len(), 2, "the evicted node's place is reused");
     }
 
-    /// Backward-shift deletion is where open-addressing tables break: churn
-    /// residents through several doublings, with keys that collide into
-    /// long runs, and check the table against the list after every step.
+    /// Churn residents through dense, namespaced, page-boundary and
+    /// one-per-page keys, emptying the cache twice on the way, and check the
+    /// index against the list after every step.
     #[test]
-    fn index_finds_every_resident_and_no_evicted_key_across_doublings() {
+    fn index_finds_every_resident_no_evicted_key_and_holds_only_pages_in_use() {
         const WINDOW: u64 = 300;
-        let key = |i: u64| match i % 3 {
+        let key = |i: u64| match i % 5 {
             0 => i,
             1 => ((i % 7) << 32) | i,
-            _ => i << 20,
+            2 => i << 20,
+            3 => (i / 5 + 1) * PAGE as u64 - 1,
+            _ => (i / 5 + 1) * PAGE as u64,
         };
         let mut c = ReadCache::new(WINDOW as f64);
-        let slots_at_start = c.table.len();
+        let mut most_pages = 0;
         for i in 0..5_000u64 {
             c.insert(key(i), 1.0); // evicts key(i - WINDOW) once the budget is full
             if i % 5 == 0 && i >= 40 {
@@ -475,23 +487,52 @@ mod tests {
                 // May already be gone; a hit makes it the newest.
                 c.lookup(key(i - 100), 1.0);
             }
+            match i {
+                2_000 => c.clear(),
+                3_500 => {
+                    c.set_capacity(0.0);
+                    c.set_capacity(WINDOW as f64);
+                }
+                _ => {}
+            }
             // Every listed node is found under its key, at that node.
             let (mut n, mut listed) = (c.head, 0);
+            let mut holding = std::collections::BTreeSet::new();
             while n != NIL {
-                let found = c.find(c.nodes[n as usize].key).map(|(_, at)| at);
-                assert_eq!(found, Some(n), "step {i}: resident key lost");
+                let key = c.nodes[n as usize].key;
+                assert_eq!(c.find(key), Some(n), "step {i}: resident key lost");
+                holding.insert(key >> PAGE_BITS);
                 listed += 1;
                 n = c.nodes[n as usize].next;
             }
-            assert_eq!(listed, c.len);
-            assert_eq!(c.table.iter().filter(|&&s| s != NIL).count(), c.len);
-            assert!(c.len * 2 <= c.table.len(), "load stays at or under one half");
+            // The pages are exactly the ones holding a resident, each under
+            // its id in the directory, plus at most the spare.
+            let ids: Vec<u64> = c.pages.iter().map(|p| p.id).collect();
+            assert_eq!(ids.iter().copied().collect::<std::collections::BTreeSet<_>>(), holding);
+            assert_eq!((ids.len(), c.directory.len()), (holding.len(), holding.len()));
+            for (at, page) in c.pages.iter().enumerate() {
+                assert_eq!(c.directory.get(&page.id), Some(&(at as u32)));
+                assert!(page.live > 0, "step {i}: an empty page was kept");
+                if i % 64 == 0 {
+                    let in_use = page.slots.iter().filter(|&&s| s != NIL).count();
+                    assert_eq!(in_use, page.live as usize);
+                }
+            }
+            assert_eq!(c.pages.iter().map(|p| p.live as usize).sum::<usize>(), listed);
+            assert!(
+                c.spare.iter().all(|slots| slots.iter().all(|&s| s == NIL)),
+                "a spare page is blank"
+            );
+            if matches!(i, 2_000 | 3_500) {
+                assert_eq!((listed, c.pages.len()), (0, 0), "emptied: no page outlives it");
+            }
+            most_pages = most_pages.max(c.pages.len());
             // Anything older than the window was evicted.
             if i >= 2 * WINDOW {
                 assert!(c.find(key(i - 2 * WINDOW)).is_none(), "step {i}: evicted key found");
             }
         }
-        assert!(c.table.len() >= slots_at_start << 3, "at least three doublings");
+        assert!(most_pages > 100, "one-per-page keys were resident together: {most_pages}");
         assert!(c.nodes.len() <= WINDOW as usize + 1, "the slab holds residents, not history");
     }
 }

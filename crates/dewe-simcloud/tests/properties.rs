@@ -1,8 +1,8 @@
 //! Property-based tests for the simulator's physical invariants.
 
 use dewe_simcloud::{
-    ClusterConfig, ExecSim, FairShare, JobProfile, ReadCache, SimEvent, SimTime, StorageConfig,
-    WriteBucket, C3_8XLARGE,
+    ClusterConfig, ExecSim, FairShare, JobProfile, ReadCache, SharedFsKind, SimEvent, SimTime,
+    StorageConfig, WriteBucket, C3_8XLARGE,
 };
 use proptest::prelude::*;
 
@@ -333,14 +333,23 @@ mod model {
     }
 }
 
-/// Three shapes of key over one small index space, so that sequences
-/// re-touch keys: dense, the driver's `(workflow << 32) | file`, and keys
-/// that agree in their low 20 bits.
+/// Keys per page of the cache's index (`readcache.rs::PAGE_BITS`).
+const PAGE: u64 = 1 << 10;
+
+/// Five shapes of key over one small index space, so that sequences
+/// re-touch keys: dense; the driver's `(workflow << 32) | file`; keys that
+/// agree in their low 20 bits, each alone in its page, so every eviction
+/// and `invalidate` empties a page and every re-insert re-enters it; the
+/// last and first slots of neighbouring pages (`k·PAGE − 1`, `k·PAGE`); and
+/// 80 namespaces of three files each.
 fn shaped_key(shape: u8, idx: u64) -> u64 {
+    let few = idx % 40;
     match shape {
-        0 => idx,
-        1 => ((idx % 5) << 32) | idx,
-        _ => (idx << 20) | 0xABCDE,
+        0 => few,
+        1 => ((few % 5) << 32) | few,
+        2 => (few << 20) | 0xABCDE,
+        3 => (few / 2 + 1) * PAGE - 1 + few % 2,
+        _ => (idx << 32) | (idx % 3),
     }
 }
 
@@ -353,7 +362,7 @@ proptest! {
     #[test]
     fn cache_matches_generation_deque_model(
         capacity in prop_oneof![Just(0.0f64), 0.0f64..1e6, 1e6f64..1e7],
-        ops in prop::collection::vec((0u8..20, 0u8..3, 0u64..40, 1.0f64..2e5), 1..400),
+        ops in prop::collection::vec((0u8..20, 0u8..5, 0u64..80, 1.0f64..2e5), 1..400),
     ) {
         let mut cache = ReadCache::new(capacity);
         let mut model = model::ReadCache::new(capacity);
@@ -389,12 +398,22 @@ proptest! {
                     cache.set_capacity(budget);
                     model.set_capacity(budget);
                 }
-                _ => {
-                    if idx == 0 {
+                // Everything leaves at once, and the keys come back into
+                // pages that were emptied.
+                _ => match idx % 8 {
+                    0 => {
                         cache.clear();
                         model.clear();
                     }
-                }
+                    1 => {
+                        let budget = cache.capacity();
+                        for budget in [0.0, budget] {
+                            cache.set_capacity(budget);
+                            model.set_capacity(budget);
+                        }
+                    }
+                    _ => {}
+                },
             }
             prop_assert_eq!(cache.used().to_bits(), model.used().to_bits(), "op {}", i);
             prop_assert_eq!(cache.capacity().to_bits(), model.capacity().to_bits());
@@ -502,4 +521,271 @@ proptest! {
         prop_assert!((measured - expected_cpu).abs() < 1e-6 * expected_cpu.max(1.0) + 1e-6,
             "cpu {measured} vs expected {expected_cpu}");
     }
+}
+
+// ------------------------------------------------ ExecSim: pinned event order
+
+/// SplitMix64, the seeded stream behind the pinned job mix.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// What `next()` returned so far: an FNV-1a digest of every event with the
+/// clock it was returned at, the event count, and how many events shared
+/// their microsecond with the one before.
+struct Seen {
+    digest: u64,
+    events: u64,
+    ties: u64,
+    last: SimTime,
+}
+
+impl Seen {
+    fn fold(&mut self, words: &[u64]) {
+        for byte in words.iter().flat_map(|w| w.to_le_bytes()) {
+            self.digest = (self.digest ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn event(&mut self, ev: &SimEvent, now: SimTime) {
+        self.events += 1;
+        self.ties += u64::from(self.events > 1 && now == self.last);
+        self.last = now;
+        match *ev {
+            SimEvent::JobFinished { token, node, timings: t } => self.fold(&[
+                1,
+                token,
+                node as u64,
+                t.submitted.0,
+                t.read_done.0,
+                t.compute_done.0,
+                t.finished.0,
+                now.0,
+            ]),
+            SimEvent::Wake { token } => self.fold(&[2, token, now.0]),
+        }
+    }
+}
+
+const NODES: usize = 8;
+const OUTPUTS: u64 = 1 << 32;
+const COLD_INPUTS: u64 = 2 << 32;
+const SHARED_INPUTS: u64 = 3 << 32;
+const TIED_INPUTS: u64 = 4 << 32;
+const WAKE: u64 = 1 << 40;
+const TIED_BYTES: f64 = 30e6;
+
+/// A file's size is a function of its key, from three sizes only, so reads
+/// and writes of equal cost recur.
+fn pinned_file(key: u64) -> (u64, f64) {
+    (key, [TIED_BYTES, 120e6, 480e6][(key % 3) as usize])
+}
+
+/// Job `id`'s profile: up to three reads — a recent job's output (a hit
+/// unless it was evicted or is not written yet), one of 32 files every job
+/// shares (a miss once, then hits) or a file nobody wrote (a miss) —
+/// quarter-second compute steps including none, and up to two writes.
+fn pinned_profile(id: u64, draw: &mut Mix) -> JobProfile {
+    let reads = (0..draw.below(4))
+        .map(|i| match draw.below(3) {
+            0 if id > 0 => {
+                let producer = id - 1 - draw.below(id.min(64));
+                pinned_file(OUTPUTS | (producer * 2 + draw.below(2)))
+            }
+            1 => pinned_file(SHARED_INPUTS | draw.below(32)),
+            _ => pinned_file(COLD_INPUTS | (id * 4 + i)),
+        })
+        .collect();
+    let writes = (0..draw.below(3)).map(|i| pinned_file(OUTPUTS | (id * 2 + i))).collect();
+    JobProfile {
+        reads,
+        cpu_seconds: draw.below(8) as f64 * 0.25,
+        cores: 1 + draw.below(3) as u32,
+        writes,
+    }
+}
+
+/// Rounds on an idle cluster in which, on every node, a cold read, a
+/// compute-only job and an engine wake all end in the same microsecond, so
+/// the schedule-order tie-break decides. Each round shuffles the order they
+/// are submitted in, and on some nodes a second reader joins — which moves
+/// the backend's read completion and makes it the newest scheduled event;
+/// every other round submits all readers first, so a shared backend's
+/// completion is older than every wake as often as it is newer. The engine
+/// answers each wake with a job that reads its node's cold file: a hit if
+/// the read completion fired before the wake, a miss if after, so the order
+/// of the two shows in the probe's timings. `read_capacity` is one
+/// backend's bytes per second.
+fn tied_rounds(sim: &mut ExecSim, seen: &mut Seen, rng: &mut Mix, read_capacity: f64) {
+    const PROBE: u64 = 1 << 41;
+    #[derive(Clone, Copy, PartialEq)]
+    enum Step {
+        Read,
+        Compute,
+        Wake,
+    }
+    let backends = sim.storage().backend_count();
+    let mut token = 0u64;
+    let (mut probe_hits, mut probe_misses) = (0, 0);
+    for round in 0..16 {
+        let readers: [u64; NODES] = std::array::from_fn(|_| 1 + rng.below(2));
+        let mut read_secs = [0.0; NODES];
+        for (node, secs) in read_secs.iter_mut().enumerate() {
+            // Equal flows that start together end together, a microsecond
+            // after the fluid model says so: one backend serves this node's
+            // readers, or everybody's.
+            let flows = if backends == 1 { readers.iter().sum() } else { readers[node] };
+            let fluid = SimTime::from_secs_f64(flows as f64 * TIED_BYTES / read_capacity);
+            *secs = (fluid + SimTime(1)).as_secs_f64();
+        }
+        let mut pending: Vec<(usize, Step)> = (0..NODES)
+            .flat_map(|node| {
+                let second = (readers[node] == 2).then_some(Step::Read);
+                [Step::Read, Step::Compute, Step::Wake]
+                    .into_iter()
+                    .chain(second)
+                    .map(move |s| (node, s))
+            })
+            .collect();
+        let mut order = Vec::with_capacity(pending.len());
+        while !pending.is_empty() {
+            order.push(pending.swap_remove(rng.below(pending.len() as u64) as usize));
+        }
+        if round % 2 == 0 {
+            order.sort_by_key(|&(_, step)| step != Step::Read);
+        }
+        let cold_key = |node: usize, reader: u64| {
+            TIED_INPUTS | (((round * NODES + node) as u64 * 2 + reader) * 3)
+        };
+        let mut reader = [0u64; NODES];
+        for (node, step) in order {
+            token += 1;
+            match step {
+                Step::Read => {
+                    let cold = JobProfile {
+                        reads: vec![(cold_key(node, reader[node]), TIED_BYTES)],
+                        ..JobProfile::compute(0.0)
+                    };
+                    sim.submit_job(token, node, &cold);
+                    reader[node] += 1;
+                }
+                Step::Compute => sim.submit_job(token, node, &JobProfile::compute(read_secs[node])),
+                Step::Wake => drop(sim.schedule_wake(read_secs[node], WAKE | node as u64)),
+            }
+        }
+        while let Some(ev) = sim.next() {
+            seen.event(&ev, sim.now());
+            match ev {
+                SimEvent::Wake { token: woken } => {
+                    let node = (woken & !WAKE) as usize;
+                    token += 1;
+                    let probe = JobProfile {
+                        reads: vec![(cold_key(node, 0), TIED_BYTES)],
+                        ..JobProfile::compute(0.0)
+                    };
+                    sim.submit_job(PROBE | token, node, &probe);
+                }
+                SimEvent::JobFinished { token: done, timings, .. } if done & PROBE != 0 => {
+                    if timings.read_done == timings.submitted {
+                        probe_hits += 1;
+                    } else {
+                        probe_misses += 1;
+                    }
+                }
+                SimEvent::JobFinished { .. } => {}
+            }
+        }
+    }
+    assert!(probe_hits >= 16 && probe_misses >= 16, "{probe_hits} hits, {probe_misses} misses");
+}
+
+/// Drive a seeded mix through eight nodes and digest every `(event, now)`
+/// that `next()` returns: the tied rounds, then 2,400 jobs as an engine
+/// would run them (eight in flight per node, refilled on every completion)
+/// with engine wakes scheduled and cancelled along the way and one node
+/// killed mid-read.
+fn event_order_digest(storage: StorageConfig, read_capacity: f64) -> (u64, u64) {
+    const PER_NODE: usize = 8;
+    const JOBS: u64 = 2_400;
+    let mut sim = ExecSim::new(ClusterConfig { instance: C3_8XLARGE, nodes: NODES, storage });
+    let mut rng = Mix(0x5eed_de3e);
+    let mut seen = Seen { digest: 0xcbf2_9ce4_8422_2325, events: 0, ties: 0, last: SimTime::ZERO };
+    tied_rounds(&mut sim, &mut seen, &mut rng, read_capacity);
+    let tied_events = seen.events;
+
+    let mut inflight = [0usize; NODES];
+    let mut submitted = 0u64;
+    let mut wakes = Vec::new();
+    loop {
+        for (node, busy) in inflight.iter_mut().enumerate() {
+            while *busy < PER_NODE && submitted < JOBS {
+                let draw = &mut Mix(rng.next());
+                sim.submit_job(submitted, node, &pinned_profile(submitted, draw));
+                submitted += 1;
+                *busy += 1;
+            }
+        }
+        let Some(ev) = sim.next() else { break };
+        seen.event(&ev, sim.now());
+        if let SimEvent::JobFinished { node, .. } = ev {
+            inflight[node] -= 1;
+        }
+        let events = seen.events - tied_events;
+        if events.is_multiple_of(8) {
+            wakes.push(sim.schedule_wake(rng.below(3_000) as f64 * 1e-3, WAKE | events));
+        }
+        if events.is_multiple_of(24) {
+            // Possibly one that fired already: cancelling is idempotent.
+            let at = rng.below(wakes.len() as u64) as usize;
+            sim.cancel_wake(wakes.swap_remove(at));
+        }
+        if events == JOBS / 2 {
+            // A read of minutes is certainly in progress when its node dies.
+            let doomed = JobProfile {
+                reads: vec![(COLD_INPUTS | u32::MAX as u64, 100e9)],
+                ..JobProfile::compute(1.0)
+            };
+            sim.submit_job(JOBS, 3, &doomed);
+            let killed = sim.kill_jobs_on(3);
+            assert!(killed.contains(&JOBS));
+            seen.fold(&[3, killed.len() as u64]);
+            seen.fold(&killed);
+            inflight[3] = 0;
+        }
+    }
+    assert_eq!((submitted, inflight, sim.running_jobs()), (JOBS, [0; NODES], 0));
+    let hit_rate = sim.storage().cache_hit_rate();
+    assert!(0.1 < hit_rate && hit_rate < 0.9, "reads both hit and miss: {hit_rate}");
+    seen.fold(&[seen.events, sim.finished_jobs(), hit_rate.to_bits()]);
+    (seen.digest, seen.ties)
+}
+
+/// The order and the microsecond of every event `next()` returns, pinned
+/// for eight backends (local disks: the earliest of eight pending read
+/// completions, and completions that coincide across backends) and for one
+/// shared backend. The constants were captured at a44a518, where a read
+/// completion was a heap event cancelled and re-pushed on every flow join
+/// and leave.
+#[test]
+fn execsim_event_order_is_pinned() {
+    let disk = C3_8XLARGE.disk.read_bytes_per_sec();
+    let (local, local_ties) = event_order_digest(StorageConfig::LocalDisk, disk);
+    let fs = SharedFsKind::DistFs;
+    let (shared, shared_ties) =
+        event_order_digest(StorageConfig::Shared(fs), disk * NODES as f64 * fs.efficiency(NODES));
+    println!("local {local:#018x} ({local_ties} ties), shared {shared:#018x} ({shared_ties} ties)");
+    assert!(local_ties >= 300 && shared_ties >= 300, "the tied rounds tie");
+    assert_eq!((local, shared), (0x5cb7_8207_027e_c975, 0x8335_f490_96d6_cb84));
 }
