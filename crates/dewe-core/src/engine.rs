@@ -141,6 +141,7 @@ impl EngineConfig {
         assert!(self.retry.max_attempts.is_none_or(|cap| cap >= 1));
         EnsembleEngine {
             workflows: Vec::new(),
+            live: 0,
             lanes: InflightLanes::default(),
             stats: EngineStats::default(),
             terminal_emitted: false,
@@ -221,13 +222,20 @@ pub struct EngineStats {
     /// Jobs written off: dead-lettered jobs plus their abandoned
     /// descendants.
     pub jobs_abandoned: u64,
+    /// Acknowledgments for work the engine never asked for — an unknown
+    /// workflow or job, a job not yet dispatched, the failure of an attempt
+    /// not yet issued — counted and otherwise ignored.
+    pub rejected_acks: u64,
 }
 
 struct WorkflowState {
     workflow: Arc<Workflow>,
     tracker: DependencyTracker,
     submitted_at: f64,
-    done: bool,
+    /// First slot of this workflow's lanes region — until the workflow
+    /// settles (`tracker.is_settled()`): then the tracker is released, the
+    /// region handed back, and the slots may be another workflow's.
+    base: u32,
     /// Jobs of this workflow that exhausted their retry budget.
     dead_lettered: u64,
 }
@@ -242,21 +250,27 @@ const SLOT_DEFERRED: u8 = 2;
 
 /// Engine-wide in-flight slab, laid out struct-of-arrays.
 ///
-/// Every submitted workflow contributes a contiguous region of
-/// `job_count` slots at `base[wf]`; a job's slot is `base[wf] + job`, so
-/// slot order is `(workflow, job)` order. Splitting the former
-/// `Vec<Option<Inflight>>` into parallel lanes means each hot loop touches
-/// only the bytes it needs: the recovery scan reads the one-byte `tag` lane
-/// (plus `attempt` on a hit), the timer currency check reads
-/// `tag`/`attempt`/`deadline` without pulling workflow state into cache,
-/// and an ack clears a slot by writing a single byte.
+/// A workflow with jobs holds a *region* of `job_count` contiguous slots
+/// from submission until it settles; a job's slot is the region's start
+/// plus its index. A settled workflow's region is marked free and the next
+/// workflow of the same length moves in, so the lanes hold the
+/// regions that were live at once, not one per workflow ever submitted —
+/// and slot order says nothing about `(workflow, job)` order.
+///
+/// Splitting the former `Vec<Option<Inflight>>` into parallel lanes means
+/// each hot loop touches only the bytes it needs: the recovery scan reads
+/// the one-byte `tag` lane (plus `attempt` on a hit), the timer currency
+/// check reads `tag`/`attempt`/`deadline` without pulling workflow state
+/// into cache, and an ack clears a slot by writing a single byte.
 ///
 /// Timer entries name a job by its slot: the `(workflow, job)` pair is
-/// recovered from `base` by [`job_at`], and only for an entry that fires.
+/// recovered from the region table by [`job_at`](Self::job_at), for the
+/// entries that expire together and for the one that fires.
 #[derive(Default)]
 struct InflightLanes {
-    /// Per-workflow offset of its region in the lanes below; ascending.
-    base: Vec<usize>,
+    /// The regions, by ascending `start`; together they cover the lanes.
+    /// The free ones among them are the free list.
+    regions: Vec<Region>,
     /// Timeout deadline or deferred-retry fire time (see `tag`).
     deadline: Vec<f64>,
     /// Attempt number occupying the slot.
@@ -265,59 +279,70 @@ struct InflightLanes {
     tag: Vec<u8>,
 }
 
-/// The job at `index` of a dense ensemble-wide numbering in which workflow
-/// `w`'s jobs start at `starts[w]` (ascending; `index` is in range): the
-/// last workflow starting at or before it — a job-less workflow shares its
-/// successor's start and sorts before it.
-pub(crate) fn job_at(starts: &[usize], index: usize) -> EnsembleJobId {
-    let wf = starts.partition_point(|&start| start <= index) - 1;
-    EnsembleJobId::new(WorkflowId::from_index(wf), JobId::from_index(index - starts[wf]))
+/// `len` slots from `start`, held by workflow `tenant` — or, once `free`,
+/// last held by it and waiting for the next workflow of that length.
+struct Region {
+    start: u32,
+    len: u32,
+    tenant: WorkflowId,
+    free: bool,
 }
 
 impl InflightLanes {
-    /// Append a region of `jobs` empty slots for the next workflow.
-    fn push_workflow(&mut self, jobs: usize) {
+    /// A region of `jobs` empty slots for workflow `tenant`: a free one of
+    /// that length, else new slots at the end. Returns its first slot.
+    fn claim(&mut self, tenant: WorkflowId, jobs: usize) -> u32 {
+        if let Some(region) = self.regions.iter_mut().find(|r| r.free && r.len as usize == jobs) {
+            region.tenant = tenant;
+            region.free = false;
+            return region.start;
+        }
         let start = self.tag.len();
         // Timer entries carry slots as `u32`.
-        assert!(
-            u32::try_from(start + jobs).is_ok(),
-            "one engine tracks fewer than 2^32 jobs over its lifetime"
-        );
-        self.base.push(start);
-        self.deadline.resize(start + jobs, f64::INFINITY);
-        self.attempt.resize(start + jobs, 0);
-        self.tag.resize(start + jobs, SLOT_EMPTY);
+        let end = u32::try_from(start + jobs).expect("fewer than 2^32 job slots at once");
+        self.regions.push(Region { start: start as u32, len: jobs as u32, tenant, free: false });
+        self.deadline.resize(end as usize, f64::INFINITY);
+        self.attempt.resize(end as usize, 0);
+        self.tag.resize(end as usize, SLOT_EMPTY);
+        start as u32
     }
 
-    /// Slot index of `job` in workflow `wf`.
-    #[inline]
-    fn slot(&self, wf: usize, job: usize) -> usize {
-        self.base[wf] + job
+    /// Index of the region holding `slot`.
+    fn region_of(&self, slot: u32) -> usize {
+        self.regions.partition_point(|r| r.start <= slot) - 1
+    }
+
+    /// Free the settled workflow's region starting at `start`. Every job
+    /// is terminal, so every slot is already empty; timer entries that
+    /// still name them stay stale until a next tenant's slot says exactly
+    /// what they say.
+    fn release(&mut self, start: u32) {
+        let r = self.region_of(start);
+        let region = &mut self.regions[r];
+        debug_assert!(
+            self.tag[start as usize..(start + region.len) as usize]
+                .iter()
+                .all(|&t| t == SLOT_EMPTY),
+            "a settled workflow has nothing in flight"
+        );
+        region.free = true;
+    }
+
+    /// The job whose slot this is — of the region's last tenant, when the
+    /// region is free.
+    fn job_at(&self, slot: u32) -> EnsembleJobId {
+        let region = &self.regions[self.region_of(slot)];
+        EnsembleJobId::new(region.tenant, JobId(slot - region.start))
     }
 
     /// Occupy a slot with an attempt (in flight, or parked if `deferred`)
     /// and return the timer entry that describes it.
     #[inline]
-    fn set(
-        &mut self,
-        wf: usize,
-        job: usize,
-        deadline: f64,
-        attempt: u32,
-        deferred: bool,
-    ) -> DeadlineEntry {
-        let i = self.slot(wf, job);
+    fn set(&mut self, i: usize, deadline: f64, attempt: u32, deferred: bool) -> DeadlineEntry {
         self.deadline[i] = deadline;
         self.attempt[i] = attempt;
         self.tag[i] = if deferred { SLOT_DEFERRED } else { SLOT_INFLIGHT };
         DeadlineEntry::new(deadline, i, attempt, deferred)
-    }
-
-    /// Vacate a slot (completion or dead-letter).
-    #[inline]
-    fn clear(&mut self, wf: usize, job: usize) {
-        let i = self.slot(wf, job);
-        self.tag[i] = SLOT_EMPTY;
     }
 
     /// True when `entry` still describes the current checkout (or
@@ -340,9 +365,12 @@ impl InflightLanes {
 /// Entries are never removed eagerly: a Running re-ack, resubmission or
 /// completion simply leaves the old entry behind, and it is discarded at
 /// pop time when it no longer matches the in-flight slab (lazy
-/// invalidation). Ordering is ascending deadline with (workflow, job,
-/// attempt, deferred) tie-breaks — slot order is (workflow, job) order —
-/// so timeout scans emit in a deterministic order.
+/// invalidation). `Ord` is ascending deadline, then slot, then (attempt,
+/// deferred). Regions are recycled, so slot order is not (workflow, job)
+/// order: [`EnsembleEngine::check_timeouts`] re-sorts the entries that
+/// expire at one deadline by the job each names, and a scan fires in
+/// ascending (deadline, workflow, job, attempt, deferred) order whatever
+/// slots the jobs were given.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeadlineEntry {
     pub(crate) deadline: f64,
@@ -358,7 +386,7 @@ const _: () = assert!(std::mem::size_of::<DeadlineEntry>() == 16);
 
 impl DeadlineEntry {
     pub(crate) fn new(deadline: f64, slot: usize, attempt: u32, deferred: bool) -> Self {
-        // `push_workflow` keeps every slot below 2^32.
+        // `claim` keeps every slot below 2^32.
         Self { deadline, slot: slot as u32, packed: Self::pack(attempt, deferred) }
     }
 
@@ -397,6 +425,8 @@ impl Ord for DeadlineEntry {
 /// `EngineConfig::default().timeout(..).build()`.
 pub struct EnsembleEngine {
     workflows: Vec<WorkflowState>,
+    /// Submitted workflows that have not settled.
+    live: usize,
     /// Struct-of-arrays in-flight slab shared by every workflow.
     lanes: InflightLanes,
     config: EngineConfig,
@@ -448,58 +478,87 @@ impl EnsembleEngine {
     ) -> WorkflowId {
         let id = WorkflowId::from_index(self.workflows.len());
         let tracker = DependencyTracker::new(&workflow);
-        let job_count = workflow.job_count();
-        // The lanes region must exist before the roots dispatch into it.
-        debug_assert_eq!(self.lanes.base.len(), id.index());
-        self.lanes.push_workflow(job_count);
-        let mut state =
-            WorkflowState { workflow, tracker, submitted_at: now, done: false, dead_lettered: 0 };
-        let mut ready = std::mem::take(&mut self.scratch_ready);
-        state.tracker.drain_ready_into(&mut ready);
-        for &job in &ready {
-            let action = self.dispatch_indexed(id, job, 1, now);
-            actions.push(action);
-        }
-        ready.clear();
-        self.scratch_ready = ready;
+        // The lanes region must exist before the roots dispatch into it;
+        // a workflow without jobs has no slot to name and gets none.
+        let base = match workflow.job_count() {
+            0 => 0,
+            jobs => self.lanes.claim(id, jobs),
+        };
+        self.workflows.push(WorkflowState {
+            workflow,
+            tracker,
+            submitted_at: now,
+            base,
+            dead_lettered: 0,
+        });
+        self.live += 1;
         self.stats.workflows_submitted += 1;
         self.terminal_emitted = false;
+        self.dispatch_ready(id, now, actions);
         // An empty workflow completes immediately.
-        if state.tracker.is_complete() {
-            state.done = true;
-            self.stats.workflows_completed += 1;
-            actions.push(Action::WorkflowCompleted { workflow: id, makespan_secs: 0.0 });
-            self.workflows.push(state);
-            self.maybe_all_done(actions);
-        } else {
-            self.workflows.push(state);
-        }
+        self.settle_if_terminal(id, now, actions);
         id
     }
 
     /// Process a worker acknowledgment at time `now`: actions are
     /// appended to a caller-owned buffer, and in steady state (no new
     /// frontier growth) processing an ack performs no heap allocation.
+    ///
+    /// Acks come from the network. One that names nothing the engine
+    /// dispatched — an unknown workflow or job, a job still waiting on its
+    /// parents, the failure of an attempt not yet issued — is counted in
+    /// [`EngineStats::rejected_acks`] and changes nothing.
     pub fn on_ack(&mut self, ack: AckMsg, now: f64, actions: &mut Vec<Action>) {
         let wf = ack.job.workflow;
         let job = ack.job.job;
-        if wf.index() >= self.workflows.len()
-            || job.index() >= self.workflows[wf.index()].workflow.job_count()
-        {
-            // With the shared slab an out-of-range job index would land in
-            // a neighbor workflow's region, so reject it here rather than
-            // trusting per-workflow bounds checks downstream.
-            debug_assert!(false, "ack for unknown job {:?}", ack.job);
+        let Some(state) = self
+            .workflows
+            .get_mut(wf.index())
+            .filter(|state| job.index() < state.workflow.job_count())
+        else {
+            self.stats.rejected_acks += 1;
             return;
+        };
+        match state.tracker.state(job) {
+            // Every job of a settled workflow is here, so a late ack is
+            // fenced before it can read the lanes region's next tenant.
+            JobState::Completed | JobState::Abandoned => {
+                match ack.kind {
+                    // A checkout of work already written off: nothing to time.
+                    AckKind::Running => {}
+                    // Timeout race: two workers ran the job; results are
+                    // identical by workflow determinism (the paper verifies
+                    // output checksums), so drop the duplicate. A straggler
+                    // completion of a dead-lettered job is likewise noise —
+                    // its descendants are already written off.
+                    AckKind::Completed => self.stats.duplicate_completions += 1,
+                    // Failure evidence for a terminal job is stale by
+                    // definition — e.g. a lease-expiry requeue of a phantom
+                    // assignment left by a Running ack that was delayed past
+                    // its own Completed. Counting it (rather than dropping it
+                    // silently) keeps the fault plane's requeue conservation
+                    // auditable: every requeued job is either resubmitted or
+                    // visibly fenced.
+                    AckKind::Failed => self.stats.stale_failures_ignored += 1,
+                }
+                return;
+            }
+            // Never dispatched: applying a completion would release its
+            // children out of DAG order.
+            JobState::Pending => {
+                self.stats.rejected_acks += 1;
+                return;
+            }
+            // Dispatched and live, so its slot is occupied.
+            JobState::Ready | JobState::Running => {}
         }
+        let i = state.base as usize + job.index();
         match ack.kind {
             AckKind::Running => {
                 // Checkout: the timeout clock starts now (the job may have
                 // sat in the queue arbitrarily long beforehand).
-                let state = &mut self.workflows[wf.index()];
                 let timeout =
                     state.workflow.job(job).effective_timeout(self.config.default_timeout_secs);
-                let i = self.lanes.slot(wf.index(), job.index());
                 if self.lanes.tag[i] == SLOT_INFLIGHT && self.lanes.attempt[i] == ack.attempt {
                     let deadline = now + timeout;
                     self.lanes.deadline[i] = deadline;
@@ -510,72 +569,76 @@ impl EnsembleEngine {
                 state.tracker.mark_running(job);
             }
             AckKind::Completed => {
-                let state = &mut self.workflows[wf.index()];
-                match state.tracker.state(job) {
-                    // Timeout race: two workers ran the job; results are
-                    // identical by workflow determinism (the paper verifies
-                    // output checksums), so drop the duplicate. A straggler
-                    // completion of a dead-lettered job is likewise noise —
-                    // its descendants are already written off.
-                    JobState::Completed | JobState::Abandoned => {
-                        self.stats.duplicate_completions += 1;
-                        return;
-                    }
-                    _ => {}
-                }
-                self.lanes.clear(wf.index(), job.index());
+                self.lanes.tag[i] = SLOT_EMPTY;
                 // Split borrow: the tracker mutates while reading the DAG.
                 let WorkflowState { workflow, tracker, .. } = state;
                 tracker.complete(workflow, job);
                 self.stats.jobs_completed += 1;
-                // Drain the ready queue (rather than a returned list) so
-                // the tracker's queue never accumulates stale entries.
-                let mut newly = std::mem::take(&mut self.scratch_ready);
-                self.workflows[wf.index()].tracker.drain_ready_into(&mut newly);
-                for &next in &newly {
-                    actions.push(self.dispatch_indexed(wf, next, 1, now));
-                }
-                newly.clear();
-                self.scratch_ready = newly;
-                let state = &mut self.workflows[wf.index()];
-                if state.tracker.is_complete() && !state.done {
-                    state.done = true;
-                    self.stats.workflows_completed += 1;
-                    let makespan = now - state.submitted_at;
-                    actions
-                        .push(Action::WorkflowCompleted { workflow: wf, makespan_secs: makespan });
-                    self.maybe_all_done(actions);
-                } else if state.tracker.is_settled() && !state.done {
-                    // This completion finished the last live branch of a
-                    // workflow that already dead-lettered elsewhere: it
-                    // settles (partially complete) rather than completes.
-                    state.done = true;
-                    self.stats.workflows_abandoned += 1;
-                    actions.push(Action::WorkflowAbandoned {
-                        workflow: wf,
-                        dead_lettered: state.dead_lettered,
-                        abandoned_jobs: state.tracker.stats().abandoned,
-                    });
-                    self.maybe_all_done(actions);
-                }
+                self.dispatch_ready(wf, now, actions);
+                // This may have been the last live branch of a workflow
+                // that already dead-lettered elsewhere: then it settles
+                // (partially complete) rather than completes.
+                self.settle_if_terminal(wf, now, actions);
             }
-            AckKind::Failed => {
+            AckKind::Failed => match ack.attempt.cmp(&self.lanes.attempt[i]) {
                 // Generation check: a failure report for an attempt older
                 // than the one the slab currently tracks is a zombie's —
                 // the attempt already timed out (or its worker's lease
                 // expired) and a newer attempt owns the slot. Acting on it
                 // would burn retry budget against an attempt that was
                 // already written off.
-                let i = self.lanes.slot(wf.index(), job.index());
-                if self.lanes.tag[i] != SLOT_EMPTY && self.lanes.attempt[i] > ack.attempt {
-                    self.stats.stale_failures_ignored += 1;
-                    return;
-                }
+                Ordering::Less => self.stats.stale_failures_ignored += 1,
+                // An attempt not yet issued cannot have failed; taking its
+                // word would skip the retry budget ahead.
+                Ordering::Greater => self.stats.rejected_acks += 1,
                 // Immediate failure report (no need to wait for the
                 // timeout): route through the retry budget.
-                self.handle_attempt_failure(wf, job, ack.attempt, now, actions);
-            }
+                Ordering::Equal => self.handle_attempt_failure(wf, job, ack.attempt, now, actions),
+            },
         }
+    }
+
+    /// Dispatch, as first attempts, the jobs of `wf` that became ready.
+    /// Draining the tracker's queue (rather than taking a returned list)
+    /// keeps it from accumulating stale entries.
+    fn dispatch_ready(&mut self, wf: WorkflowId, now: f64, actions: &mut Vec<Action>) {
+        let mut ready = std::mem::take(&mut self.scratch_ready);
+        self.workflows[wf.index()].tracker.drain_ready_into(&mut ready);
+        for &job in &ready {
+            let action = self.dispatch_indexed(wf, job, 1, now);
+            actions.push(action);
+        }
+        ready.clear();
+        self.scratch_ready = ready;
+    }
+
+    /// Called when a job of `wf` just became terminal (or `wf` was just
+    /// submitted): if that was its last live job, settle it — report it,
+    /// then give back what only a live workflow needs: the tracker's lanes
+    /// and the in-flight region, which the next workflow of this length
+    /// takes.
+    fn settle_if_terminal(&mut self, wf: WorkflowId, now: f64, actions: &mut Vec<Action>) {
+        let state = &mut self.workflows[wf.index()];
+        if !state.tracker.is_settled() {
+            return;
+        }
+        self.live -= 1;
+        actions.push(if state.tracker.is_complete() {
+            self.stats.workflows_completed += 1;
+            Action::WorkflowCompleted { workflow: wf, makespan_secs: now - state.submitted_at }
+        } else {
+            self.stats.workflows_abandoned += 1;
+            Action::WorkflowAbandoned {
+                workflow: wf,
+                dead_lettered: state.dead_lettered,
+                abandoned_jobs: state.tracker.stats().abandoned,
+            }
+        });
+        state.tracker.release();
+        if state.workflow.job_count() > 0 {
+            self.lanes.release(state.base);
+        }
+        self.maybe_all_done(actions);
     }
 
     fn dispatch_indexed(&mut self, wf: WorkflowId, job: JobId, attempt: u32, now: f64) -> Action {
@@ -589,7 +652,8 @@ impl EnsembleEngine {
             Some(t) => now + t,
             None => f64::INFINITY,
         };
-        let entry = self.lanes.set(wf.index(), job.index(), deadline, attempt, false);
+        let i = self.workflows[wf.index()].base as usize + job.index();
+        let entry = self.lanes.set(i, deadline, attempt, false);
         if deadline.is_finite() {
             self.deadlines.push(entry);
         }
@@ -597,8 +661,9 @@ impl EnsembleEngine {
         Action::Dispatch(DispatchMsg { job: EnsembleJobId::new(wf, job), attempt })
     }
 
-    /// A job attempt failed (Failed ack or timeout): retry within budget —
-    /// immediately or deferred by the backoff schedule — or dead-letter.
+    /// A live job's attempt failed (Failed ack or timeout): retry within
+    /// budget — immediately or deferred by the backoff schedule — or
+    /// dead-letter.
     fn handle_attempt_failure(
         &mut self,
         wf: WorkflowId,
@@ -608,24 +673,11 @@ impl EnsembleEngine {
         actions: &mut Vec<Action>,
     ) {
         let state = &mut self.workflows[wf.index()];
-        match state.tracker.state(job) {
-            // Failure evidence for a job that already reached a terminal
-            // state is stale by definition — e.g. a lease-expiry requeue
-            // of a phantom assignment left by a Running ack that was
-            // delayed past its own Completed. Counting it (rather than
-            // dropping it silently) keeps the fault plane's requeue
-            // conservation auditable: every requeued job is either
-            // resubmitted or visibly fenced.
-            JobState::Completed | JobState::Abandoned => {
-                self.stats.stale_failures_ignored += 1;
-                return;
-            }
-            _ => {}
-        }
+        let i = state.base as usize + job.index();
         if self.config.retry.max_attempts.is_some_and(|cap| failed_attempt >= cap) {
             // Retry budget exhausted: dead-letter the job and write off
             // every descendant that can no longer run.
-            self.lanes.clear(wf.index(), job.index());
+            self.lanes.tag[i] = SLOT_EMPTY;
             state.dead_lettered += 1;
             let WorkflowState { workflow, tracker, .. } = state;
             let abandoned = tracker.abandon(workflow, job);
@@ -636,17 +688,7 @@ impl EnsembleEngine {
                 attempts: failed_attempt,
                 abandoned_jobs: abandoned,
             });
-            let state = &mut self.workflows[wf.index()];
-            if state.tracker.is_settled() && !state.done {
-                state.done = true;
-                self.stats.workflows_abandoned += 1;
-                actions.push(Action::WorkflowAbandoned {
-                    workflow: wf,
-                    dead_lettered: state.dead_lettered,
-                    abandoned_jobs: state.tracker.stats().abandoned,
-                });
-                self.maybe_all_done(actions);
-            }
+            self.settle_if_terminal(wf, now, actions);
             return;
         }
         if state.tracker.resubmit(job) {
@@ -660,7 +702,7 @@ impl EnsembleEngine {
                 // fire time as its deadline; the timeout scan emits the
                 // dispatch when it comes due.
                 let due = now + delay;
-                let entry = self.lanes.set(wf.index(), job.index(), due, next_attempt, true);
+                let entry = self.lanes.set(i, due, next_attempt, true);
                 self.deadlines.push(entry);
                 self.stats.deferred_retries += 1;
             } else {
@@ -694,8 +736,8 @@ impl EnsembleEngine {
     ///
     /// Only entries whose deadline has expired are visited, no matter how
     /// many are in flight: the wheel drains the slots `now` crossed and
-    /// sorts just that expired batch into full [`DeadlineEntry`] order, so
-    /// a scan fires in ascending (deadline, workflow, job, attempt) order.
+    /// just that expired batch is sorted, so a scan fires in ascending
+    /// (deadline, workflow, job, attempt) order.
     pub fn check_timeouts(&mut self, now: f64, actions: &mut Vec<Action>) {
         let mut expired = std::mem::take(&mut self.scratch_expired);
         // Processing an expired entry can file new deadlines (checkout
@@ -707,9 +749,20 @@ impl EnsembleEngine {
             if expired.is_empty() {
                 break;
             }
-            // The wheel hands the batch over in slot order; the scan's
-            // contract is full entry order.
+            // The wheel hands the batch over in wheel-slot order; the
+            // scan's contract is (deadline, workflow, job, attempt) order.
+            // Lane slots order jobs within a region but regions are
+            // recycled, so entries tied on the deadline are put in the
+            // order of the jobs they name. No region changes hands during
+            // a scan, and an entry naming a free region is stale wherever
+            // it sorts.
             expired.sort_unstable();
+            let lanes = &self.lanes;
+            for tied in expired.chunk_by_mut(|a, b| a.deadline.total_cmp(&b.deadline).is_eq()) {
+                if tied.len() > 1 {
+                    tied.sort_unstable_by_key(|e| (lanes.job_at(e.slot), e.packed));
+                }
+            }
             for entry in &expired {
                 if !self.lanes.entry_is_current(entry) {
                     continue; // superseded checkout, resubmission or completion
@@ -724,7 +777,7 @@ impl EnsembleEngine {
     /// it says what its slot says, and the slot says it in full.
     fn fire_entry(&mut self, entry: &DeadlineEntry, now: f64, actions: &mut Vec<Action>) {
         let i = entry.slot as usize;
-        let EnsembleJobId { workflow: wf, job } = job_at(&self.lanes.base, i);
+        let EnsembleJobId { workflow: wf, job } = self.lanes.job_at(entry.slot);
         let attempt = self.lanes.attempt[i];
         if self.lanes.tag[i] == SLOT_DEFERRED {
             // A backoff-deferred retry came due: dispatch it now.
@@ -759,7 +812,7 @@ impl EnsembleEngine {
     /// terminated with abandoned jobs. The ensemble can make no further
     /// progress past this point.
     pub fn all_settled(&self) -> bool {
-        !self.workflows.is_empty() && self.workflows.iter().all(|w| w.done)
+        !self.workflows.is_empty() && self.live == 0
     }
 
     /// Aggregate statistics.
@@ -775,14 +828,13 @@ impl EnsembleEngine {
     /// job until its timeout.
     pub fn inflight_dispatches(&self, out: &mut Vec<DispatchMsg>) {
         for (wfi, state) in self.workflows.iter().enumerate() {
-            if state.done {
+            if state.tracker.is_settled() {
                 continue;
             }
             // Scan the one-byte tag lane; the other lanes are only read
             // on a hit.
-            let base = self.lanes.base[wfi];
             for ji in 0..state.workflow.job_count() {
-                let i = base + ji;
+                let i = state.base as usize + ji;
                 if self.lanes.tag[i] == SLOT_INFLIGHT {
                     out.push(DispatchMsg {
                         job: EnsembleJobId::new(WorkflowId::from_index(wfi), JobId::from_index(ji)),
@@ -1154,8 +1206,8 @@ mod tests {
     #[test]
     fn a_fired_timer_entry_names_its_job_across_workflow_regions() {
         // Timer entries carry lane slots; the job comes back from the
-        // region bases. Workflow 1 is job-less, so it shares workflow 2's
-        // base and must not be taken for the owner of its slots.
+        // region table. Workflow 1 is job-less: it holds no region and
+        // must not be taken for the owner of workflow 2's slots.
         let mut e = EngineConfig::default().timeout(10.0).build();
         let (_, a0) = submit(&mut e, chain(3), 0.0);
         let empty = Arc::new(WorkflowBuilder::new("empty").finish().unwrap());
@@ -1168,6 +1220,164 @@ mod tests {
         ack(&mut e, run_ack(second.job, 1), 1.0); // deadline 11
         let resubmitted = dispatches(&scan(&mut e, 11.0));
         assert_eq!(resubmitted, vec![DispatchMsg { job: second.job, attempt: 2 }]);
+    }
+
+    /// Run `wf`'s outstanding chain job to completion.
+    fn finish_chain(e: &mut EnsembleEngine, mut d: DispatchMsg, now: f64) -> Vec<Action> {
+        loop {
+            let actions = ack(e, done_ack(d.job, d.attempt), now);
+            match dispatches(&actions).first() {
+                Some(&next) => d = next,
+                None => return actions,
+            }
+        }
+    }
+
+    #[test]
+    fn state_follows_the_live_workflows_not_every_workflow_submitted() {
+        // 200 same-length workflows, at most 4 overlapping: each settled
+        // one hands its region and its tracker's lanes to a later one.
+        let mut e = EnsembleEngine::default();
+        let wf = chain(5);
+        let mut live = std::collections::VecDeque::new();
+        for n in 0..200 {
+            let (_, actions) = submit(&mut e, Arc::clone(&wf), f64::from(n));
+            live.push_back(dispatches(&actions)[0]);
+            if live.len() == 4 {
+                let oldest = live.pop_front().unwrap();
+                let done = finish_chain(&mut e, oldest, f64::from(n));
+                assert!(done.iter().any(|a| matches!(a, Action::WorkflowCompleted { .. })));
+            }
+            let unreleased = e.workflows.iter().filter(|w| !w.tracker.is_released()).count();
+            assert!(unreleased <= 6 && e.live <= 4, "{unreleased} trackers, {} live", e.live);
+            assert!(e.lanes.regions.len() <= 6, "{} regions", e.lanes.regions.len());
+        }
+        assert_eq!(e.lanes.tag.len(), 4 * 5, "the slab stopped at the peak-live regions");
+        for d in live {
+            finish_chain(&mut e, d, 200.0);
+        }
+        assert!(e.all_complete());
+        assert!(e.lanes.regions.iter().all(|r| r.free), "every region handed back");
+        assert_eq!(e.stats().jobs_completed, 1000);
+    }
+
+    #[test]
+    fn a_region_is_reused_only_by_a_workflow_of_its_length() {
+        let mut e = EnsembleEngine::default();
+        let (_, a0) = submit(&mut e, chain(3), 0.0);
+        finish_chain(&mut e, dispatches(&a0)[0], 1.0);
+        submit(&mut e, chain(2), 2.0);
+        assert_eq!(e.lanes.tag.len(), 5, "a 2-job workflow does not move into 3 slots");
+        let (w2, _) = submit(&mut e, chain(3), 3.0);
+        assert_eq!(e.lanes.tag.len(), 5);
+        assert_eq!(e.workflows[w2.index()].base, 0);
+        assert_eq!(e.lanes.job_at(2), EnsembleJobId::new(w2, JobId(2)));
+    }
+
+    #[test]
+    fn late_acks_for_a_settled_workflow_never_reach_the_regions_next_tenant() {
+        let mut e = EngineConfig::default().timeout(10.0).build();
+        let (_, a0) = submit(&mut e, chain(1), 0.0);
+        let old = dispatches(&a0)[0];
+        ack(&mut e, done_ack(old.job, 1), 1.0);
+        let (w1, a1) = submit(&mut e, chain(1), 2.0);
+        let new = dispatches(&a1)[0];
+        assert_eq!(e.workflows[w1.index()].base, 0, "the region changed hands");
+        ack(&mut e, run_ack(new.job, 1), 2.0); // deadline 12
+        let before = e.stats();
+        // The settled workflow's stragglers: same slot, same attempt.
+        assert!(ack(&mut e, run_ack(old.job, 1), 5.0).is_empty());
+        assert!(ack(&mut e, done_ack(old.job, 1), 5.0).is_empty());
+        assert!(ack(&mut e, fail_ack(old.job, 1), 5.0).is_empty());
+        let after = e.stats();
+        assert_eq!(after.duplicate_completions, before.duplicate_completions + 1);
+        assert_eq!(after.stale_failures_ignored, before.stale_failures_ignored + 1);
+        assert_eq!(after.jobs_completed, before.jobs_completed);
+        // The tenant's clock was not refreshed and its attempt still runs.
+        assert_eq!(e.next_deadline(), Some(12.0));
+        assert_eq!(e.job_state(new.job), Some(JobState::Running));
+        assert_eq!(dispatches(&scan(&mut e, 12.0)), vec![DispatchMsg { job: new.job, attempt: 2 }]);
+    }
+
+    #[test]
+    fn a_previous_tenants_timer_entry_that_matches_the_new_one_fires_once() {
+        // The old tenant's checkout files (deadline 20, slot 0, attempt 1);
+        // it completes, and the next tenant's checkout files the same
+        // entry again. Whichever copy surfaces first is current and fires;
+        // that invalidates the other.
+        let mut e = EngineConfig::default().timeout(10.0).build();
+        let (_, a0) = submit(&mut e, chain(1), 0.0);
+        let old = dispatches(&a0)[0];
+        ack(&mut e, run_ack(old.job, 1), 10.0);
+        ack(&mut e, done_ack(old.job, 1), 10.0);
+        let (_, a1) = submit(&mut e, chain(1), 10.0);
+        let new = dispatches(&a1)[0];
+        ack(&mut e, run_ack(new.job, 1), 10.0);
+        assert_eq!(e.deadlines.len(), 2, "two entries, equal field for field");
+        assert_eq!(dispatches(&scan(&mut e, 20.0)), vec![DispatchMsg { job: new.job, attempt: 2 }]);
+        assert_eq!(e.stats().resubmissions, 1);
+        assert_eq!(e.next_deadline(), None);
+    }
+
+    #[test]
+    fn simultaneous_timeouts_fire_in_workflow_order_whatever_the_slots() {
+        // Workflow 1 stays live in the upper region; workflow 2 moves into
+        // the lower one that workflow 0 handed back. Their jobs time out at
+        // the same instant: workflow 1 fires first, though its slots sort
+        // after workflow 2's.
+        let mut b = WorkflowBuilder::new("pair");
+        b.job("a", "t", 1.0).build();
+        b.job("b", "t", 1.0).build();
+        let pair = Arc::new(b.finish().unwrap());
+        let mut e = EngineConfig::default().timeout(10.0).build();
+        let (_, a0) = submit(&mut e, Arc::clone(&pair), 0.0);
+        let (w1, a1) = submit(&mut e, Arc::clone(&pair), 0.0);
+        for d in dispatches(&a0) {
+            ack(&mut e, done_ack(d.job, 1), 1.0);
+        }
+        let (w2, a2) = submit(&mut e, pair, 2.0);
+        assert!(e.workflows[w2.index()].base < e.workflows[w1.index()].base);
+        for d in dispatches(&a2).into_iter().chain(dispatches(&a1)).rev() {
+            ack(&mut e, run_ack(d.job, 1), 5.0); // every deadline 15
+        }
+        let fired: Vec<_> = dispatches(&scan(&mut e, 15.0)).iter().map(|d| d.job).collect();
+        let expect: Vec<_> = [(w1, 0), (w1, 1), (w2, 0), (w2, 1)]
+            .iter()
+            .map(|&(w, j)| EnsembleJobId::new(w, JobId(j)))
+            .collect();
+        assert_eq!(fired, expect);
+    }
+
+    #[test]
+    fn acks_the_engine_never_asked_for_are_counted_not_applied() {
+        let mut e = capped(2);
+        let (wf, actions) = submit(&mut e, chain(3), 0.0);
+        let root = dispatches(&actions)[0];
+        let pending = EnsembleJobId::new(wf, JobId(1));
+        let nowhere = [
+            EnsembleJobId::new(WorkflowId(7), JobId(0)), // no such workflow
+            EnsembleJobId::new(wf, JobId(3)),            // no such job
+            pending,                                     // never dispatched
+        ];
+        for job in nowhere {
+            for kind in [AckKind::Running, AckKind::Completed, AckKind::Failed] {
+                let hostile = AckMsg { job, worker: 9, kind, attempt: 1 };
+                assert!(ack(&mut e, hostile, 1.0).is_empty(), "{hostile:?}");
+            }
+        }
+        assert_eq!(e.stats().rejected_acks, 9);
+        assert_eq!(e.job_state(pending), Some(JobState::Pending), "not completed early");
+        // A failure of an attempt not yet issued — at the cap it would
+        // dead-letter the job, at `u32::MAX` overflow the next attempt.
+        for attempt in [2, u32::MAX] {
+            assert!(ack(&mut e, fail_ack(root.job, attempt), 1.0).is_empty());
+        }
+        let stats = e.stats();
+        assert_eq!(stats.rejected_acks, 11);
+        assert_eq!((stats.jobs_completed, stats.resubmissions, stats.dead_lettered), (0, 0, 0));
+        // The workflow still runs in DAG order.
+        let next = dispatches(&ack(&mut e, done_ack(root.job, 1), 2.0));
+        assert_eq!(next, vec![DispatchMsg { job: pending, attempt: 1 }]);
     }
 
     #[test]

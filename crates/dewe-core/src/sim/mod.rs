@@ -19,9 +19,9 @@ use std::sync::Arc;
 use dewe_dag::{EnsembleJobId, Workflow};
 use dewe_metrics::{ClusterSampler, Gantt, SAMPLE_INTERVAL_SECS};
 use dewe_mq::chaos::{self, ChaosConfig, ChaosDecider};
-use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, NodeId, SimEvent};
+use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, NodeId, SimEvent, TokenMap};
 
-use crate::engine::{job_at, Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
+use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
 
 pub mod autoscale;
@@ -257,16 +257,17 @@ impl SlotPool {
     }
 }
 
-/// Per-run driver bookkeeping, sized once up front so the event loop's
-/// ack/dispatch path allocates nothing in steady state: in-flight jobs and
-/// trace timestamps live in dense slabs indexed by ensemble-wide job
-/// index, and the action/profile buffers are reused across events.
+/// Per-run driver bookkeeping. What it holds per job follows the jobs that
+/// are executing — one `running` entry per occupied slot, reserved up
+/// front so the event loop's ack/dispatch path allocates nothing in steady
+/// state — and the action/profile buffers are reused across events. Only
+/// a traced run keeps anything for every job of the ensemble: its
+/// timestamps, in dense slabs indexed by job token.
 struct DriverState {
     queue: VecDeque<DispatchMsg>,
-    /// Attempt executing under each job token (0 = idle; engine attempts
-    /// start at 1). The job itself comes back from the token through
-    /// `job_base`, see [`Self::take_running`].
-    running: Vec<u32>,
+    /// The dispatch executing under each job token, for the jobs that are
+    /// executing; see [`Self::take_running`].
+    running: TokenMap<DispatchMsg>,
     /// First ensemble-wide job index of each submitted workflow
     /// (prefix sums of job counts, in engine submission order).
     job_base: Vec<usize>,
@@ -298,16 +299,17 @@ struct DriverState {
 
 impl DriverState {
     fn new(workflows: &[Arc<Workflow>], pool: SlotPool, config: &SimRunConfig) -> Self {
-        let total_jobs: usize = workflows.iter().map(|w| w.job_count()).sum();
         let tracing = config.record_trace;
+        let total_jobs: usize =
+            if tracing { workflows.iter().map(|w| w.job_count()).sum() } else { 0 };
         Self {
             queue: VecDeque::new(),
-            running: vec![0; total_jobs],
+            running: TokenMap::with_capacity_and_hasher(pool.idle.len(), Default::default()),
             job_base: Vec::with_capacity(workflows.len()),
             next_base: 0,
             pool,
-            trace_times: if tracing { vec![(0.0, 0.0); total_jobs] } else { Vec::new() },
-            dispatch_times: if tracing { vec![f64::NAN; total_jobs] } else { Vec::new() },
+            trace_times: vec![(0.0, 0.0); total_jobs],
+            dispatch_times: vec![f64::NAN; total_jobs],
             tracing,
             overhead_secs: config.per_job_overhead_secs,
             profile: JobProfile {
@@ -346,11 +348,11 @@ impl DriverState {
 
     /// The finish of the job running under `token`, as the dispatch it
     /// answers; `None` when nothing is (a chaos-duplicated dispatch ran the
-    /// job twice under one token and the first finish consumed the entry).
-    /// Under such a duplicate the lane holds the latest dispatch's attempt.
+    /// job twice under one token and the first finish consumed the entry —
+    /// tokens are never reused, so that holds even once the job's workflow
+    /// has settled). Under such a duplicate the entry is the latest dispatch.
     fn take_running(&mut self, token: u64) -> Option<DispatchMsg> {
-        let attempt = std::mem::take(&mut self.running[token as usize]);
-        (attempt != 0).then(|| DispatchMsg { job: job_at(&self.job_base, token as usize), attempt })
+        self.running.remove(&token)
     }
 
     /// Record a workflow's token range at submission time.
@@ -474,8 +476,7 @@ impl DriverState {
             if !self.node_running.is_empty() {
                 self.node_running[node] += 1;
             }
-            debug_assert!(d.attempt != 0, "0 marks an idle token");
-            self.running[token as usize] = d.attempt;
+            self.running.insert(token, d);
             exec.submit_job(token, node, &self.profile);
         }
     }
@@ -663,7 +664,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
                         let node = config.faults[idx].node;
                         let killed = exec.kill_jobs_on(node);
                         for t in killed {
-                            state.running[t as usize] = 0;
+                            state.running.remove(&t);
                         }
                         state.pool.kill(node);
                     }

@@ -10,7 +10,14 @@
 //! and timeout scans, asserting after every step that they emit the same
 //! action sequence, the same statistics and the same next deadline.
 //!
-//! A second property drives the real engine while journaling its inputs,
+//! A second property keeps the engine recycling in-flight regions: equal
+//! length workflows, each submitted only once an earlier one settled, whose
+//! jobs are checked out in bursts (so a live older workflow and a newer one
+//! in a recycled region hold identical deadlines) and lose their workers
+//! together (so those deadlines expire in one scan). The scan must fire in
+//! (deadline, workflow, job) order whatever slots the jobs were given.
+//!
+//! A third property drives the real engine while journaling its inputs,
 //! recovers a twin from the journal mid-run, and asserts the twin is
 //! observationally identical from that point on.
 
@@ -21,7 +28,9 @@ use dewe_core::realtime::{recover, JournalRecord, Registry};
 use dewe_core::{
     AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy,
 };
-use dewe_dag::{DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowId};
+use dewe_dag::{
+    DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId,
+};
 use dewe_montage::{random_layered, RandomDagConfig};
 use proptest::prelude::*;
 
@@ -373,6 +382,26 @@ fn workflow_strategy() -> impl Strategy<Value = Arc<Workflow>> {
     )
 }
 
+/// A DAG of exactly `jobs` jobs whose edges and per-job timeouts — one of
+/// two values — come from `seed`: every workflow of a case has the same
+/// length, so a settled one's lanes region fits the next.
+fn equal_length_workflow(jobs: usize, timeouts: (f64, f64), seed: u64) -> Arc<Workflow> {
+    let mut rng = seed;
+    let mut b = WorkflowBuilder::new("equal");
+    let mut ids = Vec::with_capacity(jobs);
+    for j in 0..jobs {
+        let draw = splitmix64(&mut rng);
+        let timeout = if draw & 1 == 0 { timeouts.0 } else { timeouts.1 };
+        let id = b.job(format!("j{j}"), "t", 1.0).timeout_secs(timeout).build();
+        // Roughly two in three jobs hang off an earlier one.
+        if j > 0 && !(draw >> 1).is_multiple_of(3) {
+            b.edge(ids[(draw >> 8) as usize % j], id);
+        }
+        ids.push(id);
+    }
+    Arc::new(b.finish().unwrap())
+}
+
 fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     (
         (
@@ -520,6 +549,92 @@ proptest! {
             prop_assert_eq!(stats.dead_lettered, 0);
             prop_assert_eq!(stats.workflows_abandoned, 0);
         }
+    }
+
+    /// Region recycling keeps the scan order: see the module docs. At most
+    /// two workflows are live, so every submission after the second moves
+    /// into a region a settled workflow handed back — below or above the
+    /// one still live, as the run happens to go.
+    #[test]
+    fn recycled_regions_match_scan_reference(
+        jobs in 2usize..10,
+        count in 3usize..7,
+        timeouts in (1.0f64..6.0, 6.0f64..12.0),
+        config in config_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = seed;
+        let wfs: Vec<_> = (0..count)
+            .map(|_| equal_length_workflow(jobs, timeouts, splitmix64(&mut rng)))
+            .collect();
+        let mut real = config.build();
+        let mut reference = ReferenceEngine::new(config);
+        let mut now = 0.0f64;
+        // Published and neither completed nor lost with its worker; the
+        // flag says a Running ack went out for it.
+        let mut outstanding: Vec<(DispatchMsg, bool)> = Vec::new();
+        let mut submitted = 0usize;
+        let mut steps = 0usize;
+
+        macro_rules! check_step {
+            ($real_actions:expr, $ref_actions:expr) => {{
+                let real_actions: Vec<Action> = $real_actions;
+                let ref_actions: Vec<Action> = $ref_actions;
+                prop_assert_eq!(&real_actions, &ref_actions);
+                prop_assert_eq!(real.stats(), reference.stats());
+                prop_assert_eq!(real.next_deadline(), reference.next_deadline());
+                for a in &real_actions {
+                    if let Action::Dispatch(d) = a {
+                        outstanding.push((*d, false));
+                    }
+                }
+            }};
+        }
+
+        while !(submitted == count && real.all_settled()) {
+            steps += 1;
+            prop_assert!(steps < 20_000, "driver failed to converge: {:?}", real.stats());
+            now += (splitmix64(&mut rng) % 1000) as f64 / 1000.0;
+            let stats = real.stats();
+            let live = submitted - stats.workflows_completed - stats.workflows_abandoned;
+            let choice = splitmix64(&mut rng) % 100;
+            if submitted < count && live < 2 && (choice < 30 || outstanding.is_empty()) {
+                let wf = Arc::clone(&wfs[submitted]);
+                submitted += 1;
+                let (id_a, actions_a) = submit_step(&mut real, Arc::clone(&wf), now);
+                let (id_b, actions_b) = reference.submit_workflow(wf, now);
+                prop_assert_eq!(id_a, id_b);
+                check_step!(actions_a, actions_b);
+            } else if outstanding.is_empty() || choice < 10 {
+                // The node dies: whatever ran there is never heard of
+                // again (what was still queued stays queued), and the
+                // clock runs past every deadline it held.
+                outstanding.retain(|&(_, running)| !running);
+                now += 12.0f64.max(config.checkout_timeout_secs.unwrap_or(0.0)) + 8.0;
+                check_step!(scan_step(&mut real, now), reference.check_timeouts(now));
+            } else if choice < 45 {
+                // A burst of checkouts at one instant: jobs with the same
+                // timeout now share a deadline, across workflows.
+                for i in 0..outstanding.len() {
+                    let (d, running) = outstanding[i];
+                    if !running {
+                        outstanding[i].1 = true;
+                        let ack = AckMsg::new(d.job, 0, AckKind::Running, d.attempt);
+                        check_step!(ack_step(&mut real, ack, now), reference.on_ack(ack, now));
+                    }
+                }
+            } else if choice < 90 {
+                let pick = (splitmix64(&mut rng) as usize) % outstanding.len();
+                let (d, _) = outstanding.swap_remove(pick);
+                let ack = AckMsg::new(d.job, 0, AckKind::Completed, d.attempt);
+                check_step!(ack_step(&mut real, ack, now), reference.on_ack(ack, now));
+            } else {
+                check_step!(scan_step(&mut real, now), reference.check_timeouts(now));
+            }
+        }
+        prop_assert!(reference.all_settled());
+        let total = (jobs * count) as u64;
+        prop_assert_eq!(real.stats().jobs_completed + real.stats().jobs_abandoned, total);
     }
 
     /// Journal-replay recovery: drive an engine while journaling its

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use dewe_core::sim::{run_ensemble, NodeFault, SimRunConfig, SubmissionPlan};
 use dewe_core::{AckKind, AckMsg, Action, DispatchMsg, EngineConfig, RetryPolicy};
-use dewe_dag::{Workflow, WorkflowBuilder};
+use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
 use dewe_montage::{random_layered, RandomDagConfig};
 use dewe_simcloud::{ClusterConfig, SharedFsKind, StorageConfig, C3_8XLARGE};
 use proptest::prelude::*;
@@ -251,6 +251,172 @@ proptest! {
         let total: u64 = wfs.iter().map(|w| w.job_count() as u64).sum();
         prop_assert_eq!(stats.jobs_completed + stats.jobs_abandoned, total);
         prop_assert_eq!(stats.workflows_completed + stats.workflows_abandoned, wfs.len());
+    }
+
+    /// Acks come from the network, so `on_ack` is total: whatever a peer
+    /// sends — for a workflow or job that does not exist, for a job still
+    /// waiting on its parents, for an attempt never issued, for a workflow
+    /// that settled long ago and whose in-flight region another now holds,
+    /// a `Running` after the `Completed` — it neither panics nor bends the
+    /// run. Each `Completed` or `Failed` is either applied or lands in
+    /// exactly one of `rejected_acks`, `duplicate_completions` and
+    /// `stale_failures_ignored`; a `Running` is counted only when it is
+    /// rejected. Jobs are still dispatched in DAG order, once settled every
+    /// job is terminal exactly once, and nothing is left in flight.
+    ///
+    /// The instances are one workflow submitted over and over, two live at
+    /// a time, so every later one moves into a recycled region.
+    #[test]
+    fn hostile_acks_are_counted_and_never_applied(
+        wf in workflow_strategy(),
+        instances in 2usize..6,
+        seed in any::<u64>(),
+    ) {
+        let mut engine = EngineConfig::default()
+            .timeout(10.0)
+            .checkout_timeout(5.0)
+            .retry(RetryPolicy {
+                max_attempts: Some(3),
+                backoff_base_secs: 1.0,
+                ..RetryPolicy::default()
+            })
+            .build();
+        let jobs = wf.job_count() as u64;
+        let mut rng = seed | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let kind_of = |n: u64| match n % 3 {
+            0 => AckKind::Running,
+            1 => AckKind::Completed,
+            _ => AckKind::Failed,
+        };
+
+        let mut actions = Vec::new();
+        let mut outstanding: Vec<DispatchMsg> = Vec::new();
+        let mut history: Vec<DispatchMsg> = Vec::new();
+        let mut submitted = 0usize;
+        let mut now = 0.0;
+        let mut guard = 0;
+        while !(submitted == instances && engine.all_settled()) {
+            guard += 1;
+            prop_assert!(guard < 20_000, "engine failed to settle: {:?}", engine.stats());
+            now += (next() % 100) as f64 / 50.0;
+            let before = engine.stats();
+            let live = submitted - before.workflows_completed - before.workflows_abandoned;
+            let mut sent: Option<(AckMsg, Option<JobState>)> = None;
+            let mut send = |engine: &mut dewe_core::EnsembleEngine, ack: AckMsg, actions: &mut Vec<Action>| {
+                sent = Some((ack, engine.job_state(ack.job)));
+                engine.on_ack(ack, now, actions);
+            };
+            match next() % 10 {
+                _ if submitted < instances && live < 2 && (outstanding.is_empty() || next() % 4 == 0) => {
+                    engine.submit_workflow(Arc::clone(&wf), now, &mut actions);
+                    submitted += 1;
+                }
+                0..=2 if !outstanding.is_empty() => {
+                    // The run's own traffic: what a worker would send.
+                    let pick = next() as usize % outstanding.len();
+                    let kind = kind_of(next() % 7); // mostly Running and Completed
+                    let d = match kind {
+                        AckKind::Running => outstanding[pick],
+                        _ => outstanding.swap_remove(pick),
+                    };
+                    send(&mut engine, AckMsg::new(d.job, 0, kind, d.attempt), &mut actions);
+                }
+                3..=4 => {
+                    // Anything at all, in and out of range.
+                    let job = EnsembleJobId::new(
+                        WorkflowId((next() % (submitted as u64 + 2)) as u32),
+                        JobId((next() % (jobs + 2)) as u32),
+                    );
+                    let attempt = [0, 1, 2, 3, 4, u32::MAX][next() as usize % 6];
+                    send(&mut engine, AckMsg::new(job, 7, kind_of(next()), attempt), &mut actions);
+                }
+                5..=6 if !history.is_empty() => {
+                    // A real dispatch, answered again — possibly long
+                    // after its workflow settled and its region moved on.
+                    let d = history[next() as usize % history.len()];
+                    send(&mut engine, AckMsg::new(d.job, 8, kind_of(next()), d.attempt), &mut actions);
+                }
+                7 if submitted > 0 => {
+                    // A job the engine has not dispatched yet, if any.
+                    let wf_id = WorkflowId((next() % submitted as u64) as u32);
+                    let pending = (0..jobs as u32)
+                        .map(|j| EnsembleJobId::new(wf_id, JobId(j)))
+                        .find(|&job| engine.job_state(job) == Some(JobState::Pending));
+                    if let Some(job) = pending {
+                        send(&mut engine, AckMsg::new(job, 9, kind_of(next()), 1), &mut actions);
+                    }
+                }
+                _ => {
+                    if let Some(due) = engine.next_deadline() {
+                        now = now.max(due + 1e-9);
+                    }
+                    engine.check_timeouts(now, &mut actions);
+                }
+            }
+
+            let after = engine.stats();
+            if let Some((ack, state_before)) = sent {
+                let dropped = (after.rejected_acks - before.rejected_acks)
+                    + (after.duplicate_completions - before.duplicate_completions)
+                    + (after.stale_failures_ignored - before.stale_failures_ignored);
+                let applied = (after.jobs_completed - before.jobs_completed)
+                    + (after.resubmissions - before.resubmissions)
+                    + (after.dead_lettered - before.dead_lettered);
+                let live_job = matches!(state_before, Some(JobState::Ready | JobState::Running));
+                match ack.kind {
+                    AckKind::Running => {
+                        prop_assert_eq!(applied, 0);
+                        let asked_for = matches!(state_before, Some(s) if s != JobState::Pending);
+                        prop_assert_eq!(dropped, u64::from(!asked_for), "{:?}", ack);
+                    }
+                    _ => prop_assert_eq!(dropped + applied, 1, "{:?} on {:?}", ack, state_before),
+                }
+                if !live_job {
+                    prop_assert_eq!(applied, 0, "{:?} applied to {:?}", ack, state_before);
+                    prop_assert!(actions.is_empty(), "{:?} caused {:?}", ack, actions);
+                    prop_assert_eq!(engine.job_state(ack.job), state_before);
+                }
+            }
+            for a in actions.drain(..) {
+                if let Action::Dispatch(d) = a {
+                    // DAG order: a job goes out only once every parent's
+                    // completion came in.
+                    for &parent in wf.parents(d.job.job) {
+                        let parent = EnsembleJobId::new(d.job.workflow, parent);
+                        prop_assert_eq!(engine.job_state(parent), Some(JobState::Completed));
+                    }
+                    outstanding.push(d);
+                    history.push(d);
+                }
+            }
+            if outstanding.is_empty() && engine.next_deadline().is_none() && !engine.all_settled() {
+                // Every dispatch was answered with a failure or lost to a
+                // hostile completion; what is still live sits queued.
+                let mut queued = Vec::new();
+                engine.inflight_dispatches(&mut queued);
+                outstanding.extend(queued);
+            }
+        }
+
+        let stats = engine.stats();
+        prop_assert_eq!(stats.jobs_completed + stats.jobs_abandoned, jobs * instances as u64);
+        prop_assert_eq!(stats.workflows_completed + stats.workflows_abandoned, instances);
+        prop_assert_eq!(engine.next_deadline(), None);
+        let mut inflight = Vec::new();
+        engine.inflight_dispatches(&mut inflight);
+        prop_assert!(inflight.is_empty(), "settled engine still reports in-flight attempts");
+        for w in 0..instances as u32 {
+            for j in 0..jobs as u32 {
+                let state = engine.job_state(EnsembleJobId::new(WorkflowId(w), JobId(j)));
+                prop_assert!(matches!(state, Some(JobState::Completed | JobState::Abandoned)));
+            }
+        }
     }
 
     /// More nodes never hurt: makespan is non-increasing in cluster size

@@ -13,10 +13,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dewe_core::realtime::{
-    compact_records, read_journal, recover, spawn_master, spawn_worker, submit, MasterConfig,
-    MasterEvent, MessageBus, Registry, SleepRunner, WorkerConfig,
+    compact_records, read_journal, recover, spawn_master, spawn_worker, submit, JournalRecord,
+    MasterConfig, MasterEvent, MessageBus, Registry, SleepRunner, WorkerConfig,
 };
-use dewe_core::{EngineConfig, EnsembleEngine};
+use dewe_core::{AckKind, AckMsg, Action, EngineConfig, EnsembleEngine, RetryPolicy};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
 
 fn chain(name: &str, jobs: usize, cpu: f64) -> Arc<Workflow> {
@@ -115,6 +115,90 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
     for (label, done) in &outcomes {
         assert_eq!(done, first, "{label}: completion set differs from {}", outcomes[0].0);
     }
+}
+
+/// Three same-length workflows through one engine, the inputs journaled as
+/// the master would: the first completes, the second takes over its lanes
+/// region and settles partly abandoned, the third takes the region over
+/// again and is caught mid-run — one job timed out and reissued, its
+/// checkout armed. The engine recovered from that journal has been through
+/// the same hand-backs and takeovers, and must answer everything the
+/// uninterrupted one does.
+#[test]
+fn recovery_replays_settled_workflows_and_their_recycled_regions() {
+    let config = EngineConfig::default()
+        .timeout(10.0)
+        .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() });
+    let registry = Registry::new();
+    for w in 0..3 {
+        registry.insert(WorkflowId(w), chain(&format!("c{w}"), 3, 1.0));
+    }
+    let mut live = config.build();
+    let mut journal = Vec::new();
+    let mut actions = Vec::new();
+    let job = |w: u32, j: u32| EnsembleJobId::new(WorkflowId(w), JobId(j));
+    let ack = |job, kind, attempt| AckMsg::new(job, 0, kind, attempt);
+    use AckKind::{Completed, Failed, Running};
+    let inputs = [
+        JournalRecord::Submit { workflow: 0, at: 0.0 },
+        JournalRecord::Ack { ack: ack(job(0, 0), Completed, 1), at: 1.0 },
+        JournalRecord::Ack { ack: ack(job(0, 1), Completed, 1), at: 2.0 },
+        JournalRecord::Ack { ack: ack(job(0, 2), Completed, 1), at: 3.0 },
+        JournalRecord::Submit { workflow: 1, at: 4.0 },
+        JournalRecord::Ack { ack: ack(job(1, 0), Completed, 1), at: 5.0 },
+        JournalRecord::Ack { ack: ack(job(1, 1), Failed, 1), at: 6.0 },
+        JournalRecord::Ack { ack: ack(job(1, 1), Failed, 2), at: 7.0 },
+        JournalRecord::Submit { workflow: 2, at: 8.0 },
+        // Stragglers of the settled two, aimed at slots that are now c2's.
+        JournalRecord::Ack { ack: ack(job(0, 0), Running, 1), at: 8.5 },
+        JournalRecord::Ack { ack: ack(job(1, 1), Completed, 2), at: 8.5 },
+        JournalRecord::Ack { ack: ack(job(2, 0), Running, 1), at: 9.0 },
+        JournalRecord::Scan { at: 19.0 },
+        JournalRecord::Ack { ack: ack(job(2, 0), Running, 2), at: 20.0 },
+    ];
+    for rec in inputs {
+        match rec {
+            JournalRecord::Submit { workflow, at } => {
+                let wf = registry.get(WorkflowId(workflow)).unwrap();
+                live.submit_workflow(wf, at, &mut actions);
+            }
+            JournalRecord::Ack { ack, at } => live.on_ack(ack, at, &mut actions),
+            JournalRecord::Scan { at } => live.check_timeouts(at, &mut actions),
+            JournalRecord::Worker { .. } => unreachable!(),
+        }
+        journal.push(rec);
+    }
+    let settled: Vec<_> = actions
+        .iter()
+        .filter(|a| {
+            matches!(a, Action::WorkflowCompleted { .. } | Action::WorkflowAbandoned { .. })
+        })
+        .collect();
+    assert_eq!(settled.len(), 2, "two of the three settled: {actions:?}");
+    assert_eq!(live.stats().resubmissions, 2, "c1's retry and c2's timeout");
+
+    let mut recovered = recover(&journal, &registry, config).expect("replays");
+    assert_eq!(recovered.engine.stats(), live.stats());
+    for w in 0..3 {
+        for j in 0..3 {
+            assert_eq!(
+                recovered.engine.job_state(job(w, j)),
+                live.job_state(job(w, j)),
+                "w{w} j{j}"
+            );
+        }
+    }
+    assert_eq!(live.job_state(job(1, 1)), Some(JobState::Abandoned));
+    assert_eq!(live.job_state(job(1, 0)), Some(JobState::Completed));
+    let mut inflight = Vec::new();
+    live.inflight_dispatches(&mut inflight);
+    assert_eq!(inflight, vec![dewe_core::DispatchMsg::new(job(2, 0), 2)]);
+    assert_eq!(recovered.redispatch, inflight);
+    let mut again = Vec::new();
+    recovered.engine.inflight_dispatches(&mut again);
+    assert_eq!(again, inflight);
+    assert_eq!(recovered.engine.next_deadline(), live.next_deadline());
+    assert_eq!(live.next_deadline(), Some(30.0));
 }
 
 #[test]

@@ -43,10 +43,15 @@ impl TrackerStats {
 }
 
 /// Tracks dependency satisfaction and job states for one workflow instance.
+///
+/// Once every job is terminal the owner can [`release`](Self::release) the
+/// per-job lanes: a released tracker answers every query as it did before
+/// and ignores every event, as a settled one already did.
 #[derive(Debug, Clone)]
 pub struct DependencyTracker {
     /// Remaining unfinished parents per job.
     remaining: Vec<u32>,
+    /// Per-job state; empty once released with every job completed.
     state: Vec<JobState>,
     /// Jobs that became Ready and have not yet been taken by the engine.
     ready_queue: Vec<JobId>,
@@ -88,7 +93,35 @@ impl DependencyTracker {
     /// Current state of a job.
     #[inline]
     pub fn state(&self, id: JobId) -> JobState {
-        self.state[id.index()]
+        match self.state.get(id.index()) {
+            Some(&state) => state,
+            None => {
+                // Released with every job completed: the lane is implied.
+                assert!(id.index() < self.stats.total(), "no job {id:?} in this workflow");
+                JobState::Completed
+            }
+        }
+    }
+
+    /// Hand back the per-job lanes of a settled workflow: the dependency
+    /// counters and the ready queue (nothing can become ready any more),
+    /// and the state lane too when every job completed. A partly abandoned
+    /// workflow keeps its one byte a job, which is what still tells a
+    /// completed job from an abandoned one.
+    pub fn release(&mut self) {
+        debug_assert!(self.is_settled(), "released with live jobs");
+        self.remaining = Vec::new();
+        self.in_ready_queue = Vec::new();
+        self.ready_queue = Vec::new();
+        if self.is_complete() {
+            self.state = Vec::new();
+        }
+    }
+
+    /// True when no dependency lanes are held: after
+    /// [`release`](Self::release), or for a workflow without jobs.
+    pub fn is_released(&self) -> bool {
+        self.remaining.capacity() == 0
     }
 
     /// Drain jobs that became eligible since the last call.
@@ -133,7 +166,7 @@ impl DependencyTracker {
     /// Idempotent for already-running jobs; ignored for completed jobs
     /// (a stale ack after a timeout-resubmit race, paper §III.B).
     pub fn mark_running(&mut self, id: JobId) {
-        match self.state[id.index()] {
+        match self.state(id) {
             JobState::Ready => {
                 self.state[id.index()] = JobState::Running;
                 self.stats.ready -= 1;
@@ -153,7 +186,7 @@ impl DependencyTracker {
     /// Duplicate completions (two workers raced on a timed-out job) are
     /// ignored.
     pub fn mark_completed(&mut self, id: JobId) {
-        match self.state[id.index()] {
+        match self.state(id) {
             // Abandoned is terminal: a late completion from a worker that
             // raced the dead-letter decision must not resurrect the job —
             // its dependents were already written off.
@@ -174,7 +207,7 @@ impl DependencyTracker {
     /// [`drain_ready_into`](Self::drain_ready_into) /
     /// [`take_ready`](Self::take_ready). Duplicate completions are ignored.
     pub fn complete(&mut self, workflow: &Workflow, id: JobId) {
-        if matches!(self.state[id.index()], JobState::Completed | JobState::Abandoned) {
+        if matches!(self.state(id), JobState::Completed | JobState::Abandoned) {
             return;
         }
         self.mark_completed(id);
@@ -208,7 +241,7 @@ impl DependencyTracker {
     /// Returns `true` if the job was actually resubmitted (it was Running
     /// and is now queued again), `false` if it had already completed.
     pub fn resubmit(&mut self, id: JobId) -> bool {
-        match self.state[id.index()] {
+        match self.state(id) {
             JobState::Running => {
                 self.state[id.index()] = JobState::Ready;
                 self.stats.running -= 1;
@@ -240,7 +273,7 @@ impl DependencyTracker {
         let mut stack = vec![id];
         let mut count = 0usize;
         while let Some(j) = stack.pop() {
-            match self.state[j.index()] {
+            match self.state(j) {
                 JobState::Completed | JobState::Abandoned => continue,
                 JobState::Ready => {
                     self.stats.ready -= 1;
@@ -264,13 +297,13 @@ impl DependencyTracker {
 
     /// True once every job has completed.
     pub fn is_complete(&self) -> bool {
-        self.stats.completed == self.state.len()
+        self.stats.completed == self.stats.total()
     }
 
     /// True once every job reached a terminal state (completed or
     /// abandoned): the workflow can make no further progress.
     pub fn is_settled(&self) -> bool {
-        self.stats.completed + self.stats.abandoned == self.state.len()
+        self.stats.completed + self.stats.abandoned == self.stats.total()
     }
 
     /// Aggregate state counts.
@@ -538,6 +571,70 @@ mod tests {
         assert!(t.is_settled());
         assert_eq!(t.stats().completed, 2);
         assert_eq!(t.stats().abandoned, 2);
+    }
+
+    /// Every query a settled tracker answers, for comparing before and
+    /// after `release`.
+    fn answers(t: &DependencyTracker, jobs: usize) -> (Vec<JobState>, TrackerStats, bool, bool) {
+        let states = (0..jobs).map(|j| t.state(JobId(j as u32))).collect();
+        (states, t.stats(), t.is_complete(), t.is_settled())
+    }
+
+    #[test]
+    fn released_all_completed_tracker_answers_as_before_and_holds_nothing() {
+        let wf = chain3();
+        let mut t = DependencyTracker::new(&wf);
+        for j in wf.job_ids() {
+            t.take_ready();
+            t.mark_running(j);
+            t.complete(&wf, j);
+        }
+        assert!(t.is_complete() && !t.is_released());
+        let before = answers(&t, 3);
+        t.release();
+        assert_eq!(answers(&t, 3), before);
+        assert!(t.is_released());
+        assert_eq!(t.state.capacity() + t.ready_queue.capacity() + t.in_ready_queue.capacity(), 0);
+        // Every event is the no-op it was on the settled tracker.
+        t.mark_running(JobId(1));
+        t.complete(&wf, JobId(1));
+        assert!(!t.resubmit(JobId(1)));
+        assert_eq!(t.abandon(&wf, JobId(0)), 0);
+        assert_eq!(t.take_ready(), Vec::<JobId>::new());
+        assert_eq!(answers(&t, 3), before);
+    }
+
+    #[test]
+    fn released_partly_abandoned_tracker_still_tells_completed_from_abandoned() {
+        let wf = chain3();
+        let mut t = DependencyTracker::new(&wf);
+        t.take_ready();
+        t.mark_running(JobId(0));
+        t.complete(&wf, JobId(0));
+        t.take_ready();
+        t.mark_running(JobId(1));
+        assert_eq!(t.abandon(&wf, JobId(1)), 2);
+        assert!(t.is_settled() && !t.is_complete());
+        let before = answers(&t, 3);
+        t.release();
+        assert_eq!(answers(&t, 3), before);
+        assert_eq!(before.0, vec![JobState::Completed, JobState::Abandoned, JobState::Abandoned]);
+        assert!(t.is_released());
+        assert_eq!(t.ready_queue.capacity() + t.in_ready_queue.capacity(), 0);
+        t.complete(&wf, JobId(1)); // the straggler finishes anyway
+        assert_eq!(answers(&t, 3), before);
+    }
+
+    #[test]
+    #[should_panic(expected = "no job")]
+    fn released_tracker_still_refuses_a_job_it_never_had() {
+        let wf = chain3();
+        let mut t = DependencyTracker::new(&wf);
+        for j in wf.job_ids() {
+            t.complete(&wf, j);
+        }
+        t.release();
+        t.state(JobId(3));
     }
 
     #[test]

@@ -81,6 +81,7 @@ pub use cluster::{Cluster, ClusterConfig, NodeCounters, NodeId};
 pub use cost::{BillingModel, CostModel};
 pub use exec::{ExecSim, JobProfile, JobTimings, SimEvent};
 pub use fairshare::{FairShare, FlowId};
+pub use hash::TokenMap;
 pub use instance::{DiskProfile, InstanceType, C3_8XLARGE, I2_8XLARGE, M3_2XLARGE, R3_8XLARGE};
 pub use kernel::{EventId, EventQueue};
 pub use readcache::ReadCache;

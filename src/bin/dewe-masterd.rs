@@ -179,8 +179,13 @@ fn main() {
     // When `shutdown` returns each Bye is on the wire and every socket is
     // closed, so the process can exit.
     transport.shutdown();
+    // The first four counts are read by position (`benchmark/src/parse.rs`).
+    let rejected = match stats.rejected_acks {
+        0 => String::new(),
+        n => format!(", {n} acks rejected"),
+    };
     println!(
-        "dewe-masterd: done — {} workflows, {} jobs completed, {} resubmissions, {} dead-lettered",
+        "dewe-masterd: done — {} workflows, {} jobs completed, {} resubmissions, {} dead-lettered{rejected}",
         stats.workflows_completed, stats.jobs_completed, stats.resubmissions, stats.dead_lettered
     );
     exit(if all_completed { 0 } else { 3 });

@@ -18,6 +18,7 @@
 //! Workflow files use the DAGMan-style text format (`.dag`) or Pegasus DAX
 //! (`.dax`/`.xml`), auto-detected by extension.
 
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -30,16 +31,46 @@ use dewe::dag::{
 use dewe::montage::{CyberShakeConfig, EpigenomicsConfig, LigoConfig, MontageConfig, SiphtConfig};
 use dewe::simcloud::{ClusterConfig, InstanceType, SharedFsKind, StorageConfig, C3_8XLARGE};
 
+/// Why a subcommand stopped early.
+enum Stop {
+    /// The command failed; the reason goes to stderr.
+    Failed(String),
+    /// Standard output could not be written.
+    Stdout(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(reason: String) -> Self {
+        Stop::Failed(reason)
+    }
+}
+
+impl From<&str> for Stop {
+    fn from(reason: &str) -> Self {
+        Stop::Failed(reason.to_string())
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(error: io::Error) -> Self {
+        Stop::Stdout(error)
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every subcommand prints through this one locked writer, so a reader
+    // that went away (`dewectl inspect … | head`) is an error value here
+    // and not a panic inside `println!`.
+    let stdout = &mut io::stdout().lock();
     let result = match args.first().map(String::as_str) {
-        Some("inspect") => inspect(&args[1..]),
-        Some("convert") => convert(&args[1..]),
-        Some("dot") => dot(&args[1..]),
-        Some("gen") => generate(&args[1..]),
-        Some("simulate") => simulate(&args[1..]),
-        Some("ensemble") => ensemble(&args[1..]),
-        Some("submit") => submit(&args[1..]),
+        Some("inspect") => inspect(&args[1..], stdout),
+        Some("convert") => convert(&args[1..], stdout),
+        Some("dot") => dot(&args[1..], stdout),
+        Some("gen") => generate(&args[1..], stdout),
+        Some("simulate") => simulate(&args[1..], stdout),
+        Some("ensemble") => ensemble(&args[1..], stdout),
+        Some("submit") => submit(&args[1..], stdout),
         _ => {
             eprintln!(
                 "usage: dewectl <inspect|convert|dot|gen|simulate|ensemble|submit> ... (see crate docs)"
@@ -47,9 +78,18 @@ fn main() {
             exit(2);
         }
     };
-    if let Err(msg) = result {
-        eprintln!("dewectl: {msg}");
-        exit(1);
+    match result.and_then(|()| Ok(stdout.flush()?)) {
+        Ok(()) => {}
+        // Nobody is reading any more: not a failure of this command.
+        Err(Stop::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => exit(0),
+        Err(Stop::Stdout(e)) => {
+            eprintln!("dewectl: stdout: {e}");
+            exit(1);
+        }
+        Err(Stop::Failed(reason)) => {
+            eprintln!("dewectl: {reason}");
+            exit(1);
+        }
     }
 }
 
@@ -81,58 +121,59 @@ fn save(wf: &Workflow, path: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))
 }
 
-fn inspect(args: &[String]) -> Result<(), String> {
+fn inspect(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let path = args.first().ok_or("inspect needs a file")?;
     let wf = load(path)?;
     let stats = WorkflowStats::of(&wf);
     let lp = LevelProfile::of(&wf);
     let cp = CriticalPath::of(&wf);
-    println!("workflow      : {}", wf.name());
-    println!("jobs          : {}", stats.total_jobs);
-    println!("edges         : {}", stats.edges);
-    println!(
+    writeln!(stdout, "workflow      : {}", wf.name())?;
+    writeln!(stdout, "jobs          : {}", stats.total_jobs)?;
+    writeln!(stdout, "edges         : {}", stats.edges)?;
+    writeln!(
+        stdout,
         "files         : {} input ({:.2} GB) + {} produced ({:.2} GB)",
         stats.input_files,
         stats.input_bytes as f64 / 1e9,
         stats.intermediate_files,
         stats.intermediate_bytes as f64 / 1e9
-    );
-    println!("total CPU     : {:.0} core-seconds", stats.total_cpu_seconds);
-    println!("depth / width : {} levels, max width {}", lp.depth(), lp.max_width());
-    println!("critical path : {} jobs, {:.1} CPU-seconds", cp.jobs.len(), cp.cpu_seconds);
+    )?;
+    writeln!(stdout, "total CPU     : {:.0} core-seconds", stats.total_cpu_seconds)?;
+    writeln!(stdout, "depth / width : {} levels, max width {}", lp.depth(), lp.max_width())?;
+    writeln!(stdout, "critical path : {} jobs, {:.1} CPU-seconds", cp.jobs.len(), cp.cpu_seconds)?;
     let blocking = lp.blocking_jobs();
-    println!("blocking jobs : {}", blocking.len());
+    writeln!(stdout, "blocking jobs : {}", blocking.len())?;
     for &j in blocking.iter().take(8) {
-        println!("                {} ({:.0}s)", wf.job(j).name, wf.job(j).cpu_seconds);
+        writeln!(stdout, "                {} ({:.0}s)", wf.job(j).name, wf.job(j).cpu_seconds)?;
     }
-    println!("by transformation:");
+    writeln!(stdout, "by transformation:")?;
     for (xform, count, cpu) in stats.by_xform.iter().take(12) {
-        println!("  {xform:<20} x{count:<7} {cpu:>10.0} cpu-s");
+        writeln!(stdout, "  {xform:<20} x{count:<7} {cpu:>10.0} cpu-s")?;
     }
-    println!("top-3 homogeneity: {:.1}%", 100.0 * stats.homogeneity(3));
+    writeln!(stdout, "top-3 homogeneity: {:.1}%", 100.0 * stats.homogeneity(3))?;
     let findings = lint(&wf);
     if findings.is_empty() {
-        println!("lint          : clean");
+        writeln!(stdout, "lint          : clean")?;
     } else {
-        println!("lint          : {} findings", findings.len());
+        writeln!(stdout, "lint          : {} findings", findings.len())?;
         for f in findings.iter().take(10) {
-            println!("                {f:?}");
+            writeln!(stdout, "                {f:?}")?;
         }
     }
     Ok(())
 }
 
-fn convert(args: &[String]) -> Result<(), String> {
+fn convert(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let [input, output] = args else {
         return Err("convert needs <in> <out>".into());
     };
     let wf = load(input)?;
     save(&wf, output)?;
-    println!("wrote {} ({} jobs)", output, wf.job_count());
+    writeln!(stdout, "wrote {} ({} jobs)", output, wf.job_count())?;
     Ok(())
 }
 
-fn dot(args: &[String]) -> Result<(), String> {
+fn dot(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let path = args.first().ok_or("dot needs a file")?;
     let wf = load(path)?;
     let collapsed = args.iter().any(|a| a == "--collapsed");
@@ -140,14 +181,14 @@ fn dot(args: &[String]) -> Result<(), String> {
         if !collapsed {
             eprintln!("(large workflow: emitting collapsed view; pass --collapsed to silence)");
         }
-        print!("{}", to_dot_collapsed(&wf));
+        write!(stdout, "{}", to_dot_collapsed(&wf))?;
     } else {
-        print!("{}", to_dot(&wf));
+        write!(stdout, "{}", to_dot(&wf))?;
     }
     Ok(())
 }
 
-fn generate(args: &[String]) -> Result<(), String> {
+fn generate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     match args.first().map(String::as_str) {
         Some("montage") => {
             let [_, degree, out] = args else {
@@ -156,7 +197,7 @@ fn generate(args: &[String]) -> Result<(), String> {
             let d: f64 = degree.parse().map_err(|_| "bad degree")?;
             let wf = MontageConfig::degree(d).build();
             save(&wf, out)?;
-            println!("montage {d} deg: {} jobs -> {out}", wf.job_count());
+            writeln!(stdout, "montage {d} deg: {} jobs -> {out}", wf.job_count())?;
         }
         Some("ligo") => {
             let [_, groups, banks, out] = args else {
@@ -168,7 +209,7 @@ fn generate(args: &[String]) -> Result<(), String> {
             )
             .build();
             save(&wf, out)?;
-            println!("ligo: {} jobs -> {out}", wf.job_count());
+            writeln!(stdout, "ligo: {} jobs -> {out}", wf.job_count())?;
         }
         Some("cybershake") => {
             let [_, vars, out] = args else {
@@ -176,7 +217,7 @@ fn generate(args: &[String]) -> Result<(), String> {
             };
             let wf = CyberShakeConfig::new(vars.parse().map_err(|_| "bad variations")?).build();
             save(&wf, out)?;
-            println!("cybershake: {} jobs -> {out}", wf.job_count());
+            writeln!(stdout, "cybershake: {} jobs -> {out}", wf.job_count())?;
         }
         Some("epigenomics") => {
             let [_, lanes, chunks, out] = args else {
@@ -188,7 +229,7 @@ fn generate(args: &[String]) -> Result<(), String> {
             )
             .build();
             save(&wf, out)?;
-            println!("epigenomics: {} jobs -> {out}", wf.job_count());
+            writeln!(stdout, "epigenomics: {} jobs -> {out}", wf.job_count())?;
         }
         Some("sipht") => {
             let [_, patser, out] = args else {
@@ -196,14 +237,14 @@ fn generate(args: &[String]) -> Result<(), String> {
             };
             let wf = SiphtConfig::new(patser.parse().map_err(|_| "bad patser_jobs")?).build();
             save(&wf, out)?;
-            println!("sipht: {} jobs -> {out}", wf.job_count());
+            writeln!(stdout, "sipht: {} jobs -> {out}", wf.job_count())?;
         }
         _ => return Err("gen <montage|ligo|cybershake|epigenomics|sipht> ...".into()),
     }
     Ok(())
 }
 
-fn submit(args: &[String]) -> Result<(), String> {
+fn submit(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let addr = args.first().ok_or("submit needs <host:port> <file> [--count N]")?;
     let path = args.get(1).ok_or("submit needs <host:port> <file> [--count N]")?;
     let mut count = 1usize;
@@ -214,7 +255,7 @@ fn submit(args: &[String]) -> Result<(), String> {
                 count = args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--count N")?;
                 i += 2;
             }
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}").into()),
         }
     }
     // Checked here so a bad file fails at the submitter; then the text
@@ -226,11 +267,11 @@ fn submit(args: &[String]) -> Result<(), String> {
     });
     dewe::core::realtime::submit_over_tcp(addr.as_str(), names, &text)
         .map_err(|e| format!("submit to {addr}: {e}"))?;
-    println!("submitted {count} x {} ({} jobs each) to {addr}", wf.name(), wf.job_count());
+    writeln!(stdout, "submitted {count} x {} ({} jobs each) to {addr}", wf.name(), wf.job_count())?;
     Ok(())
 }
 
-fn ensemble(args: &[String]) -> Result<(), String> {
+fn ensemble(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let path = args.first().ok_or("ensemble needs a manifest file")?;
     let manifest = dewe::manifest::Manifest::load(path)?;
     let wfs = manifest.expand()?;
@@ -248,26 +289,34 @@ fn ensemble(args: &[String]) -> Result<(), String> {
     if let Some(t) = manifest.timeout_secs {
         cfg.default_timeout_secs = t;
     }
-    println!("ensemble: {} workflow instances on {} x {}", wfs.len(), manifest.nodes, itype.name);
+    writeln!(
+        stdout,
+        "ensemble: {} workflow instances on {} x {}",
+        wfs.len(),
+        manifest.nodes,
+        itype.name
+    )?;
     let report = run_ensemble(&wfs, &cfg);
-    println!(
+    writeln!(
+        stdout,
         "  makespan   : {:.1}s ({:.1} min)",
         report.makespan_secs,
         report.makespan_secs / 60.0
-    );
-    println!("  jobs       : {}", report.engine.jobs_completed);
-    println!(
+    )?;
+    writeln!(stdout, "  jobs       : {}", report.engine.jobs_completed)?;
+    writeln!(
+        stdout,
         "  est. cost  : ${:.2} (${:.4}/workflow)",
         report.cost_usd,
         report.cost_usd / wfs.len() as f64
-    );
+    )?;
     if !report.completed {
         return Err("ensemble did not complete".into());
     }
     Ok(())
 }
 
-fn simulate(args: &[String]) -> Result<(), String> {
+fn simulate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let path = args.first().ok_or("simulate needs a file")?;
     let wf = Arc::new(load(path)?);
     let mut nodes = 1usize;
@@ -300,7 +349,7 @@ fn simulate(args: &[String]) -> Result<(), String> {
                 trace_out = Some(args.get(i + 1).ok_or("--trace <out.json>")?.clone());
                 i += 2;
             }
-            other => return Err(format!("unknown flag {other}")),
+            other => return Err(format!("unknown flag {other}").into()),
         }
     }
     let storage = if nodes == 1 {
@@ -316,30 +365,33 @@ fn simulate(args: &[String]) -> Result<(), String> {
     }
     cfg.record_trace = trace_out.is_some();
     let report = run_ensemble(&wfs, &cfg);
-    println!("simulated {workflows} x {} on {nodes} x {}: ", wf.name(), itype.name);
-    println!(
+    writeln!(stdout, "simulated {workflows} x {} on {nodes} x {}: ", wf.name(), itype.name)?;
+    writeln!(
+        stdout,
         "  makespan   : {:.1}s ({:.1} min)",
         report.makespan_secs,
         report.makespan_secs / 60.0
-    );
-    println!("  jobs       : {}", report.engine.jobs_completed);
-    println!("  cpu        : {:.0} core-seconds", report.total_cpu_core_secs);
-    println!(
+    )?;
+    writeln!(stdout, "  jobs       : {}", report.engine.jobs_completed)?;
+    writeln!(stdout, "  cpu        : {:.0} core-seconds", report.total_cpu_core_secs)?;
+    writeln!(
+        stdout,
         "  disk reads : {:.2} GB (cache hit rate {:.0}%)",
         report.total_bytes_read / 1e9,
         100.0 * report.cache_hit_rate
-    );
-    println!("  disk writes: {:.2} GB", report.total_bytes_written / 1e9);
-    println!("  est. cost  : ${:.2} (hourly billing)", report.cost_usd);
+    )?;
+    writeln!(stdout, "  disk writes: {:.2} GB", report.total_bytes_written / 1e9)?;
+    writeln!(stdout, "  est. cost  : ${:.2} (hourly billing)", report.cost_usd)?;
     if let (Some(path), Some(trace)) = (&trace_out, &report.trace) {
         std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("write {path}: {e}"))?;
         let qw = trace.queue_wait_summary().expect("trace non-empty");
-        println!(
+        writeln!(
+            stdout,
             "  trace      : {} events -> {path} (queue wait p50 {:.2}s p99 {:.2}s)",
             trace.len(),
             qw.p50,
             qw.p99
-        );
+        )?;
     }
     if !report.completed {
         return Err("simulation did not complete (engine starvation?)".into());

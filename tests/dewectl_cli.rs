@@ -1,7 +1,8 @@
 //! End-to-end tests of the `dewectl` binary (spawned as a real process).
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn dewectl() -> Command {
     Command::new(env!("CARGO_BIN_EXE_dewectl"))
@@ -136,4 +137,35 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let out = dewectl().args(["simulate", "/nonexistent.dag"]).output().unwrap();
     assert!(!out.status.success());
+}
+
+/// `dewectl … | head -1`: the reader takes one line and goes away. The
+/// graph is several times a pipe's capacity, so the writer is still
+/// writing when that happens — it must stop quietly, not panic in a print.
+#[test]
+fn a_reader_that_goes_away_ends_the_command_quietly() {
+    let dir = workdir("pipe");
+    let dag = dir.join("m.dag");
+    assert!(dewectl()
+        .args(["gen", "montage", "2.5", dag.to_str().unwrap()])
+        .status()
+        .unwrap()
+        .success());
+    let mut child = dewectl()
+        .args(["dot", dag.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = BufReader::with_capacity(64, child.stdout.take().unwrap());
+    let mut first = String::new();
+    stdout.read_line(&mut first).unwrap();
+    assert!(first.starts_with("digraph"), "{first}");
+    drop(stdout);
+    let mut stderr = String::new();
+    child.stderr.take().unwrap().read_to_string(&mut stderr).unwrap();
+    let status = child.wait().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!((status.code(), stderr.as_str()), (Some(0), ""));
+    let _ = std::fs::remove_dir_all(&dir);
 }
