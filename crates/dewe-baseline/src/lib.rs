@@ -49,5 +49,5 @@
 mod scheduler;
 mod sim;
 
-pub use scheduler::{Policy, Scheduler};
+pub use scheduler::Policy;
 pub use sim::{run_ensemble, BaselineConfig, BaselineEvent, BaselineReport};

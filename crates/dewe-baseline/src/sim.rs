@@ -9,6 +9,9 @@ use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, SimEvent};
 
 use crate::scheduler::{Policy, Scheduler};
 
+/// Seed of [`Policy::Random`]'s node draws.
+const RANDOM_POLICY_SEED: u64 = 42;
+
 /// Configuration of the Pegasus-like baseline.
 #[derive(Debug, Clone)]
 pub struct BaselineConfig {
@@ -39,8 +42,6 @@ pub struct BaselineConfig {
     pub planning_secs_per_workflow: f64,
     /// Node-selection policy.
     pub policy: Policy,
-    /// Seed for the Random policy.
-    pub seed: u64,
     /// Stagger between workflow submissions (0 = batch).
     pub submission_interval_secs: f64,
     /// Collect 3-second metrics samples.
@@ -74,7 +75,6 @@ impl BaselineConfig {
             log_bytes_per_job: 1e6,
             planning_secs_per_workflow: 150.0,
             policy: Policy::LeastLoaded,
-            seed: 42,
             submission_interval_secs: 0.0,
             sample: false,
             record_gantt: false,
@@ -159,7 +159,8 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
     for (n, &f) in speeds.iter().enumerate() {
         exec.cluster_mut().set_speed_factor(n, f);
     }
-    let mut scheduler = Scheduler::new(config.policy, nodes, config.seed).with_speeds(speeds);
+    let mut scheduler =
+        Scheduler::new(config.policy, nodes, RANDOM_POLICY_SEED).with_speeds(speeds);
     let mut sampler =
         config.sample.then(|| ClusterSampler::new(nodes, config.cluster.instance.vcpus));
     let mut gantt = config.record_gantt.then(Gantt::new);

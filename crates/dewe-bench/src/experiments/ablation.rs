@@ -69,7 +69,6 @@ pub fn run_ablation(scale: Scale) -> AblationResult {
     let wf = super::montage(scale);
     let mut baseline_decomposition = Vec::new();
     let mut cfg = BaselineConfig::new(cluster);
-    cfg.seed = 42;
     let record = |label: &str, cfg: &BaselineConfig, out: &mut Vec<(String, f64)>| {
         let report = run_baseline(&[Arc::clone(&wf)], cfg);
         println!("  {label:<28} {:>6.0}s", report.makespan_secs);

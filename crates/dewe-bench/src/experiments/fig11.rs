@@ -51,16 +51,6 @@ impl Fig11Result {
     pub fn cluster(&self, label: &str) -> Vec<&Fig11Point> {
         self.points.iter().filter(|p| p.cluster == label).collect()
     }
-
-    /// Makespan at the largest workload for a cluster.
-    pub fn final_secs(&self, label: &str) -> f64 {
-        self.cluster(label).last().expect("cluster measured").secs
-    }
-
-    /// Price per workflow at the largest workload.
-    pub fn final_price(&self, label: &str) -> f64 {
-        self.cluster(label).last().expect("cluster measured").price_per_workflow
-    }
 }
 
 /// Run the Fig. 11 reproduction.
@@ -192,17 +182,18 @@ mod tests {
                 assert!(w[1].secs > w[0].secs, "{label}: time must grow with W");
             }
         }
+        let final_secs = |l: &str| r.cluster(l).last().unwrap().secs;
         for label in ["c3.8xlarge", "r3.8xlarge", "i2.8xlarge"] {
             assert!(
-                r.final_secs(label) <= r.deadline_secs,
+                final_secs(label) <= r.deadline_secs,
                 "{label} misses the deadline: {}s",
-                r.final_secs(label)
+                final_secs(label)
             );
         }
         assert!(
-            r.final_secs("i2.8xlarge B") > r.deadline_secs,
+            final_secs("i2.8xlarge B") > r.deadline_secs,
             "i2 B should exceed the deadline: {}s vs {}s",
-            r.final_secs("i2.8xlarge B"),
+            final_secs("i2.8xlarge B"),
             r.deadline_secs
         );
 

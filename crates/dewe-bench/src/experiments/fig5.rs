@@ -7,7 +7,7 @@
 
 use dewe_metrics::csv::table_to_csv;
 use dewe_provision::{ProfileConfig, ProfileResult, Profiler};
-use dewe_simcloud::{InstanceType, SharedFsKind, C3_8XLARGE, I2_8XLARGE, R3_8XLARGE};
+use dewe_simcloud::{InstanceType, C3_8XLARGE, I2_8XLARGE, R3_8XLARGE};
 
 use crate::{write_csv, Scale};
 
@@ -32,8 +32,6 @@ pub fn run_fig5(scale: Scale) -> Fig5Result {
         single_node_max_workflows: scale.workflows(10),
         multi_node_workflows: scale.workflows(20),
         multi_node_range: (2, 6),
-        shared_fs: SharedFsKind::Nfs,
-        per_job_overhead_secs: 0.1,
     };
     let types: [&'static InstanceType; 3] = [&C3_8XLARGE, &R3_8XLARGE, &I2_8XLARGE];
     let mut profiles = Vec::new();

@@ -81,7 +81,7 @@ impl Default for RetryPolicy {
 ///     .timeout(30.0)
 ///     .retry(RetryPolicy { max_attempts: Some(3), ..RetryPolicy::default() })
 ///     .build();
-/// assert_eq!(engine.config().default_timeout_secs, 30.0);
+/// assert_eq!(engine.stats().dispatches, 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -112,13 +112,6 @@ impl EngineConfig {
     #[must_use]
     pub fn timeout(mut self, secs: f64) -> Self {
         self.default_timeout_secs = secs;
-        self
-    }
-
-    /// Set the dispatch-to-checkout deadline for lossy transports.
-    #[must_use]
-    pub fn checkout_timeout(mut self, secs: f64) -> Self {
-        self.checkout_timeout_secs = Some(secs);
         self
     }
 
@@ -459,11 +452,6 @@ fn jitter_unit(seed: u64, job: EnsembleJobId, attempt: u32) -> f64 {
 }
 
 impl EnsembleEngine {
-    /// The engine's configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     /// Submit a workflow at time `now`; appends dispatches for its roots
     /// to `actions` and returns the assigned workflow id.
     ///
@@ -950,15 +938,6 @@ mod tests {
             .timeout(10.0)
             .retry(RetryPolicy { max_attempts: Some(max_attempts), ..RetryPolicy::default() })
             .build()
-    }
-
-    #[test]
-    fn builder_sets_every_knob() {
-        let retry = RetryPolicy { max_attempts: Some(7), ..RetryPolicy::default() };
-        let e = EngineConfig::default().timeout(42.0).checkout_timeout(5.0).retry(retry).build();
-        assert_eq!(e.config().default_timeout_secs, 42.0);
-        assert_eq!(e.config().checkout_timeout_secs, Some(5.0));
-        assert_eq!(e.config().retry.max_attempts, Some(7));
     }
 
     /// Two independent roots: one dead-letters first, then the other
@@ -1574,7 +1553,8 @@ mod tests {
     fn checkout_timeout_recovers_dropped_dispatch() {
         // With a lossy transport the dispatch may never reach a worker: no
         // Running ack ever arrives. The checkout timeout resubmits it.
-        let mut e = EngineConfig::default().checkout_timeout(30.0).build();
+        let mut e =
+            EngineConfig { checkout_timeout_secs: Some(30.0), ..EngineConfig::default() }.build();
         let (_, actions) = submit(&mut e, chain(1), 0.0);
         let d = dispatches(&actions)[0];
         assert_eq!(e.next_deadline(), Some(30.0));

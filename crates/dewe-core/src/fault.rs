@@ -59,23 +59,6 @@ pub enum FaultEvent {
     },
 }
 
-impl FaultEvent {
-    /// The worker this event targets, if any.
-    pub fn worker(&self) -> Option<u32> {
-        match *self {
-            FaultEvent::WorkerCrash { worker }
-            | FaultEvent::SpotRevocation { worker, .. }
-            | FaultEvent::WorkerStall { worker, .. } => Some(worker),
-            FaultEvent::MasterKill { .. } => None,
-        }
-    }
-
-    /// True when the event permanently removes its worker.
-    pub fn is_lethal(&self) -> bool {
-        matches!(self, FaultEvent::WorkerCrash { .. } | FaultEvent::SpotRevocation { .. })
-    }
-}
-
 /// A fault scheduled at a point in scenario time.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedFault {
@@ -121,19 +104,6 @@ impl FaultPlan {
     /// True when the plan kills the master at some point.
     pub fn has_master_kill(&self) -> bool {
         self.events.iter().any(|f| matches!(f.event, FaultEvent::MasterKill { .. }))
-    }
-
-    /// Workers permanently removed by the plan (crash or revocation).
-    pub fn lethal_workers(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self
-            .events
-            .iter()
-            .filter(|f| f.event.is_lethal())
-            .filter_map(|f| f.event.worker())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
     }
 
     /// Generate a plan for `workers` workers over `horizon_secs` of
@@ -282,14 +252,22 @@ mod tests {
         for seed in 0..256 {
             for workers in 1..5u32 {
                 let plan = FaultPlan::generate(seed, workers, 50.0);
-                let lethal = plan.lethal_workers();
+                let mut lethal = std::collections::BTreeSet::new();
+                for f in &plan.events {
+                    match f.event {
+                        FaultEvent::WorkerCrash { worker }
+                        | FaultEvent::SpotRevocation { worker, .. } => {
+                            assert!(worker < workers);
+                            lethal.insert(worker);
+                        }
+                        FaultEvent::WorkerStall { worker, .. } => assert!(worker < workers),
+                        FaultEvent::MasterKill { .. } => {}
+                    }
+                }
                 assert!(
                     (lethal.len() as u32) < workers,
                     "seed {seed} workers {workers}: all workers die ({lethal:?})"
                 );
-                for w in &lethal {
-                    assert!(*w < workers);
-                }
             }
         }
     }

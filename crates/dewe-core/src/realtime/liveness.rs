@@ -239,29 +239,9 @@ impl LivenessTable {
             .collect()
     }
 
-    /// Jobs currently assigned to `worker`.
-    pub fn assignments_of(&self, worker: u32) -> Vec<(EnsembleJobId, u32)> {
-        self.assignments
-            .iter()
-            .filter(|(_, &(w, _))| w == worker)
-            .map(|(&job, &(_, attempt))| (job, attempt))
-            .collect()
-    }
-
-    /// Total checked-out jobs tracked.
-    pub fn assignment_count(&self) -> usize {
-        self.assignments.len()
-    }
-
     /// The `(worker, attempt)` currently holding `job`, if checked out.
     pub fn assignment(&self, job: EnsembleJobId) -> Option<(u32, u32)> {
         self.assignments.get(&job).copied()
-    }
-
-    /// True when `worker` holds a live (non-expired) lease and is not
-    /// draining — i.e. the master may keep counting on it.
-    pub fn is_dispatchable(&self, worker: u32) -> bool {
-        matches!(self.workers.get(&worker), Some(e) if e.phase == WorkerPhase::Live)
     }
 
     fn maybe_drained(&mut self, worker: u32, at: f64, transitions: &mut Vec<LivenessTransition>) {
@@ -618,7 +598,7 @@ mod tests {
         assert!(t.admit_ack(&rq[0].as_failed_ack(), 1.7, &mut tr));
         // A heartbeat revives the worker; its acks flow again.
         t.on_lifecycle(&hb(7, 0), 2.0, &mut tr, &mut rq);
-        assert!(t.is_dispatchable(7));
+        assert_eq!(t.snapshot()[0].phase, WorkerPhase::Live);
         assert!(t.admit_ack(&running(7, 0, 2, 2), 2.1, &mut tr));
     }
 
@@ -637,7 +617,6 @@ mod tests {
         );
         assert_eq!(tr.len(), 1);
         assert_eq!(tr[0].phase, WorkerPhase::Draining);
-        assert!(!t.is_dispatchable(3));
         tr.clear();
         assert!(t.admit_ack(&completed(3, 0, 0, 1), 0.5, &mut tr));
         assert_eq!(tr.len(), 1);

@@ -1154,7 +1154,8 @@ mod tests {
                 settled += 1;
             }
         }
-        w1.drain();
+        w1.announce_drain();
+        w1.stop();
         for i in 2..4 {
             let mut b = WorkflowBuilder::new("wf");
             b.job("a", "t", 1.0).build();

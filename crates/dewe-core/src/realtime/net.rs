@@ -97,20 +97,12 @@ use crate::protocol::{
 // ---------------------------------------------------------------------------
 
 /// Options for [`TcpMaster::bind`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TcpMasterOptions {
     /// Spool accepted workflows to `wf-<id>.dag` files in this directory
     /// so a restarted master process can rebuild its registry (see
     /// [`TcpMaster::load_spool`]). `None` disables spooling.
     pub state_dir: Option<PathBuf>,
-    /// Maximum accepted frame size; larger frames drop the connection.
-    pub max_frame: usize,
-}
-
-impl Default for TcpMasterOptions {
-    fn default() -> Self {
-        Self { state_dir: None, max_frame: DEFAULT_MAX_FRAME }
-    }
 }
 
 /// One outbound frame: `head`, then `text` when the frame is a workflow
@@ -162,7 +154,6 @@ struct MasterInner {
     /// Every DAG text this master has been handed, parsed once each.
     dags: DagStore,
     state_dir: Option<PathBuf>,
-    max_frame: usize,
     accept_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -196,7 +187,6 @@ impl TcpMaster {
             announced: Mutex::new(Vec::new()),
             dags: DagStore::default(),
             state_dir: options.state_dir,
-            max_frame: options.max_frame,
             accept_thread: Mutex::new(None),
         });
         let accept_inner = Arc::clone(&inner);
@@ -508,7 +498,7 @@ fn serve_conn(inner: Arc<MasterInner>, stream: &TcpStream) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let hello = match read_frame(&mut reader, inner.max_frame) {
+    let hello = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
         Ok(Some(frame)) => match WireMsg::decode(&frame) {
             Ok(msg) => msg,
             Err(e) => {
@@ -545,9 +535,8 @@ fn worker_conn_loop(
     // flushes once before it blocks again: a burst of frames is one
     // `send(2)`, a lone frame (a chain's next hop) leaves at once.
     let writer_conn = Arc::clone(&conn);
-    let writer = std::thread::Builder::new()
-        .name("dewe-master-conn-writer".into())
-        .spawn(move || {
+    let spawned =
+        std::thread::Builder::new().name("dewe-master-conn-writer".into()).spawn(move || {
             let mut w = BufWriter::new(write_half);
             let mut batch: Vec<OutFrame> = Vec::new();
             while let Some(first) = writer_conn.out.pull() {
@@ -558,8 +547,17 @@ fn worker_conn_loop(
                     break;
                 }
             }
-        })
-        .expect("spawn conn writer");
+        });
+    // Once per accepted connection, so a peer can drive this to failure by
+    // opening connections: that costs it this connection (nothing is
+    // registered yet), not the master a panicked thread.
+    let writer = match spawned {
+        Ok(writer) => writer,
+        Err(e) => {
+            eprintln!("dewe-master: no writer thread for a worker connection: {e}; dropping it");
+            return;
+        }
+    };
 
     // Registry replay + registration, synchronized against `announce`.
     {
@@ -578,7 +576,7 @@ fn worker_conn_loop(
     // of one frame per ack.
     let mut refunds = 0u32;
     while !inner.stop.load(Ordering::Relaxed) {
-        let frame = match read_frame(&mut reader, inner.max_frame) {
+        let frame = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
             Ok(Some(f)) => f,
             _ => break,
         };
@@ -640,7 +638,7 @@ fn worker_conn_loop(
 
 fn submitter_conn_loop(inner: Arc<MasterInner>, mut reader: BufReader<TcpStream>) {
     while !inner.stop.load(Ordering::Relaxed) {
-        let frame = match read_frame(&mut reader, inner.max_frame) {
+        let frame = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
             Ok(Some(f)) => f,
             _ => break,
         };
@@ -686,28 +684,18 @@ pub struct TcpWorkerOptions {
     /// Dispatch window (unsettled-dispatch credit) offered to the
     /// master. Sensible default: slots × small factor.
     pub window: u32,
-    /// Keep reconnecting (with `retry_interval` waits) when the master
-    /// is unreachable or the connection drops — rides out a master
-    /// restart. `false` gives up after the first failure.
-    pub reconnect: bool,
-    /// Delay between reconnect attempts.
-    pub retry_interval: Duration,
-    /// Maximum accepted frame size.
-    pub max_frame: usize,
 }
 
 impl Default for TcpWorkerOptions {
     fn default() -> Self {
-        Self {
-            worker_id: 0,
-            generation: 0,
-            window: 8,
-            reconnect: true,
-            retry_interval: Duration::from_millis(100),
-            max_frame: DEFAULT_MAX_FRAME,
-        }
+        Self { worker_id: 0, generation: 0, window: 8 }
     }
 }
+
+/// Wait between a worker link's connection attempts: while the master is
+/// unreachable, and after a connection drops — how a link rides out a
+/// master restart.
+const RETRY_INTERVAL: Duration = Duration::from_millis(100);
 
 struct WorkerInner {
     addr: SocketAddr,
@@ -845,34 +833,21 @@ impl WorkerInner {
 /// Connect/reconnect loop: one live connection at a time, with the
 /// reader on this thread and a writer thread per connection.
 fn supervisor_loop(inner: Arc<WorkerInner>) {
-    let mut first_attempt = true;
     // Frames taken off `outbound` whose flush has not returned `Ok`: a
     // connection that dies hands its last batch back, and the next
     // connection's writer sends it first, whole and in order — possibly
     // twice (the master tolerates duplicates), never not at all.
     let mut unflushed: Vec<Vec<u8>> = Vec::new();
-    while !inner.stop.load(Ordering::Relaxed) && !inner.bye.load(Ordering::Relaxed) {
-        if !first_attempt && !inner.opts.reconnect {
-            break;
-        }
-        let stream = match TcpStream::connect_timeout(&inner.addr, Duration::from_secs(2)) {
-            Ok(s) => s,
-            Err(_) => {
-                first_attempt = false;
-                if !inner.opts.reconnect {
-                    break;
-                }
-                std::thread::sleep(inner.opts.retry_interval);
-                continue;
+    let done = || inner.stop.load(Ordering::Relaxed) || inner.bye.load(Ordering::Relaxed);
+    while !done() {
+        if let Ok(stream) = TcpStream::connect_timeout(&inner.addr, Duration::from_secs(2)) {
+            let _ = stream.set_nodelay(true);
+            run_connection(&inner, stream, &mut unflushed);
+            if done() {
+                break;
             }
-        };
-        first_attempt = false;
-        let _ = stream.set_nodelay(true);
-        run_connection(&inner, stream, &mut unflushed);
-        let done = inner.stop.load(Ordering::Relaxed) || inner.bye.load(Ordering::Relaxed);
-        if inner.opts.reconnect && !done {
-            std::thread::sleep(inner.opts.retry_interval);
         }
+        std::thread::sleep(RETRY_INTERVAL);
     }
     // No more deliveries are coming: release blocked slot loops.
     inner.dispatch_in.close();
@@ -906,7 +881,7 @@ fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream, unflushed: &mut V
     };
 
     let mut reader = BufReader::new(read_half);
-    while let Ok(Some(frame)) = read_frame(&mut reader, inner.opts.max_frame) {
+    while let Ok(Some(frame)) = read_frame(&mut reader, DEFAULT_MAX_FRAME) {
         if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(&frame) {
             inner.mirror(id, dag);
             continue;
@@ -1013,7 +988,7 @@ pub fn submit_over_tcp<N: AsRef<str>>(
 /// first line, the DAG text — the submitter's bytes — after it, written
 /// from where they are. Atomic via rename, so a crash mid-write never
 /// leaves a torn spool entry.
-fn spool_workflow(dir: &Path, id: WorkflowId, name: &str, text: &str) -> io::Result<()> {
+pub(super) fn spool_workflow(dir: &Path, id: WorkflowId, name: &str, text: &str) -> io::Result<()> {
     let final_path = dir.join(format!("wf-{:08}.dag", id.0));
     let tmp_path = dir.join(format!(".wf-{:08}.dag.tmp", id.0));
     let mut file = std::fs::File::create(&tmp_path)?;
@@ -1024,7 +999,10 @@ fn spool_workflow(dir: &Path, id: WorkflowId, name: &str, text: &str) -> io::Res
 }
 
 /// [`TcpMaster::load_spool`] of `dir`, interning every DAG in `dags`.
-fn load_spool(dir: &Path, dags: &DagStore) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
+pub(super) fn load_spool(
+    dir: &Path,
+    dags: &DagStore,
+) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
     let mut entries: Vec<(u32, PathBuf)> = Vec::new();
     let read_dir = match std::fs::read_dir(dir) {
         Ok(rd) => rd,
@@ -1066,11 +1044,11 @@ fn load_spool(dir: &Path, dags: &DagStore) -> io::Result<Vec<(WorkflowId, String
 }
 
 #[cfg(test)]
-mod tests {
+mod testutil {
     use super::*;
     use dewe_dag::WorkflowBuilder;
 
-    fn wf(name: &str, jobs: usize) -> Arc<Workflow> {
+    pub(super) fn wf(name: &str, jobs: usize) -> Arc<Workflow> {
         let mut b = WorkflowBuilder::new(name);
         for i in 0..jobs {
             b.job(format!("j{i}"), "t", 1.0).build();
@@ -1079,20 +1057,26 @@ mod tests {
     }
 
     /// A fresh scratch directory, unique to `tag` and this process.
-    fn scratch(tag: &str) -> PathBuf {
+    pub(super) fn scratch(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dewe-net-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }
 
-    fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+    pub(super) fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         while !done() {
             assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
             std::thread::sleep(Duration::from_millis(5));
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::testutil::{scratch, wait_until, wf};
+    use super::*;
 
     #[test]
     fn spool_round_trips_and_rejects_sparse() {
@@ -1149,16 +1133,11 @@ mod tests {
     #[test]
     fn identical_dags_are_parsed_once_and_travel_verbatim() {
         let dir = scratch("ingest");
-        let options =
-            || TcpMasterOptions { state_dir: Some(dir.clone()), ..TcpMasterOptions::default() };
+        let options = || TcpMasterOptions { state_dir: Some(dir.clone()) };
         let master = TcpMaster::bind("127.0.0.1:0", options()).unwrap();
         let addr = master.local_addr();
         let connect = |registry: &Registry| {
-            let opts = TcpWorkerOptions {
-                retry_interval: Duration::from_millis(20),
-                ..TcpWorkerOptions::default()
-            };
-            TcpWorkerLink::connect(addr, registry.clone(), opts).unwrap()
+            TcpWorkerLink::connect(addr, registry.clone(), TcpWorkerOptions::default()).unwrap()
         };
         let early_mirror = Registry::new();
         let early = connect(&early_mirror);
@@ -1431,15 +1410,8 @@ mod tests {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
         let addr = master.local_addr();
         let registry = Registry::new();
-        let link = TcpWorkerLink::connect(
-            addr,
-            registry.clone(),
-            TcpWorkerOptions {
-                retry_interval: Duration::from_millis(20),
-                ..TcpWorkerOptions::default()
-            },
-        )
-        .unwrap();
+        let link =
+            TcpWorkerLink::connect(addr, registry.clone(), TcpWorkerOptions::default()).unwrap();
         master.announce(WorkflowAnnounce {
             id: WorkflowId(0),
             name: "a".into(),
@@ -1535,11 +1507,12 @@ mod tests {
     /// order. (Some of it may arrive twice; the master tolerates that.)
     #[test]
     fn a_batch_whose_flush_failed_is_resent_whole_and_first_on_the_next_connection() {
-        // A link whose supervisor has given up (nothing listens on port
-        // 1), so this test owns `outbound` and drives `write_link` itself.
-        let opts = TcpWorkerOptions { reconnect: false, ..TcpWorkerOptions::default() };
-        let link = TcpWorkerLink::connect("127.0.0.1:1", Registry::new(), opts).unwrap();
-        wait_until("the supervisor gives up", || link.dispatch_closed());
+        // A link whose supervisor never gets a connection (nothing listens
+        // on port 1), so this test owns `outbound` and drives `write_link`
+        // itself.
+        let link =
+            TcpWorkerLink::connect("127.0.0.1:1", Registry::new(), TcpWorkerOptions::default())
+                .unwrap();
         let inner = Arc::clone(&link.inner);
         let job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
         let frame = |j: u32| WireMsg::Ack(AckMsg::new(job(j), 0, AckKind::Completed, 1)).encode();

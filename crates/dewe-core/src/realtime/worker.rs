@@ -97,14 +97,6 @@ impl WorkerHandle {
         ));
     }
 
-    /// Full graceful drain: announce on the lifecycle topic, then stop —
-    /// slots finish their current job, acknowledging it, and exit.
-    /// Returns total jobs executed.
-    pub fn drain(self) -> u64 {
-        self.announce_drain();
-        self.stop()
-    }
-
     /// Suspend heartbeats without stopping the worker: jobs keep
     /// running, but a lease-enabled master sees silence. This is the
     /// stall/straggler fault — resume with
@@ -486,8 +478,9 @@ mod tests {
         handle.resume_heartbeats();
         let hb = bus.lifecycle.pull_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(hb.kind, LifecycleKind::Heartbeat);
-        // Graceful drain announces itself before stopping.
-        assert_eq!(handle.drain(), 0);
+        // A graceful drain announces itself before stopping.
+        handle.announce_drain();
+        assert_eq!(handle.stop(), 0);
         let mut saw_drain = false;
         while let Some(msg) = bus.lifecycle.try_pull() {
             if msg.kind == LifecycleKind::Drain {

@@ -21,12 +21,11 @@
 use std::sync::Arc;
 
 use dewe_dag::Workflow;
-use dewe_simcloud::{BillingModel, ClusterConfig, CostModel, ExecSim, SimEvent};
+use dewe_simcloud::{BillingModel, CostModel};
 
 use crate::engine::EngineStats;
-use crate::protocol::{AckKind, AckMsg};
 
-use super::{DriverState, SlotPool};
+use super::{Driver, Extra};
 
 /// Reactive scaling policy.
 #[derive(Debug, Clone)]
@@ -79,10 +78,68 @@ pub struct AutoscaleReport {
     pub scaling_trace: Vec<(f64, usize)>,
 }
 
-const TAG_SUBMIT: u64 = 1 << 56;
-const TAG_SCAN: u64 = 2 << 56;
+/// Wake tag of the policy evaluation, beside the driver's own in `sim/mod.rs`.
 const TAG_EVAL: u64 = 6 << 56;
-const TAG_MASK: u64 = 0xff << 56;
+
+/// Rental bookkeeping: who is rented since when, and the spans that ended.
+struct Rentals {
+    active: Vec<bool>,
+    /// Rental start per node.
+    open: Vec<Option<f64>>,
+    /// Retired, still running jobs: the rental ends with the last of them.
+    draining: Vec<bool>,
+    spans: Vec<(f64, f64)>,
+    scaling_trace: Vec<(f64, usize)>,
+    peak: usize,
+}
+
+impl Rentals {
+    fn close(&mut self, node: usize, now: f64) {
+        if let Some(start) = self.open[node].take() {
+            self.spans.push((start, now));
+        }
+    }
+
+    /// One policy evaluation: rent one node, retire one, or neither.
+    fn evaluate(&mut self, driver: &mut Driver, policy: &AutoscalePolicy, slots_per_node: u32) {
+        let max_nodes = self.active.len();
+        let at = driver.exec.now();
+        let now = at.as_secs_f64();
+        let active_count = self.active.iter().filter(|&&a| a).count();
+        let active_slots = active_count as f64 * slots_per_node as f64;
+        let qlen = driver.state.queue.len() as f64;
+        if qlen > active_slots * policy.scale_out_queue_factor && active_count < max_nodes {
+            // Scale out: wake the lowest inactive node. A previously-draining
+            // node can be re-engaged.
+            let node = (0..max_nodes).find(|&n| !self.active[n]).expect("capacity");
+            self.active[node] = true;
+            self.draining[node] = false;
+            self.open[node].get_or_insert(now);
+            // A re-engaged draining node still runs its old jobs; only the
+            // free slots may pull.
+            driver.state.pool.restart(node, driver.state.node_running[node]);
+            driver.exec.cluster_mut().set_active(node, true, at);
+            self.scaling_trace.push((now, active_count + 1));
+            self.peak = self.peak.max(active_count + 1);
+            driver.try_assign();
+        } else if qlen < active_slots * policy.scale_in_queue_factor
+            && active_count > policy.min_nodes
+        {
+            // Scale in: retire the highest active node. It stops pulling
+            // immediately; running jobs drain.
+            let node = (0..max_nodes).rev().find(|&n| self.active[n]).expect("min_nodes >= 1");
+            self.active[node] = false;
+            driver.state.pool.kill(node);
+            driver.exec.cluster_mut().set_active(node, false, at);
+            if driver.state.node_running[node] == 0 {
+                self.close(node, now);
+            } else {
+                self.draining[node] = true;
+            }
+            self.scaling_trace.push((now, active_count - 1));
+        }
+    }
+}
 
 /// Run an ensemble with reactive autoscaling. `config.cluster.nodes` is
 /// the fleet ceiling (max nodes the autoscaler may rent).
@@ -91,166 +148,50 @@ pub fn run_ensemble_autoscale(
     config: &super::SimRunConfig,
     policy: &AutoscalePolicy,
 ) -> AutoscaleReport {
-    assert!(!workflows.is_empty());
-    let mut engine = super::engine_config_for(config).build();
     let max_nodes = config.cluster.nodes;
     assert!(policy.min_nodes >= 1 && policy.min_nodes <= max_nodes);
     assert!(policy.initial_nodes >= policy.min_nodes && policy.initial_nodes <= max_nodes);
-
-    let mut exec = ExecSim::new(ClusterConfig { ..config.cluster });
     let slots_per_node = config.slots_per_node.unwrap_or(config.cluster.instance.vcpus);
-    let mut pool = SlotPool::new(max_nodes, slots_per_node);
-    // Start with only the initial nodes active.
-    let mut active = vec![true; max_nodes];
-    #[allow(clippy::needless_range_loop)] // index used for three arrays
+
+    let mut driver = Driver::new(workflows, config);
+    // Start with only the initial nodes pulling.
     for node in policy.initial_nodes..max_nodes {
-        pool.kill(node);
-        active[node] = false;
-        let t = exec.now();
-        exec.cluster_mut().set_active(node, false, t);
+        driver.state.pool.kill(node);
+        let t = driver.exec.now();
+        driver.exec.cluster_mut().set_active(node, false, t);
     }
-    /// Rental bookkeeping.
-    struct Rent {
-        spans: Vec<(f64, f64)>,
-        open: Vec<Option<f64>>, // rental start per node
-        draining: Vec<bool>,
-    }
-    let mut rent = Rent {
-        spans: Vec::new(),
-        open: (0..max_nodes)
-            .map(|n| if n < policy.initial_nodes { Some(0.0) } else { None })
-            .collect(),
+    let rented = |n| n < policy.initial_nodes;
+    let mut rent = Rentals {
+        active: (0..max_nodes).map(rented).collect(),
+        open: (0..max_nodes).map(|n| rented(n).then_some(0.0)).collect(),
         draining: vec![false; max_nodes],
+        spans: Vec::new(),
+        scaling_trace: vec![(0.0, policy.initial_nodes)],
+        peak: policy.initial_nodes,
     };
+    driver.exec.schedule_wake(policy.evaluate_interval_secs, TAG_EVAL);
 
-    assert!(config.chaos.is_none(), "chaos injection is not supported by the autoscale driver");
-    let mut state = DriverState::new(workflows, pool, config);
-    // Scale-in lets running jobs drain, so per-node occupancy is tracked.
-    state.node_running = vec![0; max_nodes];
-    let mut scaling_trace = vec![(0.0, policy.initial_nodes)];
-    let mut peak = policy.initial_nodes;
-
-    match config.submission {
-        super::SubmissionPlan::Batch => {
-            for (i, _) in workflows.iter().enumerate() {
-                exec.schedule_wake(0.0, TAG_SUBMIT | i as u64);
+    driver.run(|driver, extra| match extra {
+        // A draining node whose last job finished ends its rental.
+        Extra::JobFinished { node } => {
+            if rent.draining[node] && driver.state.node_running[node] == 0 {
+                rent.close(node, driver.exec.now().as_secs_f64());
+                rent.draining[node] = false;
             }
         }
-        super::SubmissionPlan::Interval(secs) => {
-            for (i, _) in workflows.iter().enumerate() {
-                exec.schedule_wake(secs * i as f64, TAG_SUBMIT | i as u64);
+        Extra::Wake { token } => {
+            assert_eq!(token, TAG_EVAL, "unknown wake tag");
+            rent.evaluate(driver, policy, slots_per_node);
+            if driver.state.all_done_at.is_none() {
+                driver.exec.schedule_wake(policy.evaluate_interval_secs, TAG_EVAL);
             }
         }
-    }
-    exec.schedule_wake(config.timeout_scan_secs, TAG_SCAN);
-    exec.schedule_wake(policy.evaluate_interval_secs, TAG_EVAL);
+    });
 
-    while let Some(event) = exec.next() {
-        let now = exec.now().as_secs_f64();
-        match event {
-            SimEvent::JobFinished { token, node, .. } => {
-                let Some(d) = state.take_running(token) else { continue };
-                state.node_running[node] -= 1;
-                state.pool.release(node);
-                // A draining node whose last job finished ends its rental.
-                if rent.draining[node] && state.node_running[node] == 0 {
-                    if let Some(start) = rent.open[node].take() {
-                        rent.spans.push((start, now));
-                    }
-                    rent.draining[node] = false;
-                }
-                engine.on_ack(
-                    AckMsg {
-                        job: d.job,
-                        worker: node as u32,
-                        kind: AckKind::Completed,
-                        attempt: d.attempt,
-                    },
-                    now,
-                    &mut state.actions,
-                );
-                state.handle_actions(now);
-                state.try_assign(&mut exec, &mut engine);
-            }
-            SimEvent::Wake { token } => match token & TAG_MASK {
-                TAG_SUBMIT => {
-                    let idx = (token & !TAG_MASK) as usize;
-                    let workflow = Arc::clone(&workflows[idx]);
-                    let job_count = workflow.job_count();
-                    let id = engine.submit_workflow(workflow, now, &mut state.actions);
-                    state.register_workflow(id, job_count);
-                    state.handle_actions(now);
-                    state.try_assign(&mut exec, &mut engine);
-                }
-                TAG_SCAN => {
-                    engine.check_timeouts(now, &mut state.actions);
-                    state.handle_actions(now);
-                    state.try_assign(&mut exec, &mut engine);
-                    if state.all_done_at.is_none() {
-                        exec.schedule_wake(config.timeout_scan_secs, TAG_SCAN);
-                    }
-                }
-                TAG_EVAL => {
-                    let active_count = active.iter().filter(|&&a| a).count();
-                    let active_slots = active_count as f64 * slots_per_node as f64;
-                    let qlen = state.queue.len() as f64;
-                    if qlen > active_slots * policy.scale_out_queue_factor
-                        && active_count < max_nodes
-                    {
-                        // Scale out: wake the lowest inactive node. A
-                        // previously-draining node can be re-engaged.
-                        let node = (0..max_nodes).find(|&n| !active[n]).expect("capacity");
-                        active[node] = true;
-                        rent.draining[node] = false;
-                        if rent.open[node].is_none() {
-                            rent.open[node] = Some(now);
-                        }
-                        // A re-engaged draining node still runs its old
-                        // jobs; only the free slots may pull.
-                        state.pool.restart(node, state.node_running[node]);
-                        let t = exec.now();
-                        exec.cluster_mut().set_active(node, true, t);
-                        scaling_trace.push((now, active_count + 1));
-                        peak = peak.max(active_count + 1);
-                        state.try_assign(&mut exec, &mut engine);
-                    } else if qlen < active_slots * policy.scale_in_queue_factor
-                        && active_count > policy.min_nodes
-                    {
-                        // Scale in: retire the highest active node. It stops
-                        // pulling immediately; running jobs drain.
-                        let node =
-                            (0..max_nodes).rev().find(|&n| active[n]).expect("min_nodes >= 1");
-                        active[node] = false;
-                        state.pool.kill(node);
-                        let t = exec.now();
-                        exec.cluster_mut().set_active(node, false, t);
-                        if state.node_running[node] == 0 {
-                            if let Some(start) = rent.open[node].take() {
-                                rent.spans.push((start, now));
-                            }
-                        } else {
-                            rent.draining[node] = true;
-                        }
-                        scaling_trace.push((now, active_count - 1));
-                    }
-                    if state.all_done_at.is_none() {
-                        exec.schedule_wake(policy.evaluate_interval_secs, TAG_EVAL);
-                    }
-                }
-                _ => unreachable!(),
-            },
-        }
-        if state.all_done_at.is_some() && exec.running_jobs() == 0 {
-            break;
-        }
-    }
-
-    let makespan = state.all_done_at.unwrap_or_else(|| exec.now().as_secs_f64());
+    let makespan = driver.makespan_secs();
     // Close any open rentals at makespan.
     for node in 0..max_nodes {
-        if let Some(start) = rent.open[node].take() {
-            rent.spans.push((start, makespan));
-        }
+        rent.close(node, makespan);
     }
     let node_seconds: f64 = rent.spans.iter().map(|&(s, e)| e - s).sum();
     let price = config.cluster.instance.price_per_hour;
@@ -261,14 +202,14 @@ pub fn run_ensemble_autoscale(
 
     AutoscaleReport {
         makespan_secs: makespan,
-        completed: state.all_done_at.is_some() && state.abandoned_count == 0,
-        engine: engine.stats(),
+        completed: driver.completed(),
+        engine: driver.engine.stats(),
         node_spans: rent.spans,
-        peak_nodes: peak,
+        peak_nodes: rent.peak,
         node_seconds,
         cost_hourly,
         cost_per_minute,
-        scaling_trace,
+        scaling_trace: rent.scaling_trace,
     }
 }
 
@@ -277,7 +218,7 @@ mod tests {
     use super::*;
     use crate::sim::{SimRunConfig, SubmissionPlan};
     use dewe_dag::WorkflowBuilder;
-    use dewe_simcloud::{SharedFsKind, StorageConfig, C3_8XLARGE};
+    use dewe_simcloud::{ClusterConfig, SharedFsKind, StorageConfig, C3_8XLARGE};
 
     fn fleet(max_nodes: usize) -> SimRunConfig {
         let mut cfg = SimRunConfig::new(ClusterConfig {
@@ -365,6 +306,41 @@ mod tests {
         let ideal = report.node_seconds / 3600.0 * C3_8XLARGE.price_per_hour;
         assert!(report.cost_per_minute >= ideal - 1e-9);
         assert!(report.cost_per_minute <= ideal * 1.5 + 0.2, "minute billing near ideal");
+    }
+
+    #[test]
+    fn autoscaled_wide_then_narrow_is_pinned() {
+        // Captured at 8051b72, when this driver still ran its own copy of
+        // the event loop; every time is a whole number of seconds, so the
+        // comparisons are exact.
+        let policy = AutoscalePolicy {
+            min_nodes: 1,
+            initial_nodes: 1,
+            evaluate_interval_secs: 2.0,
+            scale_out_queue_factor: 1.0,
+            scale_in_queue_factor: 0.25,
+        };
+        let report = run_ensemble_autoscale(&[wide_then_narrow()], &fleet(4), &policy);
+        assert_eq!(
+            report.scaling_trace,
+            [
+                (0.0, 1),
+                (2.0, 2),
+                (4.0, 3),
+                (10.0, 2),
+                (12.0, 1),
+                (134.0, 2),
+                (136.0, 3),
+                (142.0, 2),
+                (144.0, 1)
+            ]
+        );
+        assert_eq!(
+            report.node_spans,
+            [(4.0, 12.0), (2.0, 14.0), (136.0, 144.0), (134.0, 146.0), (0.0, 146.0)]
+        );
+        assert_eq!(report.makespan_secs.to_bits(), 0x4062_4000_0000_0000);
+        assert_eq!(report.engine.dispatches, 513);
     }
 
     #[test]

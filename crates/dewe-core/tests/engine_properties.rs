@@ -128,9 +128,8 @@ proptest! {
         seed in any::<u64>(),
         storm_steps in 20usize..120,
     ) {
-        let mut engine = EngineConfig::default()
+        let mut engine = EngineConfig { checkout_timeout_secs: Some(5.0), ..EngineConfig::default() }
             .timeout(10.0)
-            .checkout_timeout(5.0)
             .retry(RetryPolicy {
                 max_attempts: Some(3),
                 backoff_base_secs: 1.0,
@@ -272,9 +271,8 @@ proptest! {
         instances in 2usize..6,
         seed in any::<u64>(),
     ) {
-        let mut engine = EngineConfig::default()
+        let mut engine = EngineConfig { checkout_timeout_secs: Some(5.0), ..EngineConfig::default() }
             .timeout(10.0)
-            .checkout_timeout(5.0)
             .retry(RetryPolicy {
                 max_attempts: Some(3),
                 backoff_base_secs: 1.0,

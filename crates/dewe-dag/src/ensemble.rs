@@ -1,8 +1,8 @@
 //! Workflow ensembles — "a set of interrelated but independent workflow
-//! applications" executed as one scientific analysis (paper §I).
+//! applications" executed as one scientific analysis (paper §I). An engine
+//! holds the workflows; this module names a job across them.
 
 use crate::ids::{JobId, WorkflowId};
-use crate::workflow::Workflow;
 
 /// Globally identifies a job within an ensemble.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -23,152 +23,13 @@ impl std::fmt::Display for EnsembleJobId {
     }
 }
 
-/// Aggregate size statistics for an ensemble, matching the quantities the
-/// paper reports (e.g. 200 x 6.0-degree Montage = 1,717,200 jobs, 288,800
-/// input files, 4,570,000 intermediate files, ~7 TB written).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct EnsembleStats {
-    pub workflows: usize,
-    pub jobs: usize,
-    pub input_files: usize,
-    pub input_bytes: u64,
-    pub intermediate_files: usize,
-    pub intermediate_bytes: u64,
-    pub total_cpu_seconds: f64,
-}
-
-/// An ordered collection of independent workflows submitted as one analysis.
-///
-/// Workflows in an ensemble do not share files or dependencies — the master
-/// daemon publishes their eligible jobs into *the same* dispatch topic, which
-/// is how DEWE v2 executes multiple workflows in parallel on one cluster.
-#[derive(Debug, Clone, Default)]
-pub struct Ensemble {
-    workflows: Vec<Workflow>,
-}
-
-impl Ensemble {
-    /// Empty ensemble.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Build from workflows.
-    pub fn from_workflows(workflows: Vec<Workflow>) -> Self {
-        Self { workflows }
-    }
-
-    /// Ensemble of `n` clones of a template workflow (the paper's standard
-    /// workload: *n* 6.0-degree Montage workflows). Clones are renamed
-    /// `"<name>#<i>"` to stay distinguishable in logs and metrics.
-    pub fn replicate(template: &Workflow, n: usize) -> Self {
-        let mut workflows = Vec::with_capacity(n);
-        for _ in 0..n {
-            workflows.push(template.clone());
-        }
-        Self { workflows }
-    }
-
-    /// Append a workflow, returning its id within the ensemble.
-    pub fn push(&mut self, wf: Workflow) -> WorkflowId {
-        let id = WorkflowId::from_index(self.workflows.len());
-        self.workflows.push(wf);
-        id
-    }
-
-    /// Number of workflows.
-    pub fn len(&self) -> usize {
-        self.workflows.len()
-    }
-
-    /// True if the ensemble holds no workflows.
-    pub fn is_empty(&self) -> bool {
-        self.workflows.is_empty()
-    }
-
-    /// Workflow by id.
-    pub fn workflow(&self, id: WorkflowId) -> &Workflow {
-        &self.workflows[id.index()]
-    }
-
-    /// All workflows in submission order.
-    pub fn workflows(&self) -> &[Workflow] {
-        &self.workflows
-    }
-
-    /// Iterator over workflow ids.
-    pub fn ids(&self) -> impl ExactSizeIterator<Item = WorkflowId> + '_ {
-        (0..self.workflows.len()).map(WorkflowId::from_index)
-    }
-
-    /// Total job count across all workflows.
-    pub fn total_jobs(&self) -> usize {
-        self.workflows.iter().map(|w| w.job_count()).sum()
-    }
-
-    /// Aggregate statistics.
-    pub fn stats(&self) -> EnsembleStats {
-        let mut s = EnsembleStats { workflows: self.workflows.len(), ..Default::default() };
-        for wf in &self.workflows {
-            s.jobs += wf.job_count();
-            s.input_files += wf.files().iter().filter(|f| f.initial).count();
-            s.input_bytes += wf.input_bytes();
-            s.intermediate_files += wf.produced_file_count();
-            s.intermediate_bytes += wf.produced_bytes();
-            s.total_cpu_seconds += wf.total_cpu_seconds();
-        }
-        s
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workflow::WorkflowBuilder;
-
-    fn tiny() -> Workflow {
-        let mut b = WorkflowBuilder::new("tiny");
-        let i = b.file("in", 100, true);
-        let o = b.file("out", 50, false);
-        b.job("a", "t", 2.0).input(i).output(o).build();
-        b.finish().unwrap()
-    }
-
-    #[test]
-    fn replicate_counts() {
-        let e = Ensemble::replicate(&tiny(), 5);
-        assert_eq!(e.len(), 5);
-        assert_eq!(e.total_jobs(), 5);
-        let s = e.stats();
-        assert_eq!(s.workflows, 5);
-        assert_eq!(s.input_files, 5);
-        assert_eq!(s.input_bytes, 500);
-        assert_eq!(s.intermediate_files, 5);
-        assert_eq!(s.intermediate_bytes, 250);
-        assert!((s.total_cpu_seconds - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn push_assigns_sequential_ids() {
-        let mut e = Ensemble::new();
-        assert!(e.is_empty());
-        let a = e.push(tiny());
-        let b = e.push(tiny());
-        assert_eq!(a, WorkflowId(0));
-        assert_eq!(b, WorkflowId(1));
-        assert_eq!(e.workflow(a).name(), "tiny");
-    }
 
     #[test]
     fn ensemble_job_id_display() {
         let id = EnsembleJobId::new(WorkflowId(3), JobId(14));
         assert_eq!(id.to_string(), "3:14");
-    }
-
-    #[test]
-    fn ids_iterator_matches_len() {
-        let e = Ensemble::replicate(&tiny(), 3);
-        let ids: Vec<_> = e.ids().collect();
-        assert_eq!(ids, vec![WorkflowId(0), WorkflowId(1), WorkflowId(2)]);
     }
 }

@@ -25,11 +25,6 @@ impl FileSpec {
     pub fn new(name: impl Into<String>, size_bytes: u64, initial: bool) -> Self {
         Self { name: name.into(), size_bytes, initial }
     }
-
-    /// Size in (binary) megabytes, for reporting.
-    pub fn size_mib(&self) -> f64 {
-        self.size_bytes as f64 / (1024.0 * 1024.0)
-    }
 }
 
 #[cfg(test)]
@@ -41,7 +36,7 @@ mod tests {
         let f = FileSpec::new("in.fits", 3 << 20, true);
         assert_eq!(f.name, "in.fits");
         assert!(f.initial);
-        assert!((f.size_mib() - 3.0).abs() < 1e-9);
+        assert_eq!(f.size_bytes, 3 << 20);
     }
 
     #[test]
@@ -49,6 +44,5 @@ mod tests {
         // Montage produces tiny metadata/fit files; zero is a legal size.
         let f = FileSpec::new("meta", 0, false);
         assert_eq!(f.size_bytes, 0);
-        assert_eq!(f.size_mib(), 0.0);
     }
 }

@@ -58,8 +58,8 @@ index_id!(
 );
 
 index_id!(
-    /// Identifies a workflow within an [`crate::Ensemble`] (or an engine's
-    /// submission sequence).
+    /// Identifies a workflow within an ensemble: its place in an engine's
+    /// submission sequence.
     WorkflowId,
     "w"
 );

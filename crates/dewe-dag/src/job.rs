@@ -44,14 +44,6 @@ impl JobSpec {
     pub fn effective_timeout(&self, default_secs: f64) -> f64 {
         self.timeout_secs.unwrap_or(default_secs)
     }
-
-    /// Wall-clock compute time on `cores` available cores (the job cannot
-    /// use more cores than it declares).
-    #[inline]
-    pub fn compute_wall_seconds(&self, available_cores: u32) -> f64 {
-        let used = self.cores.min(available_cores).max(1);
-        self.cpu_seconds / used as f64
-    }
 }
 
 /// Fluent builder returned by [`crate::WorkflowBuilder::job`].
@@ -128,24 +120,5 @@ mod tests {
         assert_eq!(s.effective_timeout(600.0), 600.0);
         s.timeout_secs = Some(30.0);
         assert_eq!(s.effective_timeout(600.0), 30.0);
-    }
-
-    #[test]
-    fn serial_job_ignores_extra_cores() {
-        let s = spec(1, 120.0);
-        assert_eq!(s.compute_wall_seconds(32), 120.0);
-    }
-
-    #[test]
-    fn parallel_job_scales_down_to_available() {
-        let s = spec(8, 80.0);
-        assert_eq!(s.compute_wall_seconds(32), 10.0); // uses its 8 cores
-        assert_eq!(s.compute_wall_seconds(4), 20.0); // limited by the node
-    }
-
-    #[test]
-    fn compute_wall_never_divides_by_zero() {
-        let s = spec(1, 5.0);
-        assert_eq!(s.compute_wall_seconds(0), 5.0);
     }
 }

@@ -6,9 +6,10 @@
 //!
 //! A [`Workflow`] is a directed acyclic graph whose vertices are
 //! [`JobSpec`]s and whose edges are precedence constraints, primarily
-//! induced by data dependencies on [`FileSpec`]s. A [`Ensemble`] is a set of
+//! induced by data dependencies on [`FileSpec`]s. An ensemble is a set of
 //! interrelated but independent workflows executed as one scientific
-//! analysis — the unit of work the paper is about.
+//! analysis — the unit of work the paper is about; an [`EnsembleJobId`]
+//! names one job in it.
 //!
 //! The crate is deliberately free of any execution concern: engines
 //! (`dewe-core`, `dewe-baseline`) consume the model through the
@@ -55,7 +56,6 @@ mod file;
 mod format;
 mod ids;
 mod job;
-mod merge;
 mod reduce;
 mod tracker;
 mod workflow;
@@ -63,13 +63,12 @@ mod workflow;
 pub use analysis::{CriticalPath, LevelProfile, WorkflowStats};
 pub use dax::{parse_dax, write_dax};
 pub use dot::{to_dot, to_dot_collapsed};
-pub use ensemble::{Ensemble, EnsembleJobId, EnsembleStats};
+pub use ensemble::EnsembleJobId;
 pub use error::DagError;
 pub use file::FileSpec;
 pub use format::{parse_workflow, write_workflow};
 pub use ids::{FileId, JobId, WorkflowId};
 pub use job::{JobBuilder, JobSpec, DEFAULT_TIMEOUT_SECS};
-pub use merge::merge;
-pub use reduce::{lint, redundant_edges, transitive_reduction, LintFinding};
+pub use reduce::{lint, LintFinding};
 pub use tracker::{DependencyTracker, JobState, TrackerStats};
 pub use workflow::{Workflow, WorkflowBuilder};

@@ -1,20 +1,18 @@
-//! Transitive reduction and workflow linting.
+//! Workflow linting.
 //!
 //! Real-world DAX generators frequently emit *redundant* precedence edges
 //! (an explicit `parent -> grandchild` edge alongside the implied
 //! two-step path). Redundant edges are harmless for correctness but cost
-//! dependency-tracking work at ensemble scale and clutter visualizations;
-//! [`transitive_reduction`] rebuilds a workflow with the minimum
-//! equivalent edge set.
+//! dependency-tracking work at ensemble scale and clutter visualizations.
 //!
-//! [`lint`] reports structural oddities that usually indicate generator
-//! bugs: files nobody reads, non-initial files nobody writes, jobs with no
-//! I/O at all, and redundant edges.
+//! [`lint`] reports them beside the other structural oddities that usually
+//! indicate generator bugs: files nobody reads, non-initial files nobody
+//! writes and jobs with no I/O at all.
 
 use std::collections::HashSet;
 
 use crate::ids::JobId;
-use crate::workflow::{Workflow, WorkflowBuilder};
+use crate::workflow::Workflow;
 
 /// Identify redundant *control* edges: `(parent, child)` pairs where
 /// another path of length ≥ 2 from parent to child exists.
@@ -24,7 +22,7 @@ use crate::workflow::{Workflow, WorkflowBuilder};
 /// it imposes is transitively implied — in Montage, for example,
 /// `mProjectPP -> mBackground` is implied through the background-modeling
 /// chain, yet mBackground still physically reads the projected image.
-pub fn redundant_edges(wf: &Workflow) -> Vec<(JobId, JobId)> {
+fn redundant_edges(wf: &Workflow) -> Vec<(JobId, JobId)> {
     // For each job u (in reverse topological order), compute reachability
     // via children-of-children; an edge u->v is redundant if v is reachable
     // from some other child of u. For workflow-scale graphs a per-node DFS
@@ -63,37 +61,6 @@ pub fn redundant_edges(wf: &Workflow) -> Vec<(JobId, JobId)> {
     }
     redundant.sort_unstable();
     redundant
-}
-
-/// Rebuild the workflow without redundant precedence edges. Data-flow
-/// (file) relations are preserved untouched; only explicit edges that are
-/// implied by longer paths disappear. The result executes identically.
-pub fn transitive_reduction(wf: &Workflow) -> Workflow {
-    let redundant: HashSet<(JobId, JobId)> = redundant_edges(wf).into_iter().collect();
-    let mut b = WorkflowBuilder::new(wf.name().to_string());
-    for f in wf.files() {
-        b.file(f.name.clone(), f.size_bytes, f.initial);
-    }
-    for j in wf.jobs() {
-        let mut jb = b.job(j.name.clone(), j.xform.clone(), j.cpu_seconds).cores(j.cores);
-        if let Some(t) = j.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.inputs(j.inputs.iter().copied()).outputs(j.outputs.iter().copied()).build();
-    }
-    for u in wf.job_ids() {
-        for &v in wf.children(u) {
-            if redundant.contains(&(u, v)) {
-                continue;
-            }
-            // Skip edges implied by data flow (the builder re-derives them).
-            let implied = wf.job(v).inputs.iter().any(|&f| wf.producer(f) == Some(u));
-            if !implied {
-                b.edge(u, v);
-            }
-        }
-    }
-    b.finish().expect("reduction preserves acyclicity")
 }
 
 /// A lint finding.
@@ -165,6 +132,7 @@ mod vec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workflow::WorkflowBuilder;
 
     /// a -> b -> c with a redundant direct a -> c edge.
     fn triangle() -> Workflow {
@@ -188,25 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn reduction_removes_only_redundant_edges() {
-        let wf = triangle();
-        assert_eq!(wf.edge_count(), 3);
-        let reduced = transitive_reduction(&wf);
-        assert_eq!(reduced.edge_count(), 2);
-        // Execution semantics preserved: same topological constraints.
-        let c = reduced.job_by_name("c").unwrap();
-        let m = reduced.job_by_name("b").unwrap();
-        assert_eq!(reduced.parents(c), &[m]);
-    }
-
-    #[test]
-    fn reduction_is_idempotent() {
-        let wf = transitive_reduction(&triangle());
-        let again = transitive_reduction(&wf);
-        assert_eq!(wf.edge_count(), again.edge_count());
-    }
-
-    #[test]
     fn clean_diamond_is_untouched() {
         let mut b = WorkflowBuilder::new("d");
         let a = b.job("a", "t", 1.0).build();
@@ -219,30 +168,6 @@ mod tests {
         b.edge(r, m);
         let wf = b.finish().unwrap();
         assert!(redundant_edges(&wf).is_empty());
-        assert_eq!(transitive_reduction(&wf).edge_count(), 4);
-    }
-
-    #[test]
-    fn reduction_preserves_montage_execution() {
-        // Montage has no redundant edges; reduction must be a no-op that
-        // still executes fully.
-        let wf = dewe_montage_free_montage();
-        let reduced = transitive_reduction(&wf);
-        assert_eq!(reduced.edge_count(), wf.edge_count());
-        let mut t = crate::DependencyTracker::new(&reduced);
-        let mut done = 0;
-        loop {
-            let ready = t.take_ready();
-            if ready.is_empty() {
-                break;
-            }
-            for j in ready {
-                t.mark_running(j);
-                t.complete_in(&reduced, j);
-                done += 1;
-            }
-        }
-        assert_eq!(done, reduced.job_count());
     }
 
     /// Hand-rolled mini-Montage (this crate cannot depend on dewe-montage).

@@ -156,11 +156,6 @@ impl DependencyTracker {
         self.ready_queue.clear();
     }
 
-    /// Number of jobs waiting in the ready queue (published or not).
-    pub fn ready_len(&self) -> usize {
-        self.ready_queue.len()
-    }
-
     /// Record a worker's "running" acknowledgment.
     ///
     /// Idempotent for already-running jobs; ignored for completed jobs
@@ -431,7 +426,7 @@ mod tests {
         let mut buf = Vec::new();
         t.drain_ready_into(&mut buf);
         assert_eq!(buf, vec![JobId(0)]);
-        assert_eq!(t.ready_len(), 0);
+        assert!(t.take_ready().is_empty());
         buf.clear();
         t.mark_running(JobId(0));
         t.complete(&wf, JobId(0));
@@ -444,7 +439,7 @@ mod tests {
         let wf = chain3();
         let mut t = DependencyTracker::new(&wf);
         t.clear_ready();
-        assert_eq!(t.ready_len(), 0);
+        assert!(t.take_ready().is_empty());
         // The cleared root is still Ready; resubmitting must requeue it
         // exactly once (membership flag was reset by clear_ready).
         assert!(t.resubmit(JobId(0)));

@@ -115,11 +115,6 @@ impl Workflow {
         &self.topo_order
     }
 
-    /// Jobs with no parents (the entry frontier).
-    pub fn roots(&self) -> Vec<JobId> {
-        self.job_ids().filter(|&j| self.in_degree(j) == 0).collect()
-    }
-
     /// Jobs with no children (the exit frontier).
     pub fn sinks(&self) -> Vec<JobId> {
         self.job_ids().filter(|&j| self.children(j).is_empty()).collect()
@@ -153,11 +148,6 @@ impl Workflow {
     /// Look up a job id by name (linear scan; intended for tests/tooling).
     pub fn job_by_name(&self, name: &str) -> Option<JobId> {
         self.jobs.iter().position(|j| j.name == name).map(JobId::from_index)
-    }
-
-    /// Look up a file id by name (linear scan; intended for tests/tooling).
-    pub fn file_by_name(&self, name: &str) -> Option<FileId> {
-        self.files.iter().position(|f| f.name == name).map(FileId::from_index)
     }
 }
 
@@ -233,16 +223,6 @@ impl WorkflowBuilder {
     /// `PARENT a CHILD b`), independent of any data flow.
     pub fn edge(&mut self, parent: JobId, child: JobId) {
         self.explicit_edges.push((parent, child));
-    }
-
-    /// Number of jobs added so far.
-    pub fn job_count(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// Number of files added so far.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
     }
 
     /// Validate and freeze the workflow.
@@ -440,7 +420,6 @@ mod tests {
         assert_eq!(wf.edge_count(), 2);
         let c = wf.job_by_name("c").unwrap();
         assert_eq!(wf.parents(c).len(), 2);
-        assert_eq!(wf.roots().len(), 2);
         assert_eq!(wf.sinks(), vec![c]);
     }
 
@@ -459,8 +438,9 @@ mod tests {
     #[test]
     fn producer_tracking() {
         let wf = diamond();
-        let raw = wf.file_by_name("raw").unwrap();
-        let l = wf.file_by_name("l").unwrap();
+        // Files get their ids in the order `diamond` declares them.
+        let (raw, l) = (FileId(0), FileId(1));
+        assert_eq!((wf.file(raw).name.as_str(), wf.file(l).name.as_str()), ("raw", "l"));
         assert_eq!(wf.producer(raw), None);
         assert_eq!(wf.producer(l), Some(wf.job_by_name("a").unwrap()));
     }
@@ -563,7 +543,7 @@ mod tests {
     fn empty_workflow_is_valid() {
         let wf = WorkflowBuilder::new("empty").finish().unwrap();
         assert_eq!(wf.job_count(), 0);
-        assert!(wf.roots().is_empty());
+        assert!(wf.sinks().is_empty());
         assert!(wf.topo_order().is_empty());
     }
 
@@ -588,7 +568,6 @@ mod tests {
         }
         let wf = b.finish().unwrap();
         assert_eq!(wf.topo_order().len(), 1000);
-        assert_eq!(wf.roots().len(), 1);
         assert_eq!(wf.sinks().len(), 1);
     }
 }

@@ -8,8 +8,7 @@
 //! read/write throughput. [`ClusterSampler`] is that process for the
 //! simulated cluster: feed it per-node cumulative counters at a fixed
 //! cadence and it produces the per-node rate [`TimeSeries`] behind the
-//! paper's Figs. 4, 6, 9 and 10, plus the integrated totals behind Fig. 7
-//! (total CPU time, total disk writes).
+//! paper's Figs. 4, 6, 9 and 10.
 //!
 //! [`Gantt`] renders the per-vCPU-slot timeline of Fig. 2 from per-job
 //! phase timings, and [`csv`] serializes any set of series for plotting.
@@ -43,5 +42,5 @@ pub mod csv;
 pub use gantt::{Gantt, JobSpan};
 pub use sampler::{ClusterSampler, NodeSeries, SAMPLE_INTERVAL_SECS};
 pub use series::TimeSeries;
-pub use summary::{Histogram, Summary};
+pub use summary::Summary;
 pub use trace::{JobTrace, Trace};

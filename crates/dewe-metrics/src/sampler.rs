@@ -121,15 +121,6 @@ impl ClusterSampler {
         }
         out
     }
-
-    /// Final cumulative totals: (cpu core-seconds, bytes read, bytes
-    /// written) summed over nodes — the quantities of paper Fig. 7b/7c.
-    pub fn totals(&self) -> (f64, f64, f64) {
-        let cpu = self.last.iter().map(|c| c.cpu_busy_core_secs).sum();
-        let rd = self.last.iter().map(|c| c.bytes_read).sum();
-        let wr = self.last.iter().map(|c| c.bytes_written).sum();
-        (cpu, rd, wr)
-    }
 }
 
 #[cfg(test)]
@@ -180,13 +171,6 @@ mod tests {
         assert!((s.mean_cpu_util().points[0].1 - 50.0).abs() < 1e-9);
         assert!((s.total_read_mbps().points[0].1 - 20.0).abs() < 1e-9);
         assert_eq!(s.total_threads().points[0].1, 5.0);
-    }
-
-    #[test]
-    fn totals_reflect_final_counters() {
-        let mut s = ClusterSampler::new(2, 32);
-        s.sample(3.0, &[counters(10.0, 1.0, 2.0, 0), counters(20.0, 3.0, 4.0, 0)]);
-        assert_eq!(s.totals(), (30.0, 4.0, 6.0));
     }
 
     #[test]

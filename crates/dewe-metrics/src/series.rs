@@ -55,11 +55,6 @@ impl TimeSeries {
         self.points.windows(2).map(|w| 0.5 * (w[0].1 + w[1].1) * (w[1].0 - w[0].0)).sum()
     }
 
-    /// Last sample time (0.0 when empty).
-    pub fn end_time(&self) -> f64 {
-        self.points.last().map_or(0.0, |&(t, _)| t)
-    }
-
     /// Value at or before `t` (step interpolation; 0.0 before first sample).
     pub fn value_at(&self, t: f64) -> f64 {
         match self.points.binary_search_by(|&(pt, _)| pt.partial_cmp(&t).unwrap()) {
@@ -88,7 +83,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.max(), 3.0);
         assert!((s.mean() - 2.0).abs() < 1e-12);
-        assert_eq!(s.end_time(), 2.0);
     }
 
     #[test]

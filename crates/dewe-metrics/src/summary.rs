@@ -2,8 +2,7 @@
 //!
 //! Makespans, per-job latencies and queue waits are distributions, not
 //! single numbers; [`Summary`] provides the standard descriptive
-//! statistics and [`Histogram`] fixed-width buckets for terminal
-//! rendering (used by the bench harness to report per-job latency shapes).
+//! statistics.
 
 /// Descriptive statistics over a sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,68 +63,6 @@ impl Summary {
     }
 }
 
-/// Fixed-width histogram over a value range.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    /// Samples below `lo` / above `hi`.
-    pub underflow: u64,
-    /// Samples above `hi`.
-    pub overflow: u64,
-}
-
-impl Histogram {
-    /// New histogram over `[lo, hi)` with `buckets` equal-width bins.
-    pub fn new(lo: f64, hi: f64, buckets: usize) -> Self {
-        assert!(hi > lo && buckets > 0);
-        Self { lo, hi, buckets: vec![0; buckets], underflow: 0, overflow: 0 }
-    }
-
-    /// Record a sample.
-    pub fn record(&mut self, v: f64) {
-        if v < self.lo {
-            self.underflow += 1;
-        } else if v >= self.hi {
-            self.overflow += 1;
-        } else {
-            let n = self.buckets.len();
-            let idx = ((v - self.lo) / (self.hi - self.lo) * n as f64) as usize;
-            self.buckets[idx.min(n - 1)] += 1;
-        }
-    }
-
-    /// Bucket counts.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Total recorded samples (including out-of-range).
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// ASCII bar rendering, one row per bucket.
-    pub fn render(&self, width: usize) -> String {
-        use std::fmt::Write as _;
-        let max = self.buckets.iter().copied().max().unwrap_or(0).max(1);
-        let step = (self.hi - self.lo) / self.buckets.len() as f64;
-        let mut out = String::new();
-        for (i, &n) in self.buckets.iter().enumerate() {
-            let bar = "#".repeat((n as usize * width) / max as usize);
-            let _ = writeln!(
-                out,
-                "[{:>10.2}, {:>10.2}) {:>8} |{bar}",
-                self.lo + step * i as f64,
-                self.lo + step * (i + 1) as f64,
-                n
-            );
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,34 +99,5 @@ mod tests {
         assert_eq!(s.p50, 50.0);
         assert_eq!(s.p90, 90.0);
         assert_eq!(s.p99, 99.0);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [0.0, 1.9, 2.0, 9.99, -1.0, 10.0, 25.0] {
-            h.record(v);
-        }
-        assert_eq!(h.buckets(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.underflow, 1);
-        assert_eq!(h.overflow, 2);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_renders_bars() {
-        let mut h = Histogram::new(0.0, 2.0, 2);
-        h.record(0.5);
-        h.record(0.6);
-        h.record(1.5);
-        let r = h.render(10);
-        assert!(r.lines().count() == 2);
-        assert!(r.contains("##########"), "fullest bucket gets full width");
-    }
-
-    #[test]
-    #[should_panic]
-    fn histogram_rejects_bad_range() {
-        let _ = Histogram::new(5.0, 5.0, 3);
     }
 }

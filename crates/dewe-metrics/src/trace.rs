@@ -110,16 +110,6 @@ impl Trace {
         out
     }
 
-    /// Events of one workflow.
-    pub fn workflow_events(&self, workflow: u32) -> impl Iterator<Item = &JobTrace> {
-        self.events.iter().filter(move |e| e.workflow == workflow)
-    }
-
-    /// Retried attempts (attempt > 1) — the fault-recovery record.
-    pub fn resubmissions(&self) -> usize {
-        self.events.iter().filter(|e| e.attempt > 1).count()
-    }
-
     /// Export as Chrome-tracing "trace event format" JSON (complete
     /// events, microsecond timestamps; one row per node, read/compute/write
     /// sub-phases as nested events). Loadable in `chrome://tracing` or
@@ -158,30 +148,6 @@ impl Trace {
             emit(&mut out, "write", "phase", e.node, e.compute_done, e.finished);
         }
         out.push_str("\n]\n");
-        out
-    }
-
-    /// Export as CSV (one row per attempt).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "workflow,job,xform,attempt,node,dispatched,started,read_done,compute_done,finished\n",
-        );
-        for e in &self.events {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{:.6}",
-                e.workflow,
-                e.job,
-                e.xform.replace(',', "_"),
-                e.attempt,
-                e.node,
-                e.dispatched,
-                e.started,
-                e.read_done,
-                e.compute_done,
-                e.finished
-            );
-        }
         out
     }
 }
@@ -242,18 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn workflow_slicing_and_resubmissions() {
-        let mut t = Trace::new();
-        t.record(ev(0, 0, "t", 0, 0.0));
-        let mut retry = ev(1, 0, "t", 1, 5.0);
-        retry.attempt = 2;
-        t.record(retry);
-        assert_eq!(t.workflow_events(0).count(), 1);
-        assert_eq!(t.workflow_events(1).count(), 1);
-        assert_eq!(t.resubmissions(), 1);
-    }
-
-    #[test]
     fn chrome_json_shape() {
         let mut t = Trace::new();
         t.record(ev(0, 0, "mAdd", 2, 1.0));
@@ -265,16 +219,6 @@ mod tests {
         assert!(json.contains("mAdd w0j0"));
         // 1 job event + 3 phases.
         assert_eq!(json.matches(r#""ph":"X""#).count(), 4);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_event() {
-        let mut t = Trace::new();
-        t.record(ev(0, 0, "a,b", 0, 0.0));
-        t.record(ev(0, 1, "x", 0, 1.0));
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.contains("a_b"), "comma sanitized");
     }
 
     #[test]

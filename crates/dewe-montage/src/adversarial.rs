@@ -61,10 +61,6 @@ pub struct AdversarialConfig {
     pub name: String,
     /// RNG seed for runtime jitter.
     pub seed: u64,
-    /// Mean CPU seconds per job.
-    pub mean_cpu_seconds: f64,
-    /// Relative runtime jitter.
-    pub jitter: f64,
 }
 
 impl AdversarialConfig {
@@ -78,7 +74,7 @@ impl AdversarialConfig {
             }
             AdversarialShape::FanInCliff { width } => format!("adv_cliff_{width}"),
         };
-        Self { shape, name, seed: 42, mean_cpu_seconds: 1.0, jitter: 0.2 }
+        Self { shape, name, seed: 42 }
     }
 
     /// Pick a shape and its dimensions from the seed. `scale` caps the
@@ -102,12 +98,6 @@ impl AdversarialConfig {
         cfg
     }
 
-    /// Override the RNG seed used for runtime jitter.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Total job count for the configured shape.
     pub fn total_jobs(&self) -> usize {
         match self.shape {
@@ -122,13 +112,8 @@ impl AdversarialConfig {
     pub fn build(&self) -> Workflow {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = WorkflowBuilder::new(self.name.clone());
-        let jit = |rng: &mut StdRng| -> f64 {
-            if self.jitter <= 0.0 {
-                self.mean_cpu_seconds
-            } else {
-                self.mean_cpu_seconds * rng.gen_range(1.0 - self.jitter..=1.0 + self.jitter)
-            }
-        };
+        // One CPU-second per job, jittered: these shapes stress structure.
+        let jit = |rng: &mut StdRng| crate::jittered(rng, 1.0);
 
         match self.shape {
             AdversarialShape::WideFanOut { width } => {

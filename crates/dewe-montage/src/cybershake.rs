@@ -19,7 +19,7 @@
 
 use dewe_dag::{Workflow, WorkflowBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for the CyberShake-like generator.
 #[derive(Debug, Clone)]
@@ -30,15 +30,13 @@ pub struct CyberShakeConfig {
     pub name: String,
     /// RNG seed for runtime jitter.
     pub seed: u64,
-    /// Relative runtime jitter.
-    pub jitter: f64,
 }
 
 impl CyberShakeConfig {
     /// A workflow with the given fan-out width.
     pub fn new(variations: usize) -> Self {
         assert!(variations > 0);
-        Self { variations, name: format!("cybershake_{variations}"), seed: 42, jitter: 0.2 }
+        Self { variations, name: format!("cybershake_{variations}"), seed: 42 }
     }
 
     /// Override the RNG seed.
@@ -56,13 +54,7 @@ impl CyberShakeConfig {
     pub fn build(&self) -> Workflow {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = WorkflowBuilder::new(self.name.clone());
-        let mut jit = |mean: f64| -> f64 {
-            if self.jitter <= 0.0 {
-                mean
-            } else {
-                mean * rng.gen_range(1.0 - self.jitter..=1.0 + self.jitter)
-            }
-        };
+        let mut jit = |mean: f64| crate::jittered(&mut rng, mean);
 
         // Two SGT extractions (X and Y components), each reading a huge file.
         let sgt_x = b.file("sgt_x.bin", 12_000_000_000, true);

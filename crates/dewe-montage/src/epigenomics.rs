@@ -20,7 +20,7 @@
 
 use dewe_dag::{Workflow, WorkflowBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for the Epigenomics-like generator.
 #[derive(Debug, Clone)]
@@ -33,8 +33,6 @@ pub struct EpigenomicsConfig {
     pub name: String,
     /// RNG seed for runtime jitter.
     pub seed: u64,
-    /// Relative runtime jitter.
-    pub jitter: f64,
 }
 
 impl EpigenomicsConfig {
@@ -46,7 +44,6 @@ impl EpigenomicsConfig {
             chunks_per_lane,
             name: format!("epigenomics_{lanes}x{chunks_per_lane}"),
             seed: 42,
-            jitter: 0.2,
         }
     }
 
@@ -66,13 +63,7 @@ impl EpigenomicsConfig {
     pub fn build(&self) -> Workflow {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = WorkflowBuilder::new(self.name.clone());
-        let mut jit = |mean: f64| -> f64 {
-            if self.jitter <= 0.0 {
-                mean
-            } else {
-                mean * rng.gen_range(1.0 - self.jitter..=1.0 + self.jitter)
-            }
-        };
+        let mut jit = |mean: f64| crate::jittered(&mut rng, mean);
 
         let mut lane_merged = Vec::with_capacity(self.lanes);
         for l in 0..self.lanes {

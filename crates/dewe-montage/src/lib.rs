@@ -44,3 +44,14 @@ pub use ligo::LigoConfig;
 pub use montage::{MontageConfig, MontageShape, GB};
 pub use random::{random_layered, RandomDagConfig};
 pub use sipht::SiphtConfig;
+
+/// Relative runtime jitter of every generator here: a job's CPU time is
+/// drawn uniformly from `mean * (1 ± JITTER)`. The paper's premise is
+/// near-homogeneous jobs; 0.2 keeps them "nearly identical" while avoiding
+/// lockstep artifacts.
+const JITTER: f64 = 0.2;
+
+fn jittered(rng: &mut rand::rngs::StdRng, mean: f64) -> f64 {
+    use rand::Rng;
+    mean * rng.gen_range(1.0 - JITTER..=1.0 + JITTER)
+}

@@ -15,7 +15,7 @@
 
 use dewe_dag::{Workflow, WorkflowBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for the LIGO-like generator.
 #[derive(Debug, Clone)]
@@ -28,21 +28,13 @@ pub struct LigoConfig {
     pub name: String,
     /// RNG seed for runtime jitter.
     pub seed: u64,
-    /// Relative runtime jitter.
-    pub jitter: f64,
 }
 
 impl LigoConfig {
     /// A workflow with `groups` groups of `banks_per_group` branches.
     pub fn new(groups: usize, banks_per_group: usize) -> Self {
         assert!(groups > 0 && banks_per_group > 0);
-        Self {
-            groups,
-            banks_per_group,
-            name: format!("ligo_{groups}x{banks_per_group}"),
-            seed: 42,
-            jitter: 0.2,
-        }
+        Self { groups, banks_per_group, name: format!("ligo_{groups}x{banks_per_group}"), seed: 42 }
     }
 
     /// Override the RNG seed.
@@ -60,13 +52,7 @@ impl LigoConfig {
     pub fn build(&self) -> Workflow {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = WorkflowBuilder::new(self.name.clone());
-        let mut jit = |mean: f64| -> f64 {
-            if self.jitter <= 0.0 {
-                mean
-            } else {
-                mean * rng.gen_range(1.0 - self.jitter..=1.0 + self.jitter)
-            }
-        };
+        let mut jit = |mean: f64| crate::jittered(&mut rng, mean);
 
         for g in 0..self.groups {
             let frame = b.file(format!("g{g}_frames.gwf"), 200_000_000, true);

@@ -73,30 +73,16 @@ pub struct MontageConfig {
     pub name: String,
     /// RNG seed for per-job runtime jitter.
     pub seed: u64,
-    /// Relative runtime jitter: each job's CPU time is drawn uniformly from
-    /// `mean * (1 ± jitter)`. The paper's premise is near-homogeneous jobs;
-    /// 0.2 keeps them "nearly identical" while avoiding lockstep artifacts.
-    pub jitter: f64,
     /// Number of cores the blocking jobs can exploit (1 in the paper's
     /// stock Montage; >1 models the OpenMP variant of §III.D).
     pub blocking_job_cores: u32,
-    /// Per-job timeout in seconds applied to every job (the paper's
-    /// system-wide default). `None` leaves the engine default in force.
-    pub timeout_secs: Option<f64>,
 }
 
 impl MontageConfig {
     /// Standard configuration for a `d`-degree mosaic.
     pub fn degree(d: f64) -> Self {
         assert!(d > 0.0 && d <= 12.0, "degree must be in (0, 12]");
-        Self {
-            degree: d,
-            name: format!("montage_{d}deg"),
-            seed: 42,
-            jitter: 0.2,
-            blocking_job_cores: 1,
-            timeout_secs: None,
-        }
+        Self { degree: d, name: format!("montage_{d}deg"), seed: 42, blocking_job_cores: 1 }
     }
 
     /// Override the RNG seed.
@@ -117,12 +103,6 @@ impl MontageConfig {
         self
     }
 
-    /// Apply a uniform per-job timeout.
-    pub fn with_timeout_secs(mut self, secs: f64) -> Self {
-        self.timeout_secs = Some(secs);
-        self
-    }
-
     /// Expected structural counts without building the workflow.
     pub fn shape(&self) -> MontageShape {
         MontageShape::for_degree(self.degree)
@@ -135,13 +115,7 @@ impl MontageConfig {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = WorkflowBuilder::new(self.name.clone());
 
-        let jit = |rng: &mut StdRng, mean: f64, jitter: f64| -> f64 {
-            if jitter <= 0.0 {
-                mean
-            } else {
-                mean * rng.gen_range(1.0 - jitter..=1.0 + jitter)
-            }
-        };
+        let jit = crate::jittered;
 
         // --- Files -------------------------------------------------------
         let idx = |r: usize, c: usize| r * n + c;
@@ -161,19 +135,17 @@ impl MontageConfig {
         for r in 0..n {
             for c in 0..n {
                 let i = idx(r, c);
-                let mut jb = b
-                    .job(
+                project_jobs.push(
+                    b.job(
                         format!("mProjectPP_{r}_{c}"),
                         "mProjectPP",
-                        jit(&mut rng, cpu::M_PROJECT_PP, self.jitter),
+                        jit(&mut rng, cpu::M_PROJECT_PP),
                     )
                     .input(raw[i])
                     .output(proj[i])
-                    .output(proj_area[i]);
-                if let Some(t) = self.timeout_secs {
-                    jb = jb.timeout_secs(t);
-                }
-                project_jobs.push(jb.build());
+                    .output(proj_area[i])
+                    .build(),
+                );
             }
         }
 
@@ -186,45 +158,29 @@ impl MontageConfig {
             let darea = b.file(format!("diff_area_{k}.fits"), size::DIFF_AREA, false);
             let fit = b.file(format!("fit_{k}.tbl"), size::FIT_TBL, false);
             fit_files.push(fit);
-            let mut jb = b
-                .job(
-                    format!("mDiffFit_{k}"),
-                    "mDiffFit",
-                    jit(&mut rng, cpu::M_DIFF_FIT, self.jitter),
-                )
+            b.job(format!("mDiffFit_{k}"), "mDiffFit", jit(&mut rng, cpu::M_DIFF_FIT))
                 .input(proj[a])
                 .input(proj[c])
                 .output(diff)
                 .output(darea)
-                .output(fit);
-            if let Some(t) = self.timeout_secs {
-                jb = jb.timeout_secs(t);
-            }
-            jb.build();
+                .output(fit)
+                .build();
         }
 
         // --- Stage 2: blocking jobs --------------------------------------
         let fits_tbl = b.file("fits.tbl", size::FITS_TBL, false);
-        let mut jb = b
-            .job("mConcatFit", "mConcatFit", jit(&mut rng, cpu::M_CONCAT_FIT, self.jitter))
+        b.job("mConcatFit", "mConcatFit", jit(&mut rng, cpu::M_CONCAT_FIT))
             .inputs(fit_files.iter().copied())
             .output(fits_tbl)
-            .cores(self.blocking_job_cores);
-        if let Some(t) = self.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.build();
+            .cores(self.blocking_job_cores)
+            .build();
 
         let corrections = b.file("corrections.tbl", size::CORRECTIONS, false);
-        let mut jb = b
-            .job("mBgModel", "mBgModel", jit(&mut rng, cpu::M_BG_MODEL, self.jitter))
+        b.job("mBgModel", "mBgModel", jit(&mut rng, cpu::M_BG_MODEL))
             .input(fits_tbl)
             .output(corrections)
-            .cores(self.blocking_job_cores);
-        if let Some(t) = self.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.build();
+            .cores(self.blocking_job_cores)
+            .build();
 
         // --- Stage 3: mBackground fan-out --------------------------------
         let mut corr = Vec::with_capacity(n * n);
@@ -234,67 +190,44 @@ impl MontageConfig {
                 let ci = b.file(format!("corr_{r}_{c}.fits"), size::CORR_IMG, false);
                 let ca = b.file(format!("corr_area_{r}_{c}.fits"), size::CORR_AREA, false);
                 corr.push(ci);
-                let mut jb = b
-                    .job(
-                        format!("mBackground_{r}_{c}"),
-                        "mBackground",
-                        jit(&mut rng, cpu::M_BACKGROUND, self.jitter),
-                    )
-                    .input(proj[i])
-                    .input(proj_area[i])
-                    .input(corrections)
-                    .output(ci)
-                    .output(ca);
-                if let Some(t) = self.timeout_secs {
-                    jb = jb.timeout_secs(t);
-                }
-                jb.build();
+                b.job(
+                    format!("mBackground_{r}_{c}"),
+                    "mBackground",
+                    jit(&mut rng, cpu::M_BACKGROUND),
+                )
+                .input(proj[i])
+                .input(proj_area[i])
+                .input(corrections)
+                .output(ci)
+                .output(ca)
+                .build();
             }
         }
 
         // --- Final assembly ----------------------------------------------
         let images_tbl = b.file("newimages.tbl", size::IMAGES_TBL, false);
-        let mut jb = b
-            .job("mImgTbl", "mImgTbl", jit(&mut rng, cpu::M_IMG_TBL, self.jitter))
+        b.job("mImgTbl", "mImgTbl", jit(&mut rng, cpu::M_IMG_TBL))
             .inputs(corr.iter().copied())
-            .output(images_tbl);
-        if let Some(t) = self.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.build();
+            .output(images_tbl)
+            .build();
 
         let mosaic = b.file("mosaic.fits", size::MOSAIC, false);
         let mosaic_area = b.file("mosaic_area.fits", size::MOSAIC_AREA, false);
-        let mut jb = b
-            .job("mAdd", "mAdd", jit(&mut rng, cpu::M_ADD, self.jitter))
+        b.job("mAdd", "mAdd", jit(&mut rng, cpu::M_ADD))
             .input(images_tbl)
             .inputs(corr.iter().copied())
             .output(mosaic)
-            .output(mosaic_area);
-        if let Some(t) = self.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.build();
+            .output(mosaic_area)
+            .build();
 
         let shrunken = b.file("shrunken.fits", size::SHRUNKEN, false);
-        let mut jb = b
-            .job("mShrink", "mShrink", jit(&mut rng, cpu::M_SHRINK, self.jitter))
+        b.job("mShrink", "mShrink", jit(&mut rng, cpu::M_SHRINK))
             .input(mosaic)
-            .output(shrunken);
-        if let Some(t) = self.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.build();
+            .output(shrunken)
+            .build();
 
         let jpeg = b.file("mosaic.jpg", size::JPEG, false);
-        let mut jb = b
-            .job("mJpeg", "mJpeg", jit(&mut rng, cpu::M_JPEG, self.jitter))
-            .input(shrunken)
-            .output(jpeg);
-        if let Some(t) = self.timeout_secs {
-            jb = jb.timeout_secs(t);
-        }
-        jb.build();
+        b.job("mJpeg", "mJpeg", jit(&mut rng, cpu::M_JPEG)).input(shrunken).output(jpeg).build();
 
         b.finish().expect("generated Montage DAG must be valid")
     }
@@ -495,21 +428,6 @@ mod tests {
             .zip(b.jobs())
             .any(|(x, y)| (x.cpu_seconds - y.cpu_seconds).abs() > 1e-12);
         assert!(differs, "jitter should vary with seed");
-    }
-
-    #[test]
-    fn zero_jitter_gives_mean_runtimes() {
-        let mut cfg = MontageConfig::degree(0.5);
-        cfg.jitter = 0.0;
-        let wf = cfg.build();
-        let p = wf.job_by_name("mConcatFit").unwrap();
-        assert_eq!(wf.job(p).cpu_seconds, 105.0);
-    }
-
-    #[test]
-    fn timeout_applies_to_all_jobs() {
-        let wf = MontageConfig::degree(0.5).with_timeout_secs(300.0).build();
-        assert!(wf.jobs().iter().all(|j| j.timeout_secs == Some(300.0)));
     }
 
     #[test]

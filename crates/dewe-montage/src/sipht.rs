@@ -21,7 +21,7 @@
 
 use dewe_dag::{Workflow, WorkflowBuilder};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Configuration for the SIPHT-like generator.
 #[derive(Debug, Clone)]
@@ -32,15 +32,13 @@ pub struct SiphtConfig {
     pub name: String,
     /// RNG seed for runtime jitter.
     pub seed: u64,
-    /// Relative runtime jitter.
-    pub jitter: f64,
 }
 
 impl SiphtConfig {
     /// A workflow with the given Patser fan width.
     pub fn new(patser_jobs: usize) -> Self {
         assert!(patser_jobs > 0);
-        Self { patser_jobs, name: format!("sipht_{patser_jobs}"), seed: 42, jitter: 0.2 }
+        Self { patser_jobs, name: format!("sipht_{patser_jobs}"), seed: 42 }
     }
 
     /// Override the RNG seed.
@@ -59,13 +57,7 @@ impl SiphtConfig {
     pub fn build(&self) -> Workflow {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = WorkflowBuilder::new(self.name.clone());
-        let mut jit = |mean: f64| -> f64 {
-            if self.jitter <= 0.0 {
-                mean
-            } else {
-                mean * rng.gen_range(1.0 - self.jitter..=1.0 + self.jitter)
-            }
-        };
+        let mut jit = |mean: f64| crate::jittered(&mut rng, mean);
 
         let genome = b.file("replicon.fasta", 15_000_000, true);
         // Patser fan.

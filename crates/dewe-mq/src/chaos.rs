@@ -50,18 +50,12 @@ impl ChaosConfig {
     pub fn drop_dup(seed: u64, drop_prob: f64, dup_prob: f64) -> Self {
         Self { seed, drop_prob, dup_prob, ..Self::default() }
     }
-
-    /// True when every probability is zero: the wrapper is a no-op.
-    pub fn is_noop(&self) -> bool {
-        self.drop_prob <= 0.0 && self.dup_prob <= 0.0 && self.delay_prob <= 0.0
-    }
 }
 
-/// Well-known stream ids so the three DEWE v2 topics draw from distinct
-/// fault sequences under one seed.
+/// Well-known stream ids so the dispatch and acknowledgment topics draw
+/// from distinct fault sequences under one seed (submissions are never
+/// perturbed; their id, 1, stays unused so seeds keep their meaning).
 pub mod streams {
-    /// Workflow submission topic.
-    pub const SUBMISSION: u64 = 1;
     /// Job dispatching topic.
     pub const DISPATCH: u64 = 2;
     /// Job acknowledgment topic.

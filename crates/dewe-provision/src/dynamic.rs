@@ -44,16 +44,6 @@ impl DynamicPlan {
         Self { steps, duration_secs }
     }
 
-    /// Node-seconds consumed by the plan.
-    pub fn node_seconds(&self) -> f64 {
-        let mut total = 0.0;
-        for (i, step) in self.steps.iter().enumerate() {
-            let end = self.steps.get(i + 1).map_or(self.duration_secs, |s| s.at_secs);
-            total += step.nodes as f64 * (end - step.at_secs);
-        }
-        total
-    }
-
     /// Cost under a billing model. Per-hour billing charges each node's
     /// rental span rounded up to whole hours; per-minute to whole minutes.
     /// Scale-in/scale-out is modeled as each node being rented for one
@@ -111,15 +101,6 @@ mod tests {
             ],
             3000.0,
         )
-    }
-
-    #[test]
-    fn node_seconds_integrates_steps() {
-        let p = blocking_aware_plan();
-        // 4*1200 + 1*1200 + 4*600 = 8400
-        assert!((p.node_seconds() - 8400.0).abs() < 1e-9);
-        let s = DynamicPlan::fixed(4, 3000.0);
-        assert!((s.node_seconds() - 12000.0).abs() < 1e-9);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use dewe_core::sim::{run_ensemble, SimRunConfig, SubmissionPlan};
+use dewe_core::sim::{run_ensemble, SimRunConfig};
 use dewe_dag::Workflow;
 use dewe_simcloud::{ClusterConfig, InstanceType, SharedFsKind, StorageConfig};
 
@@ -18,21 +18,11 @@ pub struct ProfileConfig {
     pub multi_node_workflows: usize,
     /// Node counts for the multi-node test (the paper uses 2..=6).
     pub multi_node_range: (usize, usize),
-    /// Shared FS used in multi-node profiling (the paper profiles on NFS).
-    pub shared_fs: SharedFsKind,
-    /// Per-job execution overhead passed to the runtime.
-    pub per_job_overhead_secs: f64,
 }
 
 impl Default for ProfileConfig {
     fn default() -> Self {
-        Self {
-            single_node_max_workflows: 10,
-            multi_node_workflows: 20,
-            multi_node_range: (2, 6),
-            shared_fs: SharedFsKind::Nfs,
-            per_job_overhead_secs: 0.1,
-        }
+        Self { single_node_max_workflows: 10, multi_node_workflows: 20, multi_node_range: (2, 6) }
     }
 }
 
@@ -78,7 +68,8 @@ impl Profiler {
                 instance,
                 n,
                 self.config.multi_node_workflows,
-                StorageConfig::Shared(self.config.shared_fs),
+                // The paper profiles on NFS.
+                StorageConfig::Shared(SharedFsKind::Nfs),
             );
             multi_node.push(IndexPoint::new(n, self.config.multi_node_workflows, secs));
         }
@@ -94,9 +85,7 @@ impl Profiler {
         storage: StorageConfig,
     ) -> f64 {
         let wfs: Vec<Arc<Workflow>> = (0..workflows).map(|_| Arc::clone(&self.template)).collect();
-        let mut cfg = SimRunConfig::new(ClusterConfig { instance: *instance, nodes, storage });
-        cfg.submission = SubmissionPlan::Batch;
-        cfg.per_job_overhead_secs = self.config.per_job_overhead_secs;
+        let cfg = SimRunConfig::new(ClusterConfig { instance: *instance, nodes, storage });
         let report = run_ensemble(&wfs, &cfg);
         assert!(report.completed, "profiling run starved");
         report.makespan_secs
@@ -125,8 +114,6 @@ mod tests {
             // wave quantization does not distort the toy index.
             multi_node_workflows: 12,
             multi_node_range: (2, 4),
-            shared_fs: SharedFsKind::Nfs,
-            per_job_overhead_secs: 0.0,
         }
     }
 

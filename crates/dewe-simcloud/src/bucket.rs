@@ -25,8 +25,6 @@ pub struct WriteBucket {
     /// Dirty bytes at `last`.
     dirty: f64,
     last: SimTime,
-    /// Total bytes ever submitted.
-    total_logical: f64,
 }
 
 impl WriteBucket {
@@ -35,19 +33,7 @@ impl WriteBucket {
     /// `cache_rate` the in-memory absorption speed.
     pub fn new(drain_rate: f64, dirty_limit: f64, cache_rate: f64) -> Self {
         assert!(drain_rate > 0.0 && cache_rate > 0.0 && dirty_limit >= 0.0);
-        Self {
-            drain_rate,
-            cache_rate,
-            dirty_limit,
-            dirty: 0.0,
-            last: SimTime::ZERO,
-            total_logical: 0.0,
-        }
-    }
-
-    /// Device drain rate in bytes/second.
-    pub fn drain_rate(&self) -> f64 {
-        self.drain_rate
+        Self { drain_rate, cache_rate, dirty_limit, dirty: 0.0, last: SimTime::ZERO }
     }
 
     /// Adjust the drain rate (shared-FS capacity changes with membership).
@@ -93,7 +79,6 @@ impl WriteBucket {
     pub fn submit_batch(&mut self, now: SimTime, files: impl IntoIterator<Item = f64>) -> SimTime {
         let bytes: f64 = files.into_iter().map(|b| b.max(0.0)).sum();
         self.advance(now);
-        self.total_logical += bytes;
         let copy_secs = bytes / self.cache_rate;
         let completion = if self.dirty + bytes <= self.dirty_limit {
             // Fits: absorbed at memory speed.
@@ -122,17 +107,6 @@ impl WriteBucket {
     pub fn dirty(&mut self, now: SimTime) -> f64 {
         self.advance(now);
         self.dirty
-    }
-
-    /// Total bytes physically drained to the device by `now`.
-    pub fn drained_total(&mut self, now: SimTime) -> f64 {
-        self.advance(now);
-        self.total_logical - self.dirty
-    }
-
-    /// Total bytes ever submitted.
-    pub fn total_logical(&self) -> f64 {
-        self.total_logical
     }
 
     /// Earliest time the bucket will be fully drained (for makespan
@@ -168,7 +142,6 @@ mod tests {
         let mut b = bucket();
         b.submit(t(0.0), 500.0);
         assert!((b.dirty(t(2.0)) - 300.0).abs() < 1e-6); // 200 drained
-        assert!((b.drained_total(t(2.0)) - 200.0).abs() < 1e-6);
         assert_eq!(b.dirty(t(100.0)), 0.0);
     }
 
@@ -249,7 +222,6 @@ mod tests {
         let single = b.submit(t(0.0), 1000.0);
         assert_eq!(batched, single);
         assert_eq!(a.dirty(t(0.0)), b.dirty(t(0.0)));
-        assert_eq!(a.total_logical(), b.total_logical());
     }
 
     #[test]
@@ -266,7 +238,7 @@ mod tests {
         let mut b = bucket();
         assert_eq!(b.submit_batch(t(1.0), [-5.0]), t(1.0));
         assert_eq!(b.submit_batch(t(1.0), std::iter::empty()), t(1.0));
-        assert_eq!(b.total_logical(), 0.0);
+        assert_eq!(b.dirty(t(1.0)), 0.0);
     }
 
     #[test]

@@ -84,24 +84,9 @@ impl Cluster {
         self.speed[node]
     }
 
-    /// Instance type of every node.
-    pub fn instance(&self) -> &InstanceType {
-        &self.instance
-    }
-
-    /// Number of nodes (including deactivated ones).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// vCPUs per node.
     pub fn vcpus(&self) -> u32 {
         self.instance.vcpus
-    }
-
-    /// Total vCPUs across active nodes.
-    pub fn total_vcpus(&self) -> u32 {
-        self.nodes.iter().filter(|n| n.active).count() as u32 * self.instance.vcpus
     }
 
     /// Storage substrate.
@@ -182,16 +167,6 @@ impl Cluster {
         let active_count = self.nodes.iter().filter(|n| n.active).count().max(1);
         self.storage.rescale_shared(now, &self.instance, active_count);
     }
-
-    /// Is the node active?
-    pub fn is_active(&self, node: NodeId) -> bool {
-        self.nodes[node].active
-    }
-
-    /// Indices of active nodes.
-    pub fn active_nodes(&self) -> Vec<NodeId> {
-        (0..self.nodes.len()).filter(|&i| self.nodes[i].active).collect()
-    }
 }
 
 #[cfg(test)]
@@ -210,14 +185,6 @@ mod tests {
             nodes,
             storage: StorageConfig::Shared(SharedFsKind::Nfs),
         })
-    }
-
-    #[test]
-    fn basic_shape() {
-        let c = cluster(4);
-        assert_eq!(c.node_count(), 4);
-        assert_eq!(c.vcpus(), 32);
-        assert_eq!(c.total_vcpus(), 128);
     }
 
     #[test]
@@ -254,14 +221,19 @@ mod tests {
     }
 
     #[test]
-    fn deactivation_shrinks_active_set() {
+    fn deactivation_rescales_the_shared_storage() {
+        // A read the size of one second of two nodes' shared read capacity:
+        // takes that second with one of three nodes off, less with it back.
+        let per_node = C3_8XLARGE.disk.read_bytes_per_sec().min(C3_8XLARGE.network_bytes_per_sec());
+        let bytes = per_node * 2.0 * SharedFsKind::Nfs.efficiency(2);
         let mut c = cluster(3);
         c.set_active(1, false, t(0.0));
-        assert_eq!(c.active_nodes(), vec![0, 2]);
-        assert_eq!(c.total_vcpus(), 64);
-        assert!(!c.is_active(1));
-        c.set_active(1, true, t(1.0));
-        assert_eq!(c.total_vcpus(), 96);
+        c.storage_mut().begin_read(0, t(0.0), bytes, 1);
+        let at = c.storage_mut().next_read_completion(0, t(0.0)).unwrap();
+        assert!((at.as_secs_f64() - 1.0).abs() < 1e-3);
+        c.set_active(1, true, t(0.0));
+        let at = c.storage_mut().next_read_completion(0, t(0.0)).unwrap();
+        assert!(at.as_secs_f64() < 0.9, "three nodes serve it faster: {at:?}");
     }
 
     #[test]

@@ -31,11 +31,6 @@ impl CostModel {
         Self { billing: BillingModel::PerHour, price_per_hour }
     }
 
-    /// Per-minute model at the given per-node price.
-    pub fn per_minute(price_per_hour: f64) -> Self {
-        Self { billing: BillingModel::PerMinute, price_per_hour }
-    }
-
     /// Billed duration in hours for a run of `secs` seconds.
     pub fn billed_hours(&self, secs: f64) -> f64 {
         assert!(secs >= 0.0);
@@ -101,7 +96,7 @@ mod tests {
 
     #[test]
     fn per_minute_model_tracks_duration() {
-        let m = CostModel::per_minute(6.0); // 0.1 USD/min
+        let m = CostModel { billing: BillingModel::PerMinute, price_per_hour: 6.0 }; // 0.1 USD/min
         assert!((m.cost(1, 90.0) - 0.2).abs() < 1e-9); // 2 minutes
         assert!((m.cost(1, 3600.0) - 6.0).abs() < 1e-9);
     }
@@ -109,7 +104,7 @@ mod tests {
     #[test]
     fn per_minute_cheaper_for_short_runs() {
         let hourly = CostModel::hourly(6.82);
-        let minute = CostModel::per_minute(6.82);
+        let minute = CostModel { billing: BillingModel::PerMinute, ..hourly };
         assert!(minute.cost(10, 600.0) < hourly.cost(10, 600.0));
     }
 }

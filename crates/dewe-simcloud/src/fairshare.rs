@@ -89,11 +89,6 @@ impl FairShare {
         self.capacity = capacity_bytes_per_sec;
     }
 
-    /// Number of active flows.
-    pub fn active_flows(&self) -> usize {
-        self.flows.len()
-    }
-
     /// Bytes delivered to flows that have been harvested as complete.
     pub fn completed_bytes(&self) -> f64 {
         self.completed_bytes

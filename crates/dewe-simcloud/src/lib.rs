@@ -86,4 +86,4 @@ pub use instance::{DiskProfile, InstanceType, C3_8XLARGE, I2_8XLARGE, M3_2XLARGE
 pub use kernel::{EventId, EventQueue};
 pub use readcache::ReadCache;
 pub use storage::{SharedFsKind, Storage, StorageConfig};
-pub use time::{SimTime, MICROS_PER_SEC};
+pub use time::SimTime;

@@ -67,8 +67,6 @@ struct Backend {
     read: FairShare,
     write: WriteBucket,
     cache: ReadCache,
-    /// Disk bytes read (completed miss flows), per attribution below.
-    bytes_read_completed: f64,
 }
 
 /// Runtime storage state for a cluster.
@@ -109,7 +107,6 @@ impl Storage {
                 MEM_RATE,
             ),
             cache: ReadCache::new(itype.read_cache_bytes()),
-            bytes_read_completed: 0.0,
         }
     }
 
@@ -127,7 +124,6 @@ impl Storage {
                 MEM_RATE * n,
             ),
             cache: ReadCache::new(itype.read_cache_bytes() * n),
-            bytes_read_completed: 0.0,
         }
     }
 
@@ -144,11 +140,6 @@ impl Storage {
             b.write.set_dirty_limit(now, itype.dirty_limit_bytes() * n);
             b.cache.set_capacity(itype.read_cache_bytes() * n);
         }
-    }
-
-    /// Storage arrangement.
-    pub fn config(&self) -> StorageConfig {
-        self.config
     }
 
     /// Number of backends (1 for shared, N for local).
@@ -224,25 +215,10 @@ impl Storage {
         self.backends[backend].read.next_completion(now)
     }
 
-    /// Harvest completed reads on a backend; returns their tags.
-    pub fn pop_read_completed(&mut self, backend: usize, now: SimTime) -> Vec<u64> {
-        let mut tags = Vec::new();
-        self.pop_read_completed_into(backend, now, &mut tags);
-        tags
-    }
-
-    /// Like [`Self::pop_read_completed`], appending tags to a reusable
-    /// caller-owned buffer.
+    /// Harvest completed reads on a backend, appending their tags to a
+    /// reusable caller-owned buffer.
     pub fn pop_read_completed_into(&mut self, backend: usize, now: SimTime, tags: &mut Vec<u64>) {
-        let b = &mut self.backends[backend];
-        let before = b.read.completed_bytes();
-        b.read.pop_completed_into(now, tags);
-        b.bytes_read_completed += b.read.completed_bytes() - before;
-    }
-
-    /// Submit a write of `bytes` from `node`; returns its completion time.
-    pub fn submit_write(&mut self, node: usize, now: SimTime, bytes: f64) -> SimTime {
-        self.backends[self.node_backend[node]].write.submit(now, bytes.max(0.0))
+        self.backends[backend].read.pop_completed_into(now, tags);
     }
 
     /// Submit a job's output files (`(key, bytes)` pairs) from `node` as
@@ -261,16 +237,6 @@ impl Storage {
             .submit_batch(now, files.iter().map(|&(_, b)| b))
     }
 
-    /// Total disk bytes read across all backends (completed flows).
-    pub fn total_bytes_read(&self) -> f64 {
-        self.backends.iter().map(|b| b.bytes_read_completed).sum()
-    }
-
-    /// Total logical bytes written across all backends.
-    pub fn total_bytes_written(&self) -> f64 {
-        self.backends.iter().map(|b| b.write.total_logical()).sum()
-    }
-
     /// Read-cache hit rate across backends, by lookup count (the
     /// byte-weighted rate is [`ReadCache::hit_rate`], per cache).
     pub fn cache_hit_rate(&self) -> f64 {
@@ -285,11 +251,6 @@ impl Storage {
         } else {
             h as f64 / (h + m) as f64
         }
-    }
-
-    /// Time at which all dirty bytes will have been flushed.
-    pub fn all_drained_at(&mut self, now: SimTime) -> SimTime {
-        self.backends.iter_mut().map(|b| b.write.drained_at(now)).max().unwrap_or(now)
     }
 }
 
@@ -368,22 +329,21 @@ mod tests {
     }
 
     #[test]
-    fn read_accounting_on_completion() {
+    fn a_read_completes_with_its_tag() {
         let mut s = Storage::new(StorageConfig::LocalDisk, &C3_8XLARGE, 1);
         s.begin_read(0, t(0.0), 250e6, 42); // exactly 1 second at 250 MB/s
         let at = s.next_read_completion(0, t(0.0)).unwrap();
         assert!((at.as_secs_f64() - 1.0).abs() < 1e-3);
-        let tags = s.pop_read_completed(0, at);
+        let mut tags = Vec::new();
+        s.pop_read_completed_into(0, at, &mut tags);
         assert_eq!(tags, vec![42]);
-        assert!((s.total_bytes_read() - 250e6).abs() < 1.0);
     }
 
     #[test]
-    fn write_accounting() {
+    fn a_write_takes_time() {
         let mut s = Storage::new(StorageConfig::LocalDisk, &C3_8XLARGE, 1);
-        let done = s.submit_write(0, t(0.0), 1e9);
+        let done = s.submit_write_batch(0, t(0.0), &[(1, 1e9)]);
         assert!(done > t(0.0));
-        assert_eq!(s.total_bytes_written(), 1e9);
     }
 
     #[test]

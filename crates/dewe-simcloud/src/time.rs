@@ -37,11 +37,6 @@ impl SimTime {
         self.0 as f64 / MICROS_PER_SEC as f64
     }
 
-    /// As whole microseconds.
-    pub fn as_micros(self) -> u64 {
-        self.0
-    }
-
     /// Add fractional seconds.
     pub fn plus_secs_f64(self, s: f64) -> Self {
         self + SimTime::from_secs_f64(s)
@@ -92,7 +87,7 @@ mod tests {
     #[test]
     fn roundtrip_secs() {
         let t = SimTime::from_secs_f64(1.5);
-        assert_eq!(t.as_micros(), 1_500_000);
+        assert_eq!(t.0, 1_500_000);
         assert!((t.as_secs_f64() - 1.5).abs() < 1e-9);
     }
 

@@ -98,14 +98,14 @@ proptest! {
             prop_assert!(done >= clock);
             let dirty = b.dirty(clock);
             prop_assert!(dirty <= limit + 1e-6, "dirty {dirty} > limit {limit}");
-            let drained = b.drained_total(clock);
+            let drained = submitted - dirty;
             prop_assert!(drained >= last_drained - 1e-6, "drained went backwards");
             prop_assert!(drained <= submitted + 1e-6, "drained more than written");
             last_drained = drained;
         }
         // Everything eventually drains.
         let end = b.drained_at(clock);
-        let final_drained = b.drained_total(end + SimTime(1));
+        let final_drained = submitted - b.dirty(end + SimTime(1));
         prop_assert!((final_drained - submitted).abs() < 1e-3 * submitted.max(1.0) + 1e-3);
     }
 }

@@ -760,19 +760,9 @@ mod tests {
             assert!(!a.chaos.is_lossy(), "seed {seed}: fault class must not lose messages");
             let e = a.expected_outcome();
             assert_eq!(e.completed.len(), a.total_jobs(), "seed {seed}");
+            // (That every targeted worker is in the pool and one survives
+            // is `FaultPlan::generate`'s guarantee, checked in `fault.rs`.)
             assert_eq!(a.workers, FAULT_WORKERS as usize);
-            // Every targeted worker exists in the pool, and at least one
-            // worker survives the lethal events.
-            for f in &a.faults.events {
-                if let Some(w) = f.event.worker() {
-                    assert!((w as usize) < a.workers, "seed {seed}");
-                }
-            }
-            assert!(
-                a.faults.lethal_workers().len() < a.workers,
-                "seed {seed}: no survivor in {}",
-                a.faults.describe()
-            );
         }
     }
 

@@ -37,8 +37,6 @@ fn main() {
         single_node_max_workflows: 4,
         multi_node_workflows: 8,
         multi_node_range: (2, 5),
-        shared_fs: SharedFsKind::Nfs,
-        per_job_overhead_secs: 0.1,
     };
     let types: [&'static InstanceType; 3] = [&C3_8XLARGE, &R3_8XLARGE, &I2_8XLARGE];
     let mut indexed = Vec::new();

@@ -102,10 +102,7 @@ fn main() {
         }
     };
 
-    let options = TcpMasterOptions {
-        state_dir: args.state_dir.as_ref().map(Into::into),
-        ..TcpMasterOptions::default()
-    };
+    let options = TcpMasterOptions { state_dir: args.state_dir.as_ref().map(Into::into) };
     let transport = match TcpMaster::bind(&args.listen, options) {
         Ok(t) => t,
         Err(e) => {

@@ -129,12 +129,7 @@ fn main() {
     let link = match TcpWorkerLink::connect(
         &args.master,
         registry.clone(),
-        TcpWorkerOptions {
-            worker_id: args.id,
-            generation: args.generation,
-            window,
-            ..TcpWorkerOptions::default()
-        },
+        TcpWorkerOptions { worker_id: args.id, generation: args.generation, window },
     ) {
         Ok(l) => l,
         Err(e) => {

@@ -121,6 +121,28 @@ fn save(wf: &Workflow, path: &str) -> Result<(), String> {
     std::fs::write(path, text).map_err(|e| format!("write {path}: {e}"))
 }
 
+/// A count flag's value: a whole number, at least 1.
+fn positive_count(flag: &str, value: Option<&String>) -> Result<usize, String> {
+    match value.map(|v| v.parse::<usize>()) {
+        Some(Ok(n)) if n > 0 => Ok(n),
+        _ => Err(format!(
+            "{flag} must be a whole number greater than 0, got {}",
+            value.map_or("nothing", String::as_str)
+        )),
+    }
+}
+
+/// A duration flag's value: a finite number of seconds, zero or more.
+fn non_negative_secs(flag: &str, value: Option<&String>) -> Result<f64, String> {
+    match value.map(|v| v.parse::<f64>()) {
+        Some(Ok(secs)) if secs.is_finite() && secs >= 0.0 => Ok(secs),
+        _ => Err(format!(
+            "{flag} must be a finite number of seconds, 0 or more, got {}",
+            value.map_or("nothing", String::as_str)
+        )),
+    }
+}
+
 fn inspect(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let path = args.first().ok_or("inspect needs a file")?;
     let wf = load(path)?;
@@ -252,7 +274,7 @@ fn submit(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     while i < args.len() {
         match args[i].as_str() {
             "--count" => {
-                count = args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--count N")?;
+                count = positive_count("--count", args.get(i + 1))?;
                 i += 2;
             }
             other => return Err(format!("unknown flag {other}").into()),
@@ -328,11 +350,11 @@ fn simulate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     while i < args.len() {
         match args[i].as_str() {
             "--nodes" => {
-                nodes = args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--nodes N")?;
+                nodes = positive_count("--nodes", args.get(i + 1))?;
                 i += 2;
             }
             "--workflows" => {
-                workflows = args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--workflows W")?;
+                workflows = positive_count("--workflows", args.get(i + 1))?;
                 i += 2;
             }
             "--type" => {
@@ -342,7 +364,7 @@ fn simulate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
                 i += 2;
             }
             "--interval" => {
-                interval = args.get(i + 1).and_then(|v| v.parse().ok()).ok_or("--interval S")?;
+                interval = non_negative_secs("--interval", args.get(i + 1))?;
                 i += 2;
             }
             "--trace" => {

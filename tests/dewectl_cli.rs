@@ -137,6 +137,41 @@ fn bad_usage_exits_nonzero() {
     assert!(!out.status.success());
     let out = dewectl().args(["simulate", "/nonexistent.dag"]).output().unwrap();
     assert!(!out.status.success());
+
+    // A numeric flag out of range is a reason on stderr and exit 1 before
+    // anything runs: no backtrace, no silent fall-back to a batch run, no
+    // "submitted 0 x" (the address is never dialled).
+    let dir = workdir("flags");
+    let dag = dir.join("m.dag");
+    let dag = dag.to_str().unwrap();
+    assert!(dewectl().args(["gen", "montage", "0.5", dag]).status().unwrap().success());
+    for (args, reason) in [
+        (
+            ["simulate", dag, "--workflows", "0"],
+            "--workflows must be a whole number greater than 0",
+        ),
+        (["simulate", dag, "--nodes", "0"], "--nodes must be a whole number greater than 0"),
+        (["simulate", dag, "--nodes", "-3"], "--nodes must be a whole number greater than 0"),
+        (["simulate", dag, "--interval", "-5"], "--interval must be a finite number of seconds"),
+        (["simulate", dag, "--interval", "nan"], "--interval must be a finite number of seconds"),
+        (["simulate", dag, "--interval", "inf"], "--interval must be a finite number of seconds"),
+        (
+            ["submit", "127.0.0.1:1", dag, "--count"],
+            "--count must be a whole number greater than 0",
+        ),
+    ] {
+        let out = dewectl().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.starts_with("dewectl: ") && stderr.contains(reason), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty() && !stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    let out = dewectl().args(["submit", "127.0.0.1:1", dag, "--count", "0"]).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("--count must be a whole number greater than 0, got 0"), "{stderr}");
+    assert!(out.stdout.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `dewectl … | head -1`: the reader takes one line and goes away. The

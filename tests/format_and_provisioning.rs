@@ -54,8 +54,6 @@ fn provisioning_closes_the_loop() {
             single_node_max_workflows: 2,
             multi_node_workflows: 8,
             multi_node_range: (2, 4),
-            shared_fs: SharedFsKind::Nfs,
-            per_job_overhead_secs: 0.1,
         },
     );
     let profile = profiler.profile(&C3_8XLARGE);

@@ -216,11 +216,9 @@ fn master_kill_and_restart_recovers_over_tcp() {
     };
 
     // --- Networked arm -----------------------------------------------
-    let transport = TcpMaster::bind(
-        "127.0.0.1:0",
-        TcpMasterOptions { state_dir: Some(state_dir.clone()), ..TcpMasterOptions::default() },
-    )
-    .unwrap();
+    let transport =
+        TcpMaster::bind("127.0.0.1:0", TcpMasterOptions { state_dir: Some(state_dir.clone()) })
+            .unwrap();
     let addr = transport.local_addr();
     let registry1 = Registry::new();
     let master = spawn_master_on(transport.clone(), registry1.clone(), config(false));
@@ -231,11 +229,7 @@ fn master_kill_and_restart_recovers_over_tcp() {
         let link = TcpWorkerLink::connect(
             addr,
             registry.clone(),
-            TcpWorkerOptions {
-                worker_id: id,
-                retry_interval: Duration::from_millis(25),
-                ..TcpWorkerOptions::default()
-            },
+            TcpWorkerOptions { worker_id: id, ..TcpWorkerOptions::default() },
         )
         .unwrap();
         let handle = spawn_worker_on(
@@ -283,11 +277,8 @@ fn master_kill_and_restart_recovers_over_tcp() {
 
     // Restart on the same port: registry from the spool, engine from
     // the journal. Worker links are still reconnecting.
-    let transport2 = TcpMaster::bind(
-        addr,
-        TcpMasterOptions { state_dir: Some(state_dir.clone()), ..TcpMasterOptions::default() },
-    )
-    .unwrap();
+    let transport2 =
+        TcpMaster::bind(addr, TcpMasterOptions { state_dir: Some(state_dir.clone()) }).unwrap();
     let registry2 = Registry::new();
     for (id, _name, wf) in transport2.load_spool().unwrap() {
         registry2.insert(id, wf);
