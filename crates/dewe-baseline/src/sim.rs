@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use dewe_dag::{DependencyTracker, EnsembleJobId, Workflow, WorkflowId};
-use dewe_metrics::{ClusterSampler, Gantt, SAMPLE_INTERVAL_SECS};
+use dewe_metrics::{ClusterSampler, SAMPLE_INTERVAL_SECS};
 use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, SimEvent};
 
 use crate::scheduler::{Policy, Scheduler};
@@ -46,8 +46,6 @@ pub struct BaselineConfig {
     pub submission_interval_secs: f64,
     /// Collect 3-second metrics samples.
     pub sample: bool,
-    /// Record per-job spans.
-    pub record_gantt: bool,
     /// Per-node CPU speed multipliers (heterogeneity ablation; `None` =
     /// homogeneous).
     pub node_speed_factors: Option<Vec<f64>>,
@@ -77,7 +75,6 @@ impl BaselineConfig {
             policy: Policy::LeastLoaded,
             submission_interval_secs: 0.0,
             sample: false,
-            record_gantt: false,
             node_speed_factors: None,
             record_trace: false,
             record_events: false,
@@ -127,8 +124,6 @@ pub struct BaselineReport {
     pub jobs_executed: u64,
     /// 3-second samples, when requested.
     pub sampler: Option<ClusterSampler>,
-    /// Per-job spans, when requested.
-    pub gantt: Option<Gantt>,
     /// Per-job lifecycle trace, when requested.
     pub trace: Option<dewe_metrics::Trace>,
     /// Ordered start/finish schedule log, when requested.
@@ -163,7 +158,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
         Scheduler::new(config.policy, nodes, RANDOM_POLICY_SEED).with_speeds(speeds);
     let mut sampler =
         config.sample.then(|| ClusterSampler::new(nodes, config.cluster.instance.vcpus));
-    let mut gantt = config.record_gantt.then(Gantt::new);
     let mut trace = config.record_trace.then(dewe_metrics::Trace::new);
     let mut events: Option<Vec<BaselineEvent>> = config.record_events.then(Vec::new);
     // (eligible/dispatch time, start time) per token, for tracing.
@@ -284,9 +278,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
         match event {
             SimEvent::JobFinished { token, node, timings } => {
                 let job = running.remove(&token).expect("finished job was running");
-                if let Some(g) = gantt.as_mut() {
-                    g.record(node, timings);
-                }
                 if let Some(tr) = trace.as_mut() {
                     let (dispatched, started) = trace_times.remove(&token).unwrap_or_default();
                     let state = states[job.workflow.index()].as_ref().expect("state");
@@ -439,7 +430,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
         total_bytes_written: total_wr,
         jobs_executed,
         sampler,
-        gantt,
         trace,
         events,
         cost_usd: cost,

@@ -101,12 +101,12 @@ impl Rentals {
     }
 
     /// One policy evaluation: rent one node, retire one, or neither.
-    fn evaluate(&mut self, driver: &mut Driver, policy: &AutoscalePolicy, slots_per_node: u32) {
+    fn evaluate(&mut self, driver: &mut Driver, policy: &AutoscalePolicy) {
         let max_nodes = self.active.len();
         let at = driver.exec.now();
         let now = at.as_secs_f64();
         let active_count = self.active.iter().filter(|&&a| a).count();
-        let active_slots = active_count as f64 * slots_per_node as f64;
+        let active_slots = active_count as f64 * driver.state.pool.slots_per_node as f64;
         let qlen = driver.state.queue.len() as f64;
         if qlen > active_slots * policy.scale_out_queue_factor && active_count < max_nodes {
             // Scale out: wake the lowest inactive node. A previously-draining
@@ -151,7 +151,6 @@ pub fn run_ensemble_autoscale(
     let max_nodes = config.cluster.nodes;
     assert!(policy.min_nodes >= 1 && policy.min_nodes <= max_nodes);
     assert!(policy.initial_nodes >= policy.min_nodes && policy.initial_nodes <= max_nodes);
-    let slots_per_node = config.slots_per_node.unwrap_or(config.cluster.instance.vcpus);
 
     let mut driver = Driver::new(workflows, config);
     // Start with only the initial nodes pulling.
@@ -181,7 +180,7 @@ pub fn run_ensemble_autoscale(
         }
         Extra::Wake { token } => {
             assert_eq!(token, TAG_EVAL, "unknown wake tag");
-            rent.evaluate(driver, policy, slots_per_node);
+            rent.evaluate(driver, policy);
             if driver.state.all_done_at.is_none() {
                 driver.exec.schedule_wake(policy.evaluate_interval_secs, TAG_EVAL);
             }
