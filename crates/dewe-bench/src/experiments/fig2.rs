@@ -39,11 +39,12 @@ pub fn run_fig2(scale: Scale) -> Fig2Result {
         storage: StorageConfig::Shared(SharedFsKind::Nfs),
     };
     let mut cfg = SimRunConfig::new(cluster);
-    cfg.record_gantt = true;
+    cfg.record_trace = true;
     cfg.sample = true;
     let report = run_ensemble(&[Arc::clone(&wf)], &cfg);
     assert!(report.completed);
-    let gantt = report.gantt.expect("gantt requested");
+    let trace = report.trace.expect("trace requested");
+    let gantt = dewe_metrics::Gantt::from_trace(&trace);
 
     // Serial-stage fraction: sim-seconds during which at most 2 of the 32
     // slots are busy (mConcatFit -> mBgModel window), from the thread

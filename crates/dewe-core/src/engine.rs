@@ -35,9 +35,7 @@ pub const DEFAULT_TIMEOUT_SECS: f64 = 600.0;
 /// — it and (transitively) its dependents are marked
 /// [`Abandoned`](dewe_dag::JobState::Abandoned) and the workflow settles
 /// with partial completion. With `backoff_base_secs > 0`, the k-th retry
-/// is deferred `base · factor^(k-1)` seconds (capped at
-/// `backoff_max_secs`), shrunk by up to `jitter_frac` with a hash-derived
-/// deterministic jitter so retries de-synchronize reproducibly.
+/// is deferred `base · 2^(k-1)` seconds (capped at `backoff_max_secs`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Dead-letter a job once this many attempts have failed
@@ -45,28 +43,13 @@ pub struct RetryPolicy {
     pub max_attempts: Option<u32>,
     /// Delay before the first retry, in seconds (0 = immediate).
     pub backoff_base_secs: f64,
-    /// Multiplier applied per additional failed attempt (≥ 1).
-    pub backoff_factor: f64,
     /// Upper bound on any single backoff delay, in seconds.
     pub backoff_max_secs: f64,
-    /// Fraction of the delay subject to jitter, in [0, 1): the delay is
-    /// scaled by `1 - jitter_frac · u` with `u ∈ [0, 1)` derived by
-    /// hashing (seed, workflow, job, attempt) — fully deterministic.
-    pub jitter_frac: f64,
-    /// Seed for the jitter hash.
-    pub seed: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_attempts: None,
-            backoff_base_secs: 0.0,
-            backoff_factor: 2.0,
-            backoff_max_secs: 300.0,
-            jitter_frac: 0.0,
-            seed: 0,
-        }
+        Self { max_attempts: None, backoff_base_secs: 0.0, backoff_max_secs: 300.0 }
     }
 }
 
@@ -125,12 +108,9 @@ impl EngineConfig {
     /// Validate the configuration and construct the engine.
     ///
     /// # Panics
-    /// On nonsensical settings: non-positive timeout, backoff factor < 1,
-    /// jitter outside [0, 1), or a zero attempt cap.
+    /// On nonsensical settings: non-positive timeout or a zero attempt cap.
     pub fn build(self) -> EnsembleEngine {
         assert!(self.default_timeout_secs > 0.0);
-        assert!(self.retry.backoff_factor >= 1.0);
-        assert!((0.0..1.0).contains(&self.retry.jitter_frac));
         assert!(self.retry.max_attempts.is_none_or(|cap| cap >= 1));
         EnsembleEngine {
             workflows: Vec::new(),
@@ -437,20 +417,6 @@ pub struct EnsembleEngine {
     scratch_expired: Vec<DeadlineEntry>,
 }
 
-/// splitmix64-style hash of (seed, workflow, job, attempt) mapped to
-/// [0, 1): the deterministic jitter source.
-fn jitter_unit(seed: u64, job: EnsembleJobId, attempt: u32) -> f64 {
-    let key = ((job.workflow.index() as u64) << 40)
-        ^ ((job.job.index() as u64) << 8)
-        ^ u64::from(attempt);
-    let mut z = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
 impl EnsembleEngine {
     /// Submit a workflow at time `now`; appends dispatches for its roots
     /// to `actions` and returns the assigned workflow id.
@@ -683,8 +649,7 @@ impl EnsembleEngine {
             state.tracker.clear_ready(); // drop the requeue marker
             self.stats.resubmissions += 1;
             let next_attempt = failed_attempt + 1;
-            let ens = EnsembleJobId::new(wf, job);
-            let delay = self.backoff_delay(ens, failed_attempt);
+            let delay = self.backoff_delay(failed_attempt);
             if delay > 0.0 {
                 // Defer the retry: park it in the in-flight slab with the
                 // fire time as its deadline; the timeout scan emits the
@@ -702,20 +667,13 @@ impl EnsembleEngine {
 
     /// Backoff delay before the retry that follows `failed_attempt`
     /// (0 = dispatch immediately).
-    fn backoff_delay(&self, job: EnsembleJobId, failed_attempt: u32) -> f64 {
+    fn backoff_delay(&self, failed_attempt: u32) -> f64 {
         let r = &self.config.retry;
         if r.backoff_base_secs <= 0.0 {
             return 0.0;
         }
         let exp = failed_attempt.saturating_sub(1).min(63);
-        let mut delay = r.backoff_base_secs * r.backoff_factor.powi(exp as i32);
-        if delay > r.backoff_max_secs {
-            delay = r.backoff_max_secs;
-        }
-        if r.jitter_frac > 0.0 {
-            delay *= 1.0 - r.jitter_frac * jitter_unit(r.seed, job, failed_attempt);
-        }
-        delay
+        (r.backoff_base_secs * 2.0f64.powi(exp as i32)).min(r.backoff_max_secs)
     }
 
     /// Periodic timeout scan (paper §III.B): any in-flight job whose
@@ -1472,11 +1430,7 @@ mod tests {
     fn backoff_defers_retry_until_due() {
         let mut e = EngineConfig::default()
             .timeout(100.0)
-            .retry(RetryPolicy {
-                backoff_base_secs: 4.0,
-                backoff_factor: 2.0,
-                ..RetryPolicy::default()
-            })
+            .retry(RetryPolicy { backoff_base_secs: 4.0, ..RetryPolicy::default() })
             .build();
         let (_, actions) = submit(&mut e, chain(1), 0.0);
         let d = dispatches(&actions)[0];
@@ -1501,36 +1455,14 @@ mod tests {
         let e = EngineConfig::default()
             .retry(RetryPolicy {
                 backoff_base_secs: 10.0,
-                backoff_factor: 10.0,
-                backoff_max_secs: 50.0,
+                backoff_max_secs: 30.0,
                 ..RetryPolicy::default()
             })
             .build();
-        let job = EnsembleJobId::new(WorkflowId(0), JobId(0));
-        assert_eq!(e.backoff_delay(job, 1), 10.0);
-        assert_eq!(e.backoff_delay(job, 2), 50.0, "100 capped to 50");
-        assert_eq!(e.backoff_delay(job, 9), 50.0);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        let mk = |seed| {
-            EngineConfig::default()
-                .retry(RetryPolicy {
-                    backoff_base_secs: 10.0,
-                    jitter_frac: 0.5,
-                    seed,
-                    ..RetryPolicy::default()
-                })
-                .build()
-        };
-        let job = EnsembleJobId::new(WorkflowId(3), JobId(7));
-        let d1 = mk(42).backoff_delay(job, 1);
-        let d2 = mk(42).backoff_delay(job, 1);
-        assert_eq!(d1, d2, "same seed, same delay");
-        assert!(d1 > 5.0 && d1 <= 10.0, "jitter shrinks by at most jitter_frac: {d1}");
-        let d3 = mk(43).backoff_delay(job, 1);
-        assert_ne!(d1, d3, "different seed perturbs the delay");
+        assert_eq!(e.backoff_delay(1), 10.0);
+        assert_eq!(e.backoff_delay(2), 20.0);
+        assert_eq!(e.backoff_delay(3), 30.0, "40 capped to 30");
+        assert_eq!(e.backoff_delay(99), 30.0);
     }
 
     #[test]

@@ -73,6 +73,10 @@ impl Transport for MessageBus {
         self.dispatch.publish(dispatch);
     }
 
+    fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
+        self.dispatch.publish_all(batch.drain(..));
+    }
+
     fn announce(&self, _announce: WorkflowAnnounce) {}
 
     fn ack_closed(&self) -> bool {

@@ -539,14 +539,11 @@ fn open<T: MasterTransport>(
     // out by a (grace-leased) worker are NOT republished: a live worker
     // is still running them, and a dead one's lease lapse requeues them
     // through the retry machinery.
-    for d in rec.redispatch {
-        let held = liveness
-            .as_ref()
-            .is_some_and(|p| matches!(p.table.assignment(d.job), Some((_, a)) if a == d.attempt));
-        if !held {
-            transport.publish_dispatch(0, d);
-        }
+    let mut run = rec.redispatch;
+    if let Some(plane) = &liveness {
+        run.retain(|d| !matches!(plane.table.assignment(d.job), Some((_, a)) if a == d.attempt));
     }
+    transport.publish_dispatch_batch(0, &mut run);
     let mut wal = Journal::append(path).map_err(|e| journal_error("reopen journal", path, e))?;
     wal.note_existing(records.len());
     let wal = Wal(Some((wal, path.to_path_buf())));
@@ -739,12 +736,11 @@ fn mirror_cascades(shared: &FaultPlaneShared, engine: &EnsembleEngine) {
     shared.timer_cascades.store(engine.timer_cascades(), Ordering::Relaxed);
 }
 
-/// Publish the dispatch actions of one engine step as a single run and
-/// forward progress events, draining the caller's reusable buffers. A
-/// singleton takes the per-job path (no frame overhead to amortize); a
-/// longer run goes out as one [`Transport::publish_dispatch_batch`] call
-/// (one wire frame, one window debit) and is counted into the shared
-/// [`MasterStats`] counters.
+/// Publish the dispatch actions of one engine step as a single run —
+/// one [`Transport::publish_dispatch_batch`] call, whatever its length
+/// (the transport decides how a run of one travels) — and forward
+/// progress events, draining the caller's reusable buffers. Runs of two
+/// or more are counted into the shared [`MasterStats`] counters.
 fn publish_actions<T: MasterTransport>(
     transport: &T,
     shared: &FaultPlaneShared,
@@ -764,15 +760,14 @@ fn publish_actions<T: MasterTransport>(
             Action::JobDeadLettered { .. } | Action::AllCompleted | Action::AllSettled => {}
         }
     }
-    match run.len() {
-        0 => {}
-        1 => transport.publish_dispatch(0, run.pop().expect("run length checked")),
-        n => {
-            shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
-            shared.batched_dispatches.fetch_add(n as u64, Ordering::Relaxed);
-            transport.publish_dispatch_batch(0, run);
-        }
+    if run.is_empty() {
+        return;
     }
+    if run.len() >= 2 {
+        shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
+        shared.batched_dispatches.fetch_add(run.len() as u64, Ordering::Relaxed);
+    }
+    transport.publish_dispatch_batch(0, run);
 }
 
 #[cfg(test)]

@@ -26,7 +26,6 @@
 //! robustness experiment — and the master's timeout mechanism recovers.
 
 mod bus;
-mod chaos;
 mod dagstore;
 mod journal;
 mod liveness;
@@ -36,7 +35,6 @@ mod runner;
 mod worker;
 
 pub use bus::{BusWorkerLink, MessageBus, Registry};
-pub use chaos::ChaosLink;
 pub use journal::{
     compact_records, read_journal, recover, replay_liveness, Journal, JournalRecord, Recovery,
 };

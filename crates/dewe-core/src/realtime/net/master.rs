@@ -195,12 +195,8 @@ impl Transport for TcpMaster {
     }
 
     fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
-        if !self.inner.try_send_dispatch(dispatch) {
-            self.inner.pending.lock().push_back(dispatch);
-            // Re-drain once: credit may have been refunded between the
-            // failed placement and the enqueue.
-            self.inner.drain_pending();
-        }
+        self.inner.pending.lock().push_back(dispatch);
+        self.inner.drain_pending();
     }
 
     fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
@@ -240,19 +236,6 @@ impl Transport for TcpMaster {
 }
 
 impl MasterInner {
-    /// Place a dispatch on some connection with free credit. Returns
-    /// false when no such connection exists right now.
-    fn try_send_dispatch(&self, dispatch: DispatchMsg) -> bool {
-        let conns = self.conns.lock();
-        for conn in conns.values() {
-            if conn.window.try_acquire() {
-                conn.send(&WireMsg::Dispatch(dispatch));
-                return true;
-            }
-        }
-        false
-    }
-
     /// Place a run of dispatches, spending window credit in batch debits
     /// and splitting across connections as credit allows.
     /// Sent dispatches are drained from the front of `batch` (delivery
@@ -488,12 +471,11 @@ fn worker_conn_loop(
             }
             Ok(WireMsg::Return(d)) => {
                 // A stopping worker hands back an unstarted checkout:
-                // refund and redeliver to whoever has credit.
+                // refund and queue it; the drain below redelivers it to
+                // whoever has credit.
                 conn.window.release();
                 refunds += 1;
-                if !inner.try_send_dispatch(d) {
-                    inner.pending.lock().push_back(d);
-                }
+                inner.pending.lock().push_back(d);
             }
             Ok(other) => {
                 eprintln!("dewe-master: unexpected worker frame {other:?}; dropping connection");

@@ -17,7 +17,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use dewe_dag::{EnsembleJobId, Workflow};
-use dewe_metrics::{ClusterSampler, Gantt, SAMPLE_INTERVAL_SECS};
+use dewe_metrics::{ClusterSampler, SAMPLE_INTERVAL_SECS};
 use dewe_mq::chaos::{self, ChaosConfig, ChaosDecider};
 use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, JobTimings, NodeId, SimEvent, TokenMap};
 
@@ -82,9 +82,6 @@ pub struct SimRunConfig {
     pub slots_per_node: Option<u32>,
     /// Collect 3-second metrics samples.
     pub sample: bool,
-    /// Record per-job spans for gantt rendering (memory-heavy at ensemble
-    /// scale; use for single-workflow runs).
-    pub record_gantt: bool,
     /// Worker faults to inject.
     pub faults: Vec<NodeFault>,
     /// Scripted per-job failures (see [`ScriptedFailure`]). Failed
@@ -108,9 +105,8 @@ pub struct SimRunConfig {
     pub checkout_timeout_secs: Option<f64>,
     /// Message-level fault injection (drop/duplication) applied to the
     /// simulated dispatch and acknowledgment topics, keyed deterministically
-    /// by `(workflow, job, attempt)`. Delay injection is a realtime-only
-    /// feature ([`dewe_mq::ChaosTopic`]); the sim's transport has no
-    /// latency to perturb.
+    /// by `(workflow, job, attempt)`. Delay decisions are not drawn here:
+    /// the sim's transport has no latency to perturb.
     pub chaos: Option<ChaosConfig>,
     /// Virtual-time cap: abort the run (reported as not completed) once
     /// the clock passes this point without every workflow settling.
@@ -131,7 +127,6 @@ impl SimRunConfig {
             per_job_overhead_secs: 0.1,
             slots_per_node: None,
             sample: false,
-            record_gantt: false,
             faults: Vec::new(),
             failure_script: Vec::new(),
             node_speed_factors: None,
@@ -169,8 +164,6 @@ pub struct SimReport {
     pub engine: EngineStats,
     /// 3-second samples, when requested.
     pub sampler: Option<ClusterSampler>,
-    /// Per-job spans, when requested.
-    pub gantt: Option<Gantt>,
     /// Per-job lifecycle trace, when requested.
     pub trace: Option<dewe_metrics::Trace>,
     /// Rental cost under hourly billing.
@@ -510,7 +503,6 @@ struct Driver<'a> {
     exec: ExecSim,
     state: DriverState,
     sampler: Option<ClusterSampler>,
-    gantt: Option<Gantt>,
     trace: Option<dewe_metrics::Trace>,
 }
 
@@ -566,7 +558,6 @@ impl<'a> Driver<'a> {
             exec,
             state: DriverState::new(workflows, pool, config),
             sampler,
-            gantt: config.record_gantt.then(Gantt::new),
             trace: config.record_trace.then(dewe_metrics::Trace::new),
         }
     }
@@ -615,9 +606,6 @@ impl<'a> Driver<'a> {
         // instead of Completed.
         let scripted_fail = d.attempt <= self.state.failing_attempts(d.job);
         if !scripted_fail {
-            if let Some(g) = self.gantt.as_mut() {
-                g.record(node, timings);
-            }
             if let Some(tr) = self.trace.as_mut() {
                 // The start time comes from this finish event's own
                 // timings: under message chaos a duplicated or resubmitted
@@ -732,7 +720,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
 
     let makespan = driver.makespan_secs();
     let completed = driver.completed();
-    let Driver { engine, mut exec, state, sampler, gantt, trace, .. } = driver;
+    let Driver { engine, mut exec, state, sampler, trace, .. } = driver;
     let nodes = config.cluster.nodes;
     let mut total_cpu = 0.0;
     let mut total_rd = 0.0;
@@ -754,7 +742,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
         cache_hit_rate: exec.storage().cache_hit_rate(),
         engine: engine.stats(),
         sampler,
-        gantt,
         trace,
         cost_usd: cost,
         wheel_cascades: engine.timer_cascades(),
@@ -893,14 +880,6 @@ mod tests {
     }
 
     #[test]
-    fn gantt_records_every_job() {
-        let mut cfg = no_overhead(cluster(1));
-        cfg.record_gantt = true;
-        let report = run_ensemble(&[parallel_wf(10, 1.0)], &cfg);
-        assert_eq!(report.gantt.expect("gantt").len(), 10);
-    }
-
-    #[test]
     fn per_job_overhead_slows_short_jobs() {
         let fast = run_ensemble(&[parallel_wf(64, 1.0)], &no_overhead(cluster(1)));
         let mut cfg = SimRunConfig::new(cluster(1));
@@ -1004,7 +983,6 @@ mod tests {
             cfg.retry = crate::engine::RetryPolicy {
                 max_attempts: Some(3),
                 backoff_base_secs: backoff,
-                backoff_factor: 2.0,
                 ..crate::engine::RetryPolicy::default()
             };
             run_ensemble(&[wf()], &cfg)
@@ -1096,7 +1074,7 @@ mod tests {
         // Middle chain job fails its first two attempts; unbounded
         // immediate retries rerun it until the third attempt lands.
         let mut cfg = no_overhead(cluster(1));
-        cfg.record_gantt = true;
+        cfg.record_trace = true;
         cfg.failure_script = vec![ScriptedFailure { workflow: 0, job: 1, failing_attempts: 2 }];
         let report = run_ensemble(&[chain_wf(3, 1.0)], &cfg);
         assert!(report.completed);
@@ -1105,9 +1083,9 @@ mod tests {
         // j0 (1s) + j1 three attempts (3s) + j2 (1s): failed attempts
         // consume real slot time.
         assert!((report.makespan_secs - 5.0).abs() < 0.2, "{}", report.makespan_secs);
-        // Failed attempts are not real completions: the gantt records
+        // Failed attempts are not real completions: the trace records
         // exactly one span per job that actually finished.
-        assert_eq!(report.gantt.expect("gantt").len(), 3);
+        assert_eq!(report.trace.expect("trace").len(), 3);
     }
 
     #[test]

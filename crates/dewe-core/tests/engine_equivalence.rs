@@ -244,8 +244,7 @@ impl ReferenceEngine {
             state.tracker.clear_ready();
             self.stats.resubmissions += 1;
             let next_attempt = failed_attempt + 1;
-            let delay =
-                backoff_delay(&self.config.retry, EnsembleJobId::new(wf, job), failed_attempt);
+            let delay = backoff_delay(&self.config.retry, failed_attempt);
             if delay > 0.0 {
                 state.inflight.insert(job, (now + delay, next_attempt, true));
                 self.stats.deferred_retries += 1;
@@ -328,30 +327,14 @@ impl ReferenceEngine {
     }
 }
 
-/// Faithful copy of the engine's deterministic jitter hash.
-fn jitter_unit(seed: u64, job: EnsembleJobId, attempt: u32) -> f64 {
-    let key = ((job.workflow.index() as u64) << 40)
-        ^ ((job.job.index() as u64) << 8)
-        ^ u64::from(attempt);
-    let mut z = seed ^ key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-fn backoff_delay(r: &RetryPolicy, job: EnsembleJobId, failed_attempt: u32) -> f64 {
+fn backoff_delay(r: &RetryPolicy, failed_attempt: u32) -> f64 {
     if r.backoff_base_secs <= 0.0 {
         return 0.0;
     }
     let exp = failed_attempt.saturating_sub(1).min(63);
-    let mut delay = r.backoff_base_secs * r.backoff_factor.powi(exp as i32);
+    let mut delay = r.backoff_base_secs * 2.0f64.powi(exp as i32);
     if delay > r.backoff_max_secs {
         delay = r.backoff_max_secs;
-    }
-    if r.jitter_frac > 0.0 {
-        delay *= 1.0 - r.jitter_frac * jitter_unit(r.seed, job, failed_attempt);
     }
     delay
 }
@@ -409,23 +392,15 @@ fn config_strategy() -> impl Strategy<Value = EngineConfig> {
             prop_oneof![Just(None), (1.0f64..10.0).prop_map(Some)], // checkout timeout
             prop_oneof![Just(None), (1u32..5).prop_map(Some)],      // retry cap
         ),
-        (
-            prop_oneof![Just(0.0f64), 0.1f64..2.0], // backoff base
-            1.0f64..3.0,                            // backoff factor
-            prop_oneof![Just(0.0f64), 0.1f64..0.9], // jitter fraction
-            any::<u64>(),                           // jitter seed
-        ),
+        prop_oneof![Just(0.0f64), 0.1f64..2.0], // backoff base
     )
-        .prop_map(|((timeout, checkout, cap), (base, factor, jitter, seed))| EngineConfig {
+        .prop_map(|((timeout, checkout, cap), base)| EngineConfig {
             default_timeout_secs: timeout,
             checkout_timeout_secs: checkout,
             retry: RetryPolicy {
                 max_attempts: cap,
                 backoff_base_secs: base,
-                backoff_factor: factor,
                 backoff_max_secs: 8.0,
-                jitter_frac: jitter,
-                seed,
             },
         })
 }

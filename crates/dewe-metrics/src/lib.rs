@@ -10,8 +10,8 @@
 //! cadence and it produces the per-node rate [`TimeSeries`] behind the
 //! paper's Figs. 4, 6, 9 and 10.
 //!
-//! [`Gantt`] renders the per-vCPU-slot timeline of Fig. 2 from per-job
-//! phase timings, and [`csv`] serializes any set of series for plotting.
+//! [`Gantt`] renders the per-vCPU-slot timeline of Fig. 2 from a run's
+//! [`Trace`], and [`csv`] serializes any set of series for plotting.
 //!
 //! ```
 //! use dewe_metrics::{ClusterSampler, Summary};
@@ -39,7 +39,7 @@ mod trace;
 
 pub mod csv;
 
-pub use gantt::{Gantt, JobSpan};
+pub use gantt::Gantt;
 pub use sampler::{ClusterSampler, NodeSeries, SAMPLE_INTERVAL_SECS};
 pub use series::TimeSeries;
 pub use summary::Summary;

@@ -1,24 +1,15 @@
-//! Seeded, deterministic fault injection for message topics.
+//! Seeded, deterministic fault decisions for message streams.
 //!
 //! The paper's robustness experiment (§V.A.3) only kills whole worker
 //! nodes; real message fabrics additionally *drop*, *duplicate* and
-//! *delay* individual messages. [`ChaosTopic`] wraps a [`Topic`] and
-//! injects exactly those faults, driven by a pure hash of
-//! `(seed, stream, message sequence number)` — no RNG state, no wall
-//! clock in the decision path — so a given seed always produces the same
-//! fault pattern and every chaos test is reproducible bit-for-bit.
-//!
-//! [`ChaosDecider`] is the decision core, shared between the realtime
-//! wrapper here and the discrete-event simulator (which keys decisions by
-//! `(workflow, job, attempt)` instead of a sequence number, keeping sim
-//! runs independent of driver iteration order).
-
-use crate::Topic;
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+//! *delay* individual messages. [`ChaosDecider`] decides which, as a pure
+//! hash of `(seed, stream, message key)` — no RNG state, no wall clock —
+//! so a given seed always produces the same fault pattern. Callers key a
+//! message by its identity ([`message_key`] of workflow, job, attempt and
+//! kind), never by arrival order, which keeps the pattern independent of
+//! event interleaving and thread scheduling: the simulator, the oracle's
+//! virtual-time engine driver and its threaded worker-transport decorator
+//! all apply the one decider that way.
 
 /// Fault-injection probabilities, all in `[0, 1]`.
 ///
@@ -145,154 +136,14 @@ impl ChaosDecider {
     }
 }
 
-/// Snapshot of a chaos wrapper's injection counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosStats {
-    /// Messages offered to `publish`.
-    pub published: u64,
-    /// Messages silently dropped.
-    pub dropped: u64,
-    /// Extra copies delivered.
-    pub duplicated: u64,
-    /// Messages held back before delivery.
-    pub delayed: u64,
-}
-
-#[derive(Default)]
-struct StatsInner {
-    published: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    delayed: AtomicU64,
-}
-
-/// A [`Topic`] wrapper that injects seeded drop / duplication / delay on
-/// the publish path.
-///
-/// Decisions are keyed by a per-handle publish sequence number, so a
-/// single handle publishing the same logical stream always sees the same
-/// fault pattern. Delayed messages are parked internally and flushed into
-/// the underlying topic on the next `publish` on this handle or an
-/// explicit [`flush_due`](Self::flush_due) — callers with sparse traffic
-/// pump `flush_due` on a periodic tick. Consumers pull the wrapped topic
-/// ([`inner`](Self::inner)) directly.
-pub struct ChaosTopic<T> {
-    inner: Topic<T>,
-    decider: Arc<ChaosDecider>,
-    stream: u64,
-    seq: Arc<AtomicU64>,
-    delayed: Arc<Mutex<VecDeque<(Instant, T)>>>,
-    stats: Arc<StatsInner>,
-}
-
-impl<T> Clone for ChaosTopic<T> {
-    fn clone(&self) -> Self {
-        Self {
-            inner: self.inner.clone(),
-            decider: Arc::clone(&self.decider),
-            stream: self.stream,
-            seq: Arc::clone(&self.seq),
-            delayed: Arc::clone(&self.delayed),
-            stats: Arc::clone(&self.stats),
-        }
-    }
-}
-
-impl<T: Clone> ChaosTopic<T> {
-    /// Wrap `inner`, drawing fault decisions from `decider` on `stream`.
-    pub fn new(inner: Topic<T>, decider: Arc<ChaosDecider>, stream: u64) -> Self {
-        Self {
-            inner,
-            decider,
-            stream,
-            seq: Arc::new(AtomicU64::new(0)),
-            delayed: Arc::new(Mutex::new(VecDeque::new())),
-            stats: Arc::new(StatsInner::default()),
-        }
-    }
-
-    /// Publish through the fault injector.
-    pub fn publish(&self, message: T) {
-        self.flush_due();
-        let key = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.stats.published.fetch_add(1, Ordering::Relaxed);
-        match self.decider.decide(self.stream, key) {
-            Fault::Drop => {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            Fault::Duplicate => {
-                self.stats.duplicated.fetch_add(1, Ordering::Relaxed);
-                self.inner.publish(message.clone());
-                self.inner.publish(message);
-            }
-            Fault::Delay(secs) => {
-                self.stats.delayed.fetch_add(1, Ordering::Relaxed);
-                self.delayed
-                    .lock()
-                    .push_back((Instant::now() + Duration::from_secs_f64(secs), message));
-            }
-            Fault::Deliver => self.inner.publish(message),
-        }
-    }
-
-    /// Move every delayed message whose hold expired into the topic.
-    pub fn flush_due(&self) {
-        let mut delayed = self.delayed.lock();
-        if delayed.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        while let Some((due, _)) = delayed.front() {
-            if *due > now {
-                break;
-            }
-            let (_, message) = delayed.pop_front().expect("checked front");
-            self.inner.publish(message);
-        }
-    }
-
-    /// Messages still held back.
-    pub fn pending_delayed(&self) -> usize {
-        self.delayed.lock().len()
-    }
-
-    /// The wrapped topic (workers can pull it directly).
-    pub fn inner(&self) -> &Topic<T> {
-        &self.inner
-    }
-
-    /// Injection counters so far.
-    pub fn stats(&self) -> ChaosStats {
-        ChaosStats {
-            published: self.stats.published.load(Ordering::Relaxed),
-            dropped: self.stats.dropped.load(Ordering::Relaxed),
-            duplicated: self.stats.duplicated.load(Ordering::Relaxed),
-            delayed: self.stats.delayed.load(Ordering::Relaxed),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn drain(t: &Topic<u32>) -> Vec<u32> {
-        let mut out = Vec::new();
-        while let Some(m) = t.try_pull() {
-            out.push(m);
-        }
-        out
-    }
-
     #[test]
     fn noop_config_passes_everything_through() {
-        let t =
-            ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(ChaosConfig::default())), 1);
-        for i in 0..100 {
-            t.publish(i);
-        }
-        assert_eq!(drain(t.inner()).len(), 100);
-        assert_eq!(t.stats(), ChaosStats { published: 100, ..ChaosStats::default() });
+        let d = ChaosDecider::new(ChaosConfig::default());
+        assert!((0..100).all(|k| d.decide(1, k) == Fault::Deliver));
     }
 
     #[test]
@@ -318,69 +169,6 @@ mod tests {
         let a: Vec<bool> = (0..64).map(|k| d.drops(streams::DISPATCH, k)).collect();
         let b: Vec<bool> = (0..64).map(|k| d.drops(streams::ACK, k)).collect();
         assert_ne!(a, b, "streams must not correlate");
-    }
-
-    #[test]
-    fn dropped_messages_never_surface() {
-        let cfg = ChaosConfig::drop_dup(3, 0.5, 0.0);
-        let t = ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(cfg)), 1);
-        for i in 0..1000 {
-            t.publish(i);
-        }
-        let got = drain(t.inner());
-        let s = t.stats();
-        assert_eq!(got.len() as u64, s.published - s.dropped);
-        assert!(s.dropped > 300 && s.dropped < 700, "dropped {}", s.dropped);
-    }
-
-    #[test]
-    fn duplicated_messages_surface_twice() {
-        let cfg = ChaosConfig::drop_dup(5, 0.0, 0.5);
-        let t = ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(cfg)), 1);
-        for i in 0..500 {
-            t.publish(i);
-        }
-        let got = drain(t.inner());
-        let s = t.stats();
-        assert_eq!(got.len() as u64, s.published + s.duplicated);
-        assert!(s.duplicated > 150, "duplicated {}", s.duplicated);
-        // Duplicates are adjacent (published back-to-back), value-equal.
-        let mut dups = 0;
-        for w in got.windows(2) {
-            if w[0] == w[1] {
-                dups += 1;
-            }
-        }
-        assert_eq!(dups as u64, s.duplicated);
-    }
-
-    #[test]
-    fn delayed_messages_flush_after_hold() {
-        let cfg =
-            ChaosConfig { seed: 11, delay_prob: 1.0, delay_secs: 0.02, ..ChaosConfig::default() };
-        let t = ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(cfg)), 1);
-        t.publish(1u32);
-        t.flush_due();
-        assert_eq!(t.inner().try_pull(), None, "held back");
-        assert_eq!(t.pending_delayed(), 1);
-        std::thread::sleep(Duration::from_millis(30));
-        t.flush_due();
-        assert_eq!(t.inner().try_pull(), Some(1), "surfaced after the hold");
-        assert_eq!(t.pending_delayed(), 0);
-    }
-
-    #[test]
-    fn same_seed_same_run() {
-        let run = |seed| {
-            let cfg = ChaosConfig { seed, drop_prob: 0.2, dup_prob: 0.2, ..ChaosConfig::default() };
-            let t = ChaosTopic::new(Topic::new(), Arc::new(ChaosDecider::new(cfg)), 7);
-            for i in 0..200u32 {
-                t.publish(i);
-            }
-            drain(t.inner())
-        };
-        assert_eq!(run(1234), run(1234));
-        assert_ne!(run(1234), run(1235));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! * [`SendWindow`] — per-connection credit for dispatches in flight.
 //! * [`bind_reuse`] — a listener a restarted master can rebind at once.
 //! * [`chaos`] — seeded drop / duplicate / delay decisions
-//!   ([`ChaosDecider`], shared with the simulator) and [`ChaosTopic`],
-//!   which applies them on a topic's publish path.
+//!   ([`ChaosDecider`]), keyed by a message's identity; the simulator and
+//!   the oracle's drivers apply them at their own transport seams.
 //!
 //! ```
 //! use dewe_mq::Topic;
@@ -41,7 +41,7 @@ mod topic;
 mod transport;
 mod window;
 
-pub use chaos::{ChaosConfig, ChaosDecider, ChaosStats, ChaosTopic, Fault};
+pub use chaos::{ChaosConfig, ChaosDecider, Fault};
 pub use frame::{queue_frame_split, read_frame, write_frame, write_frame_split, DEFAULT_MAX_FRAME};
 pub use listen::bind_reuse;
 pub use topic::{Topic, TopicStats};

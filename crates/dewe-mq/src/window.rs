@@ -28,25 +28,6 @@ impl SendWindow {
         Self { limit: limit.max(1), in_flight: AtomicU32::new(0) }
     }
 
-    /// Spend one credit; `false` when the window is full.
-    pub fn try_acquire(&self) -> bool {
-        let mut cur = self.in_flight.load(Ordering::Relaxed);
-        loop {
-            if cur >= self.limit {
-                return false;
-            }
-            match self.in_flight.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
     /// Spend up to `want` credits atomically, returning how many were
     /// granted (0 when the window is full). One CAS settles the whole
     /// batch, so a coalesced dispatch run debits the window in a single
@@ -115,13 +96,13 @@ mod tests {
     #[test]
     fn acquire_until_full_then_release_reopens() {
         let w = SendWindow::new(2);
-        assert!(w.try_acquire());
-        assert!(w.try_acquire());
-        assert!(!w.try_acquire(), "window full");
+        assert_eq!(w.try_acquire_n(1), 1);
+        assert_eq!(w.try_acquire_n(1), 1);
+        assert_eq!(w.try_acquire_n(1), 0, "window full");
         assert_eq!(w.in_flight(), 2);
         w.release();
-        assert!(w.try_acquire());
-        assert!(!w.try_acquire());
+        assert_eq!(w.try_acquire_n(1), 1);
+        assert_eq!(w.try_acquire_n(1), 0);
     }
 
     #[test]
@@ -130,7 +111,7 @@ mod tests {
         w.release();
         w.release();
         assert_eq!(w.in_flight(), 0);
-        assert!(w.try_acquire());
+        assert_eq!(w.try_acquire_n(1), 1);
         assert_eq!(w.in_flight(), 1);
     }
 
@@ -138,8 +119,8 @@ mod tests {
     fn zero_limit_is_promoted() {
         let w = SendWindow::new(0);
         assert_eq!(w.limit(), 1);
-        assert!(w.try_acquire());
-        assert!(!w.try_acquire());
+        assert_eq!(w.try_acquire_n(1), 1);
+        assert_eq!(w.try_acquire_n(1), 0);
     }
 
     #[test]
@@ -174,31 +155,6 @@ mod tests {
             .collect();
         for h in handles {
             h.join().unwrap();
-        }
-        assert_eq!(w.in_flight(), 0);
-    }
-
-    #[test]
-    fn concurrent_acquirers_never_exceed_limit() {
-        use std::sync::Arc;
-        let w = Arc::new(SendWindow::new(8));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let w = Arc::clone(&w);
-            handles.push(std::thread::spawn(move || {
-                let mut got = 0u32;
-                for _ in 0..1000 {
-                    if w.try_acquire() {
-                        got += 1;
-                        assert!(w.in_flight() <= w.limit());
-                        w.release();
-                    }
-                }
-                got
-            }));
-        }
-        for h in handles {
-            assert!(h.join().unwrap() > 0);
         }
         assert_eq!(w.in_flight(), 0);
     }

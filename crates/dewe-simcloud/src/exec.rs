@@ -69,17 +69,6 @@ pub struct JobTimings {
 }
 
 impl JobTimings {
-    /// Seconds spent on data staging (read + write phases) — the
-    /// "communication time" of the paper's Fig. 2.
-    pub fn staging_secs(&self) -> f64 {
-        self.read_done.secs_since(self.submitted) + self.finished.secs_since(self.compute_done)
-    }
-
-    /// Seconds spent computing.
-    pub fn compute_secs(&self) -> f64 {
-        self.compute_done.secs_since(self.read_done)
-    }
-
     /// Total wall seconds.
     pub fn total_secs(&self) -> f64 {
         self.finished.secs_since(self.submitted)
@@ -595,7 +584,7 @@ mod tests {
         let done = finish(&mut s);
         let t = &done[0].1;
         assert!(t.finished >= t.compute_done);
-        assert!((t.compute_secs() - 2.0).abs() < 1e-3);
+        assert!((t.compute_done.secs_since(t.read_done) - 2.0).abs() < 1e-3);
         // Small write absorbed by page cache: staging is fast.
         assert!(t.finished.secs_since(t.compute_done) < 0.2);
     }

@@ -95,8 +95,8 @@ pub struct PathOutcome {
     pub makespan_secs: Option<f64>,
     /// The run reached a terminal verdict (false = stall / watchdog).
     pub settled: bool,
-    /// Fault-plane counters from the master's liveness table, for the
-    /// realtime path when leases are enabled (`None` elsewhere).
+    /// Master-side counters, for the realtime path (`None` elsewhere);
+    /// the liveness table's are all zero unless leases are enabled.
     pub master_stats: Option<MasterStats>,
     /// Master kill/restart verdict: `Some(true)` when the path verified
     /// that recovery resumed from state equivalent to the pre-kill
@@ -105,7 +105,7 @@ pub struct PathOutcome {
     /// table), `Some(false)` on mismatch, `None` when no master kill
     /// fired.
     pub liveness_recovery: Option<bool>,
-    /// Free-form diagnostics (stall context, chaos counters).
+    /// Free-form diagnostics (stall context).
     pub note: Option<String>,
 }
 

@@ -25,9 +25,10 @@ use std::collections::{BinaryHeap, VecDeque};
 use dewe_core::fault::FaultEvent;
 use dewe_core::{AckKind, AckMsg, DispatchMsg};
 use dewe_core::{Action, EngineConfig, EnsembleEngine, RetryPolicy};
-use dewe_mq::chaos::{message_key, streams};
-use dewe_mq::{ChaosConfig, ChaosDecider, Fault};
+use dewe_mq::chaos::streams;
+use dewe_mq::{ChaosDecider, Fault};
 
+use super::chaos::{ack_key, decider, dispatch_key};
 use crate::invariant::{Event, PathKind, PathOutcome};
 use crate::scenario::Scenario;
 
@@ -134,10 +135,6 @@ struct Driver<'a> {
     recovery_ok: bool,
 }
 
-fn job_key(d: &DispatchMsg) -> u64 {
-    ((d.job.workflow.0 as u64) << 32) | d.job.job.0 as u64
-}
-
 impl Driver<'_> {
     fn push(&mut self, at: f64, ev: Ev) {
         self.seq += 1;
@@ -158,8 +155,7 @@ impl Driver<'_> {
         if self.cfg.drop_nth_dispatch == Some(n) {
             return; // the injected bug: the job silently never ships
         }
-        let key = message_key(job_key(&d), d.attempt as u64, 0);
-        match self.decide(streams::DISPATCH, key) {
+        match self.decide(streams::DISPATCH, dispatch_key(&d)) {
             Fault::Drop => {}
             Fault::Duplicate => {
                 self.push(now + EPS, Ev::DispatchArrive(d));
@@ -172,9 +168,7 @@ impl Driver<'_> {
 
     /// Route a worker acknowledgment through chaos back to the engine.
     fn send_ack(&mut self, ack: AckMsg, now: f64) {
-        let pack = ((ack.job.workflow.0 as u64) << 32) | ack.job.job.0 as u64;
-        let key = message_key(pack, ack.attempt as u64, 1 + ack.kind.code() as u64);
-        match self.decide(streams::ACK, key) {
+        match self.decide(streams::ACK, ack_key(&ack)) {
             Fault::Drop => {}
             Fault::Duplicate => {
                 self.push(now + EPS, Ev::AckArrive(ack));
@@ -403,10 +397,7 @@ fn engine_config(scenario: &Scenario) -> EngineConfig {
         retry: RetryPolicy {
             max_attempts: scenario.max_attempts,
             backoff_base_secs: scenario.backoff_base_secs,
-            backoff_factor: 2.0,
             backoff_max_secs: 60.0,
-            jitter_frac: 0.0,
-            seed: scenario.seed,
         },
     }
 }
@@ -414,15 +405,7 @@ fn engine_config(scenario: &Scenario) -> EngineConfig {
 /// Execute the scenario through the deterministic engine path.
 pub fn run(scenario: &Scenario, cfg: &EngineDriverConfig) -> PathOutcome {
     let config = engine_config(scenario);
-    let chaos = (!scenario.chaos.is_noop()).then(|| {
-        ChaosDecider::new(ChaosConfig {
-            seed: scenario.chaos.seed,
-            drop_prob: scenario.chaos.drop_prob,
-            dup_prob: scenario.chaos.dup_prob,
-            delay_prob: scenario.chaos.delay_prob,
-            delay_secs: scenario.chaos.delay_secs,
-        })
-    });
+    let chaos = decider(&scenario.chaos, scenario.chaos.delay_secs);
     let mut driver = Driver {
         scenario,
         cfg,

@@ -1,10 +1,11 @@
 //! Driver for the threaded realtime master/worker stack.
 //!
-//! Runs the scenario on real daemon threads over the in-process bus: one
+//! Runs the scenario on real daemon threads over one in-process bus: one
 //! master, `workers` worker daemons, and — when the scenario carries
-//! chaos — a [`ChaosLink`] interposed on the dispatch and ack streams.
-//! Job execution is tapped by a [`TapRunner`] that records start/finish
-//! events into one mutex-ordered log; the lock acquisition order gives
+//! chaos — each worker's transport wrapped in the seeded decorator of
+//! `paths/chaos.rs`, which decides every dispatch and ack by its
+//! identity. Job execution is tapped by a `TapRunner` that records
+//! start/finish events into one mutex-ordered log; the lock order gives
 //! the log a total order consistent with cross-thread happens-before (a
 //! parent's finish is recorded inside `run()` before its Completed ack is
 //! published, and a child's start is recorded only after the master
@@ -18,19 +19,21 @@
 //! test.
 
 use std::collections::{BTreeSet, HashMap};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dewe_core::fault::FaultEvent;
 use dewe_core::realtime::{
-    spawn_master, spawn_worker, submit, ChaosLink, JobOutcome, JobRunner, MasterConfig,
-    MasterEvent, MasterHandle, MessageBus, Registry, RunContext, WorkerConfig, WorkerHandle,
+    spawn_master, spawn_worker_on, submit, BusWorkerLink, DynWorkerTransport, JobOutcome,
+    JobRunner, MasterConfig, MasterEvent, MasterHandle, MessageBus, Registry, RunContext,
+    WorkerConfig, WorkerHandle,
 };
 use dewe_core::{EngineStats, RetryPolicy};
 use dewe_dag::{JobId, Workflow};
-use dewe_mq::ChaosConfig;
 
+use super::chaos::ChaosState;
 use crate::invariant::{Event, PathKind, PathOutcome};
 use crate::scenario::{Scenario, FAULT_HORIZON_SECS};
 
@@ -61,14 +64,14 @@ const FAULT_HEARTBEAT: Duration = Duration::from_millis(15);
 /// Records execution events and plays the scenario's failure script.
 struct TapRunner {
     failures: HashMap<(u32, u32), u32>,
-    /// Per-job wall sleeps (empty outside fault runs: protocol checks
-    /// want instant jobs).
-    sleeps: HashMap<(u32, u32), Duration>,
+    /// Wall seconds slept per modeled cpu-second (0 outside fault runs:
+    /// protocol checks want instant jobs).
+    sleep_scale: f64,
     log: Arc<Mutex<Vec<Event>>>,
 }
 
 impl JobRunner for TapRunner {
-    fn run(&self, _workflow: &Workflow, job: JobId, ctx: &RunContext) -> JobOutcome {
+    fn run(&self, workflow: &Workflow, job: JobId, ctx: &RunContext) -> JobOutcome {
         let id = (ctx.workflow_id.0, job.0);
         self.log.lock().expect("tap log").push(Event::Started { job: id });
         if let Some(&failing) = self.failures.get(&id) {
@@ -76,181 +79,61 @@ impl JobRunner for TapRunner {
                 return JobOutcome::Failed(format!("scripted failure, attempt {}", ctx.attempt));
             }
         }
-        if let Some(&sleep) = self.sleeps.get(&id) {
-            std::thread::sleep(sleep);
+        if self.sleep_scale > 0.0 {
+            let secs = workflow.job(job).cpu_seconds * self.sleep_scale;
+            std::thread::sleep(Duration::from_secs_f64(secs));
         }
         self.log.lock().expect("tap log").push(Event::Finished { job: id });
         JobOutcome::Success
     }
 }
 
-/// Either a plain shared bus or a chaos-interposed bus pair.
-enum Fabric {
-    Plain(MessageBus),
-    Chaos(ChaosLink),
-}
-
-impl Fabric {
-    fn master_bus(&self) -> &MessageBus {
-        match self {
-            Fabric::Plain(bus) => bus,
-            Fabric::Chaos(link) => &link.master_bus,
-        }
-    }
-
-    fn worker_bus(&self) -> &MessageBus {
-        match self {
-            Fabric::Plain(bus) => bus,
-            Fabric::Chaos(link) => &link.worker_bus,
-        }
-    }
-
-    fn shutdown(self) -> Option<String> {
-        match self {
-            Fabric::Plain(bus) => {
-                bus.shutdown();
-                None
-            }
-            Fabric::Chaos(link) => {
-                let note = format!(
-                    "chaos dispatch {:?} ack {:?}",
-                    link.dispatch_stats(),
-                    link.ack_stats()
-                );
-                link.shutdown();
-                Some(note)
-            }
-        }
-    }
-}
-
-fn master_config(scenario: &Scenario) -> MasterConfig {
-    let lossy = scenario.chaos.is_lossy();
-    // Jobs execute instantly, so a timeout only ever fires when a
-    // message was actually lost; lossy scenarios get tight deadlines
-    // so recovery converges within the watchdog, loss-free ones get
-    // deadlines no healthy run can hit.
+/// The master's configuration for this scenario. Jobs run instantly in
+/// the classic classes, so a deadline fires there only when a message
+/// was really lost: lossy scenarios get tight deadlines so recovery
+/// converges inside the watchdog, loss-free ones deadlines no healthy
+/// run can hit. Fault scenarios slow jobs to wall-clock and switch the
+/// lease plane on; without loss, recovery credit belongs to the leases
+/// (worker death) and the checkout deadline (death between pull and
+/// Running ack), with the job timeout as a distant backstop.
+fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> MasterConfig {
+    let faulty = !scenario.faults.is_empty();
+    let (timeout, checkout) = match (faulty, scenario.chaos.is_lossy()) {
+        (false, false) => (30.0, None),
+        (false, true) => (0.3, Some(0.25)),
+        (true, false) => (5.0, Some(1.0)),
+        (true, true) => (1.0, Some(0.25)),
+    };
     let mut cfg = MasterConfig::builder()
-        .default_timeout_secs(if lossy { 0.3 } else { 30.0 })
+        .default_timeout_secs(timeout)
         .retry(RetryPolicy {
             max_attempts: scenario.max_attempts,
             backoff_base_secs: if scenario.backoff_base_secs > 0.0 { 0.002 } else { 0.0 },
-            backoff_factor: 2.0,
             backoff_max_secs: 0.05,
-            jitter_frac: 0.0,
-            seed: scenario.seed,
         })
         .timeout_scan_interval(Duration::from_millis(5))
-        .expected_workflows(scenario.workflows.len());
-    if lossy {
-        cfg = cfg.checkout_timeout_secs(0.25);
+        .expected_workflows(scenario.workflows.len())
+        .recover(recover);
+    if let Some(secs) = checkout {
+        cfg = cfg.checkout_timeout_secs(secs);
+    }
+    if faulty {
+        cfg = cfg.lease_secs(FAULT_LEASE_SECS);
+    }
+    if let Some(path) = journal {
+        cfg = cfg.journal_path(path);
+        // Seeded structural fuzz, deterministic per scenario: half the
+        // seeds compact the WAL aggressively mid-run, so master
+        // kill/restart recovery is exercised against a rewritten journal
+        // as well as a plain one. The draw reads bits 4 and up of `mix`;
+        // moving it would change which of the seeds quoted in repro
+        // reports compact.
+        let mix = scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        if (mix >> 4) & 1 == 0 {
+            cfg = cfg.journal_compact_threshold(4 + ((mix >> 5) % 8) as usize);
+        }
     }
     cfg.build()
-}
-
-/// Execute the scenario through the threaded realtime stack.
-pub fn run(scenario: &Scenario) -> PathOutcome {
-    if !scenario.faults.is_empty() {
-        return run_faulted(scenario);
-    }
-    let fabric = if scenario.chaos.is_noop() {
-        Fabric::Plain(MessageBus::new())
-    } else {
-        Fabric::Chaos(ChaosLink::new(ChaosConfig {
-            seed: scenario.chaos.seed,
-            drop_prob: scenario.chaos.drop_prob,
-            dup_prob: scenario.chaos.dup_prob,
-            delay_prob: scenario.chaos.delay_prob,
-            delay_secs: DELAY_SECS_WALL,
-        }))
-    };
-
-    let registry = Registry::new();
-    let log = Arc::new(Mutex::new(Vec::new()));
-    let runner = Arc::new(TapRunner {
-        failures: scenario
-            .failures
-            .iter()
-            .map(|f| ((f.workflow, f.job), f.failing_attempts))
-            .collect(),
-        sleeps: HashMap::new(),
-        log: Arc::clone(&log),
-    });
-
-    let master =
-        spawn_master(fabric.master_bus().clone(), registry.clone(), master_config(scenario));
-    let workers: Vec<_> = (0..scenario.workers)
-        .map(|w| {
-            spawn_worker(
-                fabric.worker_bus().clone(),
-                registry.clone(),
-                Arc::clone(&runner) as Arc<dyn JobRunner>,
-                WorkerConfig {
-                    worker_id: w as u32,
-                    slots: scenario.slots_per_worker,
-                    pull_timeout: Duration::from_millis(5),
-                    ..WorkerConfig::default()
-                },
-            )
-        })
-        .collect();
-
-    for (i, wf) in scenario.build_workflows().into_iter().enumerate() {
-        submit(fabric.master_bus(), format!("wf{i}"), wf);
-    }
-
-    // Watchdog: wait for the master's terminal event; a silent 30 s means
-    // the stack hung and the stall itself is the finding.
-    let deadline = Instant::now() + WATCHDOG;
-    let stats: Option<EngineStats> = loop {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            break None;
-        }
-        match master.events.recv_timeout(remaining) {
-            Ok(MasterEvent::AllCompleted { stats }) | Ok(MasterEvent::AllSettled { stats }) => {
-                break Some(stats);
-            }
-            Ok(_) => continue,
-            Err(_) => break None, // timeout or master gone without a verdict
-        }
-    };
-
-    // Teardown order matters on a stall: closing the fabric unblocks the
-    // master loop so the join below cannot hang.
-    let settled = stats.is_some();
-    for worker in workers {
-        worker.stop();
-    }
-    let mut note = fabric.shutdown();
-    let final_stats = master.join();
-    if !settled {
-        let n = format!("watchdog expired after {WATCHDOG:?}; stats {final_stats:?}");
-        note = Some(match note {
-            Some(existing) => format!("{n}; {existing}"),
-            None => n,
-        });
-    }
-
-    let events = log.lock().expect("tap log").clone();
-    let completed: BTreeSet<(u32, u32)> = events
-        .iter()
-        .filter_map(|ev| match *ev {
-            Event::Finished { job } => Some(job),
-            Event::Started { .. } => None,
-        })
-        .collect();
-    PathOutcome {
-        kind: PathKind::Realtime,
-        completed,
-        events,
-        stats: Some(if settled { stats.unwrap() } else { final_stats }),
-        makespan_secs: None,
-        settled,
-        master_stats: None,
-        liveness_recovery: None,
-        note,
-    }
 }
 
 /// Wall-clock fault action, compiled from a [`FaultEvent`].
@@ -296,109 +179,63 @@ fn compile_faults(scenario: &Scenario) -> Vec<(f64, RtFault)> {
     schedule
 }
 
-/// Unique journal paths across concurrent fault runs in one process.
-static FAULT_RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
+/// Unique journal paths across concurrent runs in one process.
+static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Execute a fault-class scenario: leases + heartbeats on, jobs slowed
-/// to wall-clock so the compiled fault schedule lands mid-run, workers
-/// killed/drained/stalled and the master killed and recovered from its
-/// journal on cue.
-fn run_faulted(scenario: &Scenario) -> PathOutcome {
+/// Execute the scenario through the threaded realtime stack. One driver
+/// for every class: a classic scenario is a fault scenario with an empty
+/// schedule, no leases and no sleeps. With faults, leases and heartbeats
+/// are on, jobs are slowed to wall-clock so the compiled schedule lands
+/// mid-run, workers are killed / drained / stalled and the master is
+/// killed and recovered from its journal on cue.
+pub fn run(scenario: &Scenario) -> PathOutcome {
     debug_assert_eq!(FAULT_HORIZON_SECS, 5.0, "wall scales are tuned to this axis");
-    let fabric = if scenario.chaos.is_noop() {
-        Fabric::Plain(MessageBus::new())
-    } else {
-        Fabric::Chaos(ChaosLink::new(ChaosConfig {
-            seed: scenario.chaos.seed,
-            drop_prob: scenario.chaos.drop_prob,
-            dup_prob: scenario.chaos.dup_prob,
-            delay_prob: scenario.chaos.delay_prob,
-            delay_secs: DELAY_SECS_WALL,
-        }))
-    };
-
+    let faulty = !scenario.faults.is_empty();
+    let bus = MessageBus::new();
+    let chaos = ChaosState::new(&scenario.chaos, DELAY_SECS_WALL);
     let registry = Registry::new();
     let log = Arc::new(Mutex::new(Vec::new()));
-    let mut sleeps = HashMap::new();
-    for (w, wf) in scenario.workflows.iter().enumerate() {
-        for (j, job) in wf.jobs.iter().enumerate() {
-            sleeps.insert(
-                (w as u32, j as u32),
-                Duration::from_secs_f64(job.cpu_secs * JOB_SLEEP_SCALE),
-            );
-        }
-    }
-    let runner = Arc::new(TapRunner { failures: HashMap::new(), sleeps, log: Arc::clone(&log) });
+    let runner: Arc<dyn JobRunner> = Arc::new(TapRunner {
+        failures: scenario
+            .failures
+            .iter()
+            .map(|f| ((f.workflow, f.job), f.failing_attempts))
+            .collect(),
+        sleep_scale: if faulty { JOB_SLEEP_SCALE } else { 0.0 },
+        log: Arc::clone(&log),
+    });
 
     // The journal is only needed when the plan kills the master; give
     // each run its own file so concurrent tests never collide.
     let journal_path = scenario.faults.has_master_kill().then(|| {
-        let mut p = std::env::temp_dir();
-        p.push(format!(
+        std::env::temp_dir().join(format!(
             "dewe-testkit-rt-fault-{}-{}-{}.wal",
             std::process::id(),
             scenario.seed,
-            FAULT_RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        p
+            RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
     });
-    // Seeded structural fuzz, deterministic per scenario: half the fault
-    // seeds compact the WAL aggressively mid-run, so master kill/restart
-    // recovery is exercised against a rewritten journal as well as a
-    // plain one. The draw reads bits 4 and up of `mix`; moving it would
-    // change which of the seeds quoted in repro reports compact.
-    let mix = scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let journal_compact_threshold = ((mix >> 4) & 1 == 0).then(|| 4 + ((mix >> 5) % 8) as usize);
-    // Lossy fabric (fault+chaos class): dropped messages recover only
-    // via these deadlines, so they must be tight enough that a handful
-    // of serial losses still converges inside the watchdog. Non-lossy
-    // fabric: recovery credit belongs to the lease plane (worker death)
-    // and the checkout deadline (death between pull and Running ack),
-    // with the job timeout as a distant backstop.
-    let lossy = scenario.chaos.is_lossy();
-    let mk_master_config = {
-        let journal_path = journal_path.clone();
-        let n_workflows = scenario.workflows.len();
-        let seed = scenario.seed;
-        move |recover: bool| {
-            let mut cfg = MasterConfig::builder()
-                .default_timeout_secs(if lossy { 1.0 } else { 5.0 })
-                .checkout_timeout_secs(if lossy { 0.25 } else { 1.0 })
-                .retry(RetryPolicy {
-                    max_attempts: None,
-                    backoff_base_secs: 0.0,
-                    backoff_factor: 2.0,
-                    backoff_max_secs: 0.05,
-                    jitter_frac: 0.0,
-                    seed,
-                })
-                .timeout_scan_interval(Duration::from_millis(5))
-                .expected_workflows(n_workflows)
-                .lease_secs(FAULT_LEASE_SECS)
-                .recover(recover);
-            if let Some(p) = journal_path.clone() {
-                cfg = cfg.journal_path(p);
-            }
-            if let Some(t) = journal_compact_threshold {
-                cfg = cfg.journal_compact_threshold(t);
-            }
-            cfg.build()
-        }
+    let spawn = |recover| {
+        let config = master_config(scenario, journal_path.as_deref(), recover);
+        spawn_master(bus.clone(), registry.clone(), config)
     };
 
-    let mut master: Option<MasterHandle> =
-        Some(spawn_master(fabric.master_bus().clone(), registry.clone(), mk_master_config(false)));
+    let mut master: Option<MasterHandle> = Some(spawn(false));
     let mut workers: Vec<Option<WorkerHandle>> = (0..scenario.workers)
         .map(|w| {
-            Some(spawn_worker(
-                fabric.worker_bus().clone(),
+            let link: DynWorkerTransport = Arc::new(BusWorkerLink::new(bus.clone()));
+            Some(spawn_worker_on(
+                match &chaos {
+                    Some(chaos) => chaos.wrap(link),
+                    None => link,
+                },
                 registry.clone(),
-                Arc::clone(&runner) as Arc<dyn JobRunner>,
+                Arc::clone(&runner),
                 WorkerConfig {
                     worker_id: w as u32,
                     slots: scenario.slots_per_worker,
                     pull_timeout: Duration::from_millis(5),
-                    heartbeat_interval: Some(FAULT_HEARTBEAT),
+                    heartbeat_interval: faulty.then_some(FAULT_HEARTBEAT),
                     ..WorkerConfig::default()
                 },
             ))
@@ -406,9 +243,12 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
         .collect();
 
     for (i, wf) in scenario.build_workflows().into_iter().enumerate() {
-        submit(fabric.master_bus(), format!("wf{i}"), wf);
+        submit(&bus, format!("wf{i}"), wf);
     }
 
+    // Play the schedule and wait for the master's terminal event; a
+    // silent 30 s means the stack hung and the stall itself is the
+    // finding.
     let schedule = compile_faults(scenario);
     let start = Instant::now();
     let deadline = start + WATCHDOG;
@@ -449,11 +289,7 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
                 }
                 RtFault::RestartMaster => {
                     if master.is_none() {
-                        master = Some(spawn_master(
-                            fabric.master_bus().clone(),
-                            registry.clone(),
-                            mk_master_config(true),
-                        ));
+                        master = Some(spawn(true));
                     }
                 }
             }
@@ -483,7 +319,10 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
         }
     }
 
-    // Read fault-plane state before teardown consumes the handle.
+    // Read fault-plane state before teardown consumes the handle. The
+    // order matters on a stall: closing the bus unblocks the master loop
+    // so the join below cannot hang. Messages chaos still holds go down
+    // with the state that holds them.
     let settled = stats.is_some();
     let (master_stats, final_rows) = match master.as_ref() {
         Some(m) => (Some(m.master_stats()), m.liveness_snapshot()),
@@ -494,15 +333,10 @@ fn run_faulted(scenario: &Scenario) -> PathOutcome {
             h.stop();
         }
     }
-    let mut note = fabric.shutdown();
+    bus.shutdown();
     let final_stats = master.map(MasterHandle::join);
-    if !settled {
-        let n = format!("watchdog expired after {WATCHDOG:?}; stats {final_stats:?}");
-        note = Some(match note {
-            Some(existing) => format!("{n}; {existing}"),
-            None => n,
-        });
-    }
+    let note =
+        (!settled).then(|| format!("watchdog expired after {WATCHDOG:?}; stats {final_stats:?}"));
     if let Some(p) = &journal_path {
         let _ = std::fs::remove_file(p);
     }

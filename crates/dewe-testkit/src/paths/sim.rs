@@ -63,10 +63,7 @@ fn sim_config(scenario: &Scenario) -> SimRunConfig {
     cfg.retry = RetryPolicy {
         max_attempts: scenario.max_attempts,
         backoff_base_secs: scenario.backoff_base_secs,
-        backoff_factor: 2.0,
         backoff_max_secs: 60.0,
-        jitter_frac: 0.0,
-        seed: scenario.seed,
     };
     cfg.failure_script = scenario
         .failures

@@ -68,6 +68,12 @@
 
 pub mod manifest;
 
+/// The README's Rust snippets, compiled (and, unless `no_run`, run) by
+/// `cargo test`.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeDoctests;
+
 pub use dewe_baseline as baseline;
 pub use dewe_core as core;
 pub use dewe_dag as dag;
