@@ -1,284 +1,4 @@
-//! The master daemon thread.
-
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use dewe_dag::WorkflowId;
-use dewe_mq::Transport;
-
-use super::bus::{MessageBus, Registry};
-use super::journal::{self, Journal};
-use super::liveness::{LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerView};
-use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
-use crate::protocol::{AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WorkflowAnnounce};
-
-/// Every fabric the master can serve: a [`Transport`] pinned to the
-/// realtime protocol types. Blanket-implemented — the in-process
-/// [`MessageBus`] and the TCP runtime's
-/// [`TcpMaster`](super::net::TcpMaster) both qualify.
-pub trait MasterTransport:
-    Transport<
-    Submission = SubmissionMsg,
-    Dispatch = DispatchMsg,
-    Ack = AckMsg,
-    Lifecycle = LifecycleMsg,
-    Announce = WorkflowAnnounce,
->
-{
-}
-
-impl<T> MasterTransport for T where
-    T: Transport<
-        Submission = SubmissionMsg,
-        Dispatch = DispatchMsg,
-        Ack = AckMsg,
-        Lifecycle = LifecycleMsg,
-        Announce = WorkflowAnnounce,
-    >
-{
-}
-
-/// Master daemon configuration.
-///
-/// Opaque: construct with [`MasterConfig::builder`] and the chained setters.
-///
-/// ```
-/// use dewe_core::realtime::MasterConfig;
-/// use std::time::Duration;
-///
-/// let config = MasterConfig::builder()
-///     .expected_workflows(20)
-///     .timeout_scan_interval(Duration::from_millis(10))
-///     .lease_secs(5.0)
-///     .build();
-/// ```
-#[derive(Debug, Clone)]
-pub struct MasterConfig {
-    default_timeout_secs: f64,
-    checkout_timeout_secs: Option<f64>,
-    retry: RetryPolicy,
-    timeout_scan_interval: Duration,
-    expected_workflows: Option<usize>,
-    journal_path: Option<PathBuf>,
-    recover: bool,
-    journal_compact_threshold: Option<usize>,
-    lease_secs: Option<f64>,
-}
-
-impl Default for MasterConfig {
-    fn default() -> Self {
-        Self {
-            default_timeout_secs: crate::engine::DEFAULT_TIMEOUT_SECS,
-            checkout_timeout_secs: None,
-            retry: RetryPolicy::default(),
-            timeout_scan_interval: Duration::from_millis(50),
-            expected_workflows: None,
-            journal_path: None,
-            recover: false,
-            journal_compact_threshold: None,
-            lease_secs: None,
-        }
-    }
-}
-
-impl MasterConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> MasterConfigBuilder {
-        MasterConfigBuilder { cfg: MasterConfig::default() }
-    }
-
-    fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            default_timeout_secs: self.default_timeout_secs,
-            checkout_timeout_secs: self.checkout_timeout_secs,
-            retry: self.retry,
-        }
-    }
-}
-
-/// Acknowledgments the serve loop takes in one grab — and so journals in
-/// one write and hands the engine in one step.
-const ACK_BURST: usize = 128;
-
-/// Builder for [`MasterConfig`], mirroring [`EngineConfig`]'s chained
-/// setters. Obtain via [`MasterConfig::builder`].
-#[derive(Debug, Clone)]
-#[must_use = "finish the configuration with .build()"]
-pub struct MasterConfigBuilder {
-    cfg: MasterConfig,
-}
-
-impl MasterConfigBuilder {
-    /// System-wide default job timeout, seconds (paper §III.B).
-    pub fn default_timeout_secs(mut self, secs: f64) -> Self {
-        self.cfg.default_timeout_secs = secs;
-        self
-    }
-
-    /// Checkout deadline: resubmit a dispatch never acknowledged as
-    /// Running within this many seconds.
-    pub fn checkout_timeout_secs(mut self, secs: f64) -> Self {
-        self.cfg.checkout_timeout_secs = Some(secs);
-        self
-    }
-
-    /// Retry budget and backoff policy for failed/timed-out jobs.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// How often the master examines running jobs for timeouts.
-    pub fn timeout_scan_interval(mut self, interval: Duration) -> Self {
-        self.cfg.timeout_scan_interval = interval;
-        self
-    }
-
-    /// Exit once this many workflows have settled. Without it the
-    /// master serves until the transport shuts down.
-    pub fn expected_workflows(mut self, count: usize) -> Self {
-        self.cfg.expected_workflows = Some(count);
-        self
-    }
-
-    /// Write-ahead journal path.
-    pub fn journal_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cfg.journal_path = Some(path.into());
-        self
-    }
-
-    /// Replay an existing journal on startup (master failover).
-    pub fn recover(mut self, recover: bool) -> Self {
-        self.cfg.recover = recover;
-        self
-    }
-
-    /// Compact the WAL after this many appended records.
-    pub fn journal_compact_threshold(mut self, records: usize) -> Self {
-        self.cfg.journal_compact_threshold = Some(records);
-        self
-    }
-
-    /// Worker lease duration, seconds; enables the liveness plane.
-    pub fn lease_secs(mut self, secs: f64) -> Self {
-        self.cfg.lease_secs = Some(secs);
-        self
-    }
-
-    /// Finish: produce the configuration.
-    pub fn build(self) -> MasterConfig {
-        self.cfg
-    }
-}
-
-/// Progress notifications from the master.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MasterEvent {
-    /// A workflow completed after `makespan_secs`.
-    WorkflowCompleted {
-        /// Which workflow.
-        workflow: WorkflowId,
-        /// Submission-to-completion wall seconds.
-        makespan_secs: f64,
-    },
-    /// A workflow was abandoned: one of its jobs exhausted its retry
-    /// budget, stranding `dead_lettered` job(s) and their dependents.
-    WorkflowAbandoned {
-        /// Which workflow.
-        workflow: WorkflowId,
-        /// Jobs in it that exhausted their retry budgets.
-        dead_lettered: u64,
-    },
-    /// All expected workflows completed; the master is exiting.
-    AllCompleted {
-        /// Final engine statistics.
-        stats: EngineStats,
-    },
-    /// All expected workflows settled but at least one was abandoned;
-    /// the master is exiting with partial completion.
-    AllSettled {
-        /// Final engine statistics.
-        stats: EngineStats,
-    },
-    /// The master stopped on an I/O error: at startup its journal could
-    /// not be read, replayed against the registry, reopened or created
-    /// (nothing was served), or while serving a journal write failed (an
-    /// input it could not make durable is an input it must not act on).
-    /// The master has exited and [`MasterHandle::join`] returns all-zero
-    /// statistics.
-    Failed {
-        /// What failed and why, one line.
-        reason: String,
-    },
-}
-
-/// Liveness state the master mirrors out for observers (tests,
-/// operators): fault-plane counters and the current
-/// worker table. Updated by the serve loop as liveness events land.
-#[derive(Default)]
-struct FaultPlaneShared {
-    stats: parking_lot::Mutex<MasterStats>,
-    snapshot: parking_lot::Mutex<Vec<WorkerView>>,
-    /// Dispatch-pipeline counters, owned by the serve loop rather than
-    /// the liveness table — the table
-    /// overwrites `stats` wholesale on every publish, so these live
-    /// beside it and are merged into [`MasterHandle::master_stats`]
-    /// reads.
-    dispatch_batches: AtomicU64,
-    batched_dispatches: AtomicU64,
-    timer_cascades: AtomicU64,
-}
-
-/// Handle to a running master daemon.
-pub struct MasterHandle {
-    thread: Option<std::thread::JoinHandle<EngineStats>>,
-    stop: Arc<AtomicBool>,
-    shared: Arc<FaultPlaneShared>,
-    /// Receiver for progress events.
-    pub events: Receiver<MasterEvent>,
-}
-
-impl MasterHandle {
-    /// Wait for the master to exit, returning final engine statistics
-    /// (all zero when it reported [`MasterEvent::Failed`]).
-    pub fn join(mut self) -> EngineStats {
-        self.thread.take().expect("join called once").join().expect("master panicked")
-    }
-
-    /// Master-side counters: the fault plane (lease-tracking fields are
-    /// all-zero unless `lease_secs` is configured) plus the dispatch
-    /// pipeline (batch sizes, timer cascades). Readable while the
-    /// master runs and after it exits (read before
-    /// [`join`](Self::join)/[`kill`](Self::kill), which consume the
-    /// handle).
-    pub fn master_stats(&self) -> MasterStats {
-        let mut stats = *self.shared.stats.lock();
-        stats.dispatch_batches = self.shared.dispatch_batches.load(Ordering::Relaxed);
-        stats.batched_dispatches = self.shared.batched_dispatches.load(Ordering::Relaxed);
-        stats.timer_cascades = self.shared.timer_cascades.load(Ordering::Relaxed);
-        stats
-    }
-
-    /// Current liveness table rows, ordered by worker id. Empty when
-    /// leases are disabled.
-    pub fn liveness_snapshot(&self) -> Vec<WorkerView> {
-        self.shared.snapshot.lock().clone()
-    }
-
-    /// Simulate a master crash: the daemon stops serving immediately,
-    /// abandoning its in-memory state. Workers and queued messages are
-    /// untouched — exactly the failure a journaled restart recovers from.
-    pub fn kill(self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(thread) = self.thread {
-            let _ = thread.join();
-        }
-    }
-}
+use super::*;
 
 /// Spawn the master daemon over the in-process [`MessageBus`].
 ///
@@ -776,56 +496,6 @@ mod tests {
     use crate::protocol::{AckKind, AckMsg};
     use dewe_dag::WorkflowBuilder;
 
-    /// Drive the master with a hand-rolled "worker" on the test thread.
-    #[test]
-    fn master_runs_a_chain_to_completion() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
-        );
-
-        let mut b = WorkflowBuilder::new("chain");
-        let a = b.job("a", "t", 1.0).build();
-        let c = b.job("b", "t", 1.0).build();
-        b.edge(a, c);
-        let wf = Arc::new(b.finish().unwrap());
-        super::super::submit(&bus, "chain", wf);
-
-        // Act as the sole worker.
-        for _ in 0..2 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            assert!(registry.get(d.job.workflow).is_some(), "registry populated first");
-            bus.ack.publish(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Running,
-                attempt: d.attempt,
-            });
-            bus.ack.publish(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: d.attempt,
-            });
-        }
-
-        // Completion event arrives, then shut the master down.
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }));
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::AllCompleted { .. }));
-        bus.shutdown();
-        let stats = handle.join();
-        assert_eq!(stats.jobs_completed, 2);
-        assert_eq!(stats.workflows_completed, 1);
-    }
-
     /// The startup prologue reads operator-supplied state from disk. An
     /// unusable journal must surface as one `Failed` event and a clean
     /// exit — never as a panic of the master thread.
@@ -916,327 +586,6 @@ mod tests {
             assert!(reason.starts_with(&format!("{step} /dev/full: ")), "{reason:?}");
             assert_eq!(handle.join(), EngineStats::default(), "{step}");
         }
-    }
-
-    #[test]
-    fn master_counts_coalesced_dispatch_runs() {
-        // A 1 → 16 fan-out: the root's completion releases 16 jobs in
-        // one poll cycle, so with batching on (the default) the serve
-        // loop must publish at least one coalesced run and account for
-        // it in the shared counters.
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
-        );
-
-        let mut b = WorkflowBuilder::new("fan");
-        let root = b.job("root", "t", 1.0).build();
-        for i in 0..16 {
-            let child = b.job(format!("c{i}"), "t", 1.0).build();
-            b.edge(root, child);
-        }
-        let wf = Arc::new(b.finish().unwrap());
-        super::super::submit(&bus, "fan", wf);
-
-        for _ in 0..17 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            bus.ack.publish(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: d.attempt,
-            });
-        }
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }));
-        let stats = handle.master_stats();
-        assert!(stats.dispatch_batches >= 1, "fan-out run was coalesced");
-        assert!(
-            stats.batched_dispatches >= 2 * stats.dispatch_batches,
-            "every counted batch holds at least two dispatches"
-        );
-        assert_eq!(stats.timer_cascades, 0, "nothing timed out, nothing cascaded");
-        bus.shutdown();
-        handle.join();
-    }
-
-    #[test]
-    fn master_ingests_ack_bursts_in_batches() {
-        // 100 independent jobs, all acknowledged at once: 200 acks are
-        // more than one burst, so the master must drain the flood in
-        // batches and still account for every completion exactly once.
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
-        );
-        const JOBS: u64 = 100;
-        assert!(2 * JOBS as usize > ACK_BURST, "the flood must span several bursts");
-        let mut b = WorkflowBuilder::new("wide");
-        for i in 0..JOBS {
-            b.job(format!("j{i}"), "t", 1.0).build();
-        }
-        super::super::submit(&bus, "wide", Arc::new(b.finish().unwrap()));
-
-        let mut acks = Vec::new();
-        for _ in 0..JOBS {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            acks.push(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt: d.attempt });
-            acks.push(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: d.attempt,
-            });
-        }
-        bus.ack.publish_all(acks);
-        let stats = handle.join();
-        assert_eq!(stats.jobs_completed, JOBS);
-        assert_eq!(stats.duplicate_completions, 0);
-        assert_eq!(stats.workflows_completed, 1);
-    }
-
-    #[test]
-    fn master_resubmits_unacknowledged_job() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .default_timeout_secs(0.05)
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
-        );
-        let mut b = WorkflowBuilder::new("one");
-        b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
-
-        // First dispatch: check it out (Running ack) then crash — no
-        // completion ever arrives, so the checkout timeout must fire.
-        let d1 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(d1.attempt, 1);
-        bus.ack.publish(AckMsg { job: d1.job, worker: 0, kind: AckKind::Running, attempt: 1 });
-        // Timeout fires; a resubmission appears.
-        let d2 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(d2.attempt, 2);
-        // Complete it this time.
-        bus.ack.publish(AckMsg { job: d2.job, worker: 1, kind: AckKind::Running, attempt: 2 });
-        bus.ack.publish(AckMsg { job: d2.job, worker: 1, kind: AckKind::Completed, attempt: 2 });
-        let stats = handle.join();
-        assert_eq!(stats.resubmissions, 1);
-        assert_eq!(stats.workflows_completed, 1);
-    }
-
-    #[test]
-    fn lease_expiry_requeues_a_dead_workers_job_and_fences_its_acks() {
-        use crate::protocol::{LifecycleKind, LifecycleMsg};
-        use crate::realtime::WorkerPhase;
-
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            // Job timeout is deliberately long: recovery must come
-            // from the lease, not the timeout scan.
-            MasterConfig::builder()
-                .default_timeout_secs(30.0)
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .lease_secs(0.15)
-                .build(),
-        );
-        let mut b = WorkflowBuilder::new("one");
-        b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
-
-        // Worker 5 registers, checks the job out, then dies silently.
-        let d1 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(d1.attempt, 1);
-        bus.lifecycle.publish(LifecycleMsg {
-            worker: 5,
-            generation: 0,
-            kind: LifecycleKind::Register,
-        });
-        bus.ack.publish(AckMsg { job: d1.job, worker: 5, kind: AckKind::Running, attempt: 1 });
-
-        // The lease lapses and the job is requeued as attempt 2.
-        let d2 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(d2.attempt, 2);
-        // A zombie completion for the dead attempt is fenced out; a live
-        // worker finishes the requeued attempt.
-        bus.ack.publish(AckMsg { job: d1.job, worker: 5, kind: AckKind::Completed, attempt: 1 });
-        bus.ack.publish(AckMsg { job: d2.job, worker: 6, kind: AckKind::Running, attempt: 2 });
-        bus.ack.publish(AckMsg { job: d2.job, worker: 6, kind: AckKind::Completed, attempt: 2 });
-
-        loop {
-            match handle.events.recv_timeout(Duration::from_secs(5)).unwrap() {
-                MasterEvent::AllCompleted { .. } => break,
-                MasterEvent::WorkflowCompleted { .. } => {}
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        let ms = handle.master_stats();
-        assert_eq!(ms.workers_expired, 1);
-        assert_eq!(ms.jobs_requeued_on_expiry, 1);
-        assert_eq!(ms.stale_acks_rejected, 1);
-        assert_eq!(ms.workers_registered, 2, "worker 6 got an implicit lease");
-        let rows = handle.liveness_snapshot();
-        assert_eq!(rows.iter().filter(|r| r.phase == WorkerPhase::Expired).count(), 1);
-        let stats = handle.join();
-        assert_eq!(stats.jobs_completed, 1);
-        assert_eq!(stats.duplicate_completions, 0, "fenced before the engine");
-    }
-
-    #[test]
-    fn drained_worker_completes_gracefully_under_leases() {
-        use crate::realtime::runner::NoopRunner;
-        use crate::realtime::worker::{spawn_worker, WorkerConfig};
-
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(4)
-                .lease_secs(2.0)
-                .build(),
-        );
-        let mk_worker = |id: u32| {
-            spawn_worker(
-                bus.clone(),
-                registry.clone(),
-                Arc::new(NoopRunner),
-                WorkerConfig {
-                    worker_id: id,
-                    slots: 2,
-                    pull_timeout: Duration::from_millis(5),
-                    heartbeat_interval: Some(Duration::from_millis(20)),
-                    ..WorkerConfig::default()
-                },
-            )
-        };
-        let w0 = mk_worker(0);
-        let w1 = mk_worker(1);
-        for i in 0..2 {
-            let mut b = WorkflowBuilder::new("wf");
-            b.job("a", "t", 1.0).build();
-            b.job("b", "t", 1.0).build();
-            super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
-        }
-        // Wait for the first batch to finish, then drain worker 1 and
-        // submit more work — only worker 0 serves it.
-        let mut settled = 0;
-        while settled < 2 {
-            if let MasterEvent::WorkflowCompleted { .. } =
-                handle.events.recv_timeout(Duration::from_secs(10)).unwrap()
-            {
-                settled += 1;
-            }
-        }
-        w1.announce_drain();
-        w1.stop();
-        for i in 2..4 {
-            let mut b = WorkflowBuilder::new("wf");
-            b.job("a", "t", 1.0).build();
-            b.job("b", "t", 1.0).build();
-            super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
-        }
-        loop {
-            match handle.events.recv_timeout(Duration::from_secs(10)).unwrap() {
-                MasterEvent::AllCompleted { .. } => break,
-                MasterEvent::WorkflowCompleted { .. } => {}
-                other => panic!("unexpected event {other:?}"),
-            }
-        }
-        let ms = handle.master_stats();
-        assert_eq!(ms.drains_completed, 1);
-        assert_eq!(ms.workers_expired, 0, "heartbeats kept every lease alive");
-        assert_eq!(ms.jobs_requeued_on_expiry, 0);
-        let stats = handle.join();
-        assert_eq!(stats.workflows_completed, 4);
-        w0.stop();
-    }
-
-    /// Without `expected_workflows` the master serves until the transport
-    /// goes away — and then it, and the workers, exit even with work in
-    /// flight.
-    #[test]
-    fn bus_shutdown_mid_flight_ends_master_and_workers() {
-        use crate::realtime::runner::SleepRunner;
-        use crate::realtime::worker::{spawn_worker, WorkerConfig};
-
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(bus.clone(), registry.clone(), MasterConfig::builder().build());
-        let worker = spawn_worker(
-            bus.clone(),
-            registry,
-            Arc::new(SleepRunner::new(0.05)),
-            WorkerConfig::default(),
-        );
-        let mut b = WorkflowBuilder::new("chain");
-        let first = b.job("a", "t", 1.0).build();
-        let second = b.job("b", "t", 1.0).build();
-        b.edge(first, second);
-        super::super::submit(&bus, "never-finishes", Arc::new(b.finish().unwrap()));
-        bus.shutdown();
-        let stats = handle.join();
-        assert_eq!(stats.workflows_completed, 0, "shut down mid-flight: {stats:?}");
-        worker.stop();
-    }
-
-    #[test]
-    fn master_dead_letters_and_exits_settled() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(5))
-                .expected_workflows(1)
-                .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
-                .build(),
-        );
-        let mut b = WorkflowBuilder::new("poison");
-        b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
-
-        // Fail every attempt; after the cap the workflow is abandoned
-        // and the master exits with partial completion.
-        for attempt in 1..=2 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            assert_eq!(d.attempt, attempt);
-            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt });
-            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Failed, attempt });
-        }
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(
-            ev,
-            MasterEvent::WorkflowAbandoned { workflow: WorkflowId(0), dead_lettered: 1 }
-        );
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(ev, MasterEvent::AllSettled { .. }), "got {ev:?}");
-        let stats = handle.join();
-        assert_eq!(stats.dead_lettered, 1);
-        assert_eq!(stats.workflows_abandoned, 1);
-        assert_eq!(stats.workflows_completed, 0);
     }
 
     /// A transport that is its own worker fleet and checks the write-ahead
