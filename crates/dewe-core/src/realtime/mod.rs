@@ -46,7 +46,9 @@ pub use master::{
     spawn_master, spawn_master_on, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle,
     MasterTransport,
 };
-pub use net::{submit_over_tcp, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions};
+pub use net::{submit_over_tcp, TcpWorkerLink, TcpWorkerOptions};
+#[cfg(unix)]
+pub use net::{TcpMaster, TcpMasterOptions};
 pub use runner::{CpuRunner, FsRunner, JobOutcome, JobRunner, NoopRunner, RunContext, SleepRunner};
 pub use worker::{spawn_worker, spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle};
 

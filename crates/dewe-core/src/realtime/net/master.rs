@@ -1,3 +1,6 @@
+use std::io::Read;
+use std::os::unix::net::UnixStream;
+
 use super::spool::{load_spool, spool_workflow};
 use super::*;
 
@@ -14,79 +17,477 @@ pub struct TcpMasterOptions {
     pub state_dir: Option<PathBuf>,
 }
 
-/// One connected worker, from the master's side.
+/// The most one turn reads from one connection: what a peer that never
+/// stops sending can put between another connection and its turn.
+const READ_BOUND: usize = 64 * 1024;
+
+/// How long [`TcpMaster::shutdown`] waits for peers to take what is still
+/// queued for them, the `Bye` last. A peer that has stopped reading costs a
+/// graceful stop this much and no more.
+const BYE_WAIT: Duration = Duration::from_secs(2);
+
+/// One outbound frame: `head` — length prefix included — then `text` when
+/// the frame is a workflow announcement. The text is the DAG store's copy,
+/// so queueing an announcement on every connection and keeping it for
+/// replay costs a reference each, not megabytes each.
+#[derive(Clone)]
+struct OutFrame {
+    head: Vec<u8>,
+    text: Option<Arc<str>>,
+}
+
+impl OutFrame {
+    /// Frame `payload` followed by `text`.
+    fn new(mut payload: Vec<u8>, text: Option<Arc<str>>) -> Self {
+        let len = payload.len() + text.as_deref().map_or(0, str::len);
+        // A text over 4 GiB can only have come from a spool file; its
+        // frame declares a length every receiver's cap refuses.
+        payload.splice(..0, u32::try_from(len).unwrap_or(u32::MAX).to_be_bytes());
+        Self { head: payload, text }
+    }
+
+    /// The frame's bytes from offset `sent` on, up to the end of the part
+    /// (head or text) that offset falls in; empty once all are sent.
+    fn rest(&self, sent: usize) -> &[u8] {
+        match sent.checked_sub(self.head.len()) {
+            None => &self.head[sent..],
+            Some(at) => &self.text.as_deref().unwrap_or_default().as_bytes()[at..],
+        }
+    }
+}
+
+/// A connection's socket and what could not yet be written to it.
+struct Socket {
+    stream: TcpStream,
+    /// Frames not yet wholly written, oldest first; `sent` bytes of the
+    /// first one are on the wire.
+    unsent: VecDeque<OutFrame>,
+    sent: usize,
+    /// A read or a write failed, or the peer broke protocol: the end of the
+    /// turn closes it.
+    dead: bool,
+}
+
+impl Socket {
+    /// Send `frame` behind whatever is already waiting: at once if nothing
+    /// is, else when the socket next takes bytes.
+    fn send(&mut self, frame: OutFrame) {
+        self.unsent.push_back(frame);
+        if self.unsent.len() == 1 {
+            self.flush();
+        }
+    }
+
+    /// Write until everything queued is out or the socket would block.
+    fn flush(&mut self) {
+        while let (Some(frame), false) = (self.unsent.front(), self.dead) {
+            let rest = frame.rest(self.sent);
+            if rest.is_empty() {
+                self.unsent.pop_front();
+                self.sent = 0;
+                continue;
+            }
+            match (&self.stream).write(rest) {
+                Ok(0) => self.dead = true,
+                Ok(n) => self.sent += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => self.dead = true,
+            }
+        }
+    }
+}
+
+/// What a connection is, which its first frame says.
+enum Role {
+    /// Nothing yet: the handshake has not arrived, or not all of it.
+    Unknown,
+    /// A worker, with the dispatch credit its `Hello` offered.
+    Worker(SendWindow),
+    Submitter,
+}
+
+/// One accepted connection.
 struct Conn {
-    /// Outbound frames; a dedicated writer thread drains this, so the
-    /// master loop never blocks on a slow worker's socket.
-    out: Topic<OutFrame>,
-    /// Dispatch credit for this connection.
-    window: SendWindow,
+    socket: Socket,
+    role: Role,
+    /// Bytes received and not yet cut into frames.
+    inbuf: FrameBuf,
 }
 
 impl Conn {
-    fn send(&self, msg: &WireMsg) {
-        self.out.publish(OutFrame { head: msg.encode(), text: None });
+    /// The dispatch credit of a worker connection that is still alive.
+    fn window(&self) -> Option<&SendWindow> {
+        match &self.role {
+            Role::Worker(window) if !self.socket.dead => Some(window),
+            _ => None,
+        }
+    }
+
+    /// One bounded read, and every whole frame it completed handed to the
+    /// endpoint's queues. `Err` drops the connection, with the reason to
+    /// log when the peer did something other than hang up.
+    fn receive(&mut self, ep: &mut Endpoint, dags: &DagStore) -> Result<(), Option<String>> {
+        match self.inbuf.fill(&mut &self.socket.stream) {
+            Ok(0) => return Err(None),
+            Ok(_) => {}
+            Err(e)
+                if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted) =>
+            {
+                return Ok(())
+            }
+            Err(_) => return Err(None),
+        }
+        loop {
+            let frame = match self.inbuf.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(()),
+                Err(e) => return Err(Some(e.to_string())),
+            };
+            match self.role {
+                // Any decode error (version skew first) ends the handshake.
+                Role::Unknown => match WireMsg::decode(frame) {
+                    // Liveness identity arrives via Lifecycle frames.
+                    Ok(WireMsg::Hello { window, .. }) => {
+                        // Every announcement so far, then (from the end of
+                        // this turn) dispatches: a late joiner knows a
+                        // workflow before any of its jobs.
+                        ep.announced.iter().for_each(|f| self.socket.send(f.clone()));
+                        self.role = Role::Worker(SendWindow::new(window));
+                    }
+                    Ok(WireMsg::SubmitterHello) => self.role = Role::Submitter,
+                    Ok(other) => return Err(Some(format!("unexpected handshake {other:?}"))),
+                    Err(e) => return Err(Some(format!("rejecting connection: {e}"))),
+                },
+                Role::Worker(ref window) => match WireMsg::decode(frame) {
+                    Ok(WireMsg::Ack(ack)) => {
+                        // Terminal acks settle a dispatch: refund the credit
+                        // before the serve loop even sees the ack.
+                        if matches!(ack.kind, AckKind::Completed | AckKind::Failed) {
+                            window.release();
+                        }
+                        ep.acks.push_back(ack);
+                    }
+                    Ok(WireMsg::Lifecycle(msg)) => {
+                        ep.lifecycle.push_back(msg);
+                        ep.doorbell = true;
+                    }
+                    // A stopping worker hands back an unstarted checkout:
+                    // refund and queue it; the end of the turn redelivers it
+                    // to whoever has credit.
+                    Ok(WireMsg::Return(d)) => {
+                        window.release();
+                        ep.pending.push_back(d);
+                    }
+                    Ok(other) => return Err(Some(format!("unexpected worker frame {other:?}"))),
+                    Err(e) => return Err(Some(format!("bad worker frame: {e}"))),
+                },
+                // Decoded in place: a DAG already in the store costs one
+                // hash and one compare of the bytes where they arrived.
+                Role::Submitter => match DagFrame::decode(frame) {
+                    Ok(Some(DagFrame { id: None, name, dag })) => match dags.intern(dag) {
+                        Ok(workflow) => {
+                            ep.submissions
+                                .push_back(SubmissionMsg { name: name.to_string(), workflow });
+                            ep.doorbell = true;
+                        }
+                        Err(e) => eprintln!("dewe-master: rejecting submission {name:?}: {e}"),
+                    },
+                    Ok(_) => {
+                        let ty = frame.get(1).copied().unwrap_or_default();
+                        return Err(Some(format!("unexpected submitter frame (type {ty:#04x})")));
+                    }
+                    Err(e) => return Err(Some(format!("bad submitter frame: {e}"))),
+                },
+            }
+        }
+    }
+}
+
+/// Everything the endpoint's callers share, under [`MasterInner::state`].
+struct Endpoint {
+    /// `None` once the endpoint is stopped.
+    listener: Option<TcpListener>,
+    conns: Vec<Conn>,
+    /// Dispatches that found no window credit, FIFO per arrival.
+    pending: VecDeque<DispatchMsg>,
+    /// Every announcement so far, as sent, replayed to late-joining
+    /// workers.
+    announced: Vec<OutFrame>,
+    /// What turns have read and the serve loop has not yet pulled.
+    submissions: VecDeque<SubmissionMsg>,
+    acks: VecDeque<AckMsg>,
+    lifecycle: VecDeque<LifecycleMsg>,
+    /// A turn queued a submission or a lifecycle message: the next
+    /// `pull_ack` that finds no ack returns at once, for the serve loop to
+    /// go round and find it.
+    doorbell: bool,
+    /// Threads asleep in `poll` right now, which a change they did not
+    /// make themselves must wake.
+    sleepers: usize,
+    /// The last `accept` failed (logged once per streak), and the listener
+    /// sits out the next turn's `poll` so that a full descriptor table is
+    /// retried at the pace of other traffic, not in a spin.
+    accept_failing: bool,
+    listener_sits_out: bool,
+    /// The `poll` set, kept for its allocation.
+    fds: Vec<PollFd>,
+}
+
+impl Endpoint {
+    fn stopped(&self) -> bool {
+        self.listener.is_none()
+    }
+
+    /// Accept until the backlog is empty.
+    fn accept(&mut self) {
+        let Some(listener) = &self.listener else { return };
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    self.accept_failing = false;
+                    // One blocking socket would stall every other: refuse it.
+                    if stream.set_nonblocking(true).is_ok() {
+                        let _ = stream.set_nodelay(true);
+                        self.conns.push(Conn {
+                            socket: Socket {
+                                stream,
+                                unsent: VecDeque::new(),
+                                sent: 0,
+                                dead: false,
+                            },
+                            role: Role::Unknown,
+                            inbuf: FrameBuf::new(DEFAULT_MAX_FRAME, READ_BOUND),
+                        });
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                // A peer that gave up while it sat in the backlog; a signal.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::ConnectionAborted | io::ErrorKind::Interrupted
+                    ) => {}
+                // Out of descriptors or memory, for now.
+                Err(e) => {
+                    if !std::mem::replace(&mut self.accept_failing, true) {
+                        eprintln!("dewe-master: accept failed, will keep trying: {e}");
+                    }
+                    self.listener_sits_out = true;
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Place a run of dispatches, spending window credit in batch debits
+    /// and splitting across connections as credit allows.
+    /// Sent dispatches are drained from the front of `batch` (delivery
+    /// order preserved); whatever found no credit stays behind. Returns
+    /// how many were sent. Runs of one travel as plain [`WireMsg::
+    /// Dispatch`] frames; longer runs coalesce into one
+    /// [`WireMsg::DispatchBatch`] frame per granted connection.
+    fn try_send_batch(&mut self, batch: &mut Vec<DispatchMsg>) -> usize {
+        let mut sent = 0;
+        for conn in &mut self.conns {
+            if sent == batch.len() {
+                break;
+            }
+            let want = (batch.len() - sent) as u32;
+            let granted = conn.window().map_or(0, |w| w.try_acquire_n(want)) as usize;
+            if granted == 0 {
+                continue;
+            }
+            let run = &batch[sent..sent + granted];
+            let msg = match run {
+                [one] => WireMsg::Dispatch(*one),
+                _ => WireMsg::DispatchBatch(run.to_vec()),
+            };
+            conn.socket.send(OutFrame::new(msg.encode(), None));
+            sent += granted;
+        }
+        batch.drain(..sent);
+        sent
+    }
+
+    /// Retry queued dispatches against current credit, coalescing what
+    /// can go into one batch placement. Called at the end of every turn —
+    /// after a whole read burst of acks has refunded its credit, so a deep
+    /// backlog leaves as one `DispatchBatch` per connection, not one frame
+    /// per ack — and after every publish.
+    fn drain_pending(&mut self) {
+        if self.pending.is_empty() {
+            return;
+        }
+        // Collect no more of the queue than the total free credit: a deep
+        // backlog drains one refund at a time, and copying the whole queue
+        // to have try_send_batch grant one dispatch would turn each refund
+        // into an O(queue) scan.
+        let free: usize = self
+            .conns
+            .iter()
+            .filter_map(Conn::window)
+            .map(|w| w.limit().saturating_sub(w.in_flight()) as usize)
+            .sum();
+        let take = self.pending.len().min(free);
+        if take == 0 {
+            return;
+        }
+        let mut batch: Vec<DispatchMsg> = self.pending.range(..take).copied().collect();
+        let sent = self.try_send_batch(&mut batch);
+        self.pending.drain(..sent);
     }
 }
 
 struct MasterInner {
     local_addr: SocketAddr,
-    stop: AtomicBool,
-    submission: Topic<SubmissionMsg>,
-    ack: Topic<AckMsg>,
-    lifecycle: Topic<LifecycleMsg>,
-    conns: Mutex<HashMap<u64, Arc<Conn>>>,
-    next_conn: AtomicU64,
-    /// Dispatches that found no window credit, FIFO per arrival.
-    pending: Mutex<VecDeque<DispatchMsg>>,
-    /// Every announcement so far, as sent, replayed to late-joining
-    /// workers. Also the synchronization point between `announce`
-    /// broadcasts and Hello replays (see `worker_conn_loop`).
-    announced: Mutex<Vec<OutFrame>>,
+    state: Mutex<Endpoint>,
+    /// A byte written to `wake.1` makes `wake.0` readable, which returns
+    /// every `poll` in progress. Whoever is woken reads it off — unless the
+    /// endpoint has stopped: then it stays, and no `poll` sleeps again.
+    wake: (UnixStream, UnixStream),
     /// Every DAG text this master has been handed, parsed once each.
     dags: DagStore,
     state_dir: Option<PathBuf>,
-    accept_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// The master's TCP endpoint: accepts worker and submitter connections
-/// and exposes them to the serve loop as a [`Transport`]. Clones share
-/// the endpoint.
+impl MasterInner {
+    fn wake(&self) {
+        // Full means unread wake-ups are already waiting.
+        let _ = (&self.wake.1).write(&[1]);
+    }
+
+    /// What every call that sends ends with: dispatches that were waiting
+    /// for credit, and — if this thread is not the one that will next
+    /// `poll` — a wake-up for the one asleep there, whose `poll` set does
+    /// not yet ask when a connection with bytes left over can take more.
+    fn sent(&self, ep: &mut Endpoint) {
+        ep.drain_pending();
+        if ep.sleepers > 0 && ep.conns.iter().any(|c| !c.socket.unsent.is_empty()) {
+            self.wake();
+        }
+    }
+
+    /// One turn of the loop, on the caller's thread: sleep in `poll` — the
+    /// state unlocked — until a socket is ready or `wait` has passed, then
+    /// accept whoever is waiting, make one bounded read from each readable
+    /// connection and queue its frames, write to each connection that can
+    /// take more of what it is owed, close what died, and only then — every
+    /// refund of the turn in — send what waited for credit.
+    fn turn<'a>(
+        &'a self,
+        mut ep: MutexGuard<'a, Endpoint>,
+        wait: Duration,
+    ) -> MutexGuard<'a, Endpoint> {
+        let Some(listener) = ep.listener.as_ref().map(|l| PollFd::new(l, POLLIN)) else {
+            return ep;
+        };
+        let mut fds = std::mem::take(&mut ep.fds);
+        fds.clear();
+        fds.push(PollFd::new(&self.wake.0, POLLIN));
+        fds.extend(ep.conns.iter().map(|c| {
+            let events = if c.socket.unsent.is_empty() { POLLIN } else { POLLIN | POLLOUT };
+            PollFd::new(&c.socket.stream, events)
+        }));
+        let listening = !std::mem::take(&mut ep.listener_sits_out);
+        if listening {
+            fds.push(listener);
+        }
+        ep.sleepers += 1;
+        drop(ep);
+        // A failed `poll` is a turn in which nothing was ready.
+        let _ = poll(&mut fds, wait);
+        let mut ep = self.state.lock();
+        ep.sleepers -= 1;
+        if ep.stopped() {
+            return ep;
+        }
+        if fds[0].revents != 0 {
+            while matches!((&self.wake.0).read(&mut [0; 64]), Ok(1..)) {}
+        }
+        if listening && fds.last().is_some_and(|fd| fd.revents != 0) {
+            ep.accept();
+        }
+        let queued = (ep.acks.len(), ep.submissions.len(), ep.lifecycle.len());
+        // Out of `ep` while they are served, so that a connection can be
+        // handed the rest of it. The connections just accepted have no
+        // entry yet, and whoever else turned the endpoint while this
+        // thread slept may have closed or accepted others: an entry is
+        // matched to its connection by descriptor, and acting on a stale
+        // one costs a read or a write that would have blocked.
+        let mut conns = std::mem::take(&mut ep.conns);
+        for (conn, fd) in conns.iter_mut().zip(&fds[1..]) {
+            if fd.revents == 0 || !fd.is(&conn.socket.stream) {
+                continue;
+            }
+            if fd.revents & POLLOUT != 0 {
+                conn.socket.flush();
+            }
+            if fd.revents != POLLOUT {
+                if let Err(why) = conn.receive(&mut ep, &self.dags) {
+                    if let Some(why) = why {
+                        eprintln!("dewe-master: {why}; dropping connection");
+                    }
+                    conn.socket.dead = true;
+                }
+            }
+        }
+        // A dropped connection refunds nothing: leases and timeouts
+        // recover what it held.
+        conns.retain(|c| !c.socket.dead);
+        ep.conns = conns;
+        self.sent(&mut ep);
+        if ep.sleepers > 0 && queued != (ep.acks.len(), ep.submissions.len(), ep.lifecycle.len()) {
+            self.wake();
+        }
+        ep.fds = fds;
+        ep
+    }
+}
+
+/// The master's TCP endpoint: worker and submitter connections, exposed to
+/// the serve loop as a [`Transport`] and served by whichever thread is
+/// inside [`pull_ack`](Transport::pull_ack) — it has no thread of its own
+/// (see the module documentation). Clones share the endpoint.
 #[derive(Clone)]
 pub struct TcpMaster {
     inner: Arc<MasterInner>,
 }
 
 impl TcpMaster {
-    /// Bind the master endpoint and start accepting connections.
-    /// `addr` may use port 0 to let the OS pick (see
+    /// Bind the master endpoint. Connections are accepted from the first
+    /// [`pull_ack`](Transport::pull_ack) on; until then they wait in the
+    /// listener's backlog. `addr` may use port 0 to let the OS pick (see
     /// [`local_addr`](Self::local_addr)).
     pub fn bind(addr: impl ToSocketAddrs, options: TcpMasterOptions) -> io::Result<Self> {
         if let Some(dir) = &options.state_dir {
             std::fs::create_dir_all(dir)?;
         }
         let listener = bind_reuse(addr)?;
-        let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let wake = UnixStream::pair()?;
+        wake.0.set_nonblocking(true)?;
+        wake.1.set_nonblocking(true)?;
         let inner = Arc::new(MasterInner {
-            local_addr,
-            stop: AtomicBool::new(false),
-            submission: Topic::default(),
-            ack: Topic::default(),
-            lifecycle: Topic::default(),
-            conns: Mutex::new(HashMap::new()),
-            next_conn: AtomicU64::new(0),
-            pending: Mutex::new(VecDeque::new()),
-            announced: Mutex::new(Vec::new()),
+            local_addr: listener.local_addr()?,
+            state: Mutex::new(Endpoint {
+                listener: Some(listener),
+                conns: Vec::new(),
+                pending: VecDeque::new(),
+                announced: Vec::new(),
+                submissions: VecDeque::new(),
+                acks: VecDeque::new(),
+                lifecycle: VecDeque::new(),
+                doorbell: false,
+                sleepers: 0,
+                accept_failing: false,
+                listener_sits_out: false,
+                fds: Vec::new(),
+            }),
+            wake,
             dags: DagStore::default(),
             state_dir: options.state_dir,
-            accept_thread: Mutex::new(None),
         });
-        let accept_inner = Arc::clone(&inner);
-        let handle = std::thread::Builder::new()
-            .name("dewe-master-accept".into())
-            .spawn(move || accept_loop(accept_inner, listener))
-            .expect("spawn accept thread");
-        *inner.accept_thread.lock() = Some(handle);
         Ok(Self { inner })
     }
 
@@ -95,9 +496,12 @@ impl TcpMaster {
         self.inner.local_addr
     }
 
-    /// Number of currently connected worker connections.
+    /// Number of currently connected worker connections, after one turn
+    /// that does not sleep — so a caller waiting for a worker to register
+    /// sees it without a serve loop running.
     pub fn worker_conns(&self) -> usize {
-        self.inner.conns.lock().len()
+        let ep = self.inner.turn(self.inner.state.lock(), Duration::ZERO);
+        ep.conns.iter().filter(|c| c.window().is_some()).count()
     }
 
     /// Load every workflow spooled to this endpoint's state directory,
@@ -114,13 +518,15 @@ impl TcpMaster {
         }
     }
 
-    /// Stop the endpoint gracefully: send [`WireMsg::Bye`] to every
-    /// worker (telling their links not to reconnect — the ensemble is
-    /// done), close the internal topics (releasing the serve loop), and
-    /// join the accept thread, which joins every connection thread. When
-    /// this returns each `Bye` has been flushed and every socket — worker,
-    /// submitter or still shaking hands — is closed: a process may exit on
-    /// the next line and no peer is cut off mid-frame.
+    /// Stop the endpoint gracefully, from any thread: whoever is asleep in
+    /// [`pull_ack`](Transport::pull_ack) returns (releasing the serve
+    /// loop), and this thread sends [`WireMsg::Bye`] to every worker
+    /// (telling their links not to reconnect — the ensemble is done) behind
+    /// whatever was still queued for it, waiting up to two seconds in all
+    /// for peers that are slow to read. When this returns every `Bye` a
+    /// peer was willing to take has been flushed and every socket —
+    /// listener, worker, submitter or still shaking hands — is closed: a
+    /// process may exit on the next line and no peer is cut off mid-frame.
     pub fn shutdown(&self) {
         self.stop(true);
     }
@@ -134,39 +540,40 @@ impl TcpMaster {
     }
 
     fn stop(&self, say_bye: bool) {
-        let inner = &self.inner;
-        if inner.stop.swap(true, Ordering::SeqCst) {
+        let mut conns = {
+            let mut ep = self.inner.state.lock();
+            if ep.listener.take().is_none() {
+                return;
+            }
+            self.inner.wake();
+            std::mem::take(&mut ep.conns)
+        };
+        // The connections are this thread's now; dropping them closes them.
+        if !say_bye {
             return;
         }
-        {
-            let conns = inner.conns.lock();
-            for conn in conns.values() {
-                if say_bye {
-                    conn.send(&WireMsg::Bye);
-                }
-                // Close after Bye: the writer drains queued frames
-                // (including the Bye) before exiting. The accept thread
-                // ends the connection's reader (see `accept_loop`).
-                conn.out.close();
-            }
+        for conn in conns.iter_mut().filter(|c| c.window().is_some()) {
+            conn.socket.send(OutFrame::new(WireMsg::Bye.encode(), None));
         }
-        inner.submission.close();
-        inner.ack.close();
-        inner.lifecycle.close();
-        if let Some(t) = inner.accept_thread.lock().take() {
-            // The accept thread sleeps in `accept` (or, after a failed
-            // one, parked); a connection to ourselves is the wake-up, and
-            // the stop flag set above is what it finds.
-            let mut wake = inner.local_addr;
-            if wake.ip().is_unspecified() {
-                wake.set_ip(match wake {
-                    SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-                    SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-                });
+        let deadline = Instant::now() + BYE_WAIT;
+        loop {
+            let mut fds: Vec<PollFd> = conns
+                .iter()
+                .filter(|c| !c.socket.dead && !c.socket.unsent.is_empty())
+                .map(|c| PollFd::new(&c.socket.stream, POLLOUT))
+                .collect();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if fds.is_empty() || left.is_zero() {
+                break;
             }
-            let _ = TcpStream::connect(wake);
-            t.thread().unpark();
-            let _ = t.join();
+            let _ = poll(&mut fds, left);
+            conns.iter_mut().for_each(|c| c.socket.flush());
+        }
+        for conn in &conns {
+            // Closing a socket with input unread resets the connection and
+            // discards what it has not yet sent — the Bye. Read it off.
+            while matches!((&conn.socket.stream).read(&mut [0; 4096]), Ok(1..)) {}
+            let _ = conn.socket.stream.shutdown(Shutdown::Both);
         }
     }
 }
@@ -179,32 +586,52 @@ impl Transport for TcpMaster {
     type Announce = WorkflowAnnounce;
 
     fn try_pull_submission(&self) -> Option<SubmissionMsg> {
-        self.inner.submission.try_pull()
+        self.inner.state.lock().submissions.pop_front()
     }
 
     fn pull_ack(&self, timeout: Duration) -> Option<AckMsg> {
-        self.inner.ack.pull_timeout(timeout)
+        let deadline = Instant::now().checked_add(timeout);
+        let mut ep = self.inner.state.lock();
+        loop {
+            if let Some(ack) = ep.acks.pop_front() {
+                return Some(ack);
+            }
+            if std::mem::take(&mut ep.doorbell) || ep.stopped() {
+                return None;
+            }
+            let left = match deadline {
+                Some(deadline) => deadline.saturating_duration_since(Instant::now()),
+                None => Duration::MAX,
+            };
+            if left.is_zero() {
+                return None;
+            }
+            ep = self.inner.turn(ep, left);
+        }
     }
 
     fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
-        self.inner.ack.try_pull_batch(out, max)
+        let mut ep = self.inner.state.lock();
+        let take = max.min(ep.acks.len());
+        out.extend(ep.acks.drain(..take));
+        take
     }
 
     fn try_pull_lifecycle(&self) -> Option<LifecycleMsg> {
-        self.inner.lifecycle.try_pull()
+        self.inner.state.lock().lifecycle.pop_front()
     }
 
     fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
-        self.inner.pending.lock().push_back(dispatch);
-        self.inner.drain_pending();
+        let mut ep = self.inner.state.lock();
+        ep.pending.push_back(dispatch);
+        self.inner.sent(&mut ep);
     }
 
     fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
-        self.inner.try_send_batch(batch);
-        if !batch.is_empty() {
-            self.inner.pending.lock().extend(batch.drain(..));
-            self.inner.drain_pending();
-        }
+        let mut ep = self.inner.state.lock();
+        ep.try_send_batch(batch);
+        ep.pending.extend(batch.drain(..));
+        self.inner.sent(&mut ep);
     }
 
     fn announce(&self, announce: WorkflowAnnounce) {
@@ -218,334 +645,24 @@ impl Transport for TcpMaster {
             }
         }
         let head = DagFrame { id: Some(id), name: &name, dag: &text }.head();
-        let frame = OutFrame { head, text: Some(text) };
-        // Holding `announced` across the broadcast closes the race with
-        // a concurrent Hello replay: a late-joining worker either shows
-        // up in `conns` here, or snapshots this workflow from
-        // `announced` — never neither.
-        let mut announced = self.inner.announced.lock();
-        for conn in self.inner.conns.lock().values() {
-            conn.out.publish(frame.clone());
+        let frame = OutFrame::new(head, Some(text));
+        // Under the one lock, a worker either is connected here or will
+        // find this workflow in `announced` at its Hello — never neither.
+        let mut ep = self.inner.state.lock();
+        for conn in ep.conns.iter_mut().filter(|c| c.window().is_some()) {
+            conn.socket.send(frame.clone());
         }
-        announced.push(frame);
+        ep.announced.push(frame);
+        self.inner.sent(&mut ep);
     }
 
     fn ack_closed(&self) -> bool {
-        self.inner.ack.is_closed()
+        self.inner.state.lock().stopped()
     }
 }
-
-impl MasterInner {
-    /// Place a run of dispatches, spending window credit in batch debits
-    /// and splitting across connections as credit allows.
-    /// Sent dispatches are drained from the front of `batch` (delivery
-    /// order preserved); whatever found no credit stays behind. Returns
-    /// how many were sent. Runs of one travel as plain [`WireMsg::
-    /// Dispatch`] frames; longer runs coalesce into one
-    /// [`WireMsg::DispatchBatch`] frame per granted connection.
-    fn try_send_batch(&self, batch: &mut Vec<DispatchMsg>) -> usize {
-        if batch.is_empty() {
-            return 0;
-        }
-        let mut sent = 0;
-        {
-            let conns = self.conns.lock();
-            for conn in conns.values() {
-                if sent == batch.len() {
-                    break;
-                }
-                let want = (batch.len() - sent) as u32;
-                let granted = conn.window.try_acquire_n(want) as usize;
-                if granted == 0 {
-                    continue;
-                }
-                let run = &batch[sent..sent + granted];
-                if granted == 1 {
-                    conn.send(&WireMsg::Dispatch(run[0]));
-                } else {
-                    conn.send(&WireMsg::DispatchBatch(run.to_vec()));
-                }
-                sent += granted;
-            }
-        }
-        batch.drain(..sent);
-        sent
-    }
-
-    /// Retry queued dispatches against current credit, coalescing what
-    /// can go into one batch placement. Called whenever credit is
-    /// refunded or a new worker connects.
-    fn drain_pending(&self) {
-        let mut pending = self.pending.lock();
-        if pending.is_empty() {
-            return;
-        }
-        // Collect no more of the queue than the total free credit: a
-        // deep backlog drains one refund at a time, and copying the whole
-        // queue to have try_send_batch grant one dispatch would turn each
-        // refund into an O(queue) scan. The estimate is racy only in the
-        // safe direction — a concurrent release adds credit the next
-        // drain will use.
-        let free: usize = {
-            let conns = self.conns.lock();
-            conns
-                .values()
-                .map(|c| c.window.limit().saturating_sub(c.window.in_flight()) as usize)
-                .sum()
-        };
-        let take = pending.len().min(free);
-        if take == 0 {
-            return;
-        }
-        let mut batch: Vec<DispatchMsg> = pending.range(..take).copied().collect();
-        let sent = self.try_send_batch(&mut batch);
-        pending.drain(..sent);
-    }
-
-    /// Drop a connection from the routing map and close its out topic.
-    /// Deliberately does NOT shut the socket down: a graceful stop parks
-    /// the Bye frame on the out topic, and the writer thread must drain
-    /// it onto the wire first. The conn loop joins the writer and its
-    /// thread then hard-closes the socket.
-    fn remove_conn(&self, id: u64) {
-        if let Some(conn) = self.conns.lock().remove(&id) {
-            conn.out.close();
-        }
-    }
-}
-
-/// Accept connections until stopped, one thread each, and own those
-/// threads: when the endpoint stops, every connection still open is shut
-/// down and its thread joined here, so joining this thread is joining them
-/// all. Blocks in `accept`; [`TcpMaster::stop`] sets the flag and connects
-/// to wake it.
-fn accept_loop(inner: Arc<MasterInner>, listener: std::net::TcpListener) {
-    let mut conns: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _peer)) => stream,
-            // A peer that gave up while it sat in the backlog.
-            Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => continue,
-            Err(e) => {
-                // Out of descriptors or memory. Take no new connections,
-                // but keep the ones there are until told to stop.
-                eprintln!("dewe-master: accept failed, taking no new connections: {e}");
-                while !inner.stop.load(Ordering::SeqCst) {
-                    std::thread::park();
-                }
-                break;
-            }
-        };
-        if inner.stop.load(Ordering::SeqCst) {
-            break;
-        }
-        conns.retain(|(_, thread)| !thread.is_finished());
-        let Ok(handle) = stream.try_clone() else { continue };
-        let conn_inner = Arc::clone(&inner);
-        let spawned =
-            std::thread::Builder::new().name("dewe-master-conn".into()).spawn(move || {
-                serve_conn(conn_inner, &stream);
-                // `handle` above outlives this thread, so dropping `stream`
-                // would not close the socket: hang up explicitly.
-                let _ = stream.shutdown(Shutdown::Both);
-            });
-        if let Ok(thread) = spawned {
-            conns.push((handle, thread));
-        }
-    }
-    drop(listener);
-    for (stream, _) in &conns {
-        // Ends the connection's blocking read, whatever its role and
-        // however far its handshake got. Write halves stay open: a worker
-        // connection's writer still has its `Bye` to flush.
-        let _ = stream.shutdown(Shutdown::Read);
-    }
-    for (_, thread) in conns {
-        let _ = thread.join();
-    }
-}
-
-/// Handle one inbound connection: handshake, then the per-role frame
-/// loop. Any decode error (version skew first) drops the connection.
-fn serve_conn(inner: Arc<MasterInner>, stream: &TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    let hello = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-        Ok(Some(frame)) => match WireMsg::decode(&frame) {
-            Ok(msg) => msg,
-            Err(e) => {
-                eprintln!("dewe-master: rejecting connection: {e}");
-                return;
-            }
-        },
-        _ => return,
-    };
-    match hello {
-        WireMsg::Hello { worker, generation, window } => {
-            let _ = (worker, generation); // liveness identity arrives via Lifecycle frames
-            worker_conn_loop(inner, stream, reader, window);
-        }
-        WireMsg::SubmitterHello => submitter_conn_loop(inner, reader),
-        other => {
-            eprintln!("dewe-master: unexpected handshake {other:?}; dropping connection");
-        }
-    }
-}
-
-fn worker_conn_loop(
-    inner: Arc<MasterInner>,
-    stream: &TcpStream,
-    mut reader: BufReader<TcpStream>,
-    window: u32,
-) {
-    let Ok(write_half) = stream.try_clone() else { return };
-    let conn = Arc::new(Conn { out: Topic::default(), window: SendWindow::new(window) });
-    let id = inner.next_conn.fetch_add(1, Ordering::Relaxed);
-
-    // Writer thread: drains the out topic onto the socket. It blocks for
-    // one frame, queues that and everything else already waiting, and
-    // flushes once before it blocks again: a burst of frames is one
-    // `send(2)`, a lone frame (a chain's next hop) leaves at once.
-    let writer_conn = Arc::clone(&conn);
-    let spawned =
-        std::thread::Builder::new().name("dewe-master-conn-writer".into()).spawn(move || {
-            let mut w = BufWriter::new(write_half);
-            let mut batch: Vec<OutFrame> = Vec::new();
-            while let Some(first) = writer_conn.out.pull() {
-                batch.push(first);
-                writer_conn.out.try_pull_batch(&mut batch, usize::MAX);
-                let queued = batch.drain(..).try_for_each(|frame| frame.queue_to(&mut w));
-                if queued.and_then(|()| w.flush()).is_err() {
-                    break;
-                }
-            }
-        });
-    // Once per accepted connection, so a peer can drive this to failure by
-    // opening connections: that costs it this connection (nothing is
-    // registered yet), not the master a panicked thread.
-    let writer = match spawned {
-        Ok(writer) => writer,
-        Err(e) => {
-            eprintln!("dewe-master: no writer thread for a worker connection: {e}; dropping it");
-            return;
-        }
-    };
-
-    // Registry replay + registration, synchronized against `announce`.
-    {
-        let announced = inner.announced.lock();
-        for frame in announced.iter() {
-            conn.out.publish(frame.clone());
-        }
-        inner.conns.lock().insert(id, Arc::clone(&conn));
-    }
-    inner.drain_pending();
-
-    // Credits refunded since the last pending-queue drain. Refunds are
-    // coalesced per read burst: a flood of terminal acks sitting in the
-    // read buffer releases all its credit *before* the drain runs, so a
-    // deep dispatch backlog leaves as one DispatchBatch frame instead
-    // of one frame per ack.
-    let mut refunds = 0u32;
-    while !inner.stop.load(Ordering::Relaxed) {
-        let frame = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-            Ok(Some(f)) => f,
-            _ => break,
-        };
-        match WireMsg::decode(&frame) {
-            Ok(WireMsg::Ack(ack)) => {
-                // Terminal acks settle a dispatch: refund the credit
-                // before the serve loop even sees the ack.
-                if matches!(ack.kind, AckKind::Completed | AckKind::Failed) {
-                    conn.window.release();
-                    refunds += 1;
-                }
-                inner.ack.publish(ack);
-            }
-            Ok(WireMsg::Lifecycle(msg)) => {
-                inner.lifecycle.publish(msg);
-                inner.ack.kick();
-            }
-            Ok(WireMsg::Return(d)) => {
-                // A stopping worker hands back an unstarted checkout:
-                // refund and queue it; the drain below redelivers it to
-                // whoever has credit.
-                conn.window.release();
-                refunds += 1;
-                inner.pending.lock().push_back(d);
-            }
-            Ok(other) => {
-                eprintln!("dewe-master: unexpected worker frame {other:?}; dropping connection");
-                break;
-            }
-            Err(e) => {
-                eprintln!("dewe-master: bad worker frame: {e}; dropping connection");
-                break;
-            }
-        }
-        // Drain once the read buffer empties (the burst is over and the
-        // next read would block) — or every 64 refunds, so a sustained
-        // ack flood cannot starve the pending queue indefinitely.
-        if refunds > 0 && (refunds >= 64 || reader.buffer().is_empty()) {
-            inner.drain_pending();
-            refunds = 0;
-        }
-    }
-    inner.remove_conn(id);
-    if refunds > 0 {
-        // The socket closed mid-burst (a stopping worker sends its
-        // Returns and hangs up): redeliver what it handed back now that
-        // its connection no longer competes for the credit.
-        inner.drain_pending();
-    }
-    // Let the writer flush whatever is still queued — on a graceful stop
-    // that includes the Bye telling the worker's link not to reconnect —
-    // before the caller hard-closes the socket. The writer cannot hang:
-    // the out topic is closed (remove_conn above, or the stop path), so
-    // `pull` returns None once the queue drains, and a dead peer fails
-    // the write immediately.
-    let _ = writer.join();
-}
-
-fn submitter_conn_loop(inner: Arc<MasterInner>, mut reader: BufReader<TcpStream>) {
-    while !inner.stop.load(Ordering::Relaxed) {
-        let frame = match read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-            Ok(Some(f)) => f,
-            _ => break,
-        };
-        // Decoded in place: a DAG already in the store costs this
-        // connection one hash and one compare of the frame it just read.
-        let (name, dag) = match DagFrame::decode(&frame) {
-            Ok(Some(DagFrame { id: None, name, dag })) => (name, dag),
-            Ok(_) => {
-                eprintln!(
-                    "dewe-master: unexpected submitter frame (type {:#04x}); dropping connection",
-                    frame.get(1).copied().unwrap_or_default()
-                );
-                break;
-            }
-            Err(e) => {
-                eprintln!("dewe-master: bad submitter frame: {e}; dropping connection");
-                break;
-            }
-        };
-        match inner.dags.intern(dag) {
-            Ok(workflow) => {
-                inner.submission.publish(SubmissionMsg { name: name.to_string(), workflow });
-                // The serve loop sleeps on the ack topic: ring it.
-                inner.ack.kick();
-            }
-            Err(e) => eprintln!("dewe-master: rejecting submission {name:?}: {e}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{scratch, wait_until, wf};
+    use super::super::testutil::{pump, scratch, wait_until, wf};
     use super::*;
 
     /// Pull `n` submissions and register + announce each, as the serve
@@ -578,6 +695,7 @@ mod tests {
         let dir = scratch("ingest");
         let options = || TcpMasterOptions { state_dir: Some(dir.clone()) };
         let master = TcpMaster::bind("127.0.0.1:0", options()).unwrap();
+        let _pump = pump(&master);
         let addr = master.local_addr();
         let connect = |registry: &Registry| {
             TcpWorkerLink::connect(addr, registry.clone(), TcpWorkerOptions::default()).unwrap()
@@ -619,6 +737,7 @@ mod tests {
         // shared, and re-announcing it is the recovery path's replay.
         master.kill();
         let master2 = TcpMaster::bind(addr, options()).unwrap();
+        let _pump2 = pump(&master2);
         let recovered = Registry::new();
         for (id, name, workflow) in master2.load_spool().unwrap() {
             recovered.insert(id, Arc::clone(&workflow));
@@ -645,6 +764,7 @@ mod tests {
     #[test]
     fn a_workflow_that_does_not_parse_stops_the_mirror_without_wedging_the_link() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let mirror = Registry::new();
         let link = TcpWorkerLink::connect(
             master.local_addr(),
@@ -657,8 +777,8 @@ mod tests {
         let forge = |id: u32, dag: &str| {
             let text: Arc<str> = dag.into();
             let head = DagFrame { id: Some(WorkflowId(id)), name: "x", dag: &text }.head();
-            for conn in master.inner.conns.lock().values() {
-                conn.out.publish(OutFrame { head: head.clone(), text: Some(Arc::clone(&text)) });
+            for conn in &mut master.inner.state.lock().conns {
+                conn.socket.send(OutFrame::new(head.clone(), Some(Arc::clone(&text))));
             }
         };
         forge(0, "JOB a t CPU 1");
@@ -678,6 +798,7 @@ mod tests {
         // Transport-level smoke: master endpoint + one worker link, no
         // serve loop — drive the Transport/WorkerTransport traits by hand.
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let registry = Registry::new();
         let link = TcpWorkerLink::connect(
             master.local_addr(),
@@ -717,6 +838,7 @@ mod tests {
     #[test]
     fn window_credit_throttles_and_terminal_acks_refund() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let registry = Registry::new();
         let link = TcpWorkerLink::connect(
             master.local_addr(),
@@ -753,6 +875,7 @@ mod tests {
         // sends one DispatchBatch frame; the worker explodes it back
         // into per-job dispatches in emission order.
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let link = TcpWorkerLink::connect(
             master.local_addr(),
             Registry::new(),
@@ -781,6 +904,7 @@ mod tests {
         // to the free credit; the overflow parks in pending and flows as
         // terminal acks refund — same semantics as per-job publishes.
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let link = TcpWorkerLink::connect(
             master.local_addr(),
             Registry::new(),
@@ -813,6 +937,7 @@ mod tests {
     #[test]
     fn returned_checkout_is_redelivered() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let link = TcpWorkerLink::connect(
             master.local_addr(),
             Registry::new(),
@@ -838,6 +963,7 @@ mod tests {
     #[test]
     fn shutdown_returns_with_every_bye_flushed_and_every_socket_closed() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         // Workers by hand, so the test sees exactly what the master sent.
         let mut workers: Vec<BufReader<TcpStream>> = (0..3)
             .map(|worker| {
@@ -853,9 +979,6 @@ mod tests {
         master.publish_dispatch(0, DispatchMsg::new(job, 1));
 
         master.shutdown();
-        // The accept thread and each connection's reader and writer held
-        // a reference; this handle's is the only one left.
-        assert_eq!(Arc::strong_count(&master.inner), 1, "every endpoint thread has exited");
         let mut dispatches = 0;
         for reader in &mut workers {
             loop {
@@ -879,6 +1002,7 @@ mod tests {
     #[test]
     fn open_submitter_and_silent_connections_do_not_hang_shutdown() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let mut submitter = TcpStream::connect(master.local_addr()).unwrap();
         write_frame(&mut submitter, &WireMsg::SubmitterHello.encode()).unwrap();
         let dag = dewe_dag::write_workflow(&wf("held-open", 1));
@@ -900,7 +1024,6 @@ mod tests {
         };
         done_rx.recv_timeout(Duration::from_secs(10)).expect("shutdown returns");
         stopper.join().unwrap();
-        assert_eq!(Arc::strong_count(&master.inner), 1, "every endpoint thread has exited");
         use std::io::Read as _;
         for (who, stream) in [("submitter", &mut submitter), ("silent", &mut silent)] {
             stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -912,6 +1035,7 @@ mod tests {
     fn version_skew_drops_the_connection_loudly() {
         use std::io::{Read as _, Write as _};
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         // A current-protocol worker, connected throughout.
         let link = TcpWorkerLink::connect(
             master.local_addr(),
@@ -955,6 +1079,301 @@ mod tests {
         let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
         master.publish_dispatch(0, DispatchMsg::new(job, 1));
         assert_eq!(link.pull_dispatch(Duration::from_secs(10)).expect("dispatch").job, job);
+        master.shutdown();
+        link.close();
+    }
+
+    // -----------------------------------------------------------------
+    // What one thread serving every socket could get wrong
+    // -----------------------------------------------------------------
+
+    /// A worker connection by hand: it says Hello, and after that does only
+    /// what the test makes it do.
+    fn raw_worker(master: &TcpMaster, worker: u32, window: u32) -> TcpStream {
+        let mut stream = TcpStream::connect(master.local_addr()).unwrap();
+        let hello = WireMsg::Hello { worker, generation: 0, window };
+        write_frame(&mut stream, &hello.encode()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream
+    }
+
+    /// A DAG text of `mib` MiB, nearly all of it comment, with one job.
+    fn bulky_dag(tag: &str, mib: usize) -> String {
+        let line = format!("# {}\n", "x".repeat(61));
+        format!("# {tag}\n{}JOB a t CPU 1\n", line.repeat(mib * 16 * 1024))
+    }
+
+    /// Eight 3 MiB announcements: more than loopback buffers for a peer
+    /// that is not reading.
+    fn submit_bulky(master: &TcpMaster, tag: &str) -> String {
+        let dag = bulky_dag(tag, 3);
+        let names: Vec<String> = (0..8).map(|i| format!("bulky-{i}")).collect();
+        submit_over_tcp(master.local_addr(), &names, &dag).unwrap();
+        dag
+    }
+
+    /// Frames queued for the first connection that its socket has not taken.
+    fn unsent_to_first(master: &TcpMaster) -> usize {
+        master.inner.state.lock().conns[0].socket.unsent.len()
+    }
+
+    fn job(j: u32) -> dewe_dag::EnsembleJobId {
+        dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j))
+    }
+
+    #[test]
+    fn a_peer_that_stops_reading_mid_announcement_slows_nobody_and_misses_nothing() {
+        use crate::realtime::{
+            spawn_master_on, spawn_worker_on, MasterConfig, MasterEvent, NoopRunner, WorkerConfig,
+        };
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let handle = spawn_master_on(master.clone(), Registry::new(), MasterConfig::default());
+        // First to connect, so first in line for credit: its window of one
+        // goes to the first job there is, which it never acknowledges.
+        let stalled = raw_worker(&master, 1, 1);
+        wait_until("the stalled worker registers", || master.worker_conns() == 1);
+        let mirror = Registry::new();
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            mirror.clone(),
+            TcpWorkerOptions { worker_id: 2, window: 1, ..TcpWorkerOptions::default() },
+        )
+        .unwrap();
+        let worker = spawn_worker_on(
+            Arc::new(link.clone()),
+            mirror,
+            Arc::new(NoopRunner),
+            WorkerConfig { worker_id: 2, slots: 1, ..WorkerConfig::default() },
+        );
+        wait_until("the reading worker registers", || master.worker_conns() == 2);
+
+        let completed = |what: &str| match handle.events.recv_timeout(Duration::from_secs(30)) {
+            Ok(MasterEvent::WorkflowCompleted { workflow, .. }) => workflow,
+            other => panic!("waiting for {what}: {other:?}"),
+        };
+        let bulky = submit_bulky(&master, "stalled mid-announcement");
+        // Workflow 0's one job sits with the stalled worker; the other seven
+        // single-job workflows complete on the one that reads.
+        for _ in 0..7 {
+            completed("a bulky workflow");
+        }
+        assert!(unsent_to_first(&master) > 0, "the stalled worker is behind on its announcements");
+
+        let mut chain = dewe_dag::WorkflowBuilder::new("chain");
+        let mut prev = None;
+        for i in 0..200 {
+            let j = chain.job(format!("c{i}"), "t", 1.0).build();
+            if let Some(p) = prev {
+                chain.edge(p, j);
+            }
+            prev = Some(j);
+        }
+        let chain = dewe_dag::write_workflow(&chain.finish().unwrap());
+        let began = Instant::now();
+        submit_over_tcp(master.local_addr(), ["chain"], &chain).unwrap();
+        assert_eq!(completed("the chain"), WorkflowId(8));
+        let took = began.elapsed();
+        assert!(took < Duration::from_secs(2), "200 hops beside a stalled peer took {took:?}");
+        assert!(unsent_to_first(&master) > 0, "which was stalled throughout");
+
+        // It reads at last: every announcement, whole and in order, and its
+        // one dispatch somewhere behind the workflow it belongs to.
+        let mut reader = BufReader::new(stalled);
+        let (mut announced, mut dispatched) = (0, 0);
+        while announced < 9 {
+            let frame = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
+            match DagFrame::decode(&frame).unwrap() {
+                Some(DagFrame { id, dag, .. }) => {
+                    assert_eq!(id, Some(WorkflowId(announced)), "in order");
+                    assert!(dag == if announced < 8 { &bulky } else { &chain }, "and whole");
+                    announced += 1;
+                }
+                None => {
+                    assert_eq!(
+                        WireMsg::decode(&frame),
+                        Ok(WireMsg::Dispatch(DispatchMsg::new(job(0), 1)))
+                    );
+                    assert!(announced >= 1, "a dispatch behind its workflow's announcement");
+                    dispatched += 1;
+                }
+            }
+        }
+        assert_eq!(dispatched, 1);
+        handle.kill();
+        master.shutdown();
+        worker.stop();
+        link.close();
+    }
+
+    /// However much one connection has sent, a turn takes one bounded read
+    /// of it — and one of everybody else's.
+    #[test]
+    fn a_flood_on_one_connection_is_read_a_bounded_piece_per_turn() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let mut flooder = raw_worker(&master, 1, 4);
+        let mut quiet = raw_worker(&master, 2, 4);
+        let mut submitter = TcpStream::connect(master.local_addr()).unwrap();
+        write_frame(&mut submitter, &WireMsg::SubmitterHello.encode()).unwrap();
+        wait_until("the workers register", || master.worker_conns() == 2);
+
+        // As many acks as loopback holds for a master that is not reading.
+        let mut ack = Vec::new();
+        write_frame(&mut ack, &WireMsg::Ack(AckMsg::new(job(0), 1, AckKind::Running, 1)).encode())
+            .unwrap();
+        let burst = ack.repeat(4096);
+        flooder.set_nonblocking(true).unwrap();
+        let mut flooded = 0;
+        loop {
+            match flooder.write(&burst) {
+                Ok(n) => flooded += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("flooding: {e}"),
+            }
+        }
+        assert!(flooded > 4 * READ_BOUND, "only {flooded} bytes of flood fit");
+        write_frame(
+            &mut quiet,
+            &WireMsg::Ack(AckMsg::new(job(7), 2, AckKind::Running, 1)).encode(),
+        )
+        .unwrap();
+        let dag = dewe_dag::write_workflow(&wf("beside-the-flood", 1));
+        let head = DagFrame { id: None, name: "beside-the-flood", dag: &dag }.head();
+        write_frame_split(&mut submitter, &head, dag.as_bytes()).unwrap();
+
+        let per_turn = READ_BOUND / ack.len() + 1;
+        let (mut turns, mut of_the_flood) = (0, 0);
+        loop {
+            master.worker_conns();
+            turns += 1;
+            let ep = master.inner.state.lock();
+            let flood_acks = ep.acks.iter().filter(|a| a.worker == 1).count();
+            assert!(flood_acks - of_the_flood <= per_turn, "one bounded read of the flood a turn");
+            of_the_flood = flood_acks;
+            if ep.acks.iter().any(|a| a.worker == 2) && ep.submissions.len() == 1 {
+                break;
+            }
+            assert!(turns < 3, "the quiet ack and the submission wait for the flood");
+        }
+        assert!(of_the_flood < flooded / ack.len() / 2, "most of the flood is still unread");
+        master.shutdown();
+    }
+
+    /// A connection that never finishes its handshake wakes the loop with
+    /// every byte and completes nothing: `pull_ack` still returns by its
+    /// deadline, others are served, and `shutdown` hangs up on it.
+    #[test]
+    fn a_peer_that_never_finishes_its_hello_delays_nothing_and_is_hung_up_on() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let mut hello = Vec::new();
+        write_frame(&mut hello, &WireMsg::Hello { worker: 5, generation: 0, window: 1 }.encode())
+            .unwrap();
+        let mut dribbling = TcpStream::connect(master.local_addr()).unwrap();
+        let mut silent = TcpStream::connect(master.local_addr()).unwrap();
+        let dribbler = std::thread::spawn(move || {
+            for byte in &hello[..hello.len() - 1] {
+                dribbling.write_all(&[*byte]).unwrap();
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            dribbling
+        });
+        let began = Instant::now();
+        assert!(master.pull_ack(Duration::from_millis(60)).is_none());
+        let took = began.elapsed();
+        assert!(took >= Duration::from_millis(55), "nothing to return early for: {took:?}");
+        assert!(
+            took < Duration::from_millis(500),
+            "the deadline holds under the dribble: {took:?}"
+        );
+
+        let _pump = pump(&master);
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            Registry::new(),
+            TcpWorkerOptions::default(),
+        )
+        .unwrap();
+        master.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        let d = link.pull_dispatch(Duration::from_secs(10)).expect("others are served");
+        link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, 1));
+        assert_eq!(master.pull_ack(Duration::from_secs(10)).expect("both ways").job, job(0));
+        let mut dribbling = dribbler.join().unwrap();
+        assert_eq!(master.worker_conns(), 1, "all but the last byte of a Hello is not a worker");
+
+        master.shutdown();
+        for (who, stream) in [("dribbling", &mut dribbling), ("silent", &mut silent)] {
+            stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            assert!(matches!(stream.read(&mut [0u8; 1]), Ok(0) | Err(_)), "{who} was hung up on");
+        }
+        link.close();
+    }
+
+    #[test]
+    fn shutdown_waits_for_a_peer_that_stopped_reading_no_longer_than_its_bound() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let _stalled = raw_worker(&master, 1, 1);
+        wait_until("the stalled worker registers", || master.worker_conns() == 1);
+        let reading = raw_worker(&master, 2, 1);
+        let last_frame = std::thread::spawn(move || {
+            let (mut reader, mut last) = (BufReader::new(reading), None);
+            while let Ok(Some(frame)) = read_frame(&mut reader, DEFAULT_MAX_FRAME) {
+                last = Some(frame[..frame.len().min(16)].to_vec());
+            }
+            last
+        });
+        submit_bulky(&master, "stalled at shutdown");
+        ingest(&master, &Registry::new(), 8);
+        assert!(unsent_to_first(&master) > 0, "the stalled worker is behind");
+
+        let began = Instant::now();
+        master.shutdown();
+        let took = began.elapsed();
+        assert!(took >= BYE_WAIT, "it was given its time: {took:?}");
+        assert!(took < BYE_WAIT + Duration::from_secs(1), "and no more: {took:?}");
+        let last = last_frame.join().unwrap();
+        assert_eq!(
+            last,
+            Some(WireMsg::Bye.encode()),
+            "the peer that reads got everything, Bye last"
+        );
+    }
+
+    #[test]
+    fn a_reset_mid_frame_drops_that_connection_only() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            Registry::new(),
+            TcpWorkerOptions::default(),
+        )
+        .unwrap();
+        let mut rude = raw_worker(&master, 9, 4);
+        wait_until("both register", || master.worker_conns() == 2);
+        // Half an ack, then a close with the announcement unread: a reset.
+        master.announce(WorkflowAnnounce {
+            id: WorkflowId(0),
+            name: "unread".into(),
+            workflow: wf("unread", 1),
+        });
+        let mut ack = Vec::new();
+        write_frame(
+            &mut ack,
+            &WireMsg::Ack(AckMsg::new(job(3), 9, AckKind::Completed, 1)).encode(),
+        )
+        .unwrap();
+        rude.write_all(&ack[..ack.len() / 2]).unwrap();
+        wait_until("the announcement has arrived", || {
+            rude.peek(&mut [0u8; 1]).is_ok_and(|n| n == 1)
+        });
+        drop(rude);
+        wait_until("the reset connection is gone", || master.worker_conns() == 1);
+
+        master.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        let d = link.pull_dispatch(Duration::from_secs(10)).expect("the other is still served");
+        link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, 1));
+        assert_eq!(master.pull_ack(Duration::from_secs(10)).expect("both ways").job, job(0));
+        assert!(master.pull_ack(Duration::from_millis(50)).is_none(), "nothing of the torn ack");
         master.shutdown();
         link.close();
     }

@@ -16,21 +16,37 @@
 //! [`WireMsg::SubmitterHello`] for submission clients — and any version
 //! skew or garbage drops the connection before it touches master state.
 //!
-//! ## Threads, and what wakes them
+//! ## One loop, and what wakes it
 //!
-//! Nothing here sleeps on a timer or polls a flag. Each connection has a
-//! reader blocked in `read` and a writer blocked on its outbound topic;
-//! a writer takes one frame, then every other frame already queued,
-//! writes them all and flushes once before it blocks again, so a burst
-//! is one `send(2)` and a lone frame leaves at once. Readers ring the
-//! master's doorbell ([`Topic::kick`] on the ack topic, where the serve
-//! loop sleeps) when a submission or lifecycle message arrives. The
-//! accept thread blocks in `accept` and owns every connection thread;
-//! [`TcpMaster::shutdown`] wakes it with a connection and returns once
-//! it has joined them all — every `Bye` flushed, every socket closed. On
-//! the worker side the reader kicks the outbound topic when its
-//! connection dies, and the writer leaves an unflushed batch with the
-//! link for the next connection to send first.
+//! The master's endpoint has no thread. Whichever thread is inside
+//! [`Transport::pull_ack`] — the serve loop's — sleeps in `poll(2)` over
+//! the listener and every connection, and on waking makes one *turn*:
+//! accept whoever is waiting; one read of at most 64 KiB from each readable
+//! connection, cut into frames where the bytes landed (`dewe_mq::FrameBuf`)
+//! and queued for the serve loop; a write to each connection that can take
+//! more of what it is owed; then, every refund of the turn counted, what
+//! waited for credit. So an ack is read, journaled, applied and answered on
+//! one thread, and what a peer that floods can put between another peer and
+//! its turn is one read. Nothing blocks on a socket: a frame is written when
+//! it is published, from the publisher's thread, and only the part a socket
+//! would not take waits, in order, for `POLLOUT` — a peer that stops reading
+//! costs the others nothing. The other `Transport` pulls only pop what turns
+//! queued; `pull_ack` returns `None` at once when a turn queued a submission
+//! or a lifecycle message, for the serve loop to go round and find it, and
+//! otherwise by its deadline. Nothing sleeps on a timer or polls a flag.
+//!
+//! Any thread may call in; everything shared sits under one mutex that is
+//! not held across `poll`. A caller that changes what a sleeper would want
+//! to know — input queued by [`TcpMaster::worker_conns`]'s non-sleeping
+//! turn, bytes left over from a publish — writes a byte to a socket pair
+//! the sleeper also polls. [`TcpMaster::shutdown`] wakes the sleeper the
+//! same way, for good, takes the connections over, and returns with each
+//! `Bye` flushed (two seconds' grace for a peer slow to read) and every
+//! socket closed. On the worker side there are threads: the link's reader
+//! kicks the outbound topic ([`Topic::kick`]) when its connection dies, and
+//! the writer — which takes one frame, then every other already queued, and
+//! flushes once — leaves an unflushed batch with the link for the next
+//! connection to send first.
 //!
 //! ## Backpressure
 //!
@@ -40,10 +56,10 @@
 //! (Completed/Failed) or an explicit [`WireMsg::Return`] refunds one
 //! credit; dispatches that find no credit anywhere queue inside the
 //! master transport and drain as credit frees up. Workers flush their
-//! acks a batch at a time, so refunds arrive in bursts: the reader
-//! releases a whole read burst of credit before it drains the pending
-//! queue, and the queue leaves as [`WireMsg::DispatchBatch`] frames sized
-//! by the burst, not one frame per ack. A slow worker therefore throttles
+//! acks a batch at a time, so refunds arrive in bursts: a turn releases
+//! every read burst of credit before it drains the pending queue, and the
+//! queue leaves as [`WireMsg::DispatchBatch`] frames sized by the burst,
+//! not one frame per ack. A slow worker therefore throttles
 //! only itself — the paper's pull-based competition, recreated over
 //! push-with-credit.
 //!
@@ -70,21 +86,23 @@
 //! `Arc`, and the two DAG-bearing frames are decoded in place
 //! ([`DagFrame`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use dewe_dag::{Workflow, WorkflowId};
+#[cfg(unix)]
+use dewe_mq::{bind_reuse, poll, FrameBuf, PollFd, SendWindow, Transport, POLLIN, POLLOUT};
 use dewe_mq::{
-    bind_reuse, queue_frame_split, read_frame, write_frame, write_frame_split, SendWindow, Topic,
-    Transport, WorkerTransport, DEFAULT_MAX_FRAME,
+    queue_frame_split, read_frame, write_frame, write_frame_split, Topic, WorkerTransport,
+    DEFAULT_MAX_FRAME,
 };
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use super::bus::Registry;
 use super::dagstore::DagStore;
@@ -92,30 +110,15 @@ use crate::protocol::{
     AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
 
+#[cfg(unix)]
 mod master;
 mod spool;
 mod worker;
 
+#[cfg(unix)]
 pub use master::{TcpMaster, TcpMasterOptions};
 pub use spool::submit_over_tcp;
 pub use worker::{TcpWorkerLink, TcpWorkerOptions};
-
-/// One outbound frame: `head`, then `text` when the frame is a workflow
-/// announcement. The text is the DAG store's copy, so queueing an
-/// announcement on every connection and keeping it for replay costs a
-/// reference each, not megabytes each.
-#[derive(Clone)]
-struct OutFrame {
-    head: Vec<u8>,
-    text: Option<Arc<str>>,
-}
-
-impl OutFrame {
-    /// Queue the frame in `w`; the connection's writer flushes.
-    fn queue_to(&self, w: &mut impl Write) -> io::Result<()> {
-        queue_frame_split(w, &self.head, self.text.as_deref().unwrap_or_default().as_bytes())
-    }
-}
 
 #[cfg(test)]
 mod testutil {
@@ -136,6 +139,33 @@ mod testutil {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// Stands in for the serve loop a bare [`TcpMaster`] does not have: a
+    /// thread that turns the endpoint until this is dropped.
+    pub(super) struct Pump(Arc<AtomicBool>, Option<JoinHandle<()>>);
+
+    pub(super) fn pump(master: &TcpMaster) -> Pump {
+        let (master, stop) = (master.clone(), Arc::new(AtomicBool::new(false)));
+        let stopped = Arc::clone(&stop);
+        Pump(
+            stop,
+            Some(std::thread::spawn(move || {
+                while !stopped.load(Ordering::Relaxed) && !master.ack_closed() {
+                    master.worker_conns();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })),
+        )
+    }
+
+    impl Drop for Pump {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+            if let Some(thread) = self.1.take() {
+                let _ = thread.join();
+            }
+        }
     }
 
     pub(super) fn wait_until(what: &str, mut done: impl FnMut() -> bool) {

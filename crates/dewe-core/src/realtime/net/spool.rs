@@ -93,7 +93,7 @@ pub(super) fn load_spool(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{scratch, wf};
+    use super::super::testutil::{pump, scratch, wf};
     use super::*;
 
     #[test]
@@ -126,6 +126,7 @@ mod tests {
     #[test]
     fn submit_over_tcp_reaches_the_submission_topic() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let dag = dewe_dag::write_workflow(&wf("net-sub", 3));
         submit_over_tcp(master.local_addr(), ["net-sub"], &dag).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);

@@ -285,12 +285,13 @@ fn write_link(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{wait_until, wf};
+    use super::super::testutil::{pump, wait_until, wf};
     use super::*;
 
     #[test]
     fn worker_link_survives_master_restart_on_same_port() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let addr = master.local_addr();
         let registry = Registry::new();
         let link =
@@ -317,6 +318,7 @@ mod tests {
         // Then bind a replacement on the same port (SO_REUSEADDR path)
         // and re-announce.
         let master2 = TcpMaster::bind(addr, TcpMasterOptions::default()).unwrap();
+        let _pump2 = pump(&master2);
         master2.announce(WorkflowAnnounce {
             id: WorkflowId(0),
             name: "a".into(),
@@ -355,6 +357,7 @@ mod tests {
     #[test]
     fn acks_published_while_the_link_writer_sleeps_arrive_complete_and_in_order() {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
         let link = TcpWorkerLink::connect(
             master.local_addr(),
             Registry::new(),

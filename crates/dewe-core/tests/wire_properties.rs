@@ -1,5 +1,5 @@
 //! Property-based tests for the TCP runtime's byte decoders: whatever a
-//! peer sends, `WireMsg::decode` and `read_frame` answer `Ok` or `Err` —
+//! peer sends, `WireMsg::decode`, `read_frame` and `FrameBuf` answer `Ok` or `Err` —
 //! never a panic, never an allocation sized by a number the peer chose —
 //! and every message the runtime can send survives its own encoding.
 
@@ -10,7 +10,7 @@ use dewe_core::{
     AckKind, AckMsg, DispatchMsg, LifecycleKind, LifecycleMsg, WireError, WireMsg, PROTOCOL_VERSION,
 };
 use dewe_dag::{EnsembleJobId, JobId, WorkflowId};
-use dewe_mq::{read_frame, write_frame};
+use dewe_mq::{read_frame, write_frame, FrameBuf};
 use proptest::prelude::*;
 
 thread_local! {
@@ -186,6 +186,39 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The same stream through the master's incremental reader, a read of
+    /// at most `read_bound` bytes at a time: no request of the allocator is
+    /// larger than the cap and one read (and the four-byte prefix), however
+    /// many frames go by and whatever length the last one claims.
+    #[test]
+    fn frame_buf_never_asks_for_more_than_a_frame_and_a_read(
+        stream in prop::collection::vec(prop_oneof![Just(0u8), Just(0u8), Just(0u8), any::<u8>()], 0..400),
+        max_frame in 0usize..64,
+        read_bound in 1usize..64,
+    ) {
+        let mut rest = stream.as_slice();
+        let (refused, largest) = largest_allocation(|| {
+            let mut buf = FrameBuf::new(max_frame, read_bound);
+            loop {
+                loop {
+                    match buf.next_frame() {
+                        Ok(Some(frame)) => assert!(frame.len() <= max_frame),
+                        Ok(None) => break,
+                        Err(_) => return true,
+                    }
+                }
+                match buf.fill(&mut rest) {
+                    Ok(0) => return false,
+                    Ok(_) => {}
+                    Err(_) => return true,
+                }
+            }
+        });
+        // An error may carry a formatted message; nothing else.
+        let allowed = if refused { 256 } else { 4 + max_frame + read_bound };
+        prop_assert!(largest <= allowed, "{largest} bytes under a cap of {max_frame} and reads of {read_bound}");
     }
 
     /// What `write_frame` frames, `read_frame` returns, back to back.

@@ -8,16 +8,18 @@
 //! * [`Topic`] — one thread-safe FIFO work queue: each message goes to
 //!   exactly one consumer, pulls block with a timeout, publishers wake
 //!   only sleepers, [`Topic::kick`] is the doorbell. The in-process bus is
-//!   four of these; the TCP runtime uses them between its socket threads
-//!   and the serve loop.
+//!   four of these; the TCP worker link uses them between its socket
+//!   threads and the slot loops.
 //! * [`Transport`] / [`WorkerTransport`] — the master's and a worker's
 //!   view of the fabric. `dewe-core` writes its serve loops once against
 //!   them and implements them twice: over topics in one process, and over
 //!   TCP connections.
 //! * [`read_frame`] / [`write_frame`] (and the split / queued writers) —
-//!   length-prefixed framing with a size cap, for the TCP runtime.
+//!   length-prefixed framing with a size cap, for the TCP runtime;
+//!   [`FrameBuf`] is the reader for a socket that must not block.
 //! * [`SendWindow`] — per-connection credit for dispatches in flight.
-//! * [`bind_reuse`] — a listener a restarted master can rebind at once.
+//! * [`bind_reuse`] — a listener a restarted master can rebind at once;
+//!   [`poll`] — where one thread waits on many sockets (Unix).
 //! * [`chaos`] — seeded drop / duplicate / delay decisions
 //!   ([`ChaosDecider`]), keyed by a message's identity; the simulator and
 //!   the oracle's drivers apply them at their own transport seams.
@@ -37,13 +39,19 @@
 pub mod chaos;
 mod frame;
 mod listen;
+#[cfg(unix)]
+mod poll;
 mod topic;
 mod transport;
 mod window;
 
 pub use chaos::{ChaosConfig, ChaosDecider, Fault};
-pub use frame::{queue_frame_split, read_frame, write_frame, write_frame_split, DEFAULT_MAX_FRAME};
+pub use frame::{
+    queue_frame_split, read_frame, write_frame, write_frame_split, FrameBuf, DEFAULT_MAX_FRAME,
+};
 pub use listen::bind_reuse;
+#[cfg(unix)]
+pub use poll::{poll, PollFd, POLLIN, POLLOUT};
 pub use topic::{Topic, TopicStats};
 pub use transport::{Transport, WorkerTransport};
 pub use window::SendWindow;

@@ -299,6 +299,9 @@ fn master_kill_and_restart_recovers_over_tcp() {
     let deadline = Instant::now() + Duration::from_secs(30);
     while late_mirror.len() < n_workflows {
         assert!(Instant::now() < deadline, "late link never mirrored the ensemble");
+        // The serve loop has exited and the endpoint has no thread of its
+        // own: turn it by hand.
+        transport2.worker_conns();
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_ensemble_sharing(&late_mirror, "late worker");
