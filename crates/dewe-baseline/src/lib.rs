@@ -45,6 +45,7 @@
 //! assert!(report.completed);
 //! assert_eq!(report.jobs_executed, 40);
 //! ```
+#![forbid(unsafe_code)]
 
 mod scheduler;
 mod sim;

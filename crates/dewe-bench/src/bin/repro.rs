@@ -17,6 +17,7 @@
 //! ```
 //!
 //! Raw data lands in `results/` (override with `DEWE_RESULTS_DIR`).
+#![forbid(unsafe_code)]
 
 use dewe_bench::{experiments, Scale};
 

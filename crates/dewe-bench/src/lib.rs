@@ -19,6 +19,7 @@
 //! is a calibrated simulator, not the authors' EC2 testbed — but the
 //! shapes are: who wins, by what factor, where the crossovers fall. The
 //! paper-vs-measured record lives in `EXPERIMENTS.md`.
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 

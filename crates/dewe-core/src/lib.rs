@@ -42,6 +42,7 @@
 //!
 //! There is one engine: the simulated runtime and the realtime master's
 //! serve loop both drive the single-threaded [`EnsembleEngine`] directly.
+#![forbid(unsafe_code)]
 
 mod engine;
 mod protocol;

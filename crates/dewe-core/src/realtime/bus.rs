@@ -61,6 +61,10 @@ impl Transport for MessageBus {
         self.ack.pull_timeout(timeout)
     }
 
+    fn wake(&self) {
+        self.ack.kick();
+    }
+
     fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
         self.ack.try_pull_batch(out, max)
     }
@@ -123,8 +127,10 @@ impl WorkerTransport for BusWorkerLink {
         self.bus.ack.publish(ack);
     }
 
+    /// Published, and the master — asleep on the ack topic — woken for it.
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
         self.bus.lifecycle.publish(msg);
+        self.bus.wake();
     }
 }
 

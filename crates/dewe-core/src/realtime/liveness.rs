@@ -117,8 +117,8 @@ pub struct MasterStats {
     /// contact — the journal references them but they never came back.
     pub workers_lost_in_recovery: u64,
     /// Coalesced dispatch runs (length ≥ 2) published as one batch.
-    /// Zero when dispatch batching is disabled. Maintained by the serve
-    /// loop, not the liveness table, and not journaled.
+    /// Maintained by the serve loop, not the liveness table, and not
+    /// journaled.
     pub dispatch_batches: u64,
     /// Total dispatches that left inside those coalesced runs, so the
     /// mean per-poll-cycle batch size is
@@ -219,11 +219,6 @@ impl LivenessTable {
             assignments: BTreeMap::new(),
             stats: MasterStats::default(),
         }
-    }
-
-    /// The lease duration.
-    pub fn lease_secs(&self) -> f64 {
-        self.lease_secs
     }
 
     /// Fault-plane counters.
@@ -446,6 +441,17 @@ impl LivenessTable {
             }
         }
         true
+    }
+
+    /// The earliest lease deadline among Live and Draining workers — the
+    /// first instant [`expire_due`](Self::expire_due) has anything to do —
+    /// or `None` while no worker holds a lease.
+    pub fn next_expiry(&self) -> Option<f64> {
+        self.workers
+            .values()
+            .filter(|e| matches!(e.phase, WorkerPhase::Live | WorkerPhase::Draining))
+            .map(|e| e.deadline)
+            .reduce(f64::min)
     }
 
     /// Expire every worker whose lease lapsed at or before `now`,

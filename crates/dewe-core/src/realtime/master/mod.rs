@@ -52,11 +52,9 @@ impl<T> MasterTransport for T where
 ///
 /// ```
 /// use dewe_core::realtime::MasterConfig;
-/// use std::time::Duration;
 ///
 /// let config = MasterConfig::builder()
 ///     .expected_workflows(20)
-///     .timeout_scan_interval(Duration::from_millis(10))
 ///     .lease_secs(5.0)
 ///     .build();
 /// ```
@@ -65,7 +63,6 @@ pub struct MasterConfig {
     default_timeout_secs: f64,
     checkout_timeout_secs: Option<f64>,
     retry: RetryPolicy,
-    timeout_scan_interval: Duration,
     expected_workflows: Option<usize>,
     journal_path: Option<PathBuf>,
     recover: bool,
@@ -79,7 +76,6 @@ impl Default for MasterConfig {
             default_timeout_secs: crate::engine::DEFAULT_TIMEOUT_SECS,
             checkout_timeout_secs: None,
             retry: RetryPolicy::default(),
-            timeout_scan_interval: Duration::from_millis(50),
             expected_workflows: None,
             journal_path: None,
             recover: false,
@@ -133,12 +129,6 @@ impl MasterConfigBuilder {
     /// Retry budget and backoff policy for failed/timed-out jobs.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.cfg.retry = retry;
-        self
-    }
-
-    /// How often the master examines running jobs for timeouts.
-    pub fn timeout_scan_interval(mut self, interval: Duration) -> Self {
-        self.cfg.timeout_scan_interval = interval;
         self
     }
 
@@ -241,6 +231,8 @@ struct FaultPlaneShared {
 pub struct MasterHandle {
     thread: Option<std::thread::JoinHandle<EngineStats>>,
     stop: Arc<AtomicBool>,
+    /// What the serve loop sleeps on, for [`kill`](Self::kill) to wake it.
+    transport: Arc<dyn MasterTransport>,
     shared: Arc<FaultPlaneShared>,
     /// Receiver for progress events.
     pub events: Receiver<MasterEvent>,
@@ -276,8 +268,11 @@ impl MasterHandle {
     /// Simulate a master crash: the daemon stops serving immediately,
     /// abandoning its in-memory state. Workers and queued messages are
     /// untouched — exactly the failure a journaled restart recovers from.
+    /// The stop is a flag the serve loop reads each time round, and a ring
+    /// of the transport's doorbell to send it round now.
     pub fn kill(self) {
         self.stop.store(true, Ordering::Relaxed);
+        self.transport.wake();
         if let Some(thread) = self.thread {
             let _ = thread.join();
         }
@@ -301,10 +296,7 @@ mod tests {
         let handle = spawn_master(
             bus.clone(),
             registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
+            MasterConfig::builder().expected_workflows(1).build(),
         );
 
         let mut b = WorkflowBuilder::new("chain");
@@ -354,10 +346,7 @@ mod tests {
         let handle = spawn_master(
             bus.clone(),
             registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
+            MasterConfig::builder().expected_workflows(1).build(),
         );
 
         let mut b = WorkflowBuilder::new("fan");
@@ -401,10 +390,7 @@ mod tests {
         let handle = spawn_master(
             bus.clone(),
             registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
+            MasterConfig::builder().expected_workflows(1).build(),
         );
         const JOBS: u64 = 100;
         assert!(2 * JOBS as usize > ACK_BURST, "the flood must span several bursts");
@@ -439,11 +425,7 @@ mod tests {
         let handle = spawn_master(
             bus.clone(),
             registry.clone(),
-            MasterConfig::builder()
-                .default_timeout_secs(0.05)
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(1)
-                .build(),
+            MasterConfig::builder().default_timeout_secs(0.05).expected_workflows(1).build(),
         );
         let mut b = WorkflowBuilder::new("one");
         b.job("a", "t", 1.0).build();
@@ -479,7 +461,6 @@ mod tests {
             // from the lease, not the timeout scan.
             MasterConfig::builder()
                 .default_timeout_secs(30.0)
-                .timeout_scan_interval(Duration::from_millis(10))
                 .expected_workflows(1)
                 .lease_secs(0.15)
                 .build(),
@@ -536,11 +517,7 @@ mod tests {
         let handle = spawn_master(
             bus.clone(),
             registry.clone(),
-            MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
-                .expected_workflows(4)
-                .lease_secs(2.0)
-                .build(),
+            MasterConfig::builder().expected_workflows(4).lease_secs(2.0).build(),
         );
         let mk_worker = |id: u32| {
             spawn_worker(
@@ -634,7 +611,6 @@ mod tests {
             bus.clone(),
             registry.clone(),
             MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(5))
                 .expected_workflows(1)
                 .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
                 .build(),

@@ -4,7 +4,7 @@ use super::*;
 ///
 /// It pulls the submission topic for new workflows, the ack topic for
 /// worker progress, publishes eligible jobs to the dispatch topic, and
-/// periodically resubmits timed-out jobs. With
+/// resubmits each timed-out job when its deadline comes. With
 /// [`MasterConfigBuilder::journal_path`] set it write-ahead journals
 /// every input; with [`MasterConfigBuilder::recover`] it first replays
 /// that journal, rebuilding the pre-crash engine and republishing
@@ -25,27 +25,29 @@ pub fn spawn_master_on<T: MasterTransport>(
     let (tx, rx): (Sender<MasterEvent>, Receiver<MasterEvent>) = unbounded();
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = Arc::clone(&stop);
+    let transport = Arc::new(transport);
+    let transport2 = Arc::clone(&transport);
     let shared = Arc::new(FaultPlaneShared::default());
     let shared2 = Arc::clone(&shared);
     let thread = std::thread::Builder::new()
         .name("dewe-master".into())
-        .spawn(move || master_loop(transport, registry, config, tx, stop2, shared2))
+        .spawn(move || master_loop(&*transport2, registry, config, tx, stop2, shared2))
         .expect("spawn master thread");
-    MasterHandle { thread: Some(thread), stop, shared, events: rx }
+    MasterHandle { thread: Some(thread), stop, transport, shared, events: rx }
 }
 
 /// The master thread: run [`serve`], and turn the one way it can fail — an
 /// I/O error on the journal, at startup or mid-run — into the one
 /// [`MasterEvent::Failed`] exit.
 fn master_loop<T: MasterTransport>(
-    transport: T,
+    transport: &T,
     registry: Registry,
     config: MasterConfig,
     events: Sender<MasterEvent>,
     stop: Arc<AtomicBool>,
     shared: Arc<FaultPlaneShared>,
 ) -> EngineStats {
-    match serve(&transport, &registry, &config, &events, &stop, &shared) {
+    match serve(transport, &registry, &config, &events, &stop, &shared) {
         Ok(stats) => stats,
         Err(e) => {
             let _ = events.send(MasterEvent::Failed { reason: e.to_string() });
@@ -98,9 +100,9 @@ impl LivenessPlane {
         plane
     }
 
-    /// Pull every queued lifecycle message and expire lapsed leases.
-    /// Freed in-flight jobs are appended to `requeue_acks` as synthetic
-    /// `Failed` acks for the caller to journal and feed to the engine.
+    /// Pull every queued lifecycle message and, once a lease has lapsed,
+    /// expire what lapsed. Freed in-flight jobs are appended to `requeue_acks`
+    /// as synthetic `Failed` acks for the caller to journal and feed the engine.
     fn poll<T: MasterTransport>(
         &mut self,
         transport: &T,
@@ -111,7 +113,9 @@ impl LivenessPlane {
         while let Some(msg) = transport.try_pull_lifecycle() {
             self.table.on_lifecycle(&msg, now, &mut self.transitions, &mut self.requeues);
         }
-        self.table.expire_due(now, &mut self.transitions, &mut self.requeues);
+        if self.table.next_expiry().is_some_and(|due| due <= now) {
+            self.table.expire_due(now, &mut self.transitions, &mut self.requeues);
+        }
         let changed = !self.transitions.is_empty() || !self.requeues.is_empty();
         self.flush_transitions(wal)?;
         for r in self.requeues.drain(..) {
@@ -293,18 +297,18 @@ fn serve<T: MasterTransport>(
     let mut run: Vec<DispatchMsg> = Vec::new();
 
     let start = Instant::now();
-    let mut last_scan = time_base;
+    let clock = || time_base + start.elapsed().as_secs_f64();
     loop {
         if stop.load(Ordering::Relaxed) {
             // Simulated crash: drop everything on the floor.
             return Ok(engine.stats());
         }
         mirror_cascades(shared, &engine);
-        let now = time_base + start.elapsed().as_secs_f64();
+        let now = clock();
 
         // 1. Ingest any newly submitted workflows.
         while let Some(sub) = transport.try_pull_submission() {
-            let now = time_base + start.elapsed().as_secs_f64();
+            let now = clock();
             // Insert into the registry BEFORE journaling or publishing so
             // neither a worker nor a recovering master can observe a job
             // of an unknown workflow. The announcement broadcast sits
@@ -324,13 +328,12 @@ fn serve<T: MasterTransport>(
             publish_actions(transport, shared, events, &mut actions, &mut run);
         }
 
-        // 2. Timeout scan at the configured cadence. A scan is journaled
-        // after the fact and only when it changed engine state: if the
-        // record is lost to a crash, the rebuilt deadline timer still
-        // holds the expired entries and the recovered master's next scan
+        // 2. Timeout scan, once the earliest deadline has passed. A scan is
+        // journaled after the fact and only when it changed engine state: if
+        // the record is lost to a crash, the rebuilt deadline timer still
+        // holds the expired entries and the recovered master's first scan
         // redoes the work (re-publishing at worst a duplicate dispatch).
-        if now - last_scan >= config.timeout_scan_interval.as_secs_f64() {
-            last_scan = now;
+        if engine.next_deadline().is_some_and(|due| due <= now) {
             let before = engine.stats();
             engine.check_timeouts(now, &mut actions);
             if !actions.is_empty() || engine.stats() != before {
@@ -374,17 +377,19 @@ fn serve<T: MasterTransport>(
             }
         }
 
-        // 4. Wait for worker acknowledgments — until the next scan is
-        // due, or until a submission or lifecycle message rings the
-        // doorbell (`pull_ack` then returns `None` at once and the loop
-        // goes round to ingest it). Once one ack arrives, the rest of any
-        // burst is drained in a single batched grab so a flood of
-        // completions costs one lock + one wakeup, not one per ack.
-        match transport.pull_ack(config.timeout_scan_interval) {
+        // 4. Wait for worker acknowledgments — until the earliest deadline or
+        // lease expiry (with none, for as long as it takes), or until the
+        // doorbell rings for a submission, a lifecycle message or a kill
+        // (`pull_ack` then returns `None` at once and the loop goes round).
+        // Once one ack arrives, the rest of any burst is drained in a single
+        // grab so a flood of completions costs one lock + one wakeup.
+        let expiry = liveness.as_ref().and_then(|plane| plane.table.next_expiry());
+        let due = [engine.next_deadline(), expiry].into_iter().flatten().reduce(f64::min);
+        match transport.pull_ack(time_until(due, clock())) {
             Some(first) => {
                 ack_burst.push(first);
                 transport.pull_ack_batch(&mut ack_burst, ACK_BURST - 1);
-                let now = time_base + start.elapsed().as_secs_f64();
+                let now = clock();
                 // Fence and journal the whole burst in arrival order, one
                 // write for all of it; only then does the engine see it.
                 let mut admitted = 0;
@@ -446,6 +451,12 @@ fn maybe_compact(wal: &mut Wal, registry: &Registry, config: &MasterConfig) {
     if let Err(e) = w.maybe_compact(registry, config.engine_config(), threshold) {
         eprintln!("dewe-master: journal compaction failed (will retry): {e}");
     }
+}
+
+/// How long from engine time `now` until `due`, rounded up so a sleep of it
+/// never ends short of `due` (one already past is no wait); nothing due, forever.
+fn time_until(due: Option<f64>, now: f64) -> Duration {
+    due.map_or(Duration::MAX, |due| Duration::from_nanos(((due - now) * 1e9).ceil() as u64))
 }
 
 /// Mirror the engine's cumulative deadline-wheel cascade count into the
@@ -551,20 +562,19 @@ mod tests {
     #[test]
     fn journal_write_error_fails_the_running_master_without_panicking() {
         use crate::protocol::{LifecycleKind, LifecycleMsg};
+        use crate::realtime::BusWorkerLink;
+        use dewe_mq::WorkerTransport;
 
         for step in ["journal submit", "journal worker", "journal commit"] {
             let bus = MessageBus::new();
             let handle = spawn_master(
                 bus.clone(),
                 Registry::new(),
-                MasterConfig::builder()
-                    .journal_path("/dev/full")
-                    .lease_secs(5.0)
-                    .timeout_scan_interval(Duration::from_millis(10))
-                    .build(),
+                MasterConfig::builder().journal_path("/dev/full").lease_secs(5.0).build(),
             );
             if step == "journal worker" {
-                bus.lifecycle.publish(LifecycleMsg {
+                // As a worker publishes it: with the master woken to take it.
+                BusWorkerLink::new(bus.clone()).publish_lifecycle(LifecycleMsg {
                     worker: 1,
                     generation: 0,
                     kind: LifecycleKind::Register,
@@ -672,7 +682,7 @@ mod tests {
                     generation: 0,
                     kind: crate::protocol::LifecycleKind::Drain,
                 });
-                self.bus.ack.kick();
+                self.wake();
             }
         }
     }
@@ -693,6 +703,9 @@ mod tests {
             let ack = self.bus.ack.pull_timeout(timeout);
             self.pulled_acks(ack.as_slice());
             ack
+        }
+        fn wake(&self) {
+            self.bus.wake();
         }
         fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
             let before = out.len();
@@ -766,7 +779,6 @@ mod tests {
             probe.clone(),
             registry.clone(),
             MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
                 .expected_workflows(2)
                 .journal_path(&path)
                 .lease_secs(30.0)
@@ -823,5 +835,91 @@ mod tests {
         assert!(rec.engine.all_complete(), "the journal replays to completion");
         assert!(rec.redispatch.is_empty());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The bus, counting the serve loop's `pull_ack` calls: in all, and as
+    /// of the latest dispatch it published.
+    #[derive(Clone, Default)]
+    struct CountingBus {
+        bus: MessageBus,
+        pulls: Arc<AtomicU64>,
+        pulls_at_publish: Arc<AtomicU64>,
+    }
+
+    impl Transport for CountingBus {
+        type Submission = SubmissionMsg;
+        type Dispatch = DispatchMsg;
+        type Ack = AckMsg;
+        type Lifecycle = LifecycleMsg;
+        type Announce = WorkflowAnnounce;
+
+        fn try_pull_submission(&self) -> Option<SubmissionMsg> {
+            self.bus.try_pull_submission()
+        }
+        fn pull_ack(&self, timeout: Duration) -> Option<AckMsg> {
+            self.pulls.fetch_add(1, Ordering::Relaxed);
+            self.bus.pull_ack(timeout)
+        }
+        fn wake(&self) {
+            self.bus.wake();
+        }
+        fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
+            self.bus.pull_ack_batch(out, max)
+        }
+        fn try_pull_lifecycle(&self) -> Option<LifecycleMsg> {
+            self.bus.try_pull_lifecycle()
+        }
+        fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
+            self.publish_dispatch_batch(0, &mut vec![dispatch]);
+        }
+        fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
+            self.pulls_at_publish.store(self.pulls.load(Ordering::Relaxed), Ordering::Relaxed);
+            self.bus.publish_dispatch_batch(0, batch);
+        }
+        fn announce(&self, announce: WorkflowAnnounce) {
+            self.bus.announce(announce);
+        }
+        fn ack_closed(&self) -> bool {
+            self.bus.ack_closed()
+        }
+    }
+
+    /// The master wakes for its deadlines and nothing else. Idle, it sleeps
+    /// until something rings — and a kill rings. With one job checked out,
+    /// the next time it looks is when that job's timeout is due.
+    #[test]
+    fn the_master_wakes_for_its_deadlines_and_nothing_else() {
+        let idle = CountingBus::default();
+        let handle = spawn_master_on(idle.clone(), Registry::new(), MasterConfig::default());
+        std::thread::sleep(Duration::from_millis(500));
+        let pulls = idle.pulls.load(Ordering::Relaxed);
+        assert!(pulls <= 2, "an idle master pulled {pulls} times in 500 ms");
+        let began = Instant::now();
+        handle.kill();
+        let took = began.elapsed();
+        assert!(took < Duration::from_millis(100), "kill took {took:?}");
+
+        let transport = CountingBus::default();
+        let bus = transport.bus.clone();
+        let handle = spawn_master_on(
+            transport.clone(),
+            Registry::new(),
+            MasterConfig::builder().default_timeout_secs(0.3).expected_workflows(1).build(),
+        );
+        let mut b = WorkflowBuilder::new("one");
+        b.job("a", "t", 1.0).build();
+        super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
+        let d1 = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("attempt 1");
+        let acked = Instant::now();
+        bus.ack.publish(AckMsg { job: d1.job, worker: 1, kind: AckKind::Running, attempt: 1 });
+        let d2 = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("attempt 2");
+        let waited = acked.elapsed();
+        assert_eq!((d2.job, d2.attempt), (d1.job, 2));
+        assert!(waited >= Duration::from_millis(300), "redispatched {waited:?} after the ack");
+        // The submission's doorbell, the Running ack, the sleep that ended
+        // at the deadline — and one spare.
+        let pulls = transport.pulls_at_publish.load(Ordering::Relaxed);
+        assert!(pulls <= 4, "attempt 2 left after {pulls} pull_ack calls");
+        handle.kill();
     }
 }

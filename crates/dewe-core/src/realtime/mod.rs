@@ -54,13 +54,15 @@ pub use worker::{spawn_worker, spawn_worker_on, DynWorkerTransport, WorkerConfig
 
 use crate::protocol::SubmissionMsg;
 use dewe_dag::Workflow;
+use dewe_mq::Transport;
 use std::sync::Arc;
 
 /// The workflow submission application (paper §III.E): publish a workflow
 /// to the submission topic, from any thread at any time, and ring the
-/// master's doorbell — its serve loop sleeps on the ack topic, and a kick
-/// there has it ingest the submission now rather than at its next scan.
+/// master's doorbell ([`Transport::wake`]) — its serve loop sleeps on the
+/// ack topic until a deadline is due, so this is what has it ingest the
+/// submission at all.
 pub fn submit(bus: &MessageBus, name: impl Into<String>, workflow: Arc<Workflow>) {
     bus.submission.publish(SubmissionMsg { name: name.into(), workflow });
-    bus.ack.kick();
+    bus.wake();
 }

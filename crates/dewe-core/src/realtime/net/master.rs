@@ -218,9 +218,9 @@ struct Endpoint {
     submissions: VecDeque<SubmissionMsg>,
     acks: VecDeque<AckMsg>,
     lifecycle: VecDeque<LifecycleMsg>,
-    /// A turn queued a submission or a lifecycle message: the next
-    /// `pull_ack` that finds no ack returns at once, for the serve loop to
-    /// go round and find it.
+    /// A turn queued a submission or a lifecycle message, or somebody rang
+    /// [`Transport::wake`]: the next `pull_ack` that finds no ack returns at
+    /// once, for the serve loop to go round and find it.
     doorbell: bool,
     /// Threads asleep in `poll` right now, which a change they did not
     /// make themselves must wake.
@@ -437,7 +437,9 @@ impl MasterInner {
         conns.retain(|c| !c.socket.dead);
         ep.conns = conns;
         self.sent(&mut ep);
-        if ep.sleepers > 0 && queued != (ep.acks.len(), ep.submissions.len(), ep.lifecycle.len()) {
+        // A sleeper must hear of input queued here, and of a wake-up read here.
+        let changed = queued != (ep.acks.len(), ep.submissions.len(), ep.lifecycle.len());
+        if ep.sleepers > 0 && (changed || ep.doorbell) {
             self.wake();
         }
         ep.fds = fds;
@@ -458,12 +460,13 @@ impl TcpMaster {
     /// Bind the master endpoint. Connections are accepted from the first
     /// [`pull_ack`](Transport::pull_ack) on; until then they wait in the
     /// listener's backlog. `addr` may use port 0 to let the OS pick (see
-    /// [`local_addr`](Self::local_addr)).
+    /// [`local_addr`](Self::local_addr)). `std` sets `SO_REUSEADDR` (Unix): a
+    /// restarted master rebinds at once, its dead connections in `TIME_WAIT`.
     pub fn bind(addr: impl ToSocketAddrs, options: TcpMasterOptions) -> io::Result<Self> {
         if let Some(dir) = &options.state_dir {
             std::fs::create_dir_all(dir)?;
         }
-        let listener = bind_reuse(addr)?;
+        let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let wake = UnixStream::pair()?;
         wake.0.set_nonblocking(true)?;
@@ -608,6 +611,11 @@ impl Transport for TcpMaster {
             }
             ep = self.inner.turn(ep, left);
         }
+    }
+
+    fn wake(&self) {
+        self.inner.state.lock().doorbell = true;
+        self.inner.wake();
     }
 
     fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
@@ -1081,6 +1089,22 @@ mod tests {
         assert_eq!(link.pull_dispatch(Duration::from_secs(10)).expect("dispatch").job, job);
         master.shutdown();
         link.close();
+    }
+
+    /// The restart drill's precondition: a killed master's port binds again
+    /// at once, while the connection it served sits in `TIME_WAIT`.
+    #[test]
+    fn port_rebinds_immediately_after_active_connections() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let mut worker = raw_worker(&master, 1, 1);
+        wait_until("the worker registers", || master.worker_conns() == 1);
+        // The master closes first, so its end is the one left waiting on
+        // the listening port.
+        master.kill();
+        assert!(matches!(worker.read(&mut [0u8; 1]), Ok(0) | Err(_)), "hung up on");
+        drop(worker);
+        let again = TcpMaster::bind(master.local_addr(), TcpMasterOptions::default());
+        assert!(again.is_ok(), "rebind after a kill failed: {:?}", again.err());
     }
 
     // -----------------------------------------------------------------

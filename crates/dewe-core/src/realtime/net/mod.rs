@@ -32,14 +32,15 @@
 //! would not take waits, in order, for `POLLOUT` — a peer that stops reading
 //! costs the others nothing. The other `Transport` pulls only pop what turns
 //! queued; `pull_ack` returns `None` at once when a turn queued a submission
-//! or a lifecycle message, for the serve loop to go round and find it, and
-//! otherwise by its deadline. Nothing sleeps on a timer or polls a flag.
+//! or a lifecycle message or [`Transport::wake`] rang (a kill rings it), and
+//! otherwise by its deadline, the serve loop's next job timeout or lease
+//! expiry if it has one. Nothing sleeps on a timer or polls a flag.
 //!
 //! Any thread may call in; everything shared sits under one mutex that is
 //! not held across `poll`. A caller that changes what a sleeper would want
 //! to know — input queued by [`TcpMaster::worker_conns`]'s non-sleeping
-//! turn, bytes left over from a publish — writes a byte to a socket pair
-//! the sleeper also polls. [`TcpMaster::shutdown`] wakes the sleeper the
+//! turn, bytes left over from a publish, a rung doorbell — writes a byte to
+//! a socket pair the sleeper polls too. [`TcpMaster::shutdown`] wakes it the
 //! same way, for good, takes the connections over, and returns with each
 //! `Bye` flushed (two seconds' grace for a peer slow to read) and every
 //! socket closed. On the worker side there are threads: the link's reader
@@ -97,7 +98,7 @@ use std::time::{Duration, Instant};
 
 use dewe_dag::{Workflow, WorkflowId};
 #[cfg(unix)]
-use dewe_mq::{bind_reuse, poll, FrameBuf, PollFd, SendWindow, Transport, POLLIN, POLLOUT};
+use dewe_mq::{poll, FrameBuf, PollFd, SendWindow, Transport, POLLIN, POLLOUT};
 use dewe_mq::{
     queue_frame_split, read_frame, write_frame, write_frame_split, Topic, WorkerTransport,
     DEFAULT_MAX_FRAME,

@@ -6,13 +6,14 @@
 //! spurious redispatch, or corrupt the attempt accounting. Duplicate
 //! deliveries of the synthetic requeue acks themselves must be fenced by
 //! the engine's attempt check (the `InflightLanes` generation), not
-//! burned as extra resubmissions.
+//! burned as extra resubmissions. And the table's **next expiry** is
+//! exact, since the master sleeps until it and scans leases only then.
 
 use std::sync::Arc;
 
-use dewe_core::realtime::LivenessTable;
+use dewe_core::realtime::{LivenessTable, WorkerPhase};
 use dewe_core::{AckKind, AckMsg, Action, DispatchMsg, EngineConfig, LifecycleKind, LifecycleMsg};
-use dewe_dag::{Workflow, WorkflowBuilder};
+use dewe_dag::{EnsembleJobId, JobId, Workflow, WorkflowBuilder, WorkflowId};
 use proptest::prelude::*;
 
 const WORKER_A: u32 = 0;
@@ -48,6 +49,14 @@ fn feed(
     }
     engine.on_ack(ack, now, actions);
     true
+}
+
+/// Does any worker hold a lease?
+fn leased(table: &LivenessTable) -> bool {
+    table
+        .snapshot()
+        .iter()
+        .any(|row| matches!(row.phase, WorkerPhase::Live | WorkerPhase::Draining))
 }
 
 fn dispatches(actions: &[Action]) -> Vec<DispatchMsg> {
@@ -173,5 +182,62 @@ proptest! {
         prop_assert_eq!(engine.stats().jobs_completed, n);
         prop_assert!(engine.all_complete());
         prop_assert!(first_wave.iter().all(|d| table.assignment(d.job).is_none()));
+    }
+
+    /// `next_expiry` is the earliest lease deadline among Live and Draining
+    /// workers — the master sleeps until it — over arbitrary lifecycle
+    /// traffic, acks, grace grants and expiry passes: an `expire_due` just
+    /// short of it changes nothing, one at it expires a worker, and without
+    /// it no worker holds a lease.
+    #[test]
+    fn next_expiry_is_the_earliest_lease(
+        ops in prop::collection::vec((0u8..4, 0u32..4, 0u32..3, 0u32..6, 0u8..3, 0u8..5), 1..60),
+    ) {
+        const LIFECYCLE: [LifecycleKind; 3] =
+            [LifecycleKind::Register, LifecycleKind::Heartbeat, LifecycleKind::Drain];
+        const ACKS: [AckKind; 3] = [AckKind::Running, AckKind::Completed, AckKind::Failed];
+        let mut table = LivenessTable::new(LEASE_SECS);
+        let (mut tr, mut rq) = (Vec::new(), Vec::new());
+        let mut now: f64 = 0.0;
+        for (op, worker, generation, job, kind, step) in ops {
+            now += [0.0, 0.25, 0.5, 1.0, 1.5][step as usize];
+            match op {
+                0 => {
+                    let msg = LifecycleMsg::new(worker, generation, LIFECYCLE[kind as usize]);
+                    table.on_lifecycle(&msg, now, &mut tr, &mut rq);
+                }
+                1 => {
+                    let job = EnsembleJobId::new(WorkflowId(0), JobId(job));
+                    let ack = AckMsg::new(job, worker, ACKS[kind as usize], 1);
+                    table.admit_ack(&ack, now, &mut tr);
+                }
+                2 => table.grant_grace(now),
+                _ => {
+                    // Short of the earliest lease nothing lapses, at it
+                    // something does; then the clock catches up.
+                    let Some(due) = table.next_expiry() else {
+                        prop_assert!(!leased(&table), "a lease is held and none expires");
+                        continue;
+                    };
+                    prop_assert!(leased(&table));
+                    let before = (table.snapshot(), table.stats());
+                    tr.clear();
+                    table.expire_due(due.next_down(), &mut tr, &mut rq);
+                    table.expire_due(now.min(due.next_down()), &mut tr, &mut rq);
+                    prop_assert!(
+                        tr.is_empty() && (table.snapshot(), table.stats()) == before,
+                        "expire_due short of {due} expired something"
+                    );
+                    table.expire_due(due, &mut tr, &mut rq);
+                    prop_assert!(
+                        tr.iter().any(|t| t.phase == WorkerPhase::Expired),
+                        "expire_due({due}) expired nobody"
+                    );
+                    prop_assert!(table.next_expiry().is_none_or(|next| next > due));
+                    now = now.max(due);
+                    table.expire_due(now, &mut tr, &mut rq);
+                }
+            }
+        }
     }
 }

@@ -69,7 +69,6 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
         let registry = Registry::new();
         let mk_config = |recover: bool| {
             MasterConfig::builder()
-                .timeout_scan_interval(Duration::from_millis(10))
                 .expected_workflows(6)
                 .journal_path(journal_path.clone())
                 .recover(recover)
@@ -214,7 +213,6 @@ fn ensemble_finishes_after_master_failover() {
     // power loss, which journal_properties covers.
     let mk_config = |recover: bool| {
         MasterConfig::builder()
-            .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(3)
             .journal_path(journal_path.clone())
             .recover(recover)
@@ -290,7 +288,6 @@ fn compacted_journal_still_recovers_the_ensemble() {
     let registry = Registry::new();
     let mk_config = |recover: bool| {
         MasterConfig::builder()
-            .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(4)
             .journal_path(journal_path.clone())
             .journal_compact_threshold(8)
@@ -367,7 +364,6 @@ fn compaction_racing_an_ack_burst_survives_failover() {
     let registry = Registry::new();
     let mk_config = |recover: bool| {
         MasterConfig::builder()
-            .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(4)
             .journal_path(journal_path.clone())
             .journal_compact_threshold(8)
@@ -459,7 +455,6 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     let registry = Registry::new();
     let mk_config = |recover: bool| {
         MasterConfig::builder()
-            .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(2)
             .journal_path(journal_path.clone())
             .lease_secs(0.15)
@@ -531,7 +526,6 @@ fn recovery_restarts_from_empty_journal_when_absent() {
         bus.clone(),
         registry.clone(),
         MasterConfig::builder()
-            .timeout_scan_interval(Duration::from_millis(10))
             .expected_workflows(1)
             .journal_path(journal_path.clone())
             .recover(true)

@@ -46,6 +46,7 @@
 //! assert_eq!(tracker.state(join), JobState::Ready);
 //! # let _ = raw;
 //! ```
+#![forbid(unsafe_code)]
 
 mod analysis;
 mod dax;

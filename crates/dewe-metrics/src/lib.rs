@@ -30,6 +30,7 @@
 //! let s = Summary::of(&[1.0, 2.0, 3.0]).unwrap();
 //! assert_eq!(s.p50, 2.0);
 //! ```
+#![forbid(unsafe_code)]
 
 mod gantt;
 mod sampler;

@@ -28,6 +28,7 @@
 //! [`AdversarialConfig`] builds deliberately pathological shapes (wide
 //! fan-out, deep chains, diamond storms, fan-in cliffs) for the
 //! differential oracle.
+#![forbid(unsafe_code)]
 
 mod adversarial;
 mod cybershake;

@@ -13,13 +13,13 @@
 //! * [`Transport`] / [`WorkerTransport`] — the master's and a worker's
 //!   view of the fabric. `dewe-core` writes its serve loops once against
 //!   them and implements them twice: over topics in one process, and over
-//!   TCP connections.
+//!   TCP connections. [`Transport::wake`] is the serve loop's doorbell.
 //! * [`read_frame`] / [`write_frame`] (and the split / queued writers) —
 //!   length-prefixed framing with a size cap, for the TCP runtime;
 //!   [`FrameBuf`] is the reader for a socket that must not block.
 //! * [`SendWindow`] — per-connection credit for dispatches in flight.
-//! * [`bind_reuse`] — a listener a restarted master can rebind at once;
-//!   [`poll`] — where one thread waits on many sockets (Unix).
+//! * [`poll`] — where one thread waits on many sockets (Unix), through the
+//!   crate's one `unsafe` call.
 //! * [`chaos`] — seeded drop / duplicate / delay decisions
 //!   ([`ChaosDecider`]), keyed by a message's identity; the simulator and
 //!   the oracle's drivers apply them at their own transport seams.
@@ -36,9 +36,10 @@
 //! The crate knows queues, not workflows: message types are generic here
 //! and pinned to the protocol structs in `dewe-core`.
 
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod chaos;
 mod frame;
-mod listen;
 #[cfg(unix)]
 mod poll;
 mod topic;
@@ -49,7 +50,6 @@ pub use chaos::{ChaosConfig, ChaosDecider, Fault};
 pub use frame::{
     queue_frame_split, read_frame, write_frame, write_frame_split, FrameBuf, DEFAULT_MAX_FRAME,
 };
-pub use listen::bind_reuse;
 #[cfg(unix)]
 pub use poll::{poll, PollFd, POLLIN, POLLOUT};
 pub use topic::{Topic, TopicStats};

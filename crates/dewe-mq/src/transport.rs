@@ -42,10 +42,17 @@ pub trait Transport: Send + Sync + 'static {
     /// bound, not a promise to wait it out. This is where the serve loop
     /// sleeps, so a transport returns `None` early whenever something the
     /// loop serves arrived on another topic (a submission, a lifecycle
-    /// message: see [`Topic::kick`](crate::Topic::kick)); the caller goes
+    /// message) or somebody rang [`wake`](Transport::wake); the caller goes
     /// round its loop and finds it. `None` therefore means "nothing to
     /// pull right now", never "`timeout` has passed".
     fn pull_ack(&self, timeout: Duration) -> Option<Self::Ack>;
+
+    /// Ring the doorbell: the [`pull_ack`](Transport::pull_ack) in progress
+    /// — or, if none is, the next one — returns now, with an ack if one is
+    /// queued and `None` if not. How another thread gets the serve loop,
+    /// which sleeps on nothing else, to look at what it put somewhere else
+    /// (a submission, a lifecycle message, a stop flag).
+    fn wake(&self);
 
     /// Drain up to `max` further acks without blocking, appending to
     /// `out`; returns how many were taken (the ack-burst batch grab).

@@ -26,6 +26,7 @@
 //! // Nodes needed for 200 workflows inside a 55-minute deadline (Eq. 2):
 //! assert_eq!(required_nodes(200, 0.0015, 3300.0), 41);
 //! ```
+#![forbid(unsafe_code)]
 
 mod dynamic;
 mod index;

@@ -24,6 +24,7 @@
 //! On divergence the failing scenario is shrunk (drop workflows, drop
 //! jobs, drop failure specs, disable chaos, zero scheduling knobs) to a
 //! locally minimal repro, replayable with `dewe-testkit replay <seed>`.
+#![forbid(unsafe_code)]
 
 pub mod invariant;
 pub mod oracle;

@@ -13,6 +13,7 @@
 //! classes to fault-plane scenarios (worker crashes, spot revocations,
 //! heartbeat stalls, master kill+restart); `--class fault-chaos` overlays
 //! lossy message chaos on the identical fault scenarios.
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 

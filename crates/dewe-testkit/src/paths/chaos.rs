@@ -333,7 +333,6 @@ mod tests {
         let master = |recover| {
             let config = MasterConfig::builder()
                 .checkout_timeout_secs(0.5)
-                .timeout_scan_interval(Duration::from_millis(5))
                 .journal_path(&wal)
                 .recover(recover);
             spawn_master(bus.clone(), registry.clone(), config.build())

@@ -111,7 +111,6 @@ fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> 
             backoff_base_secs: if scenario.backoff_base_secs > 0.0 { 0.002 } else { 0.0 },
             backoff_max_secs: 0.05,
         })
-        .timeout_scan_interval(Duration::from_millis(5))
         .expected_workflows(scenario.workflows.len())
         .recover(recover);
     if let Some(secs) = checkout {

@@ -35,7 +35,6 @@ fn main() {
         registry.clone(),
         MasterConfig::builder()
             .default_timeout_secs(1.0) // aggressive, to keep the demo short
-            .timeout_scan_interval(Duration::from_millis(25))
             .expected_workflows(1)
             .build(),
     );

@@ -17,6 +17,7 @@
 //! registry from the spool and its engine from the journal, then picks
 //! the ensemble back up — the paper's master-failure drill, over real
 //! sockets.
+#![forbid(unsafe_code)]
 
 use std::io::Write;
 use std::process::exit;

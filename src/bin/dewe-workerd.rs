@@ -12,6 +12,7 @@
 //!              [--window N] [--heartbeat S]
 //!              [--runner noop|sleep:<scale>|cpu:<scale>]
 //! ```
+#![forbid(unsafe_code)]
 
 use std::process::exit;
 use std::sync::Arc;

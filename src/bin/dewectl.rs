@@ -17,6 +17,7 @@
 //!
 //! Workflow files use the DAGMan-style text format (`.dag`) or Pegasus DAX
 //! (`.dax`/`.xml`), auto-detected by extension.
+#![forbid(unsafe_code)]
 
 use std::io::{self, Write};
 use std::path::Path;

@@ -65,6 +65,7 @@
 //! let report = run_ensemble(&[wf], &SimRunConfig::new(cluster));
 //! assert!(report.completed);
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod manifest;
 

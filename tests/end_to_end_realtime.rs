@@ -103,11 +103,7 @@ fn worker_crash_recovery_end_to_end() {
     let master = spawn_master(
         bus.clone(),
         registry.clone(),
-        MasterConfig::builder()
-            .default_timeout_secs(0.3)
-            .timeout_scan_interval(Duration::from_millis(20))
-            .expected_workflows(1)
-            .build(),
+        MasterConfig::builder().default_timeout_secs(0.3).expected_workflows(1).build(),
     );
     let w1 = spawn_worker(
         bus.clone(),

@@ -67,7 +67,6 @@ fn twenty_montage_over_tcp_with_worker_kill_matches_in_process() {
         MasterConfig::builder()
             .expected_workflows(20)
             .default_timeout_secs(30.0)
-            .timeout_scan_interval(Duration::from_millis(20))
             .lease_secs(0.4)
             .build()
     };
@@ -208,7 +207,6 @@ fn master_kill_and_restart_recovers_over_tcp() {
         MasterConfig::builder()
             .expected_workflows(n_workflows)
             .default_timeout_secs(5.0)
-            .timeout_scan_interval(Duration::from_millis(20))
             .lease_secs(0.5)
             .journal_path(&journal)
             .recover(recover)
@@ -327,7 +325,6 @@ fn master_kill_and_restart_recovers_over_tcp() {
         MasterConfig::builder()
             .expected_workflows(n_workflows)
             .default_timeout_secs(5.0)
-            .timeout_scan_interval(Duration::from_millis(20))
             .lease_secs(0.5)
             .journal_path(&journal2)
             .recover(recover)
