@@ -31,9 +31,9 @@
 //! completion notices). Two runtimes drive it:
 //!
 //! * [`realtime`] — a master and workers with pluggable
-//!   [`realtime::JobRunner`]s, over [`dewe_mq`] topics in one process (the
-//!   examples, the fault-injection tests, the oracle) or over TCP (the
-//!   `dewe-masterd` / `dewe-workerd` daemons): a *real* workflow engine;
+//!   [`realtime::JobRunner`]s over TCP, in one process over loopback (the
+//!   examples, the tests, the oracle) or as the `dewe-masterd` /
+//!   `dewe-workerd` daemons: a *real* workflow engine;
 //! * [`sim`] — the `dewe-simcloud` discrete-event cluster, which reproduces
 //!   the paper's 1,000-core EC2 experiments on a laptop.
 //!

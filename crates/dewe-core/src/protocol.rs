@@ -1,8 +1,8 @@
 //! Messages carried on the three DEWE v2 topics (paper §III.C), plus
 //! their versioned wire encoding for the TCP runtime.
 //!
-//! In-process the structs below travel through `dewe-mq` topics as-is.
-//! Over TCP they are wrapped in [`WireMsg`] and serialized into
+//! Inside a daemon the structs below travel through `dewe-mq` topics
+//! as-is. Over TCP they are wrapped in [`WireMsg`] and serialized into
 //! length-prefixed frames (see `dewe_mq::read_frame`/`write_frame`) as
 //! `[PROTOCOL_VERSION, message-type, body…]`. Decoding checks the
 //! version byte *first*: a frame from an incompatible peer is rejected
@@ -26,9 +26,9 @@ pub const PROTOCOL_VERSION: u8 = 3;
 /// Workflow submission topic payload.
 ///
 /// In the paper this is "the name of the workflow, as well as the path to
-/// the related folder on the shared file system"; in-process we carry the
-/// parsed DAG directly (the shared-FS folder equivalent). On the wire the
-/// DAG travels as its text format ([`WireMsg::Submit`]) and is parsed
+/// the related folder on the shared file system"; the serve loop is
+/// handed the parsed DAG (the shared-FS folder equivalent). On the wire
+/// the DAG travels as its text format ([`WireMsg::Submit`]) and is parsed
 /// back at the master.
 #[derive(Clone)]
 pub struct SubmissionMsg {
@@ -181,9 +181,8 @@ impl AckMsg {
 }
 
 /// Workflow announcement (master → workers): the accepted workflow's
-/// identity and definition, broadcast so networked workers can mirror
-/// the registry — their stand-in for the paper's shared file system.
-/// The in-process bus drops these (its workers share the registry).
+/// identity and definition, broadcast so workers can mirror the registry
+/// — their stand-in for the paper's shared file system.
 #[derive(Clone)]
 pub struct WorkflowAnnounce {
     /// The dense id the master assigned.

@@ -83,8 +83,8 @@ impl DagStore {
     }
 
     /// The text `workflow` was interned from. A workflow that never was
-    /// text here — handed to the master in-process — is serialised now,
-    /// once, and from then on is an entry like any other.
+    /// text here — announced straight from a `Workflow` — is serialised
+    /// now, once, and from then on is an entry like any other.
     pub(crate) fn text_of(&self, workflow: &Arc<Workflow>) -> Arc<str> {
         let address = Arc::as_ptr(workflow) as usize;
         let known = |state: &State| state.text_of.get(&address).cloned();

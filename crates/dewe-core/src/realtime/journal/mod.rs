@@ -67,8 +67,8 @@ use std::path::{Path, PathBuf};
 
 use dewe_dag::{EnsembleJobId, JobId, JobState, WorkflowId};
 
-use super::bus::Registry;
 use super::liveness::{LivenessTable, WorkerPhase};
+use super::registry::Registry;
 use crate::engine::{Action, EngineConfig, EnsembleEngine};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
 

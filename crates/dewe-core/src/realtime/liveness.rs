@@ -398,9 +398,9 @@ impl LivenessTable {
                 Some(e) => {
                     // An accepted ack renews the lease (a busy worker is
                     // alive even if its heartbeat thread is starved) but
-                    // does NOT count as post-recovery contact: acks
-                    // queued on the bus before a master crash drain into
-                    // the replacement right after recovery, so only
+                    // does NOT count as post-recovery contact: acks a
+                    // link queued during a master outage drain into the
+                    // replacement right after recovery, so only
                     // fresh lifecycle traffic proves the worker itself
                     // came back.
                     if matches!(e.phase, WorkerPhase::Live | WorkerPhase::Draining) {

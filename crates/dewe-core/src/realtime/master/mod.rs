@@ -10,20 +10,20 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use dewe_dag::WorkflowId;
 use dewe_mq::Transport;
 
-use super::bus::{MessageBus, Registry};
 use super::journal::{self, Journal};
 use super::liveness::{LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerView};
+use super::registry::Registry;
 use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 use crate::protocol::{AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WorkflowAnnounce};
 
 mod serve;
 
-pub use serve::{spawn_master, spawn_master_on};
+pub use serve::spawn_master_on;
 
 /// Every fabric the master can serve: a [`Transport`] pinned to the
-/// realtime protocol types. Blanket-implemented — the in-process
-/// [`MessageBus`] and the TCP runtime's
-/// [`TcpMaster`](super::net::TcpMaster) both qualify.
+/// realtime protocol types. Blanket-implemented — the TCP runtime's
+/// [`TcpMaster`](super::net::TcpMaster) qualifies, and so does a test's
+/// stand-in.
 pub trait MasterTransport:
     Transport<
     Submission = SubmissionMsg,
@@ -280,74 +280,62 @@ impl MasterHandle {
 }
 
 #[cfg(test)]
-use super::submit;
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::{AckKind, AckMsg};
+    use crate::realtime::testutil::{endpoint, link, next_dispatch, submit, wait_until};
+    use crate::realtime::{spawn_worker_on, NoopRunner, SleepRunner, WorkerConfig, WorkerPhase};
     use dewe_dag::WorkflowBuilder;
+    use dewe_mq::WorkerTransport;
 
     /// Drive the master with a hand-rolled "worker" on the test thread.
     #[test]
     fn master_runs_a_chain_to_completion() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             MasterConfig::builder().expected_workflows(1).build(),
         );
+        let (link, mirror) = link(&tcp, 0, 8);
 
         let mut b = WorkflowBuilder::new("chain");
         let a = b.job("a", "t", 1.0).build();
         let c = b.job("b", "t", 1.0).build();
         b.edge(a, c);
-        let wf = Arc::new(b.finish().unwrap());
-        super::super::submit(&bus, "chain", wf);
+        submit(&tcp, "chain", &b.finish().unwrap());
 
         // Act as the sole worker.
         for _ in 0..2 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            assert!(registry.get(d.job.workflow).is_some(), "registry populated first");
-            bus.ack.publish(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Running,
-                attempt: d.attempt,
-            });
-            bus.ack.publish(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: d.attempt,
-            });
+            let d = next_dispatch(&link);
+            assert!(mirror.get(d.job.workflow).is_some(), "workflow announced first");
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Running, d.attempt));
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, d.attempt));
         }
 
-        // Completion event arrives, then shut the master down.
         let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }));
         let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(ev, MasterEvent::AllCompleted { .. }));
-        bus.shutdown();
         let stats = handle.join();
         assert_eq!(stats.jobs_completed, 2);
         assert_eq!(stats.workflows_completed, 1);
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
     fn master_counts_coalesced_dispatch_runs() {
         // A 1 → 16 fan-out: the root's completion releases 16 jobs in
-        // one poll cycle, so with batching on (the default) the serve
-        // loop must publish at least one coalesced run and account for
-        // it in the shared counters.
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        // one poll cycle, so the serve loop must publish at least one
+        // coalesced run and account for it in the shared counters.
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             MasterConfig::builder().expected_workflows(1).build(),
         );
+        let (link, _) = link(&tcp, 0, 32);
 
         let mut b = WorkflowBuilder::new("fan");
         let root = b.job("root", "t", 1.0).build();
@@ -355,17 +343,11 @@ mod tests {
             let child = b.job(format!("c{i}"), "t", 1.0).build();
             b.edge(root, child);
         }
-        let wf = Arc::new(b.finish().unwrap());
-        super::super::submit(&bus, "fan", wf);
+        submit(&tcp, "fan", &b.finish().unwrap());
 
         for _ in 0..17 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            bus.ack.publish(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: d.attempt,
-            });
+            let d = next_dispatch(&link);
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, d.attempt));
         }
         let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }));
@@ -376,8 +358,9 @@ mod tests {
             "every counted batch holds at least two dispatches"
         );
         assert_eq!(stats.timer_cascades, 0, "nothing timed out, nothing cascaded");
-        bus.shutdown();
         handle.join();
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
@@ -385,78 +368,73 @@ mod tests {
         // 100 independent jobs, all acknowledged at once: 200 acks are
         // more than one burst, so the master must drain the flood in
         // batches and still account for every completion exactly once.
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             MasterConfig::builder().expected_workflows(1).build(),
         );
-        const JOBS: u64 = 100;
+        const JOBS: u32 = 100;
         assert!(2 * JOBS as usize > ACK_BURST, "the flood must span several bursts");
+        let (link, _) = link(&tcp, 0, JOBS);
         let mut b = WorkflowBuilder::new("wide");
         for i in 0..JOBS {
             b.job(format!("j{i}"), "t", 1.0).build();
         }
-        super::super::submit(&bus, "wide", Arc::new(b.finish().unwrap()));
+        submit(&tcp, "wide", &b.finish().unwrap());
 
-        let mut acks = Vec::new();
-        for _ in 0..JOBS {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
-            acks.push(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt: d.attempt });
-            acks.push(AckMsg {
-                job: d.job,
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: d.attempt,
-            });
+        let dispatches: Vec<_> = (0..JOBS).map(|_| next_dispatch(&link)).collect();
+        for d in dispatches {
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Running, d.attempt));
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, d.attempt));
         }
-        bus.ack.publish_all(acks);
         let stats = handle.join();
-        assert_eq!(stats.jobs_completed, JOBS);
+        assert_eq!(stats.jobs_completed, u64::from(JOBS));
         assert_eq!(stats.duplicate_completions, 0);
         assert_eq!(stats.workflows_completed, 1);
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
     fn master_resubmits_unacknowledged_job() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             MasterConfig::builder().default_timeout_secs(0.05).expected_workflows(1).build(),
         );
+        let (link, _) = link(&tcp, 0, 8);
         let mut b = WorkflowBuilder::new("one");
         b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
+        submit(&tcp, "one", &b.finish().unwrap());
 
         // First dispatch: check it out (Running ack) then crash — no
         // completion ever arrives, so the checkout timeout must fire.
-        let d1 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
+        let d1 = next_dispatch(&link);
         assert_eq!(d1.attempt, 1);
-        bus.ack.publish(AckMsg { job: d1.job, worker: 0, kind: AckKind::Running, attempt: 1 });
+        link.publish_ack(AckMsg::new(d1.job, 0, AckKind::Running, 1));
         // Timeout fires; a resubmission appears.
-        let d2 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
+        let d2 = next_dispatch(&link);
         assert_eq!(d2.attempt, 2);
         // Complete it this time.
-        bus.ack.publish(AckMsg { job: d2.job, worker: 1, kind: AckKind::Running, attempt: 2 });
-        bus.ack.publish(AckMsg { job: d2.job, worker: 1, kind: AckKind::Completed, attempt: 2 });
+        link.publish_ack(AckMsg::new(d2.job, 1, AckKind::Running, 2));
+        link.publish_ack(AckMsg::new(d2.job, 1, AckKind::Completed, 2));
         let stats = handle.join();
         assert_eq!(stats.resubmissions, 1);
         assert_eq!(stats.workflows_completed, 1);
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
     fn lease_expiry_requeues_a_dead_workers_job_and_fences_its_acks() {
         use crate::protocol::{LifecycleKind, LifecycleMsg};
-        use crate::realtime::WorkerPhase;
 
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             // Job timeout is deliberately long: recovery must come
             // from the lease, not the timeout scan.
             MasterConfig::builder()
@@ -465,28 +443,25 @@ mod tests {
                 .lease_secs(0.15)
                 .build(),
         );
+        let (link, _) = link(&tcp, 5, 8);
         let mut b = WorkflowBuilder::new("one");
         b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
+        submit(&tcp, "one", &b.finish().unwrap());
 
         // Worker 5 registers, checks the job out, then dies silently.
-        let d1 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
+        let d1 = next_dispatch(&link);
         assert_eq!(d1.attempt, 1);
-        bus.lifecycle.publish(LifecycleMsg {
-            worker: 5,
-            generation: 0,
-            kind: LifecycleKind::Register,
-        });
-        bus.ack.publish(AckMsg { job: d1.job, worker: 5, kind: AckKind::Running, attempt: 1 });
+        link.publish_lifecycle(LifecycleMsg::new(5, 0, LifecycleKind::Register));
+        link.publish_ack(AckMsg::new(d1.job, 5, AckKind::Running, 1));
 
         // The lease lapses and the job is requeued as attempt 2.
-        let d2 = bus.dispatch.pull_timeout(Duration::from_secs(5)).unwrap();
+        let d2 = next_dispatch(&link);
         assert_eq!(d2.attempt, 2);
         // A zombie completion for the dead attempt is fenced out; a live
         // worker finishes the requeued attempt.
-        bus.ack.publish(AckMsg { job: d1.job, worker: 5, kind: AckKind::Completed, attempt: 1 });
-        bus.ack.publish(AckMsg { job: d2.job, worker: 6, kind: AckKind::Running, attempt: 2 });
-        bus.ack.publish(AckMsg { job: d2.job, worker: 6, kind: AckKind::Completed, attempt: 2 });
+        link.publish_ack(AckMsg::new(d1.job, 5, AckKind::Completed, 1));
+        link.publish_ack(AckMsg::new(d2.job, 6, AckKind::Running, 2));
+        link.publish_ack(AckMsg::new(d2.job, 6, AckKind::Completed, 2));
 
         loop {
             match handle.events.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -505,24 +480,23 @@ mod tests {
         let stats = handle.join();
         assert_eq!(stats.jobs_completed, 1);
         assert_eq!(stats.duplicate_completions, 0, "fenced before the engine");
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
     fn drained_worker_completes_gracefully_under_leases() {
-        use crate::realtime::runner::NoopRunner;
-        use crate::realtime::worker::{spawn_worker, WorkerConfig};
-
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             MasterConfig::builder().expected_workflows(4).lease_secs(2.0).build(),
         );
         let mk_worker = |id: u32| {
-            spawn_worker(
-                bus.clone(),
-                registry.clone(),
+            let (link, mirror) = link(&tcp, id, 4);
+            let worker = spawn_worker_on(
+                Arc::new(link.clone()),
+                mirror,
                 Arc::new(NoopRunner),
                 WorkerConfig {
                     worker_id: id,
@@ -531,15 +505,19 @@ mod tests {
                     heartbeat_interval: Some(Duration::from_millis(20)),
                     ..WorkerConfig::default()
                 },
-            )
+            );
+            (link, worker)
         };
-        let w0 = mk_worker(0);
-        let w1 = mk_worker(1);
-        for i in 0..2 {
+        let (link0, w0) = mk_worker(0);
+        let (link1, w1) = mk_worker(1);
+        let two_jobs = || {
             let mut b = WorkflowBuilder::new("wf");
             b.job("a", "t", 1.0).build();
             b.job("b", "t", 1.0).build();
-            super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
+            b.finish().unwrap()
+        };
+        for i in 0..2 {
+            submit(&tcp, &format!("wf{i}"), &two_jobs());
         }
         // Wait for the first batch to finish, then drain worker 1 and
         // submit more work — only worker 0 serves it.
@@ -552,12 +530,13 @@ mod tests {
             }
         }
         w1.announce_drain();
+        wait_until("the master has seen the drain", || {
+            handle.liveness_snapshot().iter().any(|r| r.worker == 1 && r.phase != WorkerPhase::Live)
+        });
         w1.stop();
+        link1.close();
         for i in 2..4 {
-            let mut b = WorkflowBuilder::new("wf");
-            b.job("a", "t", 1.0).build();
-            b.job("b", "t", 1.0).build();
-            super::super::submit(&bus, format!("wf{i}"), Arc::new(b.finish().unwrap()));
+            submit(&tcp, &format!("wf{i}"), &two_jobs());
         }
         loop {
             match handle.events.recv_timeout(Duration::from_secs(10)).unwrap() {
@@ -573,22 +552,21 @@ mod tests {
         let stats = handle.join();
         assert_eq!(stats.workflows_completed, 4);
         w0.stop();
+        link0.close();
+        tcp.shutdown();
     }
 
     /// Without `expected_workflows` the master serves until the transport
     /// goes away — and then it, and the workers, exit even with work in
     /// flight.
     #[test]
-    fn bus_shutdown_mid_flight_ends_master_and_workers() {
-        use crate::realtime::runner::SleepRunner;
-        use crate::realtime::worker::{spawn_worker, WorkerConfig};
-
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(bus.clone(), registry.clone(), MasterConfig::builder().build());
-        let worker = spawn_worker(
-            bus.clone(),
-            registry,
+    fn endpoint_shutdown_mid_flight_ends_master_and_workers() {
+        let tcp = endpoint();
+        let handle = spawn_master_on(tcp.clone(), Registry::new(), MasterConfig::builder().build());
+        let (link, mirror) = link(&tcp, 0, 8);
+        let worker = spawn_worker_on(
+            Arc::new(link.clone()),
+            mirror,
             Arc::new(SleepRunner::new(0.05)),
             WorkerConfig::default(),
         );
@@ -596,36 +574,37 @@ mod tests {
         let first = b.job("a", "t", 1.0).build();
         let second = b.job("b", "t", 1.0).build();
         b.edge(first, second);
-        super::super::submit(&bus, "never-finishes", Arc::new(b.finish().unwrap()));
-        bus.shutdown();
+        submit(&tcp, "never-finishes", &b.finish().unwrap());
+        tcp.shutdown();
         let stats = handle.join();
         assert_eq!(stats.workflows_completed, 0, "shut down mid-flight: {stats:?}");
         worker.stop();
+        link.close();
     }
 
     #[test]
     fn master_dead_letters_and_exits_settled() {
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let handle = spawn_master(
-            bus.clone(),
-            registry.clone(),
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            Registry::new(),
             MasterConfig::builder()
                 .expected_workflows(1)
                 .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
                 .build(),
         );
+        let (link, _) = link(&tcp, 0, 8);
         let mut b = WorkflowBuilder::new("poison");
         b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "poison", Arc::new(b.finish().unwrap()));
+        submit(&tcp, "poison", &b.finish().unwrap());
 
         // Fail every attempt; after the cap the workflow is abandoned
         // and the master exits with partial completion.
         for attempt in 1..=2 {
-            let d = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("dispatch");
+            let d = next_dispatch(&link);
             assert_eq!(d.attempt, attempt);
-            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Running, attempt });
-            bus.ack.publish(AckMsg { job: d.job, worker: 0, kind: AckKind::Failed, attempt });
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Running, attempt));
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Failed, attempt));
         }
         let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(
@@ -638,5 +617,7 @@ mod tests {
         assert_eq!(stats.dead_lettered, 1);
         assert_eq!(stats.workflows_abandoned, 1);
         assert_eq!(stats.workflows_completed, 0);
+        tcp.shutdown();
+        link.close();
     }
 }

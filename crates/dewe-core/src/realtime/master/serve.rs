@@ -1,22 +1,15 @@
 use super::*;
 
-/// Spawn the master daemon over the in-process [`MessageBus`].
+/// Spawn the master daemon over any [`MasterTransport`] — in practice a
+/// [`TcpMaster`](crate::realtime::TcpMaster) — and return its handle.
 ///
-/// It pulls the submission topic for new workflows, the ack topic for
-/// worker progress, publishes eligible jobs to the dispatch topic, and
-/// resubmits each timed-out job when its deadline comes. With
-/// [`MasterConfigBuilder::journal_path`] set it write-ahead journals
-/// every input; with [`MasterConfigBuilder::recover`] it first replays
-/// that journal, rebuilding the pre-crash engine and republishing
-/// in-flight jobs. A journal that cannot be opened, replayed or written
-/// to is reported as [`MasterEvent::Failed`].
-pub fn spawn_master(bus: MessageBus, registry: Registry, config: MasterConfig) -> MasterHandle {
-    spawn_master_on(bus, registry, config)
-}
-
-/// Spawn the master daemon over any [`MasterTransport`] — the same serve
-/// loop (engine, journal, liveness plane, retry machinery) behind the
-/// in-process bus or the TCP runtime.
+/// It pulls submissions for new workflows and acks for worker progress,
+/// publishes eligible jobs as dispatches, and resubmits each timed-out job
+/// when its deadline comes. With [`MasterConfigBuilder::journal_path`] set
+/// it write-ahead journals every input; with [`MasterConfigBuilder::recover`]
+/// it first replays that journal, rebuilding the pre-crash engine and
+/// republishing in-flight jobs. A journal that cannot be opened, replayed
+/// or written to is reported as [`MasterEvent::Failed`].
 pub fn spawn_master_on<T: MasterTransport>(
     transport: T,
     registry: Registry,
@@ -426,8 +419,7 @@ fn serve<T: MasterTransport>(
 }
 
 /// Broadcast the first `count` registry entries as workflow
-/// announcements — the recovery-path mirror rebuild for networked
-/// transports (the in-process bus drops announcements).
+/// announcements — the recovery-path rebuild of the workers' mirrors.
 fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry, count: usize) {
     for idx in 0..count {
         let id = WorkflowId::from_index(idx);
@@ -504,8 +496,11 @@ fn publish_actions<T: MasterTransport>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{AckKind, AckMsg};
+    use crate::protocol::{AckKind, AckMsg, LifecycleKind};
+    use crate::realtime::testutil::{endpoint, link, next_dispatch, submit};
+    use crate::realtime::TcpMaster;
     use dewe_dag::WorkflowBuilder;
+    use dewe_mq::{Topic, WorkerTransport};
 
     /// The startup prologue reads operator-supplied state from disk. An
     /// unusable journal must surface as one `Failed` event and a clean
@@ -536,8 +531,8 @@ mod tests {
             if spooled {
                 registry.insert(WorkflowId(0), Arc::clone(&wf));
             }
-            let handle = spawn_master(
-                MessageBus::new(),
+            let handle = spawn_master_on(
+                endpoint(),
                 registry,
                 MasterConfig::builder().journal_path(&path).recover(recover).build(),
             );
@@ -561,33 +556,25 @@ mod tests {
     #[cfg(target_os = "linux")]
     #[test]
     fn journal_write_error_fails_the_running_master_without_panicking() {
-        use crate::protocol::{LifecycleKind, LifecycleMsg};
-        use crate::realtime::BusWorkerLink;
-        use dewe_mq::WorkerTransport;
-
         for step in ["journal submit", "journal worker", "journal commit"] {
-            let bus = MessageBus::new();
-            let handle = spawn_master(
-                bus.clone(),
+            let tcp = endpoint();
+            let handle = spawn_master_on(
+                tcp.clone(),
                 Registry::new(),
                 MasterConfig::builder().journal_path("/dev/full").lease_secs(5.0).build(),
             );
+            let (link, _) = link(&tcp, 1, 8);
             if step == "journal worker" {
-                // As a worker publishes it: with the master woken to take it.
-                BusWorkerLink::new(bus.clone()).publish_lifecycle(LifecycleMsg {
-                    worker: 1,
-                    generation: 0,
-                    kind: LifecycleKind::Register,
-                });
+                link.publish_lifecycle(LifecycleMsg::new(1, 0, LifecycleKind::Register));
             } else if step == "journal commit" {
                 // Worker 1 holds an implicit lease from here on: no `W`
                 // record, so the ack is the first thing to reach the file.
                 let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
-                bus.ack.publish(AckMsg { job, worker: 1, kind: AckKind::Running, attempt: 1 });
+                link.publish_ack(AckMsg::new(job, 1, AckKind::Running, 1));
             } else {
                 let mut b = WorkflowBuilder::new("one");
                 b.job("a", "t", 1.0).build();
-                super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
+                submit(&tcp, "one", &b.finish().unwrap());
             }
             let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
             let MasterEvent::Failed { reason } = ev else {
@@ -595,6 +582,8 @@ mod tests {
             };
             assert!(reason.starts_with(&format!("{step} /dev/full: ")), "{reason:?}");
             assert_eq!(handle.join(), EngineStats::default(), "{step}");
+            tcp.shutdown();
+            link.close();
         }
     }
 
@@ -605,9 +594,11 @@ mod tests {
     #[derive(Clone)]
     struct WriteAheadProbe {
         journal: PathBuf,
-        /// The queues; its dispatch topic is unused — the probe works each
-        /// dispatch itself, inside the publish.
-        bus: MessageBus,
+        /// The queues the serve loop pulls. There is no dispatch queue:
+        /// the probe works each dispatch itself, inside the publish.
+        submissions: Topic<SubmissionMsg>,
+        acks: Topic<AckMsg>,
+        lifecycle: Topic<LifecycleMsg>,
         /// Inputs handed to the serve loop: submissions, and acks in order.
         pulled: Arc<parking_lot::Mutex<(usize, Vec<AckMsg>)>>,
         publishes: Arc<AtomicU64>,
@@ -617,7 +608,9 @@ mod tests {
         fn new(journal: PathBuf) -> Self {
             Self {
                 journal,
-                bus: MessageBus::new(),
+                submissions: Topic::new(),
+                acks: Topic::new(),
+                lifecycle: Topic::new(),
                 pulled: Default::default(),
                 publishes: Default::default(),
             }
@@ -663,7 +656,7 @@ mod tests {
                     acks.push(ack(AckKind::Completed));
                 }
             }
-            self.bus.ack.publish_all(acks);
+            self.acks.publish_all(acks);
         }
 
         /// The chain's fourth job, on worker 2. Once the serve loop has
@@ -677,11 +670,7 @@ mod tests {
         fn pulled_acks(&self, acks: &[AckMsg]) {
             self.pulled.lock().1.extend_from_slice(acks);
             if acks.iter().any(|a| a.job == Self::SPLIT && a.kind == AckKind::Running) {
-                self.bus.lifecycle.publish(LifecycleMsg {
-                    worker: 2,
-                    generation: 0,
-                    kind: crate::protocol::LifecycleKind::Drain,
-                });
+                self.lifecycle.publish(LifecycleMsg::new(2, 0, LifecycleKind::Drain));
                 self.wake();
             }
         }
@@ -695,30 +684,28 @@ mod tests {
         type Announce = WorkflowAnnounce;
 
         fn try_pull_submission(&self) -> Option<SubmissionMsg> {
-            let sub = self.bus.submission.try_pull();
+            let sub = self.submissions.try_pull();
             self.pulled.lock().0 += usize::from(sub.is_some());
             sub
         }
         fn pull_ack(&self, timeout: Duration) -> Option<AckMsg> {
-            let ack = self.bus.ack.pull_timeout(timeout);
+            let ack = self.acks.pull_timeout(timeout);
             self.pulled_acks(ack.as_slice());
             ack
         }
         fn wake(&self) {
-            self.bus.wake();
+            self.acks.kick();
         }
         fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
             let before = out.len();
-            let taken = self.bus.ack.try_pull_batch(out, max);
+            let taken = self.acks.try_pull_batch(out, max);
             self.pulled_acks(&out[before..]);
             taken
         }
         fn try_pull_lifecycle(&self) -> Option<LifecycleMsg> {
-            let msg = self.bus.lifecycle.try_pull()?;
-            if msg.kind == crate::protocol::LifecycleKind::Drain {
-                let ack =
-                    AckMsg { job: Self::SPLIT, worker: 2, kind: AckKind::Completed, attempt: 1 };
-                self.bus.ack.publish(ack);
+            let msg = self.lifecycle.try_pull()?;
+            if msg.kind == LifecycleKind::Drain {
+                self.acks.publish(AckMsg::new(Self::SPLIT, 2, AckKind::Completed, 1));
             }
             Some(msg)
         }
@@ -733,7 +720,7 @@ mod tests {
         }
         fn announce(&self, _: WorkflowAnnounce) {}
         fn ack_closed(&self) -> bool {
-            self.bus.ack.is_closed()
+            self.acks.is_closed()
         }
     }
 
@@ -743,7 +730,6 @@ mod tests {
     /// lease plane.
     #[test]
     fn no_dispatch_leaves_before_its_cause_is_in_the_journal_file() {
-        use crate::protocol::LifecycleKind;
         use crate::realtime::WorkerPhase;
 
         let dir = std::env::temp_dir().join(format!("dewe-write-ahead-{}", std::process::id()));
@@ -768,11 +754,7 @@ mod tests {
         let path = dir.join("master.wal");
         let probe = WriteAheadProbe::new(path.clone());
         for worker in [1, 2] {
-            probe.bus.lifecycle.publish(LifecycleMsg {
-                worker,
-                generation: 0,
-                kind: LifecycleKind::Register,
-            });
+            probe.lifecycle.publish(LifecycleMsg::new(worker, 0, LifecycleKind::Register));
         }
         let registry = Registry::new();
         let handle = spawn_master_on(
@@ -785,7 +767,9 @@ mod tests {
                 .build(),
         );
         for (i, wf) in workflows.iter().enumerate() {
-            super::super::submit(&probe.bus, format!("wf{i}"), Arc::clone(wf));
+            let workflow = Arc::clone(wf);
+            probe.submissions.publish(SubmissionMsg { name: format!("wf{i}"), workflow });
+            probe.wake();
         }
         loop {
             match handle.events.recv_timeout(Duration::from_secs(30)).expect("an event") {
@@ -837,16 +821,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The bus, counting the serve loop's `pull_ack` calls: in all, and as
-    /// of the latest dispatch it published.
-    #[derive(Clone, Default)]
-    struct CountingBus {
-        bus: MessageBus,
+    /// The TCP endpoint, counting the serve loop's `pull_ack` calls: in
+    /// all, and as of the latest dispatch it published.
+    #[derive(Clone)]
+    struct CountingMaster {
+        tcp: TcpMaster,
         pulls: Arc<AtomicU64>,
         pulls_at_publish: Arc<AtomicU64>,
     }
 
-    impl Transport for CountingBus {
+    impl CountingMaster {
+        fn new() -> Self {
+            Self {
+                tcp: endpoint(),
+                pulls: Default::default(),
+                pulls_at_publish: Default::default(),
+            }
+        }
+    }
+
+    impl Transport for CountingMaster {
         type Submission = SubmissionMsg;
         type Dispatch = DispatchMsg;
         type Ack = AckMsg;
@@ -854,33 +848,33 @@ mod tests {
         type Announce = WorkflowAnnounce;
 
         fn try_pull_submission(&self) -> Option<SubmissionMsg> {
-            self.bus.try_pull_submission()
+            self.tcp.try_pull_submission()
         }
         fn pull_ack(&self, timeout: Duration) -> Option<AckMsg> {
             self.pulls.fetch_add(1, Ordering::Relaxed);
-            self.bus.pull_ack(timeout)
+            self.tcp.pull_ack(timeout)
         }
         fn wake(&self) {
-            self.bus.wake();
+            self.tcp.wake();
         }
         fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {
-            self.bus.pull_ack_batch(out, max)
+            self.tcp.pull_ack_batch(out, max)
         }
         fn try_pull_lifecycle(&self) -> Option<LifecycleMsg> {
-            self.bus.try_pull_lifecycle()
+            self.tcp.try_pull_lifecycle()
         }
         fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
             self.publish_dispatch_batch(0, &mut vec![dispatch]);
         }
         fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
             self.pulls_at_publish.store(self.pulls.load(Ordering::Relaxed), Ordering::Relaxed);
-            self.bus.publish_dispatch_batch(0, batch);
+            self.tcp.publish_dispatch_batch(0, batch);
         }
         fn announce(&self, announce: WorkflowAnnounce) {
-            self.bus.announce(announce);
+            self.tcp.announce(announce);
         }
         fn ack_closed(&self) -> bool {
-            self.bus.ack_closed()
+            self.tcp.ack_closed()
         }
     }
 
@@ -889,7 +883,7 @@ mod tests {
     /// the next time it looks is when that job's timeout is due.
     #[test]
     fn the_master_wakes_for_its_deadlines_and_nothing_else() {
-        let idle = CountingBus::default();
+        let idle = CountingMaster::new();
         let handle = spawn_master_on(idle.clone(), Registry::new(), MasterConfig::default());
         std::thread::sleep(Duration::from_millis(500));
         let pulls = idle.pulls.load(Ordering::Relaxed);
@@ -898,21 +892,22 @@ mod tests {
         handle.kill();
         let took = began.elapsed();
         assert!(took < Duration::from_millis(100), "kill took {took:?}");
+        idle.tcp.shutdown();
 
-        let transport = CountingBus::default();
-        let bus = transport.bus.clone();
+        let transport = CountingMaster::new();
         let handle = spawn_master_on(
             transport.clone(),
             Registry::new(),
             MasterConfig::builder().default_timeout_secs(0.3).expected_workflows(1).build(),
         );
+        let (link, _) = link(&transport.tcp, 1, 8);
         let mut b = WorkflowBuilder::new("one");
         b.job("a", "t", 1.0).build();
-        super::super::submit(&bus, "one", Arc::new(b.finish().unwrap()));
-        let d1 = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("attempt 1");
+        submit(&transport.tcp, "one", &b.finish().unwrap());
+        let d1 = next_dispatch(&link);
         let acked = Instant::now();
-        bus.ack.publish(AckMsg { job: d1.job, worker: 1, kind: AckKind::Running, attempt: 1 });
-        let d2 = bus.dispatch.pull_timeout(Duration::from_secs(5)).expect("attempt 2");
+        link.publish_ack(AckMsg::new(d1.job, 1, AckKind::Running, 1));
+        let d2 = next_dispatch(&link);
         let waited = acked.elapsed();
         assert_eq!((d2.job, d2.attempt), (d1.job, 2));
         assert!(waited >= Duration::from_millis(300), "redispatched {waited:?} after the ack");
@@ -921,5 +916,7 @@ mod tests {
         let pulls = transport.pulls_at_publish.load(Ordering::Relaxed);
         assert!(pulls <= 4, "attempt 2 left after {pulls} pull_ack calls");
         handle.kill();
+        transport.tcp.shutdown();
+        link.close();
     }
 }

@@ -1,18 +1,18 @@
 //! Real-time (threaded) DEWE v2 runtime.
 //!
-//! This is a working in-process workflow engine: a master daemon thread, a
-//! configurable pool of worker daemons, and a submission application, all
-//! wired through [`dewe_mq`] topics exactly as the paper's deployment wires
-//! them through RabbitMQ (§III.C):
+//! This is a working workflow engine: a master daemon thread, a
+//! configurable pool of worker daemons, and a submission client, wired
+//! through a TCP endpoint that plays the part the paper's deployment gives
+//! RabbitMQ (§III.C). Daemons meet only at the endpoint's address, in one
+//! process (the examples, the tests, the oracle) or across machines
+//! (`dewe-masterd`, `dewe-workerd`, `dewectl submit`):
 //!
 //! ```text
-//!  submit()  ──▶ workflow_submission ──▶ MasterDaemon
-//!                                            │ publishes eligible jobs
-//!                                            ▼
-//!  WorkerDaemon(s) ◀────── job_dispatch ◀────┘
-//!        │ Running/Completed acks
-//!        ▼
-//!     job_ack ──▶ MasterDaemon (releases dependents, detects timeouts)
+//!  submit_over_tcp ──▶ TcpMaster ◀──▶ serve loop (engine, journal, liveness)
+//!                        │    ▲
+//!   announcements,       │    │  Running/Completed/Failed acks,
+//!   dispatches (window)  ▼    │  Return, Lifecycle
+//!                    TcpWorkerLink ◀──▶ worker daemon slots (JobRunner)
 //! ```
 //!
 //! Jobs execute through a pluggable [`JobRunner`]; the crate ships runners
@@ -25,16 +25,15 @@
 //! acknowledgment) and new ones started mid-run — the paper's §V.A.3
 //! robustness experiment — and the master's timeout mechanism recovers.
 
-mod bus;
 mod dagstore;
 mod journal;
 mod liveness;
 mod master;
 mod net;
+mod registry;
 mod runner;
 mod worker;
 
-pub use bus::{BusWorkerLink, MessageBus, Registry};
 pub use journal::{
     compact_records, read_journal, recover, replay_liveness, Journal, JournalRecord, Recovery,
 };
@@ -43,26 +42,104 @@ pub use liveness::{
     REQUEUE_WORKER,
 };
 pub use master::{
-    spawn_master, spawn_master_on, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle,
-    MasterTransport,
+    spawn_master_on, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, MasterTransport,
 };
 pub use net::{submit_over_tcp, TcpWorkerLink, TcpWorkerOptions};
 #[cfg(unix)]
 pub use net::{TcpMaster, TcpMasterOptions};
+pub use registry::Registry;
 pub use runner::{CpuRunner, FsRunner, JobOutcome, JobRunner, NoopRunner, RunContext, SleepRunner};
-pub use worker::{spawn_worker, spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle};
+pub use worker::{spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle};
 
-use crate::protocol::SubmissionMsg;
-use dewe_dag::Workflow;
-use dewe_mq::Transport;
-use std::sync::Arc;
+#[cfg(test)]
+/// What the runtime's unit tests share: loopback endpoints and links, the
+/// submission client, scratch space, and waiting.
+mod testutil {
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
+    use std::time::{Duration, Instant};
 
-/// The workflow submission application (paper §III.E): publish a workflow
-/// to the submission topic, from any thread at any time, and ring the
-/// master's doorbell ([`Transport::wake`]) — its serve loop sleeps on the
-/// ack topic until a deadline is due, so this is what has it ingest the
-/// submission at all.
-pub fn submit(bus: &MessageBus, name: impl Into<String>, workflow: Arc<Workflow>) {
-    bus.submission.publish(SubmissionMsg { name: name.into(), workflow });
-    bus.wake();
+    use dewe_dag::{Workflow, WorkflowBuilder};
+    use dewe_mq::{Transport, WorkerTransport};
+
+    use super::{
+        submit_over_tcp, Registry, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions,
+    };
+
+    /// `jobs` independent jobs.
+    pub(crate) fn wf(name: &str, jobs: usize) -> Arc<Workflow> {
+        let mut b = WorkflowBuilder::new(name);
+        for i in 0..jobs {
+            b.job(format!("j{i}"), "t", 1.0).build();
+        }
+        Arc::new(b.finish().unwrap())
+    }
+
+    /// A master endpoint on a loopback port the OS picked.
+    pub(crate) fn endpoint() -> TcpMaster {
+        TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap()
+    }
+
+    /// A worker link to `master` offering `window`, and the registry it
+    /// mirrors into.
+    pub(crate) fn link(master: &TcpMaster, worker: u32, window: u32) -> (TcpWorkerLink, Registry) {
+        let mirror = Registry::new();
+        let opts = TcpWorkerOptions { worker_id: worker, window, ..TcpWorkerOptions::default() };
+        (TcpWorkerLink::connect(master.local_addr(), mirror.clone(), opts).unwrap(), mirror)
+    }
+
+    /// Submit `workflow` under `name`, as `dewectl submit` does: as text.
+    pub(crate) fn submit(master: &TcpMaster, name: &str, workflow: &Workflow) {
+        submit_over_tcp(master.local_addr(), [(name, dewe_dag::write_workflow(workflow))]).unwrap();
+    }
+
+    /// A fresh scratch directory, unique to `tag` and this process.
+    pub(crate) fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("dewe-net-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Stands in for the serve loop a bare [`TcpMaster`] does not have: a
+    /// thread that turns the endpoint until this is dropped.
+    pub(crate) struct Pump(Arc<AtomicBool>, Option<JoinHandle<()>>);
+
+    pub(crate) fn pump(master: &TcpMaster) -> Pump {
+        let (master, stop) = (master.clone(), Arc::new(AtomicBool::new(false)));
+        let stopped = Arc::clone(&stop);
+        Pump(
+            stop,
+            Some(std::thread::spawn(move || {
+                while !stopped.load(Ordering::Relaxed) && !master.ack_closed() {
+                    master.worker_conns();
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            })),
+        )
+    }
+
+    impl Drop for Pump {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+            if let Some(thread) = self.1.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    pub(crate) fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
+    /// The next dispatch `link` is sent, within ten seconds.
+    pub(crate) fn next_dispatch(link: &TcpWorkerLink) -> crate::DispatchMsg {
+        link.pull_dispatch(Duration::from_secs(10)).expect("a dispatch arrives")
+    }
 }

@@ -103,8 +103,28 @@ enum Role {
     /// Nothing yet: the handshake has not arrived, or not all of it.
     Unknown,
     /// A worker, with the dispatch credit its `Hello` offered.
-    Worker(SendWindow),
+    Worker(Credit),
     Submitter,
+}
+
+/// A worker connection's dispatch credit: the window its `Hello` offered,
+/// less the `(job, attempt)` pairs sent on it and not yet settled.
+struct Credit {
+    window: usize,
+    /// Oldest first: acks come back mostly in the order dispatches left.
+    held: VecDeque<(EnsembleJobId, u32)>,
+}
+
+impl Credit {
+    fn free(&self) -> usize {
+        self.window.saturating_sub(self.held.len())
+    }
+
+    /// Stop holding `(job, attempt)`; `false` when this connection does not.
+    fn settle(&mut self, job: EnsembleJobId, attempt: u32) -> bool {
+        let at = self.held.iter().position(|&held| held == (job, attempt));
+        at.map(|at| self.held.remove(at)).is_some()
+    }
 }
 
 /// One accepted connection.
@@ -117,9 +137,9 @@ struct Conn {
 
 impl Conn {
     /// The dispatch credit of a worker connection that is still alive.
-    fn window(&self) -> Option<&SendWindow> {
-        match &self.role {
-            Role::Worker(window) if !self.socket.dead => Some(window),
+    fn credit(&mut self) -> Option<&mut Credit> {
+        match &mut self.role {
+            Role::Worker(credit) if !self.socket.dead => Some(credit),
             _ => None,
         }
     }
@@ -153,18 +173,23 @@ impl Conn {
                         // this turn) dispatches: a late joiner knows a
                         // workflow before any of its jobs.
                         ep.announced.iter().for_each(|f| self.socket.send(f.clone()));
-                        self.role = Role::Worker(SendWindow::new(window));
+                        // A window of zero could never be sent anything.
+                        let window = window.max(1) as usize;
+                        self.role = Role::Worker(Credit { window, held: VecDeque::new() });
                     }
                     Ok(WireMsg::SubmitterHello) => self.role = Role::Submitter,
                     Ok(other) => return Err(Some(format!("unexpected handshake {other:?}"))),
                     Err(e) => return Err(Some(format!("rejecting connection: {e}"))),
                 },
-                Role::Worker(ref window) => match WireMsg::decode(frame) {
+                Role::Worker(ref mut credit) => match WireMsg::decode(frame) {
                     Ok(WireMsg::Ack(ack)) => {
                         // Terminal acks settle a dispatch: refund the credit
-                        // before the serve loop even sees the ack.
-                        if matches!(ack.kind, AckKind::Completed | AckKind::Failed) {
-                            window.release();
+                        // before the serve loop even sees the ack — here if
+                        // this connection holds it, else where it is held.
+                        if matches!(ack.kind, AckKind::Completed | AckKind::Failed)
+                            && !credit.settle(ack.job, ack.attempt)
+                        {
+                            ep.settled_elsewhere.push((ack.job, ack.attempt));
                         }
                         ep.acks.push_back(ack);
                     }
@@ -176,7 +201,9 @@ impl Conn {
                     // refund and queue it; the end of the turn redelivers it
                     // to whoever has credit.
                     Ok(WireMsg::Return(d)) => {
-                        window.release();
+                        if !credit.settle(d.job, d.attempt) {
+                            ep.settled_elsewhere.push((d.job, d.attempt));
+                        }
                         ep.pending.push_back(d);
                     }
                     Ok(other) => return Err(Some(format!("unexpected worker frame {other:?}"))),
@@ -211,6 +238,9 @@ struct Endpoint {
     conns: Vec<Conn>,
     /// Dispatches that found no window credit, FIFO per arrival.
     pending: VecDeque<DispatchMsg>,
+    /// Pairs this turn settled on a connection that does not hold them:
+    /// the end of the turn refunds whichever other connection does.
+    settled_elsewhere: Vec<(EnsembleJobId, u32)>,
     /// Every announcement so far, as sent, replayed to late-joining
     /// workers.
     announced: Vec<OutFrame>,
@@ -280,34 +310,49 @@ impl Endpoint {
         }
     }
 
-    /// Place a run of dispatches, spending window credit in batch debits
-    /// and splitting across connections as credit allows.
-    /// Sent dispatches are drained from the front of `batch` (delivery
-    /// order preserved); whatever found no credit stays behind. Returns
-    /// how many were sent. Runs of one travel as plain [`WireMsg::
-    /// Dispatch`] frames; longer runs coalesce into one
-    /// [`WireMsg::DispatchBatch`] frame per granted connection.
+    /// Place a run of dispatches, splitting it across connections as their
+    /// credit allows; each connection holds what it was sent. Sent
+    /// dispatches are drained from the front of `batch` (delivery order
+    /// preserved); whatever found no credit stays behind. Returns how many
+    /// were sent. Runs of one travel as plain [`WireMsg::Dispatch`] frames;
+    /// longer runs coalesce into one [`WireMsg::DispatchBatch`] frame per
+    /// granted connection.
     fn try_send_batch(&mut self, batch: &mut Vec<DispatchMsg>) -> usize {
         let mut sent = 0;
         for conn in &mut self.conns {
             if sent == batch.len() {
                 break;
             }
-            let want = (batch.len() - sent) as u32;
-            let granted = conn.window().map_or(0, |w| w.try_acquire_n(want)) as usize;
-            if granted == 0 {
+            let Some(credit) = conn.credit() else { continue };
+            let run = &batch[sent..batch.len().min(sent + credit.free())];
+            if run.is_empty() {
                 continue;
             }
-            let run = &batch[sent..sent + granted];
+            credit.held.extend(run.iter().map(|d| (d.job, d.attempt)));
             let msg = match run {
                 [one] => WireMsg::Dispatch(*one),
                 _ => WireMsg::DispatchBatch(run.to_vec()),
             };
+            sent += run.len();
             conn.socket.send(OutFrame::new(msg.encode(), None));
-            sent += granted;
         }
         batch.drain(..sent);
         sent
+    }
+
+    /// Attempt `n` of a job supersedes its earlier attempts: a connection
+    /// holding one gets its credit back, and one still waiting for credit
+    /// is not sent — a stale attempt sent now would hold credit that no
+    /// later publish reclaims. Only a resubmission has earlier attempts.
+    fn supersede(&mut self, d: &DispatchMsg) {
+        if d.attempt <= 1 {
+            return;
+        }
+        let stale = |job: EnsembleJobId, attempt: u32| job == d.job && attempt < d.attempt;
+        for credit in self.conns.iter_mut().filter_map(Conn::credit) {
+            credit.held.retain(|&(job, attempt)| !stale(job, attempt));
+        }
+        self.pending.retain(|p| !stale(p.job, p.attempt));
     }
 
     /// Retry queued dispatches against current credit, coalescing what
@@ -323,12 +368,7 @@ impl Endpoint {
         // backlog drains one refund at a time, and copying the whole queue
         // to have try_send_batch grant one dispatch would turn each refund
         // into an O(queue) scan.
-        let free: usize = self
-            .conns
-            .iter()
-            .filter_map(Conn::window)
-            .map(|w| w.limit().saturating_sub(w.in_flight()) as usize)
-            .sum();
+        let free: usize = self.conns.iter_mut().filter_map(Conn::credit).map(|c| c.free()).sum();
         let take = self.pending.len().min(free);
         if take == 0 {
             return;
@@ -432,6 +472,12 @@ impl MasterInner {
                 }
             }
         }
+        // A settlement that arrived elsewhere (a held message released
+        // through another worker, a doubled dispatch run twice) refunds
+        // whichever connection holds the pair, or nobody.
+        for (job, attempt) in ep.settled_elsewhere.drain(..) {
+            let _ = conns.iter_mut().filter_map(Conn::credit).any(|c| c.settle(job, attempt));
+        }
         // A dropped connection refunds nothing: leases and timeouts
         // recover what it held.
         conns.retain(|c| !c.socket.dead);
@@ -477,6 +523,7 @@ impl TcpMaster {
                 listener: Some(listener),
                 conns: Vec::new(),
                 pending: VecDeque::new(),
+                settled_elsewhere: Vec::new(),
                 announced: Vec::new(),
                 submissions: VecDeque::new(),
                 acks: VecDeque::new(),
@@ -503,8 +550,8 @@ impl TcpMaster {
     /// that does not sleep — so a caller waiting for a worker to register
     /// sees it without a serve loop running.
     pub fn worker_conns(&self) -> usize {
-        let ep = self.inner.turn(self.inner.state.lock(), Duration::ZERO);
-        ep.conns.iter().filter(|c| c.window().is_some()).count()
+        let mut ep = self.inner.turn(self.inner.state.lock(), Duration::ZERO);
+        ep.conns.iter_mut().filter_map(Conn::credit).count()
     }
 
     /// Load every workflow spooled to this endpoint's state directory,
@@ -555,7 +602,7 @@ impl TcpMaster {
         if !say_bye {
             return;
         }
-        for conn in conns.iter_mut().filter(|c| c.window().is_some()) {
+        for conn in conns.iter_mut().filter(|c| matches!(c.role, Role::Worker(_))) {
             conn.socket.send(OutFrame::new(WireMsg::Bye.encode(), None));
         }
         let deadline = Instant::now() + BYE_WAIT;
@@ -631,12 +678,14 @@ impl Transport for TcpMaster {
 
     fn publish_dispatch(&self, _: usize, dispatch: DispatchMsg) {
         let mut ep = self.inner.state.lock();
+        ep.supersede(&dispatch);
         ep.pending.push_back(dispatch);
         self.inner.sent(&mut ep);
     }
 
     fn publish_dispatch_batch(&self, _: usize, batch: &mut Vec<DispatchMsg>) {
         let mut ep = self.inner.state.lock();
+        batch.iter().for_each(|d| ep.supersede(d));
         ep.try_send_batch(batch);
         ep.pending.extend(batch.drain(..));
         self.inner.sent(&mut ep);
@@ -657,7 +706,7 @@ impl Transport for TcpMaster {
         // Under the one lock, a worker either is connected here or will
         // find this workflow in `announced` at its Hello — never neither.
         let mut ep = self.inner.state.lock();
-        for conn in ep.conns.iter_mut().filter(|c| c.window().is_some()) {
+        for conn in ep.conns.iter_mut().filter(|c| matches!(c.role, Role::Worker(_))) {
             conn.socket.send(frame.clone());
         }
         ep.announced.push(frame);
@@ -668,10 +717,11 @@ impl Transport for TcpMaster {
         self.inner.state.lock().stopped()
     }
 }
+
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{pump, scratch, wait_until, wf};
     use super::*;
+    use crate::realtime::testutil::{pump, scratch, wait_until, wf};
 
     /// Pull `n` submissions and register + announce each, as the serve
     /// loop does.
@@ -717,12 +767,12 @@ mod tests {
         let common = "# as submitted\nworkflow  w\nJOB a t CPU 1\nJOB b t CPU 1\n\
                       JOB c t CPU 1\nPARENT a CHILD b c\n";
         let distinct = dewe_dag::write_workflow(&wf("other", 5));
-        submit_over_tcp(addr, ["w-0", "w-1"], common).unwrap();
+        submit_over_tcp(addr, [("w-0", common), ("w-1", common)]).unwrap();
         let registry = Registry::new();
         ingest(&master, &registry, 2);
-        submit_over_tcp(addr, ["other"], &distinct).unwrap();
+        submit_over_tcp(addr, [("other", &distinct)]).unwrap();
         ingest(&master, &registry, 1);
-        submit_over_tcp(addr, ["w-3"], common).unwrap();
+        submit_over_tcp(addr, [("w-3", common)]).unwrap();
         ingest(&master, &registry, 1);
         assert_shares_like_the_submissions(&registry, "master registry");
 
@@ -755,7 +805,7 @@ mod tests {
         assert_eq!(spooled(3), format!("w-3\n{common}"), "re-spooled from the stored text");
         // The reconnecting workers are replayed all four and keep the
         // mirror they had; a fifth workflow still lands densely.
-        submit_over_tcp(addr, ["w-4"], common).unwrap();
+        submit_over_tcp(addr, [("w-4", common)]).unwrap();
         ingest(&master2, &recovered, 1);
         for (mirror, who) in [(&early_mirror, "early worker"), (&late_mirror, "late worker")] {
             wait_until("the fifth workflow is mirrored", || mirror.len() == 5);
@@ -1132,7 +1182,7 @@ mod tests {
     fn submit_bulky(master: &TcpMaster, tag: &str) -> String {
         let dag = bulky_dag(tag, 3);
         let names: Vec<String> = (0..8).map(|i| format!("bulky-{i}")).collect();
-        submit_over_tcp(master.local_addr(), &names, &dag).unwrap();
+        submit_over_tcp(master.local_addr(), names.iter().map(|name| (name, &dag))).unwrap();
         dag
     }
 
@@ -1143,6 +1193,64 @@ mod tests {
 
     fn job(j: u32) -> dewe_dag::EnsembleJobId {
         dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j))
+    }
+
+    /// Dispatches read off a raw worker's connection until `n` have come.
+    fn take_dispatches(reader: &mut BufReader<TcpStream>, n: usize) -> Vec<DispatchMsg> {
+        let mut got = Vec::new();
+        while got.len() < n {
+            let frame = read_frame(reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
+            match WireMsg::decode(&frame) {
+                Ok(WireMsg::Dispatch(d)) => got.push(d),
+                Ok(WireMsg::DispatchBatch(run)) => got.extend(run),
+                other => panic!("expected dispatches, got {other:?}"),
+            }
+        }
+        got
+    }
+
+    /// Credit follows the dispatch, not the connection. A window-1 worker
+    /// that loses its one dispatch — dropped between its socket and a slot
+    /// — never acknowledges it; once the job's deadline publishes the next
+    /// attempt, the lost one stops holding the window and the attempt is
+    /// sent to the worker that had it.
+    #[test]
+    fn a_worker_that_loses_its_one_dispatch_is_sent_the_next_attempt() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let mut worker = BufReader::new(raw_worker(&master, 1, 1));
+        wait_until("the worker registers", || master.worker_conns() == 1);
+        master.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        assert_eq!(take_dispatches(&mut worker, 1), [DispatchMsg::new(job(0), 1)]);
+        // Lost: no ack ever comes. The checkout deadline moves the job on.
+        master.publish_dispatch(0, DispatchMsg::new(job(0), 2));
+        assert_eq!(take_dispatches(&mut worker, 1), [DispatchMsg::new(job(0), 2)]);
+        master.shutdown();
+    }
+
+    /// A settlement refunds the dispatch it settles, once: a worker that
+    /// sends `Completed` twice for one dispatch is owed one more, not two.
+    #[test]
+    fn a_doubled_ack_refunds_one_credit() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let mut worker = BufReader::new(raw_worker(&master, 1, 2));
+        wait_until("the worker registers", || master.worker_conns() == 1);
+        let mut batch: Vec<DispatchMsg> = (0..4).map(|j| DispatchMsg::new(job(j), 1)).collect();
+        master.publish_dispatch_batch(0, &mut batch);
+        let held = take_dispatches(&mut worker, 2);
+        assert_eq!(held.iter().map(|d| d.job).collect::<Vec<_>>(), [job(0), job(1)]);
+
+        let mut acks = Vec::new();
+        let done = WireMsg::Ack(AckMsg::new(job(0), 1, AckKind::Completed, 1)).encode();
+        write_frame(&mut acks, &done).unwrap();
+        write_frame(&mut acks, &done).unwrap();
+        worker.get_ref().write_all(&acks).unwrap();
+        assert_eq!(take_dispatches(&mut worker, 1), [DispatchMsg::new(job(2), 1)]);
+        worker.get_ref().set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        let more = read_frame(&mut worker, DEFAULT_MAX_FRAME);
+        assert!(more.is_err(), "a window of 2 holds jobs 1 and 2, and no more: {more:?}");
+        master.shutdown();
     }
 
     #[test]
@@ -1194,7 +1302,7 @@ mod tests {
         }
         let chain = dewe_dag::write_workflow(&chain.finish().unwrap());
         let began = Instant::now();
-        submit_over_tcp(master.local_addr(), ["chain"], &chain).unwrap();
+        submit_over_tcp(master.local_addr(), [("chain", &chain)]).unwrap();
         assert_eq!(completed("the chain"), WorkflowId(8));
         let took = began.elapsed();
         assert!(took < Duration::from_secs(2), "200 hops beside a stalled peer took {took:?}");

@@ -1,12 +1,11 @@
-//! The TCP transport: a networked master/worker runtime over the same
-//! serve loop as the in-process bus.
+//! The TCP transport: the fabric every master and worker runs over, in
+//! one process or across machines.
 //!
 //! [`TcpMaster`] implements [`Transport`] (and therefore
-//! `MasterTransport`), so `spawn_master_on` drives an entire remote
-//! fleet with the exact master loop — LivenessTable lifecycle, retry
-//! machinery, WAL journal — that the in-process oracle paths exercise.
+//! `MasterTransport`), so `spawn_master_on` drives a fleet with the one
+//! master loop — LivenessTable lifecycle, retry machinery, WAL journal.
 //! [`TcpWorkerLink`] implements [`WorkerTransport`], so `spawn_worker_on`
-//! runs the unchanged slot/heartbeat loops against a remote master.
+//! runs the slot/heartbeat loops against it.
 //!
 //! ## Wire model
 //!
@@ -51,29 +50,30 @@
 //!
 //! ## Backpressure
 //!
-//! Each worker offers a dispatch *window* in its Hello: the maximum
-//! unsettled dispatches the master may hold on that connection
-//! ([`dewe_mq::SendWindow`] credit). A terminal acknowledgment
-//! (Completed/Failed) or an explicit [`WireMsg::Return`] refunds one
-//! credit; dispatches that find no credit anywhere queue inside the
-//! master transport and drain as credit frees up. Workers flush their
-//! acks a batch at a time, so refunds arrive in bursts: a turn releases
-//! every read burst of credit before it drains the pending queue, and the
-//! queue leaves as [`WireMsg::DispatchBatch`] frames sized by the burst,
-//! not one frame per ack. A slow worker therefore throttles
-//! only itself — the paper's pull-based competition, recreated over
+//! Each worker offers a dispatch *window* in its Hello; its credit is the
+//! window less the `(job, attempt)` pairs its connection holds. A terminal
+//! ack (Completed/Failed) or a [`WireMsg::Return`] refunds the connection
+//! holding that pair, whichever one it arrives on, once; publishing a job's
+//! next attempt reclaims the earlier ones, so a lost dispatch holds credit
+//! only until its deadline. Dispatches that find no credit anywhere queue
+//! inside the master transport and drain as credit frees up. Workers flush
+//! their acks a batch at a time, so refunds arrive in bursts: a turn
+//! releases every read burst of credit before it drains the pending queue,
+//! and the queue leaves as [`WireMsg::DispatchBatch`] frames sized by the
+//! burst, not one frame per ack. A slow worker therefore throttles only
+//! itself — the paper's pull-based competition, recreated over
 //! push-with-credit.
 //!
 //! ## Registry mirroring
 //!
-//! Networked workers cannot share the master's in-memory [`Registry`],
-//! so the master broadcasts every accepted workflow as a
-//! [`WireMsg::Workflow`] announcement (and replays the full set to
-//! late-joining workers at Hello). The worker link inserts each DAG into
-//! its local registry mirror — its stand-in for the paper's shared file
-//! system. With a state directory configured, announcements are also
-//! spooled to disk (`wf-<id>.dag`) so a restarted master process can
-//! rebuild its registry before WAL recovery.
+//! Workers do not share the master's in-memory [`Registry`], so the master
+//! broadcasts every accepted workflow as a [`WireMsg::Workflow`]
+//! announcement (and replays the full set to late-joining workers at
+//! Hello). The worker link inserts each DAG into its local registry mirror
+//! — its stand-in for the paper's shared file system. With a state
+//! directory configured, announcements are also spooled to disk
+//! (`wf-<id>.dag`) so a restarted master process can rebuild its registry
+//! before WAL recovery.
 //!
 //! ## Ingest
 //!
@@ -96,17 +96,19 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+#[cfg(unix)]
+use dewe_dag::EnsembleJobId;
 use dewe_dag::{Workflow, WorkflowId};
 #[cfg(unix)]
-use dewe_mq::{poll, FrameBuf, PollFd, SendWindow, Transport, POLLIN, POLLOUT};
+use dewe_mq::{poll, FrameBuf, PollFd, Transport, POLLIN, POLLOUT};
 use dewe_mq::{
     queue_frame_split, read_frame, write_frame, write_frame_split, Topic, WorkerTransport,
     DEFAULT_MAX_FRAME,
 };
 use parking_lot::{Mutex, MutexGuard};
 
-use super::bus::Registry;
 use super::dagstore::DagStore;
+use super::registry::Registry;
 use crate::protocol::{
     AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
@@ -120,60 +122,3 @@ mod worker;
 pub use master::{TcpMaster, TcpMasterOptions};
 pub use spool::submit_over_tcp;
 pub use worker::{TcpWorkerLink, TcpWorkerOptions};
-
-#[cfg(test)]
-mod testutil {
-    use super::*;
-    use dewe_dag::WorkflowBuilder;
-
-    pub(super) fn wf(name: &str, jobs: usize) -> Arc<Workflow> {
-        let mut b = WorkflowBuilder::new(name);
-        for i in 0..jobs {
-            b.job(format!("j{i}"), "t", 1.0).build();
-        }
-        Arc::new(b.finish().unwrap())
-    }
-
-    /// A fresh scratch directory, unique to `tag` and this process.
-    pub(super) fn scratch(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("dewe-net-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    /// Stands in for the serve loop a bare [`TcpMaster`] does not have: a
-    /// thread that turns the endpoint until this is dropped.
-    pub(super) struct Pump(Arc<AtomicBool>, Option<JoinHandle<()>>);
-
-    pub(super) fn pump(master: &TcpMaster) -> Pump {
-        let (master, stop) = (master.clone(), Arc::new(AtomicBool::new(false)));
-        let stopped = Arc::clone(&stop);
-        Pump(
-            stop,
-            Some(std::thread::spawn(move || {
-                while !stopped.load(Ordering::Relaxed) && !master.ack_closed() {
-                    master.worker_conns();
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            })),
-        )
-    }
-
-    impl Drop for Pump {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-            if let Some(thread) = self.1.take() {
-                let _ = thread.join();
-            }
-        }
-    }
-
-    pub(super) fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !done() {
-            assert!(std::time::Instant::now() < deadline, "timed out waiting until {what}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-}

@@ -4,24 +4,25 @@ use super::*;
 // Submission client
 // ---------------------------------------------------------------------------
 
-/// Submit the workflow described by `dag` (`dewe-dag` text format) to a
-/// remote master over TCP, once under each of `names` — the networked
-/// `dewectl submit`, and its `--count`. All submissions go down one
-/// connection and share the caller's one copy of the text; the master
-/// parses it once and gives every name the same topology. A caller
-/// holding a `Workflow` serialises it with `dewe_dag::write_workflow`.
+/// Submit `(name, dag)` pairs — each DAG in the `dewe-dag` text format — to
+/// a master over TCP: the networked `dewectl submit`, whose `--count` is one
+/// text under several names. Every submission goes down one connection, so
+/// the master numbers them in the order given, and a DAG's text is sent as
+/// the caller holds it; the master parses each distinct text once and gives
+/// every name that carries it the same topology. A caller holding a
+/// `Workflow` serialises it with `dewe_dag::write_workflow`.
 /// Fire-and-forget: the frames are flushed onto a healthy connection; if
 /// the master dies before ingesting them, resubmit.
-pub fn submit_over_tcp<N: AsRef<str>>(
+pub fn submit_over_tcp<N: AsRef<str>, D: AsRef<str>>(
     addr: impl ToSocketAddrs,
-    names: impl IntoIterator<Item = N>,
-    dag: &str,
+    submissions: impl IntoIterator<Item = (N, D)>,
 ) -> io::Result<()> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     let mut w = BufWriter::new(stream);
     write_frame(&mut w, &WireMsg::SubmitterHello.encode())?;
-    for name in names {
+    for (name, dag) in submissions {
+        let dag = dag.as_ref();
         let head = DagFrame { id: None, name: name.as_ref(), dag }.head();
         write_frame_split(&mut w, &head, dag.as_bytes())?;
     }
@@ -93,8 +94,8 @@ pub(super) fn load_spool(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{pump, scratch, wf};
     use super::*;
+    use crate::realtime::testutil::{pump, scratch, wf};
 
     #[test]
     fn spool_round_trips_and_rejects_sparse() {
@@ -128,7 +129,7 @@ mod tests {
         let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
         let _pump = pump(&master);
         let dag = dewe_dag::write_workflow(&wf("net-sub", 3));
-        submit_over_tcp(master.local_addr(), ["net-sub"], &dag).unwrap();
+        submit_over_tcp(master.local_addr(), [("net-sub", &dag)]).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
         let sub = loop {
             if let Some(s) = master.try_pull_submission() {

@@ -60,7 +60,7 @@ impl TcpWorkerLink {
     /// Connect to the master at `addr`, mirroring announced workflows
     /// into `registry`. Returns immediately; the connection (and any
     /// reconnects) are managed by a background thread. Fails only if
-    /// `addr` does not resolve.
+    /// `addr` does not resolve or that thread cannot be spawned.
     pub fn connect(
         addr: impl ToSocketAddrs,
         registry: Registry,
@@ -85,8 +85,7 @@ impl TcpWorkerLink {
         let sup_inner = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("dewe-worker-link".into())
-            .spawn(move || supervisor_loop(sup_inner))
-            .expect("spawn worker link thread");
+            .spawn(move || supervisor_loop(sup_inner))?;
         *inner.supervisor.lock() = Some(handle);
         Ok(Self { inner })
     }
@@ -184,67 +183,62 @@ fn supervisor_loop(inner: Arc<WorkerInner>) {
     inner.dispatch_in.close();
 }
 
-fn run_connection(inner: &Arc<WorkerInner>, stream: TcpStream, unflushed: &mut Vec<Vec<u8>>) {
+fn run_connection(inner: &WorkerInner, stream: TcpStream, unflushed: &mut Vec<Vec<u8>>) {
     let Ok(read_half) = stream.try_clone() else { return };
     let Ok(write_half) = stream.try_clone() else { return };
     *inner.current.lock() = Some(stream);
 
-    // Handshake, then hand the socket to the writer thread.
+    // Handshake, then hand the socket to the writer thread — scoped, so it
+    // borrows the unflushed batch, and one that cannot be spawned is a
+    // connection dropped before it carried a frame.
     let hello = WireMsg::Hello {
         worker: inner.opts.worker_id,
         generation: inner.opts.generation,
         window: inner.opts.window,
     };
-    let conn_dead = Arc::new(AtomicBool::new(false));
-    let writer = {
-        let inner = Arc::clone(inner);
-        let dead = Arc::clone(&conn_dead);
-        let mut batch = std::mem::take(unflushed);
-        std::thread::Builder::new()
+    let conn_dead = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let writer = std::thread::Builder::new()
             .name("dewe-worker-link-writer".into())
-            .spawn(move || {
-                if write_link(&inner, write_half, &hello.encode(), &dead, &mut batch).is_err() {
-                    dead.store(true, Ordering::Relaxed);
+            .spawn_scoped(scope, || {
+                if write_link(inner, write_half, &hello.encode(), &conn_dead, unflushed).is_err() {
+                    conn_dead.store(true, Ordering::Relaxed);
                 }
-                batch
-            })
-            .expect("spawn link writer")
-    };
+            });
 
-    let mut reader = BufReader::new(read_half);
-    while let Ok(Some(frame)) = read_frame(&mut reader, DEFAULT_MAX_FRAME) {
-        if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(&frame) {
-            inner.mirror(id, dag);
-            continue;
+        let mut reader = BufReader::new(read_half);
+        while writer.is_ok() {
+            let Ok(Some(frame)) = read_frame(&mut reader, DEFAULT_MAX_FRAME) else { break };
+            if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(&frame) {
+                inner.mirror(id, dag);
+                continue;
+            }
+            match WireMsg::decode(&frame) {
+                Ok(WireMsg::Dispatch(d)) => inner.dispatch_in.publish(d),
+                // In order and under one lock: the slot loops pull per job
+                // exactly as if the run had arrived as individual frames.
+                Ok(WireMsg::DispatchBatch(batch)) => inner.dispatch_in.publish_all(batch),
+                Ok(WireMsg::Bye) => {
+                    inner.bye.store(true, Ordering::Relaxed);
+                    break;
+                }
+                Ok(other) => {
+                    eprintln!("dewe-worker: unexpected frame {other:?}; reconnecting");
+                    break;
+                }
+                Err(e) => {
+                    eprintln!("dewe-worker: bad frame from master: {e}; reconnecting");
+                    break;
+                }
+            }
         }
-        match WireMsg::decode(&frame) {
-            Ok(WireMsg::Dispatch(d)) => inner.dispatch_in.publish(d),
-            // In order and under one lock: the slot loops pull per job
-            // exactly as if the run had arrived as individual frames.
-            Ok(WireMsg::DispatchBatch(batch)) => inner.dispatch_in.publish_all(batch),
-            Ok(WireMsg::Bye) => {
-                inner.bye.store(true, Ordering::Relaxed);
-                break;
-            }
-            Ok(other) => {
-                eprintln!("dewe-worker: unexpected frame {other:?}; reconnecting");
-                break;
-            }
-            Err(e) => {
-                eprintln!("dewe-worker: bad frame from master: {e}; reconnecting");
-                break;
-            }
+        // The writer sleeps on `outbound`: tell it the connection is over.
+        conn_dead.store(true, Ordering::SeqCst);
+        inner.outbound.kick();
+        if let Some(s) = inner.current.lock().take() {
+            let _ = s.shutdown(Shutdown::Both);
         }
-    }
-    // The writer sleeps on `outbound`: tell it the connection is over.
-    conn_dead.store(true, Ordering::SeqCst);
-    inner.outbound.kick();
-    if let Some(s) = inner.current.lock().take() {
-        let _ = s.shutdown(Shutdown::Both);
-    }
-    if let Ok(batch) = writer.join() {
-        *unflushed = batch;
-    }
+    });
 }
 
 /// One connection's writer: the handshake, then `outbound` onto the socket
@@ -285,8 +279,8 @@ fn write_link(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{pump, wait_until, wf};
     use super::*;
+    use crate::realtime::testutil::{pump, wait_until, wf};
 
     #[test]
     fn worker_link_survives_master_restart_on_same_port() {

@@ -15,7 +15,7 @@ pub struct RunContext {
     /// Worker id, for diagnostics.
     pub worker: u32,
     /// Which ensemble workflow the job belongs to (the `&Workflow`
-    /// argument is the DAG itself; this is its id on the bus).
+    /// argument is the DAG itself; this is its id on the wire).
     pub workflow_id: WorkflowId,
     /// Which dispatch attempt this execution serves (1-based) — lets
     /// runners script per-attempt behavior and test harnesses tap the
@@ -209,7 +209,7 @@ impl FsRunner {
     }
 
     /// Checksum the workflow's terminal outputs (files produced by sink
-    /// jobs) — the in-process analogue of the paper's verification that
+    /// jobs) — the one-machine analogue of the paper's verification that
     /// DEWE v2 and Pegasus produce byte-identical final mosaics ("we verify
     /// that the results ... are identical by comparing the size and MD5
     /// check sum of the final output images", §V.A).

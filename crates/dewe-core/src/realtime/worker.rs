@@ -6,14 +6,14 @@ use std::time::{Duration, Instant};
 
 use dewe_mq::WorkerTransport;
 
-use super::bus::{BusWorkerLink, MessageBus, Registry};
+use super::registry::Registry;
 use super::runner::{JobOutcome, JobRunner, RunContext};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg, LifecycleKind, LifecycleMsg};
 
 /// The transport a worker daemon drives, with the wire types pinned to
 /// the DEWE protocol. Held as a trait object so [`WorkerHandle`] (and
-/// every test harness storing one) stays non-generic across the
-/// in-process and TCP transports.
+/// every test harness storing one) stays non-generic across a
+/// [`TcpWorkerLink`](super::TcpWorkerLink) and whatever decorates one.
 pub type DynWorkerTransport =
     Arc<dyn WorkerTransport<Dispatch = DispatchMsg, Ack = AckMsg, Lifecycle = LifecycleMsg>>;
 
@@ -130,26 +130,16 @@ impl WorkerHandle {
     }
 }
 
-/// Spawn a worker daemon with `config.slots` pulling threads over the
-/// in-process bus.
+/// Spawn a worker daemon with `config.slots` pulling threads over any
+/// [`WorkerTransport`] — a [`TcpWorkerLink`](super::TcpWorkerLink) to a
+/// master, or one decorated. The slot and heartbeat loops are written once
+/// against the trait; the transport decides what "the dispatch topic"
+/// means.
 ///
-/// The worker is stateless: its only knowledge of the system is the bus
-/// (the message-queue address) and the registry (the shared file system).
-/// It never learns the master's identity or other workers' existence.
-pub fn spawn_worker(
-    bus: MessageBus,
-    registry: Registry,
-    runner: Arc<dyn JobRunner>,
-    config: WorkerConfig,
-) -> WorkerHandle {
-    let link = BusWorkerLink::new(bus);
-    spawn_worker_on(Arc::new(link), registry, runner, config)
-}
-
-/// Spawn a worker daemon over any [`WorkerTransport`] — the in-process
-/// [`BusWorkerLink`] or a TCP link to a remote master. The slot and
-/// heartbeat loops are written once against the trait; the transport
-/// decides what "the dispatch topic" means.
+/// The worker is stateless: its only knowledge of the system is the
+/// transport (the message-queue address) and the registry (the shared file
+/// system). It never learns the master's identity or other workers'
+/// existence.
 pub fn spawn_worker_on(
     transport: DynWorkerTransport,
     registry: Registry,
@@ -315,26 +305,48 @@ fn slot_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::DispatchMsg;
+    use crate::protocol::WorkflowAnnounce;
     use crate::realtime::runner::NoopRunner;
-    use dewe_dag::{EnsembleJobId, JobId, WorkflowBuilder, WorkflowId};
+    use crate::realtime::testutil::{endpoint, link, wait_until};
+    use crate::realtime::TcpMaster;
+    use dewe_dag::{EnsembleJobId, JobId, Workflow, WorkflowBuilder, WorkflowId};
+    use dewe_mq::Transport;
     use std::sync::Arc;
 
-    fn one_job_registry() -> Registry {
-        let registry = Registry::new();
+    /// A worker daemon over a link to a bare endpoint the test drives by
+    /// hand, with `workflow` announced to it as workflow 0.
+    fn worker_on(
+        workflow: Workflow,
+        runner: Arc<dyn JobRunner>,
+        config: WorkerConfig,
+    ) -> (TcpMaster, crate::realtime::TcpWorkerLink, WorkerHandle) {
+        let tcp = endpoint();
+        let (link, mirror) = link(&tcp, config.worker_id, 8);
+        let workflow = Arc::new(workflow);
+        tcp.announce(WorkflowAnnounce { id: WorkflowId(0), name: "w".into(), workflow });
+        let handle = spawn_worker_on(Arc::new(link.clone()), mirror, runner, config);
+        (tcp, link, handle)
+    }
+
+    fn one_job() -> Workflow {
         let mut b = WorkflowBuilder::new("w");
         b.job("a", "t", 1.0).build();
-        registry.insert(WorkflowId(0), Arc::new(b.finish().unwrap()));
-        registry
+        b.finish().unwrap()
+    }
+
+    fn job(j: u32) -> EnsembleJobId {
+        EnsembleJobId::new(WorkflowId(0), JobId(j))
+    }
+
+    /// The next ack, turning the endpoint while it waits.
+    fn next_ack(tcp: &TcpMaster) -> AckMsg {
+        tcp.pull_ack(Duration::from_secs(5)).expect("an ack arrives")
     }
 
     #[test]
     fn worker_executes_and_acks() {
-        let bus = MessageBus::new();
-        let registry = one_job_registry();
-        let handle = spawn_worker(
-            bus.clone(),
-            registry,
+        let (tcp, link, handle) = worker_on(
+            one_job(),
             Arc::new(NoopRunner),
             WorkerConfig {
                 worker_id: 7,
@@ -343,14 +355,15 @@ mod tests {
                 ..WorkerConfig::default()
             },
         );
-        bus.dispatch
-            .publish(DispatchMsg { job: EnsembleJobId::new(WorkflowId(0), JobId(0)), attempt: 1 });
-        let running = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
+        tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        let running = next_ack(&tcp);
         assert_eq!(running.kind, AckKind::Running);
         assert_eq!(running.worker, 7);
-        let completed = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
+        let completed = next_ack(&tcp);
         assert_eq!(completed.kind, AckKind::Completed);
         assert_eq!(handle.stop(), 1);
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
@@ -372,11 +385,8 @@ mod tests {
                 JobOutcome::Success
             }
         }
-        let bus = MessageBus::new();
-        let registry = one_job_registry();
-        let handle = spawn_worker(
-            bus.clone(),
-            registry,
+        let (tcp, link, handle) = worker_on(
+            one_job(),
             Arc::new(Slow),
             WorkerConfig {
                 worker_id: 1,
@@ -385,13 +395,14 @@ mod tests {
                 ..WorkerConfig::default()
             },
         );
-        bus.dispatch
-            .publish(DispatchMsg { job: EnsembleJobId::new(WorkflowId(0), JobId(0)), attempt: 1 });
-        let running = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
+        tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        let running = next_ack(&tcp);
         assert_eq!(running.kind, AckKind::Running);
         assert_eq!(handle.kill(), 0, "no job completed");
         // No completion ack must ever arrive.
-        assert!(bus.ack.pull_timeout(Duration::from_millis(100)).is_none());
+        assert!(tcp.pull_ack(Duration::from_millis(100)).is_none());
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
@@ -410,15 +421,11 @@ mod tests {
                 JobOutcome::Success
             }
         }
-        let bus = MessageBus::new();
-        let registry = Registry::new();
         let mut b = WorkflowBuilder::new("w");
         b.job("a", "t", 1.0).build();
         b.job("b", "t", 1.0).build();
-        registry.insert(WorkflowId(0), Arc::new(b.finish().unwrap()));
-        let handle = spawn_worker(
-            bus.clone(),
-            registry,
+        let (tcp, link, handle) = worker_on(
+            b.finish().unwrap(),
             Arc::new(Bomb),
             WorkerConfig {
                 worker_id: 2,
@@ -428,29 +435,22 @@ mod tests {
             },
         );
         // Job 0 panics mid-run: the slot must ack it Failed and survive.
-        bus.dispatch
-            .publish(DispatchMsg { job: EnsembleJobId::new(WorkflowId(0), JobId(0)), attempt: 1 });
-        let running = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(running.kind, AckKind::Running);
-        let failed = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(failed.kind, AckKind::Failed);
+        tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        assert_eq!(next_ack(&tcp).kind, AckKind::Running);
+        assert_eq!(next_ack(&tcp).kind, AckKind::Failed);
         // Same slot still serves the next job.
-        bus.dispatch
-            .publish(DispatchMsg { job: EnsembleJobId::new(WorkflowId(0), JobId(1)), attempt: 1 });
-        let running = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(running.kind, AckKind::Running);
-        let completed = bus.ack.pull_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(completed.kind, AckKind::Completed);
+        tcp.publish_dispatch(0, DispatchMsg::new(job(1), 1));
+        assert_eq!(next_ack(&tcp).kind, AckKind::Running);
+        assert_eq!(next_ack(&tcp).kind, AckKind::Completed);
         assert_eq!(handle.stop(), 1);
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
     fn worker_registers_heartbeats_pauses_and_drains() {
-        let bus = MessageBus::new();
-        let registry = one_job_registry();
-        let handle = spawn_worker(
-            bus.clone(),
-            registry,
+        let (tcp, link, handle) = worker_on(
+            one_job(),
             Arc::new(NoopRunner),
             WorkerConfig {
                 worker_id: 3,
@@ -460,43 +460,56 @@ mod tests {
                 heartbeat_interval: Some(Duration::from_millis(10)),
             },
         );
+        // What the endpoint has read of the lifecycle topic so far.
+        let lifecycle = |wait: Duration| {
+            let deadline = Instant::now() + wait;
+            loop {
+                tcp.worker_conns();
+                if let Some(msg) = tcp.try_pull_lifecycle() {
+                    return Some(msg);
+                }
+                if Instant::now() >= deadline {
+                    return None;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
         // Registration arrives first, then a steady heartbeat.
-        let reg = bus.lifecycle.pull_timeout(Duration::from_secs(5)).unwrap();
+        let reg = lifecycle(Duration::from_secs(5)).unwrap();
         assert_eq!(reg, LifecycleMsg { worker: 3, generation: 2, kind: LifecycleKind::Register });
-        let hb = bus.lifecycle.pull_timeout(Duration::from_secs(5)).unwrap();
+        let hb = lifecycle(Duration::from_secs(5)).unwrap();
         assert_eq!(hb.kind, LifecycleKind::Heartbeat);
         assert_eq!(hb.generation, 2);
         // The stall fault: paused heartbeats go silent without stopping
         // the worker. Drain any already-published backlog first.
         handle.pause_heartbeats();
         std::thread::sleep(Duration::from_millis(15));
-        while bus.lifecycle.try_pull().is_some() {}
+        while lifecycle(Duration::from_millis(20)).is_some() {}
         assert!(
-            bus.lifecycle.pull_timeout(Duration::from_millis(60)).is_none(),
+            lifecycle(Duration::from_millis(60)).is_none(),
             "paused worker is silent on the lifecycle topic"
         );
         handle.resume_heartbeats();
-        let hb = bus.lifecycle.pull_timeout(Duration::from_secs(5)).unwrap();
+        let hb = lifecycle(Duration::from_secs(5)).unwrap();
         assert_eq!(hb.kind, LifecycleKind::Heartbeat);
         // A graceful drain announces itself before stopping.
         handle.announce_drain();
         assert_eq!(handle.stop(), 0);
         let mut saw_drain = false;
-        while let Some(msg) = bus.lifecycle.try_pull() {
-            if msg.kind == LifecycleKind::Drain {
-                saw_drain = true;
+        wait_until("the drain announcement arrives", || {
+            while let Some(msg) = lifecycle(Duration::ZERO) {
+                saw_drain |= msg.kind == LifecycleKind::Drain;
             }
-        }
-        assert!(saw_drain, "drain announcement published");
+            saw_drain
+        });
+        tcp.shutdown();
+        link.close();
     }
 
     #[test]
     fn stopped_worker_drains_quickly() {
-        let bus = MessageBus::new();
-        let registry = one_job_registry();
-        let handle = spawn_worker(
-            bus.clone(),
-            registry,
+        let (tcp, link, handle) = worker_on(
+            one_job(),
             Arc::new(NoopRunner),
             WorkerConfig {
                 worker_id: 0,
@@ -506,5 +519,7 @@ mod tests {
             },
         );
         assert_eq!(handle.stop(), 0);
+        tcp.shutdown();
+        link.close();
     }
 }

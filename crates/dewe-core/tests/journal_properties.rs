@@ -3,13 +3,17 @@
 //! length never poisons the intact prefix, and mid-file corruption is
 //! always detected rather than silently skipped. *When* buffered lines
 //! reach the file — by the write-ahead barrier at the latest — has a
-//! property of its own.
+//! property of its own. And a journal is read from disk, so whatever a
+//! file holds, reading and replaying it is an answer, never a panic.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use dewe_core::realtime::{read_journal, Journal, JournalRecord, WorkerPhase};
-use dewe_core::{AckKind, AckMsg};
-use dewe_dag::{EnsembleJobId, JobId, WorkflowId};
+use dewe_core::realtime::{
+    read_journal, recover, replay_liveness, Journal, JournalRecord, Registry, WorkerPhase,
+};
+use dewe_core::{AckKind, AckMsg, EngineConfig};
+use dewe_dag::{EnsembleJobId, JobId, WorkflowBuilder, WorkflowId};
 use proptest::prelude::*;
 
 fn tmp(tag: &str, case: u64) -> PathBuf {
@@ -49,6 +53,81 @@ fn record() -> impl Strategy<Value = JournalRecord> {
             }
         }),
     ]
+}
+
+/// A number as a record field holds one: one of the `valid` codes or ids
+/// that exist, and one time in `odds` any number at all.
+fn field(valid: u32, odds: u32) -> impl Strategy<Value = String> {
+    (0..odds).prop_flat_map(move |pick| match pick {
+        0 => any::<u32>().prop_map(|n| n.to_string()).boxed(),
+        _ => (0..valid).prop_map(|n| n.to_string()).boxed(),
+    })
+}
+
+/// A workflow, job, worker, generation or attempt: out of range often
+/// enough to reach every refusal the engine has.
+fn id() -> impl Strategy<Value = String> {
+    field(3, 6)
+}
+
+/// A time as the journal writes one, hex bits: a plausible instant, or any
+/// 64 bits at all — NaN, the infinities, negatives, subnormals.
+fn time_bits() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0.0f64..5.0).prop_map(|t| format!("{:x}", t.to_bits())),
+        any::<u64>().prop_map(|bits| format!("{bits:x}")),
+    ]
+}
+
+/// One record's line, every field drawn as above; acks are the common
+/// case, as in a real journal.
+fn record_line() -> impl Strategy<Value = String> {
+    (0u32..8).prop_flat_map(|pick| match pick {
+        0 => (id(), time_bits()).prop_map(|(w, t)| format!("S {w} {t}")).boxed(),
+        1 => time_bits().prop_map(|t| format!("T {t}")).boxed(),
+        2 => (id(), id(), field(4, 40), time_bits())
+            .prop_map(|(w, g, phase, t)| format!("W {w} {g} {phase} {t}"))
+            .boxed(),
+        _ => (id(), id(), id(), field(3, 40), id(), time_bits())
+            .prop_map(|(w, j, worker, kind, attempt, t)| {
+                format!("A {w} {j} {worker} {kind} {attempt} {t}")
+            })
+            .boxed(),
+    })
+}
+
+/// A journal from nowhere: usually the two submissions that let replay get
+/// anywhere, then lines that are mostly records and now and then bytes —
+/// newlines, invalid UTF-8 and all.
+fn hostile_journal() -> impl Strategy<Value = Vec<u8>> {
+    let line = (0u32..16).prop_flat_map(|pick| match pick {
+        0 => prop::collection::vec(any::<u8>(), 0..40).boxed(),
+        _ => record_line().prop_map(|line| format!("{line}\n").into_bytes()).boxed(),
+    });
+    (0u32..4, prop::collection::vec(line, 0..24)).prop_map(|(prefix, lines)| {
+        let submitted = if prefix == 0 { "" } else { "S 0 0\nS 1 0\n" };
+        let mut bytes = submitted.as_bytes().to_vec();
+        lines.iter().for_each(|line| bytes.extend_from_slice(line));
+        bytes
+    })
+}
+
+/// The registry a hostile journal is replayed against: a three-job chain
+/// and a two-job fan.
+fn two_workflows() -> Registry {
+    let registry = Registry::new();
+    let mut chain = WorkflowBuilder::new("chain");
+    let a = chain.job("a", "t", 1.0).build();
+    let b = chain.job("b", "t", 1.0).build();
+    let c = chain.job("c", "t", 1.0).build();
+    chain.edge(a, b);
+    chain.edge(b, c);
+    registry.insert(WorkflowId(0), Arc::new(chain.finish().unwrap()));
+    let mut fan = WorkflowBuilder::new("fan");
+    fan.job("x", "t", 1.0).build();
+    fan.job("y", "t", 1.0).build();
+    registry.insert(WorkflowId(1), Arc::new(fan.finish().unwrap()));
+    registry
 }
 
 fn append(j: &mut Journal, rec: &JournalRecord) {
@@ -184,5 +263,28 @@ proptest! {
         let read = read_journal(&path);
         std::fs::remove_file(&path).ok();
         prop_assert_eq!(read.unwrap(), records);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The journal is total over what a file can hold: any bytes read as
+    /// records or as an error, and any records that read replay — into an
+    /// engine and a liveness table, as a master taking the file over does —
+    /// or fail to, naming why. Neither panics.
+    #[test]
+    fn arbitrary_bytes_read_and_replay_to_an_answer(
+        bytes in hostile_journal(),
+        case in any::<u64>(),
+    ) {
+        let path = tmp("hostile", case);
+        std::fs::write(&path, &bytes).unwrap();
+        let read = read_journal(&path);
+        std::fs::remove_file(&path).ok();
+        if let Ok(records) = read {
+            let _ = recover(&records, &two_workflows(), EngineConfig::default().timeout(1.0));
+            replay_liveness(&records, 1.0);
+        }
     }
 }

@@ -4,17 +4,22 @@
 //!
 //! The paper's master is a single point of failure (its DAG state is in
 //! memory only); this test exercises the journal/recovery path that
-//! removes it. Workers and the message bus survive the "crash" — only
-//! the master's in-memory engine is lost, exactly what a process restart
-//! on the master VM looks like.
+//! removes it, over loopback TCP as a deployment runs it. The crash drops
+//! the serve loop and every connection with no `Bye`; the replacement binds
+//! the same address, rebuilds its registry from the workflow spool and its
+//! engine from the journal, and the workers' links reconnect to it.
 
 use std::collections::BTreeSet;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
 use dewe_core::realtime::{
-    compact_records, read_journal, recover, spawn_master, spawn_worker, submit, JournalRecord,
-    MasterConfig, MasterEvent, MessageBus, Registry, SleepRunner, WorkerConfig,
+    compact_records, read_journal, recover, spawn_master_on, spawn_worker_on, submit_over_tcp,
+    JournalRecord, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, Registry,
+    SleepRunner, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
+    WorkerHandle,
 };
 use dewe_core::{AckKind, AckMsg, Action, EngineConfig, EnsembleEngine, RetryPolicy};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
@@ -30,6 +35,111 @@ fn chain(name: &str, jobs: usize, cpu: f64) -> Arc<Workflow> {
         prev = Some(j);
     }
     Arc::new(b.finish().unwrap())
+}
+
+/// A scratch directory for one test's journal and workflow spool.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dewe-recovery-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The master configuration every test starts from: its journal and
+/// whether to take it over.
+fn journaled(dir: &Path, recover: bool) -> MasterConfigBuilder {
+    MasterConfig::builder().journal_path(dir.join("master.wal")).recover(recover)
+}
+
+/// A master on `addr` as `dewe-masterd` runs one: the endpoint spools to
+/// `dir`, and the registry starts as what the spool holds (nothing on a
+/// cold start, the pre-crash ensemble on a restart).
+struct Master {
+    tcp: TcpMaster,
+    registry: Registry,
+    handle: MasterHandle,
+}
+
+impl Master {
+    fn start(addr: SocketAddr, dir: &Path, config: MasterConfig) -> Self {
+        let tcp = TcpMaster::bind(addr, TcpMasterOptions { state_dir: Some(dir.join("state")) })
+            .expect("the master's address binds, and binds again after a crash");
+        let registry = Registry::new();
+        for (id, _, workflow) in tcp.load_spool().expect("the spool loads") {
+            registry.insert(id, workflow);
+        }
+        let handle = spawn_master_on(tcp.clone(), registry.clone(), config);
+        Self { tcp, registry, handle }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        self.tcp.local_addr()
+    }
+
+    /// Submit `workflows` down one connection and wait until the master has
+    /// taken them all, as a client that must not lose one to a crash does.
+    fn submit(&self, workflows: &[Arc<Workflow>]) {
+        let texts =
+            workflows.iter().map(|wf| (wf.name().to_string(), dewe_dag::write_workflow(wf)));
+        submit_over_tcp(self.addr(), texts).unwrap();
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while self.registry.len() < workflows.len() {
+            assert!(std::time::Instant::now() < deadline, "submissions never ingested");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A crash: the serve loop stops and every connection drops unsaid.
+    fn kill(self) -> Registry {
+        self.handle.kill();
+        self.tcp.kill();
+        self.registry
+    }
+
+    /// Wait for the master to finish, then stop the endpoint.
+    fn join(self) -> dewe_core::EngineStats {
+        let stats = self.handle.join();
+        self.tcp.shutdown();
+        stats
+    }
+}
+
+/// A worker daemon of `slots` 20 ms jobs over its own link to `addr`.
+fn worker(addr: SocketAddr, id: u32, slots: usize, heartbeat: Option<Duration>) -> Worker {
+    let mirror = Registry::new();
+    let opts = TcpWorkerOptions { worker_id: id, ..TcpWorkerOptions::default() };
+    let link = TcpWorkerLink::connect(addr, mirror.clone(), opts).unwrap();
+    let config = WorkerConfig {
+        worker_id: id,
+        slots,
+        pull_timeout: Duration::from_millis(10),
+        heartbeat_interval: heartbeat,
+        ..WorkerConfig::default()
+    };
+    let handle =
+        spawn_worker_on(Arc::new(link.clone()), mirror, Arc::new(SleepRunner::new(0.02)), config);
+    Worker { link, handle }
+}
+
+struct Worker {
+    link: TcpWorkerLink,
+    handle: WorkerHandle,
+}
+
+impl Worker {
+    fn stop(self) {
+        self.handle.stop();
+        self.link.close();
+    }
+
+    fn kill(self) {
+        self.handle.kill();
+        self.link.close();
+    }
+}
+
+fn chains(n: usize, jobs: usize) -> Vec<Arc<Workflow>> {
+    (0..n).map(|i| chain(&format!("c{i}"), jobs, 1.0)).collect()
 }
 
 /// What a journal's replay says happened: whether every workflow fully
@@ -58,48 +168,28 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
     let mut outcomes = Vec::new();
     for crash in [false, true] {
         let label = format!("crash {crash}");
-        let mut journal_path = std::env::temp_dir();
-        journal_path.push(format!("dewe-recovery-same-{}-{crash}.wal", std::process::id()));
-        let _ = std::fs::remove_file(&journal_path);
+        let dir = scratch(&format!("same-{crash}"));
         let replay = |registry: &Registry| {
-            let records = read_journal(&journal_path).expect("journal readable");
+            let records = read_journal(&dir.join("master.wal")).expect("journal readable");
             replayed(&recover(&records, registry, EngineConfig::default()).expect("replays").engine)
         };
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let mk_config = |recover: bool| {
-            MasterConfig::builder()
-                .expected_workflows(6)
-                .journal_path(journal_path.clone())
-                .recover(recover)
-                .build()
-        };
-        let mut master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
-        let worker = spawn_worker(
-            bus.clone(),
-            registry.clone(),
-            Arc::new(SleepRunner::new(0.02)),
-            WorkerConfig {
-                worker_id: 0,
-                slots: 2,
-                pull_timeout: Duration::from_millis(10),
-                ..WorkerConfig::default()
-            },
-        );
-        for i in 0..6 {
-            submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 3, 1.0));
-        }
+        let config = |recover: bool| journaled(&dir, recover).expected_workflows(6).build();
+        let mut master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+        let addr = master.addr();
+        let worker = worker(addr, 0, 2, None);
+        master.submit(&chains(6, 3));
         if crash {
-            let ev = master.events.recv_timeout(Duration::from_secs(30)).expect("completion");
+            let ev =
+                master.handle.events.recv_timeout(Duration::from_secs(30)).expect("completion");
             assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }), "{label}: {ev:?}");
-            master.kill();
+            let registry = master.kill();
             let (all_complete, done) = replay(&registry);
             assert!(!all_complete && !done.is_empty(), "{label}: killed mid-ensemble");
-            master = spawn_master(bus.clone(), registry.clone(), mk_config(true));
+            master = Master::start(addr, &dir, config(true));
         }
+        let registry = master.registry.clone();
         let stats = master.join();
         worker.stop();
-        bus.shutdown();
 
         assert_eq!(stats.workflows_completed, 6, "{label}");
         assert_eq!(stats.jobs_completed, 18, "{label}");
@@ -107,7 +197,7 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
         let (all_complete, done) = replay(&registry);
         assert!(all_complete, "{label}: the journal replays to a completed ensemble");
         outcomes.push((label, done));
-        let _ = std::fs::remove_file(&journal_path);
+        let _ = std::fs::remove_dir_all(&dir);
     }
     let (_, first) = &outcomes[0];
     assert_eq!(first.len(), 18);
@@ -202,50 +292,26 @@ fn recovery_replays_settled_workflows_and_their_recycled_regions() {
 
 #[test]
 fn ensemble_finishes_after_master_failover() {
-    let mut journal_path = std::env::temp_dir();
-    journal_path.push(format!("dewe-recovery-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-
-    let bus = MessageBus::new();
-    let registry = Registry::new();
+    let dir = scratch("failover");
     // The simulated crash drops the master loop between steps, so the
     // file holds whole bursts; a torn tail would only appear on a hard
     // power loss, which journal_properties covers.
-    let mk_config = |recover: bool| {
-        MasterConfig::builder()
-            .expected_workflows(3)
-            .journal_path(journal_path.clone())
-            .recover(recover)
-            .build()
-    };
-
-    let master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
+    let config = |recover: bool| journaled(&dir, recover).expected_workflows(3).build();
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+    let addr = master.addr();
     // 20 ms per job: slow enough that the kill lands mid-ensemble with
     // jobs genuinely in flight, fast enough to keep the test snappy.
-    let worker = spawn_worker(
-        bus.clone(),
-        registry.clone(),
-        Arc::new(SleepRunner::new(0.02)),
-        WorkerConfig {
-            worker_id: 0,
-            slots: 2,
-            pull_timeout: Duration::from_millis(10),
-            ..WorkerConfig::default()
-        },
-    );
-
-    for i in 0..3 {
-        submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 4, 1.0));
-    }
+    let worker = worker(addr, 0, 2, None);
+    master.submit(&chains(3, 4));
 
     // Let the first workflow complete, proving the journal holds real
     // progress (submissions, checkouts, completions) — then crash.
-    let ev = master.events.recv_timeout(Duration::from_secs(30)).expect("first completion");
+    let ev = master.handle.events.recv_timeout(Duration::from_secs(30)).expect("first completion");
     assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }), "got {ev:?}");
-    master.kill();
+    let registry = master.kill();
 
     // The journal alone must reconstruct the pre-crash engine.
-    let records = read_journal(&journal_path).expect("journal readable");
+    let records = read_journal(&dir.join("master.wal")).expect("journal readable");
     let replay = recover(&records, &registry, EngineConfig::default()).expect("journal replays");
     // At least the completion we just observed must be durable. The
     // count is a bound, not an exact value: with two slots the second
@@ -255,13 +321,11 @@ fn ensemble_finishes_after_master_failover() {
     let pre_crash = replay.engine.stats().workflows_completed;
     assert!((1..3).contains(&pre_crash), "pre-crash progress recovered: {pre_crash}");
 
-    // Failover: a replacement master recovers from the journal and takes
-    // over the same bus. In-flight jobs get republished; the worker may
-    // run some twice, which the engine counts as duplicate noise.
-    let master2 = spawn_master(bus.clone(), registry.clone(), mk_config(true));
-    let stats = master2.join();
+    // Failover: a replacement master recovers from the journal on the
+    // same address. In-flight jobs get republished; the worker may run
+    // some twice, which the engine counts as duplicate noise.
+    let stats = Master::start(addr, &dir, config(true)).join();
     worker.stop();
-    bus.shutdown();
 
     assert_eq!(stats.workflows_completed, 3, "ensemble finished after failover");
     assert_eq!(stats.workflows_abandoned, 0);
@@ -271,7 +335,7 @@ fn ensemble_finishes_after_master_failover() {
     // the crash can complete twice.
     assert!(stats.duplicate_completions <= 4, "noise bounded: {stats:?}");
 
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -280,53 +344,30 @@ fn compacted_journal_still_recovers_the_ensemble() {
     // aggressive threshold: by the time the master is killed the journal
     // has been rewritten as a synthetic prefix at least once, and the
     // replacement must recover from that compacted file.
-    let mut journal_path = std::env::temp_dir();
-    journal_path.push(format!("dewe-recovery-compact-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-
-    let bus = MessageBus::new();
-    let registry = Registry::new();
-    let mk_config = |recover: bool| {
-        MasterConfig::builder()
-            .expected_workflows(4)
-            .journal_path(journal_path.clone())
-            .journal_compact_threshold(8)
-            .recover(recover)
-            .build()
+    let dir = scratch("compact");
+    let config = |recover: bool| {
+        journaled(&dir, recover).expected_workflows(4).journal_compact_threshold(8).build()
     };
-
-    let master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
-    let worker = spawn_worker(
-        bus.clone(),
-        registry.clone(),
-        Arc::new(SleepRunner::new(0.02)),
-        WorkerConfig {
-            worker_id: 0,
-            slots: 2,
-            pull_timeout: Duration::from_millis(10),
-            ..WorkerConfig::default()
-        },
-    );
-
-    for i in 0..4 {
-        submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 4, 1.0));
-    }
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+    let addr = master.addr();
+    let worker = worker(addr, 0, 2, None);
+    master.submit(&chains(4, 4));
 
     // Let two workflows complete so compaction has material to elide,
     // then crash.
     let mut completions = 0;
     while completions < 2 {
-        let ev = master.events.recv_timeout(Duration::from_secs(30)).expect("completion");
+        let ev = master.handle.events.recv_timeout(Duration::from_secs(30)).expect("completion");
         if matches!(ev, MasterEvent::WorkflowCompleted { .. }) {
             completions += 1;
         }
     }
-    master.kill();
+    let registry = master.kill();
 
     // The compacted journal replays to the full pre-crash completion
     // count — and stays lean: 2 completed workflows are at most S + 4
     // effective completions each, plus the live workflows' history.
-    let records = read_journal(&journal_path).expect("journal readable");
+    let records = read_journal(&dir.join("master.wal")).expect("journal readable");
     let replay =
         recover(&records, &registry, EngineConfig::default()).expect("compacted journal replays");
     assert!(
@@ -335,16 +376,14 @@ fn compacted_journal_still_recovers_the_ensemble() {
         replay.engine.stats()
     );
 
-    let master2 = spawn_master(bus.clone(), registry.clone(), mk_config(true));
-    let stats = master2.join();
+    let stats = Master::start(addr, &dir, config(true)).join();
     worker.stop();
-    bus.shutdown();
 
     assert_eq!(stats.workflows_completed, 4, "ensemble finished after failover");
     assert_eq!(stats.workflows_abandoned, 0);
     assert_eq!(stats.jobs_completed, 16);
 
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -356,56 +395,33 @@ fn compaction_racing_an_ack_burst_survives_failover() {
     // silently loses it — and the kill lands on whichever journal
     // (original or compacted) happens to be on disk. An aggressive
     // threshold makes both orderings occur across the run.
-    let mut journal_path = std::env::temp_dir();
-    journal_path.push(format!("dewe-recovery-compact-gc-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-
-    let bus = MessageBus::new();
-    let registry = Registry::new();
-    let mk_config = |recover: bool| {
-        MasterConfig::builder()
-            .expected_workflows(4)
-            .journal_path(journal_path.clone())
-            .journal_compact_threshold(8)
-            .recover(recover)
-            .build()
+    let dir = scratch("compact-gc");
+    let config = |recover: bool| {
+        journaled(&dir, recover).expected_workflows(4).journal_compact_threshold(8).build()
     };
-
-    let master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
-    let worker = spawn_worker(
-        bus.clone(),
-        registry.clone(),
-        Arc::new(SleepRunner::new(0.02)),
-        WorkerConfig {
-            worker_id: 0,
-            slots: 2,
-            pull_timeout: Duration::from_millis(10),
-            ..WorkerConfig::default()
-        },
-    );
-
-    for i in 0..4 {
-        submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 4, 1.0));
-    }
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+    let addr = master.addr();
+    let worker = worker(addr, 0, 2, None);
+    master.submit(&chains(4, 4));
 
     // Two completed workflows guarantee compaction had material to elide
     // and fired at least once (8 records arrive within the first
     // workflow); then crash with jobs still in flight.
     let mut completions = 0;
     while completions < 2 {
-        let ev = master.events.recv_timeout(Duration::from_secs(30)).expect("completion");
+        let ev = master.handle.events.recv_timeout(Duration::from_secs(30)).expect("completion");
         if matches!(ev, MasterEvent::WorkflowCompleted { .. }) {
             completions += 1;
         }
     }
-    master.kill();
+    let registry = master.kill();
 
     // Recovery equivalence: the on-disk journal and its re-compaction
     // must rebuild identical live state. `compact_records` documents the
     // contract — tracker, in-flight attempts, and the
     // submitted/completed/abandoned/jobs_completed counters survive; only
     // per-attempt diagnostics of *completed* workflows are synthesized.
-    let records = read_journal(&journal_path).expect("journal readable");
+    let records = read_journal(&dir.join("master.wal")).expect("journal readable");
     let engine_cfg = EngineConfig::default();
     let replay = recover(&records, &registry, engine_cfg).expect("journal replays");
     let recompacted =
@@ -425,17 +441,15 @@ fn compaction_racing_an_ack_burst_survives_failover() {
 
     // And the replacement master must finish the ensemble from that
     // journal.
-    let master2 = spawn_master(bus.clone(), registry.clone(), mk_config(true));
-    let stats = master2.join();
+    let stats = Master::start(addr, &dir, config(true)).join();
     worker.stop();
-    bus.shutdown();
 
     assert_eq!(stats.workflows_completed, 4, "ensemble finished after failover");
     assert_eq!(stats.workflows_abandoned, 0);
     assert_eq!(stats.jobs_completed, 16);
     assert_eq!(stats.dead_lettered, 0);
 
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -447,40 +461,23 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     // worker_lost_in_recovery warning, requeue whatever the journal says
     // it held, and finish the ensemble on the surviving worker — no
     // silent fallback, no lost jobs.
-    let mut journal_path = std::env::temp_dir();
-    journal_path.push(format!("dewe-recovery-deadworker-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-
-    let bus = MessageBus::new();
-    let registry = Registry::new();
-    let mk_config = |recover: bool| {
-        MasterConfig::builder()
+    let dir = scratch("deadworker");
+    // An ack written into the killed master's socket is lost, and the
+    // lease plane does not republish a job a live worker holds, so now and
+    // then one job waits out its timeout: keep that wait short.
+    let config = |recover: bool| {
+        journaled(&dir, recover)
             .expected_workflows(2)
-            .journal_path(journal_path.clone())
             .lease_secs(0.15)
-            .recover(recover)
+            .default_timeout_secs(1.0)
             .build()
     };
-    let master = spawn_master(bus.clone(), registry.clone(), mk_config(false));
-    let mk_worker = |id: u32| {
-        spawn_worker(
-            bus.clone(),
-            registry.clone(),
-            Arc::new(SleepRunner::new(0.02)),
-            WorkerConfig {
-                worker_id: id,
-                slots: 1,
-                pull_timeout: Duration::from_millis(10),
-                heartbeat_interval: Some(Duration::from_millis(30)),
-                ..WorkerConfig::default()
-            },
-        )
-    };
-    let w0 = mk_worker(0);
-    let w1 = mk_worker(1);
-    for i in 0..2 {
-        submit(&bus, format!("c{i}"), chain(&format!("c{i}"), 12, 1.0));
-    }
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+    let addr = master.addr();
+    let heartbeat = Some(Duration::from_millis(30));
+    let w0 = worker(addr, 0, 1, heartbeat);
+    let w1 = worker(addr, 1, 1, heartbeat);
+    master.submit(&chains(2, 12));
 
     // Let both registrations and a stretch of real progress hit the
     // journal, then crash the master mid-ensemble — well before either
@@ -491,18 +488,17 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     master.kill();
     w1.kill();
 
-    let master2 = spawn_master(bus.clone(), registry.clone(), mk_config(true));
+    let master2 = Master::start(addr, &dir, config(true));
     loop {
-        match master2.events.recv_timeout(Duration::from_secs(30)).expect("event") {
+        match master2.handle.events.recv_timeout(Duration::from_secs(30)).expect("event") {
             MasterEvent::AllCompleted { .. } => break,
             MasterEvent::WorkflowCompleted { .. } => {}
             other => panic!("unexpected event {other:?}"),
         }
     }
-    let ms = master2.master_stats();
+    let ms = master2.handle.master_stats();
     let stats = master2.join();
     w0.stop();
-    bus.shutdown();
 
     assert_eq!(stats.workflows_completed, 2, "ensemble finished on the survivor");
     assert_eq!(stats.workflows_abandoned, 0);
@@ -510,43 +506,20 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     assert_eq!(ms.workers_lost_in_recovery, 1, "dead worker flagged, not silently dropped: {ms:?}");
     assert!(ms.workers_expired >= 1, "the grace lease lapsed: {ms:?}");
 
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn recovery_restarts_from_empty_journal_when_absent() {
     // recover=true with no journal on disk must behave like a cold start.
-    let mut journal_path = std::env::temp_dir();
-    journal_path.push(format!("dewe-recovery-cold-{}.wal", std::process::id()));
-    let _ = std::fs::remove_file(&journal_path);
-
-    let bus = MessageBus::new();
-    let registry = Registry::new();
-    let master = spawn_master(
-        bus.clone(),
-        registry.clone(),
-        MasterConfig::builder()
-            .expected_workflows(1)
-            .journal_path(journal_path.clone())
-            .recover(true)
-            .build(),
-    );
-    let worker = spawn_worker(
-        bus.clone(),
-        registry,
-        Arc::new(SleepRunner::new(0.001)),
-        WorkerConfig {
-            worker_id: 0,
-            slots: 1,
-            pull_timeout: Duration::from_millis(10),
-            ..WorkerConfig::default()
-        },
-    );
-    submit(&bus, "w", chain("w", 2, 1.0));
+    let dir = scratch("cold");
+    let config = journaled(&dir, true).expected_workflows(1).build();
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config);
+    let worker = worker(master.addr(), 0, 1, None);
+    master.submit(&[chain("w", 2, 1.0)]);
     let stats = master.join();
     worker.stop();
-    bus.shutdown();
     assert_eq!(stats.workflows_completed, 1);
 
-    let _ = std::fs::remove_file(&journal_path);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,17 +7,17 @@
 //!
 //! * [`Topic`] — one thread-safe FIFO work queue: each message goes to
 //!   exactly one consumer, pulls block with a timeout, publishers wake
-//!   only sleepers, [`Topic::kick`] is the doorbell. The in-process bus is
-//!   four of these; the TCP worker link uses them between its socket
-//!   threads and the slot loops.
+//!   only sleepers, [`Topic::kick`] is the doorbell. The TCP worker link
+//!   uses two between its socket threads and its slot loops.
 //! * [`Transport`] / [`WorkerTransport`] — the master's and a worker's
-//!   view of the fabric. `dewe-core` writes its serve loops once against
-//!   them and implements them twice: over topics in one process, and over
-//!   TCP connections. [`Transport::wake`] is the serve loop's doorbell.
+//!   view of the fabric. `dewe-core` writes its serve loops against them
+//!   and implements them once, over TCP connections; a test stands in
+//!   for either side by implementing one. [`Transport::wake`] is the
+//!   serve loop's doorbell.
 //! * [`read_frame`] / [`write_frame`] (and the split / queued writers) —
 //!   length-prefixed framing with a size cap, for the TCP runtime;
 //!   [`FrameBuf`] is the reader for a socket that must not block.
-//! * [`SendWindow`] — per-connection credit for dispatches in flight.
+//! * [`SendWindow`] — a lock-free credit counter for dispatches in flight.
 //! * [`poll`] — where one thread waits on many sockets (Unix), through the
 //!   crate's one `unsafe` call.
 //! * [`chaos`] — seeded drop / duplicate / delay decisions

@@ -4,9 +4,9 @@
 //! surface: the master pulls submissions/acks/lifecycle traffic and
 //! publishes dispatches; a worker pulls dispatches and publishes
 //! acks/lifecycle traffic. These two traits capture exactly that surface,
-//! so the serve loop in `dewe-core` is written once and runs unchanged
-//! over the in-process `MessageBus` (the oracle paths) and over the TCP
-//! runtime (a real fleet) — the sans-IO engine refactor's payoff.
+//! so the serve loops in `dewe-core` know nothing of sockets: its TCP
+//! runtime implements them, in one process or across machines, and a test
+//! can stand in for either side.
 //!
 //! The message types stay associated, not concrete: this crate knows
 //! queues, not workflows. `dewe-core` pins them to its protocol types
@@ -18,9 +18,9 @@ use std::time::Duration;
 ///
 /// One extra hook beyond the paper's three topics: [`announce`]
 /// (master → workers) broadcasts each accepted workflow's definition so
-/// networked workers can mirror the registry ("the shared file system")
-/// without one. The in-process bus no-ops it — its workers share the
-/// registry object.
+/// every worker can mirror the registry ("the shared file system")
+/// without sharing one: a worker is told a workflow before any of its
+/// jobs.
 ///
 /// [`announce`]: Transport::announce
 pub trait Transport: Send + Sync + 'static {

@@ -63,6 +63,7 @@
 //!     other => panic!("{other:?}"),
 //! }
 //! ```
+#![forbid(unsafe_code)]
 
 mod bucket;
 mod cluster;

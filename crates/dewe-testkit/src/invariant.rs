@@ -42,7 +42,7 @@ pub enum PathKind {
     Engine,
     /// The modeled Pegasus/DAGMan/Condor scheduler.
     Baseline,
-    /// The threaded master/worker stack over the in-process bus.
+    /// The threaded master/worker stack over loopback TCP.
     Realtime,
     /// The discrete-event simulation runtime over the `dewe-simcloud`
     /// cluster model.

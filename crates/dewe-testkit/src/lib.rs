@@ -3,8 +3,8 @@
 //! Four independent implementations of "run a workflow ensemble" live in
 //! this workspace: the sans-IO [`dewe_core::EnsembleEngine`]
 //! driven in virtual time, the modeled Pegasus/DAGMan/Condor baseline in
-//! `dewe-baseline`, the threaded realtime master/worker stack over the
-//! in-process bus, and the discrete-event simulation runtime over the
+//! `dewe-baseline`, the threaded realtime master/worker stack over
+//! loopback TCP, and the discrete-event simulation runtime over the
 //! `dewe-simcloud` cluster model. They share semantics but almost no
 //! code — which makes them each other's best test oracle.
 //!

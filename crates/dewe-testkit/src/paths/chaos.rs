@@ -167,19 +167,48 @@ mod tests {
     use super::*;
     use crate::scenario::Rng;
     use dewe_core::realtime::{
-        spawn_master, spawn_worker_on, submit, BusWorkerLink, MasterConfig, MessageBus, NoopRunner,
-        Registry, WorkerConfig,
+        spawn_master_on, spawn_worker_on, submit_over_tcp, MasterConfig, MasterHandle, NoopRunner,
+        Registry, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
     };
     use dewe_core::AckKind;
     use dewe_dag::{JobId, WorkflowBuilder, WorkflowId};
+    use dewe_mq::Topic;
 
     fn state(drop_prob: f64, dup_prob: f64, delay_prob: f64, delay_secs: f64) -> Arc<ChaosState> {
         let spec = ChaosSpec { seed: 0xC0FFEE, drop_prob, dup_prob, delay_prob, delay_secs: 0.0 };
         ChaosState::new(&spec, delay_secs).expect("not a no-op profile")
     }
 
-    fn link(bus: &MessageBus, state: &Arc<ChaosState>) -> DynWorkerTransport {
-        state.wrap(Arc::new(BusWorkerLink::new(bus.clone())))
+    /// A worker's side of two in-memory queues: what the decorator sees of
+    /// any fabric, with the test holding the master's side.
+    #[derive(Clone, Default)]
+    struct Queues {
+        dispatch: Topic<DispatchMsg>,
+        acks: Topic<AckMsg>,
+    }
+
+    impl WorkerTransport for Queues {
+        type Dispatch = DispatchMsg;
+        type Ack = AckMsg;
+        type Lifecycle = LifecycleMsg;
+
+        fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
+            self.dispatch.pull_timeout(timeout)
+        }
+        fn dispatch_closed(&self) -> bool {
+            self.dispatch.is_closed()
+        }
+        fn redeliver(&self, dispatch: DispatchMsg) {
+            self.dispatch.publish(dispatch);
+        }
+        fn publish_ack(&self, ack: AckMsg) {
+            self.acks.publish(ack);
+        }
+        fn publish_lifecycle(&self, _: LifecycleMsg) {}
+    }
+
+    fn link(queues: &Queues, state: &Arc<ChaosState>) -> DynWorkerTransport {
+        state.wrap(Arc::new(queues.clone()))
     }
 
     fn job(n: u32) -> EnsembleJobId {
@@ -194,24 +223,28 @@ mod tests {
         }
     }
 
+    fn one_job() -> Arc<dewe_dag::Workflow> {
+        let mut b = WorkflowBuilder::new("w");
+        b.job("a", "t", 1.0).build();
+        Arc::new(b.finish().unwrap())
+    }
+
     /// One worker daemon (worker id 7) over a decorated link, and the
     /// single-job workflow it can run.
     fn one_job_worker(
-        bus: &MessageBus,
+        queues: &Queues,
         state: &Arc<ChaosState>,
         slots: usize,
     ) -> dewe_core::realtime::WorkerHandle {
         let registry = Registry::new();
-        let mut b = WorkflowBuilder::new("w");
-        b.job("a", "t", 1.0).build();
-        registry.insert(WorkflowId(0), Arc::new(b.finish().unwrap()));
+        registry.insert(WorkflowId(0), one_job());
         let config = WorkerConfig {
             worker_id: 7,
             slots,
             pull_timeout: Duration::from_millis(5),
             ..WorkerConfig::default()
         };
-        spawn_worker_on(link(bus, state), registry, Arc::new(NoopRunner), config)
+        spawn_worker_on(link(queues, state), registry, Arc::new(NoopRunner), config)
     }
 
     /// Offer 200 dispatches and 200 acks in an order drawn from
@@ -219,7 +252,7 @@ mod tests {
     /// many copies of each identity came out of either side.
     fn copies_delivered(order_seed: u64) -> (Vec<usize>, Vec<usize>) {
         const N: usize = 200;
-        let bus = MessageBus::new();
+        let queues = Queues::default();
         // Held messages are due at once: the hold-and-release path runs
         // without the test waiting out a delay.
         let state = state(0.25, 0.25, 0.25, 0.0);
@@ -228,22 +261,22 @@ mod tests {
         for i in (1..N).rev() {
             order.swap(i, rng.below(i + 1));
         }
-        bus.dispatch.publish_all(order.iter().map(|&n| DispatchMsg::new(job(n), 1)));
+        queues.dispatch.publish_all(order.iter().map(|&n| DispatchMsg::new(job(n), 1)));
 
         let pulled: Vec<DispatchMsg> = std::thread::scope(|scope| {
             let threads: Vec<_> = order
                 .chunks(N / 4)
                 .map(|chunk| {
-                    let (bus, state) = (&bus, &state);
+                    let (queues, state) = (&queues, &state);
                     scope.spawn(move || {
-                        let link = link(bus, state);
+                        let link = link(queues, state);
                         let mut got = Vec::new();
                         loop {
                             match link.pull_dispatch(Duration::from_millis(1)) {
                                 Some(d) => got.push(d),
                                 // A message this thread is about to hold
                                 // is one it will itself see held here.
-                                None if bus.dispatch.is_empty()
+                                None if queues.dispatch.is_empty()
                                     && state.held().dispatches.is_empty() =>
                                 {
                                     break
@@ -261,7 +294,7 @@ mod tests {
             threads.into_iter().flat_map(|t| t.join().unwrap()).collect()
         });
         // The next pull by anyone releases the acks still held.
-        assert_eq!(link(&bus, &state).pull_dispatch(Duration::ZERO), None);
+        assert_eq!(link(&queues, &state).pull_dispatch(Duration::ZERO), None);
         assert!(state.held().acks.is_empty() && state.held().dispatches.is_empty());
 
         let mut dispatches = vec![0; N];
@@ -269,7 +302,7 @@ mod tests {
             dispatches[d.job.job.index()] += 1;
         }
         let mut acks = vec![0; N];
-        while let Some(ack) = bus.ack.try_pull() {
+        while let Some(ack) = queues.acks.try_pull() {
             acks[ack.job.job.index()] += 1;
         }
         (dispatches, acks)
@@ -289,27 +322,58 @@ mod tests {
     #[test]
     fn acks_held_for_a_killed_worker_are_delivered_by_another_workers_next_pull() {
         const HOLD: f64 = 0.25;
-        let bus = MessageBus::new();
+        let queues = Queues::default();
         let state = state(0.0, 0.0, 1.0, HOLD);
-        let worker = one_job_worker(&bus, &state, 1);
+        let worker = one_job_worker(&queues, &state, 1);
         let start = Instant::now();
-        bus.dispatch.publish(DispatchMsg::new(job(0), 1));
+        queues.dispatch.publish(DispatchMsg::new(job(0), 1));
         // The dispatch is held, then run; both of its acks are held too.
         wait_until("both acks are held", || state.held().acks.len() == 2);
         assert_eq!(worker.kill(), 1);
-        assert!(bus.ack.is_empty(), "held back, and the worker that held them is gone");
+        assert!(queues.acks.is_empty(), "held back, and the worker that held them is gone");
 
-        let other = link(&bus, &state);
+        let other = link(&queues, &state);
         wait_until("the held acks arrive", || {
             assert_eq!(other.pull_dispatch(Duration::from_millis(5)), None);
-            bus.ack.len() == 2
+            queues.acks.len() == 2
         });
         assert!(start.elapsed() >= Duration::from_secs_f64(2.0 * HOLD), "holds are wall time");
-        let kinds: Vec<_> = std::iter::from_fn(|| bus.ack.try_pull())
+        let kinds: Vec<_> = std::iter::from_fn(|| queues.acks.try_pull())
             .inspect(|ack| assert_eq!((ack.worker, ack.attempt), (7, 1)))
             .map(|ack| ack.kind)
             .collect();
         assert_eq!(kinds, [AckKind::Running, AckKind::Completed]);
+    }
+
+    /// What a link delivered to the decorator above it, before any
+    /// decision.
+    struct Tap {
+        inner: DynWorkerTransport,
+        pulled: Mutex<Vec<DispatchMsg>>,
+    }
+
+    impl WorkerTransport for Tap {
+        type Dispatch = DispatchMsg;
+        type Ack = AckMsg;
+        type Lifecycle = LifecycleMsg;
+
+        fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
+            let d = self.inner.pull_dispatch(timeout)?;
+            self.pulled.lock().unwrap().push(d);
+            Some(d)
+        }
+        fn dispatch_closed(&self) -> bool {
+            self.inner.dispatch_closed()
+        }
+        fn redeliver(&self, dispatch: DispatchMsg) {
+            self.inner.redeliver(dispatch);
+        }
+        fn publish_ack(&self, ack: AckMsg) {
+            self.inner.publish_ack(ack);
+        }
+        fn publish_lifecycle(&self, msg: LifecycleMsg) {
+            self.inner.publish_lifecycle(msg);
+        }
     }
 
     /// The recovery hazard: a recovered master republishes what its
@@ -327,32 +391,42 @@ mod tests {
         let spec = ChaosSpec { seed: seed.unwrap(), drop_prob: 0.5, ..ChaosSpec::none() };
         let state = ChaosState::new(&spec, 0.0).unwrap();
 
-        let wal = std::env::temp_dir().join(format!("dewe-chaos-seam-{}.wal", std::process::id()));
-        let bus = MessageBus::new();
-        let registry = Registry::new();
-        let master = |recover| {
+        let dir = std::env::temp_dir().join(format!("dewe-chaos-seam-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // As `dewe-masterd --state-dir --journal [--recover]` on one port.
+        let master = |addr, recover| -> (TcpMaster, MasterHandle) {
+            let options = TcpMasterOptions { state_dir: Some(dir.join("spool")) };
+            let tcp = TcpMaster::bind(addr, options).unwrap();
+            let registry = Registry::new();
+            for (id, _, workflow) in tcp.load_spool().unwrap() {
+                registry.insert(id, workflow);
+            }
             let config = MasterConfig::builder()
                 .checkout_timeout_secs(0.5)
-                .journal_path(&wal)
+                .journal_path(dir.join("master.wal"))
                 .recover(recover);
-            spawn_master(bus.clone(), registry.clone(), config.build())
+            (tcp.clone(), spawn_master_on(tcp, registry, config.build()))
         };
-        let mut b = WorkflowBuilder::new("w");
-        b.job("a", "t", 1.0).build();
-        let worker = link(&bus, &state);
+        let (tcp, first) = master("127.0.0.1:0".parse().unwrap(), false);
+        let addr = tcp.local_addr();
+        let link = TcpWorkerLink::connect(addr, Registry::new(), TcpWorkerOptions::default())
+            .expect("a link");
+        let tap = Arc::new(Tap { inner: Arc::new(link.clone()), pulled: Mutex::default() });
+        let worker = state.wrap(Arc::clone(&tap) as DynWorkerTransport);
         let pull = || worker.pull_dispatch(Duration::from_millis(5));
+        let pulled = || tap.pulled.lock().unwrap().clone();
 
-        let first = master(false);
-        submit(&bus, "w", Arc::new(b.finish().unwrap()));
+        submit_over_tcp(addr, [("w", dewe_dag::write_workflow(&one_job()))]).unwrap();
         let dropped = |times| {
-            wait_until("attempt 1 reaches a worker and is dropped", || {
+            wait_until("attempt 1 reaches the worker and is dropped", || {
                 assert_eq!(pull(), None);
-                bus.dispatch.stats().delivered == times
+                pulled().len() == times
             });
         };
         dropped(1);
         first.kill();
-        let second = master(true);
+        tcp.kill();
+        let (tcp, second) = master(addr, true);
         dropped(2);
         let mut delivered = None;
         wait_until("attempt 2 is delivered", || {
@@ -360,21 +434,24 @@ mod tests {
             delivered.is_some()
         });
         assert_eq!(delivered, Some(DispatchMsg::new(job(0), 2)));
-        assert_eq!(bus.dispatch.stats().published, 3, "attempt 1 twice, then attempt 2");
+        let attempts: Vec<u32> = pulled().iter().map(|d| d.attempt).collect();
+        assert_eq!(attempts, [1, 1, 2], "attempt 1 twice, then attempt 2");
         second.kill();
-        std::fs::remove_file(&wal).ok();
+        tcp.kill();
+        link.close();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn teardown_with_messages_still_held_returns_at_once() {
-        let bus = MessageBus::new();
+        let queues = Queues::default();
         let state = state(0.0, 0.0, 1.0, 3600.0);
-        let worker = one_job_worker(&bus, &state, 2);
-        bus.dispatch.publish_all((1..=3).map(|attempt| DispatchMsg::new(job(0), attempt)));
+        let worker = one_job_worker(&queues, &state, 2);
+        queues.dispatch.publish_all((1..=3).map(|attempt| DispatchMsg::new(job(0), attempt)));
         wait_until("all three are held", || state.held().dispatches.len() == 3);
         let start = Instant::now();
         assert_eq!(worker.stop(), 0);
-        bus.shutdown();
+        queues.dispatch.close();
         drop(state);
         assert!(start.elapsed() < Duration::from_secs(1), "nothing to wait out or join");
     }

@@ -129,7 +129,7 @@ struct Driver<'a> {
     /// True between a `MasterKill` fault and its `MasterRestart`.
     master_down: bool,
     /// Submissions and acks that arrived while the master was down; the
-    /// replacement consumes them (bus-queued backlog) at restart.
+    /// replacement consumes them (the backlog its links queued) at restart.
     outage_backlog: Vec<LoggedInput>,
     restarts: u32,
     recovery_ok: bool,

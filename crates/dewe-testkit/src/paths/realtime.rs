@@ -1,16 +1,18 @@
 //! Driver for the threaded realtime master/worker stack.
 //!
-//! Runs the scenario on real daemon threads over one in-process bus: one
-//! master, `workers` worker daemons, and — when the scenario carries
-//! chaos — each worker's transport wrapped in the seeded decorator of
-//! `paths/chaos.rs`, which decides every dispatch and ack by its
-//! identity. Job execution is tapped by a `TapRunner` that records
-//! start/finish events into one mutex-ordered log; the lock order gives
-//! the log a total order consistent with cross-thread happens-before (a
-//! parent's finish is recorded inside `run()` before its Completed ack is
-//! published, and a child's start is recorded only after the master
-//! processed that ack and a worker pulled the child's dispatch), so the
-//! shared dependency-order invariant reads directly off log positions.
+//! Runs the scenario on real daemon threads over loopback TCP, the fabric
+//! a deployment runs: one master on a `TcpMaster`, `workers` worker
+//! daemons each on its own `TcpWorkerLink`, the workflows sent by
+//! `submit_over_tcp`, and — when the scenario carries chaos — each link
+//! wrapped in the seeded decorator of `paths/chaos.rs`, which decides
+//! every dispatch and ack by its identity. Job execution is tapped by a
+//! `TapRunner` that records start/finish events into one mutex-ordered
+//! log; the lock order gives the log a total order consistent with
+//! cross-thread happens-before (a parent's finish is recorded inside
+//! `run()` before its Completed ack is published, and a child's start is
+//! recorded only after the master processed that ack and a worker pulled
+//! the child's dispatch), so the shared dependency-order invariant reads
+//! directly off log positions.
 //!
 //! Virtual-time quantities are scaled to wall-clock milliseconds: jobs
 //! execute instantly (runtimes are the simulators' concern; this path
@@ -19,19 +21,20 @@
 //! test.
 
 use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
+use std::net::SocketAddr;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dewe_core::fault::FaultEvent;
 use dewe_core::realtime::{
-    spawn_master, spawn_worker_on, submit, BusWorkerLink, DynWorkerTransport, JobOutcome,
-    JobRunner, MasterConfig, MasterEvent, MasterHandle, MessageBus, Registry, RunContext,
-    WorkerConfig, WorkerHandle,
+    spawn_master_on, spawn_worker_on, submit_over_tcp, DynWorkerTransport, JobOutcome, JobRunner,
+    MasterConfig, MasterEvent, MasterHandle, Registry, RunContext, TcpMaster, TcpMasterOptions,
+    TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
 use dewe_core::{EngineStats, RetryPolicy};
-use dewe_dag::{JobId, Workflow};
+use dewe_dag::{write_workflow, JobId, Workflow};
 
 use super::chaos::ChaosState;
 use crate::invariant::{Event, PathKind, PathOutcome};
@@ -178,21 +181,26 @@ fn compile_faults(scenario: &Scenario) -> Vec<(f64, RtFault)> {
     schedule
 }
 
-/// Unique journal paths across concurrent runs in one process.
+/// Unique state directories across concurrent runs in one process.
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// One master incarnation: its endpoint, its registry, its serve loop.
+struct Master {
+    tcp: TcpMaster,
+    registry: Registry,
+    handle: MasterHandle,
+}
 
 /// Execute the scenario through the threaded realtime stack. One driver
 /// for every class: a classic scenario is a fault scenario with an empty
 /// schedule, no leases and no sleeps. With faults, leases and heartbeats
 /// are on, jobs are slowed to wall-clock so the compiled schedule lands
 /// mid-run, workers are killed / drained / stalled and the master is
-/// killed and recovered from its journal on cue.
+/// killed and restarted from its spool and journal on cue.
 pub fn run(scenario: &Scenario) -> PathOutcome {
     debug_assert_eq!(FAULT_HORIZON_SECS, 5.0, "wall scales are tuned to this axis");
     let faulty = !scenario.faults.is_empty();
-    let bus = MessageBus::new();
     let chaos = ChaosState::new(&scenario.chaos, DELAY_SECS_WALL);
-    let registry = Registry::new();
     let log = Arc::new(Mutex::new(Vec::new()));
     let runner: Arc<dyn JobRunner> = Arc::new(TapRunner {
         failures: scenario
@@ -204,31 +212,49 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
         log: Arc::clone(&log),
     });
 
-    // The journal is only needed when the plan kills the master; give
-    // each run its own file so concurrent tests never collide.
-    let journal_path = scenario.faults.has_master_kill().then(|| {
+    // The journal and the workflow spool are only needed when the plan
+    // kills the master; each run gets its own directory so concurrent
+    // tests never collide.
+    let state: Option<PathBuf> = scenario.faults.has_master_kill().then(|| {
         std::env::temp_dir().join(format!(
-            "dewe-testkit-rt-fault-{}-{}-{}.wal",
+            "dewe-testkit-rt-fault-{}-{}-{}",
             std::process::id(),
             scenario.seed,
             RUN_COUNTER.fetch_add(1, Ordering::Relaxed)
         ))
     });
-    let spawn = |recover| {
-        let config = master_config(scenario, journal_path.as_deref(), recover);
-        spawn_master(bus.clone(), registry.clone(), config)
+    // A master as `dewe-masterd` runs one: its registry is what the spool
+    // holds (nothing on a cold start), and a restart takes over the
+    // journal beside it.
+    let serve = |addr: SocketAddr, recover| -> std::io::Result<Master> {
+        let state_dir = state.as_ref().map(|dir| dir.join("spool"));
+        let tcp = TcpMaster::bind(addr, TcpMasterOptions { state_dir })?;
+        let registry = Registry::new();
+        for (id, _, workflow) in tcp.load_spool()? {
+            registry.insert(id, workflow);
+        }
+        let journal = state.as_ref().map(|dir| dir.join("master.wal"));
+        let config = master_config(scenario, journal.as_deref(), recover);
+        let handle = spawn_master_on(tcp.clone(), registry.clone(), config);
+        Ok(Master { tcp, registry, handle })
     };
-
-    let mut master: Option<MasterHandle> = Some(spawn(false));
-    let mut workers: Vec<Option<WorkerHandle>> = (0..scenario.workers)
+    let first = serve(SocketAddr::from(([127, 0, 0, 1], 0)), false).expect("bind loopback");
+    let addr = first.tcp.local_addr();
+    let mut master = Some(first);
+    let mut workers: Vec<Option<(TcpWorkerLink, WorkerHandle)>> = (0..scenario.workers)
         .map(|w| {
-            let link: DynWorkerTransport = Arc::new(BusWorkerLink::new(bus.clone()));
-            Some(spawn_worker_on(
+            let mirror = Registry::new();
+            // `dewe-workerd`'s window: every slot busy, one dispatch behind it.
+            let window = 2 * scenario.slots_per_worker as u32;
+            let opts = TcpWorkerOptions { worker_id: w as u32, window, ..Default::default() };
+            let link = TcpWorkerLink::connect(addr, mirror.clone(), opts).expect("a worker link");
+            let transport: DynWorkerTransport = Arc::new(link.clone());
+            let handle = spawn_worker_on(
                 match &chaos {
-                    Some(chaos) => chaos.wrap(link),
-                    None => link,
+                    Some(chaos) => chaos.wrap(transport),
+                    None => transport,
                 },
-                registry.clone(),
+                mirror,
                 Arc::clone(&runner),
                 WorkerConfig {
                     worker_id: w as u32,
@@ -237,71 +263,77 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
                     heartbeat_interval: faulty.then_some(FAULT_HEARTBEAT),
                     ..WorkerConfig::default()
                 },
-            ))
+            );
+            Some((link, handle))
         })
         .collect();
 
-    for (i, wf) in scenario.build_workflows().into_iter().enumerate() {
-        submit(&bus, format!("wf{i}"), wf);
-    }
+    // One connection, so the workflows are numbered in scenario order.
+    let workflows = scenario.build_workflows();
+    let texts = workflows.iter().enumerate().map(|(i, wf)| (format!("wf{i}"), write_workflow(wf)));
+    let mut note = submit_over_tcp(addr, texts).err().map(|e| format!("submitting: {e}"));
 
-    // Play the schedule and wait for the master's terminal event; a
-    // silent 30 s means the stack hung and the stall itself is the
-    // finding.
+    // The fault clock starts once the master holds the whole ensemble, as
+    // a client that must not lose a submission to a crash waits for it to
+    // be taken. Then play the schedule and wait for the master's terminal
+    // event; a silent 30 s means the stack hung and the stall itself is
+    // the finding.
+    let deadline = Instant::now() + WATCHDOG;
+    let ingesting = |m: &Master| m.registry.len() < workflows.len();
+    while note.is_none() && master.as_ref().is_some_and(ingesting) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let schedule = compile_faults(scenario);
     let start = Instant::now();
-    let deadline = start + WATCHDOG;
     let mut next_fault = 0;
     let mut master_killed = false;
     let mut pre_kill_rows: BTreeSet<u32> = BTreeSet::new();
     let mut stats: Option<EngineStats> = None;
 
-    while Instant::now() < deadline {
+    while note.is_none() && Instant::now() < deadline {
         if next_fault < schedule.len() && start.elapsed().as_secs_f64() >= schedule[next_fault].0 {
             match schedule[next_fault].1 {
                 RtFault::KillWorker(w) => {
-                    if let Some(h) = workers[w].take() {
+                    if let Some((link, h)) = workers[w].take() {
                         h.kill();
+                        link.close();
                     }
                 }
                 RtFault::AnnounceDrain(w) => {
-                    if let Some(h) = workers[w].as_ref() {
-                        h.announce_drain();
-                    }
+                    workers[w].iter().for_each(|(_, h)| h.announce_drain())
                 }
                 RtFault::PauseHeartbeats(w) => {
-                    if let Some(h) = workers[w].as_ref() {
-                        h.pause_heartbeats();
-                    }
+                    workers[w].iter().for_each(|(_, h)| h.pause_heartbeats())
                 }
                 RtFault::ResumeHeartbeats(w) => {
-                    if let Some(h) = workers[w].as_ref() {
-                        h.resume_heartbeats();
-                    }
+                    workers[w].iter().for_each(|(_, h)| h.resume_heartbeats())
                 }
                 RtFault::KillMaster => {
                     if let Some(m) = master.take() {
-                        pre_kill_rows = m.liveness_snapshot().iter().map(|r| r.worker).collect();
-                        m.kill();
+                        pre_kill_rows =
+                            m.handle.liveness_snapshot().iter().map(|r| r.worker).collect();
+                        // A crash: every connection drops with no Bye.
+                        m.handle.kill();
+                        m.tcp.kill();
                         master_killed = true;
                     }
                 }
-                RtFault::RestartMaster => {
-                    if master.is_none() {
-                        master = Some(spawn(true));
-                    }
-                }
+                RtFault::RestartMaster if master.is_none() => match serve(addr, true) {
+                    Ok(m) => master = Some(m),
+                    Err(e) => note = Some(format!("restarting the master on {addr}: {e}")),
+                },
+                RtFault::RestartMaster => {}
             }
             next_fault += 1;
             continue;
         }
         let Some(m) = master.as_ref() else {
-            // Master-less window: workers keep executing, acks queue on
-            // the bus; just wait for the scheduled restart.
+            // Master-less window: workers keep executing, acks wait in
+            // their links, which keep reconnecting; wait for the restart.
             std::thread::sleep(Duration::from_millis(1));
             continue;
         };
-        match m.events.recv_timeout(Duration::from_millis(2)) {
+        match m.handle.events.recv_timeout(Duration::from_millis(2)) {
             Ok(MasterEvent::AllCompleted { stats: s })
             | Ok(MasterEvent::AllSettled { stats: s }) => {
                 stats = Some(s);
@@ -318,26 +350,28 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
         }
     }
 
-    // Read fault-plane state before teardown consumes the handle. The
-    // order matters on a stall: closing the bus unblocks the master loop
-    // so the join below cannot hang. Messages chaos still holds go down
-    // with the state that holds them.
+    // Read fault-plane state before teardown consumes the handle. Workers
+    // go first, while their master still answers; then killing the
+    // endpoint ends a stalled serve loop so the join below cannot hang.
+    // Messages chaos still holds go down with the state that holds them.
     let settled = stats.is_some();
     let (master_stats, final_rows) = match master.as_ref() {
-        Some(m) => (Some(m.master_stats()), m.liveness_snapshot()),
+        Some(m) => (Some(m.handle.master_stats()), m.handle.liveness_snapshot()),
         None => (None, Vec::new()),
     };
-    for worker in workers.iter_mut() {
-        if let Some(h) = worker.take() {
-            h.stop();
-        }
+    for (link, h) in workers.iter_mut().filter_map(Option::take) {
+        h.stop();
+        link.close();
     }
-    bus.shutdown();
-    let final_stats = master.map(MasterHandle::join);
-    let note =
-        (!settled).then(|| format!("watchdog expired after {WATCHDOG:?}; stats {final_stats:?}"));
-    if let Some(p) = &journal_path {
-        let _ = std::fs::remove_file(p);
+    let final_stats = master.map(|m| {
+        m.tcp.kill();
+        m.handle.join()
+    });
+    let note = note.or_else(|| {
+        (!settled).then(|| format!("watchdog expired after {WATCHDOG:?}; stats {final_stats:?}"))
+    });
+    if let Some(dir) = &state {
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     // Recovery equivalence, realtime flavour: every worker the killed
@@ -381,6 +415,30 @@ mod tests {
         assert!(out.settled, "{:?}", out.note);
         let v = invariant::check(&s, &out);
         assert!(v.is_empty(), "{v:?}");
+    }
+
+    /// Credit follows the dispatch. One worker of one slot offers a window
+    /// of two; under heavy loss every dispatch the decorator drops, and
+    /// every terminal ack it loses, leaves a pair its connection holds
+    /// until the job's next attempt is published — and the run settles.
+    #[test]
+    fn a_lossy_run_on_one_single_slot_worker_settles() {
+        let mut s = Scenario::generate(22);
+        s.workers = 1;
+        s.slots_per_worker = 1;
+        s.chaos = crate::scenario::ChaosSpec {
+            seed: 0x1055,
+            drop_prob: 0.15,
+            dup_prob: 0.15,
+            delay_prob: 0.3,
+            delay_secs: 0.5,
+        };
+        let out = run(&s);
+        assert!(out.settled, "{:?}", out.note);
+        let v = invariant::check(&s, &out);
+        assert!(v.is_empty(), "{v:?}");
+        let resubmissions = out.stats.map_or(0, |stats| stats.resubmissions);
+        assert!(resubmissions >= 2, "two losses fill a window of two: {resubmissions}");
     }
 
     #[test]

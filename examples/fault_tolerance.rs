@@ -3,9 +3,10 @@
 //!
 //! Two worker daemons execute a fan-out workflow whose jobs sleep for real
 //! time. One worker is killed while jobs are in flight — its jobs vanish
-//! without acknowledgment — and a replacement daemon starts a little
-//! later. The master's timeout scan resubmits the lost jobs and the
-//! ensemble still completes, with the engine reporting the resubmissions.
+//! without acknowledgment, and so do the dispatches it had not started,
+//! with its connection — and a replacement daemon starts a little later.
+//! The master's timeouts resubmit the lost jobs and the ensemble still
+//! completes, with the engine reporting the resubmissions.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -15,10 +16,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dewe::core::realtime::{
-    spawn_master, spawn_worker, submit, MasterConfig, MasterEvent, MessageBus, Registry,
-    SleepRunner, WorkerConfig,
+    spawn_master_on, spawn_worker_on, submit_over_tcp, MasterConfig, MasterEvent, Registry,
+    SleepRunner, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
+    WorkerHandle,
 };
-use dewe::dag::WorkflowBuilder;
+use dewe::dag::{write_workflow, WorkflowBuilder};
 
 fn main() {
     // 60 independent jobs of ~100 ms each.
@@ -26,49 +28,43 @@ fn main() {
     for i in 0..60 {
         b.job(format!("job{i}"), "work", 100.0).build();
     }
-    let wf = Arc::new(b.finish().expect("valid DAG"));
+    let wf = b.finish().expect("valid DAG");
 
-    let bus = MessageBus::new();
-    let registry = Registry::new();
-    let master = spawn_master(
-        bus.clone(),
-        registry.clone(),
+    let endpoint = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).expect("bind");
+    let addr = endpoint.local_addr();
+    let master = spawn_master_on(
+        endpoint.clone(),
+        Registry::new(),
         MasterConfig::builder()
             .default_timeout_secs(1.0) // aggressive, to keep the demo short
+            .checkout_timeout_secs(1.0) // for dispatches lost before they ran
             .expected_workflows(1)
             .build(),
     );
-    let runner = Arc::new(SleepRunner::new(0.001)); // 100 cpu-sec -> 100 ms
+    // A worker daemon needs nothing but the master's address.
+    let worker = |id: u32| -> (TcpWorkerLink, WorkerHandle) {
+        let mirror = Registry::new();
+        let options = TcpWorkerOptions { worker_id: id, window: 8, ..Default::default() };
+        let link = TcpWorkerLink::connect(addr, mirror.clone(), options).expect("connect");
+        let runner = Arc::new(SleepRunner::new(0.001)); // 100 cpu-sec -> 100 ms
+        let config = WorkerConfig { worker_id: id, slots: 4, ..WorkerConfig::default() };
+        (link.clone(), spawn_worker_on(Arc::new(link), mirror, runner, config))
+    };
+    let (_, w1) = worker(1);
+    let (link2, w2) = worker(2);
 
-    let w1 = spawn_worker(
-        bus.clone(),
-        registry.clone(),
-        runner.clone(),
-        WorkerConfig { worker_id: 1, slots: 4, ..WorkerConfig::default() },
-    );
-    let w2 = spawn_worker(
-        bus.clone(),
-        registry.clone(),
-        runner.clone(),
-        WorkerConfig { worker_id: 2, slots: 4, ..WorkerConfig::default() },
-    );
-
-    submit(&bus, "fanout", wf);
+    submit_over_tcp(addr, [("fanout", write_workflow(&wf))]).expect("submit");
 
     // Let the cluster get busy, then kill worker 2 abruptly.
     std::thread::sleep(Duration::from_millis(300));
     let done_before_kill = w2.kill();
+    link2.close();
     println!("killed worker 2 after it completed {done_before_kill} jobs (in-flight jobs lost)");
 
     // A replacement daemon joins a moment later — the stateless design
     // means it needs nothing but the queue address.
     std::thread::sleep(Duration::from_millis(200));
-    let w3 = spawn_worker(
-        bus.clone(),
-        registry,
-        runner,
-        WorkerConfig { worker_id: 3, slots: 4, ..WorkerConfig::default() },
-    );
+    let (_, w3) = worker(3);
     println!("worker 3 started");
 
     loop {
@@ -88,8 +84,11 @@ fn main() {
             Err(e) => panic!("master stalled: {e}"),
         }
     }
+    // The endpoint's `shutdown` says Bye; each worker's link ends, and
+    // with it the worker.
     master.join();
-    w1.stop();
-    w3.stop();
+    endpoint.shutdown();
+    w1.wait();
+    w3.wait();
     println!("done.");
 }

@@ -5,8 +5,8 @@
 //! workspace directory and *actually writes* its outputs (sizes scaled
 //! down ~10^6x). If the master ever dispatched a job before its parents
 //! completed, the job would fail on a missing input — so a clean run is a
-//! physical proof of the precedence machinery, the in-process analogue of
-//! the paper's MD5 check on the final mosaic.
+//! physical proof of the precedence machinery, the one-machine analogue
+//! of the paper's MD5 check on the final mosaic.
 //!
 //! ```text
 //! cargo run --release --example real_dataflow
@@ -16,13 +16,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dewe::core::realtime::{
-    spawn_master, spawn_worker, submit, FsRunner, MasterConfig, MasterEvent, MessageBus, Registry,
-    WorkerConfig,
+    spawn_master_on, spawn_worker_on, submit_over_tcp, FsRunner, MasterConfig, MasterEvent,
+    Registry, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
 };
+use dewe::dag::write_workflow;
 use dewe::montage::MontageConfig;
 
 fn main() {
-    let wf = Arc::new(MontageConfig::degree(1.0).with_name("mosaic").build());
+    let wf = MontageConfig::degree(1.0).with_name("mosaic").build();
     println!("{} jobs, {} files", wf.job_count(), wf.file_count());
 
     let workspace = std::env::temp_dir().join(format!("dewe_dataflow_{}", std::process::id()));
@@ -31,25 +32,24 @@ fn main() {
     runner.stage_inputs(&wf).expect("stage initial inputs");
     println!("staged inputs under {}", workspace.display());
 
-    let bus = MessageBus::new();
-    let registry = Registry::new();
-    let master = spawn_master(
-        bus.clone(),
-        registry.clone(),
+    let endpoint = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).expect("bind");
+    let addr = endpoint.local_addr();
+    let master = spawn_master_on(
+        endpoint.clone(),
+        Registry::new(),
         MasterConfig::builder().expected_workflows(1).build(),
     );
     let workers: Vec<_> = (0..4)
         .map(|id| {
-            spawn_worker(
-                bus.clone(),
-                registry.clone(),
-                Arc::new(runner.clone()),
-                WorkerConfig { worker_id: id, slots: 4, ..WorkerConfig::default() },
-            )
+            let mirror = Registry::new();
+            let options = TcpWorkerOptions { worker_id: id, window: 8, ..Default::default() };
+            let link = TcpWorkerLink::connect(addr, mirror.clone(), options).expect("connect");
+            let config = WorkerConfig { worker_id: id, slots: 4, ..WorkerConfig::default() };
+            spawn_worker_on(Arc::new(link), mirror, Arc::new(runner.clone()), config)
         })
         .collect();
 
-    submit(&bus, "mosaic", Arc::clone(&wf));
+    submit_over_tcp(addr, [("mosaic", write_workflow(&wf))]).expect("submit");
 
     loop {
         match master.events.recv_timeout(Duration::from_secs(120)) {
@@ -65,9 +65,12 @@ fn main() {
             Err(e) => panic!("master stalled: {e}"),
         }
     }
+    // The endpoint's `shutdown` says Bye; each worker's link ends, and
+    // with it the worker.
     master.join();
+    endpoint.shutdown();
     for w in workers {
-        w.stop();
+        w.wait();
     }
 
     // The final mosaic JPEG must exist with the expected (scaled) size —

@@ -1,10 +1,10 @@
 //! `dewe-masterd` — the networked master daemon.
 //!
-//! Binds the TCP endpoint, spawns the same master serve loop the
-//! in-process runtime uses (engine, retry machinery, liveness plane, WAL
-//! journal), and runs the ensemble until every expected workflow
-//! settles. Workers connect with `dewe-workerd`; workflows arrive with
-//! `dewectl submit`.
+//! Binds the TCP endpoint, spawns the master serve loop over it (engine,
+//! retry machinery, liveness plane, WAL journal) — the one the examples,
+//! the tests and the oracle run — and runs the ensemble until every
+//! expected workflow settles. Workers connect with `dewe-workerd`;
+//! workflows arrive with `dewectl submit`.
 //!
 //! ```text
 //! dewe-masterd --listen <addr> [--expect N] [--state-dir DIR]

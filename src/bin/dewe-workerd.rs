@@ -1,8 +1,8 @@
 //! `dewe-workerd` — the networked worker daemon.
 //!
 //! Connects to a `dewe-masterd`, mirrors announced workflows into a
-//! local registry, and runs the same slot/heartbeat loops the in-process
-//! worker uses. Jobs execute through a pluggable runner selected on the
+//! local registry, and runs the worker's slot/heartbeat loops over that
+//! link. Jobs execute through a pluggable runner selected on the
 //! command line. The daemon exits when the master says the ensemble is
 //! done (Bye); if the master crashes, the link keeps reconnecting and
 //! rides out the restart.

@@ -24,6 +24,7 @@ use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
 
+use dewe::core::realtime::submit_over_tcp;
 use dewe::core::sim::{run_ensemble, SimRunConfig, SubmissionPlan};
 use dewe::dag::{
     lint, parse_dax, parse_workflow, to_dot, to_dot_collapsed, write_dax, write_workflow,
@@ -288,7 +289,7 @@ fn submit(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
         1 => wf.name().to_string(),
         _ => format!("{}-{n}", wf.name()),
     });
-    dewe::core::realtime::submit_over_tcp(addr.as_str(), names, &text)
+    submit_over_tcp(addr.as_str(), names.map(|name| (name, &text)))
         .map_err(|e| format!("submit to {addr}: {e}"))?;
     writeln!(stdout, "submitted {count} x {} ({} jobs each) to {addr}", wf.name(), wf.job_count())?;
     Ok(())

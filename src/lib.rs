@@ -28,24 +28,32 @@
 //!
 //! ## Two ways to run an ensemble
 //!
-//! **Real threads** (the library as a workflow engine):
+//! **Real threads** (the library as a workflow engine), meeting on a
+//! loopback port as daemons on separate machines would:
 //!
 //! ```
-//! use dewe::core::realtime::{spawn_master, spawn_worker, submit, MasterConfig,
-//!     MessageBus, NoopRunner, Registry, WorkerConfig};
+//! use dewe::core::realtime::{spawn_master_on, spawn_worker_on, submit_over_tcp, MasterConfig,
+//!     NoopRunner, Registry, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions,
+//!     WorkerConfig};
+//! use dewe::dag::write_workflow;
 //! use dewe::montage::MontageConfig;
 //! use std::sync::Arc;
 //!
-//! let bus = MessageBus::new();
-//! let registry = Registry::new();
-//! let master = spawn_master(bus.clone(), registry.clone(),
+//! let endpoint = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default())?;
+//! let master = spawn_master_on(endpoint.clone(), Registry::new(),
 //!     MasterConfig::builder().expected_workflows(1).build());
-//! let worker = spawn_worker(bus.clone(), registry, Arc::new(NoopRunner),
+//! let mirror = Registry::new();
+//! let link = TcpWorkerLink::connect(endpoint.local_addr(), mirror.clone(),
+//!     TcpWorkerOptions::default())?;
+//! let worker = spawn_worker_on(Arc::new(link), mirror, Arc::new(NoopRunner),
 //!     WorkerConfig::default());
-//! submit(&bus, "demo", Arc::new(MontageConfig::degree(0.5).build()));
+//! let demo = write_workflow(&MontageConfig::degree(0.5).build());
+//! submit_over_tcp(endpoint.local_addr(), [("demo", demo)])?;
 //! let stats = master.join();
 //! assert_eq!(stats.jobs_completed, 45);
-//! worker.stop();
+//! endpoint.shutdown(); // says Bye: the worker's link ends, and the worker
+//! worker.wait();
+//! # Ok::<(), std::io::Error>(())
 //! ```
 //!
 //! **Simulated cluster** (the paper's 1,000-core experiments on a laptop):
