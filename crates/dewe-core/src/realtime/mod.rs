@@ -29,6 +29,7 @@ mod dagstore;
 mod journal;
 mod liveness;
 mod master;
+#[cfg(unix)]
 mod net;
 mod registry;
 mod runner;
@@ -44,9 +45,8 @@ pub use liveness::{
 pub use master::{
     spawn_master_on, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, MasterTransport,
 };
-pub use net::{submit_over_tcp, TcpWorkerLink, TcpWorkerOptions};
 #[cfg(unix)]
-pub use net::{TcpMaster, TcpMasterOptions};
+pub use net::{submit_over_tcp, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions};
 pub use registry::Registry;
 pub use runner::{CpuRunner, FsRunner, JobOutcome, JobRunner, NoopRunner, RunContext, SleepRunner};
 pub use worker::{spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle};
@@ -136,6 +136,15 @@ mod testutil {
             assert!(Instant::now() < deadline, "timed out waiting until {what}");
             std::thread::sleep(Duration::from_millis(5));
         }
+    }
+
+    /// [`wait_until`], pulling on `link` meanwhile — a link reads only while
+    /// something pulls on it — and finding no dispatch there.
+    pub(crate) fn wait_reading(link: &TcpWorkerLink, what: &str, mut done: impl FnMut() -> bool) {
+        wait_until(what, || {
+            assert_eq!(link.pull_dispatch(Duration::from_millis(1)), None, "while {what}");
+            done()
+        });
     }
 
     /// The next dispatch `link` is sent, within ten seconds.

@@ -17,10 +17,6 @@ pub struct TcpMasterOptions {
     pub state_dir: Option<PathBuf>,
 }
 
-/// The most one turn reads from one connection: what a peer that never
-/// stops sending can put between another connection and its turn.
-const READ_BOUND: usize = 64 * 1024;
-
 /// How long [`TcpMaster::shutdown`] waits for peers to take what is still
 /// queued for them, the `Bye` last. A peer that has stopped reading costs a
 /// graceful stop this much and no more.
@@ -720,8 +716,12 @@ impl Transport for TcpMaster {
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+
+    use dewe_mq::read_frame;
+
     use super::*;
-    use crate::realtime::testutil::{pump, scratch, wait_until, wf};
+    use crate::realtime::testutil::{pump, scratch, wait_reading, wait_until, wf};
 
     /// Pull `n` submissions and register + announce each, as the serve
     /// loop does.
@@ -776,12 +776,13 @@ mod tests {
         ingest(&master, &registry, 1);
         assert_shares_like_the_submissions(&registry, "master registry");
 
-        wait_until("the early worker has mirrored all four", || early_mirror.len() == 4);
+        // A link reads while something pulls on it: these pull by hand.
+        wait_reading(&early, "the early worker has mirrored all four", || early_mirror.len() == 4);
         assert_shares_like_the_submissions(&early_mirror, "early worker");
         // A worker that joins late gets the same mirror from the replay.
         let late_mirror = Registry::new();
         let late = connect(&late_mirror);
-        wait_until("the late worker has mirrored all four", || late_mirror.len() == 4);
+        wait_reading(&late, "the late worker has mirrored all four", || late_mirror.len() == 4);
         assert_shares_like_the_submissions(&late_mirror, "late worker");
 
         // Each spool file is its name line plus the submitter's bytes.
@@ -807,8 +808,10 @@ mod tests {
         // mirror they had; a fifth workflow still lands densely.
         submit_over_tcp(addr, [("w-4", common)]).unwrap();
         ingest(&master2, &recovered, 1);
-        for (mirror, who) in [(&early_mirror, "early worker"), (&late_mirror, "late worker")] {
-            wait_until("the fifth workflow is mirrored", || mirror.len() == 5);
+        for (link, mirror, who) in
+            [(&early, &early_mirror, "early worker"), (&late, &late_mirror, "late worker")]
+        {
+            wait_reading(link, "the fifth workflow is mirrored", || mirror.len() == 5);
             let at = |i: u32| mirror.get(WorkflowId(i)).expect("dense mirror");
             assert!(Arc::ptr_eq(&at(0), &at(1)) && !Arc::ptr_eq(&at(0), &at(2)), "{who}");
             assert!(Arc::ptr_eq(&at(0), &at(4)), "{who}: its store outlived the connection");

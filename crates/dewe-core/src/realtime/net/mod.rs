@@ -42,11 +42,19 @@
 //! a socket pair the sleeper polls too. [`TcpMaster::shutdown`] wakes it the
 //! same way, for good, takes the connections over, and returns with each
 //! `Bye` flushed (two seconds' grace for a peer slow to read) and every
-//! socket closed. On the worker side there are threads: the link's reader
-//! kicks the outbound topic ([`Topic::kick`]) when its connection dies, and
-//! the writer — which takes one frame, then every other already queued, and
-//! flushes once — leaves an unflushed batch with the link for the next
-//! connection to send first.
+//! socket closed.
+//!
+//! ## The worker link reads on the slot that waits
+//!
+//! A [`TcpWorkerLink`]'s one thread, the writer, connects, says `Hello`,
+//! flushes what publishers queue (all that waits, then one flush: a burst
+//! of acks is one `send(2)`) and reconnects; it reads nothing. A slot in
+//! [`WorkerTransport::pull_dispatch`] with nothing queued takes the *reader
+//! role* if it is free, sleeps in `poll(2)` until its pull timeout, reads
+//! once, mirrors announcements, queues dispatches, returns the first and
+//! hands the rest — or the role — to one waiting slot. A new connection
+//! first sends what the last may not have delivered: its failed batch, then
+//! its last `window` frames that settled a dispatch.
 //!
 //! ## Backpressure
 //!
@@ -88,24 +96,19 @@
 //! ([`DagFrame`]).
 
 use std::collections::VecDeque;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-#[cfg(unix)]
-use dewe_dag::EnsembleJobId;
-use dewe_dag::{Workflow, WorkflowId};
-#[cfg(unix)]
-use dewe_mq::{poll, FrameBuf, PollFd, Transport, POLLIN, POLLOUT};
+use dewe_dag::{EnsembleJobId, Workflow, WorkflowId};
 use dewe_mq::{
-    queue_frame_split, read_frame, write_frame, write_frame_split, Topic, WorkerTransport,
-    DEFAULT_MAX_FRAME,
+    poll, queue_frame_split, write_frame, write_frame_split, FrameBuf, PollFd, Transport,
+    WorkerTransport, DEFAULT_MAX_FRAME, POLLIN, POLLOUT,
 };
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use super::dagstore::DagStore;
 use super::registry::Registry;
@@ -113,12 +116,14 @@ use crate::protocol::{
     AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
 
-#[cfg(unix)]
 mod master;
 mod spool;
 mod worker;
 
-#[cfg(unix)]
 pub use master::{TcpMaster, TcpMasterOptions};
 pub use spool::submit_over_tcp;
 pub use worker::{TcpWorkerLink, TcpWorkerOptions};
+
+/// The most one read takes off a connection: on the master, what a peer that
+/// never stops sending can put between another and its turn.
+const READ_BOUND: usize = 64 * 1024;

@@ -23,10 +23,37 @@ impl Default for TcpWorkerOptions {
     }
 }
 
-/// Wait between a worker link's connection attempts: while the master is
-/// unreachable, and after a connection drops — how a link rides out a
-/// master restart.
+/// Wait between a link's connection attempts: while the master is
+/// unreachable, and after a connection drops (a master restart).
 const RETRY_INTERVAL: Duration = Duration::from_millis(100);
+
+/// Everything the link's threads share, under [`WorkerInner::state`].
+#[derive(Default)]
+struct LinkState {
+    /// The current connection, and bytes read off it not yet cut into
+    /// frames (the reader's while it reads).
+    conn: Option<Arc<TcpStream>>,
+    frames: Option<FrameBuf>,
+    /// A slot holds the reader role: it is in `poll`, or reading.
+    reading: bool,
+    inbox: VecDeque<DispatchMsg>,
+    /// Frames for the writer, each with whether it settles a dispatch.
+    outbox: Vec<(Vec<u8>, bool)>,
+    /// Slots waiting on [`WorkerInner::slots`]; the writer waiting for frames.
+    waiters: usize,
+    writer_waits: bool,
+    /// `close` was called; the master said Bye (the ensemble is done).
+    stop: bool,
+    bye: bool,
+}
+
+type Guard<'a> = MutexGuard<'a, LinkState>;
+
+impl LinkState {
+    fn done(&self) -> bool {
+        self.stop || self.bye
+    }
+}
 
 struct WorkerInner {
     addr: SocketAddr,
@@ -36,31 +63,27 @@ struct WorkerInner {
     /// with the link, not the connection: a reconnect replays the whole
     /// registry and must find it already here.
     dags: DagStore,
-    /// Dispatches delivered by the master, pulled by the slot loops.
-    dispatch_in: Topic<DispatchMsg>,
-    /// Frames to send; survives reconnects, so acks and heartbeats
-    /// produced during a master outage are delivered after failover.
-    outbound: Topic<Vec<u8>>,
-    stop: AtomicBool,
-    /// The master said Bye: don't reconnect, the ensemble is done.
-    bye: AtomicBool,
-    /// Current socket, for unblocking the reader on close.
-    current: Mutex<Option<TcpStream>>,
-    supervisor: Mutex<Option<JoinHandle<()>>>,
+    state: Mutex<LinkState>,
+    /// Slot threads wait here for a dispatch, or for the reader role.
+    slots: Condvar,
+    /// The writer waits here for frames, or for its connection to end.
+    writer: Condvar,
+    writer_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
-/// A worker daemon's connection to a remote master, with reconnect. The
-/// [`WorkerTransport`] the standard worker slot/heartbeat loops drive.
+/// A worker daemon's connection to a remote master, with reconnect: the
+/// [`WorkerTransport`] the worker slot/heartbeat loops drive (see the
+/// module documentation for who reads and who writes).
 #[derive(Clone)]
 pub struct TcpWorkerLink {
     inner: Arc<WorkerInner>,
 }
 
 impl TcpWorkerLink {
-    /// Connect to the master at `addr`, mirroring announced workflows
-    /// into `registry`. Returns immediately; the connection (and any
-    /// reconnects) are managed by a background thread. Fails only if
-    /// `addr` does not resolve or that thread cannot be spawned.
+    /// Connect to the master at `addr`, mirroring announced workflows into
+    /// `registry`. Returns at once; the link's one thread connects (and
+    /// reconnects). Fails only if `addr` does not resolve or that thread
+    /// cannot be spawned.
     pub fn connect(
         addr: impl ToSocketAddrs,
         registry: Registry,
@@ -75,40 +98,34 @@ impl TcpWorkerLink {
             opts,
             registry,
             dags: DagStore::default(),
-            dispatch_in: Topic::default(),
-            outbound: Topic::default(),
-            stop: AtomicBool::new(false),
-            bye: AtomicBool::new(false),
-            current: Mutex::new(None),
-            supervisor: Mutex::new(None),
+            state: Mutex::default(),
+            slots: Condvar::new(),
+            writer: Condvar::new(),
+            writer_thread: Mutex::new(None),
         });
-        let sup_inner = Arc::clone(&inner);
+        let writer = Arc::clone(&inner);
         let handle = std::thread::Builder::new()
             .name("dewe-worker-link".into())
-            .spawn(move || supervisor_loop(sup_inner))?;
-        *inner.supervisor.lock() = Some(handle);
+            .spawn(move || writer.write_loop())?;
+        *inner.writer_thread.lock() = Some(handle);
         Ok(Self { inner })
     }
 
     /// True once the master announced completion ([`WireMsg::Bye`]).
     pub fn master_said_bye(&self) -> bool {
-        self.inner.bye.load(Ordering::Relaxed)
+        self.inner.state.lock().bye
     }
 
-    /// Tear the link down: stop reconnecting, close the socket and the
-    /// local topics (releasing slot loops), and join the supervisor.
+    /// Tear the link down: stop reconnecting, shut the socket (waking a slot
+    /// in the reader's `poll`), release waiting slots, join the writer.
     pub fn close(&self) {
-        let inner = &self.inner;
-        if inner.stop.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        if let Some(s) = inner.current.lock().as_ref() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-        inner.dispatch_in.close();
-        inner.outbound.close();
-        if let Some(t) = inner.supervisor.lock().take() {
-            let _ = t.join();
+        let mut st = self.inner.state.lock();
+        st.stop = true;
+        let _ = st.conn.as_ref().map(|socket| socket.shutdown(Shutdown::Both));
+        drop(st);
+        self.inner.writer.notify_one();
+        if let Some(writer) = self.inner.writer_thread.lock().take() {
+            let _ = writer.join();
         }
     }
 }
@@ -119,25 +136,26 @@ impl WorkerTransport for TcpWorkerLink {
     type Lifecycle = LifecycleMsg;
 
     fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
-        self.inner.dispatch_in.pull_timeout(timeout)
+        self.inner.pull(timeout)
     }
 
     fn dispatch_closed(&self) -> bool {
-        self.inner.dispatch_in.is_closed()
+        self.inner.state.lock().done()
     }
 
     fn redeliver(&self, dispatch: DispatchMsg) {
         // Over the wire the checkout goes back to the master, which
         // refunds the window credit and redelivers elsewhere.
-        self.inner.outbound.publish(WireMsg::Return(dispatch).encode());
+        self.inner.send(WireMsg::Return(dispatch), true);
     }
 
     fn publish_ack(&self, ack: AckMsg) {
-        self.inner.outbound.publish(WireMsg::Ack(ack).encode());
+        let settles = matches!(ack.kind, AckKind::Completed | AckKind::Failed);
+        self.inner.send(WireMsg::Ack(ack), settles);
     }
 
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
-        self.inner.outbound.publish(WireMsg::Lifecycle(msg).encode());
+        self.inner.send(WireMsg::Lifecycle(msg), false);
     }
 }
 
@@ -158,156 +176,260 @@ impl WorkerInner {
             ),
         }
     }
-}
 
-/// Connect/reconnect loop: one live connection at a time, with the
-/// reader on this thread and a writer thread per connection.
-fn supervisor_loop(inner: Arc<WorkerInner>) {
-    // Frames taken off `outbound` whose flush has not returned `Ok`: a
-    // connection that dies hands its last batch back, and the next
-    // connection's writer sends it first, whole and in order — possibly
-    // twice (the master tolerates duplicates), never not at all.
-    let mut unflushed: Vec<Vec<u8>> = Vec::new();
-    let done = || inner.stop.load(Ordering::Relaxed) || inner.bye.load(Ordering::Relaxed);
-    while !done() {
-        if let Ok(stream) = TcpStream::connect_timeout(&inner.addr, Duration::from_secs(2)) {
-            let _ = stream.set_nodelay(true);
-            run_connection(&inner, stream, &mut unflushed);
-            if done() {
-                break;
+    /// Queue a frame for the writer, ringing it if it waits.
+    fn send(&self, msg: WireMsg, settles: bool) {
+        let frame = msg.encode();
+        let mut st = self.state.lock();
+        st.outbox.push((frame, settles));
+        let ring = std::mem::take(&mut st.writer_waits);
+        drop(st);
+        if ring {
+            self.writer.notify_one();
+        }
+    }
+
+    /// A queued dispatch; else the reader role, if it is free and there is a
+    /// connection; else a wait for either — for at most `timeout`, or a day.
+    fn pull(&self, timeout: Duration) -> Option<DispatchMsg> {
+        let deadline = Instant::now() + timeout.min(Duration::from_secs(86_400));
+        let mut st = self.state.lock();
+        loop {
+            let dispatch = st.inbox.pop_front();
+            let left = deadline.saturating_duration_since(Instant::now());
+            if dispatch.is_some() || st.done() || left.is_zero() {
+                // A waiter takes over what is left: a dispatch, or the role.
+                let role_free = !st.reading && st.conn.is_some();
+                let hand_off = st.waiters > 0 && (!st.inbox.is_empty() || role_free);
+                drop(st);
+                if hand_off {
+                    self.slots.notify_one();
+                }
+                return dispatch;
+            }
+            match st.conn.clone() {
+                Some(socket) if !st.reading => st = self.read(st, socket, left),
+                _ => {
+                    st.waiters += 1;
+                    let _ = self.slots.wait_until(&mut st, deadline);
+                    st.waiters -= 1;
+                }
             }
         }
-        std::thread::sleep(RETRY_INTERVAL);
     }
-    // No more deliveries are coming: release blocked slot loops.
-    inner.dispatch_in.close();
-}
 
-fn run_connection(inner: &WorkerInner, stream: TcpStream, unflushed: &mut Vec<Vec<u8>>) {
-    let Ok(read_half) = stream.try_clone() else { return };
-    let Ok(write_half) = stream.try_clone() else { return };
-    *inner.current.lock() = Some(stream);
+    /// One turn of the reader role: `poll` on `socket`, unlocked, for up to
+    /// `wait`, then one bounded read; a connection that ended or broke
+    /// protocol is over. Returns the state locked and the role given back.
+    fn read(&self, mut st: Guard<'_>, socket: Arc<TcpStream>, wait: Duration) -> Guard<'_> {
+        st.reading = true;
+        let mut frames = st.frames.take().unwrap_or(FrameBuf::new(DEFAULT_MAX_FRAME, READ_BOUND));
+        drop(st);
+        let mut got = Vec::new();
+        let read = match poll(&mut [PollFd::new(&*socket, POLLIN)], wait) {
+            Ok(1..) => self.receive(&socket, &mut frames, &mut got),
+            _ => Ok(()),
+        };
+        let mut st = self.state.lock();
+        st.reading = false;
+        st.inbox.extend(got);
+        // Only the writer replaces a connection, and one it replaced is over.
+        let current = st.conn.as_ref().is_some_and(|conn| Arc::ptr_eq(conn, &socket));
+        match read {
+            Ok(()) => st.frames = current.then_some(frames),
+            Err(bye) => {
+                st.conn.take_if(|_| current);
+                st.bye |= bye;
+                self.writer.notify_one();
+                self.slots.notify_all();
+            }
+        }
+        st
+    }
 
-    // Handshake, then hand the socket to the writer thread — scoped, so it
-    // borrows the unflushed batch, and one that cannot be spawned is a
-    // connection dropped before it carried a frame.
-    let hello = WireMsg::Hello {
-        worker: inner.opts.worker_id,
-        generation: inner.opts.generation,
-        window: inner.opts.window,
-    };
-    let conn_dead = AtomicBool::new(false);
-    std::thread::scope(|scope| {
-        let writer = std::thread::Builder::new()
-            .name("dewe-worker-link-writer".into())
-            .spawn_scoped(scope, || {
-                if write_link(inner, write_half, &hello.encode(), &conn_dead, unflushed).is_err() {
-                    conn_dead.store(true, Ordering::Relaxed);
-                }
-            });
-
-        let mut reader = BufReader::new(read_half);
-        while writer.is_ok() {
-            let Ok(Some(frame)) = read_frame(&mut reader, DEFAULT_MAX_FRAME) else { break };
-            if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(&frame) {
-                inner.mirror(id, dag);
+    /// One bounded read of `socket` into `frames`, and every whole frame it
+    /// completed handled. `Err` ends the connection: `true` for a Bye.
+    fn receive(
+        &self,
+        socket: &TcpStream,
+        frames: &mut FrameBuf,
+        got: &mut Vec<DispatchMsg>,
+    ) -> Result<(), bool> {
+        match frames.fill(&mut &*socket) {
+            Ok(1..) => {}
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Ok(()),
+            _ => return Err(false),
+        }
+        let why = loop {
+            let frame = match frames.next_frame() {
+                Ok(Some(frame)) => frame,
+                Ok(None) => return Ok(()),
+                Err(e) => break e.to_string(),
+            };
+            if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(frame) {
+                self.mirror(id, dag);
                 continue;
             }
-            match WireMsg::decode(&frame) {
-                Ok(WireMsg::Dispatch(d)) => inner.dispatch_in.publish(d),
-                // In order and under one lock: the slot loops pull per job
-                // exactly as if the run had arrived as individual frames.
-                Ok(WireMsg::DispatchBatch(batch)) => inner.dispatch_in.publish_all(batch),
-                Ok(WireMsg::Bye) => {
-                    inner.bye.store(true, Ordering::Relaxed);
-                    break;
-                }
-                Ok(other) => {
-                    eprintln!("dewe-worker: unexpected frame {other:?}; reconnecting");
-                    break;
-                }
-                Err(e) => {
-                    eprintln!("dewe-worker: bad frame from master: {e}; reconnecting");
-                    break;
-                }
+            match WireMsg::decode(frame) {
+                Ok(WireMsg::Dispatch(d)) => got.push(d),
+                Ok(WireMsg::DispatchBatch(batch)) => got.extend(batch),
+                Ok(WireMsg::Bye) => return Err(true),
+                Ok(other) => break format!("unexpected frame {other:?}"),
+                Err(e) => break e.to_string(),
             }
-        }
-        // The writer sleeps on `outbound`: tell it the connection is over.
-        conn_dead.store(true, Ordering::SeqCst);
-        inner.outbound.kick();
-        if let Some(s) = inner.current.lock().take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    });
-}
+        };
+        eprintln!("dewe-worker: bad frame from master: {why}; reconnecting");
+        Err(false)
+    }
 
-/// One connection's writer: the handshake, then `outbound` onto the socket
-/// until the link closes, the reader reports the connection `dead`, or a
-/// write fails. It blocks for one frame, takes everything else already
-/// queued, writes the lot and flushes once — a burst of acks is one
-/// `send(2)`, a lone ack leaves at once — and a frame stays in `batch`,
-/// the caller's, until the flush that carried it has returned `Ok`.
-fn write_link(
-    inner: &WorkerInner,
-    socket: TcpStream,
-    hello: &[u8],
-    dead: &AtomicBool,
-    batch: &mut Vec<Vec<u8>>,
-) -> io::Result<()> {
-    let mut w = BufWriter::new(socket);
-    write_frame(&mut w, hello)?;
-    loop {
-        if batch.is_empty() {
-            if dead.load(Ordering::SeqCst) {
-                return Ok(());
+    /// The link's one thread: connect, serve, wait out [`RETRY_INTERVAL`],
+    /// and again, until the link closes or the master says Bye.
+    fn write_loop(&self) {
+        // Frames whose flush has not returned `Ok` (sent again: possibly
+        // twice, never not at all), and the newest `window` settling frames
+        // flushed on this connection — a flush says only that the kernel took
+        // them, so the next connection offers them again.
+        let (mut unflushed, mut settled) = (Vec::new(), VecDeque::new());
+        while !self.state.lock().done() {
+            if let Ok(socket) = TcpStream::connect_timeout(&self.addr, Duration::from_secs(2)) {
+                let _ = socket.set_nodelay(true);
+                self.serve(socket, &mut unflushed, &mut settled);
             }
-            match inner.outbound.pull_timeout(Duration::MAX) {
-                Some(frame) => batch.push(frame),
-                None if inner.outbound.is_closed() => return Ok(()),
-                // The reader rang: look at `dead` again.
-                None => continue,
+            let retry = Instant::now() + RETRY_INTERVAL;
+            let mut st = self.state.lock();
+            while !st.done() && !self.writer.wait_until(&mut st, retry).timed_out() {}
+        }
+        self.slots.notify_all();
+    }
+
+    /// One connection: the `Hello`, `unflushed`, `settled`, then all that
+    /// publishers queued, flushed once (a burst of acks is one `send(2)`) —
+    /// until a flush fails, a reader finds it over, or the link closes.
+    fn serve(
+        &self,
+        socket: TcpStream,
+        unflushed: &mut Vec<(Vec<u8>, bool)>,
+        settled: &mut VecDeque<Vec<u8>>,
+    ) {
+        let Ok(reader) = socket.try_clone().map(Arc::new) else { return };
+        self.state.lock().conn = Some(Arc::clone(&reader));
+        self.slots.notify_all();
+        let TcpWorkerOptions { worker_id: worker, generation, window } = self.opts;
+        let mut hello = Some(WireMsg::Hello { worker, generation, window }.encode());
+        unflushed.extend(settled.drain(..).map(|frame| (frame, true)));
+        let mut w = BufWriter::new(socket);
+        let failed = loop {
+            let mut frames = hello.iter().chain(unflushed.iter().map(|(frame, _)| frame));
+            let queued = frames.try_for_each(|frame| queue_frame_split(&mut w, frame, &[]));
+            if queued.and_then(|()| w.flush()).is_err() {
+                break true;
             }
+            hello = None;
+            for (frame, _) in unflushed.drain(..).filter(|&(_, settles)| settles) {
+                if settled.len() == window.max(1) as usize {
+                    settled.pop_front();
+                }
+                settled.push_back(frame);
+            }
+            let mut st = self.state.lock();
+            while st.outbox.is_empty() && st.conn.is_some() && !st.stop {
+                st.writer_waits = true;
+                self.writer.wait(&mut st);
+            }
+            st.writer_waits = false;
+            if st.conn.is_none() || st.stop {
+                break false;
+            }
+            std::mem::swap(unflushed, &mut st.outbox);
+        };
+        // With every slot in a job nobody reads: what the master sent before
+        // the end, a Bye above all, is read now, not dropped with the socket.
+        let mut st = self.state.lock();
+        let mut fds = [PollFd::new(&*reader, POLLIN)];
+        let mut readable = || matches!(poll(&mut fds, Duration::ZERO), Ok(1..));
+        while failed && st.conn.is_some() && !st.reading && readable() {
+            st = self.read(st, Arc::clone(&reader), Duration::ZERO);
         }
-        inner.outbound.try_pull_batch(batch, usize::MAX);
-        for frame in batch.iter() {
-            queue_frame_split(&mut w, frame, &[])?;
-        }
-        w.flush()?;
-        batch.clear();
+        (st.conn, st.frames) = (None, None);
+        drop(st);
+        self.slots.notify_all();
+        let _ = reader.shutdown(Shutdown::Both);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::BufReader;
+    use std::net::TcpListener;
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+
+    use dewe_dag::{EnsembleJobId, JobId, Workflow};
+    use dewe_mq::read_frame;
+
     use super::*;
-    use crate::realtime::testutil::{pump, wait_until, wf};
+    use crate::protocol::LifecycleKind;
+    use crate::realtime::testutil::{endpoint, link, pump, wait_reading, wait_until, wf};
+    use crate::realtime::{
+        spawn_worker_on, JobOutcome, JobRunner, NoopRunner, RunContext, TcpMaster,
+        TcpMasterOptions, WorkerConfig,
+    };
+
+    fn job(j: u32) -> EnsembleJobId {
+        EnsembleJobId::new(WorkflowId(0), JobId(j))
+    }
+
+    /// A plain listener standing in for the master, and a link to it.
+    fn stand_in(opts: TcpWorkerOptions) -> (TcpListener, TcpWorkerLink, Registry) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mirror = Registry::new();
+        let link = TcpWorkerLink::connect(listener.local_addr().unwrap(), mirror.clone(), opts);
+        (listener, link.unwrap(), mirror)
+    }
+
+    /// The stand-in's next connection, its Hello read.
+    fn accept(listener: &TcpListener) -> BufReader<TcpStream> {
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut reader = BufReader::new(stream);
+        assert!(
+            matches!(next(&mut reader), WireMsg::Hello { .. }),
+            "a connection opens with Hello"
+        );
+        reader
+    }
+
+    /// The next frame the link sent the stand-in.
+    fn next(reader: &mut BufReader<TcpStream>) -> WireMsg {
+        let frame = read_frame(reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame, not the end");
+        WireMsg::decode(&frame).unwrap()
+    }
+
+    fn next_ack(reader: &mut BufReader<TcpStream>) -> AckMsg {
+        match next(reader) {
+            WireMsg::Ack(ack) => ack,
+            other => panic!("expected an ack, got {other:?}"),
+        }
+    }
 
     #[test]
     fn worker_link_survives_master_restart_on_same_port() {
-        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let master = endpoint();
         let _pump = pump(&master);
         let addr = master.local_addr();
-        let registry = Registry::new();
-        let link =
-            TcpWorkerLink::connect(addr, registry.clone(), TcpWorkerOptions::default()).unwrap();
+        let (link, registry) = link(&master, 0, 8);
         master.announce(WorkflowAnnounce {
             id: WorkflowId(0),
             name: "a".into(),
             workflow: wf("a", 1),
         });
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while registry.is_empty() && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(registry.len(), 1);
+        wait_reading(&link, "the announcement is mirrored", || registry.len() == 1);
         // Kill the master endpoint abruptly (no Bye — a crash). Acks the
         // worker produces once its link has seen the connection die wait
         // on the link, with no connection to carry them.
         master.kill();
-        wait_until("the link notices", || link.inner.current.lock().is_none());
-        let outage_job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
+        wait_reading(&link, "the link notices", || link.inner.state.lock().conn.is_none());
         for j in 0..50 {
-            link.publish_ack(AckMsg::new(outage_job(j), 0, AckKind::Completed, 1));
+            link.publish_ack(AckMsg::new(job(j), 0, AckKind::Completed, 1));
         }
         // Then bind a replacement on the same port (SO_REUSEADDR path)
         // and re-announce.
@@ -325,42 +447,32 @@ mod tests {
         });
         // The link reconnects and mirrors the new announcement; the
         // replayed wf-0 is skipped by the dense-insert guard.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while registry.len() < 2 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(registry.len(), 2, "reconnected and mirrored");
+        wait_reading(&link, "the link reconnects and mirrors", || registry.len() == 2);
         // Every ack of the outage reaches the new master, in order.
         for j in 0..50 {
             let ack = master2.pull_ack(Duration::from_secs(10)).expect("an outage ack");
-            assert_eq!(ack.job, outage_job(j));
+            assert_eq!(ack.job, job(j));
         }
         // And an ack published after the restart still arrives.
-        let job = dewe_dag::EnsembleJobId::new(WorkflowId(1), dewe_dag::JobId(0));
-        link.publish_ack(AckMsg::new(job, 0, AckKind::Completed, 1));
+        let after = EnsembleJobId::new(WorkflowId(1), JobId(0));
+        link.publish_ack(AckMsg::new(after, 0, AckKind::Completed, 1));
         let ack = master2.pull_ack(Duration::from_secs(10)).expect("ack after failover");
-        assert_eq!(ack.job, job);
+        assert_eq!(ack.job, after);
         master2.shutdown();
         link.close();
     }
 
-    /// The link writer sleeps on `outbound` with no tick to fall back on:
-    /// a burst published while it sleeps must wake it, and however the
-    /// burst is cut into batches and flushes, the master sees every ack
-    /// once and in order.
+    /// The link writer sleeps with no tick to fall back on: a burst
+    /// published while it sleeps must wake it, and however the burst is cut
+    /// into batches and flushes, the master sees every ack once and in
+    /// order.
     #[test]
     fn acks_published_while_the_link_writer_sleeps_arrive_complete_and_in_order() {
-        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let master = endpoint();
         let _pump = pump(&master);
-        let link = TcpWorkerLink::connect(
-            master.local_addr(),
-            Registry::new(),
-            TcpWorkerOptions::default(),
-        )
-        .unwrap();
+        let (link, _) = link(&master, 0, 8);
         wait_until("the link registers", || master.worker_conns() == 1);
-        wait_until("the link writer sleeps", || link.inner.outbound.stats().sleepers == 1);
-        let job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
+        wait_until("the link writer sleeps", || link.inner.state.lock().writer_waits);
         for j in 0..1000 {
             link.publish_ack(AckMsg::new(job(j), 0, AckKind::Running, 1));
         }
@@ -373,82 +485,247 @@ mod tests {
         link.close();
     }
 
-    /// A peer for `write_link`: a listener, and the connected pair.
-    fn socket_pair() -> (TcpStream, TcpStream) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let ours = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let (theirs, _) = listener.accept().unwrap();
-        (ours, theirs)
-    }
-
     /// A batch is the link's until its flush has returned `Ok`. One that
     /// was written into a connection that then failed is sent again on the
     /// next connection — all of it, ahead of anything queued since, in
     /// order. (Some of it may arrive twice; the master tolerates that.)
     #[test]
     fn a_batch_whose_flush_failed_is_resent_whole_and_first_on_the_next_connection() {
-        // A link whose supervisor never gets a connection (nothing listens
-        // on port 1), so this test owns `outbound` and drives `write_link`
-        // itself.
-        let link =
-            TcpWorkerLink::connect("127.0.0.1:1", Registry::new(), TcpWorkerOptions::default())
-                .unwrap();
-        let inner = Arc::clone(&link.inner);
-        let job = |j: u32| dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(j));
-        let frame = |j: u32| WireMsg::Ack(AckMsg::new(job(j), 0, AckKind::Completed, 1)).encode();
-        let hello = WireMsg::Hello { worker: 0, generation: 0, window: 1 }.encode();
-
-        // First connection: the peer resets it (closing with the hello
-        // still unread sends RST, not FIN) while the writer sleeps.
-        let (ours, theirs) = socket_pair();
-        let probe = ours.try_clone().unwrap();
-        let dead = Arc::new(AtomicBool::new(false));
-        let writer = {
-            let (inner, hello, dead) = (Arc::clone(&inner), hello.clone(), Arc::clone(&dead));
-            std::thread::spawn(move || {
-                let mut batch = Vec::new();
-                (write_link(&inner, ours, &hello, &dead, &mut batch), batch)
-            })
-        };
-        wait_until("the writer sleeps", || inner.outbound.stats().sleepers == 1);
-        drop(theirs);
-        probe.set_read_timeout(Some(Duration::from_millis(1))).unwrap();
+        let (listener, link, _) = stand_in(TcpWorkerOptions::default());
+        // First connection: the peer resets it (closing with the Hello
+        // still unread sends RST, not FIN) while the writer sleeps and
+        // nothing reads the link.
+        let (first, _) = listener.accept().unwrap();
+        wait_until("the Hello arrives", || first.peek(&mut [0u8; 1]).is_ok_and(|n| n == 1));
+        wait_until("the writer sleeps", || link.inner.state.lock().writer_waits);
+        let socket = Arc::clone(link.inner.state.lock().conn.as_ref().expect("connected"));
+        drop(first);
         wait_until("the reset lands", || {
-            !matches!(probe.peek(&mut [0u8; 1]), Err(e) if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ))
+            matches!(poll(&mut [PollFd::new(&*socket, POLLIN)], Duration::ZERO), Ok(1..))
         });
-        inner.outbound.publish_all((0..10).map(frame));
-        let (written, mut unflushed) = writer.join().unwrap();
-        assert!(written.is_err(), "the flush into a reset connection fails");
-        assert_eq!(unflushed.len(), 10, "and the batch is still the link's");
+        let done = |j: u32| AckMsg::new(job(j), 0, AckKind::Completed, 1);
+        for j in 0..10 {
+            link.publish_ack(done(j));
+        }
+        wait_until("the flush fails", || link.inner.state.lock().conn.is_none());
         // Acks keep coming during the outage.
-        inner.outbound.publish_all((10..20).map(frame));
+        for j in 10..20 {
+            link.publish_ack(done(j));
+        }
 
         // Second connection: everything arrives, the failed batch first.
-        let (ours, theirs) = socket_pair();
-        let writer = {
-            let (inner, dead) = (Arc::clone(&inner), Arc::clone(&dead));
-            std::thread::spawn(move || {
-                (write_link(&inner, ours, &hello, &dead, &mut unflushed), unflushed)
-            })
-        };
-        let mut reader = BufReader::new(theirs);
-        let mut next = || WireMsg::decode(&read_frame(&mut reader, 1 << 20).unwrap().unwrap());
-        assert!(matches!(next(), Ok(WireMsg::Hello { .. })));
+        let mut second = accept(&listener);
         for j in 0..20 {
-            match next() {
-                Ok(WireMsg::Ack(ack)) => assert_eq!(ack.job, job(j), "in order, none lost"),
-                other => panic!("expected ack {j}, got {other:?}"),
+            assert_eq!(next_ack(&mut second).job, job(j), "in order, none lost");
+        }
+        link.close();
+    }
+
+    /// DESIGN §8's lost ack: a completion flushed into a master that dies
+    /// before it is journaled used to wait out the job's timeout. The link
+    /// offers the settling frames it flushed on a connection again on the
+    /// next one, after its Hello.
+    #[test]
+    fn a_completion_flushed_into_a_dying_master_is_offered_again_after_the_reconnect() {
+        let opts = TcpWorkerOptions { worker_id: 4, window: 1, ..TcpWorkerOptions::default() };
+        let (listener, link, mirror) = stand_in(opts);
+        let worker = spawn_worker_on(
+            Arc::new(link.clone()),
+            mirror,
+            Arc::new(NoopRunner),
+            WorkerConfig { worker_id: 4, slots: 1, ..WorkerConfig::default() },
+        );
+        let mut first = accept(&listener);
+        let text = dewe_dag::write_workflow(&wf("w", 1));
+        let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
+        write_frame_split(first.get_mut(), &head, text.as_bytes()).unwrap();
+        write_frame(first.get_mut(), &WireMsg::Dispatch(DispatchMsg::new(job(0), 1)).encode())
+            .unwrap();
+        assert_eq!(next_ack(&mut first).kind, AckKind::Running);
+        assert_eq!(next_ack(&mut first), AckMsg::new(job(0), 4, AckKind::Completed, 1));
+        // The master read the completion and died before journaling it.
+        drop(first);
+
+        let mut second = accept(&listener);
+        assert_eq!(
+            next_ack(&mut second),
+            AckMsg::new(job(0), 4, AckKind::Completed, 1),
+            "the completion is offered again"
+        );
+        worker.stop();
+        link.close();
+    }
+
+    /// Slot threads that share a link share its reading: whichever pulls
+    /// while nobody reads reads for all. Four of them, pulling while
+    /// dispatches arrive in batches of every size up to a hundred, take
+    /// each one exactly once.
+    #[test]
+    fn four_slots_pulling_one_link_take_every_dispatch_exactly_once() {
+        const JOBS: u32 = 20_000;
+        let (listener, link, _) = stand_in(TcpWorkerOptions::default());
+        let (master, _) = listener.accept().unwrap();
+        let taken = Arc::new(AtomicU32::new(0));
+        let slots: Vec<_> = (0..4)
+            .map(|_| {
+                let (link, taken) = (link.clone(), Arc::clone(&taken));
+                std::thread::spawn(move || {
+                    let mut got = Vec::new();
+                    while taken.load(Ordering::Relaxed) < JOBS {
+                        if let Some(d) = link.pull_dispatch(Duration::from_millis(5)) {
+                            got.push(d.job.job.0);
+                            taken.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    got
+                })
+            })
+            .collect();
+        let mut w = BufWriter::new(&master);
+        let (mut sent, mut size) = (0, 1);
+        while sent < JOBS {
+            let run: Vec<DispatchMsg> =
+                (sent..JOBS.min(sent + size)).map(|j| DispatchMsg::new(job(j), 1)).collect();
+            sent += run.len() as u32;
+            let msg = if run.len() == 1 {
+                WireMsg::Dispatch(run[0])
+            } else {
+                WireMsg::DispatchBatch(run)
+            };
+            queue_frame_split(&mut w, &msg.encode(), &[]).unwrap();
+            size = size % 100 + 1;
+        }
+        w.flush().unwrap();
+        let mut pulled: Vec<u32> = slots.into_iter().flat_map(|s| s.join().unwrap()).collect();
+        pulled.sort_unstable();
+        assert_eq!(pulled, (0..JOBS).collect::<Vec<_>>(), "each dispatch pulled exactly once");
+        link.close();
+    }
+
+    /// A job that runs until it is let go.
+    struct Held(Arc<AtomicBool>);
+
+    impl JobRunner for Held {
+        fn run(&self, _: &Workflow, _: JobId, ctx: &RunContext) -> JobOutcome {
+            while !self.0.load(Ordering::Relaxed) && !ctx.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            JobOutcome::Success
+        }
+    }
+
+    /// With every slot busy in a long job nothing reads the link, so the
+    /// writer alone finds the master gone — a write fails — and reaches its
+    /// replacement: a heartbeat every 50 ms is there well inside a 500 ms
+    /// lease.
+    #[test]
+    fn with_every_slot_busy_the_writer_alone_reconnects_within_a_lease() {
+        let master = endpoint();
+        let _pump = pump(&master);
+        let addr = master.local_addr();
+        let (link, mirror) = link(&master, 1, 4);
+        master.announce(WorkflowAnnounce {
+            id: WorkflowId(0),
+            name: "w".into(),
+            workflow: wf("w", 2),
+        });
+        let release = Arc::new(AtomicBool::new(false));
+        let worker = spawn_worker_on(
+            Arc::new(link.clone()),
+            mirror,
+            Arc::new(Held(Arc::clone(&release))),
+            WorkerConfig {
+                worker_id: 1,
+                slots: 2,
+                heartbeat_interval: Some(Duration::from_millis(50)),
+                ..WorkerConfig::default()
+            },
+        );
+        let mut both = vec![DispatchMsg::new(job(0), 1), DispatchMsg::new(job(1), 1)];
+        master.publish_dispatch_batch(0, &mut both);
+        // (A lifecycle message returns `pull_ack` early, with no ack.)
+        let mut started = 0;
+        wait_until("both slots start", || {
+            if let Some(ack) = master.pull_ack(Duration::from_millis(5)) {
+                assert_eq!(ack.kind, AckKind::Running);
+                started += 1;
+            }
+            started == 2
+        });
+        master.kill();
+        let master2 = TcpMaster::bind(addr, TcpMasterOptions::default()).unwrap();
+        let rebound = Instant::now();
+        let _pump2 = pump(&master2);
+        wait_until("a heartbeat reaches the new master", || {
+            master2.try_pull_lifecycle().is_some_and(|m| m.kind == LifecycleKind::Heartbeat)
+        });
+        let took = rebound.elapsed();
+        assert!(took < Duration::from_millis(500), "the first heartbeat took {took:?}");
+        assert!(!link.inner.state.lock().reading, "and no slot was free to read");
+        release.store(true, Ordering::Relaxed);
+        assert_eq!(worker.stop(), 2);
+        master2.shutdown();
+        link.close();
+    }
+
+    /// A Bye that lands while every slot is in a job is read by the writer
+    /// before it lets the dead connection go, so the link does not go on
+    /// reconnecting to a master that has said it is done.
+    #[test]
+    fn a_bye_sent_while_every_slot_is_busy_is_not_lost() {
+        let (listener, link, mirror) = stand_in(TcpWorkerOptions::default());
+        let release = Arc::new(AtomicBool::new(false));
+        let worker = spawn_worker_on(
+            Arc::new(link.clone()),
+            mirror,
+            Arc::new(Held(Arc::clone(&release))),
+            WorkerConfig {
+                slots: 1,
+                heartbeat_interval: Some(Duration::from_millis(20)),
+                ..WorkerConfig::default()
+            },
+        );
+        let mut master = accept(&listener);
+        let text = dewe_dag::write_workflow(&wf("w", 1));
+        let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
+        write_frame_split(master.get_mut(), &head, text.as_bytes()).unwrap();
+        write_frame(master.get_mut(), &WireMsg::Dispatch(DispatchMsg::new(job(0), 1)).encode())
+            .unwrap();
+        loop {
+            match next(&mut master) {
+                WireMsg::Lifecycle(_) => {}
+                WireMsg::Ack(ack) if ack.kind == AckKind::Running => break,
+                other => panic!("expected the job to start, got {other:?}"),
             }
         }
-        // The reader's way of ending a writer that sleeps: flag, then kick.
-        dead.store(true, Ordering::SeqCst);
-        inner.outbound.kick();
-        let (written, unflushed) = writer.join().unwrap();
-        assert!(written.is_ok());
-        assert!(unflushed.is_empty(), "a flushed batch is let go");
+        write_frame(master.get_mut(), &WireMsg::Bye.encode()).unwrap();
+        drop(master);
+        wait_until("the link hears the Bye", || link.master_said_bye());
+        release.store(true, Ordering::Relaxed);
+        assert_eq!(worker.wait(), 1, "the slot finishes its job and sees the link closed");
         link.close();
+    }
+
+    /// A slot asleep in the reader's `poll` holds nothing `close` waits
+    /// for: it returns at once, and the slot with `None`, both well inside
+    /// the slot's pull timeout.
+    #[test]
+    fn close_returns_within_the_pull_timeout_of_a_slot_asleep_in_poll() {
+        let master = endpoint();
+        let _pump = pump(&master);
+        let (link, _) = link(&master, 0, 8);
+        let pull_timeout = Duration::from_secs(2);
+        let slot = {
+            let link = link.clone();
+            std::thread::spawn(move || link.pull_dispatch(pull_timeout))
+        };
+        wait_until("the slot holds the reader role", || link.inner.state.lock().reading);
+        let began = Instant::now();
+        link.close();
+        assert_eq!(slot.join().unwrap(), None);
+        let took = began.elapsed();
+        assert!(took < pull_timeout, "close and the slot's pull took {took:?}");
+        assert!(link.dispatch_closed());
+        master.shutdown();
     }
 }

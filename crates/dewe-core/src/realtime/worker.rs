@@ -32,7 +32,7 @@ pub struct WorkerConfig {
     /// when the number of concurrent job execution threads equals the
     /// number of CPUs" (§III.D).
     pub slots: usize,
-    /// How long an idle slot waits on the dispatch topic per pull.
+    /// How long an idle slot waits per pull (on a TCP link, its `poll`).
     pub pull_timeout: Duration,
     /// When set, a dedicated thread registers the worker on the
     /// lifecycle topic and then heartbeats at this cadence, letting a

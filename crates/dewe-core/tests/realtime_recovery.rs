@@ -332,8 +332,11 @@ fn ensemble_finishes_after_master_failover() {
     assert_eq!(stats.jobs_completed, 12, "every job completed exactly once in engine state");
     assert_eq!(stats.dead_lettered, 0);
     // Failover noise is bounded: at most the jobs that were in flight at
-    // the crash can complete twice.
-    assert!(stats.duplicate_completions <= 4, "noise bounded: {stats:?}");
+    // the crash can complete twice, and the link offers its last `window`
+    // completions again on reconnecting, in case the dead master never
+    // read them.
+    let reoffered = u64::from(TcpWorkerOptions::default().window);
+    assert!(stats.duplicate_completions <= 4 + reoffered, "noise bounded: {stats:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -7,8 +7,8 @@
 //!
 //! * [`Topic`] — one thread-safe FIFO work queue: each message goes to
 //!   exactly one consumer, pulls block with a timeout, publishers wake
-//!   only sleepers, [`Topic::kick`] is the doorbell. The TCP worker link
-//!   uses two between its socket threads and its slot loops.
+//!   only sleepers, [`Topic::kick`] is the doorbell. No shipped fabric uses
+//!   it; the benchmark times it and test doubles are built on it.
 //! * [`Transport`] / [`WorkerTransport`] — the master's and a worker's
 //!   view of the fabric. `dewe-core` writes its serve loops against them
 //!   and implements them once, over TCP connections; a test stands in

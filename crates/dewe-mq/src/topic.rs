@@ -210,9 +210,8 @@ impl<T> Topic<T> {
     /// waiting out its timeout, with a queued message if there is one and
     /// `None` if not. One kick is answered by one return, however many
     /// kicks preceded it. For a consumer whose loop also serves something
-    /// this topic does not carry (the master's serve loop waits on acks
-    /// and must notice a submission; a link writer must notice its
-    /// connection died): publish there, then kick here. Messages are
+    /// this topic does not carry (a serve loop that waits on acks must
+    /// notice a submission): publish there, then kick here. Messages are
     /// neither dropped nor reordered, and [`pull`](Self::pull) is
     /// unaffected.
     pub fn kick(&self) {

@@ -13,6 +13,7 @@ use dewe::core::realtime::{
 use dewe::core::EngineStats;
 use dewe::dag::{write_workflow, WorkflowId};
 use dewe::montage::MontageConfig;
+use dewe::mq::WorkerTransport;
 
 fn drain_until_all_done(master: &dewe::core::realtime::MasterHandle) -> EngineStats {
     loop {
@@ -104,9 +105,10 @@ fn assert_ensemble_sharing(registry: &Registry, who: &str) {
 
 /// Satellite drill: kill the master process mid-ensemble and restart it
 /// on the same port from its workflow spool + WAL journal. Worker links
-/// ride out the outage (reconnect + outbound-queue retry), and the
-/// restarted master finishes the ensemble: every job completed, nothing
-/// dead-lettered.
+/// ride out the outage (reconnect; what they queued meanwhile, and the
+/// completions the dead master may not have read, sent on the new
+/// connection), and the restarted master finishes the ensemble: every job
+/// completed, nothing dead-lettered.
 ///
 /// The ensemble is three submissions of one DAG text around one of
 /// another, so the drill also pins down ingest: identical texts are one
@@ -130,9 +132,11 @@ fn master_kill_and_restart_recovers_over_tcp() {
     let state_dir = scratch.join("state");
     let journal = scratch.join("master.wal");
 
-    // An ack written into the killed master's socket is lost, and the
-    // lease plane does not republish a job a live worker holds, so every
-    // few runs one job waits out its timeout: keep that wait short.
+    // A link offers its last window of completions again after a
+    // reconnect, but a kill between the turn that read (and refunded) a
+    // burst and the commit that journals it can put more than a window out
+    // of reach, and the lease plane does not republish a job a live worker
+    // holds: such a job waits out its timeout, so keep that wait short.
     let config = |recover: bool| {
         MasterConfig::builder()
             .expected_workflows(n_workflows)
@@ -220,9 +224,10 @@ fn master_kill_and_restart_recovers_over_tcp() {
     while late_mirror.len() < n_workflows {
         assert!(Instant::now() < deadline, "late link never mirrored the ensemble");
         // The serve loop has exited and the endpoint has no thread of its
-        // own: turn it by hand.
+        // own, and a link reads only while something pulls on it: turn
+        // both by hand.
         transport2.worker_conns();
-        std::thread::sleep(Duration::from_millis(10));
+        late.pull_dispatch(Duration::from_millis(10));
     }
     assert_ensemble_sharing(&late_mirror, "late worker");
     for (_, _, mirror) in &workers {
