@@ -15,8 +15,8 @@
 //!   keeps running (GC pause / network partition): a lease-enabled
 //!   master expires it, then must fence the zombie's late acks;
 //! * **master kill** — the master process dies at an arbitrary instant
-//!   (including mid-compaction or inside a group-commit window) and a
-//!   replacement recovers from the write-ahead journal after a delay.
+//!   and a replacement recovers from the write-ahead journal after a
+//!   delay.
 //!
 //! A [`FaultPlan`] is pure data: the testkit's scenario runner and the
 //! simulator interpret the same plan against their own clocks, so a

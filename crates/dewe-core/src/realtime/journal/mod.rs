@@ -60,12 +60,11 @@
 //!   job twice — duplicate-completion noise, the same race the timeout
 //!   mechanism already tolerates.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, BufRead, BufReader, Write};
+use std::path::Path;
 
-use dewe_dag::{EnsembleJobId, JobId, JobState, WorkflowId};
+use dewe_dag::{EnsembleJobId, JobId, WorkflowId};
 
 use super::liveness::{LivenessTable, WorkerPhase};
 use super::registry::Registry;
@@ -139,14 +138,6 @@ pub struct Journal {
     file: File,
     /// Records appended since the last write, as the bytes to write.
     buf: Vec<u8>,
-    path: PathBuf,
-    /// Records in the file (written by us plus any noted pre-existing
-    /// ones), used to trigger compaction.
-    records: usize,
-    /// Record count right after the last compaction (0 = never) — the
-    /// WAL must double past this before compacting again, so a journal
-    /// full of live workflows doesn't re-compact on every record.
-    floor: usize,
 }
 
 /// Format `rec` as its journal line, newline included, straight into `out`.
@@ -171,34 +162,25 @@ fn write_record(out: &mut impl Write, rec: &JournalRecord) -> io::Result<()> {
 }
 
 impl Journal {
-    fn over(file: File, path: &Path) -> Self {
-        Self { file, buf: Vec::new(), path: path.to_path_buf(), records: 0, floor: 0 }
+    fn over(file: File) -> Self {
+        Self { file, buf: Vec::new() }
     }
 
     /// Start a fresh journal, truncating any existing file.
     pub fn create(path: &Path) -> io::Result<Self> {
-        Ok(Self::over(File::create(path)?, path))
+        Ok(Self::over(File::create(path)?))
     }
 
-    /// Open an existing journal for appending (recovery resume). The
-    /// record count starts at zero; a recovering master that has already
-    /// read the file should call [`Self::note_existing`] so compaction
-    /// triggers account for the replayed prefix.
+    /// Open a journal for appending, creating it if absent (recovery
+    /// resume).
     pub fn append(path: &Path) -> io::Result<Self> {
-        Ok(Self::over(OpenOptions::new().create(true).append(true).open(path)?, path))
-    }
-
-    /// Inform the writer of records already present in the file (after
-    /// [`Self::append`] on recovery).
-    pub fn note_existing(&mut self, records: usize) {
-        self.records += records;
+        Ok(Self::over(OpenOptions::new().create(true).append(true).open(path)?))
     }
 
     /// Append one record to the buffer. Returns with it written only when
     /// the spill size says so.
     fn append_record(&mut self, rec: &JournalRecord) -> io::Result<()> {
         write_record(&mut self.buf, rec)?;
-        self.records += 1;
         if self.buf.len() >= SPILL_BYTES {
             return self.commit();
         }
@@ -261,44 +243,6 @@ impl Journal {
         self.append_record(&JournalRecord::Worker { worker, generation, phase, at })?;
         self.commit()
     }
-
-    /// Compact the journal in place once it holds at least `threshold`
-    /// records (and has doubled since the last compaction): the file is
-    /// rewritten as the synthetic prefix produced by [`compact_records`]
-    /// and the writer reopened on it. Returns `true` if a rewrite
-    /// happened.
-    ///
-    /// The rewrite goes through a temp file + rename, so a crash during
-    /// compaction leaves either the old or the new journal intact.
-    pub fn maybe_compact(
-        &mut self,
-        registry: &Registry,
-        config: EngineConfig,
-        threshold: usize,
-    ) -> io::Result<bool> {
-        if self.records < threshold.max(2 * self.floor) {
-            return Ok(false);
-        }
-        // Compaction reads the file from disk: anything still sitting in
-        // the buffer must land first or the rewrite loses it.
-        self.commit()?;
-        let records = read_journal(&self.path)?;
-        let compacted = compact_records(&records, registry, config)?;
-        let tmp = self.path.with_extension("compact-tmp");
-        {
-            let mut out = BufWriter::new(File::create(&tmp)?);
-            for rec in &compacted {
-                write_record(&mut out, rec)?;
-            }
-            out.flush()?;
-            out.get_ref().sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.file = OpenOptions::new().append(true).open(&self.path)?;
-        self.records = compacted.len();
-        self.floor = compacted.len();
-        Ok(true)
-    }
 }
 
 impl Drop for Journal {
@@ -308,129 +252,4 @@ impl Drop for Journal {
     fn drop(&mut self) {
         let _ = self.commit();
     }
-}
-
-/// Rewrite a journal's records as a **synthetic prefix** in which every
-/// completed workflow is elided down to its submission plus one
-/// `Completed` ack per job (its *effective* completion, in the original
-/// completion order, re-timed to the submission instant), while live and
-/// abandoned workflows keep their full input history. Timeout scans that
-/// no longer change any state in the compacted stream are dropped.
-///
-/// Replaying the result rebuilds **identical live state**: tracker,
-/// in-flight attempts, and armed deadlines of every non-completed
-/// workflow match a replay of the original records, as do
-/// `workflows_submitted` / `workflows_completed` / `workflows_abandoned`
-/// / `jobs_completed`. Two things are knowingly given up for completed
-/// workflows — they are gone, so nothing downstream reads them:
-///
-/// * diagnostics counters (`dispatches`, `resubmissions`,
-///   `duplicate_completions`, `deferred_retries`) reflect the synthetic
-///   one-attempt history rather than the real one, and
-/// * the resume clock rewinds to the newest *kept* record, which is safe
-///   because every kept input is at or before it.
-///
-/// All submission records are kept, in order, so workflow ids stay dense.
-pub fn compact_records(
-    records: &[JournalRecord],
-    registry: &Registry,
-    config: EngineConfig,
-) -> io::Result<Vec<JournalRecord>> {
-    let fetch = |workflow: u32| {
-        registry.get(WorkflowId(workflow)).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("journal references workflow {workflow} absent from registry"),
-            )
-        })
-    };
-
-    // Pass 1: replay everything to learn which workflows completed and
-    // which ack actually completed each of their jobs.
-    let mut engine = config.build();
-    let mut sink: Vec<Action> = Vec::new();
-    let mut completed: BTreeSet<u32> = BTreeSet::new();
-    let mut completions: BTreeMap<u32, Vec<AckMsg>> = BTreeMap::new();
-    for rec in records {
-        match *rec {
-            JournalRecord::Submit { workflow, at } => {
-                engine.submit_workflow(fetch(workflow)?, at, &mut sink);
-            }
-            JournalRecord::Ack { ack, at } => {
-                let before = engine.job_state(ack.job);
-                engine.on_ack(ack, at, &mut sink);
-                if ack.kind == AckKind::Completed
-                    && before != Some(JobState::Completed)
-                    && engine.job_state(ack.job) == Some(JobState::Completed)
-                {
-                    completions.entry(ack.job.workflow.0).or_default().push(ack);
-                }
-            }
-            JournalRecord::Scan { at } => engine.check_timeouts(at, &mut sink),
-            JournalRecord::Worker { .. } => {}
-        }
-        for action in &sink {
-            if let Action::WorkflowCompleted { workflow, .. } = action {
-                completed.insert(workflow.0);
-            }
-        }
-        sink.clear();
-    }
-
-    // Pass 2: candidate stream — submissions keep their place; a
-    // completed workflow's effective completions follow its submission
-    // immediately, re-timed to the submission instant (the whole workflow
-    // replays in one step, leaving no deadline armed for a later scan to
-    // misfire on); everything else of a completed workflow is dropped.
-    let mut candidate: Vec<JournalRecord> = Vec::with_capacity(records.len());
-    for rec in records {
-        match *rec {
-            JournalRecord::Submit { workflow, at } => {
-                candidate.push(*rec);
-                if completed.contains(&workflow) {
-                    for &ack in completions.get(&workflow).into_iter().flatten() {
-                        candidate.push(JournalRecord::Ack { ack, at });
-                    }
-                }
-            }
-            JournalRecord::Ack { ack, .. } => {
-                if !completed.contains(&ack.job.workflow.0) {
-                    candidate.push(*rec);
-                }
-            }
-            JournalRecord::Scan { .. } => candidate.push(*rec),
-            // Lifecycle history is kept verbatim: transitions are rare,
-            // and the replayed liveness table (generations, phases,
-            // expiry counters) must survive compaction unchanged.
-            JournalRecord::Worker { .. } => candidate.push(*rec),
-        }
-    }
-
-    // Pass 3: replay the candidate, keeping only scans that still change
-    // state (any state change emits at least one action). Live-workflow
-    // deadline state is untouched by the elisions, so a scan's effect on
-    // live workflows is the same here as in the original stream.
-    let mut engine = config.build();
-    let mut out: Vec<JournalRecord> = Vec::with_capacity(candidate.len());
-    for rec in candidate {
-        match rec {
-            JournalRecord::Submit { workflow, at } => {
-                engine.submit_workflow(fetch(workflow)?, at, &mut sink);
-                out.push(rec);
-            }
-            JournalRecord::Ack { ack, at } => {
-                engine.on_ack(ack, at, &mut sink);
-                out.push(rec);
-            }
-            JournalRecord::Scan { at } => {
-                engine.check_timeouts(at, &mut sink);
-                if !sink.is_empty() {
-                    out.push(rec);
-                }
-            }
-            JournalRecord::Worker { .. } => out.push(rec),
-        }
-        sink.clear();
-    }
-    Ok(out)
 }

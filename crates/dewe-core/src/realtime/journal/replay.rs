@@ -162,7 +162,7 @@ pub fn recover(
 mod tests {
     use super::*;
     use crate::protocol::DispatchMsg;
-    use dewe_dag::WorkflowBuilder;
+    use dewe_dag::{JobState, WorkflowBuilder};
     use std::sync::Arc;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -279,34 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn compaction_commits_buffered_records_first() {
-        let path = tmp("compact-buffered");
-        let (registry, config, records) = noisy_history();
-        let mut j = Journal::create(&path).unwrap();
-        for rec in &records {
-            match *rec {
-                JournalRecord::Submit { workflow, at } => {
-                    j.record_submit(WorkflowId(workflow), 0, at).unwrap()
-                }
-                JournalRecord::Ack { ack, at } => j.record_ack(&ack, at).unwrap(),
-                JournalRecord::Scan { at } => j.record_scan(at).unwrap(),
-                JournalRecord::Worker { worker, generation, phase, at } => {
-                    j.record_worker(worker, generation, phase, at).unwrap()
-                }
-            }
-        }
-        // The tail of the history (acks + scan after the last submit) is
-        // still buffered; compaction must not lose it.
-        assert!(j.maybe_compact(&registry, config, 8).unwrap());
-        drop(j);
-        let lean = recover(&read_journal(&path).unwrap(), &registry, config).unwrap();
-        let full = recover(&records, &registry, config).unwrap();
-        assert_eq!(lean.engine.stats().workflows_completed, 1);
-        assert_eq!(full.redispatch, lean.redispatch, "buffered tail survived compaction");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn worker_records_round_trip_exactly() {
         let path = tmp("worker-rec");
         let mut j = Journal::create(&path).unwrap();
@@ -353,7 +325,6 @@ mod tests {
         assert_eq!(read_journal(&path).unwrap().len(), 3, "drop flushed the burst");
 
         let mut j = Journal::append(&path).unwrap();
-        j.note_existing(3);
         j.record_ack(&ack(3), 3.0).unwrap();
         drop(j);
         let recs = read_journal(&path).unwrap();
@@ -392,25 +363,6 @@ mod tests {
         assert_eq!(table.stats().workers_expired, 1);
         assert_eq!(table.stats().jobs_requeued_on_expiry, 1);
         assert_eq!(table.assignment(job), None);
-    }
-
-    #[test]
-    fn compaction_keeps_lifecycle_records() {
-        let (registry, config, mut records) = noisy_history();
-        records.insert(
-            0,
-            JournalRecord::Worker { worker: 0, generation: 0, phase: WorkerPhase::Live, at: 0.0 },
-        );
-        records.push(JournalRecord::Worker {
-            worker: 0,
-            generation: 0,
-            phase: WorkerPhase::Expired,
-            at: 13.0,
-        });
-        let compacted = compact_records(&records, &registry, config).unwrap();
-        let kept: Vec<_> =
-            compacted.iter().filter(|r| matches!(r, JournalRecord::Worker { .. })).collect();
-        assert_eq!(kept.len(), 2, "lifecycle history survives compaction verbatim");
     }
 
     /// What a 0.11.0 `--shards 4` master wrote for three two-job chains on
@@ -583,6 +535,116 @@ S 1 3f091f944d87fbc0
         }
     }
 
+    /// Three two-job chains under a retry cap of 2 and a 10 s timeout, as a
+    /// master journaled them: wf0's root fails attempt 1 and completes by
+    /// attempt 2, wf1's root fails both attempts (wf1 is abandoned), wf2's
+    /// root times out in the scan at 15.625 and is checked out again.
+    const UNCOMPACTED_HISTORY: &str = "\
+W 1 0 0 0
+S 0 0
+A 0 0 1 0 1 3fc0000000000000
+A 0 0 1 2 1 3ff0000000000000
+A 0 0 1 0 2 3ff4000000000000
+S 1 4000000000000000
+A 1 0 1 0 1 4004000000000000
+A 0 0 1 1 2 4008000000000000
+A 1 0 1 2 1 400a000000000000
+A 0 1 1 0 1 400c000000000000
+A 1 0 1 2 2 400e000000000000
+A 0 1 1 1 1 4010000000000000
+S 2 4014000000000000
+A 2 0 1 0 1 4016000000000000
+T 402f400000000000
+A 2 0 1 0 2 4030000000000000
+";
+    /// The same history as a 0.11.0 master's WAL compaction rewrote it
+    /// (captured from that build): completed wf0 is its submission and one
+    /// `Completed` per job at the submission instant — the root's by
+    /// attempt 2, which the replayed engine never issued — while abandoned
+    /// wf1 and live wf2 keep every record.
+    const COMPACTED_0_11_JOURNAL: &str = "\
+W 1 0 0 0
+S 0 0
+A 0 0 1 1 2 0
+A 0 1 1 1 1 0
+S 1 4000000000000000
+A 1 0 1 0 1 4004000000000000
+A 1 0 1 2 1 400a000000000000
+A 1 0 1 2 2 400e000000000000
+S 2 4014000000000000
+A 2 0 1 0 1 4016000000000000
+T 402f400000000000
+A 2 0 1 0 2 4030000000000000
+";
+
+    /// A journal an earlier master compacted is an ordinary record stream.
+    /// It replays to the completions and the in-flight frontier of the
+    /// history it stands for, because a `Completed` from any attempt
+    /// completes the job, and a master that takes it over finishes.
+    #[test]
+    fn a_journal_an_earlier_master_compacted_takes_over_and_finishes() {
+        use crate::realtime::testutil::{endpoint, link, next_dispatch};
+        use crate::realtime::{spawn_master_on, MasterConfig, MasterEvent};
+        use dewe_mq::WorkerTransport;
+
+        let registry = Registry::new();
+        for i in 0..3 {
+            registry.insert(WorkflowId(i), chain(2));
+        }
+        let retry = crate::RetryPolicy { max_attempts: Some(2), ..Default::default() };
+        let config = EngineConfig { default_timeout_secs: 10.0, retry, ..EngineConfig::default() };
+        let job = |wf, j| EnsembleJobId::new(WorkflowId(wf), JobId(j));
+        let path = tmp("compacted");
+        let replay = |text: &str| {
+            std::fs::write(&path, text).unwrap();
+            recover(&read_journal(&path).unwrap(), &registry, config).unwrap()
+        };
+        let full = replay(UNCOMPACTED_HISTORY);
+        let lean = replay(COMPACTED_0_11_JOURNAL);
+        let (fs, ls) = (full.engine.stats(), lean.engine.stats());
+        assert_eq!((ls.workflows_completed, ls.workflows_abandoned, ls.jobs_completed), (1, 1, 2));
+        assert_eq!((fs.workflows_completed, fs.jobs_completed), (1, 2));
+        assert_eq!(lean.engine.job_state(job(0, 0)), Some(JobState::Completed), "by attempt 2");
+        assert_eq!(full.redispatch, lean.redispatch);
+        assert_eq!(lean.redispatch, vec![DispatchMsg { job: job(2, 0), attempt: 2 }]);
+
+        // The file now holds the compacted journal; a master takes it over.
+        let tcp = endpoint();
+        let handle = spawn_master_on(
+            tcp.clone(),
+            registry,
+            MasterConfig::builder()
+                .default_timeout_secs(10.0)
+                .retry(retry)
+                .expected_workflows(3)
+                .journal_path(&path)
+                .recover(true)
+                .build(),
+        );
+        let (link, _) = link(&tcp, 1, 8);
+        let first = next_dispatch(&link);
+        assert_eq!((first.job, first.attempt), (job(2, 0), 2), "the republished frontier");
+        link.publish_ack(AckMsg::new(first.job, 1, AckKind::Completed, first.attempt));
+        let second = next_dispatch(&link);
+        assert_eq!((second.job, second.attempt), (job(2, 1), 1));
+        link.publish_ack(AckMsg::new(second.job, 1, AckKind::Completed, second.attempt));
+        let stats = loop {
+            match handle.events.recv_timeout(std::time::Duration::from_secs(10)).unwrap() {
+                MasterEvent::AllSettled { stats } => break stats,
+                MasterEvent::WorkflowCompleted { workflow, .. } => {
+                    assert_eq!(workflow, WorkflowId(2))
+                }
+                other => panic!("unexpected event {other:?}"),
+            }
+        };
+        assert_eq!((stats.workflows_completed, stats.workflows_abandoned), (2, 1));
+        assert_eq!(stats.jobs_completed, 4);
+        handle.join();
+        tcp.shutdown();
+        link.close();
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn torn_tail_line_is_discarded() {
         let path = tmp("torn");
@@ -647,174 +709,5 @@ S 1 3f091f944d87fbc0
         let recs = vec![JournalRecord::Submit { workflow: 0, at: 0.0 }];
         let err = recover(&recs, &Registry::new(), EngineConfig::default());
         assert!(err.is_err());
-    }
-
-    /// A retry-heavy history: wf0 completes after a failed first attempt
-    /// (9 records of noise), wf1 is still live with a timed-out root.
-    fn noisy_history() -> (Registry, EngineConfig, Vec<JournalRecord>) {
-        let registry = Registry::new();
-        registry.insert(WorkflowId(0), chain(2));
-        registry.insert(WorkflowId(1), chain(2));
-        let config = EngineConfig {
-            default_timeout_secs: 10.0,
-            retry: crate::RetryPolicy { max_attempts: Some(3), ..Default::default() },
-            ..EngineConfig::default()
-        };
-        let ack = |wf: u32, job: u32, kind: AckKind, attempt: u32, at: f64| JournalRecord::Ack {
-            ack: AckMsg {
-                job: EnsembleJobId::new(WorkflowId(wf), JobId(job)),
-                worker: 0,
-                kind,
-                attempt,
-            },
-            at,
-        };
-        let records = vec![
-            JournalRecord::Submit { workflow: 0, at: 0.0 },
-            ack(0, 0, AckKind::Running, 1, 0.1),
-            ack(0, 0, AckKind::Failed, 1, 1.0), // immediate resubmit (attempt 2)
-            ack(0, 0, AckKind::Running, 2, 1.2),
-            JournalRecord::Submit { workflow: 1, at: 2.0 },
-            ack(1, 0, AckKind::Running, 1, 2.5), // times out at 12.5
-            ack(0, 0, AckKind::Completed, 2, 3.0),
-            ack(0, 1, AckKind::Running, 1, 3.5),
-            ack(0, 1, AckKind::Completed, 1, 4.0), // wf0 done
-            JournalRecord::Scan { at: 12.6 },      // resubmits wf1's root
-        ];
-        (registry, config, records)
-    }
-
-    #[test]
-    fn compaction_elides_completed_workflows_and_preserves_live_state() {
-        let (registry, config, records) = noisy_history();
-        let compacted = compact_records(&records, &registry, config).unwrap();
-        // wf0 shrinks to its submission + one Completed ack per job; wf1
-        // keeps its full history, including the still-effective scan.
-        assert_eq!(compacted.len(), 6, "{compacted:?}");
-        assert!(compacted.iter().all(|r| !matches!(
-            r,
-            JournalRecord::Ack { ack, .. }
-                if ack.job.workflow.0 == 0 && ack.kind != AckKind::Completed
-        )));
-
-        let full = recover(&records, &registry, config).unwrap();
-        let lean = recover(&compacted, &registry, config).unwrap();
-        let (fs, ls) = (full.engine.stats(), lean.engine.stats());
-        assert_eq!(fs.workflows_submitted, ls.workflows_submitted);
-        assert_eq!(fs.workflows_completed, ls.workflows_completed);
-        assert_eq!(fs.workflows_abandoned, ls.workflows_abandoned);
-        assert_eq!(fs.jobs_completed, ls.jobs_completed);
-        assert_eq!(full.redispatch, lean.redispatch, "in-flight attempts survive");
-        let mut f = full.engine;
-        let mut l = lean.engine;
-        assert_eq!(f.next_deadline(), l.next_deadline());
-        for j in 0..2u32 {
-            let id = EnsembleJobId::new(WorkflowId(1), JobId(j));
-            assert_eq!(f.job_state(id), l.job_state(id), "live job {j}");
-        }
-    }
-
-    #[test]
-    fn compaction_keeps_abandoned_workflow_history() {
-        let registry = Registry::new();
-        registry.insert(WorkflowId(0), chain(2));
-        let config = EngineConfig {
-            retry: crate::RetryPolicy { max_attempts: Some(1), ..Default::default() },
-            ..EngineConfig::default()
-        };
-        let records = vec![
-            JournalRecord::Submit { workflow: 0, at: 0.0 },
-            JournalRecord::Ack {
-                ack: AckMsg {
-                    job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
-                    worker: 0,
-                    kind: AckKind::Failed,
-                    attempt: 1,
-                },
-                at: 1.0,
-            },
-        ];
-        let compacted = compact_records(&records, &registry, config).unwrap();
-        assert_eq!(compacted, records, "abandonment history is not elided");
-        let rec = recover(&compacted, &registry, config).unwrap();
-        assert_eq!(rec.engine.stats().workflows_abandoned, 1);
-        assert_eq!(rec.engine.stats().dead_lettered, 1);
-    }
-
-    #[test]
-    fn compact_then_recover_through_the_file() {
-        let path = tmp("compact");
-        let (registry, config, records) = noisy_history();
-        let mut j = Journal::create(&path).unwrap();
-        for rec in &records {
-            match *rec {
-                JournalRecord::Submit { workflow, at } => {
-                    j.record_submit(WorkflowId(workflow), 0, at).unwrap()
-                }
-                JournalRecord::Ack { ack, at } => j.record_ack(&ack, at).unwrap(),
-                JournalRecord::Scan { at } => j.record_scan(at).unwrap(),
-                JournalRecord::Worker { worker, generation, phase, at } => {
-                    j.record_worker(worker, generation, phase, at).unwrap()
-                }
-            }
-        }
-        assert!(j.maybe_compact(&registry, config, 8).unwrap());
-        assert_eq!(read_journal(&path).unwrap().len(), 6);
-
-        // The reopened writer appends to the compacted file.
-        let late = AckMsg {
-            job: EnsembleJobId::new(WorkflowId(1), JobId(0)),
-            worker: 0,
-            kind: AckKind::Completed,
-            attempt: 2,
-        };
-        j.record_ack(&late, 13.0).unwrap();
-        drop(j);
-
-        let rec = recover(&read_journal(&path).unwrap(), &registry, config).unwrap();
-        let mut engine = rec.engine;
-        assert_eq!(engine.stats().workflows_completed, 1);
-        assert_eq!(engine.stats().jobs_completed, 3);
-        // The recovered master can finish wf1 normally.
-        let mut sink = Vec::new();
-        engine.on_ack(
-            AckMsg {
-                job: EnsembleJobId::new(WorkflowId(1), JobId(1)),
-                worker: 0,
-                kind: AckKind::Completed,
-                attempt: 1,
-            },
-            14.0,
-            &mut sink,
-        );
-        assert_eq!(engine.stats().workflows_completed, 2);
-        assert!(engine.all_complete());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn maybe_compact_waits_for_the_wal_to_double() {
-        let path = tmp("floor");
-        let registry = Registry::new();
-        registry.insert(WorkflowId(0), chain(3));
-        let config = EngineConfig::default();
-        let mut j = Journal::create(&path).unwrap();
-        // A live-only journal: nothing can be elided.
-        j.record_submit(WorkflowId(0), 0, 0.0).unwrap();
-        let run = AckMsg {
-            job: EnsembleJobId::new(WorkflowId(0), JobId(0)),
-            worker: 0,
-            kind: AckKind::Running,
-            attempt: 1,
-        };
-        j.record_ack(&run, 0.5).unwrap();
-        assert!(j.maybe_compact(&registry, config, 2).unwrap());
-        assert_eq!(read_journal(&path).unwrap().len(), 2, "nothing elided");
-        // Below 2x the post-compaction size: no rewrite despite threshold.
-        j.record_ack(&run, 0.6).unwrap();
-        assert!(!j.maybe_compact(&registry, config, 2).unwrap());
-        j.record_ack(&run, 0.7).unwrap();
-        assert!(j.maybe_compact(&registry, config, 2).unwrap());
-        std::fs::remove_file(&path).ok();
     }
 }

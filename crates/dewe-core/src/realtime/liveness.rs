@@ -116,19 +116,6 @@ pub struct MasterStats {
     /// Workers expired after a master restart without ever making
     /// contact — the journal references them but they never came back.
     pub workers_lost_in_recovery: u64,
-    /// Coalesced dispatch runs (length ≥ 2) published as one batch.
-    /// Maintained by the serve loop, not the liveness table, and not
-    /// journaled.
-    pub dispatch_batches: u64,
-    /// Total dispatches that left inside those coalesced runs, so the
-    /// mean per-poll-cycle batch size is
-    /// `batched_dispatches / dispatch_batches`. Like
-    /// [`dispatch_batches`](Self::dispatch_batches), serve-loop-owned
-    /// and not journaled.
-    pub batched_dispatches: u64,
-    /// Deadline-wheel cascade re-files performed by the engine's timer
-    /// (see [`EnsembleEngine::timer_cascades`](crate::EnsembleEngine::timer_cascades)).
-    pub timer_cascades: u64,
 }
 
 /// One row of a liveness snapshot.

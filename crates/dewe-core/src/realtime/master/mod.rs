@@ -2,7 +2,7 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -66,7 +66,6 @@ pub struct MasterConfig {
     expected_workflows: Option<usize>,
     journal_path: Option<PathBuf>,
     recover: bool,
-    journal_compact_threshold: Option<usize>,
     lease_secs: Option<f64>,
 }
 
@@ -79,7 +78,6 @@ impl Default for MasterConfig {
             expected_workflows: None,
             journal_path: None,
             recover: false,
-            journal_compact_threshold: None,
             lease_secs: None,
         }
     }
@@ -151,12 +149,6 @@ impl MasterConfigBuilder {
         self
     }
 
-    /// Compact the WAL after this many appended records.
-    pub fn journal_compact_threshold(mut self, records: usize) -> Self {
-        self.cfg.journal_compact_threshold = Some(records);
-        self
-    }
-
     /// Worker lease duration, seconds; enables the liveness plane.
     pub fn lease_secs(mut self, secs: f64) -> Self {
         self.cfg.lease_secs = Some(secs);
@@ -199,11 +191,11 @@ pub enum MasterEvent {
         stats: EngineStats,
     },
     /// The master stopped on an I/O error: at startup its journal could
-    /// not be read, replayed against the registry, reopened or created
-    /// (nothing was served), or while serving a journal write failed (an
-    /// input it could not make durable is an input it must not act on).
-    /// The master has exited and [`MasterHandle::join`] returns all-zero
-    /// statistics.
+    /// not be read, replayed against the registry, reopened or created, or
+    /// a cold start found workflows in the registry (nothing was served),
+    /// or while serving a journal write failed (an input it could not make
+    /// durable is an input it must not act on). The master has exited and
+    /// [`MasterHandle::join`] returns all-zero statistics.
     Failed {
         /// What failed and why, one line.
         reason: String,
@@ -217,14 +209,6 @@ pub enum MasterEvent {
 struct FaultPlaneShared {
     stats: parking_lot::Mutex<MasterStats>,
     snapshot: parking_lot::Mutex<Vec<WorkerView>>,
-    /// Dispatch-pipeline counters, owned by the serve loop rather than
-    /// the liveness table — the table
-    /// overwrites `stats` wholesale on every publish, so these live
-    /// beside it and are merged into [`MasterHandle::master_stats`]
-    /// reads.
-    dispatch_batches: AtomicU64,
-    batched_dispatches: AtomicU64,
-    timer_cascades: AtomicU64,
 }
 
 /// Handle to a running master daemon.
@@ -245,18 +229,12 @@ impl MasterHandle {
         self.thread.take().expect("join called once").join().expect("master panicked")
     }
 
-    /// Master-side counters: the fault plane (lease-tracking fields are
-    /// all-zero unless `lease_secs` is configured) plus the dispatch
-    /// pipeline (batch sizes, timer cascades). Readable while the
-    /// master runs and after it exits (read before
-    /// [`join`](Self::join)/[`kill`](Self::kill), which consume the
-    /// handle).
+    /// The liveness table's counters (all zero unless `lease_secs` is
+    /// configured). Readable while the master runs and after it exits
+    /// (read before [`join`](Self::join)/[`kill`](Self::kill), which
+    /// consume the handle).
     pub fn master_stats(&self) -> MasterStats {
-        let mut stats = *self.shared.stats.lock();
-        stats.dispatch_batches = self.shared.dispatch_batches.load(Ordering::Relaxed);
-        stats.batched_dispatches = self.shared.batched_dispatches.load(Ordering::Relaxed);
-        stats.timer_cascades = self.shared.timer_cascades.load(Ordering::Relaxed);
-        stats
+        *self.shared.stats.lock()
     }
 
     /// Current liveness table rows, ordered by worker id. Empty when
@@ -325,17 +303,40 @@ mod tests {
     }
 
     #[test]
-    fn master_counts_coalesced_dispatch_runs() {
-        // A 1 → 16 fan-out: the root's completion releases 16 jobs in
-        // one poll cycle, so the serve loop must publish at least one
-        // coalesced run and account for it in the shared counters.
+    fn a_fan_out_leaves_the_master_as_one_dispatch_batch() {
+        // A 1 → 16 fan-out: the root's completion releases 16 jobs in one
+        // engine step, and the serve loop publishes them as one run. A
+        // worker reading its socket by hand sees where the run lands: one
+        // `DispatchBatch` frame.
+        use crate::protocol::WireMsg;
+        use dewe_mq::{read_frame, write_frame, DEFAULT_MAX_FRAME};
+        use std::io::BufReader;
+        use std::net::TcpStream;
+
         let tcp = endpoint();
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
             MasterConfig::builder().expected_workflows(1).build(),
         );
-        let (link, _) = link(&tcp, 0, 32);
+        let mut worker = TcpStream::connect(tcp.local_addr()).unwrap();
+        worker.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let hello = WireMsg::Hello { worker: 0, generation: 0, window: 32 };
+        write_frame(&mut worker, &hello.encode()).unwrap();
+        wait_until("the worker registers", || tcp.worker_conns() == 1);
+        let mut reader = BufReader::new(worker.try_clone().unwrap());
+        let mut next = || {
+            let frame = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
+            WireMsg::decode(&frame).unwrap()
+        };
+        let mut complete = |dispatches: &[DispatchMsg]| {
+            let mut acks = Vec::new();
+            for d in dispatches {
+                let ack = AckMsg::new(d.job, 0, AckKind::Completed, d.attempt);
+                write_frame(&mut acks, &WireMsg::Ack(ack).encode()).unwrap();
+            }
+            std::io::Write::write_all(&mut worker, &acks).unwrap();
+        };
 
         let mut b = WorkflowBuilder::new("fan");
         let root = b.job("root", "t", 1.0).build();
@@ -345,22 +346,16 @@ mod tests {
         }
         submit(&tcp, "fan", &b.finish().unwrap());
 
-        for _ in 0..17 {
-            let d = next_dispatch(&link);
-            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, d.attempt));
-        }
+        assert!(matches!(next(), WireMsg::Workflow { .. }), "announced first");
+        let WireMsg::Dispatch(first) = next() else { panic!("the root, alone") };
+        complete(&[first]);
+        let WireMsg::DispatchBatch(children) = next() else { panic!("the children, as one") };
+        assert_eq!(children.len(), 16);
+        complete(&children);
         let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
         assert!(matches!(ev, MasterEvent::WorkflowCompleted { .. }));
-        let stats = handle.master_stats();
-        assert!(stats.dispatch_batches >= 1, "fan-out run was coalesced");
-        assert!(
-            stats.batched_dispatches >= 2 * stats.dispatch_batches,
-            "every counted batch holds at least two dispatches"
-        );
-        assert_eq!(stats.timer_cascades, 0, "nothing timed out, nothing cascaded");
-        handle.join();
+        assert_eq!(handle.join().jobs_completed, 17);
         tcp.shutdown();
-        link.close();
     }
 
     #[test]

@@ -8,8 +8,10 @@ use super::*;
 /// when its deadline comes. With [`MasterConfigBuilder::journal_path`] set
 /// it write-ahead journals every input; with [`MasterConfigBuilder::recover`]
 /// it first replays that journal, rebuilding the pre-crash engine and
-/// republishing in-flight jobs. A journal that cannot be opened, replayed
-/// or written to is reported as [`MasterEvent::Failed`].
+/// republishing in-flight jobs and submitting any workflow the registry holds
+/// past it. A journal that cannot be opened, replayed or written to is
+/// reported as [`MasterEvent::Failed`], and so is a cold start over a
+/// registry that already holds workflows.
 pub fn spawn_master_on<T: MasterTransport>(
     transport: T,
     registry: Registry,
@@ -30,8 +32,8 @@ pub fn spawn_master_on<T: MasterTransport>(
 }
 
 /// The master thread: run [`serve`], and turn the one way it can fail — an
-/// I/O error on the journal, at startup or mid-run — into the one
-/// [`MasterEvent::Failed`] exit.
+/// error opening, replaying or writing the journal, or a registry a cold
+/// start cannot serve — into the one [`MasterEvent::Failed`] exit.
 fn master_loop<T: MasterTransport>(
     transport: &T,
     registry: Registry,
@@ -195,14 +197,16 @@ fn journal_error(step: &str, path: &Path, e: io::Error) -> io::Error {
 }
 
 /// Startup prologue: build the engine and open the WAL — a cold start, or
-/// a takeover that replays an existing journal and republishes what it
-/// leaves in flight. Everything here reads operator-supplied state from
-/// disk (a journal from another run, a spool that no longer matches it, an
-/// unwritable path), so every failure is returned, not unwrapped.
+/// a takeover that replays an existing journal, submits what the registry
+/// holds past it, and republishes what it leaves in flight. Everything here
+/// reads operator-supplied state from disk (a journal from another run, a
+/// spool that no longer matches it, an unwritable path), so every failure
+/// is returned, not unwrapped.
 fn open<T: MasterTransport>(
     transport: &T,
     registry: &Registry,
     config: &MasterConfig,
+    events: &Sender<MasterEvent>,
     shared: &Arc<FaultPlaneShared>,
 ) -> io::Result<Opened> {
     // The journal to take over from, if any. Without one this is a cold
@@ -222,6 +226,23 @@ fn open<T: MasterTransport>(
             },
         )?;
     let Some(path) = takeover else {
+        // A cold start numbers workflows from 0, so it cannot serve a
+        // registry an earlier master filled. The journal path is tried
+        // first, without truncating it: an unusable path still says so,
+        // and a refused start leaves that master's journal as it was.
+        if let Some(path) = &config.journal_path {
+            Journal::append(path).map_err(|e| journal_error("create journal", path, e))?;
+        }
+        if !registry.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "cold start over {} spooled workflow(s): restart with --recover and the \
+                     journal they were submitted under, or with an empty state directory",
+                    registry.len()
+                ),
+            ));
+        }
         let wal = match &config.journal_path {
             Some(path) => Some((
                 Journal::create(path).map_err(|e| journal_error("create journal", path, e))?,
@@ -233,7 +254,7 @@ fn open<T: MasterTransport>(
         return Ok(Opened { engine: rec.engine, wal: Wal(wal), liveness, time_base: 0.0 });
     };
 
-    let engine = rec.engine;
+    let mut engine = rec.engine;
     let liveness = build_plane(config, shared, Some((&records, rec.resume_at)));
     if liveness.is_some() {
         // The lifecycle backlog predates the takeover (heartbeats of
@@ -245,10 +266,25 @@ fn open<T: MasterTransport>(
         // or ack grants an implicit lease.
         while transport.try_pull_lifecycle().is_some() {}
     }
-    // Re-announce every recovered workflow before anything is
-    // redispatched: a networked transport starts with an empty mirror,
-    // and workers must know a workflow before its jobs.
-    announce_registry(transport, registry, engine.workflow_count());
+    let journal = Journal::append(path).map_err(|e| journal_error("reopen journal", path, e))?;
+    let mut wal = Wal(Some((journal, path.to_path_buf())));
+    // A registry that runs past the journal holds workflows the dead
+    // master spooled and announced but never journaled. Workers may mirror
+    // them under these ids already, so they are submitted, not dropped: in
+    // id order, each journaled before the engine sees it.
+    let mut actions = Vec::new();
+    loop {
+        let id = WorkflowId::from_index(engine.workflow_count());
+        let Some(workflow) = registry.get(id) else {
+            break;
+        };
+        wal.write("journal submit", |w| w.record_submit(id, 0, rec.resume_at))?;
+        engine.submit_workflow(workflow, rec.resume_at, &mut actions);
+    }
+    // Re-announce every workflow before anything is dispatched: a
+    // networked transport starts with an empty mirror, and workers must
+    // know a workflow before its jobs.
+    announce_registry(transport, registry);
     // Pre-crash queue state is unknown; republish everything the rebuilt
     // engine believes is in flight. Workers that already ran these
     // attempts produce duplicate-completion noise the engine tolerates.
@@ -260,10 +296,7 @@ fn open<T: MasterTransport>(
     if let Some(plane) = &liveness {
         run.retain(|d| !matches!(plane.table.assignment(d.job), Some((_, a)) if a == d.attempt));
     }
-    transport.publish_dispatch_batch(0, &mut run);
-    let mut wal = Journal::append(path).map_err(|e| journal_error("reopen journal", path, e))?;
-    wal.note_existing(records.len());
-    let wal = Wal(Some((wal, path.to_path_buf())));
+    publish_actions(transport, events, &mut actions, &mut run);
     Ok(Opened { engine, wal, liveness, time_base: rec.resume_at })
 }
 
@@ -283,7 +316,7 @@ fn serve<T: MasterTransport>(
     shared: &Arc<FaultPlaneShared>,
 ) -> io::Result<EngineStats> {
     let Opened { mut engine, mut wal, mut liveness, time_base } =
-        open(transport, registry, config, shared)?;
+        open(transport, registry, config, events, shared)?;
     let mut actions: Vec<Action> = Vec::new();
     let mut ack_burst: Vec<AckMsg> = Vec::with_capacity(ACK_BURST);
     let mut requeue_acks: Vec<AckMsg> = Vec::new();
@@ -296,7 +329,6 @@ fn serve<T: MasterTransport>(
             // Simulated crash: drop everything on the floor.
             return Ok(engine.stats());
         }
-        mirror_cascades(shared, &engine);
         let now = clock();
 
         // 1. Ingest any newly submitted workflows.
@@ -318,7 +350,7 @@ fn serve<T: MasterTransport>(
             wal.write("journal submit", |w| w.record_submit(expected_id, 0, now))?;
             let id = engine.submit_workflow(sub.workflow, now, &mut actions);
             debug_assert_eq!(id, expected_id);
-            publish_actions(transport, shared, events, &mut actions, &mut run);
+            publish_actions(transport, events, &mut actions, &mut run);
         }
 
         // 2. Timeout scan, once the earliest deadline has passed. A scan is
@@ -333,7 +365,7 @@ fn serve<T: MasterTransport>(
                 wal.write("journal scan", |w| w.record_scan(now))?;
                 wal.commit()?;
             }
-            publish_actions(transport, shared, events, &mut actions, &mut run);
+            publish_actions(transport, events, &mut actions, &mut run);
         }
 
         // 2b. Liveness plane: ingest lifecycle traffic, expire lapsed
@@ -349,7 +381,7 @@ fn serve<T: MasterTransport>(
             for ack in requeue_acks.drain(..) {
                 engine.on_ack(ack, now, &mut actions);
             }
-            publish_actions(transport, shared, events, &mut actions, &mut run);
+            publish_actions(transport, events, &mut actions, &mut run);
         }
 
         // 3. Exit once the expected workload has settled. (The engine's
@@ -365,7 +397,6 @@ fn serve<T: MasterTransport>(
                     MasterEvent::AllSettled { stats }
                 };
                 let _ = events.send(ev);
-                mirror_cascades(shared, &engine);
                 return Ok(stats);
             }
         }
@@ -405,12 +436,10 @@ fn serve<T: MasterTransport>(
                 for ack in ack_burst.drain(..) {
                     engine.on_ack(ack, now, &mut actions);
                 }
-                maybe_compact(&mut wal, registry, config);
-                publish_actions(transport, shared, events, &mut actions, &mut run);
+                publish_actions(transport, events, &mut actions, &mut run);
             }
             None => {
                 if transport.ack_closed() {
-                    mirror_cascades(shared, &engine);
                     return Ok(engine.stats());
                 }
             }
@@ -418,10 +447,10 @@ fn serve<T: MasterTransport>(
     }
 }
 
-/// Broadcast the first `count` registry entries as workflow
-/// announcements — the recovery-path rebuild of the workers' mirrors.
-fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry, count: usize) {
-    for idx in 0..count {
+/// Broadcast every registry entry as a workflow announcement — the
+/// recovery-path rebuild of the workers' mirrors.
+fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry) {
+    for idx in 0..registry.len() {
         let id = WorkflowId::from_index(idx);
         let Some(workflow) = registry.get(id) else {
             continue;
@@ -431,42 +460,18 @@ fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry, cou
     }
 }
 
-/// Compact the WAL once it crosses the configured record threshold —
-/// completed workflows collapse to a synthetic prefix so recovery replay
-/// stays proportional to live state, not ensemble lifetime. Compaction
-/// failure is non-fatal: the journal keeps growing and recovery still
-/// works, so log-and-continue beats taking the master down.
-fn maybe_compact(wal: &mut Wal, registry: &Registry, config: &MasterConfig) {
-    let (Some((w, _)), Some(threshold)) = (wal.0.as_mut(), config.journal_compact_threshold) else {
-        return;
-    };
-    if let Err(e) = w.maybe_compact(registry, config.engine_config(), threshold) {
-        eprintln!("dewe-master: journal compaction failed (will retry): {e}");
-    }
-}
-
 /// How long from engine time `now` until `due`, rounded up so a sleep of it
 /// never ends short of `due` (one already past is no wait); nothing due, forever.
 fn time_until(due: Option<f64>, now: f64) -> Duration {
     due.map_or(Duration::MAX, |due| Duration::from_nanos(((due - now) * 1e9).ceil() as u64))
 }
 
-/// Mirror the engine's cumulative deadline-wheel cascade count into the
-/// shared stats cell — a cheap atomic store, refreshed once per poll
-/// cycle and at every graceful serve-loop exit so the final
-/// [`MasterHandle::master_stats`] read is exact.
-fn mirror_cascades(shared: &FaultPlaneShared, engine: &EnsembleEngine) {
-    shared.timer_cascades.store(engine.timer_cascades(), Ordering::Relaxed);
-}
-
 /// Publish the dispatch actions of one engine step as a single run —
 /// one [`Transport::publish_dispatch_batch`] call, whatever its length
 /// (the transport decides how a run of one travels) — and forward
-/// progress events, draining the caller's reusable buffers. Runs of two
-/// or more are counted into the shared [`MasterStats`] counters.
+/// progress events, draining the caller's reusable buffers.
 fn publish_actions<T: MasterTransport>(
     transport: &T,
-    shared: &FaultPlaneShared,
     events: &Sender<MasterEvent>,
     actions: &mut Vec<Action>,
     run: &mut Vec<DispatchMsg>,
@@ -483,14 +488,9 @@ fn publish_actions<T: MasterTransport>(
             Action::JobDeadLettered { .. } | Action::AllCompleted | Action::AllSettled => {}
         }
     }
-    if run.is_empty() {
-        return;
+    if !run.is_empty() {
+        transport.publish_dispatch_batch(0, run);
     }
-    if run.len() >= 2 {
-        shared.dispatch_batches.fetch_add(1, Ordering::Relaxed);
-        shared.batched_dispatches.fetch_add(run.len() as u64, Ordering::Relaxed);
-    }
-    transport.publish_dispatch_batch(0, run);
 }
 
 #[cfg(test)]
@@ -501,6 +501,7 @@ mod tests {
     use crate::realtime::TcpMaster;
     use dewe_dag::WorkflowBuilder;
     use dewe_mq::{Topic, WorkerTransport};
+    use std::sync::atomic::AtomicU64;
 
     /// The startup prologue reads operator-supplied state from disk. An
     /// unusable journal must surface as one `Failed` event and a clean
@@ -544,6 +545,41 @@ mod tests {
             assert!(reason.contains(&path.display().to_string()), "{reason:?} names the file");
             assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A cold start numbers workflows from 0, so a registry an earlier
+    /// master filled would hand the next submission a taken id. The master
+    /// fails before serving, with or without a journal of its own, and
+    /// leaves the earlier master's journal as it was: the remedy is to take
+    /// that journal over.
+    #[test]
+    fn a_cold_start_over_a_filled_registry_fails_and_truncates_nothing() {
+        let dir = std::env::temp_dir().join(format!("dewe-master-cold-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let journal = dir.join("master.wal");
+        let mut j = Journal::create(&journal).unwrap();
+        j.record_submit(WorkflowId(0), 0, 0.5).unwrap();
+        drop(j);
+        let written = std::fs::read(&journal).unwrap();
+        let registry = Registry::new();
+        let mut b = WorkflowBuilder::new("one");
+        b.job("a", "t", 1.0).build();
+        registry.insert(WorkflowId(0), Arc::new(b.finish().unwrap()));
+
+        for config in
+            [MasterConfig::builder().journal_path(&journal).build(), MasterConfig::default()]
+        {
+            let handle = spawn_master_on(endpoint(), registry.clone(), config);
+            let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+            let MasterEvent::Failed { reason } = ev else {
+                panic!("expected Failed, got {ev:?}");
+            };
+            assert!(reason.starts_with("cold start over 1 spooled workflow"), "{reason:?}");
+            assert!(reason.contains("--recover"), "{reason:?} names the remedy");
+            assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
+        }
+        assert_eq!(std::fs::read(&journal).unwrap(), written, "the journal is untouched");
         std::fs::remove_dir_all(&dir).ok();
     }
 

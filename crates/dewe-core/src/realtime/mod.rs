@@ -35,9 +35,7 @@ mod registry;
 mod runner;
 mod worker;
 
-pub use journal::{
-    compact_records, read_journal, recover, replay_liveness, Journal, JournalRecord, Recovery,
-};
+pub use journal::{read_journal, recover, replay_liveness, Journal, JournalRecord, Recovery};
 pub use liveness::{
     LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerPhase, WorkerView,
     REQUEUE_WORKER,

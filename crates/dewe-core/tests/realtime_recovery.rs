@@ -16,10 +16,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dewe_core::realtime::{
-    compact_records, read_journal, recover, spawn_master_on, spawn_worker_on, submit_over_tcp,
-    JournalRecord, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, Registry,
-    SleepRunner, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
-    WorkerHandle,
+    read_journal, recover, spawn_master_on, spawn_worker_on, submit_over_tcp, JournalRecord,
+    MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, Registry, SleepRunner, TcpMaster,
+    TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
 use dewe_core::{AckKind, AckMsg, Action, EngineConfig, EnsembleEngine, RetryPolicy};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
@@ -337,120 +336,6 @@ fn ensemble_finishes_after_master_failover() {
     // read them.
     let reoffered = u64::from(TcpWorkerOptions::default().window);
     assert!(stats.duplicate_completions <= 4 + reoffered, "noise bounded: {stats:?}");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compacted_journal_still_recovers_the_ensemble() {
-    // Same failover shape as above, but with WAL compaction active at an
-    // aggressive threshold: by the time the master is killed the journal
-    // has been rewritten as a synthetic prefix at least once, and the
-    // replacement must recover from that compacted file.
-    let dir = scratch("compact");
-    let config = |recover: bool| {
-        journaled(&dir, recover).expected_workflows(4).journal_compact_threshold(8).build()
-    };
-    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
-    let addr = master.addr();
-    let worker = worker(addr, 0, 2, None);
-    master.submit(&chains(4, 4));
-
-    // Let two workflows complete so compaction has material to elide,
-    // then crash.
-    let mut completions = 0;
-    while completions < 2 {
-        let ev = master.handle.events.recv_timeout(Duration::from_secs(30)).expect("completion");
-        if matches!(ev, MasterEvent::WorkflowCompleted { .. }) {
-            completions += 1;
-        }
-    }
-    let registry = master.kill();
-
-    // The compacted journal replays to the full pre-crash completion
-    // count — and stays lean: 2 completed workflows are at most S + 4
-    // effective completions each, plus the live workflows' history.
-    let records = read_journal(&dir.join("master.wal")).expect("journal readable");
-    let replay =
-        recover(&records, &registry, EngineConfig::default()).expect("compacted journal replays");
-    assert!(
-        replay.engine.stats().workflows_completed >= 2,
-        "pre-crash progress survives compaction: {:?}",
-        replay.engine.stats()
-    );
-
-    let stats = Master::start(addr, &dir, config(true)).join();
-    worker.stop();
-
-    assert_eq!(stats.workflows_completed, 4, "ensemble finished after failover");
-    assert_eq!(stats.workflows_abandoned, 0);
-    assert_eq!(stats.jobs_completed, 16);
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn compaction_racing_an_ack_burst_survives_failover() {
-    // The sharpest WAL corner: in-place compaction (`maybe_compact`)
-    // running right behind every ack burst, with the master killed
-    // somewhere in between. Compaction reads the file from disk, so the
-    // burst it follows must be in the file first or the synthetic prefix
-    // silently loses it — and the kill lands on whichever journal
-    // (original or compacted) happens to be on disk. An aggressive
-    // threshold makes both orderings occur across the run.
-    let dir = scratch("compact-gc");
-    let config = |recover: bool| {
-        journaled(&dir, recover).expected_workflows(4).journal_compact_threshold(8).build()
-    };
-    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
-    let addr = master.addr();
-    let worker = worker(addr, 0, 2, None);
-    master.submit(&chains(4, 4));
-
-    // Two completed workflows guarantee compaction had material to elide
-    // and fired at least once (8 records arrive within the first
-    // workflow); then crash with jobs still in flight.
-    let mut completions = 0;
-    while completions < 2 {
-        let ev = master.handle.events.recv_timeout(Duration::from_secs(30)).expect("completion");
-        if matches!(ev, MasterEvent::WorkflowCompleted { .. }) {
-            completions += 1;
-        }
-    }
-    let registry = master.kill();
-
-    // Recovery equivalence: the on-disk journal and its re-compaction
-    // must rebuild identical live state. `compact_records` documents the
-    // contract — tracker, in-flight attempts, and the
-    // submitted/completed/abandoned/jobs_completed counters survive; only
-    // per-attempt diagnostics of *completed* workflows are synthesized.
-    let records = read_journal(&dir.join("master.wal")).expect("journal readable");
-    let engine_cfg = EngineConfig::default();
-    let replay = recover(&records, &registry, engine_cfg).expect("journal replays");
-    let recompacted =
-        compact_records(&records, &registry, engine_cfg).expect("crash-point journal compacts");
-    let replay2 = recover(&recompacted, &registry, engine_cfg).expect("compacted journal replays");
-    let (a, b) = (replay.engine.stats(), replay2.engine.stats());
-    assert!(a.workflows_completed >= 2, "pre-crash progress recovered: {a:?}");
-    assert_eq!(a.workflows_submitted, b.workflows_submitted, "equivalence: {a:?} vs {b:?}");
-    assert_eq!(a.workflows_completed, b.workflows_completed, "equivalence: {a:?} vs {b:?}");
-    assert_eq!(a.workflows_abandoned, b.workflows_abandoned, "equivalence: {a:?} vs {b:?}");
-    assert_eq!(a.jobs_completed, b.jobs_completed, "equivalence: {a:?} vs {b:?}");
-    assert_eq!(
-        replay.redispatch.len(),
-        replay2.redispatch.len(),
-        "same in-flight frontier republished after failover"
-    );
-
-    // And the replacement master must finish the ensemble from that
-    // journal.
-    let stats = Master::start(addr, &dir, config(true)).join();
-    worker.stop();
-
-    assert_eq!(stats.workflows_completed, 4, "ensemble finished after failover");
-    assert_eq!(stats.workflows_abandoned, 0);
-    assert_eq!(stats.jobs_completed, 16);
-    assert_eq!(stats.dead_lettered, 0);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

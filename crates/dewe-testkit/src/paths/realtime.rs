@@ -124,16 +124,6 @@ fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> 
     }
     if let Some(path) = journal {
         cfg = cfg.journal_path(path);
-        // Seeded structural fuzz, deterministic per scenario: half the
-        // seeds compact the WAL aggressively mid-run, so master
-        // kill/restart recovery is exercised against a rewritten journal
-        // as well as a plain one. The draw reads bits 4 and up of `mix`;
-        // moving it would change which of the seeds quoted in repro
-        // reports compact.
-        let mix = scenario.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        if (mix >> 4) & 1 == 0 {
-            cfg = cfg.journal_compact_threshold(4 + ((mix >> 5) % 8) as usize);
-        }
     }
     cfg.build()
 }

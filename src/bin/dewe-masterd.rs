@@ -87,6 +87,9 @@ fn parse_args() -> Result<Args, String> {
     if args.listen.is_empty() {
         return Err("--listen <addr> is required".into());
     }
+    if args.recover && args.journal.is_none() {
+        return Err("--recover needs --journal".into());
+    }
     Ok(args)
 }
 

@@ -30,7 +30,7 @@ struct Args {
     slots: usize,
     window: Option<u32>,
     heartbeat: Option<f64>,
-    runner: String,
+    runner: Arc<dyn JobRunner>,
 }
 
 /// A duration flag's value: seconds, greater than zero and small enough
@@ -50,7 +50,7 @@ fn parse_args() -> Result<Args, String> {
         slots: 4,
         window: None,
         heartbeat: None,
-        runner: "sleep:1.0".into(),
+        runner: Arc::new(SleepRunner::new(1.0)),
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -78,7 +78,7 @@ fn parse_args() -> Result<Args, String> {
             "--heartbeat" => {
                 args.heartbeat = Some(positive_secs("--heartbeat", &value(&mut i, "--heartbeat")?)?)
             }
-            "--runner" => args.runner = value(&mut i, "--runner")?,
+            "--runner" => args.runner = make_runner(&value(&mut i, "--runner")?)?,
             other => return Err(format!("unknown flag {other}")),
         }
     }
@@ -88,19 +88,24 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// A `--runner` value: `noop`, or `sleep:` or `cpu:` and a scale in real
+/// seconds per CPU-second — not negative, and small enough for a
+/// [`Duration`] (which rules out NaN and the infinities too), since every
+/// job's run time is computed from it.
 fn make_runner(spec: &str) -> Result<Arc<dyn JobRunner>, String> {
-    if spec == "noop" {
-        return Ok(Arc::new(NoopRunner));
-    }
-    if let Some(scale) = spec.strip_prefix("sleep:") {
-        let scale: f64 = scale.parse().map_err(|_| format!("bad sleep scale in {spec}"))?;
-        return Ok(Arc::new(SleepRunner::new(scale)));
-    }
-    if let Some(scale) = spec.strip_prefix("cpu:") {
-        let scale: f64 = scale.parse().map_err(|_| format!("bad cpu scale in {spec}"))?;
-        return Ok(Arc::new(CpuRunner::new(scale)));
-    }
-    Err(format!("unknown runner {spec} (expected noop, sleep:<scale>, cpu:<scale>)"))
+    let scale = |s: &str| s.parse().ok().filter(|&x| Duration::try_from_secs_f64(x).is_ok());
+    let runner: Option<Arc<dyn JobRunner>> = match spec.split_once(':') {
+        None if spec == "noop" => Some(Arc::new(NoopRunner)),
+        Some(("sleep", s)) => scale(s).map(|x| Arc::new(SleepRunner::new(x)) as _),
+        Some(("cpu", s)) => scale(s).map(|x| Arc::new(CpuRunner::new(x)) as _),
+        _ => None,
+    };
+    runner.ok_or_else(|| {
+        format!(
+            "--runner must be noop, sleep:<scale> or cpu:<scale> with a finite scale of at \
+             least 0, got {spec}"
+        )
+    })
 }
 
 fn main() {
@@ -115,14 +120,6 @@ fn main() {
             exit(2);
         }
     };
-    let runner = match make_runner(&args.runner) {
-        Ok(r) => r,
-        Err(msg) => {
-            eprintln!("dewe-workerd: {msg}");
-            exit(2);
-        }
-    };
-
     let registry = Registry::new();
     // Window default: enough credit to keep every slot busy with one
     // dispatch queued behind it.
@@ -143,7 +140,7 @@ fn main() {
     let handle = spawn_worker_on(
         Arc::new(link.clone()),
         registry,
-        runner,
+        args.runner,
         WorkerConfig {
             worker_id: args.id,
             generation: args.generation,
