@@ -21,7 +21,10 @@ use std::sync::Arc;
 /// Revision 2 added the coalesced [`WireMsg::DispatchBatch`] frame — a
 /// v1 worker cannot parse it, so mixed fleets must fail the handshake,
 /// not mid-stream. Revision 3 took the pin flag out of [`WireMsg::Hello`].
-pub const PROTOCOL_VERSION: u8 = 3;
+/// Revision 4 sends a DAG text over each hop once ([`WireMsg::Repeat`],
+/// [`WireMsg::Alias`]) and retired the single-dispatch frame: a run of one
+/// is a [`WireMsg::DispatchBatch`] of one.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Workflow submission topic payload.
 ///
@@ -29,7 +32,8 @@ pub const PROTOCOL_VERSION: u8 = 3;
 /// the related folder on the shared file system"; the serve loop is
 /// handed the parsed DAG (the shared-FS folder equivalent). On the wire
 /// the DAG travels as its text format ([`WireMsg::Submit`]) and is parsed
-/// back at the master.
+/// back at the master — or, when it is the text the connection submitted
+/// last, as a [`WireMsg::Repeat`] of it.
 #[derive(Clone)]
 pub struct SubmissionMsg {
     /// Human-readable workflow name.
@@ -247,15 +251,19 @@ const T_ACK: u8 = 0x03;
 const T_LIFECYCLE: u8 = 0x04;
 const T_SUBMIT: u8 = 0x05;
 const T_RETURN: u8 = 0x06;
+const T_REPEAT: u8 = 0x07;
 const T_WORKFLOW: u8 = 0x81;
-const T_DISPATCH: u8 = 0x82;
+// 0x82 was the single `Dispatch` of revisions 1–3.
 const T_BYE: u8 = 0x83;
 const T_DISPATCH_BATCH: u8 = 0x84;
+const T_ALIAS: u8 = 0x85;
 
 /// Every message the TCP runtime carries, in both directions. DAGs
 /// travel as their text format (`dewe_dag::write_workflow`), which the
 /// receiving side parses back — the wire analogue of the paper's
-/// "path to the related folder on the shared file system".
+/// "path to the related folder on the shared file system". A text crosses
+/// each connection once: a later copy of it is a [`WireMsg::Repeat`]
+/// (submitter → master) or a [`WireMsg::Alias`] (master → worker).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum WireMsg {
@@ -285,6 +293,14 @@ pub enum WireMsg {
     /// A pulled-but-unstarted dispatch handed back by a stopping worker
     /// (worker → master): redeliver it elsewhere, returning the credit.
     Return(DispatchMsg),
+    /// Workflow submission (submitter → master) of the same DAG text as
+    /// this connection's previous submission, which the master already
+    /// holds. A connection with no accepted submission before it has
+    /// nothing to repeat: the master rejects it.
+    Repeat {
+        /// Human-readable workflow name.
+        name: String,
+    },
     /// Workflow announcement (master → worker): registry mirror entry.
     Workflow {
         /// The dense workflow id.
@@ -294,13 +310,20 @@ pub enum WireMsg {
         /// The DAG in `dewe-dag` text format.
         dag: String,
     },
-    /// Job dispatch (master → worker).
-    Dispatch(DispatchMsg),
+    /// Workflow announcement (master → worker) of the DAG already announced
+    /// on this connection as workflow `same_as`, an earlier id.
+    Alias {
+        /// The dense workflow id.
+        id: WorkflowId,
+        /// Human-readable workflow name.
+        name: String,
+        /// The earlier workflow whose DAG this one shares.
+        same_as: WorkflowId,
+    },
     /// A run of job dispatches that became eligible in the same master
-    /// poll cycle, coalesced into one frame (master → worker). The
-    /// worker executes them exactly as if they had arrived as that many
-    /// [`WireMsg::Dispatch`] frames in order; the batch spends one
-    /// window credit per contained dispatch.
+    /// poll cycle, in one frame (master → worker), however short the run.
+    /// The worker executes them in order; the batch spends one window
+    /// credit per contained dispatch.
     DispatchBatch(Vec<DispatchMsg>),
     /// The master is done and will close the connection; the worker may
     /// exit instead of reconnecting.
@@ -339,21 +362,20 @@ impl WireMsg {
                 out.push(T_RETURN);
                 put_dispatch(&mut out, d);
             }
+            WireMsg::Repeat { name } => {
+                out.push(T_REPEAT);
+                put_str(&mut out, name);
+            }
             WireMsg::Workflow { id, name, dag } => {
                 return DagFrame { id: Some(*id), name, dag }.encode()
             }
-            WireMsg::Dispatch(d) => {
-                out.push(T_DISPATCH);
-                put_dispatch(&mut out, d);
+            WireMsg::Alias { id, name, same_as } => {
+                out.push(T_ALIAS);
+                put_u32(&mut out, id.0);
+                put_u32(&mut out, same_as.0);
+                put_str(&mut out, name);
             }
-            WireMsg::DispatchBatch(batch) => {
-                out.push(T_DISPATCH_BATCH);
-                out.reserve(4 + batch.len() * 12);
-                put_u32(&mut out, u32::try_from(batch.len()).expect("batch exceeds u32 length"));
-                for d in batch {
-                    put_dispatch(&mut out, d);
-                }
-            }
+            WireMsg::DispatchBatch(batch) => return encode_dispatch_batch(batch),
             WireMsg::Bye => out.push(T_BYE),
         }
         out
@@ -400,7 +422,15 @@ impl WireMsg {
                 }
             }
             T_RETURN => WireMsg::Return(r.dispatch()?),
-            T_DISPATCH => WireMsg::Dispatch(r.dispatch()?),
+            T_REPEAT => WireMsg::Repeat { name: r.str()?.to_string() },
+            T_ALIAS => {
+                let id = WorkflowId(r.u32()?);
+                let same_as = WorkflowId(r.u32()?);
+                if same_as >= id {
+                    return Err(WireError::BadPayload("alias of a workflow not earlier"));
+                }
+                WireMsg::Alias { id, name: r.str()?.to_string(), same_as }
+            }
             T_DISPATCH_BATCH => {
                 let count = r.u32()? as usize;
                 // Cap the pre-allocation by what the frame could actually
@@ -480,6 +510,21 @@ impl<'a> DagFrame<'a> {
         out.extend_from_slice(self.dag.as_bytes());
         out
     }
+}
+
+/// The [`WireMsg::DispatchBatch`] frame payload of `run`, encoded from the
+/// slice: the master sends every run it places this way, without first
+/// copying the run into a message. Allocated with room for the frame's
+/// 4-byte length prefix, which the master's sender puts in front.
+pub(crate) fn encode_dispatch_batch(run: &[DispatchMsg]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + 2 + 4 + run.len() * 12);
+    out.push(PROTOCOL_VERSION);
+    out.push(T_DISPATCH_BATCH);
+    put_u32(&mut out, u32::try_from(run.len()).expect("batch exceeds u32 length"));
+    for d in run {
+        put_dispatch(&mut out, d);
+    }
+    out
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -587,8 +632,10 @@ mod tests {
             WireMsg::Lifecycle(LifecycleMsg::new(3, 2, LifecycleKind::Heartbeat)),
             WireMsg::Submit { name: "montage".into(), dag: "# dag text".into() },
             WireMsg::Return(DispatchMsg::new(job, 4)),
+            WireMsg::Repeat { name: "montage-1".into() },
             WireMsg::Workflow { id: WorkflowId(9), name: "m".into(), dag: "# dag".into() },
-            WireMsg::Dispatch(DispatchMsg::new(job, 1)),
+            WireMsg::Alias { id: WorkflowId(9), name: "m-9".into(), same_as: WorkflowId(2) },
+            WireMsg::DispatchBatch(vec![DispatchMsg::new(job, 1)]),
             WireMsg::DispatchBatch(vec![
                 DispatchMsg::new(job, 1),
                 DispatchMsg::new(EnsembleJobId::new(WorkflowId(7), JobId(12)), 3),
@@ -622,11 +669,25 @@ mod tests {
     fn corrupt_frames_fail_loud_within_a_known_version() {
         // Unknown type byte.
         assert_eq!(WireMsg::decode(&[PROTOCOL_VERSION, 0x7F]), Err(WireError::UnknownType(0x7F)));
+        // The single-dispatch type byte of revisions 1–3.
+        assert_eq!(WireMsg::decode(&[PROTOCOL_VERSION, 0x82]), Err(WireError::UnknownType(0x82)));
         // Truncated body.
         let bytes =
-            WireMsg::Dispatch(DispatchMsg::new(EnsembleJobId::new(WorkflowId(1), JobId(2)), 1))
+            WireMsg::Return(DispatchMsg::new(EnsembleJobId::new(WorkflowId(1), JobId(2)), 1))
                 .encode();
         assert_eq!(WireMsg::decode(&bytes[..bytes.len() - 1]), Err(WireError::Truncated));
+        // An alias names an earlier workflow: never itself, never a later one.
+        for same_as in [3, 4] {
+            let alias = WireMsg::Alias {
+                id: WorkflowId(3),
+                name: "n".into(),
+                same_as: WorkflowId(same_as),
+            };
+            assert_eq!(
+                WireMsg::decode(&alias.encode()),
+                Err(WireError::BadPayload("alias of a workflow not earlier"))
+            );
+        }
         // The handshake, cut anywhere inside its three fields.
         let hello = WireMsg::Hello { worker: 3, generation: 2, window: 64 }.encode();
         assert_eq!(hello.len(), 2 + 3 * 4);
@@ -644,6 +705,15 @@ mod tests {
         let kind_at = ack.len() - 5; // kind byte sits before the trailing attempt u32
         ack[kind_at] = 9;
         assert_eq!(WireMsg::decode(&ack), Err(WireError::BadPayload("ack kind")));
+    }
+
+    #[test]
+    fn a_run_of_one_is_a_batch_four_bytes_longer_than_the_retired_frame() {
+        let d = DispatchMsg::new(EnsembleJobId::new(WorkflowId(1), JobId(2)), 1);
+        let one = encode_dispatch_batch(&[d]);
+        assert_eq!(one.len(), 2 + 12 + 4);
+        assert_eq!(one, WireMsg::DispatchBatch(vec![d]).encode());
+        assert_eq!(WireMsg::decode(&one), Ok(WireMsg::DispatchBatch(vec![d])));
     }
 
     #[test]

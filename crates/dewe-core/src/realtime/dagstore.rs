@@ -1,15 +1,17 @@
 //! Content-addressed store of workflow DAG texts: parse each distinct
 //! text once, keep one copy of it.
 //!
-//! The paper's ensembles are N × the same DAG, and over TCP a DAG travels
-//! as text — submitter → master → every worker, and master → spool →
-//! restarted master. Each of those hops would otherwise parse the text
-//! again and hold its own `Workflow`. [`DagStore::intern`] gives every
-//! byte-identical text the same `Arc<Workflow>`; [`DagStore::text_of`]
-//! gives the master the text back for spooling and announcing, so nothing
-//! is ever serialised that arrived as text. Dedupe is by content, not by
-//! name or id: the submitter chooses names, and the same file is routinely
-//! submitted under many.
+//! The paper's ensembles are N × the same DAG. Over TCP a DAG reaches the
+//! master as text — from submitters, each on its own connection, and from
+//! the spool of the master it takes over from — and each arrival would
+//! otherwise parse the text again and hold its own `Workflow`.
+//! [`DagStore::intern`] gives every byte-identical text the same
+//! `Arc<Workflow>`; [`DagStore::text_of`] gives the master the text back
+//! for spooling and announcing, so nothing is ever serialised that arrived
+//! as text. Dedupe is by content, not by name or id: the submitter chooses
+//! names, and the same file is routinely submitted under many. The master
+//! announces and spools a text once and every later workflow sharing it as
+//! a reference (`net` module documentation), so its workers need no store.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -48,8 +50,8 @@ impl State {
     }
 }
 
-/// See the module documentation. One per `TcpMaster` and per
-/// `TcpWorkerLink`; entries live as long as the store.
+/// See the module documentation. One per `TcpMaster`; entries live as
+/// long as the store.
 #[derive(Default)]
 pub(crate) struct DagStore {
     /// Keyed per store with the standard library's random keys, so a

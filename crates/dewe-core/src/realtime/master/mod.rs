@@ -347,8 +347,9 @@ mod tests {
         submit(&tcp, "fan", &b.finish().unwrap());
 
         assert!(matches!(next(), WireMsg::Workflow { .. }), "announced first");
-        let WireMsg::Dispatch(first) = next() else { panic!("the root, alone") };
-        complete(&[first]);
+        let WireMsg::DispatchBatch(first) = next() else { panic!("the root, alone") };
+        assert_eq!(first.len(), 1);
+        complete(&first);
         let WireMsg::DispatchBatch(children) = next() else { panic!("the children, as one") };
         assert_eq!(children.len(), 16);
         complete(&children);

@@ -284,7 +284,7 @@ fn open<T: MasterTransport>(
     // Re-announce every workflow before anything is dispatched: a
     // networked transport starts with an empty mirror, and workers must
     // know a workflow before its jobs.
-    announce_registry(transport, registry);
+    announce_registry(transport, registry)?;
     // Pre-crash queue state is unknown; republish everything the rebuilt
     // engine believes is in flight. Workers that already ran these
     // attempts produce duplicate-completion noise the engine tolerates.
@@ -338,15 +338,15 @@ fn serve<T: MasterTransport>(
             // neither a worker nor a recovering master can observe a job
             // of an unknown workflow. The announcement broadcast sits
             // between registry and journal so a networked transport has
-            // durably mirrored the workflow before the journal promises
-            // it exists.
+            // durably spooled the workflow before the journal promises it
+            // exists; one that could not ends the loop here, unjournaled.
             let expected_id = WorkflowId::from_index(engine.workflow_count());
             registry.insert(expected_id, Arc::clone(&sub.workflow));
             transport.announce(WorkflowAnnounce {
                 id: expected_id,
-                name: sub.name.clone(),
+                name: sub.name,
                 workflow: Arc::clone(&sub.workflow),
-            });
+            })?;
             wal.write("journal submit", |w| w.record_submit(expected_id, 0, now))?;
             let id = engine.submit_workflow(sub.workflow, now, &mut actions);
             debug_assert_eq!(id, expected_id);
@@ -448,16 +448,19 @@ fn serve<T: MasterTransport>(
 }
 
 /// Broadcast every registry entry as a workflow announcement — the
-/// recovery-path rebuild of the workers' mirrors.
-fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry) {
+/// recovery-path rebuild of the workers' mirrors. The name is the DAG's
+/// own; a transport that spooled the workflow under another announces it
+/// under that one (`TcpMaster::load_spool`).
+fn announce_registry<T: MasterTransport>(transport: &T, registry: &Registry) -> io::Result<()> {
     for idx in 0..registry.len() {
         let id = WorkflowId::from_index(idx);
         let Some(workflow) = registry.get(id) else {
             continue;
         };
         let name = workflow.name().to_string();
-        transport.announce(WorkflowAnnounce { id, name, workflow });
+        transport.announce(WorkflowAnnounce { id, name, workflow })?;
     }
+    Ok(())
 }
 
 /// How long from engine time `now` until `due`, rounded up so a sleep of it
@@ -754,7 +757,9 @@ mod tests {
             self.work(batch);
             batch.clear();
         }
-        fn announce(&self, _: WorkflowAnnounce) {}
+        fn announce(&self, _: WorkflowAnnounce) -> io::Result<()> {
+            Ok(())
+        }
         fn ack_closed(&self) -> bool {
             self.acks.is_closed()
         }
@@ -906,8 +911,8 @@ mod tests {
             self.pulls_at_publish.store(self.pulls.load(Ordering::Relaxed), Ordering::Relaxed);
             self.tcp.publish_dispatch_batch(0, batch);
         }
-        fn announce(&self, announce: WorkflowAnnounce) {
-            self.tcp.announce(announce);
+        fn announce(&self, announce: WorkflowAnnounce) -> io::Result<()> {
+            self.tcp.announce(announce)
         }
         fn ack_closed(&self) -> bool {
             self.tcp.ack_closed()

@@ -1,7 +1,7 @@
 use std::io::Read;
 use std::os::unix::net::UnixStream;
 
-use super::spool::{load_spool, spool_workflow};
+use super::spool::{load_spool, same_as, spool_workflow};
 use super::*;
 
 // ---------------------------------------------------------------------------
@@ -23,9 +23,9 @@ pub struct TcpMasterOptions {
 const BYE_WAIT: Duration = Duration::from_secs(2);
 
 /// One outbound frame: `head` — length prefix included — then `text` when
-/// the frame is a workflow announcement. The text is the DAG store's copy,
-/// so queueing an announcement on every connection and keeping it for
-/// replay costs a reference each, not megabytes each.
+/// the frame is the first announcement of a DAG. The text is the DAG
+/// store's copy, so queueing an announcement on every connection and
+/// keeping it for replay costs a reference each, not megabytes each.
 #[derive(Clone)]
 struct OutFrame {
     head: Vec<u8>,
@@ -100,7 +100,9 @@ enum Role {
     Unknown,
     /// A worker, with the dispatch credit its `Hello` offered.
     Worker(Credit),
-    Submitter,
+    /// A submitter, with the workflow of its previous submission if that
+    /// was accepted: what a [`WireMsg::Repeat`] on this connection repeats.
+    Submitter(Option<Arc<Workflow>>),
 }
 
 /// A worker connection's dispatch credit: the window its `Hello` offered,
@@ -173,7 +175,7 @@ impl Conn {
                         let window = window.max(1) as usize;
                         self.role = Role::Worker(Credit { window, held: VecDeque::new() });
                     }
-                    Ok(WireMsg::SubmitterHello) => self.role = Role::Submitter,
+                    Ok(WireMsg::SubmitterHello) => self.role = Role::Submitter(None),
                     Ok(other) => return Err(Some(format!("unexpected handshake {other:?}"))),
                     Err(e) => return Err(Some(format!("rejecting connection: {e}"))),
                 },
@@ -206,25 +208,45 @@ impl Conn {
                     Err(e) => return Err(Some(format!("bad worker frame: {e}"))),
                 },
                 // Decoded in place: a DAG already in the store costs one
-                // hash and one compare of the bytes where they arrived.
-                Role::Submitter => match DagFrame::decode(frame) {
-                    Ok(Some(DagFrame { id: None, name, dag })) => match dags.intern(dag) {
-                        Ok(workflow) => {
-                            ep.submissions
-                                .push_back(SubmissionMsg { name: name.to_string(), workflow });
-                            ep.doorbell = true;
+                // hash and one compare of the bytes where they arrived; a
+                // repeat of the previous one costs no look at them at all.
+                Role::Submitter(ref mut previous) => {
+                    let (name, workflow) = match DagFrame::decode(frame) {
+                        Ok(Some(DagFrame { id: None, name, dag })) => {
+                            *previous = dags
+                                .intern(dag)
+                                .map_err(|e| reject_submission(name, &e.to_string()))
+                                .ok();
+                            (name.to_string(), previous.clone())
                         }
-                        Err(e) => eprintln!("dewe-master: rejecting submission {name:?}: {e}"),
-                    },
-                    Ok(_) => {
-                        let ty = frame.get(1).copied().unwrap_or_default();
-                        return Err(Some(format!("unexpected submitter frame (type {ty:#04x})")));
+                        Ok(Some(_)) => return Err(Some("unexpected submitter frame".into())),
+                        Err(e) => return Err(Some(format!("bad submitter frame: {e}"))),
+                        Ok(None) => match WireMsg::decode(frame) {
+                            Ok(WireMsg::Repeat { name }) => {
+                                if previous.is_none() {
+                                    reject_submission(&name, "a repeat with nothing to repeat");
+                                }
+                                (name, previous.clone())
+                            }
+                            Ok(other) => {
+                                return Err(Some(format!("unexpected submitter frame {other:?}")))
+                            }
+                            Err(e) => return Err(Some(format!("bad submitter frame: {e}"))),
+                        },
+                    };
+                    if let Some(workflow) = workflow {
+                        ep.submissions.push_back(SubmissionMsg { name, workflow });
+                        ep.doorbell = true;
                     }
-                    Err(e) => return Err(Some(format!("bad submitter frame: {e}"))),
-                },
+                }
             }
         }
     }
+}
+
+/// Log why the submission `name` was refused; the connection stays open.
+fn reject_submission(name: &str, why: &str) {
+    eprintln!("dewe-master: rejecting submission {name:?}: {why}");
 }
 
 /// Everything the endpoint's callers share, under [`MasterInner::state`].
@@ -238,8 +260,17 @@ struct Endpoint {
     /// the end of the turn refunds whichever other connection does.
     settled_elsewhere: Vec<(EnsembleJobId, u32)>,
     /// Every announcement so far, as sent, replayed to late-joining
-    /// workers.
+    /// workers: a DAG's text once, in its first announcement, and every
+    /// later announcement of it an alias.
     announced: Vec<OutFrame>,
+    /// The id each announced workflow was first announced under, by the
+    /// address of its `Workflow`. The DAG store holds every announced
+    /// workflow, so an address here is never reused.
+    first_announced: HashMap<usize, WorkflowId>,
+    /// The names of the workflows [`TcpMaster::load_spool`] loaded, by id:
+    /// these are announced under the name they were spooled with, and
+    /// their spool entries are left as they are.
+    spooled: Vec<String>,
     /// What turns have read and the serve loop has not yet pulled.
     submissions: VecDeque<SubmissionMsg>,
     acks: VecDeque<AckMsg>,
@@ -310,9 +341,8 @@ impl Endpoint {
     /// credit allows; each connection holds what it was sent. Sent
     /// dispatches are drained from the front of `batch` (delivery order
     /// preserved); whatever found no credit stays behind. Returns how many
-    /// were sent. Runs of one travel as plain [`WireMsg::Dispatch`] frames;
-    /// longer runs coalesce into one [`WireMsg::DispatchBatch`] frame per
-    /// granted connection.
+    /// were sent. Each granted connection is sent its part of the run as
+    /// one [`WireMsg::DispatchBatch`] frame, a part of one included.
     fn try_send_batch(&mut self, batch: &mut Vec<DispatchMsg>) -> usize {
         let mut sent = 0;
         for conn in &mut self.conns {
@@ -325,12 +355,8 @@ impl Endpoint {
                 continue;
             }
             credit.held.extend(run.iter().map(|d| (d.job, d.attempt)));
-            let msg = match run {
-                [one] => WireMsg::Dispatch(*one),
-                _ => WireMsg::DispatchBatch(run.to_vec()),
-            };
             sent += run.len();
-            conn.socket.send(OutFrame::new(msg.encode(), None));
+            conn.socket.send(OutFrame::new(encode_dispatch_batch(run), None));
         }
         batch.drain(..sent);
         sent
@@ -521,6 +547,8 @@ impl TcpMaster {
                 pending: VecDeque::new(),
                 settled_elsewhere: Vec::new(),
                 announced: Vec::new(),
+                first_announced: HashMap::new(),
+                spooled: Vec::new(),
                 submissions: VecDeque::new(),
                 acks: VecDeque::new(),
                 lifecycle: VecDeque::new(),
@@ -552,16 +580,20 @@ impl TcpMaster {
 
     /// Load every workflow spooled to this endpoint's state directory,
     /// sorted by id and verified dense — the registry rebuild for a
-    /// restarted master process. Spool files with the same DAG text come
-    /// back as one shared `Arc<Workflow>`, and the endpoint remembers the
-    /// text, so re-announcing the recovered registry serialises nothing.
-    /// No state directory, or an empty or missing one, loads nothing (a
-    /// cold start).
+    /// restarted master process. Spool entries with the same DAG — the same
+    /// text, or a reference to an earlier entry — come back as one shared
+    /// `Arc<Workflow>`, and the endpoint remembers the text, so
+    /// re-announcing the recovered registry serialises nothing. It also
+    /// remembers each entry's name: announcing a loaded id uses that name,
+    /// whatever the caller passes, and writes nothing into the spool. No
+    /// state directory, or an empty or missing one, loads nothing (a cold
+    /// start). A spool that is not dense, or an entry that does not parse
+    /// or refers to anything but an earlier entry, is `InvalidData`.
     pub fn load_spool(&self) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
-        match &self.inner.state_dir {
-            Some(dir) => load_spool(dir, &self.inner.dags),
-            None => Ok(Vec::new()),
-        }
+        let Some(dir) = &self.inner.state_dir else { return Ok(Vec::new()) };
+        let loaded = load_spool(dir, &self.inner.dags)?;
+        self.inner.state.lock().spooled = loaded.iter().map(|(_, name, _)| name.clone()).collect();
+        Ok(loaded)
     }
 
     /// Stop the endpoint gracefully, from any thread: whoever is asleep in
@@ -687,18 +719,41 @@ impl Transport for TcpMaster {
         self.inner.sent(&mut ep);
     }
 
-    fn announce(&self, announce: WorkflowAnnounce) {
-        let WorkflowAnnounce { id, name, workflow } = announce;
-        // The text the submitter sent (or the spool held) is the text
-        // that is spooled and announced; nothing is serialised here.
-        let text = self.inner.dags.text_of(&workflow);
-        if let Some(dir) = &self.inner.state_dir {
-            if let Err(e) = spool_workflow(dir, id, &name, &text) {
-                eprintln!("dewe-master: failed to spool workflow {id} to {}: {e}", dir.display());
-            }
+    /// Spool the workflow (unless it was loaded from the spool), then send
+    /// it to every worker and keep it for those that join later: the first
+    /// announcement of a `Workflow` with its text, every later one as an
+    /// alias of that first id. A failed spool write sends nothing.
+    fn announce(&self, announce: WorkflowAnnounce) -> io::Result<()> {
+        let WorkflowAnnounce { id, mut name, workflow } = announce;
+        let address = Arc::as_ptr(&workflow) as usize;
+        let (earlier, spooled_as) = {
+            let ep = self.inner.state.lock();
+            let earlier = ep.first_announced.get(&address).copied().filter(|&first| first < id);
+            (earlier, ep.spooled.get(id.index()).cloned())
+        };
+        // The text the submitter sent (or the spool held) is the text that
+        // is spooled and announced; nothing is serialised here.
+        let dag = match earlier {
+            Some(first) => Announced::SameAs(first),
+            None => Announced::Text(self.inner.dags.text_of(&workflow)),
+        };
+        match (spooled_as, &self.inner.state_dir) {
+            (Some(spooled_as), _) => name = spooled_as,
+            (None, Some(dir)) => match &dag {
+                Announced::Text(text) => spool_workflow(dir, id, &name, text)?,
+                Announced::SameAs(first) => spool_workflow(dir, id, &name, &same_as(*first))?,
+            },
+            (None, None) => {}
         }
-        let head = DagFrame { id: Some(id), name: &name, dag: &text }.head();
-        let frame = OutFrame::new(head, Some(text));
+        let frame = match dag {
+            Announced::Text(text) => {
+                let head = DagFrame { id: Some(id), name: &name, dag: &text }.head();
+                OutFrame::new(head, Some(text))
+            }
+            Announced::SameAs(same_as) => {
+                OutFrame::new(WireMsg::Alias { id, name, same_as }.encode(), None)
+            }
+        };
         // Under the one lock, a worker either is connected here or will
         // find this workflow in `announced` at its Hello — never neither.
         let mut ep = self.inner.state.lock();
@@ -706,12 +761,22 @@ impl Transport for TcpMaster {
             conn.socket.send(frame.clone());
         }
         ep.announced.push(frame);
+        ep.first_announced.entry(address).or_insert(id);
         self.inner.sent(&mut ep);
+        Ok(())
     }
 
     fn ack_closed(&self) -> bool {
         self.inner.state.lock().stopped()
     }
+}
+
+/// What an announcement carries besides its id and name.
+enum Announced {
+    /// The DAG's text: its first announcement.
+    Text(Arc<str>),
+    /// The id the DAG was first announced under.
+    SameAs(WorkflowId),
 }
 
 #[cfg(test)]
@@ -735,7 +800,7 @@ mod tests {
             let SubmissionMsg { name, workflow } = sub.expect("waited for it");
             let id = WorkflowId::from_index(registry.len());
             registry.insert(id, Arc::clone(&workflow));
-            master.announce(WorkflowAnnounce { id, name, workflow });
+            master.announce(WorkflowAnnounce { id, name, workflow }).unwrap();
         }
     }
 
@@ -763,7 +828,8 @@ mod tests {
 
         // Three submissions of one text — not what `write_workflow` would
         // produce, so a re-serialised spool or announcement shows — and
-        // one of another, in between.
+        // one of another, in between. The second is a repeat on its
+        // connection; the fourth comes in full on a connection of its own.
         let common = "# as submitted\nworkflow  w\nJOB a t CPU 1\nJOB b t CPU 1\n\
                       JOB c t CPU 1\nPARENT a CHILD b c\n";
         let distinct = dewe_dag::write_workflow(&wf("other", 5));
@@ -785,36 +851,44 @@ mod tests {
         wait_reading(&late, "the late worker has mirrored all four", || late_mirror.len() == 4);
         assert_shares_like_the_submissions(&late_mirror, "late worker");
 
-        // Each spool file is its name line plus the submitter's bytes.
+        // Each spool file is its name line plus the submitter's bytes, or
+        // plus a reference to the first entry with those bytes.
         let spooled = |i: u32| std::fs::read_to_string(dir.join(format!("wf-{i:08}.dag"))).unwrap();
-        assert_eq!(spooled(0), format!("w-0\n{common}"));
-        assert_eq!(spooled(1), format!("w-1\n{common}"));
-        assert_eq!(spooled(2), format!("other\n{distinct}"));
-        assert_eq!(spooled(3), format!("w-3\n{common}"));
+        let spool = [
+            format!("w-0\n{common}"),
+            "w-1\n@same-as 0\n".to_string(),
+            format!("other\n{distinct}"),
+            "w-3\n@same-as 0\n".to_string(),
+        ];
+        assert_eq!((0..4).map(spooled).collect::<Vec<_>>(), spool);
 
         // Crash and restart on the same port: the spool comes back
-        // shared, and re-announcing it is the recovery path's replay.
+        // shared, and re-announcing it — under the DAG's own name, as the
+        // serve loop's takeover does — is the recovery path's replay, which
+        // leaves the spool as it was.
         master.kill();
         let master2 = TcpMaster::bind(addr, options()).unwrap();
         let _pump2 = pump(&master2);
         let recovered = Registry::new();
-        for (id, name, workflow) in master2.load_spool().unwrap() {
+        for (id, _, workflow) in master2.load_spool().unwrap() {
             recovered.insert(id, Arc::clone(&workflow));
-            master2.announce(WorkflowAnnounce { id, name, workflow });
+            let name = workflow.name().to_string();
+            master2.announce(WorkflowAnnounce { id, name, workflow }).unwrap();
         }
         assert_shares_like_the_submissions(&recovered, "recovered registry");
-        assert_eq!(spooled(3), format!("w-3\n{common}"), "re-spooled from the stored text");
+        assert_eq!((0..4).map(spooled).collect::<Vec<_>>(), spool, "nothing re-spooled");
         // The reconnecting workers are replayed all four and keep the
         // mirror they had; a fifth workflow still lands densely.
         submit_over_tcp(addr, [("w-4", common)]).unwrap();
         ingest(&master2, &recovered, 1);
+        assert_eq!(spooled(4), "w-4\n@same-as 0\n");
         for (link, mirror, who) in
             [(&early, &early_mirror, "early worker"), (&late, &late_mirror, "late worker")]
         {
             wait_reading(link, "the fifth workflow is mirrored", || mirror.len() == 5);
             let at = |i: u32| mirror.get(WorkflowId(i)).expect("dense mirror");
             assert!(Arc::ptr_eq(&at(0), &at(1)) && !Arc::ptr_eq(&at(0), &at(2)), "{who}");
-            assert!(Arc::ptr_eq(&at(0), &at(4)), "{who}: its store outlived the connection");
+            assert!(Arc::ptr_eq(&at(0), &at(4)), "{who}: an alias of what it mirrored before");
         }
         master2.shutdown();
         early.close();
@@ -871,11 +945,13 @@ mod tests {
         // Announce, then dispatch: the worker mirror must hold the DAG
         // before the dispatch arrives.
         let workflow = wf("net", 2);
-        master.announce(WorkflowAnnounce {
-            id: WorkflowId(0),
-            name: "net".into(),
-            workflow: Arc::clone(&workflow),
-        });
+        master
+            .announce(WorkflowAnnounce {
+                id: WorkflowId(0),
+                name: "net".into(),
+                workflow: Arc::clone(&workflow),
+            })
+            .unwrap();
         let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(1));
         master.publish_dispatch(0, DispatchMsg::new(job, 1));
 
@@ -1045,8 +1121,8 @@ mod tests {
             loop {
                 let frame = read_frame(reader, 1 << 20).unwrap().expect("Bye comes before EOF");
                 match WireMsg::decode(&frame).unwrap() {
-                    WireMsg::Dispatch(d) => {
-                        assert_eq!(d.job, job);
+                    WireMsg::DispatchBatch(run) => {
+                        assert_eq!(run, [DispatchMsg::new(job, 1)]);
                         dispatches += 1;
                     }
                     WireMsg::Bye => break,
@@ -1112,7 +1188,10 @@ mod tests {
         // The hello a 0.11.0 worker sends: version 2, and a pin-flag byte
         // between the generation and the window.
         let v2 = vec![2, 0x01, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 8];
-        for (who, frame) in [("future", future), ("v2", v2)] {
+        // Revision 3's hello is laid out as this one; only the version differs.
+        let mut v3 = WireMsg::Hello { worker: 9, generation: 0, window: 8 }.encode();
+        v3[0] = 3;
+        for (who, frame) in [("future", future), ("v2", v2), ("v3", v3)] {
             let mut stream = TcpStream::connect(master.local_addr()).unwrap();
             let mut buf = Vec::new();
             write_frame(&mut buf, &frame).unwrap();
@@ -1180,13 +1259,14 @@ mod tests {
         format!("# {tag}\n{}JOB a t CPU 1\n", line.repeat(mib * 16 * 1024))
     }
 
-    /// Eight 3 MiB announcements: more than loopback buffers for a peer
-    /// that is not reading.
-    fn submit_bulky(master: &TcpMaster, tag: &str) -> String {
-        let dag = bulky_dag(tag, 3);
-        let names: Vec<String> = (0..8).map(|i| format!("bulky-{i}")).collect();
-        submit_over_tcp(master.local_addr(), names.iter().map(|name| (name, &dag))).unwrap();
-        dag
+    /// Eight distinct 3 MiB announcements: more than loopback buffers for a
+    /// peer that is not reading. (Eight of one text would be one text and
+    /// seven aliases.)
+    fn submit_bulky(master: &TcpMaster, tag: &str) -> Vec<String> {
+        let dags: Vec<String> = (0..8).map(|i| bulky_dag(&format!("{tag} {i}"), 3)).collect();
+        let names = (0..8).map(|i| format!("bulky-{i}"));
+        submit_over_tcp(master.local_addr(), names.zip(&dags)).unwrap();
+        dags
     }
 
     /// Frames queued for the first connection that its socket has not taken.
@@ -1204,7 +1284,6 @@ mod tests {
         while got.len() < n {
             let frame = read_frame(reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
             match WireMsg::decode(&frame) {
-                Ok(WireMsg::Dispatch(d)) => got.push(d),
                 Ok(WireMsg::DispatchBatch(run)) => got.extend(run),
                 other => panic!("expected dispatches, got {other:?}"),
             }
@@ -1320,13 +1399,14 @@ mod tests {
             match DagFrame::decode(&frame).unwrap() {
                 Some(DagFrame { id, dag, .. }) => {
                     assert_eq!(id, Some(WorkflowId(announced)), "in order");
-                    assert!(dag == if announced < 8 { &bulky } else { &chain }, "and whole");
+                    let whole = bulky.get(announced as usize).unwrap_or(&chain);
+                    assert!(dag == whole, "and whole");
                     announced += 1;
                 }
                 None => {
                     assert_eq!(
                         WireMsg::decode(&frame),
-                        Ok(WireMsg::Dispatch(DispatchMsg::new(job(0), 1)))
+                        Ok(WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]))
                     );
                     assert!(announced >= 1, "a dispatch behind its workflow's announcement");
                     dispatched += 1;
@@ -1486,11 +1566,13 @@ mod tests {
         let mut rude = raw_worker(&master, 9, 4);
         wait_until("both register", || master.worker_conns() == 2);
         // Half an ack, then a close with the announcement unread: a reset.
-        master.announce(WorkflowAnnounce {
-            id: WorkflowId(0),
-            name: "unread".into(),
-            workflow: wf("unread", 1),
-        });
+        master
+            .announce(WorkflowAnnounce {
+                id: WorkflowId(0),
+                name: "unread".into(),
+                workflow: wf("unread", 1),
+            })
+            .unwrap();
         let mut ack = Vec::new();
         write_frame(
             &mut ack,
@@ -1509,6 +1591,99 @@ mod tests {
         link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, 1));
         assert_eq!(master.pull_ack(Duration::from_secs(10)).expect("both ways").job, job(0));
         assert!(master.pull_ack(Duration::from_millis(50)).is_none(), "nothing of the torn ack");
+        master.shutdown();
+        link.close();
+    }
+
+    // -----------------------------------------------------------------
+    // A DAG crosses each connection once
+    // -----------------------------------------------------------------
+
+    /// Fifty workflows of one bulky text: a worker that joins after them is
+    /// replayed the text once and forty-nine aliases of it, so what reaches
+    /// it before its first dispatch is less than twice the text.
+    #[test]
+    fn a_late_worker_is_replayed_one_text_and_its_aliases() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let dag = bulky_dag("one text, fifty names", 1);
+        let names: Vec<String> = (0..50).map(|i| format!("bulky-{i}")).collect();
+        submit_over_tcp(master.local_addr(), names.iter().map(|name| (name, &dag))).unwrap();
+        ingest(&master, &Registry::new(), 50);
+
+        let mut worker = BufReader::new(raw_worker(&master, 1, 1));
+        wait_until("the worker registers", || master.worker_conns() == 1);
+        master.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        let (mut bytes, mut texts, mut aliases) = (0, 0, 0);
+        loop {
+            let frame = read_frame(&mut worker, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
+            bytes += 4 + frame.len();
+            match WireMsg::decode(&frame).unwrap() {
+                WireMsg::Workflow { id, name, dag: text } => {
+                    assert_eq!((id, name.as_str()), (WorkflowId(0), "bulky-0"));
+                    assert!(text == dag);
+                    texts += 1;
+                }
+                WireMsg::Alias { id, name, same_as } => {
+                    assert_eq!(id.index(), 1 + aliases, "in order");
+                    assert_eq!((name, same_as), (format!("bulky-{}", id.0), WorkflowId(0)));
+                    aliases += 1;
+                }
+                WireMsg::DispatchBatch(run) => {
+                    assert_eq!(run, [DispatchMsg::new(job(0), 1)]);
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!((texts, aliases), (1, 49));
+        assert!(bytes < 2 * dag.len(), "{bytes} bytes for a {}-byte text", dag.len());
+        master.shutdown();
+    }
+
+    /// A repeat means "the DAG of this connection's previous submission".
+    /// On a connection that has none — it sent nothing yet, or its last
+    /// text was refused — it is refused in turn, and the connection and
+    /// the master go on.
+    #[test]
+    fn a_repeat_with_nothing_to_repeat_is_refused_and_serving_goes_on() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let mut submitter = TcpStream::connect(master.local_addr()).unwrap();
+        let text = dewe_dag::write_workflow(&wf("repeated", 2));
+        let mut frames = Vec::new();
+        let frame = |msg: WireMsg| msg.encode();
+        for msg in [
+            WireMsg::SubmitterHello,
+            WireMsg::Repeat { name: "orphan".into() },
+            WireMsg::Submit { name: "first".into(), dag: text.clone() },
+            WireMsg::Repeat { name: "second".into() },
+            WireMsg::Submit { name: "broken".into(), dag: "JOB broken".into() },
+            WireMsg::Repeat { name: "after-broken".into() },
+            WireMsg::Submit { name: "third".into(), dag: text.clone() },
+            WireMsg::Repeat { name: "fourth".into() },
+        ] {
+            write_frame(&mut frames, &frame(msg)).unwrap();
+        }
+        submitter.write_all(&frames).unwrap();
+        let registry = Registry::new();
+        ingest(&master, &registry, 4);
+        assert!(master.try_pull_submission().is_none(), "the refused ones are not queued");
+        let at = |i: u32| registry.get(WorkflowId(i)).unwrap();
+        assert!((1..4).all(|i| Arc::ptr_eq(&at(0), &at(i))), "one text, one topology");
+        assert_eq!(at(0).job_count(), 2);
+
+        // The same connection is still read, and a worker is still served.
+        write_frame(&mut submitter, &frame(WireMsg::Repeat { name: "fifth".into() })).unwrap();
+        ingest(&master, &registry, 1);
+        let link = TcpWorkerLink::connect(
+            master.local_addr(),
+            Registry::new(),
+            TcpWorkerOptions::default(),
+        )
+        .unwrap();
+        master.publish_dispatch(0, DispatchMsg::new(job(0), 1));
+        assert_eq!(link.pull_dispatch(Duration::from_secs(10)).expect("dispatch").job, job(0));
         master.shutdown();
         link.close();
     }

@@ -81,21 +81,30 @@
 //! — its stand-in for the paper's shared file system. With a state
 //! directory configured, announcements are also spooled to disk
 //! (`wf-<id>.dag`) so a restarted master process can rebuild its registry
-//! before WAL recovery.
+//! before WAL recovery; a takeover announces what it loaded under the names
+//! it was spooled with and writes none of it again.
 //!
-//! ## Ingest
+//! ## Ingest: a DAG crosses each hop once
 //!
-//! A DAG crosses this module as text, and each end keeps a
-//! content-addressed `DagStore`: a text is parsed the first time its
-//! bytes are seen and every byte-identical submission, announcement or
-//! spool file after that shares the one `Arc<Workflow>`. The master never
-//! serialises a workflow that arrived as text — the submitter's bytes are
-//! what is spooled and announced — and the store's copy of the text is
-//! the only long-lived one: announce frames and the replay log hold it by
-//! `Arc`, and the two DAG-bearing frames are decoded in place
-//! ([`DagFrame`]).
+//! A DAG crosses this module as text, and a byte-identical text crosses
+//! each hop once; every later copy is a reference to the first. A
+//! submitter sends a text that is its previous submission's again as a
+//! [`WireMsg::Repeat`] of just the name, which the master resolves to the
+//! workflow that submission produced. The master keeps a content-addressed
+//! `DagStore`: a text is parsed the first time its bytes are seen, and
+//! every byte-identical submission or spool file after that shares the one
+//! `Arc<Workflow>`. It never serialises a workflow that arrived as text —
+//! the submitter's bytes are what is spooled and announced — and the
+//! store's copy of the text is the only long-lived one: announce frames and
+//! the replay log hold it by `Arc`, and the two DAG-bearing frames are
+//! decoded in place ([`DagFrame`]). The first announcement of an
+//! `Arc<Workflow>` carries the text; every later one is a
+//! [`WireMsg::Alias`] of that first id, and its spool entry a reference
+//! to that id's entry. So each text a worker receives from one master is
+//! distinct: the link parses it, and mirrors an alias as the workflow it
+//! already holds. The worker keeps no store.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -103,7 +112,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dewe_dag::{EnsembleJobId, Workflow, WorkflowId};
+use dewe_dag::{parse_workflow, EnsembleJobId, Workflow, WorkflowId};
 use dewe_mq::{
     poll, queue_frame_split, write_frame, write_frame_split, FrameBuf, PollFd, Transport,
     WorkerTransport, DEFAULT_MAX_FRAME, POLLIN, POLLOUT,
@@ -113,7 +122,8 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use super::dagstore::DagStore;
 use super::registry::Registry;
 use crate::protocol::{
-    AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
+    encode_dispatch_batch, AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg,
+    WireMsg, WorkflowAnnounce,
 };
 
 mod master;

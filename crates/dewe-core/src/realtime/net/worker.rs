@@ -59,10 +59,6 @@ struct WorkerInner {
     addr: SocketAddr,
     opts: TcpWorkerOptions,
     registry: Registry,
-    /// Every DAG text the master has announced, parsed once each. Lives
-    /// with the link, not the connection: a reconnect replays the whole
-    /// registry and must find it already here.
-    dags: DagStore,
     state: Mutex<LinkState>,
     /// Slot threads wait here for a dispatch, or for the reader role.
     slots: Condvar,
@@ -97,7 +93,6 @@ impl TcpWorkerLink {
             addr,
             opts,
             registry,
-            dags: DagStore::default(),
             state: Mutex::default(),
             slots: Condvar::new(),
             writer: Condvar::new(),
@@ -160,7 +155,8 @@ impl WorkerTransport for TcpWorkerLink {
 }
 
 impl WorkerInner {
-    /// Mirror announced workflow `id` into the local registry.
+    /// Mirror announced workflow `id` into the local registry: `dag`, the
+    /// first announcement of its text, parsed.
     fn mirror(&self, id: WorkflowId, dag: &str) {
         // Dense-insert guard, before the text is looked at: after a
         // reconnect the master replays its whole registry, and every
@@ -168,12 +164,24 @@ impl WorkerInner {
         if id.index() != self.registry.len() {
             return;
         }
-        match self.dags.intern(dag) {
-            Ok(workflow) => self.registry.insert(id, workflow),
+        match parse_workflow(dag) {
+            Ok(workflow) => self.registry.insert(id, Arc::new(workflow)),
             Err(e) => eprintln!(
                 "dewe-worker: bad workflow {id} from master: {e}; ids are mirrored densely, \
                  so this worker will refuse every later workflow as well"
             ),
+        }
+    }
+
+    /// Mirror workflow `id` as the one already mirrored as `same_as`,
+    /// behind the same guard. The decoder admits only an earlier `same_as`,
+    /// and a dense mirror whose next id is `id` holds every earlier one.
+    fn alias(&self, id: WorkflowId, same_as: WorkflowId) {
+        if id.index() != self.registry.len() {
+            return;
+        }
+        if let Some(workflow) = self.registry.get(same_as) {
+            self.registry.insert(id, workflow);
         }
     }
 
@@ -271,8 +279,11 @@ impl WorkerInner {
                 continue;
             }
             match WireMsg::decode(frame) {
-                Ok(WireMsg::Dispatch(d)) => got.push(d),
+                // A read that brings one batch, as a chain hop's does, hands
+                // it on in the allocation it was decoded into.
+                Ok(WireMsg::DispatchBatch(batch)) if got.is_empty() => *got = batch,
                 Ok(WireMsg::DispatchBatch(batch)) => got.extend(batch),
+                Ok(WireMsg::Alias { id, same_as, .. }) => self.alias(id, same_as),
                 Ok(WireMsg::Bye) => return Err(true),
                 Ok(other) => break format!("unexpected frame {other:?}"),
                 Err(e) => break e.to_string(),
@@ -417,11 +428,13 @@ mod tests {
         let _pump = pump(&master);
         let addr = master.local_addr();
         let (link, registry) = link(&master, 0, 8);
-        master.announce(WorkflowAnnounce {
-            id: WorkflowId(0),
-            name: "a".into(),
-            workflow: wf("a", 1),
-        });
+        master
+            .announce(WorkflowAnnounce {
+                id: WorkflowId(0),
+                name: "a".into(),
+                workflow: wf("a", 1),
+            })
+            .unwrap();
         wait_reading(&link, "the announcement is mirrored", || registry.len() == 1);
         // Kill the master endpoint abruptly (no Bye — a crash). Acks the
         // worker produces once its link has seen the connection die wait
@@ -435,16 +448,20 @@ mod tests {
         // and re-announce.
         let master2 = TcpMaster::bind(addr, TcpMasterOptions::default()).unwrap();
         let _pump2 = pump(&master2);
-        master2.announce(WorkflowAnnounce {
-            id: WorkflowId(0),
-            name: "a".into(),
-            workflow: wf("a", 1),
-        });
-        master2.announce(WorkflowAnnounce {
-            id: WorkflowId(1),
-            name: "b".into(),
-            workflow: wf("b", 1),
-        });
+        master2
+            .announce(WorkflowAnnounce {
+                id: WorkflowId(0),
+                name: "a".into(),
+                workflow: wf("a", 1),
+            })
+            .unwrap();
+        master2
+            .announce(WorkflowAnnounce {
+                id: WorkflowId(1),
+                name: "b".into(),
+                workflow: wf("b", 1),
+            })
+            .unwrap();
         // The link reconnects and mirrors the new announcement; the
         // replayed wf-0 is skipped by the dense-insert guard.
         wait_reading(&link, "the link reconnects and mirrors", || registry.len() == 2);
@@ -539,8 +556,8 @@ mod tests {
         let text = dewe_dag::write_workflow(&wf("w", 1));
         let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
         write_frame_split(first.get_mut(), &head, text.as_bytes()).unwrap();
-        write_frame(first.get_mut(), &WireMsg::Dispatch(DispatchMsg::new(job(0), 1)).encode())
-            .unwrap();
+        let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]);
+        write_frame(first.get_mut(), &one.encode()).unwrap();
         assert_eq!(next_ack(&mut first).kind, AckKind::Running);
         assert_eq!(next_ack(&mut first), AckMsg::new(job(0), 4, AckKind::Completed, 1));
         // The master read the completion and died before journaling it.
@@ -587,12 +604,7 @@ mod tests {
             let run: Vec<DispatchMsg> =
                 (sent..JOBS.min(sent + size)).map(|j| DispatchMsg::new(job(j), 1)).collect();
             sent += run.len() as u32;
-            let msg = if run.len() == 1 {
-                WireMsg::Dispatch(run[0])
-            } else {
-                WireMsg::DispatchBatch(run)
-            };
-            queue_frame_split(&mut w, &msg.encode(), &[]).unwrap();
+            queue_frame_split(&mut w, &WireMsg::DispatchBatch(run).encode(), &[]).unwrap();
             size = size % 100 + 1;
         }
         w.flush().unwrap();
@@ -624,11 +636,13 @@ mod tests {
         let _pump = pump(&master);
         let addr = master.local_addr();
         let (link, mirror) = link(&master, 1, 4);
-        master.announce(WorkflowAnnounce {
-            id: WorkflowId(0),
-            name: "w".into(),
-            workflow: wf("w", 2),
-        });
+        master
+            .announce(WorkflowAnnounce {
+                id: WorkflowId(0),
+                name: "w".into(),
+                workflow: wf("w", 2),
+            })
+            .unwrap();
         let release = Arc::new(AtomicBool::new(false));
         let worker = spawn_worker_on(
             Arc::new(link.clone()),
@@ -689,8 +703,8 @@ mod tests {
         let text = dewe_dag::write_workflow(&wf("w", 1));
         let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
         write_frame_split(master.get_mut(), &head, text.as_bytes()).unwrap();
-        write_frame(master.get_mut(), &WireMsg::Dispatch(DispatchMsg::new(job(0), 1)).encode())
-            .unwrap();
+        let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]);
+        write_frame(master.get_mut(), &one.encode()).unwrap();
         loop {
             match next(&mut master) {
                 WireMsg::Lifecycle(_) => {}

@@ -323,7 +323,7 @@ mod tests {
         let tcp = endpoint();
         let (link, mirror) = link(&tcp, config.worker_id, 8);
         let workflow = Arc::new(workflow);
-        tcp.announce(WorkflowAnnounce { id: WorkflowId(0), name: "w".into(), workflow });
+        tcp.announce(WorkflowAnnounce { id: WorkflowId(0), name: "w".into(), workflow }).unwrap();
         let handle = spawn_worker_on(Arc::new(link.clone()), mirror, runner, config);
         (tcp, link, handle)
     }

@@ -96,12 +96,18 @@ fn message() -> impl Strategy<Value = WireMsg> {
         }),
         (text(), text()).prop_map(|(name, dag)| WireMsg::Submit { name, dag }),
         dispatch().prop_map(WireMsg::Return),
+        text().prop_map(|name| WireMsg::Repeat { name }),
         (any::<u32>(), text(), text()).prop_map(|(id, name, dag)| WireMsg::Workflow {
             id: WorkflowId(id),
             name,
             dag
         }),
-        dispatch().prop_map(WireMsg::Dispatch),
+        // An alias names an earlier workflow.
+        (1..u32::MAX, text(), any::<u32>()).prop_map(|(id, name, earlier)| WireMsg::Alias {
+            id: WorkflowId(id),
+            name,
+            same_as: WorkflowId(earlier % id),
+        }),
         prop::collection::vec(dispatch(), 0..40).prop_map(WireMsg::DispatchBatch),
         Just(WireMsg::Bye),
     ]
@@ -124,7 +130,7 @@ proptest! {
     /// raw bytes get past once in a few thousand tries.
     #[test]
     fn decode_is_total_over_arbitrary_bodies(
-        ty in prop_oneof![0x01u8..0x07, 0x81u8..0x85],
+        ty in prop_oneof![0x01u8..0x08, 0x81u8..0x86],
         body in prop::collection::vec(any::<u8>(), 0..300),
     ) {
         let frame: Vec<u8> = [PROTOCOL_VERSION, ty].into_iter().chain(body).collect();

@@ -85,8 +85,10 @@ pub trait Transport: Send + Sync + 'static {
 
     /// Broadcast a workflow announcement to current and future workers.
     /// Called by the master after registering the workflow, before any
-    /// of its jobs are dispatched.
-    fn announce(&self, announce: Self::Announce);
+    /// of its jobs are dispatched. An `Err` — the transport could not make
+    /// the announcement durable, say — ends the master's serve loop before
+    /// the workflow is journaled.
+    fn announce(&self, announce: Self::Announce) -> std::io::Result<()>;
 
     /// True once the ack side is shut down and drained — the master's
     /// run-forever exit condition.

@@ -190,9 +190,13 @@ fn master_kill_and_restart_recovers_over_tcp() {
     }
     std::thread::sleep(Duration::from_millis(200));
     assert_ensemble_sharing(&registry1, "master registry");
+    // The spool holds the submitter's bytes once per distinct text, and
+    // each later workflow with the same text as a reference to the first.
     for (i, text) in texts.iter().enumerate() {
         let spooled = std::fs::read_to_string(state_dir.join(format!("wf-{i:08}.dag"))).unwrap();
-        assert_eq!(spooled, format!("montage-{i}\n{text}"), "spool holds the submitter's bytes");
+        let first = texts.iter().position(|t| t == text).unwrap();
+        let entry = if first == i { text.clone() } else { format!("@same-as {first}\n") };
+        assert_eq!(spooled, format!("montage-{i}\n{entry}"), "spool entry {i}");
     }
 
     // Crash: serve loop dies abruptly, endpoint drops with no Bye.
