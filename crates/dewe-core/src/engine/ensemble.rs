@@ -48,8 +48,8 @@ pub struct EngineConfig {
     pub default_timeout_secs: f64,
     /// Optional dispatch-to-checkout deadline: if a published job is not
     /// checked out (no Running ack) within this many seconds it is
-    /// resubmitted. `None` (default) trusts the queue to redeliver — the
-    /// paper's assumption. Set it when the transport can *lose* messages
+    /// resubmitted. `None` (default) trusts the queue to requeue what a
+    /// dead worker held — the paper's assumption. Set it when the transport can *lose* messages
     /// (chaos drop injection), otherwise a dropped dispatch hangs forever.
     pub checkout_timeout_secs: Option<f64>,
     /// Retry budget and backoff schedule.
@@ -383,8 +383,8 @@ impl EnsembleEngine {
     fn dispatch_indexed(&mut self, wf: WorkflowId, job: JobId, attempt: u32, now: f64) -> Action {
         // The timeout clock normally starts when the job is *checked out*
         // (Running ack), not when it is published: a message sitting in
-        // the queue is safe — the queue redelivers unacknowledged
-        // checkouts (paper §III.B). Until checkout the deadline is
+        // the queue is safe — the queue requeues a dead worker's
+        // unacknowledged checkouts (paper §III.B). Until checkout the deadline is
         // infinite and the job has no deadline-timer entry, unless a
         // checkout timeout is configured to survive lossy transports.
         let deadline = match self.config.checkout_timeout_secs {
@@ -765,7 +765,7 @@ mod tests {
     fn queued_job_never_times_out() {
         // A published-but-unclaimed job sits safely in the queue: the
         // timeout clock only starts at checkout (Running ack). The queue
-        // itself redelivers lost checkouts, RabbitMQ-style.
+        // itself requeues a dead worker's checkouts, RabbitMQ-style.
         let mut e = EngineConfig::default().timeout(5.0).build();
         let _ = submit(&mut e, chain(1), 0.0);
         assert!(scan(&mut e, 1e9).is_empty());

@@ -23,8 +23,10 @@ use std::sync::Arc;
 /// not mid-stream. Revision 3 took the pin flag out of [`WireMsg::Hello`].
 /// Revision 4 sends a DAG text over each hop once ([`WireMsg::Repeat`],
 /// [`WireMsg::Alias`]) and retired the single-dispatch frame: a run of one
-/// is a [`WireMsg::DispatchBatch`] of one.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// is a [`WireMsg::DispatchBatch`] of one. Revision 5 retired `Return`, a
+/// worker handing back one unstarted dispatch: the master takes back
+/// whatever a worker connection held when that connection drops.
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Workflow submission topic payload.
 ///
@@ -250,7 +252,7 @@ const T_SUBMITTER_HELLO: u8 = 0x02;
 const T_ACK: u8 = 0x03;
 const T_LIFECYCLE: u8 = 0x04;
 const T_SUBMIT: u8 = 0x05;
-const T_RETURN: u8 = 0x06;
+// 0x06 was `Return` of revisions 1–4.
 const T_REPEAT: u8 = 0x07;
 const T_WORKFLOW: u8 = 0x81;
 // 0x82 was the single `Dispatch` of revisions 1–3.
@@ -290,9 +292,6 @@ pub enum WireMsg {
         /// The DAG in `dewe-dag` text format.
         dag: String,
     },
-    /// A pulled-but-unstarted dispatch handed back by a stopping worker
-    /// (worker → master): redeliver it elsewhere, returning the credit.
-    Return(DispatchMsg),
     /// Workflow submission (submitter → master) of the same DAG text as
     /// this connection's previous submission, which the master already
     /// holds. A connection with no accepted submission before it has
@@ -358,10 +357,6 @@ impl WireMsg {
                 out.push(msg.kind.code());
             }
             WireMsg::Submit { name, dag } => return DagFrame { id: None, name, dag }.encode(),
-            WireMsg::Return(d) => {
-                out.push(T_RETURN);
-                put_dispatch(&mut out, d);
-            }
             WireMsg::Repeat { name } => {
                 out.push(T_REPEAT);
                 put_str(&mut out, name);
@@ -421,7 +416,6 @@ impl WireMsg {
                     Some(id) => WireMsg::Workflow { id, name, dag },
                 }
             }
-            T_RETURN => WireMsg::Return(r.dispatch()?),
             T_REPEAT => WireMsg::Repeat { name: r.str()?.to_string() },
             T_ALIAS => {
                 let id = WorkflowId(r.u32()?);
@@ -631,7 +625,6 @@ mod tests {
             WireMsg::Ack(AckMsg::new(job, 3, AckKind::Completed, 2)),
             WireMsg::Lifecycle(LifecycleMsg::new(3, 2, LifecycleKind::Heartbeat)),
             WireMsg::Submit { name: "montage".into(), dag: "# dag text".into() },
-            WireMsg::Return(DispatchMsg::new(job, 4)),
             WireMsg::Repeat { name: "montage-1".into() },
             WireMsg::Workflow { id: WorkflowId(9), name: "m".into(), dag: "# dag".into() },
             WireMsg::Alias { id: WorkflowId(9), name: "m-9".into(), same_as: WorkflowId(2) },
@@ -669,12 +662,19 @@ mod tests {
     fn corrupt_frames_fail_loud_within_a_known_version() {
         // Unknown type byte.
         assert_eq!(WireMsg::decode(&[PROTOCOL_VERSION, 0x7F]), Err(WireError::UnknownType(0x7F)));
-        // The single-dispatch type byte of revisions 1–3.
-        assert_eq!(WireMsg::decode(&[PROTOCOL_VERSION, 0x82]), Err(WireError::UnknownType(0x82)));
+        // The single-dispatch type byte of revisions 1–3, and `Return`'s of 1–4.
+        for retired in [0x82, 0x06] {
+            let frame = [PROTOCOL_VERSION, retired, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 1];
+            assert_eq!(WireMsg::decode(&frame), Err(WireError::UnknownType(retired)));
+        }
         // Truncated body.
-        let bytes =
-            WireMsg::Return(DispatchMsg::new(EnsembleJobId::new(WorkflowId(1), JobId(2)), 1))
-                .encode();
+        let bytes = WireMsg::Ack(AckMsg::new(
+            EnsembleJobId::new(WorkflowId(1), JobId(2)),
+            3,
+            AckKind::Completed,
+            1,
+        ))
+        .encode();
         assert_eq!(WireMsg::decode(&bytes[..bytes.len() - 1]), Err(WireError::Truncated));
         // An alias names an earlier workflow: never itself, never a later one.
         for same_as in [3, 4] {

@@ -382,6 +382,9 @@ fn serve<T: MasterTransport>(
                 engine.on_ack(ack, now, &mut actions);
             }
             publish_actions(transport, events, &mut actions, &mut run);
+        } else {
+            // With no plane to read it, lifecycle traffic is dropped, not kept.
+            while transport.try_pull_lifecycle().is_some() {}
         }
 
         // 3. Exit once the expected workload has settled. (The engine's
@@ -859,6 +862,41 @@ mod tests {
         let rec = journal::recover(&records, &registry, EngineConfig::default()).unwrap();
         assert!(rec.engine.all_complete(), "the journal replays to completion");
         assert!(rec.redispatch.is_empty());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A master without a lease plane drops the lifecycle traffic it pulls:
+    /// heartbeats queued ahead of a submission are gone by the time the
+    /// ensemble is through, not kept for the life of the process.
+    #[test]
+    fn a_master_without_leases_drains_lifecycle_traffic() {
+        const K: usize = 50;
+        let dir = std::env::temp_dir().join(format!("dewe-no-plane-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("master.wal");
+        let probe = WriteAheadProbe::new(path.clone());
+        probe
+            .lifecycle
+            .publish_all((0..K).map(|_| LifecycleMsg::new(1, 0, LifecycleKind::Heartbeat)));
+        let mut b = WorkflowBuilder::new("one");
+        b.job("a", "t", 1.0).build();
+        let workflow = Arc::new(b.finish().unwrap());
+        probe.submissions.publish(SubmissionMsg { name: "one".into(), workflow });
+        let handle = spawn_master_on(
+            probe.clone(),
+            Registry::new(),
+            MasterConfig::builder().expected_workflows(1).journal_path(&path).build(),
+        );
+        loop {
+            match handle.events.recv_timeout(Duration::from_secs(30)).expect("an event") {
+                MasterEvent::AllCompleted { .. } => break,
+                MasterEvent::WorkflowCompleted { .. } => {}
+                other => panic!("unexpected event {other:?}"),
+            }
+        }
+        assert_eq!(handle.join().jobs_completed, 1);
+        assert!(probe.publishes.load(Ordering::Relaxed) >= 1, "the dispatch left");
+        assert_eq!(probe.lifecycle.len(), 0, "{K} heartbeats were queued");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,7 +11,7 @@
 //!  submit_over_tcp ──▶ TcpMaster ◀──▶ serve loop (engine, journal, liveness)
 //!                        │    ▲
 //!   announcements,       │    │  Running/Completed/Failed acks,
-//!   dispatches (window)  ▼    │  Return, Lifecycle
+//!   dispatches (window)  ▼    │  Lifecycle
 //!                    TcpWorkerLink ◀──▶ worker daemon slots (JobRunner)
 //! ```
 //!
@@ -23,7 +23,8 @@
 //!
 //! Worker daemons can be killed (abandoning in-flight jobs without
 //! acknowledgment) and new ones started mid-run — the paper's §V.A.3
-//! robustness experiment — and the master's timeout mechanism recovers.
+//! robustness experiment — and the master recovers: the endpoint requeues
+//! what a dead worker's connection held; timeouts and leases cover a stall.
 
 mod dagstore;
 mod journal;

@@ -134,10 +134,12 @@ struct Conn {
 }
 
 impl Conn {
-    /// The dispatch credit of a worker connection that is still alive.
+    /// The dispatch credit of a worker connection, even of one marked dead
+    /// and not yet closed: what it holds is settled and superseded until its
+    /// close gives back the rest.
     fn credit(&mut self) -> Option<&mut Credit> {
         match &mut self.role {
-            Role::Worker(credit) if !self.socket.dead => Some(credit),
+            Role::Worker(credit) => Some(credit),
             _ => None,
         }
     }
@@ -194,15 +196,6 @@ impl Conn {
                     Ok(WireMsg::Lifecycle(msg)) => {
                         ep.lifecycle.push_back(msg);
                         ep.doorbell = true;
-                    }
-                    // A stopping worker hands back an unstarted checkout:
-                    // refund and queue it; the end of the turn redelivers it
-                    // to whoever has credit.
-                    Ok(WireMsg::Return(d)) => {
-                        if !credit.settle(d.job, d.attempt) {
-                            ep.settled_elsewhere.push((d.job, d.attempt));
-                        }
-                        ep.pending.push_back(d);
                     }
                     Ok(other) => return Err(Some(format!("unexpected worker frame {other:?}"))),
                     Err(e) => return Err(Some(format!("bad worker frame: {e}"))),
@@ -345,7 +338,7 @@ impl Endpoint {
     /// one [`WireMsg::DispatchBatch`] frame, a part of one included.
     fn try_send_batch(&mut self, batch: &mut Vec<DispatchMsg>) -> usize {
         let mut sent = 0;
-        for conn in &mut self.conns {
+        for conn in self.conns.iter_mut().filter(|c| !c.socket.dead) {
             if sent == batch.len() {
                 break;
             }
@@ -390,7 +383,8 @@ impl Endpoint {
         // backlog drains one refund at a time, and copying the whole queue
         // to have try_send_batch grant one dispatch would turn each refund
         // into an O(queue) scan.
-        let free: usize = self.conns.iter_mut().filter_map(Conn::credit).map(|c| c.free()).sum();
+        let live = self.conns.iter_mut().filter(|c| !c.socket.dead);
+        let free: usize = live.filter_map(Conn::credit).map(|c| c.free()).sum();
         let take = self.pending.len().min(free);
         if take == 0 {
             return;
@@ -500,8 +494,14 @@ impl MasterInner {
         for (job, attempt) in ep.settled_elsewhere.drain(..) {
             let _ = conns.iter_mut().filter_map(Conn::credit).any(|c| c.settle(job, attempt));
         }
-        // A dropped connection refunds nothing: leases and timeouts
-        // recover what it held.
+        // A dropped connection gives back what it held, started or not, as a
+        // broker requeues a dead consumer's unacknowledged messages: in the
+        // order sent, ahead of everything waiting, which was published later.
+        for conn in conns.iter_mut().rev().filter(|c| c.socket.dead) {
+            for (job, attempt) in conn.credit().into_iter().flat_map(|c| c.held.drain(..)).rev() {
+                ep.pending.push_front(DispatchMsg::new(job, attempt));
+            }
+        }
         conns.retain(|c| !c.socket.dead);
         ep.conns = conns;
         self.sent(&mut ep);
@@ -1071,27 +1071,6 @@ mod tests {
         link.close();
     }
 
-    #[test]
-    fn returned_checkout_is_redelivered() {
-        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
-        let _pump = pump(&master);
-        let link = TcpWorkerLink::connect(
-            master.local_addr(),
-            Registry::new(),
-            TcpWorkerOptions::default(),
-        )
-        .unwrap();
-        let job = dewe_dag::EnsembleJobId::new(WorkflowId(0), dewe_dag::JobId(0));
-        master.publish_dispatch(0, DispatchMsg::new(job, 1));
-        let d = link.pull_dispatch(Duration::from_secs(10)).expect("dispatch");
-        // The worker hands it back (kill path) — the master redelivers.
-        link.redeliver(d);
-        let d2 = link.pull_dispatch(Duration::from_secs(10)).expect("redelivered");
-        assert_eq!(d2.job, job);
-        master.shutdown();
-        link.close();
-    }
-
     /// When `shutdown` returns there is nothing left to wait for: every
     /// connection thread has been joined, so every `Bye` is on the wire
     /// and every socket closed. A peer reads `Bye` and then end-of-stream
@@ -1188,10 +1167,16 @@ mod tests {
         // The hello a 0.11.0 worker sends: version 2, and a pin-flag byte
         // between the generation and the window.
         let v2 = vec![2, 0x01, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 8];
-        // Revision 3's hello is laid out as this one; only the version differs.
-        let mut v3 = WireMsg::Hello { worker: 9, generation: 0, window: 8 }.encode();
-        v3[0] = 3;
-        for (who, frame) in [("future", future), ("v2", v2), ("v3", v3)] {
+        // Revisions 3 and 4 lay their hello out as this one; only the
+        // version differs. A v4 worker would send `Return`, which is gone.
+        let revision = |version: u8| {
+            let mut hello = WireMsg::Hello { worker: 9, generation: 0, window: 8 }.encode();
+            hello[0] = version;
+            hello
+        };
+        for (who, frame) in
+            [("future", future), ("v2", v2), ("v3", revision(3)), ("v4", revision(4))]
+        {
             let mut stream = TcpStream::connect(master.local_addr()).unwrap();
             let mut buf = Vec::new();
             write_frame(&mut buf, &frame).unwrap();
@@ -1332,6 +1317,42 @@ mod tests {
         worker.get_ref().set_read_timeout(Some(Duration::from_millis(300))).unwrap();
         let more = read_frame(&mut worker, DEFAULT_MAX_FRAME);
         assert!(more.is_err(), "a window of 2 holds jobs 1 and 2, and no more: {more:?}");
+        master.shutdown();
+    }
+
+    /// A worker connection that closes gives back every pair it held and
+    /// had not settled, ahead of whatever was published after the close and
+    /// in the order they were sent; a pair whose next attempt is published
+    /// meanwhile leaves only as that attempt.
+    #[test]
+    fn a_closed_worker_connection_gives_back_what_it_held_first_and_in_order() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let mut first = BufReader::new(raw_worker(&master, 1, 4));
+        wait_until("the first worker registers", || master.worker_conns() == 1);
+        let attempt_1 = |jobs: &[u32]| jobs.iter().map(|&j| DispatchMsg::new(job(j), 1)).collect();
+        let mut batch: Vec<DispatchMsg> = attempt_1(&[0, 1, 2, 3]);
+        master.publish_dispatch_batch(0, &mut batch);
+        assert_eq!(take_dispatches(&mut first, 4), attempt_1(&[0, 1, 2, 3]));
+        drop(first);
+        wait_until("the first worker is gone", || master.worker_conns() == 0);
+        master.publish_dispatch(0, DispatchMsg::new(job(4), 1));
+
+        let mut second = BufReader::new(raw_worker(&master, 2, 8));
+        assert_eq!(take_dispatches(&mut second, 5), attempt_1(&[0, 1, 2, 3, 4]), "the four first");
+
+        // The second closes holding all five; job 2's next attempt is
+        // published before anybody else connects.
+        drop(second);
+        wait_until("the second worker is gone", || master.worker_conns() == 0);
+        master.publish_dispatch(0, DispatchMsg::new(job(2), 2));
+        let mut third = BufReader::new(raw_worker(&master, 3, 8));
+        let mut want: Vec<DispatchMsg> = attempt_1(&[0, 1, 3, 4]);
+        want.push(DispatchMsg::new(job(2), 2));
+        assert_eq!(take_dispatches(&mut third, 5), want, "attempt 1 of job 2 is not sent");
+        third.get_ref().set_read_timeout(Some(Duration::from_millis(300))).unwrap();
+        let more = read_frame(&mut third, DEFAULT_MAX_FRAME);
+        assert!(more.is_err(), "and nothing else: {more:?}");
         master.shutdown();
     }
 

@@ -60,11 +60,12 @@
 //!
 //! Each worker offers a dispatch *window* in its Hello; its credit is the
 //! window less the `(job, attempt)` pairs its connection holds. A terminal
-//! ack (Completed/Failed) or a [`WireMsg::Return`] refunds the connection
-//! holding that pair, whichever one it arrives on, once; publishing a job's
-//! next attempt reclaims the earlier ones, so a lost dispatch holds credit
-//! only until its deadline. Dispatches that find no credit anywhere queue
-//! inside the master transport and drain as credit frees up. Workers flush
+//! ack (Completed/Failed) refunds the connection holding that pair,
+//! whichever one it arrives on, once; publishing a job's next attempt
+//! reclaims the earlier ones, so a lost dispatch holds credit only until
+//! its deadline; a connection that drops gives back every pair it holds.
+//! Dispatches that find no credit anywhere queue inside the master
+//! transport and drain as credit frees up. Workers flush
 //! their acks a batch at a time, so refunds arrive in bursts: a turn
 //! releases every read burst of credit before it drains the pending queue,
 //! and the queue leaves as [`WireMsg::DispatchBatch`] frames sized by the

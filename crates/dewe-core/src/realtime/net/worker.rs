@@ -138,12 +138,6 @@ impl WorkerTransport for TcpWorkerLink {
         self.inner.state.lock().done()
     }
 
-    fn redeliver(&self, dispatch: DispatchMsg) {
-        // Over the wire the checkout goes back to the master, which
-        // refunds the window credit and redelivers elsewhere.
-        self.inner.send(WireMsg::Return(dispatch), true);
-    }
-
     fn publish_ack(&self, ack: AckMsg) {
         let settles = matches!(ack.kind, AckKind::Completed | AckKind::Failed);
         self.inner.send(WireMsg::Ack(ack), settles);

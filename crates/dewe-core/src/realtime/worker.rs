@@ -74,9 +74,12 @@ impl WorkerHandle {
     }
 
     /// Crash the worker (paper §V.A.3): in-flight jobs are abandoned
-    /// *without* a completion acknowledgment, and heartbeats cease
-    /// abruptly, so the master must recover them via timeouts or — with
-    /// leases enabled — lease expiry. Returns total jobs executed
+    /// *without* a completion acknowledgment, a dispatch a slot has just
+    /// pulled is dropped unstarted, and heartbeats cease abruptly. The
+    /// worker hands nothing back: closing its transport (a
+    /// [`TcpWorkerLink`](super::TcpWorkerLink)'s `close`, or the process
+    /// dying) is what gives the master back every dispatch the connection
+    /// held, as a dead process's would. Returns total jobs executed
     /// (completed ones).
     pub fn kill(self) -> u64 {
         self.kill.store(true, Ordering::Relaxed);
@@ -236,11 +239,9 @@ fn slot_loop(
             }
             continue;
         };
-        // A worker killed right after the pull vanishes; the broker
-        // redelivers the unacknowledged checkout (RabbitMQ semantics) so
-        // the job is not lost while the master thinks it is still queued.
+        // A worker killed right after the pull vanishes with the dispatch
+        // unstarted; the master takes it back when the connection ends.
         if kill.load(Ordering::Relaxed) {
-            transport.redeliver(dispatch);
             break;
         }
         let Some(workflow) = registry.get(dispatch.job.workflow) else {

@@ -96,6 +96,11 @@ pub trait Transport: Send + Sync + 'static {
 }
 
 /// A worker daemon's view of the fabric: the other end of [`Transport`].
+///
+/// A worker hands nothing back. A dispatch it pulled and never settled with
+/// a terminal ack is the fabric's to recover: when the worker's connection
+/// ends, everything it held goes back on the queue, started or not —
+/// RabbitMQ's rule for a dead consumer's unacknowledged messages.
 pub trait WorkerTransport: Send + Sync + 'static {
     /// Job dispatch payload (master → this worker).
     type Dispatch: Send;
@@ -110,11 +115,6 @@ pub trait WorkerTransport: Send + Sync + 'static {
     /// True once the dispatch side is shut down and drained — the
     /// worker's exit condition.
     fn dispatch_closed(&self) -> bool;
-
-    /// Hand back a pulled-but-unstarted dispatch (a worker dying between
-    /// checkout and execution), so the fabric can redeliver it to
-    /// another worker — RabbitMQ's unacknowledged-redelivery semantics.
-    fn redeliver(&self, dispatch: Self::Dispatch);
 
     /// Publish a job acknowledgment.
     fn publish_ack(&self, ack: Self::Ack);

@@ -9,9 +9,9 @@
 //! and when, has no say in its fate: a lossy seed hits the same messages
 //! on every run.
 //!
-//! A republished attempt — a recovered master's redispatch, a killed
-//! worker's `redeliver` — is the same message and meets the same
-//! decision; a dropped one is dropped again. Recovery converges because
+//! A republished attempt — a recovered master's redispatch, what a killed
+//! worker's connection held given back — is the same message and meets the
+//! same decision; a dropped one is dropped again. Recovery converges because
 //! the master's deadlines move the *attempt number*, and the next attempt
 //! is a new message: exactly as on the engine path.
 //!
@@ -21,8 +21,8 @@
 //! chaos owns no thread, no tick and no bus, a killed worker's held acks
 //! still arrive, and tearing a run down with messages still held is
 //! dropping the state. A released message is not decided again.
-//! Lifecycle traffic and `redeliver` pass through: heartbeat loss is the
-//! fault plane's to inject, so lease expiries stay a function of the plan.
+//! Lifecycle traffic passes through: heartbeat loss is the fault plane's
+//! to inject, so lease expiries stay a function of the plan.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -138,10 +138,6 @@ impl WorkerTransport for ChaosTransport {
         self.inner.dispatch_closed()
     }
 
-    fn redeliver(&self, dispatch: DispatchMsg) {
-        self.inner.redeliver(dispatch);
-    }
-
     fn publish_ack(&self, ack: AckMsg) {
         match self.state.decider.decide(streams::ACK, ack_key(&ack)) {
             Fault::Drop => {}
@@ -197,9 +193,6 @@ mod tests {
         }
         fn dispatch_closed(&self) -> bool {
             self.dispatch.is_closed()
-        }
-        fn redeliver(&self, dispatch: DispatchMsg) {
-            self.dispatch.publish(dispatch);
         }
         fn publish_ack(&self, ack: AckMsg) {
             self.acks.publish(ack);
@@ -364,9 +357,6 @@ mod tests {
         }
         fn dispatch_closed(&self) -> bool {
             self.inner.dispatch_closed()
-        }
-        fn redeliver(&self, dispatch: DispatchMsg) {
-            self.inner.redeliver(dispatch);
         }
         fn publish_ack(&self, ack: AckMsg) {
             self.inner.publish_ack(ack);

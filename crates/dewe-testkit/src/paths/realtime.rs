@@ -96,15 +96,16 @@ impl JobRunner for TapRunner {
 /// was really lost: lossy scenarios get tight deadlines so recovery
 /// converges inside the watchdog, loss-free ones deadlines no healthy
 /// run can hit. Fault scenarios slow jobs to wall-clock and switch the
-/// lease plane on; without loss, recovery credit belongs to the leases
-/// (worker death) and the checkout deadline (death between pull and
-/// Running ack), with the job timeout as a distant backstop.
+/// lease plane on; without loss they run `dewe-masterd`'s configuration —
+/// no checkout deadline, which only a dispatch lost on a connection that
+/// stays up needs: a killed worker's connection gives back what it held,
+/// leases cover a stall, and the job timeout is a distant backstop.
 fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> MasterConfig {
     let faulty = !scenario.faults.is_empty();
     let (timeout, checkout) = match (faulty, scenario.chaos.is_lossy()) {
         (false, false) => (30.0, None),
         (false, true) => (0.3, Some(0.25)),
-        (true, false) => (5.0, Some(1.0)),
+        (true, false) => (5.0, None),
         (true, true) => (1.0, Some(0.25)),
     };
     let mut cfg = MasterConfig::builder()

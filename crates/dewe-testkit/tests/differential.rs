@@ -136,6 +136,21 @@ fn two_worker_loss_with_master_restart_completes_on_all_paths() {
     assert_eq!(a.liveness_recovery, Some(true), "note: {:?}", a.note);
 }
 
+/// Fault seed 5 through the realtime arm, which runs `dewe-masterd`'s
+/// configuration for a loss-free fault scenario: no checkout deadline. A
+/// spot revocation kills a worker that holds dispatches it has not
+/// started; only the endpoint's requeue of what the dead connection held
+/// gets them to another worker. Shrunk, the stall this pins was one
+/// workflow of 3 jobs on four single-slot workers and one revocation: 3
+/// dispatches, 2 completions, and a watchdog.
+#[test]
+fn fault_seed_5_settles_on_the_realtime_arm_with_no_checkout_deadline() {
+    let scenario = Scenario::generate_fault(5);
+    assert!(!scenario.faults.is_empty() && !scenario.chaos.is_lossy(), "a loss-free fault seed");
+    let run = run_scenario(&scenario, &[PathKind::Realtime], &EngineDriverConfig::default());
+    assert!(run.conforms(), "{:#?}", run.violations);
+}
+
 /// The mutation must also be visible differentially (not just via the
 /// per-path suite): a clean second engine run disagrees with the mutated
 /// one, so cross-path comparison alone flags it.

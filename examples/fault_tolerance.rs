@@ -1,12 +1,13 @@
 //! Fault tolerance with real threads: kill a worker daemon mid-run and
-//! watch the timeout mechanism recover (paper §III.B / §V.A.3).
+//! watch the master recover (paper §III.B / §V.A.3).
 //!
 //! Two worker daemons execute a fan-out workflow whose jobs sleep for real
-//! time. One worker is killed while jobs are in flight — its jobs vanish
-//! without acknowledgment, and so do the dispatches it had not started,
-//! with its connection — and a replacement daemon starts a little later.
-//! The master's timeouts resubmit the lost jobs and the ensemble still
-//! completes, with the engine reporting the resubmissions.
+//! time. One worker is killed while jobs are in flight — they vanish
+//! without acknowledgment — and a replacement daemon starts a little
+//! later. When the dead worker's connection drops, the master puts every
+//! dispatch it held, started or not, back on the queue, as a broker does
+//! for a dead consumer, and the ensemble still completes. The job timeout
+//! is the backstop for a worker that stalls with its connection open.
 //!
 //! ```text
 //! cargo run --release --example fault_tolerance
@@ -37,7 +38,6 @@ fn main() {
         Registry::new(),
         MasterConfig::builder()
             .default_timeout_secs(1.0) // aggressive, to keep the demo short
-            .checkout_timeout_secs(1.0) // for dispatches lost before they ran
             .expected_workflows(1)
             .build(),
     );
@@ -59,7 +59,7 @@ fn main() {
     std::thread::sleep(Duration::from_millis(300));
     let done_before_kill = w2.kill();
     link2.close();
-    println!("killed worker 2 after it completed {done_before_kill} jobs (in-flight jobs lost)");
+    println!("killed worker 2 after {done_before_kill} jobs; what it held goes back on the queue");
 
     // A replacement daemon joins a moment later — the stateless design
     // means it needs nothing but the queue address.

@@ -32,7 +32,12 @@ fn montage_ensemble(n: usize) -> Vec<Arc<dewe::dag::Workflow>> {
 
 /// The headline acceptance run: a 20-workflow Montage ensemble completes
 /// over loopback TCP with three worker daemons and survives one worker
-/// being killed mid-run (lease-expiry requeue over the wire).
+/// being killed mid-run. The kill lands once the first workflow has
+/// completed, with jobs slow enough that most of the ensemble is still to
+/// run, and before the ensemble is done. The dead worker's link held
+/// dispatches it had not started as well as the ones it was running: the
+/// endpoint puts all of them back on the queue when the connection drops,
+/// and the survivors finish the ensemble.
 #[test]
 fn twenty_montage_over_tcp_with_worker_kill() {
     let workflows = montage_ensemble(20);
@@ -58,7 +63,9 @@ fn twenty_montage_over_tcp_with_worker_kill() {
         let handle = spawn_worker_on(
             Arc::new(link.clone()),
             registry,
-            Arc::new(SleepRunner::new(0.0002)),
+            // A workflow's critical path is ~320 cpu-seconds, 0.65 s here;
+            // the ensemble's 6,700 cpu-seconds take twice that on twelve slots.
+            Arc::new(SleepRunner::new(0.002)),
             WorkerConfig {
                 worker_id: id,
                 slots: 4,
@@ -73,13 +80,20 @@ fn twenty_montage_over_tcp_with_worker_kill() {
     let texts =
         workflows.iter().enumerate().map(|(i, wf)| (format!("montage-{i}"), write_workflow(wf)));
     submit_over_tcp(addr, texts).unwrap();
-    std::thread::sleep(Duration::from_millis(300));
-    // Kill one worker daemon outright: in-flight jobs abandoned with
-    // no ack, heartbeats stop, the socket drops. The master's lease
-    // expiry requeues its jobs to the survivors — over the wire.
+    match master.events.recv_timeout(Duration::from_secs(120)) {
+        Ok(MasterEvent::WorkflowCompleted { .. }) => {}
+        other => panic!("waiting for the first workflow to complete: {other:?}"),
+    }
+    // Kill one worker daemon outright: in-flight jobs abandoned with no
+    // ack, heartbeats stop, the socket drops with dispatches unstarted.
     let (dead_link, dead_handle) = workers.remove(1);
     dead_handle.kill();
     dead_link.close();
+    let by_then: Vec<MasterEvent> = master.events.try_iter().collect();
+    assert!(
+        !by_then.iter().any(|ev| matches!(ev, MasterEvent::AllCompleted { .. })),
+        "the kill landed after the ensemble was done: {by_then:?}"
+    );
 
     let stats = drain_until_all_done(&master);
     master.join();
