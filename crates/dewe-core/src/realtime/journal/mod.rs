@@ -11,17 +11,18 @@
 //! ## The write-ahead rule
 //!
 //! No dispatch and no event leaves the master before the input that caused
-//! it has been handed to the OS. Records are formatted into the writer's
-//! buffer; [`Journal::commit`] hands the buffer over in one `write(2)`; the
-//! serve loop appends a whole burst of acknowledgments, commits, and only
-//! then lets the engine see the burst and its effects leave — one write per
-//! burst, not one per record. What a crash can lose is therefore only input
-//! the master had pulled off the socket and not yet acted on: the engine
-//! never saw it, no worker was told anything because of it, and the
-//! recovered master republishes the jobs it concerned. Submissions and
-//! worker transitions write themselves before the call that records them
-//! returns; acknowledgments and scans wait in the buffer for the caller's
-//! [`Journal::commit`]; nothing else decides when bytes reach the file.
+//! it has been handed to the OS. Records are encoded by hand into the
+//! writer's buffer; [`Journal::commit`] hands the buffer over in one
+//! `write(2)`; the serve loop appends a whole burst of acknowledgments,
+//! commits, and only then lets the engine see the burst and its effects
+//! leave — one write per burst, not one per record. What a crash can lose
+//! is therefore only input the master had pulled off the socket and not
+//! yet acted on: the engine never saw it, no worker was told anything
+//! because of it, and the recovered master republishes the jobs it
+//! concerned. Submissions and worker transitions write themselves before
+//! the call that records them returns; acknowledgments and scans wait in
+//! the buffer for the caller's [`Journal::commit`]; nothing else decides
+//! when bytes reach the file.
 //! "Handed to the OS" is not "on disk": the journal survives the process,
 //! not the machine.
 //!
@@ -40,8 +41,16 @@
 //! parsing ambiguity. Workflow DAGs are *not* serialized: a submission
 //! record stores the workflow's [`Registry`] index, and recovery
 //! re-fetches the DAG from the registry (the paper keeps workflow data on
-//! the shared file system for the same reason). A truncated final line —
-//! the crash happened mid-write — is silently discarded.
+//! the shared file system for the same reason). Every record ends with its
+//! newline and the writer writes whole records, so a final line without
+//! its newline was torn by a crash mid-write: it is discarded, parsed or
+//! not. A malformed complete final line is discarded too; a malformed line
+//! before another record is corruption.
+//!
+//! A record is encoded by hand — decimal and hex digits in plain loops,
+//! into one line on the stack, appended to the buffer whole — and its bytes
+//! are exactly what `writeln!` with `{}` and `{:x}` writes, which is what
+//! every earlier master wrote.
 //!
 //! Masters from 0.5.0 through 0.11.0 ended the submission record with one
 //! more numeric token (a placement their engine no longer has). The reader
@@ -130,7 +139,7 @@ impl JournalRecord {
 /// without bound, and writing early never breaks write-ahead.
 const SPILL_BYTES: usize = 64 * 1024;
 
-/// Append-only journal writer. Records are formatted into a buffer that
+/// Append-only journal writer. Records are encoded into a buffer that
 /// [`commit`](Self::commit) hands to the OS in one write. The caller's side
 /// of the write-ahead rule is to call it after appending inputs and before
 /// acting on them.
@@ -140,25 +149,82 @@ pub struct Journal {
     buf: Vec<u8>,
 }
 
-/// Format `rec` as its journal line, newline included, straight into `out`.
-fn write_record(out: &mut impl Write, rec: &JournalRecord) -> io::Result<()> {
-    match *rec {
-        JournalRecord::Submit { workflow, at } => writeln!(out, "S {workflow} {:x}", at.to_bits()),
-        JournalRecord::Ack { ack, at } => writeln!(
-            out,
-            "A {} {} {} {} {} {:x}",
-            ack.job.workflow.0,
-            ack.job.job.0,
-            ack.worker,
-            ack.kind.code(),
-            ack.attempt,
-            at.to_bits()
-        ),
-        JournalRecord::Scan { at } => writeln!(out, "T {:x}", at.to_bits()),
-        JournalRecord::Worker { worker, generation, phase, at } => {
-            writeln!(out, "W {worker} {generation} {} {:x}", phase.code(), at.to_bits())
-        }
+/// The longest journal line: `A`, five `u32` fields of up to ten digits
+/// and a time of up to sixteen hex digits, each after a space, and the
+/// newline.
+const LINE_MAX: usize = 1 + 5 * (1 + 10) + (1 + 16) + 1;
+
+/// One record's line, encoded on the stack: a tag, fields each after a
+/// space, and the newline.
+struct Line {
+    bytes: [u8; LINE_MAX],
+    len: usize,
+}
+
+impl Line {
+    /// Start the line over with `tag`.
+    fn tag(&mut self, tag: u8) -> &mut Self {
+        self.bytes[0] = tag;
+        self.len = 1;
+        self
     }
+
+    /// Make room for a space and a field of `width` digits; the field's
+    /// slots, to be filled from the last.
+    fn field(&mut self, width: usize) -> &mut [u8] {
+        let start = self.len + 1;
+        self.bytes[self.len] = b' ';
+        self.len = start + width;
+        &mut self.bytes[start..self.len]
+    }
+
+    /// A number in decimal, as `{}` writes it.
+    fn dec(&mut self, mut n: u32) -> &mut Self {
+        let width = n.checked_ilog10().map_or(1, |log| log as usize + 1);
+        for slot in self.field(width).iter_mut().rev() {
+            *slot = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        self
+    }
+
+    /// A time as its bits in lower-case hex, as `{:x}` writes them.
+    fn hex(&mut self, at: f64) -> &mut Self {
+        let mut bits = at.to_bits();
+        let width = (u64::BITS - bits.leading_zeros()).div_ceil(4).max(1);
+        for slot in self.field(width as usize).iter_mut().rev() {
+            *slot = b"0123456789abcdef"[(bits & 15) as usize];
+            bits >>= 4;
+        }
+        self
+    }
+
+    /// The finished line, newline included.
+    fn end(&mut self) -> &[u8] {
+        self.bytes[self.len] = b'\n';
+        &self.bytes[..=self.len]
+    }
+}
+
+/// Encode `rec` as its journal line, newline included, onto `out`.
+fn write_record(out: &mut Vec<u8>, rec: &JournalRecord) {
+    let mut line = Line { bytes: [0; LINE_MAX], len: 0 };
+    match *rec {
+        JournalRecord::Submit { workflow, at } => line.tag(b'S').dec(workflow).hex(at),
+        JournalRecord::Ack { ack, at } => line
+            .tag(b'A')
+            .dec(ack.job.workflow.0)
+            .dec(ack.job.job.0)
+            .dec(ack.worker)
+            .dec(ack.kind.code().into())
+            .dec(ack.attempt)
+            .hex(at),
+        JournalRecord::Scan { at } => line.tag(b'T').hex(at),
+        JournalRecord::Worker { worker, generation, phase, at } => {
+            line.tag(b'W').dec(worker).dec(generation).dec(phase.code().into()).hex(at)
+        }
+    };
+    out.extend_from_slice(line.end());
 }
 
 impl Journal {
@@ -180,7 +246,7 @@ impl Journal {
     /// Append one record to the buffer. Returns with it written only when
     /// the spill size says so.
     fn append_record(&mut self, rec: &JournalRecord) -> io::Result<()> {
-        write_record(&mut self.buf, rec)?;
+        write_record(&mut self.buf, rec);
         if self.buf.len() >= SPILL_BYTES {
             return self.commit();
         }

@@ -47,25 +47,36 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
     }
 }
 
-/// Read every intact record from a journal file. A malformed *final* line
-/// (torn write at crash time) is discarded; a malformed line in the middle
-/// is corruption and returns an error.
+/// Read every intact record from a journal file. The writer ends every
+/// record with a newline and writes whole records, so a final line without
+/// its newline is torn (the crash came mid-write) and is discarded, parsed
+/// or not. Of the complete lines, a malformed final one is discarded too; a
+/// malformed line before another record is corruption and returns an error,
+/// as does a line that is not UTF-8.
 pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
-    let reader = BufReader::new(File::open(path)?);
+    let mut reader = BufReader::new(File::open(path)?);
     let mut records = Vec::new();
     let mut pending_bad: Option<usize> = None;
-    for (idx, line) in reader.lines().enumerate() {
-        let line = line?;
+    let mut bytes = Vec::new();
+    for idx in 0.. {
+        bytes.clear();
+        reader.read_until(b'\n', &mut bytes)?;
+        let Some(line) = bytes.strip_suffix(b"\n") else {
+            break; // end of file, or a torn tail
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line); // CRLF ends a line too
         if line.is_empty() {
             continue;
         }
+        let line = std::str::from_utf8(line)
+            .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
         if let Some(bad) = pending_bad {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
                 format!("corrupt journal record at line {}", bad + 1),
             ));
         }
-        match parse_record(&line) {
+        match parse_record(line) {
             Some(r) => records.push(r),
             None => pending_bad = Some(idx), // tolerated only as the tail
         }
@@ -658,6 +669,26 @@ A 2 0 1 0 2 4030000000000000
         drop(f);
         let recs = read_journal(&path).unwrap();
         assert_eq!(recs, vec![JournalRecord::Scan { at: 1.0 }]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A tail torn inside its hex time still parses as a record — with a
+    /// time that never happened, here earlier than the record before it.
+    /// Without its newline it is torn all the same, and is not replayed.
+    #[test]
+    fn a_torn_tail_that_parses_is_discarded_too() {
+        let path = tmp("torn-parses");
+        std::fs::write(&path, "T 4028b0a3d70a3d71\nA 0 0 1 1 1 4028b0a3").unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![JournalRecord::Scan { at: 12.345 }]);
+        // Torn inside a byte sequence that is not UTF-8: torn, not corrupt.
+        std::fs::write(&path, b"T 4028b0a3d70a3d71\nA 0 \xff\xfe").unwrap();
+        assert_eq!(read_journal(&path).unwrap(), vec![JournalRecord::Scan { at: 12.345 }]);
+        // Complete, the same bytes are corruption before a record...
+        std::fs::write(&path, b"A 0 \xff\xfe\nT 4028b0a3d70a3d71\n").unwrap();
+        assert_eq!(read_journal(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // ...and the torn record, completed, is read.
+        std::fs::write(&path, "T 4028b0a3d70a3d71\nA 0 0 1 1 1 4028b0a3\n").unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 2);
         std::fs::remove_file(&path).ok();
     }
 

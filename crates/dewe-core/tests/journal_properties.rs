@@ -1,11 +1,14 @@
 //! Property-based tests for the master's write-ahead journal: arbitrary
 //! record sequences round-trip exactly, a crash-torn tail of *any* byte
 //! length never poisons the intact prefix, and mid-file corruption is
-//! always detected rather than silently skipped. *When* buffered lines
-//! reach the file — by the write-ahead barrier at the latest — has a
-//! property of its own. And a journal is read from disk, so whatever a
-//! file holds, reading and replaying it is an answer, never a panic.
+//! always detected rather than silently skipped. Every record, whatever
+//! its fields and time bits, is written as the bytes `writeln!` would write
+//! and reads back as itself. *When* buffered lines reach the file — by the
+//! write-ahead barrier at the latest — has a property of its own. And a
+//! journal is read from disk, so whatever a file holds, reading and
+//! replaying it is an answer, never a panic.
 
+use std::fmt::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -53,6 +56,94 @@ fn record() -> impl Strategy<Value = JournalRecord> {
             }
         }),
     ]
+}
+
+/// Any `u32`, at every decimal width: random bits shifted down so that
+/// short numbers are as common as long ones, now and then `u32::MAX` or 0.
+fn any_field() -> impl Strategy<Value = u32> {
+    (any::<u32>(), 0u32..34).prop_map(|(n, shift)| match shift {
+        32 => u32::MAX,
+        33 => 0,
+        _ => n >> shift,
+    })
+}
+
+/// Time bits `f64` gives a meaning of their own: ±0, the infinities, NaNs
+/// with and without a payload, subnormals, the extremes.
+const SPECIAL_TIMES: [u64; 15] = [
+    0,
+    0x8000_0000_0000_0000,
+    0x7ff0_0000_0000_0000,
+    0xfff0_0000_0000_0000,
+    0x7ff8_0000_0000_0000,
+    0xfff8_0000_0000_0000,
+    0x7ff0_0000_0000_0001,
+    0xfff8_dead_beef_0001,
+    1,
+    0x000f_ffff_ffff_ffff,
+    0x8000_0000_0000_0001,
+    0x0010_0000_0000_0000,
+    0x7fef_ffff_ffff_ffff,
+    0xffef_ffff_ffff_ffff,
+    u64::MAX,
+];
+
+/// Any 64 time bits, at every hex width, and now and then a special one.
+fn any_time() -> impl Strategy<Value = f64> {
+    (any::<u64>(), 0usize..64 + SPECIAL_TIMES.len()).prop_map(|(bits, pick)| {
+        f64::from_bits(match pick.checked_sub(64) {
+            Some(special) => SPECIAL_TIMES[special],
+            None => bits >> pick,
+        })
+    })
+}
+
+/// One record of each variant, every field drawn from its type's whole
+/// range.
+fn one_of_each() -> impl Strategy<Value = [JournalRecord; 4]> {
+    let submit =
+        (any_field(), any_time()).prop_map(|(workflow, at)| JournalRecord::Submit { workflow, at });
+    let ack = (any_field(), any_field(), any_field(), ack_kind(), any_field(), any_time())
+        .prop_map(|(wf, job, worker, kind, attempt, at)| JournalRecord::Ack {
+            ack: AckMsg::new(EnsembleJobId::new(WorkflowId(wf), JobId(job)), worker, kind, attempt),
+            at,
+        });
+    let scan = any_time().prop_map(|at| JournalRecord::Scan { at });
+    let worker = (any_field(), any_field(), 0u8..4, any_time()).prop_map(
+        |(worker, generation, code, at)| JournalRecord::Worker {
+            worker,
+            generation,
+            phase: WorkerPhase::from_code(code).unwrap(),
+            at,
+        },
+    );
+    (submit, ack, scan, worker).prop_map(|(s, a, t, w)| [s, a, t, w])
+}
+
+/// The line a record had when the journal formatted it with `writeln!`:
+/// the format every journal on disk was written in, kept as the oracle the
+/// hand encoder must match byte for byte.
+fn formatted_line(rec: &JournalRecord) -> String {
+    let mut out = String::new();
+    match *rec {
+        JournalRecord::Submit { workflow, at } => writeln!(out, "S {workflow} {:x}", at.to_bits()),
+        JournalRecord::Ack { ack, at } => writeln!(
+            out,
+            "A {} {} {} {} {} {:x}",
+            ack.job.workflow.0,
+            ack.job.job.0,
+            ack.worker,
+            ack.kind.code(),
+            ack.attempt,
+            at.to_bits()
+        ),
+        JournalRecord::Scan { at } => writeln!(out, "T {:x}", at.to_bits()),
+        JournalRecord::Worker { worker, generation, phase, at } => {
+            writeln!(out, "W {worker} {generation} {} {:x}", phase.code(), at.to_bits())
+        }
+    }
+    .unwrap();
+    out
 }
 
 /// A number as a record field holds one: one of the `valid` codes or ids
@@ -200,10 +291,10 @@ proptest! {
     }
 
     /// A crash can tear the file at any byte. Reading the remains must
-    /// succeed, return every record whose line survived intact, and at
-    /// most one extra record parsed out of the torn tail (the format has
-    /// no checksum, so a truncated hex time can still parse — what it can
-    /// never do is corrupt an *earlier* record).
+    /// succeed and return exactly the records whose lines survived with
+    /// their newline: the writer ends every record with one, so a final
+    /// line without it is torn and discarded, even where what is left of
+    /// it — a hex time cut short — would still parse.
     #[test]
     fn truncation_at_any_byte_keeps_the_intact_prefix(
         records in prop::collection::vec(record(), 1..30),
@@ -218,11 +309,8 @@ proptest! {
         let read = read_journal(&path);
         std::fs::remove_file(&path).ok();
 
-        let read = read.unwrap();
         let intact = bytes[..cut].iter().filter(|&&b| b == b'\n').count();
-        prop_assert!(read.len() >= intact, "lost an intact record: {} < {intact}", read.len());
-        prop_assert!(read.len() <= intact + 1, "phantom records: {} > {intact}+1", read.len());
-        prop_assert_eq!(&read[..intact], &records[..intact]);
+        prop_assert_eq!(read.unwrap(), &records[..intact]);
     }
 
     /// Torn tails are only forgiven at end-of-file: garbage anywhere
@@ -268,6 +356,28 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// The hand encoder writes what `writeln!` wrote, byte for byte, for
+    /// every value a field can hold and any 64 bits of time; and what it
+    /// writes reads back as the record written, to the bit.
+    #[test]
+    fn every_record_is_written_as_formatted_and_reads_back_exactly(
+        records in one_of_each(),
+        case in any::<u64>(),
+    ) {
+        let path = tmp("encoder", case);
+        write_all(&path, &records);
+        let bytes = std::fs::read(&path).unwrap();
+        let read = read_journal(&path);
+        std::fs::remove_file(&path).ok();
+
+        let formatted: String = records.iter().map(formatted_line).collect();
+        prop_assert_eq!(String::from_utf8_lossy(&bytes), formatted);
+        // Read back, compared as the oracle writes it: every field, and the
+        // time as its bits, so NaN is equal to itself and -0 is not +0.
+        let read: String = read.unwrap().iter().map(formatted_line).collect();
+        prop_assert_eq!(read, formatted);
+    }
 
     /// The journal is total over what a file can hold: any bytes read as
     /// records or as an error, and any records that read replay — into an
