@@ -54,11 +54,7 @@ pub fn run_fig8_fig9(scale: Scale) -> Fig8Result {
     let measure = |interval: f64| -> f64 {
         let wfs = super::ensemble(scale, workflows);
         let mut cfg = SimRunConfig::new(cluster);
-        cfg.submission = if interval == 0.0 {
-            SubmissionPlan::Batch
-        } else {
-            SubmissionPlan::Interval(interval)
-        };
+        cfg.submission = SubmissionPlan::Interval(interval);
         let report = run_ensemble(&wfs, &cfg);
         assert!(report.completed);
         report.makespan_secs
@@ -94,7 +90,7 @@ pub fn run_fig8_fig9(scale: Scale) -> Fig8Result {
         let wfs = super::ensemble(scale, workflows);
         let mut cfg = SimRunConfig::new(cluster);
         cfg.sample = true;
-        cfg.submission = if i == 0.0 { SubmissionPlan::Batch } else { SubmissionPlan::Interval(i) };
+        cfg.submission = SubmissionPlan::Interval(i);
         let report = run_ensemble(&wfs, &cfg);
         let s = report.sampler.expect("sampling");
         let tag = format!("i{}", i.round() as i64);

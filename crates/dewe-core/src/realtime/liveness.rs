@@ -34,8 +34,10 @@
 //!   already re-dispatched those jobs, and the engine's attempt check
 //!   discards any stale `Failed` that slips through.
 //! * `Draining` workers keep their lease (they still heartbeat and must
-//!   finish their current jobs) but the caller should stop routing new
-//!   work to them; when their last assignment clears they are `Drained`.
+//!   finish their current jobs); when their last assignment clears they
+//!   are `Drained`. The phase routes nothing: the TCP endpoint keeps
+//!   filling a draining worker's window, and whatever its connection holds
+//!   unstarted goes back when the connection drops at the revocation.
 //!
 //! The table is pure (no threads, no clocks, no IO): the master drives
 //! it from its serve loop, the journal replays it for recovery, and the
@@ -59,7 +61,7 @@ pub const REQUEUE_WORKER: u32 = u32::MAX;
 pub enum WorkerPhase {
     /// Lease held; eligible for dispatch.
     Live,
-    /// Announced shutdown; finishing current jobs, no new dispatch.
+    /// Announced shutdown; finishing current jobs (dispatch does not route by phase).
     Draining,
     /// Lease lapsed; in-flight jobs requeued, acks rejected.
     Expired,

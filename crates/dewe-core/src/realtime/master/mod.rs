@@ -497,7 +497,6 @@ mod tests {
                 WorkerConfig {
                     worker_id: id,
                     slots: 2,
-                    pull_timeout: Duration::from_millis(5),
                     heartbeat_interval: Some(Duration::from_millis(20)),
                     ..WorkerConfig::default()
                 },

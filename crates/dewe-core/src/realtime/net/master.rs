@@ -1,6 +1,3 @@
-use std::io::Read;
-use std::os::unix::net::UnixStream;
-
 use super::spool::{load_spool, same_as, spool_workflow};
 use super::*;
 
@@ -398,21 +395,15 @@ impl Endpoint {
 struct MasterInner {
     local_addr: SocketAddr,
     state: Mutex<Endpoint>,
-    /// A byte written to `wake.1` makes `wake.0` readable, which returns
-    /// every `poll` in progress. Whoever is woken reads it off — unless the
-    /// endpoint has stopped: then it stays, and no `poll` sleeps again.
-    wake: (UnixStream, UnixStream),
+    /// Rung for whoever sleeps in `poll`; rung for good once the endpoint
+    /// has stopped.
+    wake: Wake,
     /// Every DAG text this master has been handed, parsed once each.
     dags: DagStore,
     state_dir: Option<PathBuf>,
 }
 
 impl MasterInner {
-    fn wake(&self) {
-        // Full means unread wake-ups are already waiting.
-        let _ = (&self.wake.1).write(&[1]);
-    }
-
     /// What every call that sends ends with: dispatches that were waiting
     /// for credit, and — if this thread is not the one that will next
     /// `poll` — a wake-up for the one asleep there, whose `poll` set does
@@ -420,7 +411,7 @@ impl MasterInner {
     fn sent(&self, ep: &mut Endpoint) {
         ep.drain_pending();
         if ep.sleepers > 0 && ep.conns.iter().any(|c| !c.socket.unsent.is_empty()) {
-            self.wake();
+            self.wake.ring();
         }
     }
 
@@ -459,7 +450,7 @@ impl MasterInner {
             return ep;
         }
         if fds[0].revents != 0 {
-            while matches!((&self.wake.0).read(&mut [0; 64]), Ok(1..)) {}
+            self.wake.drain();
         }
         if listening && fds.last().is_some_and(|fd| fd.revents != 0) {
             ep.accept();
@@ -508,7 +499,7 @@ impl MasterInner {
         // A sleeper must hear of input queued here, and of a wake-up read here.
         let changed = queued != (ep.acks.len(), ep.submissions.len(), ep.lifecycle.len());
         if ep.sleepers > 0 && (changed || ep.doorbell) {
-            self.wake();
+            self.wake.ring();
         }
         ep.fds = fds;
         ep
@@ -536,9 +527,6 @@ impl TcpMaster {
         }
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
-        let wake = UnixStream::pair()?;
-        wake.0.set_nonblocking(true)?;
-        wake.1.set_nonblocking(true)?;
         let inner = Arc::new(MasterInner {
             local_addr: listener.local_addr()?,
             state: Mutex::new(Endpoint {
@@ -558,7 +546,7 @@ impl TcpMaster {
                 listener_sits_out: false,
                 fds: Vec::new(),
             }),
-            wake,
+            wake: Wake::new()?,
             dags: DagStore::default(),
             state_dir: options.state_dir,
         });
@@ -623,7 +611,7 @@ impl TcpMaster {
             if ep.listener.take().is_none() {
                 return;
             }
-            self.inner.wake();
+            self.inner.wake.ring();
             std::mem::take(&mut ep.conns)
         };
         // The connections are this thread's now; dropping them closes them.
@@ -690,7 +678,7 @@ impl Transport for TcpMaster {
 
     fn wake(&self) {
         self.inner.state.lock().doorbell = true;
-        self.inner.wake();
+        self.inner.wake.ring();
     }
 
     fn pull_ack_batch(&self, out: &mut Vec<AckMsg>, max: usize) -> usize {

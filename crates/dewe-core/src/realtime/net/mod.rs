@@ -50,11 +50,14 @@
 //! flushes what publishers queue (all that waits, then one flush: a burst
 //! of acks is one `send(2)`) and reconnects; it reads nothing. A slot in
 //! [`WorkerTransport::pull_dispatch`] with nothing queued takes the *reader
-//! role* if it is free, sleeps in `poll(2)` until its pull timeout, reads
+//! role* if it is free, sleeps in `poll(2)` until the socket or the link's
+//! wake-up is readable (a worker's slot pulls with no deadline), reads
 //! once, mirrors announcements, queues dispatches, returns the first and
 //! hands the rest — or the role — to one waiting slot. A new connection
 //! first sends what the last may not have delivered: its failed batch, then
 //! its last `window` frames that settled a dispatch.
+//! [`WorkerTransport::close_dispatch`] rings that wake-up, a socket pair like
+//! the master's, for good.
 //!
 //! ## Backpressure
 //!
@@ -106,8 +109,9 @@
 //! already holds. The worker keeps no store.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, BufWriter, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -138,3 +142,25 @@ pub use worker::{TcpWorkerLink, TcpWorkerOptions};
 /// The most one read takes off a connection: on the master, what a peer that
 /// never stops sending can put between another and its turn.
 const READ_BOUND: usize = 64 * 1024;
+
+/// A doorbell for a thread asleep in `poll(2)` over `.0`: a byte written to
+/// `.1` returns every such `poll`. Drained by whoever hears it, unless it
+/// rang for good: then no `poll` over it sleeps again.
+struct Wake(UnixStream, UnixStream);
+
+impl Wake {
+    fn new() -> io::Result<Self> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Self(rx, tx))
+    }
+
+    fn ring(&self) {
+        let _ = (&self.1).write(&[1]); // Full: unread wake-ups are waiting.
+    }
+
+    fn drain(&self) {
+        while matches!((&self.0).read(&mut [0; 64]), Ok(1..)) {}
+    }
+}

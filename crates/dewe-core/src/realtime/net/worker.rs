@@ -42,9 +42,11 @@ struct LinkState {
     /// Slots waiting on [`WorkerInner::slots`]; the writer waiting for frames.
     waiters: usize,
     writer_waits: bool,
-    /// `close` was called; the master said Bye (the ensemble is done).
+    /// `close` was called; the master said Bye (the ensemble is done);
+    /// `close_dispatch` was called (the worker stops, the link serves on).
     stop: bool,
     bye: bool,
+    dispatch_closed: bool,
 }
 
 type Guard<'a> = MutexGuard<'a, LinkState>;
@@ -64,6 +66,8 @@ struct WorkerInner {
     slots: Condvar,
     /// The writer waits here for frames, or for its connection to end.
     writer: Condvar,
+    /// Rung for good by `close_dispatch`; the reader polls it beside the socket.
+    wake: Wake,
     writer_thread: Mutex<Option<JoinHandle<()>>>,
 }
 
@@ -96,6 +100,7 @@ impl TcpWorkerLink {
             state: Mutex::default(),
             slots: Condvar::new(),
             writer: Condvar::new(),
+            wake: Wake::new()?,
             writer_thread: Mutex::new(None),
         });
         let writer = Arc::clone(&inner);
@@ -135,7 +140,14 @@ impl WorkerTransport for TcpWorkerLink {
     }
 
     fn dispatch_closed(&self) -> bool {
-        self.inner.state.lock().done()
+        let st = self.inner.state.lock();
+        st.done() || st.dispatch_closed
+    }
+
+    fn close_dispatch(&self) {
+        self.inner.state.lock().dispatch_closed = true;
+        self.inner.slots.notify_all();
+        self.inner.wake.ring();
     }
 
     fn publish_ack(&self, ack: AckMsg) {
@@ -197,9 +209,9 @@ impl WorkerInner {
         let deadline = Instant::now() + timeout.min(Duration::from_secs(86_400));
         let mut st = self.state.lock();
         loop {
-            let dispatch = st.inbox.pop_front();
+            let dispatch = (!st.dispatch_closed).then(|| st.inbox.pop_front()).flatten();
             let left = deadline.saturating_duration_since(Instant::now());
-            if dispatch.is_some() || st.done() || left.is_zero() {
+            if dispatch.is_some() || st.done() || st.dispatch_closed || left.is_zero() {
                 // A waiter takes over what is left: a dispatch, or the role.
                 let role_free = !st.reading && st.conn.is_some();
                 let hand_off = st.waiters > 0 && (!st.inbox.is_empty() || role_free);
@@ -220,16 +232,17 @@ impl WorkerInner {
         }
     }
 
-    /// One turn of the reader role: `poll` on `socket`, unlocked, for up to
-    /// `wait`, then one bounded read; a connection that ended or broke
-    /// protocol is over. Returns the state locked and the role given back.
+    /// One turn of the reader role: `poll` on `socket` and the wake-up,
+    /// unlocked, for up to `wait`, then one bounded read; a connection that
+    /// ended or broke protocol is over. Returns the state locked, role given back.
     fn read(&self, mut st: Guard<'_>, socket: Arc<TcpStream>, wait: Duration) -> Guard<'_> {
         st.reading = true;
         let mut frames = st.frames.take().unwrap_or(FrameBuf::new(DEFAULT_MAX_FRAME, READ_BOUND));
         drop(st);
         let mut got = Vec::new();
-        let read = match poll(&mut [PollFd::new(&*socket, POLLIN)], wait) {
-            Ok(1..) => self.receive(&socket, &mut frames, &mut got),
+        let mut fds = [PollFd::new(&*socket, POLLIN), PollFd::new(&self.wake.0, POLLIN)];
+        let read = match poll(&mut fds, wait) {
+            Ok(1..) if fds[0].revents != 0 => self.receive(&socket, &mut frames, &mut got),
             _ => Ok(()),
         };
         let mut st = self.state.lock();
@@ -711,6 +724,49 @@ mod tests {
         wait_until("the link hears the Bye", || link.master_said_bye());
         release.store(true, Ordering::Relaxed);
         assert_eq!(worker.wait(), 1, "the slot finishes its job and sees the link closed");
+        link.close();
+    }
+
+    /// A kill reaches a worker's only slot asleep in the reader's `poll`
+    /// by the link's wake-up, not by a timeout: it returns with the link
+    /// still open.
+    #[test]
+    fn kill_wakes_a_slot_asleep_in_poll_and_leaves_the_link_open() {
+        let master = endpoint();
+        let _pump = pump(&master);
+        let (link, mirror) = link(&master, 0, 8);
+        let config = WorkerConfig { slots: 1, ..WorkerConfig::default() };
+        let worker = spawn_worker_on(Arc::new(link.clone()), mirror, Arc::new(NoopRunner), config);
+        wait_until("the slot holds the reader role", || link.inner.state.lock().reading);
+        let (killed, kill) = std::sync::mpsc::channel();
+        std::thread::spawn(move || killed.send(worker.kill()));
+        assert_eq!(kill.recv_timeout(Duration::from_secs(5)), Ok(0), "the kill returns");
+        let st = link.inner.state.lock();
+        assert!(st.conn.is_some() && !st.done() && !st.reading, "the link is open, unread");
+        drop(st);
+        master.shutdown();
+        link.close();
+    }
+
+    /// `close_dispatch` is for good: a pull made after it returns `None` at
+    /// once, with a dispatch queued or not, and acks still go out.
+    #[test]
+    fn a_pull_after_close_dispatch_gets_nothing_at_once_and_acks_still_go_out() {
+        let (listener, link, _) = stand_in(TcpWorkerOptions::default());
+        let mut master = accept(&listener);
+        let both =
+            WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1), DispatchMsg::new(job(1), 1)]);
+        write_frame(master.get_mut(), &both.encode()).unwrap();
+        let wait = Duration::from_secs(10);
+        assert_eq!(link.pull_dispatch(wait), Some(DispatchMsg::new(job(0), 1)));
+        link.close_dispatch();
+        let began = Instant::now();
+        assert_eq!(link.pull_dispatch(wait), None, "not the one queued");
+        assert_eq!(link.pull_dispatch(wait), None, "nor anything later");
+        assert!(began.elapsed() < Duration::from_secs(1), "at once: {:?}", began.elapsed());
+        assert!(link.dispatch_closed());
+        link.publish_ack(AckMsg::new(job(0), 0, AckKind::Completed, 1));
+        assert_eq!(next_ack(&mut master).job, job(0), "acks still go out");
         link.close();
     }
 

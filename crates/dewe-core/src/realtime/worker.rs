@@ -32,8 +32,6 @@ pub struct WorkerConfig {
     /// when the number of concurrent job execution threads equals the
     /// number of CPUs" (§III.D).
     pub slots: usize,
-    /// How long an idle slot waits per pull (on a TCP link, its `poll`).
-    pub pull_timeout: Duration,
     /// When set, a dedicated thread registers the worker on the
     /// lifecycle topic and then heartbeats at this cadence, letting a
     /// lease-enabled master detect silence. `None` (default) sends no
@@ -43,13 +41,7 @@ pub struct WorkerConfig {
 
 impl Default for WorkerConfig {
     fn default() -> Self {
-        Self {
-            worker_id: 0,
-            generation: 0,
-            slots: 4,
-            pull_timeout: Duration::from_millis(50),
-            heartbeat_interval: None,
-        }
+        Self { worker_id: 0, generation: 0, slots: 4, heartbeat_interval: None }
     }
 }
 
@@ -67,9 +59,12 @@ pub struct WorkerHandle {
 
 impl WorkerHandle {
     /// Graceful stop: slots finish their current job (acknowledging it)
-    /// and exit. Returns total jobs executed.
+    /// and exit; an idle one is woken by the transport's
+    /// [`close_dispatch`](WorkerTransport::close_dispatch). Returns total
+    /// jobs executed.
     pub fn stop(self) -> u64 {
         self.stop.store(true, Ordering::Relaxed);
+        self.transport.close_dispatch();
         self.wait()
     }
 
@@ -84,14 +79,17 @@ impl WorkerHandle {
     pub fn kill(self) -> u64 {
         self.kill.store(true, Ordering::Relaxed);
         self.stop.store(true, Ordering::Relaxed);
+        self.transport.close_dispatch();
         self.wait()
     }
 
     /// Announce a graceful drain on the lifecycle topic *without*
-    /// stopping: the master marks the worker Draining (no new dispatch
-    /// credit) while running jobs finish and ack. Models a spot
-    /// revocation notice — call this at the notice, [`kill`](Self::kill)
-    /// at the revocation.
+    /// stopping: a lease-enabled master marks the worker Draining in its
+    /// liveness table, and the worker keeps pulling and running what it is
+    /// sent — nothing routes by liveness phase, and the master keeps filling
+    /// the connection's window. Models a spot revocation notice: call this
+    /// at the notice, [`kill`](Self::kill) at the revocation, then close the
+    /// link, which gives back whatever the connection held unstarted.
     pub fn announce_drain(&self) {
         self.transport.publish_lifecycle(LifecycleMsg::new(
             self.worker_id,
@@ -233,7 +231,9 @@ fn slot_loop(
 ) -> u64 {
     let mut executed = 0u64;
     while !stop.load(Ordering::Relaxed) {
-        let Some(dispatch) = transport.pull_dispatch(config.pull_timeout) else {
+        // No deadline: an idle slot sleeps until it has work or the
+        // dispatch side closes (a stop or kill closes it).
+        let Some(dispatch) = transport.pull_dispatch(Duration::MAX) else {
             if transport.dispatch_closed() {
                 break;
             }
@@ -349,12 +349,7 @@ mod tests {
         let (tcp, link, handle) = worker_on(
             one_job(),
             Arc::new(NoopRunner),
-            WorkerConfig {
-                worker_id: 7,
-                slots: 2,
-                pull_timeout: Duration::from_millis(10),
-                ..WorkerConfig::default()
-            },
+            WorkerConfig { worker_id: 7, slots: 2, ..WorkerConfig::default() },
         );
         tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
         let running = next_ack(&tcp);
@@ -389,12 +384,7 @@ mod tests {
         let (tcp, link, handle) = worker_on(
             one_job(),
             Arc::new(Slow),
-            WorkerConfig {
-                worker_id: 1,
-                slots: 1,
-                pull_timeout: Duration::from_millis(10),
-                ..WorkerConfig::default()
-            },
+            WorkerConfig { worker_id: 1, slots: 1, ..WorkerConfig::default() },
         );
         tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
         let running = next_ack(&tcp);
@@ -428,12 +418,7 @@ mod tests {
         let (tcp, link, handle) = worker_on(
             b.finish().unwrap(),
             Arc::new(Bomb),
-            WorkerConfig {
-                worker_id: 2,
-                slots: 1,
-                pull_timeout: Duration::from_millis(10),
-                ..WorkerConfig::default()
-            },
+            WorkerConfig { worker_id: 2, slots: 1, ..WorkerConfig::default() },
         );
         // Job 0 panics mid-run: the slot must ack it Failed and survive.
         tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
@@ -457,7 +442,6 @@ mod tests {
                 worker_id: 3,
                 generation: 2,
                 slots: 1,
-                pull_timeout: Duration::from_millis(5),
                 heartbeat_interval: Some(Duration::from_millis(10)),
             },
         );
@@ -507,17 +491,71 @@ mod tests {
         link.close();
     }
 
+    /// A link that counts each slot thread's pulls, and the pulls that came
+    /// back empty with the dispatch side open: by a timeout.
+    struct Counting {
+        inner: crate::realtime::TcpWorkerLink,
+        pulls: parking_lot::Mutex<std::collections::BTreeMap<String, usize>>,
+        timed_out: std::sync::atomic::AtomicUsize,
+    }
+
+    impl WorkerTransport for Counting {
+        type Dispatch = DispatchMsg;
+        type Ack = AckMsg;
+        type Lifecycle = LifecycleMsg;
+
+        fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
+            let slot = std::thread::current().name().unwrap_or_default().to_string();
+            *self.pulls.lock().entry(slot).or_default() += 1;
+            let got = self.inner.pull_dispatch(timeout);
+            if got.is_none() && !self.inner.dispatch_closed() {
+                self.timed_out.fetch_add(1, Ordering::Relaxed);
+            }
+            got
+        }
+        fn dispatch_closed(&self) -> bool {
+            self.inner.dispatch_closed()
+        }
+        fn close_dispatch(&self) {
+            self.inner.close_dispatch();
+        }
+        fn publish_ack(&self, ack: AckMsg) {
+            self.inner.publish_ack(ack);
+        }
+        fn publish_lifecycle(&self, msg: LifecycleMsg) {
+            self.inner.publish_lifecycle(msg);
+        }
+    }
+
+    /// An idle slot sleeps until it has work: left alone for half a
+    /// second, each of three slots pulls once, and the stop that ends them
+    /// is what returns those pulls, not a timeout.
+    #[test]
+    fn an_idle_worker_pulls_once_per_slot_and_stopping_it_wakes_each_once() {
+        let tcp = endpoint();
+        let (link, mirror) = link(&tcp, 0, 8);
+        let counting = Arc::new(Counting {
+            inner: link.clone(),
+            pulls: Default::default(),
+            timed_out: Default::default(),
+        });
+        let config = WorkerConfig { slots: 3, ..WorkerConfig::default() };
+        let handle = spawn_worker_on(counting.clone(), mirror, Arc::new(NoopRunner), config);
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(handle.stop(), 0);
+        let pulls: Vec<usize> = counting.pulls.lock().values().copied().collect();
+        assert_eq!(pulls, [1, 1, 1], "one pull per slot");
+        assert_eq!(counting.timed_out.load(Ordering::Relaxed), 0, "none returned by timeout");
+        tcp.shutdown();
+        link.close();
+    }
+
     #[test]
     fn stopped_worker_drains_quickly() {
         let (tcp, link, handle) = worker_on(
             one_job(),
             Arc::new(NoopRunner),
-            WorkerConfig {
-                worker_id: 0,
-                slots: 3,
-                pull_timeout: Duration::from_millis(5),
-                ..WorkerConfig::default()
-            },
+            WorkerConfig { worker_id: 0, slots: 3, ..WorkerConfig::default() },
         );
         assert_eq!(handle.stop(), 0);
         tcp.shutdown();

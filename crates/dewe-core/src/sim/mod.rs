@@ -29,10 +29,9 @@ pub mod autoscale;
 /// How the ensemble's workflows are submitted (paper §V.A.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubmissionPlan {
-    /// All workflows submitted at time zero in one batch.
-    Batch,
     /// Workflow *i* submitted at `i * interval_secs` (incremental
-    /// submission; batch is the `interval = 0` special case).
+    /// submission; `Interval(0.0)` submits all of them at time zero, in
+    /// one batch).
     Interval(f64),
 }
 
@@ -123,7 +122,7 @@ impl SimRunConfig {
             cluster,
             default_timeout_secs: 600.0,
             timeout_scan_secs: 5.0,
-            submission: SubmissionPlan::Batch,
+            submission: SubmissionPlan::Interval(0.0),
             per_job_overhead_secs: 0.1,
             slots_per_node: None,
             sample: false,
@@ -533,10 +532,7 @@ impl<'a> Driver<'a> {
         let sampler =
             config.sample.then(|| ClusterSampler::new(nodes, config.cluster.instance.vcpus));
 
-        let interval_secs = match config.submission {
-            SubmissionPlan::Batch => 0.0,
-            SubmissionPlan::Interval(secs) => secs,
-        };
+        let SubmissionPlan::Interval(interval_secs) = config.submission;
         for i in 0..workflows.len() {
             exec.schedule_wake(interval_secs * i as f64, TAG_SUBMIT | i as u64);
         }

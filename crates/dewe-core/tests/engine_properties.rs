@@ -47,11 +47,7 @@ proptest! {
         let total: u64 = wfs.iter().map(|w| w.job_count() as u64).sum();
         let mut cfg = SimRunConfig::new(cluster(nodes));
         cfg.per_job_overhead_secs = 0.0;
-        cfg.submission = if interval == 0.0 {
-            SubmissionPlan::Batch
-        } else {
-            SubmissionPlan::Interval(interval)
-        };
+        cfg.submission = SubmissionPlan::Interval(interval);
         let report = run_ensemble(&wfs, &cfg);
         prop_assert!(report.completed);
         prop_assert_eq!(report.engine.jobs_completed, total);

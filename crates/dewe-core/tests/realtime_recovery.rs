@@ -111,7 +111,6 @@ fn worker(addr: SocketAddr, id: u32, slots: usize, heartbeat: Option<Duration>) 
     let config = WorkerConfig {
         worker_id: id,
         slots,
-        pull_timeout: Duration::from_millis(10),
         heartbeat_interval: heartbeat,
         ..WorkerConfig::default()
     };

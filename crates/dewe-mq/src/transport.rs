@@ -112,9 +112,14 @@ pub trait WorkerTransport: Send + Sync + 'static {
     /// Blocking pull of the next dispatch, bounded by `timeout`.
     fn pull_dispatch(&self, timeout: Duration) -> Option<Self::Dispatch>;
 
-    /// True once the dispatch side is shut down and drained — the
-    /// worker's exit condition.
+    /// True once the dispatch side is shut down and drained, or closed —
+    /// the worker's exit condition.
     fn dispatch_closed(&self) -> bool;
+
+    /// Close the dispatch side for good — no sleeping slot can miss it:
+    /// every `pull_dispatch` in progress or made later returns `None` at
+    /// once. Acks and lifecycle messages still go out.
+    fn close_dispatch(&self);
 
     /// Publish a job acknowledgment.
     fn publish_ack(&self, ack: Self::Ack);

@@ -17,10 +17,11 @@
 //!
 //! Duplicated dispatches and delayed messages of either kind wait in one
 //! [`ChaosState`] shared by all of a run's workers and are released by
-//! whichever slot pulls next (idle slots pull every few milliseconds), so
-//! chaos owns no thread, no tick and no bus, a killed worker's held acks
-//! still arrive, and tearing a run down with messages still held is
-//! dropping the state. A released message is not decided again.
+//! whichever slot pulls next once due (a pull waits on the link no longer
+//! than the earliest release held), so chaos owns no thread, no tick and no
+//! bus, a killed worker's held acks still arrive, and tearing a run down
+//! with messages still held is dropping the state. A released message is
+//! not decided again.
 //! Lifecycle traffic passes through: heartbeat loss is the fault plane's
 //! to inject, so lease expiries stay a function of the plan.
 
@@ -103,22 +104,27 @@ impl WorkerTransport for ChaosTransport {
     type Lifecycle = LifecycleMsg;
 
     fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
+        let closed = self.inner.dispatch_closed();
         let now = Instant::now();
-        let (due_acks, due_dispatch) = {
+        let (due_acks, due_dispatch, next_release) = {
             let mut held = self.state.held();
             let (due, later): (Vec<_>, Vec<_>) =
                 std::mem::take(&mut held.acks).into_iter().partition(|h| h.0 <= now);
             held.acks = later;
-            let first = held.dispatches.iter().position(|h| h.0 <= now);
-            (due, first.map(|i| held.dispatches.remove(i).1))
+            let first = held.dispatches.iter().position(|h| !closed && h.0 <= now);
+            let due_dispatch = first.map(|i| held.dispatches.remove(i).1);
+            let releases = held.acks.iter().map(|h| h.0).chain(held.dispatches.iter().map(|h| h.0));
+            (due, due_dispatch, releases.min())
         };
         for (_, ack) in due_acks {
             self.inner.publish_ack(ack);
         }
-        if due_dispatch.is_some() {
+        if due_dispatch.is_some() || closed {
             return due_dispatch;
         }
-        let d = self.inner.pull_dispatch(timeout)?;
+        let wait =
+            next_release.map_or(timeout, |at| timeout.min(at.saturating_duration_since(now)));
+        let d = self.inner.pull_dispatch(wait)?;
         let hold = |until| self.state.held().dispatches.push((until, d));
         match self.state.decider.decide(streams::DISPATCH, dispatch_key(&d)) {
             Fault::Drop => None,
@@ -136,6 +142,10 @@ impl WorkerTransport for ChaosTransport {
 
     fn dispatch_closed(&self) -> bool {
         self.inner.dispatch_closed()
+    }
+
+    fn close_dispatch(&self) {
+        self.inner.close_dispatch();
     }
 
     fn publish_ack(&self, ack: AckMsg) {
@@ -194,6 +204,9 @@ mod tests {
         fn dispatch_closed(&self) -> bool {
             self.dispatch.is_closed()
         }
+        fn close_dispatch(&self) {
+            self.dispatch.close();
+        }
         fn publish_ack(&self, ack: AckMsg) {
             self.acks.publish(ack);
         }
@@ -231,12 +244,7 @@ mod tests {
     ) -> dewe_core::realtime::WorkerHandle {
         let registry = Registry::new();
         registry.insert(WorkflowId(0), one_job());
-        let config = WorkerConfig {
-            worker_id: 7,
-            slots,
-            pull_timeout: Duration::from_millis(5),
-            ..WorkerConfig::default()
-        };
+        let config = WorkerConfig { worker_id: 7, slots, ..WorkerConfig::default() };
         spawn_worker_on(link(queues, state), registry, Arc::new(NoopRunner), config)
     }
 
@@ -357,6 +365,9 @@ mod tests {
         }
         fn dispatch_closed(&self) -> bool {
             self.inner.dispatch_closed()
+        }
+        fn close_dispatch(&self) {
+            self.inner.close_dispatch();
         }
         fn publish_ack(&self, ack: AckMsg) {
             self.inner.publish_ack(ack);

@@ -250,7 +250,6 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
                 WorkerConfig {
                     worker_id: w as u32,
                     slots: scenario.slots_per_worker,
-                    pull_timeout: Duration::from_millis(5),
                     heartbeat_interval: faulty.then_some(FAULT_HEARTBEAT),
                     ..WorkerConfig::default()
                 },

@@ -29,11 +29,7 @@ fn main() {
     let measure = |interval: f64| -> f64 {
         let wfs: Vec<_> = (0..workflows).map(|_| Arc::clone(&template)).collect();
         let mut cfg = SimRunConfig::new(cluster);
-        cfg.submission = if interval == 0.0 {
-            SubmissionPlan::Batch
-        } else {
-            SubmissionPlan::Interval(interval)
-        };
+        cfg.submission = SubmissionPlan::Interval(interval);
         let report = run_ensemble(&wfs, &cfg);
         assert!(report.completed);
         report.makespan_secs

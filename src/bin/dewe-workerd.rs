@@ -73,7 +73,11 @@ fn parse_args() -> Result<Args, String> {
                 }
             }
             "--window" => {
-                args.window = Some(value(&mut i, "--window")?.parse().map_err(|_| "bad --window")?)
+                let window = value(&mut i, "--window")?.parse().map_err(|_| "bad --window")?;
+                if window == 0 {
+                    return Err("--window must be at least 1".into());
+                }
+                args.window = Some(window);
             }
             "--heartbeat" => {
                 args.heartbeat = Some(positive_secs("--heartbeat", &value(&mut i, "--heartbeat")?)?)
@@ -146,7 +150,6 @@ fn main() {
             generation: args.generation,
             slots: args.slots,
             heartbeat_interval: args.heartbeat.map(Duration::from_secs_f64),
-            ..WorkerConfig::default()
         },
     );
 

@@ -195,13 +195,13 @@ fn simulated_results_are_pinned_bit_for_bit() {
     }
     #[rustfmt::skip]
     let pins = [
-        Pin { workflows: 5, nodes: 40, plan: SubmissionPlan::Batch,
+        Pin { workflows: 5, nodes: 40, plan: SubmissionPlan::Interval(0.0),
               makespan: 0x4074_0298_d152_6d8b, read: 0x4212_a03a_8100_0000, written: 0x4244_8fe7_4020_0000,
               hits: 121_500, misses: 7_220, dispatches: 42_930, cascades: 0 },
         Pin { workflows: 5, nodes: 40, plan: SubmissionPlan::Interval(50.0),
               makespan: 0x407e_d701_58fb_43d9, read: 0x4212_a03a_8100_0000, written: 0x4244_8fe7_4020_0000,
               hits: 121_500, misses: 7_220, dispatches: 42_930, cascades: 0 },
-        Pin { workflows: 20, nodes: 4, plan: SubmissionPlan::Batch,
+        Pin { workflows: 20, nodes: 4, plan: SubmissionPlan::Interval(0.0),
               makespan: 0x409d_1a76_05ab_3aac, read: 0x425e_a59c_8fa0_0000, written: 0x4264_8fe7_4020_0000,
               hits: 280_118, misses: 234_762, dispatches: 171_720, cascades: 208_854 },
         Pin { workflows: 20, nodes: 4, plan: SubmissionPlan::Interval(50.0),
