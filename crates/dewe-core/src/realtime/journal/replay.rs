@@ -376,6 +376,76 @@ mod tests {
         assert_eq!(table.assignment(job), None);
     }
 
+    /// A worker link sends a job's terminal ack in place of its `Running`
+    /// when both wait in its outbox together, so a journal may hold a job's
+    /// terminal ack alone. With leases on, that recovers the engine and the
+    /// liveness table a journal with both acks recovers, and the folded jobs
+    /// never enter the assignment table.
+    #[test]
+    fn terminal_acks_without_their_running_recover_the_same_master() {
+        let registry = Registry::new();
+        registry.insert(WorkflowId(0), chain(3));
+        registry.insert(WorkflowId(1), chain(3));
+        let job = |wf, j| EnsembleJobId::new(WorkflowId(wf), JobId(j));
+        let ack = |job, kind, attempt, at| JournalRecord::Ack {
+            ack: AckMsg { job, worker: 1, kind, attempt },
+            at,
+        };
+        let pair = |job, kind, attempt, at| {
+            [ack(job, AckKind::Running, attempt, at), ack(job, kind, attempt, at)]
+        };
+        let mut both = vec![
+            JournalRecord::Worker { worker: 1, generation: 0, phase: WorkerPhase::Live, at: 0.0 },
+            JournalRecord::Submit { workflow: 0, at: 0.0 },
+            JournalRecord::Submit { workflow: 1, at: 0.0 },
+        ];
+        both.extend(pair(job(0, 0), AckKind::Completed, 1, 1.0));
+        both.extend(pair(job(1, 0), AckKind::Completed, 1, 1.0));
+        both.extend(pair(job(0, 1), AckKind::Failed, 1, 2.0));
+        both.extend(pair(job(0, 1), AckKind::Completed, 2, 3.0));
+        both.extend(pair(job(1, 1), AckKind::Completed, 1, 3.0));
+        // Still running at the crash: its `Running` was flushed alone.
+        both.push(ack(job(0, 2), AckKind::Running, 1, 4.0));
+        let folded: Vec<JournalRecord> = both
+            .iter()
+            .enumerate()
+            .filter(|&(i, rec)| match (rec, both.get(i + 1)) {
+                (
+                    JournalRecord::Ack { ack: run, .. },
+                    Some(JournalRecord::Ack { ack: end, .. }),
+                ) => {
+                    run.kind != AckKind::Running || (run.job, run.attempt) != (end.job, end.attempt)
+                }
+                _ => true,
+            })
+            .map(|(_, rec)| *rec)
+            .collect();
+        assert_eq!(folded.len(), both.len() - 5, "each of the five pairs loses its Running");
+
+        let config = EngineConfig { default_timeout_secs: 10.0, ..EngineConfig::default() };
+        let replay = |records: &[JournalRecord]| {
+            let rec = recover(records, &registry, config).unwrap();
+            let states: Vec<_> = (0..2)
+                .flat_map(|wf| (0..3).map(move |j| job(wf, j)))
+                .map(|id| rec.engine.job_state(id))
+                .collect();
+            (states, rec.engine.stats(), rec.redispatch, rec.resume_at)
+        };
+        let recovered = replay(&folded);
+        assert_eq!(recovered, replay(&both), "the same engine");
+        assert_eq!(recovered.0[2], Some(JobState::Running));
+        assert_eq!((recovered.1.jobs_completed, recovered.1.resubmissions), (4, 1));
+
+        let (table, reference) = (replay_liveness(&folded, 5.0), replay_liveness(&both, 5.0));
+        assert_eq!(table.snapshot(), reference.snapshot());
+        assert_eq!(table.stats(), reference.stats());
+        for id in [job(0, 0), job(0, 1), job(1, 0), job(1, 1)] {
+            assert_eq!(table.assignment(id), None, "{id:?} never entered the table");
+        }
+        assert_eq!(table.assignment(job(0, 2)), Some((1, 1)));
+        assert_eq!(reference.assignment(job(0, 2)), Some((1, 1)));
+    }
+
     /// What a 0.11.0 `--shards 4` master wrote for three two-job chains on
     /// shards 3, 0 and 2 (the fourth token of each `S` line): wf0 runs to
     /// completion, wf1's root is checked out at 2.5 and times out in the

@@ -56,15 +56,18 @@ pub use worker::{spawn_worker_on, DynWorkerTransport, WorkerConfig, WorkerHandle
 mod testutil {
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::{channel, Receiver, Sender};
     use std::sync::Arc;
     use std::thread::JoinHandle;
     use std::time::{Duration, Instant};
 
-    use dewe_dag::{Workflow, WorkflowBuilder};
+    use dewe_dag::{JobId, Workflow, WorkflowBuilder};
     use dewe_mq::{Transport, WorkerTransport};
+    use parking_lot::Mutex;
 
     use super::{
-        submit_over_tcp, Registry, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions,
+        submit_over_tcp, JobOutcome, JobRunner, Registry, RunContext, TcpMaster, TcpMasterOptions,
+        TcpWorkerLink, TcpWorkerOptions,
     };
 
     /// `jobs` independent jobs.
@@ -74,6 +77,25 @@ mod testutil {
             b.job(format!("j{i}"), "t", 1.0).build();
         }
         Arc::new(b.finish().unwrap())
+    }
+
+    /// A runner whose jobs each wait for one send on the gate [`gated`]
+    /// returns, then run as `R` runs them.
+    struct Gated<R>(Mutex<Receiver<()>>, R);
+
+    impl<R: JobRunner> JobRunner for Gated<R> {
+        fn run(&self, workflow: &Workflow, job: JobId, ctx: &RunContext) -> JobOutcome {
+            let _ = self.0.lock().recv(); // A dropped gate lets every job through.
+            self.1.run(workflow, job, ctx)
+        }
+    }
+
+    /// `runner` behind a gate, so that a test can read a job's `Running` ack
+    /// while the job is still running: a job that ends before the link's
+    /// writer takes its `Running` ack sends its terminal ack in its place.
+    pub(crate) fn gated(runner: impl JobRunner + 'static) -> (Arc<dyn JobRunner>, Sender<()>) {
+        let (open, gate) = channel();
+        (Arc::new(Gated(Mutex::new(gate), runner)), open)
     }
 
     /// A master endpoint on a loopback port the OS picked.

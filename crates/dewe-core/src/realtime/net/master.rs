@@ -948,10 +948,13 @@ mod tests {
         assert_eq!(registry.len(), 1, "workflow mirrored before dispatch");
         assert_eq!(registry.get(WorkflowId(0)).unwrap().job_count(), 2);
 
+        // The Running ack is read before the Completed is published: a
+        // terminal ack published while its Running still waits in the
+        // link's outbox would be sent in its place.
         link.publish_ack(AckMsg::new(job, 3, AckKind::Running, 1));
-        link.publish_ack(AckMsg::new(job, 3, AckKind::Completed, 1));
         let a1 = master.pull_ack(Duration::from_secs(10)).expect("running ack");
         assert_eq!(a1.kind, AckKind::Running);
+        link.publish_ack(AckMsg::new(job, 3, AckKind::Completed, 1));
         let a2 = master.pull_ack(Duration::from_secs(10)).expect("completed ack");
         assert_eq!(a2.kind, AckKind::Completed);
 

@@ -53,9 +53,14 @@
 //! role* if it is free, sleeps in `poll(2)` until the socket or the link's
 //! wake-up is readable (a worker's slot pulls with no deadline), reads
 //! once, mirrors announcements, queues dispatches, returns the first and
-//! hands the rest — or the role — to one waiting slot. A new connection
-//! first sends what the last may not have delivered: its failed batch, then
-//! its last `window` frames that settled a dispatch.
+//! hands the rest — or the role — to one waiting slot. A terminal ack
+//! published while its job's `Running` ack still waits for the writer takes
+//! that frame's place, so a job that ends before its start leaves the worker
+//! is one ack, sent where its `Running` would have been: the master reads no
+//! checkout whose clock would stop in the same burst, and still reads the
+//! end ahead of anything queued after the start, a `Drain` above all. A new
+//! connection first sends what the last may not have delivered: its failed
+//! batch, then its last `window` frames that settled a dispatch.
 //! [`WorkerTransport::close_dispatch`] rings that wake-up, a socket pair like
 //! the master's, for good.
 //!

@@ -37,8 +37,10 @@ struct LinkState {
     /// A slot holds the reader role: it is in `poll`, or reading.
     reading: bool,
     inbox: VecDeque<DispatchMsg>,
-    /// Frames for the writer, each with whether it settles a dispatch.
+    /// Frames for the writer, each with whether it settles a dispatch, and
+    /// where each `Running` ack among them sits, by `(job, attempt)`.
     outbox: Vec<(Vec<u8>, bool)>,
+    running: Vec<((EnsembleJobId, u32), usize)>,
     /// Slots waiting on [`WorkerInner::slots`]; the writer waiting for frames.
     waiters: usize,
     writer_waits: bool,
@@ -150,13 +152,28 @@ impl WorkerTransport for TcpWorkerLink {
         self.inner.wake.ring();
     }
 
+    /// Queue `ack` for the writer. A terminal ack whose `Running` the
+    /// writer has not taken yet takes that frame's place, and the `Running`
+    /// is never sent: the master sees the job end where it would have seen
+    /// it start, ahead of anything queued since (a `Drain` above all), and
+    /// learns nothing from a checkout that ended before it could arrive.
     fn publish_ack(&self, ack: AckMsg) {
-        let settles = matches!(ack.kind, AckKind::Completed | AckKind::Failed);
-        self.inner.send(WireMsg::Ack(ack), settles);
+        let (key, frame) = ((ack.job, ack.attempt), WireMsg::Ack(ack).encode());
+        let mut st = self.inner.state.lock();
+        if ack.kind == AckKind::Running {
+            let at = st.outbox.len();
+            st.running.push((key, at));
+        } else if let Some(i) = st.running.iter().position(|&(queued, _)| queued == key) {
+            let at = st.running.remove(i).1;
+            st.outbox[at] = (frame, true);
+            return;
+        }
+        self.inner.queue(st, frame, ack.kind != AckKind::Running);
     }
 
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
-        self.inner.send(WireMsg::Lifecycle(msg), false);
+        let frame = WireMsg::Lifecycle(msg).encode();
+        self.inner.queue(self.inner.state.lock(), frame, false);
     }
 }
 
@@ -192,9 +209,7 @@ impl WorkerInner {
     }
 
     /// Queue a frame for the writer, ringing it if it waits.
-    fn send(&self, msg: WireMsg, settles: bool) {
-        let frame = msg.encode();
-        let mut st = self.state.lock();
+    fn queue(&self, mut st: Guard<'_>, frame: Vec<u8>, settles: bool) {
         st.outbox.push((frame, settles));
         let ring = std::mem::take(&mut st.writer_waits);
         drop(st);
@@ -359,6 +374,7 @@ impl WorkerInner {
                 break false;
             }
             std::mem::swap(unflushed, &mut st.outbox);
+            st.running.clear();
         };
         // With every slot in a job nobody reads: what the master sent before
         // the end, a Bye above all, is read now, not dropped with the socket.
@@ -386,7 +402,7 @@ mod tests {
 
     use super::*;
     use crate::protocol::LifecycleKind;
-    use crate::realtime::testutil::{endpoint, link, pump, wait_reading, wait_until, wf};
+    use crate::realtime::testutil::{endpoint, gated, link, pump, wait_reading, wait_until, wf};
     use crate::realtime::{
         spawn_worker_on, JobOutcome, JobRunner, NoopRunner, RunContext, TcpMaster,
         TcpMasterOptions, WorkerConfig,
@@ -553,12 +569,9 @@ mod tests {
     fn a_completion_flushed_into_a_dying_master_is_offered_again_after_the_reconnect() {
         let opts = TcpWorkerOptions { worker_id: 4, window: 1, ..TcpWorkerOptions::default() };
         let (listener, link, mirror) = stand_in(opts);
-        let worker = spawn_worker_on(
-            Arc::new(link.clone()),
-            mirror,
-            Arc::new(NoopRunner),
-            WorkerConfig { worker_id: 4, slots: 1, ..WorkerConfig::default() },
-        );
+        let (runner, open) = gated(NoopRunner);
+        let config = WorkerConfig { worker_id: 4, slots: 1, ..WorkerConfig::default() };
+        let worker = spawn_worker_on(Arc::new(link.clone()), mirror, runner, config);
         let mut first = accept(&listener);
         let text = dewe_dag::write_workflow(&wf("w", 1));
         let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
@@ -566,6 +579,7 @@ mod tests {
         let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]);
         write_frame(first.get_mut(), &one.encode()).unwrap();
         assert_eq!(next_ack(&mut first).kind, AckKind::Running);
+        open.send(()).unwrap();
         assert_eq!(next_ack(&mut first), AckMsg::new(job(0), 4, AckKind::Completed, 1));
         // The master read the completion and died before journaling it.
         drop(first);
@@ -577,6 +591,120 @@ mod tests {
             "the completion is offered again"
         );
         worker.stop();
+        link.close();
+    }
+
+    /// A stand-in the link cannot reach yet: `publish` runs while the link
+    /// has no connection, so what it publishes waits in the outbox together,
+    /// as a burst does when the writer is busy. Then the stand-in binds, and
+    /// the link's connection to it is returned, its Hello read.
+    fn after_an_outage(
+        opts: TcpWorkerOptions,
+        publish: impl FnOnce(&TcpWorkerLink),
+    ) -> (TcpListener, TcpWorkerLink, BufReader<TcpStream>) {
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let link = TcpWorkerLink::connect(addr, Registry::new(), opts).unwrap();
+        publish(&link);
+        assert!(link.inner.state.lock().conn.is_none(), "nothing was flushed yet");
+        let listener = TcpListener::bind(addr).unwrap();
+        let master = accept(&listener);
+        (listener, link, master)
+    }
+
+    fn ack(j: u32, kind: AckKind, attempt: u32) -> AckMsg {
+        AckMsg::new(job(j), 0, kind, attempt)
+    }
+
+    fn drain() -> LifecycleMsg {
+        LifecycleMsg::new(0, 0, LifecycleKind::Drain)
+    }
+
+    /// A terminal ack published while its `Running` still waits takes the
+    /// `Running`'s place: the master reads one ack a job, the terminal one,
+    /// in the order the jobs started, however the ends were ordered.
+    #[test]
+    fn a_running_ack_still_queued_is_sent_as_its_terminal_ack() {
+        let end = |j: u32| if j.is_multiple_of(3) { AckKind::Failed } else { AckKind::Completed };
+        let (_listener, link, mut master) = after_an_outage(TcpWorkerOptions::default(), |link| {
+            for j in 0..10 {
+                link.publish_ack(ack(j, AckKind::Running, 1));
+                link.publish_ack(ack(j, end(j), 1));
+            }
+            (10..20).for_each(|j| link.publish_ack(ack(j, AckKind::Running, 1)));
+            (10..20).rev().for_each(|j| link.publish_ack(ack(j, end(j), 1)));
+            link.publish_lifecycle(drain());
+        });
+        for j in 0..20 {
+            assert_eq!(next_ack(&mut master), ack(j, end(j), 1), "in order, terminal only");
+        }
+        assert_eq!(next(&mut master), WireMsg::Lifecycle(drain()), "and no Running after them");
+        link.close();
+    }
+
+    /// The folded ack keeps the `Running`'s place, so a `Drain` published
+    /// while the job ran reaches the master after the job's end, as the
+    /// `Running` would have reached it before the `Drain`.
+    #[test]
+    fn a_drain_published_while_a_job_ran_arrives_after_its_folded_end() {
+        let (_listener, link, mut master) = after_an_outage(TcpWorkerOptions::default(), |link| {
+            link.publish_ack(ack(0, AckKind::Running, 1));
+            link.publish_lifecycle(drain());
+            link.publish_ack(ack(0, AckKind::Completed, 1));
+        });
+        assert_eq!(next_ack(&mut master), ack(0, AckKind::Completed, 1));
+        assert_eq!(next(&mut master), WireMsg::Lifecycle(drain()));
+        link.close();
+    }
+
+    /// A job still running when the writer takes its `Running` announces it
+    /// as before, and its end, published after, follows on its own.
+    #[test]
+    fn a_running_ack_with_no_end_yet_is_sent_alone() {
+        let (_listener, link, mut master) = after_an_outage(TcpWorkerOptions::default(), |link| {
+            link.publish_ack(ack(0, AckKind::Running, 1));
+            link.publish_ack(ack(1, AckKind::Running, 1));
+            link.publish_ack(ack(1, AckKind::Completed, 1));
+            link.publish_ack(ack(0, AckKind::Running, 2)); // Another attempt's.
+        });
+        assert_eq!(next_ack(&mut master), ack(0, AckKind::Running, 1));
+        assert_eq!(next_ack(&mut master), ack(1, AckKind::Completed, 1));
+        assert_eq!(next_ack(&mut master), ack(0, AckKind::Running, 2));
+        link.publish_ack(ack(0, AckKind::Completed, 1));
+        assert_eq!(next_ack(&mut master), ack(0, AckKind::Completed, 1));
+        link.close();
+    }
+
+    /// Two slots that run the same `(job, attempt)` (a dispatch the master
+    /// sent twice) each fold their own `Running`: two terminal acks arrive.
+    #[test]
+    fn two_slots_running_one_attempt_send_two_terminal_acks() {
+        let (_listener, link, mut master) = after_an_outage(TcpWorkerOptions::default(), |link| {
+            link.publish_ack(ack(0, AckKind::Running, 1));
+            link.publish_ack(ack(0, AckKind::Running, 1));
+            link.publish_ack(ack(0, AckKind::Completed, 1));
+            link.publish_ack(ack(0, AckKind::Failed, 1));
+            link.publish_lifecycle(drain());
+        });
+        assert_eq!(next_ack(&mut master), ack(0, AckKind::Completed, 1));
+        assert_eq!(next_ack(&mut master), ack(0, AckKind::Failed, 1));
+        assert_eq!(next(&mut master), WireMsg::Lifecycle(drain()));
+        link.close();
+    }
+
+    /// A folded ack settles a dispatch like any terminal ack: it is the
+    /// frame the link offers the next connection again.
+    #[test]
+    fn a_folded_ack_is_offered_again_after_a_reconnect() {
+        let opts = TcpWorkerOptions { window: 1, ..TcpWorkerOptions::default() };
+        let (listener, link, mut first) = after_an_outage(opts, |link| {
+            link.publish_ack(ack(0, AckKind::Running, 1));
+            link.publish_ack(ack(0, AckKind::Completed, 1));
+        });
+        assert_eq!(next_ack(&mut first), ack(0, AckKind::Completed, 1));
+        drop(first);
+        wait_reading(&link, "the link notices", || link.inner.state.lock().conn.is_none());
+        let mut second = accept(&listener);
+        assert_eq!(next_ack(&mut second), ack(0, AckKind::Completed, 1), "offered again");
         link.close();
     }
 

@@ -308,7 +308,7 @@ mod tests {
     use super::*;
     use crate::protocol::WorkflowAnnounce;
     use crate::realtime::runner::NoopRunner;
-    use crate::realtime::testutil::{endpoint, link, wait_until};
+    use crate::realtime::testutil::{endpoint, gated, link, wait_until};
     use crate::realtime::TcpMaster;
     use dewe_dag::{EnsembleJobId, JobId, Workflow, WorkflowBuilder, WorkflowId};
     use dewe_mq::Transport;
@@ -346,15 +346,17 @@ mod tests {
 
     #[test]
     fn worker_executes_and_acks() {
+        let (runner, open) = gated(NoopRunner);
         let (tcp, link, handle) = worker_on(
             one_job(),
-            Arc::new(NoopRunner),
+            runner,
             WorkerConfig { worker_id: 7, slots: 2, ..WorkerConfig::default() },
         );
         tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
         let running = next_ack(&tcp);
         assert_eq!(running.kind, AckKind::Running);
         assert_eq!(running.worker, 7);
+        open.send(()).unwrap();
         let completed = next_ack(&tcp);
         assert_eq!(completed.kind, AckKind::Completed);
         assert_eq!(handle.stop(), 1);
@@ -415,18 +417,21 @@ mod tests {
         let mut b = WorkflowBuilder::new("w");
         b.job("a", "t", 1.0).build();
         b.job("b", "t", 1.0).build();
+        let (runner, open) = gated(Bomb);
         let (tcp, link, handle) = worker_on(
             b.finish().unwrap(),
-            Arc::new(Bomb),
+            runner,
             WorkerConfig { worker_id: 2, slots: 1, ..WorkerConfig::default() },
         );
         // Job 0 panics mid-run: the slot must ack it Failed and survive.
         tcp.publish_dispatch(0, DispatchMsg::new(job(0), 1));
         assert_eq!(next_ack(&tcp).kind, AckKind::Running);
+        open.send(()).unwrap();
         assert_eq!(next_ack(&tcp).kind, AckKind::Failed);
         // Same slot still serves the next job.
         tcp.publish_dispatch(0, DispatchMsg::new(job(1), 1));
         assert_eq!(next_ack(&tcp).kind, AckKind::Running);
+        open.send(()).unwrap();
         assert_eq!(next_ack(&tcp).kind, AckKind::Completed);
         assert_eq!(handle.stop(), 1);
         tcp.shutdown();
