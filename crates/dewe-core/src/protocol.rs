@@ -488,6 +488,13 @@ impl<'a> DagFrame<'a> {
         Ok(Self { id, name: r.str()?, dag: r.str()? })
     }
 
+    /// The length of the whole frame payload, head and text, without
+    /// encoding either: what a sender holds to the receivers' frame cap.
+    pub(crate) fn payload_len(&self) -> usize {
+        let id = if self.id.is_some() { 4 } else { 0 };
+        2 + id + 4 + self.name.len() + 4 + self.dag.len()
+    }
+
     /// The frame payload up to and including the DAG's length prefix;
     /// the payload is this followed by the bytes of `dag`.
     pub(crate) fn head(&self) -> Vec<u8> {
@@ -748,6 +755,7 @@ mod tests {
             let mut split = view.head();
             split.extend_from_slice(view.dag.as_bytes());
             assert_eq!(split, bytes, "head + text is the owned encoding");
+            assert_eq!(view.payload_len(), bytes.len());
             let again = match view.id {
                 None => WireMsg::Submit { name: view.name.into(), dag: view.dag.into() },
                 Some(id) => WireMsg::Workflow { id, name: view.name.into(), dag: view.dag.into() },

@@ -334,12 +334,15 @@ fn serve<T: MasterTransport>(
         // 1. Ingest any newly submitted workflows.
         while let Some(sub) = transport.try_pull_submission() {
             let now = clock();
-            // Insert into the registry BEFORE journaling or publishing so
-            // neither a worker nor a recovering master can observe a job
-            // of an unknown workflow. The announcement broadcast sits
-            // between registry and journal so a networked transport has
-            // durably spooled the workflow before the journal promises it
-            // exists; one that could not ends the loop here, unjournaled.
+            // Insert into the registry BEFORE journaling or publishing: it
+            // is what a takeover replays the journal against. Workers read
+            // their own mirrors, filled from the announcement, which each
+            // connection carries ahead of any of the workflow's jobs. The
+            // announcement sits between registry and journal so a
+            // networked transport has durably spooled the workflow before
+            // the journal promises it exists; one that could not (or would
+            // not: a text over the frame cap) ends the loop here,
+            // unjournaled.
             let expected_id = WorkflowId::from_index(engine.workflow_count());
             registry.insert(expected_id, Arc::clone(&sub.workflow));
             transport.announce(WorkflowAnnounce {

@@ -33,8 +33,9 @@ impl OutFrame {
     /// Frame `payload` followed by `text`.
     fn new(mut payload: Vec<u8>, text: Option<Arc<str>>) -> Self {
         let len = payload.len() + text.as_deref().map_or(0, str::len);
-        // A text over 4 GiB can only have come from a spool file; its
-        // frame declares a length every receiver's cap refuses.
+        // `announce` refuses a DAG text whose frame is over the frame cap,
+        // and nothing else sent comes near 4 GiB; a frame that did would
+        // declare a length every receiver's cap refuses.
         payload.splice(..0, u32::try_from(len).unwrap_or(u32::MAX).to_be_bytes());
         Self { head: payload, text }
     }
@@ -144,7 +145,7 @@ impl Conn {
     /// One bounded read, and every whole frame it completed handed to the
     /// endpoint's queues. `Err` drops the connection, with the reason to
     /// log when the peer did something other than hang up.
-    fn receive(&mut self, ep: &mut Endpoint, dags: &DagStore) -> Result<(), Option<String>> {
+    fn receive(&mut self, ep: &mut Endpoint) -> Result<(), Option<String>> {
         match self.inbuf.fill(&mut &self.socket.stream) {
             Ok(0) => return Err(None),
             Ok(_) => {}
@@ -203,7 +204,8 @@ impl Conn {
                 Role::Submitter(ref mut previous) => {
                     let (name, workflow) = match DagFrame::decode(frame) {
                         Ok(Some(DagFrame { id: None, name, dag })) => {
-                            *previous = dags
+                            *previous = ep
+                                .dags
                                 .intern(dag)
                                 .map_err(|e| reject_submission(name, &e.to_string()))
                                 .ok();
@@ -249,14 +251,13 @@ struct Endpoint {
     /// Pairs this turn settled on a connection that does not hold them:
     /// the end of the turn refunds whichever other connection does.
     settled_elsewhere: Vec<(EnsembleJobId, u32)>,
+    /// Every DAG text this master has been handed, parsed once each, and
+    /// the id each was first announced under.
+    dags: DagStore,
     /// Every announcement so far, as sent, replayed to late-joining
     /// workers: a DAG's text once, in its first announcement, and every
     /// later announcement of it an alias.
     announced: Vec<OutFrame>,
-    /// The id each announced workflow was first announced under, by the
-    /// address of its `Workflow`. The DAG store holds every announced
-    /// workflow, so an address here is never reused.
-    first_announced: HashMap<usize, WorkflowId>,
     /// The names of the workflows [`TcpMaster::load_spool`] loaded, by id:
     /// these are announced under the name they were spooled with, and
     /// their spool entries are left as they are.
@@ -398,8 +399,6 @@ struct MasterInner {
     /// Rung for whoever sleeps in `poll`; rung for good once the endpoint
     /// has stopped.
     wake: Wake,
-    /// Every DAG text this master has been handed, parsed once each.
-    dags: DagStore,
     state_dir: Option<PathBuf>,
 }
 
@@ -471,7 +470,7 @@ impl MasterInner {
                 conn.socket.flush();
             }
             if fd.revents != POLLOUT {
-                if let Err(why) = conn.receive(&mut ep, &self.dags) {
+                if let Err(why) = conn.receive(&mut ep) {
                     if let Some(why) = why {
                         eprintln!("dewe-master: {why}; dropping connection");
                     }
@@ -534,8 +533,8 @@ impl TcpMaster {
                 conns: Vec::new(),
                 pending: VecDeque::new(),
                 settled_elsewhere: Vec::new(),
+                dags: DagStore::default(),
                 announced: Vec::new(),
-                first_announced: HashMap::new(),
                 spooled: Vec::new(),
                 submissions: VecDeque::new(),
                 acks: VecDeque::new(),
@@ -547,7 +546,6 @@ impl TcpMaster {
                 fds: Vec::new(),
             }),
             wake: Wake::new()?,
-            dags: DagStore::default(),
             state_dir: options.state_dir,
         });
         Ok(Self { inner })
@@ -579,8 +577,9 @@ impl TcpMaster {
     /// or refers to anything but an earlier entry, is `InvalidData`.
     pub fn load_spool(&self) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
         let Some(dir) = &self.inner.state_dir else { return Ok(Vec::new()) };
-        let loaded = load_spool(dir, &self.inner.dags)?;
-        self.inner.state.lock().spooled = loaded.iter().map(|(_, name, _)| name.clone()).collect();
+        let mut ep = self.inner.state.lock();
+        let loaded = load_spool(dir, &mut ep.dags)?;
+        ep.spooled = loaded.iter().map(|(_, name, _)| name.clone()).collect();
         Ok(loaded)
     }
 
@@ -710,28 +709,35 @@ impl Transport for TcpMaster {
     /// Spool the workflow (unless it was loaded from the spool), then send
     /// it to every worker and keep it for those that join later: the first
     /// announcement of a `Workflow` with its text, every later one as an
-    /// alias of that first id. A failed spool write sends nothing.
+    /// alias of that first id. A failed spool write sends nothing, and a
+    /// text whose frame every receiver's cap would refuse is `InvalidData`
+    /// and neither spooled nor sent.
     fn announce(&self, announce: WorkflowAnnounce) -> io::Result<()> {
-        let WorkflowAnnounce { id, mut name, workflow } = announce;
-        let address = Arc::as_ptr(&workflow) as usize;
-        let (earlier, spooled_as) = {
-            let ep = self.inner.state.lock();
-            let earlier = ep.first_announced.get(&address).copied().filter(|&first| first < id);
-            (earlier, ep.spooled.get(id.index()).cloned())
-        };
+        let WorkflowAnnounce { id, name, workflow } = announce;
         // The text the submitter sent (or the spool held) is the text that
         // is spooled and announced; nothing is serialised here.
-        let dag = match earlier {
-            Some(first) => Announced::SameAs(first),
-            None => Announced::Text(self.inner.dags.text_of(&workflow)),
+        let (dag, spooled_as) = {
+            let mut ep = self.inner.state.lock();
+            (ep.dags.announcement(&workflow, id), ep.spooled.get(id.index()).cloned())
         };
-        match (spooled_as, &self.inner.state_dir) {
-            (Some(spooled_as), _) => name = spooled_as,
-            (None, Some(dir)) => match &dag {
+        let spool_to = self.inner.state_dir.as_deref().filter(|_| spooled_as.is_none());
+        let name = spooled_as.unwrap_or(name);
+        // Only a spool entry can be this long: a submission this long is
+        // never read. A link that refused the frame would reconnect and be
+        // replayed it for ever.
+        if let Announced::Text(text) = &dag {
+            let len = DagFrame { id: Some(id), name: &name, dag: text }.payload_len();
+            if len > DEFAULT_MAX_FRAME {
+                let cap = DEFAULT_MAX_FRAME;
+                let why = format!("announce workflow {}: {len} bytes over the cap of {cap}", id.0);
+                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+            }
+        }
+        if let Some(dir) = spool_to {
+            match &dag {
                 Announced::Text(text) => spool_workflow(dir, id, &name, text)?,
                 Announced::SameAs(first) => spool_workflow(dir, id, &name, &same_as(*first))?,
-            },
-            (None, None) => {}
+            }
         }
         let frame = match dag {
             Announced::Text(text) => {
@@ -749,7 +755,7 @@ impl Transport for TcpMaster {
             conn.socket.send(frame.clone());
         }
         ep.announced.push(frame);
-        ep.first_announced.entry(address).or_insert(id);
+        ep.dags.announced(&workflow, id);
         self.inner.sent(&mut ep);
         Ok(())
     }
@@ -757,14 +763,6 @@ impl Transport for TcpMaster {
     fn ack_closed(&self) -> bool {
         self.inner.state.lock().stopped()
     }
-}
-
-/// What an announcement carries besides its id and name.
-enum Announced {
-    /// The DAG's text: its first announcement.
-    Text(Arc<str>),
-    /// The id the DAG was first announced under.
-    SameAs(WorkflowId),
 }
 
 #[cfg(test)]
@@ -914,6 +912,31 @@ mod tests {
         assert_eq!(mirror.len(), 1, "nothing after the bad workflow is mirrored");
         master.shutdown();
         link.close();
+    }
+
+    /// A spool entry whose announcement every link's frame cap would refuse
+    /// — and a refused link reconnects and is replayed it for ever — is
+    /// `InvalidData`, and nothing is sent.
+    #[test]
+    fn a_spooled_text_over_the_frame_cap_is_not_announced() {
+        let dir = scratch("over-the-cap");
+        let mut file = std::fs::File::create(dir.join("wf-00000000.dag")).unwrap();
+        file.write_all(b"padded\n# ").unwrap();
+        let padding = [b'x'; 1 << 20];
+        (0..DEFAULT_MAX_FRAME >> 20).for_each(|_| file.write_all(&padding).unwrap());
+        file.write_all(b"\nJOB a t CPU 1\n").unwrap();
+        drop(file);
+        let master =
+            TcpMaster::bind("127.0.0.1:0", TcpMasterOptions { state_dir: Some(dir.clone()) })
+                .unwrap();
+        let (id, name, workflow) = master.load_spool().unwrap().remove(0);
+        assert_eq!(workflow.job_count(), 1, "a valid DAG");
+        let err = master.announce(WorkflowAnnounce { id, name, workflow }).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains(&DEFAULT_MAX_FRAME.to_string()), "{err}");
+        assert!(master.inner.state.lock().announced.is_empty(), "nothing sent");
+        master.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -9,11 +9,15 @@
 //!
 //! ## Wire model
 //!
-//! Every connection speaks length-prefixed [`WireMsg`] frames
-//! (`dewe_mq::read_frame` / `write_frame`); the first frame after
-//! `accept` is a handshake — [`WireMsg::Hello`] for workers,
-//! [`WireMsg::SubmitterHello`] for submission clients — and any version
-//! skew or garbage drops the connection before it touches master state.
+//! Every connection speaks length-prefixed [`WireMsg`] frames, none over
+//! `dewe_mq::DEFAULT_MAX_FRAME`: the master and the worker link cut what
+//! they read into frames where it landed (`dewe_mq::FrameBuf`), the
+//! master writes from its per-connection queue, the link queues its frames
+//! with `queue_frame_split` and flushes them together, and a submitter
+//! writes with `write_frame`. The first frame after `accept` is a
+//! handshake — [`WireMsg::Hello`] for workers, [`WireMsg::SubmitterHello`]
+//! for submission clients — and any version skew or garbage drops the
+//! connection before it touches master state.
 //!
 //! ## One loop, and what wakes it
 //!
@@ -99,21 +103,25 @@
 //! each hop once; every later copy is a reference to the first. A
 //! submitter sends a text that is its previous submission's again as a
 //! [`WireMsg::Repeat`] of just the name, which the master resolves to the
-//! workflow that submission produced. The master keeps a content-addressed
-//! `DagStore`: a text is parsed the first time its bytes are seen, and
-//! every byte-identical submission or spool file after that shares the one
-//! `Arc<Workflow>`. It never serialises a workflow that arrived as text —
-//! the submitter's bytes are what is spooled and announced — and the
+//! workflow that submission produced. The master keeps one
+//! content-addressed `DagStore`, under the endpoint's one mutex like the
+//! rest of its state: a text is parsed the first time its bytes are seen,
+//! and every byte-identical submission or spool file after that shares the
+//! one `Arc<Workflow>`. It never serialises a workflow that arrived as text
+//! — the submitter's bytes are what is spooled and announced — and the
 //! store's copy of the text is the only long-lived one: announce frames and
 //! the replay log hold it by `Arc`, and the two DAG-bearing frames are
 //! decoded in place ([`DagFrame`]). The first announcement of an
 //! `Arc<Workflow>` carries the text; every later one is a
-//! [`WireMsg::Alias`] of that first id, and its spool entry a reference
-//! to that id's entry. So each text a worker receives from one master is
-//! distinct: the link parses it, and mirrors an alias as the workflow it
-//! already holds. The worker keeps no store.
+//! [`WireMsg::Alias`] of that first id, which the store keeps in the
+//! workflow's entry, and its spool entry a reference to that id's entry.
+//! So each text a worker receives from one master is distinct: the link
+//! parses it, and mirrors an alias as the workflow it already holds.
+//! The worker keeps no store. A text whose frame would be over the cap is
+//! never sent: `submit_over_tcp` refuses to submit it (`InvalidInput`), and
+//! `announce` to announce one a spool entry held (`InvalidData`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
@@ -129,7 +137,7 @@ use dewe_mq::{
 };
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use super::dagstore::DagStore;
+use super::dagstore::{Announced, DagStore};
 use super::registry::Registry;
 use crate::protocol::{
     encode_dispatch_batch, AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg,

@@ -13,11 +13,23 @@ use super::*;
 /// its name, and the master gives it the previous one's topology. A caller
 /// holding a `Workflow` serialises it with `dewe_dag::write_workflow`.
 /// Fire-and-forget: the frames are flushed onto a healthy connection; if
-/// the master dies before ingesting them, resubmit.
+/// the master dies before ingesting them, resubmit. A submission whose
+/// frame is over the master's frame cap, which the master would drop the
+/// connection for, is `InvalidInput`, and then nothing is sent.
 pub fn submit_over_tcp<N: AsRef<str>, D: AsRef<str>>(
     addr: impl ToSocketAddrs,
     submissions: impl IntoIterator<Item = (N, D)>,
 ) -> io::Result<()> {
+    let submissions: Vec<(N, D)> = submissions.into_iter().collect();
+    for (name, dag) in &submissions {
+        let (name, dag) = (name.as_ref(), dag.as_ref());
+        let len = DagFrame { id: None, name, dag }.payload_len();
+        if len > DEFAULT_MAX_FRAME {
+            let cap = DEFAULT_MAX_FRAME;
+            let why = format!("submission {name:?}: {len} bytes over the frame cap of {cap}");
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
+        }
+    }
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     let mut w = BufWriter::new(stream);
@@ -77,7 +89,7 @@ pub(super) fn spool_workflow(dir: &Path, id: WorkflowId, name: &str, body: &str)
 /// an entry that refers to an earlier one shares that one's workflow.
 pub(super) fn load_spool(
     dir: &Path,
-    dags: &DagStore,
+    dags: &mut DagStore,
 ) -> io::Result<Vec<(WorkflowId, String, Arc<Workflow>)>> {
     let mut entries: Vec<(u32, PathBuf)> = Vec::new();
     let read_dir = match std::fs::read_dir(dir) {
@@ -132,7 +144,7 @@ pub(super) fn load_spool(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::realtime::testutil::{pump, scratch, wf};
+    use crate::realtime::testutil::{pump, scratch, wait_until, wf};
 
     #[test]
     fn spool_round_trips_and_rejects_sparse() {
@@ -146,7 +158,7 @@ mod tests {
             std::fs::read_to_string(dir.join("wf-00000003.dag")).unwrap(),
             "w3\n@same-as 1\n"
         );
-        let loaded = load_spool(&dir, &DagStore::default()).unwrap();
+        let loaded = load_spool(&dir, &mut DagStore::default()).unwrap();
         assert_eq!(loaded.len(), 4);
         assert_eq!(loaded[1].0, WorkflowId(1));
         assert_eq!(loaded[1].1, "w1");
@@ -155,7 +167,7 @@ mod tests {
         assert!(Arc::ptr_eq(&loaded[3].2, &loaded[1].2), "a reference shares what it names");
         // Punch a hole: a sparse spool is corrupt and must fail loud.
         std::fs::remove_file(dir.join("wf-00000001.dag")).unwrap();
-        assert!(load_spool(&dir, &DagStore::default()).is_err());
+        assert!(load_spool(&dir, &mut DagStore::default()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -171,7 +183,7 @@ mod tests {
         for (i, (name, text)) in files.iter().enumerate() {
             std::fs::write(dir.join(format!("wf-{i:08}.dag")), format!("{name}\n{text}")).unwrap();
         }
-        let loaded = load_spool(&dir, &DagStore::default()).unwrap();
+        let loaded = load_spool(&dir, &mut DagStore::default()).unwrap();
         let names: Vec<&str> = loaded.iter().map(|(_, name, _)| name.as_str()).collect();
         assert_eq!(names, ["chain-0", "chain-1", "other", ""]);
         assert!(loaded.iter().enumerate().all(|(i, (id, _, _))| id.index() == i));
@@ -199,12 +211,12 @@ mod tests {
             "@same-as \n",
         ] {
             std::fs::write(dir.join("wf-00000001.dag"), format!("second\n{body}")).unwrap();
-            let err = load_spool(&dir, &DagStore::default()).unwrap_err();
+            let err = load_spool(&dir, &mut DagStore::default()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{body:?}: {err}");
             assert!(err.to_string().contains("wf-00000001.dag"), "{body:?}: {err}");
         }
         std::fs::write(dir.join("wf-00000001.dag"), "second\n@same-as 0\n").unwrap();
-        let loaded = load_spool(&dir, &DagStore::default()).unwrap();
+        let loaded = load_spool(&dir, &mut DagStore::default()).unwrap();
         assert!(Arc::ptr_eq(&loaded[0].2, &loaded[1].2));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -212,7 +224,7 @@ mod tests {
     #[test]
     fn load_spool_of_missing_dir_is_a_cold_start() {
         let dir = std::env::temp_dir().join("dewe-spool-definitely-missing");
-        assert!(load_spool(&dir, &DagStore::default()).unwrap().is_empty());
+        assert!(load_spool(&dir, &mut DagStore::default()).unwrap().is_empty());
         let stateless = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
         assert!(stateless.load_spool().unwrap().is_empty());
         stateless.shutdown();
@@ -234,6 +246,30 @@ mod tests {
         };
         assert_eq!(sub.name, "net-sub");
         assert_eq!(sub.workflow.job_count(), 3);
+        master.shutdown();
+    }
+
+    /// A submission the master's frame cap would refuse is refused before
+    /// anything is sent; the master reads nothing of it.
+    #[test]
+    fn a_submission_over_the_frame_cap_is_refused_before_it_is_sent() {
+        let master = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
+        let _pump = pump(&master);
+        let huge = format!("# {}\nJOB a t CPU 1\n", "x".repeat(DEFAULT_MAX_FRAME));
+        let small = dewe_dag::write_workflow(&wf("small", 1));
+        let err = submit_over_tcp(master.local_addr(), [("small", &small), ("huge", &huge)])
+            .expect_err("over the cap");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        drop(huge);
+        // The next submission is the first the master queues.
+        submit_over_tcp(master.local_addr(), [("after", &small)]).unwrap();
+        let mut got = None;
+        wait_until("a submission arrives", || {
+            got = master.try_pull_submission();
+            got.is_some()
+        });
+        assert_eq!(got.expect("waited for it").name, "after");
+        assert!(master.try_pull_submission().is_none(), "and the only one");
         master.shutdown();
     }
 

@@ -6,8 +6,12 @@ use std::sync::Arc;
 
 /// The stand-in for the shared file system's workflow folders: workers look
 /// up the DAG (and, conceptually, binaries and data paths) of a dispatched
-/// job by its workflow id. The master inserts each workflow *before*
-/// publishing any of its jobs, so lookups by dispatch consumers never miss.
+/// job by its workflow id. Each worker reads its own mirror, which its link
+/// fills from the announcements the master sends ahead of any dispatch on
+/// the same connection; a dispatch of a workflow the mirror lacks (its text
+/// did not parse there) is acked `Failed`. The master's own registry, filled
+/// before it journals or publishes anything of a workflow, is what a
+/// takeover replays its journal against.
 #[derive(Clone, Default)]
 pub struct Registry {
     inner: Arc<RwLock<Vec<Arc<Workflow>>>>,

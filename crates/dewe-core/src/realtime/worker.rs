@@ -245,8 +245,17 @@ fn slot_loop(
             break;
         }
         let Some(workflow) = registry.get(dispatch.job.workflow) else {
-            // Unknown workflow: impossible under correct master ordering;
-            // drop the message (it will be recovered by timeout).
+            // A workflow the mirror lacks: its announcement did not parse
+            // here. Nothing else would settle the dispatch — its connection
+            // holds it until it closes, and no timeout runs before a
+            // `Running` — so it fails at once, and the master's retry policy
+            // decides.
+            transport.publish_ack(AckMsg::new(
+                dispatch.job,
+                config.worker_id,
+                AckKind::Failed,
+                dispatch.attempt,
+            ));
             continue;
         };
         transport.publish_ack(AckMsg::new(
@@ -553,6 +562,45 @@ mod tests {
         assert_eq!(counting.timed_out.load(Ordering::Relaxed), 0, "none returned by timeout");
         tcp.shutdown();
         link.close();
+    }
+
+    /// Dispatches to hand out, then a closed dispatch side; every ack kept.
+    #[derive(Default)]
+    struct Stub {
+        dispatches: parking_lot::Mutex<std::collections::VecDeque<DispatchMsg>>,
+        acks: parking_lot::Mutex<Vec<AckMsg>>,
+    }
+
+    impl WorkerTransport for Stub {
+        type Dispatch = DispatchMsg;
+        type Ack = AckMsg;
+        type Lifecycle = LifecycleMsg;
+
+        fn pull_dispatch(&self, _: Duration) -> Option<DispatchMsg> {
+            self.dispatches.lock().pop_front()
+        }
+        fn dispatch_closed(&self) -> bool {
+            self.dispatches.lock().is_empty()
+        }
+        fn close_dispatch(&self) {
+            self.dispatches.lock().clear();
+        }
+        fn publish_ack(&self, ack: AckMsg) {
+            self.acks.lock().push(ack);
+        }
+        fn publish_lifecycle(&self, _: LifecycleMsg) {}
+    }
+
+    /// A dispatch of a workflow the mirror does not hold is acked `Failed`,
+    /// with no `Running` before it: nothing else would settle it.
+    #[test]
+    fn a_dispatch_of_an_unknown_workflow_is_acked_failed() {
+        let stub = Arc::new(Stub::default());
+        stub.dispatches.lock().push_back(DispatchMsg::new(job(0), 3));
+        let config = WorkerConfig { worker_id: 5, slots: 1, ..WorkerConfig::default() };
+        let handle = spawn_worker_on(stub.clone(), Registry::new(), Arc::new(NoopRunner), config);
+        assert_eq!(handle.wait(), 0);
+        assert_eq!(*stub.acks.lock(), [AckMsg::new(job(0), 5, AckKind::Failed, 3)]);
     }
 
     #[test]

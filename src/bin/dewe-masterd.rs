@@ -17,6 +17,15 @@
 //! registry from the spool and its engine from the journal, then picks
 //! the ensemble back up — the paper's master-failure drill, over real
 //! sockets.
+//!
+//! Leases are opt-in. With `--lease-secs S` the master expires a worker
+//! silent for `S` seconds, and an expired worker's acks are fenced until
+//! it heartbeats again: an accepted ack renews a lease, but only a
+//! heartbeat revives an expired worker. A worker that never heartbeats —
+//! `dewe-workerd` without `--heartbeat`, its default — is fenced for good
+//! after one lease of silence (a job longer than `S`, or an idle spell),
+//! so `--lease-secs S` needs every worker started with `--heartbeat` well
+//! under `S`, and a lease on by default would fence the default worker.
 #![forbid(unsafe_code)]
 
 use std::io::Write;
