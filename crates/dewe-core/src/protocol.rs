@@ -348,14 +348,7 @@ impl WireMsg {
                 put_u32(&mut out, *window);
             }
             WireMsg::SubmitterHello => out.push(T_SUBMITTER_HELLO),
-            WireMsg::Ack(ack) => {
-                out.push(T_ACK);
-                put_u32(&mut out, ack.job.workflow.0);
-                put_u32(&mut out, ack.job.job.0);
-                put_u32(&mut out, ack.worker);
-                out.push(ack.kind.code());
-                put_u32(&mut out, ack.attempt);
-            }
+            WireMsg::Ack(ack) => return ack_frame(ack)[4..].to_vec(),
             WireMsg::Lifecycle(msg) => {
                 out.push(T_LIFECYCLE);
                 put_u32(&mut out, msg.worker);
@@ -534,6 +527,26 @@ pub(crate) fn encode_dispatch_batch(run: &[DispatchMsg]) -> Vec<u8> {
     out
 }
 
+/// Bytes in a framed [`WireMsg::Ack`]: the 4-byte length prefix and the
+/// payload — version, type, workflow, job, worker, kind, attempt.
+pub(crate) const ACK_FRAME: usize = 4 + 2 + 4 + 4 + 4 + 1 + 4;
+
+/// `ack` framed for the wire, on the stack: its length prefix, then its
+/// payload, which is what [`WireMsg::encode`] makes of `WireMsg::Ack(ack)`.
+/// Every ack frame is [`ACK_FRAME`] bytes, so a worker link queues it into
+/// one byte buffer and can overwrite one queued ack with another in place.
+pub(crate) fn ack_frame(ack: &AckMsg) -> [u8; ACK_FRAME] {
+    let mut frame = [0; ACK_FRAME];
+    frame[..4].copy_from_slice(&(ACK_FRAME as u32 - 4).to_be_bytes());
+    frame[4..6].copy_from_slice(&[PROTOCOL_VERSION, T_ACK]);
+    frame[6..10].copy_from_slice(&ack.job.workflow.0.to_be_bytes());
+    frame[10..14].copy_from_slice(&ack.job.job.0.to_be_bytes());
+    frame[14..18].copy_from_slice(&ack.worker.to_be_bytes());
+    frame[18] = ack.kind.code();
+    frame[19..].copy_from_slice(&ack.attempt.to_be_bytes());
+    frame
+}
+
 fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
@@ -596,6 +609,7 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
     use dewe_dag::WorkflowBuilder;
+    use proptest::prelude::*;
 
     #[test]
     fn submission_debug_is_compact() {
@@ -800,6 +814,55 @@ mod tests {
         }
         let submit = WireMsg::Submit { name: "n".into(), dag: "d".into() }.encode();
         assert_eq!(both(&submit[..submit.len() - 1]), WireError::Truncated);
+    }
+
+    fn framed(msg: WireMsg) -> Vec<u8> {
+        let mut frame = Vec::new();
+        dewe_mq::write_frame(&mut frame, &msg.encode()).unwrap();
+        frame
+    }
+
+    fn ack_kind() -> impl Strategy<Value = AckKind> {
+        prop_oneof![Just(AckKind::Running), Just(AckKind::Completed), Just(AckKind::Failed)]
+    }
+
+    fn ack() -> impl Strategy<Value = AckMsg> {
+        (any::<u32>(), any::<u32>(), any::<u32>(), ack_kind(), any::<u32>()).prop_map(
+            |(workflow, job, worker, kind, attempt)| {
+                AckMsg::new(
+                    EnsembleJobId::new(WorkflowId(workflow), JobId(job)),
+                    worker,
+                    kind,
+                    attempt,
+                )
+            },
+        )
+    }
+
+    /// The ack layout, pinned: the bytes protocol v5 has always sent.
+    #[test]
+    fn an_ack_frame_is_pinned_byte_for_byte() {
+        let ack = AckMsg::new(
+            EnsembleJobId::new(WorkflowId(0x0102_0304), JobId(5)),
+            6,
+            AckKind::Completed,
+            0x0708_090a,
+        );
+        let frame = [0, 0, 0, 19, 5, 3, 1, 2, 3, 4, 0, 0, 0, 5, 0, 0, 0, 6, 1, 7, 8, 9, 10];
+        assert_eq!(ack_frame(&ack), frame);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// The stack-built ack frame is the encoder's bytes behind their
+        /// length prefix, and decodes to the ack.
+        #[test]
+        fn an_ack_frame_is_the_encoded_ack_framed(ack in ack()) {
+            let frame = ack_frame(&ack);
+            prop_assert_eq!(frame.to_vec(), framed(WireMsg::Ack(ack)));
+            prop_assert_eq!(WireMsg::decode(&frame[4..]).unwrap(), WireMsg::Ack(ack));
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! Every connection speaks length-prefixed [`WireMsg`] frames, none over
 //! `dewe_mq::DEFAULT_MAX_FRAME`: the master and the worker link cut what
 //! they read into frames where it landed (`dewe_mq::FrameBuf`), the
-//! master writes from its per-connection queue, the link queues its frames
-//! with `queue_frame_split` and flushes them together, and a submitter
+//! master writes from its per-connection queue, the link frames what it
+//! sends into one byte buffer and writes that whole, and a submitter
 //! writes with `write_frame`. The first frame after `accept` is a
 //! handshake — [`WireMsg::Hello`] for workers, [`WireMsg::SubmitterHello`]
 //! for submission clients — and any version skew or garbage drops the
@@ -51,20 +51,26 @@
 //! ## The worker link reads on the slot that waits
 //!
 //! A [`TcpWorkerLink`]'s one thread, the writer, connects, says `Hello`,
-//! flushes what publishers queue (all that waits, then one flush: a burst
-//! of acks is one `send(2)`) and reconnects; it reads nothing. A slot in
+//! sends what publishers queue and reconnects; it reads nothing. The outbox
+//! is one byte buffer that publishers frame their acks into on the stack
+//! (an ack frame is a fixed 23 bytes); the writer swaps it for the buffer it
+//! sent last, emptied, and sends all that waited with one `write_all` (a
+//! burst of acks is one `send(2)`), so once both buffers have grown to a
+//! burst a job's acks cost the link no allocation. A slot in
 //! [`WorkerTransport::pull_dispatch`] with nothing queued takes the *reader
 //! role* if it is free, sleeps in `poll(2)` until the socket or the link's
 //! wake-up is readable (a worker's slot pulls with no deadline), reads
 //! once, mirrors announcements, queues dispatches, returns the first and
 //! hands the rest — or the role — to one waiting slot. A terminal ack
-//! published while its job's `Running` ack still waits for the writer takes
-//! that frame's place, so a job that ends before its start leaves the worker
-//! is one ack, sent where its `Running` would have been: the master reads no
+//! published while its job's `Running` ack still waits for the writer
+//! overwrites that frame's bytes in place, so a job that ends before its
+//! start leaves the worker is one ack, sent where its `Running` would have
+//! been: the master reads no
 //! checkout whose clock would stop in the same burst, and still reads the
 //! end ahead of anything queued after the start, a `Drain` above all. A new
 //! connection first sends what the last may not have delivered: its failed
-//! batch, then its last `window` frames that settled a dispatch.
+//! batch, then its last `window` frames that settled a dispatch, kept as
+//! fixed 23-byte records.
 //! [`WorkerTransport::close_dispatch`] rings that wake-up, a socket pair like
 //! the master's, for good.
 //!
@@ -132,8 +138,8 @@ use std::time::{Duration, Instant};
 
 use dewe_dag::{parse_workflow, EnsembleJobId, Workflow, WorkflowId};
 use dewe_mq::{
-    poll, queue_frame_split, write_frame, write_frame_split, FrameBuf, PollFd, Transport,
-    WorkerTransport, DEFAULT_MAX_FRAME, POLLIN, POLLOUT,
+    poll, write_frame, write_frame_split, FrameBuf, PollFd, Transport, WorkerTransport,
+    DEFAULT_MAX_FRAME, POLLIN, POLLOUT,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard};
 

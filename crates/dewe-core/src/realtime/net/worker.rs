@@ -1,4 +1,5 @@
 use super::*;
+use crate::protocol::{ack_frame, ACK_FRAME};
 
 // ---------------------------------------------------------------------------
 // Worker side
@@ -37,10 +38,8 @@ struct LinkState {
     /// A slot holds the reader role: it is in `poll`, or reading.
     reading: bool,
     inbox: VecDeque<DispatchMsg>,
-    /// Frames for the writer, each with whether it settles a dispatch, and
-    /// where each `Running` ack among them sits, by `(job, attempt)`.
-    outbox: Vec<(Vec<u8>, bool)>,
-    running: Vec<((EnsembleJobId, u32), usize)>,
+    /// Frames for the writer.
+    outbox: Outbox,
     /// Slots waiting on [`WorkerInner::slots`]; the writer waiting for frames.
     waiters: usize,
     writer_waits: bool,
@@ -52,6 +51,75 @@ struct LinkState {
 }
 
 type Guard<'a> = MutexGuard<'a, LinkState>;
+
+/// One ack frame, as the re-offer ring keeps it.
+type AckFrame = [u8; ACK_FRAME];
+
+/// Frames queued for the writer, back to back in one buffer, and where
+/// the acks among them start. The writer swaps the whole of it for the one
+/// it last sent, emptied, so neither buffer is ever given back.
+#[derive(Default)]
+struct Outbox {
+    bytes: Vec<u8>,
+    /// Each queued `Running` ack, by `(job, attempt)`.
+    running: Vec<((EnsembleJobId, u32), usize)>,
+    /// Each frame that settles a dispatch: a terminal ack.
+    settling: Vec<usize>,
+}
+
+impl Outbox {
+    /// Queue `ack`; a terminal ack whose `Running` is queued overwrites it.
+    fn ack(&mut self, ack: &AckMsg) {
+        let frame = ack_frame(ack);
+        let key = (ack.job, ack.attempt);
+        if ack.kind == AckKind::Running {
+            self.running.push((key, self.bytes.len()));
+        } else if let Some(i) = self.running.iter().position(|&(queued, _)| queued == key) {
+            let at = self.running.remove(i).1;
+            self.bytes[at..at + ACK_FRAME].copy_from_slice(&frame);
+            self.settling.push(at);
+            return;
+        } else {
+            self.settling.push(self.bytes.len());
+        }
+        self.bytes.extend_from_slice(&frame);
+    }
+
+    /// Queue a lifecycle message, framed.
+    fn lifecycle(&mut self, msg: LifecycleMsg) {
+        let payload = WireMsg::Lifecycle(msg).encode();
+        self.bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+        self.bytes.extend_from_slice(&payload);
+    }
+
+    /// Queue `ring`'s frames again, as settling frames, and empty it.
+    fn offer_again(&mut self, ring: &mut VecDeque<AckFrame>) {
+        for frame in ring.drain(..) {
+            self.settling.push(self.bytes.len());
+            self.bytes.extend_from_slice(&frame);
+        }
+    }
+
+    /// The batch was sent: keep its newest settling frames in `ring`, which
+    /// holds at most `window`, oldest first in the order they were sent,
+    /// and empty the batch.
+    fn sent(&mut self, ring: &mut VecDeque<AckFrame>, window: usize) {
+        // A fold settles where its `Running` was queued, ahead of frames
+        // queued before it.
+        self.settling.sort_unstable();
+        for &at in &self.settling[self.settling.len().saturating_sub(window)..] {
+            if ring.len() == window {
+                ring.pop_front();
+            }
+            let mut frame = [0; ACK_FRAME];
+            frame.copy_from_slice(&self.bytes[at..at + ACK_FRAME]);
+            ring.push_back(frame);
+        }
+        self.bytes.clear();
+        self.running.clear();
+        self.settling.clear();
+    }
+}
 
 impl LinkState {
     fn done(&self) -> bool {
@@ -137,6 +205,8 @@ impl WorkerTransport for TcpWorkerLink {
     type Ack = AckMsg;
     type Lifecycle = LifecycleMsg;
 
+    /// A dispatch, waiting at most `timeout` for one; a timeout past the
+    /// clock's range (as `Duration::MAX`) waits with no deadline.
     fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
         self.inner.pull(timeout)
     }
@@ -152,28 +222,23 @@ impl WorkerTransport for TcpWorkerLink {
         self.inner.wake.ring();
     }
 
-    /// Queue `ack` for the writer. A terminal ack whose `Running` the
-    /// writer has not taken yet takes that frame's place, and the `Running`
-    /// is never sent: the master sees the job end where it would have seen
-    /// it start, ahead of anything queued since (a `Drain` above all), and
-    /// learns nothing from a checkout that ended before it could arrive.
+    /// Queue `ack` for the writer, framed into the link's one outbox
+    /// buffer. A terminal ack whose `Running` the writer has not taken yet
+    /// overwrites that frame in place (ack frames are all one size), and the
+    /// `Running` is never sent: the master sees the job end where it would
+    /// have seen it start, ahead of anything queued since (a `Drain` above
+    /// all), and learns nothing from a checkout that ended before it could
+    /// arrive. Nothing is allocated once the buffer has grown to a burst.
     fn publish_ack(&self, ack: AckMsg) {
-        let (key, frame) = ((ack.job, ack.attempt), WireMsg::Ack(ack).encode());
         let mut st = self.inner.state.lock();
-        if ack.kind == AckKind::Running {
-            let at = st.outbox.len();
-            st.running.push((key, at));
-        } else if let Some(i) = st.running.iter().position(|&(queued, _)| queued == key) {
-            let at = st.running.remove(i).1;
-            st.outbox[at] = (frame, true);
-            return;
-        }
-        self.inner.queue(st, frame, ack.kind != AckKind::Running);
+        st.outbox.ack(&ack);
+        self.inner.ring_writer(st);
     }
 
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
-        let frame = WireMsg::Lifecycle(msg).encode();
-        self.inner.queue(self.inner.state.lock(), frame, false);
+        let mut st = self.inner.state.lock();
+        st.outbox.lifecycle(msg);
+        self.inner.ring_writer(st);
     }
 }
 
@@ -208,9 +273,8 @@ impl WorkerInner {
         }
     }
 
-    /// Queue a frame for the writer, ringing it if it waits.
-    fn queue(&self, mut st: Guard<'_>, frame: Vec<u8>, settles: bool) {
-        st.outbox.push((frame, settles));
+    /// Wake the writer for what was just queued, if it waits.
+    fn ring_writer(&self, mut st: Guard<'_>) {
         let ring = std::mem::take(&mut st.writer_waits);
         drop(st);
         if ring {
@@ -219,14 +283,22 @@ impl WorkerInner {
     }
 
     /// A queued dispatch; else the reader role, if it is free and there is a
-    /// connection; else a wait for either — for at most `timeout`, or a day.
+    /// connection; else a wait for either — for at most `timeout`. A pull with
+    /// no deadline, as the slot loop's, never reads the clock.
     fn pull(&self, timeout: Duration) -> Option<DispatchMsg> {
-        let deadline = Instant::now() + timeout.min(Duration::from_secs(86_400));
+        // `None`: no deadline.
+        let deadline =
+            (timeout != Duration::MAX).then(|| Instant::now().checked_add(timeout)).flatten();
         let mut st = self.state.lock();
         loop {
             let dispatch = (!st.dispatch_closed).then(|| st.inbox.pop_front()).flatten();
-            let left = deadline.saturating_duration_since(Instant::now());
-            if dispatch.is_some() || st.done() || st.dispatch_closed || left.is_zero() {
+            // What is left of the wait: `None` for no end.
+            let left = if dispatch.is_some() || st.done() || st.dispatch_closed {
+                Some(Duration::ZERO)
+            } else {
+                deadline.map(|until| until.saturating_duration_since(Instant::now()))
+            };
+            if left.is_some_and(|left| left.is_zero()) {
                 // A waiter takes over what is left: a dispatch, or the role.
                 let role_free = !st.reading && st.conn.is_some();
                 let hand_off = st.waiters > 0 && (!st.inbox.is_empty() || role_free);
@@ -237,10 +309,17 @@ impl WorkerInner {
                 return dispatch;
             }
             match st.conn.clone() {
-                Some(socket) if !st.reading => st = self.read(st, socket, left),
+                Some(socket) if !st.reading => {
+                    st = self.read(st, socket, left.unwrap_or(Duration::MAX));
+                }
                 _ => {
                     st.waiters += 1;
-                    let _ = self.slots.wait_until(&mut st, deadline);
+                    match deadline {
+                        Some(until) => {
+                            let _ = self.slots.wait_until(&mut st, until);
+                        }
+                        None => self.slots.wait(&mut st),
+                    }
                     st.waiters -= 1;
                 }
             }
@@ -318,15 +397,15 @@ impl WorkerInner {
     /// The link's one thread: connect, serve, wait out [`RETRY_INTERVAL`],
     /// and again, until the link closes or the master says Bye.
     fn write_loop(&self) {
-        // Frames whose flush has not returned `Ok` (sent again: possibly
-        // twice, never not at all), and the newest `window` settling frames
-        // flushed on this connection — a flush says only that the kernel took
-        // them, so the next connection offers them again.
-        let (mut unflushed, mut settled) = (Vec::new(), VecDeque::new());
+        // The batch being sent, kept until its write has returned `Ok` (sent
+        // again: possibly twice, never not at all), and the newest `window`
+        // settling frames written on this connection — a write says only
+        // that the kernel took them, so the next connection offers them again.
+        let (mut batch, mut settled) = (Outbox::default(), VecDeque::new());
         while !self.state.lock().done() {
             if let Ok(socket) = TcpStream::connect_timeout(&self.addr, Duration::from_secs(2)) {
                 let _ = socket.set_nodelay(true);
-                self.serve(socket, &mut unflushed, &mut settled);
+                self.serve(socket, &mut batch, &mut settled);
             }
             let retry = Instant::now() + RETRY_INTERVAL;
             let mut st = self.state.lock();
@@ -335,37 +414,31 @@ impl WorkerInner {
         self.slots.notify_all();
     }
 
-    /// One connection: the `Hello`, `unflushed`, `settled`, then all that
-    /// publishers queued, flushed once (a burst of acks is one `send(2)`) —
-    /// until a flush fails, a reader finds it over, or the link closes.
-    fn serve(
-        &self,
-        socket: TcpStream,
-        unflushed: &mut Vec<(Vec<u8>, bool)>,
-        settled: &mut VecDeque<Vec<u8>>,
-    ) {
+    /// One connection: the `Hello`, `batch`, `settled`, then all that
+    /// publishers queued, in one `write_all` each time (a burst of acks is
+    /// one `send(2)`) — until a write fails, a reader finds it over, or the
+    /// link closes. `settled` joins `batch` first, so the ring is refilled
+    /// in the order its frames went out on this connection.
+    fn serve(&self, mut socket: TcpStream, batch: &mut Outbox, settled: &mut VecDeque<AckFrame>) {
         let Ok(reader) = socket.try_clone().map(Arc::new) else { return };
         self.state.lock().conn = Some(Arc::clone(&reader));
         self.slots.notify_all();
         let TcpWorkerOptions { worker_id: worker, generation, window } = self.opts;
-        let mut hello = Some(WireMsg::Hello { worker, generation, window }.encode());
-        unflushed.extend(settled.drain(..).map(|frame| (frame, true)));
-        let mut w = BufWriter::new(socket);
+        let hello = WireMsg::Hello { worker, generation, window }.encode();
+        batch.offer_again(settled);
+        let mut first = Vec::with_capacity(4 + hello.len() + batch.bytes.len());
+        first.extend_from_slice(&(hello.len() as u32).to_be_bytes());
+        first.extend_from_slice(&hello);
+        first.extend_from_slice(&batch.bytes);
+        let mut first = Some(first);
         let failed = loop {
-            let mut frames = hello.iter().chain(unflushed.iter().map(|(frame, _)| frame));
-            let queued = frames.try_for_each(|frame| queue_frame_split(&mut w, frame, &[]));
-            if queued.and_then(|()| w.flush()).is_err() {
+            let bytes = first.take();
+            if socket.write_all(bytes.as_deref().unwrap_or(&batch.bytes)).is_err() {
                 break true;
             }
-            hello = None;
-            for (frame, _) in unflushed.drain(..).filter(|&(_, settles)| settles) {
-                if settled.len() == window.max(1) as usize {
-                    settled.pop_front();
-                }
-                settled.push_back(frame);
-            }
+            batch.sent(settled, window.max(1) as usize);
             let mut st = self.state.lock();
-            while st.outbox.is_empty() && st.conn.is_some() && !st.stop {
+            while st.outbox.bytes.is_empty() && st.conn.is_some() && !st.stop {
                 st.writer_waits = true;
                 self.writer.wait(&mut st);
             }
@@ -373,8 +446,7 @@ impl WorkerInner {
             if st.conn.is_none() || st.stop {
                 break false;
             }
-            std::mem::swap(unflushed, &mut st.outbox);
-            st.running.clear();
+            std::mem::swap(batch, &mut st.outbox);
         };
         // With every slot in a job nobody reads: what the master sent before
         // the end, a Bye above all, is read now, not dropped with the socket.
@@ -398,7 +470,8 @@ mod tests {
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
     use dewe_dag::{EnsembleJobId, JobId, Workflow};
-    use dewe_mq::read_frame;
+    use dewe_mq::{queue_frame_split, read_frame};
+    use proptest::prelude::{any, prop_assert, prop_assert_eq};
 
     use super::*;
     use crate::protocol::LifecycleKind;
@@ -706,6 +779,112 @@ mod tests {
         let mut second = accept(&listener);
         assert_eq!(next_ack(&mut second), ack(0, AckKind::Completed, 1), "offered again");
         link.close();
+    }
+
+    /// The ring keeps the newest `window` settling frames a connection was
+    /// sent, folded or not, and the next connection is offered those and
+    /// nothing else: no older terminal ack, no `Running`, no lifecycle frame.
+    #[test]
+    fn a_reconnect_offers_again_the_last_window_of_terminal_acks_and_nothing_else() {
+        let opts = TcpWorkerOptions { window: 3, ..TcpWorkerOptions::default() };
+        let end = |j: u32| {
+            ack(j, if j.is_multiple_of(2) { AckKind::Completed } else { AckKind::Failed }, 1)
+        };
+        let (listener, link, mut first) = after_an_outage(opts, |link| {
+            for j in 0..8 {
+                if [2, 5, 7].contains(&j) {
+                    link.publish_ack(ack(j, AckKind::Running, 1));
+                }
+                link.publish_ack(end(j));
+            }
+            link.publish_ack(ack(8, AckKind::Running, 1));
+            link.publish_lifecycle(drain());
+        });
+        for j in 0..8 {
+            assert_eq!(next_ack(&mut first), end(j));
+        }
+        assert_eq!(next_ack(&mut first), ack(8, AckKind::Running, 1));
+        assert_eq!(next(&mut first), WireMsg::Lifecycle(drain()));
+        drop(first);
+        wait_reading(&link, "the link notices", || link.inner.state.lock().conn.is_none());
+        let mut second = accept(&listener);
+        for j in 5..8 {
+            assert_eq!(next_ack(&mut second), end(j), "the last three, in publish order");
+        }
+        // What the link sends next is what it is given next.
+        link.publish_ack(ack(9, AckKind::Completed, 1));
+        assert_eq!(next_ack(&mut second), ack(9, AckKind::Completed, 1), "nothing else offered");
+        link.close();
+    }
+
+    /// The ring follows the wire. A batch whose write failed goes out on
+    /// the next connection ahead of the ring it was offered with, so the
+    /// ring's frames are the newest there: at `window` 1 the ring keeps the
+    /// older ack, sent last, and the connection after offers that one.
+    #[test]
+    fn the_ring_keeps_what_a_connection_was_sent_last() {
+        let opts = TcpWorkerOptions { window: 1, ..TcpWorkerOptions::default() };
+        let (listener, link, mut first) = after_an_outage(opts, |link| {
+            link.publish_ack(ack(0, AckKind::Completed, 1));
+        });
+        assert_eq!(next_ack(&mut first), ack(0, AckKind::Completed, 1));
+        // The ring holds ack 0. A `Running` left unread makes the stand-in's
+        // close a reset, so the next write fails: ack 1 is a failed batch.
+        link.publish_ack(ack(9, AckKind::Running, 1));
+        wait_until("the Running arrives", || {
+            first.get_ref().peek(&mut [0u8; 1]).is_ok_and(|n| n == 1)
+        });
+        let socket = Arc::clone(link.inner.state.lock().conn.as_ref().expect("connected"));
+        drop(first);
+        wait_until("the reset lands", || {
+            matches!(poll(&mut [PollFd::new(&*socket, POLLIN)], Duration::ZERO), Ok(1..))
+        });
+        link.publish_ack(ack(1, AckKind::Completed, 1));
+        wait_until("the write fails", || link.inner.state.lock().conn.is_none());
+
+        let mut second = accept(&listener);
+        assert_eq!(next_ack(&mut second), ack(1, AckKind::Completed, 1), "the failed batch");
+        assert_eq!(next_ack(&mut second), ack(0, AckKind::Completed, 1), "then the ring");
+        drop(second);
+        wait_reading(&link, "the link notices", || link.inner.state.lock().conn.is_none());
+        let mut third = accept(&listener);
+        assert_eq!(next_ack(&mut third), ack(0, AckKind::Completed, 1), "the last one sent");
+        link.close();
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        /// Over random acks: a terminal ack published while its `Running`
+        /// is queued leaves the outbox holding exactly the terminal ack's
+        /// own frame, as the encoder frames it; a lifecycle message queued
+        /// after it is framed as the encoder frames it too.
+        #[test]
+        fn a_folded_running_frame_is_the_terminal_acks_own_frame(
+            workflow in any::<u32>(),
+            j in any::<u32>(),
+            worker in any::<u32>(),
+            failed in any::<bool>(),
+            attempt in any::<u32>(),
+            generation in any::<u32>(),
+            life in 0u8..3,
+        ) {
+            let job = EnsembleJobId::new(WorkflowId(workflow), JobId(j));
+            let kind = if failed { AckKind::Failed } else { AckKind::Completed };
+            let end = AckMsg::new(job, worker, kind, attempt);
+            let mut outbox = Outbox::default();
+            outbox.ack(&AckMsg::new(job, worker, AckKind::Running, attempt));
+            outbox.ack(&end);
+            let mut framed = Vec::new();
+            write_frame(&mut framed, &WireMsg::Ack(end).encode()).unwrap();
+            prop_assert_eq!(&outbox.bytes, &framed);
+            prop_assert_eq!(&outbox.settling, &[0]);
+            prop_assert!(outbox.running.is_empty());
+            let msg = LifecycleMsg::new(worker, generation, LifecycleKind::from_code(life).unwrap());
+            outbox.lifecycle(msg);
+            write_frame(&mut framed, &WireMsg::Lifecycle(msg).encode()).unwrap();
+            prop_assert_eq!(&outbox.bytes, &framed);
+        }
     }
 
     /// Slot threads that share a link share its reading: whichever pulls

@@ -4,6 +4,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dewe_dag::WorkflowId;
 use dewe_mq::WorkerTransport;
 
 use super::registry::Registry;
@@ -230,6 +231,13 @@ fn slot_loop(
     config: WorkerConfig,
 ) -> u64 {
     let mut executed = 0u64;
+    // One context for every job; `workflow_id` and `attempt` are set per job.
+    let mut ctx = RunContext {
+        cancelled: kill,
+        worker: config.worker_id,
+        workflow_id: WorkflowId(0),
+        attempt: 0,
+    };
     while !stop.load(Ordering::Relaxed) {
         // No deadline: an idle slot sleeps until it has work or the
         // dispatch side closes (a stop or kill closes it).
@@ -241,7 +249,7 @@ fn slot_loop(
         };
         // A worker killed right after the pull vanishes with the dispatch
         // unstarted; the master takes it back when the connection ends.
-        if kill.load(Ordering::Relaxed) {
+        if ctx.is_cancelled() {
             break;
         }
         let Some(workflow) = registry.get(dispatch.job.workflow) else {
@@ -264,12 +272,7 @@ fn slot_loop(
             AckKind::Running,
             dispatch.attempt,
         ));
-        let ctx = RunContext {
-            cancelled: Arc::clone(&kill),
-            worker: config.worker_id,
-            workflow_id: dispatch.job.workflow,
-            attempt: dispatch.attempt,
-        };
+        (ctx.workflow_id, ctx.attempt) = (dispatch.job.workflow, dispatch.attempt);
         // A panicking job executable must not take the whole slot thread
         // (and, via `WorkerHandle::wait`, the harness) down with it: treat
         // the panic as a job failure and keep serving. The master's retry

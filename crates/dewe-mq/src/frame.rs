@@ -44,9 +44,8 @@ pub fn write_frame_split(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Re
 }
 
 /// [`write_frame_split`] without the flush: the frame is left in `w`'s
-/// buffer (when `w` is buffered) for the caller to flush. The writer
-/// threads of a long-lived connection use this — they queue every frame
-/// that is ready and flush once, before they block — so a burst of frames
+/// buffer (when `w` is buffered) for the caller to flush. A sender with
+/// several frames ready queues each and flushes once, so a burst of frames
 /// costs one `send(2)`, not one each, and a lone frame still leaves at
 /// once. Same bytes on the wire either way.
 pub fn queue_frame_split(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {

@@ -1,17 +1,22 @@
-//! The counting allocator behind the memory pins (`sim_memory*.rs`). Each
-//! of them is one test in its own binary: the allocator counts every
-//! thread, and a neighbouring test's allocations would land in the peak.
+//! The counting allocator behind the memory pins (`sim_memory*.rs`) and
+//! the allocation pin (`worker_link_allocations.rs`). Each of them is one
+//! test in its own binary: the allocator counts every thread, and a
+//! neighbouring test's allocations would land in its count.
+#![allow(dead_code)] // Each pin reads one of the two counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
+static CALLS: AtomicUsize = AtomicUsize::new(0);
 
-/// The system allocator, counting live bytes and their high-water mark.
+/// The system allocator, counting live bytes, their high-water mark, and
+/// the calls that allocate (`alloc`, `alloc_zeroed`, `realloc`).
 pub struct CountLive;
 
 fn grew(by: usize) {
+    CALLS.fetch_add(1, Ordering::Relaxed);
     let live = LIVE.fetch_add(by, Ordering::Relaxed) + by;
     PEAK.fetch_max(live, Ordering::Relaxed);
 }
@@ -41,6 +46,7 @@ unsafe impl GlobalAlloc for CountLive {
         if new_size >= layout.size() {
             grew(new_size - layout.size());
         } else {
+            CALLS.fetch_add(1, Ordering::Relaxed);
             LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
         }
         // SAFETY: same pointer, layout and size the caller vouched for.
@@ -55,4 +61,12 @@ pub fn peak_live_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     PEAK.store(before, Ordering::Relaxed);
     let result = f();
     (PEAK.load(Ordering::Relaxed) - before, result)
+}
+
+/// Run `f`; returns how many times any thread allocated during the call,
+/// and `f`'s result.
+pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let result = f();
+    (CALLS.load(Ordering::Relaxed) - before, result)
 }
