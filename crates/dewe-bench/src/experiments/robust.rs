@@ -73,7 +73,7 @@ pub fn run_robust(scale: Scale) -> RobustResult {
     let base = {
         let wfs = super::ensemble(scale, 1);
         let mut cfg = SimRunConfig::new(cluster);
-        cfg.default_timeout_secs = timeout;
+        cfg.engine.default_timeout_secs = timeout;
         cfg.timeout_scan_secs = 1.0;
         let r = run_ensemble(&wfs, &cfg);
         assert!(r.completed);
@@ -97,7 +97,7 @@ pub fn run_robust(scale: Scale) -> RobustResult {
     let run_fault = |kill_at: f64| {
         let wfs = super::ensemble(scale, 1);
         let mut cfg = SimRunConfig::new(cluster);
-        cfg.default_timeout_secs = timeout;
+        cfg.engine.default_timeout_secs = timeout;
         cfg.timeout_scan_secs = 1.0;
         cfg.faults = vec![NodeFault {
             node: 0,
@@ -120,7 +120,7 @@ pub fn run_robust(scale: Scale) -> RobustResult {
     let run_chaos = |drop_prob: f64, dup_prob: f64, seed: u64| {
         let wfs = super::ensemble(scale, 1);
         let mut cfg = SimRunConfig::new(cluster);
-        cfg.default_timeout_secs = timeout;
+        cfg.engine.default_timeout_secs = timeout;
         cfg.timeout_scan_secs = 1.0;
         cfg.chaos = Some(ChaosConfig::drop_dup(seed, drop_prob, dup_prob));
         let r = run_ensemble(&wfs, &cfg);

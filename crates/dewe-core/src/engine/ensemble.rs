@@ -1,9 +1,5 @@
 use super::*;
 
-/// Default system-wide job timeout in seconds (paper §III.B: jobs have a
-/// user-defined or system-wide default timeout).
-pub const DEFAULT_TIMEOUT_SECS: f64 = 600.0;
-
 /// Retry budget and backoff schedule applied to failed/timed-out jobs.
 ///
 /// The default is the paper's behavior: retry forever, immediately. With
@@ -44,7 +40,8 @@ impl Default for RetryPolicy {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// System-wide default job timeout (overridable per job).
+    /// System-wide default job timeout (overridable per job); default
+    /// [`DEFAULT_TIMEOUT_SECS`], paper §III.B.
     pub default_timeout_secs: f64,
     /// Optional dispatch-to-checkout deadline: if a published job is not
     /// checked out (no Running ack) within this many seconds it is
@@ -93,7 +90,6 @@ impl EngineConfig {
             live: 0,
             lanes: InflightLanes::default(),
             stats: EngineStats::default(),
-            terminal_emitted: false,
             deadlines: DeadlineWheel::default(),
             scratch_ready: Vec::new(),
             scratch_expired: Vec::new(),
@@ -135,11 +131,6 @@ pub enum Action {
         /// Total abandoned jobs (dead-lettered + written-off dependents).
         abandoned_jobs: usize,
     },
-    /// Every submitted workflow has completed (no abandonments).
-    AllCompleted,
-    /// Every submitted workflow is settled, but at least one was
-    /// abandoned: the ensemble terminates with partial completion.
-    AllSettled,
 }
 
 /// Aggregate engine statistics.
@@ -189,7 +180,6 @@ pub struct EnsembleEngine {
     lanes: InflightLanes,
     config: EngineConfig,
     stats: EngineStats,
-    terminal_emitted: bool,
     /// Engine-wide tracker of candidate deadlines (the hierarchical wheel
     /// of `wheel.rs`), validated lazily against the in-flight slab. Pushed
     /// on checkout (Running ack), backoff deferral, and — when a checkout
@@ -232,7 +222,6 @@ impl EnsembleEngine {
         });
         self.live += 1;
         self.stats.workflows_submitted += 1;
-        self.terminal_emitted = false;
         self.dispatch_ready(id, now, actions);
         // An empty workflow completes immediately.
         self.settle_if_terminal(id, now, actions);
@@ -377,7 +366,6 @@ impl EnsembleEngine {
         if state.workflow.job_count() > 0 {
             self.lanes.release(state.base);
         }
-        self.maybe_all_done(actions);
     }
 
     fn dispatch_indexed(&mut self, wf: WorkflowId, job: JobId, attempt: u32, now: f64) -> Action {
@@ -597,17 +585,6 @@ impl EnsembleEngine {
     pub fn workflow_count(&self) -> usize {
         self.workflows.len()
     }
-
-    fn maybe_all_done(&mut self, actions: &mut Vec<Action>) {
-        if self.all_settled() && !self.terminal_emitted {
-            self.terminal_emitted = true;
-            actions.push(if self.stats.workflows_abandoned == 0 {
-                Action::AllCompleted
-            } else {
-                Action::AllSettled
-            });
-        }
-    }
 }
 
 impl Default for EnsembleEngine {
@@ -685,7 +662,7 @@ mod tests {
 
     /// Two independent roots: one dead-letters first, then the other
     /// completes. The *completion* must settle the workflow (emit
-    /// `WorkflowAbandoned` + `AllSettled`) — regression for the path where
+    /// `WorkflowAbandoned`, and the ensemble is settled) — regression for the path where
     /// only the dead-letter handler checked settledness and a workflow
     /// whose last live branch finished after a dead-letter hung forever.
     #[test]
@@ -713,7 +690,6 @@ mod tests {
             )),
             "completion of the last live branch settles: {actions:?}"
         );
-        assert!(actions.iter().any(|a| matches!(a, Action::AllSettled)));
         assert!(e.all_settled() && !e.all_complete());
         assert_eq!(e.stats().workflows_abandoned, 1);
         assert_eq!(e.stats().jobs_completed, 1);
@@ -743,7 +719,6 @@ mod tests {
             a,
             Action::WorkflowCompleted { makespan_secs, .. } if (*makespan_secs - 4.0).abs() < 1e-9
         )));
-        assert!(actions.iter().any(|a| matches!(a, Action::AllCompleted)));
         assert!(e.all_complete());
     }
 
@@ -836,8 +811,8 @@ mod tests {
         let d1 = dispatches(&a1)[0];
         ack(&mut e, done_ack(d1.job, 1), 6.0);
         assert!(!e.all_complete(), "workflow 0 still running");
-        let actions = ack(&mut e, done_ack(d0.job, 1), 7.0);
-        assert!(actions.iter().any(|a| matches!(a, Action::AllCompleted)));
+        ack(&mut e, done_ack(d0.job, 1), 7.0);
+        assert!(e.all_complete());
         assert_eq!(e.stats().workflows_completed, 2);
     }
 
@@ -847,7 +822,7 @@ mod tests {
         let wf = Arc::new(WorkflowBuilder::new("empty").finish().unwrap());
         let (_, actions) = submit(&mut e, wf, 3.0);
         assert!(actions.iter().any(|a| matches!(a, Action::WorkflowCompleted { .. })));
-        assert!(actions.iter().any(|a| matches!(a, Action::AllCompleted)));
+        assert!(e.all_complete());
     }
 
     #[test]
@@ -1150,7 +1125,6 @@ mod tests {
             Action::WorkflowAbandoned { workflow, dead_lettered: 1, abandoned_jobs: 2 }
                 if *workflow == wf
         )));
-        assert!(actions.iter().any(|a| matches!(a, Action::AllSettled)));
         let s = e.stats();
         assert_eq!(s.dead_lettered, 1);
         assert_eq!(s.jobs_abandoned, 2);
@@ -1184,13 +1158,13 @@ mod tests {
         let good = dispatches(&a1)[0];
         let actions = ack(&mut e, fail_ack(bad.job, 1), 1.0);
         assert!(actions.iter().any(|a| matches!(a, Action::WorkflowAbandoned { .. })));
-        assert!(!actions.iter().any(|a| matches!(a, Action::AllSettled)), "workflow 1 still live");
+        assert!(!e.all_settled(), "workflow 1 still live");
         let actions = ack(&mut e, done_ack(good.job, 1), 2.0);
         assert!(actions.iter().any(|a| matches!(
             a,
             Action::WorkflowCompleted { workflow, .. } if *workflow == w1
         )));
-        assert!(actions.iter().any(|a| matches!(a, Action::AllSettled)));
+        assert!(e.all_settled() && !e.all_complete());
         assert_eq!(e.stats().workflows_completed, 1);
         assert_eq!(e.stats().workflows_abandoned, 1);
     }
@@ -1282,8 +1256,8 @@ mod tests {
         // This time the checkout lands; the deadline switches to the job
         // timeout and the job completes normally.
         ack(&mut e, run_ack(d.job, 2), 31.0);
-        let actions = ack(&mut e, done_ack(d.job, 2), 32.0);
-        assert!(actions.iter().any(|a| matches!(a, Action::AllCompleted)));
+        ack(&mut e, done_ack(d.job, 2), 32.0);
+        assert!(e.all_complete());
     }
 
     #[test]

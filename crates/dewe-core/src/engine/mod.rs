@@ -19,16 +19,16 @@
 use std::cmp::Ordering;
 use std::sync::Arc;
 
-use dewe_dag::{DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowId};
+use dewe_dag::{
+    DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowId, DEFAULT_TIMEOUT_SECS,
+};
 
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
 use crate::wheel::DeadlineWheel;
 
 mod ensemble;
 
-pub use ensemble::{
-    Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy, DEFAULT_TIMEOUT_SECS,
-};
+pub use ensemble::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 
 struct WorkflowState {
     workflow: Arc<Workflow>,

@@ -694,13 +694,13 @@ A 2 0 1 0 2 4030000000000000
         let handle = spawn_master_on(
             tcp.clone(),
             registry,
-            MasterConfig::builder()
-                .default_timeout_secs(10.0)
-                .retry(retry)
-                .expected_workflows(3)
-                .journal_path(&path)
-                .recover(true)
-                .build(),
+            MasterConfig {
+                engine: config,
+                expected_workflows: Some(3),
+                journal_path: Some(path.clone()),
+                recover: true,
+                ..MasterConfig::default()
+            },
         );
         let (link, _) = link(&tcp, 1, 8);
         let first = next_dispatch(&link);

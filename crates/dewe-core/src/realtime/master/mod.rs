@@ -13,7 +13,7 @@ use dewe_mq::Transport;
 use super::journal::{self, Journal};
 use super::liveness::{LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerView};
 use super::registry::Registry;
-use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
+use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine};
 use crate::protocol::{AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WorkflowAnnounce};
 
 mod serve;
@@ -48,118 +48,35 @@ impl<T> MasterTransport for T where
 
 /// Master daemon configuration.
 ///
-/// Opaque: construct with [`MasterConfig::builder`] and the chained setters.
-///
 /// ```
 /// use dewe_core::realtime::MasterConfig;
 ///
-/// let config = MasterConfig::builder()
-///     .expected_workflows(20)
-///     .lease_secs(5.0)
-///     .build();
+/// let config = MasterConfig {
+///     expected_workflows: Some(20),
+///     lease_secs: Some(5.0),
+///     ..MasterConfig::default()
+/// };
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MasterConfig {
-    default_timeout_secs: f64,
-    checkout_timeout_secs: Option<f64>,
-    retry: RetryPolicy,
-    expected_workflows: Option<usize>,
-    journal_path: Option<PathBuf>,
-    recover: bool,
-    lease_secs: Option<f64>,
-}
-
-impl Default for MasterConfig {
-    fn default() -> Self {
-        Self {
-            default_timeout_secs: crate::engine::DEFAULT_TIMEOUT_SECS,
-            checkout_timeout_secs: None,
-            retry: RetryPolicy::default(),
-            expected_workflows: None,
-            journal_path: None,
-            recover: false,
-            lease_secs: None,
-        }
-    }
-}
-
-impl MasterConfig {
-    /// Start building a configuration from the defaults.
-    pub fn builder() -> MasterConfigBuilder {
-        MasterConfigBuilder { cfg: MasterConfig::default() }
-    }
-
-    fn engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            default_timeout_secs: self.default_timeout_secs,
-            checkout_timeout_secs: self.checkout_timeout_secs,
-            retry: self.retry,
-        }
-    }
+    /// Job timeout (paper §III.B), checkout deadline and retry policy.
+    pub engine: EngineConfig,
+    /// Exit once this many workflows have settled. `None` (default) serves
+    /// until the transport shuts down.
+    pub expected_workflows: Option<usize>,
+    /// Write-ahead journal path.
+    pub journal_path: Option<PathBuf>,
+    /// Replay the journal at `journal_path` on startup (master failover).
+    /// Without a `journal_path` the master reports
+    /// [`MasterEvent::Failed`].
+    pub recover: bool,
+    /// Worker lease duration, seconds; enables the liveness plane.
+    pub lease_secs: Option<f64>,
 }
 
 /// Acknowledgments the serve loop takes in one grab — and so journals in
 /// one write and hands the engine in one step.
 const ACK_BURST: usize = 128;
-
-/// Builder for [`MasterConfig`], mirroring [`EngineConfig`]'s chained
-/// setters. Obtain via [`MasterConfig::builder`].
-#[derive(Debug, Clone)]
-#[must_use = "finish the configuration with .build()"]
-pub struct MasterConfigBuilder {
-    cfg: MasterConfig,
-}
-
-impl MasterConfigBuilder {
-    /// System-wide default job timeout, seconds (paper §III.B).
-    pub fn default_timeout_secs(mut self, secs: f64) -> Self {
-        self.cfg.default_timeout_secs = secs;
-        self
-    }
-
-    /// Checkout deadline: resubmit a dispatch never acknowledged as
-    /// Running within this many seconds.
-    pub fn checkout_timeout_secs(mut self, secs: f64) -> Self {
-        self.cfg.checkout_timeout_secs = Some(secs);
-        self
-    }
-
-    /// Retry budget and backoff policy for failed/timed-out jobs.
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.cfg.retry = retry;
-        self
-    }
-
-    /// Exit once this many workflows have settled. Without it the
-    /// master serves until the transport shuts down.
-    pub fn expected_workflows(mut self, count: usize) -> Self {
-        self.cfg.expected_workflows = Some(count);
-        self
-    }
-
-    /// Write-ahead journal path.
-    pub fn journal_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cfg.journal_path = Some(path.into());
-        self
-    }
-
-    /// Replay an existing journal on startup (master failover).
-    pub fn recover(mut self, recover: bool) -> Self {
-        self.cfg.recover = recover;
-        self
-    }
-
-    /// Worker lease duration, seconds; enables the liveness plane.
-    pub fn lease_secs(mut self, secs: f64) -> Self {
-        self.cfg.lease_secs = Some(secs);
-        self
-    }
-
-    /// Finish: produce the configuration.
-    pub fn build(self) -> MasterConfig {
-        self.cfg
-    }
-}
 
 /// Progress notifications from the master.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,6 +177,7 @@ impl MasterHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RetryPolicy;
     use crate::protocol::{AckKind, AckMsg};
     use crate::realtime::testutil::{endpoint, link, next_dispatch, submit, wait_until};
     use crate::realtime::{spawn_worker_on, NoopRunner, SleepRunner, WorkerConfig, WorkerPhase};
@@ -273,7 +191,7 @@ mod tests {
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
-            MasterConfig::builder().expected_workflows(1).build(),
+            MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() },
         );
         let (link, mirror) = link(&tcp, 0, 8);
 
@@ -317,7 +235,7 @@ mod tests {
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
-            MasterConfig::builder().expected_workflows(1).build(),
+            MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() },
         );
         let mut worker = TcpStream::connect(tcp.local_addr()).unwrap();
         worker.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
@@ -368,7 +286,7 @@ mod tests {
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
-            MasterConfig::builder().expected_workflows(1).build(),
+            MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() },
         );
         const JOBS: u32 = 100;
         assert!(2 * JOBS as usize > ACK_BURST, "the flood must span several bursts");
@@ -398,7 +316,11 @@ mod tests {
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
-            MasterConfig::builder().default_timeout_secs(0.05).expected_workflows(1).build(),
+            MasterConfig {
+                engine: EngineConfig::default().timeout(0.05),
+                expected_workflows: Some(1),
+                ..MasterConfig::default()
+            },
         );
         let (link, _) = link(&tcp, 0, 8);
         let mut b = WorkflowBuilder::new("one");
@@ -433,11 +355,12 @@ mod tests {
             Registry::new(),
             // Job timeout is deliberately long: recovery must come
             // from the lease, not the timeout scan.
-            MasterConfig::builder()
-                .default_timeout_secs(30.0)
-                .expected_workflows(1)
-                .lease_secs(0.15)
-                .build(),
+            MasterConfig {
+                engine: EngineConfig::default().timeout(30.0),
+                expected_workflows: Some(1),
+                lease_secs: Some(0.15),
+                ..MasterConfig::default()
+            },
         );
         let (link, _) = link(&tcp, 5, 8);
         let mut b = WorkflowBuilder::new("one");
@@ -486,7 +409,11 @@ mod tests {
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
-            MasterConfig::builder().expected_workflows(4).lease_secs(2.0).build(),
+            MasterConfig {
+                expected_workflows: Some(4),
+                lease_secs: Some(2.0),
+                ..MasterConfig::default()
+            },
         );
         let mk_worker = |id: u32| {
             let (link, mirror) = link(&tcp, id, 4);
@@ -557,7 +484,7 @@ mod tests {
     #[test]
     fn endpoint_shutdown_mid_flight_ends_master_and_workers() {
         let tcp = endpoint();
-        let handle = spawn_master_on(tcp.clone(), Registry::new(), MasterConfig::builder().build());
+        let handle = spawn_master_on(tcp.clone(), Registry::new(), MasterConfig::default());
         let (link, mirror) = link(&tcp, 0, 8);
         let worker = spawn_worker_on(
             Arc::new(link.clone()),
@@ -583,10 +510,12 @@ mod tests {
         let handle = spawn_master_on(
             tcp.clone(),
             Registry::new(),
-            MasterConfig::builder()
-                .expected_workflows(1)
-                .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() })
-                .build(),
+            MasterConfig {
+                engine: EngineConfig::default()
+                    .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() }),
+                expected_workflows: Some(1),
+                ..MasterConfig::default()
+            },
         );
         let (link, _) = link(&tcp, 0, 8);
         let mut b = WorkflowBuilder::new("poison");

@@ -5,13 +5,14 @@ use super::*;
 ///
 /// It pulls submissions for new workflows and acks for worker progress,
 /// publishes eligible jobs as dispatches, and resubmits each timed-out job
-/// when its deadline comes. With [`MasterConfigBuilder::journal_path`] set
-/// it write-ahead journals every input; with [`MasterConfigBuilder::recover`]
-/// it first replays that journal, rebuilding the pre-crash engine and
+/// when its deadline comes. With [`MasterConfig::journal_path`] set it
+/// write-ahead journals every input; with [`MasterConfig::recover`] it first
+/// replays that journal, rebuilding the pre-crash engine and
 /// republishing in-flight jobs and submitting any workflow the registry holds
 /// past it. A journal that cannot be opened, replayed or written to is
 /// reported as [`MasterEvent::Failed`], and so is a cold start over a
-/// registry that already holds workflows.
+/// registry that already holds workflows, and a `recover` without a journal
+/// path.
 pub fn spawn_master_on<T: MasterTransport>(
     transport: T,
     registry: Registry,
@@ -209,6 +210,9 @@ fn open<T: MasterTransport>(
     events: &Sender<MasterEvent>,
     shared: &Arc<FaultPlaneShared>,
 ) -> io::Result<Opened> {
+    if config.recover && config.journal_path.is_none() {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "recover needs a journal path"));
+    }
     // The journal to take over from, if any. Without one this is a cold
     // start: the replay of an empty journal.
     let takeover = config.journal_path.as_deref().filter(|p| config.recover && p.exists());
@@ -218,13 +222,10 @@ fn open<T: MasterTransport>(
         }
         None => Vec::new(),
     };
-    let rec =
-        journal::recover(&records, registry, config.engine_config()).map_err(
-            |e| match takeover {
-                Some(path) => journal_error("replay journal", path, e),
-                None => e,
-            },
-        )?;
+    let rec = journal::recover(&records, registry, config.engine).map_err(|e| match takeover {
+        Some(path) => journal_error("replay journal", path, e),
+        None => e,
+    })?;
     let Some(path) = takeover else {
         // A cold start numbers workflows from 0, so it cannot serve a
         // registry an earlier master filled. The journal path is tried
@@ -390,10 +391,8 @@ fn serve<T: MasterTransport>(
             while transport.try_pull_lifecycle().is_some() {}
         }
 
-        // 3. Exit once the expected workload has settled. (The engine's
-        // own `AllCompleted`/`AllSettled` only cover workflows submitted
-        // *so far*; the master must keep serving when more submissions
-        // are expected.)
+        // 3. Exit once the expected workload has settled: counted here, for
+        // the engine has seen only the workflows submitted so far.
         if let Some(expected) = config.expected_workflows {
             let stats = engine.stats();
             if stats.workflows_completed + stats.workflows_abandoned >= expected {
@@ -494,7 +493,7 @@ fn publish_actions<T: MasterTransport>(
             Action::WorkflowAbandoned { workflow, dead_lettered, .. } => {
                 let _ = events.send(MasterEvent::WorkflowAbandoned { workflow, dead_lettered });
             }
-            Action::JobDeadLettered { .. } | Action::AllCompleted | Action::AllSettled => {}
+            Action::JobDeadLettered { .. } => {}
         }
     }
     if !run.is_empty() {
@@ -544,7 +543,11 @@ mod tests {
             let handle = spawn_master_on(
                 endpoint(),
                 registry,
-                MasterConfig::builder().journal_path(&path).recover(recover).build(),
+                MasterConfig {
+                    journal_path: Some(path.clone()),
+                    recover,
+                    ..MasterConfig::default()
+                },
             );
             let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
             let MasterEvent::Failed { reason } = ev else {
@@ -555,6 +558,20 @@ mod tests {
             assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A takeover needs the journal it takes over: `recover` without a
+    /// journal path is refused before anything is served, not run as a cold
+    /// start.
+    #[test]
+    fn recover_without_a_journal_path_fails_the_master() {
+        let tcp = endpoint();
+        let config = MasterConfig { recover: true, ..MasterConfig::default() };
+        let handle = spawn_master_on(tcp.clone(), Registry::new(), config);
+        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(ev, MasterEvent::Failed { reason: "recover needs a journal path".into() });
+        assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
+        tcp.shutdown();
     }
 
     /// A cold start numbers workflows from 0, so a registry an earlier
@@ -576,9 +593,9 @@ mod tests {
         b.job("a", "t", 1.0).build();
         registry.insert(WorkflowId(0), Arc::new(b.finish().unwrap()));
 
-        for config in
-            [MasterConfig::builder().journal_path(&journal).build(), MasterConfig::default()]
-        {
+        let journaled =
+            MasterConfig { journal_path: Some(journal.clone()), ..MasterConfig::default() };
+        for config in [journaled, MasterConfig::default()] {
             let handle = spawn_master_on(endpoint(), registry.clone(), config);
             let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
             let MasterEvent::Failed { reason } = ev else {
@@ -606,7 +623,11 @@ mod tests {
             let handle = spawn_master_on(
                 tcp.clone(),
                 Registry::new(),
-                MasterConfig::builder().journal_path("/dev/full").lease_secs(5.0).build(),
+                MasterConfig {
+                    journal_path: Some("/dev/full".into()),
+                    lease_secs: Some(5.0),
+                    ..MasterConfig::default()
+                },
             );
             let (link, _) = link(&tcp, 1, 8);
             if step == "journal worker" {
@@ -807,11 +828,12 @@ mod tests {
         let handle = spawn_master_on(
             probe.clone(),
             registry.clone(),
-            MasterConfig::builder()
-                .expected_workflows(2)
-                .journal_path(&path)
-                .lease_secs(30.0)
-                .build(),
+            MasterConfig {
+                expected_workflows: Some(2),
+                journal_path: Some(path.clone()),
+                lease_secs: Some(30.0),
+                ..MasterConfig::default()
+            },
         );
         for (i, wf) in workflows.iter().enumerate() {
             let workflow = Arc::clone(wf);
@@ -888,7 +910,11 @@ mod tests {
         let handle = spawn_master_on(
             probe.clone(),
             Registry::new(),
-            MasterConfig::builder().expected_workflows(1).journal_path(&path).build(),
+            MasterConfig {
+                expected_workflows: Some(1),
+                journal_path: Some(path.clone()),
+                ..MasterConfig::default()
+            },
         );
         loop {
             match handle.events.recv_timeout(Duration::from_secs(30)).expect("an event") {
@@ -980,7 +1006,11 @@ mod tests {
         let handle = spawn_master_on(
             transport.clone(),
             Registry::new(),
-            MasterConfig::builder().default_timeout_secs(0.3).expected_workflows(1).build(),
+            MasterConfig {
+                engine: EngineConfig::default().timeout(0.3),
+                expected_workflows: Some(1),
+                ..MasterConfig::default()
+            },
         );
         let (link, _) = link(&transport.tcp, 1, 8);
         let mut b = WorkflowBuilder::new("one");

@@ -41,9 +41,7 @@ pub use liveness::{
     LivenessTable, LivenessTransition, MasterStats, RequeueEntry, WorkerPhase, WorkerView,
     REQUEUE_WORKER,
 };
-pub use master::{
-    spawn_master_on, MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, MasterTransport,
-};
+pub use master::{spawn_master_on, MasterConfig, MasterEvent, MasterHandle, MasterTransport};
 #[cfg(unix)]
 pub use net::{submit_over_tcp, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions};
 pub use registry::Registry;

@@ -21,7 +21,7 @@ use dewe_metrics::{ClusterSampler, SAMPLE_INTERVAL_SECS};
 use dewe_mq::chaos::{self, ChaosConfig, ChaosDecider};
 use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, JobTimings, NodeId, SimEvent, TokenMap};
 
-use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
+use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
 
 pub mod autoscale;
@@ -66,8 +66,12 @@ pub struct NodeFault {
 pub struct SimRunConfig {
     /// The cluster to run on.
     pub cluster: ClusterConfig,
-    /// System-wide default job timeout (paper §III.B).
-    pub default_timeout_secs: f64,
+    /// The master's job timeout, checkout deadline and retry policy
+    /// (default: the paper's 600 s timeout and unbounded immediate
+    /// retries). One rule is the sim's own: when `chaos` can drop messages
+    /// and no checkout deadline is set, the deadline is the job timeout, so
+    /// a dropped dispatch recovers instead of hanging the run.
+    pub engine: EngineConfig,
     /// Master's timeout scan cadence.
     pub timeout_scan_secs: f64,
     /// Submission plan.
@@ -94,14 +98,6 @@ pub struct SimRunConfig {
     /// Record a per-job lifecycle [`dewe_metrics::Trace`] (memory-heavy at
     /// full ensemble scale; intended for single-workflow analyses).
     pub record_trace: bool,
-    /// Retry budget and backoff schedule (default: the paper's unbounded
-    /// immediate retries).
-    pub retry: RetryPolicy,
-    /// Dispatch-to-checkout deadline; see
-    /// [`EngineConfig::checkout_timeout_secs`]. When `None` but message
-    /// drop is being injected, the default job timeout is used so dropped
-    /// dispatches recover instead of hanging the run.
-    pub checkout_timeout_secs: Option<f64>,
     /// Message-level fault injection (drop/duplication) applied to the
     /// simulated dispatch and acknowledgment topics, keyed deterministically
     /// by `(workflow, job, attempt)`. Delay decisions are not drawn here:
@@ -120,7 +116,7 @@ impl SimRunConfig {
     pub fn new(cluster: ClusterConfig) -> Self {
         Self {
             cluster,
-            default_timeout_secs: 600.0,
+            engine: EngineConfig::default(),
             timeout_scan_secs: 5.0,
             submission: SubmissionPlan::Interval(0.0),
             per_job_overhead_secs: 0.1,
@@ -130,11 +126,20 @@ impl SimRunConfig {
             failure_script: Vec::new(),
             node_speed_factors: None,
             record_trace: false,
-            retry: RetryPolicy::default(),
-            checkout_timeout_secs: None,
             chaos: None,
             horizon_secs: None,
         }
+    }
+
+    /// `engine` with the sim's one rule applied: with message drop in play
+    /// a lost dispatch would otherwise hang the run (the checkout clock
+    /// never starts), so an unset checkout deadline becomes the job timeout.
+    fn run_engine(&self) -> EngineConfig {
+        let mut engine = self.engine;
+        if self.chaos.is_some_and(|c| c.drop_prob > 0.0) {
+            engine.checkout_timeout_secs.get_or_insert(engine.default_timeout_secs);
+        }
+        engine
     }
 }
 
@@ -389,10 +394,9 @@ impl DriverState {
     }
 
     /// Turn engine actions into queue entries / bookkeeping, draining the
-    /// scratch action buffer. The engine's `AllCompleted`/`AllSettled`
-    /// only cover workflows submitted *so far*; under incremental
-    /// submission the run ends when the expected total has settled, so
-    /// terminal transitions are counted here.
+    /// scratch action buffer. The run ends when the whole ensemble has
+    /// settled, and under incremental submission the engine has not seen
+    /// it all yet, so terminal transitions are counted here.
     fn handle_actions(&mut self, now: f64) {
         let mut actions = std::mem::take(&mut self.actions);
         for action in actions.drain(..) {
@@ -415,7 +419,7 @@ impl DriverState {
                     self.abandoned_count += 1;
                     self.workflow_settled(now);
                 }
-                Action::JobDeadLettered { .. } | Action::AllCompleted | Action::AllSettled => {}
+                Action::JobDeadLettered { .. } => {}
             }
         }
         self.actions = actions;
@@ -471,24 +475,6 @@ impl DriverState {
             self.running.insert(token, d);
             exec.submit_job(token, node, &self.profile);
         }
-    }
-}
-
-/// The engine configuration a sim config implies. With message drop in
-/// play a lost dispatch would otherwise hang the run (the checkout clock
-/// never starts), so the checkout timeout defaults to the job timeout
-/// when chaos can drop messages.
-fn engine_config_for(config: &SimRunConfig) -> EngineConfig {
-    let checkout_timeout_secs = config.checkout_timeout_secs.or_else(|| {
-        config
-            .chaos
-            .as_ref()
-            .and_then(|c| (c.drop_prob > 0.0).then_some(config.default_timeout_secs))
-    });
-    EngineConfig {
-        default_timeout_secs: config.default_timeout_secs,
-        checkout_timeout_secs,
-        retry: config.retry,
     }
 }
 
@@ -550,7 +536,7 @@ impl<'a> Driver<'a> {
         Self {
             workflows,
             config,
-            engine: engine_config_for(config).build(),
+            engine: config.run_engine().build(),
             exec,
             state: DriverState::new(workflows, pool, config),
             sampler,
@@ -747,6 +733,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::RetryPolicy;
     use dewe_dag::WorkflowBuilder;
     use dewe_simcloud::{SharedFsKind, StorageConfig, C3_8XLARGE};
 
@@ -838,7 +825,7 @@ mod tests {
         // job must wait out the timeout (paper §V.A.3).
         let wf = chain_wf(1, 100.0);
         let mut cfg = no_overhead(cluster(1));
-        cfg.default_timeout_secs = 150.0;
+        cfg.engine.default_timeout_secs = 150.0;
         cfg.faults = vec![NodeFault { node: 0, kill_at_secs: 50.0, restart_at_secs: Some(55.0) }];
         let report = run_ensemble(&[wf], &cfg);
         assert!(report.completed);
@@ -854,7 +841,7 @@ mod tests {
         // for the timeout tail.
         let wf = parallel_wf(320, 1.0); // 10 waves on 32 slots
         let mut cfg = no_overhead(cluster(1));
-        cfg.default_timeout_secs = 30.0;
+        cfg.engine.default_timeout_secs = 30.0;
         cfg.timeout_scan_secs = 1.0;
         cfg.faults = vec![NodeFault { node: 0, kill_at_secs: 5.0, restart_at_secs: Some(7.0) }];
         let report = run_ensemble(&[wf], &cfg);
@@ -946,12 +933,9 @@ mod tests {
         let doomed = Arc::new(b.finish().unwrap());
         let healthy = chain_wf(3, 1.0);
         let mut cfg = no_overhead(cluster(1));
-        cfg.default_timeout_secs = 10.0;
+        cfg.engine.default_timeout_secs = 10.0;
         cfg.timeout_scan_secs = 1.0;
-        cfg.retry = crate::engine::RetryPolicy {
-            max_attempts: Some(3),
-            ..crate::engine::RetryPolicy::default()
-        };
+        cfg.engine.retry = RetryPolicy { max_attempts: Some(3), ..RetryPolicy::default() };
         let report = run_ensemble(&[doomed, healthy], &cfg);
         assert!(!report.completed, "partial completion must be reported");
         assert_eq!(report.engine.dead_lettered, 1);
@@ -974,12 +958,12 @@ mod tests {
         };
         let base = |backoff: f64| {
             let mut cfg = no_overhead(cluster(1));
-            cfg.default_timeout_secs = 10.0;
+            cfg.engine.default_timeout_secs = 10.0;
             cfg.timeout_scan_secs = 1.0;
-            cfg.retry = crate::engine::RetryPolicy {
+            cfg.engine.retry = RetryPolicy {
                 max_attempts: Some(3),
                 backoff_base_secs: backoff,
-                ..crate::engine::RetryPolicy::default()
+                ..RetryPolicy::default()
             };
             run_ensemble(&[wf()], &cfg)
         };
@@ -1003,7 +987,7 @@ mod tests {
         // duplicate-completion noise.
         let wfs: Vec<_> = (0..4).map(|_| chain_wf(5, 1.0)).collect();
         let mut cfg = no_overhead(cluster(1));
-        cfg.default_timeout_secs = 20.0;
+        cfg.engine.default_timeout_secs = 20.0;
         cfg.timeout_scan_secs = 1.0;
         cfg.chaos = Some(ChaosConfig::drop_dup(0xC4A05, 0.05, 0.05));
         let report = run_ensemble(&wfs, &cfg);
@@ -1022,7 +1006,7 @@ mod tests {
         let wfs: Vec<_> = (0..3).map(|_| chain_wf(4, 1.0)).collect();
         let run = |seed| {
             let mut cfg = no_overhead(cluster(1));
-            cfg.default_timeout_secs = 15.0;
+            cfg.engine.default_timeout_secs = 15.0;
             cfg.timeout_scan_secs = 1.0;
             cfg.chaos = Some(ChaosConfig::drop_dup(seed, 0.1, 0.1));
             run_ensemble(&wfs, &cfg)
@@ -1041,12 +1025,30 @@ mod tests {
         // 30% drop: some dispatches never reach a worker. The implied
         // checkout timeout resubmits them, so the run still finishes.
         let mut cfg = no_overhead(cluster(1));
-        cfg.default_timeout_secs = 10.0;
+        cfg.engine.default_timeout_secs = 10.0;
         cfg.timeout_scan_secs = 1.0;
         cfg.chaos = Some(ChaosConfig::drop_dup(7, 0.3, 0.0));
         let report = run_ensemble(&[parallel_wf(40, 1.0)], &cfg);
         assert!(report.completed);
         assert!(report.engine.resubmissions > 0, "drops must be recovered by resubmission");
+    }
+
+    #[test]
+    fn only_lossy_chaos_with_no_checkout_deadline_gets_the_job_timeout() {
+        let mut cfg = no_overhead(cluster(1));
+        cfg.engine.default_timeout_secs = 10.0;
+        cfg.chaos = Some(ChaosConfig::drop_dup(7, 0.3, 0.0));
+        cfg.engine.checkout_timeout_secs = Some(4.0);
+        assert_eq!(cfg.run_engine().checkout_timeout_secs, Some(4.0), "an explicit deadline wins");
+        cfg.engine.checkout_timeout_secs = None;
+        assert_eq!(
+            cfg.run_engine(),
+            EngineConfig { checkout_timeout_secs: Some(10.0), ..cfg.engine }
+        );
+        cfg.chaos = Some(ChaosConfig::drop_dup(7, 0.0, 0.3));
+        assert_eq!(cfg.run_engine(), cfg.engine, "chaos that cannot drop keeps no deadline");
+        cfg.chaos = None;
+        assert_eq!(cfg.run_engine(), cfg.engine);
     }
 
     #[test]
@@ -1089,7 +1091,7 @@ mod tests {
         // The middle job always fails and the retry budget allows two
         // attempts: it dead-letters and its descendant is written off.
         let mut cfg = no_overhead(cluster(1));
-        cfg.retry = RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() };
+        cfg.engine.retry = RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() };
         cfg.failure_script = vec![ScriptedFailure { workflow: 0, job: 1, failing_attempts: 99 }];
         let report = run_ensemble(&[chain_wf(3, 1.0)], &cfg);
         assert!(!report.completed);

@@ -74,17 +74,11 @@ struct ReferenceEngine {
     workflows: Vec<RefWorkflow>,
     config: EngineConfig,
     stats: EngineStats,
-    terminal_emitted: bool,
 }
 
 impl ReferenceEngine {
     fn new(config: EngineConfig) -> Self {
-        Self {
-            workflows: Vec::new(),
-            config,
-            stats: EngineStats::default(),
-            terminal_emitted: false,
-        }
+        Self { workflows: Vec::new(), config, stats: EngineStats::default() }
     }
 
     fn submit_workflow(&mut self, workflow: Arc<Workflow>, now: f64) -> (WorkflowId, Vec<Action>) {
@@ -104,16 +98,12 @@ impl ReferenceEngine {
             actions.push(Action::Dispatch(DispatchMsg::new(EnsembleJobId::new(id, job), 1)));
         }
         self.stats.workflows_submitted += 1;
-        self.terminal_emitted = false;
         if state.tracker.is_complete() {
             state.done = true;
             self.stats.workflows_completed += 1;
             actions.push(Action::WorkflowCompleted { workflow: id, makespan_secs: 0.0 });
-            self.workflows.push(state);
-            self.maybe_all_done(&mut actions);
-        } else {
-            self.workflows.push(state);
         }
+        self.workflows.push(state);
         (id, actions)
     }
 
@@ -167,7 +157,6 @@ impl ReferenceEngine {
                         workflow: wf,
                         makespan_secs: now - state.submitted_at,
                     });
-                    self.maybe_all_done(&mut actions);
                 } else if state.tracker.is_settled() && !state.done {
                     state.done = true;
                     self.stats.workflows_abandoned += 1;
@@ -176,7 +165,6 @@ impl ReferenceEngine {
                         dead_lettered: state.dead_lettered,
                         abandoned_jobs: state.tracker.stats().abandoned,
                     });
-                    self.maybe_all_done(&mut actions);
                 }
             }
             AckKind::Failed => {
@@ -236,7 +224,6 @@ impl ReferenceEngine {
                     dead_lettered: state.dead_lettered,
                     abandoned_jobs: state.tracker.stats().abandoned,
                 });
-                self.maybe_all_done(actions);
             }
             return;
         }
@@ -313,17 +300,6 @@ impl ReferenceEngine {
 
     fn stats(&self) -> EngineStats {
         self.stats
-    }
-
-    fn maybe_all_done(&mut self, actions: &mut Vec<Action>) {
-        if self.all_settled() && !self.terminal_emitted {
-            self.terminal_emitted = true;
-            actions.push(if self.stats.workflows_abandoned == 0 {
-                Action::AllCompleted
-            } else {
-                Action::AllSettled
-            });
-        }
     }
 }
 

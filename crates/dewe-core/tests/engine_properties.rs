@@ -77,7 +77,7 @@ proptest! {
 
         let mut cfg = SimRunConfig::new(cluster(2));
         cfg.per_job_overhead_secs = 0.0;
-        cfg.default_timeout_secs = 5.0;
+        cfg.engine.default_timeout_secs = 5.0;
         cfg.timeout_scan_secs = 0.5;
         let kill_at = (clean.makespan_secs * kill_frac).max(0.01);
         cfg.faults = vec![NodeFault {

@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use dewe_core::realtime::{
     read_journal, recover, spawn_master_on, spawn_worker_on, submit_over_tcp, JournalRecord,
-    MasterConfig, MasterConfigBuilder, MasterEvent, MasterHandle, Registry, SleepRunner, TcpMaster,
-    TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
+    MasterConfig, MasterEvent, MasterHandle, Registry, SleepRunner, TcpMaster, TcpMasterOptions,
+    TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
 use dewe_core::{AckKind, AckMsg, Action, EngineConfig, EnsembleEngine, RetryPolicy};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
@@ -44,10 +44,15 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The master configuration every test starts from: its journal and
-/// whether to take it over.
-fn journaled(dir: &Path, recover: bool) -> MasterConfigBuilder {
-    MasterConfig::builder().journal_path(dir.join("master.wal")).recover(recover)
+/// The master configuration every test starts from: its journal, whether
+/// to take it over, and the workflows to settle before it exits.
+fn journaled(dir: &Path, recover: bool, expected: usize) -> MasterConfig {
+    MasterConfig {
+        expected_workflows: Some(expected),
+        journal_path: Some(dir.join("master.wal")),
+        recover,
+        ..MasterConfig::default()
+    }
 }
 
 /// A master on `addr` as `dewe-masterd` runs one: the endpoint spools to
@@ -171,7 +176,7 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
             let records = read_journal(&dir.join("master.wal")).expect("journal readable");
             replayed(&recover(&records, registry, EngineConfig::default()).expect("replays").engine)
         };
-        let config = |recover: bool| journaled(&dir, recover).expected_workflows(6).build();
+        let config = |recover: bool| journaled(&dir, recover, 6);
         let mut master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
         let addr = master.addr();
         let worker = worker(addr, 0, 2, None);
@@ -294,7 +299,7 @@ fn ensemble_finishes_after_master_failover() {
     // The simulated crash drops the master loop between steps, so the
     // file holds whole bursts; a torn tail would only appear on a hard
     // power loss, which journal_properties covers.
-    let config = |recover: bool| journaled(&dir, recover).expected_workflows(3).build();
+    let config = |recover: bool| journaled(&dir, recover, 3);
     let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
     let addr = master.addr();
     // 20 ms per job: slow enough that the kill lands mid-ensemble with
@@ -352,12 +357,10 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     // An ack written into the killed master's socket is lost, and the
     // lease plane does not republish a job a live worker holds, so now and
     // then one job waits out its timeout: keep that wait short.
-    let config = |recover: bool| {
-        journaled(&dir, recover)
-            .expected_workflows(2)
-            .lease_secs(0.15)
-            .default_timeout_secs(1.0)
-            .build()
+    let config = |recover: bool| MasterConfig {
+        engine: EngineConfig::default().timeout(1.0),
+        lease_secs: Some(0.15),
+        ..journaled(&dir, recover, 2)
     };
     let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
     let addr = master.addr();
@@ -400,7 +403,7 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
 fn recovery_restarts_from_empty_journal_when_absent() {
     // recover=true with no journal on disk must behave like a cold start.
     let dir = scratch("cold");
-    let config = journaled(&dir, true).expected_workflows(1).build();
+    let config = journaled(&dir, true, 1);
     let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config);
     let worker = worker(master.addr(), 0, 1, None);
     master.submit(&[chain("w", 2, 1.0)]);

@@ -176,7 +176,7 @@ mod tests {
         spawn_master_on, spawn_worker_on, submit_over_tcp, MasterConfig, MasterHandle, NoopRunner,
         Registry, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
     };
-    use dewe_core::AckKind;
+    use dewe_core::{AckKind, EngineConfig};
     use dewe_dag::{JobId, WorkflowBuilder, WorkflowId};
     use dewe_mq::Topic;
 
@@ -402,11 +402,16 @@ mod tests {
             for (id, _, workflow) in tcp.load_spool().unwrap() {
                 registry.insert(id, workflow);
             }
-            let config = MasterConfig::builder()
-                .checkout_timeout_secs(0.5)
-                .journal_path(dir.join("master.wal"))
-                .recover(recover);
-            (tcp.clone(), spawn_master_on(tcp, registry, config.build()))
+            let config = MasterConfig {
+                engine: EngineConfig {
+                    checkout_timeout_secs: Some(0.5),
+                    ..EngineConfig::default()
+                },
+                journal_path: Some(dir.join("master.wal")),
+                recover,
+                ..MasterConfig::default()
+            };
+            (tcp.clone(), spawn_master_on(tcp, registry, config))
         };
         let (tcp, first) = master("127.0.0.1:0".parse().unwrap(), false);
         let addr = tcp.local_addr();

@@ -373,7 +373,9 @@ impl Driver<'_> {
     }
 }
 
-fn engine_config(scenario: &Scenario) -> EngineConfig {
+/// The engine settings a scenario runs under — on this path and on the
+/// sim's, which shares the virtual-time ladder.
+pub(crate) fn engine_config(scenario: &Scenario) -> EngineConfig {
     let lossy = scenario.chaos.is_lossy();
     let faulty = !scenario.faults.is_empty();
     EngineConfig {

@@ -33,7 +33,7 @@ use dewe_core::realtime::{
     MasterConfig, MasterEvent, MasterHandle, Registry, RunContext, TcpMaster, TcpMasterOptions,
     TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
-use dewe_core::{EngineStats, RetryPolicy};
+use dewe_core::{EngineConfig, EngineStats, RetryPolicy};
 use dewe_dag::{write_workflow, JobId, Workflow};
 
 use super::chaos::ChaosState;
@@ -108,25 +108,21 @@ fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> 
         (true, false) => (5.0, None),
         (true, true) => (1.0, Some(0.25)),
     };
-    let mut cfg = MasterConfig::builder()
-        .default_timeout_secs(timeout)
-        .retry(RetryPolicy {
-            max_attempts: scenario.max_attempts,
-            backoff_base_secs: if scenario.backoff_base_secs > 0.0 { 0.002 } else { 0.0 },
-            backoff_max_secs: 0.05,
-        })
-        .expected_workflows(scenario.workflows.len())
-        .recover(recover);
-    if let Some(secs) = checkout {
-        cfg = cfg.checkout_timeout_secs(secs);
+    MasterConfig {
+        engine: EngineConfig {
+            default_timeout_secs: timeout,
+            checkout_timeout_secs: checkout,
+            retry: RetryPolicy {
+                max_attempts: scenario.max_attempts,
+                backoff_base_secs: if scenario.backoff_base_secs > 0.0 { 0.002 } else { 0.0 },
+                backoff_max_secs: 0.05,
+            },
+        },
+        expected_workflows: Some(scenario.workflows.len()),
+        journal_path: journal.map(Path::to_path_buf),
+        recover,
+        lease_secs: faulty.then_some(FAULT_LEASE_SECS),
     }
-    if faulty {
-        cfg = cfg.lease_secs(FAULT_LEASE_SECS);
-    }
-    if let Some(path) = journal {
-        cfg = cfg.journal_path(path);
-    }
-    cfg.build()
 }
 
 /// Wall-clock fault action, compiled from a [`FaultEvent`].

@@ -25,7 +25,6 @@
 use std::collections::BTreeSet;
 
 use dewe_core::sim::{run_ensemble, ScriptedFailure, SimRunConfig, SubmissionPlan};
-use dewe_core::RetryPolicy;
 use dewe_mq::ChaosConfig;
 use dewe_simcloud::{ClusterConfig, SharedFsKind, StorageConfig, C3_8XLARGE};
 
@@ -47,24 +46,10 @@ fn sim_config(scenario: &Scenario) -> SimRunConfig {
         storage: StorageConfig::Shared(SharedFsKind::DistFs),
     });
     cfg.slots_per_node = Some(scenario.slots_per_worker as u32);
-    // Same timeout ladder as the engine path: generous against ≤1 s job
-    // runtimes, tight enough that drop/crash recovery converges fast.
-    cfg.default_timeout_secs = if lossy {
-        30.0
-    } else if faulty {
-        8.0
-    } else {
-        1000.0
-    };
-    cfg.checkout_timeout_secs = lossy.then_some(5.0);
+    cfg.engine = super::engine::engine_config(scenario);
     cfg.timeout_scan_secs = if faulty || lossy { 1.0 } else { 5.0 };
     cfg.submission = SubmissionPlan::Interval(scenario.submission_interval_secs);
     cfg.per_job_overhead_secs = 0.0;
-    cfg.retry = RetryPolicy {
-        max_attempts: scenario.max_attempts,
-        backoff_base_secs: scenario.backoff_base_secs,
-        backoff_max_secs: 60.0,
-    };
     cfg.failure_script = scenario
         .failures
         .iter()

@@ -21,6 +21,7 @@ use dewe::core::realtime::{
     SleepRunner, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
     WorkerHandle,
 };
+use dewe::core::EngineConfig;
 use dewe::dag::{write_workflow, WorkflowBuilder};
 
 fn main() {
@@ -36,10 +37,11 @@ fn main() {
     let master = spawn_master_on(
         endpoint.clone(),
         Registry::new(),
-        MasterConfig::builder()
-            .default_timeout_secs(1.0) // aggressive, to keep the demo short
-            .expected_workflows(1)
-            .build(),
+        MasterConfig {
+            engine: EngineConfig::default().timeout(1.0), // aggressive, to keep the demo short
+            expected_workflows: Some(1),
+            ..MasterConfig::default()
+        },
     );
     // A worker daemon needs nothing but the master's address.
     let worker = |id: u32| -> (TcpWorkerLink, WorkerHandle) {

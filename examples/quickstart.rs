@@ -36,7 +36,7 @@ fn main() {
     let master = spawn_master_on(
         endpoint.clone(),
         Registry::new(),
-        MasterConfig::builder().expected_workflows(2).build(),
+        MasterConfig { expected_workflows: Some(2), ..MasterConfig::default() },
     );
     let runner = Arc::new(SleepRunner::new(0.001)); // 1 ms per CPU-second
     let workers: Vec<_> = (0..2)

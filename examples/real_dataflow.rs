@@ -37,7 +37,7 @@ fn main() {
     let master = spawn_master_on(
         endpoint.clone(),
         Registry::new(),
-        MasterConfig::builder().expected_workflows(1).build(),
+        MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() },
     );
     let workers: Vec<_> = (0..4)
         .map(|id| {

@@ -39,11 +39,7 @@ use dewe::core::realtime::{
 struct Args {
     listen: String,
     state_dir: Option<String>,
-    expect: Option<usize>,
-    journal: Option<String>,
-    recover: bool,
-    lease_secs: Option<f64>,
-    timeout: Option<f64>,
+    master: MasterConfig,
 }
 
 /// A duration flag's value: seconds, greater than zero and small enough
@@ -56,15 +52,8 @@ fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        listen: String::new(),
-        state_dir: None,
-        expect: None,
-        journal: None,
-        recover: false,
-        lease_secs: None,
-        timeout: None,
-    };
+    let mut args = Args { listen: String::new(), state_dir: None, master: MasterConfig::default() };
+    let master = &mut args.master;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     let value = |i: &mut usize, flag: &str| -> Result<String, String> {
@@ -76,19 +65,21 @@ fn parse_args() -> Result<Args, String> {
             "--listen" => args.listen = value(&mut i, "--listen")?,
             "--state-dir" => args.state_dir = Some(value(&mut i, "--state-dir")?),
             "--expect" => {
-                args.expect = Some(value(&mut i, "--expect")?.parse().map_err(|_| "bad --expect")?)
+                master.expected_workflows =
+                    Some(value(&mut i, "--expect")?.parse().map_err(|_| "bad --expect")?)
             }
-            "--journal" => args.journal = Some(value(&mut i, "--journal")?),
+            "--journal" => master.journal_path = Some(value(&mut i, "--journal")?.into()),
             "--recover" => {
-                args.recover = true;
+                master.recover = true;
                 i += 1;
             }
             "--lease-secs" => {
-                args.lease_secs =
+                master.lease_secs =
                     Some(positive_secs("--lease-secs", &value(&mut i, "--lease-secs")?)?)
             }
             "--timeout" => {
-                args.timeout = Some(positive_secs("--timeout", &value(&mut i, "--timeout")?)?)
+                master.engine.default_timeout_secs =
+                    positive_secs("--timeout", &value(&mut i, "--timeout")?)?
             }
             other => return Err(format!("unknown flag {other}")),
         }
@@ -96,7 +87,7 @@ fn parse_args() -> Result<Args, String> {
     if args.listen.is_empty() {
         return Err("--listen <addr> is required".into());
     }
-    if args.recover && args.journal.is_none() {
+    if args.master.recover && args.master.journal_path.is_none() {
         return Err("--recover needs --journal".into());
     }
     Ok(args)
@@ -143,21 +134,7 @@ fn main() {
         }
     }
 
-    let mut cfg = MasterConfig::builder().recover(args.recover);
-    if let Some(n) = args.expect {
-        cfg = cfg.expected_workflows(n);
-    }
-    if let Some(path) = &args.journal {
-        cfg = cfg.journal_path(path);
-    }
-    if let Some(s) = args.lease_secs {
-        cfg = cfg.lease_secs(s);
-    }
-    if let Some(s) = args.timeout {
-        cfg = cfg.default_timeout_secs(s);
-    }
-
-    let handle = spawn_master_on(transport.clone(), registry, cfg.build());
+    let handle = spawn_master_on(transport.clone(), registry, args.master);
 
     let mut all_completed = false;
     while let Ok(event) = handle.events.recv() {

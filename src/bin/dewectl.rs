@@ -311,7 +311,7 @@ fn ensemble(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
         cfg.submission = SubmissionPlan::Interval(manifest.interval_secs);
     }
     if let Some(t) = manifest.timeout_secs {
-        cfg.default_timeout_secs = t;
+        cfg.engine.default_timeout_secs = t;
     }
     writeln!(
         stdout,

@@ -41,7 +41,7 @@
 //!
 //! let endpoint = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default())?;
 //! let master = spawn_master_on(endpoint.clone(), Registry::new(),
-//!     MasterConfig::builder().expected_workflows(1).build());
+//!     MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() });
 //! let mirror = Registry::new();
 //! let link = TcpWorkerLink::connect(endpoint.local_addr(), mirror.clone(),
 //!     TcpWorkerOptions::default())?;

@@ -10,6 +10,7 @@ use dewe::core::realtime::{
     MasterEvent, MasterHandle, NoopRunner, Registry, SleepRunner, TcpMaster, TcpMasterOptions,
     TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
+use dewe::core::EngineConfig;
 use dewe::dag::{write_workflow, Workflow};
 use dewe::montage::{CyberShakeConfig, EpigenomicsConfig, LigoConfig, MontageConfig, SiphtConfig};
 
@@ -65,7 +66,8 @@ fn submit<'a>(tcp: &TcpMaster, workflows: impl IntoIterator<Item = (&'a str, &'a
 
 #[test]
 fn montage_ensemble_runs_to_completion() {
-    let (tcp, master) = master(MasterConfig::builder().expected_workflows(3).build());
+    let (tcp, master) =
+        master(MasterConfig { expected_workflows: Some(3), ..MasterConfig::default() });
     let workers: Vec<_> = (0..3)
         .map(|id| {
             Worker::start(
@@ -94,7 +96,8 @@ fn montage_ensemble_runs_to_completion() {
 fn mixed_application_ensemble() {
     // Montage + LIGO + CyberShake + Epigenomics + SIPHT workflows in one
     // ensemble: the master multiplexes heterogeneous DAGs over one fleet.
-    let (tcp, master) = master(MasterConfig::builder().expected_workflows(5).build());
+    let (tcp, master) =
+        master(MasterConfig { expected_workflows: Some(5), ..MasterConfig::default() });
     let worker = Worker::start(
         &tcp,
         Arc::new(NoopRunner),
@@ -134,8 +137,11 @@ fn worker_crash_recovery_end_to_end() {
     // connection held — started or not — the endpoint puts back on the
     // queue when the connection drops, so no checkout deadline is needed;
     // the job timeout is the backstop.
-    let (tcp, master) =
-        master(MasterConfig::builder().default_timeout_secs(0.3).expected_workflows(1).build());
+    let (tcp, master) = master(MasterConfig {
+        engine: EngineConfig::default().timeout(0.3),
+        expected_workflows: Some(1),
+        ..MasterConfig::default()
+    });
     let w1 = Worker::start(
         &tcp,
         Arc::new(SleepRunner::new(0.0005)),
@@ -167,7 +173,8 @@ fn real_file_dataflow_produces_final_output() {
     let runner = FsRunner::new(&workspace, 1e-6);
     runner.stage_inputs(&wf).unwrap();
 
-    let (tcp, master) = master(MasterConfig::builder().expected_workflows(1).build());
+    let (tcp, master) =
+        master(MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() });
     let worker = Worker::start(
         &tcp,
         Arc::new(runner),
@@ -199,7 +206,8 @@ fn results_identical_across_cluster_configurations() {
         let _ = std::fs::remove_dir_all(&workspace);
         let runner = FsRunner::new(&workspace, 1e-5);
         runner.stage_inputs(&wf).unwrap();
-        let (tcp, master) = master(MasterConfig::builder().expected_workflows(1).build());
+        let (tcp, master) =
+            master(MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() });
         let handles: Vec<_> = (0..workers)
             .map(|id| {
                 Worker::start(
@@ -228,7 +236,8 @@ fn late_submission_is_served() {
     // "Scientists can submit workflows from any nodes at any time": a
     // workflow submitted long after the first completes is still served by
     // the same daemons.
-    let (tcp, master) = master(MasterConfig::builder().expected_workflows(2).build());
+    let (tcp, master) =
+        master(MasterConfig { expected_workflows: Some(2), ..MasterConfig::default() });
     let worker = Worker::start(
         &tcp,
         Arc::new(NoopRunner),

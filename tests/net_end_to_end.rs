@@ -10,7 +10,7 @@ use dewe::core::realtime::{
     spawn_master_on, spawn_worker_on, submit_over_tcp, MasterConfig, MasterEvent, Registry,
     SleepRunner, TcpMaster, TcpMasterOptions, TcpWorkerLink, TcpWorkerOptions, WorkerConfig,
 };
-use dewe::core::EngineStats;
+use dewe::core::{EngineConfig, EngineStats};
 use dewe::dag::{write_workflow, WorkflowId};
 use dewe::montage::MontageConfig;
 use dewe::mq::WorkerTransport;
@@ -43,11 +43,12 @@ fn twenty_montage_over_tcp_with_worker_kill() {
     let workflows = montage_ensemble(20);
     let expected_jobs: u64 = workflows.iter().map(|w| w.job_count() as u64).sum();
 
-    let config = MasterConfig::builder()
-        .expected_workflows(20)
-        .default_timeout_secs(30.0)
-        .lease_secs(0.4)
-        .build();
+    let config = MasterConfig {
+        engine: EngineConfig::default().timeout(30.0),
+        expected_workflows: Some(20),
+        lease_secs: Some(0.4),
+        ..MasterConfig::default()
+    };
     let transport = TcpMaster::bind("127.0.0.1:0", TcpMasterOptions::default()).unwrap();
     let addr = transport.local_addr();
     let master = spawn_master_on(transport.clone(), Registry::new(), config);
@@ -151,14 +152,12 @@ fn master_kill_and_restart_recovers_over_tcp() {
     // burst and the commit that journals it can put more than a window out
     // of reach, and the lease plane does not republish a job a live worker
     // holds: such a job waits out its timeout, so keep that wait short.
-    let config = |recover: bool| {
-        MasterConfig::builder()
-            .expected_workflows(n_workflows)
-            .default_timeout_secs(5.0)
-            .lease_secs(0.5)
-            .journal_path(&journal)
-            .recover(recover)
-            .build()
+    let config = |recover: bool| MasterConfig {
+        engine: EngineConfig::default().timeout(5.0),
+        expected_workflows: Some(n_workflows),
+        journal_path: Some(journal.clone()),
+        recover,
+        lease_secs: Some(0.5),
     };
 
     let transport =

@@ -107,7 +107,7 @@ fn disk_capability_ordering() {
 fn fault_injection_preserves_completion() {
     let wf = Arc::new(MontageConfig::degree(1.0).build());
     let mut cfg = SimRunConfig::new(local(2));
-    cfg.default_timeout_secs = 30.0;
+    cfg.engine.default_timeout_secs = 30.0;
     cfg.timeout_scan_secs = 1.0;
     cfg.faults = vec![
         NodeFault { node: 0, kill_at_secs: 3.0, restart_at_secs: Some(6.0) },
@@ -125,7 +125,7 @@ fn fault_injection_preserves_completion() {
 fn permanent_node_loss_is_survivable() {
     let wf = Arc::new(MontageConfig::degree(1.0).build());
     let mut cfg = SimRunConfig::new(local(2));
-    cfg.default_timeout_secs = 20.0;
+    cfg.engine.default_timeout_secs = 20.0;
     cfg.timeout_scan_secs = 1.0;
     cfg.faults = vec![NodeFault { node: 1, kill_at_secs: 5.0, restart_at_secs: None }];
     let r = run_ensemble(&[wf], &cfg);
