@@ -96,13 +96,15 @@ pub struct Recovery {
 }
 
 /// Rebuild the master's [`LivenessTable`] by replaying journal records:
-/// `W` records apply their journaled transitions, ack records replay the
-/// same assignment/lease bookkeeping the live master performed. The
-/// result matches the pre-crash table exactly — `W` records commit
-/// immediately, rejected acks were never journaled, and the master
-/// applies transitions within the same poll cycle that journals them
-/// (the `stale_acks_rejected` counter alone does not survive, since its
-/// inputs were dropped before journaling by design).
+/// `W` records enter their journaled transitions by the rules the live
+/// table counts by, ack records replay the same assignment/lease
+/// bookkeeping the live master performed. The result matches the
+/// pre-crash table — `W` records commit immediately, rejected acks were
+/// never journaled, and the master applies transitions within the same
+/// poll cycle that journals them — except in two counters: rejected acks
+/// were dropped before journaling by design, so `stale_acks_rejected`
+/// does not survive, and an expiry's `lost_in_recovery` flag is not
+/// journaled, so replay never counts `workers_lost_in_recovery`.
 ///
 /// The recovering master should follow up with
 /// [`LivenessTable::grant_grace`] at the resume clock so surviving

@@ -98,10 +98,11 @@ impl WorkerPhase {
 /// `workers_expired` counts lease lapses only; a fast restart that
 /// supersedes its old incarnation by generation requeues jobs (counted
 /// in `jobs_requeued_on_expiry` — the old lease is force-ended) without
-/// counting as an expiry. Rejected acks are dropped *before* journaling
-/// (rejected input is not engine input), so `stale_acks_rejected` does
-/// not survive a master restart; every other counter is reconstructed
-/// by journal replay.
+/// counting as an expiry. Journal replay reconstructs every counter but
+/// two: rejected acks are dropped *before* journaling (rejected input is
+/// not engine input), so `stale_acks_rejected` does not survive a master
+/// restart, and neither does `workers_lost_in_recovery`, since
+/// [`LivenessTransition::lost_in_recovery`] is not journaled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MasterStats {
     /// Worker incarnations granted a lease (explicit or implicit).
@@ -147,6 +148,12 @@ pub struct LivenessTransition {
     /// warning (the journal referenced a worker that never came back).
     /// Not journaled.
     pub lost_in_recovery: bool,
+}
+
+impl LivenessTransition {
+    fn new(worker: u32, generation: u32, phase: WorkerPhase, at: f64) -> Self {
+        Self { worker, generation, phase, at, lost_in_recovery: false }
+    }
 }
 
 /// An in-flight job to requeue after its worker's lease ended. The
@@ -228,38 +235,70 @@ impl LivenessTable {
         self.assignments.get(&job).copied()
     }
 
-    fn maybe_drained(&mut self, worker: u32, at: f64, transitions: &mut Vec<LivenessTransition>) {
-        let has_jobs = self.assignments.values().any(|&(w, _)| w == worker);
-        if has_jobs {
-            return;
-        }
-        if let Some(e) = self.workers.get_mut(&worker) {
-            if e.phase == WorkerPhase::Draining {
-                e.phase = WorkerPhase::Drained;
-                self.stats.drains_completed += 1;
-                transitions.push(LivenessTransition {
-                    worker,
-                    generation: e.generation,
-                    phase: WorkerPhase::Drained,
-                    at,
-                    lost_in_recovery: false,
-                });
+    /// The one place a worker's phase changes and its counters move, for
+    /// live traffic and journal replay alike. It writes the worker's entry
+    /// (lease from `t.at`); a new incarnation counts as registered, and one
+    /// that supersedes an older incarnation requeues what that one held; an
+    /// expiry counts (and counts as lost in recovery when `t` says so) and
+    /// requeues what the worker held; a drain that completes counts once.
+    /// `t` is appended to `transitions`.
+    fn enter(
+        &mut self,
+        t: LivenessTransition,
+        transitions: &mut Vec<LivenessTransition>,
+        requeue: &mut Vec<RequeueEntry>,
+    ) {
+        let entry = WorkerEntry {
+            generation: t.generation,
+            phase: t.phase,
+            deadline: t.at + self.lease_secs,
+            seen_since_recovery: true,
+        };
+        let was = match self.workers.insert(t.worker, entry) {
+            Some(old) if old.generation >= t.generation => Some(old.phase),
+            superseded => {
+                self.stats.workers_registered += 1;
+                if superseded.is_some() {
+                    self.requeue_assignments(t.worker, requeue);
+                }
+                None
             }
+        };
+        match t.phase {
+            WorkerPhase::Expired => {
+                self.stats.workers_expired += 1;
+                self.stats.workers_lost_in_recovery += u64::from(t.lost_in_recovery);
+                self.requeue_assignments(t.worker, requeue);
+            }
+            WorkerPhase::Drained if was != Some(WorkerPhase::Drained) => {
+                self.stats.drains_completed += 1;
+            }
+            _ => {}
         }
+        transitions.push(t);
     }
 
-    fn take_assignments(&mut self, worker: u32, requeue: &mut Vec<RequeueEntry>) -> u64 {
-        let mut taken = 0u64;
+    /// Move every assignment `worker` holds to `requeue`, counting them.
+    fn requeue_assignments(&mut self, worker: u32, requeue: &mut Vec<RequeueEntry>) {
+        let before = requeue.len();
         self.assignments.retain(|&job, &mut (w, attempt)| {
             if w == worker {
                 requeue.push(RequeueEntry { job, attempt, worker });
-                taken += 1;
-                false
-            } else {
-                true
             }
+            w != worker
         });
-        taken
+        self.stats.jobs_requeued_on_expiry += (requeue.len() - before) as u64;
+    }
+
+    /// A draining worker whose last assignment has cleared is drained.
+    fn maybe_drained(&mut self, worker: u32, at: f64, transitions: &mut Vec<LivenessTransition>) {
+        let Some(e) = self.workers.get(&worker) else { return };
+        if e.phase != WorkerPhase::Draining || self.assignments.values().any(|&(w, _)| w == worker)
+        {
+            return;
+        }
+        let t = LivenessTransition::new(worker, e.generation, WorkerPhase::Drained, at);
+        self.enter(t, transitions, &mut Vec::new());
     }
 
     /// Process a lifecycle message. State changes are appended to
@@ -272,97 +311,34 @@ impl LivenessTable {
         transitions: &mut Vec<LivenessTransition>,
         requeue: &mut Vec<RequeueEntry>,
     ) {
-        let lease = self.lease_secs;
-        match self.workers.get_mut(&msg.worker) {
-            None => {
-                let phase = match msg.kind {
-                    LifecycleKind::Register | LifecycleKind::Heartbeat => WorkerPhase::Live,
-                    LifecycleKind::Drain => WorkerPhase::Draining,
-                };
-                self.workers.insert(
-                    msg.worker,
-                    WorkerEntry {
-                        generation: msg.generation,
-                        phase,
-                        deadline: now + lease,
-                        seen_since_recovery: true,
-                    },
-                );
-                self.stats.workers_registered += 1;
-                transitions.push(LivenessTransition {
-                    worker: msg.worker,
-                    generation: msg.generation,
-                    phase,
-                    at: now,
-                    lost_in_recovery: false,
-                });
-                if phase == WorkerPhase::Draining {
-                    self.maybe_drained(msg.worker, now, transitions);
-                }
-            }
-            Some(e) if msg.generation < e.generation => {
-                // Zombie incarnation: ignore.
-            }
-            Some(e) if msg.generation > e.generation => {
-                // A newer incarnation supersedes the old one: requeue its
-                // jobs now instead of waiting out the lease.
-                e.generation = msg.generation;
-                e.phase = match msg.kind {
-                    LifecycleKind::Register | LifecycleKind::Heartbeat => WorkerPhase::Live,
-                    LifecycleKind::Drain => WorkerPhase::Draining,
-                };
-                e.deadline = now + lease;
-                e.seen_since_recovery = true;
-                let phase = e.phase;
-                let requeued = self.take_assignments(msg.worker, requeue);
-                self.stats.jobs_requeued_on_expiry += requeued;
-                self.stats.workers_registered += 1;
-                transitions.push(LivenessTransition {
-                    worker: msg.worker,
-                    generation: msg.generation,
-                    phase,
-                    at: now,
-                    lost_in_recovery: false,
-                });
-                if phase == WorkerPhase::Draining {
-                    self.maybe_drained(msg.worker, now, transitions);
-                }
-            }
-            Some(e) => {
-                // Same incarnation.
+        let phase = match self.workers.get_mut(&msg.worker) {
+            // Zombie incarnation: ignore.
+            Some(e) if msg.generation < e.generation => return,
+            Some(e) if msg.generation == e.generation => {
                 e.seen_since_recovery = true;
                 match (msg.kind, e.phase) {
-                    (_, WorkerPhase::Drained) => {}
+                    (_, WorkerPhase::Drained) => return,
+                    // Revival: a stalled worker proved liveness again.
                     (LifecycleKind::Register | LifecycleKind::Heartbeat, WorkerPhase::Expired) => {
-                        // Revival: a stalled worker proved liveness again.
-                        e.phase = WorkerPhase::Live;
-                        e.deadline = now + lease;
-                        transitions.push(LivenessTransition {
-                            worker: msg.worker,
-                            generation: msg.generation,
-                            phase: WorkerPhase::Live,
-                            at: now,
-                            lost_in_recovery: false,
-                        });
+                        WorkerPhase::Live
                     }
                     (LifecycleKind::Register | LifecycleKind::Heartbeat, _) => {
-                        e.deadline = now + lease;
+                        e.deadline = now + self.lease_secs;
+                        return;
                     }
-                    (LifecycleKind::Drain, WorkerPhase::Live) => {
-                        e.phase = WorkerPhase::Draining;
-                        e.deadline = now + lease;
-                        transitions.push(LivenessTransition {
-                            worker: msg.worker,
-                            generation: msg.generation,
-                            phase: WorkerPhase::Draining,
-                            at: now,
-                            lost_in_recovery: false,
-                        });
-                        self.maybe_drained(msg.worker, now, transitions);
-                    }
-                    (LifecycleKind::Drain, _) => {}
+                    (LifecycleKind::Drain, WorkerPhase::Live) => WorkerPhase::Draining,
+                    (LifecycleKind::Drain, _) => return,
                 }
             }
+            // A new worker, or a newer incarnation that supersedes the old
+            // one: its jobs are requeued now instead of waiting out the lease.
+            _ if msg.kind == LifecycleKind::Drain => WorkerPhase::Draining,
+            _ => WorkerPhase::Live,
+        };
+        let t = LivenessTransition::new(msg.worker, msg.generation, phase, now);
+        self.enter(t, transitions, requeue);
+        if phase == WorkerPhase::Draining {
+            self.maybe_drained(msg.worker, now, transitions);
         }
     }
 
@@ -453,87 +429,34 @@ impl LivenessTable {
         transitions: &mut Vec<LivenessTransition>,
         requeue: &mut Vec<RequeueEntry>,
     ) {
-        let due: Vec<u32> = self
+        let due: Vec<LivenessTransition> = self
             .workers
             .iter()
             .filter(|(_, e)| {
                 matches!(e.phase, WorkerPhase::Live | WorkerPhase::Draining) && e.deadline <= now
             })
-            .map(|(&w, _)| w)
+            .map(|(&worker, e)| LivenessTransition {
+                lost_in_recovery: !e.seen_since_recovery,
+                ..LivenessTransition::new(worker, e.generation, WorkerPhase::Expired, now)
+            })
             .collect();
-        for worker in due {
-            let requeued = self.take_assignments(worker, requeue);
-            let e = self.workers.get_mut(&worker).expect("entry exists");
-            e.phase = WorkerPhase::Expired;
-            let lost = !e.seen_since_recovery;
-            let generation = e.generation;
-            self.stats.workers_expired += 1;
-            self.stats.jobs_requeued_on_expiry += requeued;
-            if lost {
-                self.stats.workers_lost_in_recovery += 1;
-            }
-            transitions.push(LivenessTransition {
-                worker,
-                generation,
-                phase: WorkerPhase::Expired,
-                at: now,
-                lost_in_recovery: lost,
-            });
+        for t in due {
+            self.enter(t, transitions, requeue);
         }
     }
 
-    /// Apply a journaled transition during replay. Mirrors the live
-    /// counting: a generation bump retires the old incarnation's
-    /// assignments, an `Expired` record drops the worker's assignments
-    /// (the synthetic requeue acks follow in the journal), `Drained`
-    /// counts a completed drain.
-    pub fn apply_transition(&mut self, worker: u32, generation: u32, phase: WorkerPhase, at: f64) {
-        let lease = self.lease_secs;
-        match self.workers.get_mut(&worker) {
-            None => {
-                self.workers.insert(
-                    worker,
-                    WorkerEntry {
-                        generation,
-                        phase,
-                        deadline: at + lease,
-                        seen_since_recovery: true,
-                    },
-                );
-                match phase {
-                    WorkerPhase::Expired => self.stats.workers_expired += 1,
-                    WorkerPhase::Drained => self.stats.drains_completed += 1,
-                    _ => self.stats.workers_registered += 1,
-                }
-            }
-            Some(e) => {
-                if generation > e.generation {
-                    e.generation = generation;
-                    e.phase = phase;
-                    e.deadline = at + lease;
-                    let mut dropped = Vec::new();
-                    let requeued = self.take_assignments(worker, &mut dropped);
-                    self.stats.jobs_requeued_on_expiry += requeued;
-                    self.stats.workers_registered += 1;
-                } else {
-                    let was = e.phase;
-                    e.phase = phase;
-                    e.deadline = at + lease;
-                    match phase {
-                        WorkerPhase::Expired => {
-                            let mut dropped = Vec::new();
-                            let requeued = self.take_assignments(worker, &mut dropped);
-                            self.stats.workers_expired += 1;
-                            self.stats.jobs_requeued_on_expiry += requeued;
-                        }
-                        WorkerPhase::Drained if was != WorkerPhase::Drained => {
-                            self.stats.drains_completed += 1;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-        }
+    /// Apply a journaled transition during replay, by the live rules (the
+    /// synthetic requeue acks follow an expiry in the journal). A journaled
+    /// expiry never counts as lost in recovery: that flag is not journaled.
+    pub(crate) fn apply_transition(
+        &mut self,
+        worker: u32,
+        generation: u32,
+        phase: WorkerPhase,
+        at: f64,
+    ) {
+        let t = LivenessTransition::new(worker, generation, phase, at);
+        self.enter(t, &mut Vec::new(), &mut Vec::new());
     }
 
     /// Grant every live worker a grace lease after a master recovery:

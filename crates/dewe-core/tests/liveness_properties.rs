@@ -6,12 +6,17 @@
 //! spurious redispatch, or corrupt the attempt accounting. Duplicate
 //! deliveries of the synthetic requeue acks themselves must be fenced by
 //! the engine's attempt check (the `InflightLanes` generation), not
-//! burned as extra resubmissions. And the table's **next expiry** is
-//! exact, since the master sleeps until it and scans leases only then.
+//! burned as extra resubmissions. The table's **next expiry** is exact,
+//! since the master sleeps until it and scans leases only then. And
+//! **journal replay rebuilds the live table**, so a master that takes over
+//! holds the leases, assignments and counters the dead one had.
 
 use std::sync::Arc;
 
-use dewe_core::realtime::{LivenessTable, WorkerPhase};
+use dewe_core::realtime::{
+    replay_liveness, JournalRecord, LivenessTable, LivenessTransition, MasterStats, RequeueEntry,
+    WorkerPhase,
+};
 use dewe_core::{AckKind, AckMsg, Action, DispatchMsg, EngineConfig, LifecycleKind, LifecycleMsg};
 use dewe_dag::{EnsembleJobId, JobId, Workflow, WorkflowBuilder, WorkflowId};
 use proptest::prelude::*;
@@ -57,6 +62,23 @@ fn leased(table: &LivenessTable) -> bool {
         .snapshot()
         .iter()
         .any(|row| matches!(row.phase, WorkerPhase::Live | WorkerPhase::Draining))
+}
+
+/// Journal what one step of the live table did, in the serve loop's order:
+/// a `W` record per transition, then the synthetic requeue `A`s.
+fn journal(
+    records: &mut Vec<JournalRecord>,
+    transitions: &mut Vec<LivenessTransition>,
+    requeue: &mut Vec<RequeueEntry>,
+    at: f64,
+) {
+    records.extend(transitions.drain(..).map(|t| JournalRecord::Worker {
+        worker: t.worker,
+        generation: t.generation,
+        phase: t.phase,
+        at: t.at,
+    }));
+    records.extend(requeue.drain(..).map(|r| JournalRecord::Ack { ack: r.as_failed_ack(), at }));
 }
 
 fn dispatches(actions: &[Action]) -> Vec<DispatchMsg> {
@@ -238,6 +260,65 @@ proptest! {
                     table.expire_due(now, &mut tr, &mut rq);
                 }
             }
+        }
+    }
+}
+
+proptest! {
+    // A drain that an ack completes is what tells the two tables apart
+    // when their counting drifts, and it is a few steps in the making.
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Replay rebuilds the live table. Lifecycle traffic, acks and expiry
+    /// passes run through a live table and are journaled in the serve
+    /// loop's order: a `W` record per transition, an ack's drain-completion
+    /// `W` before its `A`, requeue `A`s after their step's `W`s. After every
+    /// step — a master may die at any of them — `replay_liveness` of the
+    /// records so far is the live table: the same snapshot, the same
+    /// assignment for every job and every counter but `stale_acks_rejected`
+    /// (a rejected ack is not journaled).
+    #[test]
+    fn replay_rebuilds_the_live_table(
+        ops in prop::collection::vec(
+            ((0u8..3, 0u32..4, 0u32..3), (0u32..6, 0u8..3, 1u32..3), 0u8..5),
+            1..60,
+        ),
+    ) {
+        const LIFECYCLE: [LifecycleKind; 3] =
+            [LifecycleKind::Register, LifecycleKind::Heartbeat, LifecycleKind::Drain];
+        const ACKS: [AckKind; 3] = [AckKind::Running, AckKind::Completed, AckKind::Failed];
+        let jobs = || (0..6).map(|j| EnsembleJobId::new(WorkflowId(0), JobId(j)));
+        let counters = |t: &LivenessTable| MasterStats { stale_acks_rejected: 0, ..t.stats() };
+        let mut live = LivenessTable::new(LEASE_SECS);
+        let (mut tr, mut rq, mut records) = (Vec::new(), Vec::new(), Vec::new());
+        let mut now: f64 = 0.0;
+        for ((op, worker, generation), (job, kind, attempt), step) in ops {
+            now += [0.0, 0.25, 0.5, 1.0, 1.5][step as usize];
+            let admitted = match op {
+                0 => {
+                    let msg = LifecycleMsg::new(worker, generation, LIFECYCLE[kind as usize]);
+                    live.on_lifecycle(&msg, now, &mut tr, &mut rq);
+                    None
+                }
+                1 => {
+                    let job = EnsembleJobId::new(WorkflowId(0), JobId(job));
+                    let ack = AckMsg::new(job, worker, ACKS[kind as usize], attempt);
+                    live.admit_ack(&ack, now, &mut tr).then_some(ack)
+                }
+                _ => {
+                    live.expire_due(now, &mut tr, &mut rq);
+                    None
+                }
+            };
+            journal(&mut records, &mut tr, &mut rq, now);
+            records.extend(admitted.map(|ack| JournalRecord::Ack { ack, at: now }));
+
+            let replayed = replay_liveness(&records, LEASE_SECS);
+            prop_assert_eq!(replayed.snapshot(), live.snapshot());
+            for job in jobs() {
+                prop_assert_eq!(replayed.assignment(job), live.assignment(job), "{:?}", job);
+            }
+            prop_assert_eq!(counters(&replayed), counters(&live));
         }
     }
 }

@@ -28,27 +28,21 @@
 //! under `S`, and a lease on by default would fence the default worker.
 #![forbid(unsafe_code)]
 
+mod flags;
+
 use std::io::Write;
 use std::process::exit;
-use std::time::Duration;
 
 use dewe::core::realtime::{
     spawn_master_on, MasterConfig, MasterEvent, Registry, TcpMaster, TcpMasterOptions,
 };
 
+use flags::{positive_secs, whole};
+
 struct Args {
     listen: String,
     state_dir: Option<String>,
     master: MasterConfig,
-}
-
-/// A duration flag's value: seconds, greater than zero and small enough
-/// for a [`Duration`] (which rules out NaN and the infinities too).
-fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(secs) if secs > 0.0 && Duration::try_from_secs_f64(secs).is_ok() => Ok(secs),
-        _ => Err(format!("{flag} must be a finite number of seconds greater than 0, got {value}")),
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -66,7 +60,7 @@ fn parse_args() -> Result<Args, String> {
             "--state-dir" => args.state_dir = Some(value(&mut i, "--state-dir")?),
             "--expect" => {
                 master.expected_workflows =
-                    Some(value(&mut i, "--expect")?.parse().map_err(|_| "bad --expect")?)
+                    Some(whole("--expect", &value(&mut i, "--expect")?, 1..=usize::MAX)?)
             }
             "--journal" => master.journal_path = Some(value(&mut i, "--journal")?.into()),
             "--recover" => {

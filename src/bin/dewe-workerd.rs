@@ -14,6 +14,8 @@
 //! ```
 #![forbid(unsafe_code)]
 
+mod flags;
+
 use std::process::exit;
 use std::sync::Arc;
 use std::time::Duration;
@@ -23,6 +25,8 @@ use dewe::core::realtime::{
     TcpWorkerOptions, WorkerConfig,
 };
 
+use flags::{positive_secs, whole};
+
 struct Args {
     master: String,
     id: u32,
@@ -31,15 +35,6 @@ struct Args {
     window: Option<u32>,
     heartbeat: Option<f64>,
     runner: Arc<dyn JobRunner>,
-}
-
-/// A duration flag's value: seconds, greater than zero and small enough
-/// for a [`Duration`] (which rules out NaN and the infinities too).
-fn positive_secs(flag: &str, value: &str) -> Result<f64, String> {
-    match value.parse::<f64>() {
-        Ok(secs) if secs > 0.0 && Duration::try_from_secs_f64(secs).is_ok() => Ok(secs),
-        _ => Err(format!("{flag} must be a finite number of seconds greater than 0, got {value}")),
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -61,23 +56,14 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--master" => args.master = value(&mut i, "--master")?,
-            "--id" => args.id = value(&mut i, "--id")?.parse().map_err(|_| "bad --id")?,
+            "--id" => args.id = whole("--id", &value(&mut i, "--id")?, 0..=u32::MAX)?,
             "--generation" => {
                 args.generation =
-                    value(&mut i, "--generation")?.parse().map_err(|_| "bad --generation")?
+                    whole("--generation", &value(&mut i, "--generation")?, 0..=u32::MAX)?
             }
-            "--slots" => {
-                args.slots = value(&mut i, "--slots")?.parse().map_err(|_| "bad --slots")?;
-                if args.slots == 0 {
-                    return Err("--slots must be at least 1".into());
-                }
-            }
+            "--slots" => args.slots = whole("--slots", &value(&mut i, "--slots")?, 1..=usize::MAX)?,
             "--window" => {
-                let window = value(&mut i, "--window")?.parse().map_err(|_| "bad --window")?;
-                if window == 0 {
-                    return Err("--window must be at least 1".into());
-                }
-                args.window = Some(window);
+                args.window = Some(whole("--window", &value(&mut i, "--window")?, 1..=u32::MAX)?)
             }
             "--heartbeat" => {
                 args.heartbeat = Some(positive_secs("--heartbeat", &value(&mut i, "--heartbeat")?)?)
