@@ -27,6 +27,23 @@
 //! [`parse_workflow`] and [`write_workflow`] round-trip: parsing the output
 //! of `write_workflow` reproduces an equivalent workflow (asserted by
 //! property tests).
+//!
+//! A text is parsed at every hop of a deployment — by the submitter, the
+//! master and each worker — and comes from the network, so the parser is
+//! built for time per byte and stays total over arbitrary input:
+//!
+//! * each line is split once, into a reused slice of tokens. ASCII text is
+//!   scanned a word of eight bytes at a time; a line holding any other byte
+//!   is split by `str::split_whitespace`, which defines what a token is;
+//! * a name is compared with a few likely declarations before the name
+//!   index is asked. The index is a `HashMap` with std's keyed SipHash,
+//!   since names come from unauthenticated submitters; each declared name
+//!   is hashed into it once, which is also the duplicate check;
+//! * the adjacency is placed by counting, never by sorting the edge list
+//!   ([`WorkflowBuilder`]'s `finish_unique`).
+//!
+//! [`write_workflow`] is linear too: which child edges data flow implies is
+//! marked in one pass over every job's inputs.
 
 use std::collections::HashMap;
 
@@ -46,128 +63,145 @@ const MAX_EXPLICIT_EDGES: usize = 1 << 24;
 
 /// Parse a workflow from the text format.
 ///
-/// One pass over the text. `FILE`/`JOB` declarations take effect as they
-/// are read; wiring statements (`INPUT`/`OUTPUT`/`PARENT`) are resolved on
-/// the spot against the names declared so far. The format allows any
-/// statement order, so the first wiring statement that does not resolve —
-/// and, to keep errors in file order, every wiring statement after it —
-/// is set aside and resolved once the whole text has been read. Files
-/// written by [`write_workflow`] declare before they wire and never take
-/// that path.
+/// One pass over the text, a line at a time: each line is split into a
+/// reused token slice, and its statement applied. `FILE`/`JOB`
+/// declarations take effect as they are read; wiring statements
+/// (`INPUT`/`OUTPUT`/`PARENT`) are resolved on the spot against the names
+/// declared so far. The format allows any statement order, so the first
+/// wiring statement that does not resolve — and, to keep errors in file
+/// order, every wiring statement after it — is set aside and resolved once
+/// the whole text has been read. Files written by [`write_workflow`]
+/// declare before they wire and never take that path.
 ///
 /// Declaration errors are reported before wiring errors, each kind in
 /// file order.
 pub fn parse_workflow(text: &str) -> Result<Workflow, DagError> {
     let mut parser = Parser::default();
     let mut name = "workflow";
-    let mut deferred: Vec<(Directive, Tokens<'_>)> = Vec::new();
-    let mut toks = Tokens { text, at: 0, line: 1 };
+    let mut deferred: Vec<(Directive, Lines<'_>)> = Vec::new();
+    let mut toks = Vec::new();
+    let mut lines = Lines { text, at: 0, line: 0 };
     loop {
-        match toks.next() {
-            None => {}
-            Some(head) if head.starts_with('#') => {}
-            Some(head) => match Directive::of(head) {
-                Some(Directive::Workflow) => match (toks.next(), toks.next()) {
-                    (Some(n), None) => name = n,
-                    _ => return Err(err(toks.line, "WORKFLOW takes exactly one name")),
-                },
-                Some(Directive::File) => parser.file(&mut toks)?,
-                Some(Directive::Job) => parser.job(&mut toks)?,
-                Some(wiring) => {
-                    if !deferred.is_empty() || parser.wire(wiring, &mut toks.clone()).is_err() {
-                        deferred.push((wiring, toks.clone()));
-                    }
-                }
-                None => return Err(err(toks.line, &format!("unknown directive `{head}`"))),
-            },
+        let from = lines;
+        let Some(line) = lines.next_into(&mut toks) else { break };
+        let Some((&head, args)) = toks.split_first() else { continue };
+        if head.starts_with('#') {
+            continue;
         }
-        if !toks.next_line() {
-            break;
+        match Directive::of(head) {
+            Some(Directive::Workflow) => match *args {
+                [n] => name = n,
+                _ => return Err(err(line, "WORKFLOW takes exactly one name")),
+            },
+            Some(Directive::File) => parser.file(line, args)?,
+            Some(Directive::Job) => parser.job(line, args)?,
+            Some(wiring) => {
+                if !deferred.is_empty() || parser.wire(wiring, line, args).is_err() {
+                    deferred.push((wiring, from));
+                }
+            }
+            None => return Err(err(line, &format!("unknown directive `{head}`"))),
         }
     }
-    for (wiring, mut toks) in deferred {
-        parser.wire(wiring, &mut toks)?;
+    for (wiring, mut from) in deferred {
+        // Read the line again from where it began.
+        if let Some(line) = from.next_into(&mut toks) {
+            parser.wire(wiring, line, &toks[1..])?;
+        }
     }
     parser.finish(name)
 }
 
-/// The tokens of one line at a time: what `str::lines` followed by
-/// `str::split_whitespace` yields, in one scan of the text. ASCII bytes
-/// are classified through a table; only a non-ASCII character is decoded
-/// and asked `char::is_whitespace`.
-#[derive(Clone)]
-struct Tokens<'a> {
+/// The lines of a text, each split into the tokens `str::split_whitespace`
+/// would give: the statements of `str::lines` and their words, in one
+/// scan. ASCII text is read eight bytes at a time; a line that is not all
+/// ASCII is handed to `split_whitespace` itself, which knows Unicode's
+/// separators.
+#[derive(Clone, Copy)]
+struct Lines<'a> {
     text: &'a str,
-    /// Byte offset of the first unread character; inside `line`.
+    /// Byte offset where the next line starts; past the end when there is
+    /// none.
     at: usize,
-    /// The current line, counted from 1.
+    /// The number of the line last read, counted from 1.
     line: usize,
 }
 
-const TOKEN: u8 = 0;
-/// Whitespace that separates tokens without ending the line.
-const BLANK: u8 = 1;
-const LINE_FEED: u8 = 2;
-const NOT_ASCII: u8 = 3;
+/// The high bit of each byte of a word.
+const HIGH: u64 = 0x8080_8080_8080_8080;
 
-const CLASS: [u8; 256] = {
-    let mut class = [TOKEN; 256];
-    let mut byte = 0;
-    while byte < 256 {
-        class[byte] = match byte as u8 {
-            b'\n' => LINE_FEED,
-            b' ' | b'\t' | 0x0b | 0x0c | b'\r' => BLANK,
-            0x80.. => NOT_ASCII,
-            _ => TOKEN,
-        };
-        byte += 1;
-    }
-    class
-};
-
-impl<'a> Tokens<'a> {
-    /// Advance over the bytes of class `run`, and over the non-ASCII
-    /// characters that are whitespace exactly when `run` is [`BLANK`].
-    fn skip(&mut self, run: u8) {
-        let bytes = self.text.as_bytes();
-        while let Some(&byte) = bytes.get(self.at) {
-            let class = CLASS[byte as usize];
-            if class == run {
-                self.at += 1;
-            } else if class == NOT_ASCII {
-                // `at` has only passed whole characters.
-                let Some(c) = self.text.get(self.at..).and_then(|s| s.chars().next()) else {
-                    return;
-                };
-                if c.is_whitespace() != (run == BLANK) {
-                    return;
-                }
-                self.at += c.len_utf8();
-            } else {
-                return;
-            }
+impl<'a> Lines<'a> {
+    /// Split the next line into `toks`; its number, or `None` after the
+    /// last line.
+    fn next_into(&mut self, toks: &mut Vec<&'a str>) -> Option<usize> {
+        let text = self.text;
+        if self.at > text.len() {
+            return None;
         }
-    }
-
-    /// Leave the current line; false when it was the last.
-    fn next_line(&mut self) -> bool {
-        let Some(feed) = self.text.get(self.at..).and_then(|s| s.find('\n')) else {
-            return false;
-        };
-        self.at += feed + 1;
+        let first = self.at;
+        toks.clear();
+        let end = self.split_ascii(toks).unwrap_or_else(|| {
+            let end = text[first..].find('\n').map_or(text.len(), |n| first + n);
+            toks.clear();
+            toks.extend(text[first..end].split_whitespace());
+            end
+        });
+        self.at = end + 1;
         self.line += 1;
-        true
+        Some(self.line)
     }
-}
 
-impl<'a> Iterator for Tokens<'a> {
-    type Item = &'a str;
-
-    fn next(&mut self) -> Option<&'a str> {
-        self.skip(BLANK);
-        let start = self.at;
-        self.skip(TOKEN);
-        self.text.get(start..self.at).filter(|token| !token.is_empty())
+    /// Split the line at `self.at` into `toks` a word of eight bytes at a
+    /// time; the offset of its end (its `\n`, or the end of the text). `None`
+    /// on meeting a byte that is not ASCII, which may sit on a later line
+    /// within the same word.
+    fn split_ascii(&self, toks: &mut Vec<&'a str>) -> Option<usize> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        // Where the token in hand starts.
+        let mut token = self.at;
+        let mut cut = |at: usize, token: &mut usize| {
+            if at > *token {
+                toks.push(&text[*token..at]);
+            }
+            *token = at + 1;
+        };
+        let mut at = self.at;
+        loop {
+            let rest = &bytes[at..];
+            let word = match rest.first_chunk::<8>() {
+                Some(&chunk) => u64::from_le_bytes(chunk),
+                None => {
+                    // The end of the text, padded with a byte that is part of a token.
+                    let mut chunk = [b'!'; 8];
+                    chunk[..rest.len()].copy_from_slice(rest);
+                    u64::from_le_bytes(chunk)
+                }
+            };
+            if word & HIGH != 0 {
+                return None;
+            }
+            // One bit on each byte up to 0x20: the separators, `\n`, and
+            // the control characters that are neither.
+            let mut low = !word.wrapping_add(0x5f5f_5f5f_5f5f_5f5f) & HIGH;
+            while low != 0 {
+                let i = at + (low.trailing_zeros() / 8) as usize;
+                match bytes[i] {
+                    b'\n' => {
+                        cut(i, &mut token);
+                        return Some(i);
+                    }
+                    // The ASCII characters `char::is_whitespace` accepts.
+                    b' ' | b'\t'..=b'\r' => cut(i, &mut token),
+                    _ => {}
+                }
+                low &= low - 1;
+            }
+            if rest.len() <= 8 {
+                cut(bytes.len(), &mut token);
+                return Some(bytes.len());
+            }
+            at += 8;
+        }
     }
 }
 
@@ -203,39 +237,77 @@ struct Names<'a> {
     declared: Vec<&'a str>,
     /// Name → position in `declared`, for `declared[..indexed]`; the first
     /// declaration of a name wins. Brought up to date when a lookup needs
-    /// it, so a text that declares before it wires is indexed in one go,
+    /// it and once more at the end, so each name is hashed into it once,
+    /// and a text that declares before it wires is indexed in one go,
     /// into a map allocated at its final size.
     index: HashMap<&'a str, usize>,
     indexed: usize,
+    /// The first name, in declaration order, that was declared before.
+    repeated: Option<&'a str>,
 }
 
 impl<'a> Names<'a> {
-    /// Position of `name`. Writers emit wiring in declaration order, so
-    /// the name at `*cursor` (where the caller's last lookup ended) and
-    /// the one before it are compared before the index is asked.
-    fn resolve(&mut self, name: &str, cursor: &mut usize) -> Result<usize, DagError> {
-        let near = [*cursor, cursor.wrapping_sub(1)];
+    /// Index the names declared since the last call, noting the first
+    /// repeat.
+    fn index_rest(&mut self) {
+        self.index.reserve(self.declared.len() - self.indexed);
+        for (at, &name) in self.declared.iter().enumerate().skip(self.indexed) {
+            if *self.index.entry(name).or_insert(at) != at {
+                self.repeated.get_or_insert(name);
+            }
+        }
+        self.indexed = self.declared.len();
+    }
+
+    /// Position of `name`: one of `guess`'s, or else the index's.
+    fn resolve(&mut self, name: &str, guess: &mut Guess, place: usize) -> Result<usize, DagError> {
+        let near = guess.near(place);
         let at = match near.into_iter().find(|&at| self.declared.get(at) == Some(&name)) {
             Some(at) => at,
             None => {
-                self.index.reserve(self.declared.len() - self.indexed);
-                for (at, &declared) in self.declared.iter().enumerate().skip(self.indexed) {
-                    self.index.entry(declared).or_insert(at);
-                }
-                self.indexed = self.declared.len();
+                self.index_rest();
                 match self.index.get(name) {
                     Some(&at) => at,
                     None => return Err(DagError::UnknownName(name.to_string())),
                 }
             }
         };
-        *cursor = at + 1;
+        guess.learn(place, at);
         Ok(at)
     }
+}
 
-    /// True when every declared name has been indexed and none repeated.
-    fn indexed_unique(&self) -> bool {
-        self.indexed == self.declared.len() && self.index.len() == self.declared.len()
+/// Where the names of one kind of wiring statement are likely declared.
+/// Writers emit wiring in declaration order and give statements of a kind
+/// one shape, so before the index is asked (and the name hashed), a name
+/// is compared with four declarations:
+/// * the one after the last name resolved;
+/// * the one as far past that as it was past the name before it;
+/// * in the first four places of a statement, the one as far past the
+///   name last resolved at that place as that was past the one before it;
+/// * the last name itself (`INPUT j …`, then `OUTPUT j …`).
+#[derive(Default)]
+struct Guess {
+    last: usize,
+    step: usize,
+    /// Per place in a statement: the last position resolved there, and
+    /// its step from the one before.
+    places: [(usize, usize); 4],
+}
+
+impl Guess {
+    fn near(&self, place: usize) -> [usize; 4] {
+        let (at, step) = self.places.get(place).copied().unwrap_or_default();
+        let last = self.last;
+        [last.wrapping_add(1), last.wrapping_add(self.step), at.wrapping_add(step), last]
+    }
+
+    fn learn(&mut self, place: usize, at: usize) {
+        self.step = at.wrapping_sub(self.last);
+        self.last = at;
+        if let Some(slot) = self.places.get_mut(place) {
+            *slot = (at, at.wrapping_sub(slot.0));
+        }
     }
 }
 
@@ -244,10 +316,12 @@ struct Parser<'a> {
     builder: WorkflowBuilder,
     jobs: Names<'a>,
     files: Names<'a>,
-    /// Where the last job, input-file and output-file lookups ended.
-    job_cursor: usize,
-    input_cursor: usize,
-    output_cursor: usize,
+    /// Where the job names of `INPUT`/`OUTPUT`, their files, and the names
+    /// of `PARENT` are likely declared.
+    io_jobs: Guess,
+    inputs: Guess,
+    outputs: Guess,
+    edges: Guess,
     /// Explicit edges declared so far, against [`MAX_EXPLICIT_EDGES`].
     explicit_edges: usize,
     /// Resolved ids of the wiring statement in hand, so that a statement
@@ -257,37 +331,37 @@ struct Parser<'a> {
 }
 
 impl<'a> Parser<'a> {
-    fn file(&mut self, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+    /// `FILE` with the tokens after it, read on line `line`.
+    fn file(&mut self, line: usize, args: &[&'a str]) -> Result<(), DagError> {
         let usage = "FILE <name> <size_bytes> [INITIAL]";
-        let (Some(name), Some(size)) = (toks.next(), toks.next()) else {
-            return Err(err(toks.line, usage));
+        let [name, size, ref rest @ ..] = *args else {
+            return Err(err(line, usage));
         };
-        let size: u64 = size.parse().map_err(|_| err(toks.line, &format!("bad size `{size}`")))?;
-        let initial = match toks.next() {
-            None => false,
-            Some(t) if t.eq_ignore_ascii_case("INITIAL") => true,
-            Some(t) => return Err(err(toks.line, &format!("unexpected token `{t}`"))),
+        let size: u64 = size.parse().map_err(|_| err(line, &format!("bad size `{size}`")))?;
+        let initial = match rest {
+            [] => false,
+            [t, ..] if t.eq_ignore_ascii_case("INITIAL") => true,
+            [t, ..] => return Err(err(line, &format!("unexpected token `{t}`"))),
         };
-        if toks.next().is_some() {
-            return Err(err(toks.line, usage));
+        if rest.len() > 1 {
+            return Err(err(line, usage));
         }
         self.builder.file(name, size, initial);
         self.files.declared.push(name);
         Ok(())
     }
 
-    fn job(&mut self, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+    /// `JOB` with the tokens after it, read on line `line`.
+    fn job(&mut self, line: usize, args: &[&'a str]) -> Result<(), DagError> {
         let usage = "JOB <name> <xform> CPU <secs> [CORES n] [TIMEOUT s]";
-        let (Some(name), Some(xform), Some(cpu_word), Some(cpu)) =
-            (toks.next(), toks.next(), toks.next(), toks.next())
-        else {
-            return Err(err(toks.line, usage));
+        let [name, xform, cpu_word, cpu, ref options @ ..] = *args else {
+            return Err(err(line, usage));
         };
         if !cpu_word.eq_ignore_ascii_case("CPU") {
-            return Err(err(toks.line, usage));
+            return Err(err(line, usage));
         }
         let cpu_seconds: f64 =
-            cpu.parse().map_err(|_| err(toks.line, &format!("bad cpu seconds `{cpu}`")))?;
+            cpu.parse().map_err(|_| err(line, &format!("bad cpu seconds `{cpu}`")))?;
         let mut spec = JobSpec {
             name: name.to_string(),
             xform: xform.to_string(),
@@ -297,20 +371,20 @@ impl<'a> Parser<'a> {
             outputs: Vec::new(),
             timeout_secs: None,
         };
-        while let Some(option) = toks.next() {
-            let value = toks.next();
+        for pair in options.chunks(2) {
+            let (option, value) = (pair[0], pair.get(1));
             if option.eq_ignore_ascii_case("CORES") {
                 let cores: u32 = value
                     .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(toks.line, "CORES needs an integer"))?;
+                    .ok_or_else(|| err(line, "CORES needs an integer"))?;
                 spec.cores = cores.max(1);
             } else if option.eq_ignore_ascii_case("TIMEOUT") {
                 let secs: f64 = value
                     .and_then(|t| t.parse().ok())
-                    .ok_or_else(|| err(toks.line, "TIMEOUT needs seconds"))?;
+                    .ok_or_else(|| err(line, "TIMEOUT needs seconds"))?;
                 spec.timeout_secs = Some(secs);
             } else {
-                return Err(err(toks.line, &format!("unexpected token `{option}`")));
+                return Err(err(line, &format!("unexpected token `{option}`")));
             }
         }
         self.builder.push_job(spec);
@@ -319,19 +393,22 @@ impl<'a> Parser<'a> {
     }
 
     /// Resolve one wiring statement and apply it, or fail without effect.
-    fn wire(&mut self, directive: Directive, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+    fn wire(&mut self, directive: Directive, line: usize, args: &[&str]) -> Result<(), DagError> {
         if directive == Directive::Parent {
-            return self.parent_child(toks);
+            return self.parent_child(line, args);
         }
-        let (Some(job), Some(first)) = (toks.next(), toks.next()) else {
-            return Err(err(toks.line, "INPUT/OUTPUT <job> <file>..."));
+        let [job, ref files @ ..] = *args else {
+            return Err(err(line, "INPUT/OUTPUT <job> <file>..."));
         };
-        let job = JobId::from_index(self.jobs.resolve(job, &mut self.job_cursor)?);
+        if files.is_empty() {
+            return Err(err(line, "INPUT/OUTPUT <job> <file>..."));
+        }
+        let job = JobId::from_index(self.jobs.resolve(job, &mut self.io_jobs, 0)?);
         let is_input = directive == Directive::Input;
-        let cursor = if is_input { &mut self.input_cursor } else { &mut self.output_cursor };
+        let guess = if is_input { &mut self.inputs } else { &mut self.outputs };
         self.file_ids.clear();
-        for name in std::iter::once(first).chain(toks) {
-            self.file_ids.push(FileId::from_index(self.files.resolve(name, cursor)?));
+        for (place, name) in files.iter().enumerate() {
+            self.file_ids.push(FileId::from_index(self.files.resolve(name, guess, place)?));
         }
         self.builder.patch_job_io(job, &self.file_ids, is_input);
         Ok(())
@@ -339,21 +416,18 @@ impl<'a> Parser<'a> {
 
     /// `PARENT a... CHILD b...`: the tokens up to the first `CHILD` are
     /// parents, everything after it is a child.
-    fn parent_child(&mut self, toks: &mut Tokens<'a>) -> Result<(), DagError> {
+    fn parent_child(&mut self, line: usize, args: &[&str]) -> Result<(), DagError> {
         self.job_ids.clear();
         let mut parents = None;
         let mut unknown = None;
-        // Edges jump about; they start from where the I/O statements are
-        // and leave that place alone.
-        let mut cursor = self.job_cursor;
-        for token in toks.by_ref() {
+        for token in args {
             if parents.is_none() && token.eq_ignore_ascii_case("CHILD") {
                 parents = Some(self.job_ids.len());
                 continue;
             }
             // Keep counting past an unknown name: a malformed statement
             // is reported as malformed even when it also names no job.
-            match self.jobs.resolve(token, &mut cursor) {
+            match self.jobs.resolve(token, &mut self.edges, self.job_ids.len()) {
                 Ok(at) => self.job_ids.push(JobId::from_index(at)),
                 Err(e) => {
                     unknown.get_or_insert(e);
@@ -361,10 +435,10 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        let parents = parents.ok_or_else(|| err(toks.line, "PARENT ... CHILD ..."))?;
+        let parents = parents.ok_or_else(|| err(line, "PARENT ... CHILD ..."))?;
         let (parents, children) = self.job_ids.split_at(parents);
         if parents.is_empty() || children.is_empty() {
-            return Err(err(toks.line, "PARENT needs parents and children"));
+            return Err(err(line, "PARENT needs parents and children"));
         }
         if let Some(unknown) = unknown {
             return Err(unknown);
@@ -375,7 +449,7 @@ impl<'a> Parser<'a> {
             .and_then(|n| n.checked_add(self.explicit_edges))
             .filter(|&n| n <= MAX_EXPLICIT_EDGES)
             .ok_or_else(|| {
-                err(toks.line, &format!("more than {MAX_EXPLICIT_EDGES} PARENT/CHILD edges"))
+                err(line, &format!("more than {MAX_EXPLICIT_EDGES} PARENT/CHILD edges"))
             })?;
         for &p in parents {
             for &c in children {
@@ -386,30 +460,61 @@ impl<'a> Parser<'a> {
     }
 
     fn finish(mut self, name: &str) -> Result<Workflow, DagError> {
-        self.builder.name = name.to_string();
-        if self.jobs.indexed_unique() && self.files.indexed_unique() {
-            self.builder.finish_unique()
-        } else {
-            self.builder.finish()
+        self.jobs.index_rest();
+        self.files.index_rest();
+        if let Some(repeated) = self.jobs.repeated.or(self.files.repeated) {
+            return Err(DagError::DuplicateName(repeated.to_string()));
         }
+        // The name maps, the parse's largest temporaries, are freed before
+        // the adjacency is built.
+        let mut builder = std::mem::take(&mut self.builder);
+        drop(self);
+        builder.name = name.to_string();
+        builder.finish_unique()
     }
 }
 
 /// Serialize a workflow to the text format.
+///
+/// Declarations first (files, then jobs, in id order), then each job's
+/// wiring: its `INPUT` and `OUTPUT` lists and a `PARENT … CHILD …` line for
+/// each child edge that data flow does not imply.
 pub fn write_workflow(wf: &Workflow) -> String {
     use std::fmt::Write;
-    let mut out = String::new();
-    let _ = writeln!(out, "# generated by dewe-dag");
-    let _ = writeln!(out, "WORKFLOW {}", wf.name());
-    for f in wf.files() {
-        let _ = write!(out, "FILE {} {}", f.name, f.size_bytes);
-        if f.initial {
-            out.push_str(" INITIAL");
+    // Which child edges data flow implies, marked in one pass over every
+    // job's inputs: the `k`-th child of job `j` is `implied[first[j] + k]`.
+    let mut first = Vec::with_capacity(wf.job_count());
+    let mut edges = 0;
+    for j in wf.job_ids() {
+        first.push(edges);
+        edges += wf.children(j).len();
+    }
+    let mut implied = vec![false; edges];
+    for c in wf.job_ids() {
+        for &f in &wf.job(c).inputs {
+            if let Some(p) = wf.producer(f) {
+                if let Ok(k) = wf.children(p).binary_search(&c) {
+                    implied[first[p.index()] + k] = true;
+                }
+            }
         }
-        out.push('\n');
+    }
+
+    let mut out = String::new();
+    out.push_str("# generated by dewe-dag\nWORKFLOW ");
+    out.push_str(wf.name());
+    out.push('\n');
+    for f in wf.files() {
+        out.push_str("FILE ");
+        out.push_str(&f.name);
+        let _ = write!(out, " {}", f.size_bytes);
+        out.push_str(if f.initial { " INITIAL\n" } else { "\n" });
     }
     for j in wf.jobs() {
-        let _ = write!(out, "JOB {} {} CPU {}", j.name, j.xform, j.cpu_seconds);
+        for part in ["JOB ", &j.name, " ", &j.xform] {
+            out.push_str(part);
+        }
+        let _ = write!(out, " CPU {}", j.cpu_seconds);
         if j.cores != 1 {
             let _ = write!(out, " CORES {}", j.cores);
         }
@@ -419,26 +524,23 @@ pub fn write_workflow(wf: &Workflow) -> String {
         out.push('\n');
     }
     for (ji, j) in wf.jobs().iter().enumerate() {
-        let jid = JobId::from_index(ji);
-        if !j.inputs.is_empty() {
-            let _ = write!(out, "INPUT {}", j.name);
-            for &f in &j.inputs {
-                let _ = write!(out, " {}", wf.file(f).name);
+        for (directive, files) in [("INPUT ", &j.inputs), ("OUTPUT ", &j.outputs)] {
+            if !files.is_empty() {
+                out.push_str(directive);
+                out.push_str(&j.name);
+                for &f in files {
+                    out.push(' ');
+                    out.push_str(&wf.file(f).name);
+                }
+                out.push('\n');
             }
-            out.push('\n');
         }
-        if !j.outputs.is_empty() {
-            let _ = write!(out, "OUTPUT {}", j.name);
-            for &f in &j.outputs {
-                let _ = write!(out, " {}", wf.file(f).name);
-            }
-            out.push('\n');
-        }
-        // Emit only edges not implied by data flow to keep files compact.
-        for &c in wf.children(jid) {
-            let implied = wf.job(c).inputs.iter().any(|&f| wf.producer(f) == Some(jid));
-            if !implied {
-                let _ = writeln!(out, "PARENT {} CHILD {}", j.name, wf.job(c).name);
+        let children = wf.children(JobId::from_index(ji));
+        for (k, &c) in children.iter().enumerate() {
+            if !implied[first[ji] + k] {
+                for part in ["PARENT ", &j.name, " CHILD ", &wf.job(c).name, "\n"] {
+                    out.push_str(part);
+                }
             }
         }
     }
@@ -604,5 +706,51 @@ PARENT mDiffFit_0 CHILD mConcatFit
     fn cycle_via_parent_statements_rejected() {
         let text = "JOB a t CPU 1\nJOB b t CPU 1\nPARENT a CHILD b\nPARENT b CHILD a";
         assert!(matches!(parse_workflow(text), Err(DagError::Cycle(_))));
+    }
+
+    /// `Lines` must cut every text as `split('\n')` and then
+    /// `split_whitespace` do: over every short text from an alphabet of a
+    /// token byte, ASCII separators, a control character that is not one,
+    /// and non-ASCII characters that are and are not; and over longer ones
+    /// that cross words of eight bytes anywhere.
+    #[test]
+    fn lines_cut_as_split_and_split_whitespace_do() {
+        const ALPHABET: [&str; 8] = ["a", " ", "\n", "\r", "\u{1}", "\u{b}", "é", "\u{a0}"];
+        let check = |text: &str| {
+            let want: Vec<Vec<&str>> =
+                text.split('\n').map(|line| line.split_whitespace().collect()).collect();
+            let (mut lines, mut toks, mut got) = (Lines { text, at: 0, line: 0 }, vec![], vec![]);
+            while let Some(line) = lines.next_into(&mut toks) {
+                assert_eq!(line, got.len() + 1, "{text:?}");
+                got.push(toks.clone());
+            }
+            assert_eq!(got, want, "{text:?}");
+        };
+        let mut text = String::new();
+        for len in 0..=5 {
+            for n in 0..8usize.pow(len) {
+                text.clear();
+                (0..len).fold(n, |digits, _| {
+                    text.push_str(ALPHABET[digits % 8]);
+                    digits / 8
+                });
+                check(&text);
+            }
+        }
+        let mut state = 1u64;
+        for _ in 0..4000 {
+            text.clear();
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            for k in 0..(state >> 59) as usize + 9 {
+                let draw = (state >> (k % 20 * 3)) as usize;
+                // Mostly tokens and spaces, as real text is.
+                text.push_str(if draw.is_multiple_of(3) {
+                    ALPHABET[draw / 3 % 8]
+                } else {
+                    ["x", " "][draw & 1]
+                });
+            }
+            check(&text);
+        }
     }
 }

@@ -300,26 +300,45 @@ impl WorkflowBuilder {
             }
         }
 
-        // Collect edges: explicit + data-flow implied; dedup.
-        let mut edges: Vec<(JobId, JobId)> = self.explicit_edges;
+        // Parents of each job, once each and ascending, in one pass over
+        // the jobs: its explicit parents (grouped by child first) and the
+        // producers of its inputs, sorted and deduplicated in place.
+        let (explicit_offsets, explicit) =
+            build_csr(nj, self.explicit_edges.iter().map(|&(p, c)| (c, p)));
+        // Each list is dropped once it is read, so the peak stays the two
+        // CSRs of the children and parents.
+        drop(self.explicit_edges);
+        let inputs: usize = self.jobs.iter().map(|job| job.inputs.len()).sum();
+        let mut parent_offsets = Vec::with_capacity(nj + 1);
+        let mut parent_data = Vec::with_capacity(explicit.len() + inputs);
+        parent_offsets.push(0);
         for (ji, job) in self.jobs.iter().enumerate() {
-            let jid = JobId::from_index(ji);
-            for &f in &job.inputs {
-                if let Some(p) = producer[f.index()] {
-                    if p != jid {
-                        edges.push((p, jid));
-                    }
+            let (jid, start) = (JobId::from_index(ji), parent_data.len());
+            let (from, to) = (explicit_offsets[ji] as usize, explicit_offsets[ji + 1] as usize);
+            parent_data.extend_from_slice(&explicit[from..to]);
+            parent_data.extend(
+                job.inputs.iter().filter_map(|f| producer[f.index()]).filter(|&p| p != jid),
+            );
+            parent_data[start..].sort_unstable();
+            let mut kept = start;
+            for at in start..parent_data.len() {
+                if kept == start || parent_data[at] != parent_data[kept - 1] {
+                    parent_data[kept] = parent_data[at];
+                    kept += 1;
                 }
             }
+            parent_data.truncate(kept);
+            parent_offsets.push(kept as u32);
         }
-        edges.sort_unstable();
-        edges.dedup();
+        drop((explicit_offsets, explicit));
 
-        // Build CSR adjacency (children direction), then transpose: the
-        // counting pass in `build_csr` places each child's parents in the
-        // order the sorted edge list visits them, ascending.
-        let (child_offsets, child_data) = build_csr(nj, edges.iter().copied());
-        let (parent_offsets, parent_data) = build_csr(nj, edges.iter().map(|&(p, c)| (c, p)));
+        // Children by transposing: jobs are visited in id order, so each
+        // job's children come out ascending too.
+        let parents_of = |c: usize| {
+            let parents = &parent_data[parent_offsets[c] as usize..parent_offsets[c + 1] as usize];
+            parents.iter().map(move |&p| (p, JobId::from_index(c)))
+        };
+        let (child_offsets, child_data) = build_csr(nj, (0..nj).flat_map(parents_of));
 
         // Kahn's algorithm: topological order + cycle detection.
         let mut indeg: Vec<u32> =
@@ -364,26 +383,23 @@ impl WorkflowBuilder {
     }
 }
 
-/// Build CSR arrays from a deduplicated edge list; each source's
+/// Build CSR arrays from `(source, destination)` pairs; each source's
 /// destinations keep the order the list gives them.
 fn build_csr(
     n: usize,
     edges: impl Iterator<Item = (JobId, JobId)> + Clone,
 ) -> (Vec<u32>, Vec<JobId>) {
     let mut offsets = vec![0u32; n + 1];
-    for (src, _) in edges.clone() {
-        offsets[src.index() + 1] += 1;
-    }
+    edges.clone().for_each(|(src, _)| offsets[src.index() + 1] += 1);
     for i in 0..n {
         offsets[i + 1] += offsets[i];
     }
     let mut data = vec![JobId(0); offsets[n] as usize];
     let mut cursor = offsets.clone();
-    for (src, dst) in edges {
-        let slot = cursor[src.index()] as usize;
-        data[slot] = dst;
+    edges.for_each(|(src, dst)| {
+        data[cursor[src.index()] as usize] = dst;
         cursor[src.index()] += 1;
-    }
+    });
     (offsets, data)
 }
 

@@ -5,8 +5,8 @@
 //! structural invariants the engines rely on.
 
 use dewe_dag::{
-    parse_workflow, write_workflow, CriticalPath, DependencyTracker, JobId, JobState, LevelProfile,
-    Workflow, WorkflowBuilder,
+    parse_workflow, write_workflow, CriticalPath, DagError, DependencyTracker, FileSpec, JobId,
+    JobSpec, JobState, LevelProfile, Workflow, WorkflowBuilder,
 };
 use proptest::prelude::*;
 
@@ -220,6 +220,125 @@ proptest! {
             prop_assert_eq!(again.map(|w| w.job_count()), Ok(wf.job_count()));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// Whitespace and the case of keywords mean nothing: a statement-soup
+    /// text respelled with other separators (ASCII and not) and recased
+    /// keywords parses to an equal workflow, or fails the same way on the
+    /// same line. A respelled line is often not ASCII where the original
+    /// was, so the parser's ASCII path is held to its Unicode one.
+    #[test]
+    fn respelling_whitespace_and_keywords_changes_no_parse(
+        words in prop::collection::vec(0usize..SOUP.len(), 0..160),
+        seed in any::<u64>(),
+    ) {
+        let text: String = words.iter().map(|&w| SOUP[w]).collect();
+        let respelled = respell(&text, seed);
+        prop_assert_eq!(outcome(&respelled), outcome(&text), "{:?}\n{:?}", text, respelled);
+    }
+
+    /// The same over what the writer emits, which always parses.
+    #[test]
+    fn respelling_a_written_workflow_changes_no_parse(dag in random_dag_strategy(), seed in any::<u64>()) {
+        let text = write_workflow(&build(&dag));
+        let respelled = respell(&text, seed);
+        prop_assert!(outcome(&text).is_ok());
+        prop_assert_eq!(outcome(&respelled), outcome(&text), "{:?}", respelled);
+    }
+}
+
+/// What a parse comes to, comparable across texts: the workflow's name,
+/// jobs, files and children, or the error — for a parse error, its line.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Parsed(String, Vec<JobSpec>, Vec<FileSpec>, Vec<Vec<JobId>>),
+    ParseError(usize),
+    Refused(DagError),
+}
+
+fn outcome(text: &str) -> Result<Outcome, Outcome> {
+    match parse_workflow(text) {
+        Ok(wf) => {
+            let children = wf.job_ids().map(|j| wf.children(j).to_vec()).collect();
+            Ok(Outcome::Parsed(wf.name().into(), wf.jobs().to_vec(), wf.files().to_vec(), children))
+        }
+        Err(DagError::Parse { line, .. }) => Err(Outcome::ParseError(line)),
+        Err(e) => Err(Outcome::Refused(e)),
+    }
+}
+
+/// Separators a respelling puts between tokens (and around them): ASCII
+/// whitespace, and three Unicode spaces (U+0085 does not end a line).
+const SEPARATORS: [&str; 7] = [" ", "\t", "\u{b}", "\u{c}", "\u{a0}", "\u{2003}", "\u{85}"];
+
+/// `text` with the same tokens on the same lines: each run of whitespace
+/// replaced by a random run of [`SEPARATORS`], some lines given a `\r`
+/// before their `\n`, and every keyword in a place where the parser reads
+/// one recased at random.
+fn respell(text: &str, seed: u64) -> String {
+    let mut state = seed;
+    let mut below = |n: usize| {
+        state = mix(state);
+        (state % n as u64) as usize
+    };
+    let mut out = String::new();
+    for (i, line) in text.split('\n').enumerate() {
+        if i > 0 {
+            out.push('\n');
+        }
+        let toks: Vec<&str> = line.split_whitespace().collect();
+        let keyword = keyword_places(&toks);
+        for (at, tok) in toks.iter().enumerate() {
+            for _ in 0..(at > 0) as usize + below(3) {
+                out.push_str(SEPARATORS[below(SEPARATORS.len())]);
+            }
+            if keyword[at] {
+                out.extend(tok.chars().map(|c| match below(2) {
+                    0 => c.to_ascii_lowercase(),
+                    _ => c.to_ascii_uppercase(),
+                }));
+            } else {
+                out.push_str(tok);
+            }
+        }
+        for _ in 0..below(3) {
+            out.push_str(SEPARATORS[below(SEPARATORS.len())]);
+        }
+        if below(2) == 0 {
+            out.push('\r');
+        }
+    }
+    out
+}
+
+/// Which tokens of a line the parser compares with a keyword, ignoring
+/// case: the directive, and `INITIAL` of `FILE`, `CPU`, `CORES` and
+/// `TIMEOUT` of `JOB`, the first `CHILD` of `PARENT` where they stand.
+/// Every other token — a name, even one spelled like a keyword — is
+/// case-sensitive.
+fn keyword_places(toks: &[&str]) -> Vec<bool> {
+    let is = |at: usize, words: &[&str]| {
+        toks.get(at).is_some_and(|t| words.iter().any(|w| t.eq_ignore_ascii_case(w)))
+    };
+    let head =
+        ["WORKFLOW", "FILE", "JOB", "INPUT", "OUTPUT", "PARENT"].into_iter().find(|&d| is(0, &[d]));
+    let child = toks.iter().skip(1).position(|t| t.eq_ignore_ascii_case("CHILD")).map(|at| at + 1);
+    (0..toks.len())
+        .map(|at| match head {
+            None => false,
+            Some(_) if at == 0 => true,
+            Some("FILE") => at == 3 && is(at, &["INITIAL"]),
+            Some("JOB") => {
+                (at == 3 && is(at, &["CPU"]))
+                    || (at >= 5 && at % 2 == 1 && is(at, &["CORES", "TIMEOUT"]))
+            }
+            Some("PARENT") => Some(at) == child,
+            Some(_) => false,
+        })
+        .collect()
 }
 
 /// Whole statements over a handful of names (so that references resolve,

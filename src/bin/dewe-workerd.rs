@@ -37,6 +37,9 @@ struct Args {
     runner: Arc<dyn JobRunner>,
 }
 
+/// Most `--slots`: the default window, two credits a slot, must fit a `u32`.
+const MAX_SLOTS: usize = (u32::MAX / 2) as usize;
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         master: String::new(),
@@ -61,7 +64,7 @@ fn parse_args() -> Result<Args, String> {
                 args.generation =
                     whole("--generation", &value(&mut i, "--generation")?, 0..=u32::MAX)?
             }
-            "--slots" => args.slots = whole("--slots", &value(&mut i, "--slots")?, 1..=usize::MAX)?,
+            "--slots" => args.slots = whole("--slots", &value(&mut i, "--slots")?, 1..=MAX_SLOTS)?,
             "--window" => {
                 args.window = Some(whole("--window", &value(&mut i, "--window")?, 1..=u32::MAX)?)
             }
@@ -113,7 +116,7 @@ fn main() {
     let registry = Registry::new();
     // Window default: enough credit to keep every slot busy with one
     // dispatch queued behind it.
-    let window = args.window.unwrap_or((args.slots as u32).saturating_mul(2));
+    let window = args.window.unwrap_or(args.slots as u32 * 2);
     let link = match TcpWorkerLink::connect(
         &args.master,
         registry.clone(),
