@@ -45,7 +45,7 @@
 //! newline and the writer writes whole records, so a final line without
 //! its newline was torn by a crash mid-write: it is discarded, parsed or
 //! not. A malformed complete final line is discarded too; a malformed line
-//! before another record is corruption.
+//! before another record, or any line longer than a record, is corruption.
 //!
 //! A record is encoded by hand — decimal and hex digits in plain loops,
 //! into one line on the stack, appended to the buffer whole — and its bytes
@@ -232,13 +232,13 @@ impl Journal {
         Self { file, buf: Vec::new() }
     }
 
-    /// Start a fresh journal, truncating any existing file.
+    /// Start a fresh journal, truncating any existing file (no master does).
     pub fn create(path: &Path) -> io::Result<Self> {
         Ok(Self::over(File::create(path)?))
     }
 
-    /// Open a journal for appending, creating it if absent (recovery
-    /// resume).
+    /// Open a journal for appending, creating it if absent — how a master
+    /// opens its own.
     pub fn append(path: &Path) -> io::Result<Self> {
         Ok(Self::over(OpenOptions::new().create(true).append(true).open(path)?))
     }

@@ -1,4 +1,5 @@
 use super::*;
+use std::io::Read;
 
 fn parse_time(tok: &str) -> Option<f64> {
     u64::from_str_radix(tok, 16).ok().map(f64::from_bits)
@@ -47,22 +48,32 @@ fn parse_record(line: &str) -> Option<JournalRecord> {
     }
 }
 
+/// The longest line any master wrote (a legacy `S` is shorter), and a CRLF's CR.
+const READ_MAX: usize = LINE_MAX + 1;
+
 /// Read every intact record from a journal file. The writer ends every
 /// record with a newline and writes whole records, so a final line without
 /// its newline is torn (the crash came mid-write) and is discarded, parsed
 /// or not. Of the complete lines, a malformed final one is discarded too; a
 /// malformed line before another record is corruption and returns an error,
-/// as does a line that is not UTF-8.
+/// as does a line that is not UTF-8, or one longer than any record (read no
+/// further, torn or not: a file that is not a journal is refused at once).
 pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
     let mut reader = BufReader::new(File::open(path)?);
     let mut records = Vec::new();
     let mut pending_bad: Option<usize> = None;
-    let mut bytes = Vec::new();
-    for idx in 0.. {
+    let corrupt = |idx: usize| {
+        io::Error::new(io::ErrorKind::InvalidData, format!("corrupt journal record at line {idx}"))
+    };
+    let mut bytes = Vec::with_capacity(READ_MAX);
+    for idx in 1.. {
         bytes.clear();
-        reader.read_until(b'\n', &mut bytes)?;
+        (&mut reader).take(READ_MAX as u64).read_until(b'\n', &mut bytes)?;
         let Some(line) = bytes.strip_suffix(b"\n") else {
-            break; // end of file, or a torn tail
+            if bytes.len() < READ_MAX {
+                break; // end of file, or a torn tail
+            }
+            return Err(corrupt(idx)); // longer than any record
         };
         let line = line.strip_suffix(b"\r").unwrap_or(line); // CRLF ends a line too
         if line.is_empty() {
@@ -71,10 +82,7 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<JournalRecord>> {
         let line = std::str::from_utf8(line)
             .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err))?;
         if let Some(bad) = pending_bad {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("corrupt journal record at line {}", bad + 1),
-            ));
+            return Err(corrupt(bad));
         }
         match parse_record(line) {
             Some(r) => records.push(r),
@@ -147,7 +155,11 @@ pub fn recover(
                 let wf = registry.get(WorkflowId(workflow)).ok_or_else(|| {
                     io::Error::new(
                         io::ErrorKind::InvalidData,
-                        format!("journal references workflow {workflow} absent from registry"),
+                        format!(
+                            "journal references workflow {workflow} absent from registry; it \
+                             replays only over the --state-dir spool it was written beside, and \
+                             a fresh run needs it moved aside"
+                        ),
                     )
                 })?;
                 let id = engine.submit_workflow(wf, at, &mut sink);
@@ -700,7 +712,6 @@ A 2 0 1 0 2 4030000000000000
                 engine: config,
                 expected_workflows: Some(3),
                 journal_path: Some(path.clone()),
-                recover: true,
                 ..MasterConfig::default()
             },
         );
@@ -761,6 +772,24 @@ A 2 0 1 0 2 4030000000000000
         // ...and the torn record, completed, is read.
         std::fs::write(&path, "T 4028b0a3d70a3d71\nA 0 0 1 1 1 4028b0a3\n").unwrap();
         assert_eq!(read_journal(&path).unwrap().len(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A line longer than any record is corruption, last line or not: a
+    /// file that is not a journal is refused after one record's worth of
+    /// it, not buffered whole and then forgiven as a torn tail.
+    #[test]
+    fn a_line_longer_than_any_record_is_corruption() {
+        let path = tmp("long-line");
+        std::fs::write(&path, vec![b'x'; 1 << 20]).unwrap();
+        assert_eq!(read_journal(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
+        // A record padded with blanks to the most a line holds reads; one
+        // byte more does not, even with a record after it.
+        let padded = |len: usize| format!("T 0{}\r\nT 0\n", " ".repeat(len - "T 0\r\n".len()));
+        std::fs::write(&path, padded(READ_MAX)).unwrap();
+        assert_eq!(read_journal(&path).unwrap().len(), 2);
+        std::fs::write(&path, padded(READ_MAX + 1)).unwrap();
+        assert_eq!(read_journal(&path).unwrap_err().kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
     }
 

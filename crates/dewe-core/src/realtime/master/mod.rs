@@ -64,12 +64,9 @@ pub struct MasterConfig {
     /// Exit once this many workflows have settled. `None` (default) serves
     /// until the transport shuts down.
     pub expected_workflows: Option<usize>,
-    /// Write-ahead journal path.
+    /// Write-ahead journal path: the master takes over (replays, then
+    /// appends to) whatever journal it finds there; none is a cold start.
     pub journal_path: Option<PathBuf>,
-    /// Replay the journal at `journal_path` on startup (master failover).
-    /// Without a `journal_path` the master reports
-    /// [`MasterEvent::Failed`].
-    pub recover: bool,
     /// Worker lease duration, seconds; enables the liveness plane.
     pub lease_secs: Option<f64>,
 }
@@ -108,11 +105,10 @@ pub enum MasterEvent {
         stats: EngineStats,
     },
     /// The master stopped on an I/O error: at startup its journal could
-    /// not be read, replayed against the registry, reopened or created, or
-    /// a cold start found workflows in the registry (nothing was served),
-    /// or while serving a journal write failed (an input it could not make
-    /// durable is an input it must not act on). The master has exited and
-    /// [`MasterHandle::join`] returns all-zero statistics.
+    /// not be read, replayed against the registry or opened (nothing was
+    /// served), or while serving a journal write failed (an input it could
+    /// not make durable is an input it must not act on). The master has
+    /// exited and [`MasterHandle::join`] returns all-zero statistics.
     Failed {
         /// What failed and why, one line.
         reason: String,

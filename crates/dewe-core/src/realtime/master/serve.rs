@@ -6,13 +6,12 @@ use super::*;
 /// It pulls submissions for new workflows and acks for worker progress,
 /// publishes eligible jobs as dispatches, and resubmits each timed-out job
 /// when its deadline comes. With [`MasterConfig::journal_path`] set it
-/// write-ahead journals every input; with [`MasterConfig::recover`] it first
-/// replays that journal, rebuilding the pre-crash engine and
-/// republishing in-flight jobs and submitting any workflow the registry holds
-/// past it. A journal that cannot be opened, replayed or written to is
-/// reported as [`MasterEvent::Failed`], and so is a cold start over a
-/// registry that already holds workflows, and a `recover` without a journal
-/// path.
+/// write-ahead journals every input, and it first takes over whatever
+/// journal it finds there: it replays it, rebuilding the pre-crash engine,
+/// submits any workflow the registry holds past it, and republishes
+/// in-flight jobs. No journal, or an empty one, is a cold start. A journal
+/// that cannot be read, replayed against the registry, opened or written
+/// to is reported as [`MasterEvent::Failed`].
 pub fn spawn_master_on<T: MasterTransport>(
     transport: T,
     registry: Registry,
@@ -33,8 +32,8 @@ pub fn spawn_master_on<T: MasterTransport>(
 }
 
 /// The master thread: run [`serve`], and turn the one way it can fail — an
-/// error opening, replaying or writing the journal, or a registry a cold
-/// start cannot serve — into the one [`MasterEvent::Failed`] exit.
+/// error reading, replaying, opening or writing the journal — into the one
+/// [`MasterEvent::Failed`] exit.
 fn master_loop<T: MasterTransport>(
     transport: &T,
     registry: Registry,
@@ -160,24 +159,17 @@ impl LivenessPlane {
     }
 }
 
-/// Build the liveness plane for a (possibly recovering) master. On
-/// recovery the journal's lifecycle history is replayed and every
-/// still-live worker gets a grace lease from `resume_at` — workers that
-/// never make contact again are expired (and flagged) when it lapses.
+/// Build the liveness plane from the journal's lifecycle history: every
+/// still-live worker it names gets a grace lease from `resume_at`, and one
+/// that never makes contact again is expired (and flagged) when it lapses.
 fn build_plane(
     config: &MasterConfig,
     shared: &Arc<FaultPlaneShared>,
-    recovered: Option<(&[journal::JournalRecord], f64)>,
+    records: &[journal::JournalRecord],
+    resume_at: f64,
 ) -> Option<LivenessPlane> {
-    let lease = config.lease_secs?;
-    let table = match recovered {
-        Some((records, resume_at)) => {
-            let mut t = journal::replay_liveness(records, lease);
-            t.grant_grace(resume_at);
-            t
-        }
-        None => LivenessTable::new(lease),
-    };
+    let mut table = journal::replay_liveness(records, config.lease_secs?);
+    table.grant_grace(resume_at);
     Some(LivenessPlane::new(table, Arc::clone(shared)))
 }
 
@@ -197,12 +189,11 @@ fn journal_error(step: &str, path: &Path, e: io::Error) -> io::Error {
     io::Error::new(e.kind(), format!("{step} {}: {e}", path.display()))
 }
 
-/// Startup prologue: build the engine and open the WAL — a cold start, or
-/// a takeover that replays an existing journal, submits what the registry
-/// holds past it, and republishes what it leaves in flight. Everything here
-/// reads operator-supplied state from disk (a journal from another run, a
-/// spool that no longer matches it, an unwritable path), so every failure
-/// is returned, not unwrapped.
+/// Startup prologue, one path for every start: take over the journal — a
+/// regular file is read, a missing one is a cold start, anything else (a
+/// device) is appended to unread — then submit what the registry holds past
+/// it and republish what it leaves in flight. Everything here reads
+/// operator-supplied state from disk, so every failure is returned.
 fn open<T: MasterTransport>(
     transport: &T,
     registry: &Registry,
@@ -210,55 +201,25 @@ fn open<T: MasterTransport>(
     events: &Sender<MasterEvent>,
     shared: &Arc<FaultPlaneShared>,
 ) -> io::Result<Opened> {
-    if config.recover && config.journal_path.is_none() {
-        return Err(io::Error::new(io::ErrorKind::InvalidInput, "recover needs a journal path"));
-    }
-    // The journal to take over from, if any. Without one this is a cold
-    // start: the replay of an empty journal.
-    let takeover = config.journal_path.as_deref().filter(|p| config.recover && p.exists());
-    let records = match takeover {
-        Some(path) => {
-            journal::read_journal(path).map_err(|e| journal_error("read journal", path, e))?
-        }
+    let path = config.journal_path.as_deref();
+    let records = match path.filter(|p| p.is_file()) {
+        Some(p) => journal::read_journal(p).map_err(|e| journal_error("read journal", p, e))?,
         None => Vec::new(),
     };
-    let rec = journal::recover(&records, registry, config.engine).map_err(|e| match takeover {
-        Some(path) => journal_error("replay journal", path, e),
+    let rec = journal::recover(&records, registry, config.engine).map_err(|e| match path {
+        Some(p) => journal_error("replay journal", p, e),
         None => e,
     })?;
-    let Some(path) = takeover else {
-        // A cold start numbers workflows from 0, so it cannot serve a
-        // registry an earlier master filled. The journal path is tried
-        // first, without truncating it: an unusable path still says so,
-        // and a refused start leaves that master's journal as it was.
-        if let Some(path) = &config.journal_path {
-            Journal::append(path).map_err(|e| journal_error("create journal", path, e))?;
+    let mut wal = Wal(match path {
+        Some(p) => {
+            Some((Journal::append(p).map_err(|e| journal_error("open journal", p, e))?, p.into()))
         }
-        if !registry.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "cold start over {} spooled workflow(s): restart with --recover and the \
-                     journal they were submitted under, or with an empty state directory",
-                    registry.len()
-                ),
-            ));
-        }
-        let wal = match &config.journal_path {
-            Some(path) => Some((
-                Journal::create(path).map_err(|e| journal_error("create journal", path, e))?,
-                path.clone(),
-            )),
-            None => None,
-        };
-        let liveness = build_plane(config, shared, None);
-        return Ok(Opened { engine: rec.engine, wal: Wal(wal), liveness, time_base: 0.0 });
-    };
-
+        None => None,
+    });
     let mut engine = rec.engine;
-    let liveness = build_plane(config, shared, Some((&records, rec.resume_at)));
-    if liveness.is_some() {
-        // The lifecycle backlog predates the takeover (heartbeats of
+    let liveness = build_plane(config, shared, &records, rec.resume_at);
+    if liveness.is_some() && !records.is_empty() {
+        // After a takeover the lifecycle backlog predates it (heartbeats of
         // unknown age, possibly from workers that died during the
         // outage): discard it so stale traffic cannot pass for
         // post-recovery contact. Live workers re-prove themselves within
@@ -267,12 +228,11 @@ fn open<T: MasterTransport>(
         // or ack grants an implicit lease.
         while transport.try_pull_lifecycle().is_some() {}
     }
-    let journal = Journal::append(path).map_err(|e| journal_error("reopen journal", path, e))?;
-    let mut wal = Wal(Some((journal, path.to_path_buf())));
-    // A registry that runs past the journal holds workflows the dead
-    // master spooled and announced but never journaled. Workers may mirror
-    // them under these ids already, so they are submitted, not dropped: in
-    // id order, each journaled before the engine sees it.
+    // A registry that runs past the journal holds workflows a dead master
+    // spooled and announced but never journaled (all of them, when there is
+    // no journal or an empty one). Workers may mirror them under these ids
+    // already, so they are submitted, not dropped: in id order, each
+    // journaled before the engine sees it.
     let mut actions = Vec::new();
     loop {
         let id = WorkflowId::from_index(engine.workflow_count());
@@ -529,13 +489,13 @@ mod tests {
         let corrupt = dir.join("corrupt.wal");
         std::fs::write(&corrupt, "not a record\nnor is this\n").unwrap();
 
-        // (journal, recover, registry knows workflow 0, reason fragment)
+        // (journal, registry knows workflow 0, reason fragment)
         let cases = [
-            (journal.clone(), true, false, "absent from registry"),
-            (corrupt.clone(), true, true, "corrupt journal record"),
-            (dir.join("no-such-dir").join("new.wal"), false, true, "create journal"),
+            (journal.clone(), false, "absent from registry"),
+            (corrupt.clone(), true, "corrupt journal record"),
+            (dir.join("no-such-dir").join("new.wal"), true, "open journal"),
         ];
-        for (path, recover, spooled, fragment) in cases {
+        for (path, spooled, fragment) in cases {
             let registry = Registry::new();
             if spooled {
                 registry.insert(WorkflowId(0), Arc::clone(&wf));
@@ -543,11 +503,7 @@ mod tests {
             let handle = spawn_master_on(
                 endpoint(),
                 registry,
-                MasterConfig {
-                    journal_path: Some(path.clone()),
-                    recover,
-                    ..MasterConfig::default()
-                },
+                MasterConfig { journal_path: Some(path.clone()), ..MasterConfig::default() },
             );
             let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
             let MasterEvent::Failed { reason } = ev else {
@@ -560,28 +516,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A takeover needs the journal it takes over: `recover` without a
-    /// journal path is refused before anything is served, not run as a cold
-    /// start.
+    /// A master takes over whatever journal and registry it is started on.
+    /// A registry an earlier master filled is served on from where that
+    /// master's journal left it, or, with no journal, from every workflow's
+    /// roots; no start hands a new submission an id the registry holds, and
+    /// the journal is only ever appended to.
     #[test]
-    fn recover_without_a_journal_path_fails_the_master() {
-        let tcp = endpoint();
-        let config = MasterConfig { recover: true, ..MasterConfig::default() };
-        let handle = spawn_master_on(tcp.clone(), Registry::new(), config);
-        let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert_eq!(ev, MasterEvent::Failed { reason: "recover needs a journal path".into() });
-        assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
-        tcp.shutdown();
-    }
-
-    /// A cold start numbers workflows from 0, so a registry an earlier
-    /// master filled would hand the next submission a taken id. The master
-    /// fails before serving, with or without a journal of its own, and
-    /// leaves the earlier master's journal as it was: the remedy is to take
-    /// that journal over.
-    #[test]
-    fn a_cold_start_over_a_filled_registry_fails_and_truncates_nothing() {
-        let dir = std::env::temp_dir().join(format!("dewe-master-cold-{}", std::process::id()));
+    fn a_start_over_a_journal_and_a_filled_registry_serves_it_and_truncates_nothing() {
+        let dir = std::env::temp_dir().join(format!("dewe-master-start-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join("master.wal");
         let mut j = Journal::create(&journal).unwrap();
@@ -593,19 +535,27 @@ mod tests {
         b.job("a", "t", 1.0).build();
         registry.insert(WorkflowId(0), Arc::new(b.finish().unwrap()));
 
-        let journaled =
-            MasterConfig { journal_path: Some(journal.clone()), ..MasterConfig::default() };
-        for config in [journaled, MasterConfig::default()] {
-            let handle = spawn_master_on(endpoint(), registry.clone(), config);
+        let bare = MasterConfig { expected_workflows: Some(1), ..MasterConfig::default() };
+        let journaled = MasterConfig { journal_path: Some(journal.clone()), ..bare.clone() };
+        for config in [journaled, bare] {
+            let tcp = endpoint();
+            let handle = spawn_master_on(tcp.clone(), registry.clone(), config);
+            let (link, _) = link(&tcp, 0, 8);
+            let d = next_dispatch(&link);
+            assert_eq!((d.job.workflow, d.attempt), (WorkflowId(0), 1));
+            link.publish_ack(AckMsg::new(d.job, 0, AckKind::Completed, d.attempt));
             let ev = handle.events.recv_timeout(Duration::from_secs(5)).unwrap();
-            let MasterEvent::Failed { reason } = ev else {
-                panic!("expected Failed, got {ev:?}");
-            };
-            assert!(reason.starts_with("cold start over 1 spooled workflow"), "{reason:?}");
-            assert!(reason.contains("--recover"), "{reason:?} names the remedy");
-            assert_eq!(handle.join(), EngineStats::default(), "exited without serving");
+            assert!(
+                matches!(ev, MasterEvent::WorkflowCompleted { workflow: WorkflowId(0), .. }),
+                "{ev:?}"
+            );
+            assert_eq!(handle.join().workflows_completed, 1);
+            tcp.shutdown();
+            link.close();
         }
-        assert_eq!(std::fs::read(&journal).unwrap(), written, "the journal is untouched");
+        let after = std::fs::read(&journal).unwrap();
+        assert!(after.starts_with(&written), "the journal was appended to, not truncated");
+        assert!(after.len() > written.len(), "the takeover journaled its completion");
         std::fs::remove_dir_all(&dir).ok();
     }
 

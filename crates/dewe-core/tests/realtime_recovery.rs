@@ -44,13 +44,12 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The master configuration every test starts from: its journal, whether
-/// to take it over, and the workflows to settle before it exits.
-fn journaled(dir: &Path, recover: bool, expected: usize) -> MasterConfig {
+/// The master configuration every test starts from: its journal, and the
+/// workflows to settle before it exits.
+fn journaled(dir: &Path, expected: usize) -> MasterConfig {
     MasterConfig {
         expected_workflows: Some(expected),
         journal_path: Some(dir.join("master.wal")),
-        recover,
         ..MasterConfig::default()
     }
 }
@@ -176,8 +175,8 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
             let records = read_journal(&dir.join("master.wal")).expect("journal readable");
             replayed(&recover(&records, registry, EngineConfig::default()).expect("replays").engine)
         };
-        let config = |recover: bool| journaled(&dir, recover, 6);
-        let mut master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+        let config = || journaled(&dir, 6);
+        let mut master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config());
         let addr = master.addr();
         let worker = worker(addr, 0, 2, None);
         master.submit(&chains(6, 3));
@@ -188,7 +187,7 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
             let registry = master.kill();
             let (all_complete, done) = replay(&registry);
             assert!(!all_complete && !done.is_empty(), "{label}: killed mid-ensemble");
-            master = Master::start(addr, &dir, config(true));
+            master = Master::start(addr, &dir, config());
         }
         let registry = master.registry.clone();
         let stats = master.join();
@@ -299,8 +298,8 @@ fn ensemble_finishes_after_master_failover() {
     // The simulated crash drops the master loop between steps, so the
     // file holds whole bursts; a torn tail would only appear on a hard
     // power loss, which journal_properties covers.
-    let config = |recover: bool| journaled(&dir, recover, 3);
-    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+    let config = || journaled(&dir, 3);
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config());
     let addr = master.addr();
     // 20 ms per job: slow enough that the kill lands mid-ensemble with
     // jobs genuinely in flight, fast enough to keep the test snappy.
@@ -327,7 +326,7 @@ fn ensemble_finishes_after_master_failover() {
     // Failover: a replacement master recovers from the journal on the
     // same address. In-flight jobs get republished; the worker may run
     // some twice, which the engine counts as duplicate noise.
-    let stats = Master::start(addr, &dir, config(true)).join();
+    let stats = Master::start(addr, &dir, config()).join();
     worker.stop();
 
     assert_eq!(stats.workflows_completed, 3, "ensemble finished after failover");
@@ -357,12 +356,12 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     // An ack written into the killed master's socket is lost, and the
     // lease plane does not republish a job a live worker holds, so now and
     // then one job waits out its timeout: keep that wait short.
-    let config = |recover: bool| MasterConfig {
+    let config = || MasterConfig {
         engine: EngineConfig::default().timeout(1.0),
         lease_secs: Some(0.15),
-        ..journaled(&dir, recover, 2)
+        ..journaled(&dir, 2)
     };
-    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config(false));
+    let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config());
     let addr = master.addr();
     let heartbeat = Some(Duration::from_millis(30));
     let w0 = worker(addr, 0, 1, heartbeat);
@@ -378,7 +377,7 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
     master.kill();
     w1.kill();
 
-    let master2 = Master::start(addr, &dir, config(true));
+    let master2 = Master::start(addr, &dir, config());
     loop {
         match master2.handle.events.recv_timeout(Duration::from_secs(30)).expect("event") {
             MasterEvent::AllCompleted { .. } => break,
@@ -401,9 +400,9 @@ fn restart_with_a_dead_worker_flags_it_and_still_finishes() {
 
 #[test]
 fn recovery_restarts_from_empty_journal_when_absent() {
-    // recover=true with no journal on disk must behave like a cold start.
+    // No journal on disk is a cold start.
     let dir = scratch("cold");
-    let config = journaled(&dir, true, 1);
+    let config = journaled(&dir, 1);
     let master = Master::start("127.0.0.1:0".parse().unwrap(), &dir, config);
     let worker = worker(master.addr(), 0, 1, None);
     master.submit(&[chain("w", 2, 1.0)]);

@@ -394,8 +394,8 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("dewe-chaos-seam-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // As `dewe-masterd --state-dir --journal [--recover]` on one port.
-        let master = |addr, recover| -> (TcpMaster, MasterHandle) {
+        // As `dewe-masterd --state-dir --journal` on one port.
+        let master = |addr| -> (TcpMaster, MasterHandle) {
             let options = TcpMasterOptions { state_dir: Some(dir.join("spool")) };
             let tcp = TcpMaster::bind(addr, options).unwrap();
             let registry = Registry::new();
@@ -408,12 +408,11 @@ mod tests {
                     ..EngineConfig::default()
                 },
                 journal_path: Some(dir.join("master.wal")),
-                recover,
                 ..MasterConfig::default()
             };
             (tcp.clone(), spawn_master_on(tcp, registry, config))
         };
-        let (tcp, first) = master("127.0.0.1:0".parse().unwrap(), false);
+        let (tcp, first) = master("127.0.0.1:0".parse().unwrap());
         let addr = tcp.local_addr();
         let link = TcpWorkerLink::connect(addr, Registry::new(), TcpWorkerOptions::default())
             .expect("a link");
@@ -432,7 +431,7 @@ mod tests {
         dropped(1);
         first.kill();
         tcp.kill();
-        let (tcp, second) = master(addr, true);
+        let (tcp, second) = master(addr);
         dropped(2);
         let mut delivered = None;
         wait_until("attempt 2 is delivered", || {

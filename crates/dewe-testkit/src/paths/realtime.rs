@@ -100,7 +100,7 @@ impl JobRunner for TapRunner {
 /// no checkout deadline, which only a dispatch lost on a connection that
 /// stays up needs: a killed worker's connection gives back what it held,
 /// leases cover a stall, and the job timeout is a distant backstop.
-fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> MasterConfig {
+fn master_config(scenario: &Scenario, journal: Option<&Path>) -> MasterConfig {
     let faulty = !scenario.faults.is_empty();
     let (timeout, checkout) = match (faulty, scenario.chaos.is_lossy()) {
         (false, false) => (30.0, None),
@@ -120,7 +120,6 @@ fn master_config(scenario: &Scenario, journal: Option<&Path>, recover: bool) -> 
         },
         expected_workflows: Some(scenario.workflows.len()),
         journal_path: journal.map(Path::to_path_buf),
-        recover,
         lease_secs: faulty.then_some(FAULT_LEASE_SECS),
     }
 }
@@ -213,7 +212,7 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
     // A master as `dewe-masterd` runs one: its registry is what the spool
     // holds (nothing on a cold start), and a restart takes over the
     // journal beside it.
-    let serve = |addr: SocketAddr, recover| -> std::io::Result<Master> {
+    let serve = |addr: SocketAddr| -> std::io::Result<Master> {
         let state_dir = state.as_ref().map(|dir| dir.join("spool"));
         let tcp = TcpMaster::bind(addr, TcpMasterOptions { state_dir })?;
         let registry = Registry::new();
@@ -221,11 +220,11 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
             registry.insert(id, workflow);
         }
         let journal = state.as_ref().map(|dir| dir.join("master.wal"));
-        let config = master_config(scenario, journal.as_deref(), recover);
+        let config = master_config(scenario, journal.as_deref());
         let handle = spawn_master_on(tcp.clone(), registry.clone(), config);
         Ok(Master { tcp, registry, handle })
     };
-    let first = serve(SocketAddr::from(([127, 0, 0, 1], 0)), false).expect("bind loopback");
+    let first = serve(SocketAddr::from(([127, 0, 0, 1], 0))).expect("bind loopback");
     let addr = first.tcp.local_addr();
     let mut master = Some(first);
     let mut workers: Vec<Option<(TcpWorkerLink, WorkerHandle)>> = (0..scenario.workers)
@@ -304,7 +303,7 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
                         master_killed = true;
                     }
                 }
-                RtFault::RestartMaster if master.is_none() => match serve(addr, true) {
+                RtFault::RestartMaster if master.is_none() => match serve(addr) {
                     Ok(m) => master = Some(m),
                     Err(e) => note = Some(format!("restarting the master on {addr}: {e}")),
                 },

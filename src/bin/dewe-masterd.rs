@@ -8,15 +8,14 @@
 //!
 //! ```text
 //! dewe-masterd --listen <addr> [--expect N] [--state-dir DIR]
-//!              [--journal FILE] [--recover] [--lease-secs S]
-//!              [--timeout S]
+//!              [--journal FILE] [--lease-secs S] [--timeout S]
 //! ```
 //!
-//! With `--state-dir`, accepted workflows are spooled to disk; together
-//! with `--journal` + `--recover`, a restarted master rebuilds its
-//! registry from the spool and its engine from the journal, then picks
-//! the ensemble back up — the paper's master-failure drill, over real
-//! sockets.
+//! `--state-dir` spools accepted workflows and `--journal` journals every
+//! input. Restarted with the same flags, a master rebuilds its registry from
+//! the spool and its engine from the journal, and picks the ensemble back up
+//! — the paper's master-failure drill, over real sockets; empty or missing,
+//! they are a cold start. One state directory holds one ensemble.
 //!
 //! Leases are opt-in. With `--lease-secs S` the master expires a worker
 //! silent for `S` seconds, and an expired worker's acks are fenced until
@@ -63,10 +62,6 @@ fn parse_args() -> Result<Args, String> {
                     Some(whole("--expect", &value(&mut i, "--expect")?, 1..=usize::MAX)?)
             }
             "--journal" => master.journal_path = Some(value(&mut i, "--journal")?.into()),
-            "--recover" => {
-                master.recover = true;
-                i += 1;
-            }
             "--lease-secs" => {
                 master.lease_secs =
                     Some(positive_secs("--lease-secs", &value(&mut i, "--lease-secs")?)?)
@@ -81,9 +76,6 @@ fn parse_args() -> Result<Args, String> {
     if args.listen.is_empty() {
         return Err("--listen <addr> is required".into());
     }
-    if args.master.recover && args.master.journal_path.is_none() {
-        return Err("--recover needs --journal".into());
-    }
     Ok(args)
 }
 
@@ -94,7 +86,7 @@ fn main() {
             eprintln!("dewe-masterd: {msg}");
             eprintln!(
                 "usage: dewe-masterd --listen <addr> [--expect N] [--state-dir DIR] \
-                 [--journal FILE] [--recover] [--lease-secs S] [--timeout S]"
+                 [--journal FILE] [--lease-secs S] [--timeout S]"
             );
             exit(2);
         }
@@ -112,8 +104,8 @@ fn main() {
     println!("dewe-masterd: listening on {}", transport.local_addr());
     let _ = std::io::stdout().flush();
 
-    // A restarted master rebuilds its registry from the workflow spool
-    // *before* recovery replays the journal against it.
+    // The master rebuilds its registry from the workflow spool *before*
+    // it replays the journal against it.
     let registry = Registry::new();
     match transport.load_spool() {
         Ok(spooled) => {

@@ -152,11 +152,10 @@ fn master_kill_and_restart_recovers_over_tcp() {
     // burst and the commit that journals it can put more than a window out
     // of reach, and the lease plane does not republish a job a live worker
     // holds: such a job waits out its timeout, so keep that wait short.
-    let config = |recover: bool| MasterConfig {
+    let config = || MasterConfig {
         engine: EngineConfig::default().timeout(5.0),
         expected_workflows: Some(n_workflows),
         journal_path: Some(journal.clone()),
-        recover,
         lease_secs: Some(0.5),
     };
 
@@ -165,7 +164,7 @@ fn master_kill_and_restart_recovers_over_tcp() {
             .unwrap();
     let addr = transport.local_addr();
     let registry1 = Registry::new();
-    let master = spawn_master_on(transport.clone(), registry1.clone(), config(false));
+    let master = spawn_master_on(transport.clone(), registry1.clone(), config());
 
     let spawn_net_worker = |id: u32| {
         let registry = Registry::new();
@@ -225,7 +224,7 @@ fn master_kill_and_restart_recovers_over_tcp() {
         registry2.insert(id, wf);
     }
     assert_ensemble_sharing(&registry2, "respooled registry");
-    let master2 = spawn_master_on(transport2.clone(), registry2, config(true));
+    let master2 = spawn_master_on(transport2.clone(), registry2, config());
     let stats = drain_until_all_done(&master2);
     master2.join();
     // A link that joins only now is replayed the recovered registry; the
