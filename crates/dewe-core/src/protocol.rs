@@ -1,19 +1,25 @@
 //! Messages carried on the three DEWE v2 topics (paper §III.C), plus
 //! their versioned wire encoding for the TCP runtime.
 //!
-//! Inside a daemon the structs below travel through `dewe-mq` topics
-//! as-is. Over TCP they are wrapped in [`WireMsg`] and serialized into
-//! length-prefixed frames (see `dewe_mq::read_frame`/`write_frame`) as
-//! `[PROTOCOL_VERSION, message-type, body…]`. Decoding checks the
-//! version byte *first*: a frame from an incompatible peer is rejected
-//! as [`WireError::Version`] before any body parsing, so mixed-version
-//! fleets fail loud and early instead of misinterpreting bytes.
+//! The master's serve loop and a worker's slot loops hand the structs
+//! below to their transport (`dewe_mq::Transport`, `WorkerTransport`) as
+//! they are. The TCP transport carries each as a [`WireMsg`] frame: a
+//! 4-byte big-endian payload length (read back by `dewe_mq::read_frame`
+//! and `FrameBuf`), then the payload `[PROTOCOL_VERSION, message-type,
+//! body…]`. [`WireMsg`] is the one codec for every frame: it writes its
+//! own length prefix ([`WireMsg::frame_into`]), and [`WireMsg::decode`]
+//! reads a frame once, borrowing names and a submission's text from it.
+//! Decoding checks the version byte *first*: a frame from an incompatible
+//! peer is rejected as [`WireError::Version`] before any body parsing, so
+//! mixed-version fleets fail loud and early instead of misinterpreting
+//! bytes.
 //!
 //! The message structs are `#[non_exhaustive]`: future protocol
 //! revisions can add fields without breaking downstream constructors,
 //! which use the `new` associated functions.
 
 use dewe_dag::{EnsembleJobId, JobId, Workflow, WorkflowId};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Wire protocol revision. Bump on any change to frame layouts; peers
@@ -271,10 +277,12 @@ const T_ALIAS: u8 = 0x85;
 /// receiving side parses back — the wire analogue of the paper's
 /// "path to the related folder on the shared file system". A text crosses
 /// each connection once: a later copy of it is a [`WireMsg::Repeat`]
-/// (submitter → master) or a [`WireMsg::Alias`] (master → worker).
-#[derive(Debug, Clone, PartialEq)]
+/// (submitter → master) or a [`WireMsg::Alias`] (master → worker). The
+/// `Cow` fields are borrowed from the frame by [`decode`](Self::decode),
+/// and from the sender's own strings and dispatch runs when it sends.
+#[derive(Clone, PartialEq)]
 #[non_exhaustive]
-pub enum WireMsg {
+pub enum WireMsg<'a> {
     /// Worker handshake: identity, incarnation, and the dispatch window
     /// (backpressure credit) this worker offers.
     Hello {
@@ -294,9 +302,9 @@ pub enum WireMsg {
     /// Workflow submission (submitter → master).
     Submit {
         /// Human-readable workflow name.
-        name: String,
+        name: Cow<'a, str>,
         /// The DAG in `dewe-dag` text format.
-        dag: String,
+        dag: Cow<'a, str>,
     },
     /// Workflow submission (submitter → master) of the same DAG text as
     /// this connection's previous submission, which the master already
@@ -304,15 +312,16 @@ pub enum WireMsg {
     /// nothing to repeat: the master rejects it.
     Repeat {
         /// Human-readable workflow name.
-        name: String,
+        name: Cow<'a, str>,
     },
     /// Workflow announcement (master → worker): registry mirror entry.
     Workflow {
         /// The dense workflow id.
         id: WorkflowId,
         /// Human-readable workflow name.
-        name: String,
-        /// The DAG in `dewe-dag` text format.
+        name: Cow<'a, str>,
+        /// The DAG in `dewe-dag` text format, owned: the `layers` benchmark
+        /// builds this variant from a `String`.
         dag: String,
     },
     /// Workflow announcement (master → worker) of the DAG already announced
@@ -321,7 +330,7 @@ pub enum WireMsg {
         /// The dense workflow id.
         id: WorkflowId,
         /// Human-readable workflow name.
-        name: String,
+        name: Cow<'a, str>,
         /// The earlier workflow whose DAG this one shares.
         same_as: WorkflowId,
     },
@@ -329,62 +338,163 @@ pub enum WireMsg {
     /// poll cycle, in one frame (master → worker), however short the run.
     /// The worker executes them in order; the batch spends one window
     /// credit per contained dispatch.
-    DispatchBatch(Vec<DispatchMsg>),
+    DispatchBatch(Cow<'a, [DispatchMsg]>),
     /// The master is done and will close the connection; the worker may
     /// exit instead of reconnecting.
     Bye,
 }
 
-impl WireMsg {
-    /// Serialize into a frame payload: `[version, type, body…]`.
+/// Field by field, except that a DAG text shows as its length and a batch
+/// as its count: a peer's frame logged whole could put the frame cap's
+/// worth of its bytes in the log.
+impl std::fmt::Debug for WireMsg<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireMsg::Hello { worker, generation, window } => {
+                write!(
+                    f,
+                    "Hello {{ worker: {worker}, generation: {generation}, window: {window} }}"
+                )
+            }
+            WireMsg::SubmitterHello => write!(f, "SubmitterHello"),
+            WireMsg::Ack(ack) => write!(f, "Ack({ack:?})"),
+            WireMsg::Lifecycle(msg) => write!(f, "Lifecycle({msg:?})"),
+            WireMsg::Submit { name, dag } => {
+                write!(f, "Submit {{ name: {name:?}, dag_bytes: {} }}", dag.len())
+            }
+            WireMsg::Repeat { name } => write!(f, "Repeat {{ name: {name:?} }}"),
+            WireMsg::Workflow { id, name, dag } => {
+                write!(f, "Workflow {{ id: {id:?}, name: {name:?}, dag_bytes: {} }}", dag.len())
+            }
+            WireMsg::Alias { id, name, same_as } => {
+                write!(f, "Alias {{ id: {id:?}, name: {name:?}, same_as: {same_as:?} }}")
+            }
+            WireMsg::DispatchBatch(run) => {
+                write!(f, "DispatchBatch {{ dispatches: {} }}", run.len())
+            }
+            WireMsg::Bye => write!(f, "Bye"),
+        }
+    }
+}
+
+impl<'a> WireMsg<'a> {
+    /// Serialize into a frame payload, `[version, type, body…]`, in one
+    /// allocation.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(32);
+        let mut out = Vec::with_capacity(self.payload_len());
+        self.put(&mut out);
+        out
+    }
+
+    /// Append the message to `out` as a whole frame: the payload's length,
+    /// 4 bytes big-endian, then the payload — the bytes
+    /// `dewe_mq::write_frame` puts on the wire for [`encode`](Self::encode).
+    /// At most one allocation, and none when `out` has the room.
+    pub fn frame_into(&self, out: &mut Vec<u8>) {
+        let len = self.payload_len();
+        out.reserve(4 + len);
+        put_u32(out, frame_len(len));
+        self.put(out);
+    }
+
+    /// Append to `out` the length prefix and the payload up to the text of a
+    /// frame carrying DAG text `dag`: a `Submit` of it when `id` is `None`,
+    /// else a `Workflow` announcing it as `id`. A sender sends its shared
+    /// copy of the text right after. Returns the payload length declared.
+    pub(crate) fn frame_dag_head(
+        out: &mut Vec<u8>,
+        id: Option<WorkflowId>,
+        name: &str,
+        dag: &str,
+    ) -> usize {
+        let len = dag_payload_len(id, name, dag);
+        put_u32(out, frame_len(len));
+        out.push(PROTOCOL_VERSION);
+        put_dag_head(out, id, name, dag);
+        len
+    }
+
+    /// The payload's length, without encoding it.
+    fn payload_len(&self) -> usize {
+        match self {
+            WireMsg::Hello { .. } => 2 + 3 * 4,
+            WireMsg::SubmitterHello | WireMsg::Bye => 2,
+            WireMsg::Ack(_) => ACK_FRAME - 4,
+            WireMsg::Lifecycle(_) => 2 + 2 * 4 + 1,
+            WireMsg::Submit { name, dag } => dag_payload_len(None, name, dag),
+            WireMsg::Repeat { name } => 2 + 4 + name.len(),
+            WireMsg::Workflow { id, name, dag } => dag_payload_len(Some(*id), name, dag),
+            WireMsg::Alias { name, .. } => 2 + 2 * 4 + 4 + name.len(),
+            WireMsg::DispatchBatch(run) => 2 + 4 + run.len() * 12,
+        }
+    }
+
+    /// Append the payload to `out`: every variant's body, written once.
+    fn put(&self, out: &mut Vec<u8>) {
         out.push(PROTOCOL_VERSION);
         match self {
             WireMsg::Hello { worker, generation, window } => {
                 out.push(T_HELLO);
-                put_u32(&mut out, *worker);
-                put_u32(&mut out, *generation);
-                put_u32(&mut out, *window);
+                put_u32(out, *worker);
+                put_u32(out, *generation);
+                put_u32(out, *window);
             }
             WireMsg::SubmitterHello => out.push(T_SUBMITTER_HELLO),
-            WireMsg::Ack(ack) => return ack_frame(ack)[4..].to_vec(),
+            WireMsg::Ack(ack) => {
+                out.push(T_ACK);
+                put_u32(out, ack.job.workflow.0);
+                put_u32(out, ack.job.job.0);
+                put_u32(out, ack.worker);
+                out.push(ack.kind.code());
+                put_u32(out, ack.attempt);
+            }
             WireMsg::Lifecycle(msg) => {
                 out.push(T_LIFECYCLE);
-                put_u32(&mut out, msg.worker);
-                put_u32(&mut out, msg.generation);
+                put_u32(out, msg.worker);
+                put_u32(out, msg.generation);
                 out.push(msg.kind.code());
             }
-            WireMsg::Submit { name, dag } => return DagFrame { id: None, name, dag }.encode(),
+            WireMsg::Submit { name, dag } => {
+                put_dag_head(out, None, name, dag);
+                out.extend_from_slice(dag.as_bytes());
+            }
             WireMsg::Repeat { name } => {
                 out.push(T_REPEAT);
-                put_str(&mut out, name);
+                put_str(out, name);
             }
             WireMsg::Workflow { id, name, dag } => {
-                return DagFrame { id: Some(*id), name, dag }.encode()
+                put_dag_head(out, Some(*id), name, dag);
+                out.extend_from_slice(dag.as_bytes());
             }
             WireMsg::Alias { id, name, same_as } => {
                 out.push(T_ALIAS);
-                put_u32(&mut out, id.0);
-                put_u32(&mut out, same_as.0);
-                put_str(&mut out, name);
+                put_u32(out, id.0);
+                put_u32(out, same_as.0);
+                put_str(out, name);
             }
-            WireMsg::DispatchBatch(batch) => return encode_dispatch_batch(batch),
+            WireMsg::DispatchBatch(run) => {
+                out.push(T_DISPATCH_BATCH);
+                put_u32(out, u32::try_from(run.len()).expect("batch exceeds u32 length"));
+                for d in run.iter() {
+                    put_u32(out, d.job.workflow.0);
+                    put_u32(out, d.job.job.0);
+                    put_u32(out, d.attempt);
+                }
+            }
             WireMsg::Bye => out.push(T_BYE),
         }
-        out
     }
 
-    /// Parse a frame payload. The version byte is checked before
-    /// anything else; see [`WireError::Version`].
-    pub fn decode(frame: &[u8]) -> Result<Self, WireError> {
+    /// Parse a frame payload, once: names and a submission's text are
+    /// borrowed from `frame`. The version byte is checked before anything
+    /// else; see [`WireError::Version`].
+    pub fn decode(frame: &'a [u8]) -> Result<Self, WireError> {
         let mut r = Reader { buf: frame, pos: 0 };
         let version = r.u8()?;
         if version != PROTOCOL_VERSION {
             return Err(WireError::Version { got: version });
         }
-        let ty = r.u8()?;
-        let msg = match ty {
+        let msg = match r.u8()? {
             T_HELLO => {
                 let worker = r.u32()?;
                 let generation = r.u32()?;
@@ -407,22 +517,23 @@ impl WireMsg {
                     .ok_or(WireError::BadPayload("lifecycle kind"))?;
                 WireMsg::Lifecycle(LifecycleMsg::new(worker, generation, kind))
             }
-            T_SUBMIT | T_WORKFLOW => {
-                let DagFrame { id, name, dag } = DagFrame::body(ty, &mut r)?;
-                let (name, dag) = (name.to_string(), dag.to_string());
-                match id {
-                    None => WireMsg::Submit { name, dag },
-                    Some(id) => WireMsg::Workflow { id, name, dag },
-                }
+            T_SUBMIT => {
+                let name = r.str()?;
+                WireMsg::Submit { name: name.into(), dag: r.str()?.into() }
             }
-            T_REPEAT => WireMsg::Repeat { name: r.str()?.to_string() },
+            T_REPEAT => WireMsg::Repeat { name: r.str()?.into() },
+            T_WORKFLOW => {
+                let id = WorkflowId(r.u32()?);
+                let name = r.str()?;
+                WireMsg::Workflow { id, name: name.into(), dag: r.str()?.to_owned() }
+            }
             T_ALIAS => {
                 let id = WorkflowId(r.u32()?);
                 let same_as = WorkflowId(r.u32()?);
                 if same_as >= id {
                     return Err(WireError::BadPayload("alias of a workflow not earlier"));
                 }
-                WireMsg::Alias { id, name: r.str()?.to_string(), same_as }
+                WireMsg::Alias { id, name: r.str()?.into(), same_as }
             }
             T_DISPATCH_BATCH => {
                 let count = r.u32()? as usize;
@@ -433,7 +544,7 @@ impl WireMsg {
                 for _ in 0..count {
                     batch.push(r.dispatch()?);
                 }
-                WireMsg::DispatchBatch(batch)
+                WireMsg::DispatchBatch(batch.into())
             }
             T_BYE => WireMsg::Bye,
             other => return Err(WireError::UnknownType(other)),
@@ -442,109 +553,37 @@ impl WireMsg {
     }
 }
 
-/// A borrowed view of the two frames that carry a DAG —
-/// [`WireMsg::Submit`] (`id` is `None`) and [`WireMsg::Workflow`] — for
-/// the paths that handle megabytes of DAG text per frame. Decoding
-/// borrows `name` and `dag` from the received frame instead of copying
-/// them out; encoding is split into [`head`](Self::head), which is
-/// everything up to the text, and the text itself, so a sender that
-/// already holds the text never concatenates the two. Same bytes on the
-/// wire as [`WireMsg::encode`], same rejections as [`WireMsg::decode`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct DagFrame<'a> {
-    /// The dense workflow id of an announcement; `None` for a submission.
-    pub(crate) id: Option<WorkflowId>,
-    /// Human-readable workflow name.
-    pub(crate) name: &'a str,
-    /// The DAG in `dewe-dag` text format.
-    pub(crate) dag: &'a str,
-}
-
-impl<'a> DagFrame<'a> {
-    /// Decode `frame` if it is a `Submit` or `Workflow` frame; `Ok(None)`
-    /// for any other well-versioned message type, which the caller hands
-    /// to [`WireMsg::decode`].
-    pub(crate) fn decode(frame: &'a [u8]) -> Result<Option<Self>, WireError> {
-        let mut r = Reader { buf: frame, pos: 0 };
-        let version = r.u8()?;
-        if version != PROTOCOL_VERSION {
-            return Err(WireError::Version { got: version });
-        }
-        match r.u8()? {
-            ty @ (T_SUBMIT | T_WORKFLOW) => Self::body(ty, &mut r).map(Some),
-            _ => Ok(None),
-        }
-    }
-
-    fn body(ty: u8, r: &mut Reader<'a>) -> Result<Self, WireError> {
-        let id = if ty == T_WORKFLOW { Some(WorkflowId(r.u32()?)) } else { None };
-        Ok(Self { id, name: r.str()?, dag: r.str()? })
-    }
-
-    /// The length of the whole frame payload, head and text, without
-    /// encoding either: what a sender holds to the receivers' frame cap.
-    pub(crate) fn payload_len(&self) -> usize {
-        let id = if self.id.is_some() { 4 } else { 0 };
-        2 + id + 4 + self.name.len() + 4 + self.dag.len()
-    }
-
-    /// The frame payload up to and including the DAG's length prefix;
-    /// the payload is this followed by the bytes of `dag`.
-    pub(crate) fn head(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(2 + 4 + 4 + self.name.len() + 4);
-        out.push(PROTOCOL_VERSION);
-        match self.id {
-            None => out.push(T_SUBMIT),
-            Some(id) => {
-                out.push(T_WORKFLOW);
-                put_u32(&mut out, id.0);
-            }
-        }
-        put_str(&mut out, self.name);
-        put_len(&mut out, self.dag);
-        out
-    }
-
-    fn encode(&self) -> Vec<u8> {
-        let mut out = self.head();
-        out.extend_from_slice(self.dag.as_bytes());
-        out
-    }
-}
-
-/// The [`WireMsg::DispatchBatch`] frame payload of `run`, encoded from the
-/// slice: the master sends every run it places this way, without first
-/// copying the run into a message. Allocated with room for the frame's
-/// 4-byte length prefix, which the master's sender puts in front.
-pub(crate) fn encode_dispatch_batch(run: &[DispatchMsg]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + 2 + 4 + run.len() * 12);
-    out.push(PROTOCOL_VERSION);
-    out.push(T_DISPATCH_BATCH);
-    put_u32(&mut out, u32::try_from(run.len()).expect("batch exceeds u32 length"));
-    for d in run {
-        put_dispatch(&mut out, d);
-    }
-    out
-}
-
 /// Bytes in a framed [`WireMsg::Ack`]: the 4-byte length prefix and the
-/// payload — version, type, workflow, job, worker, kind, attempt.
+/// payload — version, type, workflow, job, worker, kind, attempt. Every ack
+/// frame is this long, so a worker link can overwrite one queued ack with
+/// another in place.
 pub(crate) const ACK_FRAME: usize = 4 + 2 + 4 + 4 + 4 + 1 + 4;
 
-/// `ack` framed for the wire, on the stack: its length prefix, then its
-/// payload, which is what [`WireMsg::encode`] makes of `WireMsg::Ack(ack)`.
-/// Every ack frame is [`ACK_FRAME`] bytes, so a worker link queues it into
-/// one byte buffer and can overwrite one queued ack with another in place.
-pub(crate) fn ack_frame(ack: &AckMsg) -> [u8; ACK_FRAME] {
-    let mut frame = [0; ACK_FRAME];
-    frame[..4].copy_from_slice(&(ACK_FRAME as u32 - 4).to_be_bytes());
-    frame[4..6].copy_from_slice(&[PROTOCOL_VERSION, T_ACK]);
-    frame[6..10].copy_from_slice(&ack.job.workflow.0.to_be_bytes());
-    frame[10..14].copy_from_slice(&ack.job.job.0.to_be_bytes());
-    frame[14..18].copy_from_slice(&ack.worker.to_be_bytes());
-    frame[18] = ack.kind.code();
-    frame[19..].copy_from_slice(&ack.attempt.to_be_bytes());
-    frame
+/// The payload length of a frame carrying DAG text `dag`; see
+/// [`WireMsg::frame_dag_head`].
+fn dag_payload_len(id: Option<WorkflowId>, name: &str, dag: &str) -> usize {
+    2 + id.map_or(0, |_| 4) + 4 + name.len() + 4 + dag.len()
+}
+
+/// A DAG frame's body up to its text: type, the announced id if any, the
+/// name, and the text's length.
+fn put_dag_head(out: &mut Vec<u8>, id: Option<WorkflowId>, name: &str, dag: &str) {
+    match id {
+        None => out.push(T_SUBMIT),
+        Some(id) => {
+            out.push(T_WORKFLOW);
+            put_u32(out, id.0);
+        }
+    }
+    put_str(out, name);
+    put_len(out, dag);
+}
+
+/// A payload length as its prefix declares it. Nothing sent comes near
+/// 4 GiB (DAG frames are held to the frame cap before they are framed);
+/// a frame that did would declare a length every receiver's cap refuses.
+fn frame_len(len: usize) -> u32 {
+    u32::try_from(len).unwrap_or(u32::MAX)
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -558,12 +597,6 @@ fn put_len(out: &mut Vec<u8>, s: &str) {
 fn put_str(out: &mut Vec<u8>, s: &str) {
     put_len(out, s);
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_dispatch(out: &mut Vec<u8>, d: &DispatchMsg) {
-    put_u32(out, d.job.workflow.0);
-    put_u32(out, d.job.job.0);
-    put_u32(out, d.attempt);
 }
 
 struct Reader<'a> {
@@ -611,6 +644,32 @@ mod tests {
     use dewe_dag::WorkflowBuilder;
     use proptest::prelude::*;
 
+    impl WireMsg<'_> {
+        /// The message with nothing borrowed, for a test that keeps what it
+        /// decoded past the frame.
+        pub(crate) fn into_owned(self) -> WireMsg<'static> {
+            let own = |s: Cow<'_, str>| Cow::Owned(s.into_owned());
+            match self {
+                WireMsg::Hello { worker, generation, window } => {
+                    WireMsg::Hello { worker, generation, window }
+                }
+                WireMsg::SubmitterHello => WireMsg::SubmitterHello,
+                WireMsg::Ack(ack) => WireMsg::Ack(ack),
+                WireMsg::Lifecycle(msg) => WireMsg::Lifecycle(msg),
+                WireMsg::Submit { name, dag } => WireMsg::Submit { name: own(name), dag: own(dag) },
+                WireMsg::Repeat { name } => WireMsg::Repeat { name: own(name) },
+                WireMsg::Workflow { id, name, dag } => {
+                    WireMsg::Workflow { id, name: own(name), dag }
+                }
+                WireMsg::Alias { id, name, same_as } => {
+                    WireMsg::Alias { id, name: own(name), same_as }
+                }
+                WireMsg::DispatchBatch(run) => WireMsg::DispatchBatch(Cow::Owned(run.into_owned())),
+                WireMsg::Bye => WireMsg::Bye,
+            }
+        }
+    }
+
     #[test]
     fn submission_debug_is_compact() {
         let wf = Arc::new(WorkflowBuilder::new("w").finish().unwrap());
@@ -655,12 +714,15 @@ mod tests {
             WireMsg::Repeat { name: "montage-1".into() },
             WireMsg::Workflow { id: WorkflowId(9), name: "m".into(), dag: "# dag".into() },
             WireMsg::Alias { id: WorkflowId(9), name: "m-9".into(), same_as: WorkflowId(2) },
-            WireMsg::DispatchBatch(vec![DispatchMsg::new(job, 1)]),
-            WireMsg::DispatchBatch(vec![
-                DispatchMsg::new(job, 1),
-                DispatchMsg::new(EnsembleJobId::new(WorkflowId(7), JobId(12)), 3),
-            ]),
-            WireMsg::DispatchBatch(Vec::new()),
+            WireMsg::DispatchBatch(vec![DispatchMsg::new(job, 1)].into()),
+            WireMsg::DispatchBatch(
+                vec![
+                    DispatchMsg::new(job, 1),
+                    DispatchMsg::new(EnsembleJobId::new(WorkflowId(7), JobId(12)), 3),
+                ]
+                .into(),
+            ),
+            WireMsg::DispatchBatch(Vec::new().into()),
             WireMsg::Bye,
         ];
         for msg in msgs {
@@ -732,15 +794,34 @@ mod tests {
         let kind_at = ack.len() - 5; // kind byte sits before the trailing attempt u32
         ack[kind_at] = 9;
         assert_eq!(WireMsg::decode(&ack), Err(WireError::BadPayload("ack kind")));
+        // A DAG frame cut anywhere: inside the id, a length prefix, the
+        // name, the text.
+        let good =
+            WireMsg::Workflow { id: WorkflowId(1), name: "n".into(), dag: "JOB a".into() }.encode();
+        for cut in 2..good.len() {
+            assert_eq!(WireMsg::decode(&good[..cut]), Err(WireError::Truncated), "cut at {cut}");
+        }
+        // A length prefix that promises more than the frame holds.
+        let mut long = good.clone();
+        let dag_len_at = good.len() - "JOB a".len() - 4;
+        long[dag_len_at..dag_len_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert_eq!(WireMsg::decode(&long), Err(WireError::Truncated));
+        // Invalid UTF-8 in the name and in the text.
+        for at in [good.len() - 1, dag_len_at - 1] {
+            let mut bad = good.clone();
+            bad[at] = 0xFF;
+            assert_eq!(WireMsg::decode(&bad), Err(WireError::BadPayload("utf-8 string")));
+        }
+        let submit = WireMsg::Submit { name: "n".into(), dag: "d".into() }.encode();
+        assert_eq!(WireMsg::decode(&submit[..submit.len() - 1]), Err(WireError::Truncated));
     }
 
     #[test]
     fn a_run_of_one_is_a_batch_four_bytes_longer_than_the_retired_frame() {
         let d = DispatchMsg::new(EnsembleJobId::new(WorkflowId(1), JobId(2)), 1);
-        let one = encode_dispatch_batch(&[d]);
+        let one = WireMsg::DispatchBatch(Cow::Borrowed(&[d])).encode();
         assert_eq!(one.len(), 2 + 12 + 4);
-        assert_eq!(one, WireMsg::DispatchBatch(vec![d]).encode());
-        assert_eq!(WireMsg::decode(&one), Ok(WireMsg::DispatchBatch(vec![d])));
+        assert_eq!(WireMsg::decode(&one), Ok(WireMsg::DispatchBatch(vec![d].into())));
     }
 
     #[test]
@@ -748,72 +829,32 @@ mod tests {
         // A frame claiming u32::MAX dispatches but carrying two must be
         // rejected as Truncated — and must not pre-allocate for the lie.
         let job = EnsembleJobId::new(WorkflowId(1), JobId(2));
-        let mut bytes =
-            WireMsg::DispatchBatch(vec![DispatchMsg::new(job, 1), DispatchMsg::new(job, 2)])
-                .encode();
+        let run = [DispatchMsg::new(job, 1), DispatchMsg::new(job, 2)];
+        let mut bytes = WireMsg::DispatchBatch(Cow::Borrowed(&run)).encode();
         bytes[2..6].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(WireMsg::decode(&bytes), Err(WireError::Truncated));
     }
 
     #[test]
-    fn dag_frames_decode_borrowed_and_encode_split_to_the_same_bytes() {
-        let owned = [
-            WireMsg::Submit { name: "montage".into(), dag: "# dag é text".into() },
-            WireMsg::Workflow { id: WorkflowId(9), name: "".into(), dag: "".into() },
-        ];
-        for msg in owned {
-            let bytes = msg.encode();
-            let view = DagFrame::decode(&bytes).unwrap().expect("a DAG frame");
-            // Borrowed, not copied: the text points into the frame.
-            assert!(bytes.as_ptr_range().contains(&view.dag.as_ptr()) || view.dag.is_empty());
-            let mut split = view.head();
-            split.extend_from_slice(view.dag.as_bytes());
-            assert_eq!(split, bytes, "head + text is the owned encoding");
-            assert_eq!(view.payload_len(), bytes.len());
-            let again = match view.id {
-                None => WireMsg::Submit { name: view.name.into(), dag: view.dag.into() },
-                Some(id) => WireMsg::Workflow { id, name: view.name.into(), dag: view.dag.into() },
-            };
-            assert_eq!(again, msg);
-        }
-        // Any other well-formed frame is left to `WireMsg::decode`.
-        assert_eq!(DagFrame::decode(&WireMsg::Bye.encode()), Ok(None));
-        assert_eq!(DagFrame::decode(&[PROTOCOL_VERSION, 0x7F]), Ok(None));
-    }
-
-    #[test]
-    fn borrowed_decode_rejects_what_the_owned_decode_rejects() {
-        let good =
-            WireMsg::Workflow { id: WorkflowId(1), name: "n".into(), dag: "JOB a".into() }.encode();
-        let both = |frame: &[u8]| {
-            let owned = WireMsg::decode(frame).unwrap_err();
-            assert_eq!(DagFrame::decode(frame), Err(owned.clone()), "{frame:?}");
-            owned
+    fn dag_frames_decode_borrowed_and_frame_as_their_head_then_the_text() {
+        let submit = WireMsg::Submit { name: "montage".into(), dag: "# dag é text".into() };
+        let bytes = submit.encode();
+        let Ok(WireMsg::Submit { name: Cow::Borrowed(_), dag: Cow::Borrowed(dag) }) =
+            WireMsg::decode(&bytes)
+        else {
+            panic!("a submission decodes borrowed");
         };
-        // Version skew, before anything else is looked at.
-        let mut skewed = good.clone();
-        skewed[0] = PROTOCOL_VERSION + 1;
-        assert_eq!(both(&skewed), WireError::Version { got: PROTOCOL_VERSION + 1 });
-        assert_eq!(both(&[0xFF, 0xAA]), WireError::Version { got: 0xFF });
-        assert_eq!(both(&[]), WireError::Truncated);
-        assert_eq!(both(&[PROTOCOL_VERSION]), WireError::Truncated);
-        // Cut anywhere: inside the id, a length prefix, the name, the text.
-        for cut in 2..good.len() {
-            assert_eq!(both(&good[..cut]), WireError::Truncated, "cut at {cut}");
+        assert!(bytes.as_ptr_range().contains(&dag.as_ptr()), "the text points into the frame");
+        let announce = WireMsg::Workflow { id: WorkflowId(9), name: "".into(), dag: "".into() };
+        for (msg, id, name, dag) in
+            [(&submit, None, "montage", "# dag é text"), (&announce, Some(WorkflowId(9)), "", "")]
+        {
+            let mut frame = Vec::new();
+            let len = WireMsg::frame_dag_head(&mut frame, id, name, dag);
+            frame.extend_from_slice(dag.as_bytes());
+            assert_eq!(frame, framed(msg.clone()), "head + text is the whole frame");
+            assert_eq!(len, msg.encode().len());
         }
-        // A length prefix that promises more than the frame holds.
-        let mut long = good.clone();
-        let dag_len_at = good.len() - "JOB a".len() - 4;
-        long[dag_len_at..dag_len_at + 4].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert_eq!(both(&long), WireError::Truncated);
-        // Invalid UTF-8 in the name and in the text.
-        for at in [good.len() - 1, dag_len_at - 1] {
-            let mut bad = good.clone();
-            bad[at] = 0xFF;
-            assert_eq!(both(&bad), WireError::BadPayload("utf-8 string"));
-        }
-        let submit = WireMsg::Submit { name: "n".into(), dag: "d".into() }.encode();
-        assert_eq!(both(&submit[..submit.len() - 1]), WireError::Truncated);
     }
 
     fn framed(msg: WireMsg) -> Vec<u8> {
@@ -839,28 +880,83 @@ mod tests {
         )
     }
 
-    /// The ack layout, pinned: the bytes protocol v5 has always sent.
+    /// Every v5 frame, pinned: the bytes of each message type behind their
+    /// length prefix, as the runtime sends them, and each decodes back.
     #[test]
-    fn an_ack_frame_is_pinned_byte_for_byte() {
+    fn every_v5_frame_is_pinned_byte_for_byte() {
+        let job = |j: u32| EnsembleJobId::new(WorkflowId(7), JobId(j));
         let ack = AckMsg::new(
             EnsembleJobId::new(WorkflowId(0x0102_0304), JobId(5)),
             6,
             AckKind::Completed,
             0x0708_090a,
         );
-        let frame = [0, 0, 0, 19, 5, 3, 1, 2, 3, 4, 0, 0, 0, 5, 0, 0, 0, 6, 1, 7, 8, 9, 10];
-        assert_eq!(ack_frame(&ack), frame);
+        let table: [(WireMsg, Vec<u8>); 10] = [
+            (
+                WireMsg::Hello { worker: 3, generation: 2, window: 64 },
+                vec![0, 0, 0, 14, 5, 0x01, 0, 0, 0, 3, 0, 0, 0, 2, 0, 0, 0, 64],
+            ),
+            (WireMsg::SubmitterHello, vec![0, 0, 0, 2, 5, 0x02]),
+            (
+                WireMsg::Ack(ack),
+                vec![0, 0, 0, 19, 5, 0x03, 1, 2, 3, 4, 0, 0, 0, 5, 0, 0, 0, 6, 1, 7, 8, 9, 10],
+            ),
+            (
+                WireMsg::Lifecycle(LifecycleMsg::new(3, 2, LifecycleKind::Heartbeat)),
+                vec![0, 0, 0, 11, 5, 0x04, 0, 0, 0, 3, 0, 0, 0, 2, 1],
+            ),
+            (
+                WireMsg::Submit { name: "m".into(), dag: "JOB é".into() },
+                [&[0, 0, 0, 17, 5, 0x05, 0, 0, 0, 1][..], b"m", &[0, 0, 0, 6], "JOB é".as_bytes()]
+                    .concat(),
+            ),
+            (
+                WireMsg::Repeat { name: "m-2".into() },
+                [&[0, 0, 0, 9, 5, 0x07, 0, 0, 0, 3][..], b"m-2"].concat(),
+            ),
+            (
+                WireMsg::Workflow { id: WorkflowId(9), name: "m".into(), dag: "JOB a".into() },
+                [
+                    &[0, 0, 0, 20, 5, 0x81, 0, 0, 0, 9, 0, 0, 0, 1][..],
+                    b"m",
+                    &[0, 0, 0, 5],
+                    b"JOB a",
+                ]
+                .concat(),
+            ),
+            (
+                WireMsg::Alias { id: WorkflowId(9), name: "m-9".into(), same_as: WorkflowId(2) },
+                [&[0, 0, 0, 17, 5, 0x85, 0, 0, 0, 9, 0, 0, 0, 2, 0, 0, 0, 3][..], b"m-9"].concat(),
+            ),
+            (
+                WireMsg::DispatchBatch(
+                    vec![DispatchMsg::new(job(11), 1), DispatchMsg::new(job(12), 3)].into(),
+                ),
+                vec![
+                    0, 0, 0, 30, 5, 0x84, 0, 0, 0, 2, // two dispatches
+                    0, 0, 0, 7, 0, 0, 0, 11, 0, 0, 0, 1, // workflow 7, job 11, attempt 1
+                    0, 0, 0, 7, 0, 0, 0, 12, 0, 0, 0, 3, // workflow 7, job 12, attempt 3
+                ],
+            ),
+            (WireMsg::Bye, vec![0, 0, 0, 2, 5, 0x83]),
+        ];
+        for (msg, frame) in &table {
+            assert_eq!(&framed(msg.clone()), frame, "{msg:?}");
+            assert_eq!(WireMsg::decode(&frame[4..]).as_ref(), Ok(msg));
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(500))]
 
-        /// The stack-built ack frame is the encoder's bytes behind their
-        /// length prefix, and decodes to the ack.
+        /// Every framed ack is [`ACK_FRAME`] bytes, the encoder's behind
+        /// their length prefix, and decodes to the ack.
         #[test]
         fn an_ack_frame_is_the_encoded_ack_framed(ack in ack()) {
-            let frame = ack_frame(&ack);
-            prop_assert_eq!(frame.to_vec(), framed(WireMsg::Ack(ack)));
+            let mut frame = Vec::new();
+            WireMsg::Ack(ack).frame_into(&mut frame);
+            prop_assert_eq!(frame.len(), ACK_FRAME);
+            prop_assert_eq!(&frame, &framed(WireMsg::Ack(ack)));
             prop_assert_eq!(WireMsg::decode(&frame[4..]).unwrap(), WireMsg::Ack(ack));
         }
     }
@@ -871,5 +967,17 @@ mod tests {
         let a = WorkflowAnnounce { id: WorkflowId(3), name: "w".into(), workflow: wf };
         let s = format!("{a:?}");
         assert!(s.contains("jobs: 0"), "{s}");
+    }
+
+    /// A frame a peer sent is logged as its `Debug`: a text shows as its
+    /// length, whatever its size.
+    #[test]
+    fn a_dag_frame_debug_is_compact() {
+        let text = "J".repeat(1 << 20);
+        let submit = WireMsg::Submit { name: "w".into(), dag: text.as_str().into() };
+        let s = format!("{submit:?}");
+        assert!(s.len() < 200 && s.contains("dag_bytes: 1048576"), "{s}");
+        let announce = WireMsg::Workflow { id: WorkflowId(3), name: "w".into(), dag: text };
+        assert!(format!("{announce:?}").len() < 200);
     }
 }

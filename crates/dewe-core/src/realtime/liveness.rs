@@ -112,12 +112,16 @@ pub struct MasterStats {
     /// In-flight jobs requeued because their worker's lease ended
     /// (expiry, or supersession by a newer incarnation).
     pub jobs_requeued_on_expiry: u64,
-    /// Acks rejected because their worker was expired at arrival.
+    /// Acks rejected because their worker was expired at arrival, by this
+    /// master incarnation only: a rejected ack is not journaled, so a
+    /// takeover counts from 0.
     pub stale_acks_rejected: u64,
     /// Graceful drains that ran to completion.
     pub drains_completed: u64,
     /// Workers expired after a master restart without ever making
     /// contact — the journal references them but they never came back.
+    /// Counted by this master incarnation only: the transition is not
+    /// journaled, so a takeover counts from 0.
     pub workers_lost_in_recovery: u64,
 }
 

@@ -145,7 +145,9 @@ impl MasterHandle {
     /// The liveness table's counters (all zero unless `lease_secs` is
     /// configured). Readable while the master runs and after it exits
     /// (read before [`join`](Self::join)/[`kill`](Self::kill), which
-    /// consume the handle).
+    /// consume the handle). A takeover rebuilds them from the journal, all
+    /// but two: `stale_acks_rejected` and `workers_lost_in_recovery` count
+    /// this incarnation only, from 0 at every start.
     pub fn master_stats(&self) -> MasterStats {
         *self.shared.stats.lock()
     }
@@ -241,7 +243,7 @@ mod tests {
         let mut reader = BufReader::new(worker.try_clone().unwrap());
         let mut next = || {
             let frame = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
-            WireMsg::decode(&frame).unwrap()
+            WireMsg::decode(&frame).unwrap().into_owned()
         };
         let mut complete = |dispatches: &[DispatchMsg]| {
             let mut acks = Vec::new();

@@ -30,14 +30,11 @@ struct OutFrame {
 }
 
 impl OutFrame {
-    /// Frame `payload` followed by `text`.
-    fn new(mut payload: Vec<u8>, text: Option<Arc<str>>) -> Self {
-        let len = payload.len() + text.as_deref().map_or(0, str::len);
-        // `announce` refuses a DAG text whose frame is over the frame cap,
-        // and nothing else sent comes near 4 GiB; a frame that did would
-        // declare a length every receiver's cap refuses.
-        payload.splice(..0, u32::try_from(len).unwrap_or(u32::MAX).to_be_bytes());
-        Self { head: payload, text }
+    /// `msg`, framed.
+    fn new(msg: &WireMsg) -> Self {
+        let mut head = Vec::new();
+        msg.frame_into(&mut head);
+        Self { head, text: None }
     }
 
     /// The frame's bytes from offset `sent` on, up to the end of the part
@@ -202,31 +199,28 @@ impl Conn {
                 // hash and one compare of the bytes where they arrived; a
                 // repeat of the previous one costs no look at them at all.
                 Role::Submitter(ref mut previous) => {
-                    let (name, workflow) = match DagFrame::decode(frame) {
-                        Ok(Some(DagFrame { id: None, name, dag })) => {
+                    let name = match WireMsg::decode(frame) {
+                        Ok(WireMsg::Submit { name, dag }) => {
                             *previous = ep
                                 .dags
-                                .intern(dag)
-                                .map_err(|e| reject_submission(name, &e.to_string()))
+                                .intern(&dag)
+                                .map_err(|e| reject_submission(&name, &e.to_string()))
                                 .ok();
-                            (name.to_string(), previous.clone())
+                            name
                         }
-                        Ok(Some(_)) => return Err(Some("unexpected submitter frame".into())),
+                        Ok(WireMsg::Repeat { name }) => {
+                            if previous.is_none() {
+                                reject_submission(&name, "a repeat with nothing to repeat");
+                            }
+                            name
+                        }
+                        Ok(other) => {
+                            return Err(Some(format!("unexpected submitter frame {other:?}")))
+                        }
                         Err(e) => return Err(Some(format!("bad submitter frame: {e}"))),
-                        Ok(None) => match WireMsg::decode(frame) {
-                            Ok(WireMsg::Repeat { name }) => {
-                                if previous.is_none() {
-                                    reject_submission(&name, "a repeat with nothing to repeat");
-                                }
-                                (name, previous.clone())
-                            }
-                            Ok(other) => {
-                                return Err(Some(format!("unexpected submitter frame {other:?}")))
-                            }
-                            Err(e) => return Err(Some(format!("bad submitter frame: {e}"))),
-                        },
                     };
-                    if let Some(workflow) = workflow {
+                    if let Some(workflow) = previous.clone() {
+                        let name = name.into_owned();
                         ep.submissions.push_back(SubmissionMsg { name, workflow });
                         ep.doorbell = true;
                     }
@@ -347,7 +341,7 @@ impl Endpoint {
             }
             credit.held.extend(run.iter().map(|d| (d.job, d.attempt)));
             sent += run.len();
-            conn.socket.send(OutFrame::new(encode_dispatch_batch(run), None));
+            conn.socket.send(OutFrame::new(&WireMsg::DispatchBatch(run.into())));
         }
         batch.drain(..sent);
         sent
@@ -618,7 +612,7 @@ impl TcpMaster {
             return;
         }
         for conn in conns.iter_mut().filter(|c| matches!(c.role, Role::Worker(_))) {
-            conn.socket.send(OutFrame::new(WireMsg::Bye.encode(), None));
+            conn.socket.send(OutFrame::new(&WireMsg::Bye));
         }
         let deadline = Instant::now() + BYE_WAIT;
         loop {
@@ -722,32 +716,31 @@ impl Transport for TcpMaster {
         };
         let spool_to = self.inner.state_dir.as_deref().filter(|_| spooled_as.is_none());
         let name = spooled_as.unwrap_or(name);
-        // Only a spool entry can be this long: a submission this long is
-        // never read. A link that refused the frame would reconnect and be
-        // replayed it for ever.
-        if let Announced::Text(text) = &dag {
-            let len = DagFrame { id: Some(id), name: &name, dag: text }.payload_len();
-            if len > DEFAULT_MAX_FRAME {
-                let cap = DEFAULT_MAX_FRAME;
-                let why = format!("announce workflow {}: {len} bytes over the cap of {cap}", id.0);
-                return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+        let frame = match &dag {
+            Announced::Text(text) => {
+                let mut head = Vec::new();
+                let len = WireMsg::frame_dag_head(&mut head, Some(id), &name, text);
+                // Only a spool entry can be this long: a submission this
+                // long is never read. A link that refused the frame would
+                // reconnect and be replayed it for ever.
+                if len > DEFAULT_MAX_FRAME {
+                    let cap = DEFAULT_MAX_FRAME;
+                    let why =
+                        format!("announce workflow {}: {len} bytes over the cap of {cap}", id.0);
+                    return Err(io::Error::new(io::ErrorKind::InvalidData, why));
+                }
+                OutFrame { head, text: Some(Arc::clone(text)) }
             }
-        }
+            Announced::SameAs(same_as) => {
+                OutFrame::new(&WireMsg::Alias { id, name: name.as_str().into(), same_as: *same_as })
+            }
+        };
         if let Some(dir) = spool_to {
             match &dag {
                 Announced::Text(text) => spool_workflow(dir, id, &name, text)?,
                 Announced::SameAs(first) => spool_workflow(dir, id, &name, &same_as(*first))?,
             }
         }
-        let frame = match dag {
-            Announced::Text(text) => {
-                let head = DagFrame { id: Some(id), name: &name, dag: &text }.head();
-                OutFrame::new(head, Some(text))
-            }
-            Announced::SameAs(same_as) => {
-                OutFrame::new(WireMsg::Alias { id, name, same_as }.encode(), None)
-            }
-        };
         // Under the one lock, a worker either is connected here or will
         // find this workflow in `announced` at its Hello — never neither.
         let mut ep = self.inner.state.lock();
@@ -769,7 +762,7 @@ impl Transport for TcpMaster {
 mod tests {
     use std::io::BufReader;
 
-    use dewe_mq::read_frame;
+    use dewe_mq::{read_frame, write_frame};
 
     use super::*;
     use crate::realtime::testutil::{pump, scratch, wait_reading, wait_until, wf};
@@ -896,10 +889,11 @@ mod tests {
         wait_until("the link registers", || master.worker_conns() == 1);
         // A master only announces what it parsed; forge the frames.
         let forge = |id: u32, dag: &str| {
-            let text: Arc<str> = dag.into();
-            let head = DagFrame { id: Some(WorkflowId(id)), name: "x", dag: &text }.head();
+            let dag = dag.to_string();
+            let frame =
+                OutFrame::new(&WireMsg::Workflow { id: WorkflowId(id), name: "x".into(), dag });
             for conn in &mut master.inner.state.lock().conns {
-                conn.socket.send(OutFrame::new(head.clone(), Some(Arc::clone(&text))));
+                conn.socket.send(frame.clone());
             }
         };
         forge(0, "JOB a t CPU 1");
@@ -1115,7 +1109,7 @@ mod tests {
                 let frame = read_frame(reader, 1 << 20).unwrap().expect("Bye comes before EOF");
                 match WireMsg::decode(&frame).unwrap() {
                     WireMsg::DispatchBatch(run) => {
-                        assert_eq!(run, [DispatchMsg::new(job, 1)]);
+                        assert_eq!(*run, [DispatchMsg::new(job, 1)]);
                         dispatches += 1;
                     }
                     WireMsg::Bye => break,
@@ -1136,8 +1130,8 @@ mod tests {
         let mut submitter = TcpStream::connect(master.local_addr()).unwrap();
         write_frame(&mut submitter, &WireMsg::SubmitterHello.encode()).unwrap();
         let dag = dewe_dag::write_workflow(&wf("held-open", 1));
-        let head = DagFrame { id: None, name: "held-open", dag: &dag }.head();
-        write_frame_split(&mut submitter, &head, dag.as_bytes()).unwrap();
+        let submit = WireMsg::Submit { name: "held-open".into(), dag: dag.into() };
+        write_frame(&mut submitter, &submit.encode()).unwrap();
         let mut silent = TcpStream::connect(master.local_addr()).unwrap();
         // The submission arriving proves the submitter's thread is in its
         // frame loop; the silent peer's is in the handshake read, or will
@@ -1283,7 +1277,7 @@ mod tests {
         while got.len() < n {
             let frame = read_frame(reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
             match WireMsg::decode(&frame) {
-                Ok(WireMsg::DispatchBatch(run)) => got.extend(run),
+                Ok(WireMsg::DispatchBatch(run)) => got.extend_from_slice(&run),
                 other => panic!("expected dispatches, got {other:?}"),
             }
         }
@@ -1431,17 +1425,17 @@ mod tests {
         let (mut announced, mut dispatched) = (0, 0);
         while announced < 9 {
             let frame = read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame");
-            match DagFrame::decode(&frame).unwrap() {
-                Some(DagFrame { id, dag, .. }) => {
-                    assert_eq!(id, Some(WorkflowId(announced)), "in order");
+            match WireMsg::decode(&frame).unwrap() {
+                WireMsg::Workflow { id, dag, .. } => {
+                    assert_eq!(id, WorkflowId(announced), "in order");
                     let whole = bulky.get(announced as usize).unwrap_or(&chain);
-                    assert!(dag == whole, "and whole");
+                    assert!(dag == *whole, "and whole");
                     announced += 1;
                 }
-                None => {
+                batch => {
                     assert_eq!(
-                        WireMsg::decode(&frame),
-                        Ok(WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]))
+                        batch,
+                        WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)].into())
                     );
                     assert!(announced >= 1, "a dispatch behind its workflow's announcement");
                     dispatched += 1;
@@ -1487,8 +1481,8 @@ mod tests {
         )
         .unwrap();
         let dag = dewe_dag::write_workflow(&wf("beside-the-flood", 1));
-        let head = DagFrame { id: None, name: "beside-the-flood", dag: &dag }.head();
-        write_frame_split(&mut submitter, &head, dag.as_bytes()).unwrap();
+        let submit = WireMsg::Submit { name: "beside-the-flood".into(), dag: dag.into() };
+        write_frame(&mut submitter, &submit.encode()).unwrap();
 
         let per_turn = READ_BOUND / ack.len() + 1;
         let (mut turns, mut of_the_flood) = (0, 0);
@@ -1655,17 +1649,17 @@ mod tests {
             bytes += 4 + frame.len();
             match WireMsg::decode(&frame).unwrap() {
                 WireMsg::Workflow { id, name, dag: text } => {
-                    assert_eq!((id, name.as_str()), (WorkflowId(0), "bulky-0"));
+                    assert_eq!((id, &*name), (WorkflowId(0), "bulky-0"));
                     assert!(text == dag);
                     texts += 1;
                 }
                 WireMsg::Alias { id, name, same_as } => {
                     assert_eq!(id.index(), 1 + aliases, "in order");
-                    assert_eq!((name, same_as), (format!("bulky-{}", id.0), WorkflowId(0)));
+                    assert_eq!((&*name, same_as), (&*format!("bulky-{}", id.0), WorkflowId(0)));
                     aliases += 1;
                 }
                 WireMsg::DispatchBatch(run) => {
-                    assert_eq!(run, [DispatchMsg::new(job(0), 1)]);
+                    assert_eq!(*run, [DispatchMsg::new(job(0), 1)]);
                     break;
                 }
                 other => panic!("unexpected frame {other:?}"),
@@ -1691,11 +1685,11 @@ mod tests {
         for msg in [
             WireMsg::SubmitterHello,
             WireMsg::Repeat { name: "orphan".into() },
-            WireMsg::Submit { name: "first".into(), dag: text.clone() },
+            WireMsg::Submit { name: "first".into(), dag: text.as_str().into() },
             WireMsg::Repeat { name: "second".into() },
             WireMsg::Submit { name: "broken".into(), dag: "JOB broken".into() },
             WireMsg::Repeat { name: "after-broken".into() },
-            WireMsg::Submit { name: "third".into(), dag: text.clone() },
+            WireMsg::Submit { name: "third".into(), dag: text.as_str().into() },
             WireMsg::Repeat { name: "fourth".into() },
         ] {
             write_frame(&mut frames, &frame(msg)).unwrap();

@@ -11,10 +11,11 @@
 //!
 //! Every connection speaks length-prefixed [`WireMsg`] frames, none over
 //! `dewe_mq::DEFAULT_MAX_FRAME`: the master and the worker link cut what
-//! they read into frames where it landed (`dewe_mq::FrameBuf`), the
-//! master writes from its per-connection queue, the link frames what it
-//! sends into one byte buffer and writes that whole, and a submitter
-//! writes with `write_frame`. The first frame after `accept` is a
+//! they read into frames where it landed (`dewe_mq::FrameBuf`) and decode
+//! each once; every sender has [`WireMsg`] frame what it sends, length
+//! prefix included — the master into its per-connection queue, the link
+//! into one byte buffer it writes whole, a submitter into a buffer it
+//! writes ahead of each DAG text. The first frame after `accept` is a
 //! handshake — [`WireMsg::Hello`] for workers, [`WireMsg::SubmitterHello`]
 //! for submission clients — and any version skew or garbage drops the
 //! connection before it touches master state.
@@ -116,8 +117,9 @@
 //! one `Arc<Workflow>`. It never serialises a workflow that arrived as text
 //! — the submitter's bytes are what is spooled and announced — and the
 //! store's copy of the text is the only long-lived one: announce frames and
-//! the replay log hold it by `Arc`, and the two DAG-bearing frames are
-//! decoded in place ([`DagFrame`]). The first announcement of an
+//! the replay log hold it by `Arc`, behind a head framed alone
+//! (`WireMsg::frame_dag_head`), and a submission's text is decoded in place.
+//! The first announcement of an
 //! `Arc<Workflow>` carries the text; every later one is a
 //! [`WireMsg::Alias`] of that first id, which the store keeps in the
 //! workflow's entry, and its spool entry a reference to that id's entry.
@@ -128,7 +130,7 @@
 //! `announce` to announce one a spool entry held (`InvalidData`).
 
 use std::collections::VecDeque;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -138,16 +140,14 @@ use std::time::{Duration, Instant};
 
 use dewe_dag::{parse_workflow, EnsembleJobId, Workflow, WorkflowId};
 use dewe_mq::{
-    poll, write_frame, write_frame_split, FrameBuf, PollFd, Transport, WorkerTransport,
-    DEFAULT_MAX_FRAME, POLLIN, POLLOUT,
+    poll, FrameBuf, PollFd, Transport, WorkerTransport, DEFAULT_MAX_FRAME, POLLIN, POLLOUT,
 };
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use super::dagstore::{Announced, DagStore};
 use super::registry::Registry;
 use crate::protocol::{
-    encode_dispatch_batch, AckKind, AckMsg, DagFrame, DispatchMsg, LifecycleMsg, SubmissionMsg,
-    WireMsg, WorkflowAnnounce,
+    AckKind, AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
 
 mod master;

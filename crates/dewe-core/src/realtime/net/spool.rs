@@ -22,18 +22,20 @@ pub fn submit_over_tcp<N: AsRef<str>, D: AsRef<str>>(
 ) -> io::Result<()> {
     let submissions: Vec<(N, D)> = submissions.into_iter().collect();
     for (name, dag) in &submissions {
-        let (name, dag) = (name.as_ref(), dag.as_ref());
-        let len = DagFrame { id: None, name, dag }.payload_len();
+        let name = name.as_ref();
+        let len = WireMsg::frame_dag_head(&mut Vec::new(), None, name, dag.as_ref());
         if len > DEFAULT_MAX_FRAME {
             let cap = DEFAULT_MAX_FRAME;
             let why = format!("submission {name:?}: {len} bytes over the frame cap of {cap}");
             return Err(io::Error::new(io::ErrorKind::InvalidInput, why));
         }
     }
-    let stream = TcpStream::connect(addr)?;
+    let mut stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
-    let mut w = BufWriter::new(stream);
-    write_frame(&mut w, &WireMsg::SubmitterHello.encode())?;
+    // Frames not yet written: repeats go out with the next DAG frame's
+    // head, ahead of its text, or at the end.
+    let mut frames = Vec::new();
+    WireMsg::SubmitterHello.frame_into(&mut frames);
     let mut previous: Option<D> = None;
     for (name, dag) in submissions {
         let (name, text) = (name.as_ref(), dag.as_ref());
@@ -42,14 +44,16 @@ pub fn submit_over_tcp<N: AsRef<str>, D: AsRef<str>>(
             .map(AsRef::as_ref)
             .is_some_and(|previous: &str| std::ptr::eq(previous, text) || previous == text);
         if repeat {
-            write_frame(&mut w, &WireMsg::Repeat { name: name.to_string() }.encode())?;
+            WireMsg::Repeat { name: name.into() }.frame_into(&mut frames);
         } else {
-            let head = DagFrame { id: None, name, dag: text }.head();
-            write_frame_split(&mut w, &head, text.as_bytes())?;
+            WireMsg::frame_dag_head(&mut frames, None, name, text);
+            stream.write_all(&frames)?;
+            stream.write_all(text.as_bytes())?;
+            frames.clear();
             previous = Some(dag);
         }
     }
-    w.flush()
+    stream.write_all(&frames)
 }
 
 // ---------------------------------------------------------------------------
@@ -293,11 +297,14 @@ mod tests {
         let mut bytes = 0;
         while let Some(frame) = dewe_mq::read_frame(&mut reader, DEFAULT_MAX_FRAME).unwrap() {
             bytes += frame.len();
-            frames.push(WireMsg::decode(&frame).unwrap());
+            frames.push(WireMsg::decode(&frame).unwrap().into_owned());
         }
         submitter.join().unwrap().unwrap();
-        let submit = |name: &str, dag: &str| WireMsg::Submit { name: name.into(), dag: dag.into() };
-        let repeat = |name: &str| WireMsg::Repeat { name: name.into() };
+        let submit = |name: &'static str, dag: &str| WireMsg::Submit {
+            name: name.into(),
+            dag: dag.to_string().into(),
+        };
+        let repeat = |name: &'static str| WireMsg::Repeat { name: name.into() };
         let expected = [
             WireMsg::SubmitterHello,
             submit("a", &text),

@@ -1,5 +1,5 @@
 use super::*;
-use crate::protocol::{ack_frame, ACK_FRAME};
+use crate::protocol::ACK_FRAME;
 
 // ---------------------------------------------------------------------------
 // Worker side
@@ -70,26 +70,24 @@ struct Outbox {
 impl Outbox {
     /// Queue `ack`; a terminal ack whose `Running` is queued overwrites it.
     fn ack(&mut self, ack: &AckMsg) {
-        let frame = ack_frame(ack);
+        let end = self.bytes.len();
+        WireMsg::Ack(*ack).frame_into(&mut self.bytes);
         let key = (ack.job, ack.attempt);
         if ack.kind == AckKind::Running {
-            self.running.push((key, self.bytes.len()));
+            self.running.push((key, end));
         } else if let Some(i) = self.running.iter().position(|&(queued, _)| queued == key) {
             let at = self.running.remove(i).1;
-            self.bytes[at..at + ACK_FRAME].copy_from_slice(&frame);
+            self.bytes.copy_within(end.., at);
+            self.bytes.truncate(end);
             self.settling.push(at);
-            return;
         } else {
-            self.settling.push(self.bytes.len());
+            self.settling.push(end);
         }
-        self.bytes.extend_from_slice(&frame);
     }
 
     /// Queue a lifecycle message, framed.
     fn lifecycle(&mut self, msg: LifecycleMsg) {
-        let payload = WireMsg::Lifecycle(msg).encode();
-        self.bytes.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        self.bytes.extend_from_slice(&payload);
+        WireMsg::Lifecycle(msg).frame_into(&mut self.bytes);
     }
 
     /// Queue `ring`'s frames again, as settling frames, and empty it.
@@ -246,9 +244,9 @@ impl WorkerInner {
     /// Mirror announced workflow `id` into the local registry: `dag`, the
     /// first announcement of its text, parsed.
     fn mirror(&self, id: WorkflowId, dag: &str) {
-        // Dense-insert guard, before the text is looked at: after a
-        // reconnect the master replays its whole registry, and every
-        // replayed frame is dropped here for the price of this compare.
+        // Dense-insert guard, before the text is parsed: after a reconnect
+        // the master replays its whole registry, and every replayed frame
+        // is dropped here unparsed.
         if id.index() != self.registry.len() {
             return;
         }
@@ -375,15 +373,12 @@ impl WorkerInner {
                 Ok(None) => return Ok(()),
                 Err(e) => break e.to_string(),
             };
-            if let Ok(Some(DagFrame { id: Some(id), dag, .. })) = DagFrame::decode(frame) {
-                self.mirror(id, dag);
-                continue;
-            }
             match WireMsg::decode(frame) {
+                Ok(WireMsg::Workflow { id, dag, .. }) => self.mirror(id, &dag),
                 // A read that brings one batch, as a chain hop's does, hands
                 // it on in the allocation it was decoded into.
-                Ok(WireMsg::DispatchBatch(batch)) if got.is_empty() => *got = batch,
-                Ok(WireMsg::DispatchBatch(batch)) => got.extend(batch),
+                Ok(WireMsg::DispatchBatch(batch)) if got.is_empty() => *got = batch.into_owned(),
+                Ok(WireMsg::DispatchBatch(batch)) => got.extend_from_slice(&batch),
                 Ok(WireMsg::Alias { id, same_as, .. }) => self.alias(id, same_as),
                 Ok(WireMsg::Bye) => return Err(true),
                 Ok(other) => break format!("unexpected frame {other:?}"),
@@ -424,11 +419,9 @@ impl WorkerInner {
         self.state.lock().conn = Some(Arc::clone(&reader));
         self.slots.notify_all();
         let TcpWorkerOptions { worker_id: worker, generation, window } = self.opts;
-        let hello = WireMsg::Hello { worker, generation, window }.encode();
         batch.offer_again(settled);
-        let mut first = Vec::with_capacity(4 + hello.len() + batch.bytes.len());
-        first.extend_from_slice(&(hello.len() as u32).to_be_bytes());
-        first.extend_from_slice(&hello);
+        let mut first = Vec::new();
+        WireMsg::Hello { worker, generation, window }.frame_into(&mut first);
         first.extend_from_slice(&batch.bytes);
         let mut first = Some(first);
         let failed = loop {
@@ -465,12 +458,12 @@ impl WorkerInner {
 
 #[cfg(test)]
 mod tests {
-    use std::io::BufReader;
+    use std::io::{BufReader, BufWriter};
     use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
     use dewe_dag::{EnsembleJobId, JobId, Workflow};
-    use dewe_mq::{queue_frame_split, read_frame};
+    use dewe_mq::{read_frame, write_frame};
     use proptest::prelude::{any, prop_assert, prop_assert_eq};
 
     use super::*;
@@ -506,9 +499,9 @@ mod tests {
     }
 
     /// The next frame the link sent the stand-in.
-    fn next(reader: &mut BufReader<TcpStream>) -> WireMsg {
+    fn next(reader: &mut BufReader<TcpStream>) -> WireMsg<'static> {
         let frame = read_frame(reader, DEFAULT_MAX_FRAME).unwrap().expect("a frame, not the end");
-        WireMsg::decode(&frame).unwrap()
+        WireMsg::decode(&frame).unwrap().into_owned()
     }
 
     fn next_ack(reader: &mut BufReader<TcpStream>) -> AckMsg {
@@ -646,10 +639,10 @@ mod tests {
         let config = WorkerConfig { worker_id: 4, slots: 1, ..WorkerConfig::default() };
         let worker = spawn_worker_on(Arc::new(link.clone()), mirror, runner, config);
         let mut first = accept(&listener);
-        let text = dewe_dag::write_workflow(&wf("w", 1));
-        let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
-        write_frame_split(first.get_mut(), &head, text.as_bytes()).unwrap();
-        let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]);
+        let dag = dewe_dag::write_workflow(&wf("w", 1));
+        let announce = WireMsg::Workflow { id: WorkflowId(0), name: "w".into(), dag };
+        write_frame(first.get_mut(), &announce.encode()).unwrap();
+        let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)].into());
         write_frame(first.get_mut(), &one.encode()).unwrap();
         assert_eq!(next_ack(&mut first).kind, AckKind::Running);
         open.send(()).unwrap();
@@ -912,13 +905,15 @@ mod tests {
                 })
             })
             .collect();
-        let mut w = BufWriter::new(&master);
+        let (mut w, mut frame) = (BufWriter::new(&master), Vec::new());
         let (mut sent, mut size) = (0, 1);
         while sent < JOBS {
             let run: Vec<DispatchMsg> =
                 (sent..JOBS.min(sent + size)).map(|j| DispatchMsg::new(job(j), 1)).collect();
             sent += run.len() as u32;
-            queue_frame_split(&mut w, &WireMsg::DispatchBatch(run).encode(), &[]).unwrap();
+            frame.clear();
+            WireMsg::DispatchBatch(run.into()).frame_into(&mut frame);
+            w.write_all(&frame).unwrap();
             size = size % 100 + 1;
         }
         w.flush().unwrap();
@@ -1014,10 +1009,10 @@ mod tests {
             },
         );
         let mut master = accept(&listener);
-        let text = dewe_dag::write_workflow(&wf("w", 1));
-        let head = DagFrame { id: Some(WorkflowId(0)), name: "w", dag: &text }.head();
-        write_frame_split(master.get_mut(), &head, text.as_bytes()).unwrap();
-        let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)]);
+        let dag = dewe_dag::write_workflow(&wf("w", 1));
+        let announce = WireMsg::Workflow { id: WorkflowId(0), name: "w".into(), dag };
+        write_frame(master.get_mut(), &announce.encode()).unwrap();
+        let one = WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1)].into());
         write_frame(master.get_mut(), &one.encode()).unwrap();
         loop {
             match next(&mut master) {
@@ -1061,8 +1056,9 @@ mod tests {
     fn a_pull_after_close_dispatch_gets_nothing_at_once_and_acks_still_go_out() {
         let (listener, link, _) = stand_in(TcpWorkerOptions::default());
         let mut master = accept(&listener);
-        let both =
-            WireMsg::DispatchBatch(vec![DispatchMsg::new(job(0), 1), DispatchMsg::new(job(1), 1)]);
+        let both = WireMsg::DispatchBatch(
+            vec![DispatchMsg::new(job(0), 1), DispatchMsg::new(job(1), 1)].into(),
+        );
         write_frame(master.get_mut(), &both.encode()).unwrap();
         let wait = Duration::from_secs(10);
         assert_eq!(link.pull_dispatch(wait), Some(DispatchMsg::new(job(0), 1)));

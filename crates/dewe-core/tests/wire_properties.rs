@@ -75,7 +75,7 @@ fn text() -> impl Strategy<Value = String> {
 }
 
 /// Every variant of [`WireMsg`], every field arbitrary.
-fn message() -> impl Strategy<Value = WireMsg> {
+fn message() -> impl Strategy<Value = WireMsg<'static>> {
     let ack_kind =
         prop_oneof![Just(AckKind::Running), Just(AckKind::Completed), Just(AckKind::Failed)];
     let lifecycle_kind = prop_oneof![
@@ -94,20 +94,21 @@ fn message() -> impl Strategy<Value = WireMsg> {
         (any::<u32>(), any::<u32>(), lifecycle_kind).prop_map(|(worker, generation, kind)| {
             WireMsg::Lifecycle(LifecycleMsg::new(worker, generation, kind))
         }),
-        (text(), text()).prop_map(|(name, dag)| WireMsg::Submit { name, dag }),
-        text().prop_map(|name| WireMsg::Repeat { name }),
+        (text(), text())
+            .prop_map(|(name, dag)| WireMsg::Submit { name: name.into(), dag: dag.into() }),
+        text().prop_map(|name| WireMsg::Repeat { name: name.into() }),
         (any::<u32>(), text(), text()).prop_map(|(id, name, dag)| WireMsg::Workflow {
             id: WorkflowId(id),
-            name,
+            name: name.into(),
             dag
         }),
         // An alias names an earlier workflow.
         (1..u32::MAX, text(), any::<u32>()).prop_map(|(id, name, earlier)| WireMsg::Alias {
             id: WorkflowId(id),
-            name,
+            name: name.into(),
             same_as: WorkflowId(earlier % id),
         }),
-        prop::collection::vec(dispatch(), 0..40).prop_map(WireMsg::DispatchBatch),
+        prop::collection::vec(dispatch(), 0..40).prop_map(|run| WireMsg::DispatchBatch(run.into())),
         Just(WireMsg::Bye),
     ]
 }
@@ -146,7 +147,7 @@ proptest! {
         excess in 1u32..u32::MAX,
         cut in 0usize..12,
     ) {
-        let mut frame = WireMsg::DispatchBatch(held.clone()).encode();
+        let mut frame = WireMsg::DispatchBatch(held.clone().into()).encode();
         let claimed = (held.len() as u32).saturating_add(excess);
         frame[2..6].copy_from_slice(&claimed.to_be_bytes());
         // Optionally a torn last dispatch as well.
@@ -156,10 +157,16 @@ proptest! {
         prop_assert!(largest <= frame.len() + 12, "{largest} bytes for a {}-byte frame", frame.len());
     }
 
-    /// Every message of every variant decodes to itself.
+    /// Every message of every variant decodes to itself, and frames as
+    /// `write_frame` frames its encoding.
     #[test]
     fn every_message_round_trips(msg in message()) {
-        prop_assert_eq!(WireMsg::decode(&msg.encode()), Ok(msg));
+        let payload = msg.encode();
+        let (mut frame, mut framed) = (Vec::new(), Vec::new());
+        msg.frame_into(&mut frame);
+        write_frame(&mut framed, &payload).unwrap();
+        prop_assert_eq!(frame, framed);
+        prop_assert_eq!(WireMsg::decode(&payload), Ok(msg));
     }
 
     /// The framing layer is total over an arbitrary stream: frames come

@@ -12,9 +12,9 @@
 //!  └──────────────┴──────────────────────────────┘
 //! ```
 //!
-//! Two writers produce those bytes: [`write_frame`] / [`write_frame_split`]
-//! flush after the frame, [`queue_frame_split`] leaves the flush to a
-//! caller that has more frames to send first.
+//! One writer here produces those bytes, [`write_frame`], which flushes
+//! after the frame; the runtime's senders have `dewe-core`'s `WireMsg`
+//! frame a message into a buffer they write whole.
 //!
 //! A length cap guards both sides against a corrupt or hostile peer
 //! declaring a multi-gigabyte frame: oversized lengths are an
@@ -29,33 +29,14 @@ pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
 
 /// Write one frame: length prefix, payload, flush. For a frame that must
 /// be on the wire when the call returns — a handshake, a one-shot client.
+/// A payload longer than a `u32` can declare is `InvalidInput`, and then
+/// nothing is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    write_frame_split(w, payload, &[])
-}
-
-/// Write one frame whose payload is `head` followed by `tail`, each with
-/// its own `write_all`, then flush: a sender holding a small header and a
-/// large body (a shared DAG text) frames them without first copying both
-/// into one buffer. On the wire it is indistinguishable from
-/// [`write_frame`] of the concatenation.
-pub fn write_frame_split(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
-    queue_frame_split(w, head, tail)?;
-    w.flush()
-}
-
-/// [`write_frame_split`] without the flush: the frame is left in `w`'s
-/// buffer (when `w` is buffered) for the caller to flush. A sender with
-/// several frames ready queues each and flushes once, so a burst of frames
-/// costs one `send(2)`, not one each, and a lone frame still leaves at
-/// once. Same bytes on the wire either way.
-pub fn queue_frame_split(w: &mut impl Write, head: &[u8], tail: &[u8]) -> io::Result<()> {
-    let len =
-        head.len().checked_add(tail.len()).and_then(|len| u32::try_from(len).ok()).ok_or_else(
-            || io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"),
-        )?;
+    let len = u32::try_from(payload.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
     w.write_all(&len.to_be_bytes())?;
-    w.write_all(head)?;
-    w.write_all(tail)
+    w.write_all(payload)?;
+    w.flush()
 }
 
 /// Read one frame. Returns `Ok(None)` on a clean end of stream (the peer
@@ -302,32 +283,6 @@ mod tests {
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"beta");
         assert!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().is_none(), "clean EOF");
-    }
-
-    #[test]
-    fn split_frames_read_back_as_their_concatenation() {
-        let mut split = Vec::new();
-        write_frame_split(&mut split, b"head", b"-and-tail").unwrap();
-        write_frame_split(&mut split, b"", b"").unwrap();
-        let mut whole = Vec::new();
-        write_frame(&mut whole, b"head-and-tail").unwrap();
-        write_frame(&mut whole, b"").unwrap();
-        assert_eq!(split, whole);
-        let mut r = split.as_slice();
-        assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"head-and-tail");
-    }
-
-    #[test]
-    fn queued_frames_reach_the_wire_at_the_callers_flush_with_the_same_bytes() {
-        let mut flushed = Vec::new();
-        write_frame_split(&mut flushed, b"head", b"-and-tail").unwrap();
-        write_frame(&mut flushed, b"next").unwrap();
-        let mut w = std::io::BufWriter::new(Vec::new());
-        queue_frame_split(&mut w, b"head", b"-and-tail").unwrap();
-        queue_frame_split(&mut w, b"next", b"").unwrap();
-        assert!(w.get_ref().is_empty(), "nothing leaves before the flush");
-        w.flush().unwrap();
-        assert_eq!(w.get_ref(), &flushed);
     }
 
     #[test]

@@ -47,9 +47,7 @@ mod transport;
 mod window;
 
 pub use chaos::{ChaosConfig, ChaosDecider, Fault};
-pub use frame::{
-    queue_frame_split, read_frame, write_frame, write_frame_split, FrameBuf, DEFAULT_MAX_FRAME,
-};
+pub use frame::{read_frame, write_frame, FrameBuf, DEFAULT_MAX_FRAME};
 #[cfg(unix)]
 pub use poll::{poll, PollFd, POLLIN, POLLOUT};
 pub use topic::{Topic, TopicStats};

@@ -300,44 +300,9 @@ fn ensemble(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     let manifest = dewe::manifest::Manifest::load(path)?;
     let wfs = manifest.expand()?;
     let itype = InstanceType::by_name(&manifest.instance).expect("validated at parse");
-    let storage = if manifest.nodes == 1 {
-        StorageConfig::LocalDisk
-    } else {
-        StorageConfig::Shared(SharedFsKind::DistFs)
-    };
-    let cluster = ClusterConfig { instance: *itype, nodes: manifest.nodes, storage };
-    let mut cfg = SimRunConfig::new(cluster);
-    if manifest.interval_secs > 0.0 {
-        cfg.submission = SubmissionPlan::Interval(manifest.interval_secs);
-    }
-    if let Some(t) = manifest.timeout_secs {
-        cfg.engine.default_timeout_secs = t;
-    }
-    writeln!(
-        stdout,
-        "ensemble: {} workflow instances on {} x {}",
-        wfs.len(),
-        manifest.nodes,
-        itype.name
-    )?;
-    let report = run_ensemble(&wfs, &cfg);
-    writeln!(
-        stdout,
-        "  makespan   : {:.1}s ({:.1} min)",
-        report.makespan_secs,
-        report.makespan_secs / 60.0
-    )?;
-    writeln!(stdout, "  jobs       : {}", report.engine.jobs_completed)?;
-    writeln!(
-        stdout,
-        "  est. cost  : ${:.2} (${:.4}/workflow)",
-        report.cost_usd,
-        report.cost_usd / wfs.len() as f64
-    )?;
-    if !report.completed {
-        return Err("ensemble did not complete".into());
-    }
-    Ok(())
+    let nodes = manifest.nodes;
+    writeln!(stdout, "ensemble: {} workflow instances on {nodes} x {}", wfs.len(), itype.name)?;
+    run_simulation(stdout, &wfs, itype, nodes, manifest.interval_secs, manifest.timeout_secs, None)
 }
 
 fn simulate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
@@ -376,20 +341,39 @@ fn simulate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
+    let wfs: Vec<_> = (0..workflows).map(|_| Arc::clone(&wf)).collect();
+    writeln!(stdout, "simulated {workflows} x {} on {nodes} x {}: ", wf.name(), itype.name)?;
+    run_simulation(stdout, &wfs, itype, nodes, interval, None, trace_out.as_deref())
+}
+
+/// The one simulated run behind `simulate` and `ensemble`, and its report:
+/// `wfs` on `nodes` x `itype` — on local disk when there is one node, else
+/// on the distributed file system — submitted `interval` seconds apart (at
+/// once for 0), with the engine's job timeout `timeout` if one is given,
+/// and the run's trace written to `trace_out` if one is given.
+fn run_simulation(
+    stdout: &mut impl Write,
+    wfs: &[Arc<Workflow>],
+    itype: &InstanceType,
+    nodes: usize,
+    interval: f64,
+    timeout: Option<f64>,
+    trace_out: Option<&str>,
+) -> Result<(), Stop> {
     let storage = if nodes == 1 {
         StorageConfig::LocalDisk
     } else {
         StorageConfig::Shared(SharedFsKind::DistFs)
     };
-    let cluster = ClusterConfig { instance: *itype, nodes, storage };
-    let wfs: Vec<_> = (0..workflows).map(|_| Arc::clone(&wf)).collect();
-    let mut cfg = SimRunConfig::new(cluster);
+    let mut cfg = SimRunConfig::new(ClusterConfig { instance: *itype, nodes, storage });
     if interval > 0.0 {
         cfg.submission = SubmissionPlan::Interval(interval);
     }
+    if let Some(t) = timeout {
+        cfg.engine.default_timeout_secs = t;
+    }
     cfg.record_trace = trace_out.is_some();
-    let report = run_ensemble(&wfs, &cfg);
-    writeln!(stdout, "simulated {workflows} x {} on {nodes} x {}: ", wf.name(), itype.name)?;
+    let report = run_ensemble(wfs, &cfg);
     writeln!(
         stdout,
         "  makespan   : {:.1}s ({:.1} min)",
@@ -406,7 +390,7 @@ fn simulate(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
     )?;
     writeln!(stdout, "  disk writes: {:.2} GB", report.total_bytes_written / 1e9)?;
     writeln!(stdout, "  est. cost  : ${:.2} (hourly billing)", report.cost_usd)?;
-    if let (Some(path), Some(trace)) = (&trace_out, &report.trace) {
+    if let (Some(path), Some(trace)) = (trace_out, &report.trace) {
         std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("write {path}: {e}"))?;
         let qw = trace.queue_wait_summary().expect("trace non-empty");
         writeln!(
