@@ -54,6 +54,6 @@ pub mod sim;
 
 pub use engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
 pub use protocol::{
-    AckKind, AckMsg, DispatchMsg, LifecycleKind, LifecycleMsg, SubmissionMsg, WireError, WireMsg,
-    WorkflowAnnounce, PROTOCOL_VERSION,
+    AckKind, AckMsg, Clipped, DispatchMsg, LifecycleKind, LifecycleMsg, SubmissionMsg, WireError,
+    WireMsg, WorkflowAnnounce, PROTOCOL_VERSION,
 };

@@ -344,9 +344,48 @@ pub enum WireMsg<'a> {
     Bye,
 }
 
-/// Field by field, except that a DAG text shows as its length and a batch
-/// as its count: a peer's frame logged whole could put the frame cap's
-/// worth of its bytes in the log.
+/// The most bytes of one peer-supplied text — a workflow name, an error
+/// that quotes a peer's token — that a log line shows.
+const LOGGED_BYTES: usize = 64;
+
+/// A text from a peer, as a log line shows it: whole up to 64 bytes, else
+/// its first 64 bytes cut back to a char boundary and then its full length
+/// in bytes, so that what a peer sends cannot fill a log. `Display` writes
+/// the text as it is, `Debug` quotes and escapes it as `str`'s does.
+pub struct Clipped<'a>(pub &'a str);
+
+impl Clipped<'_> {
+    /// The part shown, and the full length when that is not all of it.
+    fn parts(&self) -> (&str, Option<usize>) {
+        let text = self.0;
+        match text.len() {
+            len if len <= LOGGED_BYTES => (text, None),
+            len => (&text[..text.floor_char_boundary(LOGGED_BYTES)], Some(len)),
+        }
+    }
+}
+
+impl std::fmt::Display for Clipped<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.parts() {
+            (text, None) => f.write_str(text),
+            (head, Some(len)) => write!(f, "{head}… ({len} bytes)"),
+        }
+    }
+}
+
+impl std::fmt::Debug for Clipped<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self.parts() {
+            (text, None) => write!(f, "{text:?}"),
+            (head, Some(len)) => write!(f, "{head:?}… ({len} bytes)"),
+        }
+    }
+}
+
+/// Field by field, except that a DAG text shows as its length, a batch as
+/// its count and a name [`Clipped`]: a peer's frame logged whole could put
+/// the frame cap's worth of its bytes in the log.
 impl std::fmt::Debug for WireMsg<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -360,13 +399,16 @@ impl std::fmt::Debug for WireMsg<'_> {
             WireMsg::Ack(ack) => write!(f, "Ack({ack:?})"),
             WireMsg::Lifecycle(msg) => write!(f, "Lifecycle({msg:?})"),
             WireMsg::Submit { name, dag } => {
+                let name = Clipped(name);
                 write!(f, "Submit {{ name: {name:?}, dag_bytes: {} }}", dag.len())
             }
-            WireMsg::Repeat { name } => write!(f, "Repeat {{ name: {name:?} }}"),
+            WireMsg::Repeat { name } => write!(f, "Repeat {{ name: {:?} }}", Clipped(name)),
             WireMsg::Workflow { id, name, dag } => {
+                let name = Clipped(name);
                 write!(f, "Workflow {{ id: {id:?}, name: {name:?}, dag_bytes: {} }}", dag.len())
             }
             WireMsg::Alias { id, name, same_as } => {
+                let name = Clipped(name);
                 write!(f, "Alias {{ id: {id:?}, name: {name:?}, same_as: {same_as:?} }}")
             }
             WireMsg::DispatchBatch(run) => {
@@ -977,7 +1019,41 @@ mod tests {
         let submit = WireMsg::Submit { name: "w".into(), dag: text.as_str().into() };
         let s = format!("{submit:?}");
         assert!(s.len() < 200 && s.contains("dag_bytes: 1048576"), "{s}");
-        let announce = WireMsg::Workflow { id: WorkflowId(3), name: "w".into(), dag: text };
+        let announce = WireMsg::Workflow { id: WorkflowId(3), name: "w".into(), dag: text.clone() };
         assert!(format!("{announce:?}").len() < 200);
+        // A 1 MiB name, in every variant that carries one, shows as its
+        // first 64 bytes and its length.
+        let name = "n".repeat(1 << 20);
+        let named = [
+            WireMsg::Submit { name: name.as_str().into(), dag: text.as_str().into() },
+            WireMsg::Repeat { name: name.as_str().into() },
+            WireMsg::Workflow { id: WorkflowId(3), name: name.as_str().into(), dag: text.clone() },
+            WireMsg::Alias {
+                id: WorkflowId(3),
+                name: name.as_str().into(),
+                same_as: WorkflowId(1),
+            },
+        ];
+        let shown = format!("name: \"{}\"… (1048576 bytes)", &name[..64]);
+        for msg in named {
+            let s = format!("{msg:?}");
+            assert!(s.len() < 200 && s.contains(&shown), "{s}");
+        }
+    }
+
+    /// A clipped text is cut on a char boundary at or before its 64th
+    /// byte; one of 64 bytes or fewer shows whole, as `str` shows it.
+    #[test]
+    fn a_clipped_text_is_cut_on_a_char_boundary() {
+        assert_eq!(format!("{:?}", Clipped("a\tb")), "\"a\\tb\"");
+        assert_eq!(Clipped(&"x".repeat(64)).to_string(), "x".repeat(64));
+        // 63 bytes, then a 2-byte char across the cut.
+        let text = format!("{}é and more", "x".repeat(63));
+        let len = text.len();
+        assert_eq!(Clipped(&text).to_string(), format!("{}… ({len} bytes)", "x".repeat(63)));
+        assert_eq!(
+            format!("{:?}", Clipped(&text)),
+            format!("\"{}\"… ({len} bytes)", "x".repeat(63))
+        );
     }
 }

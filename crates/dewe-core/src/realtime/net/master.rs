@@ -231,8 +231,10 @@ impl Conn {
 }
 
 /// Log why the submission `name` was refused; the connection stays open.
+/// Both come from the peer (a parse error quotes its token), so both are
+/// [`Clipped`].
 fn reject_submission(name: &str, why: &str) {
-    eprintln!("dewe-master: rejecting submission {name:?}: {why}");
+    eprintln!("dewe-master: rejecting submission {:?}: {}", Clipped(name), Clipped(why));
 }
 
 /// Everything the endpoint's callers share, under [`MasterInner::state`].

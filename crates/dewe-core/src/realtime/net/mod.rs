@@ -147,7 +147,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use super::dagstore::{Announced, DagStore};
 use super::registry::Registry;
 use crate::protocol::{
-    AckKind, AckMsg, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
+    AckKind, AckMsg, Clipped, DispatchMsg, LifecycleMsg, SubmissionMsg, WireMsg, WorkflowAnnounce,
 };
 
 mod master;

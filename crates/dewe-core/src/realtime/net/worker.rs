@@ -40,8 +40,10 @@ struct LinkState {
     inbox: VecDeque<DispatchMsg>,
     /// Frames for the writer.
     outbox: Outbox,
-    /// Slots waiting on [`WorkerInner::slots`]; the writer waiting for frames.
+    /// Slots waiting on [`WorkerInner::slots`], and how many of them were
+    /// rung and have not woken yet; the writer waiting for frames.
     waiters: usize,
+    rung: usize,
     writer_waits: bool,
     /// `close` was called; the master said Bye (the ensemble is done);
     /// `close_dispatch` was called (the worker stops, the link serves on).
@@ -298,8 +300,11 @@ impl WorkerInner {
             };
             if left.is_some_and(|left| left.is_zero()) {
                 // A waiter takes over what is left: a dispatch, or the role.
+                // One already rung looks once it wakes, so it is rung once
+                // per wait, however many pulls leave work behind meanwhile.
                 let role_free = !st.reading && st.conn.is_some();
-                let hand_off = st.waiters > 0 && (!st.inbox.is_empty() || role_free);
+                let hand_off = st.waiters > st.rung && (!st.inbox.is_empty() || role_free);
+                st.rung += usize::from(hand_off);
                 drop(st);
                 if hand_off {
                     self.slots.notify_one();
@@ -318,7 +323,11 @@ impl WorkerInner {
                         }
                         None => self.slots.wait(&mut st),
                     }
+                    // Rung or not, a slot that wakes settles one ring: the
+                    // count may fall short of the rings on their way (a spare
+                    // ring later), never exceed them (a waiter left asleep).
                     st.waiters -= 1;
+                    st.rung = st.rung.saturating_sub(1);
                 }
             }
         }
@@ -918,6 +927,94 @@ mod tests {
         }
         w.flush().unwrap();
         let mut pulled: Vec<u32> = slots.into_iter().flat_map(|s| s.join().unwrap()).collect();
+        pulled.sort_unstable();
+        assert_eq!(pulled, (0..JOBS).collect::<Vec<_>>(), "each dispatch pulled exactly once");
+        link.close();
+    }
+
+    /// A slot rings a waiting slot once per wait: pulls that leave work
+    /// behind while a rung waiter has not woken yet owe it nothing more.
+    #[test]
+    fn pulls_that_leave_work_behind_ring_each_waiter_once() {
+        let (_listener, link, _) = stand_in(TcpWorkerOptions::default());
+        let pull = |j: u32| {
+            assert_eq!(link.pull_dispatch(Duration::ZERO), Some(DispatchMsg::new(job(j), 1)))
+        };
+        let mut st = link.inner.state.lock();
+        st.inbox.extend((0..40).map(|j| DispatchMsg::new(job(j), 1)));
+        drop(st);
+        // Nobody waits: nobody is rung.
+        (0..10).for_each(pull);
+        assert_eq!(link.inner.state.lock().rung, 0);
+        // One waiter registered, not yet woken: ten pulls ring it once.
+        link.inner.state.lock().waiters = 1;
+        for j in 10..20 {
+            pull(j);
+            assert_eq!(link.inner.state.lock().rung, 1, "after pull {j}");
+        }
+        // A second waiter is owed a ring of its own, and no more.
+        link.inner.state.lock().waiters = 2;
+        (20..30).for_each(pull);
+        assert_eq!(link.inner.state.lock().rung, 2);
+        link.close();
+    }
+
+    /// The slot loop pulls with no deadline, so a lost wake-up is a slot
+    /// asleep for good beside a dispatch, or beside a free reader role.
+    /// Four slots pulling as it does take 20,000 dispatches that arrive in
+    /// bursts of 1 to 100 exactly once, and each returns after
+    /// `close_dispatch`. A slot that takes every hundredth dispatch holds
+    /// it, as a job would, until another slot has taken the next one, so a
+    /// slot left asleep while the others hold or sleep hangs the drill.
+    #[test]
+    fn four_slots_pulling_with_no_deadline_take_every_burst_and_return_on_close() {
+        const JOBS: u32 = 20_000;
+        let (listener, link, _) = stand_in(TcpWorkerOptions::default());
+        let (mut master, _) = listener.accept().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let seen: Arc<Vec<AtomicBool>> =
+            Arc::new((0..JOBS).map(|_| AtomicBool::new(false)).collect());
+        let (taken, took) = std::sync::mpsc::channel();
+        let slots: Vec<_> = (0..4)
+            .map(|_| {
+                let (link, taken, seen) = (link.clone(), taken.clone(), Arc::clone(&seen));
+                std::thread::spawn(move || {
+                    while let Some(d) = link.pull_dispatch(Duration::MAX) {
+                        let j = d.job.job.0;
+                        seen[j as usize].store(true, Ordering::Relaxed);
+                        taken.send(j).unwrap();
+                        let next = seen.get(j as usize + 1).filter(|_| j % 100 == 99);
+                        while next.is_some_and(|next| !next.load(Ordering::Relaxed))
+                            && Instant::now() < deadline
+                        {
+                            std::thread::sleep(Duration::from_micros(50));
+                        }
+                    }
+                })
+            })
+            .collect();
+        drop(taken);
+        let (mut sent, mut size, mut frame) = (0, 1, Vec::new());
+        while sent < JOBS {
+            let run: Vec<DispatchMsg> =
+                (sent..JOBS.min(sent + size)).map(|j| DispatchMsg::new(job(j), 1)).collect();
+            sent += run.len() as u32;
+            frame.clear();
+            WireMsg::DispatchBatch(run.into()).frame_into(&mut frame);
+            master.write_all(&frame).unwrap();
+            size = size % 100 + 1;
+        }
+        let left = || deadline.saturating_duration_since(Instant::now());
+        let mut pulled: Vec<u32> = (0..JOBS)
+            .map(|_| took.recv_timeout(left()).expect("a slot slept beside a dispatch"))
+            .collect();
+        link.close_dispatch();
+        assert_eq!(
+            took.recv_timeout(left()),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected),
+            "every slot returns after close_dispatch, having pulled nothing more"
+        );
+        slots.into_iter().for_each(|slot| slot.join().unwrap());
         pulled.sort_unstable();
         assert_eq!(pulled, (0..JOBS).collect::<Vec<_>>(), "each dispatch pulled exactly once");
         link.close();

@@ -77,7 +77,7 @@ const MAX_EXPLICIT_EDGES: usize = 1 << 24;
 /// file order.
 pub fn parse_workflow(text: &str) -> Result<Workflow, DagError> {
     let mut parser = Parser::default();
-    let mut name = "workflow";
+    let mut name = UNNAMED;
     let mut deferred: Vec<(Directive, Lines<'_>)> = Vec::new();
     let mut toks = Vec::new();
     let mut lines = Lines { text, at: 0, line: 0 };
@@ -110,6 +110,26 @@ pub fn parse_workflow(text: &str) -> Result<Workflow, DagError> {
         }
     }
     parser.finish(name)
+}
+
+/// The name of a text's workflow when it has no `WORKFLOW` statement.
+const UNNAMED: &str = "workflow";
+
+/// The name [`parse_workflow`] gives the workflow of `text` if `text`
+/// parses, found without parsing it: the name of the last `WORKFLOW`
+/// statement, or `workflow` when there is none. One scan of the text, cut
+/// into statements as the parser cuts it; nothing else in it is checked.
+pub fn workflow_name(text: &str) -> &str {
+    let (mut name, mut toks) = (UNNAMED, Vec::new());
+    let mut lines = Lines { text, at: 0, line: 0 };
+    while lines.next_into(&mut toks).is_some() {
+        if let [head, n] = toks[..] {
+            if Directive::of(head) == Some(Directive::Workflow) {
+                name = n;
+            }
+        }
+    }
+    name
 }
 
 /// The lines of a text, each split into the tokens `str::split_whitespace`

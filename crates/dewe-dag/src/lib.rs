@@ -67,7 +67,7 @@ pub use dot::{to_dot, to_dot_collapsed};
 pub use ensemble::EnsembleJobId;
 pub use error::DagError;
 pub use file::FileSpec;
-pub use format::{parse_workflow, write_workflow};
+pub use format::{parse_workflow, workflow_name, write_workflow};
 pub use ids::{FileId, JobId, WorkflowId};
 pub use job::{JobBuilder, JobSpec, DEFAULT_TIMEOUT_SECS};
 pub use reduce::{lint, LintFinding};

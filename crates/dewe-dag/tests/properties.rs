@@ -5,8 +5,8 @@
 //! structural invariants the engines rely on.
 
 use dewe_dag::{
-    parse_workflow, write_workflow, CriticalPath, DagError, DependencyTracker, FileSpec, JobId,
-    JobSpec, JobState, LevelProfile, Workflow, WorkflowBuilder,
+    parse_workflow, workflow_name, write_workflow, CriticalPath, DagError, DependencyTracker,
+    FileSpec, JobId, JobSpec, JobState, LevelProfile, Workflow, WorkflowBuilder,
 };
 use proptest::prelude::*;
 
@@ -249,6 +249,71 @@ proptest! {
         prop_assert_eq!(outcome(&respelled), outcome(&text), "{:?}", respelled);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    /// `workflow_name` names a text's workflow as the parser does, without
+    /// the parse: over statement soup with more `WORKFLOW` statements
+    /// strewn in, as it is and respelled, whatever parses is named so.
+    #[test]
+    fn the_name_of_a_soup_is_the_name_it_parses_to(
+        words in prop::collection::vec(0usize..SOUP.len() + NAMING.len(), 0..160),
+        seed in any::<u64>(),
+    ) {
+        let text: String =
+            words.iter().map(|&w| *SOUP.get(w).unwrap_or_else(|| &NAMING[w - SOUP.len()])).collect();
+        for text in [respell(&text, seed), text] {
+            if let Ok(wf) = parse_workflow(&text) {
+                prop_assert_eq!(workflow_name(&text), wf.name(), "{:?}", text);
+            }
+        }
+    }
+
+    /// The same over what the writer emits, with a `WORKFLOW` statement of
+    /// another name put on any line, as it is and respelled.
+    #[test]
+    fn the_name_of_a_written_workflow_is_the_name_it_parses_to(
+        dag in random_dag_strategy(),
+        seed in any::<u64>(),
+    ) {
+        let written = write_workflow(&build(&dag));
+        let mut lines: Vec<&str> = written.lines().collect();
+        let renamed = format!("WORKFLOW n{seed}");
+        lines.insert(seed as usize % (lines.len() + 1), &renamed);
+        let renamed = lines.join("\n");
+        for text in [respell(&written, seed), respell(&renamed, seed), written, renamed] {
+            let wf = parse_workflow(&text).unwrap();
+            prop_assert_eq!(workflow_name(&text), wf.name(), "{:?}", text);
+        }
+    }
+
+    /// It is total: any string gets a name, never a panic — bytes read as
+    /// a lenient reader would, and any sequence of chars.
+    #[test]
+    fn naming_is_total_over_arbitrary_strings(
+        bytes in prop::collection::vec(any::<u8>(), 0..600),
+        chars in prop::collection::vec(any::<u32>(), 0..300),
+    ) {
+        let _ = workflow_name(&String::from_utf8_lossy(&bytes));
+        let text: String =
+            chars.iter().map(|&c| char::from_u32(c % 0x11_0000).unwrap_or('\u{fffd}')).collect();
+        let _ = workflow_name(&text);
+    }
+}
+
+/// `WORKFLOW` statements beside [`SOUP`]'s one: named as it is and as a
+/// keyword, malformed, in other cases and split across lines, so that the
+/// last well-formed one is not always the last one.
+const NAMING: [&str; 7] = [
+    "WORKFLOW v\n",
+    "workflow WORKFLOW\n",
+    "Workflow é\r\n",
+    "WORKFLOW\n",
+    "WORKFLOW x y\n",
+    "WORKFLOW",
+    "# WORKFLOW z\n",
+];
 
 /// What a parse comes to, comparable across texts: the workflow's name,
 /// jobs, files and children, or the error — for a parse error, its line.

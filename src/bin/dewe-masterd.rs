@@ -35,6 +35,7 @@ use std::process::exit;
 use dewe::core::realtime::{
     spawn_master_on, MasterConfig, MasterEvent, Registry, TcpMaster, TcpMasterOptions,
 };
+use dewe::core::Clipped;
 
 use flags::{positive_secs, whole};
 
@@ -110,7 +111,7 @@ fn main() {
     match transport.load_spool() {
         Ok(spooled) => {
             for (id, name, workflow) in spooled {
-                println!("dewe-masterd: respooled workflow {} ({name})", id.0);
+                println!("dewe-masterd: respooled workflow {} ({})", id.0, Clipped(&name));
                 registry.insert(id, workflow);
             }
         }

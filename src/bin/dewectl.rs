@@ -12,11 +12,18 @@
 //! dewectl simulate <file> [--nodes N] [--type c3.8xlarge] [--workflows W]
 //!                         [--interval S] [--trace out.json]
 //! dewectl ensemble <manifest>                run a whole campaign manifest
-//! dewectl submit   <host:port> <file> [--count N]   submit to a dewe-masterd
+//! dewectl submit   <host:port> <file> [--count N]   submit to a dewe-masterd,
+//!                                            checking the file as it is sent
 //! ```
 //!
 //! Workflow files use the DAGMan-style text format (`.dag`) or Pegasus DAX
 //! (`.dax`/`.xml`), auto-detected by extension.
+//!
+//! `submit` sends a `.dag` file as it is and parses it while it is sent. A
+//! file that does not parse exits 1 with the parse error, as it did when
+//! the check came first, but its copies have reached the master: it logs
+//! one refusal for each, a line of bounded length, spools and runs none of
+//! them, and serves on. A DAX is converted, and only then sent.
 #![forbid(unsafe_code)]
 
 use std::io::{self, Write};
@@ -27,8 +34,8 @@ use std::sync::Arc;
 use dewe::core::realtime::submit_over_tcp;
 use dewe::core::sim::{run_ensemble, SimRunConfig, SubmissionPlan};
 use dewe::dag::{
-    lint, parse_dax, parse_workflow, to_dot, to_dot_collapsed, write_dax, write_workflow,
-    CriticalPath, LevelProfile, Workflow, WorkflowStats,
+    lint, parse_dax, parse_workflow, to_dot, to_dot_collapsed, workflow_name, write_dax,
+    write_workflow, CriticalPath, LevelProfile, Workflow, WorkflowStats,
 };
 use dewe::montage::{CyberShakeConfig, EpigenomicsConfig, LigoConfig, MontageConfig, SiphtConfig};
 use dewe::simcloud::{ClusterConfig, InstanceType, SharedFsKind, StorageConfig, C3_8XLARGE};
@@ -96,22 +103,28 @@ fn main() {
 }
 
 fn load(path: &str) -> Result<Workflow, String> {
-    load_with_text(path).map(|(wf, _)| wf)
+    let (text, converted) = read(path)?;
+    converted.map_or_else(|| parse(path, &text), Ok)
 }
 
-/// The workflow in `path` and its `.dag` text: the file itself when it is
-/// one, the conversion when it is a DAX.
-fn load_with_text(path: &str) -> Result<(Workflow, String), String> {
+/// The `.dag` text of the workflow file `path`: the file itself when it is
+/// one; when it is a DAX, its conversion, with the workflow it was
+/// converted from.
+fn read(path: &str) -> Result<(String, Option<Workflow>), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let ext = Path::new(path).extension().and_then(|e| e.to_str()).unwrap_or("");
     match ext {
         "dax" | "xml" => {
             let wf = parse_dax(&text).map_err(|e| format!("{path}: {e}"))?;
-            let text = write_workflow(&wf);
-            Ok((wf, text))
+            Ok((write_workflow(&wf), Some(wf)))
         }
-        _ => Ok((parse_workflow(&text).map_err(|e| format!("{path}: {e}"))?, text)),
+        _ => Ok((text, None)),
     }
+}
+
+/// The workflow of `text`, the `.dag` text of the file `path`.
+fn parse(path: &str, text: &str) -> Result<Workflow, String> {
+    parse_workflow(text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn save(wf: &Workflow, path: &str) -> Result<(), String> {
@@ -282,15 +295,23 @@ fn submit(args: &[String], stdout: &mut impl Write) -> Result<(), Stop> {
             other => return Err(format!("unknown flag {other}").into()),
         }
     }
-    // Checked here so a bad file fails at the submitter; then the text
-    // goes out as it is, `count` times down one connection.
-    let (wf, text) = load_with_text(path)?;
+    // The text goes out as it is, `count` times down one connection, under
+    // the name of its `WORKFLOW` statement, and is parsed beside the send:
+    // a file that does not parse still fails here, though its copies have
+    // reached the master, which refuses each one. A DAX is converted first.
+    let (text, converted) = read(path)?;
+    let name = converted.as_ref().map_or_else(|| workflow_name(&text), Workflow::name).to_string();
     let names = (0..count).map(|n| match count {
-        1 => wf.name().to_string(),
-        _ => format!("{}-{n}", wf.name()),
+        1 => name.clone(),
+        _ => format!("{name}-{n}"),
     });
-    submit_over_tcp(addr.as_str(), names.map(|name| (name, &text)))
-        .map_err(|e| format!("submit to {addr}: {e}"))?;
+    let (wf, sent) = std::thread::scope(|scope| {
+        let parsed = scope.spawn(|| converted.map_or_else(|| parse(path, &text), Ok));
+        let sent = submit_over_tcp(addr.as_str(), names.map(|name| (name, &text)));
+        (parsed.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)), sent)
+    });
+    let wf = wf?;
+    sent.map_err(|e| format!("submit to {addr}: {e}"))?;
     writeln!(stdout, "submitted {count} x {} ({} jobs each) to {addr}", wf.name(), wf.job_count())?;
     Ok(())
 }
