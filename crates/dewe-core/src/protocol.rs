@@ -83,9 +83,9 @@ impl DispatchMsg {
 pub enum AckKind {
     /// The worker checked the job out and started executing it: the
     /// master's timeout clock for the attempt starts here. A worker link
-    /// sends it only if the job is still running when the link's writer
-    /// takes it; a job that ends first sends its terminal ack in this one's
-    /// place. The master loses nothing by that: it already takes a terminal
+    /// sends it only if the job is still running when a send takes it (a
+    /// tick later at the soonest, unless another slot's send comes first);
+    /// a job that ends first sends its terminal ack in this one's place. The master loses nothing by that: it already takes a terminal
     /// ack with no `Running` before it (a lost `Running` looks the same), and
     /// a clock that would have stopped in the same burst times nothing.
     Running,

@@ -89,8 +89,8 @@ mod testutil {
     }
 
     /// `runner` behind a gate, so that a test can read a job's `Running` ack
-    /// while the job is still running: a job that ends before the link's
-    /// writer takes its `Running` ack sends its terminal ack in its place.
+    /// while the job is still running: a job that ends before its `Running`
+    /// ack is sent sends its terminal ack in its place.
     pub(crate) fn gated(runner: impl JobRunner + 'static) -> (Arc<dyn JobRunner>, Sender<()>) {
         let (open, gate) = channel();
         (Arc::new(Gated(Mutex::new(gate), runner)), open)

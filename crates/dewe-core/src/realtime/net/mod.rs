@@ -52,18 +52,25 @@
 //! ## The worker link reads on the slot that waits
 //!
 //! A [`TcpWorkerLink`]'s one thread, the writer, connects, says `Hello`,
-//! sends what publishers queue and reconnects; it reads nothing. The outbox
-//! is one byte buffer that publishers frame their acks into on the stack
-//! (an ack frame is a fixed 23 bytes); the writer swaps it for the buffer it
-//! sent last, emptied, and sends all that waited with one `write_all` (a
-//! burst of acks is one `send(2)`), so once both buffers have grown to a
-//! burst a job's acks cost the link no allocation. A slot in
+//! sends what the slots leave to it and reconnects; it reads nothing. The
+//! outbox is one byte buffer that publishers frame their acks into on the
+//! stack (an ack frame is a fixed 23 bytes); whoever sends swaps it for the
+//! buffer sent last, emptied, and sends all that waited with one
+//! `write_all` (a burst of acks is one `send(2)`), so once both buffers have
+//! grown to a burst a job's acks cost the link no allocation. Who sends: a
+//! slot in [`WorkerTransport::pull_dispatch`] that finds nothing to run,
+//! unless someone is sending already; the writer when a slot going into a
+//! job rings it for what is queued, when a publish rings it on an idle link,
+//! and, while slots take dispatches, at the end of a tick (1 ms) for frames
+//! queued through the whole of the one before — so a tick never sends the
+//! `Running` of a job shorter than a tick, and sends a longer job's within
+//! about two. A slot in
 //! [`WorkerTransport::pull_dispatch`] with nothing queued takes the *reader
 //! role* if it is free, sleeps in `poll(2)` until the socket or the link's
 //! wake-up is readable (a worker's slot pulls with no deadline), reads
 //! once, mirrors announcements, queues dispatches, returns the first and
 //! hands the rest — or the role — to one waiting slot. A terminal ack
-//! published while its job's `Running` ack still waits for the writer
+//! published while its job's `Running` ack still waits to be sent
 //! overwrites that frame's bytes in place, so a job that ends before its
 //! start leaves the worker is one ack, sent where its `Running` would have
 //! been: the master reads no

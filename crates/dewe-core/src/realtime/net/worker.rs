@@ -28,6 +28,14 @@ impl Default for TcpWorkerOptions {
 /// unreachable, and after a connection drops (a master restart).
 const RETRY_INTERVAL: Duration = Duration::from_millis(100);
 
+/// How long the writer leaves what was queued to the slots while they take
+/// dispatches: a frame waits at least one tick for the writer and at most
+/// about two, so a tick never sends the `Running` of a job shorter than a
+/// tick, a busy link's writer wakes about once a tick, not once a job, and
+/// a long job's `Running` reaches the master about two ticks late at most.
+/// DESIGN §8 gives both bounds.
+const TICK: Duration = Duration::from_millis(1);
+
 /// Everything the link's threads share, under [`WorkerInner::state`].
 #[derive(Default)]
 struct LinkState {
@@ -38,13 +46,21 @@ struct LinkState {
     /// A slot holds the reader role: it is in `poll`, or reading.
     reading: bool,
     inbox: VecDeque<DispatchMsg>,
-    /// Frames for the writer.
+    /// Frames for the next send, the writer's or a slot's.
     outbox: Outbox,
     /// Slots waiting on [`WorkerInner::slots`], and how many of them were
-    /// rung and have not woken yet; the writer waiting for frames.
+    /// rung and have not woken yet.
     waiters: usize,
     rung: usize,
+    /// The writer waits for frames, and whether with a deadline (a tick):
+    /// then a publish rings nobody.
     writer_waits: bool,
+    writer_timed: bool,
+    /// A pull returned a dispatch since the writer last woke.
+    dispatched: bool,
+    /// The writer's wake-ups from its wait for frames, rung or timed out
+    /// (what the drills count).
+    writer_wakes: usize,
     /// `close` was called; the master said Bye (the ensemble is done);
     /// `close_dispatch` was called (the worker stops, the link serves on).
     stop: bool,
@@ -57,9 +73,9 @@ type Guard<'a> = MutexGuard<'a, LinkState>;
 /// One ack frame, as the re-offer ring keeps it.
 type AckFrame = [u8; ACK_FRAME];
 
-/// Frames queued for the writer, back to back in one buffer, and where
-/// the acks among them start. The writer swaps the whole of it for the one
-/// it last sent, emptied, so neither buffer is ever given back.
+/// Frames queued for a send, back to back in one buffer, and where the
+/// acks among them start. A sender swaps the whole of it for the one it
+/// last sent, emptied, so neither buffer is ever given back.
 #[derive(Default)]
 struct Outbox {
     bytes: Vec<u8>,
@@ -67,6 +83,9 @@ struct Outbox {
     running: Vec<((EnsembleJobId, u32), usize)>,
     /// Each frame that settles a dispatch: a terminal ack.
     settling: Vec<usize>,
+    /// A tick ended with these frames queued: the writer sends them at the
+    /// next.
+    aged: bool,
 }
 
 impl Outbox {
@@ -118,6 +137,7 @@ impl Outbox {
         self.bytes.clear();
         self.running.clear();
         self.settling.clear();
+        self.aged = false;
     }
 }
 
@@ -127,11 +147,27 @@ impl LinkState {
     }
 }
 
+/// What a send needs besides the outbox, held by whoever sends — the
+/// writer, or a slot with nothing left to run — from taking the outbox
+/// until its write has returned.
+#[derive(Default)]
+struct Sending {
+    /// The batch being sent, kept until its write has returned `Ok` (sent
+    /// again: possibly twice, never not at all).
+    batch: Outbox,
+    /// The newest `window` settling frames written on this connection — a
+    /// write says only that the kernel took them, so the next connection
+    /// offers them again.
+    settled: VecDeque<AckFrame>,
+}
+
 struct WorkerInner {
     addr: SocketAddr,
     opts: TcpWorkerOptions,
     registry: Registry,
     state: Mutex<LinkState>,
+    /// Taken before `state`: a slot that holds `state` only tries it.
+    sending: Mutex<Sending>,
     /// Slot threads wait here for a dispatch, or for the reader role.
     slots: Condvar,
     /// The writer waits here for frames, or for its connection to end.
@@ -142,8 +178,10 @@ struct WorkerInner {
 }
 
 /// A worker daemon's connection to a remote master, with reconnect: the
-/// [`WorkerTransport`] the worker slot/heartbeat loops drive (see the
-/// module documentation for who reads and who writes).
+/// [`WorkerTransport`] the worker slot/heartbeat loops drive. The slot that
+/// waits for a dispatch reads; a slot with nothing left to run sends what
+/// was queued, and the link's one thread, the writer, sends the rest (see
+/// the module documentation).
 #[derive(Clone)]
 pub struct TcpWorkerLink {
     inner: Arc<WorkerInner>,
@@ -168,6 +206,7 @@ impl TcpWorkerLink {
             opts,
             registry,
             state: Mutex::default(),
+            sending: Mutex::default(),
             slots: Condvar::new(),
             writer: Condvar::new(),
             wake: Wake::new()?,
@@ -206,7 +245,10 @@ impl WorkerTransport for TcpWorkerLink {
     type Lifecycle = LifecycleMsg;
 
     /// A dispatch, waiting at most `timeout` for one; a timeout past the
-    /// clock's range (as `Duration::MAX`) waits with no deadline.
+    /// clock's range (as `Duration::MAX`) waits with no deadline. A pull
+    /// that finds none first sends what is queued, unless someone else is
+    /// sending; one that returns a dispatch while frames are queued rings
+    /// the writer for them.
     fn pull_dispatch(&self, timeout: Duration) -> Option<DispatchMsg> {
         self.inner.pull(timeout)
     }
@@ -222,23 +264,29 @@ impl WorkerTransport for TcpWorkerLink {
         self.inner.wake.ring();
     }
 
-    /// Queue `ack` for the writer, framed into the link's one outbox
-    /// buffer. A terminal ack whose `Running` the writer has not taken yet
-    /// overwrites that frame in place (ack frames are all one size), and the
-    /// `Running` is never sent: the master sees the job end where it would
-    /// have seen it start, ahead of anything queued since (a `Drain` above
-    /// all), and learns nothing from a checkout that ended before it could
-    /// arrive. Nothing is allocated once the buffer has grown to a burst.
+    /// Queue `ack`, framed into the link's one outbox buffer. A terminal
+    /// ack whose `Running` has not been sent yet overwrites that frame in
+    /// place (ack frames are all one size), and the `Running` is never sent:
+    /// the master sees the job end where it would have seen it start, ahead
+    /// of anything queued since (a `Drain` above all), and learns nothing
+    /// from a checkout that ended before it could arrive. Nothing is
+    /// allocated once the buffer has grown to a burst.
+    ///
+    /// The writer is rung only if it waits with no deadline (an idle link).
+    /// While slots take dispatches the ack waits for the publishing slot's
+    /// next pull (see [`pull_dispatch`](Self::pull_dispatch)), or for the
+    /// writer's tick if that pull is more than a tick away.
     fn publish_ack(&self, ack: AckMsg) {
         let mut st = self.inner.state.lock();
         st.outbox.ack(&ack);
-        self.inner.ring_writer(st);
+        self.inner.ring_idle_writer(st);
     }
 
+    /// Queue `msg`, framed, as [`publish_ack`](Self::publish_ack) queues an ack.
     fn publish_lifecycle(&self, msg: LifecycleMsg) {
         let mut st = self.inner.state.lock();
         st.outbox.lifecycle(msg);
-        self.inner.ring_writer(st);
+        self.inner.ring_idle_writer(st);
     }
 }
 
@@ -254,9 +302,11 @@ impl WorkerInner {
         }
         match parse_workflow(dag) {
             Ok(workflow) => self.registry.insert(id, Arc::new(workflow)),
+            // The error may quote a token of any length: it is clipped.
             Err(e) => eprintln!(
-                "dewe-worker: bad workflow {id} from master: {e}; ids are mirrored densely, \
-                 so this worker will refuse every later workflow as well"
+                "dewe-worker: bad workflow {id} from master: {}; ids are mirrored densely, \
+                 so this worker will refuse every later workflow as well",
+                Clipped(&e.to_string())
             ),
         }
     }
@@ -273,9 +323,11 @@ impl WorkerInner {
         }
     }
 
-    /// Wake the writer for what was just queued, if it waits.
-    fn ring_writer(&self, mut st: Guard<'_>) {
-        let ring = std::mem::take(&mut st.writer_waits);
+    /// Wake the writer for what was just queued, if it waits with no
+    /// deadline; a writer on its tick is left to it.
+    fn ring_idle_writer(&self, mut st: Guard<'_>) {
+        let ring = st.writer_waits && !st.writer_timed;
+        st.writer_waits &= !ring;
         drop(st);
         if ring {
             self.writer.notify_one();
@@ -292,6 +344,16 @@ impl WorkerInner {
         let mut st = self.state.lock();
         loop {
             let dispatch = (!st.dispatch_closed).then(|| st.inbox.pop_front()).flatten();
+            // Nothing to run: what is queued leaves now, unless someone is
+            // sending already.
+            if dispatch.is_none() && !st.outbox.bytes.is_empty() {
+                if let (Some(socket), Some(mut sending)) =
+                    (st.conn.clone(), self.sending.try_lock())
+                {
+                    st = self.send(st, &socket, &mut sending);
+                    continue;
+                }
+            }
             // What is left of the wait: `None` for no end.
             let left = if dispatch.is_some() || st.done() || st.dispatch_closed {
                 Some(Duration::ZERO)
@@ -305,9 +367,16 @@ impl WorkerInner {
                 let role_free = !st.reading && st.conn.is_some();
                 let hand_off = st.waiters > st.rung && (!st.inbox.is_empty() || role_free);
                 st.rung += usize::from(hand_off);
+                // A slot going into a job leaves what is queued to the writer.
+                let ring = dispatch.is_some() && st.writer_waits && !st.outbox.bytes.is_empty();
+                st.writer_waits &= !ring;
+                st.dispatched |= dispatch.is_some();
                 drop(st);
                 if hand_off {
                     self.slots.notify_one();
+                }
+                if ring {
+                    self.writer.notify_one();
                 }
                 return dispatch;
             }
@@ -398,18 +467,54 @@ impl WorkerInner {
         Err(false)
     }
 
+    /// Send the outbox on `socket`, the current connection, in one
+    /// `write_all` (a burst of acks is one `send(2)`); the caller holds
+    /// `sending`, and `st` is unlocked across the write. A write that fails
+    /// ends the connection, and its batch stays for the next one.
+    fn send<'a>(
+        &'a self,
+        mut st: Guard<'a>,
+        socket: &Arc<TcpStream>,
+        sending: &mut Sending,
+    ) -> Guard<'a> {
+        // Whoever sends holds `sending` until a failed batch's connection is
+        // marked over, so a batch left behind is never sent into.
+        debug_assert!(sending.batch.bytes.is_empty(), "a failed batch on a live connection");
+        std::mem::swap(&mut sending.batch, &mut st.outbox);
+        drop(st);
+        let Sending { batch, settled } = sending;
+        if (&**socket).write_all(&batch.bytes).is_ok() {
+            batch.sent(settled, self.opts.window.max(1) as usize);
+            self.state.lock()
+        } else {
+            self.write_failed(self.state.lock(), socket)
+        }
+    }
+
+    /// A write on `socket` failed, so the connection is over. With every
+    /// slot in a job nobody reads: what the master sent before the end, a
+    /// Bye above all, is read now, not dropped with the socket.
+    fn write_failed<'a>(&'a self, mut st: Guard<'a>, socket: &Arc<TcpStream>) -> Guard<'a> {
+        let current = |st: &Guard<'_>| st.conn.as_ref().is_some_and(|c| Arc::ptr_eq(c, socket));
+        let mut fds = [PollFd::new(&**socket, POLLIN)];
+        let mut readable = || matches!(poll(&mut fds, Duration::ZERO), Ok(1..));
+        while current(&st) && !st.reading && readable() {
+            st = self.read(st, Arc::clone(socket), Duration::ZERO);
+        }
+        if current(&st) {
+            st.conn = None;
+            self.writer.notify_one();
+        }
+        st
+    }
+
     /// The link's one thread: connect, serve, wait out [`RETRY_INTERVAL`],
     /// and again, until the link closes or the master says Bye.
     fn write_loop(&self) {
-        // The batch being sent, kept until its write has returned `Ok` (sent
-        // again: possibly twice, never not at all), and the newest `window`
-        // settling frames written on this connection — a write says only
-        // that the kernel took them, so the next connection offers them again.
-        let (mut batch, mut settled) = (Outbox::default(), VecDeque::new());
         while !self.state.lock().done() {
             if let Ok(socket) = TcpStream::connect_timeout(&self.addr, Duration::from_secs(2)) {
                 let _ = socket.set_nodelay(true);
-                self.serve(socket, &mut batch, &mut settled);
+                self.serve(Arc::new(socket));
             }
             let retry = Instant::now() + RETRY_INTERVAL;
             let mut st = self.state.lock();
@@ -418,50 +523,79 @@ impl WorkerInner {
         self.slots.notify_all();
     }
 
-    /// One connection: the `Hello`, `batch`, `settled`, then all that
-    /// publishers queued, in one `write_all` each time (a burst of acks is
-    /// one `send(2)`) — until a write fails, a reader finds it over, or the
-    /// link closes. `settled` joins `batch` first, so the ring is refilled
-    /// in the order its frames went out on this connection.
-    fn serve(&self, mut socket: TcpStream, batch: &mut Outbox, settled: &mut VecDeque<AckFrame>) {
-        let Ok(reader) = socket.try_clone().map(Arc::new) else { return };
-        self.state.lock().conn = Some(Arc::clone(&reader));
+    /// One connection: the `Hello`, the failed batch and the ring in one
+    /// write, then what the slots leave to the writer — until a write fails,
+    /// a reader finds the connection over, or the link closes. The ring
+    /// joins the failed batch behind it, so it is refilled in the order its
+    /// frames went out on this connection, and `sending` is held until the
+    /// first write has returned, so no slot sends ahead of the `Hello`.
+    fn serve(&self, socket: Arc<TcpStream>) {
+        let mut sending = self.sending.lock();
+        self.state.lock().conn = Some(Arc::clone(&socket));
         self.slots.notify_all();
         let TcpWorkerOptions { worker_id: worker, generation, window } = self.opts;
+        let Sending { batch, settled } = &mut *sending;
         batch.offer_again(settled);
         let mut first = Vec::new();
         WireMsg::Hello { worker, generation, window }.frame_into(&mut first);
         first.extend_from_slice(&batch.bytes);
-        let mut first = Some(first);
-        let failed = loop {
-            let bytes = first.take();
-            if socket.write_all(bytes.as_deref().unwrap_or(&batch.bytes)).is_err() {
-                break true;
-            }
+        if (&*socket).write_all(&first).is_ok() {
             batch.sent(settled, window.max(1) as usize);
-            let mut st = self.state.lock();
-            while st.outbox.bytes.is_empty() && st.conn.is_some() && !st.stop {
-                st.writer_waits = true;
-                self.writer.wait(&mut st);
-            }
-            st.writer_waits = false;
-            if st.conn.is_none() || st.stop {
-                break false;
-            }
-            std::mem::swap(batch, &mut st.outbox);
-        };
-        // With every slot in a job nobody reads: what the master sent before
-        // the end, a Bye above all, is read now, not dropped with the socket.
-        let mut st = self.state.lock();
-        let mut fds = [PollFd::new(&*reader, POLLIN)];
-        let mut readable = || matches!(poll(&mut fds, Duration::ZERO), Ok(1..));
-        while failed && st.conn.is_some() && !st.reading && readable() {
-            st = self.read(st, Arc::clone(&reader), Duration::ZERO);
+        } else {
+            drop(self.write_failed(self.state.lock(), &socket));
         }
+        drop(sending);
+        loop {
+            let more = self.wait_for_frames(&mut self.state.lock());
+            if !more {
+                break;
+            }
+            // A slot may send meanwhile, or end the connection.
+            let mut sending = self.sending.lock();
+            let st = self.state.lock();
+            if st.conn.is_some() && !st.outbox.bytes.is_empty() {
+                drop(self.send(st, &socket, &mut sending));
+            }
+        }
+        let mut st = self.state.lock();
         (st.conn, st.frames) = (None, None);
         drop(st);
         self.slots.notify_all();
-        let _ = reader.shutdown(Shutdown::Both);
+        let _ = socket.shutdown(Shutdown::Both);
+    }
+
+    /// The writer's wait for frames to send: `true` once there are, `false`
+    /// once the connection is over or the link closed. Just woken by a ring
+    /// or back from a send, it sends what is queued at once. Otherwise it
+    /// waits with no deadline on an idle link, where a publish rings it,
+    /// and a tick at a time while slots take dispatches or frames wait,
+    /// where nothing does: frames queued through a whole tick go out at the
+    /// end of the next.
+    fn wait_for_frames(&self, st: &mut Guard<'_>) -> bool {
+        let mut ready = true;
+        loop {
+            if st.conn.is_none() || st.stop {
+                return false;
+            }
+            if ready && !st.outbox.bytes.is_empty() {
+                return true;
+            }
+            let timed = std::mem::take(&mut st.dispatched) || !st.outbox.bytes.is_empty();
+            (st.writer_waits, st.writer_timed) = (true, timed);
+            let timed_out = if timed {
+                self.writer.wait_until(st, Instant::now() + TICK).timed_out()
+            } else {
+                self.writer.wait(st);
+                false
+            };
+            st.writer_wakes += 1;
+            // A ringer takes `writer_waits`.
+            let rung = !std::mem::take(&mut st.writer_waits);
+            ready = rung || (timed_out && st.outbox.aged);
+            if timed_out {
+                st.outbox.aged = !st.outbox.bytes.is_empty();
+            }
+        }
     }
 }
 
@@ -666,6 +800,132 @@ mod tests {
             "the completion is offered again"
         );
         worker.stop();
+        link.close();
+    }
+
+    /// Announce workflow 0, of `jobs` jobs, to a link's stand-in, from now
+    /// on sending each frame in one segment.
+    fn announce_to(master: &mut BufReader<TcpStream>, jobs: usize) {
+        master.get_ref().set_nodelay(true).unwrap();
+        let dag = dewe_dag::write_workflow(&wf("w", jobs));
+        let announce = WireMsg::Workflow { id: WorkflowId(0), name: "w".into(), dag };
+        write_frame(master.get_mut(), &announce.encode()).unwrap();
+    }
+
+    /// Dispatch its job `j`, in one write.
+    fn dispatch_to(master: &mut BufReader<TcpStream>, j: u32) {
+        let mut frame = Vec::new();
+        WireMsg::DispatchBatch(vec![DispatchMsg::new(job(j), 1)].into()).frame_into(&mut frame);
+        master.get_mut().write_all(&frame).unwrap();
+    }
+
+    /// A publish leaves a busy link's writer to its tick, and the tick is
+    /// what sends a long job's `Running` while the job runs: each of a
+    /// one-slot worker's jobs, held until the stand-in has read its
+    /// `Running`, announces its start within a few ticks. (The first rings
+    /// a writer idle until then; the others find it on its tick.)
+    #[test]
+    fn a_held_jobs_running_reaches_the_master_within_a_few_ticks() {
+        const JOBS: u32 = 5;
+        let (listener, link, mirror) = stand_in(TcpWorkerOptions::default());
+        let (runner, open) = gated(NoopRunner);
+        let config = WorkerConfig { slots: 1, ..WorkerConfig::default() };
+        let worker = spawn_worker_on(Arc::new(link.clone()), mirror, runner, config);
+        let mut master = accept(&listener);
+        announce_to(&mut master, JOBS as usize);
+        for j in 0..JOBS {
+            let sent = Instant::now();
+            dispatch_to(&mut master, j);
+            assert_eq!(next_ack(&mut master), ack(j, AckKind::Running, 1), "while the job is held");
+            let took = sent.elapsed();
+            // Two ticks, and room for a loaded machine's scheduling.
+            assert!(took < 25 * TICK, "job {j}'s Running took {took:?}");
+            open.send(()).unwrap();
+            assert_eq!(next_ack(&mut master), ack(j, AckKind::Completed, 1));
+        }
+        worker.stop();
+        link.close();
+    }
+
+    /// The writer wakes for what it is rung for and for its tick, and for
+    /// nothing else (as the master wakes for its deadlines): through a
+    /// chain of jobs run one at a time it wakes about once a tick, not once
+    /// a job, since the slot sends its own acks when it finds nothing to
+    /// run; once the chain stops it sleeps with no deadline, and 500 ms
+    /// pass without a wake-up.
+    #[test]
+    fn the_writer_wakes_about_once_a_tick_while_busy_and_never_while_idle() {
+        const JOBS: u32 = 2_000;
+        let (listener, link, mirror) = stand_in(TcpWorkerOptions::default());
+        let config = WorkerConfig { slots: 1, ..WorkerConfig::default() };
+        let worker = spawn_worker_on(Arc::new(link.clone()), mirror, Arc::new(NoopRunner), config);
+        let mut master = accept(&listener);
+        announce_to(&mut master, JOBS as usize);
+        let wakes = || link.inner.state.lock().writer_wakes;
+        let (began, before) = (Instant::now(), wakes());
+        for j in 0..JOBS {
+            dispatch_to(&mut master, j);
+            let mut end = next_ack(&mut master);
+            if end.kind == AckKind::Running {
+                end = next_ack(&mut master);
+            }
+            assert_eq!(end, ack(j, AckKind::Completed, 1));
+        }
+        let (woke, ticks) = (wakes() - before, began.elapsed().div_duration_f64(TICK));
+        // Each timed wait lasts a tick at least; the first job's `Running`
+        // rings a writer that was idle until then.
+        assert!(woke >= 2, "a busy writer woke {woke} times in {ticks:.0} ticks");
+        assert!(woke as f64 <= ticks + 5.0, "{woke} wake-ups in {ticks:.0} ticks, {JOBS} jobs");
+
+        // A tick with no dispatch and nothing queued, and the writer waits
+        // with no deadline.
+        wait_until("the writer waits with no deadline", || {
+            let st = link.inner.state.lock();
+            st.writer_waits && !st.writer_timed
+        });
+        let before = wakes();
+        std::thread::sleep(Duration::from_millis(500));
+        assert_eq!(wakes(), before, "an idle link's writer woke on its own");
+        worker.stop();
+        link.close();
+    }
+
+    /// What a slot with nothing to run sends itself is the link's as what
+    /// the writer sends is: a completion it sent into a master that then
+    /// died is offered again after the reconnect, and one whose write failed
+    /// goes first on the next connection, ahead of the ring.
+    #[test]
+    fn a_slots_own_send_into_a_dying_master_is_offered_again_after_the_reconnect() {
+        let opts = TcpWorkerOptions { window: 1, ..TcpWorkerOptions::default() };
+        let (listener, link, _) = stand_in(opts);
+        let mut first = accept(&listener);
+        // Queued by hand, which rings nobody, then sent by a pull that
+        // finds nothing to run, as a slot's is.
+        let slot_sends = |ack: AckMsg| {
+            wait_until("the writer sleeps", || link.inner.state.lock().writer_waits);
+            link.inner.state.lock().outbox.ack(&ack);
+            assert_eq!(link.pull_dispatch(Duration::ZERO), None);
+            assert!(link.inner.state.lock().outbox.bytes.is_empty(), "the pull took the outbox");
+        };
+        slot_sends(ack(0, AckKind::Completed, 1));
+        assert_eq!(next_ack(&mut first), ack(0, AckKind::Completed, 1));
+        // A `Running` left unread makes the stand-in's close a reset, so
+        // the next write fails.
+        slot_sends(ack(9, AckKind::Running, 1));
+        wait_until("the Running arrives", || {
+            first.get_ref().peek(&mut [0u8; 1]).is_ok_and(|n| n == 1)
+        });
+        let socket = Arc::clone(link.inner.state.lock().conn.as_ref().expect("connected"));
+        drop(first);
+        wait_until("the reset lands", || {
+            matches!(poll(&mut [PollFd::new(&*socket, POLLIN)], Duration::ZERO), Ok(1..))
+        });
+        slot_sends(ack(1, AckKind::Completed, 1));
+        assert!(link.inner.state.lock().conn.is_none(), "the failed write ended the connection");
+
+        let mut second = accept(&listener);
+        assert_eq!(next_ack(&mut second), ack(1, AckKind::Completed, 1), "the failed batch");
+        assert_eq!(next_ack(&mut second), ack(0, AckKind::Completed, 1), "then the ring");
         link.close();
     }
 

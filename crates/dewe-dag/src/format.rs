@@ -117,19 +117,54 @@ const UNNAMED: &str = "workflow";
 
 /// The name [`parse_workflow`] gives the workflow of `text` if `text`
 /// parses, found without parsing it: the name of the last `WORKFLOW`
-/// statement, or `workflow` when there is none. One scan of the text, cut
-/// into statements as the parser cuts it; nothing else in it is checked.
+/// statement, or `workflow` when there is none. One scan for the text's
+/// `\n`s, eight bytes at a time; of each line only the first byte is read,
+/// and the line is split only if that byte could start `WORKFLOW` or put
+/// whitespace ahead of it. Nothing else in the text is checked.
 pub fn workflow_name(text: &str) -> &str {
-    let (mut name, mut toks) = (UNNAMED, Vec::new());
-    let mut lines = Lines { text, at: 0, line: 0 };
-    while lines.next_into(&mut toks).is_some() {
-        if let [head, n] = toks[..] {
-            if Directive::of(head) == Some(Directive::Workflow) {
-                name = n;
+    let bytes = text.as_bytes();
+    let mut name = statement_name(text, 0).unwrap_or(UNNAMED);
+    let mut at = 0;
+    while at < bytes.len() {
+        let rest = &bytes[at..];
+        let word = match rest.first_chunk::<8>() {
+            Some(&chunk) => u64::from_le_bytes(chunk),
+            None => {
+                // The end of the text, padded with a byte that is not `\n`.
+                let mut chunk = [0; 8];
+                chunk[..rest.len()].copy_from_slice(rest);
+                u64::from_le_bytes(chunk)
             }
+        };
+        // Each byte's high bit, set where the byte is `\n`.
+        let t = word ^ NEWLINES;
+        let mut newlines = !(((t & !HIGH) + !HIGH) | t) & HIGH;
+        while newlines != 0 {
+            let line = at + (newlines.trailing_zeros() / 8) as usize + 1;
+            name = statement_name(text, line).unwrap_or(name);
+            newlines &= newlines - 1;
         }
+        at += 8;
     }
     name
+}
+
+/// `\n` in each byte of a word.
+const NEWLINES: u64 = 0x0a0a_0a0a_0a0a_0a0a;
+
+/// The name the line starting at `start` gives its workflow, if it is a
+/// `WORKFLOW` statement of one name.
+fn statement_name(text: &str, start: usize) -> Option<&str> {
+    match text.as_bytes().get(start)? {
+        b'W' | b'w' | b' ' | b'\t'..=b'\r' | 0x80.. => {}
+        _ => return None,
+    }
+    let line = &text[start..];
+    let mut toks = line[..line.find('\n').unwrap_or(line.len())].split_whitespace();
+    match (toks.next(), toks.next(), toks.next()) {
+        (Some(head), Some(name), None) if head.eq_ignore_ascii_case("WORKFLOW") => Some(name),
+        _ => None,
+    }
 }
 
 /// The lines of a text, each split into the tokens `str::split_whitespace`
