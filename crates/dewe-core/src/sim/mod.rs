@@ -24,8 +24,6 @@ use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, JobTimings, NodeId, SimE
 use crate::engine::{Action, EngineConfig, EngineStats, EnsembleEngine};
 use crate::protocol::{AckKind, AckMsg, DispatchMsg};
 
-pub mod autoscale;
-
 /// How the ensemble's workflows are submitted (paper §V.A.2).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SubmissionPlan {
@@ -186,7 +184,6 @@ const TAG_SCAN: u64 = 2 << 56;
 const TAG_SAMPLE: u64 = 3 << 56;
 const TAG_KILL: u64 = 4 << 56;
 const TAG_RESTART: u64 = 5 << 56;
-// (6 is the autoscaler's: `autoscale::TAG_EVAL`.)
 const TAG_MASK: u64 = 0xff << 56;
 
 fn file_key(workflow: dewe_dag::WorkflowId, file: dewe_dag::FileId) -> u64 {
@@ -240,15 +237,14 @@ impl SlotPool {
         self.epoch[node] = self.epoch[node].wrapping_add(1);
     }
 
-    /// Re-engage a node. `busy_slots` is how many of its slots are still
-    /// occupied by jobs that survived the deactivation (graceful scale-in
-    /// lets running jobs drain; a crash kills them). Only the remaining
-    /// slots become idle pullers — re-adding a full set would oversubscribe
-    /// the node's cores.
-    fn restart(&mut self, node: NodeId, busy_slots: u32) {
+    /// Start a worker daemon again on a killed node: every slot becomes an
+    /// idle puller, since the kill destroyed the node's jobs. A node that
+    /// is already pulling is left as it is, so overlapping outages never
+    /// hand a node's slots out twice.
+    fn restart(&mut self, node: NodeId) {
         if !self.active[node] {
             self.active[node] = true;
-            for _ in 0..self.slots_per_node.saturating_sub(busy_slots) {
+            for _ in 0..self.slots_per_node {
                 self.idle.push_back((node, self.epoch[node]));
             }
         }
@@ -282,9 +278,6 @@ struct DriverState {
     profile: JobProfile,
     /// Scratch buffer the engine's sink-based methods append to.
     actions: Vec<Action>,
-    /// Jobs running per node: what a node that stopped pulling has left to
-    /// drain, and the slots a re-engaged one may not hand out again.
-    node_running: Vec<u32>,
     workflow_makespans: Vec<f64>,
     completed_count: usize,
     /// Workflows settled with dead-lettered jobs (makespan stays 0.0).
@@ -306,7 +299,6 @@ impl DriverState {
             running: TokenMap::with_capacity_and_hasher(pool.idle.len(), Default::default()),
             job_base: Vec::with_capacity(workflows.len()),
             next_base: 0,
-            node_running: vec![0; pool.epoch.len()],
             pool,
             trace_times: vec![0.0; total_jobs],
             dispatch_times: vec![f64::NAN; total_jobs],
@@ -471,7 +463,6 @@ impl DriverState {
                 self.dispatch_times[token as usize] = f64::NAN;
                 self.trace_times[token as usize] = dispatched;
             }
-            self.node_running[node] += 1;
             self.running.insert(token, d);
             exec.submit_job(token, node, &self.profile);
         }
@@ -489,15 +480,6 @@ struct Driver<'a> {
     state: DriverState,
     sampler: Option<ClusterSampler>,
     trace: Option<dewe_metrics::Trace>,
-}
-
-/// What the event loop hands to a driver's own step: the two places where
-/// the autoscaler does something a fixed fleet does not.
-enum Extra {
-    /// A job left `node` and its slot is back in the pool.
-    JobFinished { node: NodeId },
-    /// A wake under a tag the loop does not own.
-    Wake { token: u64 },
 }
 
 impl<'a> Driver<'a> {
@@ -548,16 +530,12 @@ impl<'a> Driver<'a> {
         self.state.try_assign(&mut self.exec, &mut self.engine);
     }
 
-    /// Run to settlement (or the horizon). `extra` is a driver's own step,
-    /// called where [`Extra`] says; a closure, so the fixed-fleet driver's
-    /// empty one costs the loop nothing.
-    fn run(&mut self, mut extra: impl FnMut(&mut Self, Extra)) {
+    /// Run to settlement (or the horizon).
+    fn run(&mut self) {
         while let Some(event) = self.exec.next() {
             match event {
                 SimEvent::JobFinished { token, node, timings } => {
-                    self.state.node_running[node] -= 1;
                     self.state.pool.release(node);
-                    extra(self, Extra::JobFinished { node });
                     // Nothing running under the token: this is a chaos
                     // duplicate's finish, which frees the slot and sends no
                     // ack. (Killed jobs never get here — kill_jobs_on
@@ -567,7 +545,7 @@ impl<'a> Driver<'a> {
                     }
                     self.try_assign();
                 }
-                SimEvent::Wake { token } => self.wake(token, &mut extra),
+                SimEvent::Wake { token } => self.wake(token),
             }
             // Exit when done. With sampling on, run a short tail so the
             // series show the ramp-down.
@@ -631,7 +609,7 @@ impl<'a> Driver<'a> {
         self.state.handle_actions(now);
     }
 
-    fn wake(&mut self, token: u64, extra: &mut impl FnMut(&mut Self, Extra)) {
+    fn wake(&mut self, token: u64) {
         let now = self.exec.now().as_secs_f64();
         let idx = (token & !TAG_MASK) as usize;
         match token & TAG_MASK {
@@ -667,27 +645,14 @@ impl<'a> Driver<'a> {
                 for t in self.exec.kill_jobs_on(node) {
                     self.state.running.remove(&t);
                 }
-                self.state.node_running[node] = 0;
                 self.state.pool.kill(node);
             }
             TAG_RESTART => {
-                // The kill destroyed the node's jobs, so every slot is free
-                // on restart.
-                self.state.pool.restart(self.config.faults[idx].node, 0);
+                self.state.pool.restart(self.config.faults[idx].node);
                 self.try_assign();
             }
-            _ => extra(self, Extra::Wake { token }),
+            _ => unreachable!("unknown wake tag"),
         }
-    }
-
-    /// When the last workflow settled; the clock, for a run cut short.
-    fn makespan_secs(&self) -> f64 {
-        self.state.all_done_at.unwrap_or_else(|| self.exec.now().as_secs_f64())
-    }
-
-    /// True when every workflow completed (none abandoned, none stranded).
-    fn completed(&self) -> bool {
-        self.state.all_done_at.is_some() && self.state.abandoned_count == 0
     }
 }
 
@@ -695,14 +660,13 @@ impl<'a> Driver<'a> {
 /// master engine, one worker pool, one shared file system (paper §III).
 pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimReport {
     let mut driver = Driver::new(workflows, config);
-    driver.run(|_, extra| match extra {
-        Extra::JobFinished { .. } => {}
-        Extra::Wake { .. } => unreachable!("unknown wake tag"),
-    });
+    driver.run();
 
-    let makespan = driver.makespan_secs();
-    let completed = driver.completed();
     let Driver { engine, mut exec, state, sampler, trace, .. } = driver;
+    // When the last workflow settled; the clock, for a run cut short.
+    let makespan = state.all_done_at.unwrap_or_else(|| exec.now().as_secs_f64());
+    // Every workflow completed: none abandoned, none stranded.
+    let completed = state.all_done_at.is_some() && state.abandoned_count == 0;
     let nodes = config.cluster.nodes;
     let mut total_cpu = 0.0;
     let mut total_rd = 0.0;
@@ -848,6 +812,42 @@ mod tests {
         assert!(report.completed);
         assert!(report.engine.resubmissions >= 32);
         assert!(report.makespan_secs < 50.0, "{}", report.makespan_secs);
+    }
+
+    #[test]
+    fn a_restarted_node_never_runs_more_jobs_than_it_has_slots() {
+        let fault = |kill_at_secs, restart_at_secs| NodeFault {
+            node: 0,
+            kill_at_secs,
+            restart_at_secs: Some(restart_at_secs),
+        };
+        // One outage; then two overlapping ones, whose second restart finds
+        // the node already pulling.
+        for faults in [vec![fault(5.0, 8.0)], vec![fault(5.0, 8.0), fault(6.0, 7.0)]] {
+            let mut cfg = no_overhead(cluster(1));
+            cfg.slots_per_node = Some(4);
+            cfg.engine.default_timeout_secs = 20.0;
+            cfg.timeout_scan_secs = 1.0;
+            cfg.record_trace = true;
+            cfg.faults = faults.clone();
+            let report = run_ensemble(&[parallel_wf(200, 0.7)], &cfg);
+            assert!(report.completed, "{faults:?}");
+            // Sweep the trace's run intervals, a finish before a start at
+            // the same instant (the slot is handed straight on).
+            let mut edges: Vec<(f64, i32)> = report
+                .trace
+                .expect("trace requested")
+                .events()
+                .iter()
+                .flat_map(|e| [(e.started, 1), (e.finished, -1)])
+                .collect();
+            edges.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let mut running = 0;
+            for (at, step) in edges {
+                running += step;
+                assert!(running <= 4, "{running} jobs on node 0 at {at} s under {faults:?}");
+            }
+        }
     }
 
     #[test]

@@ -27,15 +27,19 @@ use std::io::{self, Read, Write};
 /// absurd lengths from corrupt streams.
 pub const DEFAULT_MAX_FRAME: usize = 64 * 1024 * 1024;
 
-/// Write one frame: length prefix, payload, flush. For a frame that must
-/// be on the wire when the call returns — a handshake, a one-shot client.
-/// A payload longer than a `u32` can declare is `InvalidInput`, and then
-/// nothing is written.
+/// Write one frame: length prefix and payload in one buffer, written
+/// whole, then flush. For a frame that must be on the wire when the call
+/// returns — a handshake, a one-shot client. One write, because a payload
+/// written after its prefix on an unbuffered socket waits for the peer's
+/// delayed acknowledgment of the prefix. A payload longer than a `u32` can
+/// declare is `InvalidInput`, and then nothing is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -283,6 +287,35 @@ mod tests {
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"");
         assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"beta");
         assert!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().is_none(), "clean EOF");
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Takes every byte offered, counting the calls.
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        for (frames, payload) in [(1, &b"alpha"[..]), (2, b""), (3, &[9u8; 5000])] {
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, frames, "one write per frame, prefix and payload together");
+        }
+        let mut r = w.bytes.as_slice();
+        assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"alpha");
+        assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), b"");
+        assert_eq!(read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap().unwrap(), [9u8; 5000]);
     }
 
     #[test]

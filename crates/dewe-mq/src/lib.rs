@@ -14,8 +14,8 @@
 //!   and implements them once, over TCP connections; a test stands in
 //!   for either side by implementing one. [`Transport::wake`] is the
 //!   serve loop's doorbell.
-//! * [`read_frame`] / [`write_frame`] (and the split / queued writers) —
-//!   length-prefixed framing with a size cap, for the TCP runtime;
+//! * [`read_frame`] / [`write_frame`] — length-prefixed framing with a
+//!   size cap, for the TCP runtime;
 //!   [`FrameBuf`] is the reader for a socket that must not block.
 //! * [`SendWindow`] — a lock-free credit counter for dispatches in flight.
 //! * [`poll`] — where one thread waits on many sockets (Unix), through the

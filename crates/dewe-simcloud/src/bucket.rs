@@ -36,20 +36,6 @@ impl WriteBucket {
         Self { drain_rate, cache_rate, dirty_limit, dirty: 0.0, last: SimTime::ZERO }
     }
 
-    /// Adjust the drain rate (shared-FS capacity changes with membership).
-    pub fn set_drain_rate(&mut self, now: SimTime, rate: f64) {
-        assert!(rate > 0.0);
-        self.advance(now);
-        self.drain_rate = rate;
-    }
-
-    /// Adjust the dirty budget (aggregate RAM changes with membership).
-    pub fn set_dirty_limit(&mut self, now: SimTime, limit: f64) {
-        assert!(limit >= 0.0);
-        self.advance(now);
-        self.dirty_limit = limit;
-    }
-
     fn advance(&mut self, now: SimTime) {
         let dt = now.secs_since(self.last);
         if dt > 0.0 {
@@ -239,13 +225,5 @@ mod tests {
         assert_eq!(b.submit_batch(t(1.0), [-5.0]), t(1.0));
         assert_eq!(b.submit_batch(t(1.0), std::iter::empty()), t(1.0));
         assert_eq!(b.dirty(t(1.0)), 0.0);
-    }
-
-    #[test]
-    fn set_drain_rate_applies_from_now() {
-        let mut b = bucket();
-        b.submit(t(0.0), 1000.0);
-        b.set_drain_rate(t(0.0), 200.0);
-        assert!((b.dirty(t(5.0)) - 0.0).abs() < 1e-6); // 1000 drained in 5 s
     }
 }

@@ -28,7 +28,6 @@ struct Node {
     counters: NodeCounters,
     /// Last time `cpu_busy_core_secs` was integrated up to.
     last_cpu_update: SimTime,
-    active: bool,
 }
 
 /// Configuration for [`Cluster::new`].
@@ -63,11 +62,7 @@ impl Cluster {
         assert!(config.nodes > 0, "cluster needs at least one node");
         let storage = Storage::new(config.storage, &config.instance, config.nodes);
         let nodes = (0..config.nodes)
-            .map(|_| Node {
-                counters: NodeCounters::default(),
-                last_cpu_update: SimTime::ZERO,
-                active: true,
-            })
+            .map(|_| Node { counters: NodeCounters::default(), last_cpu_update: SimTime::ZERO })
             .collect();
         let speed = vec![1.0; config.nodes];
         Self { instance: config.instance, nodes, storage, speed }
@@ -159,14 +154,6 @@ impl Cluster {
         self.integrate_cpu(node, now);
         self.nodes[node].counters
     }
-
-    /// Mark a node active/inactive (dynamic provisioning extension). The
-    /// shared-storage capacity is rescaled to the active node count.
-    pub fn set_active(&mut self, node: NodeId, active: bool, now: SimTime) {
-        self.nodes[node].active = active;
-        let active_count = self.nodes.iter().filter(|n| n.active).count().max(1);
-        self.storage.rescale_shared(now, &self.instance, active_count);
-    }
 }
 
 #[cfg(test)]
@@ -218,22 +205,6 @@ mod tests {
         assert_eq!(c.counters(0, t(0.0)).bytes_read, 100.0);
         assert_eq!(c.counters(0, t(0.0)).bytes_written, 0.0);
         assert_eq!(c.counters(1, t(0.0)).bytes_written, 200.0);
-    }
-
-    #[test]
-    fn deactivation_rescales_the_shared_storage() {
-        // A read the size of one second of two nodes' shared read capacity:
-        // takes that second with one of three nodes off, less with it back.
-        let per_node = C3_8XLARGE.disk.read_bytes_per_sec().min(C3_8XLARGE.network_bytes_per_sec());
-        let bytes = per_node * 2.0 * SharedFsKind::Nfs.efficiency(2);
-        let mut c = cluster(3);
-        c.set_active(1, false, t(0.0));
-        c.storage_mut().begin_read(0, t(0.0), bytes, 1);
-        let at = c.storage_mut().next_read_completion(0, t(0.0)).unwrap();
-        assert!((at.as_secs_f64() - 1.0).abs() < 1e-3);
-        c.set_active(1, true, t(0.0));
-        let at = c.storage_mut().next_read_completion(0, t(0.0)).unwrap();
-        assert!(at.as_secs_f64() < 0.9, "three nodes serve it faster: {at:?}");
     }
 
     #[test]

@@ -242,7 +242,7 @@ impl ExecSim {
         &self.cluster
     }
 
-    /// Mutable cluster access (dynamic provisioning).
+    /// Mutable cluster access (per-node speed factors).
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }

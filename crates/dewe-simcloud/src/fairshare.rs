@@ -81,14 +81,6 @@ impl FairShare {
         self.capacity
     }
 
-    /// Adjust capacity (used when cluster membership changes under a shared
-    /// file system whose aggregate bandwidth depends on node count).
-    pub fn set_capacity(&mut self, now: SimTime, capacity_bytes_per_sec: f64) {
-        assert!(capacity_bytes_per_sec > 0.0);
-        self.advance(now);
-        self.capacity = capacity_bytes_per_sec;
-    }
-
     /// Bytes delivered to flows that have been harvested as complete.
     pub fn completed_bytes(&self) -> f64 {
         self.completed_bytes
@@ -304,16 +296,6 @@ mod tests {
         let expected: f64 = (0..50).map(|i| 100.0 + 13.0 * (i % 7) as f64).sum();
         assert!((r.completed_bytes() - expected).abs() / expected < 1e-6);
         assert!((r.capacity() * r.busy_secs() - expected).abs() / expected < 1e-3);
-    }
-
-    #[test]
-    fn set_capacity_rescales_future_progress() {
-        let mut r = FairShare::new(100.0);
-        r.start(t(0.0), 1000.0, 1);
-        // At t=5: 500 delivered. Double the capacity.
-        r.set_capacity(t(5.0), 200.0);
-        let at = r.next_completion(t(5.0)).unwrap();
-        assert!((at.as_secs_f64() - 7.5).abs() < 1e-3, "got {at:?}");
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   one-thread-per-vCPU concurrency cap, so cores are never oversubscribed).
 //! * **Disk reads**: a fluid *processor-sharing* resource per storage
 //!   backend — `n` concurrent read flows each progress at `capacity / n` —
-//!   implemented with the virtual-time technique so each membership change
-//!   costs `O(log n)`.
+//!   implemented with the virtual-time technique so each flow that starts
+//!   or finishes costs `O(log n)`.
 //! * **Disk writes**: a leaky-bucket *page cache* model. Logical writes
 //!   complete at memory speed while the dirty-byte budget lasts and are
 //!   throttled to the device's sequential-write rate beyond it. This is
@@ -30,14 +30,17 @@
 //!   penalty), matching §V.B's move from NFS to MooseFS at scale.
 //! * **Cost**: per-instance-hour billing with partial hours rounded up
 //!   (the paper's motivation for the 55-minute deadline), plus a
-//!   per-minute variant for the dynamic-provisioning extension.
+//!   per-minute variant that `dewe-provision`'s dynamic-provisioning plan
+//!   is priced under.
 //!
 //! The high-level entry point is [`ExecSim`]: engines submit *jobs*
 //! (read set → compute → write set) to *nodes* and receive completion
 //! events; everything else — fair sharing, caching, throttling, counters —
-//! happens inside. Both the DEWE v2 engine and the Pegasus-like baseline
-//! drive the same `ExecSim`, so their comparison isolates coordination
-//! policy, exactly as the paper intends.
+//! happens inside. A cluster's nodes and storage capacities are fixed for
+//! a run: a node fault ([`ExecSim::kill_jobs_on`]) ends that node's jobs
+//! and leaves the storage as it was. Both the DEWE v2 engine and the
+//! Pegasus-like baseline drive the same `ExecSim`, so their comparison
+//! isolates coordination policy, exactly as the paper intends.
 //!
 //! ```
 //! use dewe_simcloud::{ClusterConfig, ExecSim, JobProfile, SimEvent,

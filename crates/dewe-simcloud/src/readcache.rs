@@ -121,7 +121,9 @@ impl ReadCache {
         }
     }
 
-    /// Adjust the budget (cluster membership changes), evicting if shrunk.
+    /// Adjust the budget, evicting if shrunk. The simulator sizes a cache
+    /// once, at cluster build; the cache-versus-model property tests vary
+    /// the budget through this.
     pub fn set_capacity(&mut self, capacity_bytes: f64) {
         assert!(capacity_bytes >= 0.0);
         self.capacity = capacity_bytes;

@@ -71,7 +71,6 @@ struct Backend {
 
 /// Runtime storage state for a cluster.
 pub struct Storage {
-    config: StorageConfig,
     backends: Vec<Backend>,
     /// node index -> backend index.
     node_backend: Vec<usize>,
@@ -95,7 +94,7 @@ impl Storage {
                 node_backend = vec![0; nodes];
             }
         }
-        Self { config, backends, node_backend }
+        Self { backends, node_backend }
     }
 
     fn local_backend(itype: &InstanceType) -> Backend {
@@ -124,21 +123,6 @@ impl Storage {
                 MEM_RATE * n,
             ),
             cache: ReadCache::new(itype.read_cache_bytes() * n),
-        }
-    }
-
-    /// Recompute shared capacities after the active node count changes
-    /// (dynamic provisioning extension). No-op for local disks.
-    pub fn rescale_shared(&mut self, now: SimTime, itype: &InstanceType, nodes: usize) {
-        if let StorageConfig::Shared(kind) = self.config {
-            let eff = kind.efficiency(nodes);
-            let nic = itype.network_bytes_per_sec();
-            let n = nodes as f64;
-            let b = &mut self.backends[0];
-            b.read.set_capacity(now, itype.disk.read_bytes_per_sec().min(nic) * n * eff);
-            b.write.set_drain_rate(now, itype.disk.write_bytes_per_sec().min(nic) * n * eff);
-            b.write.set_dirty_limit(now, itype.dirty_limit_bytes() * n);
-            b.cache.set_capacity(itype.read_cache_bytes() * n);
         }
     }
 
@@ -344,19 +328,6 @@ mod tests {
         let mut s = Storage::new(StorageConfig::LocalDisk, &C3_8XLARGE, 1);
         let done = s.submit_write_batch(0, t(0.0), &[(1, 1e9)]);
         assert!(done > t(0.0));
-    }
-
-    #[test]
-    fn rescale_shared_changes_capacity() {
-        let mut s = Storage::new(StorageConfig::Shared(SharedFsKind::DistFs), &C3_8XLARGE, 2);
-        s.rescale_shared(t(0.0), &C3_8XLARGE, 4);
-        // Read of (4-node capacity x 1 s) completes in ~1 s.
-        let cap = C3_8XLARGE.disk.read_bytes_per_sec().min(C3_8XLARGE.network_bytes_per_sec())
-            * 4.0
-            * SharedFsKind::DistFs.efficiency(4);
-        s.begin_read(0, t(0.0), cap, 1);
-        let at = s.next_read_completion(0, t(0.0)).unwrap();
-        assert!((at.as_secs_f64() - 1.0).abs() < 1e-3);
     }
 
     #[test]
