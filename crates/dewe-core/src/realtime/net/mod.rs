@@ -58,13 +58,13 @@
 //! buffer sent last, emptied, and sends all that waited with one
 //! `write_all` (a burst of acks is one `send(2)`), so once both buffers have
 //! grown to a burst a job's acks cost the link no allocation. Who sends: a
-//! slot in [`WorkerTransport::pull_dispatch`] that finds nothing to run,
-//! unless someone is sending already; the writer when a slot going into a
-//! job rings it for what is queued, when a publish rings it on an idle link,
-//! and, while slots take dispatches, at the end of a tick (1 ms) for frames
-//! queued through the whole of the one before — so a tick never sends the
-//! `Running` of a job shorter than a tick, and sends a longer job's within
-//! about two. A slot in
+//! slot in [`WorkerTransport::pull_dispatch`] that finds nothing to run, or
+//! that goes into a job with at least half the window it offered queued as
+//! frames that settle a dispatch, unless someone is sending already; the
+//! writer when a publish rings it on an idle link and, while slots take
+//! dispatches, at the end of a tick (1 ms) for frames queued through the
+//! whole of the one before — so a tick never sends the `Running` of a job
+//! shorter than a tick, and sends a longer job's within about two. A slot in
 //! [`WorkerTransport::pull_dispatch`] with nothing queued takes the *reader
 //! role* if it is free, sleeps in `poll(2)` until the socket or the link's
 //! wake-up is readable (a worker's slot pulls with no deadline), reads
