@@ -284,7 +284,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
                     tr.record(dewe_metrics::JobTrace {
                         workflow: job.workflow.0,
                         job: job.job.0,
-                        xform: state.workflow.job(job.job).xform.clone(),
+                        xform: state.workflow.job(job.job).xform.to_string(),
                         attempt: 1,
                         node,
                         dispatched,

@@ -112,7 +112,7 @@ impl DagStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dewe_dag::WorkflowBuilder;
+    use dewe_dag::{JobId, WorkflowBuilder};
 
     const TWO_JOBS: &str = "WORKFLOW w\nJOB a t CPU 1\nJOB b t CPU 2\nPARENT a CHILD b\n";
 
@@ -155,7 +155,10 @@ mod tests {
         assert_eq!(store.by_hash[&forged].len(), 2);
         let found = store.find(forged, "JOB a t CPU 1").expect("first text");
         assert!(Arc::ptr_eq(&found.workflow, &a));
-        assert_eq!(store.find(forged, other).expect("second text").workflow.jobs()[0].name, "b");
+        assert_eq!(
+            store.find(forged, other).expect("second text").workflow.job(JobId(0)).name,
+            "b"
+        );
         assert!(store.find(forged, "JOB c t CPU 1").is_none());
     }
 

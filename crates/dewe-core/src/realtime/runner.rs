@@ -164,7 +164,7 @@ impl FsRunner {
     }
 
     fn path_for(&self, workflow: &Workflow, file: dewe_dag::FileId) -> PathBuf {
-        self.root.join(workflow.name()).join(&workflow.file(file).name)
+        self.root.join(workflow.name()).join(workflow.file(file).name)
     }
 
     fn scaled(&self, logical: u64) -> usize {
@@ -179,7 +179,7 @@ impl FsRunner {
         for f in workflow.file_ids() {
             let spec = workflow.file(f);
             if spec.initial {
-                let bytes = Self::content(&spec.name, self.scaled(spec.size_bytes));
+                let bytes = Self::content(spec.name, self.scaled(spec.size_bytes));
                 std::fs::write(self.path_for(workflow, f), bytes)?;
             }
         }
@@ -266,7 +266,7 @@ impl JobRunner for FsRunner {
         for &f in &spec.outputs {
             let path = self.path_for(workflow, f);
             let spec_f = workflow.file(f);
-            let bytes = Self::content(&spec_f.name, self.scaled(spec_f.size_bytes));
+            let bytes = Self::content(spec_f.name, self.scaled(spec_f.size_bytes));
             if let Err(e) = std::fs::write(&path, bytes) {
                 return JobOutcome::Failed(format!(
                     "{}: cannot write {}: {e}",

@@ -579,7 +579,7 @@ impl<'a> Driver<'a> {
                 tr.record(dewe_metrics::JobTrace {
                     workflow: d.job.workflow.0,
                     job: d.job.job.0,
-                    xform: wf.job(d.job.job).xform.clone(),
+                    xform: wf.job(d.job.job).xform.to_string(),
                     attempt: d.attempt,
                     node,
                     dispatched,

@@ -31,7 +31,7 @@ impl WorkflowStats {
     pub fn of(wf: &Workflow) -> Self {
         let mut map: HashMap<&str, (usize, f64)> = HashMap::new();
         for j in wf.jobs() {
-            let e = map.entry(&j.xform).or_insert((0, 0.0));
+            let e = map.entry(j.xform).or_insert((0, 0.0));
             e.0 += 1;
             e.1 += j.cpu_seconds;
         }
@@ -193,7 +193,7 @@ mod tests {
     fn blocking_jobs_are_the_waist() {
         let wf = waisted();
         let lp = LevelProfile::of(&wf);
-        let blocking: Vec<_> = lp.blocking_jobs().iter().map(|&j| wf.job(j).name.clone()).collect();
+        let blocking: Vec<_> = lp.blocking_jobs().iter().map(|&j| wf.job(j).name).collect();
         assert_eq!(blocking, vec!["waist1", "waist2"]);
     }
 
@@ -204,7 +204,7 @@ mod tests {
         // 1 (proj) + 10 + 20 + 2 (back) = 33
         assert!((cp.cpu_seconds - 33.0).abs() < 1e-9);
         assert_eq!(cp.jobs.len(), 4);
-        let names: Vec<_> = cp.jobs.iter().map(|&j| wf.job(j).xform.clone()).collect();
+        let names: Vec<_> = cp.jobs.iter().map(|&j| wf.job(j).xform).collect();
         assert_eq!(names[1], "concat");
         assert_eq!(names[2], "model");
     }

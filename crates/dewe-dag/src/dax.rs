@@ -169,7 +169,7 @@ pub fn parse_dax(text: &str) -> Result<Workflow, DagError> {
     let mut names: Vec<&&str> = file_size.keys().collect();
     names.sort();
     for fname in names {
-        let id = b.file((**fname).to_string(), file_size[*fname], !produced.contains(*fname));
+        let id = b.file(&(**fname), file_size[*fname], !produced.contains(*fname));
         file_ids.insert((**fname).to_string(), id);
     }
     let mut job_ids = HashMap::new();
@@ -202,8 +202,8 @@ pub fn write_dax(wf: &Workflow) -> String {
         let _ = writeln!(
             out,
             r#"  <job id="{}" name="{}" runtime="{}">"#,
-            escape(&j.name),
-            escape(&j.xform),
+            escape(j.name),
+            escape(j.xform),
             j.cpu_seconds
         );
         for &f in &j.inputs {
@@ -211,7 +211,7 @@ pub fn write_dax(wf: &Workflow) -> String {
             let _ = writeln!(
                 out,
                 r#"    <uses file="{}" link="input" size="{}"/>"#,
-                escape(&spec.name),
+                escape(spec.name),
                 spec.size_bytes
             );
         }
@@ -220,7 +220,7 @@ pub fn write_dax(wf: &Workflow) -> String {
             let _ = writeln!(
                 out,
                 r#"    <uses file="{}" link="output" size="{}"/>"#,
-                escape(&spec.name),
+                escape(spec.name),
                 spec.size_bytes
             );
         }
@@ -239,8 +239,8 @@ pub fn write_dax(wf: &Workflow) -> String {
                 let _ = writeln!(
                     out,
                     r#"  <child ref="{}"><parent ref="{}"/></child>"#,
-                    escape(&wf.job(c).name),
-                    escape(&wf.job(j).name)
+                    escape(wf.job(c).name),
+                    escape(wf.job(j).name)
                 );
             }
         }
@@ -372,6 +372,7 @@ fn unescape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::JobId;
 
     const SAMPLE: &str = r#"<?xml version="1.0" encoding="UTF-8"?>
 <!-- generated by a Montage DAX generator -->
@@ -492,15 +493,15 @@ mod tests {
         let wf = b.finish().unwrap();
         let wf2 = parse_dax(&write_dax(&wf)).unwrap();
         assert_eq!(wf2.name(), "quo\"te");
-        assert_eq!(wf2.jobs()[0].name, "j<1>");
-        assert_eq!(wf2.jobs()[0].xform, "t&x");
+        assert_eq!(wf2.job(JobId(0)).name, "j<1>");
+        assert_eq!(wf2.job(JobId(0)).xform, "t&x");
     }
 
     #[test]
     fn self_closing_job_supported() {
         let wf = parse_dax(r#"<adag name="x"><job id="a" name="t" runtime="2"/></adag>"#).unwrap();
         assert_eq!(wf.job_count(), 1);
-        assert_eq!(wf.jobs()[0].cpu_seconds, 2.0);
+        assert_eq!(wf.job(JobId(0)).cpu_seconds, 2.0);
     }
 
     #[test]

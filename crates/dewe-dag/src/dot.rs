@@ -22,13 +22,13 @@ pub fn to_dot(wf: &Workflow) -> String {
     let mut palette: HashMap<&str, usize> = HashMap::new();
     for j in wf.jobs() {
         let next = palette.len();
-        let color_idx = *palette.entry(j.xform.as_str()).or_insert(next);
+        let color_idx = *palette.entry(j.xform).or_insert(next);
         let _ = writeln!(
             out,
             "  \"{}\" [fillcolor=\"{}\", label=\"{}\\n{:.1}s\"];",
-            sanitize(&j.name),
+            sanitize(j.name),
             color(color_idx),
-            sanitize(&j.name),
+            sanitize(j.name),
             j.cpu_seconds
         );
     }
@@ -37,8 +37,8 @@ pub fn to_dot(wf: &Workflow) -> String {
             let _ = writeln!(
                 out,
                 "  \"{}\" -> \"{}\";",
-                sanitize(&wf.job(jid).name),
-                sanitize(&wf.job(c).name)
+                sanitize(wf.job(jid).name),
+                sanitize(wf.job(c).name)
             );
         }
     }

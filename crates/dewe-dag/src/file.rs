@@ -1,6 +1,7 @@
-//! File (data artifact) specifications.
+//! File (data artifact) views.
 
-/// A data artifact consumed and/or produced by jobs.
+/// A data artifact consumed and/or produced by jobs, as
+/// [`crate::Workflow::file`] shows it.
 ///
 /// DEWE v2 workflows are *data-driven*: a workflow folder on the shared file
 /// system contains the DAG file, executables, input files and (eventually)
@@ -9,10 +10,10 @@
 /// and writes, and so that generators can be calibrated against the paper's
 /// reported data volumes (4.0 GB input / 35 GB intermediate per 6.0-degree
 /// Montage workflow).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FileSpec {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileView<'a> {
     /// Unique (within the workflow) file name.
-    pub name: String,
+    pub name: &'a str,
     /// Logical size in bytes.
     pub size_bytes: u64,
     /// `true` if the file exists before the workflow starts (staged input);
@@ -20,29 +21,18 @@ pub struct FileSpec {
     pub initial: bool,
 }
 
-impl FileSpec {
-    /// Create a new file spec.
-    pub fn new(name: impl Into<String>, size_bytes: u64, initial: bool) -> Self {
-        Self { name: name.into(), size_bytes, initial }
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::WorkflowBuilder;
 
     #[test]
-    fn construction_and_accessors() {
-        let f = FileSpec::new("in.fits", 3 << 20, true);
-        assert_eq!(f.name, "in.fits");
-        assert!(f.initial);
-        assert_eq!(f.size_bytes, 3 << 20);
-    }
-
-    #[test]
-    fn zero_size_is_allowed() {
+    fn a_view_shows_what_was_declared() {
+        let mut b = WorkflowBuilder::new("t");
         // Montage produces tiny metadata/fit files; zero is a legal size.
-        let f = FileSpec::new("meta", 0, false);
-        assert_eq!(f.size_bytes, 0);
+        let (input, meta) = (b.file("in.fits", 3 << 20, true), b.file("meta", 0, false));
+        let wf = b.finish().unwrap();
+        let f = wf.file(input);
+        assert_eq!((f.name, f.size_bytes, f.initial), ("in.fits", 3 << 20, true));
+        assert_eq!((wf.file(meta).size_bytes, wf.file(meta).initial), (0, false));
     }
 }

@@ -35,22 +35,22 @@
 //! * each line is split once, into a reused slice of tokens. ASCII text is
 //!   scanned a word of eight bytes at a time; a line holding any other byte
 //!   is split by `str::split_whitespace`, which defines what a token is;
-//! * a name is compared with a few likely declarations before the name
-//!   index is asked. The index is a `HashMap` with std's keyed SipHash,
-//!   since names come from unauthenticated submitters; each declared name
-//!   is hashed into it once, which is also the duplicate check;
-//! * the adjacency is placed by counting, never by sorting the edge list
-//!   ([`WorkflowBuilder`]'s `finish_unique`).
+//! * names go straight into the workflow's name arena, once each. A name
+//!   is compared with a few likely declarations, read from the arena,
+//!   before the name index is asked. The index holds std's keyed SipHash of
+//!   each name and its id, never the name, since names come from
+//!   unauthenticated submitters; each declared name is hashed into it
+//!   once, which is also the duplicate check;
+//! * the I/O lists and the adjacency are placed by counting, never by
+//!   sorting ([`WorkflowBuilder`]'s `finish_unique`).
 //!
 //! [`write_workflow`] is linear too: which child edges data flow implies is
 //! marked in one pass over every job's inputs.
 
-use std::collections::HashMap;
-
 use crate::error::DagError;
 use crate::ids::{FileId, JobId};
-use crate::job::JobSpec;
-use crate::workflow::{Workflow, WorkflowBuilder};
+use crate::names::HashIndex;
+use crate::workflow::{Declared, Workflow, WorkflowBuilder};
 
 /// Most explicit `PARENT … CHILD …` edges one text may declare, counted
 /// after expanding each statement's bipartite product. A statement naming
@@ -284,45 +284,51 @@ impl Directive {
     }
 }
 
-/// The names of one kind (jobs or files) declared so far, in id order.
-/// Keys borrow from the text being parsed, so each name is allocated
-/// once, for its `JobSpec`/`FileSpec`.
+/// The index of the names of one kind (jobs or files) declared so far; the
+/// names themselves are the builder's, in id order.
 #[derive(Default)]
-struct Names<'a> {
-    declared: Vec<&'a str>,
-    /// Name → position in `declared`, for `declared[..indexed]`; the first
-    /// declaration of a name wins. Brought up to date when a lookup needs
-    /// it and once more at the end, so each name is hashed into it once,
-    /// and a text that declares before it wires is indexed in one go,
-    /// into a map allocated at its final size.
-    index: HashMap<&'a str, usize>,
+struct Names {
+    /// Name → id, for ids `..indexed`; the first declaration of a name
+    /// wins. Brought up to date when a lookup needs it and once more at the
+    /// end, so each name is hashed into it once, and a text that declares
+    /// before it wires is indexed in one go, into a table allocated at its
+    /// final size.
+    index: HashIndex,
     indexed: usize,
-    /// The first name, in declaration order, that was declared before.
-    repeated: Option<&'a str>,
+    /// The first id, in declaration order, whose name was declared before.
+    repeated: Option<usize>,
 }
 
-impl<'a> Names<'a> {
-    /// Index the names declared since the last call, noting the first
-    /// repeat.
-    fn index_rest(&mut self) {
-        self.index.reserve(self.declared.len() - self.indexed);
-        for (at, &name) in self.declared.iter().enumerate().skip(self.indexed) {
-            if *self.index.entry(name).or_insert(at) != at {
-                self.repeated.get_or_insert(name);
+impl Names {
+    /// Index the `declared` names not yet indexed, noting the first repeat.
+    fn index_rest(&mut self, declared: Declared<'_>) {
+        let name_of = |id: u32| declared.get(id as usize).unwrap_or_default();
+        self.index.reserve(declared.len() - self.indexed);
+        for at in self.indexed..declared.len() {
+            if self.index.insert(name_of(at as u32), at as u32, name_of).is_some() {
+                self.repeated.get_or_insert(at);
             }
         }
-        self.indexed = self.declared.len();
+        self.indexed = declared.len();
     }
 
-    /// Position of `name`: one of `guess`'s, or else the index's.
-    fn resolve(&mut self, name: &str, guess: &mut Guess, place: usize) -> Result<usize, DagError> {
+    /// Id of `name` among the `declared`: one of `guess`'s, or else the
+    /// index's.
+    fn resolve(
+        &mut self,
+        name: &str,
+        declared: Declared<'_>,
+        guess: &mut Guess,
+        place: usize,
+    ) -> Result<usize, DagError> {
         let near = guess.near(place);
-        let at = match near.into_iter().find(|&at| self.declared.get(at) == Some(&name)) {
+        let at = match near.into_iter().find(|&at| declared.get(at) == Some(name)) {
             Some(at) => at,
             None => {
-                self.index_rest();
-                match self.index.get(name) {
-                    Some(&at) => at,
+                self.index_rest(declared);
+                let name_of = |id: u32| declared.get(id as usize).unwrap_or_default();
+                match self.index.get(name, name_of) {
+                    Some(at) => at as usize,
                     None => return Err(DagError::UnknownName(name.to_string())),
                 }
             }
@@ -367,10 +373,10 @@ impl Guess {
 }
 
 #[derive(Default)]
-struct Parser<'a> {
+struct Parser {
     builder: WorkflowBuilder,
-    jobs: Names<'a>,
-    files: Names<'a>,
+    jobs: Names,
+    files: Names,
     /// Where the job names of `INPUT`/`OUTPUT`, their files, and the names
     /// of `PARENT` are likely declared.
     io_jobs: Guess,
@@ -385,9 +391,9 @@ struct Parser<'a> {
     job_ids: Vec<JobId>,
 }
 
-impl<'a> Parser<'a> {
+impl Parser {
     /// `FILE` with the tokens after it, read on line `line`.
-    fn file(&mut self, line: usize, args: &[&'a str]) -> Result<(), DagError> {
+    fn file(&mut self, line: usize, args: &[&str]) -> Result<(), DagError> {
         let usage = "FILE <name> <size_bytes> [INITIAL]";
         let [name, size, ref rest @ ..] = *args else {
             return Err(err(line, usage));
@@ -402,12 +408,11 @@ impl<'a> Parser<'a> {
             return Err(err(line, usage));
         }
         self.builder.file(name, size, initial);
-        self.files.declared.push(name);
         Ok(())
     }
 
     /// `JOB` with the tokens after it, read on line `line`.
-    fn job(&mut self, line: usize, args: &[&'a str]) -> Result<(), DagError> {
+    fn job(&mut self, line: usize, args: &[&str]) -> Result<(), DagError> {
         let usage = "JOB <name> <xform> CPU <secs> [CORES n] [TIMEOUT s]";
         let [name, xform, cpu_word, cpu, ref options @ ..] = *args else {
             return Err(err(line, usage));
@@ -417,33 +422,28 @@ impl<'a> Parser<'a> {
         }
         let cpu_seconds: f64 =
             cpu.parse().map_err(|_| err(line, &format!("bad cpu seconds `{cpu}`")))?;
-        let mut spec = JobSpec {
-            name: name.to_string(),
-            xform: xform.to_string(),
-            cpu_seconds,
-            cores: 1,
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            timeout_secs: None,
-        };
+        let (mut cores, mut timeout) = (1, None);
         for pair in options.chunks(2) {
             let (option, value) = (pair[0], pair.get(1));
             if option.eq_ignore_ascii_case("CORES") {
-                let cores: u32 = value
+                cores = value
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| err(line, "CORES needs an integer"))?;
-                spec.cores = cores.max(1);
             } else if option.eq_ignore_ascii_case("TIMEOUT") {
                 let secs: f64 = value
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| err(line, "TIMEOUT needs seconds"))?;
-                spec.timeout_secs = Some(secs);
+                timeout = Some(secs);
             } else {
                 return Err(err(line, &format!("unexpected token `{option}`")));
             }
         }
-        self.builder.push_job(spec);
-        self.jobs.declared.push(name);
+        let job = self.builder.job(name, xform, cpu_seconds).cores(cores);
+        match timeout {
+            Some(secs) => job.timeout_secs(secs),
+            None => job,
+        }
+        .build();
         Ok(())
     }
 
@@ -458,14 +458,18 @@ impl<'a> Parser<'a> {
         if files.is_empty() {
             return Err(err(line, "INPUT/OUTPUT <job> <file>..."));
         }
-        let job = JobId::from_index(self.jobs.resolve(job, &mut self.io_jobs, 0)?);
+        let builder = &self.builder;
+        let job = self.jobs.resolve(job, builder.job_names(), &mut self.io_jobs, 0)?;
+        let job = JobId::from_index(job);
         let is_input = directive == Directive::Input;
         let guess = if is_input { &mut self.inputs } else { &mut self.outputs };
         self.file_ids.clear();
         for (place, name) in files.iter().enumerate() {
-            self.file_ids.push(FileId::from_index(self.files.resolve(name, guess, place)?));
+            let at = self.files.resolve(name, builder.file_names(), guess, place)?;
+            self.file_ids.push(FileId::from_index(at));
         }
-        self.builder.patch_job_io(job, &self.file_ids, is_input);
+        let wiring = if is_input { &mut self.builder.inputs } else { &mut self.builder.outputs };
+        wiring.extend(self.file_ids.iter().map(|&file| (job, file)));
         Ok(())
     }
 
@@ -482,7 +486,8 @@ impl<'a> Parser<'a> {
             }
             // Keep counting past an unknown name: a malformed statement
             // is reported as malformed even when it also names no job.
-            match self.jobs.resolve(token, &mut self.edges, self.job_ids.len()) {
+            let declared = self.builder.job_names();
+            match self.jobs.resolve(token, declared, &mut self.edges, self.job_ids.len()) {
                 Ok(at) => self.job_ids.push(JobId::from_index(at)),
                 Err(e) => {
                     unknown.get_or_insert(e);
@@ -514,16 +519,24 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn finish(mut self, name: &str) -> Result<Workflow, DagError> {
-        self.jobs.index_rest();
-        self.files.index_rest();
-        if let Some(repeated) = self.jobs.repeated.or(self.files.repeated) {
-            return Err(DagError::DuplicateName(repeated.to_string()));
+    fn finish(self, name: &str) -> Result<Workflow, DagError> {
+        let Parser { mut builder, mut jobs, mut files, .. } = self;
+        let repeated = {
+            let (job_names, file_names) = (builder.job_names(), builder.file_names());
+            jobs.index_rest(job_names);
+            files.index_rest(file_names);
+            match (jobs.repeated, files.repeated) {
+                (Some(at), _) => job_names.get(at),
+                (None, at) => at.and_then(|at| file_names.get(at)),
+            }
+            .map(str::to_string)
+        };
+        if let Some(repeated) = repeated {
+            return Err(DagError::DuplicateName(repeated));
         }
-        // The name maps, the parse's largest temporaries, are freed before
-        // the adjacency is built.
-        let mut builder = std::mem::take(&mut self.builder);
-        drop(self);
+        // The name indexes, the parse's largest temporaries, are freed
+        // before the adjacency is built.
+        drop((jobs, files));
         builder.name = name.to_string();
         builder.finish_unique()
     }
@@ -561,12 +574,12 @@ pub fn write_workflow(wf: &Workflow) -> String {
     out.push('\n');
     for f in wf.files() {
         out.push_str("FILE ");
-        out.push_str(&f.name);
+        out.push_str(f.name);
         let _ = write!(out, " {}", f.size_bytes);
         out.push_str(if f.initial { " INITIAL\n" } else { "\n" });
     }
     for j in wf.jobs() {
-        for part in ["JOB ", &j.name, " ", &j.xform] {
+        for part in ["JOB ", j.name, " ", j.xform] {
             out.push_str(part);
         }
         let _ = write!(out, " CPU {}", j.cpu_seconds);
@@ -582,10 +595,10 @@ pub fn write_workflow(wf: &Workflow) -> String {
         for (directive, files) in [("INPUT ", &j.inputs), ("OUTPUT ", &j.outputs)] {
             if !files.is_empty() {
                 out.push_str(directive);
-                out.push_str(&j.name);
+                out.push_str(j.name);
                 for &f in files {
                     out.push(' ');
-                    out.push_str(&wf.file(f).name);
+                    out.push_str(wf.file(f).name);
                 }
                 out.push('\n');
             }
@@ -593,7 +606,7 @@ pub fn write_workflow(wf: &Workflow) -> String {
         let children = wf.children(JobId::from_index(ji));
         for (k, &c) in children.iter().enumerate() {
             if !implied[first[ji] + k] {
-                for part in ["PARENT ", &j.name, " CHILD ", &wf.job(c).name, "\n"] {
+                for part in ["PARENT ", j.name, " CHILD ", wf.job(c).name, "\n"] {
                     out.push_str(part);
                 }
             }
@@ -716,7 +729,7 @@ PARENT mDiffFit_0 CHILD mConcatFit
         let text = "JOB a t CPU 1\nINPUT a late\nINPUT a early\nFILE early 1\nFILE late 1";
         let wf = parse_workflow(text).unwrap();
         let a = wf.job_by_name("a").unwrap();
-        let names: Vec<&str> = wf.job(a).inputs.iter().map(|&f| wf.file(f).name.as_str()).collect();
+        let names: Vec<&str> = wf.job(a).inputs.iter().map(|&f| wf.file(f).name).collect();
         assert_eq!(names, ["late", "early"]);
     }
 
@@ -743,9 +756,10 @@ PARENT mDiffFit_0 CHILD mConcatFit
         assert!(matches!(parse_workflow(text), Err(DagError::Cycle(_))));
         let wf = parse_workflow(text.rsplit_once("\r\n").unwrap().0).unwrap();
         assert_eq!(wf.name(), "w");
-        assert!(wf.files()[0].initial);
-        assert_eq!((wf.jobs()[0].cores, wf.jobs()[0].timeout_secs), (2, Some(9.0)));
-        assert_eq!(wf.jobs()[0].inputs, [FileId(0)]);
+        assert!(wf.file(FileId(0)).initial);
+        let job = wf.job(JobId(0));
+        assert_eq!((job.cores, job.timeout_secs), (2, Some(9.0)));
+        assert_eq!(*job.inputs, [FileId(0)]);
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! system (reproduction of *Executing Large Scale Scientific Workflow
 //! Ensembles in Public Clouds*, ICPP 2015).
 //!
-//! A [`Workflow`] is a directed acyclic graph whose vertices are
-//! [`JobSpec`]s and whose edges are precedence constraints, primarily
-//! induced by data dependencies on [`FileSpec`]s. An ensemble is a set of
+//! A [`Workflow`] is a directed acyclic graph whose vertices are jobs and
+//! whose edges are precedence constraints, primarily induced by data
+//! dependencies on files. It is held as a few flat arrays — one name arena,
+//! one row per job and per file, one I/O list, CSR adjacency — and shows a
+//! job or a file as a `Copy` view ([`JobView`], [`FileView`]). An ensemble is a set of
 //! interrelated but independent workflows executed as one scientific
 //! analysis — the unit of work the paper is about; an [`EnsembleJobId`]
 //! names one job in it.
@@ -57,6 +59,7 @@ mod file;
 mod format;
 mod ids;
 mod job;
+mod names;
 mod reduce;
 mod tracker;
 mod workflow;
@@ -66,10 +69,10 @@ pub use dax::{parse_dax, write_dax};
 pub use dot::{to_dot, to_dot_collapsed};
 pub use ensemble::EnsembleJobId;
 pub use error::DagError;
-pub use file::FileSpec;
+pub use file::FileView;
 pub use format::{parse_workflow, workflow_name, write_workflow};
 pub use ids::{FileId, JobId, WorkflowId};
-pub use job::{JobBuilder, JobSpec, DEFAULT_TIMEOUT_SECS};
+pub use job::{FileIds, JobBuilder, JobView, DEFAULT_TIMEOUT_SECS};
 pub use reduce::{lint, LintFinding};
 pub use tracker::{DependencyTracker, JobState, TrackerStats};
-pub use workflow::{Workflow, WorkflowBuilder};
+pub use workflow::{Files, Jobs, Workflow, WorkflowBuilder};

@@ -84,7 +84,7 @@ pub enum LintFinding {
 pub fn lint(wf: &Workflow) -> Vec<LintFinding> {
     let mut findings = Vec::new();
     let sink_outputs: HashSet<_> =
-        wf.sinks().iter().flat_map(|&s| wf.job(s).outputs.iter().copied()).collect();
+        wf.sinks().iter().flat_map(|&s| wf.job(s).outputs.into_iter().copied()).collect();
     let mut read: vec::BitsetLike = vec::BitsetLike::new(wf.file_count());
     for j in wf.jobs() {
         for &f in &j.inputs {
@@ -94,19 +94,22 @@ pub fn lint(wf: &Workflow) -> Vec<LintFinding> {
     for f in wf.file_ids() {
         let spec = wf.file(f);
         if !spec.initial && !read.get(f.index()) && !sink_outputs.contains(&f) {
-            findings.push(LintFinding::UnreadFile(spec.name.clone()));
+            findings.push(LintFinding::UnreadFile(spec.name.to_string()));
         }
         if !spec.initial && wf.producer(f).is_none() {
-            findings.push(LintFinding::PhantomInput(spec.name.clone()));
+            findings.push(LintFinding::PhantomInput(spec.name.to_string()));
         }
     }
     for j in wf.jobs() {
         if j.inputs.is_empty() && j.outputs.is_empty() {
-            findings.push(LintFinding::NoIo(j.name.clone()));
+            findings.push(LintFinding::NoIo(j.name.to_string()));
         }
     }
     for (u, v) in redundant_edges(wf) {
-        findings.push(LintFinding::RedundantEdge(wf.job(u).name.clone(), wf.job(v).name.clone()));
+        findings.push(LintFinding::RedundantEdge(
+            wf.job(u).name.to_string(),
+            wf.job(v).name.to_string(),
+        ));
     }
     findings
 }

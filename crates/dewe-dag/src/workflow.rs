@@ -1,9 +1,12 @@
 //! The immutable, validated workflow DAG and its builder.
 
+use std::ops::Range;
+
 use crate::error::DagError;
-use crate::file::FileSpec;
+use crate::file::FileView;
 use crate::ids::{FileId, JobId};
-use crate::job::{JobBuilder, JobSpec};
+use crate::job::{FileIds, JobBuilder, JobView};
+use crate::names::HashIndex;
 
 /// A validated, immutable workflow DAG.
 ///
@@ -14,27 +17,66 @@ use crate::job::{JobBuilder, JobSpec};
 /// 3. rejects cycles, duplicate names, dangling references and
 ///    multi-producer files.
 ///
-/// Adjacency is stored in compressed sparse row (CSR) form — two flat
-/// arrays per direction — so that iterating the parents or children of a
-/// job is a contiguous slice access. With 1.7 million jobs in the paper's
-/// largest ensemble, per-job allocation would dominate; CSR keeps the whole
-/// graph in a handful of allocations.
+/// A workflow is a few flat arrays, so that the paper's 1.7 million jobs —
+/// and each workflow held on the master and on every worker — cost a
+/// handful of allocations rather than a few per job:
+/// * every job, file and transformation name back to back in one `String`,
+///   each transformation once;
+/// * one fixed-size row per job and per file;
+/// * every job's inputs and then its outputs in one `FileId` list;
+/// * adjacency in compressed sparse row (CSR) form — two flat arrays per
+///   direction — so that iterating the parents or children of a job is a
+///   contiguous slice access.
+///
+/// [`Workflow::job`] and [`Workflow::file`] return `Copy` views of a row.
 #[derive(Debug, Clone)]
 pub struct Workflow {
     name: String,
-    jobs: Vec<JobSpec>,
-    files: Vec<FileSpec>,
+    /// Every job, file and transformation name, back to back.
+    names: String,
+    jobs: Vec<JobRow>,
+    files: Vec<FileRow>,
+    /// Each job's inputs and then its outputs, job after job.
+    io: Vec<FileId>,
     /// CSR offsets/data for children (successors).
     child_offsets: Vec<u32>,
     child_data: Vec<JobId>,
     /// CSR offsets/data for parents (predecessors).
     parent_offsets: Vec<u32>,
     parent_data: Vec<JobId>,
-    /// Producer job for each file (None for initial inputs).
-    producer: Vec<Option<JobId>>,
     /// A topological order of all jobs (fixed at validation time).
     topo_order: Vec<JobId>,
 }
+
+/// Where a name sits in the name arena: its first byte and one past its last.
+type Span = [u32; 2];
+
+/// A job, less its names' bytes and its files.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct JobRow {
+    name: Span,
+    xform: Span,
+    pub(crate) cpu_seconds: f64,
+    pub(crate) cores: u32,
+    /// Where its inputs start in the I/O list, where its outputs start, and
+    /// where they end. While the workflow is built: unset, then its input
+    /// and output counts, then the cursors that place them.
+    io: [u32; 3],
+    pub(crate) timeout_secs: Option<f64>,
+}
+
+/// A file, less its name's bytes.
+#[derive(Debug, Clone, Copy)]
+struct FileRow {
+    name: Span,
+    size_bytes: u64,
+    /// The job writing it, or [`NO_PRODUCER`].
+    producer: u32,
+    initial: bool,
+}
+
+/// [`FileRow::producer`] of a file no job writes.
+const NO_PRODUCER: u32 = u32::MAX;
 
 impl Workflow {
     /// Workflow name.
@@ -52,26 +94,42 @@ impl Workflow {
         self.files.len()
     }
 
-    /// Job spec by id.
+    /// Job by id.
     #[inline]
-    pub fn job(&self, id: JobId) -> &JobSpec {
-        &self.jobs[id.index()]
+    pub fn job(&self, id: JobId) -> JobView<'_> {
+        let row = &self.jobs[id.index()];
+        let [inputs, outputs, end] = row.io.map(|at| at as usize);
+        JobView {
+            name: self.name_at(row.name),
+            xform: self.name_at(row.xform),
+            cpu_seconds: row.cpu_seconds,
+            cores: row.cores,
+            inputs: FileIds(&self.io[inputs..outputs]),
+            outputs: FileIds(&self.io[outputs..end]),
+            timeout_secs: row.timeout_secs,
+        }
     }
 
-    /// File spec by id.
+    /// File by id.
     #[inline]
-    pub fn file(&self, id: FileId) -> &FileSpec {
-        &self.files[id.index()]
+    pub fn file(&self, id: FileId) -> FileView<'_> {
+        let row = &self.files[id.index()];
+        FileView { name: self.name_at(row.name), size_bytes: row.size_bytes, initial: row.initial }
+    }
+
+    #[inline]
+    fn name_at(&self, [start, end]: Span) -> &str {
+        &self.names[start as usize..end as usize]
     }
 
     /// All jobs in id order.
-    pub fn jobs(&self) -> &[JobSpec] {
-        &self.jobs
+    pub fn jobs(&self) -> Jobs<'_> {
+        Jobs { wf: self, ids: 0..self.jobs.len() as u32 }
     }
 
     /// All files in id order.
-    pub fn files(&self) -> &[FileSpec] {
-        &self.files
+    pub fn files(&self) -> Files<'_> {
+        Files { wf: self, ids: 0..self.files.len() as u32 }
     }
 
     /// Iterator over all job ids in id order.
@@ -107,7 +165,10 @@ impl Workflow {
     /// The job producing `file`, or `None` for initial inputs.
     #[inline]
     pub fn producer(&self, file: FileId) -> Option<JobId> {
-        self.producer[file.index()]
+        match self.files[file.index()].producer {
+            NO_PRODUCER => None,
+            job => Some(JobId(job)),
+        }
     }
 
     /// A fixed topological order (parents before children).
@@ -147,21 +208,84 @@ impl Workflow {
 
     /// Look up a job id by name (linear scan; intended for tests/tooling).
     pub fn job_by_name(&self, name: &str) -> Option<JobId> {
-        self.jobs.iter().position(|j| j.name == name).map(JobId::from_index)
+        self.jobs.iter().position(|j| self.name_at(j.name) == name).map(JobId::from_index)
     }
 }
+
+/// The jobs of a workflow in id order, as [`JobView`]s: what
+/// [`Workflow::jobs`] returns.
+#[derive(Debug, Clone)]
+pub struct Jobs<'a> {
+    wf: &'a Workflow,
+    ids: Range<u32>,
+}
+
+/// The files of a workflow in id order, as [`FileView`]s: what
+/// [`Workflow::files`] returns.
+#[derive(Debug, Clone)]
+pub struct Files<'a> {
+    wf: &'a Workflow,
+    ids: Range<u32>,
+}
+
+macro_rules! views {
+    ($views:ident, $view:ident, $id:ident, $get:ident) => {
+        impl<'a> $views<'a> {
+            /// The views not yet iterated, from the start again: reads as
+            /// a slice's `iter`.
+            pub fn iter(&self) -> Self {
+                self.clone()
+            }
+        }
+
+        impl<'a> Iterator for $views<'a> {
+            type Item = $view<'a>;
+
+            #[inline]
+            fn next(&mut self) -> Option<$view<'a>> {
+                self.ids.next().map(|i| self.wf.$get($id(i)))
+            }
+
+            fn size_hint(&self) -> (usize, Option<usize>) {
+                self.ids.size_hint()
+            }
+        }
+
+        impl DoubleEndedIterator for $views<'_> {
+            fn next_back(&mut self) -> Option<Self::Item> {
+                self.ids.next_back().map(|i| self.wf.$get($id(i)))
+            }
+        }
+
+        impl ExactSizeIterator for $views<'_> {}
+    };
+}
+
+views!(Jobs, JobView, JobId, job);
+views!(Files, FileView, FileId, file);
 
 /// Builder for [`Workflow`].
 ///
 /// See the crate-level example. Explicit edges may be added with
 /// [`WorkflowBuilder::edge`]; edges implied by file data-flow are always
-/// inferred at [`WorkflowBuilder::finish`] time.
+/// inferred at [`WorkflowBuilder::finish`] time. Names go into the
+/// workflow's name arena as they are declared, and wiring into two lists
+/// that `finish` places by counting.
 #[derive(Debug, Default)]
 pub struct WorkflowBuilder {
     pub(crate) name: String,
-    jobs: Vec<JobSpec>,
-    files: Vec<FileSpec>,
+    names: String,
+    pub(crate) jobs: Vec<JobRow>,
+    files: Vec<FileRow>,
+    /// Every `(job, file)` input and output given so far, in the order given.
+    pub(crate) inputs: Vec<(JobId, FileId)>,
+    pub(crate) outputs: Vec<(JobId, FileId)>,
     explicit_edges: Vec<(JobId, JobId)>,
+    /// Where each transformation name is stored, found through `xform_index`.
+    xforms: Vec<Span>,
+    xform_index: HashIndex,
+    /// The last transformation stored or found, compared first.
+    last_xform: Option<Span>,
 }
 
 impl WorkflowBuilder {
@@ -174,9 +298,10 @@ impl WorkflowBuilder {
     ///
     /// Returns the file id; declaring the same name twice is detected at
     /// [`finish`](Self::finish) time.
-    pub fn file(&mut self, name: impl Into<String>, size_bytes: u64, initial: bool) -> FileId {
+    pub fn file(&mut self, name: impl AsRef<str>, size_bytes: u64, initial: bool) -> FileId {
         let id = FileId::from_index(self.files.len());
-        self.files.push(FileSpec::new(name, size_bytes, initial));
+        let name = self.store(name.as_ref());
+        self.files.push(FileRow { name, size_bytes, producer: NO_PRODUCER, initial });
         id
     }
 
@@ -184,39 +309,76 @@ impl WorkflowBuilder {
     /// [`JobBuilder::build`].
     pub fn job(
         &mut self,
-        name: impl Into<String>,
-        xform: impl Into<String>,
+        name: impl AsRef<str>,
+        xform: impl AsRef<str>,
         cpu_seconds: f64,
     ) -> JobBuilder<'_> {
-        JobBuilder {
-            owner: self,
-            spec: JobSpec {
-                name: name.into(),
-                xform: xform.into(),
-                cpu_seconds,
-                cores: 1,
-                inputs: Vec::new(),
-                outputs: Vec::new(),
-                timeout_secs: None,
-            },
+        self.drop_unbuilt_wiring();
+        let name = self.store(name.as_ref());
+        let xform = self.intern(xform.as_ref());
+        let row = JobRow { name, xform, cpu_seconds, cores: 1, io: [0; 3], timeout_secs: None };
+        JobBuilder { owner: self, row }
+    }
+
+    /// Drop the wiring a dropped `JobBuilder` gave its would-be job: the
+    /// tail of the lists, since a job builder borrows its owner whole.
+    fn drop_unbuilt_wiring(&mut self) {
+        let next = self.next_job();
+        for list in [&mut self.inputs, &mut self.outputs] {
+            while list.last().is_some_and(|&(job, _)| job == next) {
+                list.pop();
+            }
         }
     }
 
-    /// Attach input or output files to an already-declared job (used by the
-    /// text-format parser, which allows wiring statements in any order).
-    pub(crate) fn patch_job_io(&mut self, job: JobId, files: &[FileId], is_input: bool) {
-        let spec = &mut self.jobs[job.index()];
-        if is_input {
-            spec.inputs.extend_from_slice(files);
-        } else {
-            spec.outputs.extend_from_slice(files);
-        }
+    /// The id the next job built gets.
+    pub(crate) fn next_job(&self) -> JobId {
+        JobId::from_index(self.jobs.len())
     }
 
-    pub(crate) fn push_job(&mut self, spec: JobSpec) -> JobId {
-        let id = JobId::from_index(self.jobs.len());
-        self.jobs.push(spec);
-        id
+    /// The names of the jobs built so far.
+    pub(crate) fn job_names(&self) -> Declared<'_> {
+        Declared { names: &self.names, rows: Rows::Jobs(&self.jobs) }
+    }
+
+    /// The names of the files declared so far.
+    pub(crate) fn file_names(&self) -> Declared<'_> {
+        Declared { names: &self.names, rows: Rows::Files(&self.files) }
+    }
+
+    fn name_at(&self, [start, end]: Span) -> &str {
+        &self.names[start as usize..end as usize]
+    }
+
+    /// Append `name` to the arena.
+    fn store(&mut self, name: &str) -> Span {
+        let start = self.names.len();
+        self.names.push_str(name);
+        let at = |n: usize| u32::try_from(n).expect("name overflow: more than 4 GiB of names");
+        [at(start), at(self.names.len())]
+    }
+
+    /// Where transformation `xform` is stored, storing it if it is not.
+    fn intern(&mut self, xform: &str) -> Span {
+        if let Some(last) = self.last_xform.filter(|&at| self.name_at(at) == xform) {
+            return last;
+        }
+        let (names, xforms) = (&self.names, &self.xforms);
+        // The id past the stored ones is `xform`'s if it is new.
+        let name_of = |id: u32| match xforms.get(id as usize) {
+            Some(&[start, end]) => &names[start as usize..end as usize],
+            None => xform,
+        };
+        let span = match self.xform_index.insert(xform, xforms.len() as u32, name_of) {
+            Some(id) => self.xforms[id as usize],
+            None => {
+                let span = self.store(xform);
+                self.xforms.push(span);
+                span
+            }
+        };
+        self.last_xform = Some(span);
+        span
     }
 
     /// Add an explicit precedence edge `parent -> child` (DAGMan
@@ -230,8 +392,8 @@ impl WorkflowBuilder {
     /// Errors on duplicate names, dangling ids, multi-producer files,
     /// negative CPU demand and cycles.
     pub fn finish(self) -> Result<Workflow, DagError> {
-        let dup = find_duplicate(self.jobs.iter().map(|j| j.name.as_str()))
-            .or_else(|| find_duplicate(self.files.iter().map(|f| f.name.as_str())));
+        let dup = find_duplicate(self.jobs.iter().map(|j| self.name_at(j.name)))
+            .or_else(|| find_duplicate(self.files.iter().map(|f| self.name_at(f.name))));
         if let Some(dup) = dup {
             return Err(DagError::DuplicateName(dup));
         }
@@ -240,15 +402,56 @@ impl WorkflowBuilder {
 
     /// [`finish`](Self::finish) for a caller that already knows no job
     /// name and no file name repeats (the text parser's name maps).
-    pub(crate) fn finish_unique(self) -> Result<Workflow, DagError> {
-        let nj = self.jobs.len();
-        let nf = self.files.len();
+    pub(crate) fn finish_unique(mut self) -> Result<Workflow, DagError> {
+        self.drop_unbuilt_wiring();
+        let WorkflowBuilder {
+            name,
+            mut names,
+            mut jobs,
+            mut files,
+            inputs,
+            outputs,
+            explicit_edges,
+            ..
+        } = self;
+        let nj = jobs.len();
+        let nf = files.len();
+        let name_at = |[start, end]: Span| &names[start as usize..end as usize];
+
+        // Place every job's inputs and then its outputs by counting, each
+        // list in the order it was given.
+        for &(job, _) in &inputs {
+            jobs[job.index()].io[1] += 1;
+        }
+        for &(job, _) in &outputs {
+            jobs[job.index()].io[2] += 1;
+        }
+        let mut placed = 0u32;
+        for row in &mut jobs {
+            let [_, ins, outs] = row.io;
+            row.io = [placed, placed, placed + ins];
+            placed += ins + outs;
+        }
+        let mut io = vec![FileId(0); placed as usize];
+        for (list, cursor) in [(&inputs, 1), (&outputs, 2)] {
+            for &(job, file) in list {
+                let at = &mut jobs[job.index()].io[cursor];
+                io[*at as usize] = file;
+                *at += 1;
+            }
+        }
+        drop((inputs, outputs));
+        let io_of = |row: &JobRow| {
+            let [inputs, outputs, end] = row.io.map(|at| at as usize);
+            (&io[inputs..outputs], &io[outputs..end])
+        };
 
         // Field validation.
-        for job in &self.jobs {
+        for job in &jobs {
+            let entity = || name_at(job.name).to_string();
             if !job.cpu_seconds.is_finite() || job.cpu_seconds < 0.0 {
                 return Err(DagError::InvalidField {
-                    entity: job.name.clone(),
+                    entity: entity(),
                     message: format!(
                         "cpu_seconds must be finite and >= 0, got {}",
                         job.cpu_seconds
@@ -257,25 +460,26 @@ impl WorkflowBuilder {
             }
             if job.cores == 0 {
                 return Err(DagError::InvalidField {
-                    entity: job.name.clone(),
+                    entity: entity(),
                     message: "cores must be >= 1".into(),
                 });
             }
             if let Some(t) = job.timeout_secs {
                 if !t.is_finite() || t <= 0.0 {
                     return Err(DagError::InvalidField {
-                        entity: job.name.clone(),
+                        entity: entity(),
                         message: format!("timeout must be finite and > 0, got {t}"),
                     });
                 }
             }
-            for &f in job.inputs.iter().chain(&job.outputs) {
+            let (ins, outs) = io_of(job);
+            for &f in ins.iter().chain(outs) {
                 if f.index() >= nf {
-                    return Err(DagError::UnknownName(format!("{f:?} referenced by {}", job.name)));
+                    return Err(DagError::UnknownName(format!("{f:?} referenced by {}", entity())));
                 }
             }
         }
-        for &(p, c) in &self.explicit_edges {
+        for &(p, c) in &explicit_edges {
             if p.index() >= nj || c.index() >= nj {
                 return Err(DagError::UnknownName(format!("edge {p:?} -> {c:?}")));
             }
@@ -283,17 +487,15 @@ impl WorkflowBuilder {
 
         // Determine producers; detect multi-producer files and jobs that
         // "produce" initial files.
-        let mut producer: Vec<Option<JobId>> = vec![None; nf];
-        for (ji, job) in self.jobs.iter().enumerate() {
-            let jid = JobId::from_index(ji);
-            for &f in &job.outputs {
-                match producer[f.index()] {
-                    None => producer[f.index()] = Some(jid),
-                    Some(prev) => {
+        for (ji, job) in jobs.iter().enumerate() {
+            for &f in io_of(job).1 {
+                match files[f.index()].producer {
+                    NO_PRODUCER => files[f.index()].producer = ji as u32,
+                    prev => {
                         return Err(DagError::MultipleProducers {
-                            file: self.files[f.index()].name.clone(),
-                            first: self.jobs[prev.index()].name.clone(),
-                            second: job.name.clone(),
+                            file: name_at(files[f.index()].name).to_string(),
+                            first: name_at(jobs[prev as usize].name).to_string(),
+                            second: name_at(job.name).to_string(),
                         });
                     }
                 }
@@ -304,20 +506,24 @@ impl WorkflowBuilder {
         // the jobs: its explicit parents (grouped by child first) and the
         // producers of its inputs, sorted and deduplicated in place.
         let (explicit_offsets, explicit) =
-            build_csr(nj, self.explicit_edges.iter().map(|&(p, c)| (c, p)));
+            build_csr(nj, explicit_edges.iter().map(|&(p, c)| (c, p)));
         // Each list is dropped once it is read, so the peak stays the two
         // CSRs of the children and parents.
-        drop(self.explicit_edges);
-        let inputs: usize = self.jobs.iter().map(|job| job.inputs.len()).sum();
+        drop(explicit_edges);
         let mut parent_offsets = Vec::with_capacity(nj + 1);
-        let mut parent_data = Vec::with_capacity(explicit.len() + inputs);
+        let mut parent_data = Vec::with_capacity(explicit.len() + io.len());
         parent_offsets.push(0);
-        for (ji, job) in self.jobs.iter().enumerate() {
-            let (jid, start) = (JobId::from_index(ji), parent_data.len());
+        for (ji, job) in jobs.iter().enumerate() {
+            let start = parent_data.len();
             let (from, to) = (explicit_offsets[ji] as usize, explicit_offsets[ji + 1] as usize);
             parent_data.extend_from_slice(&explicit[from..to]);
             parent_data.extend(
-                job.inputs.iter().filter_map(|f| producer[f.index()]).filter(|&p| p != jid),
+                io_of(job)
+                    .0
+                    .iter()
+                    .map(|f| files[f.index()].producer)
+                    .filter(|&p| p != NO_PRODUCER && p as usize != ji)
+                    .map(JobId),
             );
             parent_data[start..].sort_unstable();
             let mut kept = start;
@@ -331,6 +537,7 @@ impl WorkflowBuilder {
             parent_offsets.push(kept as u32);
         }
         drop((explicit_offsets, explicit));
+        parent_data.shrink_to_fit();
 
         // Children by transposing: jobs are visited in id order, so each
         // job's children come out ascending too.
@@ -364,22 +571,58 @@ impl WorkflowBuilder {
             let cyclic: Vec<String> = (0..nj)
                 .filter(|&i| indeg[i] > 0)
                 .take(8)
-                .map(|i| self.jobs[i].name.clone())
+                .map(|i| name_at(jobs[i].name).to_string())
                 .collect();
             return Err(DagError::Cycle(cyclic));
         }
 
+        // The arrays grew by doubling; what the workflow keeps is trimmed.
+        names.shrink_to_fit();
+        jobs.shrink_to_fit();
+        files.shrink_to_fit();
         Ok(Workflow {
-            name: self.name,
-            jobs: self.jobs,
-            files: self.files,
+            name,
+            names,
+            jobs,
+            files,
+            io,
             child_offsets,
             child_data,
             parent_offsets,
             parent_data,
-            producer,
             topo_order: topo,
         })
+    }
+}
+
+/// The names of one kind (jobs or files) a builder holds, in id order.
+#[derive(Clone, Copy)]
+pub(crate) struct Declared<'a> {
+    names: &'a str,
+    rows: Rows<'a>,
+}
+
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    Jobs(&'a [JobRow]),
+    Files(&'a [FileRow]),
+}
+
+impl<'a> Declared<'a> {
+    pub(crate) fn len(self) -> usize {
+        match self.rows {
+            Rows::Jobs(rows) => rows.len(),
+            Rows::Files(rows) => rows.len(),
+        }
+    }
+
+    /// The name of id `at`, if it is declared.
+    pub(crate) fn get(self, at: usize) -> Option<&'a str> {
+        let [start, end] = match self.rows {
+            Rows::Jobs(rows) => rows.get(at)?.name,
+            Rows::Files(rows) => rows.get(at)?.name,
+        };
+        Some(&self.names[start as usize..end as usize])
     }
 }
 
@@ -456,7 +699,7 @@ mod tests {
         let wf = diamond();
         // Files get their ids in the order `diamond` declares them.
         let (raw, l) = (FileId(0), FileId(1));
-        assert_eq!((wf.file(raw).name.as_str(), wf.file(l).name.as_str()), ("raw", "l"));
+        assert_eq!((wf.file(raw).name, wf.file(l).name), ("raw", "l"));
         assert_eq!(wf.producer(raw), None);
         assert_eq!(wf.producer(l), Some(wf.job_by_name("a").unwrap()));
     }
@@ -530,17 +773,11 @@ mod tests {
     #[test]
     fn zero_cores_rejected_by_builder_floor() {
         // JobBuilder::cores floors at 1, so this is unreachable through the
-        // fluent API; constructing a spec directly must be caught.
+        // fluent API; a row written directly must be caught.
         let mut b = WorkflowBuilder::new("z");
-        b.push_job(JobSpec {
-            name: "a".into(),
-            xform: "t".into(),
-            cpu_seconds: 1.0,
-            cores: 0,
-            inputs: vec![],
-            outputs: vec![],
-            timeout_secs: None,
-        });
+        let mut job = b.job("a", "t", 1.0);
+        job.row.cores = 0;
+        job.build();
         assert!(matches!(b.finish(), Err(DagError::InvalidField { .. })));
     }
 

@@ -6,7 +6,7 @@
 
 use dewe_dag::{
     parse_workflow, workflow_name, write_workflow, CriticalPath, DagError, DependencyTracker,
-    FileSpec, JobId, JobSpec, JobState, LevelProfile, Workflow, WorkflowBuilder,
+    JobId, JobState, LevelProfile, Workflow, WorkflowBuilder,
 };
 use proptest::prelude::*;
 
@@ -316,10 +316,11 @@ const NAMING: [&str; 7] = [
 ];
 
 /// What a parse comes to, comparable across texts: the workflow's name,
-/// jobs, files and children, or the error — for a parse error, its line.
+/// jobs, files (each view as `Debug` spells every field of it) and
+/// children, or the error — for a parse error, its line.
 #[derive(Debug, PartialEq)]
 enum Outcome {
-    Parsed(String, Vec<JobSpec>, Vec<FileSpec>, Vec<Vec<JobId>>),
+    Parsed(String, Vec<String>, Vec<String>, Vec<Vec<JobId>>),
     ParseError(usize),
     Refused(DagError),
 }
@@ -328,7 +329,9 @@ fn outcome(text: &str) -> Result<Outcome, Outcome> {
     match parse_workflow(text) {
         Ok(wf) => {
             let children = wf.job_ids().map(|j| wf.children(j).to_vec()).collect();
-            Ok(Outcome::Parsed(wf.name().into(), wf.jobs().to_vec(), wf.files().to_vec(), children))
+            let jobs = wf.jobs().map(|j| format!("{j:?}")).collect();
+            let files = wf.files().map(|f| format!("{f:?}")).collect();
+            Ok(Outcome::Parsed(wf.name().into(), jobs, files, children))
         }
         Err(DagError::Parse { line, .. }) => Err(Outcome::ParseError(line)),
         Err(e) => Err(Outcome::Refused(e)),

@@ -170,7 +170,7 @@ mod tests {
     fn critical_path_runs_through_map_stage() {
         let wf = EpigenomicsConfig::new(1, 4).build();
         let cp = CriticalPath::of(&wf);
-        let xforms: Vec<_> = cp.jobs.iter().map(|&j| wf.job(j).xform.clone()).collect();
+        let xforms: Vec<_> = cp.jobs.iter().map(|&j| wf.job(j).xform.to_string()).collect();
         assert!(xforms.contains(&"map".to_string()), "map dominates: {xforms:?}");
         assert!(xforms.last().unwrap() == "pileup");
     }

@@ -375,7 +375,7 @@ mod tests {
         let wf = MontageConfig::degree(0.5).build();
         let lp = LevelProfile::of(&wf);
         let blocking: Vec<String> =
-            lp.blocking_jobs().iter().map(|&j| wf.job(j).name.clone()).collect();
+            lp.blocking_jobs().iter().map(|&j| wf.job(j).name.to_string()).collect();
         // mConcatFit, mBgModel, then the final serial chain.
         assert!(blocking.contains(&"mConcatFit".to_string()));
         assert!(blocking.contains(&"mBgModel".to_string()));
@@ -389,8 +389,9 @@ mod tests {
         // L0 = mProjectPP, L1 = mDiffFit, L2 = mConcatFit, L3 = mBgModel,
         // L4 = mBackground, L5..=7 = mImgTbl, mAdd, mShrink, mJpeg
         assert_eq!(lp.depth(), 9);
-        let names_at =
-            |l: usize| lp.levels[l].iter().map(|&j| wf.job(j).xform.clone()).collect::<Vec<_>>();
+        let names_at = |l: usize| {
+            lp.levels[l].iter().map(|&j| wf.job(j).xform.to_string()).collect::<Vec<_>>()
+        };
         assert!(names_at(0).iter().all(|x| x == "mProjectPP"));
         assert!(names_at(1).iter().all(|x| x == "mDiffFit"));
         assert_eq!(names_at(2), vec!["mConcatFit"]);
