@@ -51,4 +51,4 @@ mod scheduler;
 mod sim;
 
 pub use scheduler::Policy;
-pub use sim::{run_ensemble, BaselineConfig, BaselineEvent, BaselineReport};
+pub use sim::{run_ensemble, BaselineConfig, BaselineReport};

@@ -49,13 +49,10 @@ pub struct BaselineConfig {
     /// Per-node CPU speed multipliers (heterogeneity ablation; `None` =
     /// homogeneous).
     pub node_speed_factors: Option<Vec<f64>>,
-    /// Record a per-job lifecycle [`dewe_metrics::Trace`].
+    /// Record a per-job lifecycle [`dewe_metrics::Trace`]: every start
+    /// and finish, which is also what differential testers compare the
+    /// baseline's schedule by.
     pub record_trace: bool,
-    /// Record an ordered [`BaselineEvent`] log (job starts and finishes
-    /// in simulation processing order), making the baseline's schedule
-    /// comparable against the other execution paths by differential
-    /// testers.
-    pub record_events: bool,
 }
 
 impl BaselineConfig {
@@ -77,33 +74,8 @@ impl BaselineConfig {
             sample: false,
             node_speed_factors: None,
             record_trace: false,
-            record_events: false,
         }
     }
-}
-
-/// One entry of the baseline's ordered schedule log: emitted in simulation
-/// processing order, so "A finished before B started" can be read off the
-/// log positions directly. This is the instrumentation differential
-/// oracles use to check dependency order against the other engines.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BaselineEvent {
-    /// The job began executing on `node` at simulated time `at`.
-    Started {
-        /// Which job.
-        job: EnsembleJobId,
-        /// Node it was placed on.
-        node: usize,
-        /// Simulated seconds since ensemble start.
-        at: f64,
-    },
-    /// The job finished at simulated time `at`.
-    Finished {
-        /// Which job.
-        job: EnsembleJobId,
-        /// Simulated seconds since ensemble start.
-        at: f64,
-    },
 }
 
 /// Results of a baseline run (same quantities as DEWE's `SimReport`).
@@ -126,8 +98,6 @@ pub struct BaselineReport {
     pub sampler: Option<ClusterSampler>,
     /// Per-job lifecycle trace, when requested.
     pub trace: Option<dewe_metrics::Trace>,
-    /// Ordered start/finish schedule log, when requested.
-    pub events: Option<Vec<BaselineEvent>>,
     /// Rental cost under hourly billing.
     pub cost_usd: f64,
 }
@@ -159,7 +129,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
     let mut sampler =
         config.sample.then(|| ClusterSampler::new(nodes, config.cluster.instance.vcpus));
     let mut trace = config.record_trace.then(dewe_metrics::Trace::new);
-    let mut events: Option<Vec<BaselineEvent>> = config.record_events.then(Vec::new);
     // (eligible/dispatch time, start time) per token, for tracing.
     let mut trace_times: HashMap<u64, (f64, f64)> = HashMap::new();
     let mut eligible_times: HashMap<u64, f64> = HashMap::new();
@@ -219,7 +188,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
         trace_times: &mut HashMap<u64, (f64, f64)>,
         eligible_times: &mut HashMap<u64, f64>,
         tracing: bool,
-        events: &mut Option<Vec<BaselineEvent>>,
     ) {
         for node in 0..node_queue.len() {
             while node_running[node] < config.slots_per_node {
@@ -265,9 +233,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
                     let eligible = eligible_times.remove(&token_of(job)).unwrap_or(now);
                     trace_times.insert(token_of(job), (eligible, now));
                 }
-                if let Some(ev) = events.as_mut() {
-                    ev.push(BaselineEvent::Started { job, node, at: exec.now().as_secs_f64() });
-                }
                 running.insert(token_of(job), job);
                 exec.submit_job(token_of(job), node, &profile);
             }
@@ -297,9 +262,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
                 node_running[node] -= 1;
                 jobs_executed += 1;
                 let now = exec.now().as_secs_f64();
-                if let Some(ev) = events.as_mut() {
-                    ev.push(BaselineEvent::Finished { job, at: now });
-                }
                 let state = states[job.workflow.index()].as_mut().expect("workflow state");
                 let workflow = Arc::clone(&state.workflow);
                 state.tracker.mark_running(job.job);
@@ -330,7 +292,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
                     &mut trace_times,
                     &mut eligible_times,
                     trace.is_some(),
-                    &mut events,
                 );
             }
             SimEvent::Wake { token } => match token & TAG_MASK {
@@ -384,7 +345,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
                         &mut trace_times,
                         &mut eligible_times,
                         trace.is_some(),
-                        &mut events,
                     );
                     if all_done_at.is_none() {
                         exec.schedule_wake(config.negotiation_interval_secs, TAG_CYCLE);
@@ -431,7 +391,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &BaselineConfig) -> Bas
         jobs_executed,
         sampler,
         trace,
-        events,
         cost_usd: cost,
     }
 }
@@ -562,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn event_log_orders_starts_after_parent_finishes() {
+    fn trace_orders_starts_after_parent_finishes() {
         let mut b = WorkflowBuilder::new("chain");
         let x = b.job("x", "t", 1.0).build();
         let y = b.job("y", "t", 1.0).build();
@@ -570,32 +529,27 @@ mod tests {
         b.edge(x, y);
         b.edge(y, z);
         let mut cfg = lean(cluster(1));
-        cfg.record_events = true;
+        cfg.record_trace = true;
         let report = run_ensemble(&[Arc::new(b.finish().unwrap())], &cfg);
-        let events = report.events.expect("record_events was set");
-        // Exactly one Started and one Finished per job.
-        let mut started: HashMap<EnsembleJobId, usize> = HashMap::new();
-        let mut finished: HashMap<EnsembleJobId, usize> = HashMap::new();
-        for (pos, ev) in events.iter().enumerate() {
-            match *ev {
-                BaselineEvent::Started { job, .. } => {
-                    assert!(started.insert(job, pos).is_none(), "double start {job:?}");
-                }
-                BaselineEvent::Finished { job, .. } => {
-                    assert!(started.contains_key(&job), "finished before started {job:?}");
-                    assert!(finished.insert(job, pos).is_none(), "double finish {job:?}");
-                }
-            }
+        let trace = report.trace.expect("record_trace was set");
+        // Exactly one record per job.
+        let mut records: HashMap<u32, &dewe_metrics::JobTrace> = HashMap::new();
+        for t in trace.events() {
+            assert_eq!(t.workflow, 0);
+            assert!(t.started <= t.finished, "{t:?}");
+            assert!(records.insert(t.job, t).is_none(), "two records of job {}", t.job);
         }
-        assert_eq!(started.len(), 3);
-        assert_eq!(finished.len(), 3);
-        // Dependency order: each child starts only after its parent's
-        // Finished entry appears in the log.
-        let wf = WorkflowId::from_index(0);
+        assert_eq!(records.len(), 3);
+        // Dependency order: each child starts only once its parent has
+        // finished.
         for (parent, child) in [(x, y), (y, z)] {
-            let p_fin = finished[&EnsembleJobId::new(wf, parent)];
-            let c_start = started[&EnsembleJobId::new(wf, child)];
-            assert!(p_fin < c_start, "child started at {c_start} before parent finished {p_fin}");
+            let (p, c) = (records[&parent.0], records[&child.0]);
+            assert!(
+                c.started >= p.finished,
+                "child started at {} before parent finished {}",
+                c.started,
+                p.finished
+            );
         }
     }
 

@@ -1,41 +1,13 @@
 use super::*;
 
-/// Retry budget and backoff schedule applied to failed/timed-out jobs.
-///
-/// The default is the paper's behavior: retry forever, immediately. With
-/// `max_attempts = Some(n)`, the n-th failed attempt dead-letters the job
-/// — it and (transitively) its dependents are marked
-/// [`Abandoned`](dewe_dag::JobState::Abandoned) and the workflow settles
-/// with partial completion. With `backoff_base_secs > 0`, the k-th retry
-/// is deferred `base · 2^(k-1)` seconds (capped at `backoff_max_secs`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Dead-letter a job once this many attempts have failed
-    /// (`None` = retry forever, the paper's behavior).
-    pub max_attempts: Option<u32>,
-    /// Delay before the first retry, in seconds (0 = immediate).
-    pub backoff_base_secs: f64,
-    /// Upper bound on any single backoff delay, in seconds.
-    pub backoff_max_secs: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        Self { max_attempts: None, backoff_base_secs: 0.0, backoff_max_secs: 300.0 }
-    }
-}
-
 /// Engine-wide configuration and the one way to construct engines.
 ///
 /// `EngineConfig` doubles as a builder: chain setters off
 /// [`EngineConfig::default()`] and finish with [`build`](Self::build).
 ///
 /// ```
-/// use dewe_core::{EngineConfig, RetryPolicy};
-/// let engine = EngineConfig::default()
-///     .timeout(30.0)
-///     .retry(RetryPolicy { max_attempts: Some(3), ..RetryPolicy::default() })
-///     .build();
+/// use dewe_core::EngineConfig;
+/// let engine = EngineConfig::default().timeout(30.0).max_attempts(3).build();
 /// assert_eq!(engine.stats().dispatches, 0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,8 +21,13 @@ pub struct EngineConfig {
     /// dead worker held — the paper's assumption. Set it when the transport can *lose* messages
     /// (chaos drop injection), otherwise a dropped dispatch hangs forever.
     pub checkout_timeout_secs: Option<f64>,
-    /// Retry budget and backoff schedule.
-    pub retry: RetryPolicy,
+    /// Retry budget applied to failed and timed-out jobs: the attempt that
+    /// fails as the `n`-th dead-letters its job — it and (transitively) its
+    /// dependents are marked [`Abandoned`](dewe_dag::JobState::Abandoned)
+    /// and the workflow settles with partial completion. A retry inside
+    /// the budget is dispatched at once. `None` (default) retries forever,
+    /// the paper's behavior.
+    pub max_attempts: Option<u32>,
 }
 
 impl Default for EngineConfig {
@@ -58,7 +35,7 @@ impl Default for EngineConfig {
         Self {
             default_timeout_secs: DEFAULT_TIMEOUT_SECS,
             checkout_timeout_secs: None,
-            retry: RetryPolicy::default(),
+            max_attempts: None,
         }
     }
 }
@@ -71,10 +48,10 @@ impl EngineConfig {
         self
     }
 
-    /// Set the retry budget and backoff schedule.
+    /// Dead-letter a job once `cap` of its attempts have failed.
     #[must_use]
-    pub fn retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
+    pub fn max_attempts(mut self, cap: u32) -> Self {
+        self.max_attempts = Some(cap);
         self
     }
 
@@ -84,7 +61,7 @@ impl EngineConfig {
     /// On nonsensical settings: non-positive timeout or a zero attempt cap.
     pub fn build(self) -> EnsembleEngine {
         assert!(self.default_timeout_secs > 0.0);
-        assert!(self.retry.max_attempts.is_none_or(|cap| cap >= 1));
+        assert!(self.max_attempts.is_none_or(|cap| cap >= 1));
         EnsembleEngine {
             workflows: Vec::new(),
             live: 0,
@@ -146,9 +123,6 @@ pub struct EngineStats {
     pub dispatches: u64,
     /// Timeout/failure resubmissions.
     pub resubmissions: u64,
-    /// Resubmissions deferred by the backoff schedule (subset of
-    /// `resubmissions`).
-    pub deferred_retries: u64,
     /// Completed jobs.
     pub jobs_completed: u64,
     /// Duplicate completions observed (timeout races; harmless by design).
@@ -182,9 +156,9 @@ pub struct EnsembleEngine {
     stats: EngineStats,
     /// Engine-wide tracker of candidate deadlines (the hierarchical wheel
     /// of `wheel.rs`), validated lazily against the in-flight slab. Pushed
-    /// on checkout (Running ack), backoff deferral, and — when a checkout
-    /// timeout is configured — dispatch, so its size is bounded by recent
-    /// protocol events, not by total in-flight jobs.
+    /// on checkout (Running ack) and — when a checkout timeout is
+    /// configured — dispatch, so its size is bounded by recent protocol
+    /// events, not by total in-flight jobs.
     deadlines: DeadlineWheel,
     /// Reusable buffer for draining tracker ready queues.
     scratch_ready: Vec<JobId>,
@@ -292,7 +266,7 @@ impl EnsembleEngine {
                     self.lanes.deadline[i] = deadline;
                     // Any earlier entry for this job is now stale and
                     // will be discarded lazily at pop time.
-                    self.deadlines.push(DeadlineEntry::new(deadline, i, ack.attempt, false));
+                    self.deadlines.push(DeadlineEntry::new(deadline, i, ack.attempt));
                 }
                 state.tracker.mark_running(job);
             }
@@ -380,7 +354,7 @@ impl EnsembleEngine {
             None => f64::INFINITY,
         };
         let i = self.workflows[wf.index()].base as usize + job.index();
-        let entry = self.lanes.set(i, deadline, attempt, false);
+        let entry = self.lanes.set(i, deadline, attempt);
         if deadline.is_finite() {
             self.deadlines.push(entry);
         }
@@ -388,9 +362,8 @@ impl EnsembleEngine {
         Action::Dispatch(DispatchMsg { job: EnsembleJobId::new(wf, job), attempt })
     }
 
-    /// A live job's attempt failed (Failed ack or timeout): retry within
-    /// budget — immediately or deferred by the backoff schedule — or
-    /// dead-letter.
+    /// A live job's attempt failed (Failed ack or timeout): retry at once
+    /// within budget, or dead-letter.
     fn handle_attempt_failure(
         &mut self,
         wf: WorkflowId,
@@ -401,7 +374,7 @@ impl EnsembleEngine {
     ) {
         let state = &mut self.workflows[wf.index()];
         let i = state.base as usize + job.index();
-        if self.config.retry.max_attempts.is_some_and(|cap| failed_attempt >= cap) {
+        if self.config.max_attempts.is_some_and(|cap| failed_attempt >= cap) {
             // Retry budget exhausted: dead-letter the job and write off
             // every descendant that can no longer run.
             self.lanes.tag[i] = SLOT_EMPTY;
@@ -421,37 +394,13 @@ impl EnsembleEngine {
         if state.tracker.resubmit(job) {
             state.tracker.clear_ready(); // drop the requeue marker
             self.stats.resubmissions += 1;
-            let next_attempt = failed_attempt + 1;
-            let delay = self.backoff_delay(failed_attempt);
-            if delay > 0.0 {
-                // Defer the retry: park it in the in-flight slab with the
-                // fire time as its deadline; the timeout scan emits the
-                // dispatch when it comes due.
-                let due = now + delay;
-                let entry = self.lanes.set(i, due, next_attempt, true);
-                self.deadlines.push(entry);
-                self.stats.deferred_retries += 1;
-            } else {
-                let action = self.dispatch_indexed(wf, job, next_attempt, now);
-                actions.push(action);
-            }
+            let action = self.dispatch_indexed(wf, job, failed_attempt + 1, now);
+            actions.push(action);
         }
-    }
-
-    /// Backoff delay before the retry that follows `failed_attempt`
-    /// (0 = dispatch immediately).
-    fn backoff_delay(&self, failed_attempt: u32) -> f64 {
-        let r = &self.config.retry;
-        if r.backoff_base_secs <= 0.0 {
-            return 0.0;
-        }
-        let exp = failed_attempt.saturating_sub(1).min(63);
-        (r.backoff_base_secs * 2.0f64.powi(exp as i32)).min(r.backoff_max_secs)
     }
 
     /// Periodic timeout scan (paper §III.B): any in-flight job whose
-    /// deadline passed is republished so another worker can run it, and
-    /// any backoff-deferred retry that came due is dispatched.
+    /// deadline passed is republished so another worker can run it.
     ///
     /// Only entries whose deadline has expired are visited, no matter how
     /// many are in flight: the wheel drains the slots `now` crossed and
@@ -460,8 +409,8 @@ impl EnsembleEngine {
     pub fn check_timeouts(&mut self, now: f64, actions: &mut Vec<Action>) {
         let mut expired = std::mem::take(&mut self.scratch_expired);
         // Processing an expired entry can file new deadlines (checkout
-        // timeouts, deferred retries); re-drain until quiescent so any
-        // that land at or before `now` fire in this scan.
+        // timeouts of the retries it dispatches); re-drain until quiescent
+        // so any that land at or before `now` fire in this scan.
         loop {
             expired.clear();
             self.deadlines.drain_expired(now, &mut expired);
@@ -479,38 +428,24 @@ impl EnsembleEngine {
             let lanes = &self.lanes;
             for tied in expired.chunk_by_mut(|a, b| a.deadline.total_cmp(&b.deadline).is_eq()) {
                 if tied.len() > 1 {
-                    tied.sort_unstable_by_key(|e| (lanes.job_at(e.slot), e.packed));
+                    tied.sort_unstable_by_key(|e| (lanes.job_at(e.slot), e.attempt));
                 }
             }
             for entry in &expired {
                 if !self.lanes.entry_is_current(entry) {
                     continue; // superseded checkout, resubmission or completion
                 }
-                self.fire_entry(entry, now, actions);
+                // Being current, the entry names its slot's attempt.
+                let EnsembleJobId { workflow: wf, job } = self.lanes.job_at(entry.slot);
+                self.handle_attempt_failure(wf, job, entry.attempt, now, actions);
             }
         }
         self.scratch_expired = expired;
     }
 
-    /// Process one expired, still-current deadline entry: being current,
-    /// it says what its slot says, and the slot says it in full.
-    fn fire_entry(&mut self, entry: &DeadlineEntry, now: f64, actions: &mut Vec<Action>) {
-        let i = entry.slot as usize;
-        let EnsembleJobId { workflow: wf, job } = self.lanes.job_at(entry.slot);
-        let attempt = self.lanes.attempt[i];
-        if self.lanes.tag[i] == SLOT_DEFERRED {
-            // A backoff-deferred retry came due: dispatch it now.
-            let action = self.dispatch_indexed(wf, job, attempt, now);
-            actions.push(action);
-        } else {
-            self.handle_attempt_failure(wf, job, attempt, now, actions);
-        }
-    }
-
-    /// Earliest pending deadline — job timeout or deferred-retry fire
-    /// time — if any (lets drivers sleep precisely instead of polling).
-    /// Amortized O(1): stale entries are pruned as they surface in the
-    /// wheel's minimum-slot scan.
+    /// Earliest pending job deadline, if any (lets drivers sleep precisely
+    /// instead of polling). Amortized O(1): stale entries are pruned as
+    /// they surface in the wheel's minimum-slot scan.
     pub fn next_deadline(&mut self) -> Option<f64> {
         let lanes = &self.lanes;
         self.deadlines.next_deadline(|e| lanes.entry_is_current(e))
@@ -539,12 +474,10 @@ impl EnsembleEngine {
         self.stats
     }
 
-    /// Current in-flight attempts: dispatched, not yet terminal, not
-    /// parked behind a backoff deferral (those re-fire from the deadline
-    /// timer on their own). A recovered master republishes these — the
-    /// pre-crash queue contents are unknown, and a duplicate dispatch is
-    /// only duplicate-completion noise while a lost one would strand the
-    /// job until its timeout.
+    /// Current in-flight attempts: dispatched and not yet terminal. A
+    /// recovered master republishes these — the pre-crash queue contents
+    /// are unknown, and a duplicate dispatch is only duplicate-completion
+    /// noise while a lost one would strand the job until its timeout.
     pub fn inflight_dispatches(&self, out: &mut Vec<DispatchMsg>) {
         for (wfi, state) in self.workflows.iter().enumerate() {
             if state.tracker.is_settled() {
@@ -654,10 +587,7 @@ mod tests {
     }
 
     fn capped(max_attempts: u32) -> EnsembleEngine {
-        EngineConfig::default()
-            .timeout(10.0)
-            .retry(RetryPolicy { max_attempts: Some(max_attempts), ..RetryPolicy::default() })
-            .build()
+        EngineConfig::default().timeout(10.0).max_attempts(max_attempts).build()
     }
 
     /// Two independent roots: one dead-letters first, then the other
@@ -1102,7 +1032,7 @@ mod tests {
         assert_eq!(s.workflows_submitted, 1);
     }
 
-    // ---- retry budget / backoff / dead-letter ----
+    // ---- retry budget / dead-letter ----
 
     #[test]
     fn always_failing_job_dead_letters_at_cap() {
@@ -1183,61 +1113,6 @@ mod tests {
         assert_eq!(e.stats().duplicate_completions, 1);
         assert_eq!(e.stats().jobs_completed, 0);
         assert!(e.all_settled());
-    }
-
-    #[test]
-    fn backoff_defers_retry_until_due() {
-        let mut e = EngineConfig::default()
-            .timeout(100.0)
-            .retry(RetryPolicy { backoff_base_secs: 4.0, ..RetryPolicy::default() })
-            .build();
-        let (_, actions) = submit(&mut e, chain(1), 0.0);
-        let d = dispatches(&actions)[0];
-        let actions = ack(&mut e, fail_ack(d.job, 1), 10.0);
-        assert!(dispatches(&actions).is_empty(), "first retry deferred 4 s");
-        assert_eq!(e.next_deadline(), Some(14.0));
-        assert!(scan(&mut e, 13.9).is_empty());
-        let rd = dispatches(&scan(&mut e, 14.0));
-        assert_eq!(rd.len(), 1);
-        assert_eq!(rd[0].attempt, 2);
-        // Second failure backs off 8 s (factor 2).
-        let actions = ack(&mut e, fail_ack(d.job, 2), 20.0);
-        assert!(dispatches(&actions).is_empty());
-        assert_eq!(e.next_deadline(), Some(28.0));
-        let s = e.stats();
-        assert_eq!(s.resubmissions, 2);
-        assert_eq!(s.deferred_retries, 2);
-    }
-
-    #[test]
-    fn backoff_delay_caps_at_max() {
-        let e = EngineConfig::default()
-            .retry(RetryPolicy {
-                backoff_base_secs: 10.0,
-                backoff_max_secs: 30.0,
-                ..RetryPolicy::default()
-            })
-            .build();
-        assert_eq!(e.backoff_delay(1), 10.0);
-        assert_eq!(e.backoff_delay(2), 20.0);
-        assert_eq!(e.backoff_delay(3), 30.0, "40 capped to 30");
-        assert_eq!(e.backoff_delay(99), 30.0);
-    }
-
-    #[test]
-    fn deferred_retry_completion_cancels_the_deferral() {
-        // The failed attempt's straggler worker completes while the retry
-        // is parked: the deferral must die with the job.
-        let mut e = EngineConfig::default()
-            .retry(RetryPolicy { backoff_base_secs: 5.0, ..RetryPolicy::default() })
-            .build();
-        let (_, actions) = submit(&mut e, chain(1), 0.0);
-        let d = dispatches(&actions)[0];
-        ack(&mut e, fail_ack(d.job, 1), 1.0); // retry parked until 6.0
-        let actions = ack(&mut e, done_ack(d.job, 1), 2.0);
-        assert!(actions.iter().any(|a| matches!(a, Action::WorkflowCompleted { .. })));
-        assert!(scan(&mut e, 10.0).is_empty(), "deferred dispatch cancelled");
-        assert_eq!(e.stats().dispatches, 1);
     }
 
     #[test]

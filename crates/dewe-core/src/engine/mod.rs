@@ -8,13 +8,12 @@
 //! can exercise every protocol corner deterministically.
 //!
 //! Beyond the paper's unconditional timeout/resubmission loop, the engine
-//! carries a configurable [`RetryPolicy`]: a per-job attempt cap that
-//! dead-letters permanently failing jobs (abandoning their descendants so
-//! the ensemble terminates with partial completion instead of looping
-//! forever), and exponential backoff with deterministic jitter between
-//! resubmissions, implemented as deferred dispatches riding the existing
-//! deadline timer. The defaults preserve the paper's behavior exactly:
-//! unbounded immediate retries.
+//! carries an optional per-job attempt cap,
+//! [`EngineConfig::max_attempts`], that dead-letters permanently failing
+//! jobs (abandoning their descendants so the ensemble terminates with
+//! partial completion instead of looping forever). A retry inside the cap
+//! is dispatched at once. The default preserves the paper's behavior
+//! exactly: unbounded immediate retries.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -28,7 +27,7 @@ use crate::wheel::DeadlineWheel;
 
 mod ensemble;
 
-pub use ensemble::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
+pub use ensemble::{Action, EngineConfig, EngineStats, EnsembleEngine};
 
 struct WorkflowState {
     workflow: Arc<Workflow>,
@@ -46,9 +45,6 @@ struct WorkflowState {
 const SLOT_EMPTY: u8 = 0;
 /// A dispatched attempt; `deadline` is its timeout (possibly infinite).
 const SLOT_INFLIGHT: u8 = 1;
-/// A backoff-deferred retry parked in the slab; `deadline` is the time
-/// the deferred dispatch fires, not a timeout.
-const SLOT_DEFERRED: u8 = 2;
 
 /// Engine-wide in-flight slab, laid out struct-of-arrays.
 ///
@@ -73,11 +69,11 @@ struct InflightLanes {
     /// The regions, by ascending `start`; together they cover the lanes.
     /// The free ones among them are the free list.
     regions: Vec<Region>,
-    /// Timeout deadline or deferred-retry fire time (see `tag`).
+    /// Timeout deadline of the attempt in flight.
     deadline: Vec<f64>,
     /// Attempt number occupying the slot.
     attempt: Vec<u32>,
-    /// `SLOT_EMPTY` / `SLOT_INFLIGHT` / `SLOT_DEFERRED`.
+    /// `SLOT_EMPTY` / `SLOT_INFLIGHT`.
     tag: Vec<u8>,
 }
 
@@ -137,64 +133,55 @@ impl InflightLanes {
         EnsembleJobId::new(region.tenant, JobId(slot - region.start))
     }
 
-    /// Occupy a slot with an attempt (in flight, or parked if `deferred`)
-    /// and return the timer entry that describes it.
+    /// Put an attempt in flight in a slot and return the timer entry that
+    /// describes it.
     #[inline]
-    fn set(&mut self, i: usize, deadline: f64, attempt: u32, deferred: bool) -> DeadlineEntry {
+    fn set(&mut self, i: usize, deadline: f64, attempt: u32) -> DeadlineEntry {
         self.deadline[i] = deadline;
         self.attempt[i] = attempt;
-        self.tag[i] = if deferred { SLOT_DEFERRED } else { SLOT_INFLIGHT };
-        DeadlineEntry::new(deadline, i, attempt, deferred)
+        self.tag[i] = SLOT_INFLIGHT;
+        DeadlineEntry::new(deadline, i, attempt)
     }
 
-    /// True when `entry` still describes the current checkout (or
-    /// deferral) of its job: the slab holds the same attempt with the
-    /// same deadline and kind. Any refresh, resubmission or completion
-    /// invalidates older timer entries.
+    /// True when `entry` still describes the current checkout of its job:
+    /// the slab holds the same attempt in flight with the same deadline.
+    /// Any refresh, resubmission or completion invalidates older timer
+    /// entries.
     fn entry_is_current(&self, entry: &DeadlineEntry) -> bool {
         let i = entry.slot as usize;
-        let tag = self.tag[i];
-        tag != SLOT_EMPTY
+        self.tag[i] == SLOT_INFLIGHT
             && self.deadline[i] == entry.deadline
-            && DeadlineEntry::pack(self.attempt[i], tag == SLOT_DEFERRED) == entry.packed
+            && self.attempt[i] == entry.attempt
     }
 }
 
-/// A candidate deadline in the engine-wide timer: either
-/// a timeout for a checked-out job or the fire time of a backoff-deferred
-/// retry. 16 bytes.
+/// A candidate deadline in the engine-wide timer: the timeout of a
+/// dispatched or checked-out attempt. 16 bytes.
 ///
 /// Entries are never removed eagerly: a Running re-ack, resubmission or
 /// completion simply leaves the old entry behind, and it is discarded at
 /// pop time when it no longer matches the in-flight slab (lazy
-/// invalidation). `Ord` is ascending deadline, then slot, then (attempt,
-/// deferred). Regions are recycled, so slot order is not (workflow, job)
-/// order: [`EnsembleEngine::check_timeouts`] re-sorts the entries that
-/// expire at one deadline by the job each names, and a scan fires in
-/// ascending (deadline, workflow, job, attempt, deferred) order whatever
-/// slots the jobs were given.
+/// invalidation). `Ord` is ascending deadline, then slot, then attempt.
+/// Regions are recycled, so slot order is not (workflow, job) order:
+/// [`EnsembleEngine::check_timeouts`] re-sorts the entries that expire at
+/// one deadline by the job each names, and a scan fires in ascending
+/// (deadline, workflow, job, attempt) order whatever slots the jobs were
+/// given.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DeadlineEntry {
     pub(crate) deadline: f64,
     /// The job's slot in the in-flight lanes.
     pub(crate) slot: u32,
-    /// `attempt << 1 | deferred`, mirroring the slab's attempt and
-    /// `SLOT_DEFERRED` tag; the currency check compares it whole, so the
-    /// attempt's 32nd bit (two billion retries of one job) is not kept.
-    packed: u32,
+    /// The attempt the entry times, mirroring the slab's attempt.
+    attempt: u32,
 }
 
 const _: () = assert!(std::mem::size_of::<DeadlineEntry>() == 16);
 
 impl DeadlineEntry {
-    pub(crate) fn new(deadline: f64, slot: usize, attempt: u32, deferred: bool) -> Self {
+    pub(crate) fn new(deadline: f64, slot: usize, attempt: u32) -> Self {
         // `claim` keeps every slot below 2^32.
-        Self { deadline, slot: slot as u32, packed: Self::pack(attempt, deferred) }
-    }
-
-    #[inline]
-    fn pack(attempt: u32, deferred: bool) -> u32 {
-        (attempt << 1) | u32::from(deferred)
+        Self { deadline, slot: slot as u32, attempt }
     }
 }
 
@@ -217,6 +204,6 @@ impl Ord for DeadlineEntry {
         self.deadline
             .total_cmp(&other.deadline)
             .then_with(|| self.slot.cmp(&other.slot))
-            .then_with(|| self.packed.cmp(&other.packed))
+            .then_with(|| self.attempt.cmp(&other.attempt))
     }
 }

@@ -52,7 +52,7 @@ pub mod fault;
 pub mod realtime;
 pub mod sim;
 
-pub use engine::{Action, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy};
+pub use engine::{Action, EngineConfig, EngineStats, EnsembleEngine};
 pub use protocol::{
     AckKind, AckMsg, Clipped, DispatchMsg, LifecycleKind, LifecycleMsg, SubmissionMsg, WireError,
     WireMsg, WorkflowAnnounce, PROTOCOL_VERSION,

@@ -686,8 +686,7 @@ A 2 0 1 0 2 4030000000000000
         for i in 0..3 {
             registry.insert(WorkflowId(i), chain(2));
         }
-        let retry = crate::RetryPolicy { max_attempts: Some(2), ..Default::default() };
-        let config = EngineConfig { default_timeout_secs: 10.0, retry, ..EngineConfig::default() };
+        let config = EngineConfig::default().timeout(10.0).max_attempts(2);
         let job = |wf, j| EnsembleJobId::new(WorkflowId(wf), JobId(j));
         let path = tmp("compacted");
         let replay = |text: &str| {

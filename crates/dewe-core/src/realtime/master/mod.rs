@@ -175,7 +175,6 @@ impl MasterHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RetryPolicy;
     use crate::protocol::{AckKind, AckMsg};
     use crate::realtime::testutil::{endpoint, link, next_dispatch, submit, wait_until};
     use crate::realtime::{spawn_worker_on, NoopRunner, SleepRunner, WorkerConfig, WorkerPhase};
@@ -509,8 +508,7 @@ mod tests {
             tcp.clone(),
             Registry::new(),
             MasterConfig {
-                engine: EngineConfig::default()
-                    .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() }),
+                engine: EngineConfig::default().max_attempts(2),
                 expected_workflows: Some(1),
                 ..MasterConfig::default()
             },

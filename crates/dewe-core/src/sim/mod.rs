@@ -176,7 +176,7 @@ pub struct SimReport {
 }
 
 // Wake-token tags (high byte). Job tokens are dense ensemble-wide indices
-// (see [`DriverState::token`]), so they stay strictly below every tagged
+// (see [`Driver::token`]), so they stay strictly below every tagged
 // token as long as the ensemble has fewer than 2^56 jobs — asserted when
 // workflows register.
 const TAG_SUBMIT: u64 = 1 << 56;
@@ -251,13 +251,23 @@ impl SlotPool {
     }
 }
 
-/// Per-run driver bookkeeping. What it holds per job follows the jobs that
-/// are executing — one `running` entry per occupied slot, reserved up
-/// front so the event loop's ack/dispatch path allocates nothing in steady
-/// state — and the action/profile buffers are reused across events. Only
-/// a traced run keeps anything for every job of the ensemble: its
-/// timestamps, in dense slabs indexed by job token.
-struct DriverState {
+/// One run: the engine, the simulated cluster and the driver's
+/// bookkeeping. [`Driver::run`] is the event loop — the only one; the steps
+/// each kind of event takes are written once, there.
+///
+/// What the driver holds per job follows the jobs that are executing — one
+/// `running` entry per occupied slot, reserved up front so the event loop's
+/// ack/dispatch path allocates nothing in steady state — and the
+/// action/profile buffers are reused across events. Only a traced run keeps
+/// anything for every job of the ensemble: its timestamps, in dense slabs
+/// indexed by job token.
+struct Driver<'a> {
+    workflows: &'a [Arc<Workflow>],
+    config: &'a SimRunConfig,
+    engine: EnsembleEngine,
+    exec: ExecSim,
+    sampler: Option<ClusterSampler>,
+    trace: Option<dewe_metrics::Trace>,
     queue: VecDeque<DispatchMsg>,
     /// The dispatch executing under each job token, for the jobs that are
     /// executing; see [`Self::take_running`].
@@ -272,7 +282,6 @@ struct DriverState {
     trace_times: Vec<f64>,
     /// Dispatch time per job index, NaN = none recorded; when tracing.
     dispatch_times: Vec<f64>,
-    tracing: bool,
     overhead_secs: f64,
     /// Scratch job profile; its read/write vectors are reused per dispatch.
     profile: JobProfile,
@@ -289,12 +298,48 @@ struct DriverState {
     failure_script: Vec<ScriptedFailure>,
 }
 
-impl DriverState {
-    fn new(workflows: &[Arc<Workflow>], pool: SlotPool, config: &SimRunConfig) -> Self {
-        let tracing = config.record_trace;
+impl<'a> Driver<'a> {
+    /// Every node of `config.cluster` pulling, and the run's wakes scheduled:
+    /// submissions, the master's timeout scan, sampling, faults.
+    fn new(workflows: &'a [Arc<Workflow>], config: &'a SimRunConfig) -> Self {
+        assert!(!workflows.is_empty(), "ensemble must contain at least one workflow");
+        let mut exec = ExecSim::new(config.cluster);
+        let nodes = config.cluster.nodes;
+        if let Some(speeds) = &config.node_speed_factors {
+            assert_eq!(speeds.len(), nodes, "one speed factor per node");
+            for (n, &f) in speeds.iter().enumerate() {
+                exec.cluster_mut().set_speed_factor(n, f);
+            }
+        }
+        let slots_per_node = config.slots_per_node.unwrap_or(config.cluster.instance.vcpus);
+        let pool = SlotPool::new(nodes, slots_per_node);
+        let sampler =
+            config.sample.then(|| ClusterSampler::new(nodes, config.cluster.instance.vcpus));
+
+        let SubmissionPlan::Interval(interval_secs) = config.submission;
+        for i in 0..workflows.len() {
+            exec.schedule_wake(interval_secs * i as f64, TAG_SUBMIT | i as u64);
+        }
+        exec.schedule_wake(config.timeout_scan_secs, TAG_SCAN);
+        if sampler.is_some() {
+            exec.schedule_wake(SAMPLE_INTERVAL_SECS, TAG_SAMPLE);
+        }
+        for (i, fault) in config.faults.iter().enumerate() {
+            assert!(fault.node < nodes, "fault on unknown node");
+            exec.schedule_wake(fault.kill_at_secs, TAG_KILL | i as u64);
+            if let Some(at) = fault.restart_at_secs {
+                exec.schedule_wake(at, TAG_RESTART | i as u64);
+            }
+        }
         let total_jobs: usize =
-            if tracing { workflows.iter().map(|w| w.job_count()).sum() } else { 0 };
+            if config.record_trace { workflows.iter().map(|w| w.job_count()).sum() } else { 0 };
         Self {
+            workflows,
+            config,
+            engine: config.run_engine().build(),
+            exec,
+            sampler,
+            trace: config.record_trace.then(dewe_metrics::Trace::new),
             queue: VecDeque::new(),
             running: TokenMap::with_capacity_and_hasher(pool.idle.len(), Default::default()),
             job_base: Vec::with_capacity(workflows.len()),
@@ -302,7 +347,6 @@ impl DriverState {
             pool,
             trace_times: vec![0.0; total_jobs],
             dispatch_times: vec![f64::NAN; total_jobs],
-            tracing,
             overhead_secs: config.per_job_overhead_secs,
             profile: JobProfile {
                 reads: Vec::new(),
@@ -394,7 +438,7 @@ impl DriverState {
         for action in actions.drain(..) {
             match action {
                 Action::Dispatch(d) => {
-                    if self.tracing {
+                    if self.trace.is_some() {
                         let t = self.token(d.job) as usize;
                         self.dispatch_times[t] = now;
                     }
@@ -418,17 +462,17 @@ impl DriverState {
     }
 
     /// Assign queued jobs to idle slots (the pull loop).
-    fn try_assign(&mut self, exec: &mut ExecSim, engine: &mut EnsembleEngine) {
+    fn try_assign(&mut self) {
         while !self.queue.is_empty() {
             let Some(node) = self.pool.pop_idle() else { break };
             let d = self.queue.pop_front().expect("queue non-empty");
-            let now = exec.now().as_secs_f64();
+            let now = self.exec.now().as_secs_f64();
             // Worker checks the job out: Running acknowledgment. Under
             // chaos this ack may be lost (the job still runs — losing the
             // message doesn't kill the work) or delivered twice
             // (idempotent on the engine side).
             for _ in 0..self.chaos_copies(chaos::streams::ACK, d.job, d.attempt, 0) {
-                engine.on_ack(
+                self.engine.on_ack(
                     AckMsg {
                         job: d.job,
                         worker: node as u32,
@@ -440,7 +484,7 @@ impl DriverState {
                 );
             }
             debug_assert!(self.actions.is_empty(), "a Running ack emits no actions");
-            let workflow = engine.workflow(d.job.workflow);
+            let workflow = self.engine.workflow(d.job.workflow);
             let spec = workflow.job(d.job.job);
             self.profile.reads.clear();
             self.profile.reads.extend(
@@ -457,77 +501,15 @@ impl DriverState {
                     .map(|&f| (file_key(d.job.workflow, f), workflow.file(f).size_bytes as f64)),
             );
             let token = self.token(d.job);
-            if self.tracing {
+            if self.trace.is_some() {
                 let recorded = self.dispatch_times[token as usize];
                 let dispatched = if recorded.is_nan() { now } else { recorded };
                 self.dispatch_times[token as usize] = f64::NAN;
                 self.trace_times[token as usize] = dispatched;
             }
             self.running.insert(token, d);
-            exec.submit_job(token, node, &self.profile);
+            self.exec.submit_job(token, node, &self.profile);
         }
-    }
-}
-
-/// One run: the engine, the simulated cluster and the driver's
-/// bookkeeping. [`Driver::run`] is the event loop — the only one; the steps
-/// each kind of event takes are written once, there.
-struct Driver<'a> {
-    workflows: &'a [Arc<Workflow>],
-    config: &'a SimRunConfig,
-    engine: EnsembleEngine,
-    exec: ExecSim,
-    state: DriverState,
-    sampler: Option<ClusterSampler>,
-    trace: Option<dewe_metrics::Trace>,
-}
-
-impl<'a> Driver<'a> {
-    /// Every node of `config.cluster` pulling, and the run's wakes scheduled:
-    /// submissions, the master's timeout scan, sampling, faults.
-    fn new(workflows: &'a [Arc<Workflow>], config: &'a SimRunConfig) -> Self {
-        assert!(!workflows.is_empty(), "ensemble must contain at least one workflow");
-        let mut exec = ExecSim::new(config.cluster);
-        let nodes = config.cluster.nodes;
-        if let Some(speeds) = &config.node_speed_factors {
-            assert_eq!(speeds.len(), nodes, "one speed factor per node");
-            for (n, &f) in speeds.iter().enumerate() {
-                exec.cluster_mut().set_speed_factor(n, f);
-            }
-        }
-        let slots_per_node = config.slots_per_node.unwrap_or(config.cluster.instance.vcpus);
-        let pool = SlotPool::new(nodes, slots_per_node);
-        let sampler =
-            config.sample.then(|| ClusterSampler::new(nodes, config.cluster.instance.vcpus));
-
-        let SubmissionPlan::Interval(interval_secs) = config.submission;
-        for i in 0..workflows.len() {
-            exec.schedule_wake(interval_secs * i as f64, TAG_SUBMIT | i as u64);
-        }
-        exec.schedule_wake(config.timeout_scan_secs, TAG_SCAN);
-        if sampler.is_some() {
-            exec.schedule_wake(SAMPLE_INTERVAL_SECS, TAG_SAMPLE);
-        }
-        for (i, fault) in config.faults.iter().enumerate() {
-            assert!(fault.node < nodes, "fault on unknown node");
-            exec.schedule_wake(fault.kill_at_secs, TAG_KILL | i as u64);
-            if let Some(at) = fault.restart_at_secs {
-                exec.schedule_wake(at, TAG_RESTART | i as u64);
-            }
-        }
-        Self {
-            workflows,
-            config,
-            engine: config.run_engine().build(),
-            exec,
-            state: DriverState::new(workflows, pool, config),
-            sampler,
-            trace: config.record_trace.then(dewe_metrics::Trace::new),
-        }
-    }
-
-    fn try_assign(&mut self) {
-        self.state.try_assign(&mut self.exec, &mut self.engine);
     }
 
     /// Run to settlement (or the horizon).
@@ -535,12 +517,12 @@ impl<'a> Driver<'a> {
         while let Some(event) = self.exec.next() {
             match event {
                 SimEvent::JobFinished { token, node, timings } => {
-                    self.state.pool.release(node);
+                    self.pool.release(node);
                     // Nothing running under the token: this is a chaos
                     // duplicate's finish, which frees the slot and sends no
                     // ack. (Killed jobs never get here — kill_jobs_on
                     // suppresses their completions.)
-                    if let Some(d) = self.state.take_running(token) {
+                    if let Some(d) = self.take_running(token) {
                         self.job_finished(d, token, node, timings);
                     }
                     self.try_assign();
@@ -550,7 +532,7 @@ impl<'a> Driver<'a> {
             // Exit when done. With sampling on, run a short tail so the
             // series show the ramp-down.
             let now = self.exec.now().as_secs_f64();
-            match self.state.all_done_at {
+            match self.all_done_at {
                 Some(_) if self.sampler.is_none() => break,
                 Some(done) if now > done + 2.0 * SAMPLE_INTERVAL_SECS => break,
                 None if self.config.horizon_secs.is_some_and(|h| now > h) => break,
@@ -564,7 +546,7 @@ impl<'a> Driver<'a> {
     fn job_finished(&mut self, d: DispatchMsg, token: u64, node: NodeId, timings: JobTimings) {
         // Scripted failure: the worker ran the attempt but reports Failed
         // instead of Completed.
-        let scripted_fail = d.attempt <= self.state.failing_attempts(d.job);
+        let scripted_fail = d.attempt <= self.failing_attempts(d.job);
         if !scripted_fail {
             if let Some(tr) = self.trace.as_mut() {
                 // The start time comes from this finish event's own
@@ -574,7 +556,7 @@ impl<'a> Driver<'a> {
                 // slot's time may belong to a later attempt. Clamp
                 // `dispatched` for the same reason.
                 let started = timings.submitted.as_secs_f64();
-                let dispatched = self.state.trace_times[token as usize].min(started);
+                let dispatched = self.trace_times[token as usize].min(started);
                 let wf = self.engine.workflow(d.job.workflow);
                 tr.record(dewe_metrics::JobTrace {
                     workflow: d.job.workflow.0,
@@ -597,16 +579,16 @@ impl<'a> Driver<'a> {
             // bypasses the chaos layer because the engine does not
             // deduplicate Failed acks (a dropped or doubled one would
             // desynchronize the retry budget).
-            self.engine.on_ack(ack(AckKind::Failed), now, &mut self.state.actions);
+            self.engine.on_ack(ack(AckKind::Failed), now, &mut self.actions);
         } else {
             // Under chaos the completion ack may be lost (the master times
             // the job out and resubmits — the work reruns) or duplicated
             // (the second copy is dedup noise).
-            for _ in 0..self.state.chaos_copies(chaos::streams::ACK, d.job, d.attempt, 1) {
-                self.engine.on_ack(ack(AckKind::Completed), now, &mut self.state.actions);
+            for _ in 0..self.chaos_copies(chaos::streams::ACK, d.job, d.attempt, 1) {
+                self.engine.on_ack(ack(AckKind::Completed), now, &mut self.actions);
             }
         }
-        self.state.handle_actions(now);
+        self.handle_actions(now);
     }
 
     fn wake(&mut self, token: u64) {
@@ -616,16 +598,16 @@ impl<'a> Driver<'a> {
             TAG_SUBMIT => {
                 let workflow = Arc::clone(&self.workflows[idx]);
                 let job_count = workflow.job_count();
-                let id = self.engine.submit_workflow(workflow, now, &mut self.state.actions);
-                self.state.register_workflow(id, job_count);
-                self.state.handle_actions(now);
+                let id = self.engine.submit_workflow(workflow, now, &mut self.actions);
+                self.register_workflow(id, job_count);
+                self.handle_actions(now);
                 self.try_assign();
             }
             TAG_SCAN => {
-                self.engine.check_timeouts(now, &mut self.state.actions);
-                self.state.handle_actions(now);
+                self.engine.check_timeouts(now, &mut self.actions);
+                self.handle_actions(now);
                 self.try_assign();
-                if self.state.all_done_at.is_none() {
+                if self.all_done_at.is_none() {
                     self.exec.schedule_wake(self.config.timeout_scan_secs, TAG_SCAN);
                 }
             }
@@ -636,19 +618,19 @@ impl<'a> Driver<'a> {
                         .collect();
                     s.sample(now, &counters);
                 }
-                if self.state.all_done_at.is_none() {
+                if self.all_done_at.is_none() {
                     self.exec.schedule_wake(SAMPLE_INTERVAL_SECS, TAG_SAMPLE);
                 }
             }
             TAG_KILL => {
                 let node = self.config.faults[idx].node;
                 for t in self.exec.kill_jobs_on(node) {
-                    self.state.running.remove(&t);
+                    self.running.remove(&t);
                 }
-                self.state.pool.kill(node);
+                self.pool.kill(node);
             }
             TAG_RESTART => {
-                self.state.pool.restart(self.config.faults[idx].node);
+                self.pool.restart(self.config.faults[idx].node);
                 self.try_assign();
             }
             _ => unreachable!("unknown wake tag"),
@@ -662,11 +644,11 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
     let mut driver = Driver::new(workflows, config);
     driver.run();
 
-    let Driver { engine, mut exec, state, sampler, trace, .. } = driver;
+    let Driver { engine, mut exec, sampler, trace, all_done_at, .. } = driver;
     // When the last workflow settled; the clock, for a run cut short.
-    let makespan = state.all_done_at.unwrap_or_else(|| exec.now().as_secs_f64());
+    let makespan = all_done_at.unwrap_or_else(|| exec.now().as_secs_f64());
     // Every workflow completed: none abandoned, none stranded.
-    let completed = state.all_done_at.is_some() && state.abandoned_count == 0;
+    let completed = all_done_at.is_some() && driver.abandoned_count == 0;
     let nodes = config.cluster.nodes;
     let mut total_cpu = 0.0;
     let mut total_rd = 0.0;
@@ -681,7 +663,7 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
     SimReport {
         makespan_secs: makespan,
         completed,
-        workflow_makespans: state.workflow_makespans,
+        workflow_makespans: driver.workflow_makespans,
         total_cpu_core_secs: total_cpu,
         total_bytes_read: total_rd,
         total_bytes_written: total_wr,
@@ -697,7 +679,6 @@ pub fn run_ensemble(workflows: &[Arc<Workflow>], config: &SimRunConfig) -> SimRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::RetryPolicy;
     use dewe_dag::WorkflowBuilder;
     use dewe_simcloud::{SharedFsKind, StorageConfig, C3_8XLARGE};
 
@@ -935,7 +916,7 @@ mod tests {
         let mut cfg = no_overhead(cluster(1));
         cfg.engine.default_timeout_secs = 10.0;
         cfg.timeout_scan_secs = 1.0;
-        cfg.engine.retry = RetryPolicy { max_attempts: Some(3), ..RetryPolicy::default() };
+        cfg.engine.max_attempts = Some(3);
         let report = run_ensemble(&[doomed, healthy], &cfg);
         assert!(!report.completed, "partial completion must be reported");
         assert_eq!(report.engine.dead_lettered, 1);
@@ -945,39 +926,6 @@ mod tests {
         assert!(report.workflow_makespans[1] > 0.0);
         // Terminates promptly: 3 attempts x ~10 s timeout, not 100 s+.
         assert!(report.makespan_secs < 60.0, "{}", report.makespan_secs);
-    }
-
-    #[test]
-    fn backoff_spaces_retries_in_sim_time() {
-        // Same doomed job, but retries back off 20/40 s: the dead-letter
-        // arrives later than with immediate retries, by the backoff sum.
-        let wf = || {
-            let mut b = WorkflowBuilder::new("doomed");
-            b.job("hog", "t", 100.0).build();
-            Arc::new(b.finish().unwrap())
-        };
-        let base = |backoff: f64| {
-            let mut cfg = no_overhead(cluster(1));
-            cfg.engine.default_timeout_secs = 10.0;
-            cfg.timeout_scan_secs = 1.0;
-            cfg.engine.retry = RetryPolicy {
-                max_attempts: Some(3),
-                backoff_base_secs: backoff,
-                ..RetryPolicy::default()
-            };
-            run_ensemble(&[wf()], &cfg)
-        };
-        let immediate = base(0.0);
-        let spaced = base(20.0);
-        assert!(!immediate.completed && !spaced.completed);
-        assert_eq!(spaced.engine.deferred_retries, 2);
-        // 20 + 40 s of backoff shows up in the terminal time.
-        assert!(
-            spaced.makespan_secs > immediate.makespan_secs + 50.0,
-            "immediate {} vs spaced {}",
-            immediate.makespan_secs,
-            spaced.makespan_secs
-        );
     }
 
     #[test]
@@ -1091,7 +1039,7 @@ mod tests {
         // The middle job always fails and the retry budget allows two
         // attempts: it dead-letters and its descendant is written off.
         let mut cfg = no_overhead(cluster(1));
-        cfg.engine.retry = RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() };
+        cfg.engine.max_attempts = Some(2);
         cfg.failure_script = vec![ScriptedFailure { workflow: 0, job: 1, failing_attempts: 99 }];
         let report = run_ensemble(&[chain_wf(3, 1.0)], &cfg);
         assert!(!report.completed);

@@ -1,11 +1,10 @@
 //! Hierarchical flat-array deadline wheel: the engine's one deadline
-//! tracker, behind its timeout scans and deferred-retry firing.
+//! tracker, behind its timeout scans.
 //!
 //! The engine's deadline structure is append-heavy and lazily validated:
-//! every checkout, deferral and (with a checkout timeout) dispatch pushes
-//! an entry, and entries are only examined once their deadline region is
-//! reached — most are stale by then and discarded against the in-flight
-//! slab. A binary heap would pay `O(log n)` per push for a total order
+//! every checkout and (with a checkout timeout) dispatch pushes an entry,
+//! and entries are only examined once their deadline region is reached —
+//! most are stale by then and discarded against the in-flight slab. A binary heap would pay `O(log n)` per push for a total order
 //! the engine never needs between scans. The wheel files in `O(1)` into
 //! fixed slot arrays and recovers exact ordering only for the (few)
 //! entries that actually expire in a scan.
@@ -37,7 +36,7 @@
 //! Quantization never affects observable behavior: entries keep their
 //! exact `f64` deadline, expiry is decided by comparing that deadline to
 //! `now`, and the engine sorts each scan's expired batch into full
-//! `(deadline, workflow, job, attempt, deferred)` order — the action
+//! `(deadline, workflow, job, attempt)` order — the action
 //! stream is the one a totally ordered queue would produce.
 //!
 //! ## Contracts
@@ -135,7 +134,7 @@ pub(crate) struct DeadlineWheel {
 
 impl Default for DeadlineWheel {
     fn default() -> Self {
-        let placeholder = DeadlineEntry::new(f64::INFINITY, 0, 0, false);
+        let placeholder = DeadlineEntry::new(f64::INFINITY, 0, 0);
         Self {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             mins: vec![placeholder; LEVELS * SLOTS],
@@ -307,7 +306,7 @@ mod tests {
     use super::*;
 
     fn entry(deadline: f64, slot: usize, attempt: u32) -> DeadlineEntry {
-        DeadlineEntry::new(deadline, slot, attempt, false)
+        DeadlineEntry::new(deadline, slot, attempt)
     }
 
     fn drain_sorted(w: &mut DeadlineWheel, now: f64) -> Vec<DeadlineEntry> {

@@ -3,7 +3,7 @@
 //! tables and scanned every running job on each timeout check.
 //!
 //! A reference copy of that implementation lives in this file, extended
-//! with the same retry budget / backoff / dead-letter semantics the real
+//! with the same retry budget / dead-letter semantics the real
 //! engine grew. Both engines are driven through randomized interleavings
 //! of submissions, Running/Completed/Failed acknowledgments (including
 //! stale-attempt re-acks and duplicate completions from timeout races)
@@ -25,9 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dewe_core::realtime::{recover, JournalRecord, Registry};
-use dewe_core::{
-    AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineStats, EnsembleEngine, RetryPolicy,
-};
+use dewe_core::{AckKind, AckMsg, Action, DispatchMsg, EngineConfig, EngineStats, EnsembleEngine};
 use dewe_dag::{
     DependencyTracker, EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId,
 };
@@ -63,9 +61,8 @@ struct RefWorkflow {
     workflow: Arc<Workflow>,
     tracker: DependencyTracker,
     submitted_at: f64,
-    /// (deadline, attempt, deferred) per in-flight job — the old sparse
-    /// table, with `deferred` marking a parked backoff retry.
-    inflight: HashMap<JobId, (f64, u32, bool)>,
+    /// (deadline, attempt) per in-flight job — the old sparse table.
+    inflight: HashMap<JobId, (f64, u32)>,
     done: bool,
     dead_lettered: u64,
 }
@@ -93,7 +90,7 @@ impl ReferenceEngine {
         };
         let mut actions = Vec::new();
         for job in state.tracker.take_ready() {
-            state.inflight.insert(job, (self.dispatch_deadline(now), 1, false));
+            state.inflight.insert(job, (self.dispatch_deadline(now), 1));
             self.stats.dispatches += 1;
             actions.push(Action::Dispatch(DispatchMsg::new(EnsembleJobId::new(id, job), 1)));
         }
@@ -123,8 +120,8 @@ impl ReferenceEngine {
                 let state = &mut self.workflows[wf.index()];
                 let timeout =
                     state.workflow.job(job).effective_timeout(self.config.default_timeout_secs);
-                if let Some((deadline, attempt, deferred)) = state.inflight.get_mut(&job) {
-                    if *attempt == ack.attempt && !*deferred {
+                if let Some((deadline, attempt)) = state.inflight.get_mut(&job) {
+                    if *attempt == ack.attempt {
                         *deadline = now + timeout;
                     }
                 }
@@ -145,7 +142,7 @@ impl ReferenceEngine {
                 state.tracker.complete(&workflow, job);
                 self.stats.jobs_completed += 1;
                 for next in state.tracker.take_ready() {
-                    state.inflight.insert(next, (dd, 1, false));
+                    state.inflight.insert(next, (dd, 1));
                     self.stats.dispatches += 1;
                     actions
                         .push(Action::Dispatch(DispatchMsg::new(EnsembleJobId::new(wf, next), 1)));
@@ -173,7 +170,7 @@ impl ReferenceEngine {
                 let stale = self.workflows[wf.index()]
                     .inflight
                     .get(&job)
-                    .is_some_and(|&(_, attempt, _)| attempt > ack.attempt);
+                    .is_some_and(|&(_, attempt)| attempt > ack.attempt);
                 if stale {
                     self.stats.stale_failures_ignored += 1;
                 } else {
@@ -203,7 +200,7 @@ impl ReferenceEngine {
             }
             _ => {}
         }
-        if self.config.retry.max_attempts.is_some_and(|cap| failed_attempt >= cap) {
+        if self.config.max_attempts.is_some_and(|cap| failed_attempt >= cap) {
             state.inflight.remove(&job);
             state.dead_lettered += 1;
             let workflow = Arc::clone(&state.workflow);
@@ -231,31 +228,25 @@ impl ReferenceEngine {
             state.tracker.clear_ready();
             self.stats.resubmissions += 1;
             let next_attempt = failed_attempt + 1;
-            let delay = backoff_delay(&self.config.retry, failed_attempt);
-            if delay > 0.0 {
-                state.inflight.insert(job, (now + delay, next_attempt, true));
-                self.stats.deferred_retries += 1;
-            } else {
-                state.inflight.insert(job, (dd, next_attempt, false));
-                self.stats.dispatches += 1;
-                actions.push(Action::Dispatch(DispatchMsg::new(
-                    EnsembleJobId::new(wf, job),
-                    next_attempt,
-                )));
-            }
+            state.inflight.insert(job, (dd, next_attempt));
+            self.stats.dispatches += 1;
+            actions.push(Action::Dispatch(DispatchMsg::new(
+                EnsembleJobId::new(wf, job),
+                next_attempt,
+            )));
         }
     }
 
     /// The old O(total in-flight) scan: visit every in-flight job of every
-    /// workflow, collect the expired/due ones, process in deterministic
-    /// (deadline, workflow, job, attempt, deferred) order — the real
-    /// engine's heap-pop order over current entries.
+    /// workflow, collect the expired ones, process in deterministic
+    /// (deadline, workflow, job, attempt) order — the real engine's
+    /// heap-pop order over current entries.
     fn check_timeouts(&mut self, now: f64) -> Vec<Action> {
-        let mut expired: Vec<(f64, usize, JobId, u32, bool)> = Vec::new();
+        let mut expired: Vec<(f64, usize, JobId, u32)> = Vec::new();
         for (wfi, state) in self.workflows.iter().enumerate() {
-            for (&job, &(deadline, attempt, deferred)) in &state.inflight {
+            for (&job, &(deadline, attempt)) in &state.inflight {
                 if deadline <= now {
-                    expired.push((deadline, wfi, job, attempt, deferred));
+                    expired.push((deadline, wfi, job, attempt));
                 }
             }
         }
@@ -264,22 +255,10 @@ impl ReferenceEngine {
                 .then_with(|| a.1.cmp(&b.1))
                 .then_with(|| a.2 .0.cmp(&b.2 .0))
                 .then_with(|| a.3.cmp(&b.3))
-                .then_with(|| a.4.cmp(&b.4))
         });
         let mut actions = Vec::new();
-        for (_, wfi, job, attempt, deferred) in expired {
-            let wf = WorkflowId::from_index(wfi);
-            if deferred {
-                // A backoff-deferred retry came due: dispatch it.
-                let dd = self.dispatch_deadline(now);
-                let state = &mut self.workflows[wfi];
-                state.inflight.insert(job, (dd, attempt, false));
-                self.stats.dispatches += 1;
-                actions
-                    .push(Action::Dispatch(DispatchMsg::new(EnsembleJobId::new(wf, job), attempt)));
-            } else {
-                self.attempt_failed(wf, job, attempt, now, &mut actions);
-            }
+        for (_, wfi, job, attempt) in expired {
+            self.attempt_failed(WorkflowId::from_index(wfi), job, attempt, now, &mut actions);
         }
         actions
     }
@@ -289,7 +268,7 @@ impl ReferenceEngine {
         self.workflows
             .iter()
             .flat_map(|w| w.inflight.values())
-            .map(|&(deadline, _, _)| deadline)
+            .map(|&(deadline, _)| deadline)
             .filter(|d| d.is_finite())
             .min_by(|a, b| a.total_cmp(b))
     }
@@ -301,18 +280,6 @@ impl ReferenceEngine {
     fn stats(&self) -> EngineStats {
         self.stats
     }
-}
-
-fn backoff_delay(r: &RetryPolicy, failed_attempt: u32) -> f64 {
-    if r.backoff_base_secs <= 0.0 {
-        return 0.0;
-    }
-    let exp = failed_attempt.saturating_sub(1).min(63);
-    let mut delay = r.backoff_base_secs * 2.0f64.powi(exp as i32);
-    if delay > r.backoff_max_secs {
-        delay = r.backoff_max_secs;
-    }
-    delay
 }
 
 // ---------------------------------------------------------------------------
@@ -363,21 +330,14 @@ fn equal_length_workflow(jobs: usize, timeouts: (f64, f64), seed: u64) -> Arc<Wo
 
 fn config_strategy() -> impl Strategy<Value = EngineConfig> {
     (
-        (
-            1.0f64..20.0,                                           // default timeout
-            prop_oneof![Just(None), (1.0f64..10.0).prop_map(Some)], // checkout timeout
-            prop_oneof![Just(None), (1u32..5).prop_map(Some)],      // retry cap
-        ),
-        prop_oneof![Just(0.0f64), 0.1f64..2.0], // backoff base
+        1.0f64..20.0,                                           // default timeout
+        prop_oneof![Just(None), (1.0f64..10.0).prop_map(Some)], // checkout timeout
+        prop_oneof![Just(None), (1u32..5).prop_map(Some)],      // retry cap
     )
-        .prop_map(|((timeout, checkout, cap), base)| EngineConfig {
+        .prop_map(|(timeout, checkout, cap)| EngineConfig {
             default_timeout_secs: timeout,
             checkout_timeout_secs: checkout,
-            retry: RetryPolicy {
-                max_attempts: cap,
-                backoff_base_secs: base,
-                backoff_max_secs: 8.0,
-            },
+            max_attempts: cap,
         })
 }
 
@@ -386,8 +346,7 @@ proptest! {
 
     /// Drive both engines through the same randomized interleaving of
     /// submissions, acks (fresh, stale-attempt and duplicate) and timeout
-    /// scans — under randomized retry budgets, backoff schedules and
-    /// checkout timeouts: every step must produce identical actions and
+    /// scans — under randomized retry budgets and checkout timeouts: every step must produce identical actions and
     /// statistics.
     #[test]
     fn engine_matches_scan_reference(
@@ -446,8 +405,8 @@ proptest! {
                 prop_assert_eq!(id_a, id_b);
                 check_step!(actions_a, actions_b);
             } else if outstanding.is_empty() {
-                // Everything submitted and in some queued, deferred or
-                // terminal state; only the clock can make progress.
+                // Everything submitted and queued or terminal; only the
+                // clock can make progress.
                 now += timeout.max(8.0);
                 check_step!(scan_step(&mut real, now), reference.check_timeouts(now));
             } else {
@@ -496,7 +455,7 @@ proptest! {
         let total: u64 = wfs.iter().map(|w| w.job_count() as u64).sum();
         // Every job reached exactly one terminal state.
         prop_assert_eq!(stats.jobs_completed + stats.jobs_abandoned, total);
-        if config.retry.max_attempts.is_none() {
+        if config.max_attempts.is_none() {
             prop_assert_eq!(stats.dead_lettered, 0);
             prop_assert_eq!(stats.workflows_abandoned, 0);
         }
@@ -628,7 +587,7 @@ proptest! {
                 prop_assert_eq!(t.stats(), real.stats());
                 prop_assert_eq!(t.next_deadline(), real.next_deadline());
                 // The republish set is exactly what the live engine holds
-                // in flight (minus deferred retries).
+                // in flight.
                 let mut live_inflight = Vec::new();
                 real.inflight_dispatches(&mut live_inflight);
                 prop_assert_eq!(&rec.redispatch, &live_inflight);

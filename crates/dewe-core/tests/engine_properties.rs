@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use dewe_core::sim::{run_ensemble, NodeFault, SimRunConfig, SubmissionPlan};
-use dewe_core::{AckKind, AckMsg, Action, DispatchMsg, EngineConfig, RetryPolicy};
+use dewe_core::{AckKind, AckMsg, Action, DispatchMsg, EngineConfig};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
 use dewe_montage::{random_layered, RandomDagConfig};
 use dewe_simcloud::{ClusterConfig, SharedFsKind, StorageConfig, C3_8XLARGE};
@@ -126,11 +126,7 @@ proptest! {
     ) {
         let mut engine = EngineConfig { checkout_timeout_secs: Some(5.0), ..EngineConfig::default() }
             .timeout(10.0)
-            .retry(RetryPolicy {
-                max_attempts: Some(3),
-                backoff_base_secs: 1.0,
-                ..RetryPolicy::default()
-            })
+            .max_attempts(3)
             .build();
 
         let mut rng = seed | 1;
@@ -269,11 +265,7 @@ proptest! {
     ) {
         let mut engine = EngineConfig { checkout_timeout_secs: Some(5.0), ..EngineConfig::default() }
             .timeout(10.0)
-            .retry(RetryPolicy {
-                max_attempts: Some(3),
-                backoff_base_secs: 1.0,
-                ..RetryPolicy::default()
-            })
+            .max_attempts(3)
             .build();
         let jobs = wf.job_count() as u64;
         let mut rng = seed | 1;

@@ -20,7 +20,7 @@ use dewe_core::realtime::{
     MasterConfig, MasterEvent, MasterHandle, Registry, SleepRunner, TcpMaster, TcpMasterOptions,
     TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
-use dewe_core::{AckKind, AckMsg, Action, EngineConfig, EnsembleEngine, RetryPolicy};
+use dewe_core::{AckKind, AckMsg, Action, EngineConfig, EnsembleEngine};
 use dewe_dag::{EnsembleJobId, JobId, JobState, Workflow, WorkflowBuilder, WorkflowId};
 
 fn chain(name: &str, jobs: usize, cpu: f64) -> Arc<Workflow> {
@@ -217,9 +217,7 @@ fn the_master_finishes_and_journals_the_same_ensemble_clean_or_recovered() {
 /// uninterrupted one does.
 #[test]
 fn recovery_replays_settled_workflows_and_their_recycled_regions() {
-    let config = EngineConfig::default()
-        .timeout(10.0)
-        .retry(RetryPolicy { max_attempts: Some(2), ..RetryPolicy::default() });
+    let config = EngineConfig::default().timeout(10.0).max_attempts(2);
     let registry = Registry::new();
     for w in 0..3 {
         registry.insert(WorkflowId(w), chain(&format!("c{w}"), 3, 1.0));

@@ -201,9 +201,10 @@ impl Workflow {
         self.files.iter().filter(|f| !f.initial).count()
     }
 
-    /// Total CPU-seconds over all jobs.
+    /// Total CPU-seconds over all jobs; `+0.0` for a workflow without
+    /// jobs (an empty `f64` sum is `-0.0`, which prints as `-0`).
     pub fn total_cpu_seconds(&self) -> f64 {
-        self.jobs.iter().map(|j| j.cpu_seconds).sum()
+        self.jobs.iter().fold(0.0, |sum, j| sum + j.cpu_seconds)
     }
 
     /// Look up a job id by name (linear scan; intended for tests/tooling).
@@ -798,6 +799,7 @@ mod tests {
         assert_eq!(wf.job_count(), 0);
         assert!(wf.sinks().is_empty());
         assert!(wf.topo_order().is_empty());
+        assert_eq!(wf.total_cpu_seconds().to_bits(), 0, "+0.0, not -0.0");
     }
 
     #[test]

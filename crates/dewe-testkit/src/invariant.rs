@@ -363,7 +363,6 @@ mod tests {
             workers: 1,
             slots_per_worker: 1,
             max_attempts: None,
-            backoff_base_secs: 0.0,
             chaos: ChaosSpec::none(),
             failures: vec![],
             faults: dewe_core::fault::FaultPlan::none(),

@@ -3,16 +3,14 @@
 //! The baseline models neither chaos nor worker failures, so its role in
 //! the oracle is structural: with overheads zeroed it must execute every
 //! job of the ensemble exactly once, in dependency order, with a makespan
-//! no smaller than the cpu-weighted critical path. Its ordered
-//! [`BaselineEvent`] log (the `record_events` instrumentation) is mapped
-//! onto the shared [`Event`] vocabulary for the invariant suite.
+//! no smaller than the cpu-weighted critical path. Its lifecycle trace is
+//! read as an ordered [`Event`](crate::invariant::Event) log for the
+//! invariant suite, the way the sim path's is (`paths::timeline`).
 
-use std::collections::BTreeSet;
-
-use dewe_baseline::{run_ensemble, BaselineConfig, BaselineEvent};
+use dewe_baseline::{run_ensemble, BaselineConfig};
 use dewe_simcloud::{ClusterConfig, SharedFsKind, StorageConfig, C3_8XLARGE};
 
-use crate::invariant::{Event, PathKind, PathOutcome};
+use crate::invariant::{PathKind, PathOutcome};
 use crate::scenario::Scenario;
 
 /// Execute the scenario through the baseline scheduler.
@@ -33,24 +31,11 @@ pub fn run(scenario: &Scenario) -> PathOutcome {
     cfg.log_bytes_per_job = 0.0;
     cfg.planning_secs_per_workflow = 0.0;
     cfg.submission_interval_secs = scenario.submission_interval_secs;
-    cfg.record_events = true;
+    cfg.record_trace = true;
 
     let report = run_ensemble(&scenario.build_workflows(), &cfg);
-
-    let mut events = Vec::new();
-    let mut completed = BTreeSet::new();
-    for ev in report.events.as_deref().unwrap_or(&[]) {
-        match *ev {
-            BaselineEvent::Started { job, .. } => {
-                events.push(Event::Started { job: (job.workflow.0, job.job.0) });
-            }
-            BaselineEvent::Finished { job, .. } => {
-                let id = (job.workflow.0, job.job.0);
-                events.push(Event::Finished { job: id });
-                completed.insert(id);
-            }
-        }
-    }
+    let events = super::timeline(report.trace.as_ref().expect("record_trace was set"));
+    let completed = super::finished_jobs(&events);
     PathOutcome {
         kind: PathKind::Baseline,
         completed,

@@ -11,9 +11,9 @@
 //! alone — independent of event interleaving and re-runs.
 //!
 //! Between transport events the driver lets the engine's own clock run:
-//! whenever the next engine deadline (job timeout or deferred retry)
-//! precedes the next transport event, the driver advances virtual time to
-//! the deadline and scans. A run with no pending events and no pending
+//! whenever the next engine deadline (a job timeout) precedes the next
+//! transport event, the driver advances virtual time to the deadline and
+//! scans. A run with no pending events and no pending
 //! deadlines that has not settled is a **stall** — the exact class of bug
 //! (lost dispatch, stuck dependency) the oracle exists to catch.
 //!
@@ -24,7 +24,7 @@ use std::collections::{BinaryHeap, VecDeque};
 
 use dewe_core::fault::FaultEvent;
 use dewe_core::{AckKind, AckMsg, DispatchMsg};
-use dewe_core::{Action, EngineConfig, EnsembleEngine, RetryPolicy};
+use dewe_core::{Action, EngineConfig, EnsembleEngine};
 use dewe_mq::chaos::streams;
 use dewe_mq::{ChaosDecider, Fault};
 
@@ -396,11 +396,7 @@ pub(crate) fn engine_config(scenario: &Scenario) -> EngineConfig {
             1000.0
         },
         checkout_timeout_secs: lossy.then_some(5.0),
-        retry: RetryPolicy {
-            max_attempts: scenario.max_attempts,
-            backoff_base_secs: scenario.backoff_base_secs,
-            backoff_max_secs: 60.0,
-        },
+        max_attempts: scenario.max_attempts,
     }
 }
 

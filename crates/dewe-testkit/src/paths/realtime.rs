@@ -33,7 +33,7 @@ use dewe_core::realtime::{
     MasterConfig, MasterEvent, MasterHandle, Registry, RunContext, TcpMaster, TcpMasterOptions,
     TcpWorkerLink, TcpWorkerOptions, WorkerConfig, WorkerHandle,
 };
-use dewe_core::{EngineConfig, EngineStats, RetryPolicy};
+use dewe_core::{EngineConfig, EngineStats};
 use dewe_dag::{write_workflow, JobId, Workflow};
 
 use super::chaos::ChaosState;
@@ -112,11 +112,7 @@ fn master_config(scenario: &Scenario, journal: Option<&Path>) -> MasterConfig {
         engine: EngineConfig {
             default_timeout_secs: timeout,
             checkout_timeout_secs: checkout,
-            retry: RetryPolicy {
-                max_attempts: scenario.max_attempts,
-                backoff_base_secs: if scenario.backoff_base_secs > 0.0 { 0.002 } else { 0.0 },
-                backoff_max_secs: 0.05,
-            },
+            max_attempts: scenario.max_attempts,
         },
         expected_workflows: Some(scenario.workflows.len()),
         journal_path: journal.map(Path::to_path_buf),

@@ -16,13 +16,10 @@
 //! so delay-only chaos is a no-op), and scripted failures ride the
 //! sim's `failure_script`. Observations come from the per-job lifecycle
 //! trace: successful attempts become `Started`/`Finished` events ordered
-//! by simulated time (finishes before starts on ties, so a parent's
-//! completion precedes a child dispatched in the same instant), and the
-//! completion set is derived from the surviving finish events.
+//! by simulated time (`paths::timeline`), and the completion set is
+//! derived from the surviving finish events.
 //!
 //! [`FaultPlan::node_faults`]: dewe_core::fault::FaultPlan::node_faults
-
-use std::collections::BTreeSet;
 
 use dewe_core::sim::{run_ensemble, ScriptedFailure, SimRunConfig, SubmissionPlan};
 use dewe_mq::ChaosConfig;
@@ -76,40 +73,21 @@ fn sim_config(scenario: &Scenario) -> SimRunConfig {
 pub fn run(scenario: &Scenario, cfg: &EngineDriverConfig) -> PathOutcome {
     let report = run_ensemble(&scenario.build_workflows(), &sim_config(scenario));
 
-    // Rebuild an ordered event log from the lifecycle trace. Ties sort
-    // finishes first so a parent completing at the exact instant its
-    // child starts reads in dependency order; the trace index breaks
-    // remaining ties deterministically.
     let trace = report.trace.as_ref().expect("sim path always records a trace");
-    let mut timeline: Vec<(f64, u8, usize, Event)> = Vec::with_capacity(2 * trace.len());
-    for (i, t) in trace.events().iter().enumerate() {
-        timeline.push((t.started, 1, i, Event::Started { job: (t.workflow, t.job) }));
-        timeline.push((t.finished, 0, i, Event::Finished { job: (t.workflow, t.job) }));
-    }
-    timeline.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-
+    let mut events = super::timeline(trace);
     // The injected-bug hook: silently discard the n-th completion event,
     // as if the sim lost a finish record — the oracle must notice.
-    let mut events = Vec::with_capacity(timeline.len());
-    let mut finish_no = 0u64;
-    for (_, _, _, ev) in timeline {
-        if matches!(ev, Event::Finished { .. }) {
-            let dropped = cfg.sim_drop_nth_completion == Some(finish_no);
-            finish_no += 1;
-            if dropped {
-                continue;
-            }
+    if let Some(n) = cfg.sim_drop_nth_completion {
+        let nth_finish = events
+            .iter()
+            .enumerate()
+            .filter(|(_, ev)| matches!(ev, Event::Finished { .. }))
+            .nth(n as usize);
+        if let Some((at, _)) = nth_finish {
+            events.remove(at);
         }
-        events.push(ev);
     }
-
-    let completed: BTreeSet<(u32, u32)> = events
-        .iter()
-        .filter_map(|ev| match *ev {
-            Event::Finished { job } => Some(job),
-            Event::Started { .. } => None,
-        })
-        .collect();
+    let completed = super::finished_jobs(&events);
 
     let stats = report.engine;
     let settled = stats.workflows_completed + stats.workflows_abandoned == scenario.workflows.len();

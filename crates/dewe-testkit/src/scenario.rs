@@ -236,8 +236,6 @@ pub struct Scenario {
     pub slots_per_worker: usize,
     /// Retry cap (`None` = the paper's retry-forever).
     pub max_attempts: Option<u32>,
-    /// Backoff before retries, virtual seconds.
-    pub backoff_base_secs: f64,
     /// Chaos profile.
     pub chaos: ChaosSpec,
     /// Scripted per-job failures.
@@ -362,8 +360,8 @@ impl Scenario {
             rng.below(2);
         }
 
-        let (chaos, max_attempts, backoff_base_secs, failures) = match class {
-            0 => (ChaosSpec::none(), None, 0.0, Vec::new()),
+        let (chaos, max_attempts, failures) = match class {
+            0 => (ChaosSpec::none(), None, Vec::new()),
             1 => {
                 let chaos = ChaosSpec {
                     seed: seed ^ 0xC4A5_11FE,
@@ -372,7 +370,7 @@ impl Scenario {
                     delay_prob: rng.unit() * 0.3,
                     delay_secs: 0.5,
                 };
-                (chaos, None, 0.0, Vec::new())
+                (chaos, None, Vec::new())
             }
             _ => {
                 // Delay-only chaos: a lost or duplicated Failed ack would
@@ -386,7 +384,9 @@ impl Scenario {
                     delay_secs: 0.05,
                 };
                 let cap = 1 + rng.below(3) as u32;
-                let backoff = rng.unit() * 0.1;
+                // A retired draw, kept and discarded like the two above:
+                // generators up to 0.11.0 sampled a retry backoff here.
+                rng.unit();
                 let total: usize = workflows.iter().map(|w| w.jobs.len()).sum();
                 let n_failures = 1 + rng.below(3.min(total));
                 let mut failures = Vec::new();
@@ -402,7 +402,7 @@ impl Scenario {
                         });
                     }
                 }
-                (chaos, Some(cap), backoff, failures)
+                (chaos, Some(cap), failures)
             }
         };
 
@@ -413,7 +413,6 @@ impl Scenario {
             workers,
             slots_per_worker,
             max_attempts,
-            backoff_base_secs,
             chaos,
             failures,
             faults: FaultPlan::none(),
@@ -467,7 +466,6 @@ impl Scenario {
             workers,
             slots_per_worker: 1 + rng.below(2),
             max_attempts: None,
-            backoff_base_secs: 0.0,
             chaos,
             failures: Vec::new(),
             faults: FaultPlan::generate(
@@ -585,7 +583,7 @@ impl Scenario {
         let _ = writeln!(
             s,
             "seed {} | {} workflow(s), {} job(s) | workers {}x{} | \
-             interval {:.3}s | max_attempts {:?} | backoff {:.3}s",
+             interval {:.3}s | max_attempts {:?}",
             self.seed,
             self.workflows.len(),
             self.total_jobs(),
@@ -593,7 +591,6 @@ impl Scenario {
             self.slots_per_worker,
             self.submission_interval_secs,
             self.max_attempts,
-            self.backoff_base_secs,
         );
         let _ = writeln!(
             s,
@@ -626,7 +623,7 @@ impl Scenario {
 }
 
 /// Decorrelates scenario-shape draws from the raw seed (which also feeds
-/// the chaos decider and backoff jitter).
+/// the chaos decider).
 const SCENARIO_SALT: u64 = 0xD1FF_E7E4_7E57_0001;
 
 /// Separate salt for the fault class, so `generate(n)` and
@@ -664,10 +661,11 @@ mod tests {
     /// every class (FNV-1a over the concatenation), so a change to the
     /// generators that reshuffles what a seed means fails here instead of
     /// silently retargeting every sweep. The constants were computed at
-    /// the commit that still carried the two retired draws as `Scenario`
-    /// fields, with those two fields cut from the rendering: dropping
-    /// them left every ensemble, chaos profile, failure script and fault
-    /// plan exactly as it was.
+    /// the commit that still carried the retired backoff draw as a
+    /// `Scenario` field, with that field cut from the rendering (as the
+    /// two retired shard draws were cut before it): dropping it left every
+    /// ensemble, chaos profile, failure script and fault plan exactly as
+    /// it was.
     #[test]
     fn seeds_keep_their_meaning() {
         let digest = |generate: fn(u64) -> Scenario| {
@@ -680,9 +678,9 @@ mod tests {
             }
             digest
         };
-        assert_eq!(digest(Scenario::generate), 0x1200_07CD_7A0B_2611, "classic");
-        assert_eq!(digest(Scenario::generate_fault), 0x2AA1_7FAF_75E6_6F86, "fault");
-        assert_eq!(digest(Scenario::generate_fault_chaos), 0x7FC1_0EB7_69ED_C5DF, "fault-chaos");
+        assert_eq!(digest(Scenario::generate), 0x1757_7F4E_F07B_D950, "classic");
+        assert_eq!(digest(Scenario::generate_fault), 0xE3D2_FE4C_F141_E27A, "fault");
+        assert_eq!(digest(Scenario::generate_fault_chaos), 0x945B_1B51_2C55_C641, "fault-chaos");
     }
 
     #[test]
@@ -725,7 +723,6 @@ mod tests {
             workers: 1,
             slots_per_worker: 1,
             max_attempts: Some(2),
-            backoff_base_secs: 0.0,
             chaos: ChaosSpec::none(),
             failures: vec![FailureSpec { workflow: 0, job: 0, failing_attempts: 2 }],
             faults: FaultPlan::none(),
@@ -825,7 +822,6 @@ mod tests {
             workers: 1,
             slots_per_worker: 1,
             max_attempts: None,
-            backoff_base_secs: 0.0,
             chaos: ChaosSpec::none(),
             failures: Vec::new(),
             faults: FaultPlan::none(),

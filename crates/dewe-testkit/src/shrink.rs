@@ -8,8 +8,7 @@
 //!    failure specs are re-indexed);
 //! 3. drop failure specs;
 //! 4. drop injected fault events;
-//! 5. switch chaos off entirely, then zero the scheduling knobs
-//!    (submission stagger, backoff).
+//! 5. switch chaos off entirely, then zero the submission stagger.
 //!
 //! `diverges` is the caller's oracle: it must return `true` while the
 //! candidate still exhibits the original divergence. The shrinker only
@@ -128,14 +127,6 @@ pub fn minimize(initial: &Scenario, diverges: &dyn Fn(&Scenario) -> bool) -> Sce
                 changed = true;
             }
         }
-        if cur.backoff_base_secs != 0.0 {
-            let mut cand = cur.clone();
-            cand.backoff_base_secs = 0.0;
-            if diverges(&cand) {
-                cur = cand;
-                changed = true;
-            }
-        }
 
         if !changed {
             return cur;
@@ -166,7 +157,6 @@ mod tests {
             workers: 2,
             slots_per_worker: 2,
             max_attempts: Some(2),
-            backoff_base_secs: 0.05,
             chaos: ChaosSpec {
                 seed: 1,
                 drop_prob: 0.0,

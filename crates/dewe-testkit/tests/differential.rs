@@ -91,7 +91,6 @@ fn two_worker_loss_scenario() -> Scenario {
         workers: 4,
         slots_per_worker: 1,
         max_attempts: None,
-        backoff_base_secs: 0.0,
         chaos: ChaosSpec::none(),
         failures: Vec::new(),
         faults: FaultPlan {

@@ -413,14 +413,12 @@ fn run_simulation(
     writeln!(stdout, "  est. cost  : ${:.2} (hourly billing)", report.cost_usd)?;
     if let (Some(path), Some(trace)) = (trace_out, &report.trace) {
         std::fs::write(path, trace.to_chrome_json()).map_err(|e| format!("write {path}: {e}"))?;
-        let qw = trace.queue_wait_summary().expect("trace non-empty");
-        writeln!(
-            stdout,
-            "  trace      : {} events -> {path} (queue wait p50 {:.2}s p99 {:.2}s)",
-            trace.len(),
-            qw.p50,
-            qw.p99
-        )?;
+        write!(stdout, "  trace      : {} events -> {path}", trace.len())?;
+        // A workflow with no jobs leaves nothing to summarize.
+        match trace.queue_wait_summary() {
+            Some(qw) => writeln!(stdout, " (queue wait p50 {:.2}s p99 {:.2}s)", qw.p50, qw.p99)?,
+            None => writeln!(stdout)?,
+        }
     }
     if !report.completed {
         return Err("simulation did not complete (engine starvation?)".into());

@@ -130,6 +130,33 @@ fn trace_export_is_valid_chrome_json() {
 }
 
 #[test]
+fn a_workflow_with_no_jobs_inspects_and_simulates_with_a_trace() {
+    let dir = workdir("empty");
+    let dag = dir.join("e.dag");
+    let json = dir.join("out.json");
+    std::fs::write(&dag, "WORKFLOW empty\n").unwrap();
+
+    let out = dewectl().args(["inspect", dag.to_str().unwrap()]).output().unwrap();
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let cpu = stdout.lines().find(|l| l.starts_with("total CPU")).expect("a CPU line");
+    assert!(cpu.ends_with(": 0 core-seconds"), "{cpu:?}");
+
+    let out = dewectl()
+        .args(["simulate", dag.to_str().unwrap(), "--trace", json.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("trace      : 0 events"), "{stdout}");
+    let text = std::fs::read_to_string(&json).unwrap();
+    assert_eq!(text.split_whitespace().collect::<String>(), "[]", "{text:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_usage_exits_nonzero() {
     let out = dewectl().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());
