@@ -13,9 +13,9 @@
 //! Between transport events the driver lets the engine's own clock run:
 //! whenever the next engine deadline (a job timeout) precedes the next
 //! transport event, the driver advances virtual time to the deadline and
-//! scans. A run with no pending events and no pending
-//! deadlines that has not settled is a **stall** — the exact class of bug
-//! (lost dispatch, stuck dependency) the oracle exists to catch.
+//! scans. A run with no pending events and no pending deadlines that has
+//! not settled is a **stall** — the exact class of bug (lost dispatch,
+//! stuck dependency) the oracle exists to catch.
 //!
 //! [`EnsembleEngine`]: dewe_core::EnsembleEngine
 
